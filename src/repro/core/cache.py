@@ -99,6 +99,27 @@ def fingerprint(*parts: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _chunk_parts(chunk: "Chunk") -> tuple[tuple[Any, ...], ...]:
+    """A chunk's canonical form as ``(head, own, tail, extra)`` part groups.
+
+    ``head`` and ``tail`` are constant over a stream (per region of a region
+    scheme); only ``own`` — index and interval — changes chunk to chunk.
+    Concatenated in this order they name every entry of every store ever
+    written, so the form grows only by parts that leave existing chunks'
+    bytes alone: ``extra`` holds ``metadata`` (readable by the executable,
+    set on no chunk the system itself builds) only when it is non-empty.
+    """
+    video = chunk.video
+    footage_fingerprint = getattr(video, "content_fingerprint", None)
+    footage_identity: Any = (footage_fingerprint() if callable(footage_fingerprint)
+                             else getattr(video, "content_token", 0))
+    interval = chunk.interval
+    return ((video.name, footage_identity, video.fps, video.duration),
+            (chunk.index, (interval.start, interval.end)),
+            (chunk.mask, chunk.region, chunk.sample_period),
+            (chunk.metadata,) if chunk.metadata else ())
+
+
 def chunk_fingerprint(chunk: "Chunk") -> str:
     """Identity of one chunk's *visible content*.
 
@@ -109,24 +130,13 @@ def chunk_fingerprint(chunk: "Chunk") -> str:
     objects with equal names from colliding when a cache is shared and is
     the invalidation story for the on-disk store — plus everything that
     restricts what the executable can see: the interval, the mask, the
-    spatial region, and the frame sampling period.  Footage objects without
-    a content fingerprint fall back to the session-unique ``content_token``
-    (entries for those are only valid within one process).
+    spatial region, the frame sampling period, and any chunk metadata.
+    Footage objects without a content fingerprint fall back to the
+    session-unique ``content_token`` (entries for those are only valid
+    within one process).
     """
-    footage_fingerprint = getattr(chunk.video, "content_fingerprint", None)
-    footage_identity: Any = (footage_fingerprint() if callable(footage_fingerprint)
-                             else getattr(chunk.video, "content_token", 0))
-    return fingerprint(
-        chunk.video.name,
-        footage_identity,
-        chunk.video.fps,
-        chunk.video.duration,
-        chunk.index,
-        (chunk.interval.start, chunk.interval.end),
-        chunk.mask,
-        chunk.region,
-        chunk.sample_period,
-    )
+    head, own, tail, extra = _chunk_parts(chunk)
+    return fingerprint(*head, *own, *tail, *extra)
 
 
 def runner_fingerprint(runner: "SandboxRunner") -> str:
@@ -178,11 +188,49 @@ class CacheStats:
                 "evictions": self.evictions, "hit_rate": round(self.hit_rate, 3)}
 
 
+#: Stream-constant texts one context memoises before starting over: a stream
+#: needs one per region of its scheme, so only a context reused across many
+#: streams ever gets here.
+_KEY_TEXT_MEMO_LIMIT = 64
+
+
+def _canonical_text(parts: tuple[Any, ...]) -> str:
+    """``parts`` as they read inside :func:`fingerprint`'s canonical repr."""
+    return ", ".join([repr(canonical_value(part)) for part in parts])
+
+
 def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
               context: "ExecutionContext") -> str:
-    """Cache key of one chunk execution, shared by every store tier."""
-    return fingerprint(chunk_fingerprint(chunk), runner_fingerprint(runner),
-                       context_fingerprint(context))
+    """Cache key of one chunk execution, shared by every store tier.
+
+    Byte for byte ``fingerprint(chunk_fingerprint(chunk),
+    runner_fingerprint(runner), context_fingerprint(context))`` — existing
+    stores are addressed by those bytes — with everything constant over a
+    ``(runner, context)`` stream canonicalised once per stream: the two
+    stream fingerprints are memoised on their frozen instances, the chunk's
+    constant text on the context, keyed by the head's *values* (so a
+    mid-stream ``add_objects`` changes every later key) and the frozen mask
+    and region's *identity* (pinned by the entry, so no id is reused under
+    it).  A chunk pays for its index, its interval and two ``sha256`` calls.
+    """
+    head, own, tail, extra = _chunk_parts(chunk)
+    mask, region, sample_period = tail
+    memo = context.key_text_memo
+    memo_key = (head, id(mask), id(region), sample_period)
+    texts = memo.get(memo_key)
+    if texts is None:
+        if len(memo) >= _KEY_TEXT_MEMO_LIMIT:
+            memo.clear()
+        texts = memo[memo_key] = (f"({_canonical_text(head)}, ",
+                                  f", {_canonical_text(tail)}",
+                                  mask, region)
+    canonical = texts[0] + _canonical_text(own) + texts[1]
+    if extra:
+        canonical += ", " + _canonical_text(extra)
+    chunk_digest = hashlib.sha256((canonical + ")").encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        f"('{chunk_digest}', '{runner.fingerprint}', '{context.fingerprint}')"
+        .encode("utf-8")).hexdigest()
 
 
 class ChunkResultCache:
@@ -723,10 +771,9 @@ class DiskChunkStore:
     def get(self, key: str) -> ChunkRows | None:
         """Rows stored under ``key``, or None on a miss (or corrupt entry)."""
         path = self._path_for(key)
-        json_path = self._path_for(key, "json")
+        json_path: Path | None = None  # built only after a binary miss
         rule = self.fault_injector.poll("store.get", token=key) \
             if self.fault_injector is not None else None
-        legacy = False
         try:
             if rule is not None:
                 if rule.kind is FaultKind.DELAY:
@@ -736,14 +783,13 @@ class DiskChunkStore:
                 elif rule.kind is FaultKind.CORRUPT:
                     # Scribble over the entry so the genuine corrupt-entry
                     # self-heal path below runs against real bytes.
-                    if path.exists():
-                        path.write_bytes(b"\x00corrupt")
-                    elif json_path.exists():
-                        json_path.write_bytes(b"\x00corrupt")
+                    target = path if path.exists() else self._path_for(key, "json")
+                    if target.exists():
+                        target.write_bytes(b"\x00corrupt")
             try:
                 rows = _read_binary_entry(path)
             except FileNotFoundError:
-                legacy = True
+                json_path = self._path_for(key, "json")
                 rows = _read_json_entry(json_path)
         except FileNotFoundError:
             self.stats.misses += 1
@@ -752,7 +798,7 @@ class DiskChunkStore:
             # A torn or foreign file: treat as a miss and drop it so the slot
             # can be rewritten cleanly.
             self.read_errors += 1
-            for stale in (json_path, path) if legacy else (path,):
+            for stale in (path,) if json_path is None else (json_path, path):
                 try:
                     os.unlink(stale)
                 except OSError:
@@ -760,7 +806,7 @@ class DiskChunkStore:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        if legacy:
+        if json_path is not None:
             # A warm directory written before the binary format: serve the
             # rows, then migrate the entry so the next hit is parse-free.
             # JSON-format stores leave their entries alone — for them JSON

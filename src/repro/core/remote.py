@@ -471,8 +471,6 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
     checks the store before executing and writes successful results through,
     so shards over common storage serve and extend the same warm set.
     """
-    from repro.core.cache import chunk_key
-
     payload = _load_payload(message["payload"])
     runner = payload["runner"]
     context = payload["context"]
@@ -483,7 +481,7 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
         rows = None
         key = None
         if store is not None:
-            key = chunk_key(runner, chunk, context)
+            key = store.key_for(runner, chunk, context)
             rows = store.get(key)
         if rows is not None:
             # Shard-side cache classification: a coordinator-cold but

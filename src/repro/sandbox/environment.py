@@ -22,7 +22,8 @@ import time
 import warnings
 from collections import deque
 from itertools import chain
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.core.engine import ChunkOutcome, ExecutionEngine, SerialEngine
@@ -37,7 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sandbox.executables import ProcessExecutable
 
 
-@dataclass
+def _field_state(instance: Any) -> dict[str, Any]:
+    """Pickle/copy state without the memoised key-derivation state below, so
+    broadcast bytes do not depend on whether a key was derived first."""
+    return {spec.name: getattr(instance, spec.name) for spec in fields(instance)}
+
+
+@dataclass(frozen=True)
 class ExecutionContext:
     """Chunk-independent inputs available to an executable.
 
@@ -45,6 +52,9 @@ class ExecutionContext:
     and owner-provided metadata that does not depend on private content.
     ``detector_config`` / ``tracker_config`` describe the analyst's "model" in
     this substrate (a real analyst would ship CNN weights instead).
+
+    Frozen: one instance is one stream's constants, so the chunk store
+    hashes them once per stream (:func:`repro.core.cache.chunk_key`).
     """
 
     camera: str
@@ -54,14 +64,29 @@ class ExecutionContext:
     metadata: dict[str, Any] = field(default_factory=dict)
     detector_seed: int = 0
 
+    __getstate__ = _field_state
+
     def detector(self) -> SyntheticDetector:
         """A detector instance configured for this camera."""
         return SyntheticDetector(self.detector_config, seed=self.detector_seed)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """This context's part of every chunk-store key (memoised)."""
+        from repro.core.cache import context_fingerprint
 
-@dataclass
+        return context_fingerprint(self)
+
+    @cached_property
+    def key_text_memo(self) -> dict[tuple, tuple]:
+        """``chunk_key``'s stream-constant texts; they live as long as the stream."""
+        return {}
+
+
+@dataclass(frozen=True)
 class SandboxRunner:
-    """Runs one executable over chunks under the isolation rules above."""
+    """Runs one executable over chunks under the isolation rules above
+    (frozen for the same reason :class:`ExecutionContext` is)."""
 
     executable: "ProcessExecutable"
     schema: Schema
@@ -74,6 +99,15 @@ class SandboxRunner:
             raise SandboxViolationError("max_rows must be positive")
         if self.timeout_seconds <= 0:
             raise SandboxViolationError("the PROCESS timeout must be positive")
+
+    __getstate__ = _field_state
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """This configuration's part of every chunk-store key (memoised)."""
+        from repro.core.cache import runner_fingerprint
+
+        return runner_fingerprint(self)
 
     def _default_rows(self) -> list[dict[str, Any]]:
         """Output substituted when the executable crashes or exceeds its timeout."""
