@@ -9,8 +9,10 @@ segment — which lasts at most rho — can never straddle two queries drawing
 from disjoint budgets (Appendix E.2, Case 2).
 
 Storing a value per frame would not scale to year-long videos, so the ledger
-tracks *charged intervals* instead and answers "minimum remaining budget over
-an interval" by sweeping the charge boundaries.
+records *charged intervals* — the durable record — and derives from them a
+consumption *profile* (sorted charge boundaries, the epsilon consumed between
+each two, the running peak), so checking or charging costs a bisect plus the
+segments in the window however many charges came before.
 
 Two grains of accounting live here:
 
@@ -27,7 +29,9 @@ Two grains of accounting live here:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any
 
 from repro.errors import BudgetExceededError, DurabilityError, PolicyError, \
@@ -51,9 +55,12 @@ class BudgetRequest:
 class FrameBudgetLedger:
     """Tracks per-frame budget consumption for one camera.
 
-    Thread-safe: readers and :meth:`admit` serialize on a per-ledger lock,
-    and admit's check-then-charge is one atomic step — two concurrent
-    queries racing for the last epsilon of a frame see exactly one winner.
+    ``charges`` is the ordered, durable record and :meth:`charge` its only
+    writer; the profile it keeps in step is derived state — never serialised
+    or compared, rebuilt by replaying ``charges``.  Thread-safe: readers,
+    :meth:`charge` and :meth:`admit` serialize on a per-ledger lock, and
+    admit's check-then-charge is one atomic step — two concurrent queries
+    racing for the last epsilon of a frame see exactly one winner.
     """
 
     total_epsilon: float
@@ -64,42 +71,46 @@ class FrameBudgetLedger:
     def __post_init__(self) -> None:
         if self.total_epsilon <= 0:
             raise PolicyError("the per-frame budget must be positive")
+        initial, self.charges = self.charges, []
+        self._edges: list[float] = []   # sorted distinct charge boundaries
+        self._levels: list[float] = []  # [i]: consumed on [_edges[i], _edges[i+1])
+        self._peak = 0.0
+        for interval, epsilon in initial:
+            self.charge(interval, epsilon)
 
-    def _consumed_at(self, timestamp: float, extra: list[tuple[TimeInterval, float]] | None = None,
-                     *, expand_extra_by: float = 0.0) -> float:
-        """Total epsilon charged (plus pending requests) covering ``timestamp``."""
-        consumed = sum(epsilon for interval, epsilon in self.charges
-                       if interval.start <= timestamp < interval.end)
-        if extra:
-            for interval, epsilon in extra:
-                expanded = interval.expand(expand_extra_by)
-                if expanded.start <= timestamp < expanded.end:
-                    consumed += epsilon
-        return consumed
+    def _split(self, timestamp: float) -> int:
+        """Index of the segment starting at ``timestamp``, created if needed."""
+        index = bisect_left(self._edges, timestamp)
+        if index == len(self._edges) or self._edges[index] != timestamp:
+            self._edges.insert(index, timestamp)
+            self._levels.insert(index, self._levels[index - 1] if index else 0.0)
+        return index
 
-    def _breakpoints(self, window: TimeInterval,
-                     extra: list[tuple[TimeInterval, float]] | None = None,
-                     *, expand_extra_by: float = 0.0) -> list[float]:
-        """Candidate timestamps where consumption can change inside ``window``."""
-        points = {window.start}
-        for interval, _ in self.charges:
-            for edge in (interval.start, interval.end):
-                if window.start <= edge < window.end:
-                    points.add(edge)
-        if extra:
-            for interval, _ in extra:
-                expanded = interval.expand(expand_extra_by)
-                for edge in (expanded.start, expanded.end):
-                    if window.start <= edge < window.end:
-                        points.add(edge)
-        return sorted(points)
+    def charge(self, interval: TimeInterval, epsilon: float) -> None:
+        """Deduct ``epsilon`` from every frame in ``interval``, unchecked.
+
+        A split copies its level to both halves and charges add in arrival
+        order, so a level is the left fold of ``+`` over its covering charges
+        in charge order: the very float a sweep of ``charges`` would sum.
+        """
+        with self._lock:
+            self.charges.append((interval, epsilon))
+            first, last = self._split(interval.start), self._split(interval.end)
+            for index in range(first, last):
+                self._levels[index] += epsilon
+                self._peak = max(self._peak, self._levels[index])
+
+    def _consumed(self, timestamp: float) -> float:
+        """Epsilon charged to the frame at ``timestamp`` (holding ``_lock``)."""
+        index = bisect_right(self._edges, timestamp) - 1
+        return self._levels[index] if index >= 0 else 0.0
 
     def consumed_over(self, interval: TimeInterval) -> float:
         """Maximum epsilon consumed by any frame in ``interval``."""
         with self._lock:
-            if interval.duration <= 0:
-                return self._consumed_at(interval.start)
-            return max(self._consumed_at(point) for point in self._breakpoints(interval))
+            inside = slice(bisect_right(self._edges, interval.start),
+                           bisect_left(self._edges, interval.end))
+            return max([self._consumed(interval.start), *self._levels[inside]])
 
     def remaining_over(self, interval: TimeInterval) -> float:
         """Minimum remaining budget across frames in ``interval``."""
@@ -107,22 +118,16 @@ class FrameBudgetLedger:
 
     def remaining_at(self, timestamp: float) -> float:
         """Remaining budget of the frame at ``timestamp``."""
-        with self._lock:
-            return self.total_epsilon - self._consumed_at(timestamp)
+        return self.remaining_over(TimeInterval(timestamp, timestamp))
 
     def max_consumed(self) -> float:
         """Highest epsilon consumed by any frame (0.0 on a fresh ledger).
 
-        Consumption only changes at charge boundaries, and the maximum of a
-        sum of half-open intervals is attained at some interval's start, so
-        sweeping the charge starts suffices.  Feeds the service-level budget
-        snapshot (``total - max_consumed`` = worst-frame remaining).
+        Epsilons are positive, so the running peak is the current maximum;
+        ``total - max_consumed`` is the snapshot's worst-frame remaining.
         """
         with self._lock:
-            if not self.charges:
-                return 0.0
-            return max(self._consumed_at(interval.start)
-                       for interval, _ in self.charges)
+            return self._peak
 
     def admit(self, requests: list[BudgetRequest], *, margin: float, charge: bool = True) -> None:
         """Admit (and by default charge) a query's releases, or raise untouched.
@@ -136,28 +141,31 @@ class FrameBudgetLedger:
         if not requests:
             return
         with self._lock:
-            pending = [(request.interval, request.epsilon) for request in requests]
-            span = pending[0][0].expand(margin)
-            for interval, _ in pending[1:]:
-                span = span.union_span(interval.expand(margin))
-            for point in self._breakpoints(span, pending, expand_extra_by=margin):
-                consumed = self._consumed_at(point, pending, expand_extra_by=margin)
+            pending = [(request.interval.expand(margin), request.epsilon) for request in requests]
+            span = reduce(TimeInterval.union_span, (interval for interval, _ in pending))
+            points = {span.start, *self._edges[bisect_left(self._edges, span.start):
+                                               bisect_left(self._edges, span.end)]}
+            for interval, _ in pending:
+                points.update(edge for edge in (interval.start, interval.end) if edge < span.end)
+            for point in sorted(points):
+                consumed = self._consumed(point)
+                for interval, epsilon in pending:
+                    if interval.start <= point < interval.end:
+                        consumed += epsilon
                 if consumed > self.total_epsilon + 1e-12:
                     raise BudgetExceededError(
                         f"insufficient privacy budget at t={point:.1f}s: "
                         f"required {consumed:.4f} exceeds total {self.total_epsilon:.4f}",
-                        interval=span,
-                        requested=consumed,
-                        available=self.total_epsilon,
-                    )
+                        interval=span, requested=consumed, available=self.total_epsilon)
             if charge:
                 for request in requests:
-                    self.charges.append((request.interval, request.epsilon))
+                    self.charge(request.interval, request.epsilon)
 
     def reset(self) -> None:
         """Forget all charges (used by tests and what-if analyses)."""
         with self._lock:
             self.charges.clear()
+            self._edges, self._levels, self._peak = [], [], 0.0
 
 
 class ServiceLedger:
@@ -235,14 +243,15 @@ class ServiceLedger:
 
     def admit_many(self, requests_by_camera: dict[str, list[BudgetRequest]],
                    margins: dict[str, float], *, charge: bool = True,
-                   query_id: str | None = None) -> None:
+                   query_id: str | None = None) -> dict[str, float] | None:
         """Atomically admit one query's demands across all its cameras.
 
-        Checks every camera first (``charge=False`` passes), then charges
-        every camera, all under the cross-camera lock — the all-or-nothing
-        admission of Algorithm 1, made race-free.  Raises
-        :class:`~repro.errors.BudgetExceededError` leaving every ledger
-        untouched if any camera lacks budget.
+        Checks every camera first, then charges every camera (unchecked — the
+        check just passed under the same lock), all under the cross-camera
+        lock — the all-or-nothing admission of Algorithm 1, made race-free.
+        Raises :class:`~repro.errors.BudgetExceededError` leaving every ledger
+        untouched if any camera lacks budget.  A charging call returns each
+        camera's remaining budget, read before the lock is released.
 
         ``query_id`` keys the charge for idempotent crash recovery; the
         in-memory ledger ignores it (every charge is new), while
@@ -261,13 +270,20 @@ class ServiceLedger:
                     self._note_admission("denied", requests_by_camera, contended)
                 raise
             if not charge:
-                return
+                return None
             for camera, requests in requests_by_camera.items():
-                self.ledger(camera).admit(
-                    requests, margin=margins.get(camera, 0.0), charge=True)
+                for request in requests:
+                    self.ledger(camera).charge(request.interval, request.epsilon)
             self._note_admission("admitted", requests_by_camera, contended)
+            return self._remaining(requests_by_camera)
         finally:
             self._lock.release()
+
+    def _remaining(self, requests_by_camera: dict[str, list[BudgetRequest]]) -> dict[str, float]:
+        """Remaining budget per camera over its requests' span (holding ``_lock``)."""
+        return {camera: self.ledger(camera).remaining_over(reduce(
+                    TimeInterval.union_span, (request.interval for request in requests)))
+                for camera, requests in sorted(requests_by_camera.items()) if requests}
 
     # ------------------------------------------------------- contention stats
 
@@ -437,15 +453,13 @@ class DurableServiceLedger(ServiceLedger):
                 # tail — refuse to guess at budgets.
                 raise DurabilityError(
                     f"WAL charge record for unregistered camera {camera!r}")
-            with ledger._lock:
-                for ordinal, (start, end, epsilon) in enumerate(charges):
-                    key = (query_id, camera, start, end, epsilon, ordinal)
-                    if query_id is not None and key in self._charge_keys:
-                        continue
-                    if query_id is not None:
-                        self._charge_keys.add(key)
-                    ledger.charges.append(
-                        (TimeInterval(float(start), float(end)), float(epsilon)))
+            for ordinal, (start, end, epsilon) in enumerate(charges):
+                key = (query_id, camera, start, end, epsilon, ordinal)
+                if query_id is not None and key in self._charge_keys:
+                    continue
+                if query_id is not None:
+                    self._charge_keys.add(key)
+                ledger.charge(TimeInterval(float(start), float(end)), float(epsilon))
         if query_id is not None:
             self._charged_queries[query_id] = int(record.get("seq", -1))
             self.last_charge_seq = int(record.get("seq", -1))
@@ -454,10 +468,10 @@ class DurableServiceLedger(ServiceLedger):
 
     def _restore(self, state: dict[str, Any]) -> None:
         for camera, payload in state.get("cameras", {}).items():
-            ledger = FrameBudgetLedger(total_epsilon=float(payload["total_epsilon"]))
-            ledger.charges = [(TimeInterval(float(start), float(end)), float(epsilon))
-                              for start, end, epsilon in payload.get("charges", [])]
-            self._ledgers[camera] = ledger
+            self._ledgers[camera] = FrameBudgetLedger(
+                total_epsilon=float(payload["total_epsilon"]),
+                charges=[(TimeInterval(float(start), float(end)), float(epsilon))
+                         for start, end, epsilon in payload.get("charges", [])])
         self._charged_queries = {query_id: int(seq) for query_id, seq
                                  in state.get("charged_queries", {}).items()}
         self._charge_keys = {tuple(key) for key in state.get("charge_keys", [])}
@@ -487,20 +501,19 @@ class DurableServiceLedger(ServiceLedger):
 
     def admit_many(self, requests_by_camera: dict[str, list[BudgetRequest]],
                    margins: dict[str, float], *, charge: bool = True,
-                   query_id: str | None = None) -> None:
+                   query_id: str | None = None) -> dict[str, float] | None:
         """All-or-nothing admission, logged before it takes effect.
 
         The admission *check* runs purely in memory; on success the full
         charge set is appended (and fsynced) as one ``charge`` record, then
         applied from that same record.  A ``query_id`` that already charged
         — replayed after a crash, or resubmitted with its resume token —
-        returns immediately without touching any ledger.
+        touches no ledger and only reads the remaining budgets.
         """
         contended = self._acquire_measured()
         try:
-            if charge and query_id is not None \
-                    and query_id in self._charged_queries:
-                return
+            if charge and query_id in self._charged_queries:
+                return self._remaining(requests_by_camera)
             try:
                 super().admit_many(requests_by_camera, margins, charge=False)
             except BudgetExceededError:
@@ -509,7 +522,7 @@ class DurableServiceLedger(ServiceLedger):
                                          contended)
                 raise
             if not charge:
-                return
+                return None
             record = {"op": "charge", "query_id": query_id,
                       "cameras": {camera: [[request.interval.start,
                                             request.interval.end,
@@ -523,6 +536,7 @@ class DurableServiceLedger(ServiceLedger):
                 self.last_charge_seq = seq
             self._note_admission("admitted", requests_by_camera, contended)
             self._maybe_compact()
+            return self._remaining(requests_by_camera)
         finally:
             self._lock.release()
 

@@ -88,14 +88,6 @@ class _TableSource:
     policy: PrivacyPolicy
 
 
-def _requests_span(requests: list[BudgetRequest]) -> TimeInterval:
-    """Smallest interval covering every request (for post-charge reporting)."""
-    span = requests[0].interval
-    for request in requests[1:]:
-        span = span.union_span(request.interval)
-    return span
-
-
 def engine_stats_dict(engine: ExecutionEngine) -> dict[str, Any]:
     """Engine identity and dispatch accounting, always a dict.
 
@@ -507,18 +499,12 @@ class PrividSystem:
                     margin = max(margins.get(source.camera.name, 0.0), source.policy.rho)
                     margins[source.camera.name] = margin
 
-        budget_remaining: dict[str, float] | None = None
-        if charge_budget:
-            # All-or-nothing multi-camera admission, atomic under the
-            # (possibly service-shared) ledger's cross-camera lock: check
-            # every camera, then charge every camera, with no window for a
-            # concurrent query to interleave.
-            self.ledger.admit_many(requests_by_camera, margins,
-                                   query_id=query_id)
-            budget_remaining = {
-                camera_name: self.camera(camera_name).ledger.remaining_over(
-                    _requests_span(requests))
-                for camera_name, requests in sorted(requests_by_camera.items())}
+        # All-or-nothing multi-camera admission, atomic under the (possibly
+        # service-shared) ledger's cross-camera lock: check every camera, then
+        # charge every camera and read what remains, with no window for a
+        # concurrent query to interleave.
+        budget_remaining = self.ledger.admit_many(
+            requests_by_camera, margins, query_id=query_id) if charge_budget else None
 
         result = QueryResult(query_name=query.name,
                              budget_remaining=budget_remaining)

@@ -55,10 +55,10 @@ class QueryResult:
     """All releases of one query plus aggregate accounting.
 
     ``budget_remaining`` reports, per contributing camera, the minimum
-    remaining per-frame budget over the span this query charged — measured
-    right after the charge, so under a shared service ledger it reflects
-    every query admitted so far, not just this one.  ``None`` when the
-    query ran with ``charge_budget=False``.
+    remaining per-frame budget over the span this query charged — read
+    right after the charge with the admission lock still held, so under a
+    shared service ledger it reflects every query admitted before this one
+    and none admitted after.  ``None`` with ``charge_budget=False``.
     """
 
     query_name: str

@@ -314,11 +314,14 @@ class TestDurableServiceLedger:
     def test_replayed_query_id_never_charges_twice(self, tmp_path):
         wal, ledger = _open_ledger(tmp_path)
         ledger.register("cam", 5.0)
-        ledger.admit_many({"cam": [_request()]}, {}, query_id="q-0")
+        remaining = ledger.admit_many({"cam": [_request()]}, {}, query_id="q-0")
+        assert remaining == {"cam": 4.0}
         snapshot = ledger.snapshot()
         # Resubmission (the resume path) is a no-op, not a second charge —
-        # even when the duplicate would otherwise be denied for budget.
-        ledger.admit_many({"cam": [_request(epsilon=4.9)]}, {}, query_id="q-0")
+        # even when the duplicate would otherwise be denied for budget — and
+        # still reports the remaining budget.
+        assert ledger.admit_many({"cam": [_request(epsilon=4.9)]}, {},
+                                 query_id="q-0") == remaining
         assert ledger.snapshot() == snapshot
         wal.close()
 

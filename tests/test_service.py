@@ -87,7 +87,7 @@ class TestAtomicLedger:
         assert len(denied) == 5
         assert ledger.remaining_over(TimeInterval(0.0, 10.0)) == pytest.approx(0.0)
 
-    def test_max_consumed_sweeps_charge_starts(self):
+    def test_max_consumed_is_the_peak_of_overlapping_charges(self):
         ledger = FrameBudgetLedger(total_epsilon=5.0)
         ledger.admit([BudgetRequest(TimeInterval(0.0, 10.0), 1.0)], margin=0.0)
         ledger.admit([BudgetRequest(TimeInterval(5.0, 15.0), 2.0)], margin=0.0)
@@ -170,6 +170,37 @@ class TestServiceLedger:
         systems[0].execute(_count_query("first"))
         with pytest.raises(BudgetExceededError):
             systems[1].execute(_count_query("second"))
+
+    def test_budget_remaining_is_read_under_the_admission_lock(self):
+        # Another query charges the same frames after this one's admission
+        # released the lock but before ``execute`` builds its result: the
+        # reported budget must still be the one at admission time.
+        charged, interleaved = threading.Barrier(2), threading.Barrier(2)
+
+        class PausingLedger(ServiceLedger):
+            def admit_many(self, *args, **kwargs):
+                remaining = super().admit_many(*args, **kwargs)
+                charged.wait(timeout=30)
+                interleaved.wait(timeout=30)
+                return remaining
+
+        shared = PausingLedger()
+        system = PrividSystem(seed=5, ledger=shared)
+        system.register_camera("cam", _walker_video(),
+                               policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                               epsilon_budget=1.5)
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(system.execute(_count_query())))
+        worker.start()
+        charged.wait(timeout=30)
+        ServiceLedger.admit_many(
+            shared, {"cam": [BudgetRequest(TimeInterval(0.0, 600.0), 0.25)]}, {})
+        interleaved.wait(timeout=30)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert results[0].budget_remaining == {"cam": 0.5}
+        assert system.remaining_budget("cam", TimeInterval(0.0, 600.0)) == 0.25
 
     def test_systems_keep_private_ledgers_by_default(self):
         video = _walker_video()
