@@ -339,21 +339,18 @@ class SyntheticDetector:
             # so all of them evaluate in a single stacked mix64 pass over the
             # frame lanes.
             entries: list[tuple[Any, str, int, list[str]]] = []
+            selected: list[int] = []
             stream_keys: list[int] = []
-            for entry in batch.objects:
-                scene_object = entry.scene_object
+            for row, scene_object in enumerate(batch.scene_objects):
                 category = scene_object.category
                 if category not in config.detectable_categories:
                     continue
                 if wanted is not None and category not in wanted:
                     continue
-                # No visibility pre-check: FrameBatch entries carry at least
-                # one visible frame by construction (_batch_object returns
-                # None otherwise and the chunk filters drop emptied entries),
-                # and an all-hidden entry would simply contribute no rows.
                 object_token = string_token(scene_object.object_id)
                 attribute_keys = scene_object.attribute_keys()
-                entries.append((entry, category, len(stream_keys), attribute_keys))
+                entries.append((scene_object, category, len(stream_keys), attribute_keys))
+                selected.append(row)
                 stream_keys.append(stream_key(self.seed, _TAG_MISS, object_token))
                 stream_keys.append(stream_key(self.seed, _TAG_JITTER_X, object_token))
                 stream_keys.append(stream_key(self.seed, _TAG_JITTER_Y, object_token))
@@ -373,22 +370,14 @@ class SyntheticDetector:
                 miss_rates = np.fromiter(
                     (config.miss_rate_for(category) for _, category, _, _ in entries),
                     dtype=np.float64, count=num_entries)
-                if num_entries == 1:
-                    visible_matrix = entries[0][0].visible[np.newaxis]
-                    boxes_stack = entries[0][0].boxes[np.newaxis]
-                else:
-                    # Manual fill beats np.stack's generic dispatch for the
-                    # handful of entries a chunk carries.
-                    visible_matrix = np.empty((num_entries, num_frames), dtype=bool)
-                    boxes_stack = np.empty((num_entries, num_frames, 4),
-                                           dtype=np.float64)
-                    for position, (entry, _, _, _) in enumerate(entries):
-                        visible_matrix[position] = entry.visible
-                        boxes_stack[position] = entry.boxes
-                detected = (draws[first_rows] >= miss_rates[:, np.newaxis]) & visible_matrix
+                # The batch is already segment-major: the wanted categories
+                # are a row slice of its stack.
+                stack_rows = np.array(selected, dtype=np.int64)
+                detected = (draws[first_rows] >= miss_rates[:, np.newaxis]) \
+                    & batch.visible[stack_rows]
                 entry_ids, positions = np.nonzero(detected)
                 if positions.size:
-                    flat_boxes = boxes_stack[entry_ids, positions]
+                    flat_boxes = batch.boxes[stack_rows[entry_ids], positions]
                     xs = flat_boxes[:, 0]
                     ys = flat_boxes[:, 1]
                     det_rows = first_rows[entry_ids]
@@ -411,12 +400,13 @@ class SyntheticDetector:
                         counts = np.bincount(entry_ids, minlength=num_entries)
                         starts = np.zeros(num_entries + 1, dtype=np.int64)
                         np.cumsum(counts, out=starts[1:])
-                        for index, (entry, _, first_row, attribute_keys) in enumerate(entries):
+                        for index, (scene_object, _, first_row, attribute_keys) \
+                                in enumerate(entries):
                             if not attribute_keys or starts[index] == starts[index + 1]:
                                 continue
                             entry_slice = slice(int(starts[index]), int(starts[index + 1]))
                             entry_positions = positions[entry_slice]
-                            series = entry.scene_object.attribute_series(
+                            series = scene_object.attribute_series(
                                 batch.timestamps[entry_positions])
                             local = np.arange(entry_slice.start, entry_slice.stop,
                                               dtype=np.int64)

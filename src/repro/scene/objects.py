@@ -53,10 +53,6 @@ class Appearance:
             return None
         return self.trajectory.box_at(timestamp - self.interval.start)
 
-    def visible_mask(self, timestamps: np.ndarray) -> np.ndarray:
-        """Boolean mask of the timestamps this appearance covers (vectorized)."""
-        return (timestamps >= self.interval.start) & (timestamps < self.interval.end)
-
 
 @dataclass
 class SceneObject:

@@ -95,21 +95,11 @@ class LinearTrajectory(Trajectory):
         elapsed = np.asarray(elapsed, dtype=np.float64)
         # minimum/maximum instead of np.clip: same values, less dispatch.
         fraction = np.minimum(np.maximum(elapsed / self.duration, 0.0), 1.0)
-        start, delta = self._interpolation_vectors()
+        start = np.array([self.start.x, self.start.y, self.start.width, self.start.height])
+        end = np.array([self.end.x, self.end.y, self.end.width, self.end.height])
         # One broadcast multiply-add per batch; elementwise identical to the
         # per-column `start + (end - start) * fraction` arithmetic.
-        return start + delta * fraction[:, np.newaxis]
-
-    def _interpolation_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (start, end - start) rows backing the batch interpolation."""
-        vectors = getattr(self, "_vectors", None)
-        if vectors is None:
-            start = np.array([self.start.x, self.start.y,
-                              self.start.width, self.start.height])
-            end = np.array([self.end.x, self.end.y, self.end.width, self.end.height])
-            vectors = (start, end - start)
-            object.__setattr__(self, "_vectors", vectors)
-        return vectors
+        return start + (end - start) * fraction[:, np.newaxis]
 
     def duration_hint(self) -> float | None:
         return self.duration

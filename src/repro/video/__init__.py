@@ -1,7 +1,7 @@
 """Video substrate: geometry, synthetic videos, chunking, masks, regions."""
 
 from repro.video.geometry import BoundingBox, GridSpec, Point
-from repro.video.video import BatchObject, FrameBatch, FrameTruth, SyntheticVideo, VisibleObject
+from repro.video.video import FrameBatch, FrameTruth, SyntheticVideo, VisibleObject
 from repro.video.chunking import Chunk, ChunkSpec, count_chunks, iter_chunks, split_interval
 from repro.video.masking import Mask, apply_mask_to_boxes
 from repro.video.regions import Region, RegionScheme
@@ -10,7 +10,6 @@ __all__ = [
     "BoundingBox",
     "GridSpec",
     "Point",
-    "BatchObject",
     "FrameBatch",
     "FrameTruth",
     "SyntheticVideo",

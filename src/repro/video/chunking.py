@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-import numpy as np
-
-from repro.utils.timebase import TimeInterval, frame_index_range
+from repro.utils.timebase import TimeInterval
 from repro.video.masking import EMPTY_MASK, Mask
 from repro.video.regions import Region, RegionScheme
 from repro.video.video import FrameBatch, FrameTruth, SyntheticVideo
@@ -82,33 +80,26 @@ class Chunk:
         return self.interval.duration
 
     def _apply_filters(self, batch: FrameBatch) -> FrameBatch:
-        """Apply the mask and region restriction to a whole batch (vectorized).
-
-        Coverage and containment are computed as array intersection math over
-        each object's per-frame boxes; objects left with no visible frame are
-        dropped from the batch entirely.
+        """Apply the mask and region restriction to a whole batch: one coverage
+        call and one containment call over the flattened box stack, whatever
+        the number of objects; objects left with no visible frame are dropped.
         """
         if self.mask.is_empty and self.region is None:
             return batch
-        kept = []
-        for entry in batch.objects:
-            visible = entry.visible
-            if not self.mask.is_empty:
-                positions = np.nonzero(visible)[0]
-                hidden = self.mask.hides_boxes(entry.boxes[positions])
-                if hidden.any():
-                    visible[positions[hidden]] = False
-            if self.region is not None and visible.any():
-                positions = np.nonzero(visible)[0]
-                boxes = entry.boxes[positions]
-                centers_x = boxes[:, 0] + boxes[:, 2] / 2.0
-                centers_y = boxes[:, 1] + boxes[:, 3] / 2.0
-                inside = self.region.contains_points(centers_x, centers_y)
-                if not inside.all():
-                    visible[positions[~inside]] = False
-            if visible.any():
-                kept.append(entry)
-        batch.objects = kept
+        visible = batch.visible
+        boxes = batch.boxes.reshape(-1, 4)
+        if not self.mask.is_empty:
+            visible &= ~self.mask.hides_boxes(boxes).reshape(visible.shape)
+        if self.region is not None:
+            visible &= self.region.contains_points(
+                boxes[:, 0] + boxes[:, 2] / 2.0,
+                boxes[:, 1] + boxes[:, 3] / 2.0).reshape(visible.shape)
+        kept = visible.any(axis=1)
+        if not kept.all():
+            batch.scene_objects = [scene_object for scene_object, keep
+                                   in zip(batch.scene_objects, kept.tolist()) if keep]
+            batch.visible = visible[kept]
+            batch.boxes = batch.boxes[kept]
         return batch
 
     def frame_batch(self, *, max_frames: int | None = None) -> FrameBatch:
@@ -120,16 +111,12 @@ class Chunk:
         ``max_frames`` truncates the batch to the chunk's first frames, for
         executables with single-frame semantics.
         """
-        candidates = self.video.objects_overlapping(self.interval)
-        window = self.interval.clamp(self.video.interval)
-        step = self.video._sample_step(self.sample_period)
-        first_frame, last_frame = frame_index_range(window.start, window.end,
-                                                    self.video.fps)
-        frame_indices = np.arange(first_frame, last_frame, step, dtype=np.int64)
+        frame_indices = self.video._frame_indices(
+            self.interval.clamp(self.video.interval), self.sample_period)
         if max_frames is not None:
             frame_indices = frame_indices[:max_frames]
-        batch = self.video.batch_for_indices(frame_indices, candidates)
-        return self._apply_filters(batch)
+        return self._apply_filters(
+            self.video.batch_for_indices(frame_indices, self.interval))
 
     def frames(self) -> Iterator[FrameTruth]:
         """Yield masked/region-filtered ground truth for each frame of the chunk.

@@ -72,33 +72,22 @@ class FrameTruth:
 
 
 @dataclass
-class BatchObject:
-    """One object's columnar ground truth across a batch of frames.
-
-    ``visible`` marks the batch positions the object appears in; ``boxes``
-    holds the ``[x, y, width, height]`` row for every position (rows where
-    ``visible`` is False are unspecified).
-    """
-
-    scene_object: SceneObject
-    visible: np.ndarray
-    boxes: np.ndarray
-
-
-@dataclass
 class FrameBatch:
     """Columnar ground truth for a run of frames (the chunk hot-path format).
 
-    Instead of one :class:`FrameTruth` object per frame, a batch stores the
-    frame indices and timestamps as arrays plus one :class:`BatchObject` per
-    scene object with any visibility in the window.  The batched detector
-    consumes this directly; :meth:`iter_frames` adapts it back to the legacy
-    per-frame representation for third-party executables.
+    Segment-major, like the detector's output: ``scene_objects[i]`` owns row
+    ``i`` of the ``(objects, frames)`` visibility matrix and of the
+    ``(objects, frames, 4)`` stack of ``[x, y, width, height]`` boxes
+    (unspecified where ``visible`` is False); every object has a visible
+    frame.  The batched detector consumes the stack directly;
+    :meth:`iter_frames` adapts it for per-frame third-party executables.
     """
 
     frame_indices: np.ndarray
     timestamps: np.ndarray
-    objects: list[BatchObject]
+    scene_objects: list[SceneObject]
+    visible: np.ndarray
+    boxes: np.ndarray
     width: float
     height: float
     fps: float
@@ -113,80 +102,103 @@ class FrameBatch:
 
     def total_visible(self) -> int:
         """Total ground-truth object-frame pairs in the batch."""
-        return int(sum(int(entry.visible.sum()) for entry in self.objects))
+        return int(self.visible.sum())
 
     def frame_truth(self, position: int) -> FrameTruth:
         """Legacy per-frame view of batch position ``position``."""
-        visible: list[VisibleObject] = []
-        for entry in self.objects:
-            if entry.visible[position]:
-                x, y, width, height = entry.boxes[position].tolist()
-                visible.append(VisibleObject(entry.scene_object,
-                                             BoundingBox(x, y, width, height)))
+        rows = np.flatnonzero(self.visible[:, position])
+        seen = zip(rows.tolist(), self.boxes[rows, position].tolist())
         return FrameTruth(timestamp=float(self.timestamps[position]),
                           frame_index=int(self.frame_indices[position]),
-                          visible=tuple(visible))
+                          visible=tuple(VisibleObject(self.scene_objects[row], BoundingBox(*box))
+                                        for row, box in seen))
 
     def iter_frames(self) -> Iterator[FrameTruth]:
         """Yield legacy :class:`FrameTruth` objects for every batch position."""
-        timestamps = self.timestamps.tolist()
-        frame_indices = self.frame_indices.tolist()
-        per_object = [(entry.scene_object, entry.visible.tolist(), entry.boxes.tolist())
-                      for entry in self.objects]
-        for position in range(len(frame_indices)):
-            visible: list[VisibleObject] = []
-            for scene_object, visible_flags, boxes in per_object:
-                if visible_flags[position]:
-                    x, y, width, height = boxes[position]
-                    visible.append(VisibleObject(scene_object,
-                                                 BoundingBox(x, y, width, height)))
-            yield FrameTruth(timestamp=timestamps[position],
-                             frame_index=frame_indices[position],
-                             visible=tuple(visible))
+        for position in range(len(self)):
+            yield self.frame_truth(position)
 
 
-def _batch_object(scene_object: SceneObject, timestamps: np.ndarray) -> BatchObject | None:
-    """Columnar visibility/boxes for one object, or None if never visible.
+#: Trajectory kinds of an appearance-table row.
+_STATIONARY, _LINEAR, _OTHER = 0, 1, 2
 
-    Appearances are evaluated in order and earlier appearances win where they
-    overlap, matching the scalar ``SceneObject.box_at`` scan.  The dominant
-    single-appearance case skips the scatter buffer: rows where the object
-    is hidden are unspecified by contract, so when every frame is visible
-    the trajectory's batch output is used as the box array directly (the
-    visible rows are elementwise identical either way).
+
+class _AppearanceTable:
+    """Every appearance of a video as numpy columns, plus their time-bucket index.
+
+    Rows are object-major (``video.objects`` order, then appearance order):
+    ascending rows keep an object's appearances together, earlier first.
+    ``owner`` is the object's position in ``video.objects``, ``slot`` the
+    appearance's position within it.  ``base``/``delta``/``duration`` hold a
+    linear trajectory's start box, ``end - start`` and duration; a
+    stationary row keeps its box in ``base``; any other kind leaves them
+    neutral and is evaluated by its own ``boxes_at``.  Time bucket
+    ``first_bucket + b`` touches, ascending, the rows
+    ``bucket_rows[bucket_offsets[b]:bucket_offsets[b + 1]]``, so a windowed
+    lookup never scans a full day's objects.  Arrays only: a shard worker
+    caches several decoded videos, each with its own table.
     """
-    appearances = scene_object.appearances
-    if len(appearances) == 1:
-        appearance = appearances[0]
-        mask = appearance.visible_mask(timestamps)
-        if not mask.any():
-            return None
-        if mask.all():
-            rows = appearance.trajectory.boxes_at(
-                timestamps - appearance.interval.start)
-            return BatchObject(scene_object=scene_object, visible=mask, boxes=rows)
-        boxes = np.zeros((timestamps.size, 4), dtype=np.float64)
-        boxes[mask] = appearance.trajectory.boxes_at(
-            timestamps[mask] - appearance.interval.start)
-        return BatchObject(scene_object=scene_object, visible=mask, boxes=boxes)
-    visible: np.ndarray | None = None
-    boxes: np.ndarray | None = None
-    for appearance in scene_object.appearances:
-        mask = appearance.visible_mask(timestamps)
-        if visible is not None:
-            mask &= ~visible
-        if not mask.any():
-            continue
-        rows = appearance.trajectory.boxes_at(timestamps[mask] - appearance.interval.start)
-        if boxes is None:
-            visible = mask
-            boxes = np.zeros((timestamps.size, 4), dtype=np.float64)
-        else:
-            visible |= mask
-        boxes[mask] = rows
-    if visible is None:
-        return None
-    return BatchObject(scene_object=scene_object, visible=visible, boxes=boxes)
+
+    __slots__ = ("start", "end", "owner", "slot", "kind", "base", "delta", "duration",
+                 "bucket_size", "first_bucket", "bucket_offsets", "bucket_rows")
+
+    def __init__(self, objects: Sequence[SceneObject], bucket_size: float) -> None:
+        from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
+
+        def xywh(box: BoundingBox) -> tuple[float, float, float, float]:
+            return box.x, box.y, box.width, box.height
+
+        count = sum(len(scene_object.appearances) for scene_object in objects)
+        columns = np.empty((count, 14), dtype=np.float64)
+        row = 0
+        for position, scene_object in enumerate(objects):
+            for slot, appearance in enumerate(scene_object.appearances):
+                trajectory = appearance.trajectory
+                # Exact types: a subclass may override boxes_at.
+                if type(trajectory) is StationaryTrajectory:
+                    motion = (_STATIONARY, 1.0, *xywh(trajectory.box), *xywh(trajectory.box))
+                elif type(trajectory) is LinearTrajectory:
+                    motion = (_LINEAR, trajectory.duration,
+                              *xywh(trajectory.start), *xywh(trajectory.end))
+                else:
+                    motion = (_OTHER, 1.0) + (0.0,) * 8
+                columns[row] = (appearance.interval.start, appearance.interval.end,
+                                position, slot, *motion)
+                row += 1
+        self.start = columns[:, 0].copy()
+        self.end = columns[:, 1].copy()
+        self.owner = columns[:, 2].astype(np.int64)
+        self.slot = columns[:, 3].astype(np.int64)
+        self.kind = columns[:, 4].astype(np.int8)
+        self.duration = columns[:, 5].copy()
+        self.base = columns[:, 6:10].copy()
+        self.delta = columns[:, 10:14] - self.base
+        self.bucket_size = bucket_size
+        first = (self.start // bucket_size).astype(np.int64)
+        last = (np.maximum(self.start, self.end - 1e-9) // bucket_size).astype(np.int64)
+        # One (row, bucket) pair per bucket a row touches, then bucket-major;
+        # the stable sort keeps rows ascending within a bucket.  int32 and few
+        # temporaries: the pairs outnumber the rows (a day-long object
+        # touches every bucket) and the build runs once per decoded video.
+        spans = last - first + 1
+        rows = np.repeat(np.arange(count, dtype=np.int32), spans)
+        buckets = np.repeat((first - (np.cumsum(spans) - spans)).astype(np.int32), spans)
+        buckets += np.arange(rows.size, dtype=np.int32)
+        self.first_bucket = int(first.min()) if count else 0
+        self.bucket_rows = rows[np.argsort(buckets, kind="stable")]
+        self.bucket_offsets = np.concatenate(
+            ([0], np.cumsum(np.bincount(buckets - self.first_bucket))))
+
+    def rows_in(self, window: TimeInterval) -> tuple[np.ndarray, bool]:
+        """Rows in the buckets ``window`` touches, bucket-major, and whether
+        it touches several (only then can a row be listed twice)."""
+        size = self.bucket_size
+        buckets = self.bucket_offsets.size - 1
+        first = min(max(int(window.start // size) - self.first_bucket, 0), buckets)
+        last = int(max(window.start, window.end - 1e-9) // size) - self.first_bucket
+        stop = min(max(last + 1, first), buckets)
+        return (self.bucket_rows[self.bucket_offsets[first]:self.bucket_offsets[stop]],
+                stop - first > 1)
 
 
 @dataclass
@@ -213,7 +225,7 @@ class SyntheticVideo:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("frame dimensions must be positive")
         self._index_bucket_size: float = max(60.0, self.duration / 2048.0)
-        self._bucket_index: dict[int, list[SceneObject]] | None = None
+        self._appearance_table: _AppearanceTable | None = None
         self._content_token: int = next(_CONTENT_TOKENS)
         self._content_fingerprint: str | None = None
 
@@ -260,47 +272,31 @@ class SyntheticVideo:
                 self.metadata, session_salt, tuple(self.objects))
         return self._content_fingerprint
 
-    def _build_index(self) -> dict[int, list[SceneObject]]:
-        """Build (lazily) a time-bucket index from appearances to objects.
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle the footage without the appearance table (receivers rebuild
+        it), so a video's bytes do not depend on what was rendered before.
+        The content-fingerprint memo keeps travelling: shards rely on it."""
+        state = self.__dict__.copy()
+        state["_appearance_table"] = None
+        return state
 
-        Full-day scenarios contain tens of thousands of objects; scanning all
-        of them for every frame of every chunk would dominate runtime, so
-        windowed lookups go through this coarse bucket index instead.
-        """
-        index: dict[int, list[SceneObject]] = {}
-        size = self._index_bucket_size
-        for scene_object in self.objects:
-            buckets_seen: set[int] = set()
-            for appearance in scene_object.appearances:
-                first = int(appearance.interval.start // size)
-                last = int(max(appearance.interval.start,
-                               appearance.interval.end - 1e-9) // size)
-                for bucket in range(first, last + 1):
-                    if bucket not in buckets_seen:
-                        index.setdefault(bucket, []).append(scene_object)
-                        buckets_seen.add(bucket)
-        return index
+    def _table(self) -> _AppearanceTable:
+        """The appearance table, built on first use."""
+        if self._appearance_table is None:
+            self._appearance_table = _AppearanceTable(self.objects, self._index_bucket_size)
+        return self._appearance_table
 
     def invalidate_index(self) -> None:
-        """Drop the time-bucket index (called after objects are added)."""
-        self._bucket_index = None
+        """Drop the appearance table and its bucket index (called after objects are added)."""
+        self._appearance_table = None
         self._content_fingerprint = None
 
     def candidate_objects(self, window: TimeInterval) -> list[SceneObject]:
-        """Objects that *may* overlap ``window`` (superset, from the bucket index)."""
-        if self._bucket_index is None:
-            self._bucket_index = self._build_index()
-        size = self._index_bucket_size
-        first = int(window.start // size)
-        last = int(max(window.start, window.end - 1e-9) // size)
-        seen: set[int] = set()
-        candidates: list[SceneObject] = []
-        for bucket in range(first, last + 1):
-            for scene_object in self._bucket_index.get(bucket, ()):
-                if id(scene_object) not in seen:
-                    seen.add(id(scene_object))
-                    candidates.append(scene_object)
-        return candidates
+        """Objects that *may* overlap ``window`` (superset, from the bucket index),
+        bucket-major and first seen first: the order batches and trackers inherit."""
+        table = self._table()
+        owners = table.owner[table.rows_in(window)[0]].tolist()
+        return [self.objects[position] for position in dict.fromkeys(owners)]
 
     @property
     def interval(self) -> TimeInterval:
@@ -372,43 +368,83 @@ class SyntheticVideo:
         period = max(sample_period, self.frame_period)
         return max(1, int(round(period * self.fps)))
 
+    def _frame_indices(self, window: TimeInterval, sample_period: float | None) -> np.ndarray:
+        """Indices of the (sub)sampled frames inside ``window``."""
+        first_frame, last_frame = frame_index_range(window.start, window.end, self.fps)
+        return np.arange(first_frame, last_frame, self._sample_step(sample_period),
+                         dtype=np.int64)
+
     def batch_for_indices(self, frame_indices: np.ndarray,
-                          candidates: Sequence[SceneObject] | None = None) -> FrameBatch:
-        """Columnar ground truth for an explicit array of frame indices."""
+                          window: TimeInterval | None = None) -> FrameBatch:
+        """Columnar ground truth for an explicit array of frame indices.
+
+        The one render every view derives from: the table rows in
+        ``window``'s time buckets (default: the frames' span) become a
+        visibility matrix in one broadcast, a box stack in another, and fold
+        into one row per object.  Every step is elementwise per (row, frame),
+        so visible boxes equal ``SceneObject.box_at`` bit for bit.
+        """
         frame_indices = np.asarray(frame_indices, dtype=np.int64)
         timestamps = frame_indices.astype(np.float64) / self.fps
-        if candidates is None:
-            if frame_indices.size:
+        table = self._table()
+        listed, several = table.bucket_rows[:0], False
+        if frame_indices.size:
+            if window is None:
                 window = TimeInterval(float(timestamps[0]),
                                       float(timestamps[-1]) + self.frame_period)
-                candidates = self.objects_overlapping(window)
-            else:
-                candidates = []
-        entries: list[BatchObject] = []
-        for scene_object in candidates:
-            entry = _batch_object(scene_object, timestamps)
-            if entry is not None:
-                entries.append(entry)
+            listed, several = table.rows_in(window)
+        rows = np.unique(listed) if several else listed
+        starts = table.start[rows][:, np.newaxis]
+        visible = (timestamps >= starts) & (timestamps < table.end[rows][:, np.newaxis])
+        seen = visible.any(axis=1)
+        if not seen.all():
+            rows, starts, visible = rows[seen], starts[seen], visible[seen]
+        # Every row is evaluated as a linear trajectory, then the other kinds
+        # are overwritten.  A stationary box is copied, never computed as
+        # base + 0 * fraction, which would turn -0.0 into 0.0.
+        fraction = np.minimum(np.maximum(
+            (timestamps - starts) / table.duration[rows][:, np.newaxis], 0.0), 1.0)
+        base = table.base[rows]
+        boxes = base[:, np.newaxis, :] \
+            + table.delta[rows][:, np.newaxis, :] * fraction[:, :, np.newaxis]
+        kind = table.kind[rows]
+        still = kind == _STATIONARY
+        boxes[still] = base[still][:, np.newaxis, :]
+        for index in np.flatnonzero(kind == _OTHER).tolist():
+            row = rows[index]
+            appearance = self.objects[table.owner[row]].appearances[table.slot[row]]
+            shown = visible[index]
+            boxes[index, shown] = appearance.trajectory.boxes_at(
+                timestamps[shown] - appearance.interval.start)
+        owners = table.owner[rows]
+        later = np.flatnonzero(owners[1:] == owners[:-1]) + 1
+        if later.size:
+            # Fold an object's later appearances into its first row; where
+            # appearances overlap the earlier one wins, as in box_at.
+            lead = np.ones(rows.size, dtype=bool)
+            lead[later] = False
+            for index in later.tolist():
+                if lead[index - 1]:
+                    into = index - 1
+                fresh = visible[index] & ~visible[into]
+                boxes[into, fresh] = boxes[index, fresh]
+                visible[into] |= fresh
+            owners, visible, boxes = owners[lead], visible[lead], boxes[lead]
+        if several:
+            # Rows ascend, but objects are listed bucket-major, first seen first.
+            members, first_seen = np.unique(table.owner[listed], return_index=True)
+            order = np.argsort(first_seen[np.searchsorted(members, owners)])
+            owners, visible, boxes = owners[order], visible[order], boxes[order]
         return FrameBatch(frame_indices=frame_indices, timestamps=timestamps,
-                          objects=entries, width=self.width, height=self.height,
+                          scene_objects=[self.objects[position] for position in owners.tolist()],
+                          visible=visible, boxes=boxes, width=self.width, height=self.height,
                           fps=self.fps)
 
     def frame_batch(self, window: TimeInterval | None = None, *,
-                    sample_period: float | None = None,
-                    candidates: Sequence[SceneObject] | None = None) -> FrameBatch:
-        """Columnar ground truth for every frame in ``window`` at once.
-
-        This is the chunk hot path: boxes come from one broadcasted array op
-        per appearance instead of one Python call per (object, frame), so a
-        whole chunk renders in a handful of numpy ops.
-        """
+                    sample_period: float | None = None) -> FrameBatch:
+        """Columnar ground truth for every frame in ``window`` at once."""
         window = self.interval if window is None else window.clamp(self.interval)
-        step = self._sample_step(sample_period)
-        first_frame, last_frame = frame_index_range(window.start, window.end, self.fps)
-        frame_indices = np.arange(first_frame, last_frame, step, dtype=np.int64)
-        if candidates is None:
-            candidates = self.objects_overlapping(window)
-        return self.batch_for_indices(frame_indices, candidates)
+        return self.batch_for_indices(self._frame_indices(window, sample_period), window)
 
     #: Frames per block when the legacy iterator adapts over batches; bounds
     #: peak memory on day-long windows while amortising the batch setup.

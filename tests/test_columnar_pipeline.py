@@ -87,23 +87,6 @@ def _detections_equal(left, right):
 
 
 class TestFrameBatchParity:
-    def test_iter_frames_matches_batch_columns(self):
-        video = _rich_video()
-        mask = Mask(name="m", regions=(BoundingBox(80.0, 480.0, 100.0, 120.0),))
-        for chunk in _chunks(video, mask=mask):
-            batch = chunk.frame_batch()
-            frames = list(chunk.frames())
-            assert len(frames) == batch.num_frames
-            for position, frame in enumerate(frames):
-                truth = batch.frame_truth(position)
-                assert truth.frame_index == frame.frame_index
-                assert truth.timestamp == frame.timestamp
-                assert [v.object_id for v in truth.visible] \
-                    == [v.object_id for v in frame.visible]
-                for a, b in zip(truth.visible, frame.visible):
-                    assert (a.box.x, a.box.y, a.box.width, a.box.height) \
-                        == (b.box.x, b.box.y, b.box.width, b.box.height)
-
     def test_detect_batch_matches_detect_frame(self):
         video = _rich_video()
         detector = _detector()
