@@ -77,9 +77,9 @@ def main() -> None:
     print(f"sharded:3 {elapsed:6.2f}s  byte-identical to serial: {identical}")
 
     # ------------------------------------------------ dispatch accounting
-    # Per-dispatch messages are a payload path plus a few numbers per chunk;
-    # the heavy stream constants travel once per stream via a broadcast
-    # payload file every shard reads.
+    # Per-dispatch messages are a payload ref plus a few numbers per chunk;
+    # the footage is published once for the engine's lifetime and the
+    # stream's other constants once per distinct stream.
     dispatch = stats["dispatch"]
     print(f"dispatch: {dispatch['chunks']} chunks in {dispatch['dispatches']} "
           f"task frames, mean {dispatch['payload_bytes_mean']:.0f} B/frame")

@@ -36,19 +36,15 @@ time-to-first-result independent of the query window length: SPLIT produces
 chunks on demand (``repro.video.chunking.iter_chunks``) and the executor
 appends rows per chunk as outcomes arrive.
 
-The process engine does **not** pickle chunks to its workers.  Each stream
-broadcasts its heavy constants once — the runner, the execution context, and
-every distinct video/mask/region the stream's chunks reference — through a
-named shared-memory segment same-host workers attach and unpickle zero-copy
-(falling back to a pickle file when shared memory is unavailable, and for
-TCP shard daemons, which may live on another host); per-dispatch messages
-are then just the payload ref plus a few ints and floats per chunk
-(:class:`_TaskBroadcast` / ``_execute_chunk_specs``).  That turns per-future
-IPC from whole-scene payloads into bytes, which is what lets ``process:N``
-beat the serial engine even on sub-second sweeps.  The per-future batch size
-defaults to an adaptive heuristic (``count_chunks // (4 * workers)``, capped
-at 32) fed by the caller's ``count_hint``; a fixed ``chunksize`` overrides
-it.
+The multi-process engines do **not** pickle chunks to their workers.  An
+engine-lifetime :class:`_BroadcastPublisher` ships each footage *state* and
+each distinct stream *manifest* (runner, context, masks, regions) once, and
+workers keep what they decoded, so a repeat stream pays dispatch only:
+per-dispatch messages are the manifest ref plus a few ints and floats per
+chunk (:class:`_StreamBroadcast` / ``_execute_chunk_specs``).  The
+per-future batch size defaults to an adaptive heuristic (``count_chunks //
+(4 * workers)``, capped at 32) fed by the caller's ``count_hint``; a fixed
+``chunksize`` overrides it.
 
 Engines are deliberately ignorant of caching — the
 :class:`~repro.core.cache.ChunkResultCache` filters out memoized chunks before
@@ -57,16 +53,20 @@ the engine ever sees them (see ``SandboxRunner.iter_chunk_rows``).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import shutil
 import tempfile
 import threading
 import uuid
+import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sized, \
     runtime_checkable
 
@@ -145,26 +145,19 @@ def _execute_chunk_list_thread(runner: "SandboxRunner", chunks: list["Chunk"],
 #: end, mask ref, region ref or None, sample period, metadata or None).
 ChunkSpecMessage = tuple
 
-#: Worker-side cache of loaded broadcast payloads, keyed by payload ref.
-#: Bounded so long-lived pools serving many streams do not accumulate scenes.
-_PAYLOAD_CACHE: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
-_PAYLOAD_CACHE_LIMIT = 8
+#: Worker-side LRU of decoded payloads, parts and manifests alike, keyed by
+#: ref (never reused, so never stale).  A part is only useful beside a
+#: manifest naming it: at most half are scenes.  A still-published ref reloads.
+_PAYLOAD_CACHE: "OrderedDict[str, Any]" = OrderedDict()
+_PAYLOAD_CACHE_LIMIT = 16
 
 #: Payload-ref scheme marking a shared-memory segment name rather than a
 #: file path (``shm:privid-bc-...``).
 _SHM_REF_PREFIX = "shm:"
 
-
-def _shm_broadcast_enabled() -> bool:
-    """Whether new broadcasts may use the shared-memory fast path.
-
-    ``PRIVID_SHM_BROADCAST=0`` forces the file-based payload everywhere —
-    the escape hatch for containers without a usable ``/dev/shm``.
-    """
-    if shared_memory is None:
-        return False
-    value = os.environ.get("PRIVID_SHM_BROADCAST", "1").strip().lower()
-    return value not in ("0", "false", "no", "off")
+#: Bytes one engine keeps published between streams; past it the least
+#: recently used payloads no open stream pins are unlinked.
+_PUBLISHED_BYTES_LIMIT = 32 * 1024 * 1024
 
 
 def _attach_segment(name: str) -> "shared_memory.SharedMemory":
@@ -176,7 +169,7 @@ def _attach_segment(name: str) -> "shared_memory.SharedMemory":
     tracker daemon, so a register/unregister pair from the worker would also
     corrupt the creator's own bookkeeping.  Suppressing registration during
     the attach keeps ownership where it belongs: only the coordinator ever
-    tells the tracker about the segment, and it unlinks on stream close.
+    tells the tracker about the segment, and only it unlinks.
     """
     original_register = resource_tracker.register
     resource_tracker.register = lambda *args, **kwargs: None
@@ -186,29 +179,31 @@ def _attach_segment(name: str) -> "shared_memory.SharedMemory":
         resource_tracker.register = original_register
 
 
-def _load_payload(ref: str) -> dict[str, Any]:
-    """Load (and memoize) one stream's broadcast payload in this process.
+def _load_payload(ref: str) -> Any:
+    """Decode (and memoize) one published payload in this process.
 
-    ``ref`` is either a payload file path or a ``shm:NAME`` segment ref;
-    shared-memory refs unpickle straight out of the attached segment — the
-    bytes are never copied through a file or a pipe.
+    ``ref`` names a footage part or a stream manifest, as a payload file
+    path or a ``shm:NAME`` segment ref (unpickled straight out of the
+    attached segment).  Decoding a manifest pulls the parts it names through
+    this same cache (:class:`_PartRef`), so a worker decodes a footage state
+    once however many streams name it.
     """
     payload = _PAYLOAD_CACHE.get(ref)
-    if payload is None:
-        if ref.startswith(_SHM_REF_PREFIX):
-            segment = _attach_segment(ref[len(_SHM_REF_PREFIX):])
-            try:
-                payload = pickle.loads(segment.buf)
-            finally:
-                segment.close()
-        else:
-            with open(ref, "rb") as handle:
-                payload = pickle.load(handle)
-        _PAYLOAD_CACHE[ref] = payload
-        while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_LIMIT:
-            _PAYLOAD_CACHE.popitem(last=False)
-    else:
+    if payload is not None:
         _PAYLOAD_CACHE.move_to_end(ref)
+        return payload
+    if ref.startswith(_SHM_REF_PREFIX):
+        segment = _attach_segment(ref[len(_SHM_REF_PREFIX):])
+        try:
+            payload = pickle.loads(segment.buf)
+        finally:
+            segment.close()
+    else:
+        with open(ref, "rb") as handle:
+            payload = pickle.load(handle)
+    _PAYLOAD_CACHE[ref] = payload
+    while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_LIMIT:
+        _PAYLOAD_CACHE.popitem(last=False)
     return payload
 
 
@@ -239,9 +234,8 @@ def _execute_chunk_specs(ref: str, specs: list[ChunkSpecMessage]
     """Process-pool unit of work: rebuild chunks from compact specs.
 
     The heavy stream constants (runner, context, videos, masks, regions)
-    come from the broadcast payload at ``ref`` (a shared-memory segment or
-    a payload file), loaded once per worker per stream; the per-dispatch
-    message is just this function's arguments.
+    come from the manifest published at ``ref``; the per-dispatch message is
+    just this function's arguments.
     """
     payload = _load_payload(ref)
     runner = payload["runner"]
@@ -251,159 +245,204 @@ def _execute_chunk_specs(ref: str, specs: list[ChunkSpecMessage]
             for spec in specs]
 
 
-class _TaskBroadcast:
-    """One stream's out-of-band broadcast of its heavy pickled constants.
+@dataclass(eq=False)
+class _Published:
+    """One published payload and how many open streams pin it."""
 
-    Chunk streams reference a handful of heavy shared objects (the video,
-    the mask, the spatial regions) over and over; this registry assigns each
-    distinct object a small integer ref and persists the whole set — plus
-    the runner and context — where any worker can load it, whichever future
-    it happens to execute.  When a previously unseen heavy object appears
-    mid-stream (multi-camera maps), a new payload version is written and
-    later dispatches reference it; workers cache payloads per ref, so each
-    worker loads each version at most once.
+    ref: str
+    size: int
+    unlink: Callable[[], None]  # drops the name; attached workers keep their mappings
+    keep: Any  # the footage a part was pickled from; keeps the id() in its key sound
+    pins: int = 0
 
-    Two payload carriers exist behind one ref string.  Same-host workers
-    (process pools, pipe shards) get a named ``multiprocessing.shared_memory``
-    segment (:meth:`payload_ref`): the constants are serialized exactly once
-    into the segment and every worker attaches and unpickles zero-copy — no
-    file write, no re-read per worker.  TCP shard daemons — potentially on
-    other hosts, where a segment name means nothing — use the payload *file*
-    (:meth:`payload_path`), which is also the fallback whenever segment
-    creation fails (no usable ``/dev/shm``, ``PRIVID_SHM_BROADCAST=0``).
-    Segments are unlinked on stream close (:meth:`cleanup`); a worker killed
-    while attached cannot leak one — the kernel drops its mapping with the
-    process, and the name was the coordinator's to unlink all along.
+
+def _unpublish_all(entries: "OrderedDict[Any, _Published]", directory: str,
+                   owner_pid: int) -> None:
+    """Unlink every payload and remove the payload directory."""
+    if os.getpid() != owner_pid:
+        return  # a forked child never owns its parent's publications
+    for entry in entries.values():
+        with suppress(OSError):  # already gone
+            entry.unlink()
+    entries.clear()
+    shutil.rmtree(directory, ignore_errors=True)
+
+
+class _BroadcastPublisher:
+    """An engine's out-of-band publication of heavy pickled constants
+    (``docs/architecture.md``, "Spec dispatch").
+
+    Footage travels *by reference*: each video is pickled and published once
+    per footage **state** (its ``id()`` plus its ``content_token``, which
+    ``add_objects`` renews) as its own *part*.  The rest of a stream's
+    constants — a kilobyte or two — travel *by value* in a *manifest* whose
+    pickle names the parts by ref (:class:`_PartRef`) and which is keyed by
+    the sha256 of its own bytes: an identical repeat stream publishes
+    nothing.  A ref is a fresh uuid per publication, so a worker-cached ref
+    cannot name other bytes.
+
+    The carrier follows the transport: same-host workers attach a named
+    shared-memory segment; TCP daemons (possibly remote) read a file, as
+    does anyone when a segment could not be created.
+
+    The publisher owns every name.  A stream pins what it is handed until it
+    releases; past :data:`_PUBLISHED_BYTES_LIMIT` unpinned payloads are
+    unlinked least recently used first; :meth:`close` (engine ``shutdown()``)
+    and the finalizer (an engine dropped, or open at interpreter exit)
+    unlink the rest; a SIGKILLed coordinator's segments fall to the resource
+    tracker, which has held their registration since creation.
     """
 
-    def __init__(self, runner: "SandboxRunner", context: "ExecutionContext", *,
-                 use_shared_memory: bool | None = None) -> None:
-        self._runner = runner
-        self._context = context
-        self._directory: str | None = None  # created on first payload write
-        #: Heavy shared objects in ref order; also the strong references
-        #: keeping the id()-keyed registry sound.
-        self._objects: list[Any] = []
-        self._refs: dict[int, int] = {}
-        self._version = 0
-        self._path: str | None = None
-        self._use_shm = _shm_broadcast_enabled() if use_shared_memory is None \
-            else (use_shared_memory and shared_memory is not None)
-        self._shm_ref: str | None = None
-        self._segments: "list[shared_memory.SharedMemory]" = []
-        self.broadcasts = 0
-        self.broadcast_bytes = 0
-        self.shm_segments = 0
+    def __init__(self, *, same_host: bool = True) -> None:
+        self._shared = same_host and shared_memory is not None
+        self._directory = os.path.join(tempfile.gettempdir(),
+                                       f"privid-task-{uuid.uuid4().hex}")
+        self._entries: "OrderedDict[Any, _Published]" = OrderedDict()  # LRU first
+        #: Streams of concurrent service threads publish through one engine.
+        self._lock = threading.Lock()
+        weakref.finalize(self, _unpublish_all, self._entries, self._directory,
+                         os.getpid())
 
-    def _ref_for(self, obj: Any) -> int:
-        key = id(obj)
-        ref = self._refs.get(key)
-        if ref is None:
-            ref = len(self._objects)
-            self._refs[key] = ref
-            self._objects.append(obj)
-            self._path = None  # current payload is stale
-            self._shm_ref = None
-        return ref
+    def publish(self, key: Any, produce: Callable[[], bytes],
+                stream: "_StreamBroadcast", keep: Any = None) -> str:
+        """Ref of the payload under ``key``, pinned for ``stream``; published
+        from ``produce()`` first if no live entry has that key."""
+        with self._lock:
+            fresh = key not in self._entries
+            if fresh:
+                self._entries[key] = self._carry(produce(), keep, stream.stats)
+            entry = self._entries[key]
+            self._entries.move_to_end(key)
+            if entry not in stream.pinned:
+                entry.pins += 1
+                stream.pinned.append(entry)
+                stream.stats.broadcast_reuses += not fresh
+            self._evict()
+            return entry.ref
 
-    def _payload_bytes(self) -> bytes:
-        return pickle.dumps(
-            {"runner": self._runner, "context": self._context,
-             "objects": list(self._objects)},
-            protocol=pickle.HIGHEST_PROTOCOL)
-
-    def payload_ref(self) -> str:
-        """Ref of a payload covering every ref handed out so far.
-
-        A ``shm:NAME`` segment ref on the shared-memory fast path, else the
-        payload file path.  One failed segment creation downgrades the whole
-        stream to the file carrier — a broadcast must never die of a full
-        ``/dev/shm`` when a perfectly good tempdir is sitting right there.
-        """
-        if not self._use_shm:
-            return self.payload_path()
-        if self._shm_ref is None:
-            payload = self._payload_bytes()
-            name = f"privid-bc-{uuid.uuid4().hex}"
+    def _carry(self, data: bytes, keep: Any, stats: "DispatchStats") -> _Published:
+        name = f"privid-bc-{uuid.uuid4().hex}"
+        stats.broadcasts += 1
+        stats.broadcast_bytes += len(data)
+        if self._shared:
             try:
                 segment = shared_memory.SharedMemory(name=name, create=True,
-                                                     size=len(payload))
+                                                     size=len(data))
             except OSError:
-                self._use_shm = False
-                return self.payload_path()
-            segment.buf[:len(payload)] = payload
-            self._segments.append(segment)
-            self.broadcasts += 1
-            self.broadcast_bytes += len(payload)
-            self.shm_segments += 1
-            self._shm_ref = _SHM_REF_PREFIX + name
-        return self._shm_ref
+                pass  # a full /dev/shm must not kill a broadcast: use the tempdir
+            else:
+                segment.buf[:len(data)] = data
+                segment.close()  # only the name is kept; workers map it themselves
+                stats.shm_segments += 1
+                return _Published(_SHM_REF_PREFIX + name, len(data), segment.unlink, keep)
+        os.makedirs(self._directory, mode=0o700, exist_ok=True)
+        path = os.path.join(self._directory, f"{name}.pkl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return _Published(path, len(data), partial(os.unlink, path), keep)
+
+    def _evict(self) -> None:
+        excess = sum(entry.size for entry in self._entries.values()) - _PUBLISHED_BYTES_LIMIT
+        for key, entry in list(self._entries.items()):
+            if excess > 0 and not entry.pins:
+                del self._entries[key]
+                excess -= entry.size
+                with suppress(OSError):  # already gone
+                    entry.unlink()
+
+    def release(self, stream: "_StreamBroadcast") -> None:
+        """Unpin what a stream was handed (call only after all its tasks
+        resolved); it stays published for the next one, down to the bound."""
+        with self._lock:
+            for entry in stream.pinned:
+                entry.pins -= 1
+            stream.pinned.clear()
+            self._evict()
+
+    def close(self) -> None:
+        """Unlink everything published (the publisher stays usable)."""
+        with self._lock:
+            _unpublish_all(self._entries, self._directory, os.getpid())
+
+
+class _PartRef(str):
+    """A part's ref in a manifest's object list: it pickles as the call that
+    loads the part through the worker's cache."""
+
+    def __reduce__(self) -> tuple[Callable[[str], Any], tuple[str]]:
+        return _load_payload, (str(self),)
+
+
+class _StreamBroadcast:
+    """One stream's side of the publisher: :meth:`chunk_spec` per chunk,
+    :meth:`payload_ref` per dispatch, the publisher's ``release`` once no task
+    is outstanding; what it publishes and reuses is counted on ``stats``.
+
+    Each distinct heavy object the stream references gets a small integer
+    slot in the manifest.  An unseen object — or a seen one in a new footage
+    state (``add_objects`` mid-stream) — takes a new slot and makes the
+    manifest stale; a slot names one footage state for good, so chunks
+    specced before a mutation run on the footage they were cut from.
+    """
+
+    def __init__(self, publisher: _BroadcastPublisher, runner: "SandboxRunner",
+                 context: "ExecutionContext", stats: "DispatchStats") -> None:
+        self._publisher = publisher
+        self.stats = stats
+        #: Per slot, the object itself or its part's ref; these references
+        #: (and the pinned parts' ``keep``) keep the id()-keyed slots sound.
+        self._objects: list[Any] = []
+        self._manifest = {"runner": runner, "context": context, "objects": self._objects}
+        self._slots: dict[tuple[int, Any], int] = {}
+        self._ref: str | None = None  # the current manifest; None when stale
+        self.pinned: list[_Published] = []
+
+    def _slot_for(self, obj: Any) -> int:
+        # Footage (a ``content_token``) goes by reference, the rest by value.
+        token = getattr(obj, "content_token", None)
+        key = (id(obj), token)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self._objects)
+            self._objects.append(obj if token is None else _PartRef(
+                self._publisher.publish(
+                    key, lambda: pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
+                    self, keep=obj)))
+            self._ref = None
+        return slot
 
     def chunk_spec(self, chunk: "Chunk") -> ChunkSpecMessage:
         """The compact per-chunk dispatch message."""
         region = chunk.region
         return (
-            self._ref_for(chunk.video),
+            self._slot_for(chunk.video),
             chunk.index,
             chunk.interval.start,
             chunk.interval.end,
-            self._ref_for(chunk.mask),
-            None if region is None else self._ref_for(region),
+            self._slot_for(chunk.mask),
+            None if region is None else self._slot_for(region),
             chunk.sample_period,
             dict(chunk.metadata) if chunk.metadata else None,
         )
 
-    def payload_path(self) -> str:
-        """Path of a payload file covering every ref handed out so far.
-
-        Filenames embed a fresh uuid per version: worker-side payload
-        caching keys on the path, and tempdir paths can legally be reused
-        after an earlier stream's cleanup — a colliding path must never
-        serve a stale cached payload.
-        """
-        if self._path is None:
-            if self._directory is None:
-                self._directory = tempfile.mkdtemp(prefix="privid-task-")
-            self._version += 1
-            path = os.path.join(
-                self._directory, f"task-{uuid.uuid4().hex}-v{self._version}.pkl")
-            payload = self._payload_bytes()
-            with open(path, "wb") as handle:
-                handle.write(payload)
-            self.broadcasts += 1
-            self.broadcast_bytes += len(payload)
-            self._path = path
-        return self._path
-
-    def cleanup(self) -> None:
-        """Release the payload carriers (call only after all futures resolved).
-
-        Unlinks every shared-memory segment this stream created — attached
-        workers keep their mappings until they close (or die), but the name
-        is gone, so nothing outlives the stream — and removes the payload
-        file directory.
-        """
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-        self._shm_ref = None
-        if self._directory is not None:
-            shutil.rmtree(self._directory, ignore_errors=True)
-            self._directory = None
+    def payload_ref(self) -> str:
+        """Ref of a manifest covering every slot handed out so far."""
+        if self._ref is None:
+            data = pickle.dumps(self._manifest, protocol=pickle.HIGHEST_PROTOCOL)
+            self._ref = self._publisher.publish(
+                hashlib.sha256(data).digest(), lambda: data, self)
+        return self._ref
 
 
 @dataclass
 class DispatchStats:
-    """Per-dispatch IPC accounting of a :class:`ProcessPoolEngine`.
+    """IPC accounting of a multi-process engine (process pool or shards).
 
-    ``payload_bytes_*`` measure the pickled per-future message (payload path
-    + chunk specs) — the bytes crossing the IPC boundary per dispatch;
-    ``broadcast_bytes`` counts the one-time payload files written per
-    stream.  Used by the benchmarks and the payload-budget regression test.
+    ``payload_bytes_*`` measure the per-dispatch message (payload ref +
+    chunk specs).  ``broadcasts`` / ``broadcast_bytes`` count payloads (parts
+    and manifests) and bytes *published*; a stream handed a payload already
+    published counts a ``broadcast_reuses`` and no bytes.  ``stages`` sums
+    what shards report on result frames — pure observation, never fed back.
     """
 
     dispatches: int = 0
@@ -412,7 +451,9 @@ class DispatchStats:
     payload_bytes_max: int = 0
     broadcasts: int = 0
     broadcast_bytes: int = 0
+    broadcast_reuses: int = 0
     shm_segments: int = 0
+    stages: dict[str, float] = field(default_factory=dict)
 
     def record_dispatch(self, payload_bytes: int, chunks: int) -> None:
         self.dispatches += 1
@@ -421,22 +462,20 @@ class DispatchStats:
         if payload_bytes > self.payload_bytes_max:
             self.payload_bytes_max = payload_bytes
 
+    def record_stages(self, stages: Any) -> None:
+        """Add one result frame's stage times (anything else is ignored)."""
+        if isinstance(stages, dict):
+            for name, value in stages.items():
+                if isinstance(value, (int, float)):
+                    self.stages[name] = self.stages.get(name, 0) + value
+
     @property
     def payload_bytes_mean(self) -> float:
         """Mean pickled bytes per dispatch (0.0 before any dispatch)."""
         return self.payload_bytes_total / self.dispatches if self.dispatches else 0.0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "dispatches": self.dispatches,
-            "chunks": self.chunks,
-            "payload_bytes_total": self.payload_bytes_total,
-            "payload_bytes_max": self.payload_bytes_max,
-            "payload_bytes_mean": round(self.payload_bytes_mean, 1),
-            "broadcasts": self.broadcasts,
-            "broadcast_bytes": self.broadcast_bytes,
-            "shm_segments": self.shm_segments,
-        }
+        return {**asdict(self), "payload_bytes_mean": round(self.payload_bytes_mean, 1)}
 
 
 @runtime_checkable
@@ -512,7 +551,7 @@ def _stream_through_pool(pool_factory: Callable[[], Executor],
     their outcomes; ``batch_size`` groups chunks per future to amortize IPC
     for process pools.  ``on_finish`` runs once no future is outstanding —
     on normal exhaustion or on early close — so per-stream resources (e.g.
-    broadcast payload files) can be reclaimed safely.
+    the pins on broadcast payloads) can be released safely.
     """
     iterator = iter(chunks)
     pending: deque[Any] = deque()  # futures, each resolving to a list of outcomes
@@ -652,12 +691,11 @@ _MAX_ADAPTIVE_CHUNKSIZE = 32
 class ProcessPoolEngine:
     """Processes chunks on a persistent pool of worker processes.
 
-    Workers never receive pickled chunks: each stream broadcasts its heavy
-    constants (runner, context, video, mask, regions) once through a
-    :class:`_TaskBroadcast` payload file, and every dispatch ships only the
-    payload path plus compact per-chunk specs — a few ints and floats per
-    chunk (``dispatch_stats`` records the actual bytes).  Everything the
-    stream references must still be picklable, exactly as before.
+    Workers never receive pickled chunks: the heavy constants go out once
+    through the engine's :class:`_BroadcastPublisher`, and every dispatch
+    ships only the manifest ref plus compact per-chunk specs — a few ints
+    and floats per chunk (``dispatch_stats`` records the actual bytes).
+    Everything the stream references must still be picklable.
 
     ``chunksize`` batches chunks per future; the default (None) adapts to
     the stream: ``max(1, count_hint // (4 * workers))`` capped at 32, so
@@ -682,6 +720,8 @@ class ProcessPoolEngine:
                                               compare=False)
     _pool_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                        repr=False, compare=False)
+    _publisher: _BroadcastPublisher = field(default_factory=_BroadcastPublisher,
+                                            init=False, repr=False, compare=False)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
@@ -714,40 +754,36 @@ class ProcessPoolEngine:
                     count_hint: int | None = None) -> Iterator[ChunkOutcome]:
         if count_hint is None and isinstance(chunks, Sized):
             count_hint = len(chunks)
-        broadcast = _TaskBroadcast(runner, context)
         stats = self.dispatch_stats
+        broadcast = _StreamBroadcast(self._publisher, runner, context, stats)
 
         def submit(pool: Executor, batch: list["Chunk"]) -> "Future[list[ChunkOutcome]]":
             specs = [broadcast.chunk_spec(chunk) for chunk in batch]
             # Registering the specs may have discovered new heavy objects;
-            # payload_ref() publishes a fresh version covering them first
-            # (a shared-memory segment when available, else a payload file).
+            # payload_ref() publishes a manifest covering them first.
             ref = broadcast.payload_ref()
             stats.record_dispatch(
                 len(pickle.dumps((ref, specs), protocol=pickle.HIGHEST_PROTOCOL)),
                 len(batch))
             return pool.submit(_execute_chunk_specs, ref, specs)
 
-        def finish() -> None:
-            stats.broadcasts += broadcast.broadcasts
-            stats.broadcast_bytes += broadcast.broadcast_bytes
-            stats.shm_segments += broadcast.shm_segments
-            broadcast.cleanup()
-
         batch_size = self._effective_chunksize(count_hint)
         return _stream_through_pool(self._ensure_pool, submit, runner, chunks,
                                     context, window=self._window(batch_size),
-                                    batch_size=batch_size, on_finish=finish)
+                                    batch_size=batch_size,
+                                    on_finish=partial(self._publisher.release, broadcast))
 
     def map_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
                    context: "ExecutionContext") -> list[ChunkOutcome]:
         return list(self.imap_chunks(runner, chunks, context))
 
     def shutdown(self) -> None:
-        """Release the worker processes (the pool is rebuilt on next use)."""
+        """Release the worker processes and unlink what the engine published
+        (both are rebuilt on next use)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        self._publisher.close()
 
     def __enter__(self) -> "ProcessPoolEngine":
         return self

@@ -38,11 +38,12 @@ bytes of UTF-8 JSON encoding one object (:func:`encode_frame` /
 
 Coordinator -> shard:
 
-``{"type": "task", "seq": S, "payload": PATH, "specs": [SPEC, ...]}``
+``{"type": "task", "seq": S, "payload": REF, "specs": [SPEC, ...]}``
     Execute a batch of chunks.  ``seq`` is a coordinator-unique task id,
-    ``payload`` the path of the stream's :class:`~repro.core.engine._TaskBroadcast`
-    pickle file holding the heavy shared constants (runner, context, videos,
-    masks, regions), and each ``SPEC`` a compact per-chunk message —
+    ``payload`` the ref (``shm:NAME`` segment or file path) of the stream's
+    manifest from the engine's :class:`~repro.core.engine._BroadcastPublisher`
+    (runner, context, masks, regions; footage named by ref to its own
+    part), and each ``SPEC`` a compact per-chunk message —
     ``[video_ref, index, start, end, mask_ref, region_ref, sample_period,
     metadata]`` — exactly the spec-dispatch scheme the process engine uses,
     so per-task IPC stays at a few ints and floats per chunk.  Because
@@ -65,7 +66,7 @@ Coordinator -> shard:
 Shard -> coordinator:
 
 ``{"type": "result", "seq": S, "outcomes": [{"rows": [...], "fallback": F,
-"cache_hit": C, "stored": W}, ...]}``
+"cache_hit": C, "stored": W}, ...], "stages": {...}}``
     One outcome per spec of task ``S``, in spec order.  Rows are the
     schema-coerced row dicts (JSON-safe by construction — the on-disk store
     serializes the very same shape); ``fallback`` marks crash/timeout
@@ -74,7 +75,10 @@ Shard -> coordinator:
     these as ``shard_cache_hits``), and ``stored`` marks rows that already
     live in the shared store (served from it or written through), so the
     coordinator's cache layer only promotes them into its memory tier
-    instead of re-writing the disk entry.
+    instead of re-writing the disk entry.  ``stages`` (optional) is where
+    the task's seconds went on the shard — ``load_s`` (payload decode),
+    ``store_get_s``, ``execute_s``, ``store_put_s`` — plus ``loads``, 1 when
+    the manifest had to be decoded; summed per shard, never acted on.
 ``{"type": "pong", "token": T}``
     Heartbeat reply.
 ``{"type": "error", "seq": S, "message": TEXT}``
@@ -125,9 +129,11 @@ from repro.core.engine import (
     ChunkOutcome,
     ChunkSpecMessage,
     DispatchStats,
+    _BroadcastPublisher,
     _default_workers,
     _load_payload,
-    _TaskBroadcast,
+    _PAYLOAD_CACHE,
+    _StreamBroadcast,
     chunk_from_spec,
     execute_chunk,
 )
@@ -412,6 +418,8 @@ class TcpTransport:
             pass
         self._teardown()
         if self.process is not None:
+            # Ours, so it dies with us: SIGTERM drains and exits.
+            self.process.terminate()
             try:
                 self.process.wait(timeout=timeout)
             except subprocess.TimeoutExpired:
@@ -471,7 +479,12 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
     checks the store before executing and writes successful results through,
     so shards over common storage serve and extend the same warm set.
     """
+    clock = time.perf_counter
+    stages = {"loads": int(message["payload"] not in _PAYLOAD_CACHE),
+              "store_get_s": 0.0, "execute_s": 0.0, "store_put_s": 0.0}
+    started = clock()
     payload = _load_payload(message["payload"])
+    stages["load_s"] = clock() - started
     runner = payload["runner"]
     context = payload["context"]
     objects = payload["objects"]
@@ -480,9 +493,12 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
         chunk = chunk_from_spec(objects, spec)
         rows = None
         key = None
+        began = clock()
         if store is not None:
             key = store.key_for(runner, chunk, context)
             rows = store.get(key)
+        fetched = clock()
+        stages["store_get_s"] += fetched - began
         if rows is not None:
             # Shard-side cache classification: a coordinator-cold but
             # disk-warm key skips the execute entirely — the shard's local
@@ -491,13 +507,17 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
                              "fallback": False, "cache_hit": True, "stored": True})
             continue
         outcome = execute_chunk(runner, chunk, context)
+        executed = clock()
+        stages["execute_s"] += executed - fetched
         stored = store is not None and key is not None and not outcome.fallback
         if stored:
             store.put(key, outcome.rows)
+        stages["store_put_s"] += clock() - executed
         outcomes.append({"rows": [dict(row) for row in outcome.rows],
                          "fallback": outcome.fallback, "cache_hit": False,
                          "stored": stored})
-    return {"type": "result", "seq": message["seq"], "outcomes": outcomes}
+    return {"type": "result", "seq": message["seq"], "outcomes": outcomes,
+            "stages": stages}
 
 
 def serve(stdin: BinaryIO, stdout: BinaryIO,
@@ -806,10 +826,10 @@ class ShardedEngine:
     Implements the :class:`~repro.core.engine.ExecutionEngine` protocol: an
     ordered streaming ``imap_chunks`` with a bounded in-flight window.  Work
     is dispatched to the least-loaded live shard as compact spec batches
-    (the heavy stream constants travel once per stream via a
-    :class:`~repro.core.engine._TaskBroadcast` payload file every shard can
-    read); results are merged back in dispatch order, so consumers cannot
-    tell it from the serial engine.
+    (the heavy constants travel out of band, footage once per state, through
+    the engine's :class:`~repro.core.engine._BroadcastPublisher`); results
+    are merged back in dispatch order, so consumers cannot tell it from the
+    serial engine.
 
     Shards sit behind the :class:`ShardTransport` seam.  By default
     (``sharded[:N]``) each shard is a :class:`PipeTransport` worker
@@ -951,6 +971,7 @@ class ShardedEngine:
         #: never propagates into whichever stream happened to be pumping.
         self._failed: dict[int, str] = {}
         self._store_spec: str | None = None
+        self._publisher = _BroadcastPublisher(same_host=transports is None)
 
     @classmethod
     def connect(cls, addresses: Iterable[str], **kwargs: Any) -> "ShardedEngine":
@@ -1218,6 +1239,8 @@ class ShardedEngine:
                 for outcome in message["outcomes"]]
             self.shard_cache_hits += sum(1 for outcome in outcomes
                                          if outcome.cache_hit)
+            shard.stats.record_stages(message.get("stages"))
+            self.dispatch_stats.record_stages(message.get("stages"))
             self._ready[seq] = outcomes
         elif kind == "error":
             seq = message.get("seq")
@@ -1337,13 +1360,8 @@ class ShardedEngine:
             return
         with self._lock:
             self._ensure_shards()
-        # Pipe-shard workers are children of this process, so they can
-        # attach the shared-memory broadcast segment; TCP daemons may live
-        # on another host and always get the file-based payload.
-        broadcast = _TaskBroadcast(
-            runner, context,
-            use_shared_memory=None if self._transport_factories is None
-            else False)
+        broadcast = _StreamBroadcast(self._publisher, runner, context,
+                                     self.dispatch_stats)
         batch_size = self._effective_chunksize(count_hint)
         window = self._window(batch_size)
         stream = chain((first, second), iterator)
@@ -1365,7 +1383,7 @@ class ShardedEngine:
                         break
                     specs = [broadcast.chunk_spec(chunk) for chunk in batch]
                     # Registering specs may have discovered new heavy
-                    # objects; payload_ref() publishes a covering version.
+                    # objects; payload_ref() publishes a covering manifest.
                     ref = broadcast.payload_ref()
                     with self._lock:
                         seq = self._next_seq
@@ -1412,10 +1430,7 @@ class ShardedEngine:
                     self._tasks.pop(seq, None)
                     for shard in self._shards.values():
                         shard.pending.pop(seq, None)
-                self.dispatch_stats.broadcasts += broadcast.broadcasts
-                self.dispatch_stats.broadcast_bytes += broadcast.broadcast_bytes
-                self.dispatch_stats.shm_segments += broadcast.shm_segments
-            broadcast.cleanup()
+            self._publisher.release(broadcast)
 
     def map_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
                    context: "ExecutionContext") -> list[ChunkOutcome]:
@@ -1486,7 +1501,8 @@ class ShardedEngine:
                                  for label, breaker in sorted(self._breakers.items())}}
 
     def shutdown(self) -> None:
-        """Terminate every shard worker (the pool respawns on next use)."""
+        """Terminate every shard worker and unlink what the engine published
+        (both come back on next use)."""
         with self._lock:
             for shard in self._shards.values():
                 shard.close()
@@ -1496,6 +1512,7 @@ class ShardedEngine:
                     self._inbox.get_nowait()
                 except queue.Empty:
                     break
+        self._publisher.close()
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -91,6 +91,11 @@ class ProcessExecutable(ABC):
             return copy.copy(self)
         return copy.deepcopy(self)
 
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle/copy state without ``fresh_instance``'s memo (no history in the bytes)."""
+        return {name: value for name, value in vars(self).items()
+                if name != "_fresh_shallow"}
+
     def config_fingerprint(self) -> Any:
         """A stable description of this executable's configuration.
 

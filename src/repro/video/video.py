@@ -28,10 +28,10 @@ from repro.video.geometry import BoundingBox
 if TYPE_CHECKING:  # imported only for type annotations to avoid a package cycle
     from repro.scene.objects import SceneObject
 
-#: Session-unique tokens telling footage *objects* apart even when their
-#: name/fps/duration coincide (two test videos are both called "test-cam");
-#: chunk caching keys on this so equal-looking but distinct footage never
-#: shares entries.
+#: Session-unique tokens telling footage *states* apart even when their
+#: name/fps/duration coincide (two test videos are both called "test-cam"),
+#: renewed whenever a video's objects change; chunk caching and the engines'
+#: footage broadcast key on this.
 _CONTENT_TOKENS = itertools.count(1)
 
 
@@ -231,7 +231,7 @@ class SyntheticVideo:
 
     @property
     def content_token(self) -> int:
-        """Session-unique identity of this footage object (used by chunk caching)."""
+        """Session-unique identity of this footage state."""
         return self._content_token
 
     def content_fingerprint(self) -> str:
@@ -287,9 +287,11 @@ class SyntheticVideo:
         return self._appearance_table
 
     def invalidate_index(self) -> None:
-        """Drop the appearance table and its bucket index (called after objects are added)."""
+        """Drop everything derived from the objects and renew the state token
+        (called after objects are added)."""
         self._appearance_table = None
         self._content_fingerprint = None
+        self._content_token = next(_CONTENT_TOKENS)
 
     def candidate_objects(self, window: TimeInterval) -> list[SceneObject]:
         """Objects that *may* overlap ``window`` (superset, from the bucket index),

@@ -71,6 +71,21 @@ def simple_video() -> SyntheticVideo:
     return make_simple_video(objects=objects)
 
 
+@pytest.fixture()
+def footage_pickles(monkeypatch) -> list[str]:
+    """Names of the videos pickled in this process, in order: the spy on an
+    engine's footage publications (workers pickle no footage)."""
+    pickled: list[str] = []
+    footage_state = SyntheticVideo.__getstate__
+
+    def spying(video: SyntheticVideo) -> dict:
+        pickled.append(video.name)
+        return footage_state(video)
+
+    monkeypatch.setattr(SyntheticVideo, "__getstate__", spying)
+    return pickled
+
+
 @pytest.fixture(scope="session")
 def campus_small() -> Scenario:
     """A small campus scenario shared across the session (read-only use)."""

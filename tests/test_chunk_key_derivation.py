@@ -27,7 +27,13 @@ from repro.core.cache import (
     fingerprint,
     runner_fingerprint,
 )
-from repro.core.engine import _TaskBroadcast, chunk_from_spec
+from repro.core.engine import (
+    DispatchStats,
+    _BroadcastPublisher,
+    _load_payload,
+    _StreamBroadcast,
+    chunk_from_spec,
+)
 from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
 from repro.relational.table import ColumnSpec, DataType, Schema
@@ -108,29 +114,36 @@ class TestOracleParity:
         scheme = scenario.region_scheme or grid_region_scheme(
             video.width, video.height, 2, 2)
         checked = 0
-        for mask in (None, scenario.owner_mask or MASK):
-            for region_scheme in (None, scheme):
-                for sample_period in (None, 1.0):
-                    runner = _runner()
-                    context = _context(video,
-                                       detector_config=scenario.detector_config,
-                                       tracker_config=scenario.tracker_config)
-                    # Region schemes with soft boundaries take one-frame chunks.
-                    duration = 30.0 if region_scheme is None else video.frame_period
-                    spec = ChunkSpec(window=TimeInterval(0.0, 12 * duration),
-                                     chunk_duration=duration,
-                                     sample_period=sample_period)
-                    masked = {} if mask is None else {"mask": mask}
-                    broadcast = _TaskBroadcast(runner, context)
-                    objects = broadcast._objects
-                    for chunk in iter_chunks(video, spec, region_scheme=region_scheme,
-                                             **masked):
-                        expected = oracle_key(runner, chunk, context)
-                        assert chunk_key(runner, chunk, context) == expected
-                        # The shard's view: the chunk rebuilt from its wire spec.
-                        rebuilt = chunk_from_spec(objects, broadcast.chunk_spec(chunk))
-                        assert chunk_key(runner, rebuilt, context) == expected
-                        checked += 1
+        publisher = _BroadcastPublisher()
+        try:
+            for mask in (None, scenario.owner_mask or MASK):
+                for region_scheme in (None, scheme):
+                    for sample_period in (None, 1.0):
+                        runner = _runner()
+                        context = _context(video,
+                                           detector_config=scenario.detector_config,
+                                           tracker_config=scenario.tracker_config)
+                        # Region schemes with soft boundaries take one-frame chunks.
+                        duration = 30.0 if region_scheme is None else video.frame_period
+                        spec = ChunkSpec(window=TimeInterval(0.0, 12 * duration),
+                                         chunk_duration=duration,
+                                         sample_period=sample_period)
+                        masked = {} if mask is None else {"mask": mask}
+                        broadcast = _StreamBroadcast(publisher, runner, context, DispatchStats())
+                        for chunk in iter_chunks(video, spec, region_scheme=region_scheme,
+                                                 **masked):
+                            expected = oracle_key(runner, chunk, context)
+                            assert chunk_key(runner, chunk, context) == expected
+                            # The shard's view: the chunk rebuilt from its wire
+                            # spec against the decoded manifest and footage part.
+                            wire = broadcast.chunk_spec(chunk)
+                            objects = _load_payload(broadcast.payload_ref())["objects"]
+                            rebuilt = chunk_from_spec(objects, wire)
+                            assert rebuilt.video is not video
+                            assert chunk_key(runner, rebuilt, context) == expected
+                            checked += 1
+        finally:
+            publisher.close()
         assert checked == 2 * 2 * (12 + 12 * len(scheme.regions))
 
     _VALUES = st.one_of(

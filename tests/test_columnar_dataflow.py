@@ -521,13 +521,15 @@ class TestProcessEngineSpecDispatch:
         assert stats.dispatches >= 2
         assert stats.payload_bytes_max < DISPATCH_PAYLOAD_BUDGET_BYTES, \
             f"per-dispatch payload {stats.payload_bytes_max}B exceeds budget"
-        # The heavy constants went out exactly once, through the broadcast.
-        assert stats.broadcasts == 1
+        # The heavy constants went out exactly once, through the broadcast:
+        # the footage as one part, the rest as one small manifest.
+        assert stats.broadcasts == 2
         assert stats.broadcast_bytes > 100_000
 
-    def test_mixed_video_stream_versions_the_broadcast(self):
+    def test_two_cameras_in_one_stream_ship_two_parts_once_each(self, footage_pickles):
         video_a = _heavy_video(40)
         video_b = _heavy_video(30)
+        video_b.name = "heavy-b"
         spec = ChunkSpec(window=TimeInterval(0.0, 120.0), chunk_duration=30.0)
         chunks = split_interval(video_a, spec) + split_interval(video_b, spec)
         runner = SandboxRunner(
@@ -537,8 +539,15 @@ class TestProcessEngineSpecDispatch:
         serial = SerialEngine().map_chunks(runner, chunks, context)
         with ProcessPoolEngine(max_workers=2, chunksize=3) as engine:
             outcomes = engine.map_chunks(runner, chunks, context)
+            stats = engine.dispatch_stats
         assert [outcome.rows for outcome in outcomes] \
             == [outcome.rows for outcome in serial]
+        # The second camera is discovered mid-stream: its part and a second
+        # manifest naming both go out; the first camera's part is not re-shipped.
+        assert footage_pickles == ["heavy", "heavy-b"]
+        assert stats.broadcasts == 4
+        assert stats.broadcast_bytes < len(pickle.dumps(video_a)) \
+            + len(pickle.dumps(video_b)) + 8192
 
     def test_adaptive_chunksize_heuristic(self):
         engine = ProcessPoolEngine(max_workers=4)

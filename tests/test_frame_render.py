@@ -417,13 +417,21 @@ class TestFootagePickles:
             system = PrividSystem(seed=3, engine=pool, cache=None)
             register_scenario_camera(system, scenario, epsilon_budget=100.0,
                                      sample_period=1.0)
-            # A first in-process query, so that what the sandbox memoises on
-            # the registered executable is in both broadcasts alike.
-            serial = run(SerialEngine(), 0, 240)
             before = run(pool, 0, 240)
             sent_before = pool.dispatch_stats.broadcast_bytes
-            run(SerialEngine(), 240, 1500)      # renders footage not seen so far
+            # In-process history: renders footage not seen so far, and the
+            # sandbox memoises on the registered executable.
+            serial = run(SerialEngine(), 0, 240)
+            run(SerialEngine(), 240, 1500)
             pool.reset_dispatch_stats()
             after = run(pool, 0, 240)
-            assert pool.dispatch_stats.broadcast_bytes == sent_before > 0
-        assert serial == before == after
+            # None of it reached the bytes: the repeat finds its footage part
+            # and its manifest already published ...
+            assert pool.dispatch_stats.broadcast_bytes == 0
+            assert pool.dispatch_stats.broadcast_reuses == 2
+            with ProcessPoolEngine(max_workers=2) as late:
+                again = run(late, 0, 240)
+                # ... and an engine that starts after it ships what the
+                # first one shipped.
+                assert late.dispatch_stats.broadcast_bytes == sent_before > 0
+        assert serial == before == after == again

@@ -1,5 +1,7 @@
 """Tests for the isolated execution environment and the executable library."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SandboxViolationError, UnknownExecutableError
@@ -96,6 +98,20 @@ class TestSandboxRunner:
         rows = runner.run_chunks(chunks, context)
         # Each chunk sees a fresh copy, so the counter restarts every time.
         assert [row["value"] for row in rows] == [1.0, 1.0]
+
+    def test_runner_pickle_does_not_depend_on_history(self, one_chunk, context):
+        # What fresh_instance() memoises on the registered executable is
+        # derived state: it must reach neither the pickle (a stream manifest
+        # dedupes by its bytes) nor the per-chunk copies.
+        for executable in (EnteringObjectCounter(), ConstantExecutable()):
+            runner = SandboxRunner(executable, VALUE_SCHEMA, max_rows=5,
+                                   timeout_seconds=5.0)
+            before = pickle.dumps(runner)
+            runner.run_chunk(one_chunk, context)
+            assert "_fresh_shallow" in vars(executable)
+            assert pickle.dumps(runner) == before
+            assert "_fresh_shallow" not in vars(executable.fresh_instance())
+            assert pickle.loads(before).executable == executable
 
     def test_invalid_runner_parameters(self, one_chunk):
         with pytest.raises(SandboxViolationError):

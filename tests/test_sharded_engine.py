@@ -11,8 +11,12 @@ may still deliver).
 import io
 import json
 import os
+import pickle
 import signal
 import struct
+import subprocess
+import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -28,12 +32,15 @@ from repro.core import (
     register_engine,
     shared_spec,
 )
+import repro.core.engine as engine_module
 from repro.core.cache import ChunkResultCache, TieredChunkCache
-from repro.core.engine import DispatchStats, SerialEngine as _Serial
+from repro.core.engine import DispatchStats, SerialEngine as _Serial, _StreamBroadcast
 from repro.core.policy import PrivacyPolicy
 from repro.core.remote import (
     MAX_FRAME_BYTES,
+    _handle_task,
     _ShardTask,
+    _worker_env,
     encode_frame,
     read_frame,
     write_frame,
@@ -47,6 +54,8 @@ from repro.evaluation.runner import register_scenario_camera, scenario_policy_ma
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import ChunkSpec, count_chunks, iter_chunks
+from repro.video.geometry import BoundingBox
+from repro.video.masking import Mask
 
 from tests.conftest import make_crossing_object, make_simple_video
 
@@ -204,7 +213,7 @@ class TestShardedStreaming:
         assert state["pulled"] == count_chunks(video, spec) == 20
         assert state["peak"] <= 4
 
-    def test_interleaved_streams_share_the_shard_pool(self):
+    def test_interleaved_streams_share_the_shard_pool(self, footage_pickles):
         # The executor round-robins PROCESS statements through one engine;
         # frames arriving while the "wrong" stream pumps must be parked for
         # their owner, not dropped.
@@ -225,8 +234,12 @@ class TestShardedStreaming:
                     continue
                 collected[label].append(outcome)
                 streams.append((label, stream))
+            stats = engine.dispatch_stats_dict()
         assert repr(_rows_of(collected["a"])) == repr(reference)
         assert repr(_rows_of(collected["b"])) == repr(reference)
+        # Two open streams, one footage part and one manifest between them.
+        assert footage_pickles == [video.name]
+        assert (stats["broadcasts"], stats["broadcast_reuses"]) == (2, 2)
 
     def test_per_shard_dispatch_bytes_recorded(self):
         video = _walker_video()
@@ -236,7 +249,8 @@ class TestShardedStreaming:
                                     _context(video)))
             stats = engine.dispatch_stats_dict()
         assert stats["dispatches"] == stats["chunks"] == 10
-        assert stats["broadcasts"] == 1 and stats["broadcast_bytes"] > 0
+        # One footage part and one manifest, each published once.
+        assert stats["broadcasts"] == 2 and stats["broadcast_bytes"] > 0
         # Per-dispatch messages are the payload path plus a few numbers —
         # scene size must never leak into them (same budget as the process
         # engine's spec dispatch).
@@ -245,6 +259,368 @@ class TestShardedStreaming:
         assert len(per_shard) == 2
         assert sum(entry["chunks"] for entry in per_shard.values()) == 10
         assert all(entry["payload_bytes_total"] > 0 for entry in per_shard.values())
+
+
+#: Both multi-process engines publish through the same ``_BroadcastPublisher``.
+MULTIPROCESS_SPECS = ("sharded:2", "process:2")
+
+TEN_CHUNKS = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
+
+
+def _serial_rows(runner, chunks, context) -> list:
+    return _rows_of(SerialEngine().imap_chunks(runner, chunks, context))
+
+
+def _published(engine, video=None) -> list[str]:
+    """Where ``engine``'s publications (or only ``video``'s parts) live on disk."""
+    return [entry.ref.replace("shm:", "/dev/shm/")
+            for entry in engine._publisher._entries.values()
+            if video is None or entry.keep is video]
+
+
+def _published_bytes(engine) -> int:
+    return sum(entry.size for entry in engine._publisher._entries.values())
+
+
+class TestBroadcastLifetime:
+    """Footage is published once per state for the engine's lifetime; a
+    stream's other constants ride in a small manifest deduplicated by digest."""
+
+    @pytest.mark.parametrize("spec", MULTIPROCESS_SPECS)
+    def test_identical_queries_publish_once(self, spec, footage_pickles):
+        video = _walker_video()
+        query = _count_query()
+        reference = _build_system(video).execute(query, charge_budget=False)
+        published = []
+        with _build_system(video, engine=spec) as system:
+            for _ in range(10):
+                result = system.execute(query, charge_budget=False)
+                assert result.raw_series_unsafe() == reference.raw_series_unsafe()
+                published.append(system.engine_stats()["dispatch"]["broadcast_bytes"])
+            stats = system.engine_stats()["dispatch"]
+            carriers = _published(system.engine)
+            assert len(carriers) == 2 and all(map(os.path.exists, carriers))
+        assert footage_pickles == [video.name]
+        assert published[0] > 0 and published == published[:1] * 10
+        assert (stats["broadcasts"], stats["broadcast_reuses"]) == (2, 2 * 9)
+        if spec.startswith("sharded"):
+            # The count guard: each shard decoded once, not once per query —
+            # and after that loading costs a dict lookup.
+            assert stats["stages"]["loads"] == len(stats["per_shard"]) == 2
+            assert stats["stages"]["load_s"] < 0.5
+        # shutdown() (via close()) unlinked both.
+        assert not any(map(os.path.exists, carriers))
+
+    @pytest.mark.parametrize("spec", MULTIPROCESS_SPECS)
+    def test_new_stream_constants_cost_one_small_manifest(self, spec, footage_pickles):
+        video = _walker_video()
+        context = _context(video)
+        one_column = Schema(columns=(ColumnSpec("kind", DataType.STRING, "?"),))
+        corner = Mask("corner", (BoundingBox(400.0, 0.0, 200.0, 720.0),))
+        variants = [
+            (_runner(), {}),
+            (SandboxRunner(EnteringObjectCounter(category="car"), PERSON_SCHEMA,
+                           max_rows=5, timeout_seconds=5.0), {}),      # executable
+            (SandboxRunner(EnteringObjectCounter(category="person"), one_column,
+                           max_rows=5, timeout_seconds=5.0), {}),      # schema
+            (_runner(), {"mask": corner}),                             # mask
+        ]
+        with create_engine(spec) as engine:
+            for position, (runner, masked) in enumerate(variants):
+                before = engine.dispatch_stats.as_dict()
+                rows = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, TEN_CHUNKS, **masked), context))
+                assert repr(rows) == repr(_serial_rows(
+                    runner, iter_chunks(video, TEN_CHUNKS, **masked), context))
+                after = engine.dispatch_stats.as_dict()
+                if position:
+                    # A new manifest of a few KB; the footage part is reused.
+                    assert after["broadcasts"] - before["broadcasts"] == 1
+                    assert 0 < after["broadcast_bytes"] - before["broadcast_bytes"] < 4096
+                    assert after["broadcast_reuses"] - before["broadcast_reuses"] == 1
+        assert footage_pickles == [video.name]
+
+    @pytest.mark.parametrize("spec", MULTIPROCESS_SPECS)
+    def test_add_objects_publishes_a_new_footage_state(self, spec, footage_pickles):
+        def late(index: int):
+            # Crosses chunks 2-3 (specced before the mid-stream mutation
+            # below) and, again, chunk 7 (specced after it).
+            return [make_crossing_object(f"late-{index}-{start}", start=float(start),
+                                         duration=35.0, x=300.0 + 20.0 * index)
+                    for start in (130, 440)]
+
+        def mutating(video):
+            for chunk in iter_chunks(video, TEN_CHUNKS):
+                if chunk.index == 5:
+                    video.add_objects(late(1))
+                yield chunk
+
+        runner = _runner()
+        # Footage mutates in place, so the serial reference runs on a twin.
+        twin, video = _walker_video(num_walkers=3), _walker_video(num_walkers=3)
+        context = _context(video)
+        with create_engine(spec) as engine:
+            def run(chunks):
+                return _rows_of(engine.imap_chunks(runner, chunks, context))
+
+            first = run(iter_chunks(video, TEN_CHUNKS))
+            assert repr(first) == repr(_serial_rows(
+                runner, iter_chunks(twin, TEN_CHUNKS), context))
+            # Between two queries.
+            for footage in (twin, video):
+                footage.add_objects(late(0))
+            second = run(iter_chunks(video, TEN_CHUNKS))
+            assert repr(second) == repr(_serial_rows(
+                runner, iter_chunks(twin, TEN_CHUNKS), context)) != repr(first)
+            # Between two chunks of one open stream: chunks specced before
+            # the mutation run on the old state, later ones on the new.
+            third = run(mutating(video))
+            assert repr(third) == repr(_serial_rows(runner, mutating(twin), context))
+            assert repr(third) != repr(second)
+            assert repr(third) != repr(run(iter_chunks(video, TEN_CHUNKS)))
+        assert footage_pickles == [video.name] * 3
+
+    def test_second_camera_is_published_without_reshipping_the_first(
+            self, footage_pickles):
+        video_a = _walker_video()
+        video_b = make_simple_video(name="other-cam", objects=[
+            make_crossing_object("b0", start=50.0, duration=35.0)])
+        runner, context = _runner(), _context(video_a)
+
+        def chunks():
+            return [*iter_chunks(video_a, TEN_CHUNKS), *iter_chunks(video_b, TEN_CHUNKS)]
+
+        with ShardedEngine(2, chunksize=3) as engine:
+            rows = _rows_of(engine.imap_chunks(runner, iter(chunks()), context))
+            stats = engine.dispatch_stats_dict()
+        assert repr(rows) == repr(_serial_rows(runner, chunks(), context))
+        # Two parts and two manifests (the second naming both parts).
+        assert footage_pickles == [video_a.name, video_b.name]
+        assert stats["broadcasts"] == 4
+
+    def test_respawned_shard_loads_what_an_open_stream_pinned(self):
+        video = _walker_video(num_walkers=8, duration=1200.0)
+        spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
+        runner, context = _runner(), _context(video)
+        other = SandboxRunner(EnteringObjectCounter(category="car"), PERSON_SCHEMA,
+                              max_rows=5, timeout_seconds=5.0)
+        with ShardedEngine(2, chunksize=1) as engine:
+            stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
+            outcomes = [next(stream)]
+            originals = engine._live_shards()
+            originals[0].process.kill()
+            originals[0].process.wait()
+            # Another stream's start replaces the dead shard mid-stream ...
+            second = engine.imap_chunks(other, iter_chunks(video, spec), context)
+            seconds = [next(second)]
+            # ... and with the other original gone too, the open stream's
+            # remaining tasks can only run on a worker that has never seen
+            # its manifest or its footage part.
+            originals[1].process.kill()
+            originals[1].process.wait()
+            outcomes.extend(stream)
+            seconds.extend(second)
+            assert {shard.id for shard in engine._live_shards()} \
+                .isdisjoint(shard.id for shard in originals)
+        assert repr(_rows_of(outcomes)) == repr(_serial_rows(
+            runner, iter_chunks(video, spec), context))
+        assert repr(_rows_of(seconds)) == repr(_serial_rows(
+            other, iter_chunks(video, spec), context))
+
+    def test_eviction_spares_pinned_refs_and_republishes_under_a_new_ref(
+            self, monkeypatch, footage_pickles):
+        video_a = _walker_video()
+        video_b = make_simple_video(name="other-cam", objects=[
+            make_crossing_object(f"b{i}", start=30.0 + 70.0 * i, duration=35.0)
+            for i in range(6)])
+        # Room for one footage state and its manifest, not for two.
+        limit = len(pickle.dumps(video_a)) + 3072
+        monkeypatch.setattr(engine_module, "_PUBLISHED_BYTES_LIMIT", limit)
+        footage_pickles.clear()
+        runner = _runner()
+        with ShardedEngine(2) as engine:
+            def open_stream(video):
+                stream = engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                            _context(video))
+                return [next(stream)], stream
+
+            rows_a, stream_a = open_stream(video_a)
+            pinned_a = _published(engine)
+            rows_b, stream_b = open_stream(video_b)
+            # Two open streams pin more than the bound: nothing may go.
+            assert _published_bytes(engine) > limit
+            assert all(map(os.path.exists, _published(engine)))
+            (old_part_b,) = _published(engine, video_b)
+            rows_b.extend(stream_b)
+            # B released: its footage goes, what A still pins stays.
+            assert _published_bytes(engine) <= limit
+            assert not os.path.exists(old_part_b)
+            assert _published(engine, video_b) == []
+            assert all(map(os.path.exists, pinned_a))
+            rows_a.extend(stream_a)
+            again_b, stream_b = open_stream(video_b)
+            again_b.extend(stream_b)
+            assert _published_bytes(engine) <= limit
+            (new_part_b,) = _published(engine, video_b)
+            assert new_part_b != old_part_b
+        assert repr(_rows_of(rows_a)) == repr(_serial_rows(
+            runner, iter_chunks(video_a, TEN_CHUNKS), _context(video_a)))
+        assert repr(_rows_of(rows_b)) == repr(_rows_of(again_b)) == repr(_serial_rows(
+            runner, iter_chunks(video_b, TEN_CHUNKS), _context(video_b)))
+        assert footage_pickles == [video_a.name, video_b.name, video_b.name]
+
+    def test_concurrent_streams_share_one_part(self, footage_pickles):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
+        results: dict[int, list] = {}
+        barrier = threading.Barrier(4)
+
+        def one_stream(index: int) -> None:
+            barrier.wait(timeout=30.0)
+            results[index] = _rows_of(engine.imap_chunks(
+                runner, iter_chunks(video, TEN_CHUNKS), context))
+
+        with ShardedEngine(2) as engine:
+            threads = [threading.Thread(target=one_stream, args=(index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            stats = engine.dispatch_stats_dict()
+        assert [repr(results[index]) for index in range(4)] == [repr(reference)] * 4
+        assert footage_pickles == [video.name]
+        assert (stats["broadcasts"], stats["broadcast_reuses"]) == (2, 2 * 3)
+
+    def test_segment_creation_failure_downgrades_that_payload_to_a_file(
+            self, monkeypatch):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        created = []
+
+        class FailingOnce(engine_module.shared_memory.SharedMemory):
+            def __init__(self, name=None, create=False, size=0):
+                if create:
+                    created.append(name)
+                    if len(created) == 1:
+                        raise OSError(28, "No space left on device")
+                super().__init__(name=name, create=create, size=size)
+
+        monkeypatch.setattr(engine_module.shared_memory, "SharedMemory", FailingOnce)
+        with ShardedEngine(2) as engine:
+            rows = _rows_of(engine.imap_chunks(
+                runner, iter_chunks(video, TEN_CHUNKS), context))
+            stats = engine.dispatch_stats_dict()
+            carriers = _published(engine)
+            directory = engine._publisher._directory
+            # The footage part fell back to the tempdir; the manifest naming
+            # it still got its segment.
+            assert sorted(path.startswith("/dev/shm/") for path in carriers) \
+                == [False, True]
+            assert all(map(os.path.exists, carriers))
+        assert repr(rows) == repr(_serial_rows(
+            runner, iter_chunks(video, TEN_CHUNKS), context))
+        assert (stats["broadcasts"], stats["shm_segments"]) == (2, 1)
+        assert not any(map(os.path.exists, carriers))
+        assert not os.path.exists(directory)
+
+    #: One sharded stream, then the process ends without ``shutdown()``.
+    _UNCLOSED = """
+import os, signal, sys
+from repro.core import ShardedEngine
+from repro.sandbox.environment import ExecutionContext, SandboxRunner
+from repro.sandbox.executables import EnteringObjectCounter
+from repro.relational.table import ColumnSpec, DataType, Schema
+from repro.utils.timebase import TimeInterval
+from repro.video.chunking import ChunkSpec, iter_chunks
+from repro.video.video import SyntheticVideo
+
+video = SyntheticVideo(name="cam", fps=2.0, width=1280.0, height=720.0, duration=240.0)
+runner = SandboxRunner(EnteringObjectCounter(),
+                       Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),)),
+                       max_rows=5, timeout_seconds=5.0)
+engine = ShardedEngine(2)
+chunks = iter_chunks(video, ChunkSpec(window=TimeInterval(0, 240), chunk_duration=60.0))
+assert len(list(engine.imap_chunks(runner, chunks,
+                                   ExecutionContext(camera="cam", fps=2.0)))) == 4
+for entry in engine._publisher._entries.values():
+    print("/dev/shm/" + entry.ref[len("shm:"):], flush=True)
+if sys.argv[1] == "sigkill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to inspect")
+    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    def test_unclosed_coordinator_leaves_no_segments(self, ending):
+        done = subprocess.run([sys.executable, "-c", self._UNCLOSED, ending],
+                              capture_output=True, text=True, timeout=120,
+                              env=_worker_env())
+        segments = done.stdout.split()
+        assert len(segments) == 2 and all(
+            os.path.basename(path).startswith("privid-bc-") for path in segments)
+        deadline = time.monotonic() + 5.0
+        while any(map(os.path.exists, segments)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(os.path.exists, segments))
+        if ending == "exit":
+            # The finalizer unlinked them: nothing was left for the
+            # resource tracker to find (a SIGKILL leaves it exactly that job).
+            assert done.returncode == 0, done.stderr
+            assert "resource_tracker" not in done.stderr
+        else:
+            assert done.returncode == -signal.SIGKILL
+
+
+class TestShardStageTimes:
+    def test_stage_times_fit_inside_the_task_and_a_repeat_loads_nothing(self, tmp_path):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        store = DiskChunkStore(tmp_path / "store")
+        publisher = engine_module._BroadcastPublisher()
+        try:
+            broadcast = _StreamBroadcast(publisher, runner, context, DispatchStats())
+            specs = [list(broadcast.chunk_spec(chunk))
+                     for chunk in iter_chunks(video, TEN_CHUNKS)]
+            message = {"type": "task", "seq": 1, "specs": specs,
+                       "payload": broadcast.payload_ref()}
+            frames = []
+            for _ in range(2):
+                started = time.perf_counter()
+                frames.append(_handle_task(message, store))
+                wall = time.perf_counter() - started
+                stages = frames[-1]["stages"]
+                assert set(stages) == {"loads", "load_s", "store_get_s",
+                                       "execute_s", "store_put_s"}
+                assert 0.0 <= sum(value for name, value in stages.items()
+                                  if name != "loads") <= wall
+        finally:
+            publisher.close()
+        cold, warm = (frame["stages"] for frame in frames)
+        assert cold["loads"] == 1 and cold["execute_s"] > 0 and cold["store_put_s"] > 0
+        # The repeat: payload already decoded, every chunk served by the store.
+        assert warm["loads"] == 0 and warm["load_s"] < cold["load_s"]
+        assert warm["execute_s"] == warm["store_put_s"] == 0.0
+        assert [outcome["rows"] for outcome in frames[0]["outcomes"]] \
+            == [outcome["rows"] for outcome in frames[1]["outcomes"]]
+
+    def test_coordinator_sums_stage_times_per_shard(self):
+        video = _walker_video()
+        with ShardedEngine(2, chunksize=1) as engine:
+            started = time.perf_counter()
+            list(engine.imap_chunks(_runner(), iter_chunks(video, TEN_CHUNKS),
+                                    _context(video)))
+            wall = time.perf_counter() - started
+            stats = engine.dispatch_stats_dict()
+        names = ("load_s", "store_get_s", "execute_s", "store_put_s")
+        per_shard = list(stats["per_shard"].values())
+        for name in (*names, "loads"):
+            assert stats["stages"][name] == pytest.approx(
+                sum(shard["stages"][name] for shard in per_shard))
+        # Two shards, each busy for no longer than the stream took.
+        assert 0 < sum(stats["stages"][name] for name in names) <= 2 * wall
+        assert stats["stages"]["execute_s"] > 0
 
 
 class TestShardedSystemParity:

@@ -9,6 +9,7 @@ mid-stream disconnects, and reassign a killed daemon's work to the
 survivors.
 """
 
+import os
 import signal
 import socket
 import subprocess
@@ -61,6 +62,9 @@ def _context(video) -> ExecutionContext:
 
 def _rows_of(outcomes) -> list:
     return [[dict(row) for row in outcome.rows] for outcome in outcomes]
+
+
+TEN_CHUNKS = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
 
 
 class TestParseAddress:
@@ -386,6 +390,8 @@ def tcp_pool():
     """One persistent two-daemon TCP engine reused across the sweep tests."""
     with ShardedEngine.local_tcp(2) as engine:
         yield engine
+    # shutdown() removed the payload files every stream above published.
+    assert not os.path.exists(engine._publisher._directory)
 
 
 class TestTcpParity:
@@ -398,6 +404,26 @@ class TestTcpParity:
         tcp = _rows_of(tcp_pool.imap_chunks(runner, iter_chunks(video, spec),
                                             context))
         assert repr(tcp) == repr(reference)
+
+    def test_repeat_stream_reuses_the_payload_files(self, tcp_pool, footage_pickles):
+        # Daemons may live on another host, so they get files, never
+        # segments — published once and kept until the engine shuts down.
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        before = tcp_pool.dispatch_stats_dict()
+        first = _rows_of(tcp_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                              context))
+        files = sorted(os.listdir(tcp_pool._publisher._directory))
+        second = _rows_of(tcp_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                               context))
+        after = tcp_pool.dispatch_stats_dict()
+        assert repr(first) == repr(second)
+        assert footage_pickles == [video.name]
+        assert sorted(os.listdir(tcp_pool._publisher._directory)) == files
+        assert {name: after[name] - before[name] for name in
+                ("broadcasts", "broadcast_reuses", "shm_segments")} \
+            == {"broadcasts": 2, "broadcast_reuses": 2, "shm_segments": 0}
+        assert after["stages"]["loads"] - before["stages"].get("loads", 0) == 2
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_scenario_scene_byte_identical_to_serial(self, name, tcp_pool):

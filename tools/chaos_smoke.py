@@ -95,11 +95,11 @@ STORE_CHAOS = FaultPlan(name="store-chaos", seed=37, rules=(
 # Same-host fast-path mayhem: binary-format store entries (the tiered
 # default) are scribbled over mid-run, exercising the mmap decoder's
 # corrupt-entry self-heal, and a pipe worker is killed *while it holds an
-# attachment to the stream's shared-memory broadcast segment*.  Both
+# attachment to the engine's shared-memory broadcast segments*.  Both
 # triggers are deterministic (fixed op indices / seq), so the fired log
 # must replay; the per-run checks additionally assert the coordinator
-# unlinked every ``privid-bc-*`` segment at stream close — a dead worker's
-# attachment must never leak the segment.
+# unlinked every ``privid-bc-*`` segment at engine shutdown — a dead
+# worker's attachment must never leak the segment.
 SHM_BINARY_CHAOS = FaultPlan(name="shm-binary-chaos", seed=51, rules=(
     FaultRule(site="store.get", kind=FaultKind.CORRUPT, at=(3, 11),
               max_fires=2),
@@ -378,7 +378,7 @@ def main() -> int:
                                 in Path("/dev/shm").glob("privid-bc-*"))
                 check(not leaked,
                       f"{label} every shared-memory broadcast segment "
-                      f"unlinked at stream close {leaked or ''}")
+                      f"unlinked at engine shutdown {leaked or ''}")
             if plan is SHM_BINARY_CHAOS:
                 # The scenario only means anything if the fast path engaged:
                 # the killed worker must have been holding a real attachment.
