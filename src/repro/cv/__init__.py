@@ -10,7 +10,7 @@ greedy IoU tracker exposing the same hyperparameters the paper tunes
 """
 
 from repro.cv.detector import Detection, DetectionBatch, DetectorConfig, SyntheticDetector
-from repro.cv.tracker import IoUTracker, Track, TrackerConfig, TrackView, track_frames
+from repro.cv.tracker import IoUTracker, Track, TrackerConfig, TrackView
 from repro.cv.duration import (
     DurationEstimate,
     estimate_durations,
@@ -28,7 +28,6 @@ __all__ = [
     "Track",
     "TrackView",
     "TrackerConfig",
-    "track_frames",
     "DurationEstimate",
     "estimate_durations",
     "estimate_max_duration",

@@ -14,28 +14,29 @@ association can merge distinct objects that pass through the same area into
 one long track, which is precisely why CV-estimated maximum durations are
 *conservative over-estimates* of the ground truth (Table 1).
 
-Matching is computed against per-step candidate arrays: each step snapshots
-the active tracks' (possibly motion-predicted) reference boxes once, then
-either runs an allocation-free scalar loop (typical frames carry a handful of
-detections) or computes the full detection x track IoU matrix with numpy when
-the pair count is large.  Both paths apply the same greedy policy — highest
-confidence first, ties broken towards the later candidate — and produce
-identical associations.
+Each step snapshots the active tracks' (possibly motion-predicted)
+reference boxes once, then scans them per detection in plain Python floats —
+highest confidence first, best IoU at or above the threshold, ties broken
+towards the later candidate.  Frames carry a handful of detections, so there
+is no vectorized matching path: a numpy IoU matrix lost to this loop at every
+frame size the bundled scenes produce (docs/architecture.md, "Track").
 
 Two tracker cores share that policy:
 
 * the scalar :meth:`IoUTracker.step` consumes one frame's ``Detection`` list
-  at a time and keeps classic ``Track`` objects (the reference twin);
+  at a time and keeps classic ``Track`` objects — the reference twin, driven
+  frame by frame by :mod:`repro.cv.tuning` and
+  :mod:`repro.analysis.policy_estimation`;
 * the batch :meth:`IoUTracker.step_batch` advances a whole chunk's
-  :class:`~repro.cv.detector.DetectionBatch` with row-indexed columnar track
-  state — track/category ids in preallocated numpy arrays, the matching-hot
-  box/velocity scalars and miss counters in parallel row lists with a
-  bounded velocity window per row — and detection data read from the batch
-  columns, materialising Python objects only at API boundaries
-  (:class:`TrackView` / :meth:`IoUTracker.finalize`).
+  :class:`~repro.cv.detector.DetectionBatch` through
+  :class:`_BatchTrackerCore` — per-row Python lists for track state,
+  detection data read from the batch columns — and materialises Python
+  objects only at API boundaries (:class:`TrackView` /
+  :meth:`IoUTracker.finalize`).  It is what every query runs.
 
 The two cores apply the identical matching order, arithmetic and tie-breaks,
-and are asserted bit-identical by the parity tests.
+and are asserted bit-identical by the parity tests (scenario scenes and
+generated histories).
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ import numpy as np
 
 from repro.cv.detector import Detection, DetectionBatch
 from repro.video.geometry import BoundingBox
-
-#: Steps whose detections x candidates pair count reaches this size compute
-#: the IoU matrix with numpy; smaller steps use the scalar loop.
-VECTOR_MATCH_MIN_PAIRS = 64
-
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -215,86 +211,55 @@ class Track:
         return self.hits >= min_hits
 
 
-#: Shared zero-capacity column placeholders: every core starts with these
-#: (no per-instance allocation) and swaps in real arrays on first _grow.
-_EMPTY_STATE_COL = np.empty((0, 8), dtype=np.float64)
-_EMPTY_RING_COL = np.empty((0, 5, 3), dtype=np.float64)
-_EMPTY_INT_COL = np.empty(0, dtype=np.int64)
-
-
 class _BatchTrackerCore:
-    """Columnar twin of the scalar tracker loop.
+    """Whole-chunk twin of the scalar tracker loop.
 
-    Track state is row-indexed and columnar: track/category ids live in
-    preallocated, capacity-doubling numpy arrays, while the matching-hot
-    per-row state — last box, its area, last frame index, the smoothed
-    velocity, and the miss counter — lives in parallel row lists with the
-    velocity window as a bounded ring per row (hit counts are the lengths
-    of the per-row detection-id lists).  Python-scalar rows beat numpy
-    element indexing by ~10x for the sequential greedy loop (typical frames
-    carry 1-3 candidates); wide frames still vectorize, computing the
-    detections x candidates IoU matrix from the same per-frame reference
-    tuples the scalar core builds.
+    One row per track ever created, held in plain parallel lists: the
+    matching state ``row_state`` (last box, its area, last frame index and
+    the smoothed velocity as one tuple), the velocity window ``row_ring``
+    (a deque of the last ``Track.VELOCITY_WINDOW`` observations), the
+    consecutive-miss counter ``row_miss`` and the matched detection ids
+    ``det_indices`` (a track's hit count is the length of its list).
+    ``active`` lists the live rows in creation order, ``finished`` the
+    expired ones in expiry order.
 
     Detections are read straight from
-    :class:`~repro.cv.detector.DetectionBatch` columns; per-frame matching
-    applies exactly the scalar core's policy (confidence-descending stable
-    order, greedy best-IoU-at-least-threshold with ties to the later
-    candidate, per-category matching, constant-velocity prediction while
-    unmatched) so associations — and therefore tracks — are bit-identical.
-    """
+    :class:`~repro.cv.detector.DetectionBatch` columns — one ``np.lexsort``
+    puts a batch in frame-major, confidence-descending stable order and one
+    ``tolist()`` per column hands the loop Python scalars.  There is no
+    numpy inside the per-frame loop: frames carry a handful of detections
+    and candidates, where element access and small-array set-up cost more
+    than the arithmetic they replace (docs/architecture.md, "Track").
 
-    #: Row-state slots: x, y, width, height, area, last frame index,
-    #: velocity x (None until two observations), velocity y.
-    _X, _Y, _W, _H, _AREA, _FRAME, _VX, _VY = range(8)
+    Per-frame matching applies exactly the scalar core's policy (greedy
+    best-IoU-at-least-threshold with ties to the later candidate,
+    per-category matching, constant-velocity prediction while unmatched) in
+    the same IEEE operations, so associations — and therefore tracks — are
+    bit-identical.
+    """
 
     def __init__(self, config: TrackerConfig, next_id: int = 0) -> None:
         self.config = config
         self.next_id = next_id
         self.track_id: list[int] = []
         self.category_id: list[int] = []
-        #: Persistent track-state columns (see the slot constants above):
-        #: one row per track ever created, capacity grown geometrically.
-        #: ``state_col`` holds the matching-hot scalars, ``ring_col`` /
-        #: ``ring_fill`` the velocity window (last VELOCITY_WINDOW
-        #: observations as (x, y, frame) rows, oldest first), ``miss_col``
-        #: the consecutive-miss counters (reset on every match).  The
-        #: columns live across :meth:`step_batch` calls; the miss column is
-        #: synced eagerly at every batch boundary (emission reads it), the
-        #: box/ring columns are write-behind — the active window is staged
-        #: in the slot-parallel scratch below while matching, and
-        #: :meth:`_flush_columns` materialises it on demand.
-        self._capacity = 0
-        self.state_col = _EMPTY_STATE_COL
-        self.ring_col = _EMPTY_RING_COL
-        self.ring_fill = _EMPTY_INT_COL
-        self.miss_col = _EMPTY_INT_COL
-        #: Scan scratch, parallel to ``active``: CPython subscripting is
-        #: ~10x cheaper on small lists/tuples than on numpy scalars, so the
-        #: matcher works slot-indexed over the active window and the
-        #: columns stay the durable cross-batch store.
-        self.slot_state: list[tuple] = []
-        self.slot_rings: list[deque[tuple[float, float, int]]] = []
-        self.slot_miss: list[int] = []
-        #: Slot-parallel aliases of ``det_indices`` rows (same list
-        #: objects) so matches append without an active-row lookup.
-        self.slot_dets: list[list[int]] = []
-        #: Rows finished since the last column flush (row, state, ring).
-        self._finished_dirty: list[tuple] = []
-        self._scratch_valid = True
-        #: Per-track detection ids (offsets into the consumed batches);
-        #: a track's hit count is the length of its list.
+        #: (x, y, width, height, area, last frame index, velocity x,
+        #: velocity y); the velocities are 0.0 until two observations.
+        self.row_state: list[tuple] = []
+        self.row_ring: list[deque[tuple[float, float, int]]] = []
+        self.row_miss: list[int] = []
+        #: Per-track detection ids (offsets into the consumed batches).
         self.det_indices: list[list[int]] = []
         self.active: list[int] = []
-        #: Category ids parallel to ``active`` (avoids per-frame rebuilds).
-        self.active_categories: list[int] = []
         self.finished: list[int] = []
-        self.num_rows = 0
         self.categories: list[str] = []
         self._category_ids: dict[str, int] = {}
         self.batches: list[DetectionBatch] = []
         self.offsets: list[int] = []
         self._total_detections = 0
+        #: Largest frame index consumed so far (None before the first
+        #: detection): batches must not start before it.
+        self._last_frame_index: int | None = None
 
     # ------------------------------------------------------------ bookkeeping
 
@@ -321,103 +286,17 @@ class _BatchTrackerCore:
 
     def _new_track(self, detection_id: int, category: int, x: float, y: float,
                    width: float, height: float, frame_index: int) -> int:
-        row = self.num_rows
-        self.num_rows += 1
-        if row >= self._capacity:
-            self._grow(row + 1)
-        detections = [detection_id]
-        self.det_indices.append(detections)
-        self.slot_dets.append(detections)
-        self.slot_state.append((x, y, width, height, width * height,
-                                frame_index, 0.0, 0.0))
-        self.slot_rings.append(deque([(x, y, frame_index)],
-                                     maxlen=Track.VELOCITY_WINDOW))
-        self.slot_miss.append(0)
+        row = len(self.track_id)
         self.track_id.append(self.next_id)
         self.next_id += 1
         self.category_id.append(category)
+        self.row_state.append((x, y, width, height, width * height,
+                               frame_index, 0.0, 0.0))
+        self.row_ring.append(deque([(x, y, frame_index)],
+                                   maxlen=Track.VELOCITY_WINDOW))
+        self.row_miss.append(0)
+        self.det_indices.append([detection_id])
         return row
-
-    def _grow(self, needed: int) -> None:
-        """Grow the persistent columns geometrically to hold ``needed`` rows."""
-        capacity = self._capacity or 16
-        while capacity < needed:
-            capacity *= 2
-        state = np.zeros((capacity, 8), dtype=np.float64)
-        ring = np.zeros((capacity, Track.VELOCITY_WINDOW, 3),
-                        dtype=np.float64)
-        fill = np.zeros(capacity, dtype=np.int64)
-        miss = np.zeros(capacity, dtype=np.int64)
-        used = self.num_rows - 1 if self.num_rows else 0
-        if used:
-            state[:used] = self.state_col[:used]
-            ring[:used] = self.ring_col[:used]
-            fill[:used] = self.ring_fill[:used]
-            miss[:used] = self.miss_col[:used]
-        self.state_col = state
-        self.ring_col = ring
-        self.ring_fill = fill
-        self.miss_col = miss
-        self._capacity = capacity
-
-    def _flush_columns(self) -> None:
-        """Materialise the staged active window into the persistent columns.
-
-        Finished rows queue in ``_finished_dirty`` when they expire (so the
-        expiry sweeps stay append-cheap) and drain here; active rows copy
-        straight from the slot scratch.  After this call the columns alone
-        carry the complete tracker state — :meth:`drop_scratch` relies on
-        that to rebuild the scratch from the columns.
-        """
-        state_col = self.state_col
-        ring_col = self.ring_col
-        ring_fill = self.ring_fill
-        for row, state, ring in self._finished_dirty:
-            state_col[row] = state
-            count = len(ring)
-            ring_col[row, :count] = ring
-            ring_fill[row] = count
-        self._finished_dirty.clear()
-        rows = self.active
-        for slot, row in enumerate(rows):
-            state_col[row] = self.slot_state[slot]
-            ring = self.slot_rings[slot]
-            count = len(ring)
-            ring_col[row, :count] = ring
-            ring_fill[row] = count
-        if rows:
-            self.miss_col[rows] = self.slot_miss
-
-    def drop_scratch(self) -> None:
-        """Flush and discard the slot scratch (test hook / memory release).
-
-        The next :meth:`step_batch` restages the active window from the
-        persistent columns; continuing after a drop must be bit-identical,
-        which is exactly what the array-state tests assert.
-        """
-        self._flush_columns()
-        self.slot_state = []
-        self.slot_rings = []
-        self.slot_miss = []
-        self.slot_dets = []
-        self._scratch_valid = False
-
-    def _load_scratch(self) -> None:
-        """Restage the active window from the persistent columns."""
-        state_col = self.state_col
-        ring_col = self.ring_col
-        ring_fill = self.ring_fill
-        window = Track.VELOCITY_WINDOW
-        self.slot_state = [tuple(state_col[row].tolist())
-                           for row in self.active]
-        self.slot_rings = [
-            deque([tuple(entry) for entry in
-                   ring_col[row, :int(ring_fill[row])].tolist()],
-                  maxlen=window)
-            for row in self.active]
-        self.slot_miss = [int(self.miss_col[row]) for row in self.active]
-        self.slot_dets = [self.det_indices[row] for row in self.active]
-        self._scratch_valid = True
 
     def _expire(self) -> None:
         """Move tracks whose misses exceeded max_age to the finished list.
@@ -426,904 +305,172 @@ class _BatchTrackerCore:
         so finished tracks are appended in active-list order.
         """
         max_age = self.config.max_age
-        slot_miss = self.slot_miss
-        slot_state = self.slot_state
-        slot_rings = self.slot_rings
-        slot_dets = self.slot_dets
-        miss_col = self.miss_col
-        dirty = self._finished_dirty
-        still_active: list[int] = []
-        still_categories: list[int] = []
-        still_state: list[tuple] = []
-        still_rings: list = []
-        still_miss: list[int] = []
-        still_dets: list[list[int]] = []
-        for slot, row in enumerate(self.active):
-            count = slot_miss[slot]
-            if count > max_age:
-                self.finished.append(row)
-                miss_col[row] = count
-                dirty.append((row, slot_state[slot], slot_rings[slot]))
-            else:
-                still_active.append(row)
-                still_categories.append(self.active_categories[slot])
-                still_state.append(slot_state[slot])
-                still_rings.append(slot_rings[slot])
-                still_miss.append(count)
-                still_dets.append(slot_dets[slot])
-        self.active[:] = still_active
-        self.active_categories[:] = still_categories
-        slot_state[:] = still_state
-        slot_rings[:] = still_rings
-        slot_miss[:] = still_miss
-        slot_dets[:] = still_dets
-
-    def _miss_step(self) -> None:
-        """Advance one frame with no matched detections (all candidates miss)."""
-        self._age_gap(1)
+        row_miss = self.row_miss
+        self.finished.extend(row for row in self.active
+                             if row_miss[row] > max_age)
+        self.active[:] = [row for row in self.active
+                          if row_miss[row] <= max_age]
 
     def _age_gap(self, gap: int) -> None:
-        """Advance ``gap`` consecutive empty frames in one batched pass.
+        """Advance ``gap`` consecutive empty frames in one pass.
 
-        Equivalent to ``gap`` scalar miss steps: every active track ages by
-        ``gap`` misses, and tracks that cross ``max_age`` part-way through
-        are finished in per-frame expiry order (crossing frame first, active
-        order within a frame) with their counters frozen at the crossing
-        value — exactly what ``gap`` sequential sweeps produce.
+        Equivalent to ``gap`` scalar miss steps.  A track with ``m`` misses
+        crosses ``max_age`` at gap offset ``max_age + 1 - m``; sequential
+        empty steps finish tracks ordered by that offset (ties in
+        active-list order) and stop aging a track at its expiry frame, so a
+        crossing track's final miss count is ``max_age + 1``, not
+        ``m + gap``.
         """
-        slot_miss = self.slot_miss
-        if not slot_miss or gap <= 0:
-            return
-        max_age = self.config.max_age
-        expired = False
-        for slot, count in enumerate(slot_miss):
-            count += gap
-            slot_miss[slot] = count
-            if count > max_age:
-                expired = True
-        if expired:
-            self._expire_gap(gap, max_age)
-
-    def _expire_gap(self, gap: int, max_age: int) -> None:
-        """Expire after a multi-frame gap, preserving per-frame finish order.
-
-        A track with ``m`` misses before the gap crosses ``max_age`` at gap
-        offset ``max_age + 1 - m``; sequential empty steps finish tracks
-        ordered by that offset (ties in active-list order) and stop aging a
-        track at its expiry frame, so a crossing track's final miss count is
-        exactly ``max_age + 1`` rather than ``m + gap``.
-        """
-        slot_miss = self.slot_miss
-        slot_state = self.slot_state
-        slot_rings = self.slot_rings
-        slot_dets = self.slot_dets
-        miss_col = self.miss_col
-        dirty = self._finished_dirty
-        limit = max_age + 1
-        expiring: list[tuple[int, int, int]] = []
-        still_active: list[int] = []
-        still_categories: list[int] = []
-        still_state: list[tuple] = []
-        still_rings: list = []
-        still_miss: list[int] = []
-        still_dets: list[list[int]] = []
-        for slot, row in enumerate(self.active):
-            count = slot_miss[slot]
-            if count > max_age:
-                miss_col[row] = limit
-                dirty.append((row, slot_state[slot], slot_rings[slot]))
-                expiring.append((limit - (count - gap), slot, row))
-            else:
-                still_active.append(row)
-                still_categories.append(self.active_categories[slot])
-                still_state.append(slot_state[slot])
-                still_rings.append(slot_rings[slot])
-                still_miss.append(count)
-                still_dets.append(slot_dets[slot])
-        expiring.sort()
-        self.finished.extend(row for _, _, row in expiring)
-        self.active[:] = still_active
-        self.active_categories[:] = still_categories
-        slot_state[:] = still_state
-        slot_rings[:] = still_rings
-        slot_miss[:] = still_miss
-        slot_dets[:] = still_dets
+        limit = self.config.max_age + 1
+        row_miss = self.row_miss
+        expiring: list[tuple[int, int]] = []
+        for row in self.active:
+            count = row_miss[row] + gap
+            if count >= limit:
+                expiring.append((limit - row_miss[row], row))
+                count = limit
+            row_miss[row] = count
+        if expiring:
+            # Stable: equal offsets keep active-list order.
+            expiring.sort(key=lambda entry: entry[0])
+            self.finished.extend(row for _, row in expiring)
+            self.active[:] = [row for row in self.active
+                              if row_miss[row] < limit]
 
     # --------------------------------------------------------------- matching
 
     def step_batch(self, batch: DetectionBatch) -> None:
         """Advance the tracker over every frame of one detection batch."""
-        self.batches.append(batch)
-        self.offsets.append(self._total_detections)
+        # Frame-major, confidence-descending, stable: ties keep storage
+        # order, which is the scalar emission order by the DetectionBatch
+        # contract — the batched equivalent of the scalar per-step sort.
+        order = np.lexsort((-batch.confidences, batch.frame_positions))
+        frame_indices = batch.frame_indices[order].tolist()
+        total = len(frame_indices)
+        last_seen = self._last_frame_index
+        if total and last_seen is not None and frame_indices[0] < last_seen:
+            raise ValueError(
+                f"batch starts at frame index {frame_indices[0]}, before "
+                f"frame index {last_seen} already consumed; batches must "
+                f"arrive in time order")
         offset = self._total_detections
-        self._total_detections += len(batch)
-        num_frames = batch.num_frames
-        if num_frames == 0:
+        self.batches.append(batch)
+        self.offsets.append(offset)
+        self._total_detections += total
+        if not total:
+            self._age_gap(batch.num_frames)
             return
-        total = len(batch)
+        self._last_frame_index = frame_indices[-1]
+        active = self.active
         config = self.config
         threshold = config.iou_threshold
         use_motion = config.use_motion_prediction
         max_age = config.max_age
-        if not total:
-            # The whole batch is empty frames: one batched aging pass.
-            self._age_gap(num_frames)
-            if self.active:
-                self.miss_col[self.active] = self.slot_miss
-            return
-        positions = batch.frame_positions
         batch_to_core = [self._core_category(label) for label in batch.categories]
-        single_category = len(batch_to_core) == 1
-        # The scan needs frame-major, confidence-descending stable order —
-        # the batched equivalent of the scalar per-step sort.  One Python
-        # pass over the positions finds the visited-frame boundaries (the
-        # loop below skips empty frames; the gaps between them age in
-        # batched passes) and detects whether storage is already
-        # frame-major — then the columns materialize either directly or
-        # through one stable position argsort.  Within-frame storage order
-        # is the scalar emission order by the DetectionBatch contract, so
-        # confidence order is restored afterwards, stably, only inside the
-        # few frames that carry more than one detection.
-        positions_list = positions.tolist()
-        frames_list: list[int] = []
-        ends_list: list[int] = []
-        previous_frame = -1
-        frame_major = True
-        for index, frame in enumerate(positions_list):
-            if frame != previous_frame:
-                if frame < previous_frame:
-                    frame_major = False
-                    break
-                frames_list.append(frame)
-                if index:
-                    ends_list.append(index)
-                previous_frame = frame
-        if frame_major:
-            ends_list.append(total)
-            order_list = None
-            boxes_list = batch.boxes.tolist()
-            frame_index_list = batch.frame_indices.tolist()
-            detection_ids = list(range(offset, offset + total))
-            if single_category:
-                category_list = batch_to_core * total
-            else:
-                category_list = [batch_to_core[identifier]
-                                 for identifier in batch.category_ids.tolist()]
-        else:
-            # Entry-major storage: a stable argsort by frame position is the
-            # whole frame-major reorder (position ties keep storage order,
-            # which is the scalar within-frame emission order).
-            order_list = np.argsort(positions, kind="stable").tolist()
-            frames_list = []
-            ends_list = []
-            previous_frame = -1
-            for index, position in enumerate(order_list):
-                frame = positions_list[position]
-                if frame != previous_frame:
-                    frames_list.append(frame)
-                    if index:
-                        ends_list.append(index)
-                    previous_frame = frame
-            ends_list.append(total)
-            storage_boxes = batch.boxes.tolist()
-            boxes_list = [storage_boxes[index] for index in order_list]
-            storage_frame_indices = batch.frame_indices.tolist()
-            frame_index_list = [storage_frame_indices[index]
-                                for index in order_list]
-            detection_ids = order_list if offset == 0 \
-                else [offset + index for index in order_list]
-            if single_category:
-                category_list = batch_to_core * total
-            else:
-                storage_ids = batch.category_ids.tolist()
-                category_list = [batch_to_core[storage_ids[index]]
-                                 for index in order_list]
-        if len(ends_list) != total:
-            # At least one frame carries several detections: restore
-            # confidence-descending order inside those frames (stable —
-            # swap/permute only on a strict upset, ties stay put).
-            storage_confidences = batch.confidences.tolist()
-            if order_list is None:
-                confidence_list = storage_confidences
-            else:
-                confidence_list = [storage_confidences[index]
-                                   for index in order_list]
-            first = 0
-            for last in ends_list:
-                span = last - first
-                if span == 2:
-                    second = first + 1
-                    if confidence_list[first] < confidence_list[second]:
-                        boxes_list[first], boxes_list[second] = \
-                            boxes_list[second], boxes_list[first]
-                        detection_ids[first], detection_ids[second] = \
-                            detection_ids[second], detection_ids[first]
-                        if not single_category:
-                            category_list[first], category_list[second] = \
-                                category_list[second], category_list[first]
-                elif span > 2:
-                    permuted = sorted(range(first, last),
-                                      key=lambda i: -confidence_list[i])
-                    boxes_list[first:last] = [boxes_list[i] for i in permuted]
-                    detection_ids[first:last] = [detection_ids[i]
-                                                 for i in permuted]
-                    if not single_category:
-                        category_list[first:last] = [category_list[i]
-                                                     for i in permuted]
-                first = last
-        # When everything the core has ever seen shares one category, the
-        # per-category guards are always-pass; hoist them out of the scan
-        # loops.  The registry is complete for this batch at this point, so
-        # the flag is loop-invariant.
+        positions = batch.frame_positions[order].tolist()
+        boxes = batch.boxes[order].tolist()
+        detection_ids = (order + offset).tolist()
+        detection_categories = [batch_to_core[identifier] for identifier
+                                in batch.category_ids[order].tolist()]
+        # While everything the core has ever seen shares one category the
+        # per-category guard always passes; the registry is complete for
+        # this batch here, so the flag is loop-invariant.
         check_categories = config.per_category and len(self.categories) > 1
-        # A zero-overlap candidate can never win a scan whose bar starts at
-        # a positive threshold, so the scalar paths below reject disjoint
-        # boxes on a 2-4 comparison axis test before any IoU arithmetic.
-        # With threshold 0.0 a zero-IoU candidate *can* win (>= keeps the
-        # last one), so those steps take the unpruned general path.
-        fast_scan = threshold > 0.0
-        # The unrolled small-frame paths below additionally assume category
-        # guards are no-ops (single category seen, or per_category off).
-        unrolled = fast_scan and not check_categories
-        if not self._scratch_valid:
-            self._load_scratch()
-        slot_state = self.slot_state
-        slot_rings = self.slot_rings
-        slot_miss = self.slot_miss
-        slot_dets = self.slot_dets
+        category_id = self.category_id
+        row_state = self.row_state
+        row_ring = self.row_ring
+        row_miss = self.row_miss
+        det_indices = self.det_indices
+        ends = [index for index in range(1, total)
+                if positions[index] != positions[index - 1]]
+        ends.append(total)
         start = 0
-        prev_frame = -1
-        active = self.active
-        for frame, end in zip(frames_list, ends_list):
-            gap = frame - prev_frame - 1
-            if gap and active:
-                # Inlined _age_gap: batched aging for the empty frames
-                # between the previous handled frame and this one.
-                expired = False
-                for slot, count in enumerate(slot_miss):
-                    count += gap
-                    slot_miss[slot] = count
-                    if count > max_age:
-                        expired = True
-                if expired:
-                    self._expire_gap(gap, max_age)
-            prev_frame = frame
-            frame_index = frame_index_list[start]
+        previous_position = -1
+        for end in ends:
+            position = positions[start]
+            # Empty frames between two visited ones age in one pass.
+            if position - previous_position > 1:
+                self._age_gap(position - previous_position - 1)
+            previous_position = position
+            frame_index = frame_indices[start]
             num_candidates = len(active)
-            if unrolled:
-                # Fully unrolled paths for the dominant small frame shapes
-                # (one or two detections against one or two candidates):
-                # candidate state unpacks into locals exactly once per
-                # frame, aging fuses into the prep, and the greedy
-                # selection reduces to explicit comparisons with the same
-                # >=-later-wins tie-break as the scan loops.
-                if num_candidates == 2:
-                    if end == start + 1:
-                        position = start
-                        det_x1, det_y1, det_width, det_height = \
-                            boxes_list[position]
-                        det_x2 = det_x1 + det_width
-                        det_y2 = det_y1 + det_height
-                        det_area = det_width * det_height
-                        x, y, width, height, area, last_frame, vx, vy = \
-                            slot_state[0]
-                        if use_motion:
-                            frames_ahead = frame_index - last_frame
-                            x = x + vx * frames_ahead
-                            y = y + vy * frames_ahead
-                        iou_a = 0.0
-                        ref_x2 = x + width
-                        ref_y2 = y + height
-                        if det_x1 < ref_x2 and x < det_x2 \
-                                and det_y1 < ref_y2 and y < det_y2:
-                            left = det_x1 if det_x1 > x else x
-                            right = det_x2 if det_x2 < ref_x2 else ref_x2
-                            top = det_y1 if det_y1 > y else y
-                            bottom = det_y2 if det_y2 < ref_y2 else ref_y2
-                            intersection = (right - left) * (bottom - top)
-                            union = det_area + area - intersection
-                            if union > 0:
-                                iou_a = intersection / union
-                        x, y, width, height, area, last_frame, vx, vy = \
-                            slot_state[1]
-                        if use_motion:
-                            frames_ahead = frame_index - last_frame
-                            x = x + vx * frames_ahead
-                            y = y + vy * frames_ahead
-                        iou_b = 0.0
-                        ref_x2 = x + width
-                        ref_y2 = y + height
-                        if det_x1 < ref_x2 and x < det_x2 \
-                                and det_y1 < ref_y2 and y < det_y2:
-                            left = det_x1 if det_x1 > x else x
-                            right = det_x2 if det_x2 < ref_x2 else ref_x2
-                            top = det_y1 if det_y1 > y else y
-                            bottom = det_y2 if det_y2 < ref_y2 else ref_y2
-                            intersection = (right - left) * (bottom - top)
-                            union = det_area + area - intersection
-                            if union > 0:
-                                iou_b = intersection / union
-                        if iou_b >= threshold and iou_b >= iou_a:
-                            slot = 1
-                            other = 0
-                        elif iou_a >= threshold:
-                            slot = 0
-                            other = 1
-                        else:
-                            count = slot_miss[0] + 1
-                            slot_miss[0] = count
-                            expired = count > max_age
-                            count = slot_miss[1] + 1
-                            slot_miss[1] = count
-                            active.append(self._new_track(
-                                detection_ids[position],
-                                category_list[position],
-                                det_x1, det_y1, det_width, det_height,
-                                frame_index))
-                            self.active_categories.append(
-                                category_list[position])
-                            if expired or count > max_age:
-                                self._expire()
-                            start = end
-                            continue
-                        count = slot_miss[other] + 1
-                        slot_miss[other] = count
-                        ring = slot_rings[slot]
-                        ring.append((det_x1, det_y1, frame_index))
-                        baseline_x, baseline_y, baseline_frame = ring[0]
-                        frame_gap = frame_index - baseline_frame
-                        if frame_gap < 1:
-                            frame_gap = 1
-                        slot_state[slot] = (
-                            det_x1, det_y1, det_width, det_height, det_area,
-                            frame_index,
-                            (det_x1 - baseline_x) / frame_gap,
-                            (det_y1 - baseline_y) / frame_gap)
-                        slot_miss[slot] = 0
-                        slot_dets[slot].append(detection_ids[position])
-                        if count > max_age:
-                            self._expire()
-                        start = end
-                        continue
-                    if end == start + 2:
-                        position0 = start
-                        position1 = start + 1
-                        a_x1, a_y1, a_w, a_h = boxes_list[position0]
-                        a_x2 = a_x1 + a_w
-                        a_y2 = a_y1 + a_h
-                        a_area = a_w * a_h
-                        b_x1, b_y1, b_w, b_h = boxes_list[position1]
-                        b_x2 = b_x1 + b_w
-                        b_y2 = b_y1 + b_h
-                        b_area = b_w * b_h
-                        x0, y0, width, height, ar0, last_frame, vx, vy = \
-                            slot_state[0]
-                        if use_motion:
-                            frames_ahead = frame_index - last_frame
-                            x0 = x0 + vx * frames_ahead
-                            y0 = y0 + vy * frames_ahead
-                        rx0 = x0 + width
-                        ry0 = y0 + height
-                        x1, y1, width, height, ar1, last_frame, vx, vy = \
-                            slot_state[1]
-                        if use_motion:
-                            frames_ahead = frame_index - last_frame
-                            x1 = x1 + vx * frames_ahead
-                            y1 = y1 + vy * frames_ahead
-                        rx1 = x1 + width
-                        ry1 = y1 + height
-                        iou_a0 = 0.0
-                        if a_x1 < rx0 and x0 < a_x2 \
-                                and a_y1 < ry0 and y0 < a_y2:
-                            left = a_x1 if a_x1 > x0 else x0
-                            right = a_x2 if a_x2 < rx0 else rx0
-                            top = a_y1 if a_y1 > y0 else y0
-                            bottom = a_y2 if a_y2 < ry0 else ry0
-                            intersection = (right - left) * (bottom - top)
-                            union = a_area + ar0 - intersection
-                            if union > 0:
-                                iou_a0 = intersection / union
-                        iou_a1 = 0.0
-                        if a_x1 < rx1 and x1 < a_x2 \
-                                and a_y1 < ry1 and y1 < a_y2:
-                            left = a_x1 if a_x1 > x1 else x1
-                            right = a_x2 if a_x2 < rx1 else rx1
-                            top = a_y1 if a_y1 > y1 else y1
-                            bottom = a_y2 if a_y2 < ry1 else ry1
-                            intersection = (right - left) * (bottom - top)
-                            union = a_area + ar1 - intersection
-                            if union > 0:
-                                iou_a1 = intersection / union
-                        if iou_a1 >= threshold and iou_a1 >= iou_a0:
-                            best_a = 1
-                        elif iou_a0 >= threshold:
-                            best_a = 0
-                        else:
-                            best_a = -1
-                        # Detection B scans the candidates A did not take.
-                        best_b = -1
-                        if best_a != 0:
-                            iou_b0 = 0.0
-                            if b_x1 < rx0 and x0 < b_x2 \
-                                    and b_y1 < ry0 and y0 < b_y2:
-                                left = b_x1 if b_x1 > x0 else x0
-                                right = b_x2 if b_x2 < rx0 else rx0
-                                top = b_y1 if b_y1 > y0 else y0
-                                bottom = b_y2 if b_y2 < ry0 else ry0
-                                intersection = (right - left) * (bottom - top)
-                                union = b_area + ar0 - intersection
-                                if union > 0:
-                                    iou_b0 = intersection / union
-                        if best_a != 1:
-                            iou_b1 = 0.0
-                            if b_x1 < rx1 and x1 < b_x2 \
-                                    and b_y1 < ry1 and y1 < b_y2:
-                                left = b_x1 if b_x1 > x1 else x1
-                                right = b_x2 if b_x2 < rx1 else rx1
-                                top = b_y1 if b_y1 > y1 else y1
-                                bottom = b_y2 if b_y2 < ry1 else ry1
-                                intersection = (right - left) * (bottom - top)
-                                union = b_area + ar1 - intersection
-                                if union > 0:
-                                    iou_b1 = intersection / union
-                            if best_a == 0:
-                                if iou_b1 >= threshold:
-                                    best_b = 1
-                            elif iou_b1 >= threshold and iou_b1 >= iou_b0:
-                                best_b = 1
-                            elif iou_b0 >= threshold:
-                                best_b = 0
-                        elif iou_b0 >= threshold:
-                            best_b = 0
-                        if best_a >= 0:
-                            ring = slot_rings[best_a]
-                            ring.append((a_x1, a_y1, frame_index))
-                            baseline_x, baseline_y, baseline_frame = ring[0]
-                            frame_gap = frame_index - baseline_frame
-                            if frame_gap < 1:
-                                frame_gap = 1
-                            slot_state[best_a] = (
-                                a_x1, a_y1, a_w, a_h, a_area, frame_index,
-                                (a_x1 - baseline_x) / frame_gap,
-                                (a_y1 - baseline_y) / frame_gap)
-                            slot_miss[best_a] = 0
-                            slot_dets[best_a].append(
-                                detection_ids[position0])
-                        if best_b >= 0:
-                            ring = slot_rings[best_b]
-                            ring.append((b_x1, b_y1, frame_index))
-                            baseline_x, baseline_y, baseline_frame = ring[0]
-                            frame_gap = frame_index - baseline_frame
-                            if frame_gap < 1:
-                                frame_gap = 1
-                            slot_state[best_b] = (
-                                b_x1, b_y1, b_w, b_h, b_area, frame_index,
-                                (b_x1 - baseline_x) / frame_gap,
-                                (b_y1 - baseline_y) / frame_gap)
-                            slot_miss[best_b] = 0
-                            slot_dets[best_b].append(
-                                detection_ids[position1])
-                        if best_a < 0:
-                            active.append(self._new_track(
-                                detection_ids[position0],
-                                category_list[position0],
-                                a_x1, a_y1, a_w, a_h, frame_index))
-                            self.active_categories.append(
-                                category_list[position0])
-                        if best_b < 0:
-                            active.append(self._new_track(
-                                detection_ids[position1],
-                                category_list[position1],
-                                b_x1, b_y1, b_w, b_h, frame_index))
-                            self.active_categories.append(
-                                category_list[position1])
-                        expired = False
-                        if best_a != 0 and best_b != 0:
-                            count = slot_miss[0] + 1
-                            slot_miss[0] = count
-                            if count > max_age:
-                                expired = True
-                        if best_a != 1 and best_b != 1:
-                            count = slot_miss[1] + 1
-                            slot_miss[1] = count
-                            if count > max_age:
-                                expired = True
-                        if expired:
-                            self._expire()
-                        start = end
-                        continue
-                elif num_candidates == 1 and end == start + 1:
-                    position = start
-                    det_x1, det_y1, det_width, det_height = \
-                        boxes_list[position]
-                    det_x2 = det_x1 + det_width
-                    det_y2 = det_y1 + det_height
-                    det_area = det_width * det_height
-                    x, y, width, height, area, last_frame, vx, vy = \
-                        slot_state[0]
-                    if use_motion:
-                        frames_ahead = frame_index - last_frame
-                        x = x + vx * frames_ahead
-                        y = y + vy * frames_ahead
-                    ref_x2 = x + width
-                    ref_y2 = y + height
-                    matched = False
-                    if det_x1 < ref_x2 and x < det_x2 \
-                            and det_y1 < ref_y2 and y < det_y2:
-                        left = det_x1 if det_x1 > x else x
-                        right = det_x2 if det_x2 < ref_x2 else ref_x2
-                        top = det_y1 if det_y1 > y else y
-                        bottom = det_y2 if det_y2 < ref_y2 else ref_y2
-                        intersection = (right - left) * (bottom - top)
-                        union = det_area + area - intersection
-                        if union > 0 and intersection / union >= threshold:
-                            matched = True
-                    if matched:
-                        ring = slot_rings[0]
-                        ring.append((det_x1, det_y1, frame_index))
-                        baseline_x, baseline_y, baseline_frame = ring[0]
-                        frame_gap = frame_index - baseline_frame
-                        if frame_gap < 1:
-                            frame_gap = 1
-                        slot_state[0] = (
-                            det_x1, det_y1, det_width, det_height, det_area,
-                            frame_index,
-                            (det_x1 - baseline_x) / frame_gap,
-                            (det_y1 - baseline_y) / frame_gap)
-                        slot_miss[0] = 0
-                        slot_dets[0].append(detection_ids[position])
-                    else:
-                        count = slot_miss[0] + 1
-                        slot_miss[0] = count
-                        active.append(self._new_track(
-                            detection_ids[position], category_list[position],
-                            det_x1, det_y1, det_width, det_height,
-                            frame_index))
-                        self.active_categories.append(category_list[position])
-                        if count > max_age:
-                            self._expire()
-                    start = end
-                    continue
-            if fast_scan and 0 < num_candidates < VECTOR_MATCH_MIN_PAIRS:
-                if end == start + 1:
-                    # Fast path: one detection this frame — no matched flags
-                    # or new-track lists, references fuse into the candidate
-                    # loop, and candidate aging fuses into the same loop
-                    # (every candidate ages, then the winner's counter is
-                    # reset by the match — the same bookkeeping the general
-                    # path does in a second pass).
-                    position = start
-                    detection_category = category_list[position]
-                    det_x1, det_y1, det_width, det_height = boxes_list[position]
-                    det_x2 = det_x1 + det_width
-                    det_y2 = det_y1 + det_height
-                    det_area = det_width * det_height
-                    active_categories = self.active_categories
-                    best = -1
-                    best_iou = threshold
-                    expired = False
-                    for index, state in enumerate(slot_state):
-                        count = slot_miss[index] + 1
-                        slot_miss[index] = count
-                        if count > max_age:
-                            expired = True
-                        if check_categories \
-                                and active_categories[index] != detection_category:
-                            continue
-                        x, y, width, height, area, last_frame, vx, vy = state
-                        if use_motion:
-                            frames_ahead = frame_index - last_frame
-                            x = x + vx * frames_ahead
-                            y = y + vy * frames_ahead
-                        ref_x2 = x + width
-                        if det_x1 >= ref_x2 or x >= det_x2:
-                            continue
-                        ref_y2 = y + height
-                        if det_y1 >= ref_y2 or y >= det_y2:
-                            continue
-                        left = det_x1 if det_x1 > x else x
-                        right = det_x2 if det_x2 < ref_x2 else ref_x2
-                        top = det_y1 if det_y1 > y else y
-                        bottom = det_y2 if det_y2 < ref_y2 else ref_y2
-                        intersection = (right - left) * (bottom - top)
-                        union = det_area + area - intersection
-                        iou = intersection / union if union > 0 else 0.0
-                        if iou >= best_iou:
-                            best_iou = iou
-                            best = index
-                    if best >= 0:
-                        # Inlined observe: record the matched box, advance
-                        # the velocity window (baseline = oldest ringed
-                        # observation after the append, frame gap clamped to
-                        # >= 1, same IEEE ops as the scalar twin), reset the
-                        # miss counter.  The ring holds at least the opening
-                        # observation, so it has >= 2 entries here.
-                        ring = slot_rings[best]
-                        ring.append((det_x1, det_y1, frame_index))
-                        baseline_x, baseline_y, baseline_frame = ring[0]
-                        frame_gap = frame_index - baseline_frame
-                        if frame_gap < 1:
-                            frame_gap = 1
-                        slot_state[best] = (
-                            det_x1, det_y1, det_width, det_height, det_area,
-                            frame_index,
-                            (det_x1 - baseline_x) / frame_gap,
-                            (det_y1 - baseline_y) / frame_gap)
-                        slot_miss[best] = 0
-                        slot_dets[best].append(detection_ids[position])
-                    else:
-                        active.append(self._new_track(
-                            detection_ids[position], detection_category,
-                            det_x1, det_y1, det_width, det_height, frame_index))
-                        active_categories.append(detection_category)
-                    if expired:
-                        self._expire()
-                    start = end
-                    continue
-                if end == start + 2 and num_candidates * 2 < VECTOR_MATCH_MIN_PAIRS:
-                    # Fast path: two detections — both greedy scans read the
-                    # pre-frame candidate state directly (the general path
-                    # snapshots it into `references`; deferring both match
-                    # updates until after both scans is equivalent and skips
-                    # the snapshot, matched flags and new-track lists).  The
-                    # higher-confidence detection scans first and excludes
-                    # its winner from the second scan — the greedy order.
-                    # Candidate aging fuses into the first scan; winners'
-                    # counters are reset by their matches below.
-                    position0 = start
-                    position1 = start + 1
-                    active_categories = self.active_categories
-                    cat0 = category_list[position0]
-                    a_x1, a_y1, a_w, a_h = boxes_list[position0]
-                    a_x2 = a_x1 + a_w
-                    a_y2 = a_y1 + a_h
-                    a_area = a_w * a_h
-                    best0 = -1
-                    best_iou = threshold
-                    expired = False
-                    for index, state in enumerate(slot_state):
-                        count = slot_miss[index] + 1
-                        slot_miss[index] = count
-                        if count > max_age:
-                            expired = True
-                        if check_categories \
-                                and active_categories[index] != cat0:
-                            continue
-                        x, y, width, height, area, last_frame, vx, vy = state
-                        if use_motion:
-                            frames_ahead = frame_index - last_frame
-                            x = x + vx * frames_ahead
-                            y = y + vy * frames_ahead
-                        ref_x2 = x + width
-                        if a_x1 >= ref_x2 or x >= a_x2:
-                            continue
-                        ref_y2 = y + height
-                        if a_y1 >= ref_y2 or y >= a_y2:
-                            continue
-                        left = a_x1 if a_x1 > x else x
-                        right = a_x2 if a_x2 < ref_x2 else ref_x2
-                        top = a_y1 if a_y1 > y else y
-                        bottom = a_y2 if a_y2 < ref_y2 else ref_y2
-                        intersection = (right - left) * (bottom - top)
-                        union = a_area + area - intersection
-                        iou = intersection / union if union > 0 else 0.0
-                        if iou >= best_iou:
-                            best_iou = iou
-                            best0 = index
-                    cat1 = category_list[position1]
-                    b_x1, b_y1, b_w, b_h = boxes_list[position1]
-                    b_x2 = b_x1 + b_w
-                    b_y2 = b_y1 + b_h
-                    b_area = b_w * b_h
-                    best1 = -1
-                    best_iou = threshold
-                    for index, state in enumerate(slot_state):
-                        if index == best0:
-                            continue
-                        if check_categories \
-                                and active_categories[index] != cat1:
-                            continue
-                        x, y, width, height, area, last_frame, vx, vy = state
-                        if use_motion:
-                            frames_ahead = frame_index - last_frame
-                            x = x + vx * frames_ahead
-                            y = y + vy * frames_ahead
-                        ref_x2 = x + width
-                        if b_x1 >= ref_x2 or x >= b_x2:
-                            continue
-                        ref_y2 = y + height
-                        if b_y1 >= ref_y2 or y >= b_y2:
-                            continue
-                        left = b_x1 if b_x1 > x else x
-                        right = b_x2 if b_x2 < ref_x2 else ref_x2
-                        top = b_y1 if b_y1 > y else y
-                        bottom = b_y2 if b_y2 < ref_y2 else ref_y2
-                        intersection = (right - left) * (bottom - top)
-                        union = b_area + area - intersection
-                        iou = intersection / union if union > 0 else 0.0
-                        if iou >= best_iou:
-                            best_iou = iou
-                            best1 = index
-                    if best0 >= 0:
-                        ring = slot_rings[best0]
-                        ring.append((a_x1, a_y1, frame_index))
-                        baseline_x, baseline_y, baseline_frame = ring[0]
-                        frame_gap = frame_index - baseline_frame
-                        if frame_gap < 1:
-                            frame_gap = 1
-                        slot_state[best0] = (
-                            a_x1, a_y1, a_w, a_h, a_area, frame_index,
-                            (a_x1 - baseline_x) / frame_gap,
-                            (a_y1 - baseline_y) / frame_gap)
-                        slot_miss[best0] = 0
-                        slot_dets[best0].append(
-                            detection_ids[position0])
-                    if best1 >= 0:
-                        ring = slot_rings[best1]
-                        ring.append((b_x1, b_y1, frame_index))
-                        baseline_x, baseline_y, baseline_frame = ring[0]
-                        frame_gap = frame_index - baseline_frame
-                        if frame_gap < 1:
-                            frame_gap = 1
-                        slot_state[best1] = (
-                            b_x1, b_y1, b_w, b_h, b_area, frame_index,
-                            (b_x1 - baseline_x) / frame_gap,
-                            (b_y1 - baseline_y) / frame_gap)
-                        slot_miss[best1] = 0
-                        slot_dets[best1].append(
-                            detection_ids[position1])
-                    if best0 < 0:
-                        active.append(self._new_track(
-                            detection_ids[position0], cat0,
-                            a_x1, a_y1, a_w, a_h, frame_index))
-                        active_categories.append(cat0)
-                    if best1 < 0:
-                        active.append(self._new_track(
-                            detection_ids[position1], cat1,
-                            b_x1, b_y1, b_w, b_h, frame_index))
-                        active_categories.append(cat1)
-                    if expired:
-                        self._expire()
-                    start = end
-                    continue
-            if num_candidates == 0:
-                # Fast path: no candidates — every detection opens a track.
-                active_categories = self.active_categories
-                for position in range(start, end):
-                    x, y, width, height = boxes_list[position]
-                    active.append(self._new_track(
-                        detection_ids[position], category_list[position],
-                        x, y, width, height, frame_index))
-                    active_categories.append(category_list[position])
-                start = end
-                continue
             matched = [False] * num_candidates
-            new_rows: list[int] = []
-            new_categories: list[int] = []
-            iou_matrix = None
+            candidate_categories = [category_id[row] for row in active] \
+                if check_categories else None
+            # Reference bounds as in the scalar core's _reference_bounds:
+            # the last box moved by the smoothed velocity.  Every candidate
+            # ages here; a match below resets its counter.
             references: list[tuple[float, float, float, float, float]] = []
-            candidate_categories = self.active_categories if check_categories \
-                else None
-            # Reference bounds are computed scalar-wise exactly like the
-            # scalar core's _reference_bounds (same arithmetic, same
-            # motion-prediction condition) — the wide path below then
-            # vectorizes only the IoU matrix over them.
-            for state in slot_state:
-                x, y, width, height, area, last_frame, vx, vy = state
+            may_expire = False
+            for row in active:
+                x, y, width, height, area, last_frame, vx, vy = row_state[row]
                 if use_motion:
                     frames_ahead = frame_index - last_frame
                     x = x + vx * frames_ahead
                     y = y + vy * frames_ahead
                 references.append((x, y, x + width, y + height, area))
-            if (end - start) * num_candidates >= VECTOR_MATCH_MIN_PAIRS:
-                # boxes_list round-tripped through float64 tolist(), so this
-                # rebuild is value-identical to slicing the source array.
-                frame_boxes = np.asarray(boxes_list[start:end], dtype=np.float64)
-                det_x1 = frame_boxes[:, 0:1]
-                det_y1 = frame_boxes[:, 1:2]
-                det_x2 = det_x1 + frame_boxes[:, 2:3]
-                det_y2 = det_y1 + frame_boxes[:, 3:4]
-                det_area = frame_boxes[:, 2:3] * frame_boxes[:, 3:4]
-                ref = np.array(references, dtype=np.float64)
-                left = np.maximum(det_x1, ref[:, 0])
-                right = np.minimum(det_x2, ref[:, 2])
-                top = np.maximum(det_y1, ref[:, 1])
-                bottom = np.minimum(det_y2, ref[:, 3])
-                width = right - left
-                height = bottom - top
-                intersection = np.where((width > 0) & (height > 0),
-                                        width * height, 0.0)
-                union = det_area + ref[:, 4] - intersection
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    iou_matrix = np.where(union > 0, intersection / union, 0.0)
-            for position in range(start, end):
+                count = row_miss[row] + 1
+                row_miss[row] = count
+                if count > max_age:
+                    may_expire = True
+            new_rows: list[int] = []
+            for index in range(start, end):
+                detection_category = detection_categories[index]
+                det_x1, det_y1, det_width, det_height = boxes[index]
+                det_x2 = det_x1 + det_width
+                det_y2 = det_y1 + det_height
+                det_area = det_width * det_height
                 best = -1
                 best_iou = threshold
-                detection_category = category_list[position]
-                det_x1, det_y1, det_width, det_height = boxes_list[position]
-                det_area = det_width * det_height
-                if iou_matrix is not None:
-                    row_ious = iou_matrix[position - start]
-                    for index in range(num_candidates):
-                        if matched[index]:
-                            continue
-                        if candidate_categories is not None \
-                                and candidate_categories[index] != detection_category:
-                            continue
-                        iou = row_ious[index]
-                        if iou >= best_iou:
-                            best_iou = iou
-                            best = index
-                else:
-                    det_x2 = det_x1 + det_width
-                    det_y2 = det_y1 + det_height
-                    for index in range(num_candidates):
-                        if matched[index]:
-                            continue
-                        if candidate_categories is not None \
-                                and candidate_categories[index] != detection_category:
-                            continue
-                        ref_x1, ref_y1, ref_x2, ref_y2, ref_area = references[index]
-                        left = det_x1 if det_x1 > ref_x1 else ref_x1
-                        right = det_x2 if det_x2 < ref_x2 else ref_x2
-                        top = det_y1 if det_y1 > ref_y1 else ref_y1
-                        bottom = det_y2 if det_y2 < ref_y2 else ref_y2
-                        if right > left and bottom > top:
-                            intersection = (right - left) * (bottom - top)
-                            union = det_area + ref_area - intersection
-                            iou = intersection / union if union > 0 else 0.0
-                        else:
-                            iou = 0.0
-                        if iou >= best_iou:
-                            best_iou = iou
-                            best = index
-                if best >= 0:
-                    # Inlined observe: the single hottest code path — record
-                    # the matched box, advance the velocity window (baseline
-                    # = oldest ringed observation, frame gap clamped to >= 1,
-                    # same IEEE ops as Track._rebuild_motion_cache), reset
-                    # the miss counter.
-                    matched[best] = True
-                    ring = slot_rings[best]
-                    ring.append((det_x1, det_y1, frame_index))
-                    baseline_x, baseline_y, baseline_frame = ring[0]
-                    frame_gap = frame_index - baseline_frame
-                    if frame_gap < 1:
-                        frame_gap = 1
-                    slot_state[best] = (
-                        det_x1, det_y1, det_width, det_height, det_area,
-                        frame_index,
-                        (det_x1 - baseline_x) / frame_gap,
-                        (det_y1 - baseline_y) / frame_gap)
-                    slot_miss[best] = 0
-                    slot_dets[best].append(detection_ids[position])
-                else:
+                for candidate in range(num_candidates):
+                    if matched[candidate]:
+                        continue
+                    if candidate_categories is not None \
+                            and candidate_categories[candidate] != detection_category:
+                        continue
+                    ref_x1, ref_y1, ref_x2, ref_y2, ref_area = references[candidate]
+                    left = det_x1 if det_x1 > ref_x1 else ref_x1
+                    right = det_x2 if det_x2 < ref_x2 else ref_x2
+                    top = det_y1 if det_y1 > ref_y1 else ref_y1
+                    bottom = det_y2 if det_y2 < ref_y2 else ref_y2
+                    if right > left and bottom > top:
+                        intersection = (right - left) * (bottom - top)
+                        union = det_area + ref_area - intersection
+                        iou = intersection / union if union > 0 else 0.0
+                    else:
+                        iou = 0.0
+                    if iou >= best_iou:
+                        best_iou = iou
+                        best = candidate
+                if best < 0:
                     new_rows.append(self._new_track(
-                        detection_ids[position], detection_category,
-                        det_x1, det_y1, det_width, det_height,
-                        frame_index))
-                    new_categories.append(detection_category)
-            expired = False
-            for index in range(num_candidates):
-                if not matched[index]:
-                    count = slot_miss[index] + 1
-                    slot_miss[index] = count
-                    if count > max_age:
-                        expired = True
-            if new_rows:
-                self.active.extend(new_rows)
-                self.active_categories.extend(new_categories)
-            if expired:
+                        detection_ids[index], detection_category,
+                        det_x1, det_y1, det_width, det_height, frame_index))
+                    continue
+                # Record the matched box and advance the velocity window:
+                # baseline = oldest ringed observation after the append,
+                # frame gap clamped to >= 1 — the IEEE operations of
+                # Track._rebuild_motion_cache.
+                matched[best] = True
+                row = active[best]
+                ring = row_ring[row]
+                ring.append((det_x1, det_y1, frame_index))
+                baseline_x, baseline_y, baseline_frame = ring[0]
+                frame_gap = frame_index - baseline_frame
+                if frame_gap < 1:
+                    frame_gap = 1
+                row_state[row] = (det_x1, det_y1, det_width, det_height,
+                                  det_area, frame_index,
+                                  (det_x1 - baseline_x) / frame_gap,
+                                  (det_y1 - baseline_y) / frame_gap)
+                row_miss[row] = 0
+                det_indices[row].append(detection_ids[index])
+            # New tracks join after the frame's scans, as in the scalar core.
+            active.extend(new_rows)
+            if may_expire:
                 self._expire()
             start = end
-        tail = num_frames - 1 - frames_list[-1]
-        if tail:
-            self._age_gap(tail)
-        # Boundary sync: emission reads miss counters straight from the
-        # persistent column, so it must be current whenever step_batch
-        # returns.  Box/ring columns stay write-behind (_flush_columns).
-        if active:
-            self.miss_col[active] = slot_miss
+        self._age_gap(batch.num_frames - 1 - previous_position)
 
     # -------------------------------------------------------------- finishing
 
@@ -1333,7 +480,6 @@ class _BatchTrackerCore:
         det_indices = self.det_indices
         return [row for row in self.finished + self.active
                 if len(det_indices[row]) >= min_hits]
-
 
 
 class TrackView:
@@ -1367,7 +513,7 @@ class TrackView:
 
     @property
     def misses(self) -> int:
-        return int(self._core.miss_col[self._row])
+        return self._core.row_miss[self._row]
 
     def is_confirmed(self, min_hits: int) -> bool:
         """True once the track has accumulated at least ``min_hits`` detections."""
@@ -1449,9 +595,11 @@ class IoUTracker:
     """Online greedy IoU tracker over a stream of per-frame detections.
 
     A tracker instance runs in one of two modes: scalar (:meth:`step`, one
-    frame's ``Detection`` list at a time) or batch (:meth:`step_batch`, a
-    whole chunk's :class:`~repro.cv.detector.DetectionBatch`).  The modes
-    produce bit-identical tracks but cannot be mixed on one instance.
+    frame's ``Detection`` list at a time — the reference twin) or batch
+    (:meth:`step_batch`, a whole chunk's
+    :class:`~repro.cv.detector.DetectionBatch` — what queries run).  Over
+    frames in time order the modes produce bit-identical tracks; they cannot
+    be mixed on one instance.
     """
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
@@ -1460,30 +608,6 @@ class IoUTracker:
         self._finished: list[Track] = []
         self._next_id = 0
         self._core: _BatchTrackerCore | None = None
-
-    @staticmethod
-    def _iou_matrix(ordered: list[Detection],
-                    references: list[tuple[float, float, float, float, float]]
-                    ) -> np.ndarray:
-        """Detections x candidates IoU matrix (vectorized wide-step path)."""
-        det = np.array([[d.box.x, d.box.y, d.box.width, d.box.height] for d in ordered],
-                       dtype=np.float64)
-        ref = np.array(references, dtype=np.float64)
-        det_x1 = det[:, 0:1]
-        det_y1 = det[:, 1:2]
-        det_x2 = det_x1 + det[:, 2:3]
-        det_y2 = det_y1 + det[:, 3:4]
-        det_area = det[:, 2:3] * det[:, 3:4]
-        left = np.maximum(det_x1, ref[:, 0])
-        right = np.minimum(det_x2, ref[:, 2])
-        top = np.maximum(det_y1, ref[:, 1])
-        bottom = np.minimum(det_y2, ref[:, 3])
-        width = right - left
-        height = bottom - top
-        intersection = np.where((width > 0) & (height > 0), width * height, 0.0)
-        union = det_area + ref[:, 4] - intersection
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(union > 0, intersection / union, 0.0)
 
     def step(self, detections: Sequence[Detection]) -> None:
         """Consume the detections of one frame (frames must arrive in time order)."""
@@ -1508,57 +632,41 @@ class IoUTracker:
                 if config.per_category else None
             ordered = sorted(detections, key=lambda det: -det.confidence) \
                 if len(detections) > 1 else list(detections)
-            iou_matrix = None
-            if num_candidates and not mixed_frames \
-                    and len(ordered) * num_candidates >= VECTOR_MATCH_MIN_PAIRS:
-                iou_matrix = self._iou_matrix(ordered, references)
             threshold = config.iou_threshold
             new_tracks: list[Track] = []
-            for det_index, detection in enumerate(ordered):
+            for detection in ordered:
                 best = -1
                 best_iou = threshold
-                if iou_matrix is not None:
-                    row = iou_matrix[det_index]
-                    for index in range(num_candidates):
-                        if matched[index]:
-                            continue
-                        if categories is not None and categories[index] != detection.category:
-                            continue
-                        iou = row[index]
-                        if iou >= best_iou:
-                            best_iou = iou
-                            best = index
-                else:
-                    box = detection.box
-                    det_x1 = box.x
-                    det_y1 = box.y
-                    det_x2 = det_x1 + box.width
-                    det_y2 = det_y1 + box.height
-                    det_area = box.width * box.height
-                    for index in range(num_candidates):
-                        if matched[index]:
-                            continue
-                        if categories is not None and categories[index] != detection.category:
-                            continue
-                        if mixed_frames and detection.frame_index != frame_index:
-                            reference = candidates[index]._reference_bounds(
-                                detection.frame_index, use_motion)
-                        else:
-                            reference = references[index]
-                        ref_x1, ref_y1, ref_x2, ref_y2, ref_area = reference
-                        left = det_x1 if det_x1 > ref_x1 else ref_x1
-                        right = det_x2 if det_x2 < ref_x2 else ref_x2
-                        top = det_y1 if det_y1 > ref_y1 else ref_y1
-                        bottom = det_y2 if det_y2 < ref_y2 else ref_y2
-                        if right > left and bottom > top:
-                            intersection = (right - left) * (bottom - top)
-                            union = det_area + ref_area - intersection
-                            iou = intersection / union if union > 0 else 0.0
-                        else:
-                            iou = 0.0
-                        if iou >= best_iou:
-                            best_iou = iou
-                            best = index
+                box = detection.box
+                det_x1 = box.x
+                det_y1 = box.y
+                det_x2 = det_x1 + box.width
+                det_y2 = det_y1 + box.height
+                det_area = box.width * box.height
+                for index in range(num_candidates):
+                    if matched[index]:
+                        continue
+                    if categories is not None and categories[index] != detection.category:
+                        continue
+                    if mixed_frames and detection.frame_index != frame_index:
+                        reference = candidates[index]._reference_bounds(
+                            detection.frame_index, use_motion)
+                    else:
+                        reference = references[index]
+                    ref_x1, ref_y1, ref_x2, ref_y2, ref_area = reference
+                    left = det_x1 if det_x1 > ref_x1 else ref_x1
+                    right = det_x2 if det_x2 < ref_x2 else ref_x2
+                    top = det_y1 if det_y1 > ref_y1 else ref_y1
+                    bottom = det_y2 if det_y2 < ref_y2 else ref_y2
+                    if right > left and bottom > top:
+                        intersection = (right - left) * (bottom - top)
+                        union = det_area + ref_area - intersection
+                        iou = intersection / union if union > 0 else 0.0
+                    else:
+                        iou = 0.0
+                    if iou >= best_iou:
+                        best_iou = iou
+                        best = index
                 if best >= 0:
                     track = candidates[best]
                     track.observations.append(detection)
@@ -1594,7 +702,10 @@ class IoUTracker:
         Bit-identical to calling :meth:`step` with each frame's detection
         list of ``batch.per_frame_detections()`` in order — including frames
         with no detections, which age unmatched tracks exactly as empty
-        scalar steps do.
+        scalar steps do.  Batches must arrive in time order: one that starts
+        before a frame index already consumed raises ``ValueError`` (the
+        scalar twin does not extrapolate backwards, so the tracks would
+        silently differ).
         """
         if self._active or self._finished:
             raise RuntimeError("tracker already advanced in scalar mode; "
@@ -1629,15 +740,6 @@ class IoUTracker:
         self._finished = []
         self._active = []
         return [track for track in all_tracks if track.is_confirmed(self.config.min_hits)]
-
-
-def track_frames(frames_with_detections: Iterable[tuple[Any, Sequence[Detection]]],
-                 config: TrackerConfig | None = None) -> list[Track]:
-    """Run the tracker over ``(frame, detections)`` pairs and return confirmed tracks."""
-    tracker = IoUTracker(config)
-    for _frame, detections in frames_with_detections:
-        tracker.step(detections)
-    return tracker.finalize()
 
 
 def track_detection_stream(detections_by_frame: Iterable[Sequence[Detection]],

@@ -15,7 +15,7 @@ import copy
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.cv.tracker import IoUTracker, Track, TrackView
 from repro.relational.table import RowBatch
@@ -36,13 +36,6 @@ def _is_immutable_config_value(value: Any) -> bool:
     if isinstance(value, tuple):
         return all(_is_immutable_config_value(item) for item in value)
     return False
-
-#: When True (the default), executables track chunks through the columnar
-#: batch core (`IoUTracker.step_batch` + `TrackView` row emission); False
-#: forces the scalar per-frame twin (`Detection` lists + `Track` objects).
-#: The two paths are bit-identical — the flag exists so parity tests can run
-#: whole queries through both and compare releases exactly.
-USE_BATCH_TRACKER = True
 
 
 class ProcessExecutable(ABC):
@@ -110,7 +103,7 @@ class ProcessExecutable(ABC):
 
 
 def _track_chunk(chunk: Chunk, context: ExecutionContext, *, categories: set[str] | None = None
-                 ) -> Sequence[Track | TrackView]:
+                 ) -> list[TrackView]:
     """Detect and track objects within a single chunk (the common preamble).
 
     The chunk renders once as a columnar
@@ -118,10 +111,7 @@ def _track_chunk(chunk: Chunk, context: ExecutionContext, *, categories: set[str
     for the chunk in vectorized array ops, and the tracker advances the
     whole chunk through its batch core — tracks come back as cheap
     :class:`~repro.cv.tracker.TrackView` columns, with Python objects
-    materialised only for the two boxes an executable actually reads.  With
-    :data:`USE_BATCH_TRACKER` off, the scalar twin (per-frame ``Detection``
-    lists into ``IoUTracker.step``) produces bit-identical ``Track`` objects
-    instead.
+    materialised only for the two boxes an executable actually reads.
     """
     detector = context.detector()
     tracker = IoUTracker(context.tracker_config)
@@ -129,12 +119,8 @@ def _track_chunk(chunk: Chunk, context: ExecutionContext, *, categories: set[str
     detections = detector.detect_batch(batch, frame_width=chunk.video.width,
                                        frame_height=chunk.video.height,
                                        categories=categories)
-    if USE_BATCH_TRACKER:
-        tracker.step_batch(detections)
-        return tracker.finalize_views()
-    for frame_detections in detections.per_frame_detections():
-        tracker.step(frame_detections)
-    return tracker.finalize()
+    tracker.step_batch(detections)
+    return tracker.finalize_views()
 
 
 @dataclass

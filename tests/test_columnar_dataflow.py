@@ -5,9 +5,13 @@ Covers the array-native pipeline past detection:
 * the batch tracker core (``IoUTracker.step_batch``) must produce
   bit-identical tracks to the scalar per-frame twin on **every** scenario
   scene — same ids, same observation sequences (boxes, confidences,
-  attributes), same majority attributes, same fragmentation under miss gaps;
+  attributes), same majority attributes, same fragmentation under miss gaps —
+  and on generated detection histories (threshold 0.0, confidence ties, two
+  categories matched across, shuffled storage, zero-area boxes);
 * whole queries answered through the batch row-emission path must release
-  exactly the same values as the scalar twin (``USE_BATCH_TRACKER`` off);
+  exactly the same values as the scalar twin (a test-local scalar
+  ``_track_chunk`` patched in — the oracle glue lives here, not behind a
+  runtime switch);
 * the numpy-column-backed ``Table`` and the vectorized schema coercion must
   be value-for-value equivalent to the dict-of-rows reference semantics
   (property-based);
@@ -25,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 import repro.sandbox.executables as executables_module
 from repro.core import ProcessPoolEngine, PrividSystem, SerialEngine
 from repro.core.policy import PrivacyPolicy
-from repro.cv.detector import DetectorConfig, SyntheticDetector
+from repro.cv.detector import DetectionBatch, DetectorConfig, SyntheticDetector
 from repro.cv.tracker import IoUTracker, TrackerConfig
 from repro.query.builder import QueryBuilder
 from repro.relational.table import (
@@ -183,16 +187,20 @@ def _scalar_reference(config, batches):
     return tracker.finalize()
 
 
-class TestTrackerArrayState:
-    """Edge cases of the persistent track-state columns.
+def _batch_tracks(config, batches):
+    tracker = IoUTracker(config)
+    for batch in batches:
+        tracker.step_batch(batch)
+    return tracker.finalize()
 
-    The batch core keeps every track's state in capacity-doubling numpy
-    columns that live across ``step_batch`` calls, with the active window
-    staged in write-behind scratch.  These tests drive the column
-    lifecycle — growth, mid-ring track death, empty batches, mass expiry
-    and regrowth — and hold the core to the scalar twin bit for bit at
-    every point, including across ``drop_scratch()`` (which discards the
-    scratch so the next batch must restage purely from the columns).
+
+class TestTrackerMultiBatch:
+    """One tracker fed several batches: state carried across ``step_batch``.
+
+    These drive the cross-batch lifecycle — a stream of chunks, all-empty
+    batches draining the active window, mass expiry followed by a second
+    wave, a track dying before its velocity ring fills — and hold the core
+    to the scalar twin bit for bit.
     """
 
     def _wave_video(self, *, first=6, second=0, gap_start=120.0,
@@ -205,35 +213,22 @@ class TestTrackerArrayState:
                     for index in range(second)]
         return make_simple_video(objects=objects, duration=duration)
 
-    def test_multi_batch_stream_matches_scalar(self):
+    @pytest.mark.parametrize("miss_rate, jitter, seed, chunk_duration, max_age", [
+        (0.3, 3.0, 9, 60.0, 2),
+        (0.4, 4.0, 13, 30.0, 1),
+    ])
+    def test_multi_batch_stream_matches_scalar(self, miss_rate, jitter, seed,
+                                               chunk_duration, max_age):
         video = self._wave_video(first=6, duration=240.0)
-        detector = SyntheticDetector(DetectorConfig(miss_rate=0.3,
-                                                    position_jitter=3.0), seed=9)
+        detector = SyntheticDetector(DetectorConfig(miss_rate=miss_rate,
+                                                    position_jitter=jitter),
+                                     seed=seed)
         batches = _chunk_batches(video, detector, duration=240.0,
-                                 chunk_duration=60.0)
-        config = TrackerConfig(max_age=2, min_hits=1)
-        tracker = IoUTracker(config)
-        for batch in batches:
-            tracker.step_batch(batch)
-        tracks = tracker.finalize()
+                                 chunk_duration=chunk_duration)
+        config = TrackerConfig(max_age=max_age, min_hits=1)
+        tracks = _batch_tracks(config, batches)
         assert tracks == _scalar_reference(config, batches)
         assert len(tracks) > 0
-
-    def test_continuation_after_drop_scratch_is_bit_identical(self):
-        # drop_scratch() discards the slot scratch after flushing, so every
-        # subsequent batch restages from the persistent columns; any state
-        # the write-behind flush failed to materialise would break parity.
-        video = self._wave_video(first=6, duration=240.0)
-        detector = SyntheticDetector(DetectorConfig(miss_rate=0.4,
-                                                    position_jitter=4.0), seed=13)
-        batches = _chunk_batches(video, detector, duration=240.0,
-                                 chunk_duration=30.0)
-        config = TrackerConfig(max_age=1, min_hits=1)
-        dropped = IoUTracker(config)
-        for batch in batches:
-            dropped.step_batch(batch)
-            dropped._core.drop_scratch()
-        assert dropped.finalize() == _scalar_reference(config, batches)
 
     def test_zero_candidate_batches_age_and_expire_tracks(self):
         # Batches with no detections at all (empty stretches of footage)
@@ -255,10 +250,9 @@ class TestTrackerArrayState:
         assert saw_empty_active  # the gap really drained the active window
         assert tracker.finalize() == _scalar_reference(config, batches)
 
-    def test_geometric_regrowth_after_mass_expiry(self):
-        # Wave one overflows the initial 16-row capacity, the gap expires
-        # every active track, wave two forces further geometric growth; the
-        # columns must stay exact through grow -> flush -> regrow.
+    def test_mass_expiry_then_second_wave(self):
+        # Wave one opens more than 16 tracks, the gap expires every active
+        # one, wave two opens as many again on the same tracker.
         video = self._wave_video(first=20, second=20, gap_start=200.0,
                                  duration=380.0)
         detector = SyntheticDetector(DetectorConfig(miss_rate=0.3,
@@ -270,15 +264,11 @@ class TestTrackerArrayState:
         for batch in batches:
             tracker.step_batch(batch)
         core = tracker._core
-        assert core.num_rows > 16  # the initial capacity really overflowed
-        assert core._capacity >= core.num_rows
-        assert core._capacity & (core._capacity - 1) == 0  # doubled, not fit
-        assert len(core.finished) + len(core.active) == core.num_rows
+        assert len(core.track_id) > 16
+        assert len(core.finished) + len(core.active) == len(core.track_id)
         assert tracker.finalize() == _scalar_reference(config, batches)
 
-    def test_track_death_mid_ring_flushes_complete_state(self):
-        # A track that dies before filling its velocity ring must land in
-        # the columns with exactly its observed fill, not stale capacity.
+    def test_track_death_before_ring_fills(self):
         video = make_simple_video(objects=[
             make_crossing_object("brief", start=10.0, duration=2.0)],
             duration=60.0)
@@ -291,14 +281,110 @@ class TestTrackerArrayState:
         for batch in batches:
             tracker.step_batch(batch)
         core = tracker._core
-        core.drop_scratch()  # finished rows must already be column-complete
         assert core.finished, "the brief track must have expired"
         for row in core.finished:
-            hits = core.hit_count(row)
-            assert 0 < hits < 5  # genuinely mid-ring
-            assert int(core.ring_fill[row]) == hits
-            assert int(core.miss_col[row]) > config.max_age
+            assert 0 < core.hit_count(row) < 5  # genuinely mid-ring
         assert tracker.finalize() == _scalar_reference(config, batches)
+
+
+def _detection_batch(num_frames, first_frame, stride, rows, num_categories):
+    """A DetectionBatch from ``(position, x, y, w, h, confidence, category)`` rows."""
+    table = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    positions = table[:, 0].astype(np.int64)
+    frame_indices = first_frame + stride * positions
+    return DetectionBatch(
+        num_frames=num_frames,
+        frame_positions=positions,
+        frame_indices=frame_indices,
+        timestamps=frame_indices / 2.0,
+        boxes=table[:, 1:5],
+        confidences=table[:, 5],
+        category_ids=table[:, 6].astype(np.int64),
+        categories=("person", "car")[:num_categories],
+    )
+
+
+@st.composite
+def _detection_streams(draw):
+    """1-3 batches of 0-8 frames and 0-14 detections on a small grid.
+
+    Coordinates and sizes come from a handful of values so boxes overlap,
+    touch, nest and have zero area; confidences tie; storage order is
+    frame-major or shuffled; frame indices never go back across batches.
+    """
+    num_categories = draw(st.integers(1, 2))
+    stride = draw(st.integers(1, 2))
+    coordinate = st.sampled_from([0.0, 10.0, 20.0, 30.0])
+    size = st.sampled_from([0.0, 10.0, 20.0])
+    batches = []
+    first_frame = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        num_frames = draw(st.integers(0, 8))
+        rows = draw(st.lists(
+            st.tuples(st.integers(0, num_frames - 1), coordinate, coordinate,
+                      size, size, st.sampled_from([0.5, 0.7, 0.9]),
+                      st.integers(0, num_categories - 1)),
+            max_size=14)) if num_frames else []
+        if draw(st.booleans()):
+            rows = sorted(rows, key=lambda row: row[0])
+        batches.append(_detection_batch(num_frames, first_frame, stride, rows,
+                                        num_categories))
+        # The next batch may start on the frame index this one ended on.
+        first_frame += stride * max(0, num_frames - 1) + draw(st.integers(0, 2))
+    return batches
+
+
+class TestTrackerParityOnGeneratedHistories:
+    @settings(max_examples=300, deadline=None)
+    @given(batches=_detection_streams(),
+           max_age=st.integers(0, 3),
+           iou_threshold=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+           per_category=st.booleans(),
+           use_motion_prediction=st.booleans())
+    def test_batch_core_matches_scalar_twin(self, batches, max_age, iou_threshold,
+                                            per_category, use_motion_prediction):
+        config = TrackerConfig(max_age=max_age, min_hits=1,
+                               iou_threshold=iou_threshold,
+                               per_category=per_category,
+                               use_motion_prediction=use_motion_prediction)
+        assert _batch_tracks(config, batches) == _scalar_reference(config, batches)
+
+
+class TestBatchTimeOrder:
+    """``step_batch`` rejects a batch that starts before frames already seen.
+
+    The scalar twin never predicts backwards (``frames_ahead > 0``) while
+    the batch core extrapolates by whatever gap it is given, so such a
+    stream would yield different tracks from the two twins without an error.
+    """
+
+    def _batch(self, first_frame):
+        return _detection_batch(2, first_frame, 1, [
+            (0, 10.0, 10.0, 20.0, 20.0, 0.9, 0),
+            (1, 14.0, 10.0, 20.0, 20.0, 0.9, 0)], 1)
+
+    def test_batch_restarting_before_consumed_frames_is_rejected(self):
+        tracker = IoUTracker(TrackerConfig(max_age=0, min_hits=1, iou_threshold=0.1))
+        tracker.step_batch(self._batch(0))
+        tracker.step_batch(self._batch(2))
+        with pytest.raises(ValueError, match="time order"):
+            tracker.step_batch(self._batch(0))
+
+    def test_stream_in_order_is_accepted(self):
+        config = TrackerConfig(max_age=5, min_hits=1, iou_threshold=0.1)
+        # An empty batch consumes no frame index, and a batch may start at
+        # the frame index the previous one ended on.
+        batches = [self._batch(0), self._batch(2),
+                   _detection_batch(3, 4, 1, [], 1), self._batch(3)]
+        assert _batch_tracks(config, batches) == _scalar_reference(config, batches)
+
+
+def _scalar_track_chunk(chunk, context, *, categories=None):
+    """``executables._track_chunk`` on the scalar twin (the whole-query oracle)."""
+    detections = context.detector().detect_batch(
+        chunk.frame_batch(), frame_width=chunk.video.width,
+        frame_height=chunk.video.height, categories=categories)
+    return _scalar_reference(context.tracker_config, [detections])
 
 
 class TestQueryReleaseParity:
@@ -328,9 +414,8 @@ class TestQueryReleaseParity:
                                     charge_budget=False)
             return result.raw_series_unsafe()
 
-        monkeypatch.setattr(executables_module, "USE_BATCH_TRACKER", True)
         batch_releases = run()
-        monkeypatch.setattr(executables_module, "USE_BATCH_TRACKER", False)
+        monkeypatch.setattr(executables_module, "_track_chunk", _scalar_track_chunk)
         scalar_releases = run()
         assert batch_releases == scalar_releases
         assert any(value != 0.0 for _, value in batch_releases)

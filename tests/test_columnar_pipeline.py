@@ -242,31 +242,6 @@ class TestVectorizedPrimitives:
         assert [[obs.frame_index for obs in t.observations] for t in tracks] \
             == [[0, 1, 4], [0, 1, 2]]
 
-    def test_tracker_matrix_path_matches_scalar_path(self, monkeypatch):
-        def dense_frames(seed):
-            frames = []
-            for index in range(12):
-                frames.append([])
-                for obj in range(9):
-                    x = 40.0 * obj + 3.0 * ((index * 7 + obj * 13 + seed) % 5)
-                    y = 300.0 - 6.0 * index + 2.0 * ((obj + index) % 3)
-                    frames[-1].append(
-                        tracker_module.Detection(
-                            timestamp=float(index), frame_index=index, category="person",
-                            box=BoundingBox(x, y, 30.0, 60.0),
-                            confidence=0.5 + 0.04 * ((obj + index) % 7)))
-            return frames
-
-        config = TrackerConfig(max_age=4, min_hits=2, iou_threshold=0.1)
-        monkeypatch.setattr(tracker_module, "VECTOR_MATCH_MIN_PAIRS", 1)
-        vector_tracks = tracker_module.track_detection_stream(dense_frames(0), config)
-        monkeypatch.setattr(tracker_module, "VECTOR_MATCH_MIN_PAIRS", 10 ** 9)
-        scalar_tracks = tracker_module.track_detection_stream(dense_frames(0), config)
-        assert [[(obs.frame_index, obs.box.x, obs.box.y) for obs in t.observations]
-                for t in vector_tracks] \
-            == [[(obs.frame_index, obs.box.x, obs.box.y) for obs in t.observations]
-                for t in scalar_tracks]
-
 
 class TestTimebaseRounding:
     def test_num_frames_is_epsilon_aware(self):
