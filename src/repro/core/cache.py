@@ -43,12 +43,11 @@ import json
 import mmap
 import os
 import struct
-import tempfile
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import chain
+from itertools import chain, count
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -617,37 +616,45 @@ def decode_binary_entry(buf: "mmap.mmap | bytes") -> ChunkRows:
     return rows
 
 
-def _read_json_entry(path: Path) -> ChunkRows:
+def _read_json_entry(path: str) -> ChunkRows:
     """Parse one legacy JSON entry (the only JSON parse in the store).
 
     Kept as a dedicated seam so tests can assert the warm binary hit path
     never reaches it (the no-json-load hook).
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b""
+        while piece := os.read(fd, 1 << 16):
+            data += piece
+    finally:
+        os.close(fd)
+    payload = json.loads(data)
     if not isinstance(payload, dict) or payload.get("format") != _DISK_FORMAT:
         raise ValueError("unknown disk store format")
     return [dict(row) for row in payload["rows"]]
 
 
-def _read_binary_entry(path: Path) -> ChunkRows:
+def _read_binary_entry(path: str) -> ChunkRows:
     """Decode one binary entry (the zero-parse hit path).
 
-    Entries below :data:`_MMAP_MIN_BYTES` are read whole; larger ones are
-    memory-mapped so only the touched pages fault in.  Both routes feed the
-    same :func:`decode_binary_entry`.
+    One ``read`` of :data:`_MMAP_MIN_BYTES` settles the route: a file that
+    ends inside it is the whole entry (an empty or torn one fails the
+    header check in :func:`decode_binary_entry`); one that fills it is
+    memory-mapped so only the touched pages fault in.
     """
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        if size == 0:
-            raise ValueError("empty binary entry")
-        if size < _MMAP_MIN_BYTES:
-            return decode_binary_entry(handle.read())
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        head = os.read(fd, _MMAP_MIN_BYTES)
+        if len(head) < _MMAP_MIN_BYTES:
+            return decode_binary_entry(head)
+        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
         try:
             return decode_binary_entry(mapped)
         finally:
             mapped.close()
+    finally:
+        os.close(fd)
 
 
 class DiskChunkStore:
@@ -697,6 +704,12 @@ class DiskChunkStore:
                              "expected 'binary' or 'json'")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._root = os.path.join(os.fspath(self.directory), "")
+        #: Temp files are ``<entry>.<token>-<n>.tmp``: the token tells this
+        #: instance's writes from every other handle on the directory, the
+        #: counter tells its own apart (``next`` on it is atomic).
+        self._temp_token = os.urandom(6).hex()
+        self._temp_serial = count()
         self.entry_format = entry_format
         self.stats = CacheStats()
         self.writes = 0
@@ -747,10 +760,13 @@ class DiskChunkStore:
         """Cache key of one chunk execution (same scheme as every tier)."""
         return chunk_key(runner, chunk, context)
 
-    def _path_for(self, key: str, suffix: str = "bin") -> Path:
-        return self.directory / key[:2] / f"{key}.{suffix}"
+    def _entry_path(self, key: str, suffix: str = "bin") -> str:
+        return f"{self._root}{key[:2]}{os.sep}{key}.{suffix}"
 
-    def _migrate_entry(self, key: str, rows: ChunkRows, json_path: Path) -> None:
+    def _path_for(self, key: str, suffix: str = "bin") -> Path:
+        return Path(self._entry_path(key, suffix))
+
+    def _migrate_entry(self, key: str, rows: ChunkRows, json_path: str) -> None:
         """Rewrite a legacy JSON hit as a binary entry (best-effort).
 
         The migration is an optimization, not a correctness step: any IO
@@ -761,7 +777,7 @@ class DiskChunkStore:
         encoded = encode_binary_entry(rows)
         if encoded is None:
             return
-        if self._write_entry(self._path_for(key), encoded):
+        if self._write_entry(self._entry_path(key), encoded):
             self.migrations += 1
             try:
                 os.unlink(json_path)
@@ -770,8 +786,8 @@ class DiskChunkStore:
 
     def get(self, key: str) -> ChunkRows | None:
         """Rows stored under ``key``, or None on a miss (or corrupt entry)."""
-        path = self._path_for(key)
-        json_path: Path | None = None  # built only after a binary miss
+        path = self._entry_path(key)
+        json_path: str | None = None  # built only after a binary miss
         rule = self.fault_injector.poll("store.get", token=key) \
             if self.fault_injector is not None else None
         try:
@@ -783,13 +799,15 @@ class DiskChunkStore:
                 elif rule.kind is FaultKind.CORRUPT:
                     # Scribble over the entry so the genuine corrupt-entry
                     # self-heal path below runs against real bytes.
-                    target = path if path.exists() else self._path_for(key, "json")
-                    if target.exists():
-                        target.write_bytes(b"\x00corrupt")
+                    target = path if os.path.exists(path) \
+                        else self._entry_path(key, "json")
+                    if os.path.exists(target):
+                        with open(target, "wb") as handle:
+                            handle.write(b"\x00corrupt")
             try:
                 rows = _read_binary_entry(path)
             except FileNotFoundError:
-                json_path = self._path_for(key, "json")
+                json_path = self._entry_path(key, "json")
                 rows = _read_json_entry(json_path)
         except FileNotFoundError:
             self.stats.misses += 1
@@ -816,25 +834,41 @@ class DiskChunkStore:
                 self._migrate_entry(key, rows, json_path)
         return rows
 
-    def _write_entry(self, path: Path, data: bytes) -> bool:
+    def _write_entry(self, path: str, data: bytes) -> bool:
         """Atomically land one serialized entry at ``path`` (temp+replace).
 
+        The temp file is created beside the entry with ``O_EXCL``, so a name
+        collision with another writer is this call's error, never a clobber
+        of that writer's bytes, and only a temp this call created is ever
+        removed.  The prefix directory is made when the open reports it
+        missing — once per prefix per store lifetime, or after someone
+        removed it under a live store — not asked for on every put.
+
         Returns False (and counts ``write_errors``) on IO failure: ENOSPC,
-        EACCES, a vanished directory — non-fatal, the entry just stays cold
+        EACCES, a temp-name collision — non-fatal, the entry just stays cold
         and the next miss recomputes it.
         """
-        handle = None
+        temp = f"{path}.{self._temp_token}-{next(self._temp_serial)}.tmp"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        created = False
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "wb", dir=path.parent, suffix=".tmp", delete=False)
-            with handle:
-                handle.write(data)
-            os.replace(handle.name, path)
+            try:
+                fd = os.open(temp, flags, 0o600)
+            except FileNotFoundError:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                fd = os.open(temp, flags, 0o600)
+            created = True
+            try:
+                written = os.write(fd, data)
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
+            os.replace(temp, path)
         except BaseException as exc:
-            if handle is not None:
+            if created:
                 try:
-                    os.unlink(handle.name)
+                    os.unlink(temp)
                 except OSError:
                     pass
             if isinstance(exc, OSError):
@@ -866,12 +900,12 @@ class DiskChunkStore:
         encoded = encode_binary_entry(rows) if self.entry_format == "binary" \
             else None
         if encoded is not None:
-            data, path = encoded, self._path_for(key)
-            stale = self._path_for(key, "json")
+            data, path = encoded, self._entry_path(key)
+            stale = self._entry_path(key, "json")
         else:
             payload = {"format": _DISK_FORMAT, "rows": rows}
             data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-            path, stale = self._path_for(key, "json"), self._path_for(key)
+            path, stale = self._entry_path(key, "json"), self._entry_path(key)
         if rule is not None and rule.kind is FaultKind.IO_ERROR:
             self.write_errors += 1
             return

@@ -148,8 +148,10 @@ ChunkSpecMessage = tuple
 #: Worker-side LRU of decoded payloads, parts and manifests alike, keyed by
 #: ref (never reused, so never stale).  A part is only useful beside a
 #: manifest naming it: at most half are scenes.  A still-published ref reloads.
+#: A TCP daemon's connection threads share it, hence the lock.
 _PAYLOAD_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 _PAYLOAD_CACHE_LIMIT = 16
+_PAYLOAD_CACHE_LOCK = threading.Lock()
 
 #: Payload-ref scheme marking a shared-memory segment name rather than a
 #: file path (``shm:privid-bc-...``).
@@ -179,19 +181,22 @@ def _attach_segment(name: str) -> "shared_memory.SharedMemory":
         resource_tracker.register = original_register
 
 
-def _load_payload(ref: str) -> Any:
-    """Decode (and memoize) one published payload in this process.
+def _fetch_payload(ref: str) -> tuple[Any, bool]:
+    """One published payload, and whether this call had to decode it.
 
     ``ref`` names a footage part or a stream manifest, as a payload file
     path or a ``shm:NAME`` segment ref (unpickled straight out of the
     attached segment).  Decoding a manifest pulls the parts it names through
     this same cache (:class:`_PartRef`), so a worker decodes a footage state
-    once however many streams name it.
+    once however many streams name it.  The decode runs outside the lock
+    (it re-enters for those parts): two threads may decode one ref at once,
+    which costs time; a torn LRU would cost the worker.
     """
-    payload = _PAYLOAD_CACHE.get(ref)
-    if payload is not None:
-        _PAYLOAD_CACHE.move_to_end(ref)
-        return payload
+    with _PAYLOAD_CACHE_LOCK:
+        payload = _PAYLOAD_CACHE.get(ref)
+        if payload is not None:
+            _PAYLOAD_CACHE.move_to_end(ref)
+            return payload, False
     if ref.startswith(_SHM_REF_PREFIX):
         segment = _attach_segment(ref[len(_SHM_REF_PREFIX):])
         try:
@@ -201,10 +206,16 @@ def _load_payload(ref: str) -> Any:
     else:
         with open(ref, "rb") as handle:
             payload = pickle.load(handle)
-    _PAYLOAD_CACHE[ref] = payload
-    while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_LIMIT:
-        _PAYLOAD_CACHE.popitem(last=False)
-    return payload
+    with _PAYLOAD_CACHE_LOCK:
+        _PAYLOAD_CACHE[ref] = payload
+        while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_LIMIT:
+            _PAYLOAD_CACHE.popitem(last=False)
+    return payload, True
+
+
+def _load_payload(ref: str) -> Any:
+    """Decode (and memoize) one published payload in this process."""
+    return _fetch_payload(ref)[0]
 
 
 def chunk_from_spec(objects: list[Any], spec: ChunkSpecMessage) -> "Chunk":
@@ -492,7 +503,8 @@ class ExecutionEngine(Protocol):
         At most the engine's in-flight window of chunks may be materialized
         (pulled from ``chunks`` but not yet yielded) at any moment.
         ``count_hint`` is the expected chunk count when the caller knows it
-        (the executor always does) — engines may use it to size batches.
+        (``None`` whenever a store classifies the stream: the engine sees
+        only the misses) — engines may use it to size batches.
         """
         ...  # pragma: no cover - protocol
 
@@ -677,9 +689,11 @@ class ThreadPoolEngine:
         self.shutdown()
 
 
-#: Per-future batch size when a stream's chunk count is unknown (bare
-#: iterators from tests or ad-hoc callers); the executor always passes a
-#: count hint, which takes precedence through the adaptive heuristic.
+#: Per-future batch size when a stream's chunk count is unknown — which is
+#: every stream a store classifies: ``SandboxRunner.iter_chunk_rows`` forwards
+#: the executor's count only with no store, because behind one the engine
+#: sees the misses and their number is unknowable.  ``process:N`` then
+#: batches this many; shards ramp (``ShardedEngine._imap``).
 _UNKNOWN_COUNT_CHUNKSIZE = 4
 
 #: Upper bound of the adaptive chunksize heuristic — beyond this, larger

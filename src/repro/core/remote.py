@@ -131,8 +131,7 @@ from repro.core.engine import (
     DispatchStats,
     _BroadcastPublisher,
     _default_workers,
-    _load_payload,
-    _PAYLOAD_CACHE,
+    _fetch_payload,
     _StreamBroadcast,
     chunk_from_spec,
     execute_chunk,
@@ -480,11 +479,10 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
     so shards over common storage serve and extend the same warm set.
     """
     clock = time.perf_counter
-    stages = {"loads": int(message["payload"] not in _PAYLOAD_CACHE),
-              "store_get_s": 0.0, "execute_s": 0.0, "store_put_s": 0.0}
     started = clock()
-    payload = _load_payload(message["payload"])
-    stages["load_s"] = clock() - started
+    payload, decoded = _fetch_payload(message["payload"])
+    stages = {"loads": int(decoded), "load_s": clock() - started,
+              "store_get_s": 0.0, "execute_s": 0.0, "store_put_s": 0.0}
     runner = payload["runner"]
     context = payload["context"]
     objects = payload["objects"]
@@ -853,11 +851,18 @@ class ShardedEngine:
     ``max_task_retries`` bounds redispatches per task before *the stream
     that owns the task* fails with :class:`~repro.errors.RemoteShardError`.
 
-    ``chunksize`` fixes the per-task spec batch (default: adaptive,
-    ``count_hint // (4 * shards)`` capped at 8 — smaller than the process
-    engine's cap because a whole batch is redispatched when its shard dies);
-    ``in_flight_window`` bounds chunks materialized-but-unyielded (default
-    ``2 x shards x chunksize``).
+    ``chunksize`` fixes the per-task spec batch.  The default adapts: with a
+    ``count_hint``, ``count_hint // (4 * shards)`` capped at 8 (smaller than
+    the process engine's cap because a whole batch is redispatched when its
+    shard dies); with none — every stream a store classifies, since only the
+    misses reach the engine and their number is unknowable — the batch
+    *ramps*: one chunk per task, doubled each time every shard has been
+    handed one at the current size, up to the same cap (1,1,2,2,4,4,8,8 on
+    two shards), so a few scattered misses still spread over the shards and
+    a cold window is not one frame per chunk.  ``in_flight_window`` bounds
+    chunks materialized-but-unyielded (default ``2 x shards x batch``; a
+    task goes out only when a whole batch fits, and a ramp stops where
+    ``2 x shards`` tasks fill a given window).
 
     The engine supports several *interleaved* streams (the executor
     round-robins PROCESS statements) and, since the service layer, several
@@ -1322,11 +1327,12 @@ class ShardedEngine:
 
     # ----------------------------------------------------------- engine proto
 
-    def _effective_chunksize(self, count_hint: int | None) -> int:
+    def _effective_chunksize(self, count_hint: int | None) -> int | None:
+        """The stream's fixed per-task batch, or None when it should ramp."""
         if self.chunksize is not None:
             return self.chunksize
         if count_hint is None or count_hint <= 0:
-            return 1
+            return None
         return max(1, min(_MAX_SHARDED_CHUNKSIZE,
                           count_hint // (4 * self.num_shards)))
 
@@ -1363,6 +1369,16 @@ class ShardedEngine:
         broadcast = _StreamBroadcast(self._publisher, runner, context,
                                      self.dispatch_stats)
         batch_size = self._effective_chunksize(count_hint)
+        ramp_to = 0  # the batch this stream doubles up to; 0 when it is fixed
+        if batch_size is None:
+            # Unknown length: ramp (class docstring) — a function of how
+            # many tasks went out, never of when results came back.  A
+            # caller-given window keeps room for ``2 x shards`` tasks.
+            batch_size = 1
+            ramp_to = _MAX_SHARDED_CHUNKSIZE if self.in_flight_window is None \
+                else min(_MAX_SHARDED_CHUNKSIZE,
+                         self.in_flight_window // (2 * self.num_shards))
+        sent = 0  # tasks this stream dispatched
         window = self._window(batch_size)
         stream = chain((first, second), iterator)
         dispatched: deque[int] = deque()  # this stream's seqs, in yield order
@@ -1371,7 +1387,7 @@ class ShardedEngine:
         exhausted = False
         try:
             while True:
-                while not exhausted and in_flight < window:
+                while not exhausted and in_flight + batch_size <= window:
                     batch: list["Chunk"] = []
                     while len(batch) < batch_size:
                         chunk = next(stream, None)
@@ -1393,6 +1409,10 @@ class ShardedEngine:
                     dispatched.append(seq)
                     mine.add(seq)
                     in_flight += len(batch)
+                    sent += 1
+                    if batch_size < ramp_to and sent % self.num_shards == 0:
+                        batch_size = min(2 * batch_size, ramp_to)
+                        window = self._window(batch_size)
                 # Drain every completed head seq in one locked pass, then
                 # yield outside the lock (a consumer may block arbitrarily
                 # long between rows — other streams must keep moving).

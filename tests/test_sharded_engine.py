@@ -261,6 +261,179 @@ class TestShardedStreaming:
         assert all(entry["payload_bytes_total"] > 0 for entry in per_shard.values())
 
 
+THIRTY_CHUNKS = ChunkSpec(window=TimeInterval(0, 900), chunk_duration=30.0)
+
+
+def _task_sizes(engine) -> dict:
+    """Record ``seq -> chunks`` of every task ``engine`` first dispatches."""
+    sizes: dict[int, int] = {}
+    dispatch = engine._dispatch
+
+    def recording(task, **kwargs):
+        sizes.setdefault(task.seq, task.num_chunks)
+        dispatch(task, **kwargs)
+
+    engine._dispatch = recording
+    return sizes
+
+
+def _in_seq_order(sizes: dict) -> list:
+    return [sizes[seq] for seq in sorted(sizes)]
+
+
+class _RecordingEngine:
+    """Engine proxy keeping the hint it was given and the outcomes it yields."""
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.hints: list = []
+        self.outcomes: list = []
+
+    def imap_chunks(self, runner, chunks, context, *, count_hint=None):
+        self.hints.append(count_hint)
+        for outcome in self.engine.imap_chunks(runner, chunks, context,
+                                               count_hint=count_hint):
+            self.outcomes.append(outcome)
+            yield outcome
+
+
+class TestUnhintedRamp:
+    """A stream with no count hint ramps its batch: a pure function of how
+    many tasks went out, so every count below repeats exactly."""
+
+    def test_thirty_unhinted_chunks_go_out_in_eight_doubling_tasks(self):
+        video = _walker_video(duration=900.0)
+        runner, context = _runner(), _context(video)
+        reference = _rows_of(SerialEngine().map_chunks(
+            runner, list(iter_chunks(video, THIRTY_CHUNKS)), context))
+        with ShardedEngine(2) as engine:
+            sizes = _task_sizes(engine)
+            # The second stream ramps from one again; a hinted one on the
+            # same engine is cut as it always was.
+            for hint, expected in ((None, [1, 1, 2, 2, 4, 4, 8, 8]),
+                                   (None, [1, 1, 2, 2, 4, 4, 8, 8]),
+                                   (30, [3] * 10)):
+                engine.reset_dispatch_stats()
+                sizes.clear()
+                rows = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, THIRTY_CHUNKS), context,
+                    count_hint=hint))
+                stats = engine.dispatch_stats_dict()
+                assert repr(rows) == repr(reference)
+                assert _in_seq_order(sizes) == expected
+                assert (stats["dispatches"], stats["chunks"]) == (len(expected), 30)
+                if hint is None:
+                    # The whole ramp goes out before the first result is
+                    # read, so least-loaded placement simply alternates.
+                    assert [shard["chunks"]
+                            for shard in stats["per_shard"].values()] == [15, 15]
+
+    def test_a_cold_store_backed_stream_is_the_same_eight_frames(self, tmp_path):
+        video = _walker_video(duration=900.0)
+        runner, context = _runner(), _context(video)
+        reference = [list(rows) for rows in runner.iter_chunk_rows(
+            iter_chunks(video, THIRTY_CHUNKS), context)]
+        store = TieredChunkCache(disk=tmp_path / "store")
+        with ShardedEngine(2) as engine:
+            engine.share_store(store)
+            sizes = _task_sizes(engine)
+            recorder = _RecordingEngine(engine)
+            rows = [list(rows) for rows in runner.iter_chunk_rows(
+                iter_chunks(video, THIRTY_CHUNKS), context, engine=recorder,
+                cache=store, count_hint=30)]
+        assert repr(rows) == repr(reference)
+        # The miss count behind a store is unknowable: no hint is forwarded.
+        assert recorder.hints == [None]
+        assert _in_seq_order(sizes) == [1, 1, 2, 2, 4, 4, 8, 8]
+        assert len(recorder.outcomes) == 30
+        assert all(outcome.stored and not outcome.cache_hit
+                   for outcome in recorder.outcomes)
+        assert store.disk.writes == 0 and len(store.disk) == 30
+
+    def test_scattered_misses_stay_single_chunk_tasks_over_both_shards(self, tmp_path):
+        video = _walker_video(duration=900.0)
+        runner, context = _runner(), _context(video)
+        chunks = list(iter_chunks(video, THIRTY_CHUNKS))
+        warm = TieredChunkCache(disk=tmp_path / "store")
+        reference = [list(rows) for rows in runner.iter_chunk_rows(
+            chunks, context, cache=warm)]
+        for index in (4, 15, 27):
+            warm.disk._path_for(warm.key_for(runner, chunks[index], context)).unlink()
+        store = TieredChunkCache(disk=tmp_path / "store")  # cold memory tier
+        with ShardedEngine(2) as engine:
+            engine.share_store(store)
+            sizes = _task_sizes(engine)
+            rows = [list(rows) for rows in runner.iter_chunk_rows(
+                iter(chunks), context, engine=engine, cache=store)]
+            stats = engine.dispatch_stats_dict()
+        assert repr(rows) == repr(reference)
+        assert _in_seq_order(sizes) == [1, 1, 1]
+        assert sorted(shard["dispatches"] for shard in stats["per_shard"].values()) \
+            == [1, 2]
+        assert len(store.disk) == 30
+
+    def test_an_explicit_chunksize_is_never_ramped(self):
+        video = _walker_video(duration=900.0)
+        with ShardedEngine(2, chunksize=1) as engine:
+            sizes = _task_sizes(engine)
+            outcomes = list(engine.imap_chunks(
+                _runner(), iter_chunks(video, THIRTY_CHUNKS), _context(video)))
+            assert len(outcomes) == 30
+            assert _in_seq_order(sizes) == [1] * 30
+            assert engine.dispatch_stats.dispatches == 30
+
+    @pytest.mark.parametrize("window, bound, expected", [
+        (4, 4, [1] * 60),                                   # 2 x shards tasks of one
+        (16, 16, [1, 1, 2, 2] + [4] * 13 + [2]),            # ... of four
+        (None, 32, [1, 1, 2, 2, 4, 4, 8, 8, 8, 8, 8, 6]),   # what an 8-batch holds
+    ])
+    def test_a_ramp_never_exceeds_the_window(self, window, bound, expected):
+        video = _walker_video(duration=900.0)
+        spec = ChunkSpec(window=TimeInterval(0, 900), chunk_duration=15.0)
+        runner, context = _runner(), _context(video)
+        state = {"pulled": 0, "consumed": 0, "peak": 0}
+
+        def instrumented():
+            for chunk in iter_chunks(video, spec):
+                state["pulled"] += 1
+                state["peak"] = max(state["peak"],
+                                    state["pulled"] - state["consumed"])
+                yield chunk
+
+        with ShardedEngine(2, in_flight_window=window) as engine:
+            sizes = _task_sizes(engine)
+            for _ in engine.imap_chunks(runner, instrumented(), context):
+                state["consumed"] += 1
+        assert state["pulled"] == 60
+        assert state["peak"] <= bound
+        assert _in_seq_order(sizes) == expected
+
+    def test_shard_crashed_mid_ramp_yields_the_serial_bytes(self):
+        from repro.core.faults import FaultKind, FaultPlan, FaultRule
+
+        video = _walker_video(duration=900.0)
+        runner, context = _runner(), _context(video)
+        reference = _rows_of(SerialEngine().map_chunks(
+            runner, list(iter_chunks(video, THIRTY_CHUNKS)), context))
+        plan = FaultPlan(rules=(FaultRule(site="transport.*.task",
+                                          kind=FaultKind.CRASH, after_seq=3),),
+                         seed=3, name="crash-mid-ramp")
+        injector = plan.injector()
+        with ShardedEngine(2, fault_injector=injector,
+                           heartbeat_interval=0.2) as engine:
+            sizes = _task_sizes(engine)
+            rows = _rows_of(engine.imap_chunks(
+                runner, iter_chunks(video, THIRTY_CHUNKS), context))
+            redispatched = engine.dispatch_stats.chunks - 30
+        assert repr(rows) == repr(reference)
+        assert [(event.kind, event.seq) for event in injector.fired] \
+            == [(FaultKind.CRASH, 3)]
+        # The ramp is a function of dispatch order: a death changes who runs
+        # a task, never how the stream was cut.
+        assert _in_seq_order(sizes) == [1, 1, 2, 2, 4, 4, 8, 8]
+        assert redispatched > 0
+
+
 #: Both multi-process engines publish through the same ``_BroadcastPublisher``.
 MULTIPROCESS_SPECS = ("sharded:2", "process:2")
 
@@ -571,6 +744,66 @@ if sys.argv[1] == "sigkill":
             assert "resource_tracker" not in done.stderr
         else:
             assert done.returncode == -signal.SIGKILL
+
+
+class TestWorkerPayloadCache:
+    def test_connection_threads_share_the_cache_without_tearing_it(
+            self, tmp_path, monkeypatch):
+        # A TCP daemon runs one executor thread per connection over one
+        # module-level LRU: more refs than it holds, so every thread evicts
+        # under the others' reads.
+        import random
+        from collections import OrderedDict
+
+        limit = engine_module._PAYLOAD_CACHE_LIMIT
+        cache: OrderedDict = OrderedDict()
+        monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", cache)
+        refs = {}
+        for index in range(limit + 8):
+            path = tmp_path / f"payload-{index}.pkl"
+            path.write_bytes(pickle.dumps({"index": index, "pad": "x" * 64}))
+            refs[str(path)] = {"index": index, "pad": "x" * 64}
+        failures: list = []
+        oversize: list = []
+
+        def load(seed: int) -> None:
+            order = list(refs)
+            rng = random.Random(seed)
+            try:
+                for _ in range(200):
+                    rng.shuffle(order)
+                    for ref in order:
+                        if engine_module._load_payload(ref) != refs[ref]:
+                            failures.append(("wrong payload", ref))
+                        with engine_module._PAYLOAD_CACHE_LOCK:
+                            if len(cache) > limit:
+                                oversize.append(len(cache))
+            except Exception as exc:  # a torn LRU raises KeyError here
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and oversize == []
+        assert 0 < len(cache) <= limit
+
+    def test_fetch_reports_whether_it_decoded(self, tmp_path, monkeypatch):
+        from collections import OrderedDict
+
+        monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", OrderedDict())
+        path = tmp_path / "payload.pkl"
+        path.write_bytes(pickle.dumps({"objects": []}))
+        assert engine_module._fetch_payload(str(path)) == ({"objects": []}, True)
+        assert engine_module._fetch_payload(str(path)) == ({"objects": []}, False)
 
 
 class TestShardStageTimes:

@@ -7,10 +7,17 @@ must refuse (returning None) so the store falls back to legacy JSON.  The
 property tests drive that contract across the whole value space; the store
 tests pin the hit-path behaviours the engines rely on: memory-mapped binary
 reads with zero JSON parsing, legacy-JSON read compatibility with in-place
-migration, and corrupt-entry self-healing.
+migration, corrupt-entry self-healing, and the write path on plain ``os``
+calls — its failures, its races and its syscall budget.
 """
 
+import errno
 import json
+import multiprocessing
+import os
+import random
+import shutil
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,3 +285,225 @@ class TestFormatSpecs:
         assert store.stats_dict()["entry_format"] == "binary"
         assert store.health()["entry_format"] == "binary"
         assert store.stats_dict()["migrations"] == 0
+
+
+# ------------------------------------------------------------- the write path
+
+
+def _rows_for(key: str) -> list:
+    return [{"kind": "person", "dy": float(int(key[:4], 16)), "key": key}]
+
+
+def _put_overlapping(directory: str, seed: int) -> None:
+    """One racing process: four threads, each putting every key once."""
+    store = DiskChunkStore(directory)
+    keys = [f"{index:04x}" * 10 for index in range(200)]
+
+    def put_all(thread_seed: int) -> None:
+        order = list(keys)
+        random.Random(thread_seed).shuffle(order)
+        for key in order:
+            store.put(key, _rows_for(key))
+
+    threads = [threading.Thread(target=put_all, args=(seed * 4 + index,))
+               for index in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    # One instance, one token: its own threads never collide on a temp name.
+    if any(thread.is_alive() for thread in threads) \
+            or (store.writes, store.write_errors) != (800, 0):
+        raise SystemExit(1)
+
+
+class TestWritePath:
+    @pytest.mark.parametrize("error", [
+        OSError(errno.ENOSPC, "No space left on device"),
+        PermissionError(errno.EACCES, "Permission denied"),
+        FileExistsError(errno.EEXIST, "File exists"),
+    ])
+    def test_a_failed_temp_open_is_a_counted_miss_that_removes_nothing(
+            self, tmp_path, monkeypatch, error):
+        store = DiskChunkStore(tmp_path)
+        key = "a" * 40
+        store.put("a" * 39 + "b", _rows_for(key))  # the prefix directory exists
+        # Another writer's temp file, under the very name this put will ask for.
+        planted = tmp_path / "aa" / f"{key}.bin.{store._temp_token}-1.tmp"
+        planted.write_bytes(b"someone else's bytes")
+        real_open = os.open
+
+        def failing_open(path, flags, mode=0o777, **kwargs):
+            if str(path).endswith(".tmp"):
+                raise error
+            return real_open(path, flags, mode, **kwargs)
+
+        monkeypatch.setattr(os, "open", failing_open)
+        store.put(key, _rows_for(key))  # swallowed, counted
+        monkeypatch.undo()
+        assert (store.writes, store.write_errors) == (1, 1)
+        assert store.get(key) is None
+        assert list(tmp_path.glob("**/*.tmp")) == [planted]
+        assert planted.read_bytes() == b"someone else's bytes"
+
+    def test_a_temp_name_collision_never_clobbers_the_other_writer(self, tmp_path):
+        store = DiskChunkStore(tmp_path)
+        key = "b" * 40
+        (tmp_path / "bb").mkdir()
+        planted = tmp_path / "bb" / f"{key}.bin.{store._temp_token}-0.tmp"
+        planted.write_bytes(b"someone else's bytes")
+        store.put(key, _rows_for(key))  # O_EXCL refuses the taken name
+        assert (store.writes, store.write_errors) == (0, 1)
+        assert planted.read_bytes() == b"someone else's bytes"
+        store.put(key, _rows_for(key))  # the next name is free
+        assert store.get(key) == _rows_for(key)
+        assert list(tmp_path.glob("**/*.tmp")) == [planted]
+
+    def test_a_failure_after_the_open_removes_this_calls_temp(self, tmp_path,
+                                                              monkeypatch):
+        store = DiskChunkStore(tmp_path)
+        key = "c" * 40
+
+        def failing_replace(source, target):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        store.put(key, _rows_for(key))
+        monkeypatch.undo()
+        assert store.write_errors == 1 and store.get(key) is None
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
+        def interrupted_write(fd, data):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "write", interrupted_write)
+        with pytest.raises(KeyboardInterrupt):  # not an IO error: propagates
+            store.put(key, _rows_for(key))
+        monkeypatch.undo()
+        assert store.write_errors == 1
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
+    def test_short_writes_loop_until_the_entry_is_whole(self, tmp_path, monkeypatch):
+        store = DiskChunkStore(tmp_path)
+        rows = [{"kind": f"k{index}", "dy": index * 0.5} for index in range(40)]
+        real_write, calls = os.write, []
+
+        def seven_bytes(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(os, "write", seven_bytes)
+        store.put("d" * 40, rows)
+        monkeypatch.undo()
+        encoded = encode_binary_entry(rows)
+        assert len(calls) == -(-len(encoded) // 7)
+        assert store._path_for("d" * 40).read_bytes() == encoded
+        assert_rows_exact(store.get("d" * 40), rows)
+
+    def test_removed_directories_come_back_with_the_next_put(self, tmp_path):
+        store = DiskChunkStore(tmp_path / "store")
+        key = "e" * 40
+        store.put(key, _rows_for(key))
+        shutil.rmtree(tmp_path / "store" / "ee")
+        assert store.get(key) is None
+        store.put(key, _rows_for(key))
+        assert store.get(key) == _rows_for(key)
+        shutil.rmtree(tmp_path / "store")  # the whole store, under a live handle
+        assert store.get(key) is None
+        store.put(key, _rows_for(key))
+        assert store.get(key) == _rows_for(key)
+        assert (store.writes, store.write_errors) == (3, 0)
+
+    def test_racing_threads_and_processes_land_every_entry_once(self, tmp_path):
+        context = multiprocessing.get_context("spawn")
+        children = [context.Process(target=_put_overlapping,
+                                    args=(str(tmp_path), seed))
+                    for seed in range(2)]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=120.0)
+        assert [child.exitcode for child in children] == [0, 0]
+        store = DiskChunkStore(tmp_path)
+        keys = [f"{index:04x}" * 10 for index in range(200)]
+        assert len(store) == len(keys)
+        for key in keys:
+            assert store.get(key) == _rows_for(key)
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
+
+class TestSyscallBudget:
+    """What a put, a miss and a hit may ask of the file system."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted: dict[str, int] = {}
+
+        def counting(name):
+            real = getattr(os, name)
+
+            def wrapper(*args, **kwargs):
+                counted[name] = counted.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("open", "replace", "unlink", "mkdir", "makedirs"):
+            monkeypatch.setattr(os, name, counting(name))
+        return counted
+
+    def test_put_miss_and_hit(self, tmp_path, calls, monkeypatch):
+        store = DiskChunkStore(tmp_path)
+
+        def no_path(*args, **kwargs):
+            raise AssertionError("pathlib.Path built on the store's hot path")
+
+        monkeypatch.setattr(cache_module, "Path", no_path)
+        first, second = "f" * 40, "f" * 39 + "0"
+        calls.clear()
+        store.put(first, _rows_for(first))
+        # A new prefix: the open that reported ENOENT, one mkdir, the retry.
+        assert calls == {"open": 2, "makedirs": 1, "mkdir": 1,
+                         "replace": 1, "unlink": 1}
+        calls.clear()
+        store.put(second, _rows_for(second))
+        assert calls == {"open": 1, "replace": 1, "unlink": 1}
+        calls.clear()
+        assert store.get("f" * 38 + "00") is None
+        assert calls == {"open": 2}  # binary, then legacy JSON: both ENOENT
+        calls.clear()
+        assert store.get(second) == _rows_for(second)
+        assert calls == {"open": 1}
+        assert (store.writes, store.write_errors, store.read_errors) == (2, 0, 0)
+
+    def test_tempfile_left_the_module(self):
+        assert not hasattr(cache_module, "tempfile")
+
+
+class TestHandPlacedEntries:
+    """The layout is a compatibility surface: ``KEY[:2]/KEY.bin|json``."""
+
+    def test_entries_placed_with_plain_open_read_back(self, tmp_path):
+        store = DiskChunkStore(tmp_path / "store")
+        binary_key, json_key = "1a" * 20, "2b" * 20
+        rows = [{"kind": "person", "dy": 1.5}, {"kind": "car", "dy": -0.5}]
+        for key, suffix, data in (
+                (binary_key, "bin", encode_binary_entry(rows)),
+                (json_key, "json", json.dumps({"format": 1, "rows": rows}).encode())):
+            os.mkdir(tmp_path / "store" / key[:2])
+            with open(tmp_path / "store" / key[:2] / f"{key}.{suffix}", "wb") as handle:
+                handle.write(data)
+        assert_rows_exact(store.get(binary_key), rows)
+        json_store = DiskChunkStore(tmp_path / "store", entry_format="json")
+        assert_rows_exact(json_store.get(json_key), rows)
+        assert (tmp_path / "store" / "2b" / f"{json_key}.json").exists()
+
+    def test_a_written_entry_is_the_codecs_bytes_and_nothing_else(self, tmp_path):
+        store = DiskChunkStore(tmp_path)
+        key = "3c" * 20
+        rows = [{"kind": "person", "dy": 1.5}]
+        store.put(key, rows)
+        with open(tmp_path / "3c" / f"{key}.bin", "rb") as handle:
+            assert handle.read() == encode_binary_entry(rows)
+        assert sorted(path.name for path in tmp_path.rglob("*") if path.is_file()) \
+            == [f"{key}.bin"]
