@@ -379,16 +379,14 @@ class DurableServiceLedger(ServiceLedger):
     bit-exact: same charge intervals (floats round-trip through JSON
     exactly), same order, same remaining budgets.
 
-    Charges are keyed idempotently by ``query_id`` (each interval within a
-    record additionally by ``(query_id, camera, interval, epsilon, ordinal)``),
-    so the two crash windows around a charge are both safe:
-
-    * crash *before* the append — nothing logged, nothing charged; the
-      resumed query admits and charges normally;
-    * crash *after* the append but before the in-memory apply — recovery
-      replays the record, and the resumed query's :meth:`admit_many` sees
-      its ``query_id`` already charged and skips admission entirely (no
-      double-charge, and no spurious denial from counting the charge twice).
+    Charges are keyed idempotently by ``query_id`` — a query has at most one
+    charge record, and a record whose ``query_id`` already charged is skipped
+    whole — so both crash windows around a charge are safe: *before* the
+    append nothing is logged or charged, and the resumed query admits and
+    charges normally; *after* it but before the in-memory apply, recovery
+    replays the record and the resumed query's :meth:`admit_many` sees its
+    ``query_id`` charged and skips admission entirely (no double-charge, no
+    spurious denial from counting the charge twice).
 
     Construction *is* recovery: the snapshot is restored, pending log
     records are replayed (ledger ops here, ``query_*`` ops dispatched to the
@@ -406,7 +404,6 @@ class DurableServiceLedger(ServiceLedger):
         self.compact_every = compact_every
         #: query_id -> WAL seq of its charge record (applied charges).
         self._charged_queries: dict[str, int] = {}
-        self._charge_keys: set[tuple[Any, ...]] = set()
         #: Seq of the most recent charge record (the chaos harness uses it
         #: to schedule a crash exactly on the charge append).
         self.last_charge_seq: int | None = None
@@ -445,6 +442,8 @@ class DurableServiceLedger(ServiceLedger):
 
     def _apply_charge(self, record: dict[str, Any]) -> None:
         query_id = record.get("query_id")
+        if query_id in self._charged_queries:  # never holds None
+            return
         for camera, charges in record["cameras"].items():
             ledger = self._ledgers.get(camera)
             if ledger is None:
@@ -453,16 +452,11 @@ class DurableServiceLedger(ServiceLedger):
                 # tail — refuse to guess at budgets.
                 raise DurabilityError(
                     f"WAL charge record for unregistered camera {camera!r}")
-            for ordinal, (start, end, epsilon) in enumerate(charges):
-                key = (query_id, camera, start, end, epsilon, ordinal)
-                if query_id is not None and key in self._charge_keys:
-                    continue
-                if query_id is not None:
-                    self._charge_keys.add(key)
+            for start, end, epsilon in charges:
                 ledger.charge(TimeInterval(float(start), float(end)), float(epsilon))
+        self.last_charge_seq = int(record.get("seq", -1))
         if query_id is not None:
-            self._charged_queries[query_id] = int(record.get("seq", -1))
-            self.last_charge_seq = int(record.get("seq", -1))
+            self._charged_queries[query_id] = self.last_charge_seq
             if self.journal is not None:
                 self.journal.mark_charged(query_id)
 
@@ -474,7 +468,6 @@ class DurableServiceLedger(ServiceLedger):
                          for start, end, epsilon in payload.get("charges", [])])
         self._charged_queries = {query_id: int(seq) for query_id, seq
                                  in state.get("charged_queries", {}).items()}
-        self._charge_keys = {tuple(key) for key in state.get("charge_keys", [])}
 
     # -------------------------------------------------------------- mutations
 
@@ -532,8 +525,6 @@ class DurableServiceLedger(ServiceLedger):
                                   in sorted(requests_by_camera.items())}}
             seq = self.wal.append(record)
             self._apply_charge({**record, "seq": seq})
-            if query_id is None:
-                self.last_charge_seq = seq
             self._note_admission("admitted", requests_by_camera, contended)
             self._maybe_compact()
             return self._remaining(requests_by_camera)
@@ -555,9 +546,10 @@ class DurableServiceLedger(ServiceLedger):
         """Snapshot the full ledger (+ journal) state and truncate the log."""
         with self._lock:
             state: dict[str, Any] = {"ledger": self._state_payload()}
-            if self.journal is not None:
-                state["journal"] = self.journal.state_payload()
-            self.wal.compact(state)
+            if self.journal is None:
+                self.wal.compact(state)
+            else:
+                self.journal.compact(self.wal, state)
 
     def _state_payload(self) -> dict[str, Any]:
         cameras = {}
@@ -568,12 +560,4 @@ class DurableServiceLedger(ServiceLedger):
                     "charges": [[interval.start, interval.end, epsilon]
                                 for interval, epsilon in ledger.charges]}
         return {"cameras": cameras,
-                "charged_queries": dict(self._charged_queries),
-                "charge_keys": [list(key) for key in sorted(self._charge_keys,
-                                                            key=repr)]}
-
-    # ---------------------------------------------------------------- health
-
-    def durability_health(self) -> dict[str, Any]:
-        """WAL status + last recovery, the ``health()`` durability section."""
-        return {"wal": self.wal.status(), "last_recovery": dict(self.last_recovery)}
+                "charged_queries": dict(self._charged_queries)}

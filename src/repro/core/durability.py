@@ -3,59 +3,61 @@
 The privacy guarantee is only as strong as the budget accounting, and until
 this module existed the accounting lived purely in memory: a ``kill -9`` of
 an always-on :class:`~repro.service.QueryService` reset every camera's
-budget, letting an adversary replay queries past epsilon.  This module makes
-the accounting survive process death:
-
-* :class:`WriteAheadLog` — an append-only, fsync-disciplined log of
-  CRC-framed JSON records.  Mutations are logged (and flushed to stable
-  storage) *before* they take effect in memory, so recovery replays exactly
-  the mutations that were acknowledged.  The tail of the log may be torn by
-  a crash mid-write; recovery stops at the first damaged frame, repairs the
-  file back to its last intact record, and reports what was dropped.
-  :meth:`~WriteAheadLog.compact` folds the applied state into an atomically
-  renamed snapshot and truncates the log, bounding replay time.
-* :class:`QueryJournal` — per-query progress over the same log: which query
-  seq a resume token maps to, how many chunks completed, whether the charge
-  landed, whether the query finished.  ``submit(..., resume_token=)``
-  resumes an interrupted query from this state.
-
-The ledger side lives in :class:`repro.core.budget.DurableServiceLedger`,
-which owns WAL replay and dispatches journal records here.
-
-Record framing
-==============
-
-Each record is ``<u32 payload length><u32 CRC-32 of payload><payload>`` with
-a little-endian header and a UTF-8 JSON payload carrying its monotonically
-increasing ``seq``.  Decoding stops — without raising — at the first frame
-that is short, oversized, fails its CRC, or does not parse: a crash tears at
-most the *tail* of an append-only file, so everything before the damage is
-trustworthy and everything after it is not (a flipped byte mid-file
-invalidates its frame and all framing after it).  Snapshots are whole JSON
-files written to a temp name, fsynced, and atomically renamed, so they are
-either entirely old or entirely new; a snapshot that fails to parse is
-raised as :class:`~repro.errors.DurabilityError` — unlike a torn tail it
-means acknowledged charges may be gone, which must never pass silently.
+budget, letting an adversary replay queries past epsilon.  Here the
+accounting survives process death: :class:`WriteAheadLog` is the append-only
+log of CRC-framed records (:func:`encode_record`; :func:`decode_records`
+trusts exactly the prefix before the first damaged frame) with snapshot
+compaction, :class:`QueryJournal` the per-query state
+``submit(..., resume_token=)`` resumes from, and
+:class:`repro.core.budget.DurableServiceLedger` owns replay, dispatching
+journal records back here.
 
 Fsync discipline
 ================
 
-``append(..., sync=True)`` (the default, used for registrations, charges,
-and journal start/finish) returns only after ``os.fsync``; ``sync=False``
-(chunk-progress checkpoints) writes through the OS cache — losing a
-progress record costs re-executing a warm chunk, never a budget.
+One rule: **before a release leaves the service, every WAL record its query
+has written — its ``query_start`` and, if it charges, its ``charge`` — is
+covered by an fsync; nothing else on the query path is synced.**  An fsync
+covers the whole file, so :attr:`WriteAheadLog.synced_seq`, the highest seq
+a *successful* fsync is known to cover, is all the state the rule needs.
+``register`` and ``charge`` append with ``sync=True``, fsynced before they
+are applied: Privid subtracts the budget before anything is released (§6,
+Algorithm 1), so the charge is the one fact that must reach stable storage
+first, and its fsync carries the query's earlier start along.
+``query_start`` and ``query_finish`` append with ``sync=False``.  The
+barrier: ``QueryService._run_query`` calls :meth:`WriteAheadLog.sync_through`
+with the start record's seq before it hands the result back — a no-op for a
+charged query, the one fsync of a release that wrote no charge.  Fsyncs per
+query: admitted 1, denied / failed / cancelled / timed-out 0, uncharged
+release 1, resume of a charged token 0.  The crash windows, which
+``tests/test_durability.py`` enumerates at and inside every record:
+
+* *Start lost, nothing else written* (power loss; ``kill -9`` keeps the page
+  cache): nothing charged, drawn or released; the token is fresh again and
+  ``next_query_seq`` may reissue its seq — sound, no draw from that noise
+  stream ever left.  The barrier keeps it true for uncharged releases.
+* *Charge durable*: so is the start before it (recovery sees a prefix, a
+  returned fsync covers it); resume reuses the journaled seq, the
+  fingerprint check applies, the charge is skipped.
+* *Finish lost*: resume re-executes on the same stream to the same bytes,
+  charge skipped.
+* *fsync fails on the charge*: file rolled back, seq burned, ``synced_seq``
+  unmoved, nothing charged or released; others' unsynced records stay put.
+* *Two pool threads*: A's unsynced start at seq 10 is covered by B's synced
+  charge at 11; A's own charge at 12 still syncs before A releases.
 
 Fault sites
 ===========
 
-``wal.append`` / ``wal.fsync`` / ``wal.read`` are polled on the configured
-:class:`~repro.core.faults.FaultInjector` (IO_ERROR raises :class:`OSError`,
-DELAY sleeps, CORRUPT flips a byte of the loaded log image), and
-``service.crash_at_seq`` is polled after every durable append with the
-record's seq — a CRASH rule there invokes :attr:`WriteAheadLog.crash_hook`
+``wal.append`` / ``wal.fsync`` (every fsync of the log) / ``wal.read`` are
+polled on the configured :class:`~repro.core.faults.FaultInjector`: IO_ERROR
+raises :class:`OSError`, DELAY sleeps, CORRUPT flips a byte of the loaded
+log image.  ``service.crash_at_seq`` is polled after every append with the
+record's seq, and — the WAL being silent between a query's start and its
+charge — ``service.crash_at_chunk`` by the service after each chunk with the
+count done: a CRASH rule at either invokes :attr:`WriteAheadLog.crash_hook`
 (default: raise :class:`~repro.errors.SimulatedCrashError`; the chaos
-harness installs a real ``SIGKILL``), which is how the PR-7 fault machinery
-deterministically kills the service at an exact WAL position.
+harness installs a real ``SIGKILL``), a deterministic kill at an exact spot.
 """
 
 from __future__ import annotations
@@ -125,12 +127,12 @@ def decode_records(data: bytes) -> tuple[list[dict[str, Any]], int]:
 
 def _default_crash_hook() -> None:
     raise SimulatedCrashError(
-        "injected crash at service.crash_at_seq (kill -9 stand-in); "
+        "injected service crash (kill -9 stand-in); "
         "abandon this instance and recover over the same WAL directory")
 
 
 class WriteAheadLog:
-    """Append-only, fsync-disciplined record log with snapshot compaction.
+    """Append-only record log with snapshot compaction.
 
     One instance owns one directory holding ``wal.log`` (the live segment)
     and ``snapshot.json`` (the last compaction).  Opening the directory *is*
@@ -153,7 +155,7 @@ class WriteAheadLog:
         # Set before recovery so open-time reads poll ``wal.read`` too.
         self._injector: Any = fault_injector
         self._closed = False
-        #: Invoked when a ``service.crash_at_seq`` CRASH rule fires; the
+        #: Invoked when a ``service.crash_at_*`` CRASH rule fires; the
         #: default raises SimulatedCrashError, the chaos driver installs
         #: ``os.kill(os.getpid(), SIGKILL)`` for a genuine dirty death.
         self.crash_hook: Callable[[], None] = _default_crash_hook
@@ -163,6 +165,9 @@ class WriteAheadLog:
         self.appends_since_compact = 0
 
         self.snapshot_state, snapshot_seq = self._load_snapshot()
+        #: Highest seq a successful fsync is known to cover ("Fsync
+        #: discipline" above); a snapshot is fsynced whole.
+        self.synced_seq = snapshot_seq
         records, clean_offset, durable_records, durable_clean, log_bytes = \
             self._load_log()
         #: Records appended after the snapshot, awaiting replay by the owner.
@@ -194,12 +199,12 @@ class WriteAheadLog:
         if durable_clean != log_bytes:
             self._file.truncate(durable_clean)
         self._file.seek(0, os.SEEK_END)
+        if durable_records:
+            # After a kill -9 what was just read may sit in the page cache
+            # only, and the owner builds its token -> seq map on it.
+            self._fsync(self._next_seq - 1)
 
     # ------------------------------------------------------------- fault seam
-
-    def set_fault_injector(self, injector: Any) -> None:
-        """Adopt the deployment's shared injector (``wal.*`` sites)."""
-        self._injector = injector
 
     def _poll(self, site: str, *, seq: int | None = None) -> Any:
         if self._injector is None:
@@ -207,13 +212,18 @@ class WriteAheadLog:
         rule = self._injector.poll(site, seq=seq)
         if rule is None:
             return None
-        kind = getattr(rule.kind, "value", rule.kind)
-        if kind == "delay":
+        if rule.kind == "delay":  # FaultKind is a str enum
             time.sleep(rule.delay)
             return None
-        if kind == "io_error":
+        if rule.kind == "io_error":
             raise OSError(f"injected WAL failure at {site}")
         return rule
+
+    def crash_point(self, site: str, seq: int) -> None:
+        """A ``service.crash_at_*`` site: CRASH fires :attr:`crash_hook`."""
+        rule = self._poll(site, seq=seq)
+        if rule is not None and rule.kind == "crash":
+            self.crash_hook()
 
     # --------------------------------------------------------------- recovery
 
@@ -252,8 +262,7 @@ class WriteAheadLog:
             return [], 0, [], 0, 0
         data = self.log_path.read_bytes()
         durable_records, durable_clean = decode_records(data)
-        if rule is not None and getattr(rule.kind, "value",
-                                        rule.kind) == "corrupt" and data:
+        if rule is not None and rule.kind == "corrupt" and data:
             position = len(data) // 2
             doctored = data[:position] + bytes([data[position] ^ 0xFF]) \
                 + data[position + 1:]
@@ -264,14 +273,23 @@ class WriteAheadLog:
 
     # ----------------------------------------------------------------- append
 
+    def _fsync(self, seq: int) -> None:
+        """fsync the log, whose last record is ``seq`` (holding ``_lock``);
+        a failure leaves ``synced_seq`` alone."""
+        if self.fsync_enabled:
+            self._poll("wal.fsync", seq=seq)
+            os.fsync(self._file.fileno())
+            self.fsyncs += 1
+        self.synced_seq = seq
+
     def append(self, payload: dict[str, Any], *, sync: bool = True) -> int:
-        """Durably append one record; returns its seq.
+        """Append one record; returns its seq.
 
         The record is written (and, with ``sync``, fsynced) before this
-        returns — the write-ahead contract callers rely on: *log first, then
-        mutate memory*.  After a durable append the ``service.crash_at_seq``
-        fault site is polled with the new seq, the deterministic kill point
-        of the chaos plans.
+        returns — the write-ahead contract: *log first, then mutate memory*.
+        ``sync=False`` leaves durability to a later synced append or
+        :meth:`sync_through`.  ``service.crash_at_seq`` is polled after the
+        append with the new seq, the chaos plans' deterministic kill point.
         """
         with self._lock:
             if self._closed:
@@ -287,10 +305,8 @@ class WriteAheadLog:
             try:
                 self._file.write(blob)
                 self._file.flush()
-                if sync and self.fsync_enabled:
-                    self._poll("wal.fsync", seq=seq)
-                    os.fsync(self._file.fileno())
-                    self.fsyncs += 1
+                if sync:
+                    self._fsync(seq)
             except BaseException:
                 # The caller will treat this append as failed, but the bytes
                 # may already be in the file (fsync raised after the write
@@ -310,21 +326,18 @@ class WriteAheadLog:
             self._next_seq = seq + 1
             self.appends += 1
             self.appends_since_compact += 1
-            crash = self._poll("service.crash_at_seq", seq=seq)
-            if crash is not None and getattr(crash.kind, "value",
-                                             crash.kind) == "crash":
-                self.crash_hook()
+            self.crash_point("service.crash_at_seq", seq)
             return seq
 
-    def sync(self) -> None:
-        """Flush and fsync the log (group-commit for unsynced appends)."""
+    def sync_through(self, seq: int) -> None:
+        """The release barrier: return once an fsync covers record ``seq`` —
+        at once when a later synced append or a compaction already did."""
         with self._lock:
-            if self._closed:
+            if seq <= self.synced_seq:
                 return
-            self._file.flush()
-            self._poll("wal.fsync")
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
+            if self._closed:
+                raise DurabilityError("WriteAheadLog is closed")
+            self._fsync(self._next_seq - 1)
 
     # ------------------------------------------------------------- compaction
 
@@ -354,7 +367,7 @@ class WriteAheadLog:
             self._file.truncate(0)
             self._file.seek(0)
             os.fsync(self._file.fileno())
-            self._snapshot_seq = last_seq
+            self._snapshot_seq = self.synced_seq = last_seq
             self.compactions += 1
             self.appends_since_compact = 0
 
@@ -380,6 +393,7 @@ class WriteAheadLog:
             return {"path": str(self.directory),
                     "last_seq": self._next_seq - 1,
                     "snapshot_seq": self._snapshot_seq,
+                    "synced_seq": self.synced_seq,
                     "log_bytes": log_bytes,
                     "appends": self.appends,
                     "fsyncs": self.fsyncs,
@@ -399,16 +413,25 @@ class WriteAheadLog:
                 pass
 
 
+def _new_entry(token: str, query_seq: int, query_name: str,
+               fingerprint: str | None) -> dict[str, Any]:
+    return {"token": token, "query_seq": query_seq, "query": query_name,
+            "fingerprint": fingerprint, "charged": False, "finished": False,
+            "resumes": 0}
+
+
 class QueryJournal:
-    """Per-query durable progress: the state ``resume_token`` resumes from.
+    """Per-query durable state: what ``resume_token`` resumes from.
 
     One entry per journaled query: its resume token, the query seq its noise
-    stream is keyed by (resume must reuse it for byte-identity), completed
-    chunk count, and the charged/finished flags.  Entries mutate through the
-    WAL — :meth:`start` and :meth:`finish` are synced appends,
-    :meth:`checkpoint` rides the OS cache (losing one costs a warm chunk
-    re-execution, never a budget) — and are rebuilt on recovery by
-    :meth:`apply` / :meth:`restore`, both idempotent.
+    stream is keyed by (resume must reuse it for byte-identity), the query's
+    fingerprint, and the charged/finished flags.  Entries mutate through the
+    WAL, log first: :meth:`start` and :meth:`finish` append *unsynced* under
+    the journal's lock and only then touch memory, so an entry exists only
+    once its record is in the file; the release barrier makes the start
+    durable before anything leaves on its noise stream ("Fsync discipline"
+    above).  Recovery rebuilds entries with :meth:`apply` / :meth:`restore`,
+    both idempotent.
 
     The ``charged`` flag is *not* journal-owned: the ledger's charge record
     is the ground truth, and :class:`~repro.core.budget.DurableServiceLedger`
@@ -417,8 +440,11 @@ class QueryJournal:
 
     def __init__(self, wal: WriteAheadLog | None = None) -> None:
         self.wal = wal
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._entries: dict[str, dict[str, Any]] = {}
+        #: token -> WAL seq of the start record this process wrote for it; a
+        #: start that recovery read is durable already (the open fsynced it).
+        self._start_seqs: dict[str, int] = {}
 
     # ------------------------------------------------------------------ reads
 
@@ -449,17 +475,18 @@ class QueryJournal:
     # ------------------------------------------------------------- mutations
 
     def start(self, token: str, query_seq: int, query_name: str,
-              fingerprint: str | None = None) -> dict[str, Any]:
-        """Journal a query start; idempotent on resume (same token).
+              fingerprint: str | None = None) -> int:
+        """Journal a query start (unsynced); idempotent on resume (same token).
 
-        ``fingerprint`` is the canonical hash of the query (AST plus the
-        release-affecting execute options) journaled with the start record.
-        A resume (existing token) whose fingerprint differs from the
-        journaled one raises :class:`~repro.errors.ResumeMismatchError`
-        *before* anything runs: the token's charge may already have landed
-        idempotently, so letting a different query ride it would execute
-        with zero budget charge and share the original noise stream — a
-        privacy-budget bypass, given the analyst is the adversary.
+        Returns the WAL seq the release barrier must see fsynced: the start
+        record's if this process wrote it, 0 if recovery read it.
+
+        ``fingerprint`` (:func:`repro.service.query_fingerprint`) rides the
+        start record.  A resume whose fingerprint differs from the journaled
+        one raises :class:`~repro.errors.ResumeMismatchError` *before*
+        anything runs: the token's charge may already have landed, and a
+        different query riding it would run charge-free on the original
+        noise stream — a budget bypass, the analyst being the adversary.
         """
         with self._lock:
             existing = self._entries.get(token)
@@ -473,73 +500,53 @@ class QueryJournal:
                         f"resubmitted {fingerprint[:12]}...); a charged "
                         f"token admits only the exact query it charged")
                 existing["resumes"] += 1
-                snapshot = dict(existing)
-            else:
-                entry = {"token": token, "query_seq": query_seq,
-                         "query": query_name, "fingerprint": fingerprint,
-                         "chunks_done": 0, "charged": False,
-                         "finished": False, "resumes": 0}
-                self._entries[token] = entry
-                snapshot = dict(entry)
-        if existing is None:
+                return self._start_seqs.get(token, 0)
+            seq = 0
             if self.wal is not None:
-                self.wal.append({"op": "query_start", "token": token,
-                                 "query_seq": query_seq, "query": query_name,
-                                 "fingerprint": fingerprint})
-        return snapshot
-
-    def checkpoint(self, token: str, chunks_done: int) -> None:
-        """Record chunk progress (unsynced — advisory, never budget-bearing)."""
-        with self._lock:
-            entry = self._entries.get(token)
-            if entry is None:
-                return
-            entry["chunks_done"] = max(entry["chunks_done"], chunks_done)
-        if self.wal is not None:
-            self.wal.append({"op": "query_progress", "token": token,
-                             "chunks_done": chunks_done}, sync=False)
+                # Log first: were the append to raise with the entry already
+                # in memory, a retry would take the resume branch above and
+                # release on a query seq no record ever named.
+                seq = self._start_seqs[token] = self.wal.append(
+                    {"op": "query_start", "token": token,
+                     "query_seq": query_seq, "query": query_name,
+                     "fingerprint": fingerprint}, sync=False)
+            self._entries[token] = _new_entry(token, query_seq, query_name,
+                                              fingerprint)
+            return seq
 
     def mark_charged(self, token: str) -> None:
         """The ledger applied this query's charge (live or replayed)."""
         with self._lock:
-            entry = self._entries.setdefault(
-                token, {"token": token, "query_seq": -1, "query": "",
-                        "fingerprint": None, "chunks_done": 0,
-                        "charged": False, "finished": False, "resumes": 0})
+            entry = self._entries.setdefault(token,
+                                             _new_entry(token, -1, "", None))
             entry["charged"] = True
 
     def finish(self, token: str) -> None:
-        """Journal successful completion (synced)."""
+        """Journal successful completion (unsynced: losing it costs a resume
+        that re-executes to the same bytes and skips the charge)."""
         with self._lock:
             entry = self._entries.get(token)
             if entry is None:
                 return
+            if self.wal is not None:
+                self.wal.append({"op": "query_finish", "token": token},
+                                sync=False)
             entry["finished"] = True
-        if self.wal is not None:
-            self.wal.append({"op": "query_finish", "token": token})
 
     # --------------------------------------------------------------- recovery
 
     def apply(self, record: dict[str, Any]) -> None:
-        """Replay one journal record (idempotent; unknown ops are ignored)."""
+        """Replay one journal record (idempotent; unknown ops are ignored —
+        the ``query_progress`` records older logs carry among them)."""
         op = record.get("op")
         token = record.get("token")
         if not isinstance(token, str):
             return
         with self._lock:
             if op == "query_start":
-                self._entries.setdefault(token, {
-                    "token": token,
-                    "query_seq": int(record.get("query_seq", -1)),
-                    "query": record.get("query", ""),
-                    "fingerprint": record.get("fingerprint"),
-                    "chunks_done": 0, "charged": False,
-                    "finished": False, "resumes": 0})
-            elif op == "query_progress":
-                entry = self._entries.get(token)
-                if entry is not None:
-                    entry["chunks_done"] = max(entry["chunks_done"],
-                                               int(record.get("chunks_done", 0)))
+                self._entries.setdefault(token, _new_entry(
+                    token, int(record.get("query_seq", -1)),
+                    record.get("query", ""), record.get("fingerprint")))
             elif op == "query_finish":
                 entry = self._entries.get(token)
                 if entry is not None:
@@ -550,6 +557,14 @@ class QueryJournal:
         with self._lock:
             return {token: dict(entry)
                     for token, entry in sorted(self._entries.items())}
+
+    def compact(self, wal: WriteAheadLog, state: dict[str, Any]) -> None:
+        """Add the journal to ``state`` and compact ``wal`` over it, holding
+        the journal's lock from the copy to the truncation: a start record
+        appended between the two would be in neither snapshot nor log."""
+        with self._lock:
+            state["journal"] = self.state_payload()
+            wal.compact(state)
 
     def restore(self, state: dict[str, Any]) -> None:
         """Load journal state from a compaction snapshot."""

@@ -368,8 +368,6 @@ class PrividSystem:
                 streams.append((table, stream))
                 completed += 1
                 if on_chunk is not None:
-                    # The durable service journals chunk progress here, so a
-                    # crash resumes with every completed chunk disk-warm.
                     on_chunk(completed)
         except BaseException:
             for _, stream in streams:
@@ -462,7 +460,7 @@ class PrividSystem:
         ``query_id`` keys this query's budget charge idempotently on a
         durable ledger (a resumed query never double-charges); ``on_chunk``
         observes streaming progress (called with the completed-chunk count
-        after each chunk's rows land) — the durable service journals it.
+        after each chunk's rows land).
         """
         if cancel is not None:
             cancel.check()

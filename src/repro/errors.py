@@ -156,7 +156,7 @@ class ResumeConflictError(PrividError):
 
 
 class SimulatedCrashError(PrividError):
-    """An injected ``service.crash_at_seq`` fault fired (kill -9 stand-in).
+    """An injected ``service.crash_at_*`` fault fired (kill -9 stand-in).
 
     The default :attr:`repro.core.durability.WriteAheadLog.crash_hook`: tests
     catch this, abandon the service instance, and recover a fresh one over

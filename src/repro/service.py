@@ -156,9 +156,8 @@ class QueryService:
         if fault_injector is not None:
             # Opt-in chaos: any shared resource that exposes the hook gets
             # the same injector, so one seeded plan drives the whole stack
-            # (the WAL already received it at construction so recovery-time
-            # reads poll too).
-            for resource in (self.engine, self.cache, self.wal):
+            # (the WAL received it at construction: recovery polls too).
+            for resource in (self.engine, self.cache):
                 hook = getattr(resource, "set_fault_injector", None)
                 if hook is not None:
                     hook(fault_injector)
@@ -228,14 +227,20 @@ class QueryService:
         return system
 
     def _run_query(self, query_seq: int, query: PrividQuery,
-                   kwargs: dict[str, Any], token: str | None = None,
-                   resumed: bool = False,
-                   timing: dict[str, float] | None = None) -> QueryResult:
-        if timing is not None:
-            timing["started_at"] = time.perf_counter()
+                   kwargs: dict[str, Any], token: str | None, resumed: bool,
+                   timing: dict[str, float], start_seq: int) -> QueryResult:
+        timing["started_at"] = time.perf_counter()
         try:
             try:
                 result = self._query_system(query_seq).execute(query, **kwargs)
+                if token is not None and self.journal is not None:
+                    self.journal.finish(token)
+                    # The release barrier (core/durability.py, "Fsync
+                    # discipline"): the start record is durable before the
+                    # result leaves; a charge fsync has covered it already.
+                    self.wal.sync_through(start_seq)
+                    result.metadata["resume_token"] = token
+                    result.metadata["resumed"] = resumed
             except BudgetExceededError:
                 with self._lock:
                     self._denied += 1
@@ -258,22 +263,17 @@ class QueryService:
                 self._completed += 1
                 self._active -= 1
             result.metadata["query_seq"] = query_seq
-            if timing is not None:
-                # Pure observation for the serving load harness: wall-clock
-                # deltas measured around the execution, never fed back into
-                # it — results stay byte-identical with or without a reader.
-                submitted_at = timing["submitted_at"]
-                first_chunk_at = timing.get("first_chunk_at")
-                result.metadata["timing"] = {
-                    "queue_s": timing["started_at"] - submitted_at,
-                    "first_row_s": first_chunk_at - submitted_at
-                    if first_chunk_at is not None else None,
-                    "total_s": time.perf_counter() - submitted_at,
-                }
-            if token is not None and self.journal is not None:
-                self.journal.finish(token)
-                result.metadata["resume_token"] = token
-                result.metadata["resumed"] = resumed
+            # Pure observation for the serving load harness: wall-clock
+            # deltas measured around the execution, never fed back into it —
+            # results stay byte-identical with or without a reader.
+            submitted_at = timing["submitted_at"]
+            first_chunk_at = timing.get("first_chunk_at")
+            result.metadata["timing"] = {
+                "queue_s": timing["started_at"] - submitted_at,
+                "first_row_s": first_chunk_at - submitted_at
+                if first_chunk_at is not None else None,
+                "total_s": time.perf_counter() - submitted_at,
+            }
             return result
         finally:
             if token is not None:
@@ -395,27 +395,30 @@ class QueryService:
             self._active += 1
         if token is not None:
             kwargs = dict(kwargs, cancel=token)
-        journal = self.journal
 
-        def on_chunk(done: int, _token: str | None = journal_token) -> None:
+        def on_chunk(done: int) -> None:
             # First completed chunk == first rows landed: the submit→
             # first-row mark.  Called from the query's worker thread only.
             if "first_chunk_at" not in timing:
                 timing["first_chunk_at"] = time.perf_counter()
-            if journal is not None and _token is not None:
-                journal.checkpoint(_token, done)
+            if self.wal is not None:
+                # The chaos plans' mid-stream kill point: between a query's
+                # start and its charge the WAL writes nothing to crash on.
+                self.wal.crash_point("service.crash_at_chunk", done)
 
         kwargs = dict(kwargs, on_chunk=on_chunk)
         try:
+            start_seq = 0
             if self.journal is not None:
                 # May raise ResumeMismatchError (resubmitted query differs
                 # from the journaled one) or a WAL write failure.
-                self.journal.start(journal_token, query_seq, query.name,
-                                   fingerprint)
+                start_seq = self.journal.start(journal_token, query_seq,
+                                               query.name, fingerprint)
                 kwargs = dict(kwargs, query_id=journal_token)
             return self._pool.submit(self._run_query, query_seq, query,
                                      kwargs, journal_token,
-                                     resumed_entry is not None, timing)
+                                     resumed_entry is not None, timing,
+                                     start_seq)
         except BaseException:
             # Nothing was enqueued: roll back the admission accounting, or
             # a failed submit would inflate `active` forever and eventually

@@ -466,7 +466,9 @@ class TestColumnarTableEquivalence:
         columnar = schema.coerce_row_batch(batch, max_rows=max_rows,
                                            chunk_timestamp=30.0, region="r1")
         reference = _reference_coerced_rows(schema, raw_rows, max_rows, 30.0, "r1")
-        assert list(columnar) == reference
+        # By repr: the text strategy can draw "NAN", which a NUMBER column
+        # coerces to nan on both paths, and nan != nan.
+        assert repr(list(columnar)) == repr(reference)
         assert len(columnar) == len(reference)
 
     @settings(max_examples=60, deadline=None)

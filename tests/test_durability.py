@@ -19,12 +19,14 @@ The contract under test, bottom-up:
 
 import json
 import os
+import sys
 import tempfile
+from concurrent.futures import wait
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.budget import BudgetRequest, DurableServiceLedger
+from repro.core.budget import BudgetRequest, DurableServiceLedger, ServiceLedger
 from repro.core.durability import (
     MAX_RECORD_BYTES,
     QueryJournal,
@@ -33,6 +35,7 @@ from repro.core.durability import (
     encode_record,
 )
 from repro.core.faults import FaultKind, FaultPlan, FaultRule
+from repro.core.policy import PrivacyPolicy
 from repro.errors import (
     BudgetExceededError,
     DurabilityError,
@@ -40,7 +43,11 @@ from repro.errors import (
     ResumeMismatchError,
     SimulatedCrashError,
 )
+from repro.query.builder import QueryBuilder
+from repro.service import QueryService
 from repro.utils.timebase import TimeInterval
+
+from tests.conftest import make_crossing_object, make_simple_video
 
 # ---------------------------------------------------------- codec strategies
 
@@ -280,6 +287,45 @@ class TestWriteAheadLog:
         recovered.close()
 
 
+    def test_synced_seq_follows_successful_fsyncs_only(self, tmp_path):
+        plan = FaultPlan(name="wal-sync", seed=1, rules=(
+            FaultRule(site="wal.fsync", kind=FaultKind.IO_ERROR, at=(1,),
+                      max_fires=1),))
+        wal = WriteAheadLog(tmp_path, fault_injector=plan.injector())
+        assert wal.status()["synced_seq"] == 0
+        wal.append({"op": "a"}, sync=False)
+        assert (wal.synced_seq, wal.fsyncs) == (0, 0)
+        wal.append({"op": "b"})  # an fsync covers the whole file
+        assert (wal.synced_seq, wal.fsyncs) == (2, 1)
+        wal.append({"op": "c"}, sync=False)
+        with pytest.raises(OSError):
+            wal.append({"op": "doomed"})
+        assert (wal.synced_seq, wal.fsyncs) == (2, 1)
+        wal.sync_through(2)  # already covered: no fsync
+        assert wal.fsyncs == 1
+        wal.sync_through(3)  # covers everything appended so far
+        assert (wal.synced_seq, wal.fsyncs) == (4, 2)
+        wal.append({"op": "d"}, sync=False)
+        wal.compact({"applied": "abcd"})  # the snapshot is fsynced whole
+        assert wal.status()["synced_seq"] == 5
+        wal.append({"op": "e"}, sync=False)
+        wal.close()
+        with pytest.raises(DurabilityError):
+            wal.sync_through(6)
+        # Opening a non-empty log fsyncs what recovery read: after a kill -9
+        # it may sit in the page cache only.
+        reopened = WriteAheadLog(tmp_path)
+        assert (reopened.synced_seq, reopened.fsyncs) == (6, 1)
+        reopened.close()
+
+    def test_sync_through_honours_fsync_disabled(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, fsync=False)
+        seq = wal.append({"op": "a"}, sync=False)
+        wal.sync_through(seq)
+        assert (wal.synced_seq, wal.fsyncs) == (seq, 0)
+        wal.close()
+
+
 # ------------------------------------------------------------ durable ledger
 
 
@@ -383,6 +429,61 @@ class TestDurableServiceLedger:
             DurableServiceLedger(wal2)
         wal2.close()
 
+    def test_duplicate_charge_record_charges_once(self, tmp_path):
+        # One charge record per query_id: a second copy (a resubmission
+        # replayed, a crash between rename and truncate) is skipped whole.
+        # Records without a query_id are not keyed and charge every time.
+        charge = {"op": "charge", "query_id": "q",
+                  "cameras": {"cam": [[0.0, 10.0, 1.0], [0.0, 10.0, 1.0]]}}
+        wal = WriteAheadLog(tmp_path)
+        wal.append({"op": "register", "camera": "cam", "total_epsilon": 9.0})
+        for record in (charge, charge, dict(charge, query_id=None),
+                       dict(charge, query_id=None)):
+            wal.append(record)
+        wal.close()
+        wal2, ledger = _open_ledger(tmp_path)
+        assert ledger.snapshot()["cam"] == {
+            "total_epsilon": 9.0, "remaining_min": 3.0, "charges": 6}
+        assert ledger._charged_queries == {"q": 2}
+        ledger.compact()
+        state = json.loads((tmp_path / "snapshot.json").read_text())["state"]
+        assert sorted(state["ledger"]) == ["cameras", "charged_queries"]
+        wal2.close()
+
+    def test_directory_written_by_the_parent_commit_recovers(self, tmp_path):
+        # tests/data/wal_written_by_pr19 is a WAL directory PR 19's code
+        # wrote (five queries: two charged, one denied, one uncharged, one
+        # killed mid-stream; a snapshot with charge_keys and chunks_done,
+        # a log with query_progress records) beside what PR 19's own
+        # recovery rebuilt from it.
+        import shutil
+        from pathlib import Path
+        fixture = Path(__file__).parent / "data" / "wal_written_by_pr19"
+        expected = json.loads((fixture / "expected.json").read_text())
+        for name in ("wal.log", "snapshot.json"):
+            shutil.copy(fixture / name, tmp_path / name)
+
+        def recovered_state():
+            wal = WriteAheadLog(tmp_path)
+            journal = QueryJournal(wal)
+            ledger = DurableServiceLedger(wal, journal=journal)
+            entries = {token: journal.entry(token) for token in journal.tokens()}
+            state = {"budgets": ledger.snapshot(),
+                     "charged_queries": dict(ledger._charged_queries),
+                     "query_seqs": {t: e["query_seq"] for t, e in entries.items()},
+                     "finished": {t: e["finished"] for t, e in entries.items()}}
+            return wal, ledger, state
+
+        wal, ledger, state = recovered_state()
+        assert state == expected
+        assert wal.recovery_info["torn_bytes_dropped"] == 0
+        # ... and survives this commit's own snapshot format.
+        ledger.compact()
+        wal.close()
+        wal, _, state = recovered_state()
+        assert state == expected
+        wal.close()
+
     def test_compaction_threshold_folds_the_log(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         ledger = DurableServiceLedger(wal, compact_every=3)
@@ -466,11 +567,13 @@ class TestQueryJournal:
     def test_journal_round_trips_through_the_wal(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         journal = QueryJournal(wal)
-        journal.start("tok-a", 0, "q")
-        journal.checkpoint("tok-a", 3)
-        journal.checkpoint("tok-a", 7)
-        journal.start("tok-b", 1, "r")
+        # start hands back its record's WAL seq: what the release barrier
+        # must see fsynced.  Neither start nor finish syncs.
+        assert journal.start("tok-a", 0, "q") == 1
+        assert journal.start("tok-b", 1, "r") == 2
         journal.finish("tok-b")
+        assert journal.start("tok-a", 0, "q") == 1  # a resume: same record
+        assert (wal.appends, wal.fsyncs, wal.synced_seq) == (3, 0, 0)
         wal.close()
         wal2 = WriteAheadLog(tmp_path)
         replayed = QueryJournal(wal2)
@@ -478,23 +581,76 @@ class TestQueryJournal:
             replayed.apply(record)
         assert replayed.entry("tok-a") == {
             "token": "tok-a", "query_seq": 0, "query": "q",
-            "fingerprint": None, "chunks_done": 7, "charged": False,
+            "fingerprint": None, "charged": False,
             "finished": False, "resumes": 0}
         assert replayed.entry("tok-b")["finished"] is True
         assert replayed.next_query_seq() == 2
         assert replayed.tokens() == ("tok-a", "tok-b")
+        # What recovery read is durable (the open fsynced it): nothing owed.
+        assert replayed.start("tok-a", 0, "q") == 0
         wal2.close()
 
-    def test_progress_never_regresses_and_replay_is_idempotent(self, tmp_path):
+    def test_replay_is_idempotent_and_ignores_progress_records(self, tmp_path):
         journal = QueryJournal()  # journal works without a WAL too
-        journal.start("tok", 0, "q")
-        journal.checkpoint("tok", 5)
-        journal.checkpoint("tok", 2)  # late/duplicate delivery
-        assert journal.entry("tok")["chunks_done"] == 5
-        record = {"op": "query_progress", "token": "tok", "chunks_done": 5}
-        journal.apply(record)
-        journal.apply(record)
-        assert journal.entry("tok")["chunks_done"] == 5
+        assert journal.start("tok", 0, "q") == 0
+        before = journal.entry("tok")
+        # Logs written before PR 20 carry one of these per chunk.
+        journal.apply({"op": "query_progress", "token": "tok", "chunks_done": 5})
+        journal.apply({"op": "query_start", "token": "tok", "query_seq": 9})
+        assert journal.entry("tok") == before
+        finish = {"op": "query_finish", "token": "tok"}
+        journal.apply(finish)
+        journal.apply(finish)
+        assert journal.entry("tok") == dict(before, finished=True)
+
+    def test_failed_start_append_leaves_no_entry(self, tmp_path):
+        # Log first, then mutate: an entry whose record never reached the
+        # file would send the retry down the resume branch, which writes no
+        # start record at all.
+        plan = FaultPlan(name="start-io", seed=1, rules=(
+            FaultRule(site="wal.append", kind=FaultKind.IO_ERROR, at=(0,),
+                      max_fires=1),))
+        wal = WriteAheadLog(tmp_path, fault_injector=plan.injector())
+        journal = QueryJournal(wal)
+        with pytest.raises(OSError):
+            journal.start("tok", 4, "q", "fp")
+        assert journal.entry("tok") is None
+        assert journal.start("tok", 5, "q", "fp") == 1  # nothing was written
+        assert journal.entry("tok")["resumes"] == 0
+        wal.close()
+        wal2 = WriteAheadLog(tmp_path)
+        assert [(r["op"], r["query_seq"]) for r in wal2.pending_records] \
+            == [("query_start", 5)]
+        wal2.close()
+
+    def test_compaction_cannot_lose_a_concurrent_start(self, tmp_path):
+        # A start record appended after the journal was copied into the
+        # snapshot but before the log was truncated would be in neither —
+        # yet below the synced_seq the snapshot sets.  The journal's lock
+        # spans both, so the racing start waits and lands after.
+        import threading
+        wal = WriteAheadLog(tmp_path)
+        journal = QueryJournal(wal)
+        ledger = DurableServiceLedger(wal, journal=journal)
+        ledger.register("cam", 5.0)
+        racer = threading.Thread(target=journal.start, args=("tok", 7, "q"))
+        compact = wal.compact
+
+        def compact_while_a_start_races(state):
+            racer.start()
+            racer.join(timeout=0.2)
+            compact(state)
+
+        wal.compact = compact_while_a_start_races
+        ledger.compact()
+        racer.join(timeout=5.0)
+        assert not racer.is_alive()
+        wal.close()
+        wal2 = WriteAheadLog(tmp_path)
+        recovered = QueryJournal(wal2)
+        DurableServiceLedger(wal2, journal=recovered)
+        assert recovered.entry("tok")["query_seq"] == 7
+        wal2.close()
 
     def test_resume_increments_the_resume_counter_without_logging(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
@@ -527,3 +683,236 @@ class TestQueryJournal:
             replayed.start("tok", 0, "q", "fp-other")
         replayed.start("tok", 0, "q", "fp-original")
         wal2.close()
+
+
+# ------------------------------------------- the fsync rule, on a live service
+
+
+def _video(name):
+    objects = [make_crossing_object(f"w{i}", start=20.0 + 80.0 * i,
+                                    duration=35.0, x=450.0 + 40.0 * i)
+               for i in range(6)]
+    return make_simple_video(duration=600.0, objects=objects, name=name)
+
+
+def _query(name, *, cameras=("cam",), epsilon=1.0, chunk=60.0):
+    builder = QueryBuilder(name)
+    for camera in cameras:
+        builder = (builder
+                   .split(camera, begin=0, end=600.0, chunk_duration=chunk,
+                          into=f"chunks-{camera}")
+                   .process(f"chunks-{camera}",
+                            executable="count_entering_people.py", max_rows=5,
+                            schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)],
+                            into=f"t-{camera}"))
+    for camera in cameras:
+        builder = builder.select_count(table=f"t-{camera}", bucket_seconds=300.0,
+                                       epsilon=epsilon)
+    return builder.build()
+
+
+_VIDEOS = {name: _video(name) for name in ("cam", "lot")}
+
+
+def _service(wal_dir, store_dir, **kwargs):
+    service = QueryService(seed=5, wal_dir=wal_dir, cache=f"tiered:{store_dir}",
+                           **kwargs)
+    for name, video in _VIDEOS.items():
+        service.register_camera(name, video,
+                                policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                                epsilon_budget=100.0)
+    return service
+
+
+def _log_records(wal_dir):
+    return decode_records((wal_dir / "wal.log").read_bytes())[0]
+
+
+class TestReleaseBarrier:
+    def test_every_result_leaves_behind_a_covering_fsync(self, tmp_path):
+        """Whenever a future resolves *with a result*, ``synced_seq`` covers
+        that query's start record and its charge record (a denied or failed
+        query released nothing and owes no fsync)."""
+        wal_dir = tmp_path / "wal"
+        resolved = []  # (token, synced_seq as the future resolved, exception)
+
+        def submit(service, token, query, **kwargs):
+            future = service.submit(query, resume_token=token, **kwargs)
+            # Done-callbacks run on the worker thread as the future resolves.
+            future.add_done_callback(lambda future: resolved.append(
+                (token, service.wal.status()["synced_seq"], future.exception())))
+            return future
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _service(wal_dir, tmp_path / "store",
+                          max_concurrent_queries=2) as service:
+                # Alone on the service: no other query's charge can cover
+                # this uncharged release's start for it.
+                submit(service, "alone", _query("alone"),
+                       charge_budget=False).result(timeout=30)
+                mix = []
+                for n in range(6):
+                    mix.append(submit(service, f"admit-{n}", _query(f"a{n}")))
+                    mix.append(submit(service, f"deny-{n}",
+                                      _query(f"d{n}", epsilon=500.0)))
+                    mix.append(submit(service, f"free-{n}", _query(f"f{n}"),
+                                      charge_budget=False))
+                wait(mix, timeout=60)
+                resumes = [submit(service, f"admit-{n}", _query(f"a{n}"))
+                           for n in range(6)]
+                resumes += [submit(service, f"free-{n}", _query(f"f{n}"),
+                                   charge_budget=False) for n in range(6)]
+                wait(resumes, timeout=60)
+                assert all(future.done() for future in mix + resumes)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        records = _log_records(wal_dir)
+        start_seq = {r["token"]: r["seq"] for r in records
+                     if r["op"] == "query_start"}
+        charge_seq = {r["query_id"]: r["seq"] for r in records
+                      if r["op"] == "charge"}
+        assert len(start_seq) == 19 and len(charge_seq) == 6
+        released = 0
+        for token, synced, error in resolved:
+            if error is None:
+                released += 1
+                assert synced >= start_seq[token], token
+                assert synced >= charge_seq.get(token, 0), token
+            else:
+                assert isinstance(error, BudgetExceededError), error
+        assert (released, len(resolved)) == (1 + 12 + 12, 1 + 18 + 12)
+
+    def test_long_query_does_not_trip_compaction(self, tmp_path):
+        # compact_every counts WAL records; a query writes three whatever
+        # its length (a progress record per chunk used to trip the
+        # threshold at the charge, each compaction copying the journal).
+        with _service(tmp_path / "wal", tmp_path / "store",
+                      compact_every=64) as service:
+            before = service.wal.status()
+            result = service.execute(_query("long", chunk=3.0))
+            assert result.metadata["num_chunks"] == {"t-cam": 200}
+            after = service.wal.status()
+            assert after["compactions"] == 0
+            assert after["appends"] - before["appends"] == 3
+
+
+class TestEveryCrashPrefix:
+    """The crash-window argument of core/durability.py, enumerated: cut the
+    log of a finished four-query run at every record boundary and inside
+    every record, recover each prefix, and resubmit every token."""
+
+    SCRIPT = (
+        ("admitted", lambda: _query("one"), {}),
+        ("denied", lambda: _query("two", epsilon=500.0), {}),
+        ("uncharged", lambda: _query("three"), {"charge_budget": False}),
+        ("two-cameras", lambda: _query("four", cameras=("cam", "lot"),
+                                       epsilon=0.5), {}),
+    )
+
+    @staticmethod
+    def _bytes(result):
+        return (repr(result.series()), repr(result.raw_series_unsafe()))
+
+    def _expected_budgets(self, charge_records):
+        """Budgets after exactly these charge records, by the plain ledger."""
+        ledger = ServiceLedger()
+        for name in _VIDEOS:
+            ledger.register(name, 100.0)
+        for record in charge_records:
+            for camera, charges in record["cameras"].items():
+                for start, end, epsilon in charges:
+                    ledger.ledger(camera).charge(TimeInterval(start, end), epsilon)
+        return ledger.snapshot()
+
+    def test_every_prefix_recovers_and_resumes(self, tmp_path):
+        store = tmp_path / "store"
+        reference = {}
+        with _service(tmp_path / "ref-wal", store) as service:
+            for token, build, kwargs in self.SCRIPT:
+                try:
+                    result = service.execute(build(), resume_token=token, **kwargs)
+                    reference[token] = (self._bytes(result),
+                                        result.metadata["query_seq"])
+                except BudgetExceededError:
+                    reference[token] = None
+            final_budgets = service.stats()["budgets"]
+        assert [token for token, value in reference.items() if value is None] \
+            == ["denied"]
+        image = (tmp_path / "ref-wal" / "wal.log").read_bytes()
+        records, clean = decode_records(image)
+        assert clean == len(image)
+        assert [r["op"] for r in records] == [
+            "register", "register",
+            "query_start", "charge", "query_finish",    # admitted
+            "query_start",                              # denied
+            "query_start", "query_finish",              # uncharged
+            "query_start", "charge", "query_finish"]    # two-cameras
+        ends = []
+        for record in records:
+            ends.append((ends[-1] if ends else 0) + len(encode_record(record)))
+        cuts = [0]
+        for begin, end in zip([0] + ends, ends):
+            cuts += [(begin + end) // 2, end]
+        assert len(cuts) == 2 * len(records) + 1
+
+        for cut in cuts:
+            inside = [r for r, end in zip(records, ends) if end <= cut]
+            started = {r["token"] for r in inside if r["op"] == "query_start"}
+            charges = [r for r in inside if r["op"] == "charge"]
+            charged = {r["query_id"] for r in charges}
+
+            # -- a different query under each token: refused iff the start
+            # record survived (on a throwaway copy: a token whose start was
+            # lost is a fresh submission, and runs).
+            wrong_dir = tmp_path / f"wrong-{cut}"
+            wrong_dir.mkdir()
+            (wrong_dir / "wal.log").write_bytes(image[:cut])
+            with _service(wrong_dir, store) as service:
+                for token, _, kwargs in self.SCRIPT:
+                    wrong = _query("wrong", epsilon=0.125)
+                    if token in started:
+                        with pytest.raises(ResumeMismatchError):
+                            service.submit(wrong, resume_token=token, **kwargs)
+                    else:
+                        result = service.execute(wrong, resume_token=token,
+                                                 **kwargs)
+                        assert result.metadata["resumed"] is False
+
+            # -- its own query under each token.
+            wal_dir = tmp_path / f"cut-{cut}"
+            wal_dir.mkdir()
+            (wal_dir / "wal.log").write_bytes(image[:cut])
+            with _service(wal_dir, store) as service:
+                assert service.stats()["budgets"] == \
+                    self._expected_budgets(charges), cut
+                assert {token for token, _, _ in self.SCRIPT
+                        if service.ledger.query_charged(token)} == charged
+                for token, build, kwargs in self.SCRIPT:
+                    before = service.stats()["budgets"]
+                    try:
+                        result = service.execute(build(), resume_token=token,
+                                                 **kwargs)
+                    except BudgetExceededError:
+                        assert reference[token] is None
+                        assert service.stats()["budgets"] == before
+                        continue
+                    released, query_seq = reference[token]
+                    assert result.metadata["resumed"] is (token in started)
+                    if token in started:
+                        # The journaled seq, so the same noise stream: the
+                        # uninterrupted run's bytes.
+                        assert result.metadata["query_seq"] == query_seq
+                        assert self._bytes(result) == released, (cut, token)
+                    else:
+                        assert self._bytes(result)[1] == released[1]
+                    if token in charged or not kwargs.get("charge_budget", True):
+                        assert service.stats()["budgets"] == before, (cut, token)
+                    else:
+                        assert service.ledger.query_charged(token)
+                        assert service.stats()["budgets"] != before
+                assert service.stats()["budgets"] == final_budgets, cut
+            seqs = [record["seq"] for record in _log_records(wal_dir)]
+            assert seqs == sorted(set(seqs)), cut
+            assert not list(wal_dir.glob("*.tmp"))

@@ -541,19 +541,23 @@ class TestDurableService:
                            tmp_path / "ref-store") as reference_service:
             reference = reference_service.execute(query)
             reference_budgets = reference_service.stats()["budgets"]
+        # Between start and charge the WAL is silent, so the mid-stream kill
+        # is keyed by chunks done, not by a WAL seq.
         plan = FaultPlan(name="kill", seed=1, rules=(
-            FaultRule(site="service.crash_at_seq", kind=FaultKind.CRASH,
-                      after_seq=6),))
+            FaultRule(site="service.crash_at_chunk", kind=FaultKind.CRASH,
+                      after_seq=4),))
         crashed = self._durable(video, tmp_path / "wal", tmp_path / "store",
                                 fault_injector=plan.injector())
         with pytest.raises(SimulatedCrashError):
             crashed.submit(query).result()
+        assert crashed.stats()["cache"]["misses"] == 4  # died after chunk 4
         # Abandon the crashed instance (kill -9 stand-in: no close()) and
         # recover a fresh service over the same WAL directory.
         with self._durable(video, tmp_path / "wal", tmp_path / "store") as recovered:
             entry = recovered.journal.entry("query-0")
             assert entry is not None and not entry["finished"]
-            assert entry["chunks_done"] > 0  # checkpoints survived the crash
+            assert not entry["charged"]  # the kill landed before the charge
+            assert recovered.stats()["budgets"]["cam"]["charges"] == 0
             result = recovered.execute(query, resume_token="query-0")
             assert result.metadata["resumed"] is True
             assert result.metadata["query_seq"] == 0  # noise stream reused
@@ -614,6 +618,11 @@ class TestDurableService:
         # A WAL failure between admission accounting and enqueue must not
         # strand `active`: before the rollback existed, every such failure
         # inflated the counter until load-shedding rejected everything.
+        # Nor may it leave a journal entry behind: the entry used to be
+        # inserted before its record was appended, so the retry under the
+        # same token took the resume branch, wrote no start record, and after
+        # a restart the charged token came back with query_seq -1 — the next
+        # fresh query reused its noise stream.
         from repro.core.faults import FaultKind, FaultPlan, FaultRule
 
         video = _walker_video()
@@ -623,12 +632,123 @@ class TestDurableService:
         with self._durable(video, tmp_path / "wal", tmp_path / "store",
                            fault_injector=plan.injector()) as service:
             with pytest.raises(OSError):
-                service.submit(_count_query())
+                service.submit(_count_query(), resume_token="tok")
             health = service.health()
             assert health["queries"]["active"] == 0
             assert service.stats()["queries"]["submitted"] == 0
-            # The service still serves queries after the rollback.
+            assert service.journal.entry("tok") is None
+            # The service still serves queries after the rollback, and the
+            # retry is a fresh submission: start, charge, finish.
+            appends = service.wal.status()["appends"]
+            result = service.execute(_count_query(), resume_token="tok")
+            assert result.metadata["resumed"] is False
+            assert service.wal.status()["appends"] == appends + 3
+            query_seq = result.metadata["query_seq"]
+        with self._durable(video, tmp_path / "wal", tmp_path / "store") as reopened:
+            assert reopened.journal.entry("tok")["query_seq"] == query_seq
+            assert reopened.journal.next_query_seq() == query_seq + 1
+            fresh = reopened.execute(_count_query("fresh"))
+            assert fresh.metadata["query_seq"] == query_seq + 1
+
+    @staticmethod
+    def _wal_cost(service, run) -> tuple[int, int]:
+        """(appends, fsyncs) the WAL counted while ``run()`` executed."""
+        before = service.wal.status()
+        run()
+        after = service.wal.status()
+        return (after["appends"] - before["appends"],
+                after["fsyncs"] - before["fsyncs"])
+
+    def test_fsync_budget_per_query_outcome(self, tmp_path):
+        # The rule of core/durability.py, "Fsync discipline", as counts: the
+        # charge is the query path's only synced append, and a release that
+        # wrote no charge pays one fsync at the barrier.
+        video = _walker_video()
+        cancelled = CancellationToken()
+        cancelled.cancel()
+
+        def denied():
+            with pytest.raises(BudgetExceededError):
+                service.execute(_count_query(epsilon=500.0))
+
+        def cancelled_before_the_charge():
+            with pytest.raises(QueryCancelledError):
+                service.execute(_count_query(), resume_token="late",
+                                cancel=cancelled)
+
+        with self._durable(video, tmp_path / "wal", tmp_path / "store") as service:
+            cost = lambda run: self._wal_cost(service, run)
+            # admitted: start, charge (synced), finish
+            assert cost(lambda: service.execute(_count_query())) == (3, 1)
+            # denied: start only — nothing released, nothing owed
+            assert cost(denied) == (1, 0)
+            # uncharged release: start, finish, one fsync at the barrier
+            assert cost(lambda: service.execute(
+                _count_query(), charge_budget=False)) == (2, 1)
+            # resume of a charged token: finish only
+            assert cost(lambda: service.execute(
+                _count_query(), resume_token="query-0")) == (1, 0)
+            assert cost(cancelled_before_the_charge) == (1, 0)
+            # resume of a started-but-uncharged token: charge, finish
+            assert cost(lambda: service.execute(
+                _count_query(), resume_token="late")) == (2, 1)
+        with self._durable(video, tmp_path / "wal", tmp_path / "store") as reopened:
+            # The same two resumes after a restart (the open fsynced what it
+            # read, so a recovered start owes nothing).
+            cost = lambda run: self._wal_cost(reopened, run)
+            assert cost(lambda: reopened.execute(
+                _count_query(), resume_token="late")) == (1, 0)
+            assert cost(lambda: reopened.execute(
+                _count_query(), resume_token="query-2",
+                charge_budget=False)) == (1, 0)
+
+    def test_slow_disk_is_paid_once_per_admitted_query(self, tmp_path):
+        from repro.core.faults import FaultKind, FaultPlan, FaultRule
+
+        video = _walker_video()
+        plan = FaultPlan(name="slow-disk", seed=1, rules=(
+            FaultRule(site="wal.fsync", kind=FaultKind.DELAY, probability=1.0,
+                      delay=0.001),))
+        injector = plan.injector()
+        with self._durable(video, tmp_path / "wal", tmp_path / "store",
+                           fault_injector=injector) as service:
+            assert len(injector.log()) == 1  # the camera registration
             service.execute(_count_query())
+            assert len(injector.log()) == 2
+            with pytest.raises(BudgetExceededError):
+                service.execute(_count_query(epsilon=500.0))
+            assert len(injector.log()) == 2
+            assert all("wal.fsync" in line for line in injector.log())
+
+    def test_failed_charge_fsync_charges_and_releases_nothing(self, tmp_path):
+        from repro.core.durability import decode_records
+        from repro.core.faults import FaultKind, FaultPlan, FaultRule
+
+        video = _walker_video()
+        plan = FaultPlan(name="charge-sync", seed=1, rules=(
+            # fsync #0 is the camera registration, #1 the first charge.
+            FaultRule(site="wal.fsync", kind=FaultKind.IO_ERROR, at=(1,),
+                      max_fires=1),))
+        with self._durable(video, tmp_path / "wal", tmp_path / "store",
+                           fault_injector=plan.injector()) as service:
+            synced = service.wal.status()["synced_seq"]
+            with pytest.raises(OSError):
+                service.execute(_count_query())
+            status = service.wal.status()
+            assert status["synced_seq"] == synced
+            assert service.stats()["budgets"]["cam"]["charges"] == 0
+            assert not service.ledger.query_charged("query-0")
+            assert service.stats()["queries"]["failed"] == 1
+            records, _ = decode_records(
+                (tmp_path / "wal" / "wal.log").read_bytes())
+            assert [r["op"] for r in records] == ["register", "query_start"]
+            # The failed charge's seq is burned; the next query admits under
+            # the one after it.
+            service.execute(_count_query("next"))
+            assert service.ledger.last_charge_seq == status["last_seq"] + 2
+            assert service.wal.status()["synced_seq"] \
+                == service.ledger.last_charge_seq
+            assert service.stats()["budgets"]["cam"]["charges"] == 1
 
     def test_resume_token_requires_a_durable_service(self):
         video = _walker_video()

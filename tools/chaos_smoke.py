@@ -16,8 +16,9 @@ The robustness contract under test, for every :class:`FaultPlan` below:
    :class:`~repro.errors.QueryTimeoutError` with nothing charged, and the
    clean rerun admits normally;
 5. **crash consistency** — a durable service (``wal_dir=``) killed with a
-   *real* ``SIGKILL`` mid-query (the ``service.crash_at_seq`` fault site
-   with the WAL's crash hook swapped for ``os.kill``), then restarted over
+   *real* ``SIGKILL`` mid-query (the ``service.crash_at_chunk`` and
+   ``service.crash_at_seq`` fault sites with the WAL's crash hook swapped
+   for ``os.kill``), then restarted over
    the same WAL directory, recovers per-camera budgets exactly equal to a
    never-crashed run's, never double-charges, and resumes the interrupted
    query byte-identically with its pre-crash chunks served warm from the
@@ -203,9 +204,11 @@ def crash_driver(args: argparse.Namespace) -> int:
     Opens a :class:`~repro.service.QueryService` over ``--wal-dir`` (opening
     *is* recovery when the directory already holds a log), registers the
     scenario camera, and executes the fixed query under ``--token``.  With
-    ``--crash-at-seq N`` a ``service.crash_at_seq`` CRASH rule is armed and
+    ``--crash-at-chunk N`` (``service.crash_at_chunk``: after the query's
+    Nth chunk, where the WAL is silent) or ``--crash-at-seq N``
+    (``service.crash_at_seq``: on WAL append N) a CRASH rule is armed and
     the WAL's crash hook swapped for a genuine ``os.kill(getpid(), SIGKILL)``
-    — the process dies dirty at the exact WAL append the plan names, leaving
+    — the process dies dirty at the exact point the plan names, leaving
     whatever the fsync discipline made durable.  On survival, writes a JSON
     report (results, budgets, charge seq, recovery info, warm-store hits) to
     ``--out`` and exits 0; the parent distinguishes crash from completion by
@@ -214,10 +217,12 @@ def crash_driver(args: argparse.Namespace) -> int:
     scenario = build_scenario("campus", scale=0.2, duration_hours=0.2, seed=7)
     policy_map = scenario_policy_map(scenario, k_segments=1)
     injector = None
-    if args.crash_at_seq is not None:
-        injector = FaultPlan(name="crash-restart", seed=5, rules=(
-            FaultRule(site="service.crash_at_seq", kind=FaultKind.CRASH,
-                      after_seq=args.crash_at_seq),)).injector()
+    for site, after in (("service.crash_at_chunk", args.crash_at_chunk),
+                        ("service.crash_at_seq", args.crash_at_seq)):
+        if after is not None:
+            injector = FaultPlan(name="crash-restart", seed=5, rules=(
+                FaultRule(site=site, kind=FaultKind.CRASH,
+                          after_seq=after),)).injector()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         service = QueryService(seed=3, cache=f"tiered:{args.store_dir}",
@@ -243,14 +248,15 @@ def crash_driver(args: argparse.Namespace) -> int:
 
 
 def _drive_crash_run(wal_dir: str, store_dir: str,
-                     crash_at: int | None = None):
-    """Run one ``--crash-driver`` child; returns (returncode, report|None)."""
+                     crash_at: tuple[str, int] | None = None):
+    """Run one ``--crash-driver`` child, optionally armed to die at
+    ``("chunk" | "seq", N)``; returns (returncode, report|None)."""
     out = Path(tempfile.mkdtemp(prefix="privid-crash-out-")) / "report.json"
     cmd = [sys.executable, str(Path(__file__).resolve()), "--crash-driver",
            "--wal-dir", wal_dir, "--store-dir", store_dir,
            "--token", CRASH_TOKEN, "--out", str(out)]
     if crash_at is not None:
-        cmd += ["--crash-at-seq", str(crash_at)]
+        cmd += [f"--crash-at-{crash_at[0]}", str(crash_at[1])]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     report = json.loads(out.read_text()) if out.exists() else None
     if proc.returncode not in (0, -signal.SIGKILL):
@@ -265,9 +271,10 @@ def run_crash_restart() -> None:
     Two crash windows per iteration, each against a never-crashed reference
     run over its own fresh WAL + store directories:
 
-    * **mid-stream** — the kill lands among the per-chunk journal
-      checkpoints, before the charge record exists: recovery must show the
-      query uncharged and the resume must admit (and charge) normally.
+    * **mid-stream** — the kill lands after the query's fifth chunk, where
+      the WAL holds its (unsynced) start record and nothing else: recovery
+      must show the query uncharged and the resume must admit (and charge)
+      normally.
     * **at-charge** — the kill lands on the very append that made the
       charge durable, before the in-memory ledger ever applied it: replay
       must reconstruct the charge from the WAL alone and the resume must
@@ -292,16 +299,16 @@ def run_crash_restart() -> None:
         check(ref["charge_seq"] > 0,
               f"{label} reference charged at WAL seq {ref['charge_seq']}")
         observed.append((ref["raw"], ref["noisy"], ref["budgets"]))
-        windows = (("mid-stream", max(3, ref["charge_seq"] - 5)),
-                   ("at-charge", ref["charge_seq"]))
+        windows = (("mid-stream", ("chunk", 5)),
+                   ("at-charge", ("seq", ref["charge_seq"])))
         for window, crash_at in windows:
             wal_dir = tempfile.mkdtemp(prefix=f"privid-crwal-{window}-")
             store_dir = tempfile.mkdtemp(prefix=f"privid-crstore-{window}-")
             code, report = _drive_crash_run(wal_dir, store_dir,
                                             crash_at=crash_at)
             check(code == -signal.SIGKILL,
-                  f"{label} {window}: service died by SIGKILL at WAL seq "
-                  f"{crash_at} (rc={code})")
+                  f"{label} {window}: service died by SIGKILL at "
+                  f"{crash_at[0]} {crash_at[1]} (rc={code})")
             check(report is None,
                   f"{label} {window}: killed run released no result")
             code, resumed = _drive_crash_run(wal_dir, store_dir)
@@ -324,10 +331,15 @@ def run_crash_restart() -> None:
             check(resumed["recovery"]["records_replayed"] > 0,
                   f"{label} {window}: recovery replayed "
                   f"{resumed['recovery']['records_replayed']} WAL records")
+            charged_at_recovery = resumed["recovery"]["charged_queries"]
             if window == "at-charge":
-                check(resumed["recovery"]["charged_queries"] == 1,
+                check(charged_at_recovery == 1,
                       f"{label} at-charge: the durable charge was "
                       f"reconstructed from the WAL alone")
+            else:
+                check(charged_at_recovery == 0,
+                      f"{label} mid-stream: the query was uncharged at "
+                      f"recovery; the resume admitted and charged it once")
             check(resumed["warm_hits"] > 0,
                   f"{label} {window}: resume served {resumed['warm_hits']} "
                   f"pre-crash chunks warm from the shared store")
@@ -428,6 +440,7 @@ if __name__ == "__main__":
     parser.add_argument("--wal-dir")
     parser.add_argument("--store-dir")
     parser.add_argument("--token", default=CRASH_TOKEN)
+    parser.add_argument("--crash-at-chunk", type=int, default=None)
     parser.add_argument("--crash-at-seq", type=int, default=None)
     parser.add_argument("--out")
     parsed = parser.parse_args()
