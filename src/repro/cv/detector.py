@@ -310,7 +310,8 @@ class SyntheticDetector:
 
     def detect_batch(self, batch: "FrameBatch", *, frame_width: float = 1280.0,
                      frame_height: float = 720.0,
-                     categories: Iterable[str] | None = None) -> DetectionBatch:
+                     categories: Iterable[str] | None = None,
+                     attributes: Iterable[str] | None = None) -> DetectionBatch:
         """Detect a whole frame batch at once as a columnar :class:`DetectionBatch`.
 
         All miss/jitter/confidence/attribute draws for every object are
@@ -323,10 +324,13 @@ class SyntheticDetector:
         :meth:`DetectionBatch.per_frame_detections` adapter restores the
         legacy per-frame lists exactly).  ``categories`` optionally restricts
         the output (and skips the work) to the given object classes,
-        mirroring the post-hoc filter the executables used to apply.
+        mirroring the post-hoc filter the executables used to apply;
+        ``attributes`` likewise names the only keys to read (``()``: none) —
+        streams are keyed per (object, attribute), so no other draw moves.
         """
         config = self.config
         wanted = frozenset(categories) if categories is not None else None
+        read = frozenset(attributes) if attributes is not None else None
         num_frames = len(batch)
         category_registry: dict[str, int] = {}
         blocks: list[_Block] = []
@@ -348,7 +352,8 @@ class SyntheticDetector:
                 if wanted is not None and category not in wanted:
                     continue
                 object_token = string_token(scene_object.object_id)
-                attribute_keys = scene_object.attribute_keys()
+                attribute_keys = [key for key in scene_object.attribute_keys()
+                                  if read is None or key in read]
                 entries.append((scene_object, category, len(stream_keys), attribute_keys))
                 selected.append(row)
                 stream_keys.append(stream_key(self.seed, _TAG_MISS, object_token))
@@ -407,7 +412,7 @@ class SyntheticDetector:
                             entry_slice = slice(int(starts[index]), int(starts[index + 1]))
                             entry_positions = positions[entry_slice]
                             series = scene_object.attribute_series(
-                                batch.timestamps[entry_positions])
+                                batch.timestamps[entry_positions], attribute_keys)
                             local = np.arange(entry_slice.start, entry_slice.stop,
                                               dtype=np.int64)
                             for offset, (key, constant, values) in enumerate(series):
@@ -423,14 +428,14 @@ class SyntheticDetector:
                         attributes=attributes,
                     ))
             blocks.extend(self._false_positive_blocks(batch, frame_width, frame_height,
-                                                      wanted=wanted,
+                                                      wanted=wanted, read=read,
                                                       category_registry=category_registry))
         return _assemble_batch(batch, num_frames, blocks,
                                tuple(category_registry))
 
     def _false_positive_blocks(self, batch: "FrameBatch", frame_width: float,
                                frame_height: float, *,
-                               wanted: frozenset[str] | None,
+                               wanted: frozenset[str] | None, read: frozenset[str] | None,
                                category_registry: dict[str, int]) -> list["_Block"]:
         """Vectorized false-positive column blocks, one per placement slot."""
         rate = self.config.false_positives_per_frame
@@ -466,7 +471,8 @@ class SyntheticDetector:
                 boxes=boxes,
                 confidences=np.full(selected.size, self.config.min_confidence),
                 category_ids=np.full(selected.size, person, dtype=np.int64),
-                attributes=[("false_positive", True, None, all_rows, all_rows)],
+                attributes=[("false_positive", True, None, all_rows, all_rows)]
+                if read is None or "false_positive" in read else [],
             ))
         return blocks
 

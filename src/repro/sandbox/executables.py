@@ -15,8 +15,9 @@ import copy
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any
+from typing import Any, Iterable
 
+from repro.cv.detector import DetectionBatch
 from repro.cv.tracker import IoUTracker, Track, TrackView
 from repro.relational.table import RowBatch
 from repro.sandbox.environment import ExecutionContext
@@ -102,24 +103,26 @@ class ProcessExecutable(ABC):
         return (type(self).__name__, repr(self))
 
 
-def _track_chunk(chunk: Chunk, context: ExecutionContext, *, categories: set[str] | None = None
-                 ) -> list[TrackView]:
-    """Detect and track objects within a single chunk (the common preamble).
+def _detect_chunk(chunk: Chunk, context: ExecutionContext, *,
+                  categories: Iterable[str] | None = None,
+                  attributes: Iterable[str] | None = None,
+                  max_frames: int | None = None) -> DetectionBatch:
+    """Render and detect a single chunk (the common preamble), reading only
+    what the executable declares (``None``: everything): no object class
+    outside ``categories`` is rendered, masked or region-tested, no attribute
+    outside ``attributes`` is drawn — an undeclared one reads as absent."""
+    return context.detector().detect_batch(
+        chunk.frame_batch(max_frames=max_frames, categories=categories),
+        frame_width=chunk.video.width, frame_height=chunk.video.height,
+        categories=categories, attributes=attributes)
 
-    The chunk renders once as a columnar
-    :class:`~repro.video.video.FrameBatch`, the detector computes every draw
-    for the chunk in vectorized array ops, and the tracker advances the
-    whole chunk through its batch core — tracks come back as cheap
-    :class:`~repro.cv.tracker.TrackView` columns, with Python objects
-    materialised only for the two boxes an executable actually reads.
-    """
-    detector = context.detector()
+
+def _track_chunk(chunk: Chunk, context: ExecutionContext, **declared: Any) -> list[TrackView]:
+    """:func:`_detect_chunk`, then track within the chunk: tracks come back as
+    cheap :class:`~repro.cv.tracker.TrackView` columns, with Python objects
+    materialised only for the two boxes an executable actually reads."""
     tracker = IoUTracker(context.tracker_config)
-    batch = chunk.frame_batch()
-    detections = detector.detect_batch(batch, frame_width=chunk.video.width,
-                                       frame_height=chunk.video.height,
-                                       categories=categories)
-    tracker.step_batch(detections)
+    tracker.step_batch(_detect_chunk(chunk, context, **declared))
     return tracker.finalize_views()
 
 
@@ -140,7 +143,7 @@ class EnteringObjectCounter(ProcessExecutable):
     name: str = "entering_object_counter"
 
     def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
-        tracks = _track_chunk(chunk, context, categories={self.category})
+        tracks = _track_chunk(chunk, context, categories={self.category}, attributes=())
         margin = self.entry_margin_frames / context.fps
         threshold = chunk.interval.start + margin
         always = self.include_first_chunk and chunk.index == 0
@@ -176,7 +179,8 @@ class UniqueVehicleReporter(ProcessExecutable):
     name: str = "unique_vehicle_reporter"
 
     def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
-        tracks = _track_chunk(chunk, context, categories={self.category, "taxi"})
+        tracks = _track_chunk(chunk, context, categories={self.category, "taxi"},
+                              attributes=("speed_kmh", "plate", "color"))
         meters_per_pixel = float(context.metadata.get("meters_per_pixel", 0.1))
         plates: list[Any] = []
         colors: list[Any] = []
@@ -206,12 +210,9 @@ class TreeLeafClassifier(ProcessExecutable):
     name: str = "tree_leaf_classifier"
 
     def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
-        detector = context.detector()
         # single-frame semantics even if the chunk holds more frames
-        detections = detector.detect_batch(chunk.frame_batch(max_frames=1),
-                                           frame_width=chunk.video.width,
-                                           frame_height=chunk.video.height,
-                                           categories={"tree"})
+        detections = _detect_chunk(chunk, context, categories={"tree"},
+                                   attributes=("has_leaves",), max_frames=1)
         column = detections.attributes.get("has_leaves")
         values: list[float] = []
         if column is not None:
@@ -238,11 +239,8 @@ class RedLightObserver(ProcessExecutable):
     name: str = "red_light_observer"
 
     def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
-        detector = context.detector()
-        detections = detector.detect_batch(chunk.frame_batch(),
-                                           frame_width=chunk.video.width,
-                                           frame_height=chunk.video.height,
-                                           categories={"traffic_light"})
+        detections = _detect_chunk(chunk, context, categories={"traffic_light"},
+                                   attributes=("light_state",))
         # Only each frame's *first* detection is consulted, mirroring the
         # per-frame loop's early break.
         transitions: list[tuple[float, str]] = []
@@ -298,7 +296,7 @@ class DirectionalCrossingCounter(ProcessExecutable):
         return dx <= -self.min_displacement
 
     def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
-        tracks = _track_chunk(chunk, context, categories={self.category})
+        tracks = _track_chunk(chunk, context, categories={self.category}, attributes=())
         margin = self.entry_margin_frames / context.fps
         threshold = chunk.interval.start + margin
         entered_ats: list[float] = []

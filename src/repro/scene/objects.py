@@ -10,7 +10,7 @@ attributes (class, colour, licence plate, entry/exit side, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,19 +94,20 @@ class SceneObject:
         keys.extend(key for key in self.dynamic_attributes if key not in self.attributes)
         return keys
 
-    def attribute_series(self, timestamps: np.ndarray
+    def attribute_series(self, timestamps: np.ndarray, keys: Sequence[str] | None = None
                          ) -> list[tuple[str, Any, list[Any] | None]]:
         """Attribute values evaluated for a whole batch of timestamps.
 
-        Returns ``(key, constant_value, per_frame_values)`` triples in
-        :meth:`attribute_keys` order; ``per_frame_values`` is ``None`` for
+        Returns ``(key, constant_value, per_frame_values)`` triples in the
+        order of ``keys`` (default :meth:`attribute_keys`, of which it must
+        be a selection); ``per_frame_values`` is ``None`` for
         static attributes (the constant applies to every frame).  Schedules
         evaluate the batch in one vectorized call; bare callables fall back
         to one call per timestamp.
         """
         dynamic = self.dynamic_attributes
         series: list[tuple[str, Any, list[Any] | None]] = []
-        for key in self.attribute_keys():
+        for key in self.attribute_keys() if keys is None else keys:
             if key in dynamic:
                 schedule = dynamic[key]
                 if isinstance(schedule, AttributeSchedule):

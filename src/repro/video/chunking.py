@@ -10,7 +10,7 @@ restricted to a spatial region (Section 7.2) and have a mask applied
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.utils.timebase import TimeInterval
 from repro.video.masking import EMPTY_MASK, Mask
@@ -82,9 +82,10 @@ class Chunk:
     def _apply_filters(self, batch: FrameBatch) -> FrameBatch:
         """Apply the mask and region restriction to a whole batch: one coverage
         call and one containment call over the flattened box stack, whatever
-        the number of objects; objects left with no visible frame are dropped.
+        the number of objects (none without any); objects left with no
+        visible frame are dropped.
         """
-        if self.mask.is_empty and self.region is None:
+        if not batch.scene_objects or (self.mask.is_empty and self.region is None):
             return batch
         visible = batch.visible
         boxes = batch.boxes.reshape(-1, 4)
@@ -102,21 +103,23 @@ class Chunk:
             batch.boxes = batch.boxes[kept]
         return batch
 
-    def frame_batch(self, *, max_frames: int | None = None) -> FrameBatch:
+    def frame_batch(self, *, max_frames: int | None = None,
+                    categories: Iterable[str] | None = None) -> FrameBatch:
         """Columnar masked/region-filtered ground truth for the whole chunk.
 
         This is the hot path every executable-facing view derives from: the
         chunk renders as one :class:`~repro.video.video.FrameBatch` and the
         mask/region restriction is applied as vectorized box math.
         ``max_frames`` truncates the batch to the chunk's first frames, for
-        executables with single-frame semantics.
+        executables with single-frame semantics; ``categories`` names the only
+        object classes to render, mask and region-test (default: all).
         """
         frame_indices = self.video._frame_indices(
             self.interval.clamp(self.video.interval), self.sample_period)
         if max_frames is not None:
             frame_indices = frame_indices[:max_frames]
-        return self._apply_filters(
-            self.video.batch_for_indices(frame_indices, self.interval))
+        return self._apply_filters(self.video.batch_for_indices(
+            frame_indices, self.interval, categories=categories))
 
     def frames(self) -> Iterator[FrameTruth]:
         """Yield masked/region-filtered ground truth for each frame of the chunk.

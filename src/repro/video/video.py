@@ -129,7 +129,8 @@ class _AppearanceTable:
     Rows are object-major (``video.objects`` order, then appearance order):
     ascending rows keep an object's appearances together, earlier first.
     ``owner`` is the object's position in ``video.objects``, ``slot`` the
-    appearance's position within it.  ``base``/``delta``/``duration`` hold a
+    appearance's position within it, ``category`` the owner's id in
+    ``category_ids``.  ``base``/``delta``/``duration`` hold a
     linear trajectory's start box, ``end - start`` and duration; a
     stationary row keeps its box in ``base``; any other kind leaves them
     neutral and is evaluated by its own ``boxes_at``.  Time bucket
@@ -139,8 +140,8 @@ class _AppearanceTable:
     caches several decoded videos, each with its own table.
     """
 
-    __slots__ = ("start", "end", "owner", "slot", "kind", "base", "delta", "duration",
-                 "bucket_size", "first_bucket", "bucket_offsets", "bucket_rows")
+    __slots__ = ("start", "end", "owner", "slot", "kind", "base", "delta", "duration", "category",
+                 "category_ids", "bucket_size", "first_bucket", "bucket_offsets", "bucket_rows")
 
     def __init__(self, objects: Sequence[SceneObject], bucket_size: float) -> None:
         from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
@@ -149,9 +150,11 @@ class _AppearanceTable:
             return box.x, box.y, box.width, box.height
 
         count = sum(len(scene_object.appearances) for scene_object in objects)
-        columns = np.empty((count, 14), dtype=np.float64)
+        columns = np.empty((count, 15), dtype=np.float64)
+        self.category_ids: dict[str, int] = {}
         row = 0
         for position, scene_object in enumerate(objects):
+            category = self.category_ids.setdefault(scene_object.category, len(self.category_ids))
             for slot, appearance in enumerate(scene_object.appearances):
                 trajectory = appearance.trajectory
                 # Exact types: a subclass may override boxes_at.
@@ -163,7 +166,7 @@ class _AppearanceTable:
                 else:
                     motion = (_OTHER, 1.0) + (0.0,) * 8
                 columns[row] = (appearance.interval.start, appearance.interval.end,
-                                position, slot, *motion)
+                                position, slot, *motion, category)
                 row += 1
         self.start = columns[:, 0].copy()
         self.end = columns[:, 1].copy()
@@ -173,6 +176,7 @@ class _AppearanceTable:
         self.duration = columns[:, 5].copy()
         self.base = columns[:, 6:10].copy()
         self.delta = columns[:, 10:14] - self.base
+        self.category = columns[:, 14].astype(np.int64)
         self.bucket_size = bucket_size
         first = (self.start // bucket_size).astype(np.int64)
         last = (np.maximum(self.start, self.end - 1e-9) // bucket_size).astype(np.int64)
@@ -189,16 +193,23 @@ class _AppearanceTable:
         self.bucket_offsets = np.concatenate(
             ([0], np.cumsum(np.bincount(buckets - self.first_bucket))))
 
-    def rows_in(self, window: TimeInterval) -> tuple[np.ndarray, bool]:
+    def rows_in(self, window: TimeInterval, categories: Iterable[str] | None = None
+                ) -> tuple[np.ndarray, bool]:
         """Rows in the buckets ``window`` touches, bucket-major, and whether
-        it touches several (only then can a row be listed twice)."""
+        it touches several (only then can a row be listed twice); of the
+        ``categories`` only, when given (a subset in the same order)."""
         size = self.bucket_size
         buckets = self.bucket_offsets.size - 1
         first = min(max(int(window.start // size) - self.first_bucket, 0), buckets)
         last = int(max(window.start, window.end - 1e-9) // size) - self.first_bucket
         stop = min(max(last + 1, first), buckets)
-        return (self.bucket_rows[self.bucket_offsets[first]:self.bucket_offsets[stop]],
-                stop - first > 1)
+        listed = self.bucket_rows[self.bucket_offsets[first]:self.bucket_offsets[stop]]
+        if categories is not None:
+            wanted = np.zeros(len(self.category_ids), dtype=bool)
+            wanted[[self.category_ids[category] for category in categories
+                    if category in self.category_ids]] = True
+            listed = listed[wanted[self.category[listed]]]
+        return listed, stop - first > 1
 
 
 @dataclass
@@ -377,14 +388,16 @@ class SyntheticVideo:
                          dtype=np.int64)
 
     def batch_for_indices(self, frame_indices: np.ndarray,
-                          window: TimeInterval | None = None) -> FrameBatch:
+                          window: TimeInterval | None = None, *,
+                          categories: Iterable[str] | None = None) -> FrameBatch:
         """Columnar ground truth for an explicit array of frame indices.
 
         The one render every view derives from: the table rows in
         ``window``'s time buckets (default: the frames' span) become a
         visibility matrix in one broadcast, a box stack in another, and fold
         into one row per object.  Every step is elementwise per (row, frame),
-        so visible boxes equal ``SceneObject.box_at`` bit for bit.
+        so visible boxes equal ``SceneObject.box_at`` bit for bit, and with
+        ``categories`` the batch is the full one minus every other category's rows.
         """
         frame_indices = np.asarray(frame_indices, dtype=np.int64)
         timestamps = frame_indices.astype(np.float64) / self.fps
@@ -394,13 +407,16 @@ class SyntheticVideo:
             if window is None:
                 window = TimeInterval(float(timestamps[0]),
                                       float(timestamps[-1]) + self.frame_period)
-            listed, several = table.rows_in(window)
+            listed, several = table.rows_in(window, categories)
         rows = np.unique(listed) if several else listed
         starts = table.start[rows][:, np.newaxis]
         visible = (timestamps >= starts) & (timestamps < table.end[rows][:, np.newaxis])
         seen = visible.any(axis=1)
         if not seen.all():
             rows, starts, visible = rows[seen], starts[seen], visible[seen]
+        if not rows.size:       # nothing (wanted) in view: the frames, and no row
+            return FrameBatch(frame_indices, timestamps, [], visible,
+                              np.empty(visible.shape + (4,)), self.width, self.height, self.fps)
         # Every row is evaluated as a linear trajectory, then the other kinds
         # are overwritten.  A stationary box is copied, never computed as
         # base + 0 * fraction, which would turn -0.0 into 0.0.

@@ -11,7 +11,11 @@ Covers the array-native pipeline past detection:
 * whole queries answered through the batch row-emission path must release
   exactly the same values as the scalar twin (a test-local scalar
   ``_track_chunk`` patched in — the oracle glue lives here, not behind a
-  runtime switch);
+  runtime switch), with no chunk of either run a sandbox fallback;
+* that oracle is also the **no-pushdown reference**: it renders every
+  category and draws every attribute whatever the executable declares, and
+  every bundled executable must emit the same rows either way on every
+  scenario scene — an executable reading a key it did not declare fails here;
 * the numpy-column-backed ``Table`` and the vectorized schema coercion must
   be value-for-value equivalent to the dict-of-rows reference semantics
   (property-based);
@@ -49,6 +53,7 @@ from repro.scene.trajectory import LinearTrajectory
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import ChunkSpec, split_interval
 from repro.video.geometry import BoundingBox
+from repro.video.masking import EMPTY_MASK
 from repro.video.video import SyntheticVideo
 
 from tests.conftest import make_crossing_object, make_simple_video
@@ -379,12 +384,39 @@ class TestBatchTimeOrder:
         assert _batch_tracks(config, batches) == _scalar_reference(config, batches)
 
 
-def _scalar_track_chunk(chunk, context, *, categories=None):
-    """``executables._track_chunk`` on the scalar twin (the whole-query oracle)."""
-    detections = context.detector().detect_batch(
-        chunk.frame_batch(), frame_width=chunk.video.width,
+def _no_pushdown_detect_chunk(chunk, context, *, categories=None, attributes=None,
+                              max_frames=None):
+    """``executables._detect_chunk`` without its declarations (the reference):
+    every category is rendered, masked and region-tested, every attribute is
+    drawn, and ``categories`` only filters the detections afterwards."""
+    return context.detector().detect_batch(
+        chunk.frame_batch(max_frames=max_frames), frame_width=chunk.video.width,
         frame_height=chunk.video.height, categories=categories)
+
+
+def _scalar_track_chunk(chunk, context, *, categories=None, attributes=None):
+    """``executables._track_chunk`` on the scalar twin over the no-pushdown
+    reference (the whole-query oracle)."""
+    detections = _no_pushdown_detect_chunk(chunk, context, categories=categories)
     return _scalar_reference(context.tracker_config, [detections])
+
+
+@pytest.fixture
+def sandbox_outcomes(monkeypatch):
+    """Counts chunks and sandbox fallbacks: the sandbox turns a crashing
+    executable (or a crashing oracle patched into one) into default rows, so
+    a comparison of release values must first know that nothing crashed."""
+    counted = {"chunks": 0, "fallbacks": 0}
+    run_chunk_outcome = SandboxRunner.run_chunk_outcome
+
+    def counting(self, chunk, context, **kwargs):
+        outcome = run_chunk_outcome(self, chunk, context, **kwargs)
+        counted["chunks"] += 1
+        counted["fallbacks"] += outcome.fallback
+        return outcome
+
+    monkeypatch.setattr(SandboxRunner, "run_chunk_outcome", counting)
+    return counted
 
 
 class TestQueryReleaseParity:
@@ -398,27 +430,85 @@ class TestQueryReleaseParity:
                 .select_count(table="people", bucket_seconds=120.0, epsilon=1.0)
                 .build())
 
+    def _releases(self, scenario, duration):
+        system = PrividSystem(seed=77)
+        system.register_camera("cam", scenario.video,
+                               policy=PrivacyPolicy(rho=60.0, k_segments=2),
+                               epsilon_budget=100.0,
+                               detector_config=scenario.detector_config,
+                               tracker_config=scenario.tracker_config)
+        result = system.execute(self._count_query(duration), charge_budget=False)
+        return result.raw_series_unsafe()
+
     @pytest.mark.parametrize("name", ["campus", "urban"])
-    def test_batch_and_scalar_paths_release_identical_values(self, name, monkeypatch):
+    def test_batch_and_scalar_paths_release_identical_values(self, name, monkeypatch,
+                                                             sandbox_outcomes):
         scenario = _scenario_video(name)
-        video = scenario.video
-
-        def run():
-            system = PrividSystem(seed=77)
-            system.register_camera("cam", video,
-                                   policy=PrivacyPolicy(rho=60.0, k_segments=2),
-                                   epsilon_budget=100.0,
-                                   detector_config=scenario.detector_config,
-                                   tracker_config=scenario.tracker_config)
-            result = system.execute(self._count_query(video.duration),
-                                    charge_budget=False)
-            return result.raw_series_unsafe()
-
-        batch_releases = run()
+        batch_releases = self._releases(scenario, scenario.video.duration)
+        chunks = sandbox_outcomes["chunks"]
         monkeypatch.setattr(executables_module, "_track_chunk", _scalar_track_chunk)
-        scalar_releases = run()
+        scalar_releases = self._releases(scenario, scenario.video.duration)
+        # A crash inside the sandbox is a crash, not a difference of values.
+        assert sandbox_outcomes == {"chunks": 2 * chunks, "fallbacks": 0} and chunks > 0
         assert batch_releases == scalar_releases
         assert any(value != 0.0 for _, value in batch_releases)
+
+    def test_a_crashing_oracle_is_seen_as_fallbacks(self, monkeypatch, sandbox_outcomes):
+        """The guard above fires: an oracle with a closed keyword signature
+        raises inside the sandbox and every chunk becomes a default row."""
+        def closed_signature(chunk, context, *, categories=None):
+            raise AssertionError("unreachable: called with attributes=")
+
+        monkeypatch.setattr(executables_module, "_track_chunk", closed_signature)
+        self._releases(_scenario_video("campus"), 60.0)
+        assert sandbox_outcomes == {"chunks": 2, "fallbacks": 2}
+
+
+#: The five bundled detect-and-emit executables (the counter for both of its
+#: registered categories; a displacement small enough to match at this scale).
+_BUNDLED = (
+    executables_module.EnteringObjectCounter(category="person"),
+    executables_module.EnteringObjectCounter(category="car"),
+    executables_module.DirectionalCrossingCounter(direction="north", min_displacement=20.0),
+    executables_module.UniqueVehicleReporter(),
+    executables_module.TreeLeafClassifier(),
+    executables_module.RedLightObserver(),
+)
+
+
+class TestExecutableDeclarations:
+    def test_rows_equal_the_no_pushdown_reference_on_every_scenario(self, monkeypatch):
+        """Each executable tells the render and the detector what it reads;
+        its rows must be those of the run that renders and draws everything,
+        chunk by chunk (raw rows: a crash raises here instead of falling back)."""
+        def rows(chunks, context):
+            return [[list(executable.fresh_instance().process(chunk, context))
+                     for chunk in chunks] for executable in _BUNDLED]
+
+        emitted = set()
+        for name in SCENARIO_NAMES:
+            scenario = _scenario_video(name)
+            video = scenario.video
+            context = ExecutionContext(camera=name, fps=video.fps,
+                                       detector_config=scenario.detector_config,
+                                       tracker_config=scenario.tracker_config,
+                                       detector_seed=5)
+            mask = scenario.owner_mask or EMPTY_MASK
+            # Short full-rate chunks inside one 60 s render bucket, and one
+            # long sampled chunk across six (a whole red phase fits in it).
+            chunks = split_interval(video, ChunkSpec(TimeInterval(0.0, 240.0), 30.0),
+                                    mask=mask)
+            chunks += split_interval(video, ChunkSpec(TimeInterval(0.0, 360.0), 360.0,
+                                                      sample_period=0.5), mask=mask)
+            with monkeypatch.context() as patched:
+                declared = rows(chunks, context)
+                patched.setattr(executables_module, "_detect_chunk",
+                                _no_pushdown_detect_chunk)
+                assert declared == rows(chunks, context), name
+            emitted.update(index for index, per_chunk in enumerate(declared)
+                           if any(per_chunk))
+        # Equal because empty proves nothing: every executable emitted somewhere.
+        assert emitted == set(range(len(_BUNDLED)))
 
 
 def _reference_coerced_rows(schema, raw_rows, max_rows, chunk_timestamp, region):

@@ -7,6 +7,11 @@ of object lists) for the object order, and asks ``SceneObject.box_at``,
 ``Mask.hides`` and ``Region.contains`` one (object, frame) at a time.  The
 two must agree byte for byte — object order, visibility matrix and every
 visible box, ``-0.0`` included.
+
+A chunk rendered for declared ``categories`` must in turn be that full batch
+with the other rows deleted, and detections projected onto declared
+``attributes`` the full detections minus the other columns: generated scenes
+below, and the work pinned as exact counts.
 """
 
 import pickle
@@ -14,13 +19,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PrividSystem, ProcessPoolEngine, SerialEngine
 from repro.cv.detector import DetectorConfig, SyntheticDetector
 from repro.evaluation.runner import register_scenario_camera
 from repro.query.parser import parse_query
+from repro.sandbox.environment import ExecutionContext
+from repro.sandbox.registry import default_registry
 from repro.scene.objects import Appearance, SceneObject
 from repro.scene.scenarios import SCENARIO_NAMES, build_scenario
+from repro.scene.schedules import CyclicSchedule
 from repro.scene.trajectory import (
     LinearTrajectory,
     StationaryTrajectory,
@@ -338,11 +347,120 @@ class TestRenderEdgeCases:
         assert [o.object_id for o in batch.scene_objects] == ["w1", "w2"]
 
 
+# ------------------------------------------------- pushdown equals post-filter
+
+_CATEGORIES = ("person", "car", "tree", "dog")             # "dog": not detectable
+_ATTRIBUTES = ("color", "plate", "light_state", "false_positive")
+_LIGHT = CyclicSchedule(phases=(("RED", 7.0), ("GREEN", 5.0)))
+
+
+@st.composite
+def _scenes(draw):
+    """A three-bucket (180 s) video: every trajectory kind, objects with two
+    appearances (overlapping or apart), intervals that straddle the 60 s
+    bucket edges, static and scheduled attributes."""
+    def trajectory(kind, duration):
+        box = BoundingBox(draw(st.floats(0.0, 1200.0)), draw(st.floats(0.0, 650.0)),
+                          30.0, 60.0)
+        if kind == "stationary":
+            return StationaryTrajectory(box)
+        if kind == "linear":
+            return LinearTrajectory(start=box, end=box.translate(300.0, -120.0),
+                                    duration=duration)
+        if kind == "waypoint":
+            return WaypointTrajectory([(0.0, box), (duration / 3.0, box.translate(90.0, 0.0)),
+                                       (duration, box.translate(0.0, 90.0))])
+        return Orbit(duration)
+
+    objects = []
+    for number in range(draw(st.sampled_from([0, 2, 6, 12]))):
+        appearances = []
+        start = draw(st.sampled_from([0.0, 15.0, 40.0, 58.0, 70.0, 115.0]))
+        for _ in range(draw(st.integers(1, 2))):
+            duration = draw(st.sampled_from([1.5, 4.0, 25.0, 50.0, 90.0]))
+            kind = draw(st.sampled_from(["stationary", "linear", "waypoint", "orbit"]))
+            appearances.append((start, start + duration, trajectory(kind, duration)))
+            start += draw(st.sampled_from([0.5, 1.0, 1.25])) * duration   # 0.5: overlap
+        scene_object = _object(f"o{number}", *appearances,
+                               category=draw(st.sampled_from(_CATEGORIES)))
+        scene_object.attributes.update(draw(st.sampled_from(
+            [{}, {"color": "RED"}, {"plate": ("P", number), "color": None}])))
+        if draw(st.booleans()):
+            scene_object.dynamic_attributes["light_state"] = _LIGHT
+        objects.append(scene_object)
+    return make_simple_video(objects=objects, duration=180.0)
+
+
+def _assert_same_detections(narrow, full, attributes):
+    for name in ("num_frames", "categories"):
+        assert getattr(narrow, name) == getattr(full, name)
+    for name in ("frame_positions", "frame_indices", "timestamps", "boxes",
+                 "confidences", "category_ids"):
+        assert getattr(narrow, name).tobytes() == getattr(full, name).tobytes(), name
+    kept = [key for key in full.attributes if attributes is None or key in attributes]
+    assert list(narrow.attributes) == kept
+    for key in kept:
+        (present, values), (full_present, full_values) = narrow.attributes[key], \
+            full.attributes[key]
+        assert present.tolist() == full_present.tolist()
+        assert values[present].tolist() == full_values[present].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_declared_categories_and_attributes_equal_a_post_filter(data):
+    """``frame_batch(categories=S)`` is ``frame_batch()`` minus the rows outside
+    ``S`` (same objects, same order, same bits), and detections over it with
+    ``attributes=A`` are the full detections minus the columns outside ``A``."""
+    video = data.draw(_scenes())
+    start = data.draw(st.sampled_from([0.0, 20.0, 45.5, 59.5, 60.0, 110.0]))
+    length = data.draw(st.sampled_from([5.0, 30.0, 59.5, 60.0, 61.0, 125.0]))
+    mask = data.draw(st.sampled_from([EMPTY_MASK, Mask(name="m", regions=(
+        BoundingBox(0.0, 0.0, 500.0, 400.0), BoundingBox(900.0, 300.0, 200.0, 420.0)))]))
+    region = data.draw(st.sampled_from(
+        [None, Region("east", BoundingBox(400.0, 0.0, 880.0, 720.0))]))
+    chunk = Chunk(video=video, index=0, interval=TimeInterval(start, start + length),
+                  mask=mask, region=region,
+                  sample_period=data.draw(st.sampled_from([None, 1.0, 2.5])))
+    max_frames = data.draw(st.sampled_from([None, 1]))
+    categories = data.draw(st.one_of(
+        st.sampled_from([None, set(), {"bus"}, {"bus", "person"}]),  # "bus": in no scene
+        st.sets(st.sampled_from(_CATEGORIES), min_size=1, max_size=2)))
+    attributes = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(_ATTRIBUTES), max_size=2, unique=True).map(tuple)))
+
+    full = chunk.frame_batch(max_frames=max_frames)
+    narrow = chunk.frame_batch(max_frames=max_frames, categories=categories)
+    rows = [row for row, scene_object in enumerate(full.scene_objects)
+            if categories is None or scene_object.category in categories]
+    assert len(narrow) == len(full)
+    assert narrow.frame_indices.tobytes() == full.frame_indices.tobytes()
+    assert narrow.timestamps.tobytes() == full.timestamps.tobytes()
+    assert [id(scene_object) for scene_object in narrow.scene_objects] \
+        == [id(full.scene_objects[row]) for row in rows]
+    assert narrow.visible.shape == (len(rows), len(full))
+    assert narrow.boxes.shape == (len(rows), len(full), 4)
+    assert narrow.visible.tobytes() == full.visible[rows].tobytes()
+    assert narrow.boxes[narrow.visible].tobytes() == full.boxes[rows][full.visible[rows]].tobytes()
+
+    detector = SyntheticDetector(DetectorConfig(
+        miss_rate=0.3, attribute_error_rate=0.2,
+        false_positives_per_frame=data.draw(st.sampled_from([0.0, 0.4, 1.3]))), seed=9)
+    reference = detector.detect_batch(full, categories=categories)
+    _assert_same_detections(
+        detector.detect_batch(narrow, categories=categories, attributes=attributes),
+        reference, attributes)
+    # Defaults mean everything: a full batch, with or without the post-filter.
+    _assert_same_detections(detector.detect_batch(narrow, categories=categories),
+                            reference, None)
+
+
 # ---------------------------------------------------------------- count guard
 
 @pytest.mark.parametrize("in_view", [4, 64])
 def test_one_mask_call_and_one_region_call_per_chunk(monkeypatch, in_view):
-    """The filter pass costs one call each, however many objects are in view."""
+    """The filter pass costs at most one call each, however many objects are
+    in view: none when no row is left to filter."""
     calls = {"mask": 0, "region": 0}
     hides_boxes, contains_points = Mask.hides_boxes, Region.contains_points
 
@@ -374,6 +492,42 @@ def test_one_mask_call_and_one_region_call_per_chunk(monkeypatch, in_view):
         chunk.frame_batch()
         chunk.with_region(region).frame_batch()
     assert calls == {"mask": 2 * len(masked), "region": 2 * len(masked)}
+    for chunk in masked:
+        batch = chunk.with_region(region).frame_batch(categories={"car"})
+        assert len(batch) == len(chunk.frame_batch()) and batch.scene_objects == []
+    assert calls == {"mask": 3 * len(masked), "region": 2 * len(masked)}
+
+
+def test_the_people_counter_masks_only_person_rows(monkeypatch):
+    """Exact work of ``count_entering_people.py`` on a fixed campus window: the
+    fifteen trees and the traffic light (16 rows x 30 frames in every chunk)
+    never reach the mask, and a chunk with no person in view makes no call."""
+    handed = []
+    hides_boxes = Mask.hides_boxes
+
+    def counted_mask(self, boxes):
+        handed.append(len(boxes))
+        return hides_boxes(self, boxes)
+
+    monkeypatch.setattr(Mask, "hides_boxes", counted_mask)
+    scenario = build_scenario("campus", scale=0.15, duration_hours=0.5, seed=7)
+    chunks = chunks_of(scenario.video, mask=scenario.owner_mask, sample_period=1.0)
+    people = [sum(scene_object.category == "person" for scene_object
+                  in scenario.video.frame_batch(chunk.interval, sample_period=1.0).scene_objects)
+              for chunk in chunks]
+    for chunk in chunks:
+        chunk.frame_batch()
+    assert len(handed) == len(chunks) == 60 and sum(handed) == 29340
+    assert handed == [30 * (16 + rows) for rows in people]
+    del handed[:]
+    counter = default_registry().resolve("count_entering_people.py")
+    context = ExecutionContext(camera="campus", fps=scenario.video.fps,
+                               detector_config=scenario.detector_config,
+                               tracker_config=scenario.tracker_config)
+    for chunk in chunks:
+        counter.fresh_instance().process(chunk, context)
+    assert handed == [30 * rows for rows in people if rows]
+    assert len(handed) == 17 and sum(handed) == 540
 
 
 # -------------------------------------------------------------------- pickles
