@@ -187,9 +187,9 @@ class CacheStats:
                 "evictions": self.evictions, "hit_rate": round(self.hit_rate, 3)}
 
 
-#: Stream-constant texts one context memoises before starting over: a stream
-#: needs one per region of its scheme, so only a context reused across many
-#: streams ever gets here.
+#: Stream-constant texts one context memoises before starting over: one per
+#: (footage state, mask, region) it has served, and a context serves every
+#: stream of its camera while the registration reads the same.
 _KEY_TEXT_MEMO_LIMIT = 64
 
 
@@ -205,12 +205,14 @@ def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
     Byte for byte ``fingerprint(chunk_fingerprint(chunk),
     runner_fingerprint(runner), context_fingerprint(context))`` — existing
     stores are addressed by those bytes — with everything constant over a
-    ``(runner, context)`` stream canonicalised once per stream: the two
+    ``(runner, context)`` stream canonicalised once per instance: the two
     stream fingerprints are memoised on their frozen instances, the chunk's
     constant text on the context, keyed by the head's *values* (so a
     mid-stream ``add_objects`` changes every later key) and the frozen mask
     and region's *identity* (pinned by the entry, so no id is reused under
-    it).  A chunk pays for its index, its interval and two ``sha256`` calls.
+    it).  The query path keeps those instances per registration
+    (:func:`repro.sandbox.environment.kept_or_fresh`), so a chunk pays for
+    its index, its interval and two ``sha256`` calls.
     """
     head, own, tail, extra = _chunk_parts(chunk)
     mask, region, sample_period = tail
@@ -223,7 +225,13 @@ def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
         texts = memo[memo_key] = (f"({_canonical_text(head)}, ",
                                   f", {_canonical_text(tail)}",
                                   mask, region)
-    canonical = texts[0] + _canonical_text(own) + texts[1]
+    index, (start, end) = own
+    if type(index) is int and type(start) is type(end) is float:
+        # What _canonical_text(own) reads for the types every SPLIT produces.
+        own_text = f"{index}, ({start!r}, {end!r})"
+    else:
+        own_text = _canonical_text(own)
+    canonical = texts[0] + own_text + texts[1]
     if extra:
         canonical += ", " + _canonical_text(extra)
     chunk_digest = hashlib.sha256((canonical + ")").encode("utf-8")).hexdigest()

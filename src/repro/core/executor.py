@@ -30,7 +30,7 @@ from repro.relational.expressions import Column, TimeBucket
 from repro.relational.plan import PlanContext
 from repro.relational.sensitivity import TableProperties
 from repro.relational.table import CHUNK_COLUMN, Table
-from repro.sandbox.environment import ExecutionContext, SandboxRunner
+from repro.sandbox.environment import ExecutionContext, kept_or_fresh
 from repro.sandbox.registry import ExecutableRegistry, default_registry
 from repro.utils.rng import RandomSource
 from repro.utils.timebase import TimeInterval
@@ -53,11 +53,25 @@ class CameraRegistration:
     default_sample_period: float | None = None
     detector_seed: int = 0
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: The last execution context built for this camera, as ``kept_or_fresh`` pairs it.
+    _context: Any = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def epsilon_budget(self) -> float:
         """Per-frame budget the owner allocated to this camera."""
         return self.ledger.total_epsilon
+
+    def execution_context(self) -> ExecutionContext:
+        """The chunk-independent inputs of every stream over this camera: the
+        context kept from the last query while the registration and the
+        footage's metadata read the same (:func:`kept_or_fresh`)."""
+        video = self.video
+        self._context = kept = kept_or_fresh(self._context, ExecutionContext(
+            camera=self.name, fps=video.fps, detector_config=self.detector_config,
+            tracker_config=self.tracker_config,
+            metadata={**video.metadata, **self.metadata},
+            detector_seed=self.detector_seed))
+        return kept[0]
 
 
 @dataclass
@@ -165,6 +179,17 @@ class PrividSystem:
             share = getattr(self.engine, "share_store", None)
             if share is not None:
                 share(self.chunk_cache)
+
+    def query_view(self, noise_path: str) -> "PrividSystem":
+        """This deployment as one query sees it: cameras, registry, ledger,
+        engine and store shared by reference, its own noise stream, and
+        nothing owned (closing a view leaves the engine running)."""
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__)
+        view._owns_engine = False
+        view.random = RandomSource(self.random.seed, path=noise_path)
+        view.mechanism = LaplaceMechanism(view.random)
+        return view
 
     # ------------------------------------------------------------------ setup
 
@@ -321,18 +346,10 @@ class PrividSystem:
                     f"PROCESS references unknown chunk set {process.chunks!r}")
             chunk_set = chunk_sets[process.chunks]
             camera = chunk_set.camera
-            executable = self.registry.resolve(process.executable)
-            runner = SandboxRunner(executable=executable, schema=process.schema,
-                                   max_rows=process.max_rows,
-                                   timeout_seconds=process.timeout)
-            context = ExecutionContext(
-                camera=camera.name,
-                fps=camera.video.fps,
-                detector_config=camera.detector_config,
-                tracker_config=camera.tracker_config,
-                metadata={**camera.video.metadata, **camera.metadata},
-                detector_seed=camera.detector_seed,
-            )
+            runner = self.registry.runner(process.executable, schema=process.schema,
+                                          max_rows=process.max_rows,
+                                          timeout_seconds=process.timeout)
+            context = camera.execution_context()
             table = Table.from_schema(process.schema, name=process.output)
             tables[process.output] = table
             properties[process.output] = TableProperties(

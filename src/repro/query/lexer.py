@@ -4,12 +4,19 @@ The language is small: keywords, identifiers (which may contain dots, so
 ``model.py`` is a single token), numbers, double-quoted strings, and a
 handful of symbols.  ``/* ... */`` block comments and ``#`` line comments are
 skipped.
+
+One compiled pattern is applied left to right: each match is a token plus the
+whitespace and comments behind it, so the first offset the pattern cannot
+match is the syntax error.  A NUMBER is decimal digits (``str.isdecimal``: any
+script's, ``٣`` reads as 3) with at most one ``.`` between digits — exactly
+what ``float()`` accepts; ``²`` and ``½`` are unexpected characters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import QuerySyntaxError
 
@@ -24,8 +31,7 @@ class TokenType(str, Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based line/column)."""
 
     type: TokenType
@@ -42,86 +48,46 @@ class Token:
         return self.value.upper() == value.upper()
 
 
-_SYMBOLS = ("<=", ">=", "!=", "(", ")", "[", "]", ",", ";", ":", "=", "*", "+", "-", "/",
-            "<", ">")
-_IDENT_EXTRA = {"_", ".", "-"}
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*|/\*(?s:.*?)\*/)*"
+# Group names are TokenType values.  ``\d`` is str.isdecimal and ``\w`` is
+# str.isalnum or "_"; that an identifier *starts* with str.isalpha or "_" no
+# character class can say, so tokenize checks it.
+_SCAN = re.compile(
+    r"(?:(?P<number>\d+(?:\.\d+)?|\.\d+)"
+    r"|(?P<ident>[^\W\d][\w.\-]*)"
+    r'|"(?P<string>[^"]*)"'
+    r"|(?P<symbol>[<>!]=|[()\[\],;:=*+\-<>]|/(?!\*)))" + _SKIP)
+_LEADING_SKIP = re.compile(_SKIP)
+_TYPES = {index: TokenType(name) for name, index in _SCAN.groupindex.items()}
 
 
 def tokenize(text: str) -> list[Token]:
     """Convert query text into a token stream ending with an END token."""
     tokens: list[Token] = []
-    index = 0
-    line = 1
-    column = 1
-    length = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and text[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = text[index]
-        if char in " \t\r\n":
-            advance(1)
-            continue
-        if char == "#" :
-            while index < length and text[index] != "\n":
-                advance(1)
-            continue
-        if text.startswith("/*", index):
-            end = text.find("*/", index + 2)
-            if end == -1:
-                raise QuerySyntaxError("unterminated comment", line=line, column=column)
-            advance(end + 2 - index)
-            continue
-        if char == '"':
-            start_line, start_column = line, column
-            advance(1)
-            start = index
-            while index < length and text[index] != '"':
-                advance(1)
-            if index >= length:
-                raise QuerySyntaxError("unterminated string literal",
-                                       line=start_line, column=start_column)
-            value = text[start:index]
-            advance(1)
-            tokens.append(Token(TokenType.STRING, value, start_line, start_column))
-            continue
-        if char.isdigit() or (char == "." and index + 1 < length and text[index + 1].isdigit()):
-            start_line, start_column = line, column
-            start = index
-            seen_dot = False
-            while index < length and (text[index].isdigit() or (text[index] == "." and not seen_dot)):
-                if text[index] == ".":
-                    # A dot not followed by a digit ends the number (e.g. "10.ROWS").
-                    if index + 1 >= length or not text[index + 1].isdigit():
-                        break
-                    seen_dot = True
-                advance(1)
-            tokens.append(Token(TokenType.NUMBER, text[start:index], start_line, start_column))
-            continue
-        if char.isalpha() or char == "_":
-            start_line, start_column = line, column
-            start = index
-            while index < length and (text[index].isalnum() or text[index] in _IDENT_EXTRA):
-                advance(1)
-            tokens.append(Token(TokenType.IDENT, text[start:index], start_line, start_column))
-            continue
-        matched_symbol = None
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, index):
-                matched_symbol = symbol
-                break
-        if matched_symbol is not None:
-            tokens.append(Token(TokenType.SYMBOL, matched_symbol, line, column))
-            advance(len(matched_symbol))
-            continue
-        raise QuerySyntaxError(f"unexpected character {char!r}", line=line, column=column)
-    tokens.append(Token(TokenType.END, "", line, column))
-    return tokens
+    new_token, ident = tuple.__new__, TokenType.IDENT
+    offset = _LEADING_SKIP.match(text).end()
+    # Positions come from offsets: ``line_start`` is the offset just past the
+    # last newline before the token, kept by walking the text's newlines in
+    # step with the matches.
+    line, line_start, newline = 1, 0, text.find("\n")
+    for match in _SCAN.finditer(text, offset):
+        start, index = match.start(), match.lastindex
+        kind, value = _TYPES[index], match[index]
+        if start != offset or (kind is ident and not (value[0].isalpha() or value[0] == "_")):
+            break
+        while 0 <= newline < start:
+            line, line_start = line + 1, newline + 1
+            newline = text.find("\n", line_start)
+        tokens.append(new_token(Token, (kind, value, line, start - line_start + 1)))
+        offset = match.end()
+    line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    if offset == len(text):
+        tokens.append(Token(TokenType.END, "", line, column))
+        return tokens
+    if text.startswith("/*", offset):
+        message = "unterminated comment"
+    elif text[offset] == '"':
+        message = "unterminated string literal"
+    else:
+        message = f"unexpected character {text[offset]!r}"
+    raise QuerySyntaxError(message, line=line, column=column)

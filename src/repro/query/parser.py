@@ -60,8 +60,8 @@ class _Parser:
     # ------------------------------------------------------------- cursor ops
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # In range: the cursor stops at END, and a lookahead follows a non-END peek.
+        return self.tokens[self.position + offset]
 
     def advance(self) -> Token:
         token = self.peek()
@@ -69,9 +69,10 @@ class _Parser:
             self.position += 1
         return token
 
-    def accept_keyword(self, *keywords: str) -> Token | None:
+    def accept_keyword(self, keyword: str) -> Token | None:
+        """Consume ``keyword`` (an upper-case literal) if it is next, in any case."""
         token = self.peek()
-        if token.type is TokenType.IDENT and token.value.upper() in {k.upper() for k in keywords}:
+        if token.type is TokenType.IDENT and token.value.upper() == keyword:
             return self.advance()
         return None
 
@@ -111,6 +112,15 @@ class _Parser:
                                    line=token.line, column=token.column)
         self.advance()
         return float(token.value)
+
+    def expect_count(self) -> int:
+        """A whole number: a fractional row bound is rejected, not truncated."""
+        token = self.peek()
+        value = self.expect_number()
+        if not value.is_integer():
+            raise QuerySyntaxError(f"expected a whole number, found {token.value!r}",
+                                   line=token.line, column=token.column)
+        return int(value)
 
     def parse_duration(self) -> float:
         """A number with an optional time unit, returned in seconds."""
@@ -205,7 +215,7 @@ class _Parser:
         if self.accept_keyword("TIMEOUT"):
             timeout = self.parse_duration()
         self.expect_keyword("PRODUCING")
-        max_rows = int(self.expect_number())
+        max_rows = self.expect_count()
         self.accept_keyword("ROWS")
         self.expect_keyword("WITH")
         self.expect_keyword("SCHEMA")
@@ -337,7 +347,7 @@ class _Parser:
         self.expect_keyword("FROM")
         relation = self._parse_inner_relation()
         if self.accept_keyword("LIMIT"):
-            relation = Limit(relation, int(self.expect_number()))
+            relation = Limit(relation, self.expect_count())
         projected: Relation = Projection(relation, outputs=tuple(outputs))
         while self.peek().matches(TokenType.IDENT, "GROUP"):
             self.advance()

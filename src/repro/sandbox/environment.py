@@ -44,6 +44,19 @@ def _field_state(instance: Any) -> dict[str, Any]:
     return {spec.name: getattr(instance, spec.name) for spec in fields(instance)}
 
 
+def kept_or_fresh(kept: "tuple[Any, str] | None", fresh: Any, *live: Any) -> tuple[Any, str]:
+    """``kept`` — the last ``(instance, parts)`` pair built for a registration —
+    while ``fresh`` and the ``live`` state its fingerprint reads through a
+    reference print the same ``parts``; else a new pair.  How a runner or a
+    context, which memoise their chunk-key constants, outlive the query: by
+    value (``repr``, not ``==``: ``0 == 0.0`` but their key bytes differ), and
+    as an immutable pair its holder swaps in one store, so racing query threads
+    each leave with an instance of the parts they asked for
+    (docs/architecture.md, "Per registration, not per query")."""
+    parts = repr((fresh, live))
+    return kept if kept is not None and kept[1] == parts else (fresh, parts)
+
+
 @dataclass(frozen=True)
 class ExecutionContext:
     """Chunk-independent inputs available to an executable.
@@ -53,8 +66,9 @@ class ExecutionContext:
     ``detector_config`` / ``tracker_config`` describe the analyst's "model" in
     this substrate (a real analyst would ship CNN weights instead).
 
-    Frozen: one instance is one stream's constants, so the chunk store
-    hashes them once per stream (:func:`repro.core.cache.chunk_key`).
+    Frozen: one instance is one camera registration's constants, so the chunk
+    store hashes them once per instance (:func:`repro.core.cache.chunk_key`)
+    and queries share it while they read the same (:func:`kept_or_fresh`).
     """
 
     camera: str

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import UnknownExecutableError
+from repro.relational.table import Schema
+from repro.sandbox.environment import SandboxRunner, kept_or_fresh
 from repro.sandbox.executables import (
     DirectionalCrossingCounter,
     EnteringObjectCounter,
@@ -28,6 +30,9 @@ class ExecutableRegistry:
     """Name -> executable mapping with helpful errors for unknown names."""
 
     executables: dict[str, ProcessExecutable] = field(default_factory=dict)
+    #: Per name, the last runner built for it, as ``kept_or_fresh`` pairs it.
+    _runners: dict[str, tuple] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def register(self, name: str, executable: ProcessExecutable, *, replace: bool = False) -> None:
         """Register an executable under ``name``."""
@@ -41,6 +46,18 @@ class ExecutableRegistry:
             raise UnknownExecutableError(
                 f"unknown executable {name!r}; registered: {sorted(self.executables)}")
         return self.executables[name]
+
+    def runner(self, name: str, *, schema: Schema, max_rows: int,
+               timeout_seconds: float) -> SandboxRunner:
+        """The sandbox runner of one PROCESS clause over ``name``: the one kept
+        from the last such query while the clause and the executable's
+        configuration read the same (:func:`kept_or_fresh`)."""
+        executable = self.resolve(name)
+        runner = SandboxRunner(executable=executable, schema=schema, max_rows=max_rows,
+                               timeout_seconds=timeout_seconds)
+        kept = self._runners[name] = kept_or_fresh(
+            self._runners.get(name), runner, executable.config_fingerprint())
+        return kept[0]
 
     def names(self) -> list[str]:
         """Registered executable names."""

@@ -56,14 +56,12 @@ from repro.core.engine import ExecutionEngine
 from repro.core.executor import CameraRegistration, PrividSystem, cache_stats_dict, \
     engine_stats_dict
 from repro.core.faults import FaultInjector
-from repro.core.noise import LaplaceMechanism
 from repro.core.resilience import CancellationToken
 from repro.core.result import QueryResult
 from repro.errors import BudgetExceededError, QueryCancelledError, \
     QueryTimeoutError, ResumeConflictError, ServiceOverloadedError
 from repro.query.ast import PrividQuery
 from repro.sandbox.registry import ExecutableRegistry
-from repro.utils.rng import RandomSource
 
 
 #: The ``execute`` options that change what a query releases or charges —
@@ -144,7 +142,6 @@ class QueryService:
                                       engine=engine, cache=cache,
                                       ledger=self.ledger,
                                       on_engine_failure=on_engine_failure)
-        self._seed = seed
         self.engine: ExecutionEngine = self._template.engine
         self.cache: ChunkStore | None = self._template.chunk_cache
         self.registry: ExecutableRegistry = self._template.registry
@@ -208,31 +205,15 @@ class QueryService:
 
     # -------------------------------------------------------------- execution
 
-    def _query_system(self, query_seq: int) -> PrividSystem:
-        """A per-query system sharing engine/store/ledger/cameras.
-
-        The noise source is re-pathed to ``privid/query-{n}``: each query
-        draws from its own deterministic stream (a pure function of the
-        service seed and the submission index), so concurrent queries can
-        never interleave draws from a shared stream — the service-level
-        analogue of the per-chunk determinism contract.
-        """
-        system = PrividSystem(seed=self._seed, registry=self.registry,
-                              engine=self.engine, cache=self.cache,
-                              ledger=self.ledger,
-                              on_engine_failure=self.on_engine_failure)
-        system.cameras = self._template.cameras
-        system.random = RandomSource(self._seed, path=f"privid/query-{query_seq}")
-        system.mechanism = LaplaceMechanism(system.random)
-        return system
-
     def _run_query(self, query_seq: int, query: PrividQuery,
                    kwargs: dict[str, Any], token: str | None, resumed: bool,
                    timing: dict[str, float], start_seq: int) -> QueryResult:
         timing["started_at"] = time.perf_counter()
         try:
             try:
-                result = self._query_system(query_seq).execute(query, **kwargs)
+                # The query's own noise stream (module docstring), nothing else its own.
+                view = self._template.query_view(f"privid/query-{query_seq}")
+                result = view.execute(query, **kwargs)
                 if token is not None and self.journal is not None:
                     self.journal.finish(token)
                     # The release barrier (core/durability.py, "Fsync

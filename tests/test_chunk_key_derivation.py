@@ -16,7 +16,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import cache as cache_module
+from repro.core import PrividSystem, cache as cache_module
 from repro.core.cache import (
     ChunkResultCache,
     DiskChunkStore,
@@ -34,12 +34,15 @@ from repro.core.engine import (
     _StreamBroadcast,
     chunk_from_spec,
 )
+from repro.core.policy import MaskPolicyMap, PrivacyPolicy
 from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
+from repro.query.parser import parse_query
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
 from repro.scene.scenarios import SCENARIO_NAMES, build_scenario
+from repro.service import QueryService
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import Chunk, ChunkSpec, iter_chunks
 from repro.video.geometry import BoundingBox
@@ -347,3 +350,214 @@ class TestConcurrentStreams:
         for slot in (0, 1):
             for twin in (0, 1):
                 assert results[slot, twin] == [streams[slot][3]] * rounds
+
+
+QUERY_TEXT = (
+    "SPLIT cam BEGIN {begin} END {end} BY TIME 30sec STRIDE 0sec{mask} INTO chunks;\n"
+    "PROCESS chunks USING counter.py TIMEOUT {timeout}sec PRODUCING {max_rows} ROWS "
+    'WITH SCHEMA (kind:STRING="", dy:NUMBER={default}) INTO rows;\n'
+    "SELECT COUNT(*) FROM rows CONSUMING 0.01;")
+
+
+def _query(begin: float = 0.0, *, chunks: int = 4, timeout: float = 5, max_rows: int = 5,
+           default: str = "0", mask: str | None = None):
+    return parse_query(QUERY_TEXT.format(
+        begin=begin, end=begin + 30.0 * chunks, timeout=timeout, max_rows=max_rows,
+        default=default, mask="" if mask is None else f" WITH MASK {mask}"))
+
+
+def _expected_keys(system, query) -> list[str]:
+    """The query's keys as the oracle derives them from a runner and a context
+    built here, now, from the registrations — what a system that keeps nothing
+    between queries would use."""
+    split, process = query.splits[0], query.processes[0]
+    camera = system.cameras[split.camera]
+    mask, _ = camera.policy_map.lookup(split.mask)
+    runner = SandboxRunner(system.registry.resolve(process.executable), process.schema,
+                           max_rows=process.max_rows, timeout_seconds=process.timeout)
+    context = ExecutionContext(
+        camera=camera.name, fps=camera.video.fps, detector_config=camera.detector_config,
+        tracker_config=camera.tracker_config,
+        metadata={**camera.video.metadata, **camera.metadata},
+        detector_seed=camera.detector_seed)
+    spec = ChunkSpec(window=split.window, chunk_duration=split.chunk_duration,
+                     stride=split.stride)
+    return [oracle_key(runner, chunk, context)
+            for chunk in iter_chunks(camera.video, spec, mask=mask)]
+
+
+class _Deployment:
+    """A system or service over one camera and one executable, with every key
+    its store derives recorded in order."""
+
+    def __init__(self, target) -> None:
+        self.target = target
+        self.video = _walker_video("cam", walkers=6, duration=3600.0)
+        self.executable = EnteringObjectCounter(category="person")
+        target.register_executable("counter.py", self.executable)
+        policy = PrivacyPolicy(rho=30.0, k_segments=1)
+        policy_map = MaskPolicyMap.unmasked(policy)
+        policy_map.add("corner", MASK, policy)
+        self.camera = target.register_camera(
+            "cam", self.video, epsilon_budget=1000.0, metadata={"site": "north"},
+            policy_map=policy_map)
+        self.system = getattr(target, "_template", target)
+        store = target.cache if isinstance(target, QueryService) else target.chunk_cache
+        self.keys: list[str] = []
+        derive = store.key_for
+
+        def recording(runner, chunk, context):
+            key = derive(runner, chunk, context)
+            self.keys.append(key)
+            return key
+
+        store.key_for = recording
+
+    def keys_of(self, query) -> list[str]:
+        """Run ``query`` alone; its keys, checked against the oracle."""
+        before = len(self.keys)
+        self.target.execute(query)
+        derived = self.keys[before:]
+        assert derived == _expected_keys(self.system, query)
+        return derived
+
+
+@pytest.fixture()
+def derivations(monkeypatch) -> dict[str, int]:
+    """How often each stream constant is derived from scratch."""
+    calls = {"runner": 0, "context": 0, "text": 0}
+
+    def counted(name: str, attribute: str):
+        real = getattr(cache_module, attribute)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(cache_module, attribute, counting)
+
+    counted("runner", "runner_fingerprint")
+    counted("context", "context_fingerprint")
+    counted("text", "_canonical_text")
+    return calls
+
+
+class TestOncePerRegistration:
+    """The runner's and the context's constants outlive the query: derived once
+    per registration, and again exactly when a registration reads differently."""
+
+    @pytest.fixture()
+    def service(self, tmp_path):
+        with QueryService(seed=3, cache="memory", wal_dir=tmp_path / "wal",
+                          max_concurrent_queries=2) as service:
+            yield _Deployment(service)
+
+    def test_service_derives_each_constant_once(self, service, derivations):
+        for index in range(6):
+            service.keys_of(_query(120.0 * index))
+        # head + tail text of the one (mask, region) pair; no chunk's own part.
+        assert derivations == {"runner": 1, "context": 1, "text": 2}
+        service.keys_of(_query(0.0, mask="corner"))
+        service.keys_of(_query(120.0, mask="corner"))
+        assert derivations == {"runner": 1, "context": 1, "text": 4}
+        assert len(set(service.keys)) == 8 * 4
+
+    def test_system_alone_shares_the_constants_between_executes(self, derivations):
+        with PrividSystem(seed=3, cache="memory") as system:
+            deployment = _Deployment(system)
+            first = deployment.keys_of(_query(0.0))
+            second = deployment.keys_of(_query(120.0))
+        assert derivations == {"runner": 1, "context": 1, "text": 2}
+        assert not set(first) & set(second)
+
+    def test_every_kind_of_change_is_noticed_and_undone(self, service):
+        """One change at a time between two queries: the next query's keys are
+        the ones a runner and context built from scratch would give (checked
+        inside ``keys_of``), differ from the old ones, and come back."""
+        executable, camera, video = service.executable, service.camera, service.video
+        other = EnteringObjectCounter(category="car")
+
+        def assign(target, name, value):
+            return lambda: setattr(target, name, value)
+
+        def entry(mapping, key, value):
+            return lambda: mapping.__setitem__(key, value)
+
+        changes = {
+            "registered anew": (
+                lambda: service.target.register_executable("counter.py", other, replace=True),
+                lambda: service.target.register_executable("counter.py", executable,
+                                                           replace=True)),
+            "field assigned in place": (assign(executable, "entry_margin_frames", 5),
+                                        assign(executable, "entry_margin_frames", 2)),
+            "camera metadata": (entry(camera.metadata, "site", "south"),
+                                entry(camera.metadata, "site", "north")),
+            "camera metadata, type only": (entry(camera.metadata, "site", b"north"),
+                                           entry(camera.metadata, "site", "north")),
+            "video metadata": (entry(video.metadata, "lens", "wide"),
+                               lambda: video.metadata.pop("lens")),
+            "detector seed": (assign(camera, "detector_seed", 9),
+                              assign(camera, "detector_seed", 0)),
+            "detector config": (
+                assign(camera, "detector_config", DetectorConfig(miss_rate=0.3)),
+                assign(camera, "detector_config", camera.detector_config)),
+            # The kept context holds this very dict: only re-reading it notices.
+            "detector config, entry in place": (
+                entry(camera.detector_config.category_miss_rates, "person", 0.4),
+                lambda: camera.detector_config.category_miss_rates.pop("person")),
+        }
+        baseline = service.keys_of(_query())
+        for label, (change, undo) in changes.items():
+            change()
+            changed = service.keys_of(_query())
+            assert not set(changed) & set(baseline), label
+            assert service.keys_of(_query()) == changed, label
+            undo()
+            assert service.keys_of(_query()) == baseline, label
+        for label, clause in {"max_rows": dict(max_rows=6), "TIMEOUT": dict(timeout=6),
+                              "TIMEOUT, type only": dict(timeout=5.0),
+                              "schema default": dict(default="1")}.items():
+            changed = service.keys_of(_query(**clause))
+            if label == "TIMEOUT, type only":
+                # The parser reads 5 and 5.0 as one float: one runner, one key.
+                assert changed == baseline
+            else:
+                assert not set(changed) & set(baseline), label
+            assert service.keys_of(_query()) == baseline, label
+        # New footage has no way back; every later key carries it.
+        video.add_objects([make_crossing_object("late", start=40.0, duration=20.0)])
+        assert not set(service.keys_of(_query())) & set(baseline)
+
+    def test_unequal_defaults_that_compare_equal_get_their_own_runner(self, service):
+        """``0 == 0.0 == False`` but their keys differ, so ``==`` must not
+        decide reuse: ColumnSpec coerces a NUMBER default, a STRING one not."""
+        registry = service.system.registry
+        schemas = [Schema(columns=(ColumnSpec("kind", DataType.STRING, default),))
+                   for default in ("1", "1.0")]
+        runners = [registry.runner("counter.py", schema=schema, max_rows=5,
+                                   timeout_seconds=5.0) for schema in schemas]
+        assert runners[0] is not runners[1]
+        assert registry.runner("counter.py", schema=schemas[1], max_rows=5,
+                               timeout_seconds=5.0) is runners[1]
+        assert registry.runner("counter.py", schema=schemas[1], max_rows=5,
+                               timeout_seconds=5) is not runners[1]
+        assert len(registry._runners) == 1
+
+    def test_racing_queries_with_different_clauses_derive_only_oracle_keys(self, service):
+        """Two pool threads replace each other's kept runner (TIMEOUT 5 against
+        6, same name) and share the kept context, on a short switch interval."""
+        rounds = 12
+        pairs = [(_query(240.0 * index, timeout=5), _query(240.0 * index + 120.0, timeout=6))
+                 for index in range(rounds)]
+        expected = [key for pair in pairs for query in pair
+                    for key in _expected_keys(service.system, query)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for pair in pairs:
+                futures = [service.target.submit(query) for query in pair]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(service.keys) == sorted(expected)
+        assert len(set(expected)) == rounds * 2 * 4

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import PrividSystem, ServiceLedger, ShardedEngine
 from repro.core.budget import BudgetRequest, FrameBudgetLedger
+from repro.core.noise import LaplaceMechanism
 from repro.core.policy import PrivacyPolicy
 from repro.core.resilience import CancellationToken
 from repro.errors import (
@@ -30,6 +31,7 @@ from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
 from repro.service import QueryService
+from repro.utils.rng import RandomSource
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import ChunkSpec, iter_chunks
 
@@ -47,9 +49,9 @@ def _walker_video(num_walkers: int = 6, duration: float = 600.0):
 
 
 def _count_query(name: str = "q", *, window: float = 600.0,
-                 bucket: float = 600.0, epsilon: float = 1.0):
+                 bucket: float = 600.0, epsilon: float = 1.0, camera: str = "cam"):
     return (QueryBuilder(name)
-            .split("cam", begin=0, end=window, chunk_duration=60.0, into="chunks")
+            .split(camera, begin=0, end=window, chunk_duration=60.0, into="chunks")
             .process("chunks", executable="count_entering_people.py", max_rows=5,
                      schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)], into="t")
             .select_count(table="t", bucket_seconds=bucket, epsilon=epsilon)
@@ -282,6 +284,58 @@ class TestQueryService:
         assert repr(first_a) == repr(second_a)    # deterministic across services
         assert repr(first_b) == repr(second_b)
         assert repr(first_a) != repr(first_b)     # distinct per-query streams
+
+    def test_view_draws_what_a_whole_per_query_system_released(self):
+        """Equal text twice on one service: ``privid/query-0`` then
+        ``privid/query-1``, value for value what a complete ``PrividSystem``
+        re-pathed onto that stream releases (how the service built its
+        per-query systems before it handed out views)."""
+        video = _walker_video()
+        query = _count_query(bucket=120.0)
+        with self._service(video) as service:
+            served = [service.execute(query, charge_budget=False) for _ in range(2)]
+        assert repr(served[0].series()) != repr(served[1].series())
+        for query_seq, result in enumerate(served):
+            system = PrividSystem(seed=5)
+            system.register_camera("cam", video,
+                                   policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                                   epsilon_budget=100.0)
+            system.random = RandomSource(5, path=f"privid/query-{query_seq}")
+            system.mechanism = LaplaceMechanism(system.random)
+            reference = system.execute(query, charge_budget=False)
+            assert repr(result.series()) == repr(reference.series())
+            assert repr(result.raw_series_unsafe()) == repr(reference.raw_series_unsafe())
+            assert result.metadata["query_seq"] == query_seq
+
+    def test_view_owns_nothing_and_sees_later_registrations(self):
+        video = _walker_video()
+        service = self._service(video, engine="thread:2")
+        shutdowns = []
+        shutdown = service.engine.shutdown
+
+        def counted_shutdown():
+            shutdowns.append(1)
+            shutdown()
+
+        service.engine.shutdown = counted_shutdown
+        with service:
+            view = service._template.query_view("privid/query-0")
+            assert (view.engine, view.chunk_cache, view.ledger, view.registry, view.cameras) \
+                == (service.engine, service.cache, service.ledger, service.registry,
+                    service.cameras)
+            service.execute(_count_query(bucket=120.0), charge_budget=False)
+            with view:
+                pass          # a view closing must not take the shared engine down
+            view.close()
+            assert shutdowns == []
+            late = _count_query("late", window=120.0, bucket=120.0, camera="late")
+            with pytest.raises(UnknownCameraError):
+                service.execute(late)
+            service.register_camera("late", video,
+                                    policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                                    epsilon_budget=1.0)
+            assert service.execute(late).releases
+        assert shutdowns == [1]
 
     def test_queries_share_one_chunk_store(self):
         video = _walker_video()
