@@ -17,15 +17,13 @@ into the Table, aggregate), emitting a machine-readable
 ``BENCH_pipeline.json`` (path overridable via ``BENCH_PIPELINE_JSON``) with
 chunk throughput, frames/sec, per-stage timings, the process engine's
 per-dispatch IPC payload bytes, the sharded engine's per-shard dispatch
-bytes (``sharded_dispatch``), the disk chunk store's warm-hit and decode
-costs per entry format (``store``: binary columnar vs legacy JSON), and the
-batch-vs-streaming columns, which CI uploads as an artifact (the perf-smoke
-job runs this file, so a streaming regression shows up there).  Before
-overwriting an existing JSON record the benchmark diffs the fresh chunk
-throughput *and* the tracking stage time against it and prints a
-``::warning::`` line on a >20% regression — in CI the committed baseline is
-what sits at that path, so the perf-smoke job surfaces the comparison as an
-annotation.
+bytes (``sharded_dispatch``), and the batch-vs-streaming columns, which CI
+uploads as an artifact (the perf-smoke job runs this file, so a streaming
+regression shows up there).  Before overwriting an existing JSON record the
+benchmark diffs the fresh chunk throughput *and* the tracking stage time
+against it and prints a ``::warning::`` line on a >20% regression — in CI
+the committed baseline is what sits at that path, so the perf-smoke job
+surfaces the comparison as an annotation.
 
 The scene is built from simple linear trajectories with no dynamic
 attributes; scenario scenes (declarative schedules since the columnar
@@ -50,7 +48,6 @@ from repro.core import (
     ThreadPoolEngine,
     TieredChunkCache,
 )
-from repro.core.cache import DiskChunkStore, decode_binary_entry
 from repro.core.policy import PrivacyPolicy
 from repro.cv.tracker import IoUTracker
 from repro.query.builder import QueryBuilder
@@ -276,70 +273,6 @@ def _stage_timings(video: SyntheticVideo) -> dict:
     }
 
 
-def _store_metrics(disk_dir: str) -> dict:
-    """Warm-hit cost of the on-disk chunk store, binary columnar vs JSON.
-
-    Reopens the directory the tiered sweep wrote through (real query
-    entries), mirrors the same rows into a JSON-format twin store, and
-    measures per format: one warm ``get()`` pass over every entry (best of
-    five — the disk-tier hit latency a repeated sweep pays), the raw entry
-    decode (codec cost with the filesystem taken out), and the on-disk
-    entry bytes.  The binary pass must never reach the JSON parser —
-    ``legacy_json_reads`` staying zero is the zero-JSON-parse contract of
-    the memory-mapped hit path.
-    """
-    store = DiskChunkStore(disk_dir)
-    keys = [path.stem for path in store._entry_paths()]
-    assert keys, "tiered sweep left no disk entries to measure"
-    rows_by_key = {key: store.get(key) for key in keys}
-    json_store = DiskChunkStore(tempfile.mkdtemp(prefix="privid-bench-store-"),
-                                entry_format="json")
-    for key, rows in rows_by_key.items():
-        json_store.put(key, rows)
-
-    def warm_pass(target: DiskChunkStore) -> float:
-        best = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            for key in keys:
-                target.get(key)
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    store.reset_stats()
-    warm_binary_s = warm_pass(store)
-    warm_json_s = warm_pass(json_store)
-    assert store.legacy_json_reads == 0, \
-        "binary warm hits reached the JSON parser"
-
-    binary_blobs = [store._path_for(key).read_bytes() for key in keys]
-    json_blobs = [json_store._path_for(key, "json").read_bytes()
-                  for key in keys]
-
-    def decode_pass(blobs: list, decode) -> float:
-        best = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            for blob in blobs:
-                decode(blob)
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    decode_binary_s = decode_pass(binary_blobs, decode_binary_entry)
-    decode_json_s = decode_pass(json_blobs,
-                                lambda blob: json.loads(blob)["rows"])
-    return {
-        "num_entries": len(keys),
-        "entry_bytes_binary": sum(map(len, binary_blobs)),
-        "entry_bytes_json": sum(map(len, json_blobs)),
-        "warm_hit_s_binary": round(warm_binary_s, 6),
-        "warm_hit_s_json": round(warm_json_s, 6),
-        "decode_s_binary": round(decode_binary_s, 6),
-        "decode_s_json": round(decode_json_s, 6),
-        "legacy_json_reads": store.legacy_json_reads,
-    }
-
-
 #: Fractional throughput drop against the committed baseline that triggers
 #: the perf-smoke warning annotation.
 REGRESSION_THRESHOLD = 0.20
@@ -475,7 +408,6 @@ def test_engine_scaling_and_cache_speedup(benchmark):
 
     # Machine-readable record of the chunk hot path for the CI artifact.
     stages = _stage_timings(video)
-    store_metrics = _store_metrics(tiered_dir)
     serial_exec_s = timings["serial"] / SWEEP_REPEATS
     num_chunks = stages["num_chunks"]
     payload = {
@@ -496,12 +428,9 @@ def test_engine_scaling_and_cache_speedup(benchmark):
         "engine_sweep_s": {label: round(value, 6) for label, value in timings.items()},
         "dataflow": dataflow,
         "stages": stages,
-        "store": store_metrics,
         **extras,
     }
     path = _write_pipeline_json(payload)
     print(f"\nwrote {path}: {payload['chunk_throughput_per_s']} chunks/s, "
           f"{payload['frames_per_s']} frames/s, streaming ttfr "
-          f"{dataflow['streaming']['ttfr_s']}s vs batch {dataflow['batch']['ttfr_s']}s, "
-          f"warm store hit {store_metrics['warm_hit_s_binary']}s binary vs "
-          f"{store_metrics['warm_hit_s_json']}s json")
+          f"{dataflow['streaming']['ttfr_s']}s vs batch {dataflow['batch']['ttfr_s']}s")

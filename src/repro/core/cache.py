@@ -14,11 +14,9 @@ Three stores are provided, selectable on ``PrividSystem`` via ``cache=``
 (an instance or a spec string, see :func:`create_cache`):
 
 * :class:`ChunkResultCache` (``"memory"``) — the in-process LRU hot tier;
-* :class:`DiskChunkStore` (``"disk:PATH"``) — fingerprint-named binary
-  columnar entry files under a directory (memory-mapped on the hit path;
-  legacy JSON entries still read, and migrate to binary as they are hit),
-  shared across ``PrividSystem`` instances *and* processes; keys embed the
-  footage's stable content fingerprint
+* :class:`DiskChunkStore` (``"disk:PATH"``) — fingerprint-named JSON entry
+  files under a directory, shared across ``PrividSystem`` instances *and*
+  processes; keys embed the footage's stable content fingerprint
   (``SyntheticVideo.content_fingerprint``), so mutated footage can never hit
   a stale entry;
 * :class:`TieredChunkCache` (``"tiered:PATH"``) — memory in front of disk,
@@ -38,11 +36,8 @@ hold only intermediate rows that never leave the system un-noised.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
-import mmap
 import os
-import struct
 import threading
 import time
 from collections import OrderedDict
@@ -51,8 +46,6 @@ from itertools import chain, count
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.faults import FaultInjector
@@ -316,319 +309,17 @@ class ChunkResultCache:
                     "entries": len(self._entries)}
 
 
-#: On-disk JSON entry format version; bump on any change to the
-#: serialization so stores written by older code read as misses instead of
-#: wrong rows.  JSON is the *legacy* write format (and the fallback for rows
-#: the columnar codec cannot represent exactly); new entries are written in
-#: the binary columnar format below.
+#: On-disk entry format version; bump on any change to the serialization so
+#: stores written by older code read as misses instead of wrong rows.
 _DISK_FORMAT = 1
-
-# --------------------------------------------------- binary columnar entries
-#
-# One chunk's rows as an npz-style single file: a struct-packed header, one
-# descriptor per column (name, dtype tag, mask flags, buffer offset/length,
-# value count), then 8-aligned dtype-tagged column buffers.  The hit path
-# memory-maps the file and reads every buffer through ``np.frombuffer`` —
-# no JSON (or pickle) parsing anywhere.
-#
-# Exactness contract: ``decode(encode(rows)) == rows`` including value
-# *types* (bool vs int vs float vs str), ``None`` values, missing keys, and
-# per-row key order.  Rows the codec cannot reproduce bit-for-bit (a column
-# mixing ints and floats, ints beyond int64, key orders that disagree
-# between rows) refuse to encode and fall back to the legacy JSON format.
-
-#: Entry magic; the trailing digits are the binary format version.  Bump on
-#: any layout change so older stores read as misses, exactly like
-#: ``_DISK_FORMAT`` does for JSON entries.
-_BINARY_MAGIC = b"PVCHNK02"
-
-#: Fixed-size header: magic, column count, header size (bytes up to the end
-#: of the descriptor table), row count, total file size (torn-write check).
-_HEADER = struct.Struct("<8sIIQQ")
-
-#: Per-column descriptor tail, after the length-prefixed utf-8 name:
-#: dtype tag, mask flags, buffer offset, buffer length, encoded value count.
-_DESCRIPTOR = struct.Struct("<BBQQQ")
-
-#: Column dtype tags.
-_TAG_FLOAT, _TAG_INT, _TAG_BOOL, _TAG_STR = 0, 1, 2, 3
-
-#: Descriptor flag bits: the column carries a missing-key (presence) mask /
-#: an explicit-``None`` mask, each stored as packed bits ahead of the values.
-_FLAG_MISSING, _FLAG_NONE = 1, 2
-
-_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
-
-#: Below this many values a column decodes through ``struct.unpack_from``
-#: instead of ``np.frombuffer`` — numpy's per-call setup (~µs) dominates
-#: short columns, and typical chunk entries hold a handful of rows.
-_SMALL_COLUMN_VALUES = 64
-
-#: Entries smaller than this are read with one ``read()`` instead of
-#: memory-mapping: below a few pages the mmap syscall plus page-fault cost
-#: exceeds the copy it avoids.  Either way the decode is the same
-#: zero-parse binary path.
-_MMAP_MIN_BYTES = 1 << 14
-
-
-def _column_order(rows: "list[dict[str, Any]]") -> "list[str] | None":
-    """Global key order every row's key sequence is consistent with.
-
-    Per-row key order must survive the columnar round trip (callers compare
-    ``repr`` of rows).  Each row's key sequence is a chain of precedence
-    constraints; any topological order of the union of those chains lists
-    every row's keys as an in-order subsequence, so one exists exactly when
-    the union is acyclic.  Rows with genuinely contradictory orders (``a``
-    before ``b`` in one row, ``b`` before ``a`` in another) form a cycle and
-    the entry falls back to JSON.  First-seen order breaks ties so uniform
-    schemas keep their natural column order.
-    """
-    seen: dict[str, int] = {}
-    successors: dict[str, set[str]] = {}
-    for row in rows:
-        previous = None
-        for key in row:
-            if type(key) is not str:
-                return None
-            if key not in seen:
-                seen[key] = len(seen)
-                successors[key] = set()
-            if previous is not None:
-                successors[previous].add(key)
-            previous = key
-    indegree = dict.fromkeys(seen, 0)
-    for targets in successors.values():
-        for key in targets:
-            indegree[key] += 1
-    ready = [(seen[key], key) for key, count in indegree.items() if not count]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        _, key = heapq.heappop(ready)
-        order.append(key)
-        for target in successors[key]:
-            indegree[target] -= 1
-            if not indegree[target]:
-                heapq.heappush(ready, (seen[target], target))
-    if len(order) != len(seen):
-        return None  # cyclic precedence: no single order reproduces all rows
-    return order
-
-
-def _encode_column(rows: "list[dict[str, Any]]", name: str
-                   ) -> "tuple[int, int, int, bytes] | None":
-    """One column as (tag, flags, num_values, region bytes), or None.
-
-    The region is the column's self-contained buffer: packed presence/None
-    masks (when needed), zero-padding to an 8-byte boundary, then the
-    dtype-tagged values of the present-and-not-None rows.
-    """
-    _MISSING = object()
-    raw = [row.get(name, _MISSING) for row in rows]
-    present = [value is not _MISSING for value in raw]
-    nones = [value is None for value in raw]
-    values = [value for value in raw if value is not _MISSING and value is not None]
-    flags = 0
-    region = bytearray()
-    if not all(present):
-        flags |= _FLAG_MISSING
-        region += np.packbits(np.array(present, dtype=bool)).tobytes()
-    if any(nones):
-        flags |= _FLAG_NONE
-        region += np.packbits(np.array(nones, dtype=bool)).tobytes()
-    kinds = {type(value) for value in values}
-    if not kinds:
-        tag, buffer = _TAG_FLOAT, b""
-    elif kinds == {bool}:
-        tag = _TAG_BOOL
-        buffer = np.array(values, dtype=np.uint8).tobytes()
-    elif kinds == {int}:
-        if any(not _INT64_MIN <= value <= _INT64_MAX for value in values):
-            return None
-        tag = _TAG_INT
-        buffer = np.array(values, dtype=np.int64).tobytes()
-    elif kinds == {float}:
-        tag = _TAG_FLOAT
-        buffer = np.array(values, dtype=np.float64).tobytes()
-    elif kinds == {str}:
-        tag = _TAG_STR
-        encoded = [value.encode("utf-8") for value in values]
-        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-        np.cumsum([len(piece) for piece in encoded], out=offsets[1:])
-        buffer = offsets.tobytes() + b"".join(encoded)
-    else:
-        return None  # mixed-type column: only JSON reproduces it exactly
-    if len(region) % 8:
-        region += b"\x00" * (8 - len(region) % 8)
-    region += buffer
-    return tag, flags, len(values), bytes(region)
-
-
-def encode_binary_entry(rows: "list[dict[str, Any]]") -> "bytes | None":
-    """Serialize one entry's rows into the binary columnar format.
-
-    Returns None when the rows are not representable exactly (the caller
-    writes legacy JSON instead): non-dict rows, non-string or
-    order-inconsistent keys, mixed-type columns, ints beyond int64.
-    """
-    if not all(type(row) is dict for row in rows):
-        return None
-    names = _column_order(rows)
-    if names is None:
-        return None
-    columns = []
-    for name in names:
-        encoded = _encode_column(rows, name)
-        if encoded is None:
-            return None
-        columns.append(encoded)
-    encoded_names = [name.encode("utf-8") for name in names]
-    header_size = _HEADER.size + sum(2 + len(name) + _DESCRIPTOR.size
-                                     for name in encoded_names)
-    data_start = header_size + (-header_size) % 8
-    descriptors = bytearray()
-    data = bytearray()
-    for name, (tag, flags, num_values, region) in zip(encoded_names, columns):
-        offset = data_start + len(data)
-        descriptors += struct.pack("<H", len(name)) + name
-        descriptors += _DESCRIPTOR.pack(tag, flags, offset, len(region), num_values)
-        data += region
-        if len(data) % 8:
-            data += b"\x00" * (8 - len(data) % 8)
-    file_size = data_start + len(data)
-    header = _HEADER.pack(_BINARY_MAGIC, len(names), header_size,
-                          len(rows), file_size)
-    return header + descriptors + b"\x00" * (data_start - header_size) + data
-
-
-def _decode_column(buf: "mmap.mmap | bytes", tag: int, flags: int,
-                   num_rows: int, offset: int, length: int, num_values: int
-                   ) -> "tuple[list[bool] | None, list[bool] | None, list[Any]]":
-    """One column region back into (present flags, None flags, values)."""
-    end = offset + length
-    mask_bytes = (num_rows + 7) // 8
-    present = nones = None
-    if flags & _FLAG_MISSING:
-        bits = np.frombuffer(buf, dtype=np.uint8, count=mask_bytes, offset=offset)
-        present = np.unpackbits(bits, count=num_rows).astype(bool).tolist()
-        offset += mask_bytes
-    if flags & _FLAG_NONE:
-        bits = np.frombuffer(buf, dtype=np.uint8, count=mask_bytes, offset=offset)
-        nones = np.unpackbits(bits, count=num_rows).astype(bool).tolist()
-        offset += mask_bytes
-    offset += (-offset) % 8
-    # Short columns decode through struct (numpy's per-call setup dominates
-    # a handful of values); long ones through vectorized frombuffer.  Both
-    # produce the same Python scalars as ``ndarray.tolist()``.
-    small = num_values < _SMALL_COLUMN_VALUES
-    if tag == _TAG_FLOAT:
-        if end - offset < 8 * num_values:
-            raise ValueError("binary entry column buffer out of bounds")
-        if small:
-            values = list(struct.unpack_from(f"<{num_values}d", buf, offset))
-        else:
-            values = np.frombuffer(buf, dtype=np.float64, count=num_values,
-                                   offset=offset).tolist()
-    elif tag == _TAG_INT:
-        if end - offset < 8 * num_values:
-            raise ValueError("binary entry column buffer out of bounds")
-        if small:
-            values = list(struct.unpack_from(f"<{num_values}q", buf, offset))
-        else:
-            values = np.frombuffer(buf, dtype=np.int64, count=num_values,
-                                   offset=offset).tolist()
-    elif tag == _TAG_BOOL:
-        if end - offset < num_values:
-            raise ValueError("binary entry column buffer out of bounds")
-        if small:
-            values = list(struct.unpack_from(f"<{num_values}?", buf, offset))
-        else:
-            values = np.frombuffer(buf, dtype=np.bool_, count=num_values,
-                                   offset=offset).tolist()
-    elif tag == _TAG_STR:
-        table = 8 * (num_values + 1)
-        if end - offset < table:
-            raise ValueError("binary entry column buffer out of bounds")
-        if small:
-            offsets = struct.unpack_from(f"<{num_values + 1}q", buf, offset)
-            bad = num_values and (
-                offsets[0] != 0
-                or any(offsets[i] > offsets[i + 1] for i in range(num_values))
-                or offset + table + offsets[-1] > end)
-        else:
-            offsets = np.frombuffer(buf, dtype=np.int64, count=num_values + 1,
-                                    offset=offset)
-            bad = num_values and (offsets[0] != 0 or np.any(np.diff(offsets) < 0)
-                                  or offset + table + int(offsets[-1]) > end)
-        if bad:
-            raise ValueError("binary entry string offsets out of bounds")
-        blob_start = offset + table
-        blob = bytes(buf[blob_start:blob_start + (int(offsets[-1]) if num_values else 0)])
-        values = [blob[offsets[index]:offsets[index + 1]].decode("utf-8")
-                  for index in range(num_values)]
-    else:
-        raise ValueError(f"unknown binary entry column tag {tag}")
-    return present, nones, values
-
-
-def decode_binary_entry(buf: "mmap.mmap | bytes") -> ChunkRows:
-    """Deserialize a binary columnar entry back into its exact rows.
-
-    Raises ValueError on any structural inconsistency (bad magic, torn
-    write, out-of-bounds buffer) so the store's corrupt-entry self-heal path
-    treats the entry as a miss.
-    """
-    if len(buf) < _HEADER.size:
-        raise ValueError("binary entry too short for its header")
-    magic, num_columns, header_size, num_rows, file_size = \
-        _HEADER.unpack_from(buf, 0)
-    if magic != _BINARY_MAGIC:
-        raise ValueError("not a binary chunk entry")
-    if file_size != len(buf) or header_size > file_size or num_columns > 65536:
-        raise ValueError("binary entry header inconsistent with file size")
-    rows: ChunkRows = [{} for _ in range(num_rows)]
-    cursor = _HEADER.size
-    for _ in range(num_columns):
-        if cursor + 2 > header_size:
-            raise ValueError("binary entry descriptor table overruns header")
-        (name_len,) = struct.unpack_from("<H", buf, cursor)
-        cursor += 2
-        if cursor + name_len + _DESCRIPTOR.size > header_size:
-            raise ValueError("binary entry descriptor table overruns header")
-        name = bytes(buf[cursor:cursor + name_len]).decode("utf-8")
-        cursor += name_len
-        tag, flags, offset, length, num_values = _DESCRIPTOR.unpack_from(buf, cursor)
-        cursor += _DESCRIPTOR.size
-        if offset + length > file_size or num_values > num_rows:
-            raise ValueError("binary entry column region out of bounds")
-        present, nones, values = _decode_column(buf, tag, flags, num_rows,
-                                                offset, length, num_values)
-        if present is None and nones is None:
-            if num_values != num_rows:
-                raise ValueError("binary entry value count mismatch")
-            for row, value in zip(rows, values):
-                row[name] = value
-            continue
-        values_iter = iter(values)
-        count = 0
-        for index, row in enumerate(rows):
-            if present is not None and not present[index]:
-                continue
-            if nones is not None and nones[index]:
-                row[name] = None
-                continue
-            row[name] = next(values_iter, None)
-            count += 1
-        if count != num_values:
-            raise ValueError("binary entry value count mismatch")
-    return rows
 
 
 def _read_json_entry(path: str) -> ChunkRows:
-    """Parse one legacy JSON entry (the only JSON parse in the store).
+    """Read and parse one entry file (the only JSON parse in the store).
 
-    Kept as a dedicated seam so tests can assert the warm binary hit path
-    never reaches it (the no-json-load hook).
+    A torn write cannot decode to other rows: an entry is one JSON object,
+    and every strict prefix of a JSON object is invalid JSON, so a truncated
+    file raises here and the store's self-heal path treats it as a miss.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -641,28 +332,6 @@ def _read_json_entry(path: str) -> ChunkRows:
     if not isinstance(payload, dict) or payload.get("format") != _DISK_FORMAT:
         raise ValueError("unknown disk store format")
     return [dict(row) for row in payload["rows"]]
-
-
-def _read_binary_entry(path: str) -> ChunkRows:
-    """Decode one binary entry (the zero-parse hit path).
-
-    One ``read`` of :data:`_MMAP_MIN_BYTES` settles the route: a file that
-    ends inside it is the whole entry (an empty or torn one fails the
-    header check in :func:`decode_binary_entry`); one that fills it is
-    memory-mapped so only the touched pages fault in.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        head = os.read(fd, _MMAP_MIN_BYTES)
-        if len(head) < _MMAP_MIN_BYTES:
-            return decode_binary_entry(head)
-        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        try:
-            return decode_binary_entry(mapped)
-        finally:
-            mapped.close()
-    finally:
-        os.close(fd)
 
 
 class DiskChunkStore:
@@ -679,14 +348,11 @@ class DiskChunkStore:
     256 subdirectories by key prefix to keep directory listings sane at
     millions of chunks.
 
-    Entries are written in the binary columnar format (``KEY.bin``, see
-    :func:`encode_binary_entry`) and memory-mapped on the hit path, so a
-    warm hit pays zero JSON parsing; rows the codec cannot reproduce exactly
-    — and every store with ``entry_format="json"`` — use the legacy JSON
-    format (``KEY.json``) instead.  Both formats are read, counted, swept
-    and self-healed identically, and a legacy JSON hit is migrated in place
-    to binary (``migrations``), so warm directories survive the upgrade and
-    converge to the new format as they are read.
+    An entry is one JSON object, ``{"format": 1, "rows": [...]}``, at
+    ``KEY[:2]/KEY.json`` — the one format that reproduces every row exactly
+    (the same encoding carries rows across the shard wire).  A ``KEY.bin``
+    left by the retired binary format is never opened, counted or served;
+    reclaiming its bytes is deleting the directory.
 
     Unreadable or corrupt entries read as misses and are removed; write-side
     IO errors (ENOSPC, permission flips, a yanked mount) are *non-fatal* —
@@ -701,15 +367,8 @@ class DiskChunkStore:
 
     _STALE_TEMP_AGE = 60.0  # seconds; in-flight writes live for milliseconds
 
-    #: Entry filename suffixes, one per on-disk format.
-    _FORMATS = ("bin", "json")
-
     def __init__(self, directory: str | os.PathLike[str], *,
-                 entry_format: str = "binary",
                  fault_injector: "FaultInjector | None" = None) -> None:
-        if entry_format not in ("binary", "json"):
-            raise ValueError(f"unknown entry format {entry_format!r}; "
-                             "expected 'binary' or 'json'")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._root = os.path.join(os.fspath(self.directory), "")
@@ -718,16 +377,10 @@ class DiskChunkStore:
         #: counter tells its own apart (``next`` on it is atomic).
         self._temp_token = os.urandom(6).hex()
         self._temp_serial = count()
-        self.entry_format = entry_format
         self.stats = CacheStats()
         self.writes = 0
         self.write_errors = 0
         self.read_errors = 0
-        #: Legacy JSON entries parsed (each one is migrated to binary on the
-        #: way out, so a warm directory converges to zero of these).
-        self.legacy_json_reads = 0
-        #: Legacy JSON entries rewritten as binary after a hit.
-        self.migrations = 0
         self.fault_injector = fault_injector
         self.stale_temps_removed = self._sweep_stale_temps()
 
@@ -756,9 +409,8 @@ class DiskChunkStore:
         self.fault_injector = injector
 
     def _entry_paths(self):
-        """Every stored entry, whichever format it was written in."""
-        return chain.from_iterable(self.directory.glob(f"*/*.{suffix}")
-                                   for suffix in self._FORMATS)
+        """Every stored entry."""
+        return self.directory.glob("*/*.json")
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
@@ -768,34 +420,15 @@ class DiskChunkStore:
         """Cache key of one chunk execution (same scheme as every tier)."""
         return chunk_key(runner, chunk, context)
 
-    def _entry_path(self, key: str, suffix: str = "bin") -> str:
-        return f"{self._root}{key[:2]}{os.sep}{key}.{suffix}"
+    def _entry_path(self, key: str) -> str:
+        return f"{self._root}{key[:2]}{os.sep}{key}.json"
 
-    def _path_for(self, key: str, suffix: str = "bin") -> Path:
-        return Path(self._entry_path(key, suffix))
-
-    def _migrate_entry(self, key: str, rows: ChunkRows, json_path: str) -> None:
-        """Rewrite a legacy JSON hit as a binary entry (best-effort).
-
-        The migration is an optimization, not a correctness step: any IO
-        error leaves the JSON entry in place to be retried (or re-migrated)
-        on the next hit.  The JSON file is removed only after the binary
-        entry landed, so a reader always finds one complete entry.
-        """
-        encoded = encode_binary_entry(rows)
-        if encoded is None:
-            return
-        if self._write_entry(self._entry_path(key), encoded):
-            self.migrations += 1
-            try:
-                os.unlink(json_path)
-            except OSError:
-                pass
+    def _path_for(self, key: str) -> Path:
+        return Path(self._entry_path(key))
 
     def get(self, key: str) -> ChunkRows | None:
         """Rows stored under ``key``, or None on a miss (or corrupt entry)."""
         path = self._entry_path(key)
-        json_path: str | None = None  # built only after a binary miss
         rule = self.fault_injector.poll("store.get", token=key) \
             if self.fault_injector is not None else None
         try:
@@ -804,19 +437,12 @@ class DiskChunkStore:
                     time.sleep(rule.delay)
                 elif rule.kind is FaultKind.IO_ERROR:
                     raise OSError(f"injected store read failure for {key[:12]}")
-                elif rule.kind is FaultKind.CORRUPT:
+                elif rule.kind is FaultKind.CORRUPT and os.path.exists(path):
                     # Scribble over the entry so the genuine corrupt-entry
                     # self-heal path below runs against real bytes.
-                    target = path if os.path.exists(path) \
-                        else self._entry_path(key, "json")
-                    if os.path.exists(target):
-                        with open(target, "wb") as handle:
-                            handle.write(b"\x00corrupt")
-            try:
-                rows = _read_binary_entry(path)
-            except FileNotFoundError:
-                json_path = self._entry_path(key, "json")
-                rows = _read_json_entry(json_path)
+                    with open(path, "wb") as handle:
+                        handle.write(b"\x00corrupt")
+            rows = _read_json_entry(path)
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -824,22 +450,13 @@ class DiskChunkStore:
             # A torn or foreign file: treat as a miss and drop it so the slot
             # can be rewritten cleanly.
             self.read_errors += 1
-            for stale in (path,) if json_path is None else (json_path, path):
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        if json_path is not None:
-            # A warm directory written before the binary format: serve the
-            # rows, then migrate the entry so the next hit is parse-free.
-            # JSON-format stores leave their entries alone — for them JSON
-            # is the configured format, not a legacy leftover.
-            self.legacy_json_reads += 1
-            if self.entry_format == "binary":
-                self._migrate_entry(key, rows, json_path)
         return rows
 
     def _write_entry(self, path: str, data: bytes) -> bool:
@@ -888,14 +505,10 @@ class DiskChunkStore:
     def put(self, key: str, rows: ChunkRows) -> None:
         """Persist the rows of one chunk execution under ``key`` (atomic).
 
-        Binary-format stores encode the rows columnar; rows the codec cannot
-        reproduce exactly (and every ``entry_format="json"`` store) are
-        written as legacy JSON.  Whichever format lands, the other format's
-        file for the same key is removed so a reader never finds a stale
-        twin.  IO errors are swallowed and counted (``write_errors``): a
-        store that cannot write behaves as a cache that never warms, not as
-        a query failure.  Serialization bugs (non-JSON rows) still raise —
-        those are programming errors, not environment faults.
+        IO errors are swallowed and counted (``write_errors``): a store that
+        cannot write behaves as a cache that never warms, not as a query
+        failure.  Serialization bugs (non-JSON rows) still raise — those are
+        programming errors, not environment faults.
         """
         rule = self.fault_injector.poll("store.put", token=key) \
             if self.fault_injector is not None else None
@@ -905,24 +518,13 @@ class DiskChunkStore:
             # ColumnarRows (and any other sequence) serialize as the
             # equivalent dict rows.
             rows = [dict(row) for row in rows]
-        encoded = encode_binary_entry(rows) if self.entry_format == "binary" \
-            else None
-        if encoded is not None:
-            data, path = encoded, self._entry_path(key)
-            stale = self._entry_path(key, "json")
-        else:
-            payload = {"format": _DISK_FORMAT, "rows": rows}
-            data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-            path, stale = self._entry_path(key, "json"), self._entry_path(key)
+        payload = {"format": _DISK_FORMAT, "rows": rows}
+        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         if rule is not None and rule.kind is FaultKind.IO_ERROR:
             self.write_errors += 1
             return
-        if self._write_entry(path, data):
+        if self._write_entry(self._entry_path(key), data):
             self.writes += 1
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
 
     def promote(self, key: str, rows: ChunkRows) -> None:
         """No-op: ``promote`` adopts rows a shard already wrote through to
@@ -930,7 +532,7 @@ class DiskChunkStore:
         atomic rename."""
 
     def clear(self) -> None:
-        """Remove every stored entry, whichever format (counters are kept)."""
+        """Remove every stored entry (counters are kept)."""
         for entry in self._entry_paths():
             try:
                 entry.unlink()
@@ -943,8 +545,6 @@ class DiskChunkStore:
         self.writes = 0
         self.write_errors = 0
         self.read_errors = 0
-        self.legacy_json_reads = 0
-        self.migrations = 0
 
     def stats_dict(self) -> dict[str, Any]:
         """Counters plus write count and directory, for stats reporting."""
@@ -953,9 +553,6 @@ class DiskChunkStore:
         return {**stats, "writes": self.writes,
                 "write_errors": self.write_errors,
                 "read_errors": self.read_errors,
-                "legacy_json_reads": self.legacy_json_reads,
-                "migrations": self.migrations,
-                "entry_format": self.entry_format,
                 "directory": str(self.directory)}
 
     def health(self) -> dict[str, Any]:
@@ -963,7 +560,6 @@ class DiskChunkStore:
         writable = os.access(self.directory, os.W_OK | os.X_OK)
         return {"tier": "disk", "directory": str(self.directory),
                 "writable": writable,
-                "entry_format": self.entry_format,
                 "write_errors": self.write_errors,
                 "read_errors": self.read_errors,
                 "stale_temps_removed": self.stale_temps_removed}
@@ -981,11 +577,11 @@ class TieredChunkCache:
     """
 
     def __init__(self, memory: ChunkResultCache | None = None,
-                 disk: DiskChunkStore | str | os.PathLike[str] = "privid-chunk-cache",
-                 *, entry_format: str = "binary") -> None:
+                 disk: DiskChunkStore | str | os.PathLike[str] = "privid-chunk-cache"
+                 ) -> None:
         self.memory = memory if memory is not None else ChunkResultCache()
         self.disk = disk if isinstance(disk, DiskChunkStore) \
-            else DiskChunkStore(disk, entry_format=entry_format)
+            else DiskChunkStore(disk)
 
     def __len__(self) -> int:
         return len(self.memory)
@@ -1076,21 +672,10 @@ def shared_spec(store: "ChunkStore | None") -> str | None:
     disk directory, the stand-in for shared storage across hosts.
     """
     if isinstance(store, DiskChunkStore):
-        return f"{_format_spec('disk', store)}:{store.directory}"
+        return f"disk:{store.directory}"
     if isinstance(store, TieredChunkCache):
-        return f"{_format_spec('tiered', store.disk)}:{store.disk.directory}"
+        return f"tiered:{store.disk.directory}"
     return None
-
-
-def _format_spec(kind: str, disk: DiskChunkStore) -> str:
-    """The spec kind token carrying a store's entry format.
-
-    The default (binary) format stays the bare ``disk``/``tiered`` token so
-    existing spec strings keep meaning what they meant; a JSON-format store
-    reduces to ``disk+json``/``tiered+json`` so shard daemons opening the
-    spec write the same entries the coordinator does.
-    """
-    return kind if disk.entry_format == "binary" else f"{kind}+{disk.entry_format}"
 
 
 def store_health(store: "ChunkStore | None") -> dict[str, Any]:
@@ -1114,10 +699,8 @@ def create_cache(spec: "str | ChunkStore | None") -> "ChunkStore | None":
 
     ``None``, ``"off"`` and ``"none"`` disable caching; ``"memory"`` is the
     in-process LRU cache; ``"disk:PATH"`` the shared on-disk store;
-    ``"tiered:PATH"`` memory in front of disk.  The disk-backed kinds accept
-    an entry-format token (``"disk+json:PATH"``, ``"tiered+binary:PATH"``);
-    the bare kind means the binary default.  A store instance passes through
-    unchanged.  This is the value of the ``cache=`` argument of
+    ``"tiered:PATH"`` memory in front of disk.  A store instance passes
+    through unchanged.  This is the value of the ``cache=`` argument of
     ``PrividSystem`` and of the ``PRIVID_CACHE`` benchmark knob.
     """
     if spec is None:
@@ -1131,16 +714,12 @@ def create_cache(spec: "str | ChunkStore | None") -> "ChunkStore | None":
     if lowered == "memory":
         return ChunkResultCache()
     kind, _, path = text.partition(":")
-    kind, _, entry_format = kind.lower().partition("+")
-    entry_format = entry_format or "binary"
-    if kind in ("disk", "tiered") and entry_format not in ("binary", "json"):
-        raise ValueError(f"cache spec {spec!r} has an unknown entry format "
-                         f"{entry_format!r}; expected 'binary' or 'json'")
+    kind = kind.lower()
     if kind in ("disk", "tiered") and not path:
         raise ValueError(f"cache spec {spec!r} needs a directory: '{kind}:PATH'")
     if kind == "disk":
-        return DiskChunkStore(path, entry_format=entry_format)
+        return DiskChunkStore(path)
     if kind == "tiered":
-        return TieredChunkCache(disk=path, entry_format=entry_format)
+        return TieredChunkCache(disk=path)
     raise ValueError(f"unknown cache spec {spec!r}; "
                      "expected 'off', 'memory', 'disk:PATH' or 'tiered:PATH'")

@@ -8,6 +8,7 @@ from repro.core import (
     ProcessPoolEngine,
     SerialEngine,
     ThreadPoolEngine,
+    create_cache,
     create_engine,
 )
 from repro.core.policy import PrivacyPolicy
@@ -232,6 +233,37 @@ class TestChunkResultCache:
         assert wide.raw_series_unsafe() == reference.raw_series_unsafe()
         # cache_stats is always a dict; disabled caching reports enabled=False.
         assert uncached.cache_stats() == {"enabled": False}
+
+    def test_no_store_changes_the_rows_an_executable_returned(self, tmp_path):
+        # A lone surrogate is a legal Python str that utf-8 cannot encode; an
+        # (untrusted) executable may emit one, and whether a store is
+        # configured must not decide whether the query survives it.
+        video = make_simple_video(duration=240.0)
+        chunks = split_interval(video, ChunkSpec(window=TimeInterval(0, 240),
+                                                 chunk_duration=60.0))
+        runner = SandboxRunner(ConstantExecutable(rows=[{"plate": "\ud800"}]),
+                               Schema(columns=(ColumnSpec("plate", DataType.STRING, ""),)),
+                               max_rows=2, timeout_seconds=5.0)
+        context = _context(video)
+        reference = runner.run_chunks(chunks, context)
+        assert [row["plate"] for row in reference] == ["\ud800"] * len(chunks)
+        for spec in ("memory", f"disk:{tmp_path / 'd'}", f"tiered:{tmp_path / 't'}"):
+            cold = runner.run_chunks(chunks, context, cache=create_cache(spec))
+            assert repr(cold) == repr(reference), spec
+        for spec in (f"disk:{tmp_path / 'd'}", f"tiered:{tmp_path / 't'}"):
+            store = create_cache(spec)  # a fresh handle: served from the files
+            assert repr(runner.run_chunks(chunks, context, cache=store)) \
+                == repr(reference), spec
+            assert store.stats_dict()["hits"] == len(chunks)
+        shared = create_cache(f"tiered:{tmp_path / 's'}")
+        with create_engine("sharded:2") as engine:
+            engine.share_store(shared)  # the shards do the puts
+            sharded = runner.run_chunks(chunks, context, engine=engine, cache=shared)
+        assert repr(sharded) == repr(reference)
+        assert shared.disk.writes == 0 and len(shared.disk) == len(chunks)
+        warm = create_cache(f"tiered:{tmp_path / 's'}")
+        assert repr(runner.run_chunks(chunks, context, cache=warm)) == repr(reference)
+        assert warm.stats_dict()["hits"] == len(chunks)
 
 
 class TestMultiCameraAccounting:

@@ -1,13 +1,12 @@
-"""Tests for the binary columnar chunk-entry codec and its store wiring.
+"""Tests for the on-disk chunk store: exact rows, one entry format, plain ``os`` calls.
 
-The codec's contract is *exactness*: ``decode(encode(rows))`` must reproduce
-the rows bit-for-bit — value types (bool vs int vs float vs str), ``None``
-values, missing keys, and per-row key order all survive — or ``encode``
-must refuse (returning None) so the store falls back to legacy JSON.  The
-property tests drive that contract across the whole value space; the store
-tests pin the hit-path behaviours the engines rely on: memory-mapped binary
-reads with zero JSON parsing, legacy-JSON read compatibility with in-place
-migration, corrupt-entry self-healing, and the write path on plain ``os``
+The store's contract is *exactness*: ``get(key)`` after ``put(key, rows)``
+reproduces the rows bit-for-bit — value types (bool vs int vs float vs
+str), ``None`` values, missing keys and per-row key order all survive —
+because a store must never change what a query returns.  The property test
+drives that across the whole value space; the rest pin what the engines rely
+on: corrupt, torn and foreign files read as misses that heal themselves, the
+``KEY[:2]/KEY.json`` layout and its bytes, and the write path on plain ``os``
 calls — its failures, its races and its syscall budget.
 """
 
@@ -20,50 +19,48 @@ import shutil
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.cache as cache_module
 from repro.core.cache import (
     DiskChunkStore,
     TieredChunkCache,
     create_cache,
-    decode_binary_entry,
-    encode_binary_entry,
     shared_spec,
 )
 
 # ------------------------------------------------------------- row strategies
 
-_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=24)
 
-_COLUMN_VALUES = {
-    "float": st.floats(allow_nan=True, allow_infinity=True, width=64),
-    "int": st.integers(min_value=_INT64_MIN, max_value=_INT64_MAX),
-    "bool": st.booleans(),
-    "str": st.text(max_size=24),
-}
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+    st.booleans(),
+    _TEXT,
+)
 
 
 @st.composite
 def entry_rows(draw):
-    """Rows every binary entry must reproduce exactly.
+    """Rows every entry must reproduce exactly.
 
-    Column names come from arbitrary text (exercising utf-8 name encoding),
-    each column holds one value kind (the codec's mixed-type fallback is
-    tested separately), and every cell is independently a value, an explicit
-    None, or missing — driving both mask flags in every combination.
+    Column names come from arbitrary text (lone surrogates and the empty
+    name included), a column may mix value kinds from row to row, ints run
+    past int64, every cell is independently a value, an explicit None, or
+    missing, and each row lists its keys in an order of its own.
     """
-    names = draw(st.lists(st.text(min_size=1, max_size=12), max_size=5,
-                          unique=True))
-    kinds = [draw(st.sampled_from(sorted(_COLUMN_VALUES))) for _ in names]
+    names = draw(st.lists(st.text(st.characters(exclude_categories=()),
+                                  max_size=12), max_size=5, unique=True))
     num_rows = draw(st.integers(min_value=0, max_value=9))
     rows = []
     for _ in range(num_rows):
         row = {}
-        for name, kind in zip(names, kinds):
-            mode = draw(st.sampled_from(("value", "none", "missing")))
+        for name in draw(st.permutations(names)):
+            mode = draw(st.sampled_from(("value", "value", "none", "missing")))
             if mode == "value":
-                row[name] = draw(_COLUMN_VALUES[kind])
+                row[name] = draw(_VALUES)
             elif mode == "none":
                 row[name] = None
         rows.append(row)
@@ -80,211 +77,165 @@ def assert_rows_exact(decoded, original):
             assert type(got[key]) is type(want[key])
 
 
-class TestCodecRoundTrip:
-    @settings(max_examples=120, deadline=None)
+def _entry_bytes(rows) -> bytes:
+    """What one entry file holds, byte for byte."""
+    return json.dumps({"format": 1, "rows": rows},
+                      separators=(",", ":")).encode("utf-8")
+
+
+class TestExactRows:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=entry_rows())
-    def test_round_trip_is_exact(self, rows):
-        encoded = encode_binary_entry(rows)
-        assert encoded is not None
-        assert_rows_exact(decode_binary_entry(encoded), rows)
-
-    @settings(max_examples=120, deadline=None)
-    @given(rows=entry_rows(), cut=st.integers(min_value=0, max_value=200))
-    def test_truncation_never_decodes(self, rows, cut):
-        # A torn write can stop after any byte; every proper prefix must be
-        # rejected (ValueError), never silently decode to different rows.
-        encoded = encode_binary_entry(rows)
-        truncated = encoded[:min(cut, len(encoded) - 1)]
-        with pytest.raises(ValueError):
-            decode_binary_entry(truncated)
-
-    @settings(max_examples=120, deadline=None)
-    @given(blob=st.binary(max_size=64))
-    def test_garbage_never_crashes(self, blob):
-        # Foreign bytes either raise ValueError (the store's self-heal
-        # trigger) or — only for a forged valid layout — decode to rows.
-        try:
-            decoded = decode_binary_entry(blob)
-        except ValueError:
-            return
-        assert isinstance(decoded, list)
-
-    def test_fixed_exhaustive_entry(self):
-        rows = [
-            {"kind": "person", "dy": 1.5, "frame": 7, "entering": True,
-             "note": None},
-            {"kind": "véhicule 🚗", "dy": float("nan"), "frame": -(2 ** 62),
-             "entering": False},
-            {"kind": "", "dy": float("inf"), "frame": 2 ** 62,
-             "entering": True, "note": "多字节"},
-            {},
-        ]
-        assert_rows_exact(decode_binary_entry(encode_binary_entry(rows)), rows)
-
-    def test_empty_cases(self):
-        for rows in ([], [{}], [{}, {}]):
-            assert_rows_exact(decode_binary_entry(encode_binary_entry(rows)),
-                              rows)
-
-
-class TestCodecFallback:
-    """Rows the codec cannot reproduce exactly must refuse to encode."""
+    def test_put_then_get_is_exact(self, tmp_path, rows):
+        store = DiskChunkStore(tmp_path)
+        store.put("a" * 16, rows)
+        assert_rows_exact(store.get("a" * 16), rows)
+        assert_rows_exact(DiskChunkStore(tmp_path).get("a" * 16), rows)
+        assert (store.write_errors, store.read_errors) == (0, 0)
 
     @pytest.mark.parametrize("rows", [
-        [{"x": 1}, {"x": 1.0}],              # mixed int/float column
-        [{"x": True}, {"x": 1}],             # bool is not int here
-        [{"x": 2 ** 70}],                    # beyond int64
-        [{"x": [1, 2]}],                     # non-scalar value
-        [{"x": {"nested": 1}}],              # non-scalar value
-        [{1: "x"}],                          # non-string key
-        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],  # inconsistent key order
-        [["not", "a", "dict"]],              # non-dict row
+        [],
+        [{}],
+        [{}, {}],
+        [{"kind": "person", "dy": 1.5, "frame": 7, "entering": True,
+          "note": None},
+         {"kind": "véhicule 🚗", "dy": float("nan"), "frame": -(2 ** 62),
+          "entering": False},
+         {"kind": "", "dy": float("inf"), "frame": 2 ** 62,
+          "entering": True, "note": "多字节"},
+         {}],
+        [{"x": 1}, {"x": 1.0}],                # mixed int/float column
+        [{"x": True}, {"x": 1}],               # bool is not int here
+        [{"x": 2 ** 70}, {"x": -0.0}],         # beyond int64; the sign of zero
+        [{"x": [1, 2.0, None]}, {"x": {"nested": 1}}],  # non-scalar values
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],  # rows that disagree on key order
+        [{"plate": "\ud800"}, {"": "\udfff\x00"}],  # what utf-8 cannot encode
     ])
-    def test_unencodable_rows_return_none(self, rows):
-        assert encode_binary_entry(rows) is None
-
-    def test_fallback_rows_still_cached_via_json(self, tmp_path):
+    def test_fixed_entries(self, tmp_path, rows):
         store = DiskChunkStore(tmp_path)
-        rows = [{"x": 1}, {"x": 1.0}]
-        store.put("a" * 16, rows)
-        assert store._path_for("a" * 16, "json").exists()
-        assert not store._path_for("a" * 16).exists()
-        assert store.get("a" * 16) == rows
-
-
-class TestDiskStoreBinary:
-    def test_binary_write_and_mmap_read(self, tmp_path):
-        store = DiskChunkStore(tmp_path)
-        rows = [{"kind": "person", "dy": 1.5}, {"kind": "car", "dy": -0.5}]
         store.put("b" * 16, rows)
-        path = store._path_for("b" * 16)
-        assert path.exists() and path.read_bytes()[:8] == b"PVCHNK02"
         assert_rows_exact(store.get("b" * 16), rows)
-        assert store.stats.hits == 1 and store.legacy_json_reads == 0
 
-    def test_warm_binary_hits_never_parse_json(self, tmp_path, monkeypatch):
-        # The no-json-load hook: a warm binary store must answer every hit
-        # through the mmap path without ever reaching the JSON seam.
-        store = DiskChunkStore(tmp_path)
-        keys = [f"{i:x}" * 16 for i in range(4)]
-        for i, key in enumerate(keys):
-            store.put(key, [{"kind": "person", "seq": i}])
-
-        def _no_json(path):
-            raise AssertionError(f"JSON parse on warm binary hit: {path}")
-
-        monkeypatch.setattr(cache_module, "_read_json_entry", _no_json)
-        for i, key in enumerate(keys):
-            assert store.get(key) == [{"kind": "person", "seq": i}]
-        assert store.legacy_json_reads == 0
-
-    def test_large_entry_exercises_numpy_and_mmap_paths(self, tmp_path):
-        # Columns past _SMALL_COLUMN_VALUES decode via frombuffer and files
-        # past _MMAP_MIN_BYTES read via mmap; a 3000-row entry crosses both
-        # thresholds and must roundtrip exactly like a small one.
+    def test_large_entry_reads_back_whole(self, tmp_path):
+        # Past one 64 KiB read: the entry is reassembled from several.
         store = DiskChunkStore(tmp_path)
         rows = [{"kind": f"k{i}", "dy": i * 0.5, "seq": i, "odd": bool(i % 2)}
                 for i in range(3000)]
         store.put("9" * 16, rows)
-        path = store._path_for("9" * 16)
-        assert path.stat().st_size >= cache_module._MMAP_MIN_BYTES
+        assert store._path_for("9" * 16).stat().st_size > 1 << 16
         assert_rows_exact(store.get("9" * 16), rows)
 
-    def test_corrupt_binary_entry_self_heals(self, tmp_path):
-        store = DiskChunkStore(tmp_path)
-        store.put("c" * 16, [{"kind": "person"}])
-        path = store._path_for("c" * 16)
-        path.write_bytes(b"\x00corrupt")
-        assert store.get("c" * 16) is None
-        assert store.read_errors == 1 and not path.exists()
-        store.put("c" * 16, [{"kind": "person"}])  # slot is reusable
-        assert store.get("c" * 16) == [{"kind": "person"}]
+    def test_tiered_store_serves_the_same_rows_from_either_tier(self, tmp_path):
+        rows = [{"x": 1}, {"x": 1.0, "plate": "\ud800"}]
+        TieredChunkCache(disk=tmp_path).put("c" * 16, rows)
+        reopened = TieredChunkCache(disk=tmp_path)  # cold memory tier
+        assert_rows_exact(reopened.get("c" * 16), rows)   # from disk, promoted
+        assert_rows_exact(reopened.get("c" * 16), rows)   # from memory
+        assert (reopened.disk.stats.hits, reopened.memory.stats.hits) == (1, 1)
 
-    def test_corrupt_header_fields_self_heal(self, tmp_path):
-        # Right magic, lying header (a torn write that kept the first 8
-        # bytes): still a miss plus removal, never an exception.
-        store = DiskChunkStore(tmp_path)
-        store.put("d" * 16, [{"kind": "person", "dy": 1.0}])
-        path = store._path_for("d" * 16)
-        path.write_bytes(path.read_bytes()[:20])
-        assert store.get("d" * 16) is None and store.read_errors == 1
 
-    def test_enumeration_counts_both_formats(self, tmp_path):
+class TestCorruptEntries:
+    """A file that is not a whole entry is a miss that removes itself."""
+
+    def _assert_heals(self, store, key, path):
+        before = store.read_errors
+        assert store.get(key) is None
+        assert store.read_errors == before + 1 and not path.exists()
+
+    def test_an_entry_cut_at_any_byte_never_decodes(self, tmp_path):
+        # A torn write can stop after any byte.  The entry is one JSON
+        # object, so no strict prefix of it parses.
         store = DiskChunkStore(tmp_path)
-        store.put("e" * 16, [{"x": 1}])                # binary
-        store.put("f" * 16, [{"x": 1}, {"x": 1.0}])    # JSON fallback
+        key = "c" * 16
+        rows = [{"kind": "véhicule", "dy": -0.5, "seq": 2 ** 70, "ok": True,
+                 "note": None}, {}, {"kind": "\ud800"}]
+        store.put(key, rows)
+        path = store._path_for(key)
+        whole = path.read_bytes()
+        assert whole == _entry_bytes(rows)
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            self._assert_heals(store, key, path)
+        assert store.stats.hits == 0 and store.stats.misses == len(whole)
+        store.put(key, rows)  # the slot is reusable
+        assert_rows_exact(store.get(key), rows)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.binary(max_size=64))
+    def test_garbage_never_raises_and_is_never_served(self, tmp_path, blob):
+        store = DiskChunkStore(tmp_path)
+        key = "d" * 16
+        store.put(key, [{"kind": "person"}])
+        path = store._path_for(key)
+        path.write_bytes(blob)
+        try:
+            forged = json.loads(blob)["format"] == 1
+        except (ValueError, TypeError, KeyError, IndexError):
+            forged = False
+        if not forged:  # only a whole, well-formed entry is ever served
+            self._assert_heals(store, key, path)
+
+    @pytest.mark.parametrize("payload", [
+        {"format": 0, "rows": []},
+        {"format": 2, "rows": []},
+        {"format": "1", "rows": []},
+        {"rows": []},
+        {"format": 1},
+        {"format": 1, "rows": [["not", "a", "row"]]},
+        [{"format": 1, "rows": []}],
+        "rows",
+    ])
+    def test_an_entry_of_another_format_is_a_miss(self, tmp_path, payload):
+        store = DiskChunkStore(tmp_path)
+        key = "e" * 16
+        store.put(key, [])
+        path = store._path_for(key)
+        path.write_text(json.dumps(payload))
+        self._assert_heals(store, key, path)
+
+    def test_enumeration_counts_and_clears_entries(self, tmp_path):
+        store = DiskChunkStore(tmp_path)
+        store.put("e" * 16, [{"x": 1}])
+        store.put("f" * 16, [{"x": 1}, {"x": 1.0}])
         assert len(store) == 2
         store.clear()
-        assert len(store) == 0
+        assert len(store) == 0 and store.get("e" * 16) is None
 
 
-class TestJsonCompatibilityAndMigration:
-    def _warm_json_store(self, tmp_path):
-        legacy = DiskChunkStore(tmp_path, entry_format="json")
-        rows_by_key = {
-            "1" * 16: [{"kind": "person", "dy": 1.5}],
-            "2" * 16: [{"kind": "car", "dy": -2.0}, {"kind": "car", "dy": 0.0}],
-        }
-        for key, rows in rows_by_key.items():
-            legacy.put(key, rows)
-            assert legacy._path_for(key, "json").exists()
-        return rows_by_key
+class TestOneFormat:
+    """The options that selected a second format are gone, loudly."""
 
-    def test_json_store_writes_and_reads_json(self, tmp_path):
-        store = DiskChunkStore(tmp_path, entry_format="json")
-        store.put("9" * 16, [{"kind": "person"}])
-        payload = json.loads(store._path_for("9" * 16, "json").read_text())
-        assert payload["rows"] == [{"kind": "person"}]
-        assert store.get("9" * 16) == [{"kind": "person"}]
-        assert store.migrations == 0  # json stores migrate nothing
+    def test_shared_specs_reopen_the_same_entries(self, tmp_path):
+        tiered = TieredChunkCache(disk=tmp_path / "t")
+        disk = DiskChunkStore(tmp_path / "d")
+        assert shared_spec(tiered) == f"tiered:{tmp_path / 't'}"
+        assert shared_spec(disk) == f"disk:{tmp_path / 'd'}"
+        for store in (tiered, disk):
+            store.put("1" * 16, [{"kind": "person", "dy": 1.5}])
+            reopened = create_cache(shared_spec(store))
+            assert type(reopened) is type(store)
+            assert reopened.get("1" * 16) == [{"kind": "person", "dy": 1.5}]
 
-    def test_binary_store_reads_and_migrates_legacy_entries(self, tmp_path):
-        rows_by_key = self._warm_json_store(tmp_path)
-        store = DiskChunkStore(tmp_path)  # reopen with the binary default
-        for key, rows in rows_by_key.items():
-            assert store.get(key) == rows
-            # Migration happened in place: binary entry landed, JSON gone.
-            assert store._path_for(key).exists()
-            assert not store._path_for(key, "json").exists()
-        assert store.legacy_json_reads == len(rows_by_key)
-        assert store.migrations == len(rows_by_key)
-        # The second pass is parse-free — counters stop moving.
-        for key, rows in rows_by_key.items():
-            assert store.get(key) == rows
-        assert store.legacy_json_reads == len(rows_by_key)
+    @pytest.mark.parametrize("kind", ["disk+json", "tiered+json", "disk+binary"])
+    def test_create_cache_rejects_format_tokens(self, tmp_path, kind):
+        with pytest.raises(ValueError, match="unknown cache spec"):
+            create_cache(f"{kind}:{tmp_path / 'x'}")
+        assert not (tmp_path / "x").exists()
 
-    def test_put_replaces_stale_other_format_twin(self, tmp_path):
-        store = DiskChunkStore(tmp_path, entry_format="json")
-        store.put("3" * 16, [{"x": 1}])
-        binary = DiskChunkStore(tmp_path)
-        binary.put("3" * 16, [{"x": 2}])
-        assert not binary._path_for("3" * 16, "json").exists()
-        assert binary.get("3" * 16) == [{"x": 2}]
+    def test_constructors_reject_entry_format(self, tmp_path):
+        with pytest.raises(TypeError):
+            DiskChunkStore(tmp_path, entry_format="json")
+        with pytest.raises(TypeError):
+            TieredChunkCache(disk=tmp_path, entry_format="json")
 
-
-class TestFormatSpecs:
-    def test_specs_carry_non_default_format(self, tmp_path):
-        binary = TieredChunkCache(disk=tmp_path / "b")
-        legacy = TieredChunkCache(disk=tmp_path / "j", entry_format="json")
-        assert shared_spec(binary) == f"tiered:{tmp_path / 'b'}"
-        assert shared_spec(legacy) == f"tiered+json:{tmp_path / 'j'}"
-        reopened = create_cache(shared_spec(legacy))
-        assert isinstance(reopened, TieredChunkCache)
-        assert reopened.disk.entry_format == "json"
-
-    def test_create_cache_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            create_cache(f"disk+xml:{tmp_path}")
-
-    def test_store_constructor_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskChunkStore(tmp_path, entry_format="pickle")
-
-    def test_stats_and_health_report_format(self, tmp_path):
+    def test_stats_and_health_name_no_format(self, tmp_path):
         store = DiskChunkStore(tmp_path)
-        assert store.stats_dict()["entry_format"] == "binary"
-        assert store.health()["entry_format"] == "binary"
-        assert store.stats_dict()["migrations"] == 0
+        assert sorted(store.stats_dict()) == [
+            "directory", "hit_rate", "hits", "misses", "read_errors",
+            "write_errors", "writes"]
+        assert "entry_format" not in store.health()
 
 
 # ------------------------------------------------------------- the write path
@@ -329,7 +280,7 @@ class TestWritePath:
         key = "a" * 40
         store.put("a" * 39 + "b", _rows_for(key))  # the prefix directory exists
         # Another writer's temp file, under the very name this put will ask for.
-        planted = tmp_path / "aa" / f"{key}.bin.{store._temp_token}-1.tmp"
+        planted = tmp_path / "aa" / f"{key}.json.{store._temp_token}-1.tmp"
         planted.write_bytes(b"someone else's bytes")
         real_open = os.open
 
@@ -350,7 +301,7 @@ class TestWritePath:
         store = DiskChunkStore(tmp_path)
         key = "b" * 40
         (tmp_path / "bb").mkdir()
-        planted = tmp_path / "bb" / f"{key}.bin.{store._temp_token}-0.tmp"
+        planted = tmp_path / "bb" / f"{key}.json.{store._temp_token}-0.tmp"
         planted.write_bytes(b"someone else's bytes")
         store.put(key, _rows_for(key))  # O_EXCL refuses the taken name
         assert (store.writes, store.write_errors) == (0, 1)
@@ -395,7 +346,7 @@ class TestWritePath:
         monkeypatch.setattr(os, "write", seven_bytes)
         store.put("d" * 40, rows)
         monkeypatch.undo()
-        encoded = encode_binary_entry(rows)
+        encoded = _entry_bytes(rows)
         assert len(calls) == -(-len(encoded) // 7)
         assert store._path_for("d" * 40).read_bytes() == encoded
         assert_rows_exact(store.get("d" * 40), rows)
@@ -463,14 +414,13 @@ class TestSyscallBudget:
         calls.clear()
         store.put(first, _rows_for(first))
         # A new prefix: the open that reported ENOENT, one mkdir, the retry.
-        assert calls == {"open": 2, "makedirs": 1, "mkdir": 1,
-                         "replace": 1, "unlink": 1}
+        assert calls == {"open": 2, "makedirs": 1, "mkdir": 1, "replace": 1}
         calls.clear()
         store.put(second, _rows_for(second))
-        assert calls == {"open": 1, "replace": 1, "unlink": 1}
+        assert calls == {"open": 1, "replace": 1}  # nothing to unlink
         calls.clear()
         assert store.get("f" * 38 + "00") is None
-        assert calls == {"open": 2}  # binary, then legacy JSON: both ENOENT
+        assert calls == {"open": 1}  # one ENOENT
         calls.clear()
         assert store.get(second) == _rows_for(second)
         assert calls == {"open": 1}
@@ -481,29 +431,41 @@ class TestSyscallBudget:
 
 
 class TestHandPlacedEntries:
-    """The layout is a compatibility surface: ``KEY[:2]/KEY.bin|json``."""
+    """The layout is a compatibility surface: ``KEY[:2]/KEY.json``."""
 
-    def test_entries_placed_with_plain_open_read_back(self, tmp_path):
+    def test_an_entry_placed_with_plain_open_reads_back(self, tmp_path):
         store = DiskChunkStore(tmp_path / "store")
-        binary_key, json_key = "1a" * 20, "2b" * 20
+        key = "2b" * 20
         rows = [{"kind": "person", "dy": 1.5}, {"kind": "car", "dy": -0.5}]
-        for key, suffix, data in (
-                (binary_key, "bin", encode_binary_entry(rows)),
-                (json_key, "json", json.dumps({"format": 1, "rows": rows}).encode())):
-            os.mkdir(tmp_path / "store" / key[:2])
-            with open(tmp_path / "store" / key[:2] / f"{key}.{suffix}", "wb") as handle:
-                handle.write(data)
-        assert_rows_exact(store.get(binary_key), rows)
-        json_store = DiskChunkStore(tmp_path / "store", entry_format="json")
-        assert_rows_exact(json_store.get(json_key), rows)
-        assert (tmp_path / "store" / "2b" / f"{json_key}.json").exists()
+        os.mkdir(tmp_path / "store" / key[:2])
+        with open(tmp_path / "store" / key[:2] / f"{key}.json", "w") as handle:
+            json.dump({"format": 1, "rows": rows}, handle)  # any JSON spacing
+        assert_rows_exact(store.get(key), rows)
+        assert len(store) == 1
+        assert (tmp_path / "store" / "2b" / f"{key}.json").exists()
 
-    def test_a_written_entry_is_the_codecs_bytes_and_nothing_else(self, tmp_path):
+    def test_a_written_entry_is_these_bytes_and_nothing_else(self, tmp_path):
         store = DiskChunkStore(tmp_path)
         key = "3c" * 20
         rows = [{"kind": "person", "dy": 1.5}]
         store.put(key, rows)
-        with open(tmp_path / "3c" / f"{key}.bin", "rb") as handle:
-            assert handle.read() == encode_binary_entry(rows)
+        with open(tmp_path / "3c" / f"{key}.json", "rb") as handle:
+            assert handle.read() == _entry_bytes(rows) \
+                == b'{"format":1,"rows":[{"kind":"person","dy":1.5}]}'
         assert sorted(path.name for path in tmp_path.rglob("*") if path.is_file()) \
-            == [f"{key}.bin"]
+            == [f"{key}.json"]
+
+    def test_a_leftover_binary_entry_is_never_opened_counted_or_served(self, tmp_path):
+        store = DiskChunkStore(tmp_path)
+        key = "4d" * 20
+        os.mkdir(tmp_path / "4d")
+        planted = tmp_path / "4d" / f"{key}.bin"
+        planted.write_bytes(b"PVCHNK02" + bytes(24))
+        assert store.get(key) is None
+        assert (len(store), store.read_errors) == (0, 0)
+        store.put(key, _rows_for(key))
+        assert store.get(key) == _rows_for(key) and len(store) == 1
+        assert sorted(path.name for path in (tmp_path / "4d").iterdir()) \
+            == [f"{key}.bin", f"{key}.json"]
+        store.clear()
+        assert planted.read_bytes() == b"PVCHNK02" + bytes(24)

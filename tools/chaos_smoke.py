@@ -93,11 +93,10 @@ STORE_CHAOS = FaultPlan(name="store-chaos", seed=37, rules=(
               probability=0.15, max_fires=100),
 ))
 
-# Same-host fast-path mayhem: binary-format store entries (the tiered
-# default) are scribbled over mid-run, exercising the mmap decoder's
-# corrupt-entry self-heal, and a pipe worker is killed *while it holds an
-# attachment to the engine's shared-memory broadcast segments*.  Both
-# triggers are deterministic (fixed op indices / seq), so the fired log
+# Same-host fast-path mayhem: store entries are scribbled over mid-run,
+# exercising the corrupt-entry self-heal, and a pipe worker is killed *while
+# it holds an attachment to the engine's shared-memory broadcast segments*.
+# Both triggers are deterministic (fixed op indices / seq), so the fired log
 # must replay; the per-run checks additionally assert the coordinator
 # unlinked every ``privid-bc-*`` segment at engine shutdown — a dead
 # worker's attachment must never leak the segment.
