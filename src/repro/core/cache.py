@@ -313,6 +313,10 @@ class ChunkResultCache:
 #: stores written by older code read as misses instead of wrong rows.
 _DISK_FORMAT = 1
 
+#: Every row-less entry's 22 bytes (the smallest entry with a row is 24).
+_EMPTY_ENTRY = json.dumps({"format": _DISK_FORMAT, "rows": []},
+                          separators=(",", ":")).encode("utf-8")
+
 
 def _read_json_entry(path: str) -> ChunkRows:
     """Read and parse one entry file (the only JSON parse in the store).
@@ -352,7 +356,9 @@ class DiskChunkStore:
     ``KEY[:2]/KEY.json`` — the one format that reproduces every row exactly
     (the same encoding carries rows across the shard wire).  A ``KEY.bin``
     left by the retired binary format is never opened, counted or served;
-    reclaiming its bytes is deleting the directory.
+    reclaiming its bytes is deleting the directory.  A row-less entry is a
+    name, not a file: a handle's later row-less puts land as hard links to
+    the first it wrote (counted in ``links``, too).
 
     Unreadable or corrupt entries read as misses and are removed; write-side
     IO errors (ENOSPC, permission flips, a yanked mount) are *non-fatal* —
@@ -377,8 +383,11 @@ class DiskChunkStore:
         #: counter tells its own apart (``next`` on it is atomic).
         self._temp_token = os.urandom(6).hex()
         self._temp_serial = count()
+        #: ``(path, inode, device)`` of the row-less entry puts link to.
+        self._empty_source: tuple[str, int, int] | None = None
         self.stats = CacheStats()
         self.writes = 0
+        self.links = 0
         self.write_errors = 0
         self.read_errors = 0
         self.fault_injector = fault_injector
@@ -438,10 +447,9 @@ class DiskChunkStore:
                 elif rule.kind is FaultKind.IO_ERROR:
                     raise OSError(f"injected store read failure for {key[:12]}")
                 elif rule.kind is FaultKind.CORRUPT and os.path.exists(path):
-                    # Scribble over the entry so the genuine corrupt-entry
-                    # self-heal path below runs against real bytes.
-                    with open(path, "wb") as handle:
-                        handle.write(b"\x00corrupt")
+                    # Rename scribbled bytes over the entry (never in place,
+                    # see _write_entry) so the self-heal below runs for real.
+                    self._write_entry(path, b"\x00corrupt")
             rows = _read_json_entry(path)
         except FileNotFoundError:
             self.stats.misses += 1
@@ -459,7 +467,10 @@ class DiskChunkStore:
         self.stats.hits += 1
         return rows
 
-    def _write_entry(self, path: str, data: bytes) -> bool:
+    def _temp_for(self, path: str) -> str:
+        return f"{path}.{self._temp_token}-{next(self._temp_serial)}.tmp"
+
+    def _write_entry(self, path: str, data: bytes, *, source: bool = False) -> bool:
         """Atomically land one serialized entry at ``path`` (temp+replace).
 
         The temp file is created beside the entry with ``O_EXCL``, so a name
@@ -469,11 +480,16 @@ class DiskChunkStore:
         missing — once per prefix per store lifetime, or after someone
         removed it under a live store — not asked for on every put.
 
+        Once renamed into place an entry's file is never written again (the
+        CORRUPT fault's scribble is a new file too), which is what lets
+        row-less entries share one (:meth:`_link_empty`); ``source`` makes
+        the file landed here the one they link to.
+
         Returns False (and counts ``write_errors``) on IO failure: ENOSPC,
         EACCES, a temp-name collision — non-fatal, the entry just stays cold
         and the next miss recomputes it.
         """
-        temp = f"{path}.{self._temp_token}-{next(self._temp_serial)}.tmp"
+        temp = self._temp_for(path)
         flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         created = False
         try:
@@ -487,6 +503,8 @@ class DiskChunkStore:
                 written = os.write(fd, data)
                 while written < len(data):
                     written += os.write(fd, data[written:])
+                if source:
+                    status = os.fstat(fd)
             finally:
                 os.close(fd)
             os.replace(temp, path)
@@ -500,15 +518,53 @@ class DiskChunkStore:
                 self.write_errors += 1
                 return False
             raise
+        if source:
+            self._empty_source = (path, status.st_ino, status.st_dev)
         return True
 
-    def put(self, key: str, rows: ChunkRows) -> None:
+    def _link_empty(self, path: str) -> bool:
+        """Land the row-less entry at ``path`` as a hard link to the source —
+        temp + rename, the rename only once the temp's own ``stat`` shows the
+        source's inode at 22 bytes; False, leaving nothing behind, if not."""
+        source = self._empty_source
+        if source is None:
+            return False
+        source_path, inode, device = source
+        temp = self._temp_for(path)
+        try:
+            try:
+                os.link(source_path, temp)
+            except FileNotFoundError:  # the prefix directory, or the source
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                os.link(source_path, temp)
+        except OSError:
+            return False
+        try:
+            status = os.stat(temp)
+            if (status.st_ino, status.st_dev, status.st_size) \
+                    != (inode, device, len(_EMPTY_ENTRY)):
+                return False
+            os.replace(temp, path)
+            self.links += 1
+            return True
+        except OSError:  # e.g. a store opened meanwhile swept the temp
+            return False
+        finally:
+            # rename(2) does nothing when ``path`` already names this very
+            # file (a re-put, two threads on one key): the temp outlives it.
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+
+    def put(self, key: str, rows: ChunkRows) -> bool:
         """Persist the rows of one chunk execution under ``key`` (atomic).
 
-        IO errors are swallowed and counted (``write_errors``): a store that
-        cannot write behaves as a cache that never warms, not as a query
-        failure.  Serialization bugs (non-JSON rows) still raise — those are
-        programming errors, not environment faults.
+        Returns whether the entry landed.  IO errors are swallowed and
+        counted (``write_errors``): a store that cannot write behaves as a
+        cache that never warms, not as a query failure.  Serialization bugs
+        (non-JSON rows) still raise — those are programming errors, not
+        environment faults.
         """
         rule = self.fault_injector.poll("store.put", token=key) \
             if self.fault_injector is not None else None
@@ -519,12 +575,17 @@ class DiskChunkStore:
             # equivalent dict rows.
             rows = [dict(row) for row in rows]
         payload = {"format": _DISK_FORMAT, "rows": rows}
-        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        data = (json.dumps(payload, separators=(",", ":")).encode("utf-8")
+                if rows else _EMPTY_ENTRY)
         if rule is not None and rule.kind is FaultKind.IO_ERROR:
             self.write_errors += 1
-            return
-        if self._write_entry(self._entry_path(key), data):
+            return False
+        path = self._entry_path(key)
+        landed = (not rows and self._link_empty(path)) \
+            or self._write_entry(path, data, source=not rows)
+        if landed:
             self.writes += 1
+        return landed
 
     def promote(self, key: str, rows: ChunkRows) -> None:
         """No-op: ``promote`` adopts rows a shard already wrote through to
@@ -540,9 +601,10 @@ class DiskChunkStore:
                 pass
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/write/error counters."""
+        """Zero the hit/miss/write/link/error counters."""
         self.stats = CacheStats()
         self.writes = 0
+        self.links = 0
         self.write_errors = 0
         self.read_errors = 0
 
@@ -550,7 +612,7 @@ class DiskChunkStore:
         """Counters plus write count and directory, for stats reporting."""
         stats = self.stats.as_dict()
         stats.pop("evictions", None)  # the disk tier never evicts
-        return {**stats, "writes": self.writes,
+        return {**stats, "writes": self.writes, "links": self.links,
                 "write_errors": self.write_errors,
                 "read_errors": self.read_errors,
                 "directory": str(self.directory)}
@@ -611,10 +673,11 @@ class TieredChunkCache:
             self.memory.put(key, rows)
         return rows
 
-    def put(self, key: str, rows: ChunkRows) -> None:
-        """Write the rows of one chunk execution through to both tiers."""
+    def put(self, key: str, rows: ChunkRows) -> bool:
+        """Write the rows of one chunk execution through to both tiers;
+        whether the disk entry landed."""
         self.memory.put(key, rows)
-        self.disk.put(key, rows)
+        return self.disk.put(key, rows)
 
     def promote(self, key: str, rows: ChunkRows) -> None:
         """Adopt rows already persisted in the shared disk tier (e.g. by a

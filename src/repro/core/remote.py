@@ -73,12 +73,14 @@ Shard -> coordinator:
     default rows, ``cache_hit`` marks rows the shard served from its local
     view of the shared store *without executing* (the coordinator counts
     these as ``shard_cache_hits``), and ``stored`` marks rows that already
-    live in the shared store (served from it or written through), so the
-    coordinator's cache layer only promotes them into its memory tier
+    live in the shared store (served from it, or by a put that landed), so
+    the coordinator's cache layer only promotes them into its memory tier
     instead of re-writing the disk entry.  ``stages`` (optional) is where
     the task's seconds went on the shard — ``load_s`` (payload decode),
-    ``store_get_s``, ``execute_s``, ``store_put_s`` — plus ``loads``, 1 when
-    the manifest had to be decoded; summed per shard, never acted on.
+    ``store_get_s``, ``execute_s``, ``store_put_s`` — plus two counts:
+    ``loads``, 1 when the manifest had to be decoded, and ``store_links``,
+    puts that landed as a hard link (an empty entry, no new file); summed
+    per shard, never acted on.
 ``{"type": "pong", "token": T}``
     Heartbeat reply.
 ``{"type": "error", "seq": S, "message": TEXT}``
@@ -483,6 +485,8 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
     payload, decoded = _fetch_payload(message["payload"])
     stages = {"loads": int(decoded), "load_s": clock() - started,
               "store_get_s": 0.0, "execute_s": 0.0, "store_put_s": 0.0}
+    disk = getattr(store, "disk", store)  # a tiered store's disk tier
+    links = getattr(disk, "links", 0)
     runner = payload["runner"]
     context = payload["context"]
     objects = payload["objects"]
@@ -507,13 +511,14 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
         outcome = execute_chunk(runner, chunk, context)
         executed = clock()
         stages["execute_s"] += executed - fetched
-        stored = store is not None and key is not None and not outcome.fallback
-        if stored:
-            store.put(key, outcome.rows)
+        # Only a put that landed is "stored"; the coordinator writes the rest.
+        stored = store is not None and key is not None and not outcome.fallback \
+            and bool(store.put(key, outcome.rows))
         stages["store_put_s"] += clock() - executed
         outcomes.append({"rows": [dict(row) for row in outcome.rows],
                          "fallback": outcome.fallback, "cache_hit": False,
                          "stored": stored})
+    stages["store_links"] = getattr(disk, "links", 0) - links
     return {"type": "result", "seq": message["seq"], "outcomes": outcomes,
             "stages": stages}
 

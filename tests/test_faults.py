@@ -451,6 +451,24 @@ class TestDiskStoreFaults:
         store.put("c" * 40, [{"kind": "person"}])
         assert store.get("c" * 40) == [{"kind": "person"}]
 
+    def test_corrupting_one_linked_empty_entry_heals_that_name_only(self, tmp_path):
+        # Empty entries share one file; the fault renames its scribble over
+        # one name instead of writing the shared file in place.
+        keys = [f"{index:02x}" * 20 for index in range(5)]
+        plan = FaultPlan(rules=(FaultRule(site="store.get", kind=FaultKind.CORRUPT,
+                                          at=(0,)),))
+        store = DiskChunkStore(tmp_path, fault_injector=plan.injector())
+        for key in keys:
+            store.put(key, [])
+        source = store._path_for(keys[0])
+        assert source.stat().st_nlink == 5
+        assert store.get(keys[2]) is None
+        assert store.read_errors == 1 and not store._path_for(keys[2]).exists()
+        assert source.stat().st_nlink == 4
+        assert [store.get(key) for key in keys if key != keys[2]] == [[]] * 4
+        assert store.stats.hits == 4 and store.read_errors == 1
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
     def test_stale_temp_files_are_swept_on_open(self, tmp_path):
         first = DiskChunkStore(tmp_path)
         first.put("d" * 40, [{"kind": "person"}])

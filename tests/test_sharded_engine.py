@@ -35,6 +35,7 @@ from repro.core import (
 import repro.core.engine as engine_module
 from repro.core.cache import ChunkResultCache, TieredChunkCache
 from repro.core.engine import DispatchStats, SerialEngine as _Serial, _StreamBroadcast
+from repro.core.faults import FaultKind, FaultPlan, FaultRule
 from repro.core.policy import PrivacyPolicy
 from repro.core.remote import (
     MAX_FRAME_BYTES,
@@ -825,16 +826,20 @@ class TestShardStageTimes:
                 wall = time.perf_counter() - started
                 stages = frames[-1]["stages"]
                 assert set(stages) == {"loads", "load_s", "store_get_s",
-                                       "execute_s", "store_put_s"}
+                                       "execute_s", "store_put_s", "store_links"}
                 assert 0.0 <= sum(value for name, value in stages.items()
-                                  if name != "loads") <= wall
+                                  if name.endswith("_s")) <= wall
         finally:
             publisher.close()
         cold, warm = (frame["stages"] for frame in frames)
         assert cold["loads"] == 1 and cold["execute_s"] > 0 and cold["store_put_s"] > 0
+        # Every empty result after the first landed as a link to it.
+        empty = sum(1 for outcome in frames[0]["outcomes"] if not outcome["rows"])
+        assert cold["store_links"] == store.links == empty - 1 > 0
         # The repeat: payload already decoded, every chunk served by the store.
         assert warm["loads"] == 0 and warm["load_s"] < cold["load_s"]
         assert warm["execute_s"] == warm["store_put_s"] == 0.0
+        assert warm["store_links"] == 0
         assert [outcome["rows"] for outcome in frames[0]["outcomes"]] \
             == [outcome["rows"] for outcome in frames[1]["outcomes"]]
 
@@ -854,6 +859,60 @@ class TestShardStageTimes:
         # Two shards, each busy for no longer than the stream took.
         assert 0 < sum(stats["stages"][name] for name in names) <= 2 * wall
         assert stats["stages"]["execute_s"] > 0
+
+
+class _InProcessShard:
+    """An engine whose every chunk is one task frame through ``_handle_task``
+    in this process, read back the way the coordinator reads result frames."""
+
+    def __init__(self, store) -> None:
+        self.store = store
+        self.frames: list = []
+
+    def imap_chunks(self, runner, chunks, context, *, count_hint=None):
+        publisher = engine_module._BroadcastPublisher()
+        try:
+            broadcast = _StreamBroadcast(publisher, runner, context, DispatchStats())
+            for seq, chunk in enumerate(chunks):
+                spec = list(broadcast.chunk_spec(chunk))
+                frame = _handle_task({"type": "task", "seq": seq, "specs": [spec],
+                                      "payload": broadcast.payload_ref()},
+                                     self.store)
+                self.frames.append(frame)
+                for outcome in frame["outcomes"]:
+                    yield engine_module.ChunkOutcome(
+                        rows=outcome["rows"], fallback=outcome["fallback"],
+                        stored=outcome["stored"], cache_hit=outcome["cache_hit"])
+        finally:
+            publisher.close()
+
+
+class TestShardPutOutcome:
+    """A result frame's ``stored`` is whether the shard's put landed."""
+
+    @pytest.mark.parametrize("put_fails", [False, True])
+    def test_the_coordinator_writes_what_the_shard_could_not(self, tmp_path,
+                                                             put_fails):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        injector = FaultPlan(rules=(FaultRule(
+            site="store.put", kind=FaultKind.IO_ERROR, probability=1.0),)
+        ).injector() if put_fails else None
+        shard = _InProcessShard(DiskChunkStore(tmp_path / "store",
+                                               fault_injector=injector))
+        coordinator = TieredChunkCache(disk=tmp_path / "store")
+        rows = [list(rows) for rows in runner.iter_chunk_rows(
+            iter_chunks(video, TEN_CHUNKS), context, engine=shard,
+            cache=coordinator)]
+        assert repr(rows) == repr([list(rows) for rows in runner.iter_chunk_rows(
+            iter_chunks(video, TEN_CHUNKS), context)])
+        stored = [outcome["stored"] for frame in shard.frames
+                  for outcome in frame["outcomes"]]
+        assert stored == [not put_fails] * 10
+        assert shard.store.write_errors == (10 if put_fails else 0)
+        # Stored rows are only promoted; unstored ones are written, once.
+        assert coordinator.disk.writes == (10 if put_fails else 0)
+        assert len(DiskChunkStore(tmp_path / "store")) == 10
 
 
 class TestShardedSystemParity:

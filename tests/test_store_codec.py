@@ -17,6 +17,7 @@ import os
 import random
 import shutil
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -233,7 +234,7 @@ class TestOneFormat:
     def test_stats_and_health_name_no_format(self, tmp_path):
         store = DiskChunkStore(tmp_path)
         assert sorted(store.stats_dict()) == [
-            "directory", "hit_rate", "hits", "misses", "read_errors",
+            "directory", "hit_rate", "hits", "links", "misses", "read_errors",
             "write_errors", "writes"]
         assert "entry_format" not in store.health()
 
@@ -245,6 +246,11 @@ def _rows_for(key: str) -> list:
     return [{"kind": "person", "dy": float(int(key[:4], 16)), "key": key}]
 
 
+def _mixed_rows_for(key: str) -> list:
+    """A third of the keys hold no row, as most real chunks do."""
+    return [] if int(key[:4], 16) % 3 == 0 else _rows_for(key)
+
+
 def _put_overlapping(directory: str, seed: int) -> None:
     """One racing process: four threads, each putting every key once."""
     store = DiskChunkStore(directory)
@@ -254,7 +260,7 @@ def _put_overlapping(directory: str, seed: int) -> None:
         order = list(keys)
         random.Random(thread_seed).shuffle(order)
         for key in order:
-            store.put(key, _rows_for(key))
+            store.put(key, _mixed_rows_for(key))
 
     threads = [threading.Thread(target=put_all, args=(seed * 4 + index,))
                for index in range(4)]
@@ -379,15 +385,179 @@ class TestWritePath:
         keys = [f"{index:04x}" * 10 for index in range(200)]
         assert len(store) == len(keys)
         for key in keys:
-            assert store.get(key) == _rows_for(key)
+            assert store.get(key) == _mixed_rows_for(key)
         assert list(tmp_path.glob("**/*.tmp")) == []
+
+
+_EMPTY = b'{"format":1,"rows":[]}'
+
+
+def _empty_keys(count: int, prefix: str = "5") -> list[str]:
+    return [f"{prefix}{index:03x}" * 10 for index in range(count)]
+
+
+def _replace_with(path, data: bytes) -> None:
+    """Land other bytes at an entry path the way the store does: by rename."""
+    temp = f"{path}.elsewhere.tmp"
+    with open(temp, "wb") as handle:
+        handle.write(data)
+    os.replace(temp, path)
+
+
+class TestEmptyEntriesShareOneFile:
+    """A row-less entry is one more name for a file the handle already wrote."""
+
+    def test_empty_puts_from_one_handle_share_one_inode(self, tmp_path):
+        store = DiskChunkStore(tmp_path)
+        empty, full = _empty_keys(6), _empty_keys(3, prefix="6")
+        for key in empty:
+            assert store.put(key, []) is True
+        for key in full:
+            store.put(key, _rows_for(key))
+        inodes = {os.stat(store._entry_path(key)).st_ino for key in empty}
+        assert len(inodes) == 1
+        for key in empty:
+            status = os.stat(store._entry_path(key))
+            assert (status.st_nlink, status.st_size) == (6, len(_EMPTY))
+            assert store._path_for(key).read_bytes() == _EMPTY
+            assert store.get(key) == []
+        statuses = [os.stat(store._entry_path(key)) for key in full]
+        assert all(status.st_nlink == 1 for status in statuses)
+        assert len({status.st_ino for status in statuses} | inodes) == 4
+        assert (store.writes, store.links, store.write_errors) == (9, 5, 0)
+        assert store.stats_dict()["links"] == 5 and len(store) == 9
+        store.reset_stats()
+        assert store.links == 0
+
+    @staticmethod
+    def _replace_source_with_rows(store, tmp_path, source):
+        DiskChunkStore(tmp_path).put(source, _rows_for(source))
+
+    @staticmethod
+    def _clear(store, tmp_path, source):
+        store.clear()
+
+    @staticmethod
+    def _self_heal(store, tmp_path, source):
+        _replace_with(store._entry_path(source), b"\x00torn")
+        assert store.get(source) is None and store.read_errors == 1
+
+    @staticmethod
+    def _rmtree(store, tmp_path, source):
+        shutil.rmtree(tmp_path)
+
+    @pytest.mark.parametrize("lose_source", ["_replace_source_with_rows", "_clear",
+                                             "_self_heal", "_rmtree"])
+    def test_a_lost_source_makes_the_next_empty_put_a_fresh_file(
+            self, tmp_path, lose_source):
+        store = DiskChunkStore(tmp_path)
+        source, linked, after, later = _empty_keys(4)
+        store.put(source, [])
+        store.put(linked, [])
+        getattr(self, lose_source)(store, tmp_path, source)
+        assert store.put(after, []) is True
+        status = os.stat(store._entry_path(after))
+        assert (status.st_nlink, status.st_size) == (1, len(_EMPTY))
+        assert store.get(after) == []
+        if lose_source == "_replace_source_with_rows":
+            assert store.get(source) == _rows_for(source)
+            assert os.stat(store._entry_path(source)).st_nlink == 1
+        store.put(later, [])  # the fresh file is the new source
+        assert os.stat(store._entry_path(later)).st_ino == status.st_ino
+        assert (store.links, store.write_errors) == (2, 0)
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
+    @pytest.mark.parametrize("code", [errno.EMLINK, errno.EPERM, errno.EXDEV])
+    def test_a_refused_link_still_lands_the_entry(self, tmp_path, monkeypatch, code):
+        store = DiskChunkStore(tmp_path)
+        first, second = _empty_keys(2)
+        store.put(first, [])
+
+        def refusing_link(source, target):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "link", refusing_link)
+        assert store.put(second, []) is True
+        monkeypatch.undo()
+        assert store.get(second) == [] and store.get(first) == []
+        assert (store.writes, store.links, store.write_errors) == (2, 0, 0)
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
+    def test_a_re_put_leaves_no_temp(self, tmp_path):
+        # rename(2) is a no-op when both names already link one file: the
+        # re-put of the source's own key and of a linked key both hit it.
+        store = DiskChunkStore(tmp_path)
+        source, linked = _empty_keys(2)
+        for key in (source, source, linked, linked, source):
+            assert store.put(key, []) is True
+        assert list(tmp_path.glob("**/*.tmp")) == []
+        assert os.stat(store._entry_path(source)).st_nlink == 2
+        assert store.get(source) == store.get(linked) == []
+
+    def test_handles_racing_on_the_same_empty_keys_leave_no_temp(self, tmp_path):
+        keys = _empty_keys(60)
+        stores = [DiskChunkStore(tmp_path) for _ in range(2)]
+
+        def put_all(store, thread_seed: int) -> None:
+            order = list(keys)
+            random.Random(thread_seed).shuffle(order)
+            for key in order:
+                store.put(key, [])
+
+        threads = [threading.Thread(target=put_all, args=(store, seed))
+                   for seed, store in enumerate(stores * 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert list(tmp_path.glob("**/*.tmp")) == []
+        assert all((store.writes, store.write_errors) == (120, 0) for store in stores)
+        assert len(stores[0]) == len(keys)
+        assert all(stores[0].get(key) == [] for key in keys)
+
+    def test_a_store_opened_mid_link_cannot_lose_the_entry(self, tmp_path, monkeypatch):
+        # A linked temp carries its source's mtime, which may be older than
+        # the sweep's age gate: a handle opened between the link and the
+        # rename removes it, and the put falls back to writing a file.
+        store = DiskChunkStore(tmp_path)
+        source, key = _empty_keys(2)
+        store.put(source, [])
+        old = time.time() - DiskChunkStore._STALE_TEMP_AGE - 1.0
+        os.utime(store._entry_path(source), (old, old))
+        real_replace, opened = os.replace, []
+
+        def sweep_first(temp, target):
+            if not opened:
+                opened.append(DiskChunkStore(tmp_path))
+            return real_replace(temp, target)
+
+        monkeypatch.setattr(os, "replace", sweep_first)
+        assert store.put(key, []) is True
+        monkeypatch.undo()
+        assert opened[0].stale_temps_removed == 1
+        assert store.get(key) == [] and store.get(source) == []
+        assert (store.writes, store.links, store.write_errors) == (2, 0, 0)
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
+    def test_put_reports_whether_the_entry_landed(self, tmp_path, monkeypatch):
+        tiered = TieredChunkCache(disk=tmp_path)
+        assert tiered.put("7" * 40, []) is True
+        assert tiered.put("8" * 40, _rows_for("8" * 40)) is True
+
+        def failing_open(path, flags, mode=0o777, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(os, "open", failing_open)
+        assert tiered.put("9" * 40, _rows_for("9" * 40)) is False
+        assert tiered.disk.write_errors == 1
 
 
 class TestSyscallBudget:
     """What a put, a miss and a hit may ask of the file system."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, names) -> dict[str, int]:
         counted: dict[str, int] = {}
 
         def counting(name):
@@ -399,9 +569,13 @@ class TestSyscallBudget:
 
             return wrapper
 
-        for name in ("open", "replace", "unlink", "mkdir", "makedirs"):
+        for name in names:
             monkeypatch.setattr(os, name, counting(name))
         return counted
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return self._count(monkeypatch, ("open", "replace", "unlink", "mkdir", "makedirs"))
 
     def test_put_miss_and_hit(self, tmp_path, calls, monkeypatch):
         store = DiskChunkStore(tmp_path)
@@ -425,6 +599,25 @@ class TestSyscallBudget:
         assert store.get(second) == _rows_for(second)
         assert calls == {"open": 1}
         assert (store.writes, store.write_errors, store.read_errors) == (2, 0, 0)
+
+    def test_an_empty_put_is_a_link(self, tmp_path, monkeypatch):
+        store = DiskChunkStore(tmp_path)
+        first, second, third = "e" * 40, "e" * 39 + "0", "e" * 39 + "1"
+        store.put(first, _rows_for(first))  # the prefix directory exists
+        calls = self._count(monkeypatch, ("open", "fstat", "link", "stat", "replace",
+                                          "unlink", "mkdir", "makedirs"))
+        store.put(second, [])
+        # The handle's first empty entry is a file, whose inode it keeps.
+        assert calls == {"open": 1, "fstat": 1, "replace": 1}
+        calls.clear()
+        store.put(third, [])
+        # Every later one: the link, the temp's check, the rename, and the
+        # unlink of a temp a no-op rename would leave (ENOENT here).
+        assert calls == {"link": 1, "stat": 1, "replace": 1, "unlink": 1}
+        calls.clear()
+        assert store.get(third) == []
+        assert calls == {"open": 1}
+        assert (store.writes, store.links, store.write_errors) == (3, 1, 0)
 
     def test_tempfile_left_the_module(self):
         assert not hasattr(cache_module, "tempfile")
