@@ -8,6 +8,7 @@ Fig. 4, and the effect of a candidate mask on the persistence distribution
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,6 +51,13 @@ class PersistenceHeatmap:
         return [int(index) for index in order[:count] if flat[index] > 0]
 
 
+def check_sample_period(sample_period: float) -> None:
+    """Raise ValueError unless ``sample_period`` is positive and finite: the
+    walks step ``t += sample_period`` until the appearance ends."""
+    if not (math.isfinite(sample_period) and sample_period > 0):
+        raise ValueError(f"sample_period must be positive and finite, got {sample_period!r}")
+
+
 def _private_objects(video: SyntheticVideo, categories: Iterable[str] | None) -> list[SceneObject]:
     allowed = frozenset(categories) if categories is not None else PRIVATE_CATEGORIES
     return [obj for obj in video.objects if obj.category in allowed]
@@ -59,6 +67,7 @@ def persistence_heatmap(video: SyntheticVideo, *, cell_size: float = 40.0,
                         sample_period: float = DEFAULT_SAMPLE_PERIOD,
                         categories: Iterable[str] | None = None) -> PersistenceHeatmap:
     """Accumulate how long private objects overlap each grid cell (Fig. 3, top row)."""
+    check_sample_period(sample_period)
     grid = GridSpec(frame_width=video.width, frame_height=video.height,
                     cell_width=cell_size, cell_height=cell_size)
     cells = np.zeros(grid.num_cells, dtype=float)
@@ -119,24 +128,6 @@ class MaskedPersistence:
         return self.objects_after / self.objects_before
 
 
-def _masked_visible_seconds(scene_object: SceneObject, mask: Mask,
-                            sample_period: float) -> float:
-    """Longest contiguous visible run of an object once the mask is applied."""
-    longest = 0.0
-    for appearance in scene_object.appearances:
-        current = 0.0
-        timestamp = appearance.interval.start
-        while timestamp < appearance.interval.end:
-            box = appearance.box_at(timestamp)
-            if box is not None and not mask.hides(box):
-                current += sample_period
-                longest = max(longest, current)
-            else:
-                current = 0.0
-            timestamp += sample_period
-    return longest
-
-
 def masked_persistence(video: SyntheticVideo, mask: Mask, *,
                        sample_period: float = DEFAULT_SAMPLE_PERIOD,
                        categories: Iterable[str] | None = None) -> MaskedPersistence:
@@ -144,14 +135,35 @@ def masked_persistence(video: SyntheticVideo, mask: Mask, *,
 
     An object "survives" the mask if it remains observable for at least one
     sample; the masked maximum persistence is the longest contiguous
-    observable run of any surviving object.
+    observable run of any surviving object.  Each appearance is walked one
+    sample at a time from its start (``SyntheticVideo.sample_appearances``),
+    and a run is worth ``sample_period`` added once per sample, as a running
+    sum: ``n * sample_period`` rounds differently.
     """
-    objects = _private_objects(video, categories)
-    original: list[float] = []
-    masked: list[float] = []
-    for scene_object in objects:
-        original.append(scene_object.max_appearance_duration)
-        masked.append(_masked_visible_seconds(scene_object, mask, sample_period))
+    check_sample_period(sample_period)
+    allowed = frozenset(categories) if categories is not None else PRIVATE_CATEGORIES
+    owners, lengths, blocks = video.sample_appearances(sample_period, allowed)
+    visible = np.concatenate([np.zeros(0, dtype=bool)]
+                             + [~mask.hides_boxes(boxes) for boxes in blocks])
+    # A run stops before instant i when i or i - 1 is hidden, or when i
+    # begins a walk: runs restart at every appearance.
+    starts = np.cumsum(lengths) - lengths
+    stops = np.ones(visible.size + 1, dtype=bool)
+    stops[1:-1] = ~(visible[1:] & visible[:-1])
+    stops[starts] = True
+    begins = np.flatnonzero(visible & stops[:-1])
+    ends = np.flatnonzero(visible & stops[1:]) + 1
+    longest = np.zeros(len(video.objects), dtype=np.int64)
+    np.maximum.at(longest, owners[np.searchsorted(starts, begins, side="right") - 1],
+                  ends - begins)
+    positions = [position for position, scene_object in enumerate(video.objects)
+                 if scene_object.category in allowed]
+    objects = [video.objects[position] for position in positions]
+    original = [scene_object.max_appearance_duration for scene_object in objects]
+    counts = longest[positions]
+    steps = np.full(int(counts.max(initial=0)) + 1, float(sample_period))
+    steps[0] = 0.0
+    masked = np.cumsum(steps)[counts].tolist()
     surviving = [duration for duration in masked if duration > 0]
     return MaskedPersistence(
         original_durations=tuple(original),

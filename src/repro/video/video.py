@@ -138,6 +138,10 @@ class _AppearanceTable:
     ``bucket_rows[bucket_offsets[b]:bucket_offsets[b + 1]]``, so a windowed
     lookup never scans a full day's objects.  Arrays only: a shard worker
     caches several decoded videos, each with its own table.
+
+    The chunk render and the owner's tools (``repro.analysis.persistence``)
+    both read it, so both go stale together: code that changes
+    ``video.objects`` must call ``add_objects`` or ``invalidate_index``.
     """
 
     __slots__ = ("start", "end", "owner", "slot", "kind", "base", "delta", "duration", "category",
@@ -177,6 +181,7 @@ class _AppearanceTable:
         self.base = columns[:, 6:10].copy()
         self.delta = columns[:, 10:14] - self.base
         self.category = columns[:, 14].astype(np.int64)
+        del columns     # scratch: free it before the index's larger temporaries
         self.bucket_size = bucket_size
         first = (self.start // bucket_size).astype(np.int64)
         last = (np.maximum(self.start, self.end - 1e-9) // bucket_size).astype(np.int64)
@@ -205,11 +210,46 @@ class _AppearanceTable:
         stop = min(max(last + 1, first), buckets)
         listed = self.bucket_rows[self.bucket_offsets[first]:self.bucket_offsets[stop]]
         if categories is not None:
-            wanted = np.zeros(len(self.category_ids), dtype=bool)
-            wanted[[self.category_ids[category] for category in categories
-                    if category in self.category_ids]] = True
-            listed = listed[wanted[self.category[listed]]]
+            listed = listed[self.wanted(categories)[self.category[listed]]]
         return listed, stop - first > 1
+
+    def wanted(self, categories: Iterable[str]) -> np.ndarray:
+        """Per category id, whether it is one of ``categories``."""
+        wanted = np.zeros(len(self.category_ids), dtype=bool)
+        wanted[[self.category_ids[category] for category in categories
+                if category in self.category_ids]] = True
+        return wanted
+
+    def boxes(self, objects: Sequence[SceneObject], rows: np.ndarray, timestamps: np.ndarray,
+              shown: np.ndarray | None = None) -> np.ndarray:
+        """Boxes of ``rows`` at ``timestamps``, the two broadcast together (a
+        ``(rows, 1)`` column against a frame row in the render, pairwise in
+        the owner's sampler), with a trailing ``[x, y, width, height]`` axis.
+
+        Every row is evaluated as a linear trajectory, then the other kinds
+        are overwritten; each step is elementwise, so a box equals
+        ``Appearance.box_at`` bit for bit.  A row of another kind asks its own
+        ``boxes_at``, only where ``shown`` (default: everywhere).
+        """
+        fraction = np.minimum(np.maximum(
+            (timestamps - self.start[rows]) / self.duration[rows], 0.0), 1.0)
+        base = self.base[rows]
+        boxes = base + self.delta[rows] * fraction[..., np.newaxis]
+        kind = self.kind[rows]
+        # A stationary box is copied, never computed as base + 0 * fraction,
+        # which would turn -0.0 into 0.0.
+        np.copyto(boxes, base, where=(kind == _STATIONARY)[..., np.newaxis])
+        other = kind == _OTHER
+        if other.any():
+            shape = fraction.shape
+            shown = np.broadcast_to(True if shown is None else shown, shape)
+            timestamps = np.broadcast_to(timestamps, shape)
+            for row in dict.fromkeys(rows[other].tolist()):
+                appearance = objects[self.owner[row]].appearances[self.slot[row]]
+                at = (rows == row) & shown
+                boxes[at] = appearance.trajectory.boxes_at(
+                    timestamps[at] - appearance.interval.start)
+        return boxes
 
 
 @dataclass
@@ -394,9 +434,10 @@ class SyntheticVideo:
 
         The one render every view derives from: the table rows in
         ``window``'s time buckets (default: the frames' span) become a
-        visibility matrix in one broadcast, a box stack in another, and fold
-        into one row per object.  Every step is elementwise per (row, frame),
-        so visible boxes equal ``SceneObject.box_at`` bit for bit, and with
+        visibility matrix in one broadcast, a box stack in another
+        (``_AppearanceTable.boxes``), and fold into one row per object.  Every
+        step is elementwise per (row, frame), so visible boxes equal
+        ``SceneObject.box_at`` bit for bit, and with
         ``categories`` the batch is the full one minus every other category's rows.
         """
         frame_indices = np.asarray(frame_indices, dtype=np.int64)
@@ -413,27 +454,11 @@ class SyntheticVideo:
         visible = (timestamps >= starts) & (timestamps < table.end[rows][:, np.newaxis])
         seen = visible.any(axis=1)
         if not seen.all():
-            rows, starts, visible = rows[seen], starts[seen], visible[seen]
+            rows, visible = rows[seen], visible[seen]
         if not rows.size:       # nothing (wanted) in view: the frames, and no row
             return FrameBatch(frame_indices, timestamps, [], visible,
                               np.empty(visible.shape + (4,)), self.width, self.height, self.fps)
-        # Every row is evaluated as a linear trajectory, then the other kinds
-        # are overwritten.  A stationary box is copied, never computed as
-        # base + 0 * fraction, which would turn -0.0 into 0.0.
-        fraction = np.minimum(np.maximum(
-            (timestamps - starts) / table.duration[rows][:, np.newaxis], 0.0), 1.0)
-        base = table.base[rows]
-        boxes = base[:, np.newaxis, :] \
-            + table.delta[rows][:, np.newaxis, :] * fraction[:, :, np.newaxis]
-        kind = table.kind[rows]
-        still = kind == _STATIONARY
-        boxes[still] = base[still][:, np.newaxis, :]
-        for index in np.flatnonzero(kind == _OTHER).tolist():
-            row = rows[index]
-            appearance = self.objects[table.owner[row]].appearances[table.slot[row]]
-            shown = visible[index]
-            boxes[index, shown] = appearance.trajectory.boxes_at(
-                timestamps[shown] - appearance.interval.start)
+        boxes = table.boxes(self.objects, rows[:, np.newaxis], timestamps, visible)
         owners = table.owner[rows]
         later = np.flatnonzero(owners[1:] == owners[:-1]) + 1
         if later.size:
@@ -489,6 +514,65 @@ class SyntheticVideo:
             block_last = min(block_first + block, last_frame)
             indices = np.arange(block_first, block_last, step, dtype=np.int64)
             yield from self.batch_for_indices(indices).iter_frames()
+
+    #: Instants per box block when the owner's tools walk appearances; bounds
+    #: the box and mask temporaries however long the scene.
+    _INSTANTS_PER_BLOCK = 1024
+
+    def sample_appearances(self, sample_period: float, categories: Iterable[str]
+                           ) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+        """Walk every appearance of ``categories`` from its start, as
+        ``t = start`` then ``t += sample_period`` while ``t < end`` does.
+
+        Returns ``(owners, lengths, boxes)``: per walk (an appearance with at
+        least one instant), its object's position in ``objects`` and its
+        number of instants; then every instant's box, walk after walk in time
+        order, as ``(n, 4)`` blocks of ``_INSTANTS_PER_BLOCK`` (the last one
+        shorter).  Instants are running sums (a row-wise ``cumsum``):
+        ``start + k * sample_period`` rounds differently.  The walk holds a
+        block and one group of rows at a time, never the whole video's instants.
+        """
+        table, block = self._table(), self._INSTANTS_PER_BLOCK
+        rows = np.flatnonzero(table.wanted(categories)[table.category])
+        # An upper bound on each walk's length, shortest first so that rows
+        # padded to a common length waste little.
+        bound = np.ceil((table.end[rows] - table.start[rows]) / sample_period).astype(np.int64) + 2
+        order = np.argsort(bound, kind="stable")
+        rows, bound = rows[order], bound[order]
+
+        def walks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+            """Per group of rows that fill one block once padded (one row at
+            the least): the rows, their padded sums, and which are instants."""
+            first = 0
+            while first < rows.size:
+                cells = bound[first:first + block] * np.arange(1, min(block, rows.size - first) + 1)
+                stop = first + max(1, int(np.searchsorted(cells, block, side="right")))
+                group, end = rows[first:stop], table.end[rows[first:stop], np.newaxis]
+                width = int(bound[stop - 1])
+                while True:     # the bound leaves room for rounding; widen if it falls short
+                    steps = np.full((group.size, width), float(sample_period))
+                    steps[:, 0] = table.start[group]
+                    sums = np.cumsum(steps, axis=1)
+                    if (sums[:, -1:] >= end).all():
+                        break
+                    width *= 2
+                yield group, sums, sums < end
+                first = stop
+
+        def boxes() -> Iterator[np.ndarray]:
+            held_rows, held_times = rows[:0], table.start[:0]
+            for group, sums, inside in walks():
+                held_rows = np.concatenate((held_rows, np.repeat(group, inside.sum(axis=1))))
+                held_times = np.concatenate((held_times, sums[inside]))
+                while held_rows.size >= block:
+                    yield table.boxes(self.objects, held_rows[:block], held_times[:block])
+                    held_rows, held_times = held_rows[block:], held_times[block:]
+            if held_rows.size:
+                yield table.boxes(self.objects, held_rows, held_times)
+
+        lengths = np.concatenate([bound[:0]] + [inside.sum(axis=1) for _, _, inside in walks()])
+        walked = lengths > 0
+        return table.owner[rows[walked]], lengths[walked], boxes()
 
     def objects_overlapping(self, window: TimeInterval) -> list[SceneObject]:
         """Objects with at least one appearance overlapping ``window``."""
