@@ -1,6 +1,6 @@
 """Benchmark engines that measure the *system* rather than the paper.
 
-``repro.bench.serving`` is the production-traffic load harness: seeded
-multi-tenant workload models, latency/percentile metrics, and the replay
-driver behind ``benchmarks/bench_serving_load.py`` / ``BENCH_serving.json``.
+``repro.bench.serving`` holds the seeded multi-tenant workload model and the
+latency/percentile math that ``benchmarks/system`` (``BENCHMARK.json``)
+builds its ``serve_open`` arrivals and its percentiles from.
 """

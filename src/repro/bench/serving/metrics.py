@@ -1,4 +1,4 @@
-"""Latency/percentile math for the serving load harness.
+"""Latency/percentile math for serving measurements.
 
 Latency under load is a *distribution*, and the interesting part is its
 tail — means hide exactly the percentile behaviour (p99/p999) a service is
@@ -8,7 +8,7 @@ representations live here:
 * :func:`percentile` — exact nearest-rank percentiles over raw samples,
   defined to be bit-equal to ``numpy.percentile(..., method="inverted_cdf")``
   (the property tests pin this against numpy on arbitrary samples).  Use it
-  whenever the samples fit in memory — every harness run does.
+  whenever the samples fit in memory.
 * :class:`LatencyHistogram` — a mergeable log-bucketed sketch for runs whose
   samples live on different shards.  Merging histograms is exact bucket-count
   addition, so ``merge(hist(A), hist(B)) == hist(A + B)`` holds *exactly*
@@ -25,15 +25,8 @@ from typing import Any, Iterable, Sequence
 
 __all__ = [
     "LatencyHistogram",
-    "PERCENTILES",
-    "latency_summary",
     "percentile",
 ]
-
-#: The percentile levels every latency section of ``BENCH_serving.json``
-#: reports, labeled as ``p50`` ... ``p999``.
-PERCENTILES: tuple[tuple[str, float], ...] = (
-    ("p50", 50.0), ("p90", 90.0), ("p99", 99.0), ("p999", 99.9))
 
 
 def percentile(samples: Sequence[float], level: float) -> float | None:
@@ -53,24 +46,6 @@ def percentile(samples: Sequence[float], level: float) -> float | None:
     ordered = sorted(samples)
     rank = math.ceil(level / 100.0 * len(ordered))
     return ordered[min(max(rank - 1, 0), len(ordered) - 1)]
-
-
-def latency_summary(samples: Sequence[float]) -> dict[str, Any]:
-    """The latency section shape of ``BENCH_serving.json`` for one sample set.
-
-    ``count``/``mean``/``min``/``max`` plus the :data:`PERCENTILES` levels.
-    An empty sample reports ``count=0`` and ``None`` everywhere else, so an
-    all-shed run still emits a well-formed section.
-    """
-    if not samples:
-        return {"count": 0, "mean": None, "min": None, "max": None,
-                **{label: None for label, _ in PERCENTILES}}
-    return {"count": len(samples),
-            "mean": math.fsum(samples) / len(samples),
-            "min": min(samples),
-            "max": max(samples),
-            **{label: percentile(samples, level)
-               for label, level in PERCENTILES}}
 
 
 class LatencyHistogram:

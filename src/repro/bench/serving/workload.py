@@ -1,4 +1,4 @@
-"""Seeded multi-tenant workload models for the serving load harness.
+"""Seeded multi-tenant workload model: an open-loop arrival schedule.
 
 A workload is a *schedule*: a sorted sequence of arrival events, each naming
 the tenant that submits, the camera it targets, the query kind it draws from
@@ -12,10 +12,7 @@ modeling choices follow the methodology exemplars in PAPERS.md:
 * **Open-loop Poisson arrivals.**  Open-loop load (arrivals keep coming
   whether or not the service keeps up) is what exposes queueing collapse;
   inter-arrival gaps are exponential draws, making the arrival process
-  Poisson.  Closed-loop mode instead models per-tenant *sessions*: each
-  tenant waits for its previous query before thinking for an exponential
-  gap and submitting the next — the schedule records the think times and
-  the harness enforces the completion ordering at run time.
+  Poisson.
 
 Determinism is the non-negotiable property: every draw is
 ``unit_draw(stream_key(seed, tokens...), counter)`` — the same splitmix64
@@ -31,6 +28,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.utils.hashing import stream_key, string_token, unit_draw
 
@@ -80,13 +78,9 @@ def _exponential(u: float, mean: float) -> float:
 class ArrivalEvent:
     """One query arrival of the workload.
 
-    ``offset_s`` is virtual time from the start of the run.  In open-loop
-    mode it is the absolute submission instant; in closed-loop mode it is
-    the earliest instant the tenant *could* submit (its think time has
-    elapsed), with the session ordering enforced by the harness.
-    ``tenant_seq`` numbers the event within its tenant's session — the key
-    under which closed-loop results stay comparable across runs even though
-    global completion order does not replay.
+    ``offset_s`` is the submission instant, in virtual time from the start
+    of the run.  ``tenant_seq`` numbers the event among its tenant's own
+    arrivals.
     """
 
     seq: int
@@ -102,46 +96,59 @@ class ArrivalEvent:
                 self.offset_s.hex(), self.camera, self.kind)
 
 
+def _check_number(name: str, value: float, *, positive: bool = False) -> None:
+    """Raise unless ``value`` is finite and ``>= 0`` (``> 0`` if ``positive``)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Everything that determines a workload schedule, and nothing else.
 
-    ``arrival_rate_per_s`` drives open-loop mode (mean arrivals per virtual
-    second over the whole population); ``queries_per_tenant`` and
-    ``think_time_mean_s`` drive closed-loop mode.  ``query_mix`` maps query
-    kind → weight; kinds are resolved to concrete queries by the harness's
-    query factory, so the workload model stays independent of the query
-    language.
+    ``arrival_rate_per_s`` is the mean arrivals per virtual second over the
+    whole population, for ``duration_s`` virtual seconds.  ``query_mix``
+    maps query kind → weight; the caller resolves kinds to concrete
+    queries, so the workload model stays independent of the query language.
+    ``mode`` names the arrival process; ``"open"`` is the only one.
     """
 
     seed: int
     num_tenants: int
     cameras: tuple[str, ...]
-    mode: str = "open"                    # "open" | "closed"
-    duration_s: float = 60.0              # open-loop: virtual run length
-    arrival_rate_per_s: float = 4.0       # open-loop: population-wide rate
-    queries_per_tenant: int = 4           # closed-loop: session length
-    think_time_mean_s: float = 1.0        # closed-loop: mean think gap
+    mode: str = "open"
+    duration_s: float = 60.0              # virtual run length
+    arrival_rate_per_s: float = 4.0       # population-wide rate
     tenant_skew: float = 1.0              # zipf exponent over tenants
     camera_skew: float = 0.8              # zipf exponent over cameras
     query_mix: tuple[tuple[str, float], ...] = (("count", 3.0),
                                                 ("count_bucketed", 2.0),
                                                 ("sum", 1.0))
-    max_events: int = 100_000             # open-loop runaway guard
+    max_events: int = 100_000             # runaway guard
 
     def __post_init__(self) -> None:
-        if self.mode not in ("open", "closed"):
-            raise ValueError(f"mode must be 'open' or 'closed', not {self.mode!r}")
-        if self.num_tenants <= 0:
-            raise ValueError("num_tenants must be positive")
+        if self.mode != "open":
+            raise ValueError(f"mode must be 'open', not {self.mode!r}")
+        for name in ("num_tenants", "max_events"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, "
+                                 f"not {value!r}")
         if not self.cameras:
             raise ValueError("at least one camera is required")
         if not self.query_mix:
             raise ValueError("query_mix must name at least one kind")
-        if self.mode == "open" and self.arrival_rate_per_s <= 0:
-            raise ValueError("arrival_rate_per_s must be positive")
-        if self.mode == "closed" and self.queries_per_tenant <= 0:
-            raise ValueError("queries_per_tenant must be positive")
+        _check_number("duration_s", self.duration_s)
+        _check_number("arrival_rate_per_s", self.arrival_rate_per_s,
+                      positive=True)
+        _check_number("tenant_skew", self.tenant_skew)
+        _check_number("camera_skew", self.camera_skew)
+        for kind, weight in self.query_mix:
+            _check_number(f"query_mix weight of {kind!r}", weight)
+        if not math.fsum(weight for _, weight in self.query_mix) > 0:
+            raise ValueError(f"query_mix weights must have a positive sum, "
+                             f"not {self.query_mix!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,10 @@ class WorkloadSchedule:
 
 
 def generate_schedule(config: WorkloadConfig) -> WorkloadSchedule:
-    """Generate the deterministic arrival schedule of a workload config."""
+    """Generate the deterministic arrival schedule of a workload config.
+
+    One population-wide Poisson clock; every draw keyed by arrival index.
+    """
     tenant_edges = _cumulative(zipf_weights(config.num_tenants,
                                             config.tenant_skew))
     camera_edges = _cumulative(zipf_weights(len(config.cameras),
@@ -185,18 +195,6 @@ def generate_schedule(config: WorkloadConfig) -> WorkloadSchedule:
     mix_edges = _cumulative(tuple(weight / mix_total
                                   for _, weight in config.query_mix))
     kinds = tuple(kind for kind, _ in config.query_mix)
-
-    if config.mode == "open":
-        events = _open_loop(config, tenant_edges, camera_edges, mix_edges, kinds)
-    else:
-        events = _closed_loop(config, camera_edges, mix_edges, kinds)
-    return WorkloadSchedule(config=config, events=tuple(events))
-
-
-def _open_loop(config: WorkloadConfig, tenant_edges: list[float],
-               camera_edges: list[float], mix_edges: list[float],
-               kinds: tuple[str, ...]) -> list[ArrivalEvent]:
-    """One population-wide Poisson clock; every draw keyed by arrival index."""
     gap_key = stream_key(config.seed, string_token("serving/open/gap"))
     tenant_key = stream_key(config.seed, string_token("serving/open/tenant"))
     camera_key = stream_key(config.seed, string_token("serving/open/camera"))
@@ -217,45 +215,4 @@ def _open_loop(config: WorkloadConfig, tenant_edges: list[float],
             seq=index, tenant=tenant, tenant_seq=tenant_seq, offset_s=offset,
             camera=config.cameras[_pick(camera_edges, unit_draw(camera_key, index))],
             kind=kinds[_pick(mix_edges, unit_draw(kind_key, index))]))
-    return events
-
-
-def _closed_loop(config: WorkloadConfig, camera_edges: list[float],
-                 mix_edges: list[float], kinds: tuple[str, ...]
-                 ) -> list[ArrivalEvent]:
-    """Per-tenant sessions; every draw keyed by (tenant, session position).
-
-    Tenant skew surfaces as session length here: tenant rank ``t`` runs
-    ``ceil(queries_per_tenant * weight_t / mean_weight)`` queries, so heavy
-    tenants issue proportionally more — the closed-loop analogue of skewed
-    arrival attribution.
-    """
-    weights = zipf_weights(config.num_tenants, config.tenant_skew)
-    mean_weight = 1.0 / config.num_tenants
-    per_tenant: list[ArrivalEvent] = []
-    for tenant in range(config.num_tenants):
-        session_key = stream_key(config.seed,
-                                 string_token("serving/closed/think"), tenant)
-        camera_key = stream_key(config.seed,
-                                string_token("serving/closed/camera"), tenant)
-        kind_key = stream_key(config.seed,
-                              string_token("serving/closed/kind"), tenant)
-        session_length = max(1, math.ceil(
-            config.queries_per_tenant * weights[tenant] / mean_weight))
-        offset = 0.0
-        for position in range(session_length):
-            offset += _exponential(unit_draw(session_key, position),
-                                   config.think_time_mean_s)
-            per_tenant.append(ArrivalEvent(
-                seq=-1, tenant=tenant, tenant_seq=position, offset_s=offset,
-                camera=config.cameras[_pick(camera_edges,
-                                            unit_draw(camera_key, position))],
-                kind=kinds[_pick(mix_edges, unit_draw(kind_key, position))]))
-    # Global seq follows the deterministic (offset, tenant, position) order;
-    # ties cannot survive the float exponential draws, but the tuple keeps
-    # the sort total anyway.
-    per_tenant.sort(key=lambda e: (e.offset_s, e.tenant, e.tenant_seq))
-    return [ArrivalEvent(seq=index, tenant=event.tenant,
-                         tenant_seq=event.tenant_seq, offset_s=event.offset_s,
-                         camera=event.camera, kind=event.kind)
-            for index, event in enumerate(per_tenant)]
+    return WorkloadSchedule(config=config, events=tuple(events))

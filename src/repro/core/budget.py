@@ -195,8 +195,8 @@ class ServiceLedger:
     def __init__(self) -> None:
         self._ledgers: dict[str, FrameBudgetLedger] = {}
         self._lock = threading.RLock()
-        # Contention accounting for the serving load harness: how often
-        # queries queued on the cross-camera lock, how admissions resolved,
+        # Contention accounting for service stats: how often queries
+        # queued on the cross-camera lock, how admissions resolved,
         # and a per-admission timeline of worst-frame remaining budgets (the
         # budget-exhaustion curve of a run).  Mutated only while holding
         # ``_lock``.
@@ -325,15 +325,15 @@ class ServiceLedger:
 
     def contention_stats(self, *, include_timeline: bool = True
                          ) -> dict[str, Any]:
-        """Admission/contention accounting for the load harness.
+        """Admission/contention accounting for service stats and benchmarks.
 
         ``admit_calls`` counts charge-bearing :meth:`admit_many` attempts
         (``admitted`` + ``denied`` partitions them); ``lock_contended`` the
         attempts that queued behind another thread on the cross-camera lock.
         ``timeline`` (optional) lists one entry per attempt — outcome,
         whether it contended, and the worst-frame remaining budget of every
-        touched camera *after* the attempt — the budget-exhaustion curve a
-        ``BENCH_serving.json`` run reports.  Timeline recording stops after
+        touched camera *after* the attempt — the budget-exhaustion curve of
+        a run.  Timeline recording stops after
         ``MAX_TIMELINE_EVENTS`` entries (``timeline_dropped`` counts the
         overflow); the counters keep counting.
         """

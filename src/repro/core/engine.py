@@ -26,12 +26,10 @@ Engines are selected through a registry of named factories
   multi-host deployment), with heartbeat-driven failure detection and
   at-most-once result application.
 
-Every engine exposes two entry points: :meth:`~ExecutionEngine.imap_chunks`,
+Every engine exposes one entry point, :meth:`~ExecutionEngine.imap_chunks`,
 an *ordered streaming map* that pulls chunks lazily from an iterable and
 yields outcomes as the head of the stream completes, holding at most a
-bounded in-flight window of chunks alive; and
-:meth:`~ExecutionEngine.map_chunks`, a thin ``list(imap_chunks(...))``
-adapter for callers that want the batch.  Streaming is what keeps memory and
+bounded in-flight window of chunks alive.  Streaming is what keeps memory and
 time-to-first-result independent of the query window length: SPLIT produces
 chunks on demand (``repro.video.chunking.iter_chunks``) and the executor
 appends rows per chunk as outcomes arrive.
@@ -508,11 +506,6 @@ class ExecutionEngine(Protocol):
         """
         ...  # pragma: no cover - protocol
 
-    def map_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                   context: "ExecutionContext") -> list[ChunkOutcome]:
-        """Run every chunk through the runner, returning outcomes in chunk order."""
-        ...  # pragma: no cover - protocol
-
 
 @dataclass
 class SerialEngine:
@@ -525,10 +518,6 @@ class SerialEngine:
                     count_hint: int | None = None) -> Iterator[ChunkOutcome]:
         for chunk in chunks:
             yield execute_chunk(runner, chunk, context)
-
-    def map_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                   context: "ExecutionContext") -> list[ChunkOutcome]:
-        return list(self.imap_chunks(runner, chunks, context))
 
     def shutdown(self) -> None:
         """No pools to release; present so every engine shuts down uniformly."""
@@ -672,10 +661,6 @@ class ThreadPoolEngine:
         return _stream_through_pool(self._ensure_pool, submit, runner, chunks,
                                     context, window=self._window())
 
-    def map_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                   context: "ExecutionContext") -> list[ChunkOutcome]:
-        return list(self.imap_chunks(runner, chunks, context))
-
     def shutdown(self) -> None:
         """Release the worker threads (the pool is rebuilt on next use)."""
         if self._pool is not None:
@@ -786,10 +771,6 @@ class ProcessPoolEngine:
                                     context, window=self._window(batch_size),
                                     batch_size=batch_size,
                                     on_finish=partial(self._publisher.release, broadcast))
-
-    def map_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                   context: "ExecutionContext") -> list[ChunkOutcome]:
-        return list(self.imap_chunks(runner, chunks, context))
 
     def shutdown(self) -> None:
         """Release the worker processes and unlink what the engine published

@@ -263,8 +263,8 @@ class PrividSystem:
         ``{"engine": NAME}`` plus, for engines that ship work over an IPC
         boundary, a ``dispatch`` section: the process engine's per-future
         payload bytes, or the sharded engine's engine-wide counters with a
-        ``per_shard`` breakdown (the numbers behind the ``sharded`` sweep in
-        ``BENCH_pipeline.json``).
+        ``per_shard`` breakdown (the numbers behind ``benchmarks/system``'s
+        ``core.remote.*`` metrics).
         """
         return engine_stats_dict(self.engine)
 

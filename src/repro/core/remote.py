@@ -1457,11 +1457,6 @@ class ShardedEngine:
                         shard.pending.pop(seq, None)
             self._publisher.release(broadcast)
 
-    def map_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                   context: "ExecutionContext") -> list[ChunkOutcome]:
-        """Run every chunk through the shard pool, in chunk order (batch)."""
-        return list(self.imap_chunks(runner, chunks, context))
-
     # -------------------------------------------------------------- lifecycle
 
     def reset_dispatch_stats(self) -> None:
@@ -1510,8 +1505,8 @@ class ShardedEngine:
         """Engine-wide dispatch counters plus a ``per_shard`` breakdown.
 
         Per-shard entries survive shard death and replacement, so the dict
-        records where every byte of a sweep actually went (the
-        ``sharded_dispatch`` section of ``BENCH_pipeline.json``).
+        records where every byte of a sweep actually went (``engine_stats()``
+        reports it as its ``dispatch`` section).
         ``shard_cache_hits`` counts chunks a shard answered from its local
         view of the shared store without executing; ``breakers`` is the
         per-endpoint circuit-breaker state (empty until shards spawn).

@@ -244,8 +244,8 @@ class QueryService:
                 self._completed += 1
                 self._active -= 1
             result.metadata["query_seq"] = query_seq
-            # Pure observation for the serving load harness: wall-clock
-            # deltas measured around the execution, never fed back into it —
+            # Pure observation for latency measurements: wall-clock deltas
+            # measured around the execution, never fed back into it —
             # results stay byte-identical with or without a reader.
             submitted_at = timing["submitted_at"]
             first_chunk_at = timing.get("first_chunk_at")
@@ -303,7 +303,7 @@ class QueryService:
         (submit → result).  Timing is pure observation: the marks are taken
         around the execution and never feed back into it, so results are
         byte-identical with or without a reader (pinned by the
-        serving-harness regression tests).
+        no-perturbation test in ``tests/test_service.py``).
 
         A resume token admits only the exact submission it journaled: the
         query's canonical fingerprint (AST plus the release-affecting
@@ -319,8 +319,8 @@ class QueryService:
         if resume_token is not None and self.journal is None:
             raise ValueError(
                 "resume_token requires a durable service (wal_dir=...)")
-        # Submit→first-row / submit→result timing for the serving load
-        # harness (``result.metadata["timing"]``): absolute perf_counter
+        # Submit→first-row / submit→result timing for latency measurements
+        # (``result.metadata["timing"]``): absolute perf_counter
         # marks, written by at most one thread at a time (submit here, the
         # query's own worker thereafter), reduced to deltas in _run_query.
         timing: dict[str, float] = {"submitted_at": time.perf_counter()}

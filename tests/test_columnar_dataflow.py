@@ -689,9 +689,9 @@ class TestProcessEngineSpecDispatch:
             executables_module.EnteringObjectCounter(),
             PERSON_SCHEMA, max_rows=50, timeout_seconds=30.0)
         context = ExecutionContext(camera="cam", fps=video.fps)
-        serial = SerialEngine().map_chunks(runner, chunks, context)
+        serial = list(SerialEngine().imap_chunks(runner, chunks, context))
         with ProcessPoolEngine(max_workers=2) as engine:
-            outcomes = engine.map_chunks(runner, chunks, context)
+            outcomes = list(engine.imap_chunks(runner, chunks, context))
             stats = engine.dispatch_stats
         assert [outcome.rows for outcome in outcomes] \
             == [outcome.rows for outcome in serial]
@@ -713,9 +713,9 @@ class TestProcessEngineSpecDispatch:
             executables_module.EnteringObjectCounter(),
             PERSON_SCHEMA, max_rows=50, timeout_seconds=30.0)
         context = ExecutionContext(camera="cam", fps=video_a.fps)
-        serial = SerialEngine().map_chunks(runner, chunks, context)
+        serial = list(SerialEngine().imap_chunks(runner, chunks, context))
         with ProcessPoolEngine(max_workers=2, chunksize=3) as engine:
-            outcomes = engine.map_chunks(runner, chunks, context)
+            outcomes = list(engine.imap_chunks(runner, chunks, context))
             stats = engine.dispatch_stats
         assert [outcome.rows for outcome in outcomes] \
             == [outcome.rows for outcome in serial]

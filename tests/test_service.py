@@ -5,7 +5,10 @@ per-frame budget across all concurrent queries of a deployment —
 check-and-charge is atomic, multi-camera admission stays all-or-nothing
 under races — and :class:`QueryService` shares one engine, one chunk store
 and that one ledger across many concurrent queries while raw results stay
-byte-identical to a standalone system.
+byte-identical to a standalone system.  Under load, every submission ends in
+exactly one outcome, and the per-query timing hooks are pure observation:
+a saturating schedule releases the same bytes, noisy values included, on a
+4-wide pool as on a single slot.
 """
 
 import threading
@@ -13,6 +16,7 @@ from concurrent.futures import wait
 
 import pytest
 
+from repro.bench.serving import WorkloadConfig, generate_schedule
 from repro.core import PrividSystem, ServiceLedger, ShardedEngine
 from repro.core.budget import BudgetRequest, FrameBudgetLedger
 from repro.core.noise import LaplaceMechanism
@@ -241,6 +245,8 @@ class TestQueryService:
                                         "timed_out": 0, "cancelled": 0,
                                         "rejected": 0, "active": 0}
             assert stats["budgets"]["cam"]["remaining_min"] == pytest.approx(0.0)
+            # The ledger's own admission counters agree with the outcomes.
+            assert (stats["ledger"]["admitted"], stats["ledger"]["denied"]) == (2, 2)
             for future in admitted:
                 remaining = future.result().budget_remaining
                 assert remaining is not None and remaining["cam"] >= 0.0
@@ -514,6 +520,156 @@ class TestServiceResilience:
             # The next stream respawns the pool and health recovers.
             service.execute(_count_query(), charge_budget=False)
             assert service.health()["status"] == "ok"
+
+
+def _event_query(event):
+    """The query a schedule event submits: a COUNT, a bucketed COUNT or a
+    bounded SUM over one of three overlapping 240 s windows (picked by the
+    event's seq, so a replay builds the same queries)."""
+    begin = (event.seq % 3) * 120.0
+    builder = (QueryBuilder(f"load-{event.seq}-{event.kind}")
+               .split("cam", begin=begin, end=begin + 240.0, chunk_duration=60.0,
+                      into="chunks")
+               .process("chunks", executable="count_entering_people.py", max_rows=5,
+                        schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)],
+                        into="rows"))
+    if event.kind == "count":
+        builder.select_count(table="rows", epsilon=0.2)
+    elif event.kind == "count_bucketed":
+        builder.select_count(table="rows", bucket_seconds=120.0, epsilon=0.2)
+    else:
+        builder.select_sum("dy", 0.0, 5.0, table="rows", epsilon=0.2)
+    return builder.build()
+
+
+def _service(video, *, epsilon_budget: float = 100.0, **kwargs) -> QueryService:
+    service = QueryService(seed=5, **kwargs)
+    service.register_camera("cam", video,
+                            policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                            epsilon_budget=epsilon_budget)
+    return service
+
+
+class TestStormReconciliation:
+    def test_sheds_reconcile_exactly_and_nothing_is_lost(self):
+        # Two slots, one queue position: the first three submissions are
+        # accepted (the _active counter admits until 2 running + 1 queued),
+        # every later one must shed — deterministically, because shedding
+        # reads the submit-side counter, not worker timing.
+        video = _walker_video()
+        gate = _GateExecutable()
+        with _service(video, max_concurrent_queries=2,
+                      max_queue_depth=1) as service:
+            service.register_executable("gate.py", gate)
+            futures, sheds = [], 0
+            for index in range(8):
+                try:
+                    futures.append(service.submit(_gate_query(f"g{index}")))
+                except ServiceOverloadedError as exc:
+                    sheds += 1
+                    assert exc.limit == 1
+            assert sheds == 5 and len(futures) == 3
+
+            # ---- health mid-storm: internally consistent while saturated.
+            gate.started.wait(timeout=5.0)
+            health = service.health()
+            queries = health["queries"]
+            assert queries["active"] == queries["running"] + queries["queued"]
+            assert queries["running"] <= queries["capacity"] == 2
+            assert queries["queued"] <= queries["queue_limit"] == 1
+            assert queries["active"] == 3
+
+            gate.release.set()
+            wait(futures)
+            stats = service.stats()["queries"]
+            assert stats["rejected"] == sheds
+            assert stats["submitted"] == 8 - sheds
+            assert stats["completed"] + stats["denied"] + stats["failed"] \
+                + stats["timed_out"] + stats["cancelled"] == stats["submitted"]
+            assert stats["active"] == 0
+
+    def test_stats_consistent_under_concurrent_submitters(self):
+        video = _walker_video()
+        with _service(video, max_concurrent_queries=4) as service:
+            futures, lock = [], threading.Lock()
+
+            def submitter() -> None:
+                for _ in range(3):
+                    future = service.submit(_count_query(epsilon=0.2))
+                    with lock:
+                        futures.append(future)
+
+            threads = [threading.Thread(target=submitter) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            wait(futures)
+            stats = service.stats()
+            queries = stats["queries"]
+            assert queries["submitted"] == 12
+            assert queries["completed"] == 12
+            assert queries["active"] == 0
+            # The ledger saw exactly one admission per completed query.
+            assert stats["ledger"]["admitted"] == 12
+            assert stats["ledger"]["admit_calls"] == 12
+
+
+class TestNoPerturbationUnderLoad:
+    def test_loaded_run_releases_byte_identical_to_serial(self):
+        # The timing hooks are pure observation.  The same schedule,
+        # submitted in event order from one thread (submission order assigns
+        # query seqs, hence noise streams), releases the same values, noisy
+        # ones included, on a saturated 4-wide pool as on a single slot, and
+        # as a plain system with no timing hooks releases on each query's
+        # stream.  A hook that fed back into execution or noise would move
+        # them.
+        schedule = generate_schedule(WorkloadConfig(
+            seed=17, num_tenants=8, cameras=("cam",), duration_s=6.0,
+            arrival_rate_per_s=3.0))
+        assert len(schedule.events) >= 10
+        video = _walker_video()
+
+        def released(results):
+            return repr([[(release.group_key, release.noisy_value,
+                           release.raw_value_unsafe)
+                          for release in result.releases]
+                         for result in results])
+
+        releases = {}
+        for width in (4, 1):
+            with _service(video, epsilon_budget=500.0,
+                          max_concurrent_queries=width) as service:
+                futures = [service.submit(_event_query(event))
+                           for event in schedule.events]
+                results = [future.result() for future in futures]
+                stats = service.stats()
+            releases[width] = released(results)
+            # Zero leakage: one ledger charge per release source interval.
+            assert stats["budgets"]["cam"]["charges"] == sum(
+                len(intervals) for result in results for release in result.releases
+                for intervals in (release.source_intervals or {}).values())
+            ledger = stats["ledger"]
+            assert ledger["admitted"] == stats["queries"]["completed"] \
+                == len(schedule.events)
+            assert ledger["admit_calls"] == ledger["admitted"] + ledger["denied"]
+            for result in results:
+                timing = result.metadata["timing"]
+                assert 0.0 <= timing["queue_s"]
+                assert timing["first_row_s"] is not None
+                assert 0.0 <= timing["first_row_s"] <= timing["total_s"]
+        assert releases[4] == releases[1]
+
+        system = PrividSystem(seed=5)
+        system.register_camera("cam", video,
+                               policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                               epsilon_budget=500.0)
+        reference = []
+        for query_seq, event in enumerate(schedule.events):
+            system.random = RandomSource(5, path=f"privid/query-{query_seq}")
+            system.mechanism = LaplaceMechanism(system.random)
+            reference.append(system.execute(_event_query(event)))
+        assert releases[1] == released(reference)
 
 
 class TestShardCacheClassification:

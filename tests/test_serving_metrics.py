@@ -1,4 +1,4 @@
-"""Property tests for the serving-harness percentile/histogram math.
+"""Property tests for the serving percentile/histogram math.
 
 The metrics module makes two exact claims, and these tests pin both against
 independent references rather than sampling a few examples:
@@ -12,18 +12,11 @@ independent references rather than sampling a few examples:
   samples for *every* split point, not approximately but ``==``.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.serving.metrics import (
-    PERCENTILES,
-    LatencyHistogram,
-    latency_summary,
-    percentile,
-)
+from repro.bench.serving.metrics import LatencyHistogram, percentile
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e12, max_value=1e12)
@@ -70,25 +63,6 @@ class TestPercentile:
                   for level in (0.0, 25.0, 50.0, 75.0, 99.0, 100.0)]
         assert values == sorted(values)
         assert values[0] == min(samples) and values[-1] == max(samples)
-
-
-class TestLatencySummary:
-    def test_empty_shape_is_well_formed(self):
-        summary = latency_summary([])
-        assert summary["count"] == 0
-        for label in ("mean", "min", "max", *[name for name, _ in PERCENTILES]):
-            assert summary[label] is None
-
-    @given(samples=samples_strategy)
-    def test_summary_is_consistent_with_percentile(self, samples):
-        summary = latency_summary(samples)
-        assert summary["count"] == len(samples)
-        assert summary["min"] == min(samples)
-        assert summary["max"] == max(samples)
-        assert summary["mean"] == pytest.approx(
-            math.fsum(samples) / len(samples))
-        for label, level in PERCENTILES:
-            assert summary[label] == percentile(samples, level)
 
 
 nonneg_samples = st.lists(

@@ -5,17 +5,19 @@ Two contracts:
 * **Replay.**  A schedule is a pure function of its config: generating twice
   yields byte-identical events (digest equality is necessary but the tests
   compare the event tuples too, so a digest bug cannot mask a generator
-  bug).  This is the property the whole load harness leans on — identical
-  schedules are what make identical releases possible.
+  bug).  ``benchmarks/system`` builds its ``serve_open`` arrivals from a
+  schedule, so identical schedules are what make identical inputs possible.
 * **Shape.**  Different seeds produce *different* schedules whose empirical
   camera/tenant frequencies still follow the configured zipf weights.  The
   check is a chi-square statistic over a FIXED set of seeds — fully
   deterministic, so the bound cannot flake: the observed statistics are
   pinned well below a threshold that uniform-by-mistake sampling exceeds by
   an order of magnitude.
-"""
 
-import math
+A config that is not a finite, in-range workload is rejected at construction
+with a ``ValueError`` naming the field and the value, never turned into a
+silent 100,000-event schedule.
+"""
 
 import pytest
 
@@ -47,14 +49,21 @@ def _chi_square(counts: dict, weights, total: int, categories) -> float:
 
 
 class TestReplayDeterminism:
-    @pytest.mark.parametrize("mode", ["open", "closed"])
-    def test_same_seed_is_byte_identical(self, mode):
-        config = _config(31, mode=mode)
+    def test_same_seed_is_byte_identical(self):
+        config = _config(31)
         first = generate_schedule(config)
         second = generate_schedule(config)
         assert first.events == second.events
         assert first.digest() == second.digest()
         assert len(first.events) > 100
+
+    def test_golden_digest(self):
+        # The bytes of a valid config's schedule are a compatibility
+        # surface: benchmarks/system's inputs_digest is built on them.
+        schedule = generate_schedule(_config(31))
+        assert len(schedule.events) == 2015
+        assert schedule.digest() == ("4ae8fbd1c1469607edb0ab4f5ea0013e"
+                                     "69d723cfb094a660dd22175c3888071a")
 
     def test_different_seeds_differ(self):
         assert generate_schedule(_config(1)).digest() \
@@ -80,17 +89,16 @@ class TestReplayDeterminism:
                                     events=tuple(mutated)).digest() != base
 
     def test_events_are_sorted_and_densely_numbered(self):
-        for mode in ("open", "closed"):
-            schedule = generate_schedule(_config(7, mode=mode))
-            offsets = [event.offset_s for event in schedule.events]
-            assert offsets == sorted(offsets)
-            assert [event.seq for event in schedule.events] \
-                == list(range(len(schedule.events)))
-            # tenant_seq densely numbers each tenant's own events, in order.
-            per_tenant: dict[int, int] = {}
-            for event in schedule.events:
-                assert event.tenant_seq == per_tenant.get(event.tenant, 0)
-                per_tenant[event.tenant] = event.tenant_seq + 1
+        schedule = generate_schedule(_config(7))
+        offsets = [event.offset_s for event in schedule.events]
+        assert offsets == sorted(offsets)
+        assert [event.seq for event in schedule.events] \
+            == list(range(len(schedule.events)))
+        # tenant_seq densely numbers each tenant's own events, in order.
+        per_tenant: dict[int, int] = {}
+        for event in schedule.events:
+            assert event.tenant_seq == per_tenant.get(event.tenant, 0)
+            per_tenant[event.tenant] = event.tenant_seq + 1
 
     def test_open_loop_respects_duration_and_guard(self):
         schedule = generate_schedule(_config(3))
@@ -141,15 +149,6 @@ class TestZipfShape:
             share = counts.get(kind, 0) / total
             assert abs(share - weight / 6.0) < 0.08, (kind, share)
 
-    def test_closed_loop_session_lengths_scale_with_weight(self):
-        config = _config(5, mode="closed", queries_per_tenant=4)
-        schedule = generate_schedule(config)
-        counts = schedule.counts_by("tenant")
-        weights = zipf_weights(50, 1.0)
-        for tenant, count in counts.items():
-            expected = max(1, math.ceil(4 * weights[tenant] * 50))
-            assert count == expected
-
 
 class TestConfigValidation:
     def test_rejects_bad_configs(self):
@@ -157,18 +156,63 @@ class TestConfigValidation:
             WorkloadConfig(seed=1, num_tenants=0, cameras=CAMERAS)
         with pytest.raises(ValueError):
             WorkloadConfig(seed=1, num_tenants=1, cameras=())
-        with pytest.raises(ValueError):
-            WorkloadConfig(seed=1, num_tenants=1, cameras=CAMERAS,
-                           mode="sideways")
-        with pytest.raises(ValueError):
-            WorkloadConfig(seed=1, num_tenants=1, cameras=CAMERAS,
-                           arrival_rate_per_s=0.0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(seed=1, num_tenants=1, cameras=CAMERAS,
-                           mode="closed", queries_per_tenant=0)
+        for mode in ("sideways", "closed"):
+            with pytest.raises(ValueError, match="mode"):
+                WorkloadConfig(seed=1, num_tenants=1, cameras=CAMERAS,
+                               mode=mode)
         with pytest.raises(ValueError):
             WorkloadConfig(seed=1, num_tenants=1, cameras=CAMERAS,
                            query_mix=())
+
+    @pytest.mark.parametrize("field,value", [
+        ("arrival_rate_per_s", float("nan")),
+        ("arrival_rate_per_s", float("inf")),
+        ("arrival_rate_per_s", 0.0),
+        ("arrival_rate_per_s", -2.0),
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
+        ("duration_s", -1.0),
+        ("tenant_skew", float("nan")),
+        ("tenant_skew", -0.5),
+        ("camera_skew", float("nan")),
+        ("camera_skew", float("-inf")),
+        ("num_tenants", float("nan")),
+        ("num_tenants", 2.5),
+        ("max_events", 0),
+        ("max_events", float("inf")),
+    ])
+    def test_rejects_non_finite_and_out_of_range_numbers(self, field, value):
+        # Most of these used to construct, then generate a silent runaway
+        # schedule (100,000 events), an empty one, a one-camera one, or fail
+        # later with a TypeError.
+        settings = dict(seed=1, num_tenants=4, cameras=CAMERAS)
+        settings[field] = value
+        with pytest.raises(ValueError) as raised:
+            WorkloadConfig(**settings)
+        assert field in str(raised.value)
+        assert repr(value) in str(raised.value)
+
+    @pytest.mark.parametrize("mix,shown", [
+        ((("count", 0.0), ("sum", 0.0)), "(('count', 0.0), ('sum', 0.0))"),
+        ((("count", 2.0), ("sum", -1.0)), "'sum' must be finite and >= 0, not -1.0"),
+        ((("count", float("nan")),), "not nan"),
+        ((("count", float("inf")),), "not inf"),
+    ], ids=["all-zero", "negative", "nan", "inf"])
+    def test_rejects_bad_query_mix_weights(self, mix, shown):
+        # An all-zero mix raised ZeroDivisionError; a negative weight
+        # silently dropped its kind.
+        with pytest.raises(ValueError, match="query_mix") as raised:
+            WorkloadConfig(seed=1, num_tenants=4, cameras=CAMERAS,
+                           query_mix=mix)
+        assert shown in str(raised.value)
+
+    def test_edge_values_stay_valid(self):
+        # Zero duration and zero skew are legitimate workloads: an empty
+        # schedule and uniform popularity.
+        assert generate_schedule(_config(3, duration_s=0.0)).events == ()
+        uniform = generate_schedule(_config(3, tenant_skew=0.0,
+                                            camera_skew=0.0))
+        assert len(uniform.events) > 100
 
     def test_zipf_weights_normalize_and_reject_empty(self):
         weights = zipf_weights(8, 1.0)

@@ -178,7 +178,7 @@ class TestShardedStreaming:
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         with ShardedEngine(2) as engine:
             sharded = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
@@ -221,7 +221,7 @@ class TestShardedStreaming:
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         with ShardedEngine(2) as engine:
             first = engine.imap_chunks(runner, iter_chunks(video, spec), context)
@@ -305,7 +305,7 @@ class TestUnhintedRamp:
     def test_thirty_unhinted_chunks_go_out_in_eight_doubling_tasks(self):
         video = _walker_video(duration=900.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, THIRTY_CHUNKS)), context))
         with ShardedEngine(2) as engine:
             sizes = _task_sizes(engine)
@@ -414,7 +414,7 @@ class TestUnhintedRamp:
 
         video = _walker_video(duration=900.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, THIRTY_CHUNKS)), context))
         plan = FaultPlan(rules=(FaultRule(site="transport.*.task",
                                           kind=FaultKind.CRASH, after_seq=3),),
@@ -969,7 +969,7 @@ class TestFaultInjection:
         video = _walker_video(num_walkers=8, duration=1200.0)
         spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         with ShardedEngine(3, chunksize=1) as engine:
             outcomes = []
@@ -988,7 +988,7 @@ class TestFaultInjection:
         video = _walker_video(num_walkers=8, duration=1200.0)
         spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         # The victim is frozen before it ever speaks, so it is judged
         # against startup_grace; the survivor is protected by the same
@@ -1231,7 +1231,7 @@ class TestResilienceControls:
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         plan = FaultPlan(rules=(FaultRule(site="transport.*.task",
                                           kind=FaultKind.DROP_FRAME, at=(1,)),),
@@ -1252,7 +1252,7 @@ class TestResilienceControls:
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         plan = FaultPlan(rules=(FaultRule(site="transport.*.task",
                                           kind=FaultKind.CRASH, after_seq=5),),

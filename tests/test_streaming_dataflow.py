@@ -120,7 +120,8 @@ class TestStreamingEngines:
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        batch = SerialEngine().map_chunks(runner, split_interval(video, spec), context)
+        batch = list(SerialEngine().imap_chunks(runner, split_interval(video, spec),
+                                                context))
         streamed = list(engine.imap_chunks(runner, iter_chunks(video, spec), context))
         assert repr([outcome.rows for outcome in streamed]) \
             == repr([outcome.rows for outcome in batch])
@@ -163,7 +164,7 @@ class TestStreamingEngines:
         spec = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=60.0)
         with engine as entered:
             assert entered is engine
-            entered.map_chunks(_runner(), iter_chunks(video, spec), _context(video))
+            list(entered.imap_chunks(_runner(), iter_chunks(video, spec), _context(video)))
             assert engine._pool is not None
         assert engine._pool is None
 

@@ -399,7 +399,7 @@ class TestTcpParity:
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         tcp = _rows_of(tcp_pool.imap_chunks(runner, iter_chunks(video, spec),
                                             context))
@@ -459,7 +459,7 @@ class TestTcpFaultInjection:
         video = _walker_video(num_walkers=8, duration=1200.0)
         spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().map_chunks(
+        reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
         with ShardedEngine.local_tcp(3, chunksize=1) as engine:
             outcomes = []
