@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, count
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.faults import FaultInjector
@@ -56,30 +56,83 @@ from repro.core.engine import ChunkRows
 from repro.core.faults import FaultKind
 
 
+#: Exact types :func:`canonical_value` returns as they are, without a call.
+_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+
+#: Type -> the reducer of the rule that type takes, filled on first sight.
+_RULES: dict[type, Callable[[Any], Any]] = {}
+
+
 def canonical_value(value: Any) -> Any:
     """Reduce a configuration value to a stable, hashable-repr structure.
 
     Handles the value shapes that appear in executable/detector/tracker
     configurations: scalars, enums, (nested) sequences and mappings, and
     dataclasses.  Callables are identified by qualified name (their identity
-    in a registry), anything else by ``repr``.
+    in a registry), anything else by ``repr``.  Which of these rules a value
+    takes depends on its type alone, so it is decided once per type
+    (:func:`_rule_for`); a whole scene's objects are reduced on every
+    :meth:`~repro.video.video.SyntheticVideo.content_fingerprint`.
     """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+    cls = type(value)
+    if cls in _SCALARS:
         return value
-    if isinstance(value, Enum):
-        return (type(value).__name__, value.value)
-    if is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__name__,
-                tuple((spec.name, canonical_value(getattr(value, spec.name)))
-                      for spec in fields(value)))
-    if isinstance(value, Mapping):
-        return tuple(sorted((str(key), canonical_value(item))
-                            for key, item in value.items()))
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = [canonical_value(item) for item in value]
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return tuple(items)
+    rule = _RULES.get(cls)
+    if rule is None:
+        rule = _RULES[cls] = _rule_for(cls)
+    return rule(value)
+
+
+def _rule_for(cls: type) -> Callable[[Any], Any]:
+    """The reducer of the first rule that matches ``cls``, in this order:
+    scalars (subclasses included), enums, dataclass instances, mappings,
+    sequences and sets, then callables by name and anything else by ``repr``."""
+    if issubclass(cls, (bool, int, float, str, bytes)):
+        return _itself
+    if issubclass(cls, Enum):
+        name = cls.__name__
+        return lambda member: (name, member.value)
+    if is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_reducer(cls)
+    if issubclass(cls, Mapping):
+        return _mapping
+    if issubclass(cls, (set, frozenset)):
+        return _set
+    if issubclass(cls, (list, tuple)):
+        return _sequence
+    return _callable_or_repr
+
+
+def _itself(value: Any) -> Any:
+    return value
+
+
+def _dataclass_reducer(cls: type) -> Callable[[Any], Any]:
+    name = cls.__name__
+    names = tuple(spec.name for spec in fields(cls))
+
+    def reduce(value: Any) -> Any:
+        return (name, tuple([
+            (field, item if type(item := getattr(value, field)) in _SCALARS
+             else canonical_value(item))
+            for field in names]))
+    return reduce
+
+
+def _mapping(value: Mapping) -> Any:
+    return tuple(sorted([(str(key), item if type(item) in _SCALARS else canonical_value(item))
+                         for key, item in value.items()]))
+
+
+def _sequence(value: list | tuple) -> Any:
+    return tuple([item if type(item) in _SCALARS else canonical_value(item) for item in value])
+
+
+def _set(value: set | frozenset) -> Any:
+    return tuple(sorted([canonical_value(item) for item in value], key=repr))
+
+
+def _callable_or_repr(value: Any) -> Any:
     if callable(value):
         return getattr(value, "__qualname__", repr(value))
     return repr(value)

@@ -62,10 +62,11 @@ class Scenario:
 
 def _car_attribute_factory(prefix: str) -> Callable[[np.random.Generator, int], dict[str, Any]]:
     """Attribute factory for vehicles: colour, unique plate, cruise speed."""
+    palette = np.asarray(CAR_COLORS)  # what rng.choice would convert per call
 
     def factory(rng: np.random.Generator, index: int) -> dict[str, Any]:
         return {
-            "color": str(rng.choice(CAR_COLORS)),
+            "color": str(rng.choice(palette)),
             "plate": f"{prefix}{index:06d}",
             "speed_kmh": float(rng.uniform(35.0, 110.0)),
         }

@@ -19,6 +19,7 @@ Everything is generated from named random streams derived from a single seed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -64,12 +65,26 @@ class CrossingPopulation:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.expected_count < 0:
-            raise ValueError("expected_count must be non-negative")
+        if not (math.isfinite(self.expected_count) and self.expected_count >= 0):
+            raise ValueError(f"expected_count must be finite and >= 0, got {self.expected_count!r}")
         if not self.routes:
             raise ValueError("a crossing population needs at least one route")
-        if self.duration_range[0] <= 0 or self.duration_range[1] < self.duration_range[0]:
-            raise ValueError("invalid duration_range")
+        weights = tuple(route.weight for route in self.routes)
+        if not (all(math.isfinite(weight) and weight >= 0 for weight in weights)
+                and sum(weights) > 0):
+            raise ValueError("routes: weights must be finite and >= 0 with a positive sum, "
+                             f"got {weights!r}")
+        if self.hourly_weights is not None and not all(
+                math.isfinite(weight) and weight >= 0 for weight in self.hourly_weights):
+            raise ValueError(f"hourly_weights must be finite and >= 0, got {self.hourly_weights!r}")
+        for name in ("tail_probability", "revisit_probability"):
+            probability = getattr(self, name)
+            if not 0.0 <= probability <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {probability!r}")
+        for name in ("duration_range", "tail_duration_range"):
+            low, high = bounds = getattr(self, name)
+            if not 0 < low <= high < math.inf:
+                raise ValueError(f"{name} must be finite with 0 < low <= high, got {bounds!r}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +134,11 @@ class SceneConfig:
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
-def _sample_hour(rng: np.random.Generator, weights: Sequence[float] | None,
-                 duration: float) -> float:
-    """Sample an arrival time in [0, duration) following hourly weights."""
+def _hour_probabilities(weights: Sequence[float] | None, duration: float) -> np.ndarray | None:
+    """Arrival probability of each hour of the video (the weights repeat to
+    cover it), or None for arrivals uniform over the whole video."""
     if weights is None:
-        return float(rng.uniform(0.0, duration))
+        return None
     num_hours = max(1, int(np.ceil(duration / SECONDS_PER_HOUR)))
     hourly = np.asarray(list(weights), dtype=float)
     if hourly.size < num_hours:
@@ -132,8 +147,16 @@ def _sample_hour(rng: np.random.Generator, weights: Sequence[float] | None,
         hourly = hourly[:num_hours]
     total = hourly.sum()
     if total <= 0:
+        return None
+    return hourly / total
+
+
+def _sample_arrival(rng: np.random.Generator, hour_probabilities: np.ndarray | None,
+                    duration: float) -> float:
+    """Sample an arrival time in [0, duration) from :func:`_hour_probabilities`."""
+    if hour_probabilities is None:
         return float(rng.uniform(0.0, duration))
-    hour = int(rng.choice(num_hours, p=hourly / total))
+    hour = int(rng.choice(hour_probabilities.size, p=hour_probabilities))
     hour_start = hour * SECONDS_PER_HOUR
     hour_end = min(duration, hour_start + SECONDS_PER_HOUR)
     return float(rng.uniform(hour_start, hour_end))
@@ -175,20 +198,23 @@ class SceneSimulator:
             low, high = population.duration_range
         return float(rng.uniform(low, high))
 
-    def _pick_route(self, population: CrossingPopulation, rng: np.random.Generator) -> Route:
-        weights = np.asarray([route.weight for route in population.routes], dtype=float)
-        probabilities = weights / weights.sum()
-        index = int(rng.choice(len(population.routes), p=probabilities))
-        return population.routes[index]
-
     def _generate_crossings(self, population: CrossingPopulation) -> list[SceneObject]:
         stream_name = population.label or f"crossing/{population.category}"
         rng = self.random.stream(stream_name)
         count = int(rng.poisson(population.expected_count)) if population.expected_count > 0 else 0
+        # Per population, not per object: the draws below take these arrays as they are.
+        routes = population.routes
+        weights = np.asarray([route.weight for route in routes], dtype=float)
+        route_probabilities = weights / weights.sum()
+        hour_probabilities = _hour_probabilities(population.hourly_weights, self.config.duration)
+
+        def pick_route() -> Route:
+            return routes[int(rng.choice(len(routes), p=route_probabilities))]
+
         objects: list[SceneObject] = []
         for index in range(count):
-            route = self._pick_route(population, rng)
-            arrival = _sample_hour(rng, population.hourly_weights, self.config.duration)
+            route = pick_route()
+            arrival = _sample_arrival(rng, hour_probabilities, self.config.duration)
             duration = self._sample_duration(population, rng)
             end = min(self.config.duration, arrival + duration)
             if end - arrival < 1e-6:
@@ -203,7 +229,7 @@ class SceneSimulator:
                 second_duration = self._sample_duration(population, rng)
                 second_end = min(self.config.duration, second_start + second_duration)
                 if second_end - second_start > 1e-6:
-                    return_route = self._pick_route(population, rng)
+                    return_route = pick_route()
                     appearances.append(Appearance(
                         interval=TimeInterval(second_start, second_end),
                         trajectory=_route_trajectory(return_route, population.box_size,

@@ -4,15 +4,23 @@
 ``(runner, context)`` stream once and splices each chunk's index and interval
 into the memoised text.  The key bytes are a compatibility surface — every
 on-disk store is addressed by them — so the pre-change derivation (three full
-fingerprints per chunk, recomposed) lives on here as the oracle.
+fingerprints per chunk, recomposed) lives on here as the oracle, and so does
+``canonical_value``'s ``isinstance`` chain (the table it became is held
+``repr``-equal to it), next to the footage fingerprints of every bundled scene.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import sys
 import threading
-from dataclasses import FrozenInstanceError, replace
+from collections import OrderedDict
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass, replace
+from enum import Enum, IntEnum
+from typing import Any, ClassVar, Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +29,7 @@ from repro.core.cache import (
     ChunkResultCache,
     DiskChunkStore,
     TieredChunkCache,
+    canonical_value,
     chunk_fingerprint,
     chunk_key,
     context_fingerprint,
@@ -107,6 +116,167 @@ def _scenario(name: str):
     if name in ("campus", "highway", "urban"):
         return build_scenario(name, scale=0.1, duration_hours=0.25)
     return build_scenario(name, duration_hours=0.25)
+
+
+#: ``content_fingerprint()`` of every preset as :func:`_scenario` builds it,
+#: computed before the canonical form became a per-type table and before the
+#: simulator computed each population's probabilities once.  A draw added,
+#: dropped or reordered moves one; so does any change to the canonical form.
+SCENE_FINGERPRINTS = {
+    "campus": "ad883e3e2fbd4df4ee67842f69802768eb35458b9804f242628e671a163081eb",
+    "highway": "232c9873ed5ebd3b72aca690818d330df0a3c12eff744d05ace4989d8fb058a3",
+    "urban": "3e20c079f228e74a7d0a3d7c580791bf34227eded3221e5ed56f4ae293bdc888",
+    "grand-canal": "f7274b383bf180be1b91424a75fd23c4f62b8fe33e8f4cf309bf52795bc87f8c",
+    "venice-rialto": "09e766680e60841b0f0623b8596fd5cd9d63805771bc3db299a088cfb709f3b0",
+    "taipei": "2712c055ee2a279c5d1ae144638a46c3ef486348e894d6d53e513ff2f135dcec",
+    "shibuya": "4e788df6a033c44c21a4469f3233110f9c3b0c90b22f98b742e4d6c5d2d0b30f",
+    "beach": "b94283b61c342c6a6c6725bc6678cebd88272b3870008ae2285fcbbeb3c9c06b",
+    "warsaw": "002ef38d089f66a0d7fa326d35ee062051dacc82b029edd1b9d9cfd2b777a557",
+    "uav": "fe10369681e8f3fb47de2cf52164ce664529dd45309b0b612466947eac0ac365",
+}
+
+#: The same at the system benchmark's frozen scene sizes (24 hours): what
+#: every store-backed workload's keys embed.
+BENCHMARK_SCENE_FINGERPRINTS = {
+    ("campus", 0.5, 7): "e1e7de3fa8a440b74a777e287a43160ce531d3cd0af6b31f50e619f53a9c6e12",
+    ("highway", 0.3, 11): "21a311c70983dbe0ed0ed95c912bbab106a497fc202bb207d48e90752ead7eab",
+}
+
+
+class TestSceneFingerprints:
+    def test_every_preset_is_pinned(self):
+        assert set(SCENE_FINGERPRINTS) == set(SCENARIO_NAMES)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_test_scale_scene(self, name):
+        assert _scenario(name).video.content_fingerprint() == SCENE_FINGERPRINTS[name]
+
+    @pytest.mark.parametrize("name, scale, seed", sorted(BENCHMARK_SCENE_FINGERPRINTS))
+    def test_benchmark_scene(self, name, scale, seed):
+        video = build_scenario(name, scale=scale, duration_hours=24, seed=seed).video
+        assert video.content_fingerprint() == BENCHMARK_SCENE_FINGERPRINTS[name, scale, seed]
+
+
+def oracle_canonical_value(value: Any) -> Any:
+    """``canonical_value`` as an ``isinstance`` chain, asked per value."""
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return value
+    if isinstance(value, Enum):
+        return (type(value).__name__, value.value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return (type(value).__name__,
+                tuple((spec.name, oracle_canonical_value(getattr(value, spec.name)))
+                      for spec in fields(value)))
+    if isinstance(value, Mapping):
+        return tuple(sorted((str(key), oracle_canonical_value(item))
+                            for key, item in value.items()))
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = [oracle_canonical_value(item) for item in value]
+        if isinstance(value, (set, frozenset)):
+            items = sorted(items, key=repr)
+        return tuple(items)
+    if callable(value):
+        return getattr(value, "__qualname__", repr(value))
+    return repr(value)
+
+
+class _Color(Enum):
+    RED = "red"
+    GREEN = 2
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@dataclass
+class _Plain:
+    a: Any
+    b: Any = 0
+    kind: ClassVar[str] = "not a field"
+
+    def method(self) -> None:
+        """A bound method's ``__qualname__`` is its function's."""
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    x: Any
+
+
+@dataclass
+class _Nested:
+    inner: _Frozen
+    items: list
+
+
+@dataclass
+class _Sub(_Plain):
+    c: Any = None
+
+
+class _ByRepr:
+    """Neither scalar, container, dataclass nor callable: reduced by ``repr``."""
+
+    def __init__(self, tag: int) -> None:
+        self.tag = tag
+
+    def __repr__(self) -> str:
+        return f"_ByRepr({self.tag})"
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_HASHABLE = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=4), st.binary(max_size=4),
+    _FLOATS.map(np.float64), st.sampled_from(list(_Color) + list(_Level)),
+    st.integers(-3, 3).map(_ByRepr), st.integers(-3, 3).map(np.int64))
+_CALLABLES = st.sampled_from([len, lambda value: value, _Plain(1).method, _Plain,
+                              functools.partial(max, 0), oracle_canonical_value])
+# Keys 1 and "1" read the same once str()-ed, so their values get compared.
+_KEYS = st.one_of(st.integers(0, 2), st.sampled_from(["0", "1", "2"]), st.booleans())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.sets(_HASHABLE, max_size=4), st.frozensets(_HASHABLE, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4).map(OrderedDict),
+        st.builds(_Plain, children, children), st.builds(_Frozen, children),
+        st.builds(_Nested, st.builds(_Frozen, children), st.lists(children, max_size=3)),
+        st.builds(_Sub, children, children, children))
+
+
+_VALUES = st.recursive(st.one_of(_HASHABLE, _CALLABLES), _containers, max_leaves=12)
+
+
+def _outcome(reduce, value) -> tuple[str, str]:
+    """What ``reduce`` makes of ``value``: its canonical ``repr``, or the type of
+    what it raised (values of colliding keys may not compare; an ``np.float64``
+    against a tuple broadcasts to an array with no truth value)."""
+    try:
+        return "ok", repr(reduce(value))
+    except (TypeError, ValueError) as exc:
+        return "raised", type(exc).__name__
+
+
+class TestCanonicalValueTable:
+    @settings(max_examples=400, deadline=None)
+    @given(value=_VALUES)
+    def test_matches_the_isinstance_chain(self, value):
+        assert _outcome(canonical_value, value) == _outcome(oracle_canonical_value, value)
+
+    def test_each_rule_by_example(self):
+        """One value per rule, and a dataclass *type* is a callable, not fields."""
+        values = [None, True, -0.0, math.nan, np.float64(0.5), _Level.HIGH, _Color.RED,
+                  {1: "a", "2": (3, [4])}, OrderedDict(b=1, a=2), {3, 1, 2}, frozenset("ab"),
+                  _Sub(_Frozen(1), [2], {"c"}), _Nested(_Frozen(math.inf), [b"x"]),
+                  _Plain, _Plain(0).method, len, _ByRepr(7), np.int64(3)]
+        for value in values:
+            assert repr(canonical_value(value)) == repr(oracle_canonical_value(value))
+        assert canonical_value(_Plain) == "_Plain"
+        assert canonical_value(_Sub(1, 2, 3)) == ("_Sub", (("a", 1), ("b", 2), ("c", 3)))
 
 
 class TestOracleParity:

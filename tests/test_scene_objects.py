@@ -1,4 +1,7 @@
-"""Tests for scene objects, trajectories and (rho, K) ground-truth bounds."""
+"""Tests for scene objects, trajectories, (rho, K) ground-truth bounds and
+the simulator's population parameters."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +12,7 @@ from repro.scene.objects import (
     max_duration_of,
     objects_visible_at,
 )
+from repro.scene.simulator import CrossingPopulation, Route, SceneConfig, SceneSimulator
 from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory, WaypointTrajectory
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
@@ -119,3 +123,58 @@ class TestSceneObject:
         empty = SceneObject(object_id="none", category="person")
         with pytest.raises(ValueError):
             _ = empty.first_visible
+
+
+_ROUTE = Route("r", BoundingBox(0, 300, 40, 40), BoundingBox(1200, 300, 40, 40))
+_INF, _NAN = float("inf"), float("nan")
+
+
+def _crossing(**overrides) -> CrossingPopulation:
+    return CrossingPopulation(**{"category": "person", "expected_count": 20.0,
+                                 "routes": (_ROUTE,), **overrides})
+
+
+def _rejected(field: str, value: str, **overrides) -> None:
+    """The population is refused at construction, naming the field and the value."""
+    with pytest.raises(ValueError) as caught:
+        _crossing(**overrides)
+    assert field in str(caught.value) and value in str(caught.value)
+
+
+class TestCrossingPopulationValidation:
+    """Parameters that used to fail deep inside ``generate()`` or silently
+    build a wrong scene are refused by ``CrossingPopulation`` itself."""
+
+    @pytest.mark.parametrize("count", [_NAN, _INF, -1.0])
+    def test_expected_count_is_finite_and_non_negative(self, count):
+        _rejected("expected_count", repr(count), expected_count=count)
+
+    @pytest.mark.parametrize("weights", [(0.0,), (0.0, 0.0), (_NAN, 1.0), (-1.0, 2.0),
+                                         (_INF, 1.0)])
+    def test_route_weights_are_finite_non_negative_with_a_positive_sum(self, weights):
+        routes = tuple(replace(_ROUTE, weight=weight) for weight in weights)
+        _rejected("routes", repr(weights), routes=routes)
+
+    @pytest.mark.parametrize("weights", [(1.0, -0.5), (_NAN, 1.0), (1.0, _INF)])
+    def test_hourly_weights_are_finite_and_non_negative(self, weights):
+        _rejected("hourly_weights", repr(weights), hourly_weights=weights)
+
+    @pytest.mark.parametrize("field", ["tail_probability", "revisit_probability"])
+    @pytest.mark.parametrize("probability", [-0.1, 1.5, _NAN])
+    def test_probabilities_lie_in_the_unit_interval(self, field, probability):
+        _rejected(field, repr(probability), **{field: probability})
+
+    @pytest.mark.parametrize("field", ["duration_range", "tail_duration_range"])
+    @pytest.mark.parametrize("bounds", [(-5.0, 10.0), (0.0, 10.0), (20.0, 10.0),
+                                        (10.0, _INF), (_NAN, 10.0)])
+    def test_ranges_are_ordered_positive_and_finite(self, field, bounds):
+        _rejected(field, repr(bounds), **{field: bounds})
+
+    def test_all_zero_hourly_profile_keeps_uniform_arrivals(self):
+        config = SceneConfig(name="flat", duration=7200.0, crossings=[
+            _crossing(hourly_weights=(0.0, 0.0), label="walkers")])
+        uniform = SceneConfig(name="flat", duration=7200.0, crossings=[
+            _crossing(label="walkers")])
+        scenes = [SceneSimulator(each, seed=3).generate() for each in (config, uniform)]
+        assert len(scenes[0].objects) > 0
+        assert scenes[0].content_fingerprint() == scenes[1].content_fingerprint()
