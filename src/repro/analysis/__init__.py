@@ -1,34 +1,1 @@
 """Video-owner analysis tools: persistence, masks, regions, policy estimation."""
-
-from repro.analysis.persistence import (
-    PersistenceHeatmap,
-    masked_persistence,
-    persistence_heatmap,
-    persistence_histogram,
-)
-from repro.analysis.mask_policy import (
-    MaskOrderingStep,
-    greedy_mask_ordering,
-    mask_from_ordering,
-)
-from repro.analysis.region_analysis import RegionRangeAnalysis, analyze_region_ranges
-from repro.analysis.policy_estimation import (
-    PolicyEstimate,
-    build_mask_policy_map,
-    estimate_policy,
-)
-
-__all__ = [
-    "PersistenceHeatmap",
-    "persistence_heatmap",
-    "persistence_histogram",
-    "masked_persistence",
-    "MaskOrderingStep",
-    "greedy_mask_ordering",
-    "mask_from_ordering",
-    "RegionRangeAnalysis",
-    "analyze_region_ranges",
-    "PolicyEstimate",
-    "estimate_policy",
-    "build_mask_policy_map",
-]

@@ -1,104 +1,61 @@
-"""Privacy core: policies, the Laplace mechanism, budgets, and the executor."""
+"""Privacy core: policies, the Laplace mechanism, budgets, and the executor.
 
-from repro.core.policy import MaskPolicyMap, PrivacyPolicy
-from repro.core.noise import LaplaceMechanism
-from repro.core.budget import (
-    BudgetRequest,
-    DurableServiceLedger,
-    FrameBudgetLedger,
-    ServiceLedger,
-)
-from repro.core.durability import QueryJournal, WriteAheadLog
-from repro.core.cache import (
-    CacheStats,
-    ChunkResultCache,
-    ChunkStore,
-    DiskChunkStore,
-    TieredChunkCache,
-    create_cache,
-    shared_spec,
-    store_health,
-)
-from repro.core.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    FaultyTransport,
-    faulty_transport_factory,
-)
-from repro.core.resilience import (
-    BreakerState,
-    CancellationToken,
-    CircuitBreaker,
-    RetryPolicy,
-)
-from repro.core.engine import (
-    ChunkOutcome,
-    ExecutionEngine,
-    ProcessPoolEngine,
-    SerialEngine,
-    ThreadPoolEngine,
-    create_engine,
-    engine_kinds,
-    register_engine,
-)
-from repro.core.remote import PipeTransport, ShardedEngine, ShardTransport, TcpTransport
-from repro.core.degradation import (
-    detection_probability_bound,
-    effective_epsilon,
-    degradation_curve,
-)
-from repro.core.result import QueryResult, ReleaseResult
-from repro.core.executor import CameraRegistration, PrividSystem
+Names resolve on first use (PEP 562), like the top-level package's:
+``_EXPORTS`` maps each public name to its defining module, so importing one
+submodule (a shard worker's ``repro.core.remote``) does not import the rest.
+"""
 
-__all__ = [
-    "PrivacyPolicy",
-    "MaskPolicyMap",
-    "LaplaceMechanism",
-    "FrameBudgetLedger",
-    "BudgetRequest",
-    "ServiceLedger",
-    "DurableServiceLedger",
-    "WriteAheadLog",
-    "QueryJournal",
-    "CacheStats",
-    "ChunkOutcome",
-    "ChunkResultCache",
-    "ChunkStore",
-    "DiskChunkStore",
-    "TieredChunkCache",
-    "create_cache",
-    "shared_spec",
-    "store_health",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyTransport",
-    "faulty_transport_factory",
-    "BreakerState",
-    "CancellationToken",
-    "CircuitBreaker",
-    "RetryPolicy",
-    "ExecutionEngine",
-    "SerialEngine",
-    "ThreadPoolEngine",
-    "ProcessPoolEngine",
-    "ShardedEngine",
-    "ShardTransport",
-    "PipeTransport",
-    "TcpTransport",
-    "create_engine",
-    "engine_kinds",
-    "register_engine",
-    "detection_probability_bound",
-    "effective_epsilon",
-    "degradation_curve",
-    "QueryResult",
-    "ReleaseResult",
-    "PrividSystem",
-    "CameraRegistration",
-]
+from repro import _lazy_names
+
+_EXPORTS = {
+    "PrivacyPolicy": "repro.core.policy",
+    "MaskPolicyMap": "repro.core.policy",
+    "LaplaceMechanism": "repro.core.noise",
+    "FrameBudgetLedger": "repro.core.budget",
+    "BudgetRequest": "repro.core.budget",
+    "ServiceLedger": "repro.core.budget",
+    "DurableServiceLedger": "repro.core.budget",
+    "WriteAheadLog": "repro.core.durability",
+    "QueryJournal": "repro.core.durability",
+    "CacheStats": "repro.core.cache",
+    "ChunkOutcome": "repro.core.engine",
+    "ChunkResultCache": "repro.core.cache",
+    "ChunkStore": "repro.core.cache",
+    "DiskChunkStore": "repro.core.cache",
+    "TieredChunkCache": "repro.core.cache",
+    "create_cache": "repro.core.cache",
+    "shared_spec": "repro.core.cache",
+    "store_health": "repro.core.cache",
+    "FaultEvent": "repro.core.faults",
+    "FaultInjector": "repro.core.faults",
+    "FaultKind": "repro.core.faults",
+    "FaultPlan": "repro.core.faults",
+    "FaultRule": "repro.core.faults",
+    "FaultyTransport": "repro.core.faults",
+    "faulty_transport_factory": "repro.core.faults",
+    "BreakerState": "repro.core.resilience",
+    "CancellationToken": "repro.core.resilience",
+    "CircuitBreaker": "repro.core.resilience",
+    "RetryPolicy": "repro.core.resilience",
+    "ExecutionEngine": "repro.core.engine",
+    "SerialEngine": "repro.core.engine",
+    "ThreadPoolEngine": "repro.core.engine",
+    "ProcessPoolEngine": "repro.core.engine",
+    "ShardedEngine": "repro.core.remote",
+    "ShardTransport": "repro.core.remote",
+    "PipeTransport": "repro.core.remote",
+    "TcpTransport": "repro.core.remote",
+    "create_engine": "repro.core.engine",
+    "engine_kinds": "repro.core.engine",
+    "register_engine": "repro.core.engine",
+    "detection_probability_bound": "repro.core.degradation",
+    "effective_epsilon": "repro.core.degradation",
+    "degradation_curve": "repro.core.degradation",
+    "QueryResult": "repro.core.result",
+    "ReleaseResult": "repro.core.result",
+    "PrividSystem": "repro.core.executor",
+    "CameraRegistration": "repro.core.executor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_names(globals(), _EXPORTS)

@@ -28,6 +28,7 @@ Two grains of accounting live here:
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -47,8 +48,8 @@ class BudgetRequest:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise PolicyError("requested epsilon must be positive")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise PolicyError("requested epsilon must be positive and finite")
 
 
 @dataclass

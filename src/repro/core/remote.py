@@ -232,9 +232,10 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-#: Command line of a worker process.  -c rather than -m: runpy would
-#: re-execute a module the repro.core package __init__ already imported
-#: (and warn about it).  Extra arguments are forwarded to :func:`main`.
+#: Command line of a worker process.  -c rather than -m: runpy would run
+#: this module as ``__main__``, and anything that later imports
+#: ``repro.core.remote`` by name would load a second copy.  Extra arguments
+#: are forwarded to :func:`main`.
 _WORKER_COMMAND = [sys.executable, "-c",
                    "from repro.core.remote import main; main()"]
 
@@ -434,10 +435,21 @@ _LISTENING_MARKER = "PRIVID-SHARD-LISTENING"
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (port required; host defaults to all interfaces)."""
+    """Parse ``HOST:PORT`` (port required; host defaults to all interfaces).
+
+    An IPv6 literal is written in brackets, ``[::1]:7000``, and returned
+    without them; an unbracketed host that contains a colon is ambiguous and
+    rejected.
+    """
     host, separator, port_text = text.strip().rpartition(":")
     if not separator:
         raise ValueError(f"shard address {text!r} is not of the form HOST:PORT")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+        if not host:
+            raise ValueError(f"empty IPv6 host in shard address {text!r}")
+    elif ":" in host:
+        raise ValueError(f"shard address {text!r}: write an IPv6 host as [HOST]:PORT")
     try:
         port = int(port_text)
     except ValueError as exc:
@@ -455,7 +467,8 @@ def spawn_local_daemon(host: str = "127.0.0.1") -> TcpTransport:
     self-contained as the pipe transport — the daemon is owned by the
     returned transport and dies with it.
     """
-    process = subprocess.Popen(_WORKER_COMMAND + ["--listen", f"{host}:0"],
+    address = f"[{host}]:0" if ":" in host else f"{host}:0"
+    process = subprocess.Popen(_WORKER_COMMAND + ["--listen", address],
                                stdout=subprocess.PIPE, env=_worker_env())
     assert process.stdout is not None
     line = process.stdout.readline().decode("utf-8", "replace").split()
@@ -653,7 +666,8 @@ def listen(address: str) -> None:
     stream, and orchestrators (systemd, Kubernetes) observe a clean stop.
     """
     host, port = parse_address(address)
-    server = socket.create_server((host, port))
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    server = socket.create_server((host, port), family=family)
     bound = server.getsockname()
 
     draining = threading.Event()

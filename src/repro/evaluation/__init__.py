@@ -1,49 +1,1 @@
 """Evaluation harness: the paper's queries (Q1-Q13), baselines and metrics."""
-
-from repro.evaluation.metrics import AccuracySummary, repeated_accuracy, series_rmse
-from repro.evaluation.baselines import (
-    directional_crossing_count,
-    ground_truth_hourly_counts,
-    ground_truth_unique_count,
-    red_light_duration_truth,
-    tree_leaf_fraction_truth,
-)
-from repro.evaluation.queries import (
-    case1_counting_query,
-    case2_porto_argmax_query,
-    case2_porto_intersection_query,
-    case2_porto_working_hours_query,
-    case3_tree_query,
-    case4_red_light_query,
-    case5_directional_query,
-)
-from repro.evaluation.runner import (
-    EvaluationEnvironment,
-    RepeatedRun,
-    register_scenario_camera,
-    run_repeated,
-    scenario_policy_map,
-)
-
-__all__ = [
-    "AccuracySummary",
-    "repeated_accuracy",
-    "series_rmse",
-    "ground_truth_hourly_counts",
-    "ground_truth_unique_count",
-    "tree_leaf_fraction_truth",
-    "red_light_duration_truth",
-    "directional_crossing_count",
-    "case1_counting_query",
-    "case2_porto_working_hours_query",
-    "case2_porto_intersection_query",
-    "case2_porto_argmax_query",
-    "case3_tree_query",
-    "case4_red_light_query",
-    "case5_directional_query",
-    "EvaluationEnvironment",
-    "RepeatedRun",
-    "register_scenario_camera",
-    "scenario_policy_map",
-    "run_repeated",
-]

@@ -1,21 +1,1 @@
 """The Privid query language: AST, programmatic builder, parser, validator."""
-
-from repro.query.ast import (
-    PrividQuery,
-    ProcessStatement,
-    SelectStatement,
-    SplitStatement,
-)
-from repro.query.builder import QueryBuilder
-from repro.query.parser import parse_query
-from repro.query.validator import validate_query
-
-__all__ = [
-    "PrividQuery",
-    "SplitStatement",
-    "ProcessStatement",
-    "SelectStatement",
-    "QueryBuilder",
-    "parse_query",
-    "validate_query",
-]

@@ -15,6 +15,7 @@ language (``repro.query.parser``) or built programmatically
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,6 +35,13 @@ from repro.relational.table import Schema
 from repro.utils.timebase import TimeInterval
 
 
+def _require_finite(clause: str, **values: float) -> None:
+    """Reject NaN and infinities, which slip past every ``<= 0`` check."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise QueryValidationError(f"{clause} {name} must be finite, got {value!r}")
+
+
 @dataclass
 class SplitStatement:
     """``SPLIT camera BEGIN a END b BY TIME c STRIDE s [WITH MASK m] [BY REGION r] INTO chunks``."""
@@ -49,6 +57,8 @@ class SplitStatement:
     sample_period: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite("SPLIT", BEGIN=self.begin, END=self.end,
+                        chunk_duration=self.chunk_duration, STRIDE=self.stride)
         if self.end <= self.begin:
             raise QueryValidationError("SPLIT END must be after BEGIN")
         if self.chunk_duration <= 0:
@@ -78,6 +88,7 @@ class ProcessStatement:
     def __post_init__(self) -> None:
         if self.max_rows <= 0:
             raise QueryValidationError("PRODUCING must declare a positive row cap")
+        _require_finite("PROCESS", TIMEOUT=self.timeout)
         if self.timeout <= 0:
             raise QueryValidationError("TIMEOUT must be positive")
         if not self.output:
@@ -97,8 +108,10 @@ class SelectStatement:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise QueryValidationError("CONSUMING must request a positive epsilon")
+        if self.epsilon is not None:
+            _require_finite("SELECT", CONSUMING=self.epsilon)
+            if self.epsilon <= 0:
+                raise QueryValidationError("CONSUMING must request a positive epsilon")
         if not self.label:
             self.label = self.aggregation.output_name
 

@@ -24,6 +24,7 @@ Supported statements::
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.errors import QuerySyntaxError
@@ -111,7 +112,12 @@ class _Parser:
             raise QuerySyntaxError(f"expected a number, found {token.value!r}",
                                    line=token.line, column=token.column)
         self.advance()
-        return float(token.value)
+        value = float(token.value)
+        if not math.isfinite(value):
+            raise QuerySyntaxError(
+                f"number too large to represent ({len(token.value)} characters)",
+                line=token.line, column=token.column)
+        return value
 
     def expect_count(self) -> int:
         """A whole number: a fractional row bound is rejected, not truncated."""

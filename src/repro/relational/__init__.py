@@ -7,78 +7,3 @@ Alongside evaluation, every operator propagates the sensitivity bookkeeping
 of Fig. 10: the maximum number of rows a (rho, K)-bounded event could
 influence, per-column range constraints, and row-count constraints.
 """
-
-from repro.relational.table import ColumnSpec, ColumnarRows, DataType, RowBatch, Schema, Table
-from repro.relational.sensitivity import SensitivityInfo, TableProperties
-from repro.relational.expressions import (
-    BinaryOp,
-    ChunkBin,
-    Column,
-    Comparison,
-    Expression,
-    Literal,
-    LogicalAnd,
-    LogicalNot,
-    LogicalOr,
-    Predicate,
-    RangeExpression,
-    TimeBucket,
-)
-from repro.relational.plan import (
-    GroupBy,
-    Join,
-    JoinKind,
-    Limit,
-    PlanContext,
-    Projection,
-    Relation,
-    Selection,
-    TableScan,
-    Union,
-)
-from repro.relational.aggregates import GroupSpec, ReleaseKind
-from repro.relational.aggregates import (
-    AGGREGATE_FUNCTIONS,
-    Aggregation,
-    Release,
-    compute_releases,
-)
-
-__all__ = [
-    "ColumnSpec",
-    "DataType",
-    "Schema",
-    "Table",
-    "RowBatch",
-    "ColumnarRows",
-    "SensitivityInfo",
-    "TableProperties",
-    "Expression",
-    "Column",
-    "Literal",
-    "BinaryOp",
-    "RangeExpression",
-    "ChunkBin",
-    "TimeBucket",
-    "Comparison",
-    "Predicate",
-    "LogicalAnd",
-    "LogicalOr",
-    "LogicalNot",
-    "Relation",
-    "TableScan",
-    "Selection",
-    "Projection",
-    "Limit",
-    "GroupBy",
-    "Join",
-    "JoinKind",
-    "Union",
-    "PlanContext",
-    "Aggregation",
-    "GroupSpec",
-    "Release",
-    "ReleaseKind",
-    "AGGREGATE_FUNCTIONS",
-    "compute_releases",
-]

@@ -1,33 +1,1 @@
 """Isolated execution of analyst-provided processing code (Appendix B)."""
-
-from repro.sandbox.environment import ExecutionContext, SandboxRunner
-from repro.sandbox.executables import (
-    CrashingExecutable,
-    DirectionalCrossingCounter,
-    EnteringObjectCounter,
-    ProcessExecutable,
-    RedLightObserver,
-    RowFloodExecutable,
-    SlowExecutable,
-    TaxiSightingReporter,
-    TreeLeafClassifier,
-    UniqueVehicleReporter,
-)
-from repro.sandbox.registry import ExecutableRegistry, default_registry
-
-__all__ = [
-    "ExecutionContext",
-    "SandboxRunner",
-    "ProcessExecutable",
-    "EnteringObjectCounter",
-    "UniqueVehicleReporter",
-    "TreeLeafClassifier",
-    "RedLightObserver",
-    "DirectionalCrossingCounter",
-    "TaxiSightingReporter",
-    "CrashingExecutable",
-    "SlowExecutable",
-    "RowFloodExecutable",
-    "ExecutableRegistry",
-    "default_registry",
-]

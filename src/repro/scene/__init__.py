@@ -1,47 +1,1 @@
 """Synthetic scene substrate standing in for the paper's real videos."""
-
-from repro.scene.objects import Appearance, SceneObject
-from repro.scene.schedules import (
-    AttributeSchedule,
-    ConstantSchedule,
-    CyclicSchedule,
-    periodic_two_state,
-)
-from repro.scene.trajectory import (
-    LinearTrajectory,
-    StationaryTrajectory,
-    Trajectory,
-    WaypointTrajectory,
-)
-from repro.scene.simulator import SceneConfig, SceneSimulator
-from repro.scene.scenarios import (
-    SCENARIO_NAMES,
-    build_scenario,
-    campus_scenario,
-    highway_scenario,
-    urban_scenario,
-)
-from repro.scene.porto import PortoConfig, PortoDataset, generate_porto_dataset
-
-__all__ = [
-    "Appearance",
-    "SceneObject",
-    "AttributeSchedule",
-    "ConstantSchedule",
-    "CyclicSchedule",
-    "periodic_two_state",
-    "Trajectory",
-    "LinearTrajectory",
-    "StationaryTrajectory",
-    "WaypointTrajectory",
-    "SceneConfig",
-    "SceneSimulator",
-    "SCENARIO_NAMES",
-    "build_scenario",
-    "campus_scenario",
-    "highway_scenario",
-    "urban_scenario",
-    "PortoConfig",
-    "PortoDataset",
-    "generate_porto_dataset",
-]

@@ -1,34 +1,1 @@
 """Shared utilities: time bases, random-number management, statistics."""
-
-from repro.utils.hashing import (
-    stream_key,
-    string_token,
-    unit_draw,
-    unit_draws,
-)
-from repro.utils.timebase import TimeInterval, frames_to_seconds, seconds_to_frames
-from repro.utils.rng import RandomSource, derive_rng
-from repro.utils.stats import (
-    accuracy,
-    mean_absolute_error,
-    relative_error,
-    root_mean_square_error,
-    summarize,
-)
-
-__all__ = [
-    "stream_key",
-    "string_token",
-    "unit_draw",
-    "unit_draws",
-    "TimeInterval",
-    "frames_to_seconds",
-    "seconds_to_frames",
-    "RandomSource",
-    "derive_rng",
-    "accuracy",
-    "mean_absolute_error",
-    "relative_error",
-    "root_mean_square_error",
-    "summarize",
-]

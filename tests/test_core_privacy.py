@@ -133,6 +133,13 @@ class TestBudgetLedger:
         with pytest.raises(BudgetExceededError):
             ledger.admit([BudgetRequest(TimeInterval(120, 200), 1.0)], margin=30.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_request_epsilon_must_be_positive_and_finite(self, epsilon):
+        # NaN passes a bare ``<= 0`` check: it used to be admitted and
+        # counted as a charge while every frame's remaining budget stayed put.
+        with pytest.raises(PolicyError):
+            BudgetRequest(TimeInterval(0, 100), epsilon)
+
     def test_check_only_does_not_charge(self):
         ledger = FrameBudgetLedger(total_epsilon=1.0)
         ledger.admit([BudgetRequest(TimeInterval(0, 100), 0.7)], margin=0.0, charge=False)

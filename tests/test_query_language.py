@@ -344,6 +344,63 @@ class TestParser:
         assert query.splits[0].stride == 30.0
 
 
+#: A literal of 309 or more digits reads as ``inf`` through ``float()``.
+HUGE = "1" + "0" * 400
+
+_FINITE_CLAUSES = {"begin": "0", "end": "600", "chunk": "60", "stride": "0",
+                   "timeout": "1", "epsilon": "0.5"}
+_CLAUSES_TEXT = ("SPLIT cam BEGIN {begin} END {end} BY TIME {chunk}sec STRIDE {stride}sec "
+                 "INTO c;\n"
+                 "PROCESS c USING count_entering_people.py TIMEOUT {timeout}sec "
+                 'PRODUCING 2 ROWS WITH SCHEMA (kind:STRING="") INTO t;\n'
+                 "SELECT COUNT(*) FROM t CONSUMING {epsilon};")
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinities pass every ``<= 0`` check, so both front doors
+    reject them by name: the parser at the literal, the statements at
+    construction."""
+
+    def test_finite_template_parses(self):
+        query = parse_query(_CLAUSES_TEXT.format(**_FINITE_CLAUSES))
+        validate_query(query, known_cameras={"cam": 30.0})
+        assert query.selects[0].epsilon == 0.5
+
+    @pytest.mark.parametrize("clause", sorted(_FINITE_CLAUSES))
+    def test_huge_literal_is_a_syntax_error_at_its_position(self, clause):
+        text = _CLAUSES_TEXT.format(**{**_FINITE_CLAUSES, clause: HUGE})
+        with pytest.raises(QuerySyntaxError, match="too large") as caught:
+            query = parse_query(text)
+            validate_query(query, known_cameras={"cam": 30.0})
+        line_index = next(index for index, line in enumerate(text.splitlines())
+                          if HUGE in line)
+        column = text.splitlines()[line_index].index(HUGE) + 1
+        assert (caught.value.line, caught.value.column) == (line_index + 1, column)
+
+    def test_duration_that_overflows_through_its_unit_is_rejected(self):
+        # 10**305 is finite; times 86,400 seconds a day it is not.
+        text = _CLAUSES_TEXT.format(**{**_FINITE_CLAUSES, "chunk": "1" + "0" * 305})
+        with pytest.raises(QueryValidationError, match="finite"):
+            parse_query(text.replace("sec STRIDE", "day STRIDE", 1))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["begin", "end", "chunk_duration", "stride",
+                                       "timeout", "epsilon"])
+    def test_built_statement_rejects_non_finite(self, field, value):
+        split = {"begin": 0.0, "end": 600.0, "chunk_duration": 60.0, "stride": 0.0}
+        process = {"timeout": 1.0}
+        select = {"epsilon": 0.5}
+        for arguments in (split, process, select):
+            if field in arguments:
+                arguments[field] = value
+        with pytest.raises(QueryValidationError, match="finite"):
+            (QueryBuilder("built")
+             .split("cam", into="c", **split)
+             .process("c", executable="count_entering_people.py", max_rows=2,
+                      schema=[("kind", "STRING", "")], into="t", **process)
+             .select_count(table="t", **select))
+
+
 class TestBuilder:
     def test_make_schema(self):
         schema = make_schema([("a", "NUMBER", 0.0), ("b", "STRING", "x")])

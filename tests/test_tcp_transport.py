@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -85,6 +86,16 @@ class TestParseAddress:
             parse_address("camhost:ninety")
         with pytest.raises(ValueError):
             parse_address("camhost:70000")
+
+    def test_bracketed_ipv6_host_loses_its_brackets(self):
+        assert parse_address("[::1]:7000") == ("::1", 7000)
+        assert parse_address("[fe80::1%eth0]:0") == ("fe80::1%eth0", 0)
+
+    @pytest.mark.parametrize("text", ["::1:7000", "fe80::1:0", "[::1]", "[]:7000",
+                                      "[::1:7000", "::1]:7000"])
+    def test_ipv6_host_needs_brackets_and_a_port(self, text):
+        with pytest.raises(ValueError):
+            parse_address(text)
 
 
 class _ScriptedServer:
@@ -351,6 +362,43 @@ class TestDaemonMode:
         finally:
             daemon.kill()
             daemon.wait()
+
+
+def _ipv6_loopback_bindable() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _ipv6_loopback_bindable(), reason="::1 cannot be bound here")
+class TestIPv6Daemon:
+    def test_listen_binds_a_bracketed_ipv6_address(self):
+        process = subprocess.Popen(
+            [sys.executable, "-c", "from repro.core.remote import main; main()",
+             "--listen", "[::1]:0"],
+            stdout=subprocess.PIPE, env=_worker_env(), text=True)
+        try:
+            marker, host, port = process.stdout.readline().split()
+            assert (marker, host) == (_LISTENING_MARKER, "::1")
+            transport = TcpTransport(host, int(port))
+            transport.write({"type": "ping", "token": 6})
+            assert transport.read() == {"type": "pong", "token": 6}
+            transport.kill()
+        finally:
+            process.kill()
+            process.wait()
+
+    def test_ipv6_daemon_stream_equals_serial(self):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _rows_of(SerialEngine().imap_chunks(
+            runner, list(iter_chunks(video, TEN_CHUNKS)), context))
+        with ShardedEngine(transports=[partial(spawn_local_daemon, "::1")]) as engine:
+            rows = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                               context))
+        assert repr(rows) == repr(reference)
 
 
 class TestTcpSpecs:
