@@ -40,6 +40,14 @@ from repro.errors import BudgetExceededError, DurabilityError, PolicyError, \
 from repro.utils.timebase import TimeInterval
 
 
+def _check_total(total_epsilon: float) -> None:
+    """Reject a per-frame budget no admission check can compare against:
+    every comparison with NaN is false, so a NaN budget would admit all."""
+    if not math.isfinite(total_epsilon) or total_epsilon <= 0:
+        raise PolicyError(f"the per-frame budget must be finite and positive, "
+                          f"got {total_epsilon!r}")
+
+
 @dataclass(frozen=True)
 class BudgetRequest:
     """One release's budget demand: the frames it covers and its epsilon."""
@@ -49,7 +57,11 @@ class BudgetRequest:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise PolicyError("requested epsilon must be positive and finite")
+            raise PolicyError(f"requested epsilon must be positive and finite, "
+                              f"got {self.epsilon!r}")
+        if not (math.isfinite(self.interval.start) and math.isfinite(self.interval.end)):
+            raise PolicyError(f"requested interval must have finite endpoints, "
+                              f"got {self.interval!r}")
 
 
 @dataclass
@@ -70,8 +82,7 @@ class FrameBudgetLedger:
                                    repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.total_epsilon <= 0:
-            raise PolicyError("the per-frame budget must be positive")
+        _check_total(self.total_epsilon)
         initial, self.charges = self.charges, []
         self._edges: list[float] = []   # sorted distinct charge boundaries
         self._levels: list[float] = []  # [i]: consumed on [_edges[i], _edges[i+1])
@@ -139,6 +150,11 @@ class FrameBudgetLedger:
         performs the admission check only — used to make multi-camera queries
         all-or-nothing (every camera is checked before any is charged).
         """
+        if not math.isfinite(margin) or margin < 0:
+            # A NaN margin makes every expanded interval NaN, and a NaN
+            # interval covers no point the check below looks at.
+            raise PolicyError(f"the admission margin must be finite and "
+                              f"non-negative, got {margin!r}")
         if not requests:
             return
         with self._lock:
@@ -216,6 +232,7 @@ class ServiceLedger:
         property, and a second query must not silently re-budget frames
         other queries already drew from.
         """
+        _check_total(total_epsilon)
         with self._lock:
             ledger = self._ledgers.get(camera)
             if ledger is None:
@@ -482,10 +499,9 @@ class DurableServiceLedger(ServiceLedger):
         """
         with self._lock:
             if camera not in self._ledgers:
-                if total_epsilon <= 0:
-                    # Validate before logging: a record that cannot replay
-                    # (FrameBudgetLedger rejects it) must never be written.
-                    raise PolicyError("the per-frame budget must be positive")
+                # Validate before logging: a record that cannot replay
+                # (FrameBudgetLedger rejects it) must never be written.
+                _check_total(total_epsilon)
                 self.wal.append({"op": "register", "camera": camera,
                                  "total_epsilon": float(total_epsilon)})
                 self._apply_register({"camera": camera,

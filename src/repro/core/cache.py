@@ -144,25 +144,12 @@ def fingerprint(*parts: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _chunk_parts(chunk: "Chunk") -> tuple[tuple[Any, ...], ...]:
-    """A chunk's canonical form as ``(head, own, tail, extra)`` part groups.
-
-    ``head`` and ``tail`` are constant over a stream (per region of a region
-    scheme); only ``own`` — index and interval — changes chunk to chunk.
-    Concatenated in this order they name every entry of every store ever
-    written, so the form grows only by parts that leave existing chunks'
-    bytes alone: ``extra`` holds ``metadata`` (readable by the executable,
-    set on no chunk the system itself builds) only when it is non-empty.
-    """
-    video = chunk.video
+def _footage_identity(video: Any) -> Any:
+    """The footage state's part of a chunk's key: its stable content
+    fingerprint, or the session-unique ``content_token`` without one."""
     footage_fingerprint = getattr(video, "content_fingerprint", None)
-    footage_identity: Any = (footage_fingerprint() if callable(footage_fingerprint)
-                             else getattr(video, "content_token", 0))
-    interval = chunk.interval
-    return ((video.name, footage_identity, video.fps, video.duration),
-            (chunk.index, (interval.start, interval.end)),
-            (chunk.mask, chunk.region, chunk.sample_period),
-            (chunk.metadata,) if chunk.metadata else ())
+    return (footage_fingerprint() if callable(footage_fingerprint)
+            else getattr(video, "content_token", 0))
 
 
 def chunk_fingerprint(chunk: "Chunk") -> str:
@@ -179,9 +166,17 @@ def chunk_fingerprint(chunk: "Chunk") -> str:
     Footage objects without a content fingerprint fall back to the
     session-unique ``content_token`` (entries for those are only valid
     within one process).
+
+    The parts, in this order, name every entry of every store ever written,
+    so the form grows only by parts that leave existing chunks' bytes alone:
+    ``metadata`` (readable by the executable, set on no chunk the system
+    itself builds) joins only when it is non-empty.
     """
-    head, own, tail, extra = _chunk_parts(chunk)
-    return fingerprint(*head, *own, *tail, *extra)
+    video, interval = chunk.video, chunk.interval
+    extra = (chunk.metadata,) if chunk.metadata else ()
+    return fingerprint(video.name, _footage_identity(video), video.fps, video.duration,
+                       chunk.index, (interval.start, interval.end),
+                       chunk.mask, chunk.region, chunk.sample_period, *extra)
 
 
 def runner_fingerprint(runner: "SandboxRunner") -> str:
@@ -233,8 +228,8 @@ class CacheStats:
                 "evictions": self.evictions, "hit_rate": round(self.hit_rate, 3)}
 
 
-#: Stream-constant texts one context memoises before starting over: one per
-#: (footage state, mask, region) it has served, and a context serves every
+#: Stream-constant hash states one context memoises before starting over: one
+#: per (footage state, mask, region) it has served, and a context serves every
 #: stream of its camera while the registration reads the same.
 _KEY_TEXT_MEMO_LIMIT = 64
 
@@ -253,34 +248,44 @@ def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
     stores are addressed by those bytes — with everything constant over a
     ``(runner, context)`` stream canonicalised once per instance: the two
     stream fingerprints are memoised on their frozen instances, the chunk's
-    constant text on the context, keyed by the head's *values* (so a
-    mid-stream ``add_objects`` changes every later key) and the frozen mask
-    and region's *identity* (pinned by the entry, so no id is reused under
-    it).  The query path keeps those instances per registration
-    (:func:`repro.sandbox.environment.kept_or_fresh`), so a chunk pays for
-    its index, its interval and two ``sha256`` calls.
+    constant head and tail on the context, keyed by the footage state's
+    *values* (so a mid-stream ``add_objects`` changes every later key) and
+    the frozen mask and region's *identity* (pinned by the entry, so no id
+    is reused under it).  The memo holds a ``sha256`` state already fed the
+    head and the tail's bytes; a chunk copies the state (``copy`` takes the
+    object's lock, so threads may key one stream at once) and feeds it only
+    its index, its interval and any metadata.  The query path keeps those
+    instances per registration (:func:`repro.sandbox.environment.kept_or_fresh`).
     """
-    head, own, tail, extra = _chunk_parts(chunk)
-    mask, region, sample_period = tail
+    video = chunk.video
+    footage = _footage_identity(video)
+    mask, region, sample_period = chunk.mask, chunk.region, chunk.sample_period
     memo = context.key_text_memo
-    memo_key = (head, id(mask), id(region), sample_period)
-    texts = memo.get(memo_key)
-    if texts is None:
+    # 1 == 1.0 but their texts differ, so the sample period's type is keyed too.
+    memo_key = (video.name, footage, video.fps, video.duration,
+                id(mask), id(region), sample_period, type(sample_period))
+    entry = memo.get(memo_key)
+    if entry is None:
         if len(memo) >= _KEY_TEXT_MEMO_LIMIT:
             memo.clear()
-        texts = memo[memo_key] = (f"({_canonical_text(head)}, ",
-                                  f", {_canonical_text(tail)}",
-                                  mask, region)
-    index, (start, end) = own
+        head = _canonical_text((video.name, footage, video.fps, video.duration))
+        tail = _canonical_text((mask, region, sample_period))
+        entry = memo[memo_key] = (hashlib.sha256(f"({head}, ".encode("utf-8")),
+                                  f", {tail}".encode("utf-8"), mask, region)
+    head_state, tail_bytes = entry[0], entry[1]
+    index, interval = chunk.index, chunk.interval
+    start, end = interval.start, interval.end
     if type(index) is int and type(start) is type(end) is float:
-        # What _canonical_text(own) reads for the types every SPLIT produces.
+        # What _canonical_text reads for the types every SPLIT produces.
         own_text = f"{index}, ({start!r}, {end!r})"
     else:
-        own_text = _canonical_text(own)
-    canonical = texts[0] + own_text + texts[1]
-    if extra:
-        canonical += ", " + _canonical_text(extra)
-    chunk_digest = hashlib.sha256((canonical + ")").encode("utf-8")).hexdigest()
+        own_text = _canonical_text((index, (start, end)))
+    data = own_text.encode("utf-8") + tail_bytes
+    if chunk.metadata:
+        data += f", {_canonical_text((chunk.metadata,))}".encode("utf-8")
+    state = head_state.copy()
+    state.update(data + b")")
+    chunk_digest = state.hexdigest()
     return hashlib.sha256(
         f"('{chunk_digest}', '{runner.fingerprint}', '{context.fingerprint}')"
         .encode("utf-8")).hexdigest()
@@ -299,8 +304,12 @@ class ChunkResultCache:
     """
 
     def __init__(self, max_entries: int = 100_000) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
+        # A float bound (NaN, inf, 2.5) or a bool would never evict, or evict
+        # by accident: only a whole count bounds the tier.
+        if isinstance(max_entries, bool) or not isinstance(max_entries, int) \
+                or max_entries < 1:
+            raise ValueError(f"max_entries must be an int of at least 1, "
+                             f"got {max_entries!r}")
         self.max_entries = max_entries
         self._entries: OrderedDict[str, tuple[dict[str, Any], ...]] = OrderedDict()
         self._lock = threading.Lock()
@@ -371,24 +380,38 @@ _EMPTY_ENTRY = json.dumps({"format": _DISK_FORMAT, "rows": []},
                           separators=(",", ":")).encode("utf-8")
 
 
+#: Bytes one ``os.read`` asks for; only an entry that fills it reads again.
+_READ_SIZE = 1 << 16
+
+
 def _read_json_entry(path: str) -> ChunkRows:
     """Read and parse one entry file (the only JSON parse in the store).
 
     A torn write cannot decode to other rows: an entry is one JSON object,
     and every strict prefix of a JSON object is invalid JSON, so a truncated
-    file raises here and the store's self-heal path treats it as a miss.
+    file raises here and the store's self-heal path treats it as a miss.  So
+    does a foreign one: ``format`` must be the integer ``_DISK_FORMAT`` and
+    every row a JSON object.  The row-less entry's exact bytes are known, so
+    it is never parsed.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
-        data = b""
-        while piece := os.read(fd, 1 << 16):
-            data += piece
+        data = os.read(fd, _READ_SIZE)
+        if len(data) == _READ_SIZE:
+            while piece := os.read(fd, _READ_SIZE):
+                data += piece
     finally:
         os.close(fd)
+    if data == _EMPTY_ENTRY:
+        return []
     payload = json.loads(data)
-    if not isinstance(payload, dict) or payload.get("format") != _DISK_FORMAT:
+    if type(payload) is not dict or type(payload.get("format")) is not int \
+            or payload["format"] != _DISK_FORMAT:
         raise ValueError("unknown disk store format")
-    return [dict(row) for row in payload["rows"]]
+    rows = payload["rows"]
+    if type(rows) is not list or any(type(row) is not dict for row in rows):
+        raise ValueError("disk store rows must be JSON objects")
+    return rows
 
 
 class DiskChunkStore:

@@ -10,7 +10,9 @@ area for lower noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.errors import MaskError, PolicyError
 from repro.video.chunking import num_chunks_spanned
@@ -31,10 +33,14 @@ class PrivacyPolicy:
     k_segments: int = 1
 
     def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise PolicyError("rho must be non-negative")
-        if self.k_segments < 1:
-            raise PolicyError("K must be at least 1")
+        # Both bound the sensitivity: a NaN or infinite rho, or a fractional
+        # K, would scale the noise by something other than Equation 6.2.
+        if not math.isfinite(self.rho) or self.rho < 0:
+            raise PolicyError(f"rho must be finite and non-negative, got {self.rho!r}")
+        if isinstance(self.k_segments, bool) or not isinstance(self.k_segments, Integral) \
+                or self.k_segments < 1:
+            raise PolicyError(f"K must be a whole number of at least 1, "
+                              f"got {self.k_segments!r}")
 
     def max_chunks(self, chunk_duration: float) -> int:
         """Equation 6.1: chunks one protected segment can span."""

@@ -505,6 +505,8 @@ class Table:
 
     def extend(self, rows: Iterable[dict[str, Any]] | ColumnarRows) -> None:
         """Append many rows; column batches move as whole arrays."""
+        if not rows:  # most warm chunks answer nothing
+            return
         if isinstance(rows, ColumnarRows):
             self.extend_columnar(rows)
             return

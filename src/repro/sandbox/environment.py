@@ -93,7 +93,7 @@ class ExecutionContext:
 
     @cached_property
     def key_text_memo(self) -> dict[tuple, tuple]:
-        """``chunk_key``'s stream-constant texts; they live as long as the stream."""
+        """``chunk_key``'s stream-constant hash states; they live as long as the stream."""
         return {}
 
 
@@ -279,32 +279,25 @@ class SandboxRunner:
 
         # Hits are classified *here, in the outer loop* — only genuine
         # misses ever reach the engine.  The in-order ledger records the
-        # stream's shape: a ("hit", rows) entry per cache hit, a
-        # ("miss", key) entry per chunk forwarded to the engine.  A run of
-        # consecutive hits at the head therefore yields immediately, one
-        # chunk lookup at a time — an all-warm window streams its first row
-        # after a single lookup, without the engine (or its in-flight
-        # window) ever being driven.
+        # stream's shape behind a pending miss: a ("hit", rows) entry per
+        # cache hit, a ("miss", key) entry per chunk forwarded to the engine.
+        # While no miss is pending, the ledger is empty and a run of hits
+        # yields straight from the classifying loop, one key and one lookup
+        # per chunk — an all-warm window streams its first row after a
+        # single lookup, without the engine (or its in-flight window) ever
+        # being driven.
         ledger: deque[tuple[str, Any]] = deque()
         chunk_iter = iter(chunks)
         miss_buffer: deque[Chunk] = deque()
-        exhausted = False
 
-        def classify_next() -> bool:
-            """Pull and classify one chunk; False once the stream ends."""
-            nonlocal exhausted
-            chunk = next(chunk_iter, None)
-            if chunk is None:
-                exhausted = True
-                return False
+        def classify(chunk: Chunk) -> list[dict[str, Any]] | None:
+            """The chunk's stored rows, or None once it is queued as a miss."""
             key = cache.key_for(self, chunk, context)
             rows = cache.get(key)
             if rows is None:
                 ledger.append(("miss", key))
                 miss_buffer.append(chunk)
-            else:
-                ledger.append(("hit", rows))
-            return True
+            return rows
 
         def miss_feed() -> Iterator[Chunk]:
             # The engine pulls from this to fill its in-flight window; when
@@ -313,8 +306,12 @@ class SandboxRunner:
             # until the next miss or the end of the stream.
             while True:
                 while not miss_buffer:
-                    if not classify_next():
+                    chunk = next(chunk_iter, None)
+                    if chunk is None:
                         return
+                    rows = classify(chunk)
+                    if rows is not None:
+                        ledger.append(("hit", rows))
                 yield miss_buffer.popleft()
 
         # The miss stream is shorter than the full chunk stream by however
@@ -329,10 +326,15 @@ class SandboxRunner:
             while ledger and ledger[0][0] == "hit":
                 yield ledger.popleft()[1]
             if not ledger:
-                if exhausted:
+                # Nothing pending (so the miss buffer is empty too): classify
+                # and yield hits in one loop until the next miss.
+                for chunk in chunk_iter:
+                    rows = classify(chunk)
+                    if rows is None:
+                        break
+                    yield rows
+                else:
                     return
-                classify_next()
-                continue
             # Head of the stream is a miss; the engine yields outcomes in
             # order, so the next one is it.  Driving the engine may classify
             # further chunks through miss_feed — those land behind the head.

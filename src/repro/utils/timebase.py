@@ -172,15 +172,24 @@ class TimeInterval:
         (e.g. ten 0.1s steps summing to 0.9999...) and emit a spurious
         sliver chunk that the O(1) count — which sensitivity accounting
         relies on — would never predict.
+
+        ``position <= min(position + chunk_duration, end)`` holds by this
+        arithmetic, so each interval is built in one step, without the
+        constructor's ordering check or a frozen ``__setattr__`` per field.
         """
         if chunk_duration <= 0:
             raise ValueError("chunk_duration must be positive")
         step = chunk_duration + stride
         if step <= 0:
             raise ValueError("chunk_duration + stride must be positive")
+        start, end, new = self.start, self.end, object.__new__
         for index in range(self.num_chunks(chunk_duration, stride)):
-            position = min(self.start + index * step, self.end)
-            yield TimeInterval(position, min(position + chunk_duration, self.end))
+            position = min(start + index * step, end)
+            interval = new(TimeInterval)
+            fields = interval.__dict__
+            fields["start"] = position
+            fields["end"] = min(position + chunk_duration, end)
+            yield interval
 
     def num_chunks(self, chunk_duration: float, stride: float = 0.0) -> int:
         """Number of chunks produced by :meth:`split` with the same arguments."""

@@ -185,15 +185,25 @@ def iter_chunks(video: SyntheticVideo, spec: ChunkSpec, *,
     if region_scheme is not None:
         region_scheme.validate_chunk_size(spec.chunk_duration, video.frame_period)
 
+    regions = (None,) if region_scheme is None else tuple(region_scheme.regions)
+    sample_period, new = spec.sample_period, object.__new__
+
     def generate() -> Iterator[Chunk]:
+        # Each chunk is built in one step: every field is already a valid
+        # value, so the frozen ``__setattr__`` per field buys nothing.  The
+        # result is the chunk ``Chunk(...)`` builds, in the same field order.
         for index, interval in enumerate(window.split(spec.chunk_duration, spec.stride)):
-            base = Chunk(video=video, index=index, interval=interval, mask=mask,
-                         sample_period=spec.sample_period)
-            if region_scheme is None:
-                yield base
-            else:
-                for region in region_scheme.regions:
-                    yield base.with_region(region)
+            for region in regions:
+                chunk = new(Chunk)
+                fields = chunk.__dict__
+                fields["video"] = video
+                fields["index"] = index
+                fields["interval"] = interval
+                fields["mask"] = mask
+                fields["region"] = region
+                fields["sample_period"] = sample_period
+                fields["metadata"] = {}
+                yield chunk
 
     return generate()
 

@@ -360,6 +360,99 @@ class TestOracleParity:
         assert (reader.stats.hits, reader.stats.misses, reader.writes) == (60, 0, 0)
 
 
+_WIDE_SCHEME = grid_region_scheme(1280.0, 720.0, 9, 9)
+_ENDPOINTS = st.one_of(st.integers(0, 600), st.floats(0.0, 600.0),
+                       st.sampled_from([-0.0, 0.1, 1 / 3, 5e-324]))
+_CHUNK_STEPS = st.fixed_dictionaries({
+    "index": st.one_of(st.integers(-3, 10 ** 9),
+                       st.sampled_from([True, 2.0, -0.0, np.int64(7)])),
+    "ends": st.tuples(_ENDPOINTS, _ENDPOINTS),
+    "mask": st.sampled_from([None, MASK]),
+    "region": st.one_of(st.none(), st.integers(0, len(_WIDE_SCHEME.regions) - 1)),
+    "sample_period": st.sampled_from([None, 1.0, 1, 0.5]),
+    "metadata": st.one_of(st.just({}), st.dictionaries(
+        st.sampled_from(["shift", "site"]), st.sampled_from(["day", 1, 2.5, None]),
+        min_size=1, max_size=2)),
+    "runner": st.integers(0, 1),
+})
+_STEPS = st.lists(st.one_of(_CHUNK_STEPS, st.sampled_from(["add_objects", "every_region"])),
+                  min_size=1, max_size=12)
+
+
+class TestHashStateKey:
+    """The memo holds a ``sha256`` state fed the stream's head; a chunk copies
+    it.  Whatever a stream's chunks carry, the key is the oracle's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS)
+    def test_equals_the_oracle_whatever_the_stream(self, steps):
+        video = _walker_video(walkers=2, duration=600.0)
+        context = _context(video, metadata={"site": "north"})
+        runners = (_runner(5), _runner(7))
+        added = 0
+        for step in steps:
+            if step == "add_objects":
+                added += 1
+                video.add_objects([make_crossing_object(f"late{added}", start=40.0 * added,
+                                                        duration=20.0)])
+                continue
+            if step == "every_region":
+                # More (mask, region) pairs than the memo holds: it starts over.
+                chunk = Chunk(video=video, index=0, interval=TimeInterval(0.0, 0.5))
+                for region in _WIDE_SCHEME.regions:
+                    regioned = chunk.with_region(region)
+                    assert chunk_key(runners[0], regioned, context) \
+                        == oracle_key(runners[0], regioned, context)
+                assert len(context.key_text_memo) <= cache_module._KEY_TEXT_MEMO_LIMIT
+                continue
+            region = None if step["region"] is None else _WIDE_SCHEME.regions[step["region"]]
+            mask = {} if step["mask"] is None else {"mask": step["mask"]}
+            chunk = Chunk(video=video, index=step["index"],
+                          interval=TimeInterval(*sorted(step["ends"])), region=region,
+                          sample_period=step["sample_period"], metadata=step["metadata"],
+                          **mask)
+            runner = runners[step["runner"]]
+            assert chunk_key(runner, chunk, context) == oracle_key(runner, chunk, context)
+
+    def test_equal_sample_periods_of_two_types_get_their_own_state(self):
+        """``1 == 1.0``, but they print apart: a memo keyed by value alone
+        served the second the first one's tail."""
+        runner, chunk, context = _golden_inputs()
+        for sample_period in (1.0, 1, 1.0):
+            each = replace(chunk, sample_period=sample_period)
+            assert chunk_key(runner, each, context) == oracle_key(runner, each, context)
+
+    def test_threads_copy_one_shared_state(self):
+        """Two threads key one stream from one memo entry; the shared state is
+        only copied, never fed, so every key stays the oracle's."""
+        runner, chunk, context = _golden_inputs()
+        chunks = [replace(chunk, index=index,
+                          interval=TimeInterval(30.0 * index, 30.0 * index + 30.0))
+                  for index in range(200)]
+        expected = [oracle_key(runner, each, context) for each in chunks]
+        chunk_key(runner, chunk, context)
+        assert len(context.key_text_memo) == 1
+        results = {}
+        barrier = threading.Barrier(2)
+
+        def derive(slot: int) -> None:
+            barrier.wait(timeout=30)
+            results[slot] = [chunk_key(runner, each, context) for each in chunks]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=derive, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert results == {0: expected, 1: expected}
+        assert chunk_key(runner, chunk, context) == GOLDEN_KEY
+
+
 class TestChunkMetadata:
     def test_non_empty_metadata_is_part_of_the_key(self):
         runner, chunk, context = _golden_inputs()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.budget import BudgetRequest, FrameBudgetLedger
+from repro.core.budget import BudgetRequest, FrameBudgetLedger, ServiceLedger
+from repro.core.executor import PrividSystem
 from repro.core.degradation import (
     degradation_curve,
     detection_probability_bound,
@@ -18,6 +19,8 @@ from repro.utils.timebase import TimeInterval
 from repro.video.masking import EMPTY_MASK, Mask
 from repro.video.geometry import BoundingBox
 
+from tests.conftest import make_simple_video
+
 
 class TestPrivacyPolicy:
     def test_invalid_parameters_rejected(self):
@@ -25,6 +28,20 @@ class TestPrivacyPolicy:
             PrivacyPolicy(rho=-1.0)
         with pytest.raises(PolicyError):
             PrivacyPolicy(rho=1.0, k_segments=0)
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_rho_must_be_finite(self, rho):
+        # Both used to construct and fail later in max_chunks, with a bare
+        # ValueError (NaN) or OverflowError (inf).
+        with pytest.raises(PolicyError, match=repr(rho)):
+            PrivacyPolicy(rho=rho)
+
+    @pytest.mark.parametrize("k_segments", [float("nan"), 1.5, True, "2"])
+    def test_k_must_be_a_whole_number(self, k_segments):
+        # NaN gave a NaN sensitivity, 1.5 a Δ of 15 rows where K bounds whole
+        # segments.
+        with pytest.raises(PolicyError, match="K must be"):
+            PrivacyPolicy(rho=30.0, k_segments=k_segments)
 
     def test_max_chunks_matches_equation(self):
         policy = PrivacyPolicy(rho=30.0, k_segments=1)
@@ -204,6 +221,39 @@ class TestBudgetLedger:
             FrameBudgetLedger(total_epsilon=0.0)
         with pytest.raises(PolicyError):
             BudgetRequest(TimeInterval(0, 1), 0.0)
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf")])
+    def test_the_budget_must_be_finite(self, total):
+        with pytest.raises(PolicyError, match=repr(total)):
+            FrameBudgetLedger(total_epsilon=total)
+
+    def test_a_nan_budget_camera_is_refused_at_registration(self):
+        # It used to admit 20 of 20 ε=1 queries, budget_remaining nan.
+        system = PrividSystem(seed=1)
+        with pytest.raises(PolicyError, match="nan"):
+            system.register_camera("cam", make_simple_video(duration=60.0),
+                                   policy=PrivacyPolicy(rho=1.0),
+                                   epsilon_budget=float("nan"))
+        assert "cam" not in system.cameras
+        with pytest.raises(PolicyError, match="nan"):
+            ServiceLedger().register("cam", float("nan"))
+
+    def test_a_nan_margin_is_refused(self):
+        # Every expanded interval was NaN, so the check saw no frame: 5 of 5
+        # ε=1 requests over one interval were admitted on a 1.0 budget.
+        ledger = FrameBudgetLedger(total_epsilon=1.0)
+        for margin in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(PolicyError, match="margin"):
+                ledger.admit([BudgetRequest(TimeInterval(0, 10), 1.0)], margin=margin)
+        assert ledger.charges == []
+
+    @pytest.mark.parametrize("ends", [(float("nan"), float("nan")), (0.0, float("inf")),
+                                      (float("-inf"), 0.0)])
+    def test_a_request_needs_finite_endpoints(self, ends):
+        # TimeInterval(nan, nan) passes its own ordering check and was
+        # admitted 5 of 5 times on a 1.0 budget.
+        with pytest.raises(PolicyError, match="finite endpoints"):
+            BudgetRequest(TimeInterval(*ends), 1.0)
 
     @given(st.lists(st.tuples(st.floats(min_value=0, max_value=1000),
                               st.floats(min_value=1, max_value=500),

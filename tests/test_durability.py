@@ -339,6 +339,23 @@ def _open_ledger(directory, **kwargs):
 
 
 class TestDurableServiceLedger:
+    @pytest.mark.parametrize("total", [float("nan"), float("inf")])
+    def test_a_non_finite_budget_is_never_logged(self, tmp_path, total):
+        wal, ledger = _open_ledger(tmp_path)
+        with pytest.raises(PolicyError, match="per-frame budget"):
+            ledger.register("cam", total)
+        assert wal.status()["appends"] == 0
+        wal.close()
+
+    def test_a_log_holding_a_nan_budget_fails_recovery(self, tmp_path):
+        # json writes NaN, so a log from before the check can hold one; it
+        # would replay as a ledger that admits every query.
+        wal = WriteAheadLog(tmp_path)
+        wal.append({"op": "register", "camera": "cam", "total_epsilon": float("nan")})
+        wal.close()
+        with pytest.raises(PolicyError, match="nan"):
+            _open_ledger(tmp_path)
+
     def test_recovery_is_bit_exact(self, tmp_path):
         wal, ledger = _open_ledger(tmp_path)
         ledger.register("cam-a", 5.0)

@@ -108,6 +108,12 @@ class TestEngines:
 
 
 class TestChunkResultCache:
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 2.5, True, 0, -1, "10"])
+    def test_only_a_whole_count_bounds_the_tier(self, bound):
+        # NaN and inf never evicted: every ``len > bound`` comparison is false.
+        with pytest.raises(ValueError, match="max_entries"):
+            ChunkResultCache(max_entries=bound)
+
     def test_repeat_run_is_served_from_cache(self):
         video = _walker_video()
         chunks = split_interval(video, ChunkSpec(window=TimeInterval(0, 600),

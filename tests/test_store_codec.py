@@ -185,6 +185,12 @@ class TestCorruptEntries:
         {"rows": []},
         {"format": 1},
         {"format": 1, "rows": [["not", "a", "row"]]},
+        # Pairs are not rows, though dict() would have made this one.
+        {"format": 1, "rows": [[["kind", "person"], ["dy", 1.0]]]},
+        {"format": 1, "rows": {"kind": "person"}},
+        # true == 1.0 == 1, but the format is the integer 1.
+        {"format": True, "rows": []},
+        {"format": 1.0, "rows": []},
         [{"format": 1, "rows": []}],
         "rows",
     ])
@@ -195,6 +201,7 @@ class TestCorruptEntries:
         path = store._path_for(key)
         path.write_text(json.dumps(payload))
         self._assert_heals(store, key, path)
+        assert store.stats.hits == 0
 
     def test_enumeration_counts_and_clears_entries(self, tmp_path):
         store = DiskChunkStore(tmp_path)
@@ -576,6 +583,41 @@ class TestSyscallBudget:
     @pytest.fixture
     def calls(self, monkeypatch):
         return self._count(monkeypatch, ("open", "replace", "unlink", "mkdir", "makedirs"))
+
+    def test_a_hit_is_one_open_and_one_read(self, tmp_path, monkeypatch):
+        store = DiskChunkStore(tmp_path)
+        key = "a1" * 20
+        store.put(key, _rows_for(key))
+        calls = self._count(monkeypatch, ("open", "read", "close"))
+        assert store.get(key) == _rows_for(key)
+        assert calls == {"open": 1, "read": 1, "close": 1}
+
+    def test_an_entry_past_64_kib_is_read_to_the_end(self, tmp_path, monkeypatch):
+        store = DiskChunkStore(tmp_path)
+        key = "a2" * 20
+        rows = [{"blob": "x" * 1024, "n": index} for index in range(70)]
+        store.put(key, rows)
+        assert os.stat(store._entry_path(key)).st_size > 70 * 1024
+        calls = self._count(monkeypatch, ("read",))
+        assert_rows_exact(store.get(key), rows)
+        # 64 KiB, the rest, and the empty read that says end of file.
+        assert calls == {"read": 3}
+
+    def test_the_empty_entry_is_never_parsed(self, tmp_path, monkeypatch):
+        store = DiskChunkStore(tmp_path)
+        empty, spaced = "a3" * 20, "a3" * 19 + "a4"
+        store.put(empty, [])
+        # Not the exact bytes (and a file of its own, not a link to the first).
+        with open(store._entry_path(spaced), "w") as handle:
+            handle.write('{"format": 1, "rows": []}')
+        parsed = []
+        real_loads = json.loads
+        monkeypatch.setattr(cache_module.json, "loads",
+                            lambda data: parsed.append(data) or real_loads(data))
+        assert store.get(empty) == []
+        assert parsed == []
+        assert store.get(spaced) == []
+        assert len(parsed) == 1
 
     def test_put_miss_and_hit(self, tmp_path, calls, monkeypatch):
         store = DiskChunkStore(tmp_path)

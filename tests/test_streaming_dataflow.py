@@ -9,8 +9,11 @@ exactly, across engines and across cache tiers (memory / disk / tiered).
 """
 
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ChunkResultCache,
@@ -21,6 +24,7 @@ from repro.core import (
     ThreadPoolEngine,
     TieredChunkCache,
     create_cache,
+    create_engine,
 )
 from repro.core.policy import PrivacyPolicy
 from repro.cv.detector import DetectorConfig
@@ -30,7 +34,10 @@ from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import ChunkSpec, count_chunks, iter_chunks, split_interval
+from repro.video.chunking import Chunk, ChunkSpec, count_chunks, iter_chunks, split_interval
+from repro.video.geometry import BoundingBox
+from repro.video.masking import EMPTY_MASK, Mask
+from repro.video.regions import BoundaryType, grid_region_scheme
 
 from tests.conftest import make_crossing_object, make_simple_video
 
@@ -43,6 +50,10 @@ def _walker_video(num_walkers: int = 6, duration: float = 600.0):
                                     x=450.0 + 40.0 * i)
                for i in range(num_walkers)]
     return make_simple_video(duration=duration, objects=objects)
+
+
+_SPLIT_VIDEO = _walker_video(num_walkers=2, duration=12.0)
+_SPLIT_MASK = Mask("corner", (BoundingBox(0.0, 0.0, 200.0, 150.0),))
 
 
 def _runner() -> SandboxRunner:
@@ -110,6 +121,47 @@ class TestLazyChunking:
                 chunks = list(interval.split(chunk))
                 assert len(chunks) == interval.num_chunks(chunk), (duration, chunk)
                 assert chunks[-1].end == duration
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.one_of(st.sampled_from([0.0, 0, 0.1, 5.9]), st.floats(0.0, 15.0)),
+           length=st.one_of(st.sampled_from([1.0, 0.0, 0.3, 1e6]), st.floats(0.0, 15.0)),
+           duration=st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.5, 7, 30.0]),
+           stride=st.sampled_from([0.0, 0.1, 0.5, 3, -0.05]),
+           scheme=st.sampled_from([None, (1, 1), (2, 2)]),
+           sample_period=st.sampled_from([None, 1.0]))
+    def test_one_step_chunks_equal_the_validated_constructors(
+            self, start, length, duration, stride, scheme, sample_period):
+        """SPLIT builds each interval and chunk without the constructors'
+        checks; what it builds is what they build: ``==``, ``repr`` and pickle
+        bytes (and ``hash`` for intervals), and as many as ``count_chunks``."""
+        video = _SPLIT_VIDEO
+        spec = ChunkSpec(window=TimeInterval(start, start + length), chunk_duration=duration,
+                         stride=stride, sample_period=sample_period)
+        regions = None if scheme is None else grid_region_scheme(
+            video.width, video.height, *scheme, boundary=BoundaryType.HARD)
+        built = list(iter_chunks(video, spec, mask=_SPLIT_MASK, region_scheme=regions,
+                                 validate_frame_alignment=False))
+        window = spec.window.clamp(video.interval)
+        step = duration + stride
+        expected = []
+        for index in range(window.num_chunks(duration, stride)):
+            position = min(window.start + index * step, window.end)
+            interval = TimeInterval(position, min(position + duration, window.end))
+            for region in (None,) if regions is None else regions.regions:
+                expected.append(Chunk(video=video, index=index, interval=interval,
+                                      mask=_SPLIT_MASK, region=region,
+                                      sample_period=sample_period))
+        assert len(built) == len(expected) == count_chunks(video, spec, region_scheme=regions)
+        for got, want in zip(built, expected):
+            assert got == want and repr(got) == repr(want)
+            assert pickle.dumps(got) == pickle.dumps(want)
+            assert got.interval == want.interval and hash(got.interval) == hash(want.interval)
+            assert pickle.dumps(got.interval) == pickle.dumps(want.interval)
+        # Frozen as ever, and no two chunks share a metadata dict.
+        assert len({id(chunk.metadata) for chunk in built}) == len(built)
+        for chunk in built[:1]:
+            with pytest.raises(FrozenInstanceError):
+                chunk.mask = EMPTY_MASK
 
 
 class TestStreamingEngines:
@@ -431,6 +483,33 @@ class TestHitClassification:
                                            cache=cache))
         assert repr(rows) == repr(expected)
         assert cache.stats.misses == 10 + 4  # warmup misses + the evicted four
+
+    @pytest.mark.parametrize("engine_spec", ["serial", "sharded:2"])
+    def test_hit_runs_and_misses_interleaved_store_only_the_misses(self, engine_spec):
+        # H H M H M M H: the hit runs yield from the classifying loop, the
+        # misses go through the engine, and the rows come out in chunk order.
+        video, spec, runner, context, cache, expected = self._warm_setup(num_chunks=7)
+        keys = [cache.key_for(runner, chunk, context) for chunk in iter_chunks(video, spec)]
+        misses = (2, 4, 5)
+        for index in misses:
+            cache._entries.pop(keys[index])
+        stored = []
+        for name in ("put", "promote"):
+            real = getattr(cache, name)
+
+            def recording(key, rows, real=real):
+                stored.append(key)
+                real(key, rows)
+            setattr(cache, name, recording)
+        engine = create_engine(engine_spec)
+        try:
+            rows = list(runner.iter_chunk_rows(iter_chunks(video, spec), context,
+                                               engine=engine, cache=cache))
+        finally:
+            getattr(engine, "shutdown", lambda: None)()
+        assert repr(rows) == repr(expected)
+        assert stored == [keys[index] for index in misses]
+        assert (cache.stats.hits, cache.stats.misses) == (4, 7 + 3)
 
 
 class TestSystemLifecycle:
