@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.analysis.persistence import DEFAULT_SAMPLE_PERIOD, check_sample_period
+from repro.analysis.persistence import DEFAULT_SAMPLE_PERIOD
 from repro.scene.objects import PRIVATE_CATEGORIES, SceneObject
+from repro.utils import checks
 from repro.video.geometry import GridSpec
 from repro.video.masking import Mask, mask_from_grid_cells
 from repro.video.video import SyntheticVideo
@@ -78,7 +79,7 @@ def greedy_mask_ordering(video: SyntheticVideo, *, cell_size: float = 64.0,
     need the informative prefix); ``stop_when_persistence_below`` stops early
     once the maximum persistence has dropped below a threshold (seconds).
     """
-    check_sample_period(sample_period)
+    checks.real("sample_period", sample_period, ValueError, above=0)
     grid = GridSpec(frame_width=video.width, frame_height=video.height,
                     cell_width=cell_size, cell_height=cell_size)
     occupancies = _build_occupancy(video, grid, sample_period, categories)

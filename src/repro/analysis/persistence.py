@@ -8,13 +8,13 @@ Fig. 4, and the effect of a candidate mask on the persistence distribution
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.scene.objects import PRIVATE_CATEGORIES, SceneObject
+from repro.utils import checks
 from repro.video.geometry import GridSpec
 from repro.video.masking import Mask
 from repro.video.video import SyntheticVideo
@@ -51,13 +51,6 @@ class PersistenceHeatmap:
         return [int(index) for index in order[:count] if flat[index] > 0]
 
 
-def check_sample_period(sample_period: float) -> None:
-    """Raise ValueError unless ``sample_period`` is positive and finite: the
-    walks step ``t += sample_period`` until the appearance ends."""
-    if not (math.isfinite(sample_period) and sample_period > 0):
-        raise ValueError(f"sample_period must be positive and finite, got {sample_period!r}")
-
-
 def _private_objects(video: SyntheticVideo, categories: Iterable[str] | None) -> list[SceneObject]:
     allowed = frozenset(categories) if categories is not None else PRIVATE_CATEGORIES
     return [obj for obj in video.objects if obj.category in allowed]
@@ -67,7 +60,7 @@ def persistence_heatmap(video: SyntheticVideo, *, cell_size: float = 40.0,
                         sample_period: float = DEFAULT_SAMPLE_PERIOD,
                         categories: Iterable[str] | None = None) -> PersistenceHeatmap:
     """Accumulate how long private objects overlap each grid cell (Fig. 3, top row)."""
-    check_sample_period(sample_period)
+    checks.real("sample_period", sample_period, ValueError, above=0)
     grid = GridSpec(frame_width=video.width, frame_height=video.height,
                     cell_width=cell_size, cell_height=cell_size)
     cells = np.zeros(grid.num_cells, dtype=float)
@@ -140,7 +133,7 @@ def masked_persistence(video: SyntheticVideo, mask: Mask, *,
     and a run is worth ``sample_period`` added once per sample, as a running
     sum: ``n * sample_period`` rounds differently.
     """
-    check_sample_period(sample_period)
+    checks.real("sample_period", sample_period, ValueError, above=0)
     allowed = frozenset(categories) if categories is not None else PRIVATE_CATEGORIES
     owners, lengths, blocks = video.sample_appearances(sample_period, allowed)
     visible = np.concatenate([np.zeros(0, dtype=bool)]

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Sequence
 
+from repro.utils import checks
+
 __all__ = [
     "LatencyHistogram",
     "percentile",
@@ -39,8 +41,7 @@ def percentile(samples: Sequence[float], level: float) -> float | None:
     interpolation.  A one-sample distribution answers that sample at every
     level.
     """
-    if not 0.0 <= level <= 100.0:
-        raise ValueError(f"percentile level must be in [0, 100], not {level}")
+    checks.probability("percentile level / 100", level / 100.0, ValueError)
     if not samples:
         return None
     ordered = sorted(samples)
@@ -63,12 +64,9 @@ class LatencyHistogram:
 
     def __init__(self, *, resolution_s: float = 1e-6,
                  buckets_per_octave: int = 8) -> None:
-        if resolution_s <= 0:
-            raise ValueError("resolution_s must be positive")
-        if buckets_per_octave <= 0:
-            raise ValueError("buckets_per_octave must be positive")
-        self.resolution_s = resolution_s
-        self.buckets_per_octave = buckets_per_octave
+        self.resolution_s = checks.real("resolution_s", resolution_s, ValueError, above=0)
+        self.buckets_per_octave = checks.count("buckets_per_octave", buckets_per_octave,
+                                               ValueError, 1)
         self._counts: dict[int, int] = {}
         self._underflow = 0
         self._total = 0
@@ -134,8 +132,7 @@ class LatencyHistogram:
         recorded samples, at most one bucket width above it (underflow
         answers the resolution).  ``None`` on an empty histogram.
         """
-        if not 0.0 <= level <= 100.0:
-            raise ValueError(f"quantile level must be in [0, 100], not {level}")
+        checks.probability("quantile level / 100", level / 100.0, ValueError)
         if self._total == 0:
             return None
         rank = max(1, math.ceil(level / 100.0 * self._total))

@@ -28,8 +28,8 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from numbers import Integral
 
+from repro.utils import checks
 from repro.utils.hashing import stream_key, string_token, unit_draw
 
 __all__ = [
@@ -47,8 +47,7 @@ def zipf_weights(count: int, exponent: float) -> tuple[float, ...]:
     ``exponent=0`` degenerates to uniform; larger exponents concentrate mass
     on the first ranks (at 1.0, rank 1 of 8 carries ~37% of the load).
     """
-    if count <= 0:
-        raise ValueError("zipf_weights needs at least one rank")
+    checks.count("zipf_weights' rank count", count, ValueError, 1)
     raw = [1.0 / float(rank) ** exponent for rank in range(1, count + 1)]
     total = math.fsum(raw)
     return tuple(weight / total for weight in raw)
@@ -96,13 +95,6 @@ class ArrivalEvent:
                 self.offset_s.hex(), self.camera, self.kind)
 
 
-def _check_number(name: str, value: float, *, positive: bool = False) -> None:
-    """Raise unless ``value`` is finite and ``>= 0`` (``> 0`` if ``positive``)."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be finite and {bound}, not {value!r}")
-
-
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Everything that determines a workload schedule, and nothing else.
@@ -131,24 +123,18 @@ class WorkloadConfig:
         if self.mode != "open":
             raise ValueError(f"mode must be 'open', not {self.mode!r}")
         for name in ("num_tenants", "max_events"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, "
-                                 f"not {value!r}")
+            checks.count(name, getattr(self, name), ValueError, 1)
         if not self.cameras:
             raise ValueError("at least one camera is required")
         if not self.query_mix:
             raise ValueError("query_mix must name at least one kind")
-        _check_number("duration_s", self.duration_s)
-        _check_number("arrival_rate_per_s", self.arrival_rate_per_s,
-                      positive=True)
-        _check_number("tenant_skew", self.tenant_skew)
-        _check_number("camera_skew", self.camera_skew)
+        for name in ("duration_s", "tenant_skew", "camera_skew"):
+            checks.real(name, getattr(self, name), ValueError, at_least=0)
+        checks.real("arrival_rate_per_s", self.arrival_rate_per_s, ValueError, above=0)
         for kind, weight in self.query_mix:
-            _check_number(f"query_mix weight of {kind!r}", weight)
-        if not math.fsum(weight for _, weight in self.query_mix) > 0:
-            raise ValueError(f"query_mix weights must have a positive sum, "
-                             f"not {self.query_mix!r}")
+            checks.real(f"query_mix weight of {kind!r}", weight, ValueError, at_least=0)
+        checks.real(f"the sum of query_mix {self.query_mix!r}",
+                    math.fsum(weight for _, weight in self.query_mix), ValueError, above=0)
 
 
 @dataclass(frozen=True)

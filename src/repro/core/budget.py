@@ -28,7 +28,6 @@ Two grains of accounting live here:
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -37,15 +36,8 @@ from typing import Any
 
 from repro.errors import BudgetExceededError, DurabilityError, PolicyError, \
     UnknownCameraError
+from repro.utils import checks
 from repro.utils.timebase import TimeInterval
-
-
-def _check_total(total_epsilon: float) -> None:
-    """Reject a per-frame budget no admission check can compare against:
-    every comparison with NaN is false, so a NaN budget would admit all."""
-    if not math.isfinite(total_epsilon) or total_epsilon <= 0:
-        raise PolicyError(f"the per-frame budget must be finite and positive, "
-                          f"got {total_epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -56,12 +48,7 @@ class BudgetRequest:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise PolicyError(f"requested epsilon must be positive and finite, "
-                              f"got {self.epsilon!r}")
-        if not (math.isfinite(self.interval.start) and math.isfinite(self.interval.end)):
-            raise PolicyError(f"requested interval must have finite endpoints, "
-                              f"got {self.interval!r}")
+        checks.real("requested epsilon", self.epsilon, PolicyError, above=0)
 
 
 @dataclass
@@ -82,7 +69,8 @@ class FrameBudgetLedger:
                                    repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_total(self.total_epsilon)
+        # Every comparison with NaN is false, so a NaN budget would admit all.
+        checks.real("the per-frame budget", self.total_epsilon, PolicyError, above=0)
         initial, self.charges = self.charges, []
         self._edges: list[float] = []   # sorted distinct charge boundaries
         self._levels: list[float] = []  # [i]: consumed on [_edges[i], _edges[i+1])
@@ -150,11 +138,9 @@ class FrameBudgetLedger:
         performs the admission check only — used to make multi-camera queries
         all-or-nothing (every camera is checked before any is charged).
         """
-        if not math.isfinite(margin) or margin < 0:
-            # A NaN margin makes every expanded interval NaN, and a NaN
-            # interval covers no point the check below looks at.
-            raise PolicyError(f"the admission margin must be finite and "
-                              f"non-negative, got {margin!r}")
+        # A NaN margin makes every expanded interval NaN, and a NaN interval
+        # covers no point the check below looks at.
+        checks.real("the admission margin", margin, PolicyError, at_least=0)
         if not requests:
             return
         with self._lock:
@@ -232,7 +218,7 @@ class ServiceLedger:
         property, and a second query must not silently re-budget frames
         other queries already drew from.
         """
-        _check_total(total_epsilon)
+        checks.real("the per-frame budget", total_epsilon, PolicyError, above=0)
         with self._lock:
             ledger = self._ledgers.get(camera)
             if ledger is None:
@@ -414,12 +400,10 @@ class DurableServiceLedger(ServiceLedger):
 
     def __init__(self, wal: Any, *, journal: Any = None,
                  compact_every: int = 1024) -> None:
-        if compact_every < 1:
-            raise ValueError("compact_every must be at least 1")
         super().__init__()
         self.wal = wal
         self.journal = journal
-        self.compact_every = compact_every
+        self.compact_every = checks.count("compact_every", compact_every, ValueError, 1)
         #: query_id -> WAL seq of its charge record (applied charges).
         self._charged_queries: dict[str, int] = {}
         #: Seq of the most recent charge record (the chaos harness uses it
@@ -501,7 +485,7 @@ class DurableServiceLedger(ServiceLedger):
             if camera not in self._ledgers:
                 # Validate before logging: a record that cannot replay
                 # (FrameBudgetLedger rejects it) must never be written.
-                _check_total(total_epsilon)
+                checks.real("the per-frame budget", total_epsilon, PolicyError, above=0)
                 self.wal.append({"op": "register", "camera": camera,
                                  "total_epsilon": float(total_epsilon)})
                 self._apply_register({"camera": camera,

@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.engine import ChunkRows
 from repro.core.faults import FaultKind
+from repro.utils import checks
 
 
 #: Exact types :func:`canonical_value` returns as they are, without a call.
@@ -306,11 +307,7 @@ class ChunkResultCache:
     def __init__(self, max_entries: int = 100_000) -> None:
         # A float bound (NaN, inf, 2.5) or a bool would never evict, or evict
         # by accident: only a whole count bounds the tier.
-        if isinstance(max_entries, bool) or not isinstance(max_entries, int) \
-                or max_entries < 1:
-            raise ValueError(f"max_entries must be an int of at least 1, "
-                             f"got {max_entries!r}")
-        self.max_entries = max_entries
+        self.max_entries = checks.count("max_entries", max_entries, ValueError, 1)
         self._entries: OrderedDict[str, tuple[dict[str, Any], ...]] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import PolicyError
+from repro.utils import checks
 from repro.video.chunking import num_chunks_spanned
 
 
@@ -28,10 +29,9 @@ def detection_probability_bound(epsilon: float, alpha: float) -> float:
     ``alpha`` is the adversary's acceptable false-positive probability.  The
     bound saturates at 1 for large epsilon.
     """
-    if epsilon < 0:
-        raise PolicyError("epsilon must be non-negative")
-    if not 0.0 < alpha < 1.0:
-        raise PolicyError("alpha must be in (0, 1)")
+    checks.real("epsilon", epsilon, PolicyError, at_least=0)
+    if checks.probability("alpha", alpha, PolicyError) in (0, 1):
+        raise PolicyError(f"alpha must lie strictly between 0 and 1, not {alpha!r}")
     first = math.exp(epsilon) * alpha
     second = 1.0 - math.exp(-epsilon) * (1.0 - alpha)
     return min(1.0, min(first, second))
@@ -52,12 +52,11 @@ def effective_epsilon(epsilon: float, *, actual_rho: float, bounded_rho: float,
     Events within the bound experience at most ``epsilon`` (the ratio never
     drops below 1 because the mechanism's noise is fixed by the bound).
     """
-    if epsilon < 0:
-        raise PolicyError("epsilon must be non-negative")
-    if actual_rho < 0 or bounded_rho < 0:
-        raise PolicyError("durations must be non-negative")
-    if actual_k < 1 or bounded_k < 1:
-        raise PolicyError("segment counts must be at least 1")
+    checks.real("epsilon", epsilon, PolicyError, at_least=0)
+    checks.real("actual_rho", actual_rho, PolicyError, at_least=0)
+    checks.real("bounded_rho", bounded_rho, PolicyError, at_least=0)
+    checks.count("actual_k", actual_k, PolicyError, 1)
+    checks.count("bounded_k", bounded_k, PolicyError, 1)
     chunk_ratio = (num_chunks_spanned(actual_rho, chunk_duration)
                    / num_chunks_spanned(bounded_rho, chunk_duration))
     k_ratio = actual_k / bounded_k
@@ -83,8 +82,7 @@ def degradation_curve(*, epsilon: float, bounded_rho: float, chunk_duration: flo
     """
     points: list[DegradationPoint] = []
     for ratio in ratios:
-        if ratio < 0:
-            raise PolicyError("persistence ratios must be non-negative")
+        checks.real("a persistence ratio", ratio, PolicyError, at_least=0)
         actual_rho = bounded_rho * ratio
         eps_eff = effective_epsilon(epsilon, actual_rho=actual_rho, bounded_rho=bounded_rho,
                                     chunk_duration=chunk_duration)

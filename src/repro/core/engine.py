@@ -74,6 +74,7 @@ except ImportError:  # pragma: no cover - platform without POSIX shared memory
     resource_tracker = shared_memory = None  # type: ignore[assignment]
 
 from repro.relational.table import ColumnarRows
+from repro.utils import checks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sandbox.environment import ExecutionContext, SandboxRunner
@@ -533,6 +534,13 @@ def _default_workers() -> int:
     return max(2, (os.cpu_count() or 2))
 
 
+def _check_sizes(engine: Any, *names: str) -> None:
+    """Each named size of ``engine`` is None (its default) or a count >= 1."""
+    for name in names:
+        if getattr(engine, name) is not None:
+            checks.count(name, getattr(engine, name), ValueError, 1)
+
+
 def _stream_through_pool(pool_factory: Callable[[], Executor],
                          submit_batch_fn: Callable[[Executor, list["Chunk"]],
                                                    "Future[list[ChunkOutcome]]"],
@@ -636,6 +644,9 @@ class ThreadPoolEngine:
     _pool_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                        repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        _check_sizes(self, "max_workers", "in_flight_window")
+
     def _ensure_pool(self) -> ThreadPoolExecutor:
         # Locked: a service-layer engine is driven by concurrent query
         # threads, and two first-users must not each build a pool.
@@ -647,8 +658,6 @@ class ThreadPoolEngine:
 
     def _window(self) -> int:
         if self.in_flight_window is not None:
-            if self.in_flight_window <= 0:
-                raise ValueError("in_flight_window must be positive")
             return self.in_flight_window
         return 2 * (self.max_workers or _default_workers())
 
@@ -722,6 +731,9 @@ class ProcessPoolEngine:
     _publisher: _BroadcastPublisher = field(default_factory=_BroadcastPublisher,
                                             init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        _check_sizes(self, "max_workers", "chunksize", "in_flight_window")
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
@@ -739,8 +751,6 @@ class ProcessPoolEngine:
 
     def _window(self, batch_size: int) -> int:
         if self.in_flight_window is not None:
-            if self.in_flight_window <= 0:
-                raise ValueError("in_flight_window must be positive")
             return self.in_flight_window
         return 2 * (self.max_workers or _default_workers()) * batch_size
 
@@ -880,8 +890,8 @@ def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
             workers = int(workers_text)
         except ValueError:
             workers = workers_text  # transport suffix; the factory decides
-        if isinstance(workers, int) and workers <= 0:
-            raise ValueError(f"engine worker count must be positive in spec {spec!r}")
+        if isinstance(workers, int):
+            checks.count(f"the worker count of {spec!r}", workers, ValueError, 1)
     factory = _ENGINE_FACTORIES.get(kind)
     if factory is None:
         expected = ", ".join(f"'{name}[:N]'" for name in engine_kinds())

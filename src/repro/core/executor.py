@@ -32,6 +32,7 @@ from repro.relational.sensitivity import TableProperties
 from repro.relational.table import CHUNK_COLUMN, Table
 from repro.sandbox.environment import ExecutionContext, kept_or_fresh
 from repro.sandbox.registry import ExecutableRegistry, default_registry
+from repro.utils import checks
 from repro.utils.rng import RandomSource
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import Chunk, ChunkSpec, count_chunks, iter_chunks
@@ -215,6 +216,9 @@ class PrividSystem:
             if policy is None:
                 raise PolicyError("register_camera needs a policy or a policy_map")
             policy_map = MaskPolicyMap.unmasked(policy)
+        if default_sample_period is not None:
+            checks.real("default_sample_period", default_sample_period, PolicyError, above=0)
+        checks.count("detector_seed", detector_seed, PolicyError)
         registration = CameraRegistration(
             name=name,
             video=video,

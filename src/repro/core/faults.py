@@ -69,6 +69,7 @@ from enum import Enum
 from fnmatch import fnmatchcase
 from typing import Any
 
+from repro.utils import checks
 from repro.utils.hashing import stream_key, string_token, unit_draw
 
 
@@ -107,15 +108,15 @@ class FaultRule:
     max_fires: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        if self.probability == 0.0 and not self.at and self.after_seq is None:
+        if checks.probability("probability", self.probability, ValueError) == 0 \
+                and not self.at and self.after_seq is None:
             raise ValueError(
                 "a FaultRule needs a trigger: probability, at, or after_seq")
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative")
-        if self.max_fires is not None and self.max_fires < 1:
-            raise ValueError("max_fires must be at least 1")
+        if self.after_seq is not None:
+            checks.count("after_seq", self.after_seq, ValueError)
+        checks.real("delay", self.delay, ValueError, at_least=0)
+        if self.max_fires is not None:
+            checks.count("max_fires", self.max_fires, ValueError, 1)
         if self.after_seq is not None and self.max_fires is None:
             # Every seq past the threshold matches, so an unbounded
             # crash-at-seq rule would kill the respawned shard on the very
@@ -134,6 +135,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
+        checks.count("seed", self.seed, ValueError)
 
     def injector(self) -> "FaultInjector":
         """A fresh injector (fresh counters) evaluating this plan."""

@@ -12,6 +12,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.errors import PolicyError
+from repro.utils import checks
 from repro.utils.rng import RandomSource
 
 
@@ -25,10 +26,8 @@ class LaplaceMechanism:
     @staticmethod
     def scale(sensitivity: float, epsilon: float) -> float:
         """Laplace scale parameter b = sensitivity / epsilon."""
-        if epsilon <= 0:
-            raise PolicyError("epsilon must be positive")
-        if sensitivity < 0:
-            raise PolicyError("sensitivity must be non-negative")
+        checks.real("epsilon", epsilon, PolicyError, above=0)
+        checks.real("sensitivity", sensitivity, PolicyError, at_least=0)
         return sensitivity / epsilon
 
     def sample(self, sensitivity: float, epsilon: float) -> float:
@@ -69,7 +68,7 @@ class LaplaceMechanism:
         Used to draw the noise ribbon of Fig. 5: the noisy output falls within
         ``raw +- half_width`` with probability ``confidence``.
         """
-        if not 0.0 < confidence < 1.0:
-            raise PolicyError("confidence must be in (0, 1)")
+        if checks.probability("confidence", confidence, PolicyError) == 1:
+            raise PolicyError("confidence 1 has no finite interval")
         scale = LaplaceMechanism.scale(sensitivity, epsilon)
         return float(-scale * np.log(1.0 - confidence))

@@ -10,11 +10,10 @@ area for lower noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 from repro.errors import MaskError, PolicyError
+from repro.utils import checks
 from repro.video.chunking import num_chunks_spanned
 from repro.video.masking import EMPTY_MASK, Mask
 
@@ -35,12 +34,8 @@ class PrivacyPolicy:
     def __post_init__(self) -> None:
         # Both bound the sensitivity: a NaN or infinite rho, or a fractional
         # K, would scale the noise by something other than Equation 6.2.
-        if not math.isfinite(self.rho) or self.rho < 0:
-            raise PolicyError(f"rho must be finite and non-negative, got {self.rho!r}")
-        if isinstance(self.k_segments, bool) or not isinstance(self.k_segments, Integral) \
-                or self.k_segments < 1:
-            raise PolicyError(f"K must be a whole number of at least 1, "
-                              f"got {self.k_segments!r}")
+        checks.real("rho", self.rho, PolicyError, at_least=0)
+        checks.count("K", self.k_segments, PolicyError, at_least=1)
 
     def max_chunks(self, chunk_duration: float) -> int:
         """Equation 6.1: chunks one protected segment can span."""
@@ -54,8 +49,7 @@ class PrivacyPolicy:
         Case 4), so such an event cannot influence any rows and the delta is
         zero — which is why those queries need no noise at all.
         """
-        if max_rows <= 0:
-            raise PolicyError("max_rows must be positive")
+        checks.count("max_rows", max_rows, PolicyError, at_least=1)
         if self.rho == 0:
             return 0.0
         return float(max_rows * self.k_segments * self.max_chunks(chunk_duration))

@@ -132,6 +132,7 @@ from repro.core.engine import (
     ChunkSpecMessage,
     DispatchStats,
     _BroadcastPublisher,
+    _check_sizes,
     _default_workers,
     _fetch_payload,
     _StreamBroadcast,
@@ -141,6 +142,7 @@ from repro.core.engine import (
 from repro.core.faults import FaultInjector, faulty_transport_factory
 from repro.core.resilience import CircuitBreaker, RetryPolicy
 from repro.errors import RemoteShardError
+from repro.utils import checks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import ChunkStore
@@ -149,7 +151,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _env_float(name: str, default: float) -> float:
-    """A positive float from the environment, or ``default``.
+    """A finite positive float from the environment, or ``default``.
 
     ``PRIVID_HEARTBEAT_TIMEOUT`` / ``PRIVID_STARTUP_GRACE`` let slow CI
     runners widen the failure-detection windows without touching code.
@@ -158,16 +160,10 @@ def _env_float(name: str, default: float) -> float:
     if raw is None or not raw.strip():
         return default
     try:
-        value = float(raw)
-    except ValueError:
-        warnings.warn(f"ignoring invalid {name}={raw!r} (expected a number)",
-                      RuntimeWarning, stacklevel=2)
+        return checks.real(name, float(raw), ValueError, above=0)
+    except ValueError as exc:
+        warnings.warn(f"ignoring {name}={raw!r}: {exc}", RuntimeWarning, stacklevel=2)
         return default
-    if value <= 0:
-        warnings.warn(f"ignoring non-positive {name}={raw!r}",
-                      RuntimeWarning, stacklevel=2)
-        return default
-    return value
 
 # --------------------------------------------------------------------- frames
 
@@ -309,7 +305,12 @@ class PipeTransport:
     def write(self, message: dict[str, Any]) -> int:
         stdin = self.process.stdin
         assert stdin is not None
-        return write_frame(stdin, message)
+        try:
+            return write_frame(stdin, message)
+        except ValueError:
+            if stdin.closed:  # by kill(): to the caller, a dead worker's pipe
+                raise OSError("transport is closed") from None
+            raise
 
     def is_alive(self) -> bool:
         return self.process.poll() is None
@@ -319,12 +320,11 @@ class PipeTransport:
             self.process.kill()
         except OSError:
             pass
+        _close_pipes(self.process)
 
     def close(self, timeout: float = 5.0) -> None:
         try:
             self.write({"type": "shutdown"})
-            assert self.process.stdin is not None
-            self.process.stdin.close()
         except (OSError, ValueError):
             pass
         try:
@@ -332,6 +332,18 @@ class PipeTransport:
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait()
+        _close_pipes(self.process)
+
+
+def _close_pipes(process: subprocess.Popen) -> None:
+    """Close our ends of ``process``'s pipes, once it is exiting: closing
+    stdout waits out a reader thread's read, which only the exit's EOF ends."""
+    for pipe in (process.stdin, process.stdout):
+        if pipe is not None:
+            try:
+                pipe.close()
+            except OSError:
+                pass  # the flush of a write the dead process never read
 
 
 class TcpTransport:
@@ -412,6 +424,7 @@ class TcpTransport:
                 self.process.kill()
             except OSError:
                 pass
+            _close_pipes(self.process)
 
     def close(self, timeout: float = 5.0) -> None:
         try:
@@ -427,6 +440,7 @@ class TcpTransport:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
+            _close_pipes(self.process)
 
 
 #: Marker line a daemon prints on stdout once its listening socket is bound;
@@ -477,6 +491,7 @@ def spawn_local_daemon(host: str = "127.0.0.1") -> TcpTransport:
             process.kill()
         except OSError:
             pass
+        _close_pipes(process)
         raise RemoteShardError(
             "shard daemon failed to start (no listening announcement)")
     return TcpTransport(line[1], int(line[2]), process=process)
@@ -918,12 +933,6 @@ class ShardedEngine:
         if transport_labels is not None and (
                 transports is None or len(transport_labels) != len(transports)):
             raise ValueError("transport_labels must match the transport list")
-        if self.num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        if chunksize is not None and chunksize <= 0:
-            raise ValueError("chunksize must be positive")
-        if in_flight_window is not None and in_flight_window <= 0:
-            raise ValueError("in_flight_window must be positive")
         # The failure-detection windows default from the environment
         # (PRIVID_HEARTBEAT_TIMEOUT / PRIVID_STARTUP_GRACE) so slow CI
         # runners can widen them without code changes; explicit arguments
@@ -932,10 +941,6 @@ class ShardedEngine:
             heartbeat_timeout = _env_float("PRIVID_HEARTBEAT_TIMEOUT", 10.0)
         if startup_grace is None:
             startup_grace = _env_float("PRIVID_STARTUP_GRACE", 60.0)
-        if heartbeat_interval <= 0 or heartbeat_timeout <= 0 or startup_grace <= 0:
-            raise ValueError("heartbeat intervals must be positive")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
         self.name = "sharded"
         #: Per-slot transport factories (TCP mode); None means the pipe
         #: default, where workers are interchangeable and respawn freely.
@@ -964,6 +969,12 @@ class ShardedEngine:
         #: half-open.  States surface in ``dispatch_stats_dict``/``health``.
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
+        _check_sizes(self, "num_shards", "chunksize", "in_flight_window", "breaker_threshold")
+        checks.count("max_task_retries", max_task_retries, ValueError)
+        for name in ("heartbeat_interval", "heartbeat_timeout", "startup_grace",
+                     "task_timeout", "breaker_reset"):
+            if getattr(self, name) is not None:
+                checks.real(name, getattr(self, name), ValueError, above=0)
         self._breakers: dict[str, CircuitBreaker] = {}
         #: Optional chaos seam: when set (constructor or
         #: :meth:`set_fault_injector`, before first use), every transport
@@ -1029,8 +1040,7 @@ class ShardedEngine:
         this engine, so tests and single-host runs need no external setup.
         """
         count = num_shards if num_shards is not None else _default_workers()
-        if count <= 0:
-            raise ValueError("num_shards must be positive")
+        checks.count("num_shards", count, ValueError, 1)
         return cls(transports=[spawn_local_daemon] * count,
                    transport_labels=[f"tcp{index}" for index in range(count)],
                    **kwargs)
@@ -1112,7 +1122,7 @@ class ShardedEngine:
             self._handle_message(shard_id, message)
         for shard in list(self._shards.values()):
             if shard.alive and not shard.transport.is_alive():
-                self._mark_dead(shard, kill=False)
+                self._mark_dead(shard)
         for shard_id in [sid for sid, shard in self._shards.items() if not shard.alive]:
             del self._shards[shard_id]
         if self._transport_factories is None:
@@ -1221,13 +1231,13 @@ class ShardedEngine:
             # than raising into an arbitrary pumping stream.
             self._fail(task, str(exc))
 
-    def _mark_dead(self, shard: _Shard, *, kill: bool = True) -> None:
-        """Retire a shard and redispatch every task it still held."""
+    def _mark_dead(self, shard: _Shard) -> None:
+        """Retire a shard, releasing its transport (an exited worker's pipes
+        too), and redispatch every task it still held."""
         if not shard.alive:
             return
         shard.alive = False
-        if kill:
-            shard.transport.kill()
+        shard.transport.kill()
         orphans = list(shard.pending.values())
         shard.pending.clear()
         for task in orphans:
@@ -1244,7 +1254,7 @@ class ShardedEngine:
             return
         if message is None:  # reader saw EOF: the worker exited or was killed
             if shard.alive:
-                self._mark_dead(shard, kill=True)
+                self._mark_dead(shard)
             return
         shard.last_seen = time.monotonic()
         shard.started = True
@@ -1314,7 +1324,7 @@ class ShardedEngine:
             if not shard.alive:
                 continue
             if not shard.transport.is_alive():
-                self._mark_dead(shard, kill=False)
+                self._mark_dead(shard)
                 continue
             silent = now - shard.last_seen
             limit = self.heartbeat_timeout if shard.started \

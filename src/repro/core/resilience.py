@@ -39,6 +39,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from repro.errors import QueryCancelledError, QueryTimeoutError
+from repro.utils import checks
 from repro.utils.hashing import signed_draw, stream_key, string_token
 
 
@@ -61,14 +62,12 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+        checks.count("max_attempts", self.max_attempts, ValueError, 1)
+        checks.real("base_delay", self.base_delay, ValueError, at_least=0)
+        checks.real("max_delay", self.max_delay, ValueError, at_least=0)
+        checks.real("multiplier", self.multiplier, ValueError, at_least=1)
+        checks.probability("jitter", self.jitter, ValueError)
+        checks.count("seed", self.seed, ValueError)
 
     def delay(self, attempt: int, token: str = "") -> float:
         """Sleep before retry ``attempt`` (0-based), jittered deterministically."""
@@ -125,12 +124,9 @@ class CircuitBreaker:
 
     def __init__(self, *, failure_threshold: int = 3, reset_timeout: float = 10.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if reset_timeout <= 0:
-            raise ValueError("reset_timeout must be positive")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
+        self.failure_threshold = checks.count("failure_threshold", failure_threshold,
+                                              ValueError, 1)
+        self.reset_timeout = checks.real("reset_timeout", reset_timeout, ValueError, above=0)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
@@ -216,8 +212,7 @@ class CancellationToken:
 
     def set_timeout(self, seconds: float) -> None:
         """Arm (or tighten) the deadline to ``seconds`` from now."""
-        if seconds < 0:
-            raise ValueError("timeout must be non-negative")
+        checks.real("timeout", seconds, ValueError, at_least=0)
         deadline = self._clock() + seconds
         with self._lock:
             self._deadline = deadline if self._deadline is None \

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from repro.cv.tracker import Track
 from repro.scene.objects import PRIVATE_CATEGORIES, SceneObject
+from repro.utils import checks
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,7 @@ def conservative_grace_period(max_age_frames: int, fps: float, *, sides: int = 2
     of the track, so the conservative slack is ``sides * max_age / fps``
     seconds.
     """
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    checks.real("fps", fps, ValueError, above=0)
     return sides * max_age_frames / fps
 
 

@@ -49,6 +49,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.cv.detector import Detection, DetectionBatch
+from repro.utils import checks
 from repro.video.geometry import BoundingBox
 
 @dataclass(frozen=True)
@@ -68,12 +69,9 @@ class TrackerConfig:
     use_motion_prediction: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_age < 0:
-            raise ValueError("max_age must be non-negative")
-        if self.min_hits < 1:
-            raise ValueError("min_hits must be at least 1")
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError("iou_threshold must be within [0, 1]")
+        checks.count("max_age", self.max_age, ValueError)
+        checks.count("min_hits", self.min_hits, ValueError, 1)
+        checks.probability("iou_threshold", self.iou_threshold, ValueError)
 
 
 @dataclass(slots=True)

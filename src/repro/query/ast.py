@@ -15,7 +15,6 @@ language (``repro.query.parser``) or built programmatically
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -32,14 +31,8 @@ from repro.relational.plan import (
     Projection,
 )
 from repro.relational.table import Schema
+from repro.utils import checks
 from repro.utils.timebase import TimeInterval
-
-
-def _require_finite(clause: str, **values: float) -> None:
-    """Reject NaN and infinities, which slip past every ``<= 0`` check."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise QueryValidationError(f"{clause} {name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -57,14 +50,13 @@ class SplitStatement:
     sample_period: float | None = None
 
     def __post_init__(self) -> None:
-        _require_finite("SPLIT", BEGIN=self.begin, END=self.end,
-                        chunk_duration=self.chunk_duration, STRIDE=self.stride)
-        if self.end <= self.begin:
-            raise QueryValidationError("SPLIT END must be after BEGIN")
-        if self.chunk_duration <= 0:
-            raise QueryValidationError("chunk duration must be positive")
-        if self.chunk_duration + self.stride <= 0:
-            raise QueryValidationError("chunk duration plus stride must be positive")
+        checks.real("SPLIT BEGIN", self.begin, QueryValidationError)
+        checks.real("SPLIT END", self.end, QueryValidationError, above=self.begin)
+        checks.real("SPLIT chunk duration", self.chunk_duration, QueryValidationError, above=0)
+        checks.real("SPLIT STRIDE", self.stride, QueryValidationError, above=-self.chunk_duration)
+        if self.sample_period is not None:
+            checks.real("SPLIT sample period", self.sample_period, QueryValidationError,
+                        above=0)
         if not self.output:
             raise QueryValidationError("SPLIT must name its output chunk set (INTO ...)")
 
@@ -86,11 +78,8 @@ class ProcessStatement:
     timeout: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_rows <= 0:
-            raise QueryValidationError("PRODUCING must declare a positive row cap")
-        _require_finite("PROCESS", TIMEOUT=self.timeout)
-        if self.timeout <= 0:
-            raise QueryValidationError("TIMEOUT must be positive")
+        checks.count("PRODUCING row cap", self.max_rows, QueryValidationError, 1)
+        checks.real("PROCESS TIMEOUT", self.timeout, QueryValidationError, above=0)
         if not self.output:
             raise QueryValidationError("PROCESS must name its output table (INTO ...)")
         if not self.chunks:
@@ -109,9 +98,7 @@ class SelectStatement:
 
     def __post_init__(self) -> None:
         if self.epsilon is not None:
-            _require_finite("SELECT", CONSUMING=self.epsilon)
-            if self.epsilon <= 0:
-                raise QueryValidationError("CONSUMING must request a positive epsilon")
+            checks.real("SELECT CONSUMING", self.epsilon, QueryValidationError, above=0)
         if not self.label:
             self.label = self.aggregation.output_name
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import QueryValidationError
+from repro.utils import checks
 from repro.utils.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -113,8 +114,8 @@ class RangeExpression(Expression):
     high: float
 
     def __post_init__(self) -> None:
-        if self.high < self.low:
-            raise QueryValidationError("range() upper bound must be >= lower bound")
+        checks.real("range() lower bound", self.low, QueryValidationError)
+        checks.real("range() upper bound", self.high, QueryValidationError, at_least=self.low)
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         value = self.inner.evaluate(row)
@@ -144,8 +145,7 @@ class TimeBucket(Expression):
     width: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise QueryValidationError("bucket width must be positive")
+        checks.real("bucket width", self.width, QueryValidationError, above=0)
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         value = self.inner.evaluate(row)

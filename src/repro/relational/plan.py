@@ -22,6 +22,7 @@ from repro.errors import QueryValidationError, SchemaError
 from repro.relational.expressions import Expression, Predicate, RangeExpression, TimeBucket
 from repro.relational.sensitivity import SensitivityInfo, TableProperties
 from repro.relational.table import Table
+from repro.utils import checks
 
 
 @dataclass
@@ -112,8 +113,7 @@ class Limit(Relation):
     limit: int
 
     def __post_init__(self) -> None:
-        if self.limit <= 0:
-            raise QueryValidationError("LIMIT must be positive")
+        checks.count("LIMIT", self.limit, QueryValidationError, 1)
 
     def evaluate(self, context: PlanContext) -> Table:
         source = self.child.evaluate(context)

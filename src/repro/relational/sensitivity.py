@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.video.chunking import num_chunks_spanned
 from repro.relational.table import CHUNK_COLUMN, REGION_COLUMN
+from repro.utils import checks
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,11 @@ class TableProperties:
     k_segments: int
 
     def __post_init__(self) -> None:
-        if self.max_rows <= 0:
-            raise ValueError("max_rows must be positive")
-        if self.chunk_duration <= 0:
-            raise ValueError("chunk_duration must be positive")
-        if self.num_chunks < 0:
-            raise ValueError("num_chunks must be non-negative")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
-        if self.k_segments <= 0:
-            raise ValueError("k_segments must be positive")
+        checks.count("max_rows", self.max_rows, ValueError, 1)
+        checks.real("chunk_duration", self.chunk_duration, ValueError, above=0)
+        checks.count("num_chunks", self.num_chunks, ValueError)
+        checks.real("rho", self.rho, ValueError, at_least=0)
+        checks.count("k_segments", self.k_segments, ValueError, 1)
 
     @property
     def max_chunks_per_segment(self) -> int:

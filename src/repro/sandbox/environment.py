@@ -30,6 +30,7 @@ from repro.core.engine import ChunkOutcome, ExecutionEngine, SerialEngine
 from repro.cv.detector import DetectorConfig, SyntheticDetector
 from repro.cv.tracker import TrackerConfig
 from repro.errors import SandboxViolationError
+from repro.utils import checks
 from repro.relational.table import CHUNK_COLUMN, REGION_COLUMN, RowBatch, Schema
 from repro.video.chunking import Chunk
 
@@ -109,10 +110,9 @@ class SandboxRunner:
     enforce_wall_clock: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_rows <= 0:
-            raise SandboxViolationError("max_rows must be positive")
-        if self.timeout_seconds <= 0:
-            raise SandboxViolationError("the PROCESS timeout must be positive")
+        checks.count("max_rows", self.max_rows, SandboxViolationError, 1)
+        checks.real("the PROCESS timeout", self.timeout_seconds, SandboxViolationError,
+                    above=0)
 
     __getstate__ = _field_state
 

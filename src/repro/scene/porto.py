@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.scene.objects import Appearance, SceneObject
 from repro.scene.trajectory import StationaryTrajectory
+from repro.utils import checks
 from repro.utils.rng import RandomSource
 from repro.utils.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR, TimeInterval
 from repro.video.geometry import BoundingBox
@@ -58,12 +59,13 @@ class PortoConfig:
     seed: int = 31
 
     def __post_init__(self) -> None:
-        if self.num_taxis <= 0 or self.num_cameras <= 0 or self.num_days <= 0:
-            raise ValueError("taxis, cameras and days must all be positive")
-        if not 0.0 <= self.working_day_probability <= 1.0:
-            raise ValueError("working_day_probability must be in [0, 1]")
-        if self.visibility_range[0] <= 0 or self.visibility_range[1] < self.visibility_range[0]:
-            raise ValueError("invalid visibility_range")
+        for name in ("num_taxis", "num_cameras", "num_days"):
+            checks.count(name, getattr(self, name), ValueError, 1)
+        checks.probability("working_day_probability", self.working_day_probability,
+                           ValueError)
+        low, high = self.visibility_range
+        checks.real("the low end of visibility_range", low, ValueError, above=0)
+        checks.real("the high end of visibility_range", high, ValueError, at_least=low)
 
     @classmethod
     def paper_scale(cls) -> "PortoConfig":

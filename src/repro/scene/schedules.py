@@ -25,6 +25,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.utils import checks
+
 
 class AttributeSchedule(ABC):
     """A picklable mapping from timestamp to an observable attribute value."""
@@ -71,8 +73,8 @@ class CyclicSchedule(AttributeSchedule):
     def __post_init__(self) -> None:
         if not self.phases:
             raise ValueError("a cyclic schedule needs at least one phase")
-        if any(duration <= 0 for _, duration in self.phases):
-            raise ValueError("phase durations must be positive")
+        for _, duration in self.phases:
+            checks.real("a phase duration", duration, ValueError, above=0)
 
     @property
     def cycle_duration(self) -> float:

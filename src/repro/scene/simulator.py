@@ -19,7 +19,6 @@ Everything is generated from named random streams derived from a single seed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from repro.scene.objects import Appearance, DynamicAttribute, SceneObject
 from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
+from repro.utils import checks
 from repro.utils.rng import RandomSource
 from repro.utils.timebase import SECONDS_PER_HOUR, TimeInterval
 from repro.video.geometry import BoundingBox
@@ -65,26 +65,24 @@ class CrossingPopulation:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.expected_count) and self.expected_count >= 0):
-            raise ValueError(f"expected_count must be finite and >= 0, got {self.expected_count!r}")
+        checks.real("expected_count", self.expected_count, ValueError, at_least=0)
         if not self.routes:
             raise ValueError("a crossing population needs at least one route")
         weights = tuple(route.weight for route in self.routes)
-        if not (all(math.isfinite(weight) and weight >= 0 for weight in weights)
-                and sum(weights) > 0):
-            raise ValueError("routes: weights must be finite and >= 0 with a positive sum, "
-                             f"got {weights!r}")
-        if self.hourly_weights is not None and not all(
-                math.isfinite(weight) and weight >= 0 for weight in self.hourly_weights):
-            raise ValueError(f"hourly_weights must be finite and >= 0, got {self.hourly_weights!r}")
+        for weight in weights:
+            checks.real(f"each of the routes' weights {weights!r}", weight, ValueError,
+                        at_least=0)
+        checks.real(f"the sum of the routes' weights {weights!r}", sum(weights), ValueError,
+                    above=0)
+        for weight in self.hourly_weights or ():
+            checks.real(f"each of hourly_weights {self.hourly_weights!r}", weight, ValueError,
+                        at_least=0)
         for name in ("tail_probability", "revisit_probability"):
-            probability = getattr(self, name)
-            if not 0.0 <= probability <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {probability!r}")
+            checks.probability(name, getattr(self, name), ValueError)
         for name in ("duration_range", "tail_duration_range"):
             low, high = bounds = getattr(self, name)
-            if not 0 < low <= high < math.inf:
-                raise ValueError(f"{name} must be finite with 0 < low <= high, got {bounds!r}")
+            checks.real(f"the low end of {name} {bounds!r}", low, ValueError, above=0)
+            checks.real(f"the high end of {name} {bounds!r}", high, ValueError, at_least=low)
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,10 @@ class LingerPopulation:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-        if self.duration_range[0] <= 0 or self.duration_range[1] < self.duration_range[0]:
-            raise ValueError("invalid duration_range")
+        checks.count("count", self.count, ValueError)
+        low, high = self.duration_range
+        checks.real("the low end of duration_range", low, ValueError, above=0)
+        checks.real("the high end of duration_range", high, ValueError, at_least=low)
 
 
 @dataclass(frozen=True)

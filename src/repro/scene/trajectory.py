@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.utils import checks
 from repro.video.geometry import BoundingBox, interpolate_boxes
 
 
@@ -84,8 +85,7 @@ class LinearTrajectory(Trajectory):
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("trajectory duration must be positive")
+        checks.real("trajectory duration", self.duration, ValueError, above=0)
 
     def box_at(self, elapsed: float) -> BoundingBox:
         fraction = elapsed / self.duration

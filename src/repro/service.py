@@ -62,6 +62,7 @@ from repro.errors import BudgetExceededError, QueryCancelledError, \
     QueryTimeoutError, ResumeConflictError, ServiceOverloadedError
 from repro.query.ast import PrividQuery
 from repro.sandbox.registry import ExecutableRegistry
+from repro.utils import checks
 
 
 #: The ``execute`` options that change what a query releases or charges —
@@ -111,12 +112,11 @@ class QueryService:
                  default_query_timeout: float | None = None,
                  on_engine_failure: str = "fail",
                  fault_injector: FaultInjector | None = None) -> None:
-        if max_concurrent_queries <= 0:
-            raise ValueError("max_concurrent_queries must be positive")
-        if max_queue_depth is not None and max_queue_depth < 0:
-            raise ValueError("max_queue_depth must be >= 0 (or None)")
-        if default_query_timeout is not None and default_query_timeout <= 0:
-            raise ValueError("default_query_timeout must be positive (or None)")
+        checks.count("max_concurrent_queries", max_concurrent_queries, ValueError, 1)
+        if max_queue_depth is not None:
+            checks.count("max_queue_depth", max_queue_depth, ValueError)
+        if default_query_timeout is not None:
+            checks.real("default_query_timeout", default_query_timeout, ValueError, above=0)
         # ``wal_dir`` makes the deployment crash-consistent: registrations
         # and charges are write-ahead logged (and fsynced) before they take
         # effect, every query is journaled under a resume token, and opening

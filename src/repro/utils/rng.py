@@ -13,6 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.utils import checks
+
 
 def _seed_from_name(root_seed: int, name: str) -> int:
     """Derive a stable 64-bit seed from a root seed and a stream name."""
@@ -37,7 +39,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int = 0, *, path: str = "") -> None:
-        self.seed = int(seed)
+        self.seed = int(checks.count("seed", seed, ValueError))
         self.path = path
 
     def stream(self, name: str) -> np.random.Generator:

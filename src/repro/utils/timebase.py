@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.utils import checks
+
 
 SECONDS_PER_MINUTE = 60.0
 SECONDS_PER_HOUR = 3600.0
@@ -106,8 +108,9 @@ class TimeInterval:
     end: float
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"interval end {self.end} precedes start {self.start}")
+        if not -math.inf < self.start <= self.end < math.inf:
+            raise ValueError(f"interval [{self.start!r}, {self.end!r}) must be finite "
+                             f"and not inverted")
 
     @property
     def duration(self) -> float:
@@ -177,13 +180,10 @@ class TimeInterval:
         arithmetic, so each interval is built in one step, without the
         constructor's ordering check or a frozen ``__setattr__`` per field.
         """
-        if chunk_duration <= 0:
-            raise ValueError("chunk_duration must be positive")
+        count = self.num_chunks(chunk_duration, stride)
         step = chunk_duration + stride
-        if step <= 0:
-            raise ValueError("chunk_duration + stride must be positive")
         start, end, new = self.start, self.end, object.__new__
-        for index in range(self.num_chunks(chunk_duration, stride)):
+        for index in range(count):
             position = min(start + index * step, end)
             interval = new(TimeInterval)
             fields = interval.__dict__
@@ -193,11 +193,9 @@ class TimeInterval:
 
     def num_chunks(self, chunk_duration: float, stride: float = 0.0) -> int:
         """Number of chunks produced by :meth:`split` with the same arguments."""
-        if chunk_duration <= 0:
-            raise ValueError("chunk_duration must be positive")
+        checks.real("chunk_duration", chunk_duration, ValueError, above=0)
+        checks.real("stride", stride, ValueError, above=-chunk_duration)
         step = chunk_duration + stride
-        if step <= 0:
-            raise ValueError("chunk_duration + stride must be positive")
         if self.duration <= 0:
             return 0
         return int(math.ceil(self.duration / step))

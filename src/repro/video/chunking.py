@@ -9,9 +9,11 @@ restricted to a spatial region (Section 7.2) and have a mask applied
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
+from repro.utils import checks
 from repro.utils.timebase import TimeInterval
 from repro.video.masking import EMPTY_MASK, Mask
 from repro.video.regions import Region, RegionScheme
@@ -34,10 +36,10 @@ class ChunkSpec:
     sample_period: float | None = None
 
     def __post_init__(self) -> None:
-        if self.chunk_duration <= 0:
-            raise ValueError("chunk duration must be positive")
-        if self.chunk_duration + self.stride <= 0:
-            raise ValueError("chunk duration plus stride must be positive")
+        checks.real("chunk duration", self.chunk_duration, ValueError, above=0)
+        checks.real("stride", self.stride, ValueError, above=-self.chunk_duration)
+        if self.sample_period is not None:
+            checks.real("sample_period", self.sample_period, ValueError, above=0)
 
     @property
     def num_chunks(self) -> int:
@@ -241,10 +243,6 @@ def num_chunks_spanned(rho: float, chunk_duration: float) -> int:
     that becomes visible in the final frame of a chunk spills into the next
     ``ceil(rho / c)`` chunks.
     """
-    import math
-
-    if chunk_duration <= 0:
-        raise ValueError("chunk duration must be positive")
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    return 1 + int(math.ceil(rho / chunk_duration))
+    checks.real("chunk duration", chunk_duration, ValueError, above=0)
+    checks.real("rho", rho, ValueError, at_least=0)
+    return 1 + math.ceil(rho / chunk_duration)

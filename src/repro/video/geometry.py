@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.utils import checks
+
 
 @dataclass(frozen=True)
 class Point:
@@ -150,10 +152,8 @@ class GridSpec:
     cell_height: float
 
     def __post_init__(self) -> None:
-        if self.cell_width <= 0 or self.cell_height <= 0:
-            raise ValueError("grid cell dimensions must be positive")
-        if self.frame_width <= 0 or self.frame_height <= 0:
-            raise ValueError("frame dimensions must be positive")
+        for name in ("frame_width", "frame_height", "cell_width", "cell_height"):
+            checks.real(name, getattr(self, name), ValueError, above=0)
 
     @property
     def columns(self) -> int:

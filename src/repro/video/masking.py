@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import MaskError
+from repro.utils import checks
 from repro.video.geometry import BoundingBox, GridSpec
 
 #: Fraction of an object's box that must be covered by masked pixels for the
@@ -32,8 +33,8 @@ class Mask:
     hide_threshold: float = DEFAULT_HIDE_THRESHOLD
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hide_threshold <= 1.0:
-            raise MaskError("hide_threshold must be in (0, 1]")
+        if checks.probability("hide_threshold", self.hide_threshold, MaskError) == 0:
+            raise MaskError("hide_threshold 0 would hide every box, masked or not")
 
     @property
     def is_empty(self) -> bool:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import RegionError
+from repro.utils import checks
 from repro.video.geometry import BoundingBox, Point
 
 
@@ -106,8 +107,8 @@ def grid_region_scheme(frame_width: float, frame_height: float, rows: int, colum
     this helper implements the basic construction so the extension can be
     exercised by tests and the ablation benchmark.
     """
-    if rows <= 0 or columns <= 0:
-        raise RegionError("grid dimensions must be positive")
+    checks.count("rows", rows, RegionError, 1)
+    checks.count("columns", columns, RegionError, 1)
     cell_width = frame_width / columns
     cell_height = frame_height / rows
     regions: list[Region] = []

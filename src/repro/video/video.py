@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.utils import checks
 from repro.utils.timebase import (
     TimeInterval,
     frame_index_of,
@@ -269,12 +270,8 @@ class SyntheticVideo:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("frame dimensions must be positive")
+        for name in ("fps", "duration", "width", "height"):
+            checks.real(name, getattr(self, name), ValueError, above=0)
         self._index_bucket_size: float = max(60.0, self.duration / 2048.0)
         self._appearance_table: _AppearanceTable | None = None
         self._content_token: int = next(_CONTENT_TOKENS)
@@ -380,8 +377,7 @@ class SyntheticVideo:
         Appendix D requires both the chunk duration and the stride to
         correspond to an integer number of frames.
         """
-        if chunk_duration <= 0:
-            raise ValueError("chunk duration must be positive")
+        checks.real("chunk duration", chunk_duration, ValueError, above=0)
         if not is_integral_frame_count(chunk_duration, self.fps):
             raise ValueError(
                 f"chunk duration {chunk_duration}s is not an integer number of frames "

@@ -320,7 +320,7 @@ class TestOracleParity:
         assert checked == 2 * 2 * (12 + 12 * len(scheme.regions))
 
     _VALUES = st.one_of(
-        st.floats(allow_nan=False), st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False), st.integers(),
         st.sampled_from([-0.0, 0.1, 1e22, 1 / 3, 2.0 ** 53 + 2.0, 5e-324,
                          123456789.987654321]))
 

@@ -250,10 +250,11 @@ class TestBudgetLedger:
     @pytest.mark.parametrize("ends", [(float("nan"), float("nan")), (0.0, float("inf")),
                                       (float("-inf"), 0.0)])
     def test_a_request_needs_finite_endpoints(self, ends):
-        # TimeInterval(nan, nan) passes its own ordering check and was
-        # admitted 5 of 5 times on a 1.0 budget.
-        with pytest.raises(PolicyError, match="finite endpoints"):
-            BudgetRequest(TimeInterval(*ends), 1.0)
+        # TimeInterval(nan, nan) used to pass its own ordering check and was
+        # admitted 5 of 5 times on a 1.0 budget; the interval now refuses
+        # it, so no request can be built around it.
+        with pytest.raises(ValueError, match="finite"):
+            TimeInterval(*ends)
 
     @given(st.lists(st.tuples(st.floats(min_value=0, max_value=1000),
                               st.floats(min_value=1, max_value=500),

@@ -1,0 +1,341 @@
+"""The numeric boundary: ``repro.utils.checks`` and the public surface it guards.
+
+NaN compares false with everything, so a hand-written ``if x <= 0: raise``
+lets it in, and a NaN budget, epsilon or timeout then admits, scales or
+waits wrongly far from where it entered.  :class:`TestPublicSurface`
+generates the probes: it walks every name ``repro`` and ``repro.core``
+export (plus the few methods a number enters through), builds a valid call
+from the signature and :data:`VALID`, then swaps in one bad number at a
+time.  Each call must raise at once, or be listed in :data:`ACCEPTED` with
+its reason.
+"""
+
+import inspect
+import math
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+import repro.core
+from repro.core import (
+    BudgetRequest,
+    CancellationToken,
+    CircuitBreaker,
+    FaultKind,
+    FrameBudgetLedger,
+    LaplaceMechanism,
+    PrividSystem,
+    RetryPolicy,
+    ServiceLedger,
+    ShardedEngine,
+    WriteAheadLog,
+)
+from repro.core.policy import PrivacyPolicy
+from repro.errors import PolicyError, PrividError, QueryValidationError
+from repro.query.ast import SplitStatement
+from repro.relational.sensitivity import TableProperties
+from repro.utils import checks
+from repro.utils.timebase import TimeInterval
+
+from tests.conftest import make_simple_video
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestChecks:
+    @pytest.mark.parametrize("value", [0.5, 3, np.float32(0.5), np.int64(2), Fraction(1, 3)])
+    def test_a_finite_real_passes_unchanged(self, value):
+        assert checks.real("x", value, ValueError, above=0) is value
+
+    @pytest.mark.parametrize("value,bounds", [
+        (NAN, {}), (INF, {}), (-INF, {}), (True, {}), ("1", {}), (None, {}),
+        (0.0, {"above": 0}), (-1, {"at_least": 0}), (1.0, {"above": 1.0})])
+    def test_a_real_names_itself_and_the_value(self, value, bounds):
+        with pytest.raises(PolicyError, match="the budget must be finite") as raised:
+            checks.real("the budget", value, PolicyError, **bounds)
+        assert repr(value) in str(raised.value)
+
+    def test_a_bound_is_inclusive_or_strict(self):
+        assert checks.real("x", 0.0, ValueError, at_least=0) == 0.0
+        assert checks.real("x", 10 ** 400, ValueError, above=0) == 10 ** 400
+        with pytest.raises(ValueError, match="> 0"):
+            checks.real("x", 0.0, ValueError, above=0)
+
+    @pytest.mark.parametrize("value", [0, 7, np.int64(7), np.uint8(1)])
+    def test_a_count_takes_any_integral(self, value):
+        assert checks.count("n", value, ValueError) is value
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, NAN, INF, -1, "3", None])
+    def test_a_count_refuses_bools_floats_and_negatives(self, value):
+        with pytest.raises(QueryValidationError, match=r"n must be a whole number >= 0"):
+            checks.count("n", value, QueryValidationError)
+
+    def test_a_count_has_a_floor(self):
+        with pytest.raises(ValueError, match=">= 1, not 0"):
+            checks.count("n", 0, ValueError, 1)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 0.25, 1, np.float64(1.0)])
+    def test_a_probability_is_in_the_unit_interval(self, value):
+        assert checks.probability("p", value, ValueError) is value
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, NAN, INF, True, "0.5"])
+    def test_a_probability_refuses_the_rest(self, value):
+        with pytest.raises(ValueError, match=r"p must be a probability in \[0, 1\]"):
+            checks.probability("p", value, ValueError)
+
+
+class TestTheMechanism:
+    """Every release passes through ``LaplaceMechanism``; it used to return a
+    NaN scale for a NaN epsilon and -inf noise for an infinite sensitivity."""
+
+    @pytest.mark.parametrize("epsilon", [NAN, INF, -INF, 0.0, -1.0, True])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(PolicyError, match="epsilon"):
+            LaplaceMechanism.scale(1.0, epsilon)
+        with pytest.raises(PolicyError, match="epsilon"):
+            LaplaceMechanism(seed=1).add_noise(0.0, 1.0, epsilon)
+
+    @pytest.mark.parametrize("sensitivity", [NAN, INF, -1.0])
+    def test_sensitivity_must_be_finite_and_non_negative(self, sensitivity):
+        with pytest.raises(PolicyError, match="sensitivity"):
+            LaplaceMechanism.scale(sensitivity, 1.0)
+        with pytest.raises(PolicyError, match="sensitivity"):
+            LaplaceMechanism(seed=1).add_noise(0.0, sensitivity, 1.0)
+
+    def test_a_zero_sensitivity_releases_the_value(self):
+        assert LaplaceMechanism(seed=1).add_noise(4.0, 0.0, 0.5) == 4.0
+
+
+class TestIntervals:
+    @pytest.mark.parametrize("ends", [(0.0, NAN), (NAN, 0.0), (-INF, INF), (0.0, INF),
+                                      (-INF, 0.0), (2.0, 1.0)])
+    def test_an_interval_is_finite_and_ordered(self, ends):
+        with pytest.raises(ValueError, match="finite and not inverted"):
+            TimeInterval(*ends)
+
+    def test_an_empty_interval_is_legal(self):
+        assert TimeInterval(5.0, 5.0).duration == 0.0
+
+
+class TestResilienceAndShardTiming:
+    """Each of these used to construct: a NaN delay slept 2.2 s, a NaN reset
+    timeout kept a breaker open forever, a NaN deadline never fired."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("base_delay", NAN), ("max_attempts", 2.5), ("max_attempts", True),
+        ("max_delay", INF), ("multiplier", NAN), ("jitter", 1.5), ("seed", 2.5)])
+    def test_retry_policy(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("failure_threshold", True), ("failure_threshold", 2.5),
+        ("reset_timeout", NAN), ("reset_timeout", INF), ("reset_timeout", 0.0)])
+    def test_circuit_breaker(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CircuitBreaker(**{field: value})
+
+    @pytest.mark.parametrize("seconds", [NAN, INF, -1.0, True])
+    def test_cancellation_deadline(self, seconds):
+        with pytest.raises(ValueError, match="timeout"):
+            CancellationToken.with_timeout(seconds)
+        with pytest.raises(ValueError, match="timeout"):
+            CancellationToken().set_timeout(seconds)
+
+    @pytest.mark.parametrize("field,value", [
+        ("heartbeat_interval", NAN), ("heartbeat_timeout", NAN), ("startup_grace", INF),
+        ("task_timeout", NAN), ("breaker_reset", NAN), ("breaker_threshold", True),
+        ("max_task_retries", 1.5), ("chunksize", 2.5), ("in_flight_window", 0)])
+    def test_sharded_engine(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShardedEngine(2, **{field: value})
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
+    def test_sharded_engine_ignores_a_non_finite_environment_timeout(self, monkeypatch, raw):
+        monkeypatch.setenv("PRIVID_HEARTBEAT_TIMEOUT", raw)
+        with pytest.warns(RuntimeWarning, match="PRIVID_HEARTBEAT_TIMEOUT"):
+            engine = ShardedEngine(2)
+        assert engine.heartbeat_timeout == 10.0
+        engine.shutdown()
+
+
+class TestSensitivityInputs:
+    """The numbers Δ is made of (Equations 6.1 and 6.2) are checked where
+    they enter; each of these used to construct."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("rho", NAN), ("k_segments", True), ("k_segments", 1.5), ("max_rows", NAN),
+        ("chunk_duration", INF), ("num_chunks", 2.5)])
+    def test_table_properties(self, field, value):
+        settings = dict(name="t", max_rows=2, chunk_duration=5.0, num_chunks=3, rho=1.0,
+                        k_segments=1)
+        with pytest.raises(ValueError, match=field):
+            TableProperties(**{**settings, field: value})
+
+    @pytest.mark.parametrize("period", [NAN, INF, 0.0, -1.0])
+    def test_a_split_sample_period(self, period):
+        with pytest.raises(QueryValidationError, match="sample period"):
+            SplitStatement(camera="cam", begin=0.0, end=60.0, chunk_duration=10.0,
+                           output="chunks", sample_period=period)
+
+    @pytest.mark.parametrize("period", [NAN, INF, 0.0])
+    def test_a_camera_sample_period_is_refused_before_its_budget_is_kept(self, period):
+        # NaN used to register and crash the camera's first query in
+        # int(round(nan)).
+        system = PrividSystem(seed=1)
+        with pytest.raises(PolicyError, match="default_sample_period"):
+            system.register_camera("cam", make_simple_video(duration=60.0),
+                                   policy=PrivacyPolicy(rho=1.0),
+                                   default_sample_period=period)
+        assert "cam" not in system.cameras
+        assert system.ledger.cameras() == ()
+
+
+# --------------------------------------------------------------- the surface
+
+#: A parameter of one of these annotations is a number to probe.
+_NUMERIC = re.compile(r"(int|float)( \| None)?")
+
+
+def _numeric(parameter: inspect.Parameter) -> "re.Match | None":
+    """The match of a number's annotation (postponed, as a string, or not)."""
+    annotation = parameter.annotation
+    if not isinstance(annotation, str):
+        annotation = inspect.formatannotation(annotation)
+    return _NUMERIC.fullmatch(annotation)
+
+#: One valid value per parameter name: enough to build a call that succeeds
+#: for every callable probed (``wal`` is filled in per test).
+VALID = {
+    "rho": 2.0, "total_epsilon": 1.0, "epsilon": 0.5, "start": 0.0, "end": 10.0,
+    "probability": 0.5, "after_seq": 3, "max_fires": 2, "delay": 0.01,
+    "max_workers": 2, "chunksize": 2, "in_flight_window": 4, "num_shards": 2,
+    "heartbeat_timeout": 5.0, "startup_grace": 5.0, "task_timeout": 5.0,
+    "alpha": 0.05, "actual_rho": 4.0, "bounded_rho": 2.0, "chunk_duration": 5.0,
+    "default_sample_period": 0.5, "seconds": 1.0, "margin": 0.5, "sensitivity": 2.0,
+    "value": 3.0, "compact_every": 4,
+    "interval": TimeInterval(0.0, 10.0), "rules": (), "site": "store.get",
+    "kind": FaultKind.DELAY, "name": "cam", "camera": "cam",
+    "video": make_simple_video(duration=60.0), "policy": PrivacyPolicy(rho=2.0),
+    "requests": [BudgetRequest(TimeInterval(0.0, 10.0), 0.5)], "ratios": [0.5, 2.0],
+}
+
+#: Methods a number enters through, beyond the exported constructors and
+#: functions: each factory returns a fresh bound callable.
+METHODS = {
+    "PrividSystem.register_camera": lambda: PrividSystem().register_camera,
+    "ServiceLedger.register": lambda: ServiceLedger().register,
+    "FrameBudgetLedger.admit": lambda: FrameBudgetLedger(total_epsilon=1.0).admit,
+    "LaplaceMechanism.add_noise": lambda: LaplaceMechanism(seed=1).add_noise,
+    "CancellationToken.with_timeout": lambda: CancellationToken.with_timeout,
+}
+
+#: Exported callables with numeric parameters that are not probed.
+NOT_PROBED = {
+    "QueryResult": "a record the executor fills from checked inputs; it admits nothing",
+    "ReleaseResult": "a record the executor fills from checked inputs; it admits nothing",
+    "CacheStats": "counters a store writes, not inputs",
+    "FaultEvent": "a record the fault injector writes, not an input",
+    "CameraRegistration": "built by PrividSystem.register_camera, probed as a method",
+    "TcpTransport": "opens a socket; its port comes from parse_address, which "
+                    "range-checks it",
+}
+
+#: (callable, parameter, value) -> why the call may succeed; ``None`` as the
+#: value stands for every probe.  Separately, -0.0 passes wherever 0.0 does.
+ACCEPTED = {
+    ("TimeInterval", "start", -1.0): "an interval may begin before the footage; SPLIT "
+                                     "clamps the window to the video",
+    ("TimeInterval", "start", True): "an interval keeps an inline finite-and-ordered "
+                                     "test, no type test: one is built per chunk",
+    ("TimeInterval", "end", True): "as for start",
+    ("LaplaceMechanism.add_noise", "value", None): "the value is the data being "
+                                                   "released, not a parameter",
+}
+
+#: Bad values for a real parameter, and for a whole-number one.
+BAD_REALS = (NAN, INF, -INF, -0.0, True, -1.0)
+BAD_COUNTS = (NAN, INF, -INF, -0.0, True, 2.5, -1)
+
+
+def _surface():
+    """Every exported callable with a numeric parameter, by name, then METHODS."""
+    found = {}
+    for package in (repro, repro.core):
+        for name in package._EXPORTS:
+            target = getattr(package, name)
+            if isinstance(target, type) and issubclass(target, BaseException):
+                continue
+            try:
+                parameters = inspect.signature(target).parameters.values()
+            except (TypeError, ValueError):
+                continue  # a type alias: nothing to call
+            if any(_numeric(parameter) for parameter in parameters):
+                found[name] = (lambda target=target: target)
+    return {**found, **METHODS}
+
+
+def _call(factory, arguments):
+    """Call, then release what an engine or a system may hold."""
+    result = factory()(**arguments)
+    for release in ("shutdown", "close"):
+        if hasattr(result, release) and not isinstance(result, WriteAheadLog):
+            getattr(result, release)()
+            break
+    return result
+
+
+@pytest.fixture
+def valid(tmp_path: Path):
+    wal = WriteAheadLog(tmp_path / "wal")
+    yield {**VALID, "wal": wal}
+    wal.close()
+
+
+class TestPublicSurface:
+    def test_the_walk_covers_the_exports(self):
+        names = set(_surface())
+        assert {"PrivacyPolicy", "FrameBudgetLedger", "BudgetRequest", "RetryPolicy",
+                "ShardedEngine", "effective_epsilon"} <= names
+        assert set(NOT_PROBED) <= names
+
+    @pytest.mark.parametrize("name", sorted(set(_surface()) - set(NOT_PROBED)))
+    def test_every_number_is_checked_on_entry(self, name, valid):
+        factory = _surface()[name]
+        arguments, probes = {}, []
+        for parameter in inspect.signature(factory()).parameters.values():
+            kind = _numeric(parameter)
+            if parameter.name in valid:
+                arguments[parameter.name] = valid[parameter.name]
+            elif parameter.default is inspect.Parameter.empty or (
+                    kind and parameter.default is None):
+                pytest.fail(f"{name}: add a valid {parameter.name!r} to VALID")
+            if kind:
+                probes.append((parameter.name, BAD_COUNTS if kind[1] == "int" else BAD_REALS))
+        _call(factory, arguments)  # the valid call succeeds
+        for parameter, bad_values in probes:
+            for value in bad_values:
+                probe = {**arguments, parameter: value}
+                reason = ACCEPTED.get((name, parameter, value)) \
+                    or ACCEPTED.get((name, parameter, None))
+                if reason is None and value == 0 and math.copysign(1.0, value) < 0:
+                    reason = "-0.0 is 0.0" if _succeeds(factory, {**probe,
+                                                                   parameter: 0.0}) else None
+                if reason is not None:
+                    _call(factory, probe)  # an accepted input must stay accepted
+                    continue
+                with pytest.raises((ValueError, PrividError)):
+                    _call(factory, probe)
+                    pytest.fail(f"{name}({parameter}={value!r}) was accepted")
+
+
+def _succeeds(factory, arguments) -> bool:
+    try:
+        _call(factory, arguments)
+    except (ValueError, PrividError):
+        return False
+    return True

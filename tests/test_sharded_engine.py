@@ -1267,3 +1267,37 @@ class TestResilienceControls:
             assert repr(rows) == repr(reference)
             fired.append([(event.kind, event.seq) for event in injector.fired])
         assert fired[0] == fired[1] == [(FaultKind.CRASH, 5)]
+
+
+class TestPipesAreReleased:
+    """A shard's two pipes close with it, however it ends; they used to stay
+    open until garbage collection, one ``ResourceWarning`` per pipe."""
+
+    @staticmethod
+    def _pipes(process):
+        return process.stdin.closed, process.stdout.closed
+
+    def test_close_and_kill_release_both_pipes(self):
+        from repro.core.remote import PipeTransport
+
+        closed, killed = PipeTransport(), PipeTransport()
+        closed.close()
+        killed.kill()
+        killed.process.wait()
+        assert self._pipes(closed.process) == self._pipes(killed.process) == (True, True)
+
+    def test_a_dead_shard_releases_both_pipes_when_it_is_replaced(self):
+        video = _walker_video()
+        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
+        runner, context = _runner(), _context(video)
+        with ShardedEngine(1) as engine:
+            first = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec), context))
+            (victim,) = engine._live_shards()
+            victim.process.kill()
+            victim.process.wait()
+            again = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec), context))
+            (replacement,) = engine._live_shards()
+            assert replacement is not victim
+            assert self._pipes(victim.process) == (True, True)
+        assert self._pipes(replacement.process) == (True, True)
+        assert repr(again) == repr(first)
