@@ -35,15 +35,16 @@ def pytest_addoption(parser):
     """Engine/cache knobs for the whole benchmark harness.
 
     ``--privid-engine`` selects the chunk execution engine ('serial',
-    'thread[:N]' or 'process[:N]'; defaults to the PRIVID_ENGINE environment
-    variable, then 'serial').  ``--privid-cache`` selects the chunk result
+    'thread[:N]', 'sharded[:N]' or its alias 'process[:N]'; defaults to the
+    PRIVID_ENGINE environment variable, then 'serial').  ``--privid-cache`` selects the chunk result
     store ('off', 'memory', 'disk:PATH' or 'tiered:PATH'; defaults to the
     PRIVID_CACHE environment variable, then 'memory' — caching is on by
     default because the sweeps re-process large overlapping chunk sets).
     ``--privid-no-cache`` is the legacy off switch and overrides both.
     """
     parser.addoption("--privid-engine", default=os.environ.get("PRIVID_ENGINE", "serial"),
-                     help="chunk execution engine: serial, thread[:N], process[:N]")
+                     help="chunk execution engine: serial, thread[:N], "
+                          "sharded[:N] (alias process[:N])")
     parser.addoption("--privid-cache",
                      default=os.environ.get("PRIVID_CACHE", "memory"),
                      help="chunk result store: off, memory, disk:PATH, tiered:PATH")

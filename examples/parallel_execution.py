@@ -8,10 +8,11 @@ table as each chunk completes — memory and time-to-first-result are
 independent of the query window length.  This example shows the two knobs a
 deployment tunes for throughput:
 
-1. the *execution engine* — serial (default), a thread pool, or a process
-   pool — selected per :class:`~repro.core.PrividSystem` (pool engines are
-   context managers, and a system built from a spec string shuts its own
-   engine down on ``close()``);
+1. the *execution engine* — serial (default), a thread pool, or worker
+   subprocesses (``process:N``, the pipe shards of ``sharded:N``) —
+   selected per :class:`~repro.core.PrividSystem` (engines are context
+   managers, and a system built from a spec string shuts its own engine
+   down on ``close()``);
 2. the *chunk result store* — in-process LRU (``cache="memory"``), shared
    on-disk (``"disk:PATH"``), or tiered memory-over-disk
    (``"tiered:PATH"``) — which lets overlapping query windows, repeated
@@ -28,10 +29,10 @@ import time
 
 from repro.core import (
     ChunkResultCache,
-    ProcessPoolEngine,
     PrividSystem,
     SerialEngine,
     ThreadPoolEngine,
+    create_engine,
 )
 from repro.query.builder import QueryBuilder
 from repro.scene.scenarios import build_scenario
@@ -63,10 +64,10 @@ def main() -> None:
 
     # ----------------------------------------------- engine selection
     # Scenario scenes use declarative attribute schedules and pickle cleanly,
-    # so every engine — including the process pool — runs every scene.  Pool
-    # engines are context managers: workers are released on exit.
+    # so every engine — worker subprocesses included — runs every scene.
+    # Engines are context managers: workers are released on exit.
     for engine in (SerialEngine(), ThreadPoolEngine(max_workers=4),
-                   ProcessPoolEngine(max_workers=4, chunksize=4)):
+                   create_engine("process:4")):
         with engine:
             system = build_system(scenario, engine=engine)
             started = time.perf_counter()

@@ -40,14 +40,11 @@ _EXPORTS = {
     "ExecutionEngine": "repro.core.engine",
     "SerialEngine": "repro.core.engine",
     "ThreadPoolEngine": "repro.core.engine",
-    "ProcessPoolEngine": "repro.core.engine",
     "ShardedEngine": "repro.core.remote",
     "ShardTransport": "repro.core.remote",
     "PipeTransport": "repro.core.remote",
     "TcpTransport": "repro.core.remote",
     "create_engine": "repro.core.engine",
-    "engine_kinds": "repro.core.engine",
-    "register_engine": "repro.core.engine",
     "detection_probability_bound": "repro.core.degradation",
     "effective_epsilon": "repro.core.degradation",
     "degradation_curve": "repro.core.degradation",

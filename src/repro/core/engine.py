@@ -7,24 +7,23 @@ parallel: no chunk's output can depend on another chunk's, so the engine that
 schedules chunk work is free to reorder, batch, or distribute it, as long as
 the concatenated rows come back in chunk order.
 
-Engines are selected through a registry of named factories
-(:func:`register_engine` / :func:`create_engine`, spec strings like
-``thread:8``).  Four kinds ship with the library:
+:func:`create_engine` builds an engine from a spec string (``thread:8``)
+over a fixed table of kinds:
 
 * :class:`SerialEngine` (``serial``) — one chunk at a time (the default, and
   the reference behaviour every other engine must reproduce bit for bit);
 * :class:`ThreadPoolEngine` (``thread[:N]``) — a shared thread pool, useful
   when executables release the GIL or block on I/O;
-* :class:`ProcessPoolEngine` (``process[:N]``) — a process pool for CPU-bound
-  executables; the unit of work must be picklable.  All bundled scenes
-  qualify — dynamic attributes are declarative :mod:`repro.scene.schedules`
-  objects — but a scene hand-built with closure-valued dynamic attributes is
-  not, and should use the thread or serial engines.
-* :class:`repro.core.remote.ShardedEngine` (``sharded[:N]``) — a coordinator
-  that partitions the chunk stream across N executor shard subprocesses
-  speaking a length-prefixed JSON protocol (the single-host stand-in for a
-  multi-host deployment), with heartbeat-driven failure detection and
-  at-most-once result application.
+* :class:`repro.core.remote.ShardedEngine` (``sharded[:N]``, and
+  ``process[:N]`` as its alias) — a coordinator that partitions the chunk
+  stream across N executor shard subprocesses speaking a length-prefixed
+  JSON protocol (the single-host stand-in for a multi-host deployment),
+  with heartbeat-driven failure detection and at-most-once result
+  application.  Everything a stream references must pickle: all bundled
+  scenes do — dynamic attributes are declarative
+  :mod:`repro.scene.schedules` objects — but a scene hand-built with
+  closure-valued dynamic attributes does not, and should use the thread or
+  serial engines.
 
 Every engine exposes one entry point, :meth:`~ExecutionEngine.imap_chunks`,
 an *ordered streaming map* that pulls chunks lazily from an iterable and
@@ -34,15 +33,12 @@ time-to-first-result independent of the query window length: SPLIT produces
 chunks on demand (``repro.video.chunking.iter_chunks``) and the executor
 appends rows per chunk as outcomes arrive.
 
-The multi-process engines do **not** pickle chunks to their workers.  An
-engine-lifetime :class:`_BroadcastPublisher` ships each footage *state* and
-each distinct stream *manifest* (runner, context, masks, regions) once, and
-workers keep what they decoded, so a repeat stream pays dispatch only:
-per-dispatch messages are the manifest ref plus a few ints and floats per
-chunk (:class:`_StreamBroadcast` / ``_execute_chunk_specs``).  The
-per-future batch size defaults to an adaptive heuristic (``count_chunks //
-(4 * workers)``, capped at 32) fed by the caller's ``count_hint``; a fixed
-``chunksize`` overrides it.
+Shards do **not** receive pickled chunks.  An engine-lifetime
+:class:`_BroadcastPublisher` ships each footage *state* and each distinct
+stream *manifest* (runner, context, masks, regions) once, and workers keep
+what they decoded, so a repeat stream pays dispatch only: per-dispatch
+messages are the manifest ref plus a few ints and floats per chunk
+(:class:`_StreamBroadcast` / :func:`chunk_from_spec`).
 
 Engines are deliberately ignorant of caching — the
 :class:`~repro.core.cache.ChunkResultCache` filters out memoized chunks before
@@ -60,12 +56,13 @@ import threading
 import uuid
 import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sized, \
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, \
     runtime_checkable
 
 try:
@@ -111,12 +108,11 @@ class ChunkOutcome:
 
 def execute_chunk(runner: "SandboxRunner", chunk: "Chunk",
                   context: "ExecutionContext") -> ChunkOutcome:
-    """The pure unit of work every engine schedules.
+    """The pure unit of work every engine schedules (shard workers too).
 
-    Module-level (rather than a bound method) so process pools can pickle it;
-    determinism comes from the runner building a fresh executable instance and
-    a freshly seeded detector per chunk, so the result depends only on the
-    arguments — never on scheduling order.
+    Determinism comes from the runner building a fresh executable instance
+    and a freshly seeded detector per chunk, so the result depends only on
+    the arguments — never on scheduling order.
     """
     return runner.run_chunk_outcome(chunk, context)
 
@@ -133,15 +129,9 @@ def _execute_chunk_thread(runner: "SandboxRunner", chunk: "Chunk",
     return runner.run_chunk_outcome(chunk, context, thread_clock=True)
 
 
-def _execute_chunk_list_thread(runner: "SandboxRunner", chunks: list["Chunk"],
-                               context: "ExecutionContext") -> list[ChunkOutcome]:
-    """Thread-pool unit of work over a batch (per-thread CPU-time TIMEOUT)."""
-    return [_execute_chunk_thread(runner, chunk, context) for chunk in chunks]
-
-
-#: A compact description of one chunk, shipped to process-pool workers in
-#: place of the chunk object: (video ref, index, interval start, interval
-#: end, mask ref, region ref or None, sample period, metadata or None).
+#: A compact description of one chunk, shipped to shard workers in place of
+#: the chunk object: (video ref, index, interval start, interval end, mask
+#: ref, region ref or None, sample period, metadata or None).
 ChunkSpecMessage = tuple
 
 #: Worker-side LRU of decoded payloads, parts and manifests alike, keyed by
@@ -220,9 +210,8 @@ def _load_payload(ref: str) -> Any:
 def chunk_from_spec(objects: list[Any], spec: ChunkSpecMessage) -> "Chunk":
     """Rebuild one chunk from its compact spec against the broadcast objects.
 
-    The single decoder of the :data:`ChunkSpecMessage` wire format, shared
-    by the process-pool worker below and the sharded shard worker
-    (:mod:`repro.core.remote`) — the two must never diverge.
+    The single decoder of the :data:`ChunkSpecMessage` wire format, called
+    by the shard worker (:mod:`repro.core.remote`).
     """
     from repro.utils.timebase import TimeInterval
     from repro.video.chunking import Chunk
@@ -237,22 +226,6 @@ def chunk_from_spec(objects: list[Any], spec: ChunkSpecMessage) -> "Chunk":
         sample_period=sample_period,
         metadata=metadata if metadata is not None else {},
     )
-
-
-def _execute_chunk_specs(ref: str, specs: list[ChunkSpecMessage]
-                         ) -> list[ChunkOutcome]:
-    """Process-pool unit of work: rebuild chunks from compact specs.
-
-    The heavy stream constants (runner, context, videos, masks, regions)
-    come from the manifest published at ``ref``; the per-dispatch message is
-    just this function's arguments.
-    """
-    payload = _load_payload(ref)
-    runner = payload["runner"]
-    context = payload["context"]
-    objects = payload["objects"]
-    return [execute_chunk(runner, chunk_from_spec(objects, spec), context)
-            for spec in specs]
 
 
 @dataclass(eq=False)
@@ -446,7 +419,7 @@ class _StreamBroadcast:
 
 @dataclass
 class DispatchStats:
-    """IPC accounting of a multi-process engine (process pool or shards).
+    """IPC accounting of the sharded engine, engine-wide and per shard.
 
     ``payload_bytes_*`` measure the per-dispatch message (payload ref +
     chunk specs).  ``broadcasts`` / ``broadcast_bytes`` count payloads (parts
@@ -541,79 +514,6 @@ def _check_sizes(engine: Any, *names: str) -> None:
             checks.count(name, getattr(engine, name), ValueError, 1)
 
 
-def _stream_through_pool(pool_factory: Callable[[], Executor],
-                         submit_batch_fn: Callable[[Executor, list["Chunk"]],
-                                                   "Future[list[ChunkOutcome]]"],
-                         runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                         context: "ExecutionContext", *,
-                         window: int, batch_size: int = 1,
-                         on_finish: Callable[[], None] | None = None
-                         ) -> Iterator[ChunkOutcome]:
-    """Ordered streaming map over a (lazily created) executor pool.
-
-    Chunks are pulled from the iterable only as in-flight slots free up, so
-    at most ``window`` chunks are ever materialized-but-unyielded; outcomes
-    are yielded strictly in chunk order (head-of-line completion).  A
-    single-chunk stream runs inline without touching the pool, matching the
-    historical short-circuit that keeps tiny queries pool-free.
-    ``submit_batch_fn`` turns a batch of chunks into a future resolving to
-    their outcomes; ``batch_size`` groups chunks per future to amortize IPC
-    for process pools.  ``on_finish`` runs once no future is outstanding —
-    on normal exhaustion or on early close — so per-stream resources (e.g.
-    the pins on broadcast payloads) can be released safely.
-    """
-    iterator = iter(chunks)
-    pending: deque[Any] = deque()  # futures, each resolving to a list of outcomes
-    try:
-        first = next(iterator, None)
-        if first is None:
-            return
-        second = next(iterator, None)
-        if second is None:
-            yield execute_chunk(runner, first, context)
-            return
-        pool = pool_factory()
-        window = max(window, batch_size)
-        in_flight = 0
-        batch: list["Chunk"] = []
-
-        def submit_batch() -> None:
-            nonlocal in_flight
-            if batch:
-                pending.append(submit_batch_fn(pool, list(batch)))
-                in_flight += len(batch)
-                batch.clear()
-
-        replay: Iterator["Chunk"] = iter((first, second))
-        exhausted = False
-        while True:
-            while not exhausted and in_flight + len(batch) < window:
-                chunk = next(replay, None)
-                if chunk is None:
-                    replay = iterator
-                    chunk = next(iterator, None)
-                if chunk is None:
-                    exhausted = True
-                    break
-                batch.append(chunk)
-                if len(batch) >= batch_size:
-                    submit_batch()
-            submit_batch()
-            if not pending:
-                return
-            for outcome in pending.popleft().result():
-                in_flight -= 1
-                yield outcome
-    finally:
-        if pending:
-            # An early close (or an error) can leave futures running that
-            # still need the stream's shared resources; wait them out before
-            # on_finish reclaims anything.
-            wait_futures(list(pending))
-        if on_finish is not None:
-            on_finish()
-
-
 @dataclass
 class ThreadPoolEngine:
     """Processes chunks on a persistent pool of threads.
@@ -624,7 +524,7 @@ class ThreadPoolEngine:
     parallelism without pickling requirements.  TIMEOUT enforcement uses
     per-thread CPU time (see :func:`_execute_chunk_thread`), so an executable
     that merely *sleeps* past its timeout is only caught by the serial and
-    process engines' wall clocks.
+    sharded engines' wall clocks.
 
     The pool is created lazily on first use and reused across queries; call
     :meth:`shutdown` to release the worker threads early, or use the engine
@@ -656,19 +556,36 @@ class ThreadPoolEngine:
                     max_workers=self.max_workers or _default_workers())
             return self._pool
 
-    def _window(self) -> int:
-        if self.in_flight_window is not None:
-            return self.in_flight_window
-        return 2 * (self.max_workers or _default_workers())
-
     def imap_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
                     context: "ExecutionContext", *,
                     count_hint: int | None = None) -> Iterator[ChunkOutcome]:
-        def submit(pool: Executor, batch: list["Chunk"]) -> "Future[list[ChunkOutcome]]":
-            return pool.submit(_execute_chunk_list_thread, runner, batch, context)
-
-        return _stream_through_pool(self._ensure_pool, submit, runner, chunks,
-                                    context, window=self._window())
+        """One future per chunk, yielded in chunk order (head-of-line
+        completion); a chunk is pulled only when the window has room, and a
+        single-chunk stream runs inline without touching the pool."""
+        iterator = iter(chunks)
+        first = next(iterator, None)
+        if first is None:
+            return
+        second = next(iterator, None)
+        if second is None:
+            yield execute_chunk(runner, first, context)
+            return
+        pool = self._ensure_pool()
+        window = self.in_flight_window or 2 * (self.max_workers or _default_workers())
+        stream = chain((first, second), iterator)
+        pending: "deque[Future[ChunkOutcome]]" = deque()
+        try:
+            while True:
+                for chunk in islice(stream, window - len(pending)):
+                    pending.append(pool.submit(_execute_chunk_thread, runner, chunk,
+                                               context))
+                if not pending:
+                    return
+                yield pending.popleft().result()
+        finally:
+            # An early close (or an error) leaves futures running; the
+            # stream ends only once none of its chunks still executes.
+            wait_futures(pending)
 
     def shutdown(self) -> None:
         """Release the worker threads (the pool is rebuilt on next use)."""
@@ -683,161 +600,12 @@ class ThreadPoolEngine:
         self.shutdown()
 
 
-#: Per-future batch size when a stream's chunk count is unknown — which is
-#: every stream a store classifies: ``SandboxRunner.iter_chunk_rows`` forwards
-#: the executor's count only with no store, because behind one the engine
-#: sees the misses and their number is unknowable.  ``process:N`` then
-#: batches this many; shards ramp (``ShardedEngine._imap``).
-_UNKNOWN_COUNT_CHUNKSIZE = 4
-
-#: Upper bound of the adaptive chunksize heuristic — beyond this, larger
-#: batches stop amortizing anything and only add head-of-line latency.
-_MAX_ADAPTIVE_CHUNKSIZE = 32
-
-
-@dataclass
-class ProcessPoolEngine:
-    """Processes chunks on a persistent pool of worker processes.
-
-    Workers never receive pickled chunks: the heavy constants go out once
-    through the engine's :class:`_BroadcastPublisher`, and every dispatch
-    ships only the manifest ref plus compact per-chunk specs — a few ints
-    and floats per chunk (``dispatch_stats`` records the actual bytes).
-    Everything the stream references must still be picklable.
-
-    ``chunksize`` batches chunks per future; the default (None) adapts to
-    the stream: ``max(1, count_hint // (4 * workers))`` capped at 32, so
-    small sweeps are not IPC-bound at one chunk per future while huge sweeps
-    amortize scheduling.  The pool is created lazily on first use and reused
-    across queries (worker spawn is far too expensive to pay per PROCESS
-    statement); call :meth:`shutdown` to release the worker processes early,
-    or use the engine as a context manager.
-
-    ``in_flight_window`` bounds the chunks materialized-but-unyielded by
-    :meth:`imap_chunks` (default ``2 x workers x batch size``, so every
-    worker stays busy even with batched futures).
-    """
-
-    max_workers: int | None = None
-    chunksize: int | None = None
-    in_flight_window: int | None = None
-    name: str = field(default="process", init=False)
-    dispatch_stats: DispatchStats = field(default_factory=DispatchStats, init=False,
-                                          repr=False, compare=False)
-    _pool: ProcessPoolExecutor | None = field(default=None, init=False, repr=False,
-                                              compare=False)
-    _pool_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                       repr=False, compare=False)
-    _publisher: _BroadcastPublisher = field(default_factory=_BroadcastPublisher,
-                                            init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _check_sizes(self, "max_workers", "chunksize", "in_flight_window")
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers or _default_workers())
-            return self._pool
-
-    def _effective_chunksize(self, count_hint: int | None) -> int:
-        if self.chunksize is not None:
-            return max(1, self.chunksize)
-        if count_hint is None or count_hint <= 0:
-            return _UNKNOWN_COUNT_CHUNKSIZE
-        workers = self.max_workers or _default_workers()
-        return max(1, min(_MAX_ADAPTIVE_CHUNKSIZE, count_hint // (4 * workers)))
-
-    def _window(self, batch_size: int) -> int:
-        if self.in_flight_window is not None:
-            return self.in_flight_window
-        return 2 * (self.max_workers or _default_workers()) * batch_size
-
-    def reset_dispatch_stats(self) -> None:
-        """Zero the per-dispatch IPC counters."""
-        self.dispatch_stats = DispatchStats()
-
-    def imap_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                    context: "ExecutionContext", *,
-                    count_hint: int | None = None) -> Iterator[ChunkOutcome]:
-        if count_hint is None and isinstance(chunks, Sized):
-            count_hint = len(chunks)
-        stats = self.dispatch_stats
-        broadcast = _StreamBroadcast(self._publisher, runner, context, stats)
-
-        def submit(pool: Executor, batch: list["Chunk"]) -> "Future[list[ChunkOutcome]]":
-            specs = [broadcast.chunk_spec(chunk) for chunk in batch]
-            # Registering the specs may have discovered new heavy objects;
-            # payload_ref() publishes a manifest covering them first.
-            ref = broadcast.payload_ref()
-            stats.record_dispatch(
-                len(pickle.dumps((ref, specs), protocol=pickle.HIGHEST_PROTOCOL)),
-                len(batch))
-            return pool.submit(_execute_chunk_specs, ref, specs)
-
-        batch_size = self._effective_chunksize(count_hint)
-        return _stream_through_pool(self._ensure_pool, submit, runner, chunks,
-                                    context, window=self._window(batch_size),
-                                    batch_size=batch_size,
-                                    on_finish=partial(self._publisher.release, broadcast))
-
-    def shutdown(self) -> None:
-        """Release the worker processes and unlink what the engine published
-        (both are rebuilt on next use)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        self._publisher.close()
-
-    def __enter__(self) -> "ProcessPoolEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-
-#: Factory signature of a registered engine kind: receives the parsed
-#: ``:N`` worker count, the raw suffix string when it is not an integer
-#: (transport addresses like ``sharded:hostA:9101,hostB:9101``), or None
-#: when the spec had no suffix — and returns a ready engine instance.
-EngineFactory = Callable[[int | str | None], ExecutionEngine]
-
-_ENGINE_FACTORIES: dict[str, EngineFactory] = {}
-
-
 def _int_worker_count(kind: str, workers: int | str | None) -> int | None:
     """Reject non-integer spec suffixes for kinds that only take ``:N``."""
     if isinstance(workers, str):
         raise ValueError(
             f"invalid engine worker count {workers!r} in a {kind!r} spec")
     return workers
-
-
-def register_engine(kind: str, factory: EngineFactory, *, replace: bool = False) -> None:
-    """Register an engine kind under the name spec strings select it by.
-
-    ``create_engine(f"{kind}[:N]")`` will call ``factory(N)`` (``N`` is None
-    when the spec has no worker suffix; a suffix that is not an integer is
-    passed through as the raw string, so kinds like ``sharded`` can accept
-    transport addresses).  The registry is how new execution backends plug
-    in behind the engine seam without the executor knowing them —
-    :class:`repro.core.remote.ShardedEngine` registers as ``"sharded"``
-    this way, and deployments can add their own.
-    """
-    key = kind.strip().lower()
-    if not key:
-        raise ValueError("engine kind must be a non-empty string")
-    if ":" in key:
-        raise ValueError(f"engine kind {kind!r} must not contain ':'")
-    if key in _ENGINE_FACTORIES and not replace:
-        raise ValueError(f"engine kind {kind!r} is already registered")
-    _ENGINE_FACTORIES[key] = factory
-
-
-def engine_kinds() -> tuple[str, ...]:
-    """The registered engine kinds, sorted (the valid spec-string prefixes)."""
-    return tuple(sorted(_ENGINE_FACTORIES))
 
 
 def _make_serial(workers: int | str | None) -> ExecutionEngine:
@@ -847,34 +615,36 @@ def _make_serial(workers: int | str | None) -> ExecutionEngine:
 
 
 def _make_sharded(workers: int | str | None) -> ExecutionEngine:
-    # Imported lazily: remote builds on this module, so the registry entry
-    # must not import it at load time.
+    # Imported lazily: remote builds on this module.
     from repro.core.remote import sharded_engine_from_spec
 
     return sharded_engine_from_spec(workers)
 
 
-register_engine("serial", _make_serial)
-register_engine("thread", lambda workers: ThreadPoolEngine(
-    max_workers=_int_worker_count("thread", workers)))
-register_engine("process", lambda workers: ProcessPoolEngine(
-    max_workers=_int_worker_count("process", workers)))
-register_engine("sharded", _make_sharded)
+#: Spec kind -> factory of the ``:N`` suffix (an int, the raw string when it
+#: is not one, or None when absent).  ``process`` names pipe shards.
+_ENGINE_FACTORIES: dict[str, Callable[[int | str | None], ExecutionEngine]] = {
+    "serial": _make_serial,
+    "thread": lambda workers: ThreadPoolEngine(
+        max_workers=_int_worker_count("thread", workers)),
+    "process": lambda workers: _make_sharded(_int_worker_count("process", workers)),
+    "sharded": _make_sharded,
+}
 
 
 def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
     """Build an engine from a spec string (``serial``, ``thread[:N]``,
-    ``process[:N]``, ``sharded[:N]``, ``sharded:tcp[:N]``,
-    ``sharded:HOST:PORT[,HOST:PORT...]``, or any :func:`register_engine`
-    kind).
+    ``process[:N]``, ``sharded[:N]``, ``sharded:tcp[:N]`` or
+    ``sharded:HOST:PORT[,HOST:PORT...]``).
 
     Passing an engine instance returns it unchanged; ``None`` or an empty
     string yields the default :class:`SerialEngine`.  The optional ``:N``
     suffix fixes the worker (or shard) count (e.g. ``thread:8``,
-    ``sharded:4``); a non-integer suffix is handed to the kind's factory
-    verbatim, which is how the sharded engine's TCP transport specs ride
-    the same seam.  This is the value of the ``engine=`` argument of
-    ``PrividSystem`` and of the ``PRIVID_ENGINE`` benchmark knob.
+    ``sharded:4``); ``process[:N]`` is ``sharded[:N]`` under its older name.
+    A non-integer suffix is handed to the kind's factory verbatim, which is
+    how the sharded engine's TCP transport specs ride the same seam.  This
+    is the value of the ``engine=`` argument of ``PrividSystem`` and of the
+    ``PRIVID_ENGINE`` benchmark knob.
     """
     if spec is None:
         return SerialEngine()
@@ -894,6 +664,6 @@ def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
             checks.count(f"the worker count of {spec!r}", workers, ValueError, 1)
     factory = _ENGINE_FACTORIES.get(kind)
     if factory is None:
-        expected = ", ".join(f"'{name}[:N]'" for name in engine_kinds())
+        expected = ", ".join(f"'{name}[:N]'" for name in sorted(_ENGINE_FACTORIES))
         raise ValueError(f"unknown execution engine {spec!r}; expected {expected}")
     return factory(workers)

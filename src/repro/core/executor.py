@@ -40,6 +40,12 @@ from repro.video.regions import RegionScheme
 from repro.video.video import SyntheticVideo
 
 
+def _check_camera_numbers(default_sample_period: float | None, detector_seed: int) -> None:
+    if default_sample_period is not None:
+        checks.real("default_sample_period", default_sample_period, PolicyError, above=0)
+    checks.count("detector_seed", detector_seed, PolicyError)
+
+
 @dataclass
 class CameraRegistration:
     """Everything the video owner configures for one camera."""
@@ -56,6 +62,9 @@ class CameraRegistration:
     metadata: dict[str, Any] = field(default_factory=dict)
     #: The last execution context built for this camera, as ``kept_or_fresh`` pairs it.
     _context: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_camera_numbers(self.default_sample_period, self.detector_seed)
 
     @property
     def epsilon_budget(self) -> float:
@@ -114,10 +123,6 @@ def engine_stats_dict(engine: ExecutionEngine) -> dict[str, Any]:
     stats_dict = getattr(engine, "dispatch_stats_dict", None)
     if stats_dict is not None:
         stats["dispatch"] = stats_dict()
-    else:
-        dispatch = getattr(engine, "dispatch_stats", None)
-        if dispatch is not None:
-            stats["dispatch"] = dispatch.as_dict()
     return stats
 
 
@@ -156,9 +161,8 @@ class PrividSystem:
         #: budgets.
         self.ledger = ledger if ledger is not None else ServiceLedger()
         #: Engine scheduling the independent per-chunk executions; accepts an
-        #: instance or a spec string ('serial', 'thread[:N]', 'process[:N]',
-        #: 'sharded[:N]', or any kind added via
-        #: :func:`repro.core.engine.register_engine`).
+        #: instance or a spec string ('serial', 'thread[:N]', 'sharded[:N]'
+        #: or its alias 'process[:N]'; see :func:`~repro.core.engine.create_engine`).
         self.engine: ExecutionEngine = create_engine(engine)
         #: True when the engine was built here from a spec string — those
         #: pools belong to this system, so :meth:`close` shuts them down.
@@ -216,9 +220,8 @@ class PrividSystem:
             if policy is None:
                 raise PolicyError("register_camera needs a policy or a policy_map")
             policy_map = MaskPolicyMap.unmasked(policy)
-        if default_sample_period is not None:
-            checks.real("default_sample_period", default_sample_period, PolicyError, above=0)
-        checks.count("detector_seed", detector_seed, PolicyError)
+        # Checked before the (possibly durable) ledger keeps the camera.
+        _check_camera_numbers(default_sample_period, detector_seed)
         registration = CameraRegistration(
             name=name,
             video=video,
@@ -264,11 +267,10 @@ class PrividSystem:
     def engine_stats(self) -> dict[str, Any]:
         """Engine identity and dispatch accounting, always a dict.
 
-        ``{"engine": NAME}`` plus, for engines that ship work over an IPC
-        boundary, a ``dispatch`` section: the process engine's per-future
-        payload bytes, or the sharded engine's engine-wide counters with a
-        ``per_shard`` breakdown (the numbers behind ``benchmarks/system``'s
-        ``core.remote.*`` metrics).
+        ``{"engine": NAME}`` plus, for the sharded engine, a ``dispatch``
+        section: its engine-wide counters with a ``per_shard`` breakdown
+        (the numbers behind ``benchmarks/system``'s ``core.remote.*``
+        metrics).
         """
         return engine_stats_dict(self.engine)
 

@@ -45,13 +45,12 @@ Coordinator -> shard:
     (runner, context, masks, regions; footage named by ref to its own
     part), and each ``SPEC`` a compact per-chunk message —
     ``[video_ref, index, start, end, mask_ref, region_ref, sample_period,
-    metadata]`` — exactly the spec-dispatch scheme the process engine uses,
-    so per-task IPC stays at a few ints and floats per chunk.  Because
-    specs travel as JSON (the process engine pickles its), per-chunk
-    ``metadata`` must be JSON-safe and loses tuple-ness in transit
-    (tuples arrive as lists); library-built chunk streams never set
+    metadata]`` (:data:`~repro.core.engine.ChunkSpecMessage`), so per-task
+    IPC stays at a few ints and floats per chunk.  Because specs travel as
+    JSON, per-chunk ``metadata`` must be JSON-safe and loses tuple-ness in
+    transit (tuples arrive as lists); library-built chunk streams never set
     metadata, but metadata-sensitive third-party streams should use the
-    process engine or stick to JSON-native types.
+    thread or serial engine or stick to JSON-native types.
 ``{"type": "store", "spec": "disk:PATH" | "tiered:PATH"}``
     Adopt a shard-local view of the shared chunk result store (see
     :func:`repro.core.cache.shared_spec`): subsequent tasks consult it
@@ -847,8 +846,7 @@ class _Shard:
 
 
 #: Adaptive per-task batch cap: batches amortize framing, but every chunk in
-#: a batch shares its task's fate on reassignment, so sharded batches stay
-#: smaller than the process engine's.
+#: a batch shares its task's fate on reassignment, so batches stay small.
 _MAX_SHARDED_CHUNKSIZE = 8
 
 
@@ -872,7 +870,7 @@ class ShardedEngine:
     transports — the wire protocol is the same bytes either way.
 
     Shards are spawned lazily on first use and persist across queries, like
-    the pool engines; :meth:`shutdown` (or the context manager form)
+    the thread engine's pool; :meth:`shutdown` (or the context manager form)
     terminates them.  Dead shards are replaced at the start of the next
     stream (pipe workers respawn; TCP slots reconnect to their daemon — a
     slot whose daemon stays unreachable is skipped with a warning as long
@@ -886,9 +884,8 @@ class ShardedEngine:
     that owns the task* fails with :class:`~repro.errors.RemoteShardError`.
 
     ``chunksize`` fixes the per-task spec batch.  The default adapts: with a
-    ``count_hint``, ``count_hint // (4 * shards)`` capped at 8 (smaller than
-    the process engine's cap because a whole batch is redispatched when its
-    shard dies); with none — every stream a store classifies, since only the
+    ``count_hint``, ``count_hint // (4 * shards)`` capped at 8 (small
+    because a whole batch is redispatched when its shard dies); with none — every stream a store classifies, since only the
     misses reach the engine and their number is unknowable — the batch
     *ramps*: one chunk per task, doubled each time every shard has been
     handed one at the current size, up to the same cap (1,1,2,2,4,4,8,8 on
@@ -1390,7 +1387,7 @@ class ShardedEngine:
             return
         second = next(iterator, None)
         if second is None:
-            # Single-chunk streams run inline, like every pool engine.
+            # Single-chunk streams run inline, like the thread engine's.
             yield execute_chunk(runner, first, context)
             return
         with self._lock:

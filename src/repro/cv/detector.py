@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.utils import checks
 from repro.utils.hashing import (
     signed_draw,
     stream_key,
@@ -211,6 +212,14 @@ class DetectorConfig:
     min_confidence: float = 0.5
     detectable_categories: frozenset[str] = frozenset(
         {"person", "car", "taxi", "bike", "tree", "traffic_light"})
+
+    def __post_init__(self) -> None:
+        for name in ("miss_rate", "attribute_error_rate", "min_confidence"):
+            checks.probability(name, getattr(self, name), ValueError)
+        for name in ("false_positives_per_frame", "position_jitter"):
+            checks.real(name, getattr(self, name), ValueError, at_least=0)
+        for category, rate in self.category_miss_rates.items():
+            checks.probability(f"the miss rate of {category!r}", rate, ValueError)
 
     def miss_rate_for(self, category: str) -> float:
         """Effective miss probability for a category."""

@@ -317,8 +317,8 @@ class SandboxRunner:
         # The miss stream is shorter than the full chunk stream by however
         # many cache hits occur — unknowable up front — so no count hint is
         # forwarded: a warm cache with a full-stream hint would otherwise
-        # inflate the process engine's adaptive batch size and collapse the
-        # few real misses into a single worker's future.
+        # inflate the sharded engine's adaptive batch size and collapse the
+        # few real misses into a single shard's task.
         outcomes = self._engine_outcomes(engine, miss_feed(), context,
                                          count_hint=None,
                                          on_engine_failure=on_engine_failure)

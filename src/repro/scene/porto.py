@@ -61,6 +61,10 @@ class PortoConfig:
     def __post_init__(self) -> None:
         for name in ("num_taxis", "num_cameras", "num_days"):
             checks.count(name, getattr(self, name), ValueError, 1)
+        checks.count("seed", self.seed, ValueError)
+        checks.real("mean_shift_hours", self.mean_shift_hours, ValueError, above=0)
+        for name in ("shift_hours_std", "passes_per_hour"):
+            checks.real(name, getattr(self, name), ValueError, at_least=0)
         checks.probability("working_day_probability", self.working_day_probability,
                            ValueError)
         low, high = self.visibility_range

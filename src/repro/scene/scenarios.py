@@ -80,7 +80,7 @@ def _traffic_light_factory(red_duration: float, green_duration: float
 
     Declarative :class:`~repro.scene.schedules.CyclicSchedule` objects (not
     closures) keep scenario videos picklable, so every benchmark scene runs
-    on the process-pool engine and the batched detector evaluates the light
+    on the sharded engine and the batched detector evaluates the light
     state for a whole chunk in one vectorized call.
     """
     schedule = CyclicSchedule(phases=(("RED", red_duration), ("GREEN", green_duration)))

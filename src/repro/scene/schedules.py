@@ -3,7 +3,7 @@
 Scene objects may carry observable attributes that change over time (a
 traffic light's colour, a shop sign switching on).  Earlier revisions modeled
 these as closures ``timestamp -> value``, which kept scenario scenes out of
-:class:`~repro.core.engine.ProcessPoolEngine` (closures don't pickle) and out
+:class:`~repro.core.remote.ShardedEngine` (closures don't pickle) and out
 of the vectorized detector (closures evaluate one frame at a time).  A
 schedule is the declarative replacement: a small frozen dataclass that
 

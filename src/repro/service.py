@@ -131,9 +131,13 @@ class QueryService:
                     "pass either wal_dir (the service builds its durable "
                     "ledger over it) or ledger, not both")
             self.wal = WriteAheadLog(wal_dir, fault_injector=fault_injector)
-            self.journal = QueryJournal(self.wal)
-            ledger = DurableServiceLedger(self.wal, journal=self.journal,
-                                          compact_every=compact_every)
+            try:
+                self.journal = QueryJournal(self.wal)
+                ledger = DurableServiceLedger(self.wal, journal=self.journal,
+                                              compact_every=compact_every)
+            except BaseException:
+                self.wal.close()  # recovery refused the log
+                raise
         self.ledger = ledger if ledger is not None else ServiceLedger()
         # The template system owns the shared resources: it builds the
         # engine/store from specs, wires share_store for engines it built,

@@ -300,7 +300,7 @@ class SyntheticVideo:
         different captured state share), so scenes that carry any mix the
         session-unique token into the digest: their cache entries stay
         correct but are only shareable within one process — the same
-        limitation those scenes already have with the process engine.
+        limitation those scenes already have with the sharded engine.
         Declarative :mod:`repro.scene.schedules` scenes (every bundled
         scene) are fully content-addressed.
         """

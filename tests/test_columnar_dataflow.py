@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sandbox.executables as executables_module
-from repro.core import ProcessPoolEngine, PrividSystem, SerialEngine
+from repro.core import PrividSystem, SerialEngine, ShardedEngine
 from repro.core.policy import PrivacyPolicy
 from repro.cv.detector import DetectionBatch, DetectorConfig, SyntheticDetector
 from repro.cv.tracker import IoUTracker, TrackerConfig
@@ -674,8 +674,8 @@ def _heavy_video(num_walkers: int = 500) -> SyntheticVideo:
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))
 
-#: Per-dispatch pickled payload ceiling for the process engine: a payload
-#: path plus a few ints/floats per chunk — scene size must not leak in.
+#: Per-dispatch task frame ceiling for ``process:N`` (pipe shards): a
+#: payload ref plus a few ints/floats per chunk — scene size must not leak in.
 DISPATCH_PAYLOAD_BUDGET_BYTES = 4096
 
 
@@ -690,7 +690,7 @@ class TestProcessEngineSpecDispatch:
             PERSON_SCHEMA, max_rows=50, timeout_seconds=30.0)
         context = ExecutionContext(camera="cam", fps=video.fps)
         serial = list(SerialEngine().imap_chunks(runner, chunks, context))
-        with ProcessPoolEngine(max_workers=2) as engine:
+        with ShardedEngine(2) as engine:
             outcomes = list(engine.imap_chunks(runner, chunks, context))
             stats = engine.dispatch_stats
         assert [outcome.rows for outcome in outcomes] \
@@ -714,7 +714,7 @@ class TestProcessEngineSpecDispatch:
             PERSON_SCHEMA, max_rows=50, timeout_seconds=30.0)
         context = ExecutionContext(camera="cam", fps=video_a.fps)
         serial = list(SerialEngine().imap_chunks(runner, chunks, context))
-        with ProcessPoolEngine(max_workers=2, chunksize=3) as engine:
+        with ShardedEngine(2, chunksize=3) as engine:
             outcomes = list(engine.imap_chunks(runner, chunks, context))
             stats = engine.dispatch_stats
         assert [outcome.rows for outcome in outcomes] \
@@ -725,13 +725,3 @@ class TestProcessEngineSpecDispatch:
         assert stats.broadcasts == 4
         assert stats.broadcast_bytes < len(pickle.dumps(video_a)) \
             + len(pickle.dumps(video_b)) + 8192
-
-    def test_adaptive_chunksize_heuristic(self):
-        engine = ProcessPoolEngine(max_workers=4)
-        assert engine._effective_chunksize(None) == 4
-        assert engine._effective_chunksize(8) == 1
-        assert engine._effective_chunksize(60) == 3
-        assert engine._effective_chunksize(160) == 10
-        assert engine._effective_chunksize(10**6) == 32
-        fixed = ProcessPoolEngine(max_workers=4, chunksize=7)
-        assert fixed._effective_chunksize(10**6) == 7

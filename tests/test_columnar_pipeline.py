@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.cv.tracker as tracker_module
-from repro.core import ProcessPoolEngine, PrividSystem, SerialEngine
+from repro.core import PrividSystem, SerialEngine, ShardedEngine
 from repro.core.policy import PrivacyPolicy
 from repro.cv.detector import DetectorConfig, SyntheticDetector
 from repro.cv.tracker import IoUTracker, TrackerConfig
@@ -151,7 +151,7 @@ class TestFrameBatchParity:
                 == [[obs.frame_index for obs in t.observations] for t in legacy_tracks]
 
     def test_query_answers_identical_across_engines_on_scenario_scene(self):
-        """Scenario scenes (with schedules) now run on the process pool too."""
+        """Scenario scenes (with schedules) run on pipe shards too."""
         scenario = build_scenario("campus", scale=0.1, duration_hours=0.25, seed=7)
         video = scenario.video
 
@@ -172,7 +172,7 @@ class TestFrameBatchParity:
             return result.raw_series_unsafe()
 
         serial = run(SerialEngine())
-        engine = ProcessPoolEngine(max_workers=2)
+        engine = ShardedEngine(2)
         try:
             process = run(engine)
         finally:

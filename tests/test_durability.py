@@ -353,8 +353,12 @@ class TestDurableServiceLedger:
         wal = WriteAheadLog(tmp_path)
         wal.append({"op": "register", "camera": "cam", "total_epsilon": float("nan")})
         wal.close()
-        with pytest.raises(PolicyError, match="nan"):
-            _open_ledger(tmp_path)
+        reopened = WriteAheadLog(tmp_path)
+        try:
+            with pytest.raises(PolicyError, match="nan"):
+                DurableServiceLedger(reopened)
+        finally:
+            reopened.close()
 
     def test_recovery_is_bit_exact(self, tmp_path):
         wal, ledger = _open_ledger(tmp_path)

@@ -5,8 +5,8 @@ import pytest
 from repro.core import (
     ChunkResultCache,
     PrividSystem,
-    ProcessPoolEngine,
     SerialEngine,
+    ShardedEngine,
     ThreadPoolEngine,
     create_cache,
     create_engine,
@@ -51,15 +51,15 @@ def _context(video) -> ExecutionContext:
 
 
 class TestEngines:
-    @pytest.mark.parametrize("engine", [ThreadPoolEngine(max_workers=4),
-                                        ProcessPoolEngine(max_workers=2)])
-    def test_parallel_engines_byte_identical_to_serial(self, engine):
+    @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
+    def test_parallel_engines_byte_identical_to_serial(self, spec):
         video = _walker_video()
         chunks = split_interval(video, ChunkSpec(window=TimeInterval(0, 600),
                                                  chunk_duration=60.0))
         runner, context = _runner(), _context(video)
         serial_rows = runner.run_chunks(chunks, context, engine=SerialEngine())
-        parallel_rows = runner.run_chunks(chunks, context, engine=engine)
+        with create_engine(spec) as engine:
+            parallel_rows = runner.run_chunks(chunks, context, engine=engine)
         assert repr(parallel_rows) == repr(serial_rows)
 
     def test_single_chunk_short_circuits_pools(self):
@@ -86,17 +86,23 @@ class TestEngines:
                  .build())
         serial = build("serial").execute(query)
         threaded = build("thread:4").execute(query)
+        with build("process:2") as system:
+            process = system.execute(query)
         # Same seed, same pipeline: raw AND noisy values must match exactly.
-        assert threaded.raw_series_unsafe() == serial.raw_series_unsafe()
-        assert threaded.series() == serial.series()
+        for result in (threaded, process):
+            assert result.raw_series_unsafe() == serial.raw_series_unsafe()
+            assert result.series() == serial.series()
 
     def test_create_engine_specs(self):
         assert isinstance(create_engine(None), SerialEngine)
         assert isinstance(create_engine("serial"), SerialEngine)
         thread = create_engine("thread:8")
         assert isinstance(thread, ThreadPoolEngine) and thread.max_workers == 8
-        process = create_engine("process")
-        assert isinstance(process, ProcessPoolEngine) and process.max_workers is None
+        # ``process`` is the older name of pipe shards.
+        process = create_engine("process:2")
+        assert isinstance(process, ShardedEngine) and process.num_shards == 2
+        assert process._transport_factories is None
+        assert create_engine("process").num_shards == create_engine("sharded").num_shards
         engine = SerialEngine()
         assert create_engine(engine) is engine
         with pytest.raises(ValueError):

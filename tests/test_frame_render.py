@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import PrividSystem, ProcessPoolEngine, SerialEngine
+from repro.core import PrividSystem, SerialEngine, ShardedEngine
 from repro.cv.detector import DetectorConfig, SyntheticDetector
 from repro.evaluation.runner import register_scenario_camera
 from repro.query.parser import parse_query
@@ -567,7 +567,7 @@ class TestFootagePickles:
             return [release.raw_value_unsafe for release
                     in system.execute(query(begin, end), charge_budget=False).releases]
 
-        with ProcessPoolEngine(max_workers=2) as pool:
+        with ShardedEngine(2) as pool:
             system = PrividSystem(seed=3, engine=pool, cache=None)
             register_scenario_camera(system, scenario, epsilon_budget=100.0,
                                      sample_period=1.0)
@@ -583,7 +583,7 @@ class TestFootagePickles:
             # and its manifest already published ...
             assert pool.dispatch_stats.broadcast_bytes == 0
             assert pool.dispatch_stats.broadcast_reuses == 2
-            with ProcessPoolEngine(max_workers=2) as late:
+            with ShardedEngine(2) as late:
                 again = run(late, 0, 240)
                 # ... and an engine that starts after it ships what the
                 # first one shipped.

@@ -81,7 +81,7 @@ for package in (repro, repro.core):
 print(json.dumps(out))
 """)
     assert report["repro"]["count"] == 19  # and __version__
-    assert report["repro.core"]["count"] == 47
+    assert report["repro.core"]["count"] == 44
     for package in report.values():
         assert package["wrong"] == package["missing_from_dir"] == []
         assert package["missing_from_star"] == package["shared_differ"] == []
@@ -107,8 +107,9 @@ print(json.dumps(out))
     assert "no_such_name" in report["repro.core"]
 
 
-def test_engine_kinds_unchanged_in_a_fresh_interpreter():
-    kinds = _fresh("import json; from repro.core import engine_kinds; "
-                   "print(json.dumps(engine_kinds()))")
-    assert kinds == ["process", "serial", "sharded", "thread"]
+def test_engine_kinds_resolve_in_a_fresh_interpreter():
+    kinds = _fresh("import json; from repro.core import create_engine; "
+                   "print(json.dumps([type(create_engine(kind)).__name__ for kind "
+                   "in ('serial', 'thread', 'process', 'sharded')]))")
+    assert kinds == ["SerialEngine", "ThreadPoolEngine", "ShardedEngine", "ShardedEngine"]
 

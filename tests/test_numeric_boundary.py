@@ -4,16 +4,17 @@ NaN compares false with everything, so a hand-written ``if x <= 0: raise``
 lets it in, and a NaN budget, epsilon or timeout then admits, scales or
 waits wrongly far from where it entered.  :class:`TestPublicSurface`
 generates the probes: it walks every name ``repro`` and ``repro.core``
-export (plus the few methods a number enters through), builds a valid call
-from the signature and :data:`VALID`, then swaps in one bad number at a
-time.  Each call must raise at once, or be listed in :data:`ACCEPTED` with
-its reason.
+export (plus the few methods and configs a number enters through), builds a
+valid call from the signature and :data:`VALID`, then swaps in one bad
+number at a time.  Each call must raise at once, or be listed in
+:data:`ACCEPTED` with its reason.
 """
 
 import inspect
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,13 @@ import repro
 import repro.core
 from repro.core import (
     BudgetRequest,
+    CameraRegistration,
     CancellationToken,
     CircuitBreaker,
     FaultKind,
     FrameBudgetLedger,
     LaplaceMechanism,
+    MaskPolicyMap,
     PrividSystem,
     RetryPolicy,
     ServiceLedger,
@@ -35,9 +38,11 @@ from repro.core import (
     WriteAheadLog,
 )
 from repro.core.policy import PrivacyPolicy
+from repro.cv.detector import DetectorConfig
 from repro.errors import PolicyError, PrividError, QueryValidationError
 from repro.query.ast import SplitStatement
 from repro.relational.sensitivity import TableProperties
+from repro.scene.porto import PortoConfig
 from repro.utils import checks
 from repro.utils.timebase import TimeInterval
 
@@ -195,6 +200,15 @@ class TestSensitivityInputs:
         assert system.ledger.cameras() == ()
 
 
+@pytest.mark.parametrize("rate", [2.0, NAN, -0.1])
+def test_a_category_miss_rate_is_a_probability(rate):
+    # A mapping reaches every chunk's detector through
+    # ``register_camera(detector_config=...)``, and the walk below probes
+    # only plain numbers.
+    with pytest.raises(ValueError, match="miss rate of 'car'"):
+        DetectorConfig(category_miss_rates={"car": rate})
+
+
 # --------------------------------------------------------------- the surface
 
 #: A parameter of one of these annotations is a number to probe.
@@ -224,14 +238,19 @@ VALID = {
     "requests": [BudgetRequest(TimeInterval(0.0, 10.0), 0.5)], "ratios": [0.5, 2.0],
 }
 
-#: Methods a number enters through, beyond the exported constructors and
-#: functions: each factory returns a fresh bound callable.
+#: Methods and unexported configs a number enters through, beyond the
+#: exported constructors and functions: each factory returns a fresh callable.
 METHODS = {
     "PrividSystem.register_camera": lambda: PrividSystem().register_camera,
     "ServiceLedger.register": lambda: ServiceLedger().register,
     "FrameBudgetLedger.admit": lambda: FrameBudgetLedger(total_epsilon=1.0).admit,
     "LaplaceMechanism.add_noise": lambda: LaplaceMechanism(seed=1).add_noise,
     "CancellationToken.with_timeout": lambda: CancellationToken.with_timeout,
+    "CameraRegistration": lambda: partial(
+        CameraRegistration, policy_map=MaskPolicyMap.unmasked(PrivacyPolicy(rho=2.0)),
+        ledger=FrameBudgetLedger(total_epsilon=1.0)),
+    "DetectorConfig": lambda: DetectorConfig,
+    "PortoConfig": lambda: PortoConfig,
 }
 
 #: Exported callables with numeric parameters that are not probed.
@@ -240,7 +259,6 @@ NOT_PROBED = {
     "ReleaseResult": "a record the executor fills from checked inputs; it admits nothing",
     "CacheStats": "counters a store writes, not inputs",
     "FaultEvent": "a record the fault injector writes, not an input",
-    "CameraRegistration": "built by PrividSystem.register_camera, probed as a method",
     "TcpTransport": "opens a socket; its port comes from parse_address, which "
                     "range-checks it",
 }
@@ -300,7 +318,8 @@ class TestPublicSurface:
     def test_the_walk_covers_the_exports(self):
         names = set(_surface())
         assert {"PrivacyPolicy", "FrameBudgetLedger", "BudgetRequest", "RetryPolicy",
-                "ShardedEngine", "effective_epsilon"} <= names
+                "ShardedEngine", "effective_epsilon", "CameraRegistration",
+                "DetectorConfig", "PortoConfig"} <= names
         assert set(NOT_PROBED) <= names
 
     @pytest.mark.parametrize("name", sorted(set(_surface()) - set(NOT_PROBED)))

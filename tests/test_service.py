@@ -19,6 +19,7 @@ import pytest
 from repro.bench.serving import WorkloadConfig, generate_schedule
 from repro.core import PrividSystem, ServiceLedger, ShardedEngine
 from repro.core.budget import BudgetRequest, FrameBudgetLedger
+from repro.core.durability import WriteAheadLog
 from repro.core.noise import LaplaceMechanism
 from repro.core.policy import PrivacyPolicy
 from repro.core.resilience import CancellationToken
@@ -776,6 +777,25 @@ class TestDurableService:
                 repr(reference.raw_series_unsafe())
             assert recovered.stats()["budgets"] == reference_budgets
             assert recovered.stats()["cache"]["hits"] > 0  # warm chunks
+        crashed.wal.close()  # the stand-in kill left it open
+
+    def test_a_refused_recovery_closes_the_wal(self, tmp_path, monkeypatch):
+        # A log holding a NaN budget is refused; the service must not keep
+        # the log's file open on the way out.
+        log = WriteAheadLog(tmp_path)
+        log.append({"op": "register", "camera": "cam", "total_epsilon": float("nan")})
+        log.close()
+        opened = []
+
+        class SpiedLog(WriteAheadLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr("repro.service.WriteAheadLog", SpiedLog)
+        with pytest.raises(PolicyError, match="nan"):
+            QueryService(wal_dir=tmp_path)
+        assert [spied.status()["closed"] for spied in opened] == [True]
 
     def test_resume_with_a_different_query_is_rejected(self, tmp_path):
         # The analyst is the adversary: once a token's charge landed, a

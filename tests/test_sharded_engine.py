@@ -28,8 +28,6 @@ from repro.core import (
     SerialEngine,
     ShardedEngine,
     create_engine,
-    engine_kinds,
-    register_engine,
     shared_spec,
 )
 import repro.core.engine as engine_module
@@ -140,27 +138,16 @@ class TestEngineRegistry:
         assert isinstance(engine, ShardedEngine) and engine.num_shards == 4
         default = create_engine("sharded")
         assert isinstance(default, ShardedEngine) and default.num_shards >= 2
-        assert "sharded" in engine_kinds()
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError, match="sharded"):
-            create_engine("bogus:2")  # error message lists registered kinds
+            create_engine("bogus:2")  # error message lists the kinds
         with pytest.raises(ValueError):
             create_engine("sharded:0")
         with pytest.raises(ValueError):
             create_engine("serial:2")  # serial takes no worker count
-
-    def test_register_engine_duplicate_and_custom(self):
         with pytest.raises(ValueError):
-            register_engine("serial", lambda workers: SerialEngine())
-        register_engine("test-custom", lambda workers: SerialEngine())
-        try:
-            assert isinstance(create_engine("test-custom"), SerialEngine)
-            register_engine("test-custom", lambda workers: SerialEngine(),
-                            replace=True)
-        finally:
-            from repro.core.engine import _ENGINE_FACTORIES
-            _ENGINE_FACTORIES.pop("test-custom", None)
+            create_engine("process:tcp")  # the alias names pipe shards only
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -435,8 +422,8 @@ class TestUnhintedRamp:
         assert redispatched > 0
 
 
-#: Both multi-process engines publish through the same ``_BroadcastPublisher``.
-MULTIPROCESS_SPECS = ("sharded:2", "process:2")
+#: The multi-process specs; ``process:N`` is ``sharded:N`` under an older name.
+MULTIPROCESS_SPECS = ("sharded:2",)
 
 TEN_CHUNKS = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
 
@@ -477,11 +464,10 @@ class TestBroadcastLifetime:
         assert footage_pickles == [video.name]
         assert published[0] > 0 and published == published[:1] * 10
         assert (stats["broadcasts"], stats["broadcast_reuses"]) == (2, 2 * 9)
-        if spec.startswith("sharded"):
-            # The count guard: each shard decoded once, not once per query —
-            # and after that loading costs a dict lookup.
-            assert stats["stages"]["loads"] == len(stats["per_shard"]) == 2
-            assert stats["stages"]["load_s"] < 0.5
+        # The count guard: each shard decoded once, not once per query —
+        # and after that loading costs a dict lookup.
+        assert stats["stages"]["loads"] == len(stats["per_shard"]) == 2
+        assert stats["stages"]["load_s"] < 0.5
         # shutdown() (via close()) unlinked both.
         assert not any(map(os.path.exists, carriers))
 

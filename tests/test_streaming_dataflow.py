@@ -10,6 +10,8 @@ exactly, across engines and across cache tiers (memory / disk / tiered).
 
 import json
 import pickle
+import threading
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -19,8 +21,8 @@ from repro.core import (
     ChunkResultCache,
     DiskChunkStore,
     PrividSystem,
-    ProcessPoolEngine,
     SerialEngine,
+    ShardedEngine,
     ThreadPoolEngine,
     TieredChunkCache,
     create_cache,
@@ -59,6 +61,31 @@ _SPLIT_MASK = Mask("corner", (BoundingBox(0.0, 0.0, 200.0, 150.0),))
 def _runner() -> SandboxRunner:
     return SandboxRunner(EnteringObjectCounter(category="person"), PERSON_SCHEMA,
                          max_rows=5, timeout_seconds=5.0)
+
+
+class _CountingRunner:
+    """Stands in for a ``SandboxRunner``: each chunk is an int returned as its
+    own outcome after a short sleep, counting the chunks still running."""
+
+    def __init__(self, fail_at: int | None = None):
+        self.fail_at = fail_at
+        self.lock = threading.Lock()
+        self.started = self.finished = self.running = 0
+
+    def run_chunk_outcome(self, chunk, context, thread_clock=False):
+        with self.lock:
+            self.started += 1
+            self.running += 1
+        try:
+            if chunk:
+                time.sleep(0.05)
+            if chunk == self.fail_at:
+                raise RuntimeError(f"chunk {chunk} failed")
+            return chunk
+        finally:
+            with self.lock:
+                self.running -= 1
+                self.finished += 1
 
 
 def _context(video) -> ExecutionContext:
@@ -167,7 +194,7 @@ class TestLazyChunking:
 class TestStreamingEngines:
     @pytest.mark.parametrize("engine", [SerialEngine(),
                                         ThreadPoolEngine(max_workers=4),
-                                        ProcessPoolEngine(max_workers=2, chunksize=3)])
+                                        ShardedEngine(2, chunksize=3)])
     def test_imap_streamed_equals_batch(self, engine):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
@@ -184,11 +211,6 @@ class TestStreamingEngines:
     @pytest.mark.parametrize("engine,window", [
         (ThreadPoolEngine(max_workers=2), 4),
         (ThreadPoolEngine(max_workers=2, in_flight_window=3), 3),
-        # The process engine's default window scales with the per-future
-        # batch size (2 x workers x chunksize) so batching never idles
-        # workers; an explicit in_flight_window is honoured exactly.
-        (ProcessPoolEngine(max_workers=2, chunksize=2), 8),
-        (ProcessPoolEngine(max_workers=2, chunksize=2, in_flight_window=4), 4),
     ])
     def test_in_flight_window_bounds_materialized_chunks(self, engine, window):
         video = _walker_video(num_walkers=3)
@@ -232,6 +254,26 @@ class TestStreamingEngines:
             # A single-chunk stream never needed the pool.
             assert engine._pool is None
 
+    def test_an_early_close_waits_out_running_chunks(self):
+        runner = _CountingRunner()
+        with ThreadPoolEngine(max_workers=2) as engine:
+            stream = engine.imap_chunks(runner, iter(range(20)), None)
+            assert next(stream) == 0
+            stream.close()
+            # The window (2 x workers) was submitted; every one of those
+            # chunks finished before close() returned, none still runs.
+            assert (runner.started, runner.finished, runner.running) == (4, 4, 0)
+
+    def test_a_failed_chunk_waits_out_the_rest(self):
+        runner = _CountingRunner(fail_at=2)
+        yielded = []
+        with ThreadPoolEngine(max_workers=2) as engine:
+            with pytest.raises(RuntimeError, match="chunk 2"):
+                for outcome in engine.imap_chunks(runner, iter(range(20)), None):
+                    yielded.append(outcome)
+            assert yielded == [0, 1]
+            assert runner.running == 0 and runner.started == runner.finished
+
 
 class TestStreamedSystemParity:
     def test_query_identical_across_engines_and_tiers(self, tmp_path):
@@ -244,7 +286,7 @@ class TestStreamedSystemParity:
         assert reference_remaining < 100.0  # the query genuinely charged
         configs = [
             ("thread", ThreadPoolEngine(max_workers=4), None),
-            ("process", ProcessPoolEngine(max_workers=2), None),
+            ("process", "process:2", None),
             ("memory-cache", None, "memory"),
             ("tiered-cold", None, f"tiered:{tmp_path / 'store'}"),
             ("tiered-warm", None, f"tiered:{tmp_path / 'store'}"),

@@ -25,6 +25,7 @@ from repro.core.resilience import RetryPolicy
 from repro.core.remote import (
     TcpTransport,
     _LISTENING_MARKER,
+    _close_pipes,
     _worker_env,
     encode_frame,
     parse_address,
@@ -251,15 +252,20 @@ class TestDialRetry:
             with ShardedEngine.connect([f"{host}:{port}"]) as engine:
                 first = _rows_of(engine.imap_chunks(
                     runner, iter_chunks(video, spec), context))
-                process.kill()
-                process.wait()
+                _stop(process)
                 process, _, _ = _start_listening_daemon(port)
                 second = _rows_of(engine.imap_chunks(
                     runner, iter_chunks(video, spec), context))
             assert repr(second) == repr(first)
         finally:
-            process.kill()
-            process.wait()
+            _stop(process)
+
+
+def _stop(process: subprocess.Popen) -> None:
+    """Kill a daemon this test spawned and close our ends of its pipes."""
+    process.kill()
+    process.wait()
+    _close_pipes(process)
 
 
 def _start_listening_daemon(port: int = 0):
@@ -298,8 +304,7 @@ class TestDaemonMode:
             assert transport.read() == {"type": "pong", "token": 9}
             transport.close()
         finally:
-            process.kill()
-            process.wait()
+            _stop(process)
 
     def test_sigterm_drains_idle_daemon_to_clean_exit(self):
         # Orchestrators stop daemons with SIGTERM; an idle daemon must
@@ -314,8 +319,7 @@ class TestDaemonMode:
             assert process.wait(timeout=10) == 0
             transport.kill()
         finally:
-            process.kill()
-            process.wait()
+            _stop(process)
 
     def test_sigterm_answers_accepted_tasks_before_exit(self):
         # The graceful-drain contract: every task frame the daemon accepted
@@ -342,8 +346,7 @@ class TestDaemonMode:
             assert process.wait(timeout=10) == 0
             transport.kill()
         finally:
-            process.kill()
-            process.wait()
+            _stop(process)
 
     def test_daemon_serves_connections_back_to_back(self):
         # A daemon outlives any one coordinator: a second connection after
@@ -360,8 +363,7 @@ class TestDaemonMode:
             assert again.read()["token"] == 2
             again.kill()
         finally:
-            daemon.kill()
-            daemon.wait()
+            _stop(daemon)
 
 
 def _ipv6_loopback_bindable() -> bool:
@@ -387,8 +389,7 @@ class TestIPv6Daemon:
             assert transport.read() == {"type": "pong", "token": 6}
             transport.kill()
         finally:
-            process.kill()
-            process.wait()
+            _stop(process)
 
     def test_ipv6_daemon_stream_equals_serial(self):
         video = _walker_video()
