@@ -18,7 +18,12 @@ wrapper that makes the sharing explicit:
   against the same camera contend on one budget, check-and-charge is
   atomic, and multi-camera admission stays all-or-nothing under races.
 
-Queries run on a bounded thread pool (``max_concurrent_queries``).  Each
+A query enters through one of two doors, and both pass the same admission
+step (closed check, load shedding, seq allocation, resume lookup, journal
+start).  ``submit`` hands it to a thread pool and returns a future;
+``execute`` runs it on the calling thread, which would otherwise only sleep
+on that future.  Either way it runs inside one of ``max_concurrent_queries``
+slots, so one bound covers both doors.  Each
 query gets its own lightweight :class:`PrividSystem` view sharing the
 service's engine/store/ledger/camera registry, plus a *per-query noise
 stream* (``privid/query-{n}`` keyed by submission order): noise draws are
@@ -94,7 +99,8 @@ class QueryService:
     ``seed`` / ``registry`` / ``engine`` / ``cache`` arguments, same spec
     strings) plus ``ledger`` to adopt an existing
     :class:`~repro.core.budget.ServiceLedger` and
-    ``max_concurrent_queries`` bounding the query thread pool.  An engine
+    ``max_concurrent_queries`` bounding how many queries run at once,
+    submitted and executed alike.  An engine
     built here from a spec string belongs to the service (``close`` shuts
     it down, shard pools included); an engine *instance* passed in is
     shared property and is left running.
@@ -131,21 +137,26 @@ class QueryService:
                     "pass either wal_dir (the service builds its durable "
                     "ledger over it) or ledger, not both")
             self.wal = WriteAheadLog(wal_dir, fault_injector=fault_injector)
-            try:
+        try:
+            if self.wal is not None:
                 self.journal = QueryJournal(self.wal)
                 ledger = DurableServiceLedger(self.wal, journal=self.journal,
                                               compact_every=compact_every)
-            except BaseException:
-                self.wal.close()  # recovery refused the log
-                raise
-        self.ledger = ledger if ledger is not None else ServiceLedger()
-        # The template system owns the shared resources: it builds the
-        # engine/store from specs, wires share_store for engines it built,
-        # and registers cameras.  Per-query systems are thin views over it.
-        self._template = PrividSystem(seed=seed, registry=registry,
-                                      engine=engine, cache=cache,
-                                      ledger=self.ledger,
-                                      on_engine_failure=on_engine_failure)
+            self.ledger = ledger if ledger is not None else ServiceLedger()
+            # The template system owns the shared resources: it builds the
+            # engine/store from specs, wires share_store for engines it
+            # built, and registers cameras.  Per-query systems are thin
+            # views over it.
+            self._template = PrividSystem(seed=seed, registry=registry,
+                                          engine=engine, cache=cache,
+                                          ledger=self.ledger,
+                                          on_engine_failure=on_engine_failure)
+        except BaseException:
+            # Recovery refused the log, or a spec or option was bad: the
+            # service never existed, so neither does its open log file.
+            if self.wal is not None:
+                self.wal.close()
+            raise
         self.engine: ExecutionEngine = self._template.engine
         self.cache: ChunkStore | None = self._template.chunk_cache
         self.registry: ExecutableRegistry = self._template.registry
@@ -164,20 +175,23 @@ class QueryService:
                     hook(fault_injector)
         self._pool = ThreadPoolExecutor(max_workers=max_concurrent_queries,
                                         thread_name_prefix="privid-query")
+        # The running slots: _run_query holds one for the whole query,
+        # on a pool thread (submit) or on the caller's (execute).
+        self._slots = threading.BoundedSemaphore(max_concurrent_queries)
         self._lock = threading.Lock()
+        # Notified whenever a query leaves ``active``; close(wait=True)
+        # waits on it for the queries running on callers' threads.
+        self._settled = threading.Condition(self._lock)
         # A recovered service numbers fresh queries past every journaled
         # seq: a resumed query reuses its original seq (its noise stream),
         # which must never collide with a new submission's.
         self._next_query = self.journal.next_query_seq() \
             if self.journal is not None else 0
-        self._submitted = 0
-        self._completed = 0
-        self._denied = 0
-        self._failed = 0
-        self._timed_out = 0
-        self._cancelled = 0
-        self._rejected = 0
-        self._active = 0
+        # Lifetime counters (``stats()["queries"]``): every admitted query
+        # is ``active`` until it settles into exactly one outcome.
+        self._queries = dict.fromkeys(
+            ("submitted", "completed", "denied", "failed", "timed_out",
+             "cancelled", "rejected", "active"), 0)
         # Journal tokens with a submission currently in flight: a second
         # submit for one of these would run the same journaled query twice
         # concurrently — same query seq, same noise stream, racing on one
@@ -209,12 +223,26 @@ class QueryService:
 
     # -------------------------------------------------------------- execution
 
-    def _run_query(self, query_seq: int, query: PrividQuery,
-                   kwargs: dict[str, Any], token: str | None, resumed: bool,
+    def _settle(self, token: str | None, outcome: str | None) -> None:
+        """Count a query's outcome and free its place in ``active`` and its
+        in-flight token.  ``outcome=None`` takes back an admission that never
+        ran; a journal entry it wrote stays resumable."""
+        with self._lock:
+            if outcome is None:
+                self._queries["submitted"] -= 1
+            else:
+                self._queries[outcome] += 1
+            self._queries["active"] -= 1
+            self._inflight_tokens.discard(token)
+            self._settled.notify_all()
+
+    def _run_query(self, token: str | None, query_seq: int,
+                   query: PrividQuery, kwargs: dict[str, Any], resumed: bool,
                    timing: dict[str, float], start_seq: int) -> QueryResult:
-        timing["started_at"] = time.perf_counter()
+        outcome = "failed"
         try:
-            try:
+            with self._slots:  # held for the whole query, on either door
+                timing["started_at"] = time.perf_counter()
                 # The query's own noise stream (module docstring), nothing else its own.
                 view = self._template.query_view(f"privid/query-{query_seq}")
                 result = view.execute(query, **kwargs)
@@ -226,44 +254,130 @@ class QueryService:
                     self.wal.sync_through(start_seq)
                     result.metadata["resume_token"] = token
                     result.metadata["resumed"] = resumed
-            except BudgetExceededError:
-                with self._lock:
-                    self._denied += 1
-                    self._active -= 1
-                raise
-            except QueryCancelledError as exc:
-                with self._lock:
-                    if isinstance(exc, QueryTimeoutError):
-                        self._timed_out += 1
-                    else:
-                        self._cancelled += 1
-                    self._active -= 1
-                raise
-            except BaseException:
-                with self._lock:
-                    self._failed += 1
-                    self._active -= 1
-                raise
-            with self._lock:
-                self._completed += 1
-                self._active -= 1
-            result.metadata["query_seq"] = query_seq
-            # Pure observation for latency measurements: wall-clock deltas
-            # measured around the execution, never fed back into it —
-            # results stay byte-identical with or without a reader.
-            submitted_at = timing["submitted_at"]
-            first_chunk_at = timing.get("first_chunk_at")
-            result.metadata["timing"] = {
-                "queue_s": timing["started_at"] - submitted_at,
-                "first_row_s": first_chunk_at - submitted_at
-                if first_chunk_at is not None else None,
-                "total_s": time.perf_counter() - submitted_at,
-            }
-            return result
+                outcome = "completed"
+        except BudgetExceededError:
+            outcome = "denied"
+            raise
+        except QueryTimeoutError:
+            outcome = "timed_out"
+            raise
+        except QueryCancelledError:
+            outcome = "cancelled"
+            raise
         finally:
-            if token is not None:
-                with self._lock:
-                    self._inflight_tokens.discard(token)
+            self._settle(token, outcome)
+        result.metadata["query_seq"] = query_seq
+        # Pure observation for latency measurements: wall-clock deltas
+        # measured around the execution, never fed back into it —
+        # results stay byte-identical with or without a reader.
+        submitted_at = timing["submitted_at"]
+        first_chunk_at = timing.get("first_chunk_at")
+        result.metadata["timing"] = {
+            "queue_s": timing["started_at"] - submitted_at,
+            "first_row_s": first_chunk_at - submitted_at
+            if first_chunk_at is not None else None,
+            "total_s": time.perf_counter() - submitted_at,
+        }
+        return result
+
+    def _admit(self, query: PrividQuery, timeout: float | None,
+               cancel: CancellationToken | None, resume_token: str | None,
+               kwargs: dict[str, Any]) -> tuple:
+        """The admission both doors share; returns ``_run_query``'s arguments.
+
+        Refuses a closed service, sheds load past ``max_queue_depth``,
+        assigns the query seq (a resume reuses its journaled one), claims the
+        in-flight token, arms the deadline and writes the journal start.
+        From here the query is ``active`` until :meth:`_settle`.
+        """
+        if resume_token is not None and self.journal is None:
+            raise ValueError(
+                "resume_token requires a durable service (wal_dir=...)")
+        # Admission→first-row / admission→result timing for latency
+        # measurements (``result.metadata["timing"]``): absolute perf_counter
+        # marks, written by at most one thread at a time (this one, then the
+        # thread running the query), reduced to deltas in _run_query.
+        timing: dict[str, float] = {"submitted_at": time.perf_counter()}
+        effective_timeout = timeout if timeout is not None \
+            else self.default_query_timeout
+        token = cancel
+        if effective_timeout is not None:
+            if token is None:
+                token = CancellationToken.with_timeout(effective_timeout)
+            else:
+                token.set_timeout(effective_timeout)
+        fingerprint = query_fingerprint(query, kwargs) \
+            if self.journal is not None else None
+        queries = self._queries
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("QueryService is closed")
+            if self.max_queue_depth is not None:
+                queued = max(0, queries["active"] - self.max_concurrent_queries)
+                if queued >= self.max_queue_depth:
+                    queries["rejected"] += 1
+                    raise ServiceOverloadedError(
+                        f"query rejected: {queued} queries already queued "
+                        f"behind {self.max_concurrent_queries} running slots "
+                        f"(max_queue_depth={self.max_queue_depth})",
+                        active=queries["active"], queue_depth=queued,
+                        limit=self.max_queue_depth)
+            # The journal lookup happens under the service lock, and the
+            # token is claimed before the lock drops: two racing submits for
+            # one resume token must not both reach execution, or the same
+            # journaled query runs twice concurrently on one noise stream.
+            resumed_entry = None
+            if resume_token is not None:
+                resumed_entry = self.journal.entry(resume_token)
+            if resumed_entry is not None:
+                # Resume: reuse the interrupted query's seq so its noise
+                # stream — a pure function of (service seed, seq) — replays.
+                query_seq = resumed_entry["query_seq"]
+            else:
+                query_seq = self._next_query
+                self._next_query += 1
+            journal_token: str | None = None
+            if self.journal is not None:
+                journal_token = resume_token if resume_token is not None \
+                    else f"query-{query_seq}"
+                if journal_token in self._inflight_tokens:
+                    raise ResumeConflictError(
+                        f"resume token {journal_token!r} already has a "
+                        f"submission in flight; wait for its future instead "
+                        f"of racing a second execution onto the same query "
+                        f"seq and noise stream")
+                self._inflight_tokens.add(journal_token)
+            queries["submitted"] += 1
+            queries["active"] += 1
+        if token is not None:
+            kwargs = dict(kwargs, cancel=token)
+
+        def on_chunk(done: int) -> None:
+            # First completed chunk == first rows landed: the admission→
+            # first-row mark.  Called from the thread running the query only.
+            if "first_chunk_at" not in timing:
+                timing["first_chunk_at"] = time.perf_counter()
+            if self.wal is not None:
+                # The chaos plans' mid-stream kill point: between a query's
+                # start and its charge the WAL writes nothing to crash on.
+                self.wal.crash_point("service.crash_at_chunk", done)
+
+        kwargs = dict(kwargs, on_chunk=on_chunk)
+        start_seq = 0
+        if self.journal is not None:
+            try:
+                # May raise ResumeMismatchError (resubmitted query differs
+                # from the journaled one) or a WAL write failure.
+                start_seq = self.journal.start(journal_token, query_seq,
+                                               query.name, fingerprint)
+            except BaseException:
+                # Take the admission back, or a failed start would inflate
+                # `active` forever and eventually shed load spuriously.
+                self._settle(journal_token, None)
+                raise
+            kwargs = dict(kwargs, query_id=journal_token)
+        return (journal_token, query_seq, query, kwargs,
+                resumed_entry is not None, timing, start_seq)
 
     def submit(self, query: PrividQuery, *, timeout: float | None = None,
                cancel: CancellationToken | None = None,
@@ -302,9 +416,9 @@ class QueryService:
         ``result.metadata``.
 
         Every completed result carries ``metadata["timing"]`` — ``queue_s``
-        (submit → a pool slot), ``first_row_s`` (submit → first chunk's rows
-        landed, ``None`` for a query with no chunk progress) and ``total_s``
-        (submit → result).  Timing is pure observation: the marks are taken
+        (submit → a running slot), ``first_row_s`` (submit → first chunk's
+        rows landed, ``None`` for a query with no chunk progress) and
+        ``total_s`` (submit → result).  Timing is pure observation: the marks are taken
         around the execution and never feed back into it, so results are
         byte-identical with or without a reader (pinned by the
         no-perturbation test in ``tests/test_service.py``).
@@ -320,104 +434,52 @@ class QueryService:
         :class:`~repro.errors.ResumeConflictError`; wait on the first
         future instead.
         """
-        if resume_token is not None and self.journal is None:
-            raise ValueError(
-                "resume_token requires a durable service (wal_dir=...)")
-        # Submit→first-row / submit→result timing for latency measurements
-        # (``result.metadata["timing"]``): absolute perf_counter
-        # marks, written by at most one thread at a time (submit here, the
-        # query's own worker thereafter), reduced to deltas in _run_query.
-        timing: dict[str, float] = {"submitted_at": time.perf_counter()}
-        effective_timeout = timeout if timeout is not None \
-            else self.default_query_timeout
-        token = cancel
-        if effective_timeout is not None:
-            if token is None:
-                token = CancellationToken.with_timeout(effective_timeout)
-            else:
-                token.set_timeout(effective_timeout)
-        fingerprint = query_fingerprint(query, kwargs) \
-            if self.journal is not None else None
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("QueryService is closed")
-            if self.max_queue_depth is not None:
-                queued = max(0, self._active - self.max_concurrent_queries)
-                if queued >= self.max_queue_depth:
-                    self._rejected += 1
-                    raise ServiceOverloadedError(
-                        f"query rejected: {queued} queries already queued "
-                        f"behind {self.max_concurrent_queries} running slots "
-                        f"(max_queue_depth={self.max_queue_depth})",
-                        active=self._active, queue_depth=queued,
-                        limit=self.max_queue_depth)
-            # The journal lookup happens under the service lock, and the
-            # token is claimed before the lock drops: two racing submits for
-            # one resume token must not both reach execution, or the same
-            # journaled query runs twice concurrently on one noise stream.
-            resumed_entry = None
-            if resume_token is not None:
-                resumed_entry = self.journal.entry(resume_token)
-            if resumed_entry is not None:
-                # Resume: reuse the interrupted query's seq so its noise
-                # stream — a pure function of (service seed, seq) — replays.
-                query_seq = resumed_entry["query_seq"]
-            else:
-                query_seq = self._next_query
-                self._next_query += 1
-            journal_token: str | None = None
-            if self.journal is not None:
-                journal_token = resume_token if resume_token is not None \
-                    else f"query-{query_seq}"
-                if journal_token in self._inflight_tokens:
-                    raise ResumeConflictError(
-                        f"resume token {journal_token!r} already has a "
-                        f"submission in flight; wait for its future instead "
-                        f"of racing a second execution onto the same query "
-                        f"seq and noise stream")
-                self._inflight_tokens.add(journal_token)
-            self._submitted += 1
-            self._active += 1
-        if token is not None:
-            kwargs = dict(kwargs, cancel=token)
-
-        def on_chunk(done: int) -> None:
-            # First completed chunk == first rows landed: the submit→
-            # first-row mark.  Called from the query's worker thread only.
-            if "first_chunk_at" not in timing:
-                timing["first_chunk_at"] = time.perf_counter()
-            if self.wal is not None:
-                # The chaos plans' mid-stream kill point: between a query's
-                # start and its charge the WAL writes nothing to crash on.
-                self.wal.crash_point("service.crash_at_chunk", done)
-
-        kwargs = dict(kwargs, on_chunk=on_chunk)
+        call = self._admit(query, timeout, cancel, resume_token, kwargs)
+        token = call[0]
         try:
-            start_seq = 0
-            if self.journal is not None:
-                # May raise ResumeMismatchError (resubmitted query differs
-                # from the journaled one) or a WAL write failure.
-                start_seq = self.journal.start(journal_token, query_seq,
-                                               query.name, fingerprint)
-                kwargs = dict(kwargs, query_id=journal_token)
-            return self._pool.submit(self._run_query, query_seq, query,
-                                     kwargs, journal_token,
-                                     resumed_entry is not None, timing,
-                                     start_seq)
+            future = self._pool.submit(self._run_query, *call)
         except BaseException:
-            # Nothing was enqueued: roll back the admission accounting, or
-            # a failed submit would inflate `active` forever and eventually
-            # shed load spuriously.
-            with self._lock:
-                self._submitted -= 1
-                self._active -= 1
-                if journal_token is not None:
-                    self._inflight_tokens.discard(journal_token)
+            # Nothing was enqueued (a racing close shut the pool down).
+            self._settle(token, None)
             raise
 
-    def execute(self, query: PrividQuery, **kwargs: Any) -> QueryResult:
-        """Submit and wait: the blocking single-query convenience path."""
-        return self.submit(query, **kwargs).result()
+        def settle_if_cancelled(done: "Future[QueryResult]") -> None:
+            # A future cancelled before it ran (``Future.cancel``, or
+            # close(wait=False)) never reaches _run_query to settle itself.
+            if done.cancelled():
+                self._settle(token, "cancelled")
+
+        future.add_done_callback(settle_if_cancelled)
+        return future
+
+    def execute(self, query: PrividQuery, *, timeout: float | None = None,
+                cancel: CancellationToken | None = None,
+                resume_token: str | None = None,
+                **kwargs: Any) -> QueryResult:
+        """Run one query on the calling thread and return its result.
+
+        Admission, options, errors, journaling and ``result.metadata`` are
+        :meth:`submit`'s (``queue_s`` is the wait for a slot), but there is
+        no pool hop: the caller takes one of the ``max_concurrent_queries``
+        running slots that pool tasks also take, and runs the query itself
+        instead of sleeping on a future while a pool thread wakes up on
+        another core.  So a blocking call never runs beside more queries
+        than the bound allows, and :meth:`close` waits for it like any other.
+
+        An interrupt (``KeyboardInterrupt``, ``SystemExit``) that escapes
+        the query closes the service, as ``close(wait=False)``: it may have
+        landed between a charge's WAL append and its in-memory apply, so the
+        ledger may hold a logged-but-unapplied charge.  Every later call
+        raises ``RuntimeError``; reopening a service over the same
+        ``wal_dir`` recovers the logged state, exactly as after a crash.
+        """
+        call = self._admit(query, timeout, cancel, resume_token, kwargs)
+        try:
+            return self._run_query(*call)
+        except BaseException as exc:
+            if not isinstance(exc, Exception):
+                self.close(wait=False)
+            raise
 
     # ------------------------------------------------------------------ stats
 
@@ -434,12 +496,7 @@ class QueryService:
         :meth:`~repro.core.budget.ServiceLedger.contention_stats`).
         """
         with self._lock:
-            queries = {"submitted": self._submitted, "completed": self._completed,
-                       "denied": self._denied, "failed": self._failed,
-                       "timed_out": self._timed_out,
-                       "cancelled": self._cancelled,
-                       "rejected": self._rejected,
-                       "active": self._active}
+            queries = dict(self._queries)
         return {"queries": queries,
                 "engine": engine_stats_dict(self.engine),
                 "cache": cache_stats_dict(self.cache),
@@ -453,7 +510,7 @@ class QueryService:
         tripped a circuit breaker, or the store's directory stopped being
         writable — the service still answers queries, possibly more slowly
         or with cold caches), or ``"closed"``.  ``queries`` splits ``active``
-        into ``running`` (holding one of the ``capacity`` pool slots) and
+        into ``running`` (holding one of the ``capacity`` slots) and
         ``queued`` (waiting for a slot, bounded by ``queue_limit``).
 
         On a durable service ``durability`` reports the write-ahead log's
@@ -464,7 +521,7 @@ class QueryService:
         """
         with self._lock:
             closed = self._closed
-            active = self._active
+            active = self._queries["active"]
         running = min(active, self.max_concurrent_queries)
         engine_health = getattr(self.engine, "health", None)
         engine = engine_health() if callable(engine_health) \
@@ -491,16 +548,25 @@ class QueryService:
     # -------------------------------------------------------------- lifecycle
 
     def close(self, *, wait: bool = True) -> None:
-        """Drain the query pool and release service-owned resources.
+        """Stop admitting, then release service-owned resources.
 
-        In-flight queries finish (``wait=True``); the engine is shut down
-        only when the service built it from a spec string.  Idempotent.
+        With ``wait=True`` every admitted query finishes first: submitted
+        ones, queued or running, and ones running on callers' threads in
+        :meth:`execute`.  With ``wait=False`` the queued submissions are
+        cancelled (their futures report ``cancelled()``, they count as
+        ``cancelled``, and their journal entries stay resumable), while
+        queries already running are abandoned: they run on against the
+        closed engine and log, which may fail them.  The engine is shut
+        down only when the service built it from a spec string.  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self._pool.shutdown(wait=wait)
+        self._pool.shutdown(wait=wait, cancel_futures=not wait)
+        if wait:
+            with self._settled:
+                self._settled.wait_for(lambda: self._queries["active"] == 0)
         self._template.close()
         if self.wal is not None:
             self.wal.close()

@@ -11,7 +11,9 @@ a saturating schedule releases the same bytes, noisy values included, on a
 4-wide pool as on a single slot.
 """
 
+import sys
 import threading
+import time
 from concurrent.futures import wait
 
 import pytest
@@ -797,6 +799,58 @@ class TestDurableService:
             QueryService(wal_dir=tmp_path)
         assert [spied.status()["closed"] for spied in opened] == [True]
 
+    @pytest.mark.parametrize("bad", [{"engine": "bogus"}, {"cache": "bogus:x"},
+                                     {"on_engine_failure": "nope"}])
+    def test_a_refused_option_closes_the_wal(self, tmp_path, monkeypatch, bad):
+        # The log opens first; a spec or option refused after it must not
+        # leave the log's file open on the way out either.
+        opened = []
+
+        class SpiedLog(WriteAheadLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr("repro.service.WriteAheadLog", SpiedLog)
+        with pytest.raises(ValueError):
+            QueryService(wal_dir=tmp_path, **bad)
+        assert [spied.status()["closed"] for spied in opened] == [True]
+
+    def test_close_without_waiting_cancels_the_queued_queries(self, tmp_path):
+        # One slot, held by a gated query; three more wait behind it.  A
+        # close that does not wait cancels those three rather than running
+        # them against the closed log, and their journal entries resume.
+        gate = _GateExecutable()
+        video = _walker_video()
+        service = self._durable(video, tmp_path / "wal", tmp_path / "store",
+                                max_concurrent_queries=1)
+        service.register_executable("gate.py", gate)
+        try:
+            running = service.submit(_gate_query())
+            assert gate.started.wait(5.0)
+            queued = [service.submit(_gate_query(f"queued-{i}")) for i in range(3)]
+            # A future cancelled by its caller settles as cancelled, too.
+            assert queued[2].cancel()
+            assert service.stats()["queries"]["cancelled"] == 1
+            assert service.health()["queries"]["active"] == 3
+            service.close(wait=False)
+            assert all(future.cancelled() for future in queued)
+            queries = service.stats()["queries"]
+            assert queries["cancelled"] == 3 and queries["active"] == 1
+        finally:
+            gate.release.set()  # the abandoned query runs on against the closed log
+        assert isinstance(running.exception(timeout=10.0), Exception)
+        assert service.stats()["queries"]["active"] == 0
+        with self._durable(video, tmp_path / "wal", tmp_path / "store") as reopened:
+            reopened.register_executable("gate.py", gate)
+            for seq in range(4):
+                entry = reopened.journal.entry(f"query-{seq}")
+                assert not entry["finished"] and not entry["charged"]
+            result = reopened.execute(_gate_query("queued-1"),
+                                      resume_token="query-2")
+            assert result.metadata["resumed"] is True
+            assert result.metadata["query_seq"] == 2
+
     def test_resume_with_a_different_query_is_rejected(self, tmp_path):
         # The analyst is the adversary: once a token's charge landed, a
         # *different* query resubmitted under it would execute with zero
@@ -993,3 +1047,239 @@ class TestDurableService:
         with pytest.raises(ValueError):
             QueryService(seed=5, wal_dir=tmp_path / "wal",
                          ledger=ServiceLedger())
+
+
+class _ThreadRecorder:
+    """Records the thread each chunk runs on, and how many chunks a gate
+    had passed by then."""
+
+    name = "recorder"
+
+    def __init__(self, gate=None) -> None:
+        self.gate = gate
+        self.calls: list[tuple[int, int | None]] = []
+
+    def fresh_instance(self):
+        return self
+
+    def config_fingerprint(self):
+        return ("recorder",)
+
+    def process(self, chunk, context):
+        passed = self.gate.passed if self.gate is not None else None
+        self.calls.append((threading.get_ident(), passed))
+        return []
+
+
+class _CountingGate(_GateExecutable):
+    def __init__(self) -> None:
+        super().__init__()
+        self.passed = 0
+
+    def process(self, chunk, context):
+        rows = super().process(chunk, context)
+        self.passed += 1
+        return rows
+
+
+def _recorder_query(name: str = "recorded", executable: str = "recorder.py"):
+    return (QueryBuilder(name)
+            .split("cam", begin=0, end=120.0, chunk_duration=60.0, into="chunks")
+            .process("chunks", executable=executable, max_rows=5,
+                     schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)], into="t")
+            .select_count(table="t", epsilon=1.0)
+            .build())
+
+
+class _Overlap:
+    """Counts chunks in flight at once.  On the serial engine a query runs
+    its chunks one at a time, so this never exceeds the queries running."""
+
+    name = "overlap"
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.inside = 0
+        self.peak = 0
+
+    def fresh_instance(self):
+        return self
+
+    def config_fingerprint(self):
+        return ("overlap",)
+
+    def process(self, chunk, context):
+        with self.lock:
+            self.inside += 1
+            self.peak = max(self.peak, self.inside)
+        time.sleep(0.0005)
+        with self.lock:
+            self.inside -= 1
+        return []
+
+
+class TestBlockingExecute:
+    """``execute`` runs on the caller's thread, inside the slots ``submit``'s
+    pool tasks take, and keeps ``submit``'s admission and lifecycle."""
+
+    def test_execute_runs_on_the_callers_thread(self, monkeypatch):
+        recorder = _ThreadRecorder()
+        with _service(_walker_video()) as service:
+            service.register_executable("recorder.py", recorder)
+            pool_submits = []
+            submit = service._pool.submit
+            monkeypatch.setattr(service._pool, "submit", lambda *args, **kwargs:
+                                pool_submits.append(args) or submit(*args, **kwargs))
+            result = service.execute(_recorder_query())
+            assert pool_submits == []
+            assert {ident for ident, _ in recorder.calls} == {threading.get_ident()}
+            assert result.metadata["query_seq"] == 0
+            assert 0.0 <= result.metadata["timing"]["queue_s"]
+            # The other door still hands the query to the pool.
+            recorder.calls.clear()
+            service.submit(_recorder_query()).result()
+            assert len(pool_submits) == 1
+            assert recorder.calls
+            assert threading.get_ident() not in {ident for ident, _ in recorder.calls}
+
+    def test_one_slot_bound_covers_both_doors(self):
+        gate = _CountingGate()
+        recorder = _ThreadRecorder(gate)
+        with _service(_walker_video(), max_concurrent_queries=1) as service:
+            service.register_executable("gate.py", gate)
+            service.register_executable("recorder.py", recorder)
+            held = service.submit(_gate_query())
+            results = []
+            caller = threading.Thread(
+                target=lambda: results.append(service.execute(_recorder_query())))
+            try:
+                assert gate.started.wait(5.0)  # the one slot is held
+                caller.start()
+                caller.join(0.3)
+                assert caller.is_alive() and recorder.calls == []
+                assert service.health()["queries"] == {
+                    "active": 2, "running": 1, "queued": 1, "capacity": 1,
+                    "queue_limit": None}
+            finally:
+                gate.release.set()
+            caller.join(10.0)
+            held.result()
+            # The caller's query began only after every gated chunk ran.
+            assert recorder.calls and all(passed == 10 for _, passed in recorder.calls)
+            assert len(results) == 1
+
+    def test_callers_and_pool_tasks_share_the_bound_under_stress(self):
+        # More threads than cores, half executing and half submitting, with
+        # a short switch interval: the slot bound and the counters must hold.
+        overlap = _Overlap()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _service(_walker_video(), max_concurrent_queries=2) as service:
+                service.register_executable("overlap.py", overlap)
+                query = _recorder_query("overlap", executable="overlap.py")
+                futures, errors = [], []
+
+                def executor() -> None:
+                    try:
+                        for _ in range(3):
+                            service.execute(query, charge_budget=False)
+                    except Exception as exc:  # reported by the assertion below
+                        errors.append(exc)
+
+                def submitter() -> None:
+                    for _ in range(3):
+                        futures.append(service.submit(query, charge_budget=False))
+
+                threads = [threading.Thread(target=target)
+                           for target in (executor, submitter) * 3]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(future.result(timeout=30.0) for future in futures)
+                assert errors == []
+                queries = service.stats()["queries"]
+                assert queries["submitted"] == queries["completed"] == 18
+                assert queries["active"] == 0
+        finally:
+            sys.setswitchinterval(switch)
+        assert 1 <= overlap.peak <= 2
+
+    def test_close_waits_for_a_query_on_a_callers_thread(self):
+        gate = _GateExecutable()
+        service = _service(_walker_video())
+        service.register_executable("gate.py", gate)
+        caller = threading.Thread(target=lambda: service.execute(_gate_query()))
+        closer = threading.Thread(target=service.close)
+        caller.start()
+        try:
+            assert gate.started.wait(5.0)
+            closer.start()
+            closer.join(0.3)
+            assert closer.is_alive()  # the caller-run query still holds its slot
+            with pytest.raises(RuntimeError):
+                service.execute(_count_query())  # but nothing new is admitted
+        finally:
+            gate.release.set()
+        closer.join(10.0)
+        assert not closer.is_alive()
+        queries = service.stats()["queries"]
+        assert queries["completed"] == 1 and queries["active"] == 0
+        caller.join(10.0)
+        assert not caller.is_alive()
+
+    def test_an_interrupt_closes_the_service_and_recovery_keeps_the_charge(
+            self, tmp_path, monkeypatch):
+        # An interrupt between the charge's WAL append and its apply leaves
+        # the in-memory ledger behind the log: the service must close, and
+        # only reopening over the WAL (recovery) may serve again.
+        from repro.core.budget import DurableServiceLedger
+
+        apply_charge = DurableServiceLedger._apply_charge
+        interrupts = []
+
+        def interrupted_once(ledger, record):
+            if not interrupts:
+                interrupts.append(record)
+                raise KeyboardInterrupt
+            apply_charge(ledger, record)
+
+        monkeypatch.setattr(DurableServiceLedger, "_apply_charge", interrupted_once)
+        video = _walker_video()
+        service = _service(video, wal_dir=tmp_path / "wal")
+        with pytest.raises(KeyboardInterrupt):
+            service.execute(_count_query())
+        assert service.health()["status"] == "closed"
+        assert service.stats()["budgets"]["cam"]["charges"] == 0  # never applied
+        assert service.wal.status()["closed"] is True
+        with pytest.raises(RuntimeError):
+            service.execute(_count_query())
+        with _service(video, wal_dir=tmp_path / "wal") as reopened:
+            assert reopened.ledger.query_charged("query-0")
+            assert reopened.stats()["budgets"]["cam"]["charges"] == 1
+        assert len(interrupts) == 1
+
+    def test_deadline_cancel_and_resume_keep_their_behaviour(self, tmp_path):
+        video = _walker_video()
+        with _service(video, epsilon_budget=2.0, wal_dir=tmp_path / "wal") as service:
+            with pytest.raises(QueryTimeoutError):
+                service.execute(_count_query(), timeout=1e-6)
+            cancelled = CancellationToken()
+            cancelled.cancel()
+            with pytest.raises(QueryCancelledError):
+                service.execute(_count_query(), cancel=cancelled)
+            queries = service.stats()["queries"]
+            assert queries["timed_out"] == 1 and queries["cancelled"] == 1
+            assert service.stats()["budgets"]["cam"]["charges"] == 0
+            first = service.execute(_count_query(), resume_token="tok")
+            assert service.remaining_budget("cam", TimeInterval(0, 600)) \
+                == pytest.approx(1.0)
+            again = service.execute(_count_query(), resume_token="tok")
+            assert again.metadata["resumed"] is True
+            assert again.metadata["query_seq"] == first.metadata["query_seq"]
+            assert repr(again.series()) == repr(first.series())
+            assert service.remaining_budget("cam", TimeInterval(0, 600)) \
+                == pytest.approx(1.0)  # a resume never charges twice
+            assert service.health()["queries"]["active"] == 0

@@ -15,11 +15,14 @@ operator would run it:
    ``BudgetExceededError`` with nothing charged past the budget;
 5. shuts everything down cleanly and fails loudly (exit 1) on any miss.
 
-Run with: ``python tools/service_smoke.py``
+Run with: ``python -X dev -W error::ResourceWarning tools/service_smoke.py``
+(development mode makes a leaked pipe or file handle a warning, and the
+flag makes it an error).
 """
 
 from __future__ import annotations
 
+import gc
 import subprocess
 import sys
 import tempfile
@@ -77,7 +80,7 @@ def build_service(scenario, policy_map, *, engine, cache) -> QueryService:
     return service
 
 
-def main() -> int:
+def main() -> None:
     scenario = build_scenario("campus", scale=0.2, duration_hours=0.2, seed=7)
     policy_map = scenario_policy_map(scenario, k_segments=1)
     daemons = [start_daemon() for _ in range(2)]
@@ -136,13 +139,22 @@ def main() -> int:
         for process, _ in daemons:
             process.kill()
             process.wait()
+            process.stdout.close()
 
-    if FAILURES:
-        print(f"\n{len(FAILURES)} smoke check(s) failed")
-        return 1
-    print("\nservice smoke: all checks passed")
-    return 0
+
+def fail_on_unraisable(unraisable) -> None:
+    """Under ``-W error::ResourceWarning`` a leaked handle raises in its
+    finalizer, where nothing catches it and the exit status would not move:
+    report it and count it as a failed check."""
+    sys.__unraisablehook__(unraisable)
+    check(False, f"no leaked handle ({unraisable.exc_value!r})")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.unraisablehook = fail_on_unraisable
+    main()
+    gc.collect()  # finalize what main() dropped while the hook still counts
+    if FAILURES:
+        print(f"\n{len(FAILURES)} smoke check(s) failed")
+        sys.exit(1)
+    print("\nservice smoke: all checks passed")
