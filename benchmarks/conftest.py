@@ -34,8 +34,8 @@ BENCH_K_SEGMENTS = 1
 def pytest_addoption(parser):
     """Engine/cache knobs for the whole benchmark harness.
 
-    ``--privid-engine`` selects the chunk execution engine ('serial',
-    'thread[:N]', 'sharded[:N]' or its alias 'process[:N]'; defaults to the
+    ``--privid-engine`` selects the chunk execution engine ('serial' or
+    'sharded[:N]', also spelt 'process[:N]' or 'thread[:N]'; defaults to the
     PRIVID_ENGINE environment variable, then 'serial').  ``--privid-cache`` selects the chunk result
     store ('off', 'memory', 'disk:PATH' or 'tiered:PATH'; defaults to the
     PRIVID_CACHE environment variable, then 'memory' — caching is on by
@@ -43,8 +43,8 @@ def pytest_addoption(parser):
     ``--privid-no-cache`` is the legacy off switch and overrides both.
     """
     parser.addoption("--privid-engine", default=os.environ.get("PRIVID_ENGINE", "serial"),
-                     help="chunk execution engine: serial, thread[:N], "
-                          "sharded[:N] (alias process[:N])")
+                     help="chunk execution engine: serial or sharded[:N] "
+                          "(aliases process[:N], thread[:N])")
     parser.addoption("--privid-cache",
                      default=os.environ.get("PRIVID_CACHE", "memory"),
                      help="chunk result store: off, memory, disk:PATH, tiered:PATH")

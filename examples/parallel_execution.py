@@ -8,9 +8,8 @@ table as each chunk completes — memory and time-to-first-result are
 independent of the query window length.  This example shows the two knobs a
 deployment tunes for throughput:
 
-1. the *execution engine* — serial (default), a thread pool, or worker
-   subprocesses (``process:N``, the pipe shards of ``sharded:N``) —
-   selected per :class:`~repro.core.PrividSystem` (engines are context
+1. the *execution engine* — serial (default) or worker subprocesses
+   (``sharded:N``, N pipe shards) — selected per :class:`~repro.core.PrividSystem` (engines are context
    managers, and a system built from a spec string shuts its own engine
    down on ``close()``);
 2. the *chunk result store* — in-process LRU (``cache="memory"``), shared
@@ -31,7 +30,6 @@ from repro.core import (
     ChunkResultCache,
     PrividSystem,
     SerialEngine,
-    ThreadPoolEngine,
     create_engine,
 )
 from repro.query.builder import QueryBuilder
@@ -66,8 +64,7 @@ def main() -> None:
     # Scenario scenes use declarative attribute schedules and pickle cleanly,
     # so every engine — worker subprocesses included — runs every scene.
     # Engines are context managers: workers are released on exit.
-    for engine in (SerialEngine(), ThreadPoolEngine(max_workers=4),
-                   create_engine("process:4")):
+    for engine in (SerialEngine(), create_engine("sharded:4")):
         with engine:
             system = build_system(scenario, engine=engine)
             started = time.perf_counter()

@@ -60,7 +60,7 @@ def main() -> None:
     # in, the shared ledger admits exactly two and denies the rest — the
     # check-and-charge is atomic, so racing queries can never both squeeze
     # through the last epsilon.
-    with QueryService(seed=1, engine="thread:4", cache="memory") as service:
+    with QueryService(seed=1, engine="sharded:2", cache="memory") as service:
         register_scenario_camera(service, scenario, policy_map=policy_map,
                                  epsilon_budget=2.5, sample_period=1.0)
         futures = {name: service.submit(people_query(name))

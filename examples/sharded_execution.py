@@ -1,8 +1,7 @@
 """Sharded chunk execution: partitioning a query across executor shards.
 
-Privid chunks are independent units of work, so the engine seam that gives
-us a thread pool (see ``examples/parallel_execution.py``) also admits a
-*distributed* executor: ``PrividSystem(engine="sharded:N")`` runs a
+Privid chunks are independent units of work, so the engine seam (see
+``examples/parallel_execution.py``) admits a *distributed* executor: ``PrividSystem(engine="sharded:N")`` runs a
 coordinator that partitions each query's chunk stream across N executor
 shard subprocesses — each speaking a small length-prefixed JSON protocol
 over a pipe, the single-host stand-in for a remote host — and merges

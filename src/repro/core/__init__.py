@@ -39,7 +39,6 @@ _EXPORTS = {
     "RetryPolicy": "repro.core.resilience",
     "ExecutionEngine": "repro.core.engine",
     "SerialEngine": "repro.core.engine",
-    "ThreadPoolEngine": "repro.core.engine",
     "ShardedEngine": "repro.core.remote",
     "ShardTransport": "repro.core.remote",
     "PipeTransport": "repro.core.remote",

@@ -163,21 +163,16 @@ def chunk_fingerprint(chunk: "Chunk") -> str:
     objects with equal names from colliding when a cache is shared and is
     the invalidation story for the on-disk store — plus everything that
     restricts what the executable can see: the interval, the mask, the
-    spatial region, the frame sampling period, and any chunk metadata.
-    Footage objects without a content fingerprint fall back to the
-    session-unique ``content_token`` (entries for those are only valid
-    within one process).
+    spatial region and the frame sampling period.  Footage objects without
+    a content fingerprint fall back to the session-unique ``content_token``
+    (entries for those are only valid within one process).
 
-    The parts, in this order, name every entry of every store ever written,
-    so the form grows only by parts that leave existing chunks' bytes alone:
-    ``metadata`` (readable by the executable, set on no chunk the system
-    itself builds) joins only when it is non-empty.
+    The parts, in this order, name every entry of every store ever written.
     """
     video, interval = chunk.video, chunk.interval
-    extra = (chunk.metadata,) if chunk.metadata else ()
     return fingerprint(video.name, _footage_identity(video), video.fps, video.duration,
                        chunk.index, (interval.start, interval.end),
-                       chunk.mask, chunk.region, chunk.sample_period, *extra)
+                       chunk.mask, chunk.region, chunk.sample_period)
 
 
 def runner_fingerprint(runner: "SandboxRunner") -> str:
@@ -189,7 +184,7 @@ def runner_fingerprint(runner: "SandboxRunner") -> str:
         runner.schema,
         runner.max_rows,
         runner.timeout_seconds,
-        runner.enforce_wall_clock,
+        True,  # the retired ``enforce_wall_clock`` flag: every store key holds it
     )
 
 
@@ -255,8 +250,8 @@ def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
     is reused under it).  The memo holds a ``sha256`` state already fed the
     head and the tail's bytes; a chunk copies the state (``copy`` takes the
     object's lock, so threads may key one stream at once) and feeds it only
-    its index, its interval and any metadata.  The query path keeps those
-    instances per registration (:func:`repro.sandbox.environment.kept_or_fresh`).
+    its index and its interval.  The query path keeps those instances per
+    registration (:func:`repro.sandbox.environment.kept_or_fresh`).
     """
     video = chunk.video
     footage = _footage_identity(video)
@@ -281,11 +276,8 @@ def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
         own_text = f"{index}, ({start!r}, {end!r})"
     else:
         own_text = _canonical_text((index, (start, end)))
-    data = own_text.encode("utf-8") + tail_bytes
-    if chunk.metadata:
-        data += f", {_canonical_text((chunk.metadata,))}".encode("utf-8")
     state = head_state.copy()
-    state.update(data + b")")
+    state.update(own_text.encode("utf-8") + tail_bytes + b")")
     chunk_digest = state.hexdigest()
     return hashlib.sha256(
         f"('{chunk_digest}', '{runner.fingerprint}', '{context.fingerprint}')"

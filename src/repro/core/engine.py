@@ -7,23 +7,20 @@ parallel: no chunk's output can depend on another chunk's, so the engine that
 schedules chunk work is free to reorder, batch, or distribute it, as long as
 the concatenated rows come back in chunk order.
 
-:func:`create_engine` builds an engine from a spec string (``thread:8``)
+:func:`create_engine` builds an engine from a spec string (``sharded:4``)
 over a fixed table of kinds:
 
 * :class:`SerialEngine` (``serial``) — one chunk at a time (the default, and
   the reference behaviour every other engine must reproduce bit for bit);
-* :class:`ThreadPoolEngine` (``thread[:N]``) — a shared thread pool, useful
-  when executables release the GIL or block on I/O;
 * :class:`repro.core.remote.ShardedEngine` (``sharded[:N]``, and
-  ``process[:N]`` as its alias) — a coordinator that partitions the chunk
-  stream across N executor shard subprocesses speaking a length-prefixed
-  JSON protocol (the single-host stand-in for a multi-host deployment),
-  with heartbeat-driven failure detection and at-most-once result
-  application.  Everything a stream references must pickle: all bundled
-  scenes do — dynamic attributes are declarative
-  :mod:`repro.scene.schedules` objects — but a scene hand-built with
-  closure-valued dynamic attributes does not, and should use the thread or
-  serial engines.
+  ``process[:N]`` and ``thread[:N]`` as its older names) — a coordinator
+  that partitions the chunk stream across N executor shard subprocesses
+  speaking a length-prefixed JSON protocol (the single-host stand-in for a
+  multi-host deployment), with heartbeat-driven failure detection and
+  at-most-once result application.  Everything a stream references must
+  pickle; every scene does, because dynamic attributes are declarative
+  :mod:`repro.scene.schedules` objects.  A stream that cannot pickle runs
+  on ``serial``.
 
 Every engine exposes one entry point, :meth:`~ExecutionEngine.imap_chunks`,
 an *ordered streaming map* that pulls chunks lazily from an iterable and
@@ -55,13 +52,10 @@ import tempfile
 import threading
 import uuid
 import weakref
-from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import wait as wait_futures
+from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, \
     runtime_checkable
 
@@ -117,21 +111,9 @@ def execute_chunk(runner: "SandboxRunner", chunk: "Chunk",
     return runner.run_chunk_outcome(chunk, context)
 
 
-def _execute_chunk_thread(runner: "SandboxRunner", chunk: "Chunk",
-                          context: "ExecutionContext") -> ChunkOutcome:
-    """Thread-pool unit of work: time out on per-thread CPU time.
-
-    Concurrent threads share the GIL, so a chunk's wall-clock elapsed time is
-    inflated by its neighbours; measuring the thread's own CPU time keeps the
-    TIMEOUT check equivalent to an uncontended serial run and preserves the
-    engines-produce-identical-results guarantee.
-    """
-    return runner.run_chunk_outcome(chunk, context, thread_clock=True)
-
-
 #: A compact description of one chunk, shipped to shard workers in place of
 #: the chunk object: (video ref, index, interval start, interval end, mask
-#: ref, region ref or None, sample period, metadata or None).
+#: ref, region ref or None, sample period).
 ChunkSpecMessage = tuple
 
 #: Worker-side LRU of decoded payloads, parts and manifests alike, keyed by
@@ -216,7 +198,7 @@ def chunk_from_spec(objects: list[Any], spec: ChunkSpecMessage) -> "Chunk":
     from repro.utils.timebase import TimeInterval
     from repro.video.chunking import Chunk
 
-    video_ref, index, start, end, mask_ref, region_ref, sample_period, metadata = spec
+    video_ref, index, start, end, mask_ref, region_ref, sample_period = spec
     return Chunk(
         video=objects[video_ref],
         index=index,
@@ -224,7 +206,6 @@ def chunk_from_spec(objects: list[Any], spec: ChunkSpecMessage) -> "Chunk":
         mask=objects[mask_ref],
         region=None if region_ref is None else objects[region_ref],
         sample_period=sample_period,
-        metadata=metadata if metadata is not None else {},
     )
 
 
@@ -405,7 +386,6 @@ class _StreamBroadcast:
             self._slot_for(chunk.mask),
             None if region is None else self._slot_for(region),
             chunk.sample_period,
-            dict(chunk.metadata) if chunk.metadata else None,
         )
 
     def payload_ref(self) -> str:
@@ -503,103 +483,6 @@ class SerialEngine:
         self.shutdown()
 
 
-def _default_workers() -> int:
-    return max(2, (os.cpu_count() or 2))
-
-
-def _check_sizes(engine: Any, *names: str) -> None:
-    """Each named size of ``engine`` is None (its default) or a count >= 1."""
-    for name in names:
-        if getattr(engine, name) is not None:
-            checks.count(name, getattr(engine, name), ValueError, 1)
-
-
-@dataclass
-class ThreadPoolEngine:
-    """Processes chunks on a persistent pool of threads.
-
-    Python threads only overlap executables that release the GIL or wait on
-    I/O; for the pure-Python synthetic executables the win is modest, but the
-    engine exists so real deployments (whose detectors run in native code) get
-    parallelism without pickling requirements.  TIMEOUT enforcement uses
-    per-thread CPU time (see :func:`_execute_chunk_thread`), so an executable
-    that merely *sleeps* past its timeout is only caught by the serial and
-    sharded engines' wall clocks.
-
-    The pool is created lazily on first use and reused across queries; call
-    :meth:`shutdown` to release the worker threads early, or use the engine
-    as a context manager (``with ThreadPoolEngine() as engine: ...``).
-
-    ``in_flight_window`` bounds how many chunks may be materialized but not
-    yet yielded by :meth:`imap_chunks` (default ``2 x workers``): enough to
-    keep every worker busy while the head-of-line result is consumed, small
-    enough that streaming a week-long window holds only a handful of chunks.
-    """
-
-    max_workers: int | None = None
-    in_flight_window: int | None = None
-    name: str = field(default="thread", init=False)
-    _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False,
-                                             compare=False)
-    _pool_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                       repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _check_sizes(self, "max_workers", "in_flight_window")
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        # Locked: a service-layer engine is driven by concurrent query
-        # threads, and two first-users must not each build a pool.
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers or _default_workers())
-            return self._pool
-
-    def imap_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
-                    context: "ExecutionContext", *,
-                    count_hint: int | None = None) -> Iterator[ChunkOutcome]:
-        """One future per chunk, yielded in chunk order (head-of-line
-        completion); a chunk is pulled only when the window has room, and a
-        single-chunk stream runs inline without touching the pool."""
-        iterator = iter(chunks)
-        first = next(iterator, None)
-        if first is None:
-            return
-        second = next(iterator, None)
-        if second is None:
-            yield execute_chunk(runner, first, context)
-            return
-        pool = self._ensure_pool()
-        window = self.in_flight_window or 2 * (self.max_workers or _default_workers())
-        stream = chain((first, second), iterator)
-        pending: "deque[Future[ChunkOutcome]]" = deque()
-        try:
-            while True:
-                for chunk in islice(stream, window - len(pending)):
-                    pending.append(pool.submit(_execute_chunk_thread, runner, chunk,
-                                               context))
-                if not pending:
-                    return
-                yield pending.popleft().result()
-        finally:
-            # An early close (or an error) leaves futures running; the
-            # stream ends only once none of its chunks still executes.
-            wait_futures(pending)
-
-    def shutdown(self) -> None:
-        """Release the worker threads (the pool is rebuilt on next use)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ThreadPoolEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-
 def _int_worker_count(kind: str, workers: int | str | None) -> int | None:
     """Reject non-integer spec suffixes for kinds that only take ``:N``."""
     if isinstance(workers, str):
@@ -621,13 +504,18 @@ def _make_sharded(workers: int | str | None) -> ExecutionEngine:
     return sharded_engine_from_spec(workers)
 
 
+def _make_pipe_shards(kind: str) -> Callable[[int | str | None], ExecutionEngine]:
+    """``kind[:N]``, an older name of ``sharded[:N]`` that takes no transport."""
+    return lambda workers: _make_sharded(_int_worker_count(kind, workers))
+
+
 #: Spec kind -> factory of the ``:N`` suffix (an int, the raw string when it
-#: is not one, or None when absent).  ``process`` names pipe shards.
+#: is not one, or None when absent).  ``thread`` and ``process`` name pipe
+#: shards.
 _ENGINE_FACTORIES: dict[str, Callable[[int | str | None], ExecutionEngine]] = {
     "serial": _make_serial,
-    "thread": lambda workers: ThreadPoolEngine(
-        max_workers=_int_worker_count("thread", workers)),
-    "process": lambda workers: _make_sharded(_int_worker_count("process", workers)),
+    "thread": _make_pipe_shards("thread"),
+    "process": _make_pipe_shards("process"),
     "sharded": _make_sharded,
 }
 
@@ -639,8 +527,8 @@ def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
 
     Passing an engine instance returns it unchanged; ``None`` or an empty
     string yields the default :class:`SerialEngine`.  The optional ``:N``
-    suffix fixes the worker (or shard) count (e.g. ``thread:8``,
-    ``sharded:4``); ``process[:N]`` is ``sharded[:N]`` under its older name.
+    suffix fixes the shard count (e.g. ``sharded:4``); ``process[:N]`` and
+    ``thread[:N]`` are ``sharded[:N]`` under older names.
     A non-integer suffix is handed to the kind's factory verbatim, which is
     how the sharded engine's TCP transport specs ride the same seam.  This
     is the value of the ``engine=`` argument of ``PrividSystem`` and of the

@@ -161,8 +161,8 @@ class PrividSystem:
         #: budgets.
         self.ledger = ledger if ledger is not None else ServiceLedger()
         #: Engine scheduling the independent per-chunk executions; accepts an
-        #: instance or a spec string ('serial', 'thread[:N]', 'sharded[:N]'
-        #: or its alias 'process[:N]'; see :func:`~repro.core.engine.create_engine`).
+        #: instance or a spec string ('serial', 'sharded[:N]' or its aliases
+        #: 'process[:N]' and 'thread[:N]'; see :func:`~repro.core.engine.create_engine`).
         self.engine: ExecutionEngine = create_engine(engine)
         #: True when the engine was built here from a spec string — those
         #: pools belong to this system, so :meth:`close` shuts them down.
@@ -277,10 +277,10 @@ class PrividSystem:
     def close(self) -> None:
         """Release execution resources this system created.
 
-        Shuts down the engine's worker pools when the engine was built from
-        a spec string (``engine="thread:8"``); an engine instance passed in
+        Shuts down the engine's shards when the engine was built from
+        a spec string (``engine="sharded:4"``); an engine instance passed in
         by the caller is shared property and is left running.  Safe to call
-        more than once; the system remains usable (pools rebuild lazily).
+        more than once; the system remains usable (shards respawn lazily).
         """
         if self._owns_engine:
             shutdown = getattr(self.engine, "shutdown", None)

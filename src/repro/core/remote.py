@@ -44,13 +44,9 @@ Coordinator -> shard:
     manifest from the engine's :class:`~repro.core.engine._BroadcastPublisher`
     (runner, context, masks, regions; footage named by ref to its own
     part), and each ``SPEC`` a compact per-chunk message —
-    ``[video_ref, index, start, end, mask_ref, region_ref, sample_period,
-    metadata]`` (:data:`~repro.core.engine.ChunkSpecMessage`), so per-task
-    IPC stays at a few ints and floats per chunk.  Because specs travel as
-    JSON, per-chunk ``metadata`` must be JSON-safe and loses tuple-ness in
-    transit (tuples arrive as lists); library-built chunk streams never set
-    metadata, but metadata-sensitive third-party streams should use the
-    thread or serial engine or stick to JSON-native types.
+    ``[video_ref, index, start, end, mask_ref, region_ref, sample_period]``
+    (:data:`~repro.core.engine.ChunkSpecMessage`), so per-task IPC stays at
+    a few ints and floats per chunk.
 ``{"type": "store", "spec": "disk:PATH" | "tiered:PATH"}``
     Adopt a shard-local view of the shared chunk result store (see
     :func:`repro.core.cache.shared_spec`): subsequent tasks consult it
@@ -131,8 +127,6 @@ from repro.core.engine import (
     ChunkSpecMessage,
     DispatchStats,
     _BroadcastPublisher,
-    _check_sizes,
-    _default_workers,
     _fetch_payload,
     _StreamBroadcast,
     chunk_from_spec,
@@ -163,6 +157,10 @@ def _env_float(name: str, default: float) -> float:
     except ValueError as exc:
         warnings.warn(f"ignoring {name}={raw!r}: {exc}", RuntimeWarning, stacklevel=2)
         return default
+
+
+def _default_workers() -> int:
+    return max(2, (os.cpu_count() or 2))
 
 # --------------------------------------------------------------------- frames
 
@@ -385,6 +383,9 @@ class TcpTransport:
                     pass
             raise
         self._sock.settimeout(None)
+        # Frames are small and each waits for its answer: Nagle's algorithm
+        # would hold every one behind the peer's delayed ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile: BinaryIO = self._sock.makefile("rb")
         self._wfile: BinaryIO = self._sock.makefile("wb")
 
@@ -648,6 +649,7 @@ def _serve_connection(connection: socket.socket,
                       tasks: "queue.Queue[dict[str, Any] | None] | None" = None,
                       ) -> None:
     """Serve one coordinator connection of a TCP daemon until it ends."""
+    connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as TcpTransport
     rfile = connection.makefile("rb")
     wfile = connection.makefile("wb")
     try:
@@ -869,10 +871,10 @@ class ShardedEngine:
     sockets.  Scheduling, fault handling and results are identical across
     transports — the wire protocol is the same bytes either way.
 
-    Shards are spawned lazily on first use and persist across queries, like
-    the thread engine's pool; :meth:`shutdown` (or the context manager form)
-    terminates them.  Dead shards are replaced at the start of the next
-    stream (pipe workers respawn; TCP slots reconnect to their daemon — a
+    Shards are spawned lazily on first use and persist across queries;
+    :meth:`shutdown` (or the context manager form) terminates them.  Dead
+    shards are replaced at the start of the next stream (pipe workers
+    respawn; TCP slots reconnect to their daemon — a
     slot whose daemon stays unreachable is skipped with a warning as long
     as at least one shard remains).  ``heartbeat_interval`` /
     ``heartbeat_timeout`` bound how long a silent shard holding work
@@ -966,7 +968,9 @@ class ShardedEngine:
         #: half-open.  States surface in ``dispatch_stats_dict``/``health``.
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
-        _check_sizes(self, "num_shards", "chunksize", "in_flight_window", "breaker_threshold")
+        for name in ("num_shards", "chunksize", "in_flight_window", "breaker_threshold"):
+            if getattr(self, name) is not None:
+                checks.count(name, getattr(self, name), ValueError, 1)
         checks.count("max_task_retries", max_task_retries, ValueError)
         for name in ("heartbeat_interval", "heartbeat_timeout", "startup_grace",
                      "task_timeout", "breaker_reset"):
@@ -1387,7 +1391,7 @@ class ShardedEngine:
             return
         second = next(iterator, None)
         if second is None:
-            # Single-chunk streams run inline, like the thread engine's.
+            # A single-chunk stream runs inline: no shard round trip.
             yield execute_chunk(runner, first, context)
             return
         with self._lock:

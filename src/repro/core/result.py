@@ -41,14 +41,6 @@ class ReleaseResult:
     source_intervals: dict[str, tuple[TimeInterval, ...]] | None = None
     candidates: dict[Any, float] | None = None
 
-    @property
-    def absolute_noise(self) -> float:
-        """|noisy - raw| for numeric releases (0 for argmax releases)."""
-        if isinstance(self.noisy_value, (int, float)) and isinstance(self.raw_value_unsafe,
-                                                                     (int, float)):
-            return abs(float(self.noisy_value) - float(self.raw_value_unsafe))
-        return 0.0
-
 
 @dataclass
 class QueryResult:
@@ -85,7 +77,3 @@ class QueryResult:
     def raw_series_unsafe(self) -> list[tuple[Any, Any]]:
         """(group key, raw value) pairs — evaluation only, never released."""
         return [(release.group_key, release.raw_value_unsafe) for release in self.releases]
-
-    def by_key(self) -> dict[Any, Any]:
-        """Mapping from group key to noisy value."""
-        return {release.group_key: release.noisy_value for release in self.releases}

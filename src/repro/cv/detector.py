@@ -485,14 +485,6 @@ class SyntheticDetector:
             ))
         return blocks
 
-
-    def detect_frames(self, frames: Sequence[FrameTruth] | Any, *, frame_width: float = 1280.0,
-                      frame_height: float = 720.0) -> list[tuple[FrameTruth, list[Detection]]]:
-        """Detect objects in a sequence of frames, preserving order."""
-        return [(frame, self.detect_frame(frame, frame_width=frame_width,
-                                          frame_height=frame_height))
-                for frame in frames]
-
     def expected_miss_fraction(self, frames: Sequence[FrameTruth]) -> float:
         """Empirical fraction of ground-truth object-frames the detector missed.
 

@@ -45,13 +45,6 @@ def ground_truth_hourly_counts(video: SyntheticVideo, *, category: str,
     return counts
 
 
-def ground_truth_unique_count(video: SyntheticVideo, *, category: str,
-                              window: TimeInterval) -> float:
-    """Number of appearances of a category starting within the window."""
-    return float(sum(ground_truth_hourly_counts(video, category=category, window=window,
-                                                bucket_seconds=window.duration or 1.0)))
-
-
 def tree_leaf_fraction_truth(video: SyntheticVideo) -> float:
     """Fraction of trees with leaves, as a percentage (Q7-Q9 reference)."""
     trees = video.objects_of_category("tree")

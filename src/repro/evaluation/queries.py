@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.query.ast import PrividQuery, SelectStatement
+from repro.query.ast import PrividQuery
 from repro.query.builder import QueryBuilder
 from repro.relational.aggregates import Aggregation, GroupSpec
 from repro.relational.expressions import BinaryOp, Column, Literal, RangeExpression, TimeBucket
@@ -197,44 +197,3 @@ def case5_directional_query(camera: str, *, window_seconds: float = 12 * SECONDS
                         schema=[("matched", "NUMBER", 0.0)], into="crossings")
                .select_count(table="crossings", epsilon=epsilon))
     return builder.build()
-
-
-def hourly_rate_query(camera: str, *, category: str = "person",
-                      window_seconds: float, chunk_duration: float = 60.0,
-                      max_rows: int = 10, mask: str | None = "owner",
-                      epsilon: float = 1.0,
-                      sample_period: float | None = None) -> PrividQuery:
-    """A single-release average-rate variant of Case 1 used by the Fig. 7 sweep.
-
-    The query releases the *average number of entering objects per chunk*
-    over the whole window; because the sensitivity of an average divides by
-    the (growing) number of chunks, the required noise shrinks as the window
-    grows, which is the effect Fig. 7 plots.
-    """
-    executable = "count_entering_people.py" if category == "person" else "count_entering_cars.py"
-    builder = (QueryBuilder(f"fig7-{camera}-{category}")
-               .split(camera, begin=0.0, end=window_seconds, chunk_duration=chunk_duration,
-                      mask=mask, into="chunks", sample_period=sample_period)
-               .process("chunks", executable=executable, max_rows=max_rows,
-                        schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)],
-                        into="detections"))
-    source = Projection(TableScan("detections"), outputs=(
-        ("present", RangeExpression(Literal(1.0), 0.0, 1.0)),
-        (CHUNK_COLUMN, Column(CHUNK_COLUMN)),
-    ))
-    builder.select(Aggregation(function="SUM", column="present"), source, epsilon=epsilon,
-                   label="windowed-count")
-    return builder.build()
-
-
-def total_selects_epsilon(query: PrividQuery) -> float:
-    """Total epsilon a query's SELECT statements request (None counts as 1)."""
-    total = 0.0
-    for select in query.selects:
-        total += select.epsilon if select.epsilon is not None else 1.0
-    return total
-
-
-def set_epsilon(select: SelectStatement, epsilon: float) -> None:
-    """Adjust a SELECT's requested epsilon in place (used by sweeps)."""
-    select.epsilon = epsilon

@@ -113,24 +113,6 @@ class PrividQuery:
     selects: list[SelectStatement] = field(default_factory=list)
     metadata: dict[str, Any] = field(default_factory=dict)
 
-    def split_by_output(self, name: str) -> SplitStatement:
-        """Find the SPLIT statement producing the named chunk set."""
-        for split in self.splits:
-            if split.output == name:
-                return split
-        raise QueryValidationError(f"no SPLIT produces chunk set {name!r}")
-
-    def process_by_output(self, name: str) -> ProcessStatement:
-        """Find the PROCESS statement producing the named table."""
-        for process in self.processes:
-            if process.output == name:
-                return process
-        raise QueryValidationError(f"no PROCESS produces table {name!r}")
-
-    def table_names(self) -> list[str]:
-        """Names of all intermediate tables the query produces."""
-        return [process.output for process in self.processes]
-
 
 def collect_table_names(relation: Relation) -> set[str]:
     """All intermediate-table names referenced by a relational plan."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -77,11 +77,6 @@ class GroupSpec:
 
     expressions: tuple[tuple[str, Expression], ...]
     expected_keys: tuple[Any, ...] | None = None
-
-    def key_of(self, row: Mapping[str, Any]) -> Any:
-        """Group key of a row (a scalar for one key column, a tuple otherwise)."""
-        values = tuple(expression.evaluate(row) for _, expression in self.expressions)
-        return values[0] if len(values) == 1 else values
 
     def referenced_columns(self) -> frozenset[str]:
         """All columns used by the grouping expressions."""

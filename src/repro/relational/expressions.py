@@ -16,7 +16,6 @@ from typing import Any, Mapping
 
 from repro.errors import QueryValidationError
 from repro.utils import checks
-from repro.utils.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
 class Expression(ABC):
@@ -157,21 +156,6 @@ class TimeBucket(Expression):
 
     def referenced_columns(self) -> frozenset[str]:
         return self.inner.referenced_columns()
-
-
-def ChunkBin(column: str, width: float) -> TimeBucket:
-    """Convenience constructor for binning a timestamp column."""
-    return TimeBucket(Column(column), width)
-
-
-def hour_of_chunk(column: str = "chunk") -> TimeBucket:
-    """The ``hour(chunk)`` helper from Appendix D."""
-    return TimeBucket(Column(column), SECONDS_PER_HOUR)
-
-
-def day_of_chunk(column: str = "chunk") -> TimeBucket:
-    """The ``day(chunk)`` helper from Appendix D."""
-    return TimeBucket(Column(column), SECONDS_PER_DAY)
 
 
 class Predicate(ABC):

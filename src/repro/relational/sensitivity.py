@@ -111,18 +111,6 @@ class SensitivityInfo:
         """Copy with a new size constraint."""
         return replace(self, size=size)
 
-    def with_delta(self, delta: float) -> "SensitivityInfo":
-        """Copy with a new delta."""
-        return replace(self, delta=float(delta))
-
-    def restrict_columns(self, columns: set[str]) -> "SensitivityInfo":
-        """Copy keeping only constraints for the given output columns."""
-        return replace(
-            self,
-            ranges={name: bounds for name, bounds in self.ranges.items() if name in columns},
-            trusted_columns=frozenset(self.trusted_columns & columns),
-        )
-
     @classmethod
     def for_table(cls, properties: TableProperties) -> "SensitivityInfo":
         """Initial sensitivity info of a PROCESS'd intermediate table."""

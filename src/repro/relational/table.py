@@ -547,12 +547,6 @@ class Table:
             raise SchemaError(f"table {self.name!r} has no column {name!r}")
         return self._data[name].value_list()
 
-    def column_array(self, name: str) -> np.ndarray:
-        """The raw storage array of one column (float64 or object view)."""
-        if name not in self._data:
-            raise SchemaError(f"table {self.name!r} has no column {name!r}")
-        return self._data[name].array()
-
     def number_column(self, name: str) -> _NumberColumn | None:
         """The float64 column backing ``name``, or None if object-typed."""
         column = self._data.get(name)

@@ -107,7 +107,6 @@ class SandboxRunner:
     schema: Schema
     max_rows: int
     timeout_seconds: float
-    enforce_wall_clock: bool = True
 
     def __post_init__(self) -> None:
         checks.count("max_rows", self.max_rows, SandboxViolationError, 1)
@@ -131,26 +130,20 @@ class SandboxRunner:
         """Process one chunk and return schema-coerced, truncated rows."""
         return self.run_chunk_outcome(chunk, context).rows
 
-    def run_chunk_outcome(self, chunk: Chunk, context: ExecutionContext, *,
-                          thread_clock: bool = False) -> ChunkOutcome:
+    def run_chunk_outcome(self, chunk: Chunk, context: ExecutionContext) -> ChunkOutcome:
         """Process one chunk, reporting whether the output is a failure fallback.
 
         The implicit ``chunk`` and ``region`` columns are appended here —
         they are generated by Privid, not the executable, which is why later
-        GROUP BYs over them are trusted.  ``thread_clock`` makes the TIMEOUT
-        check measure this thread's CPU time instead of wall-clock time, so a
-        chunk sharing the GIL with concurrent pool workers is not timed out
-        for its neighbours' work.
+        GROUP BYs over them are trusted.  TIMEOUT is wall-clock time.
         """
         instance = self.executable.fresh_instance()
-        clock = time.thread_time if thread_clock else time.monotonic
-        started = clock()
+        started = time.monotonic()
         try:
             raw_rows = instance.process(chunk, context)
         except Exception:
             raw_rows = None
-        elapsed = clock() - started
-        timed_out = self.enforce_wall_clock and elapsed > self.timeout_seconds
+        timed_out = time.monotonic() - started > self.timeout_seconds
         simulated = getattr(instance, "simulated_runtime", 0.0)
         if simulated and simulated > self.timeout_seconds:
             timed_out = True

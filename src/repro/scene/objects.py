@@ -10,7 +10,7 @@ attributes (class, colour, licence plate, entry/exit side, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -18,11 +18,6 @@ from repro.scene.schedules import AttributeSchedule
 from repro.scene.trajectory import Trajectory
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
-
-#: A time-varying attribute: a declarative (picklable, batch-evaluable)
-#: schedule, or a bare ``timestamp -> value`` callable kept for backwards
-#: compatibility with closure-based scenes.
-DynamicAttribute = AttributeSchedule | Callable[[float], Any]
 
 #: Object categories the paper treats as private (individually identifying).
 PRIVATE_CATEGORIES = frozenset({"person", "car", "taxi", "bike"})
@@ -62,23 +57,28 @@ class SceneObject:
     category: str
     appearances: list[Appearance] = field(default_factory=list)
     attributes: dict[str, Any] = field(default_factory=dict)
-    dynamic_attributes: dict[str, DynamicAttribute] = field(default_factory=dict)
+    dynamic_attributes: dict[str, AttributeSchedule] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for key, schedule in self.dynamic_attributes.items():
+            if not isinstance(schedule, AttributeSchedule):
+                raise TypeError(f"dynamic attribute {key!r} of {self.object_id!r} must be "
+                                f"an AttributeSchedule, not {schedule!r}")
 
     def attributes_at(self, timestamp: float) -> dict[str, Any]:
         """Static attributes merged with time-varying ones evaluated at ``timestamp``.
 
         Dynamic attributes model observable state that changes over time (for
         example a traffic light's current colour); a real detector would read
-        this from pixels.  They are normally declarative
-        :class:`~repro.scene.schedules.AttributeSchedule` objects (picklable,
-        batch-evaluable); bare callables still work.
+        this from pixels.  Each is a declarative
+        :class:`~repro.scene.schedules.AttributeSchedule` (picklable,
+        batch-evaluable).
         """
         if not self.dynamic_attributes:
             return dict(self.attributes)
         merged = dict(self.attributes)
         for key, schedule in self.dynamic_attributes.items():
-            merged[key] = schedule(timestamp) if callable(schedule) \
-                else schedule.value_at(timestamp)
+            merged[key] = schedule.value_at(timestamp)
         return merged
 
     def attribute_keys(self) -> list[str]:
@@ -102,19 +102,13 @@ class SceneObject:
         order of ``keys`` (default :meth:`attribute_keys`, of which it must
         be a selection); ``per_frame_values`` is ``None`` for
         static attributes (the constant applies to every frame).  Schedules
-        evaluate the batch in one vectorized call; bare callables fall back
-        to one call per timestamp.
+        evaluate the batch in one vectorized call.
         """
         dynamic = self.dynamic_attributes
         series: list[tuple[str, Any, list[Any] | None]] = []
         for key in self.attribute_keys() if keys is None else keys:
             if key in dynamic:
-                schedule = dynamic[key]
-                if isinstance(schedule, AttributeSchedule):
-                    values = list(schedule.values_at(timestamps))
-                else:
-                    values = [schedule(timestamp) for timestamp in timestamps.tolist()]
-                series.append((key, None, values))
+                series.append((key, None, list(dynamic[key].values_at(timestamps))))
             else:
                 series.append((key, self.attributes[key], None))
         return series

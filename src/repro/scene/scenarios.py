@@ -78,10 +78,9 @@ def _traffic_light_factory(red_duration: float, green_duration: float
                            ) -> Callable[[int], dict[str, AttributeSchedule]]:
     """Dynamic-attribute factory producing the light's colour schedule.
 
-    Declarative :class:`~repro.scene.schedules.CyclicSchedule` objects (not
-    closures) keep scenario videos picklable, so every benchmark scene runs
-    on the sharded engine and the batched detector evaluates the light
-    state for a whole chunk in one vectorized call.
+    A declarative :class:`~repro.scene.schedules.CyclicSchedule` pickles, so
+    the scene runs on the sharded engine, and the batched detector evaluates
+    the light state for a whole chunk in one vectorized call.
     """
     schedule = CyclicSchedule(phases=(("RED", red_duration), ("GREEN", green_duration)))
 

@@ -1,20 +1,15 @@
 """Declarative time-varying attribute schedules.
 
 Scene objects may carry observable attributes that change over time (a
-traffic light's colour, a shop sign switching on).  Earlier revisions modeled
-these as closures ``timestamp -> value``, which kept scenario scenes out of
-:class:`~repro.core.remote.ShardedEngine` (closures don't pickle) and out
-of the vectorized detector (closures evaluate one frame at a time).  A
-schedule is the declarative replacement: a small frozen dataclass that
+traffic light's colour, a shop sign switching on).  Each is a schedule: a
+small frozen dataclass that
 
 * evaluates a single timestamp (:meth:`AttributeSchedule.value_at`),
 * evaluates a whole batch of timestamps at once (:meth:`values_at`), and
-* pickles, so every benchmark scene runs on every execution engine.
+* pickles, so every scene crosses a process to the sharded engine's shards
+  and has a content fingerprint that is the same in every process.
 
-Schedules are also callable with a single timestamp, so any code written
-against the old closure convention keeps working — and plain callables are
-still accepted anywhere a schedule is (they simply fall back to per-frame
-evaluation and keep the video thread/serial-only).
+A scene object accepts no other kind of dynamic attribute.
 """
 
 from __future__ import annotations
@@ -39,10 +34,6 @@ class AttributeSchedule(ABC):
         """Values for a batch of timestamps (default: per-element fallback)."""
         return [self.value_at(timestamp) for timestamp in np.asarray(timestamps).tolist()]
 
-    def __call__(self, timestamp: float) -> Any:
-        """Closure-compatibility shim: a schedule can be used as ``fn(t)``."""
-        return self.value_at(timestamp)
-
 
 @dataclass(frozen=True)
 class ConstantSchedule(AttributeSchedule):
@@ -62,9 +53,8 @@ class CyclicSchedule(AttributeSchedule):
     """An attribute cycling through fixed phases, e.g. a traffic light.
 
     ``phases`` is a sequence of ``(value, duration_seconds)`` pairs; the
-    cycle repeats forever, optionally shifted by ``offset`` seconds.  A
-    two-phase ``(("RED", 75.0), ("GREEN", 45.0))`` schedule reproduces the
-    closure the scenarios used to build by hand.
+    cycle repeats forever, optionally shifted by ``offset`` seconds, e.g. a
+    two-phase ``(("RED", 75.0), ("GREEN", 45.0))`` traffic light.
     """
 
     phases: tuple[tuple[Any, float], ...]
@@ -75,6 +65,7 @@ class CyclicSchedule(AttributeSchedule):
             raise ValueError("a cyclic schedule needs at least one phase")
         for _, duration in self.phases:
             checks.real("a phase duration", duration, ValueError, above=0)
+        checks.real("offset", self.offset, ValueError)
 
     @property
     def cycle_duration(self) -> float:

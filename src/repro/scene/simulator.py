@@ -24,7 +24,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.scene.objects import Appearance, DynamicAttribute, SceneObject
+from repro.scene.objects import Appearance, SceneObject
+from repro.scene.schedules import AttributeSchedule
 from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
 from repro.utils import checks
 from repro.utils.rng import RandomSource
@@ -33,6 +34,11 @@ from repro.video.geometry import BoundingBox
 from repro.video.video import SyntheticVideo
 
 AttributeFactory = Callable[[np.random.Generator, int], dict[str, Any]]
+
+
+def _check_box_size(box_size: tuple[float, float]) -> None:
+    for name, value in zip(("width", "height"), box_size):
+        checks.real(f"the {name} of box_size {box_size!r}", value, ValueError, above=0)
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,7 @@ class CrossingPopulation:
             low, high = bounds = getattr(self, name)
             checks.real(f"the low end of {name} {bounds!r}", low, ValueError, above=0)
             checks.real(f"the high end of {name} {bounds!r}", high, ValueError, at_least=low)
+        _check_box_size(self.box_size)
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,7 @@ class LingerPopulation:
         low, high = self.duration_range
         checks.real("the low end of duration_range", low, ValueError, above=0)
         checks.real("the high end of duration_range", high, ValueError, at_least=low)
+        _check_box_size(self.box_size)
 
 
 @dataclass(frozen=True)
@@ -111,9 +119,8 @@ class StaticPopulation:
     category: str
     boxes: tuple[BoundingBox, ...]
     attributes: tuple[dict[str, Any], ...] = ()
-    #: Factory of declarative attribute schedules per object index (closures
-    #: are still accepted, but make the resulting scene unpicklable).
-    dynamic_attribute_factory: Callable[[int], dict[str, DynamicAttribute]] | None = None
+    #: Factory of declarative attribute schedules per object index.
+    dynamic_attribute_factory: Callable[[int], dict[str, AttributeSchedule]] | None = None
     label: str = ""
 
 

@@ -113,11 +113,6 @@ def unit_draws(key: int, indices: np.ndarray) -> np.ndarray:
     return (mixed >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def signed_draws(key: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized draws in [-1, 1), one per counter in ``indices``."""
-    return 2.0 * unit_draws(key, indices) - 1.0
-
-
 def unit_draws_matrix(keys: Sequence[int] | np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Draws in [0, 1) for every (stream key, counter) pair as a (K, N) matrix.
 

@@ -10,7 +10,7 @@ restricted to a spatial region (Section 7.2) and have a mask applied
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from repro.utils import checks
@@ -63,7 +63,6 @@ class Chunk:
     mask: Mask = EMPTY_MASK
     region: Region | None = None
     sample_period: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def chunk_id(self) -> str:
@@ -204,7 +203,6 @@ def iter_chunks(video: SyntheticVideo, spec: ChunkSpec, *,
                 fields["mask"] = mask
                 fields["region"] = region
                 fields["sample_period"] = sample_period
-                fields["metadata"] = {}
                 yield chunk
 
     return generate()

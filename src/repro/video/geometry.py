@@ -40,8 +40,9 @@ class BoundingBox:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width < 0 or self.height < 0:
-            raise ValueError("bounding box dimensions must be non-negative")
+        if not (self.width >= 0 and self.height >= 0):  # NaN fails both
+            raise ValueError("bounding box dimensions must be non-negative, not "
+                             f"{self.width!r} x {self.height!r}")
 
     def __getstate__(self) -> tuple[float, float, float, float]:
         # Explicit state hooks: default slot-state pickling restores via

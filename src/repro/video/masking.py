@@ -41,14 +41,6 @@ class Mask:
         """True if the mask removes nothing."""
         return len(self.regions) == 0
 
-    def masked_area(self) -> float:
-        """Total masked area, counting overlapping regions once approximately.
-
-        Regions produced from grid cells never overlap, so a simple sum is
-        exact for the masks this library generates.
-        """
-        return sum(region.area for region in self.regions)
-
     def covered_fraction(self, box: BoundingBox) -> float:
         """Fraction of ``box`` covered by masked regions (regions assumed disjoint)."""
         if box.area <= 0:

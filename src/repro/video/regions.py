@@ -109,6 +109,8 @@ def grid_region_scheme(frame_width: float, frame_height: float, rows: int, colum
     """
     checks.count("rows", rows, RegionError, 1)
     checks.count("columns", columns, RegionError, 1)
+    checks.real("frame_width", frame_width, RegionError, above=0)
+    checks.real("frame_height", frame_height, RegionError, above=0)
     cell_width = frame_width / columns
     cell_height = frame_height / rows
     regions: list[Region] = []

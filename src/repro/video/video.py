@@ -67,10 +67,6 @@ class FrameTruth:
     frame_index: int
     visible: tuple[VisibleObject, ...]
 
-    def of_category(self, category: str) -> tuple[VisibleObject, ...]:
-        """Visible objects of the given category."""
-        return tuple(obj for obj in self.visible if obj.category == category)
-
 
 @dataclass
 class FrameBatch:
@@ -294,30 +290,14 @@ class SyntheticVideo:
         entries can never be returned for it.  Computed lazily (full-day
         scenes hold tens of thousands of objects) and memoized until the
         footage is mutated.
-
-        Closure-valued dynamic attributes have no content-stable identity
-        (a callable hashes by qualified name, which two closures with
-        different captured state share), so scenes that carry any mix the
-        session-unique token into the digest: their cache entries stay
-        correct but are only shareable within one process — the same
-        limitation those scenes already have with the sharded engine.
-        Declarative :mod:`repro.scene.schedules` scenes (every bundled
-        scene) are fully content-addressed.
         """
         if self._content_fingerprint is None:
             from repro.core.cache import fingerprint
-            from repro.scene.schedules import AttributeSchedule
 
-            session_salt = 0
-            for scene_object in self.objects:
-                dynamic = getattr(scene_object, "dynamic_attributes", None) or {}
-                if any(callable(value) and not isinstance(value, AttributeSchedule)
-                       for value in dynamic.values()):
-                    session_salt = self._content_token
-                    break
+            # 0 fills a retired part's slot, so pinned digests and store keys hold.
             self._content_fingerprint = fingerprint(
                 self.name, self.fps, self.width, self.height, self.duration,
-                self.metadata, session_salt, tuple(self.objects))
+                self.metadata, 0, tuple(self.objects))
         return self._content_fingerprint
 
     def __getstate__(self) -> dict[str, Any]:

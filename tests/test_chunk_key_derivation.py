@@ -77,8 +77,6 @@ def oracle_key(runner, chunk, context) -> str:
     parts = [video.name, video.content_fingerprint(), video.fps, video.duration,
              chunk.index, (chunk.interval.start, chunk.interval.end),
              chunk.mask, chunk.region, chunk.sample_period]
-    if chunk.metadata:
-        parts.append(chunk.metadata)
     assert chunk_fingerprint(chunk) == fingerprint(*parts)
     return fingerprint(fingerprint(*parts), runner_fingerprint(runner),
                        context_fingerprint(context))
@@ -370,9 +368,6 @@ _CHUNK_STEPS = st.fixed_dictionaries({
     "mask": st.sampled_from([None, MASK]),
     "region": st.one_of(st.none(), st.integers(0, len(_WIDE_SCHEME.regions) - 1)),
     "sample_period": st.sampled_from([None, 1.0, 1, 0.5]),
-    "metadata": st.one_of(st.just({}), st.dictionaries(
-        st.sampled_from(["shift", "site"]), st.sampled_from(["day", 1, 2.5, None]),
-        min_size=1, max_size=2)),
     "runner": st.integers(0, 1),
 })
 _STEPS = st.lists(st.one_of(_CHUNK_STEPS, st.sampled_from(["add_objects", "every_region"])),
@@ -409,8 +404,7 @@ class TestHashStateKey:
             mask = {} if step["mask"] is None else {"mask": step["mask"]}
             chunk = Chunk(video=video, index=step["index"],
                           interval=TimeInterval(*sorted(step["ends"])), region=region,
-                          sample_period=step["sample_period"], metadata=step["metadata"],
-                          **mask)
+                          sample_period=step["sample_period"], **mask)
             runner = runners[step["runner"]]
             assert chunk_key(runner, chunk, context) == oracle_key(runner, chunk, context)
 
@@ -450,24 +444,6 @@ class TestHashStateKey:
         finally:
             sys.setswitchinterval(previous)
         assert results == {0: expected, 1: expected}
-        assert chunk_key(runner, chunk, context) == GOLDEN_KEY
-
-
-class TestChunkMetadata:
-    def test_non_empty_metadata_is_part_of_the_key(self):
-        runner, chunk, context = _golden_inputs()
-        day = replace(chunk, metadata={"shift": "day"})
-        night = replace(chunk, metadata={"shift": "night"})
-        keys = {chunk_key(runner, each, context) for each in (chunk, day, night)}
-        assert len(keys) == 3
-        for each in (day, night):
-            assert chunk_key(runner, each, context) == oracle_key(runner, each, context)
-
-    def test_empty_metadata_keeps_the_golden_bytes(self):
-        runner, chunk, context = _golden_inputs()
-        assert chunk_key(runner, replace(chunk, metadata={}), context) == GOLDEN_KEY
-        # ... also right after a metadata-carrying chunk of the same stream.
-        chunk_key(runner, replace(chunk, metadata={"shift": "day"}), context)
         assert chunk_key(runner, chunk, context) == GOLDEN_KEY
 
 

@@ -268,7 +268,6 @@ class TestSchedules:
         for timestamp in [0.0, 10.0, 74.999, 75.0, 100.0, 119.999, 120.0, 500.0]:
             expected = "RED" if (timestamp % cycle) < 75.0 else "GREEN"
             assert schedule.value_at(timestamp) == expected
-            assert schedule(timestamp) == expected  # closure-compat shim
 
     def test_values_at_matches_value_at(self):
         schedule = CyclicSchedule(phases=(("A", 1.5), ("B", 2.0), ("C", 0.5)))
@@ -294,9 +293,9 @@ class TestSchedules:
         assert lights
         assert lights[0].attributes_at(10.0)["light_state"] == "RED"
 
-    def test_closure_attributes_still_work(self):
+    def test_schedule_attributes_evaluate_alone_and_in_batch(self):
         scene_object = SceneObject(object_id="x", category="traffic_light")
-        scene_object.dynamic_attributes["state"] = lambda t: "ON" if t < 5 else "OFF"
+        scene_object.dynamic_attributes["state"] = periodic_two_state("ON", 5.0, "OFF", 5.0)
         assert scene_object.attributes_at(1.0)["state"] == "ON"
         series = scene_object.attribute_series(np.array([1.0, 9.0]))
         assert series == [("state", None, ["ON", "OFF"])]

@@ -7,7 +7,6 @@ from repro.core import (
     PrividSystem,
     SerialEngine,
     ShardedEngine,
-    ThreadPoolEngine,
     create_cache,
     create_engine,
 )
@@ -51,7 +50,7 @@ def _context(video) -> ExecutionContext:
 
 
 class TestEngines:
-    @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
+    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
     def test_parallel_engines_byte_identical_to_serial(self, spec):
         video = _walker_video()
         chunks = split_interval(video, ChunkSpec(window=TimeInterval(0, 600),
@@ -62,12 +61,13 @@ class TestEngines:
             parallel_rows = runner.run_chunks(chunks, context, engine=engine)
         assert repr(parallel_rows) == repr(serial_rows)
 
-    def test_single_chunk_short_circuits_pools(self):
+    def test_single_chunk_short_circuits_shards(self):
         video = _walker_video(num_walkers=1, duration=60.0)
         chunks = split_interval(video, ChunkSpec(window=TimeInterval(0, 60),
                                                  chunk_duration=60.0))
-        rows = _runner().run_chunks(chunks, _context(video),
-                                    engine=ThreadPoolEngine(max_workers=4))
+        with ShardedEngine(2) as engine:
+            rows = _runner().run_chunks(chunks, _context(video), engine=engine)
+            assert engine.dispatch_stats.dispatches == 0
         assert rows == _runner().run_chunks(chunks, _context(video))
 
     def test_system_level_results_engine_independent(self):
@@ -85,32 +85,29 @@ class TestEngines:
                  .select_count(table="t", bucket_seconds=120.0, epsilon=1.0)
                  .build())
         serial = build("serial").execute(query)
-        threaded = build("thread:4").execute(query)
-        with build("process:2") as system:
-            process = system.execute(query)
-        # Same seed, same pipeline: raw AND noisy values must match exactly.
-        for result in (threaded, process):
+        for spec in ("thread:2", "process:2"):
+            with build(spec) as system:
+                result = system.execute(query)
+            # Same seed, same pipeline: raw AND noisy values must match exactly.
             assert result.raw_series_unsafe() == serial.raw_series_unsafe()
             assert result.series() == serial.series()
 
     def test_create_engine_specs(self):
         assert isinstance(create_engine(None), SerialEngine)
         assert isinstance(create_engine("serial"), SerialEngine)
-        thread = create_engine("thread:8")
-        assert isinstance(thread, ThreadPoolEngine) and thread.max_workers == 8
-        # ``process`` is the older name of pipe shards.
-        process = create_engine("process:2")
-        assert isinstance(process, ShardedEngine) and process.num_shards == 2
-        assert process._transport_factories is None
-        assert create_engine("process").num_shards == create_engine("sharded").num_shards
+        # ``thread`` and ``process`` are older names of pipe shards.
+        for kind in ("thread", "process"):
+            engine = create_engine(f"{kind}:2")
+            assert isinstance(engine, ShardedEngine) and engine.num_shards == 2
+            assert engine._transport_factories is None
+            assert create_engine(kind).num_shards == create_engine("sharded").num_shards
+            for suffix in ("0", "lots", "tcp", "tcp:2"):
+                with pytest.raises(ValueError):
+                    create_engine(f"{kind}:{suffix}")
         engine = SerialEngine()
         assert create_engine(engine) is engine
         with pytest.raises(ValueError):
             create_engine("gpu")
-        with pytest.raises(ValueError):
-            create_engine("thread:0")
-        with pytest.raises(ValueError):
-            create_engine("thread:lots")
 
 
 class TestChunkResultCache:

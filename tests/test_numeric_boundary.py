@@ -43,8 +43,12 @@ from repro.errors import PolicyError, PrividError, QueryValidationError
 from repro.query.ast import SplitStatement
 from repro.relational.sensitivity import TableProperties
 from repro.scene.porto import PortoConfig
+from repro.scene.schedules import CyclicSchedule
+from repro.scene.simulator import CrossingPopulation, LingerPopulation, Route
 from repro.utils import checks
 from repro.utils.timebase import TimeInterval
+from repro.video.geometry import BoundingBox
+from repro.video.regions import grid_region_scheme
 
 from tests.conftest import make_simple_video
 
@@ -209,6 +213,22 @@ def test_a_category_miss_rate_is_a_probability(rate):
         DetectorConfig(category_miss_rates={"car": rate})
 
 
+_ROUTE = Route("r", BoundingBox(0.0, 300.0, 40.0, 40.0), BoundingBox(1200.0, 300.0, 40.0, 40.0))
+
+
+@pytest.mark.parametrize("box_size", [(NAN, 3.0), (3.0, INF), (0.0, 3.0), (3.0, -1.0),
+                                      (True, 3.0)])
+@pytest.mark.parametrize("population", [
+    partial(CrossingPopulation, "person", 20.0, (_ROUTE,)),
+    partial(LingerPopulation, "person", 3, BoundingBox(0.0, 0.0, 100.0, 100.0))],
+    ids=["crossing", "linger"])
+def test_a_population_box_size_is_finite_and_positive(population, box_size):
+    # A tuple of numbers, which the walk below does not probe; the linger
+    # population used to generate objects with NaN-wide boxes.
+    with pytest.raises(ValueError, match="box_size"):
+        population(box_size=box_size)
+
+
 # --------------------------------------------------------------- the surface
 
 #: A parameter of one of these annotations is a number to probe.
@@ -227,7 +247,7 @@ def _numeric(parameter: inspect.Parameter) -> "re.Match | None":
 VALID = {
     "rho": 2.0, "total_epsilon": 1.0, "epsilon": 0.5, "start": 0.0, "end": 10.0,
     "probability": 0.5, "after_seq": 3, "max_fires": 2, "delay": 0.01,
-    "max_workers": 2, "chunksize": 2, "in_flight_window": 4, "num_shards": 2,
+    "chunksize": 2, "in_flight_window": 4, "num_shards": 2,
     "heartbeat_timeout": 5.0, "startup_grace": 5.0, "task_timeout": 5.0,
     "alpha": 0.05, "actual_rho": 4.0, "bounded_rho": 2.0, "chunk_duration": 5.0,
     "default_sample_period": 0.5, "seconds": 1.0, "margin": 0.5, "sensitivity": 2.0,
@@ -236,6 +256,8 @@ VALID = {
     "kind": FaultKind.DELAY, "name": "cam", "camera": "cam",
     "video": make_simple_video(duration=60.0), "policy": PrivacyPolicy(rho=2.0),
     "requests": [BudgetRequest(TimeInterval(0.0, 10.0), 0.5)], "ratios": [0.5, 2.0],
+    "phases": (("RED", 75.0), ("GREEN", 45.0)), "x": 0.0, "y": 0.0, "width": 10.0,
+    "height": 10.0, "frame_width": 100.0, "frame_height": 100.0, "rows": 2, "columns": 2,
 }
 
 #: Methods and unexported configs a number enters through, beyond the
@@ -251,6 +273,9 @@ METHODS = {
         ledger=FrameBudgetLedger(total_epsilon=1.0)),
     "DetectorConfig": lambda: DetectorConfig,
     "PortoConfig": lambda: PortoConfig,
+    "CyclicSchedule": lambda: CyclicSchedule,
+    "BoundingBox": lambda: BoundingBox,
+    "grid_region_scheme": lambda: grid_region_scheme,
 }
 
 #: Exported callables with numeric parameters that are not probed.
@@ -273,6 +298,15 @@ ACCEPTED = {
     ("TimeInterval", "end", True): "as for start",
     ("LaplaceMechanism.add_noise", "value", None): "the value is the data being "
                                                    "released, not a parameter",
+    ("CyclicSchedule", "offset", -1.0): "an offset shifts the cycle either way",
+    ("BoundingBox", "x", None): "a box may lie partly off the frame, and one is built "
+                                "per detection: its corner is not checked",
+    ("BoundingBox", "y", None): "as for x",
+    ("BoundingBox", "width", INF): "a box keeps an inline non-negative test, no "
+                                   "finiteness or type test: one is built per detection",
+    ("BoundingBox", "width", True): "as for an infinite width",
+    ("BoundingBox", "height", INF): "as for width",
+    ("BoundingBox", "height", True): "as for width",
 }
 
 #: Bad values for a real parameter, and for a whole-number one.

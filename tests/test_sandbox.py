@@ -17,6 +17,7 @@ from repro.sandbox.executables import (
     TreeLeafClassifier,
 )
 from repro.sandbox.registry import ExecutableRegistry, default_registry
+from repro.scene.schedules import periodic_two_state
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import ChunkSpec, split_interval
 from repro.cv.detector import DetectorConfig
@@ -172,8 +173,7 @@ class TestExecutables:
         light = make_stationary_object("light", start=0, duration=600,
                                        box=BoundingBox(600, 40, 30, 70),
                                        category="traffic_light")
-        light.dynamic_attributes["light_state"] = \
-            lambda t: "RED" if (t % 100) < 60 else "GREEN"
+        light.dynamic_attributes["light_state"] = periodic_two_state("RED", 60.0, "GREEN", 40.0)
         video = make_simple_video(objects=[light])
         chunk = split_interval(video, ChunkSpec(window=TimeInterval(0, 600),
                                                 chunk_duration=600.0))[0]

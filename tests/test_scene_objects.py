@@ -12,6 +12,7 @@ from repro.scene.objects import (
     max_duration_of,
     objects_visible_at,
 )
+from repro.scene.schedules import periodic_two_state
 from repro.scene.simulator import CrossingPopulation, Route, SceneConfig, SceneSimulator
 from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory, WaypointTrajectory
 from repro.utils.timebase import TimeInterval
@@ -104,7 +105,7 @@ class TestSceneObject:
 
     def test_dynamic_attributes(self):
         obj = _object_with_segments([(0, 100)])
-        obj.dynamic_attributes["state"] = lambda t: "RED" if t < 50 else "GREEN"
+        obj.dynamic_attributes["state"] = periodic_two_state("RED", 50.0, "GREEN", 50.0)
         obj.attributes["kind"] = "light"
         assert obj.attributes_at(10) == {"kind": "light", "state": "RED"}
         assert obj.attributes_at(60)["state"] == "GREEN"

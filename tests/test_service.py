@@ -231,7 +231,7 @@ class TestQueryService:
 
     def test_concurrent_queries_charge_one_shared_ledger(self):
         video = _walker_video()
-        with QueryService(seed=5, engine="thread:4") as service:
+        with QueryService(seed=5, engine="sharded:2") as service:
             service.register_camera("cam", video,
                                     policy=PrivacyPolicy(rho=30.0, k_segments=1),
                                     epsilon_budget=2.0)
@@ -272,11 +272,11 @@ class TestQueryService:
         video = _walker_video()
         query = _count_query(bucket=120.0)
         results = {}
-        for label, engine in (("serial", None), ("thread", "thread:4")):
+        for label, engine in (("serial", None), ("sharded", "sharded:2")):
             with self._service(video, engine=engine) as service:
                 results[label] = service.execute(query)
-        assert repr(results["thread"].series()) == repr(results["serial"].series())
-        assert repr(results["thread"].raw_series_unsafe()) \
+        assert repr(results["sharded"].series()) == repr(results["serial"].series())
+        assert repr(results["sharded"].raw_series_unsafe()) \
             == repr(results["serial"].raw_series_unsafe())
 
     def test_noise_streams_are_per_query_and_deterministic(self):
@@ -318,7 +318,7 @@ class TestQueryService:
 
     def test_view_owns_nothing_and_sees_later_registrations(self):
         video = _walker_video()
-        service = self._service(video, engine="thread:2")
+        service = self._service(video, engine="sharded:2")
         shutdowns = []
         shutdown = service.engine.shutdown
 
@@ -358,11 +358,11 @@ class TestQueryService:
 
     def test_stats_shape_is_one_merged_snapshot(self):
         video = _walker_video()
-        with self._service(video, engine="thread:2", cache="memory") as service:
+        with self._service(video, engine="sharded:2", cache="memory") as service:
             service.execute(_count_query(bucket=120.0), charge_budget=False)
             stats = service.stats()
         assert set(stats) == {"queries", "engine", "cache", "budgets", "ledger"}
-        assert stats["engine"]["engine"] == "thread"
+        assert stats["engine"]["engine"] == "sharded"
         assert stats["budgets"]["cam"]["total_epsilon"] == 100.0
         assert stats["queries"]["completed"] == 1
         assert stats["ledger"]["admitted"] == 0    # charge_budget=False run

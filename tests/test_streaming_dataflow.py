@@ -10,8 +10,6 @@ exactly, across engines and across cache tiers (memory / disk / tiered).
 
 import json
 import pickle
-import threading
-import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -23,7 +21,6 @@ from repro.core import (
     PrividSystem,
     SerialEngine,
     ShardedEngine,
-    ThreadPoolEngine,
     TieredChunkCache,
     create_cache,
     create_engine,
@@ -35,6 +32,8 @@ from repro.query.builder import QueryBuilder
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
 from repro.relational.table import ColumnSpec, DataType, Schema
+from repro.scene.objects import SceneObject
+from repro.scene.schedules import periodic_two_state
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import Chunk, ChunkSpec, count_chunks, iter_chunks, split_interval
 from repro.video.geometry import BoundingBox
@@ -61,31 +60,6 @@ _SPLIT_MASK = Mask("corner", (BoundingBox(0.0, 0.0, 200.0, 150.0),))
 def _runner() -> SandboxRunner:
     return SandboxRunner(EnteringObjectCounter(category="person"), PERSON_SCHEMA,
                          max_rows=5, timeout_seconds=5.0)
-
-
-class _CountingRunner:
-    """Stands in for a ``SandboxRunner``: each chunk is an int returned as its
-    own outcome after a short sleep, counting the chunks still running."""
-
-    def __init__(self, fail_at: int | None = None):
-        self.fail_at = fail_at
-        self.lock = threading.Lock()
-        self.started = self.finished = self.running = 0
-
-    def run_chunk_outcome(self, chunk, context, thread_clock=False):
-        with self.lock:
-            self.started += 1
-            self.running += 1
-        try:
-            if chunk:
-                time.sleep(0.05)
-            if chunk == self.fail_at:
-                raise RuntimeError(f"chunk {chunk} failed")
-            return chunk
-        finally:
-            with self.lock:
-                self.running -= 1
-                self.finished += 1
 
 
 def _context(video) -> ExecutionContext:
@@ -184,17 +158,14 @@ class TestLazyChunking:
             assert pickle.dumps(got) == pickle.dumps(want)
             assert got.interval == want.interval and hash(got.interval) == hash(want.interval)
             assert pickle.dumps(got.interval) == pickle.dumps(want.interval)
-        # Frozen as ever, and no two chunks share a metadata dict.
-        assert len({id(chunk.metadata) for chunk in built}) == len(built)
+        # Frozen as ever.
         for chunk in built[:1]:
             with pytest.raises(FrozenInstanceError):
                 chunk.mask = EMPTY_MASK
 
 
 class TestStreamingEngines:
-    @pytest.mark.parametrize("engine", [SerialEngine(),
-                                        ThreadPoolEngine(max_workers=4),
-                                        ShardedEngine(2, chunksize=3)])
+    @pytest.mark.parametrize("engine", [SerialEngine(), ShardedEngine(2, chunksize=3)])
     def test_imap_streamed_equals_batch(self, engine):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
@@ -209,8 +180,8 @@ class TestStreamingEngines:
             shutdown()
 
     @pytest.mark.parametrize("engine,window", [
-        (ThreadPoolEngine(max_workers=2), 4),
-        (ThreadPoolEngine(max_workers=2, in_flight_window=3), 3),
+        (ShardedEngine(2, chunksize=1), 4),  # 2 x shards x batch
+        (ShardedEngine(2, chunksize=1, in_flight_window=3), 3),
     ])
     def test_in_flight_window_bounds_materialized_chunks(self, engine, window):
         video = _walker_video(num_walkers=3)
@@ -232,47 +203,27 @@ class TestStreamingEngines:
         assert state["peak"] <= window, \
             f"materialized {state['peak']} chunks, window is {window}"
 
-    def test_context_manager_shuts_down_pool(self):
-        engine = ThreadPoolEngine(max_workers=2)
+    def test_context_manager_shuts_down_shards(self):
+        engine = ShardedEngine(2)
         video = _walker_video(num_walkers=2)
         spec = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=60.0)
         with engine as entered:
             assert entered is engine
             list(entered.imap_chunks(_runner(), iter_chunks(video, spec), _context(video)))
-            assert engine._pool is not None
-        assert engine._pool is None
+            assert engine._shards
+        assert engine._shards == {}
 
     def test_empty_and_single_chunk_streams(self):
         video = _walker_video(num_walkers=1, duration=60.0)
         runner, context = _runner(), _context(video)
-        with ThreadPoolEngine(max_workers=2) as engine:
+        with ShardedEngine(2) as engine:
             assert list(engine.imap_chunks(runner, iter(()), context)) == []
             single = iter_chunks(video, ChunkSpec(window=TimeInterval(0, 60),
                                                   chunk_duration=60.0))
             outcomes = list(engine.imap_chunks(runner, single, context))
             assert len(outcomes) == 1
-            # A single-chunk stream never needed the pool.
-            assert engine._pool is None
-
-    def test_an_early_close_waits_out_running_chunks(self):
-        runner = _CountingRunner()
-        with ThreadPoolEngine(max_workers=2) as engine:
-            stream = engine.imap_chunks(runner, iter(range(20)), None)
-            assert next(stream) == 0
-            stream.close()
-            # The window (2 x workers) was submitted; every one of those
-            # chunks finished before close() returned, none still runs.
-            assert (runner.started, runner.finished, runner.running) == (4, 4, 0)
-
-    def test_a_failed_chunk_waits_out_the_rest(self):
-        runner = _CountingRunner(fail_at=2)
-        yielded = []
-        with ThreadPoolEngine(max_workers=2) as engine:
-            with pytest.raises(RuntimeError, match="chunk 2"):
-                for outcome in engine.imap_chunks(runner, iter(range(20)), None):
-                    yielded.append(outcome)
-            assert yielded == [0, 1]
-            assert runner.running == 0 and runner.started == runner.finished
+            # A single-chunk stream never needed a shard.
+            assert engine._shards == {}
 
 
 class TestStreamedSystemParity:
@@ -285,8 +236,7 @@ class TestStreamedSystemParity:
             .remaining_over(TimeInterval(0, 600))
         assert reference_remaining < 100.0  # the query genuinely charged
         configs = [
-            ("thread", ThreadPoolEngine(max_workers=4), None),
-            ("process", "process:2", None),
+            ("sharded", "sharded:2", None),
             ("memory-cache", None, "memory"),
             ("tiered-cold", None, f"tiered:{tmp_path / 'store'}"),
             ("tiered-warm", None, f"tiered:{tmp_path / 'store'}"),
@@ -388,19 +338,23 @@ class TestTieredStore:
             assert store.get(key) is None, text
             assert not path.exists(), text
 
-    def test_closure_attribute_footage_never_collides(self, tmp_path):
-        # Closure-valued dynamic attributes hash by qualified name, so two
-        # closures with different captured state would be content-equal; such
-        # footage mixes the session token into its fingerprint (cache stays
-        # correct, sharing limited to one process — like the process engine).
+    def test_a_callable_dynamic_attribute_is_refused(self):
+        # A closure hashes by qualified name, so two closures with different
+        # captured state would fingerprint alike; only schedules are taken.
+        walker = make_crossing_object("w0", start=20.0, duration=35.0)
+        with pytest.raises(TypeError, match="'light' of 'w0'"):
+            SceneObject(walker.object_id, walker.category, walker.appearances,
+                        dynamic_attributes={"light": lambda t: int(t // 5.0) % 2})
+
+        # Schedules are content-addressed: equal content, equal key.
         def make_video(period):
-            walker = make_crossing_object("w0", start=20.0, duration=35.0)
-            walker.dynamic_attributes = {"light": lambda t: int(t // period) % 2}
-            return make_simple_video(duration=120.0, objects=[walker])
+            return make_simple_video(duration=120.0, objects=[SceneObject(
+                "w0", walker.category, walker.appearances,
+                dynamic_attributes={"light": periodic_two_state(1, period, 0, period)})])
 
         fast, slow = make_video(5.0), make_video(60.0)
         assert fast.content_fingerprint() != slow.content_fingerprint()
-        # Declarative scenes stay content-addressed: equal content, equal key.
+        assert make_video(5.0).content_fingerprint() == fast.content_fingerprint()
         a, b = _walker_video(), _walker_video()
         assert a.content_fingerprint() == b.content_fingerprint()
 
@@ -556,26 +510,26 @@ class TestHitClassification:
 
 class TestSystemLifecycle:
     def test_close_shuts_down_spec_string_engine(self):
-        system = _build_system(_walker_video(num_walkers=2), engine="thread:2")
+        system = _build_system(_walker_video(num_walkers=2), engine="sharded:2")
         system.execute(_count_query(), charge_budget=False)
-        assert system.engine._pool is not None
+        assert system.engine._shards
         system.close()
-        assert system.engine._pool is None
+        assert system.engine._shards == {}
 
     def test_close_leaves_caller_owned_engine_running(self):
-        engine = ThreadPoolEngine(max_workers=2)
+        engine = ShardedEngine(2)
         try:
             system = _build_system(_walker_video(num_walkers=2), engine=engine)
             system.execute(_count_query(), charge_budget=False)
             system.close()
-            assert engine._pool is not None  # shared property, not ours to kill
+            assert engine._shards  # shared property, not ours to kill
         finally:
             engine.shutdown()
 
     def test_system_context_manager(self):
-        with _build_system(_walker_video(num_walkers=2), engine="thread:2") as system:
+        with _build_system(_walker_video(num_walkers=2), engine="sharded:2") as system:
             system.execute(_count_query(), charge_budget=False)
-        assert system.engine._pool is None
+        assert system.engine._shards == {}
 
 
 class TestLongWindowStreaming:
@@ -600,7 +554,7 @@ class TestLongWindowStreaming:
                                     state["pulled"] - state["consumed"])
                 yield chunk
 
-        with ThreadPoolEngine(max_workers=2) as engine:
+        with ShardedEngine(2, chunksize=1) as engine:
             for _ in engine.imap_chunks(runner, instrumented(), context):
                 state["consumed"] += 1
         assert state["pulled"] == 600

@@ -21,6 +21,7 @@ from functools import partial
 import pytest
 
 from repro.core import PrividSystem, SerialEngine, ShardedEngine, create_engine
+from repro.core import remote
 from repro.core.resilience import RetryPolicy
 from repro.core.remote import (
     TcpTransport,
@@ -124,6 +125,35 @@ class _ScriptedServer:
     def join(self):
         self._thread.join(timeout=5.0)
         self._server.close()
+
+
+def _nodelay(sock: socket.socket) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+class TestNoDelay:
+    """Task and result frames are small and each waits for its answer, so
+    both ends turn Nagle's algorithm off: with it on, every exchange waits
+    out the peer's delayed ACK."""
+
+    def test_the_coordinator_socket_sends_at_once(self):
+        server = _ScriptedServer([])
+        transport = TcpTransport("127.0.0.1", server.port)
+        try:
+            assert _nodelay(transport._sock)
+        finally:
+            transport.kill()
+            server.join()
+
+    def test_every_daemon_connection_sends_at_once(self, monkeypatch):
+        seen = []
+        with socket.create_server(("127.0.0.1", 0)) as server, \
+                socket.create_connection(server.getsockname()) as client:
+            connection, _ = server.accept()
+            monkeypatch.setattr(remote, "serve",
+                                lambda rfile, wfile, tasks: seen.append(_nodelay(connection)))
+            remote._serve_connection(connection)
+            assert seen == [True] and not _nodelay(client)  # the default is off
 
 
 class TestTcpFraming:
