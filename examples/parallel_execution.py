@@ -9,7 +9,7 @@ independent of the query window length.  This example shows the two knobs a
 deployment tunes for throughput:
 
 1. the *execution engine* — serial (default) or worker subprocesses
-   (``sharded:N``, N pipe shards) — selected per :class:`~repro.core.PrividSystem` (engines are context
+   (``sharded:N``, N local shards) — selected per :class:`~repro.core.PrividSystem` (engines are context
    managers, and a system built from a spec string shuts its own engine
    down on ``close()``);
 2. the *chunk result store* — in-process LRU (``cache="memory"``), shared

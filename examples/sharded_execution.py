@@ -4,7 +4,7 @@ Privid chunks are independent units of work, so the engine seam (see
 ``examples/parallel_execution.py``) admits a *distributed* executor: ``PrividSystem(engine="sharded:N")`` runs a
 coordinator that partitions each query's chunk stream across N executor
 shard subprocesses — each speaking a small length-prefixed JSON protocol
-over a pipe, the single-host stand-in for a remote host — and merges
+over its own socketpair, the single-host stand-in for a remote host — and merges
 ordered results back, byte-identical to the serial engine.  This example
 shows:
 

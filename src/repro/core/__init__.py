@@ -41,8 +41,7 @@ _EXPORTS = {
     "SerialEngine": "repro.core.engine",
     "ShardedEngine": "repro.core.remote",
     "ShardTransport": "repro.core.remote",
-    "PipeTransport": "repro.core.remote",
-    "TcpTransport": "repro.core.remote",
+    "SocketTransport": "repro.core.remote",
     "create_engine": "repro.core.engine",
     "detection_probability_bound": "repro.core.degradation",
     "effective_epsilon": "repro.core.degradation",

@@ -245,8 +245,8 @@ class _BroadcastPublisher:
     nothing.  A ref is a fresh uuid per publication, so a worker-cached ref
     cannot name other bytes.
 
-    The carrier follows the transport: same-host workers attach a named
-    shared-memory segment; TCP daemons (possibly remote) read a file, as
+    The carrier follows the slot kind: local shards attach a named
+    shared-memory segment; dialed daemons (possibly remote) read a file, as
     does anyone when a segment could not be created.
 
     The publisher owns every name.  A stream pins what it is handed until it
@@ -504,18 +504,18 @@ def _make_sharded(workers: int | str | None) -> ExecutionEngine:
     return sharded_engine_from_spec(workers)
 
 
-def _make_pipe_shards(kind: str) -> Callable[[int | str | None], ExecutionEngine]:
-    """``kind[:N]``, an older name of ``sharded[:N]`` that takes no transport."""
+def _make_local_shards(kind: str) -> Callable[[int | str | None], ExecutionEngine]:
+    """``kind[:N]``, an older name of ``sharded[:N]`` that takes no address."""
     return lambda workers: _make_sharded(_int_worker_count(kind, workers))
 
 
 #: Spec kind -> factory of the ``:N`` suffix (an int, the raw string when it
-#: is not one, or None when absent).  ``thread`` and ``process`` name pipe
+#: is not one, or None when absent).  ``thread`` and ``process`` name local
 #: shards.
 _ENGINE_FACTORIES: dict[str, Callable[[int | str | None], ExecutionEngine]] = {
     "serial": _make_serial,
-    "thread": _make_pipe_shards("thread"),
-    "process": _make_pipe_shards("process"),
+    "thread": _make_local_shards("thread"),
+    "process": _make_local_shards("process"),
     "sharded": _make_sharded,
 }
 
@@ -523,14 +523,15 @@ _ENGINE_FACTORIES: dict[str, Callable[[int | str | None], ExecutionEngine]] = {
 def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
     """Build an engine from a spec string (``serial``, ``thread[:N]``,
     ``process[:N]``, ``sharded[:N]``, ``sharded:tcp[:N]`` or
-    ``sharded:HOST:PORT[,HOST:PORT...]``).
+    ``sharded:HOST:PORT[,HOST:PORT...]``; all but the last name local
+    shards).
 
     Passing an engine instance returns it unchanged; ``None`` or an empty
     string yields the default :class:`SerialEngine`.  The optional ``:N``
     suffix fixes the shard count (e.g. ``sharded:4``); ``process[:N]`` and
     ``thread[:N]`` are ``sharded[:N]`` under older names.
     A non-integer suffix is handed to the kind's factory verbatim, which is
-    how the sharded engine's TCP transport specs ride the same seam.  This
+    how the sharded engine's daemon addresses ride the same seam.  This
     is the value of the ``engine=`` argument of ``PrividSystem`` and of the
     ``PRIVID_ENGINE`` benchmark knob.
     """

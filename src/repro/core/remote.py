@@ -12,22 +12,21 @@ contract makes chunk results order- and placement-independent; see
 
 Each shard speaks a small length-prefixed JSON protocol over a
 :class:`ShardTransport` — the byte-stream seam between the coordinator and
-one executor worker.  Two transports ship:
+one executor worker.  One transport ships, :class:`SocketTransport`, over a
+connected stream socket, and there are two ways to get one:
 
-* :class:`PipeTransport` — a subprocess running this module's worker
-  entrypoint (``python -m repro.core.remote``), framed over its stdin/stdout
-  pipes.  The single-host default: shards live and die with the coordinator.
-* :class:`TcpTransport` — a socket connection to a shard *daemon*
+* **local shards** (``sharded[:N]``; ``process``, ``thread`` and
+  ``sharded:tcp`` are older names) — :meth:`SocketTransport.spawn` makes a
+  ``socketpair()`` and starts this module's worker
+  (``python -m repro.core.remote --fd N``) on the child end.  Shards live
+  and die with the coordinator, and no port is ever opened.
+* **dialed daemons** (``sharded:HOST:PORT,...``) —
+  :meth:`SocketTransport.dial` connects to a shard daemon
   (``python -m repro.core.remote --listen HOST:PORT``), so shards genuinely
-  live on other hosts.  ``ShardedEngine.connect(["hostA:9101", ...])`` (spec
-  string ``sharded:hostA:9101,hostB:9101``) attaches to already-running
-  daemons; ``ShardedEngine.local_tcp(N)`` (spec ``sharded:tcp[:N]``) spawns
-  N localhost daemons and connects to them — the same wire path as a real
-  multi-host deployment, self-contained enough for tests and CI.
+  live on other hosts.
 
-The protocol is byte-oriented and JSON-typed precisely so the two transports
-are interchangeable: neither endpoint can tell pipes from sockets, and every
-frame format below is identical on both.
+Both ends run the same :func:`serve` loop over the same frames; neither can
+tell which way its socket was made.
 
 Wire protocol
 =============
@@ -56,7 +55,7 @@ Coordinator -> shard:
 ``{"type": "ping", "token": T}``
     Heartbeat probe; the shard echoes the token back as a ``pong``.
 ``{"type": "shutdown"}``
-    Exit the worker loop (EOF on stdin has the same effect).
+    Exit the worker loop (EOF on the socket has the same effect).
 
 Shard -> coordinator:
 
@@ -225,16 +224,20 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-#: Command line of a worker process.  -c rather than -m: runpy would run
-#: this module as ``__main__``, and anything that later imports
-#: ``repro.core.remote`` by name would load a second copy.  Extra arguments
-#: are forwarded to :func:`main`.
-_WORKER_COMMAND = [sys.executable, "-c",
-                   "from repro.core.remote import main; main()"]
+def _worker_command(fd: int) -> list[str]:
+    """Command line of a local worker serving the socket on inherited ``fd``.
 
-#: Default dial schedule of :class:`TcpTransport`: three attempts spanning
-#: roughly a third of a second — enough to bridge a daemon restart without
-#: stalling a genuinely-dead endpoint for long (the per-address circuit
+    -c rather than -m: runpy would run this module as ``__main__``, and
+    anything that later imports ``repro.core.remote`` by name would load a
+    second copy.
+    """
+    return [sys.executable, "-c", "from repro.core.remote import main; main()",
+            "--fd", str(fd)]
+
+
+#: Default dial schedule of :meth:`SocketTransport.dial`: three attempts
+#: spanning roughly a third of a second — enough to bridge a daemon restart
+#: without stalling a genuinely-dead endpoint for long (the per-slot circuit
 #: breaker takes over across stream starts).
 DIAL_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.1,
                                 multiplier=2.0, max_delay=1.0, jitter=0.25)
@@ -250,8 +253,8 @@ class ShardTransport(Protocol):
     transport-agnostic.  ``read`` blocks until a frame arrives and returns
     None on a clean or torn EOF (worker exit, socket disconnect); ``write``
     raises :class:`OSError` when the far end is gone.  ``process`` is the
-    worker subprocess when this transport owns one (pipe workers, locally
-    spawned TCP daemons) and None for a connection to a foreign daemon.
+    worker subprocess when this transport owns one (a local shard) and None
+    for a connection to a daemon.
     """
 
     description: str
@@ -278,116 +281,60 @@ class ShardTransport(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class PipeTransport:
-    """A shard worker subprocess framed over its stdin/stdout pipes.
+class SocketTransport:
+    """A shard worker at the far end of one connected stream socket.
 
-    The original (and default) transport: the worker runs this module's
-    pipe-mode entrypoint, lives exactly as long as the coordinator wants it
-    to, and is killed outright when declared dead.  Behaviour-preserving
-    with respect to the pre-seam engine: same command line, same
-    environment, same shutdown escalation.
+    :meth:`spawn` starts a local worker over a ``socketpair()`` and owns its
+    process; :meth:`dial` connects to a shard daemon, which several
+    coordinators may share and which outlives any one connection.  Socket
+    errors on read surface as EOF, so a vanished worker and a vanished
+    daemon reach the layers above through the same death path.  ``kill``
+    severs the connection and, for a local worker, kills and reaps it.
     """
 
-    def __init__(self) -> None:
-        self.process: subprocess.Popen = subprocess.Popen(
-            _WORKER_COMMAND, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            env=_worker_env())
-        self.description = f"pipe:pid={self.process.pid}"
-
-    def read(self) -> dict[str, Any] | None:
-        stream = self.process.stdout
-        assert stream is not None
-        return read_frame(stream)
-
-    def write(self, message: dict[str, Any]) -> int:
-        stdin = self.process.stdin
-        assert stdin is not None
-        try:
-            return write_frame(stdin, message)
-        except ValueError:
-            if stdin.closed:  # by kill(): to the caller, a dead worker's pipe
-                raise OSError("transport is closed") from None
-            raise
-
-    def is_alive(self) -> bool:
-        return self.process.poll() is None
-
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except OSError:
-            pass
-        _close_pipes(self.process)
-
-    def close(self, timeout: float = 5.0) -> None:
-        try:
-            self.write({"type": "shutdown"})
-        except (OSError, ValueError):
-            pass
-        try:
-            self.process.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait()
-        _close_pipes(self.process)
-
-
-def _close_pipes(process: subprocess.Popen) -> None:
-    """Close our ends of ``process``'s pipes, once it is exiting: closing
-    stdout waits out a reader thread's read, which only the exit's EOF ends."""
-    for pipe in (process.stdin, process.stdout):
-        if pipe is not None:
-            try:
-                pipe.close()
-            except OSError:
-                pass  # the flush of a write the dead process never read
-
-
-class TcpTransport:
-    """A socket connection to a shard daemon (``--listen`` mode).
-
-    The multi-host transport: the daemon may be on any reachable host, and
-    several coordinators may hold connections to it at once (it serves each
-    connection independently).  ``kill`` severs this connection — which the
-    daemon survives, unless this transport spawned it locally and therefore
-    owns the process.  Socket errors on read surface as EOF, so a vanished
-    daemon looks exactly like an exited pipe worker to the layers above.
-
-    Dialing retries with bounded exponential backoff (``retry``, default
-    :data:`DIAL_RETRY_POLICY`): a daemon mid-restart refuses connections for
-    a moment, and a single-attempt dial would misread that as permanently
-    unreachable.  Pass ``RetryPolicy(max_attempts=1)`` to dial exactly once.
-    """
-
-    def __init__(self, host: str, port: int, *, connect_timeout: float = 10.0,
-                 process: subprocess.Popen | None = None,
-                 retry: RetryPolicy | None = None) -> None:
-        self.host = host
-        self.port = port
+    def __init__(self, sock: socket.socket, description: str,
+                 process: subprocess.Popen | None = None) -> None:
+        self.description = description
         self.process = process
-        self.description = f"tcp://{host}:{port}"
+        self._sock = sock
         self._closed = False
-        policy = retry if retry is not None else DIAL_RETRY_POLICY
+        self._rfile: BinaryIO = sock.makefile("rb")
+        self._wfile: BinaryIO = sock.makefile("wb")
+
+    @classmethod
+    def spawn(cls) -> "SocketTransport":
+        """Start a local worker on the child end of a fresh socketpair."""
+        ours, theirs = socket.socketpair()
         try:
-            self._sock = policy.call(
-                lambda: socket.create_connection((host, port),
-                                                 timeout=connect_timeout),
-                retry_on=(OSError,), token=f"{host}:{port}")
-        except OSError:
-            # A connection that never opened must not leave a daemon this
-            # factory already spawned running forever.
-            if process is not None:
-                try:
-                    process.kill()
-                except OSError:
-                    pass
+            process = subprocess.Popen(
+                _worker_command(theirs.fileno()), pass_fds=(theirs.fileno(),),
+                stdin=subprocess.DEVNULL, env=_worker_env())
+        except BaseException:
+            ours.close()
             raise
-        self._sock.settimeout(None)
+        finally:
+            theirs.close()  # the worker's now: its exit must read as our EOF
+        return cls(ours, f"local:pid={process.pid}", process)
+
+    @classmethod
+    def dial(cls, host: str, port: int, *, connect_timeout: float = 10.0,
+             retry: RetryPolicy | None = None) -> "SocketTransport":
+        """Connect to the shard daemon at ``host:port``.
+
+        Dialing retries with bounded exponential backoff (``retry``, default
+        :data:`DIAL_RETRY_POLICY`): a daemon mid-restart refuses connections
+        for a moment, and a single-attempt dial would misread that as
+        permanently unreachable.  ``RetryPolicy(max_attempts=1)`` dials once.
+        """
+        policy = retry if retry is not None else DIAL_RETRY_POLICY
+        sock = policy.call(
+            lambda: socket.create_connection((host, port), timeout=connect_timeout),
+            retry_on=(OSError,), token=f"{host}:{port}")
+        sock.settimeout(None)
         # Frames are small and each waits for its answer: Nagle's algorithm
         # would hold every one behind the peer's delayed ACK.
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile: BinaryIO = self._sock.makefile("rb")
-        self._wfile: BinaryIO = self._sock.makefile("wb")
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock, f"tcp://{host}:{port}")
 
     def read(self) -> dict[str, Any] | None:
         try:
@@ -398,20 +345,23 @@ class TcpTransport:
             return None
 
     def write(self, message: dict[str, Any]) -> int:
-        if self._closed:
-            raise OSError("transport is closed")
-        return write_frame(self._wfile, message)
+        try:
+            return write_frame(self._wfile, message)
+        except ValueError:
+            if self._closed:  # to the caller, a killed transport is a dead one
+                raise OSError("transport is closed") from None
+            raise
 
     def is_alive(self) -> bool:
-        if self._closed:
-            return False
-        if self.process is not None and self.process.poll() is not None:
-            return False
-        return True
+        return not self._closed and (self.process is None
+                                     or self.process.poll() is None)
 
     def _teardown(self) -> None:
         self._closed = True
-        for close in (self._wfile.close, self._rfile.close, self._sock.close):
+        # Shut down first: it ends a reader thread's blocked recv, which
+        # closing the buffered reader would otherwise wait out.
+        for close in (lambda: self._sock.shutdown(socket.SHUT_RDWR),
+                      self._wfile.close, self._rfile.close, self._sock.close):
             try:
                 close()
             except OSError:
@@ -424,27 +374,24 @@ class TcpTransport:
                 self.process.kill()
             except OSError:
                 pass
-            _close_pipes(self.process)
+            self.process.wait()
 
     def close(self, timeout: float = 5.0) -> None:
         try:
             self.write({"type": "shutdown"})
         except (OSError, ValueError):
             pass
-        self._teardown()
         if self.process is not None:
-            # Ours, so it dies with us: SIGTERM drains and exits.
-            self.process.terminate()
             try:
                 self.process.wait(timeout=timeout)
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
-            _close_pipes(self.process)
+        self._teardown()
 
 
-#: Marker line a daemon prints on stdout once its listening socket is bound;
-#: the local-TCP factory parses the host and port off it (port 0 requests).
+#: Line a daemon prints on stdout once its listening socket is bound, with
+#: the bound host and port (port 0 requests an ephemeral one).
 _LISTENING_MARKER = "PRIVID-SHARD-LISTENING"
 
 
@@ -471,30 +418,6 @@ def parse_address(text: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise ValueError(f"port out of range in shard address {text!r}")
     return host or "0.0.0.0", port
-
-
-def spawn_local_daemon(host: str = "127.0.0.1") -> TcpTransport:
-    """Spawn a shard daemon on an ephemeral localhost port and connect to it.
-
-    The transport of ``sharded:tcp[:N]``: every byte crosses a real socket
-    (exercising the exact multi-host wire path) while lifecycle stays as
-    self-contained as the pipe transport — the daemon is owned by the
-    returned transport and dies with it.
-    """
-    address = f"[{host}]:0" if ":" in host else f"{host}:0"
-    process = subprocess.Popen(_WORKER_COMMAND + ["--listen", address],
-                               stdout=subprocess.PIPE, env=_worker_env())
-    assert process.stdout is not None
-    line = process.stdout.readline().decode("utf-8", "replace").split()
-    if len(line) != 3 or line[0] != _LISTENING_MARKER:
-        try:
-            process.kill()
-        except OSError:
-            pass
-        _close_pipes(process)
-        raise RemoteShardError(
-            "shard daemon failed to start (no listening announcement)")
-    return TcpTransport(line[1], int(line[2]), process=process)
 
 
 # --------------------------------------------------------------- shard worker
@@ -551,7 +474,7 @@ def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[st
             "stages": stages}
 
 
-def serve(stdin: BinaryIO, stdout: BinaryIO,
+def serve(rfile: BinaryIO, wfile: BinaryIO,
           tasks: "queue.Queue[dict[str, Any] | None] | None" = None) -> None:
     """The shard worker loop: read frames, execute tasks, write frames.
 
@@ -577,7 +500,7 @@ def serve(stdin: BinaryIO, stdout: BinaryIO,
 
     def send(message: dict[str, Any]) -> None:
         with write_lock:
-            write_frame(stdout, message)
+            write_frame(wfile, message)
 
     def execute_loop() -> None:
         while True:
@@ -597,7 +520,7 @@ def serve(stdin: BinaryIO, stdout: BinaryIO,
                     # The reply itself could not be serialized or written
                     # (e.g. a result frame over MAX_FRAME_BYTES).  Report it
                     # as a task error so the coordinator can retry/fail the
-                    # seq; if even that fails the pipe is gone — exit so the
+                    # seq; if even that fails the socket is gone — exit so the
                     # coordinator sees EOF and reassigns, rather than hanging
                     # behind a read loop that keeps answering pings.
                     try:
@@ -615,7 +538,7 @@ def serve(stdin: BinaryIO, stdout: BinaryIO,
     executor.start()
     try:
         while True:
-            message = read_frame(stdin)
+            message = read_frame(rfile)
             if message is None:
                 return
             kind = message.get("type")
@@ -648,8 +571,10 @@ def serve(stdin: BinaryIO, stdout: BinaryIO,
 def _serve_connection(connection: socket.socket,
                       tasks: "queue.Queue[dict[str, Any] | None] | None" = None,
                       ) -> None:
-    """Serve one coordinator connection of a TCP daemon until it ends."""
-    connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as TcpTransport
+    """Serve one coordinator connection until it ends (a daemon's or a local
+    worker's socket)."""
+    if connection.family != socket.AF_UNIX:  # as SocketTransport.dial
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     rfile = connection.makefile("rb")
     wfile = connection.makefile("wb")
     try:
@@ -707,6 +632,9 @@ def listen(address: str) -> None:
         pass
 
     print(f"{_LISTENING_MARKER} {bound[0]} {bound[1]}", flush=True)
+    # Whoever read the announcement may never read stdout again: an
+    # executable that prints must not fill that pipe and block for ever.
+    _stdout_to_stderr()
     try:
         while True:
             try:
@@ -742,31 +670,40 @@ def listen(address: str) -> None:
                 thread.join(timeout=5.0)
 
 
+def _stdout_to_stderr() -> None:
+    """Point fd 1 (and ``sys.stdout``) at stderr: what a shard's executables
+    print must reach neither the coordinator's stdout nor a pipe nobody reads."""
+    sys.stdout.flush()
+    os.dup2(2, 1)
+    sys.stdout = sys.stderr
+
+
 def main(argv: list[str] | None = None) -> None:
     """Entrypoint of ``python -m repro.core.remote`` (one shard worker).
 
-    Without arguments, runs the pipe-mode worker: the protocol owns fd 1, so
-    the original stdout is duplicated for frames and fd 1 is redirected to
-    stderr — an executable that prints can never corrupt the frame stream.
-    With ``--listen HOST:PORT``, runs the TCP daemon instead (socket frames
-    need no fd juggling; prints go to the daemon's own stdout/stderr).
+    ``--fd N`` serves the coordinator over the connected socket inherited
+    as fd N (a local shard, started by :meth:`SocketTransport.spawn`);
+    ``--listen HOST:PORT`` runs the daemon that :meth:`SocketTransport.dial`
+    connects to.  Either way fd 1 ends up pointing at stderr.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.core.remote",
-        description="Privid executor shard worker (pipe mode) or daemon "
-                    "(--listen mode).")
-    parser.add_argument("--listen", metavar="HOST:PORT", default=None,
-                        help="run as a TCP shard daemon bound to HOST:PORT "
-                             "(port 0 picks an ephemeral port, announced on "
-                             "stdout) instead of a stdin/stdout pipe worker")
+        description="Privid executor shard: a local worker (--fd) or a TCP "
+                    "daemon (--listen).")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--fd", type=int, default=None,
+                      help="serve the coordinator over this inherited, "
+                           "connected socket")
+    mode.add_argument("--listen", metavar="HOST:PORT", default=None,
+                      help="run as a TCP shard daemon bound to HOST:PORT "
+                           "(port 0 picks an ephemeral port, announced on "
+                           "stdout)")
     args = parser.parse_args(argv)
     if args.listen is not None:
         listen(args.listen)
         return
-    protocol_out = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
-    sys.stdout = sys.stderr
-    serve(sys.stdin.buffer, protocol_out)
+    _stdout_to_stderr()
+    _serve_connection(socket.socket(fileno=args.fd))
 
 
 # --------------------------------------------------------------- coordinator
@@ -796,14 +733,13 @@ class _Shard:
     inbox queue as ``(shard_id, message)`` pairs, pushing ``(shard_id,
     None)`` once on EOF so the coordinator observes death in the same
     mailbox as results.  Sending happens only under the engine lock, so
-    writes need no lock of their own.  ``slot`` is the transport-factory
-    index this shard fills in address-pinned (TCP) mode, None for the
-    interchangeable pipe workers.
+    writes need no lock of their own.  ``slot`` is the index of the
+    transport factory this shard fills.
     """
 
     def __init__(self, shard_id: int, transport: ShardTransport,
                  inbox: "queue.Queue[tuple[int, Any]]", stats: DispatchStats,
-                 *, slot: int | None = None) -> None:
+                 *, slot: int) -> None:
         self.id = shard_id
         self.slot = slot
         self.transport = transport
@@ -863,20 +799,20 @@ class ShardedEngine:
     are merged back in dispatch order, so consumers cannot tell it from the
     serial engine.
 
-    Shards sit behind the :class:`ShardTransport` seam.  By default
-    (``sharded[:N]``) each shard is a :class:`PipeTransport` worker
-    subprocess; :meth:`connect` (``sharded:HOST:PORT,...``) attaches to
-    already-running TCP daemons instead, and :meth:`local_tcp`
-    (``sharded:tcp[:N]``) spawns localhost daemons and connects over real
-    sockets.  Scheduling, fault handling and results are identical across
-    transports — the wire protocol is the same bytes either way.
+    Shards sit behind the :class:`ShardTransport` seam, one per *slot*: a
+    transport factory with its own circuit breaker.  By default
+    (``sharded[:N]``) every slot spawns a local worker over a socketpair
+    (:meth:`SocketTransport.spawn`); :meth:`connect`
+    (``sharded:HOST:PORT,...``) makes each slot dial one running daemon
+    instead.  Scheduling, fault handling and results are the same either
+    way — so are the bytes on the wire.
 
-    Shards are spawned lazily on first use and persist across queries;
-    :meth:`shutdown` (or the context manager form) terminates them.  Dead
-    shards are replaced at the start of the next stream (pipe workers
-    respawn; TCP slots reconnect to their daemon — a
-    slot whose daemon stays unreachable is skipped with a warning as long
-    as at least one shard remains).  ``heartbeat_interval`` /
+    Shards are opened lazily on first use and persist across queries;
+    :meth:`shutdown` (or the context manager form) terminates them.  A dead
+    shard's slot is refilled at the start of the next stream (a local
+    worker respawns, a dialed slot reconnects to its daemon); a slot that
+    cannot be filled is skipped with a warning as long as at least one
+    shard remains.  ``heartbeat_interval`` /
     ``heartbeat_timeout`` bound how long a silent shard holding work
     survives before its tasks are reassigned — workers answer pings while
     executing, so only a frozen or vanished shard ever reads as silent, and
@@ -925,13 +861,14 @@ class ShardedEngine:
                 raise ValueError("transports must not be empty")
             if num_shards is not None and num_shards != len(transports):
                 raise ValueError("num_shards must match the transport list")
-            self.num_shards = len(transports)
-        else:
-            self.num_shards = num_shards if num_shards is not None \
-                else _default_workers()
+            num_shards = len(transports)
+        elif num_shards is None:
+            num_shards = _default_workers()
+        checks.count("num_shards", num_shards, ValueError, 1)
         if transport_labels is not None and (
                 transports is None or len(transport_labels) != len(transports)):
             raise ValueError("transport_labels must match the transport list")
+        self.num_shards = num_shards
         # The failure-detection windows default from the environment
         # (PRIVID_HEARTBEAT_TIMEOUT / PRIVID_STARTUP_GRACE) so slow CI
         # runners can widen them without code changes; explicit arguments
@@ -941,12 +878,11 @@ class ShardedEngine:
         if startup_grace is None:
             startup_grace = _env_float("PRIVID_STARTUP_GRACE", 60.0)
         self.name = "sharded"
-        #: Per-slot transport factories (TCP mode); None means the pipe
-        #: default, where workers are interchangeable and respawn freely.
-        self._transport_factories = list(transports) if transports is not None \
-            else None
-        self._transport_labels = list(transport_labels) \
-            if transport_labels is not None else None
+        #: One transport factory per slot, and the label its breaker goes by.
+        self._factories: list[Callable[[], ShardTransport]] = list(
+            transports or [SocketTransport.spawn] * num_shards)
+        self._labels = list(transport_labels or
+                            (f"slot{slot}" for slot in range(num_shards)))
         self.chunksize = chunksize
         self.in_flight_window = in_flight_window
         self.heartbeat_interval = heartbeat_interval
@@ -968,7 +904,7 @@ class ShardedEngine:
         #: half-open.  States surface in ``dispatch_stats_dict``/``health``.
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
-        for name in ("num_shards", "chunksize", "in_flight_window", "breaker_threshold"):
+        for name in ("chunksize", "in_flight_window", "breaker_threshold"):
             if getattr(self, name) is not None:
                 checks.count(name, getattr(self, name), ValueError, 1)
         checks.count("max_task_retries", max_task_retries, ValueError)
@@ -1007,6 +943,7 @@ class ShardedEngine:
         #: never propagates into whichever stream happened to be pumping.
         self._failed: dict[int, str] = {}
         self._store_spec: str | None = None
+        # Local workers attach shared memory; a daemon may be on another host.
         self._publisher = _BroadcastPublisher(same_host=transports is None)
 
     @classmethod
@@ -1025,58 +962,29 @@ class ShardedEngine:
             raise ValueError("connect() needs at least one shard address")
 
         def factory(host: str, port: int) -> Callable[[], ShardTransport]:
-            return lambda: TcpTransport(host, port)
+            return lambda: SocketTransport.dial(host, port)
 
         return cls(transports=[factory(host, port) for host, port in parsed],
                    transport_labels=[f"{host}:{port}" for host, port in parsed],
                    **kwargs)
 
-    @classmethod
-    def local_tcp(cls, num_shards: int | None = None, **kwargs: Any
-                  ) -> "ShardedEngine":
-        """Spawn N localhost TCP daemons and connect to them (``sharded:tcp``).
-
-        Every frame crosses a real socket — the exact wire path of a
-        multi-host deployment — while the daemons' lifecycle stays bound to
-        this engine, so tests and single-host runs need no external setup.
-        """
-        count = num_shards if num_shards is not None else _default_workers()
-        checks.count("num_shards", count, ValueError, 1)
-        return cls(transports=[spawn_local_daemon] * count,
-                   transport_labels=[f"tcp{index}" for index in range(count)],
-                   **kwargs)
-
     # ------------------------------------------------------------- shard pool
 
-    def _slot_label(self, slot: int | None) -> str:
-        """Breaker key of one endpoint: its address/label, or the pipe pool."""
-        if slot is None:
-            return "pipe"
-        if self._transport_labels is not None:
-            return self._transport_labels[slot]
-        return f"slot{slot}"
+    def _spawn_shard(self, slot: int) -> _Shard | None:
+        """Fill one slot (spawn a local worker or dial a daemon); None if
+        that failed.
 
-    def _spawn_shard(self, slot: int | None = None) -> _Shard | None:
-        """Open one shard (pipe spawn or TCP connect); None if unreachable.
-
-        Every endpoint sits behind a per-label circuit breaker: after
-        ``breaker_threshold`` consecutive spawn/dial failures the endpoint
-        is skipped without dialing until ``breaker_reset`` passes, then a
+        Every slot sits behind its own circuit breaker: after
+        ``breaker_threshold`` consecutive spawn/dial failures the slot is
+        skipped without trying until ``breaker_reset`` passes, then a
         single half-open probe decides.  With a fault injector installed,
         the transport factory is additionally routed through the plan
-        (connect faults) and the built transport wrapped for frame faults.
+        (connect faults at ``transport.worker{N}``, N counting the shards
+        opened so far, so a replacement is a new site with fresh counters)
+        and the built transport wrapped for frame faults.
         """
-        factory: Callable[[], ShardTransport]
-        label = self._slot_label(slot)
-        if self._transport_factories is None:
-            factory = PipeTransport
-            # Per-worker fault site: a respawned pipe worker is a new
-            # endpoint with fresh (deterministic) operation counters.
-            site = f"transport.worker{self._next_shard_id}"
-        else:
-            assert slot is not None
-            factory = self._transport_factories[slot]
-            site = f"transport.{label}"
+        label = self._labels[slot]
+        factory = self._factories[slot]
         breaker = self._breakers.get(label)
         if breaker is None:
             breaker = CircuitBreaker(failure_threshold=self.breaker_threshold,
@@ -1088,8 +996,9 @@ class ShardedEngine:
                           RuntimeWarning, stacklevel=2)
             return None
         if self._fault_injector is not None:
-            factory = faulty_transport_factory(factory, self._fault_injector,
-                                               site)
+            factory = faulty_transport_factory(
+                factory, self._fault_injector,
+                f"transport.worker{self._next_shard_id}")
         try:
             transport = factory()
         except OSError as exc:
@@ -1111,7 +1020,11 @@ class ShardedEngine:
         return shard
 
     def _ensure_shards(self) -> None:
-        """Top the pool back up to ``num_shards`` live workers (stream start)."""
+        """Refill every empty slot once (stream start).
+
+        A slot that cannot be filled right now is skipped — its work lands
+        on the survivors — and tried again at the next stream start.
+        """
         # Fold in death notices that arrived between streams: a shard killed
         # after the previous stream finished has an EOF sitting in the inbox
         # (and a poll()-able exit) but may still be flagged alive.
@@ -1126,30 +1039,13 @@ class ShardedEngine:
                 self._mark_dead(shard)
         for shard_id in [sid for sid, shard in self._shards.items() if not shard.alive]:
             del self._shards[shard_id]
-        if self._transport_factories is None:
-            # One spawn attempt per missing slot, *bounded*: a spawn can fail
-            # (fork failure, injected connect fault, open breaker), and an
-            # until-full loop would spin forever on a persistent failure.
-            missing = self.num_shards \
-                - sum(1 for shard in self._shards.values() if shard.alive)
-            for _ in range(missing):
-                self._spawn_shard()
-            if not self._live_shards():
-                raise RemoteShardError(
-                    "no shard worker could be started "
-                    f"(all {self.num_shards} spawns failed)")
-            return
-        # Address-pinned mode: one shard per transport slot.  A slot whose
-        # daemon is unreachable right now is skipped (its work lands on the
-        # survivors) and retried at the next stream start.
         filled = {shard.slot for shard in self._live_shards()}
-        for slot in range(len(self._transport_factories)):
+        for slot in range(self.num_shards):
             if slot not in filled:
                 self._spawn_shard(slot)
         if not self._live_shards():
             raise RemoteShardError(
-                "no shard endpoint is reachable (all "
-                f"{len(self._transport_factories)} daemons are down)")
+                f"no shard could be opened (all {self.num_shards} slots failed)")
 
     def _live_shards(self) -> list[_Shard]:
         return [shard for shard in self._shards.values() if shard.alive]
@@ -1233,8 +1129,8 @@ class ShardedEngine:
             self._fail(task, str(exc))
 
     def _mark_dead(self, shard: _Shard) -> None:
-        """Retire a shard, releasing its transport (an exited worker's pipes
-        too), and redispatch every task it still held."""
+        """Retire a shard, releasing its transport (socket, and a local
+        worker's process), and redispatch every task it still held."""
         if not shard.alive:
             return
         shard.alive = False
@@ -1569,25 +1465,22 @@ class ShardedEngine:
 def sharded_engine_from_spec(suffix: int | str | None) -> ShardedEngine:
     """Build a :class:`ShardedEngine` from the ``sharded:`` spec suffix.
 
-    * ``None`` / ``N`` — N pipe-transport worker subprocesses (``sharded``,
-      ``sharded:4``);
-    * ``tcp`` / ``tcp:N`` — N locally spawned TCP daemons (``sharded:tcp:2``);
+    * ``None`` / ``N`` / ``tcp`` / ``tcp:N`` — N local shards (``sharded``,
+      ``sharded:4``; ``sharded:tcp[:N]`` is an older name of the same);
     * ``HOST:PORT[,HOST:PORT...]`` — connect to already-running daemons
       (``sharded:hostA:9101,hostB:9101``).  Addresses are parsed eagerly
       (typos fail fast) but dialed lazily at first use.
     """
     if suffix is None or isinstance(suffix, int):
         return ShardedEngine(suffix)
-    if suffix == "tcp":
-        return ShardedEngine.local_tcp()
-    if suffix.startswith("tcp:"):
-        count_text = suffix[len("tcp:"):]
+    kind, _, count_text = suffix.partition(":")
+    if kind == "tcp":
         try:
-            count = int(count_text)
+            count = int(count_text) if count_text else None
         except ValueError:
             raise ValueError(
                 f"invalid sharded:tcp worker count {count_text!r}") from None
-        return ShardedEngine.local_tcp(count)
+        return ShardedEngine(count)
     addresses = [part.strip() for part in suffix.split(",") if part.strip()]
     if not addresses:
         raise ValueError(f"invalid sharded engine spec suffix {suffix!r}")

@@ -8,9 +8,10 @@ single deployment-shaped object but historically ran one query at a time
 with a private ledger per instance; :class:`QueryService` is the always-on
 wrapper that makes the sharing explicit:
 
-* **one engine** (and its shard pool, for ``sharded:...`` specs) executes
-  every query's chunks — the engine's seq-keyed bookkeeping supports
-  concurrent streams from different threads;
+* **one engine** (and its shard pool, for ``sharded:...`` specs: local
+  workers over socketpairs, or dialed daemons) executes every query's
+  chunks — the engine's seq-keyed bookkeeping supports concurrent streams
+  from different threads;
 * **one chunk store** memoizes chunk outputs across all queries, so
   overlapping windows from different analysts hit the same warm entries;
 * **one ledger** (:class:`~repro.core.budget.ServiceLedger`) accounts every
@@ -40,9 +41,10 @@ Quickstart::
     print(service.stats()["budgets"]["lobby"]["remaining_min"])
     service.close()
 
-For genuinely remote shards, start daemons with
+``sharded:4`` starts four local workers, each at the far end of a
+socketpair.  For genuinely remote shards, start daemons with
 ``python -m repro.core.remote --listen HOST:PORT`` and pass
-``engine="sharded:hostA:9101,hostB:9101"``.
+``engine="sharded:hostA:9101,hostB:9101"``: the same frames, over TCP.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from repro.core import (
     PrividSystem,
     SerialEngine,
     ShardedEngine,
+    SocketTransport,
     create_cache,
     create_engine,
 )
@@ -95,11 +96,11 @@ class TestEngines:
     def test_create_engine_specs(self):
         assert isinstance(create_engine(None), SerialEngine)
         assert isinstance(create_engine("serial"), SerialEngine)
-        # ``thread`` and ``process`` are older names of pipe shards.
+        # ``thread`` and ``process`` are older names of local shards.
         for kind in ("thread", "process"):
             engine = create_engine(f"{kind}:2")
             assert isinstance(engine, ShardedEngine) and engine.num_shards == 2
-            assert engine._transport_factories is None
+            assert engine._factories == [SocketTransport.spawn] * 2
             assert create_engine(kind).num_shards == create_engine("sharded").num_shards
             for suffix in ("0", "lots", "tcp", "tcp:2"):
                 with pytest.raises(ValueError):

@@ -284,8 +284,6 @@ NOT_PROBED = {
     "ReleaseResult": "a record the executor fills from checked inputs; it admits nothing",
     "CacheStats": "counters a store writes, not inputs",
     "FaultEvent": "a record the fault injector writes, not an input",
-    "TcpTransport": "opens a socket; its port comes from parse_address, which "
-                    "range-checks it",
 }
 
 #: (callable, parameter, value) -> why the call may succeed; ``None`` as the

@@ -1,11 +1,12 @@
 """Tests for sharded multi-host chunk execution (`repro.core.remote`).
 
 The contract under test: ``ShardedEngine`` partitions a chunk stream across
-N executor shard subprocesses and merges ordered results back through the
-``imap_chunks`` seam, byte-identical to the serial engine — including when a
-shard is killed or goes silent mid-sweep (its work is reassigned, and
+N local executor shards (each a subprocess at the far end of a socketpair)
+and merges ordered results back through the ``imap_chunks`` seam,
+byte-identical to the serial engine — including when a shard is killed,
+exits at start-up or goes silent mid-sweep (its work is reassigned, and
 at-most-once result application drops the duplicates a slow-but-alive shard
-may still deliver).
+may still deliver).  Dialed daemons are ``tests/test_tcp_transport.py``.
 """
 
 import io
@@ -35,8 +36,10 @@ from repro.core.cache import ChunkResultCache, TieredChunkCache
 from repro.core.engine import DispatchStats, SerialEngine as _Serial, _StreamBroadcast
 from repro.core.faults import FaultKind, FaultPlan, FaultRule
 from repro.core.policy import PrivacyPolicy
+from repro.core import remote
 from repro.core.remote import (
     MAX_FRAME_BYTES,
+    SocketTransport,
     _handle_task,
     _ShardTask,
     _worker_env,
@@ -147,7 +150,17 @@ class TestEngineRegistry:
         with pytest.raises(ValueError):
             create_engine("serial:2")  # serial takes no worker count
         with pytest.raises(ValueError):
-            create_engine("process:tcp")  # the alias names pipe shards only
+            create_engine("process:tcp")  # the alias names local shards only
+        with pytest.raises(ValueError):
+            create_engine("sharded:tcp:zero-ish")
+        with pytest.raises(ValueError):
+            create_engine("sharded:tcp:0")
+
+    def test_tcp_is_an_older_name_of_local_shards(self):
+        engine = create_engine("sharded:tcp:2")
+        assert isinstance(engine, ShardedEngine) and engine.num_shards == 2
+        assert engine._factories == [SocketTransport.spawn] * 2
+        engine.shutdown()  # shards are spawned lazily; nothing to kill yet
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -158,6 +171,10 @@ class TestEngineRegistry:
             ShardedEngine(2, in_flight_window=-1)
         with pytest.raises(ValueError):
             ShardedEngine(2, heartbeat_interval=0.0)
+        with pytest.raises(ValueError):  # the transport list fixes the count
+            ShardedEngine(num_shards=3, transports=[SocketTransport.spawn] * 2)
+        with pytest.raises(ValueError):
+            ShardedEngine(transports=[])
 
 
 class TestShardedStreaming:
@@ -1255,24 +1272,31 @@ class TestResilienceControls:
         assert fired[0] == fired[1] == [(FaultKind.CRASH, 5)]
 
 
-class TestPipesAreReleased:
-    """A shard's two pipes close with it, however it ends; they used to stay
-    open until garbage collection, one ``ResourceWarning`` per pipe."""
+class TestShardsAreReleased:
+    """A shard's socket and process go with it, however it ends: a killed
+    worker is reaped before ``kill()`` returns, never left running for
+    ``Popen.__del__`` to warn about."""
 
     @staticmethod
-    def _pipes(process):
-        return process.stdin.closed, process.stdout.closed
+    def _released(transport):
+        return transport._sock.fileno() == -1, transport.process.returncode is not None
 
-    def test_close_and_kill_release_both_pipes(self):
-        from repro.core.remote import PipeTransport
-
-        closed, killed = PipeTransport(), PipeTransport()
+    def test_close_and_kill_release_the_socket_and_the_process(self):
+        closed, killed = SocketTransport.spawn(), SocketTransport.spawn()
         closed.close()
         killed.kill()
-        killed.process.wait()
-        assert self._pipes(closed.process) == self._pipes(killed.process) == (True, True)
+        assert self._released(closed) == self._released(killed) == (True, True)
 
-    def test_a_dead_shard_releases_both_pipes_when_it_is_replaced(self):
+    def test_a_killed_shard_is_reaped_when_kill_returns(self):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        with ShardedEngine(1) as engine:
+            list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
+            (shard,) = engine._live_shards()
+            shard.transport.kill()
+            assert shard.process.returncode is not None
+
+    def test_a_dead_shard_is_released_when_it_is_replaced(self):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
@@ -1284,6 +1308,27 @@ class TestPipesAreReleased:
             again = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec), context))
             (replacement,) = engine._live_shards()
             assert replacement is not victim
-            assert self._pipes(victim.process) == (True, True)
-        assert self._pipes(replacement.process) == (True, True)
+            assert self._released(victim.transport) == (True, True)
+        assert self._released(replacement.transport) == (True, True)
         assert repr(again) == repr(first)
+
+    def test_a_shard_that_exits_at_start_up_leaves_the_stream_to_the_survivor(
+            self, monkeypatch):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
+        worker_command, spawned = remote._worker_command, []
+
+        def first_worker_exits(fd):
+            spawned.append(fd)
+            if len(spawned) == 1:
+                return [sys.executable, "-c", "raise SystemExit(3)"]
+            return worker_command(fd)
+
+        monkeypatch.setattr(remote, "_worker_command", first_worker_exits)
+        with ShardedEngine(2) as engine:
+            rows = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                               context))
+            assert [shard.slot for shard in engine._live_shards()] == [1]
+        assert len(spawned) == 2
+        assert repr(rows) == repr(reference)

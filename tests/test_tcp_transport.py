@@ -1,12 +1,11 @@
-"""Tests for the TCP shard transport (`repro.core.remote`).
+"""Tests for dialed shard daemons (`repro.core.remote`).
 
-The contract under test: the ``ShardTransport`` seam carries the exact same
-length-prefixed JSON protocol over real sockets that it carries over
-subprocess pipes — so ``sharded:tcp`` (locally spawned daemons) and
-``sharded:HOST:PORT,...`` (connect to running daemons) are byte-identical to
-the serial engine over every scenario scene, survive torn frames and
-mid-stream disconnects, and reassign a killed daemon's work to the
-survivors.
+The contract under test: ``SocketTransport.dial`` carries the exact same
+length-prefixed JSON protocol to a ``--listen`` daemon over TCP that local
+shards carry over their socketpairs — so ``sharded:HOST:PORT,...`` is
+byte-identical to the serial engine, survives torn frames and mid-stream
+disconnects, reassigns a killed daemon's work to the survivors and redials
+it once it is back.  Every daemon here is one the test starts itself.
 """
 
 import os
@@ -16,32 +15,27 @@ import subprocess
 import sys
 import threading
 import time
-from functools import partial
+from pathlib import Path
 
 import pytest
 
-from repro.core import PrividSystem, SerialEngine, ShardedEngine, create_engine
+from repro.core import SerialEngine, ShardedEngine, create_engine
 from repro.core import remote
 from repro.core.resilience import RetryPolicy
 from repro.core.remote import (
-    TcpTransport,
+    SocketTransport,
     _LISTENING_MARKER,
-    _close_pipes,
     _worker_env,
     encode_frame,
     parse_address,
-    spawn_local_daemon,
 )
-from repro.evaluation.runner import register_scenario_camera, scenario_policy_map
-from repro.query.builder import QueryBuilder
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
-from repro.scene.scenarios import SCENARIO_NAMES, build_scenario
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import ChunkSpec, iter_chunks
 
-from tests.conftest import make_crossing_object, make_simple_video
+from tests.conftest import PrintingExecutable, make_crossing_object, make_simple_video
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))
@@ -138,7 +132,7 @@ class TestNoDelay:
 
     def test_the_coordinator_socket_sends_at_once(self):
         server = _ScriptedServer([])
-        transport = TcpTransport("127.0.0.1", server.port)
+        transport = SocketTransport.dial("127.0.0.1", server.port)
         try:
             assert _nodelay(transport._sock)
         finally:
@@ -167,7 +161,7 @@ class TestTcpFraming:
             ("send", frame[2:7]), ("sleep", 0.05),
             ("send", frame[7:]),
         ])
-        transport = TcpTransport("127.0.0.1", server.port)
+        transport = SocketTransport.dial("127.0.0.1", server.port)
         try:
             assert transport.read() == {"type": "pong", "token": 42}
         finally:
@@ -180,7 +174,7 @@ class TestTcpFraming:
         # as a partial message or an exception.
         frame = encode_frame({"type": "pong", "token": 7})
         server = _ScriptedServer([("send", frame[: len(frame) - 3])])
-        transport = TcpTransport("127.0.0.1", server.port)
+        transport = SocketTransport.dial("127.0.0.1", server.port)
         try:
             server.join()  # server sent its fragment and closed
             assert transport.read() is None
@@ -190,7 +184,7 @@ class TestTcpFraming:
     def test_mid_stream_disconnect_reads_as_eof(self):
         frame = encode_frame({"type": "pong", "token": 1})
         server = _ScriptedServer([("send", frame)])
-        transport = TcpTransport("127.0.0.1", server.port)
+        transport = SocketTransport.dial("127.0.0.1", server.port)
         try:
             assert transport.read() == {"type": "pong", "token": 1}
             server.join()
@@ -203,8 +197,8 @@ class TestTcpFraming:
         port = probe.getsockname()[1]
         probe.close()  # nobody is listening on this port now
         with pytest.raises(OSError):
-            TcpTransport("127.0.0.1", port, connect_timeout=1.0,
-                         retry=RetryPolicy(max_attempts=1))
+            SocketTransport.dial("127.0.0.1", port, connect_timeout=1.0,
+                                 retry=RetryPolicy(max_attempts=1))
 
 
 class TestDialRetry:
@@ -224,7 +218,7 @@ class TestDialRetry:
             return real(address, timeout=timeout)
 
         monkeypatch.setattr(socket, "create_connection", flaky)
-        transport = TcpTransport(
+        transport = SocketTransport.dial(
             "127.0.0.1", port,
             retry=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0))
         try:
@@ -243,96 +237,88 @@ class TestDialRetry:
 
         monkeypatch.setattr(socket, "create_connection", refusing)
         with pytest.raises(OSError):
-            TcpTransport("127.0.0.1", 1, retry=RetryPolicy(max_attempts=1))
+            SocketTransport.dial("127.0.0.1", 1, retry=RetryPolicy(max_attempts=1))
         assert len(attempts) == 1
 
-    def test_exhausted_retries_kill_a_spawned_daemon(self, monkeypatch):
-        # A dial that never opened must not strand the daemon process this
-        # transport was handed ownership of.
-        class _FakeProcess:
-            def __init__(self):
-                self.killed = False
-
-            def kill(self):
-                self.killed = True
-
-            def poll(self):
-                return 1 if self.killed else None
-
-        def refusing(address, timeout=None):
-            raise ConnectionRefusedError("down")
-
-        monkeypatch.setattr(socket, "create_connection", refusing)
-        process = _FakeProcess()
-        with pytest.raises(OSError):
-            TcpTransport("127.0.0.1", 1, process=process,
-                         retry=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                           jitter=0.0))
-        assert process.killed
-
-    def test_restarted_daemon_is_redialed_on_the_next_stream(self):
-        # The S1 regression: kill a daemon, restart it on the same port —
-        # the engine's next stream must redial (with backoff riding out the
-        # restart window) and produce byte-identical rows.
-        video = _walker_video()
-        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
+    def test_a_daemon_killed_mid_sweep_is_redialed_after_its_restart(self):
+        # Slot 0's daemon dies mid-stream: the socket EOF hands its tasks to
+        # the survivor.  Restarted on the same port, it is redialed (with
+        # backoff riding out the restart window) at the next stream start.
+        video = _walker_video(num_walkers=8, duration=1200.0)
+        spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        process, host, port = _start_listening_daemon()
+        reference = _rows_of(SerialEngine().imap_chunks(
+            runner, list(iter_chunks(video, spec)), context))
+        daemons = [_start_listening_daemon() for _ in range(2)]
         try:
-            with ShardedEngine.connect([f"{host}:{port}"]) as engine:
-                first = _rows_of(engine.imap_chunks(
-                    runner, iter_chunks(video, spec), context))
-                _stop(process)
-                process, _, _ = _start_listening_daemon(port)
-                second = _rows_of(engine.imap_chunks(
-                    runner, iter_chunks(video, spec), context))
-            assert repr(second) == repr(first)
+            addresses = [f"{host}:{port}" for _, host, port in daemons]
+            with ShardedEngine.connect(addresses, chunksize=1) as engine:
+                stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
+                outcomes = [next(stream)]
+                _stop(daemons[0][0])
+                outcomes.extend(stream)
+                daemons[0] = _start_listening_daemon(daemons[0][2])
+                again = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
+                                                    context))
+                assert sorted(shard.slot for shard in engine._live_shards()) == [0, 1]
+            assert repr(_rows_of(outcomes)) == repr(reference) == repr(again)
         finally:
-            _stop(process)
+            for process, _, _ in daemons:
+                _stop(process)
 
 
 def _stop(process: subprocess.Popen) -> None:
-    """Kill a daemon this test spawned and close our ends of its pipes."""
+    """Kill a daemon this test started and close our end of its stdout."""
     process.kill()
     process.wait()
-    _close_pipes(process)
+    if process.stdout is not None:
+        process.stdout.close()
 
 
-def _start_listening_daemon(port: int = 0):
-    """Spawn a --listen daemon; returns (process, host, bound_port)."""
+#: The checkout root: a daemon's working directory, so that it can import
+#: test-defined executables (``tests.conftest``) the way this process does.
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _start_listening_daemon(port: int = 0, host: str = "127.0.0.1", **popen):
+    """Start a --listen daemon; returns (process, host, bound_port)."""
+    address = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.core.remote", "--listen",
-         f"127.0.0.1:{port}"],
-        stdout=subprocess.PIPE, env=_worker_env(), text=True)
-    marker, host, bound = process.stdout.readline().strip().split()
-    assert marker == _LISTENING_MARKER
-    return process, host, int(bound)
+        [sys.executable, "-m", "repro.core.remote", "--listen", address],
+        stdout=subprocess.PIPE, env=_worker_env(), cwd=_ROOT, text=True, **popen)
+    marker, bound_host, bound = process.stdout.readline().strip().split()
+    assert (marker, bound_host) == (_LISTENING_MARKER, host)
+    return process, bound_host, int(bound)
 
 
 class TestDaemonMode:
-    def test_spawned_daemon_answers_pings(self):
-        transport = spawn_local_daemon()
-        try:
-            transport.write({"type": "ping", "token": 3})
-            assert transport.read() == {"type": "pong", "token": 3}
-            assert transport.is_alive()
-        finally:
-            transport.close()
-        assert not transport.is_alive()
-
     def test_listen_announces_host_and_port(self):
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.core.remote", "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, env=_worker_env(), text=True)
+        process, host, port = _start_listening_daemon()
         try:
-            line = process.stdout.readline().strip()
-            marker, host, port = line.split()
-            assert marker == _LISTENING_MARKER
-            assert host == "127.0.0.1"
-            transport = TcpTransport(host, int(port))
+            transport = SocketTransport.dial(host, port)
             transport.write({"type": "ping", "token": 9})
             assert transport.read() == {"type": "pong", "token": 9}
             transport.close()
+            assert not transport.is_alive()
+        finally:
+            _stop(process)
+
+    def test_a_printing_executable_cannot_hang_the_daemon(self):
+        # Whoever started the daemon read its announcement and nothing
+        # more: each chunk prints more than a pipe holds, so a daemon still
+        # printing into that pipe blocks on the first one for ever (the
+        # task timeout turns that into a failed stream here).
+        video = _walker_video()
+        runner = SandboxRunner(PrintingExecutable(characters=100_000), PERSON_SCHEMA,
+                               max_rows=5, timeout_seconds=30.0)
+        process, host, port = _start_listening_daemon(stderr=subprocess.DEVNULL)
+        try:
+            with ShardedEngine.connect([f"{host}:{port}"], task_timeout=10.0,
+                                       max_task_retries=0) as engine:
+                outcomes = list(engine.imap_chunks(
+                    runner, iter_chunks(video, TEN_CHUNKS), _context(video)))
+            assert len(outcomes) == 10
+            assert not any(outcome.fallback for outcome in outcomes)
         finally:
             _stop(process)
 
@@ -341,7 +327,7 @@ class TestDaemonMode:
         # close its connections cleanly (EOF, not a torn stream) and exit 0.
         process, host, port = _start_listening_daemon()
         try:
-            transport = TcpTransport(host, port)
+            transport = SocketTransport.dial(host, port)
             transport.write({"type": "ping", "token": 7})
             assert transport.read() == {"type": "pong", "token": 7}
             process.send_signal(signal.SIGTERM)
@@ -358,7 +344,7 @@ class TestDaemonMode:
         # is answered, never torn.
         process, host, port = _start_listening_daemon()
         try:
-            transport = TcpTransport(host, port)
+            transport = SocketTransport.dial(host, port)
             for seq in (1, 2, 3):
                 transport.write({"type": "task", "seq": seq,
                                  "payload": "/nonexistent-payload",
@@ -381,19 +367,19 @@ class TestDaemonMode:
     def test_daemon_serves_connections_back_to_back(self):
         # A daemon outlives any one coordinator: a second connection after
         # the first closed must be served by the same process.
-        transport = spawn_local_daemon()
-        daemon = transport.process
-        host, port = "127.0.0.1", transport.port
+        process, host, port = _start_listening_daemon()
         try:
+            transport = SocketTransport.dial(host, port)
             transport.write({"type": "ping", "token": 1})
             assert transport.read()["token"] == 1
-            transport._teardown()  # drop the connection, keep the daemon
-            again = TcpTransport(host, port)
+            transport.kill()  # drops the connection; the daemon is not ours
+            again = SocketTransport.dial(host, port)
             again.write({"type": "ping", "token": 2})
             assert again.read()["token"] == 2
             again.kill()
+            assert process.poll() is None
         finally:
-            _stop(daemon)
+            _stop(process)
 
 
 def _ipv6_loopback_bindable() -> bool:
@@ -405,40 +391,22 @@ def _ipv6_loopback_bindable() -> bool:
 
 
 @pytest.mark.skipif(not _ipv6_loopback_bindable(), reason="::1 cannot be bound here")
-class TestIPv6Daemon:
-    def test_listen_binds_a_bracketed_ipv6_address(self):
-        process = subprocess.Popen(
-            [sys.executable, "-c", "from repro.core.remote import main; main()",
-             "--listen", "[::1]:0"],
-            stdout=subprocess.PIPE, env=_worker_env(), text=True)
-        try:
-            marker, host, port = process.stdout.readline().split()
-            assert (marker, host) == (_LISTENING_MARKER, "::1")
-            transport = TcpTransport(host, int(port))
-            transport.write({"type": "ping", "token": 6})
-            assert transport.read() == {"type": "pong", "token": 6}
-            transport.kill()
-        finally:
-            _stop(process)
-
-    def test_ipv6_daemon_stream_equals_serial(self):
-        video = _walker_video()
-        runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().imap_chunks(
-            runner, list(iter_chunks(video, TEN_CHUNKS)), context))
-        with ShardedEngine(transports=[partial(spawn_local_daemon, "::1")]) as engine:
+def test_a_bracketed_ipv6_daemon_stream_equals_serial():
+    video = _walker_video()
+    runner, context = _runner(), _context(video)
+    reference = _rows_of(SerialEngine().imap_chunks(
+        runner, list(iter_chunks(video, TEN_CHUNKS)), context))
+    process, host, port = _start_listening_daemon(host="::1")
+    try:
+        with ShardedEngine.connect([f"[{host}]:{port}"]) as engine:
             rows = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
                                                context))
-        assert repr(rows) == repr(reference)
+    finally:
+        _stop(process)
+    assert repr(rows) == repr(reference)
 
 
-class TestTcpSpecs:
-    def test_tcp_spec_builds_local_daemon_engine(self):
-        engine = create_engine("sharded:tcp:2")
-        assert isinstance(engine, ShardedEngine)
-        assert engine.num_shards == 2
-        engine.shutdown()  # daemons are spawned lazily; nothing to kill yet
-
+class TestAddressSpecs:
     def test_address_spec_builds_connect_engine(self):
         # Construction parses eagerly but dials lazily, so unreachable
         # addresses are fine until first use.
@@ -447,28 +415,24 @@ class TestTcpSpecs:
         assert engine.num_shards == 2
         engine.shutdown()
 
-    def test_invalid_tcp_specs_are_rejected(self):
-        with pytest.raises(ValueError):
-            create_engine("sharded:tcp:zero-ish")
-        with pytest.raises(ValueError):
-            create_engine("sharded:tcp:0")
+    def test_invalid_address_specs_are_rejected(self):
         with pytest.raises(ValueError):
             create_engine("sharded:justahost")  # no port
         with pytest.raises(ValueError):
             ShardedEngine.connect([])
 
-    def test_transport_list_fixes_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedEngine(num_shards=3, transports=[spawn_local_daemon] * 2)
-        with pytest.raises(ValueError):
-            ShardedEngine(transports=[])
-
 
 @pytest.fixture(scope="module")
 def tcp_pool():
-    """One persistent two-daemon TCP engine reused across the sweep tests."""
-    with ShardedEngine.local_tcp(2) as engine:
-        yield engine
+    """Two daemons this module starts, and one engine dialing both."""
+    daemons = [_start_listening_daemon() for _ in range(2)]
+    try:
+        with ShardedEngine.connect([f"{host}:{port}" for _, host, port in daemons]
+                                   ) as engine:
+            yield engine
+    finally:
+        for process, _, _ in daemons:
+            _stop(process)
     # shutdown() removed the payload files every stream above published.
     assert not os.path.exists(engine._publisher._directory)
 
@@ -503,68 +467,3 @@ class TestTcpParity:
                 ("broadcasts", "broadcast_reuses", "shm_segments")} \
             == {"broadcasts": 2, "broadcast_reuses": 2, "shm_segments": 0}
         assert after["stages"]["loads"] - before["stages"].get("loads", 0) == 2
-
-    @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    def test_scenario_scene_byte_identical_to_serial(self, name, tcp_pool):
-        """Every scenario scene: TCP-sharded releases == serial, exactly."""
-        if name in ("campus", "highway", "urban"):
-            scenario = build_scenario(name, scale=0.2, duration_hours=0.1)
-        else:
-            scenario = build_scenario(name, duration_hours=0.1)
-        policy_map = scenario_policy_map(scenario, k_segments=1)
-        window = min(scenario.video.duration, 360.0)
-        query = (QueryBuilder(f"tcp-{name}")
-                 .split(scenario.name, begin=0, end=window,
-                        chunk_duration=30.0, mask="owner", into="chunks")
-                 .process("chunks", executable="count_entering_people.py",
-                          max_rows=5,
-                          schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)],
-                          into="t")
-                 .select_count(table="t", bucket_seconds=120.0, epsilon=1.0)
-                 .build())
-        results = {}
-        for label, engine in (("serial", None), ("tcp", tcp_pool)):
-            system = PrividSystem(seed=11, engine=engine)
-            register_scenario_camera(system, scenario, policy_map=policy_map,
-                                     epsilon_budget=100.0, sample_period=1.0)
-            results[label] = system.execute(query, charge_budget=False)
-        assert repr(results["tcp"].raw_series_unsafe()) \
-            == repr(results["serial"].raw_series_unsafe())
-        assert repr(results["tcp"].series()) == repr(results["serial"].series())
-
-
-class TestTcpFaultInjection:
-    def test_daemon_killed_mid_sweep_is_byte_identical(self):
-        video = _walker_video(num_walkers=8, duration=1200.0)
-        spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
-        runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().imap_chunks(
-            runner, list(iter_chunks(video, spec)), context))
-        with ShardedEngine.local_tcp(3, chunksize=1) as engine:
-            outcomes = []
-            stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
-            outcomes.append(next(stream))
-            # Kill the daemon process behind a shard that holds work: the
-            # socket EOF (or heartbeat) must get its tasks reassigned.
-            victim = next((shard for shard in engine._live_shards() if shard.pending),
-                          engine._live_shards()[0])
-            victim.process.kill()
-            outcomes.extend(stream)
-        assert repr(_rows_of(outcomes)) == repr(reference)
-        assert len(outcomes) == 20
-
-    def test_dead_daemon_slot_is_refilled_on_the_next_stream(self):
-        video = _walker_video()
-        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
-        runner, context = _runner(), _context(video)
-        with ShardedEngine.local_tcp(2) as engine:
-            first = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                                context))
-            for shard in engine._live_shards():
-                shard.process.kill()
-            for shard in engine._shards.values():
-                shard.process.wait()
-            second = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                                 context))
-            assert repr(second) == repr(first)
-            assert len(engine._live_shards()) == 2

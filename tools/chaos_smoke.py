@@ -27,14 +27,17 @@ The robustness contract under test, for every :class:`FaultPlan` below:
    ``*.tmp`` files in the WAL directories and no leaked
    ``/dev/shm/privid-bc-*`` segments.
 
-Run with: ``python tools/chaos_smoke.py``
-(``--crash-driver`` is the internal child-process mode of the
-crash-restart plan — the process that actually gets SIGKILLed.)
+Run with: ``python -X dev -W error::ResourceWarning tools/chaos_smoke.py``
+(development mode makes a leaked handle or an unreaped shard process a
+warning, and the flag makes it an error, counted as a failed check;
+``--crash-driver`` is the internal child-process mode of the crash-restart
+plan — the process that actually gets SIGKILLed.)
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -94,7 +97,7 @@ STORE_CHAOS = FaultPlan(name="store-chaos", seed=37, rules=(
 ))
 
 # Same-host fast-path mayhem: store entries are scribbled over mid-run,
-# exercising the corrupt-entry self-heal, and a pipe worker is killed *while
+# exercising the corrupt-entry self-heal, and a local worker is killed *while
 # it holds an attachment to the engine's shared-memory broadcast segments*.
 # Both triggers are deterministic (fixed op indices / seq), so the fired log
 # must replay; the per-run checks additionally assert the coordinator
@@ -131,6 +134,14 @@ def check(ok: bool, label: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {label}")
     if not ok:
         FAILURES.append(label)
+
+
+def fail_on_unraisable(unraisable) -> None:
+    """Under ``-W error::ResourceWarning`` a leaked handle raises in its
+    finalizer, where nothing catches it and the exit status would not move:
+    report it and count it as a failed check."""
+    sys.__unraisablehook__(unraisable)
+    check(False, f"no leaked handle ({unraisable.exc_value!r})")
 
 
 def people_query(name: str, *, bucket: float = 360, epsilon: float = 1.0,
@@ -424,6 +435,7 @@ def main() -> int:
     # ---- crash consistency: kill -9 mid-query, recover, resume, compare.
     run_crash_restart()
 
+    gc.collect()  # finalize what the runs dropped while the hook still counts
     if FAILURES:
         print(f"\n{len(FAILURES)} chaos check(s) failed")
         return 1
@@ -445,4 +457,5 @@ if __name__ == "__main__":
     parsed = parser.parse_args()
     if parsed.crash_driver:
         sys.exit(crash_driver(parsed))
+    sys.unraisablehook = fail_on_unraisable
     sys.exit(main())
