@@ -151,10 +151,6 @@ class TestEngineRegistry:
             create_engine("serial:2")  # serial takes no worker count
         with pytest.raises(ValueError):
             create_engine("process:tcp")  # the alias names local shards only
-        with pytest.raises(ValueError):
-            create_engine("sharded:tcp:zero-ish")
-        with pytest.raises(ValueError):
-            create_engine("sharded:tcp:0")
 
     def test_tcp_is_an_older_name_of_local_shards(self):
         engine = create_engine("sharded:tcp:2")
@@ -171,10 +167,6 @@ class TestEngineRegistry:
             ShardedEngine(2, in_flight_window=-1)
         with pytest.raises(ValueError):
             ShardedEngine(2, heartbeat_interval=0.0)
-        with pytest.raises(ValueError):  # the transport list fixes the count
-            ShardedEngine(num_shards=3, transports=[SocketTransport.spawn] * 2)
-        with pytest.raises(ValueError):
-            ShardedEngine(transports=[])
 
 
 class TestShardedStreaming:
@@ -1286,6 +1278,17 @@ class TestShardsAreReleased:
         closed.close()
         killed.kill()
         assert self._released(closed) == self._released(killed) == (True, True)
+
+    def test_a_spawned_worker_answers_pings_until_it_is_closed(self):
+        transport = SocketTransport.spawn()
+        try:
+            transport.write({"type": "ping", "token": 3})
+            assert transport.read() == {"type": "pong", "token": 3}
+            assert transport.is_alive()
+        finally:
+            transport.close()
+        assert not transport.is_alive()
+        assert transport.process.returncode == 0  # it obeyed the shutdown frame
 
     def test_a_killed_shard_is_reaped_when_kill_returns(self):
         video = _walker_video()

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import SerialEngine, ShardedEngine, create_engine
+from repro.core import PrividSystem, SerialEngine, ShardedEngine, create_engine
 from repro.core import remote
 from repro.core.resilience import RetryPolicy
 from repro.core.remote import (
@@ -29,9 +29,12 @@ from repro.core.remote import (
     encode_frame,
     parse_address,
 )
+from repro.evaluation.runner import register_scenario_camera, scenario_policy_map
+from repro.query.builder import QueryBuilder
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
+from repro.scene.scenarios import SCENARIO_NAMES, build_scenario
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import ChunkSpec, iter_chunks
 
@@ -240,31 +243,25 @@ class TestDialRetry:
             SocketTransport.dial("127.0.0.1", 1, retry=RetryPolicy(max_attempts=1))
         assert len(attempts) == 1
 
-    def test_a_daemon_killed_mid_sweep_is_redialed_after_its_restart(self):
-        # Slot 0's daemon dies mid-stream: the socket EOF hands its tasks to
-        # the survivor.  Restarted on the same port, it is redialed (with
-        # backoff riding out the restart window) at the next stream start.
-        video = _walker_video(num_walkers=8, duration=1200.0)
-        spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
+    def test_restarted_daemon_is_redialed_on_the_next_stream(self):
+        # Kill a daemon, restart it on the same port: the engine's next
+        # stream must redial (with backoff riding out the restart window)
+        # and produce byte-identical rows.
+        video = _walker_video()
+        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().imap_chunks(
-            runner, list(iter_chunks(video, spec)), context))
-        daemons = [_start_listening_daemon() for _ in range(2)]
+        process, host, port = _start_listening_daemon()
         try:
-            addresses = [f"{host}:{port}" for _, host, port in daemons]
-            with ShardedEngine.connect(addresses, chunksize=1) as engine:
-                stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
-                outcomes = [next(stream)]
-                _stop(daemons[0][0])
-                outcomes.extend(stream)
-                daemons[0] = _start_listening_daemon(daemons[0][2])
-                again = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                                    context))
-                assert sorted(shard.slot for shard in engine._live_shards()) == [0, 1]
-            assert repr(_rows_of(outcomes)) == repr(reference) == repr(again)
-        finally:
-            for process, _, _ in daemons:
+            with ShardedEngine.connect([f"{host}:{port}"]) as engine:
+                first = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, spec), context))
                 _stop(process)
+                process, _, _ = _start_listening_daemon(port)
+                second = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, spec), context))
+            assert repr(second) == repr(first)
+        finally:
+            _stop(process)
 
 
 def _stop(process: subprocess.Popen) -> None:
@@ -391,22 +388,33 @@ def _ipv6_loopback_bindable() -> bool:
 
 
 @pytest.mark.skipif(not _ipv6_loopback_bindable(), reason="::1 cannot be bound here")
-def test_a_bracketed_ipv6_daemon_stream_equals_serial():
-    video = _walker_video()
-    runner, context = _runner(), _context(video)
-    reference = _rows_of(SerialEngine().imap_chunks(
-        runner, list(iter_chunks(video, TEN_CHUNKS)), context))
-    process, host, port = _start_listening_daemon(host="::1")
-    try:
-        with ShardedEngine.connect([f"[{host}]:{port}"]) as engine:
-            rows = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
-                                               context))
-    finally:
-        _stop(process)
-    assert repr(rows) == repr(reference)
+class TestIPv6Daemon:
+    def test_listen_binds_a_bracketed_ipv6_address(self):
+        process, host, port = _start_listening_daemon(host="::1")
+        try:
+            transport = SocketTransport.dial(host, port)
+            transport.write({"type": "ping", "token": 6})
+            assert transport.read() == {"type": "pong", "token": 6}
+            transport.kill()
+        finally:
+            _stop(process)
+
+    def test_ipv6_daemon_stream_equals_serial(self):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _rows_of(SerialEngine().imap_chunks(
+            runner, list(iter_chunks(video, TEN_CHUNKS)), context))
+        process, host, port = _start_listening_daemon(host="::1")
+        try:
+            with ShardedEngine.connect([f"[{host}]:{port}"]) as engine:
+                rows = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, TEN_CHUNKS), context))
+        finally:
+            _stop(process)
+        assert repr(rows) == repr(reference)
 
 
-class TestAddressSpecs:
+class TestTcpSpecs:
     def test_address_spec_builds_connect_engine(self):
         # Construction parses eagerly but dials lazily, so unreachable
         # addresses are fine until first use.
@@ -415,11 +423,21 @@ class TestAddressSpecs:
         assert engine.num_shards == 2
         engine.shutdown()
 
-    def test_invalid_address_specs_are_rejected(self):
+    def test_invalid_tcp_specs_are_rejected(self):
+        with pytest.raises(ValueError):
+            create_engine("sharded:tcp:zero-ish")
+        with pytest.raises(ValueError):
+            create_engine("sharded:tcp:0")
         with pytest.raises(ValueError):
             create_engine("sharded:justahost")  # no port
         with pytest.raises(ValueError):
             ShardedEngine.connect([])
+
+    def test_transport_list_fixes_shard_count(self):
+        with pytest.raises(ValueError):
+            ShardedEngine(num_shards=3, transports=[SocketTransport.spawn] * 2)
+        with pytest.raises(ValueError):
+            ShardedEngine(transports=[])
 
 
 @pytest.fixture(scope="module")
@@ -467,3 +485,79 @@ class TestTcpParity:
                 ("broadcasts", "broadcast_reuses", "shm_segments")} \
             == {"broadcasts": 2, "broadcast_reuses": 2, "shm_segments": 0}
         assert after["stages"]["loads"] - before["stages"].get("loads", 0) == 2
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenario_scene_byte_identical_to_serial(self, name, tcp_pool):
+        """Every scenario scene: releases over dialed daemons == serial, exactly."""
+        if name in ("campus", "highway", "urban"):
+            scenario = build_scenario(name, scale=0.2, duration_hours=0.1)
+        else:
+            scenario = build_scenario(name, duration_hours=0.1)
+        policy_map = scenario_policy_map(scenario, k_segments=1)
+        window = min(scenario.video.duration, 360.0)
+        query = (QueryBuilder(f"tcp-{name}")
+                 .split(scenario.name, begin=0, end=window,
+                        chunk_duration=30.0, mask="owner", into="chunks")
+                 .process("chunks", executable="count_entering_people.py",
+                          max_rows=5,
+                          schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)],
+                          into="t")
+                 .select_count(table="t", bucket_seconds=120.0, epsilon=1.0)
+                 .build())
+        results = {}
+        for label, engine in (("serial", None), ("tcp", tcp_pool)):
+            system = PrividSystem(seed=11, engine=engine)
+            register_scenario_camera(system, scenario, policy_map=policy_map,
+                                     epsilon_budget=100.0, sample_period=1.0)
+            results[label] = system.execute(query, charge_budget=False)
+        assert repr(results["tcp"].raw_series_unsafe()) \
+            == repr(results["serial"].raw_series_unsafe())
+        assert repr(results["tcp"].series()) == repr(results["serial"].series())
+
+
+class TestTcpFaultInjection:
+    def test_daemon_killed_mid_sweep_is_byte_identical(self):
+        video = _walker_video(num_walkers=8, duration=1200.0)
+        spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
+        runner, context = _runner(), _context(video)
+        reference = _rows_of(SerialEngine().imap_chunks(
+            runner, list(iter_chunks(video, spec)), context))
+        daemons = [_start_listening_daemon() for _ in range(3)]
+        try:
+            addresses = [f"{host}:{port}" for _, host, port in daemons]
+            with ShardedEngine.connect(addresses, chunksize=1) as engine:
+                outcomes = []
+                stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
+                outcomes.append(next(stream))
+                # Kill the daemon behind a shard that holds work: the socket
+                # EOF (or heartbeat) must get its tasks reassigned.
+                victim = next((shard for shard in engine._live_shards()
+                               if shard.pending), engine._live_shards()[0])
+                _stop(daemons[victim.slot][0])
+                outcomes.extend(stream)
+        finally:
+            for process, _, _ in daemons:
+                _stop(process)
+        assert repr(_rows_of(outcomes)) == repr(reference)
+        assert len(outcomes) == 20
+
+    def test_dead_daemon_slot_is_refilled_on_the_next_stream(self):
+        video = _walker_video()
+        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
+        runner, context = _runner(), _context(video)
+        daemons = [_start_listening_daemon() for _ in range(2)]
+        try:
+            addresses = [f"{host}:{port}" for _, host, port in daemons]
+            with ShardedEngine.connect(addresses) as engine:
+                first = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
+                                                    context))
+                for index, (process, _, port) in enumerate(daemons):
+                    _stop(process)
+                    daemons[index] = _start_listening_daemon(port)
+                second = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
+                                                     context))
+                assert repr(second) == repr(first)
+                assert len(engine._live_shards()) == 2
+        finally:
+            for process, _, _ in daemons:
+                _stop(process)
