@@ -16,9 +16,10 @@ shows:
 3. *fault tolerance* — a shard killed mid-sweep has its work reassigned to
    the survivors, with at-most-once result application, and the answer does
    not change;
-4. *shared warm storage* — a disk-backed chunk store is shared with every
-   shard (``share_store``), so shard-side executions extend the same warm
-   set other systems and processes start from.
+4. *one store owner* — the coordinator looks every chunk up and writes
+   every result the shards send back into its disk-backed chunk store, so a
+   later system (sharded or serial, same process or not) starts warm from
+   the shards' work, and no shard ever opens the store.
 
 Run with: ``python examples/sharded_execution.py``
 """
@@ -110,26 +111,26 @@ def main() -> None:
     print(f"one shard killed mid-sweep: {shards_left}/3 shards left, "
           f"results byte-identical: {identical}")
 
-    # ------------------------------------------------- shared warm storage
-    # A tiered store's disk directory is shared with every shard (the
-    # executor wires it automatically): shard-side executions write through,
-    # so a later system — sharded or serial, same process or not — starts
-    # warm from the shards' work.
+    # ---------------------------------------------------- one store owner
+    # The shards only execute; the coordinator puts every result they send
+    # back into its tiered store, so a later system — sharded or serial,
+    # same process or not — starts warm from the shards' work.
     store_dir = tempfile.mkdtemp(prefix="privid-sharded-store-")
     with build_system(scenario, engine="sharded:3",
                       cache=f"tiered:{store_dir}") as system:
         started = time.perf_counter()
         system.execute(query, charge_budget=False)
         cold = time.perf_counter() - started
+        written = system.cache_stats()["disk"]["writes"]
     with build_system(scenario, engine=SerialEngine(),
                       cache=f"tiered:{store_dir}") as system:
         started = time.perf_counter()
         system.execute(query, charge_budget=False)
         warm = time.perf_counter() - started
         stats = system.cache_stats()
-    print(f"shared store: sharded cold sweep {cold:5.2f}s, serial warm re-run "
-          f"{warm:5.2f}s ({stats['disk']['hits']} disk hits, "
-          f"{stats['disk']['writes']} writes)")
+    print(f"one store owner: sharded cold sweep {cold:5.2f}s ({written} entries "
+          f"written by the coordinator), serial warm re-run {warm:5.2f}s "
+          f"({stats['disk']['hits']} disk hits, {stats['disk']['writes']} writes)")
 
 
 if __name__ == "__main__":

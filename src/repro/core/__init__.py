@@ -24,7 +24,6 @@ _EXPORTS = {
     "DiskChunkStore": "repro.core.cache",
     "TieredChunkCache": "repro.core.cache",
     "create_cache": "repro.core.cache",
-    "shared_spec": "repro.core.cache",
     "store_health": "repro.core.cache",
     "FaultEvent": "repro.core.faults",
     "FaultInjector": "repro.core.faults",

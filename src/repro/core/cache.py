@@ -22,11 +22,11 @@ Three stores are provided, selectable on ``PrividSystem`` via ``cache=``
 * :class:`TieredChunkCache` (``"tiered:PATH"``) — memory in front of disk,
   promoting disk hits into the hot tier.
 
-Disk-backed stores are also the sharing substrate of sharded execution:
-:func:`shared_spec` reduces a store to the spec string of its cross-process
-portion, which the sharded engine ships to its executor shards so every
-shard reads and extends the same warm directory
-(:meth:`repro.core.remote.ShardedEngine.share_store`).
+Stores live in the coordinating process only: whatever engine executes the
+misses (serial, or the shards of :mod:`repro.core.remote`), the caller looks
+every chunk up and writes every non-fallback result here
+(:meth:`repro.sandbox.environment.SandboxRunner.iter_chunk_rows`), so a
+shard never opens a store.  Several processes may still open one directory.
 
 No store ever affects privacy accounting — budgets are charged per release
 by the executor regardless of whether the rows came from a cache — and they
@@ -333,10 +333,6 @@ class ChunkResultCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-
-    def promote(self, key: str, rows: ChunkRows) -> None:
-        """Adopt rows already persisted elsewhere (this *is* the hot tier)."""
-        self.put(key, rows)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; use ``reset_stats`` for those)."""
@@ -652,11 +648,6 @@ class DiskChunkStore:
             self.writes += 1
         return landed
 
-    def promote(self, key: str, rows: ChunkRows) -> None:
-        """No-op: ``promote`` adopts rows a shard already wrote through to
-        this very directory, so writing them again would only duplicate the
-        atomic rename."""
-
     def clear(self) -> None:
         """Remove every stored entry (counters are kept)."""
         for entry in self._entry_paths():
@@ -744,12 +735,6 @@ class TieredChunkCache:
         self.memory.put(key, rows)
         return self.disk.put(key, rows)
 
-    def promote(self, key: str, rows: ChunkRows) -> None:
-        """Adopt rows already persisted in the shared disk tier (e.g. by a
-        sharded engine's write-through): hot-tier insert only, no second
-        disk write."""
-        self.memory.put(key, rows)
-
     def clear(self) -> None:
         """Drop every entry from both tiers."""
         self.memory.clear()
@@ -783,27 +768,6 @@ class TieredChunkCache:
 
 #: Duck type accepted everywhere a chunk result cache is expected.
 ChunkStore = ChunkResultCache | DiskChunkStore | TieredChunkCache
-
-
-def shared_spec(store: "ChunkStore | None") -> str | None:
-    """The spec string of a store's *cross-process shareable* portion.
-
-    Reduces a store instance to the spec another process could open to see
-    the same entries: a :class:`DiskChunkStore` (or the disk tier of a
-    :class:`TieredChunkCache`) is addressed by its directory, so it reduces
-    to ``"disk:DIR"`` / ``"tiered:DIR"``; a pure in-memory
-    :class:`ChunkResultCache` lives in one process only and reduces to None.
-    This is how the sharded engine points its executor shards at the store
-    warm entries should be shared through
-    (:meth:`repro.core.remote.ShardedEngine.share_store`): every shard gets
-    its own handle — for a tiered spec its own memory LRU — over the same
-    disk directory, the stand-in for shared storage across hosts.
-    """
-    if isinstance(store, DiskChunkStore):
-        return f"disk:{store.directory}"
-    if isinstance(store, TieredChunkCache):
-        return f"tiered:{store.disk.directory}"
-    return None
 
 
 def store_health(store: "ChunkStore | None") -> dict[str, Any]:

@@ -83,21 +83,11 @@ class ChunkOutcome:
 
     ``fallback`` marks the schema-default rows substituted on a crash or a
     timeout; those can be transient (a wall-clock overrun on a loaded
-    machine), so the result cache must never store them.  ``stored`` marks
-    rows an engine already persisted in the shared tier of the caller's
-    chunk store (sharded shards write through — see
-    :meth:`repro.core.remote.ShardedEngine.share_store`), so the caller
-    should only promote them into its memory tier instead of writing the
-    same entry to disk again.  ``cache_hit`` marks rows a shard served from
-    its local view of the shared store without executing at all
-    (coordinator-cold / disk-warm keys) — an observability flag that never
-    changes the rows.
+    machine), so the result cache must never store them.
     """
 
     rows: "list[dict[str, Any]] | ColumnarRows"
     fallback: bool = False
-    stored: bool = False
-    cache_hit: bool = False
 
 
 def execute_chunk(runner: "SandboxRunner", chunk: "Chunk",

@@ -171,19 +171,6 @@ class PrividSystem:
         #: store instance or a spec string ('off', 'memory', 'disk:PATH',
         #: 'tiered:PATH').
         self.chunk_cache = create_cache(cache)
-        # A distributed engine shares the store's cross-process tier with its
-        # executor shards, so shard-side executions consult and extend the
-        # same warm entries the coordinator sees (no-op for local engines,
-        # which reach the store directly through ``iter_chunk_rows``).  Only
-        # an engine built here is wired up: a caller-provided instance may be
-        # shared between systems with different stores (same reasoning as
-        # :meth:`close`), and repointing it would silently divert another
-        # system's write-through — such callers invoke ``share_store``
-        # themselves.
-        if self._owns_engine and self.chunk_cache is not None:
-            share = getattr(self.engine, "share_store", None)
-            if share is not None:
-                share(self.chunk_cache)
 
     def query_view(self, noise_path: str) -> "PrividSystem":
         """This deployment as one query sees it: cameras, registry, ledger,

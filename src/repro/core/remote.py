@@ -46,12 +46,6 @@ Coordinator -> shard:
     ``[video_ref, index, start, end, mask_ref, region_ref, sample_period]``
     (:data:`~repro.core.engine.ChunkSpecMessage`), so per-task IPC stays at
     a few ints and floats per chunk.
-``{"type": "store", "spec": "disk:PATH" | "tiered:PATH"}``
-    Adopt a shard-local view of the shared chunk result store (see
-    :func:`repro.core.cache.shared_spec`): subsequent tasks consult it
-    before executing and write successful results through to it, which is
-    what lets shards on different hosts share warm entries over common
-    storage — and preserves completed work if the coordinator dies.
 ``{"type": "ping", "token": T}``
     Heartbeat probe; the shard echoes the token back as a ``pong``.
 ``{"type": "shutdown"}``
@@ -59,22 +53,16 @@ Coordinator -> shard:
 
 Shard -> coordinator:
 
-``{"type": "result", "seq": S, "outcomes": [{"rows": [...], "fallback": F,
-"cache_hit": C, "stored": W}, ...], "stages": {...}}``
-    One outcome per spec of task ``S``, in spec order.  Rows are the
-    schema-coerced row dicts (JSON-safe by construction — the on-disk store
-    serializes the very same shape); ``fallback`` marks crash/timeout
-    default rows, ``cache_hit`` marks rows the shard served from its local
-    view of the shared store *without executing* (the coordinator counts
-    these as ``shard_cache_hits``), and ``stored`` marks rows that already
-    live in the shared store (served from it, or by a put that landed), so
-    the coordinator's cache layer only promotes them into its memory tier
-    instead of re-writing the disk entry.  ``stages`` (optional) is where
-    the task's seconds went on the shard — ``load_s`` (payload decode),
-    ``store_get_s``, ``execute_s``, ``store_put_s`` — plus two counts:
-    ``loads``, 1 when the manifest had to be decoded, and ``store_links``,
-    puts that landed as a hard link (an empty entry, no new file); summed
-    per shard, never acted on.
+``{"type": "result", "seq": S, "outcomes": [{"rows": [...], "fallback": F},
+...], "stages": {...}}``
+    One outcome per spec of task ``S``, in spec order; a frame with any
+    other number of outcomes is handled as an ``error`` for ``S``.  Rows are
+    the schema-coerced row dicts (JSON-safe by construction — the on-disk
+    store serializes the very same shape); ``fallback`` marks crash/timeout
+    default rows.  ``stages`` (optional) is where the task's seconds went on
+    the shard — ``load_s`` (payload decode) and ``execute_s`` — plus
+    ``loads``, 1 when the manifest had to be decoded; summed per shard,
+    never acted on.
 ``{"type": "pong", "token": T}``
     Heartbeat reply.
 ``{"type": "error", "seq": S, "message": TEXT}``
@@ -82,13 +70,18 @@ Shard -> coordinator:
     file).  Executable crashes never surface here — the sandbox converts
     those to fallback rows inside a normal ``result``.
 
+Shards never open the chunk result store: the coordinator looks every
+chunk up before dispatch and writes every result it receives
+(:meth:`~repro.sandbox.environment.SandboxRunner.iter_chunk_rows`), so a
+shard only executes.
+
 Fault tolerance
 ===============
 
 The coordinator applies results *at most once*: a task is retired the moment
-its first ``result`` frame arrives, and any later frame for the same ``seq``
-(a reassigned task whose original shard turned out to be merely slow) is
-dropped.  Workers answer pings from a dedicated read loop while tasks
+its first well-formed ``result`` frame arrives, and any later frame for the
+same ``seq`` (a reassigned task whose original shard turned out to be merely
+slow) is dropped.  Workers answer pings from a dedicated read loop while tasks
 execute on a separate thread, so a *busy* shard never reads as *dead*:
 silence past ``heartbeat_timeout`` while holding work genuinely means
 frozen or gone, and such a shard is killed and its pending tasks
@@ -137,7 +130,6 @@ from repro.errors import RemoteShardError
 from repro.utils import checks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import ChunkStore
     from repro.sandbox.environment import ExecutionContext, SandboxRunner
     from repro.video.chunking import Chunk
 
@@ -396,7 +388,7 @@ _LISTENING_MARKER = "PRIVID-SHARD-LISTENING"
 
 
 def parse_address(text: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (port required; host defaults to all interfaces).
+    """Parse ``HOST:PORT`` (port required; an empty host is loopback).
 
     An IPv6 literal is written in brackets, ``[::1]:7000``, and returned
     without them; an unbracketed host that contains a colon is ambiguous and
@@ -417,59 +409,29 @@ def parse_address(text: str) -> tuple[str, int]:
         raise ValueError(f"invalid port in shard address {text!r}") from exc
     if not 0 <= port <= 65535:
         raise ValueError(f"port out of range in shard address {text!r}")
-    return host or "0.0.0.0", port
+    return host or "127.0.0.1", port
 
 
 # --------------------------------------------------------------- shard worker
 
 
-def _handle_task(message: dict[str, Any], store: "ChunkStore | None") -> dict[str, Any]:
-    """Execute one task frame and build its result frame.
-
-    Mirrors the engine-side unit of work (``execute_chunk``) with one
-    addition: when the coordinator shipped a shared-store spec, the shard
-    checks the store before executing and writes successful results through,
-    so shards over common storage serve and extend the same warm set.
-    """
+def _handle_task(message: dict[str, Any]) -> dict[str, Any]:
+    """Execute one task frame and build its result frame (the engine-side
+    unit of work, ``execute_chunk``, once per spec)."""
     clock = time.perf_counter
     started = clock()
     payload, decoded = _fetch_payload(message["payload"])
-    stages = {"loads": int(decoded), "load_s": clock() - started,
-              "store_get_s": 0.0, "execute_s": 0.0, "store_put_s": 0.0}
-    disk = getattr(store, "disk", store)  # a tiered store's disk tier
-    links = getattr(disk, "links", 0)
+    loaded = clock()
     runner = payload["runner"]
     context = payload["context"]
     objects = payload["objects"]
     outcomes: list[dict[str, Any]] = []
     for spec in message["specs"]:
-        chunk = chunk_from_spec(objects, spec)
-        rows = None
-        key = None
-        began = clock()
-        if store is not None:
-            key = store.key_for(runner, chunk, context)
-            rows = store.get(key)
-        fetched = clock()
-        stages["store_get_s"] += fetched - began
-        if rows is not None:
-            # Shard-side cache classification: a coordinator-cold but
-            # disk-warm key skips the execute entirely — the shard's local
-            # view of the shared tier already holds the rows.
-            outcomes.append({"rows": [dict(row) for row in rows],
-                             "fallback": False, "cache_hit": True, "stored": True})
-            continue
-        outcome = execute_chunk(runner, chunk, context)
-        executed = clock()
-        stages["execute_s"] += executed - fetched
-        # Only a put that landed is "stored"; the coordinator writes the rest.
-        stored = store is not None and key is not None and not outcome.fallback \
-            and bool(store.put(key, outcome.rows))
-        stages["store_put_s"] += clock() - executed
+        outcome = execute_chunk(runner, chunk_from_spec(objects, spec), context)
         outcomes.append({"rows": [dict(row) for row in outcome.rows],
-                         "fallback": outcome.fallback, "cache_hit": False,
-                         "stored": stored})
-    stages["store_links"] = getattr(disk, "links", 0) - links
+                         "fallback": outcome.fallback})
+    stages = {"loads": int(decoded), "load_s": loaded - started,
+              "execute_s": clock() - loaded}
     return {"type": "result", "seq": message["seq"], "outcomes": outcomes,
             "stages": stages}
 
@@ -496,7 +458,6 @@ def serve(rfile: BinaryIO, wfile: BinaryIO,
     write_lock = threading.Lock()
     if tasks is None:
         tasks = queue.Queue()
-    state: dict[str, "ChunkStore | None"] = {"store": None}
 
     def send(message: dict[str, Any]) -> None:
         with write_lock:
@@ -510,7 +471,7 @@ def serve(rfile: BinaryIO, wfile: BinaryIO,
                 return
             try:
                 try:
-                    reply = _handle_task(message, state["store"])
+                    reply = _handle_task(message)
                 except Exception:
                     reply = {"type": "error", "seq": message.get("seq"),
                              "message": traceback.format_exc(limit=20)}
@@ -546,21 +507,6 @@ def serve(rfile: BinaryIO, wfile: BinaryIO,
                 return
             if kind == "ping":
                 send({"type": "pong", "token": message.get("token")})
-            elif kind == "store":
-                from repro.core.cache import create_cache
-
-                try:
-                    state["store"] = create_cache(message.get("spec"))
-                except (ValueError, OSError):
-                    # The shard still works without the shared store — it
-                    # just recomputes — but the coordinator must hear about
-                    # the misconfiguration rather than silently losing the
-                    # warm-sharing property.
-                    state["store"] = None
-                    send({"type": "error", "seq": None,
-                          "message": "shard could not open shared store "
-                                     f"{message.get('spec')!r}:\n"
-                                     + traceback.format_exc(limit=5)})
             elif kind == "task":
                 tasks.put(message)
     finally:
@@ -592,8 +538,9 @@ def _serve_connection(connection: socket.socket,
 def listen(address: str) -> None:
     """Daemon mode: accept coordinator connections and serve each one.
 
-    Binds ``HOST:PORT`` (port 0 picks an ephemeral port), announces the
-    bound address on stdout as ``PRIVID-SHARD-LISTENING HOST PORT``, then
+    Binds ``HOST:PORT`` (an empty host is loopback, ``0.0.0.0`` every
+    interface; port 0 picks an ephemeral port), announces the bound
+    address on stdout as ``PRIVID-SHARD-LISTENING HOST PORT``, then
     serves every accepted connection on its own thread — a long-lived shard
     host several coordinators can attach to concurrently, each getting an
     independent worker loop.  Runs until the process is terminated.
@@ -684,7 +631,8 @@ def main(argv: list[str] | None = None) -> None:
     ``--fd N`` serves the coordinator over the connected socket inherited
     as fd N (a local shard, started by :meth:`SocketTransport.spawn`);
     ``--listen HOST:PORT`` runs the daemon that :meth:`SocketTransport.dial`
-    connects to.  Either way fd 1 ends up pointing at stderr.
+    connects to; ``--listen :PORT`` binds loopback only.  Either way fd 1
+    ends up pointing at stderr.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.core.remote",
@@ -696,8 +644,9 @@ def main(argv: list[str] | None = None) -> None:
                            "connected socket")
     mode.add_argument("--listen", metavar="HOST:PORT", default=None,
                       help="run as a TCP shard daemon bound to HOST:PORT "
-                           "(port 0 picks an ephemeral port, announced on "
-                           "stdout)")
+                           "(an empty HOST is 127.0.0.1, 0.0.0.0 is every "
+                           "interface; port 0 picks an ephemeral port, "
+                           "announced on stdout)")
     args = parser.parse_args(argv)
     if args.listen is not None:
         listen(args.listen)
@@ -921,9 +870,6 @@ class ShardedEngine:
         self._fault_injector = fault_injector
         #: Engine-wide IPC accounting (every task frame sent to any shard).
         self.dispatch_stats = DispatchStats()
-        #: Chunks whose rows a shard served from its local view of the
-        #: shared store without executing (shard-side cache classification).
-        self.shard_cache_hits = 0
         self._shard_stats: dict[int, DispatchStats] = {}
         self._shards: dict[int, _Shard] = {}
         self._inbox: "queue.Queue[tuple[int, Any]]" = queue.Queue()
@@ -942,7 +888,6 @@ class ShardedEngine:
         #: stream that owns the seq raises when it reaches it, so a failure
         #: never propagates into whichever stream happened to be pumping.
         self._failed: dict[int, str] = {}
-        self._store_spec: str | None = None
         # Local workers attach shared memory; a daemon may be on another host.
         self._publisher = _BroadcastPublisher(same_host=transports is None)
 
@@ -1012,11 +957,6 @@ class ShardedEngine:
         stats = self._shard_stats.setdefault(shard_id, DispatchStats())
         shard = _Shard(shard_id, transport, self._inbox, stats, slot=slot)
         self._shards[shard_id] = shard
-        if self._store_spec:
-            try:
-                shard.send({"type": "store", "spec": self._store_spec})
-            except OSError:
-                self._mark_dead(shard)
         return shard
 
     def _ensure_shards(self) -> None:
@@ -1049,34 +989,6 @@ class ShardedEngine:
 
     def _live_shards(self) -> list[_Shard]:
         return [shard for shard in self._shards.values() if shard.alive]
-
-    def share_store(self, store: "ChunkStore | str | None") -> None:
-        """Point every shard at the shareable tier of a chunk result store.
-
-        Accepts a store instance (reduced via
-        :func:`repro.core.cache.shared_spec` to its cross-process portion —
-        the disk directory; a pure in-memory cache reduces to nothing and is
-        ignored) or a spec string.  ``PrividSystem`` calls this
-        automatically for engines it built from a spec string, so
-        ``PrividSystem(engine="sharded:4", cache="tiered:PATH")`` gives
-        every shard a local LRU over the same warm directory; an engine
-        *instance* handed to several systems is shared property, so those
-        callers pick the store to share themselves.
-        """
-        if store is None or isinstance(store, str):
-            spec = store or None
-        else:
-            from repro.core.cache import shared_spec
-
-            spec = shared_spec(store)
-        with self._lock:
-            self._store_spec = spec
-            if spec:
-                for shard in self._live_shards():
-                    try:
-                        shard.send({"type": "store", "spec": spec})
-                    except OSError:
-                        self._mark_dead(shard)
 
     # ------------------------------------------------------------ dispatching
 
@@ -1156,44 +1068,41 @@ class ShardedEngine:
         shard.last_seen = time.monotonic()
         shard.started = True
         kind = message.get("type")
+        task = self._tasks.get(message.get("seq"))
+        if task is None:
+            return  # no task (a pong), or a stale seq: at-most-once
         if kind == "result":
-            seq = message.get("seq")
-            task = self._tasks.pop(seq, None)
-            if task is None:
-                return  # stale duplicate of a reassigned task: at-most-once
+            outcomes = message.get("outcomes")
+            count = len(outcomes) if isinstance(outcomes, list) else 0
+            if count != task.num_chunks:
+                # Applying it would shift rows onto the wrong chunks, which
+                # the coordinator would then store under those chunks' keys.
+                self._task_error(task, shard_id, f"result frame has {count} "
+                                 f"outcomes for {task.num_chunks} chunks")
+                return
+            del self._tasks[task.seq]
             for entry in self._shards.values():
-                entry.pending.pop(seq, None)
-            outcomes = [
-                ChunkOutcome(rows=outcome["rows"], fallback=bool(outcome["fallback"]),
-                             stored=bool(outcome.get("stored")),
-                             cache_hit=bool(outcome.get("cache_hit")))
-                for outcome in message["outcomes"]]
-            self.shard_cache_hits += sum(1 for outcome in outcomes
-                                         if outcome.cache_hit)
+                entry.pending.pop(task.seq, None)
             shard.stats.record_stages(message.get("stages"))
             self.dispatch_stats.record_stages(message.get("stages"))
-            self._ready[seq] = outcomes
+            self._ready[task.seq] = [
+                ChunkOutcome(rows=outcome["rows"], fallback=bool(outcome["fallback"]))
+                for outcome in outcomes]
         elif kind == "error":
-            seq = message.get("seq")
-            if seq is None:
-                # A shard-level complaint not tied to a task (e.g. it could
-                # not open the shared store and will recompute instead of
-                # sharing warm entries): surface it, don't swallow it.
-                warnings.warn(f"shard {shard_id}: "
-                              f"{str(message.get('message', '')).strip()}",
-                              RuntimeWarning, stacklevel=2)
-                return
-            task = self._tasks.get(seq)
-            # Only the task's *current* owner may fail it: a stale error
-            # from a previous owner (which died right after sending, with
-            # the task already redispatched) must not burn a retry or
-            # double-dispatch while the new owner's result is in flight.
-            if task is not None and task.shard_id == shard_id:
-                for entry in self._shards.values():
-                    entry.pending.pop(seq, None)
-                self._retry(task, exclude=shard_id,
-                            reason=str(message.get("message", "")).strip())
-        # "pong" (and unknown types) only needed the last_seen refresh above.
+            self._task_error(task, shard_id, str(message.get("message", "")).strip())
+
+    def _task_error(self, task: _ShardTask, shard_id: int, reason: str) -> None:
+        """Retry a task its shard could not answer, elsewhere.
+
+        Only the task's *current* owner may fail it: a stale error from a
+        previous owner (which died right after sending, with the task already
+        redispatched) must not burn a retry or double-dispatch while the new
+        owner's result is in flight.
+        """
+        if task.shard_id == shard_id:
+            for entry in self._shards.values():
+                entry.pending.pop(task.seq, None)
+            self._retry(task, exclude=shard_id, reason=reason)
 
     def _heartbeat(self) -> None:
         """Probe silent shards; declare the unresponsive ones dead.
@@ -1384,7 +1293,6 @@ class ShardedEngine:
         """Zero the engine-wide and per-shard IPC counters."""
         with self._lock:
             self.dispatch_stats = DispatchStats()
-            self.shard_cache_hits = 0
             self._shard_stats = {shard_id: DispatchStats()
                                  for shard_id in self._shard_stats}
             for shard in self._shards.values():
@@ -1427,14 +1335,11 @@ class ShardedEngine:
 
         Per-shard entries survive shard death and replacement, so the dict
         records where every byte of a sweep actually went (``engine_stats()``
-        reports it as its ``dispatch`` section).
-        ``shard_cache_hits`` counts chunks a shard answered from its local
-        view of the shared store without executing; ``breakers`` is the
+        reports it as its ``dispatch`` section).  ``breakers`` is the
         per-endpoint circuit-breaker state (empty until shards spawn).
         """
         with self._lock:
             return {**self.dispatch_stats.as_dict(),
-                    "shard_cache_hits": self.shard_cache_hits,
                     "per_shard": {str(shard_id): stats.as_dict()
                                   for shard_id, stats in sorted(self._shard_stats.items())
                                   if stats.dispatches or stats.chunks},

@@ -334,26 +334,5 @@ class SandboxRunner:
             outcome = next(outcomes)
             _, key = ledger.popleft()
             if not outcome.fallback:
-                if outcome.stored:
-                    # The engine already persisted these rows in the store's
-                    # shared tier (sharded write-through); only the hot tier
-                    # needs them.
-                    cache.promote(key, outcome.rows)
-                else:
-                    cache.put(key, outcome.rows)
+                cache.put(key, outcome.rows)
             yield outcome.rows
-
-    def run_chunks(self, chunks: Iterable[Chunk], context: ExecutionContext, *,
-                   engine: ExecutionEngine | None = None,
-                   cache: "ChunkStore | None" = None,
-                   count_hint: int | None = None) -> list[dict[str, Any]]:
-        """Process every chunk independently and concatenate the rows.
-
-        Batch adapter over :meth:`iter_chunk_rows`, kept for callers that
-        want the whole table at once.
-        """
-        rows: list[dict[str, Any]] = []
-        for chunk_rows in self.iter_chunk_rows(chunks, context, engine=engine,
-                                               cache=cache, count_hint=count_hint):
-            rows.extend(chunk_rows)
-        return rows

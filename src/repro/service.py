@@ -146,9 +146,8 @@ class QueryService:
                                               compact_every=compact_every)
             self.ledger = ledger if ledger is not None else ServiceLedger()
             # The template system owns the shared resources: it builds the
-            # engine/store from specs, wires share_store for engines it
-            # built, and registers cameras.  Per-query systems are thin
-            # views over it.
+            # engine/store from specs and registers cameras.  Per-query
+            # systems are thin views over it.
             self._template = PrividSystem(seed=seed, registry=registry,
                                           engine=engine, cache=cache,
                                           ledger=self.ledger,

@@ -74,6 +74,11 @@ def make_simple_video(*, duration: float = 600.0, objects: list[SceneObject] | N
     return video
 
 
+def flat_rows(chunk_rows) -> list:
+    """Every row of a per-chunk row stream (``iter_chunk_rows``), in order."""
+    return [row for rows in chunk_rows for row in rows]
+
+
 @pytest.fixture()
 def simple_video() -> SyntheticVideo:
     """Ten minutes of video with three crossings and one lingerer."""

@@ -25,7 +25,7 @@ from repro.video.chunking import ChunkSpec, split_interval
 from repro.video.masking import Mask
 from repro.video.geometry import BoundingBox
 
-from tests.conftest import make_crossing_object, make_simple_video
+from tests.conftest import flat_rows, make_crossing_object, make_simple_video
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))
@@ -57,9 +57,11 @@ class TestEngines:
         chunks = split_interval(video, ChunkSpec(window=TimeInterval(0, 600),
                                                  chunk_duration=60.0))
         runner, context = _runner(), _context(video)
-        serial_rows = runner.run_chunks(chunks, context, engine=SerialEngine())
+        serial_rows = flat_rows(runner.iter_chunk_rows(chunks, context,
+                                                       engine=SerialEngine()))
         with create_engine(spec) as engine:
-            parallel_rows = runner.run_chunks(chunks, context, engine=engine)
+            parallel_rows = flat_rows(runner.iter_chunk_rows(chunks, context,
+                                                             engine=engine))
         assert repr(parallel_rows) == repr(serial_rows)
 
     def test_single_chunk_short_circuits_shards(self):
@@ -67,9 +69,10 @@ class TestEngines:
         chunks = split_interval(video, ChunkSpec(window=TimeInterval(0, 60),
                                                  chunk_duration=60.0))
         with ShardedEngine(2) as engine:
-            rows = _runner().run_chunks(chunks, _context(video), engine=engine)
+            rows = flat_rows(_runner().iter_chunk_rows(chunks, _context(video),
+                                                       engine=engine))
             assert engine.dispatch_stats.dispatches == 0
-        assert rows == _runner().run_chunks(chunks, _context(video))
+        assert rows == flat_rows(_runner().iter_chunk_rows(chunks, _context(video)))
 
     def test_system_level_results_engine_independent(self):
         def build(engine):
@@ -124,9 +127,9 @@ class TestChunkResultCache:
                                                  chunk_duration=60.0))
         runner, context = _runner(), _context(video)
         cache = ChunkResultCache()
-        first = runner.run_chunks(chunks, context, cache=cache)
+        first = flat_rows(runner.iter_chunk_rows(chunks, context, cache=cache))
         assert cache.stats.misses == len(chunks) and cache.stats.hits == 0
-        second = runner.run_chunks(chunks, context, cache=cache)
+        second = flat_rows(runner.iter_chunk_rows(chunks, context, cache=cache))
         assert cache.stats.hits == len(chunks)
         assert second == first
 
@@ -159,7 +162,7 @@ class TestChunkResultCache:
         runner = SandboxRunner(CrashingExecutable(), PERSON_SCHEMA, max_rows=5,
                                timeout_seconds=5.0)
         cache = ChunkResultCache()
-        rows = runner.run_chunks(chunks, _context(video), cache=cache)
+        rows = flat_rows(runner.iter_chunk_rows(chunks, _context(video), cache=cache))
         # Default rows were substituted, but a (possibly transient) failure
         # must not poison the cache for later queries over the same chunks.
         assert [row["kind"] for row in rows] == ["", ""]
@@ -178,8 +181,10 @@ class TestChunkResultCache:
                                                      chunk_duration=60.0))
         empty_chunks = split_interval(empty, ChunkSpec(window=TimeInterval(0, 600),
                                                        chunk_duration=60.0))
-        busy_rows = runner.run_chunks(busy_chunks, context, cache=cache)
-        empty_rows = runner.run_chunks(empty_chunks, context, cache=cache)
+        busy_rows = flat_rows(runner.iter_chunk_rows(busy_chunks, context,
+                                                     cache=cache))
+        empty_rows = flat_rows(runner.iter_chunk_rows(empty_chunks, context,
+                                                      cache=cache))
         assert cache.stats.hits == 0
         assert len([row for row in busy_rows if row["kind"] == "person"]) > 0
         assert all(row["kind"] != "person" for row in empty_rows)
@@ -255,24 +260,26 @@ class TestChunkResultCache:
                                Schema(columns=(ColumnSpec("plate", DataType.STRING, ""),)),
                                max_rows=2, timeout_seconds=5.0)
         context = _context(video)
-        reference = runner.run_chunks(chunks, context)
+        reference = flat_rows(runner.iter_chunk_rows(chunks, context))
         assert [row["plate"] for row in reference] == ["\ud800"] * len(chunks)
         for spec in ("memory", f"disk:{tmp_path / 'd'}", f"tiered:{tmp_path / 't'}"):
-            cold = runner.run_chunks(chunks, context, cache=create_cache(spec))
+            cold = flat_rows(runner.iter_chunk_rows(chunks, context,
+                                                    cache=create_cache(spec)))
             assert repr(cold) == repr(reference), spec
         for spec in (f"disk:{tmp_path / 'd'}", f"tiered:{tmp_path / 't'}"):
             store = create_cache(spec)  # a fresh handle: served from the files
-            assert repr(runner.run_chunks(chunks, context, cache=store)) \
-                == repr(reference), spec
+            rows = flat_rows(runner.iter_chunk_rows(chunks, context, cache=store))
+            assert repr(rows) == repr(reference), spec
             assert store.stats_dict()["hits"] == len(chunks)
         shared = create_cache(f"tiered:{tmp_path / 's'}")
-        with create_engine("sharded:2") as engine:
-            engine.share_store(shared)  # the shards do the puts
-            sharded = runner.run_chunks(chunks, context, engine=engine, cache=shared)
+        with create_engine("sharded:2") as engine:  # the coordinator does the puts
+            sharded = flat_rows(runner.iter_chunk_rows(chunks, context, engine=engine,
+                                                       cache=shared))
         assert repr(sharded) == repr(reference)
-        assert shared.disk.writes == 0 and len(shared.disk) == len(chunks)
+        assert shared.disk.writes == len(shared.disk) == len(chunks)
         warm = create_cache(f"tiered:{tmp_path / 's'}")
-        assert repr(runner.run_chunks(chunks, context, cache=warm)) == repr(reference)
+        rows = flat_rows(runner.iter_chunk_rows(chunks, context, cache=warm))
+        assert repr(rows) == repr(reference)
         assert warm.stats_dict()["hits"] == len(chunks)
 
 

@@ -23,7 +23,7 @@ from repro.video.chunking import ChunkSpec, split_interval
 from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
 
-from tests.conftest import make_crossing_object, make_simple_video
+from tests.conftest import flat_rows, make_crossing_object, make_simple_video
 
 
 VALUE_SCHEMA = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
@@ -96,7 +96,7 @@ class TestSandboxRunner:
         chunks = split_interval(simple_video, spec)
         runner = SandboxRunner(StatefulExecutable(), VALUE_SCHEMA, max_rows=3,
                                timeout_seconds=5.0)
-        rows = runner.run_chunks(chunks, context)
+        rows = flat_rows(runner.iter_chunk_rows(chunks, context))
         # Each chunk sees a fresh copy, so the counter restarts every time.
         assert [row["value"] for row in rows] == [1.0, 1.0]
 

@@ -19,7 +19,7 @@ from concurrent.futures import wait
 import pytest
 
 from repro.bench.serving import WorkloadConfig, generate_schedule
-from repro.core import PrividSystem, ServiceLedger, ShardedEngine
+from repro.core import PrividSystem, ServiceLedger
 from repro.core.budget import BudgetRequest, FrameBudgetLedger
 from repro.core.durability import WriteAheadLog
 from repro.core.noise import LaplaceMechanism
@@ -34,18 +34,11 @@ from repro.errors import (
     UnknownCameraError,
 )
 from repro.query.builder import QueryBuilder
-from repro.relational.table import ColumnSpec, DataType, Schema
-from repro.sandbox.environment import ExecutionContext, SandboxRunner
-from repro.sandbox.executables import EnteringObjectCounter
 from repro.service import QueryService
 from repro.utils.rng import RandomSource
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import ChunkSpec, iter_chunks
 
 from tests.conftest import make_crossing_object, make_simple_video
-
-PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
-                                ColumnSpec("dy", DataType.NUMBER, 0.0)))
 
 
 def _walker_video(num_walkers: int = 6, duration: float = 600.0):
@@ -673,35 +666,6 @@ class TestNoPerturbationUnderLoad:
             system.mechanism = LaplaceMechanism(system.random)
             reference.append(system.execute(_event_query(event)))
         assert releases[1] == released(reference)
-
-
-class TestShardCacheClassification:
-    def test_disk_warm_chunks_report_cache_hit(self, tmp_path):
-        # First sweep executes and writes through to the shared disk tier;
-        # the second sweep's shards find every key disk-warm and skip the
-        # execute, reporting cache_hit per outcome — surfaced on the engine
-        # as shard_cache_hits.
-        video = _walker_video()
-        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
-        runner = SandboxRunner(EnteringObjectCounter(category="person"),
-                               PERSON_SCHEMA, max_rows=5, timeout_seconds=5.0)
-        context = ExecutionContext(camera=video.name, fps=video.fps)
-        with ShardedEngine(2) as engine:
-            engine.share_store(f"disk:{tmp_path}")
-            first = list(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                            context))
-            assert engine.shard_cache_hits == 0
-            assert all(not outcome.cache_hit for outcome in first)
-            second = list(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                             context))
-            assert engine.shard_cache_hits == 10
-            assert all(outcome.cache_hit and outcome.stored for outcome in second)
-            stats = engine.dispatch_stats_dict()
-            assert stats["shard_cache_hits"] == 10
-            engine.reset_dispatch_stats()
-            assert engine.shard_cache_hits == 0
-        rows = lambda outcomes: [[dict(row) for row in o.rows] for o in outcomes]
-        assert repr(rows(second)) == repr(rows(first))
 
 
 class TestDurableService:

@@ -29,12 +29,10 @@ from repro.core import (
     SerialEngine,
     ShardedEngine,
     create_engine,
-    shared_spec,
 )
 import repro.core.engine as engine_module
-from repro.core.cache import ChunkResultCache, TieredChunkCache
+from repro.core.cache import TieredChunkCache
 from repro.core.engine import DispatchStats, SerialEngine as _Serial, _StreamBroadcast
-from repro.core.faults import FaultKind, FaultPlan, FaultRule
 from repro.core.policy import PrivacyPolicy
 from repro.core import remote
 from repro.core.remote import (
@@ -45,6 +43,7 @@ from repro.core.remote import (
     _worker_env,
     encode_frame,
     read_frame,
+    serve,
     write_frame,
 )
 from repro.errors import RemoteShardError
@@ -133,6 +132,21 @@ class TestWireProtocol:
         values = [0.1, 1e-17, 12345.6789, 2.0 ** -40, 600.0]
         frame = encode_frame({"type": "result", "rows": values})
         assert read_frame(io.BytesIO(frame))["rows"] == values
+
+    def test_a_worker_ignores_a_store_frame(self, tmp_path):
+        # Shards never open a store: a ``store`` frame (an older
+        # coordinator's, or a stranger's) is an unknown type, so it creates
+        # no directory and draws no reply.
+        target = tmp_path / "made-by-a-peer"
+        frames = b"".join(encode_frame(message) for message in (
+            {"type": "store", "spec": f"disk:{target}"},
+            {"type": "ping", "token": 3}, {"type": "shutdown"}))
+        replies = io.BytesIO()
+        serve(io.BytesIO(frames), replies)
+        replies.seek(0)
+        assert read_frame(replies) == {"type": "pong", "token": 3}
+        assert read_frame(replies) is None
+        assert not target.exists()
 
 
 class TestEngineRegistry:
@@ -332,7 +346,6 @@ class TestUnhintedRamp:
             iter_chunks(video, THIRTY_CHUNKS), context)]
         store = TieredChunkCache(disk=tmp_path / "store")
         with ShardedEngine(2) as engine:
-            engine.share_store(store)
             sizes = _task_sizes(engine)
             recorder = _RecordingEngine(engine)
             rows = [list(rows) for rows in runner.iter_chunk_rows(
@@ -343,9 +356,9 @@ class TestUnhintedRamp:
         assert recorder.hints == [None]
         assert _in_seq_order(sizes) == [1, 1, 2, 2, 4, 4, 8, 8]
         assert len(recorder.outcomes) == 30
-        assert all(outcome.stored and not outcome.cache_hit
-                   for outcome in recorder.outcomes)
-        assert store.disk.writes == 0 and len(store.disk) == 30
+        assert not any(outcome.fallback for outcome in recorder.outcomes)
+        # The coordinator writes every entry; no shard opens the store.
+        assert store.disk.writes == 30 and len(store.disk) == 30
 
     def test_scattered_misses_stay_single_chunk_tasks_over_both_shards(self, tmp_path):
         video = _walker_video(duration=900.0)
@@ -358,7 +371,6 @@ class TestUnhintedRamp:
             warm.disk._path_for(warm.key_for(runner, chunks[index], context)).unlink()
         store = TieredChunkCache(disk=tmp_path / "store")  # cold memory tier
         with ShardedEngine(2) as engine:
-            engine.share_store(store)
             sizes = _task_sizes(engine)
             rows = [list(rows) for rows in runner.iter_chunk_rows(
                 iter(chunks), context, engine=engine, cache=store)]
@@ -803,10 +815,9 @@ class TestWorkerPayloadCache:
 
 
 class TestShardStageTimes:
-    def test_stage_times_fit_inside_the_task_and_a_repeat_loads_nothing(self, tmp_path):
+    def test_stage_times_fit_inside_the_task_and_a_repeat_loads_nothing(self):
         video = _walker_video()
         runner, context = _runner(), _context(video)
-        store = DiskChunkStore(tmp_path / "store")
         publisher = engine_module._BroadcastPublisher()
         try:
             broadcast = _StreamBroadcast(publisher, runner, context, DispatchStats())
@@ -817,24 +828,20 @@ class TestShardStageTimes:
             frames = []
             for _ in range(2):
                 started = time.perf_counter()
-                frames.append(_handle_task(message, store))
+                frames.append(_handle_task(message))
                 wall = time.perf_counter() - started
                 stages = frames[-1]["stages"]
-                assert set(stages) == {"loads", "load_s", "store_get_s",
-                                       "execute_s", "store_put_s", "store_links"}
+                assert set(stages) == {"loads", "load_s", "execute_s"}
                 assert 0.0 <= sum(value for name, value in stages.items()
                                   if name.endswith("_s")) <= wall
         finally:
             publisher.close()
         cold, warm = (frame["stages"] for frame in frames)
-        assert cold["loads"] == 1 and cold["execute_s"] > 0 and cold["store_put_s"] > 0
-        # Every empty result after the first landed as a link to it.
-        empty = sum(1 for outcome in frames[0]["outcomes"] if not outcome["rows"])
-        assert cold["store_links"] == store.links == empty - 1 > 0
-        # The repeat: payload already decoded, every chunk served by the store.
+        assert cold["loads"] == 1 and cold["execute_s"] > 0
+        # The repeat: payload already decoded; a shard has no store, so it
+        # executes every chunk again, to the same rows.
         assert warm["loads"] == 0 and warm["load_s"] < cold["load_s"]
-        assert warm["execute_s"] == warm["store_put_s"] == 0.0
-        assert warm["store_links"] == 0
+        assert warm["execute_s"] > 0
         assert [outcome["rows"] for outcome in frames[0]["outcomes"]] \
             == [outcome["rows"] for outcome in frames[1]["outcomes"]]
 
@@ -846,7 +853,7 @@ class TestShardStageTimes:
                                     _context(video)))
             wall = time.perf_counter() - started
             stats = engine.dispatch_stats_dict()
-        names = ("load_s", "store_get_s", "execute_s", "store_put_s")
+        names = ("load_s", "execute_s")
         per_shard = list(stats["per_shard"].values())
         for name in (*names, "loads"):
             assert stats["stages"][name] == pytest.approx(
@@ -854,60 +861,6 @@ class TestShardStageTimes:
         # Two shards, each busy for no longer than the stream took.
         assert 0 < sum(stats["stages"][name] for name in names) <= 2 * wall
         assert stats["stages"]["execute_s"] > 0
-
-
-class _InProcessShard:
-    """An engine whose every chunk is one task frame through ``_handle_task``
-    in this process, read back the way the coordinator reads result frames."""
-
-    def __init__(self, store) -> None:
-        self.store = store
-        self.frames: list = []
-
-    def imap_chunks(self, runner, chunks, context, *, count_hint=None):
-        publisher = engine_module._BroadcastPublisher()
-        try:
-            broadcast = _StreamBroadcast(publisher, runner, context, DispatchStats())
-            for seq, chunk in enumerate(chunks):
-                spec = list(broadcast.chunk_spec(chunk))
-                frame = _handle_task({"type": "task", "seq": seq, "specs": [spec],
-                                      "payload": broadcast.payload_ref()},
-                                     self.store)
-                self.frames.append(frame)
-                for outcome in frame["outcomes"]:
-                    yield engine_module.ChunkOutcome(
-                        rows=outcome["rows"], fallback=outcome["fallback"],
-                        stored=outcome["stored"], cache_hit=outcome["cache_hit"])
-        finally:
-            publisher.close()
-
-
-class TestShardPutOutcome:
-    """A result frame's ``stored`` is whether the shard's put landed."""
-
-    @pytest.mark.parametrize("put_fails", [False, True])
-    def test_the_coordinator_writes_what_the_shard_could_not(self, tmp_path,
-                                                             put_fails):
-        video = _walker_video()
-        runner, context = _runner(), _context(video)
-        injector = FaultPlan(rules=(FaultRule(
-            site="store.put", kind=FaultKind.IO_ERROR, probability=1.0),)
-        ).injector() if put_fails else None
-        shard = _InProcessShard(DiskChunkStore(tmp_path / "store",
-                                               fault_injector=injector))
-        coordinator = TieredChunkCache(disk=tmp_path / "store")
-        rows = [list(rows) for rows in runner.iter_chunk_rows(
-            iter_chunks(video, TEN_CHUNKS), context, engine=shard,
-            cache=coordinator)]
-        assert repr(rows) == repr([list(rows) for rows in runner.iter_chunk_rows(
-            iter_chunks(video, TEN_CHUNKS), context)])
-        stored = [outcome["stored"] for frame in shard.frames
-                  for outcome in frame["outcomes"]]
-        assert stored == [not put_fails] * 10
-        assert shard.store.write_errors == (10 if put_fails else 0)
-        # Stored rows are only promoted; unstored ones are written, once.
-        assert coordinator.disk.writes == (10 if put_fails else 0)
-        assert len(DiskChunkStore(tmp_path / "store")) == 10
 
 
 class TestShardedSystemParity:
@@ -1089,65 +1042,91 @@ class TestFaultInjection:
         assert 99 not in engine._ready
 
 
-class TestSharedStore:
-    def test_shared_spec_reduces_stores_to_their_disk_portion(self, tmp_path):
-        disk = DiskChunkStore(tmp_path / "d")
-        tiered = TieredChunkCache(disk=tmp_path / "t")
-        assert shared_spec(disk) == f"disk:{tmp_path / 'd'}"
-        assert shared_spec(tiered) == f"tiered:{tmp_path / 't'}"
-        assert shared_spec(ChunkResultCache()) is None
-        assert shared_spec(None) is None
+class _FakeShard(SimpleNamespace):
+    """Coordinator-side stand-in for a live shard: records what it is sent."""
 
-    def test_shards_write_through_to_the_shared_store(self, tmp_path):
+    def __init__(self, shard_id: int) -> None:
+        super().__init__(id=shard_id, alive=True, pending={}, last_seen=0.0,
+                         stats=DispatchStats(), process=None, sent=[])
+
+    def send(self, message) -> int:
+        self.sent.append(message)
+        return 1
+
+
+class TestResultShape:
+    """A result frame must carry one outcome per chunk of its task."""
+
+    @staticmethod
+    def _engine_with_task(max_task_retries: int = 3):
+        engine = ShardedEngine(2, max_task_retries=max_task_retries)
+        shards = [_FakeShard(0), _FakeShard(1)]
+        engine._shards.update(enumerate(shards))
+        task = _ShardTask(seq=9, specs=[[0, 0, 0.0, 30.0, 1, None, None],
+                                        [0, 1, 30.0, 60.0, 1, None, None]],
+                          payload_ref="unused", num_chunks=2)
+        engine._dispatch(task)
+        assert task.shard_id == 0 and shards[0].sent
+        return engine, shards, task
+
+    @pytest.mark.parametrize("count", [1, 3], ids=["one_short", "one_extra"])
+    def test_a_misshapen_result_is_redispatched_not_applied(self, count):
+        engine, shards, task = self._engine_with_task()
+        outcome = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}
+        engine._handle_message(0, {"type": "result", "seq": 9,
+                                   "outcomes": [outcome] * count})
+        assert 9 not in engine._ready and 9 not in engine._failed
+        # Handled as an error from its owner: retried on the other shard.
+        assert task.attempts == 1 and task.shard_id == 1
+        assert [message["seq"] for message in shards[1].sent] == [9]
+        assert shards[0].pending == {} and shards[1].pending == {9: task}
+        # The new owner's well-formed answer is the one applied.
+        engine._handle_message(1, {"type": "result", "seq": 9,
+                                   "outcomes": [outcome, outcome]})
+        assert len(engine._ready[9]) == 2 and engine._tasks == {}
+
+    def test_misshapen_results_exhaust_the_retries_then_fail_the_task(self):
+        engine, shards, task = self._engine_with_task(max_task_retries=1)
+        short = {"type": "result", "seq": 9,
+                 "outcomes": [{"rows": [], "fallback": False}]}
+        engine._handle_message(0, short)
+        engine._handle_message(0, short)  # stale: shard 0 no longer owns it
+        assert task.attempts == 1 and task.shard_id == 1
+        engine._handle_message(1, short)
+        assert 9 not in engine._ready
+        assert "1 outcomes for 2 chunks" in engine._failed[9]
+
+
+class TestCoordinatorOwnsTheStore:
+    def test_a_repeat_sweep_is_served_by_the_coordinator_store(self, tmp_path):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        store_dir = tmp_path / "shared"
+        store = DiskChunkStore(tmp_path / "store")
         with ShardedEngine(2) as engine:
-            engine.share_store(DiskChunkStore(store_dir))
-            first = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                                context))
-            # Every successful chunk result landed in the shared directory.
-            assert len(DiskChunkStore(store_dir)) == 10
-            # A second sweep is served from the store, byte-identically.
-            second = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                                 context))
+            first = [list(rows) for rows in runner.iter_chunk_rows(
+                iter_chunks(video, spec), context, engine=engine, cache=store)]
+            assert store.writes == 10 and len(store) == 10
+            engine.reset_dispatch_stats()
+            second = [list(rows) for rows in runner.iter_chunk_rows(
+                iter_chunks(video, spec), context, engine=engine, cache=store)]
+            assert engine.dispatch_stats.chunks == 0  # every chunk a hit
         assert repr(second) == repr(first)
 
-    def test_system_wires_its_store_into_a_sharded_engine(self, tmp_path):
+    def test_the_coordinator_writes_every_entry(self, tmp_path):
         video = _walker_video()
         store_dir = tmp_path / "store"
         reference = _build_system(video, cache="memory").execute(_count_query())
         with _build_system(video, engine="sharded:2",
                            cache=f"tiered:{store_dir}") as system:
-            assert system.engine._store_spec == f"tiered:{store_dir}"
             result = system.execute(_count_query())
             stats = system.cache_stats()
         assert result.raw_series_unsafe() == reference.raw_series_unsafe()
         assert stats["misses"] == 10  # coordinator-side lookups all missed cold
-        # The shards wrote every entry through; the coordinator only
-        # promoted the rows into its memory tier (no second disk write),
-        # yet the shared directory holds the full result set.
-        assert stats["disk"]["writes"] == 0
+        # No shard opens the store: every entry is the coordinator's put.
+        assert stats["disk"]["writes"] == 10
         assert stats["memory"]["entries"] == 10
         assert len(DiskChunkStore(store_dir)) == 10
-
-    def test_caller_owned_engine_store_is_not_repointed(self, tmp_path):
-        # An engine instance may be shared between systems with different
-        # stores; only spec-string-built engines are auto-wired (the same
-        # ownership rule close() follows), so a system must never divert a
-        # caller-owned engine's write-through to its own directory.
-        with ShardedEngine(2) as engine:
-            engine.share_store(f"disk:{tmp_path / 'mine'}")
-            system = _build_system(_walker_video(num_walkers=2), engine=engine,
-                                   cache=f"tiered:{tmp_path / 'other'}")
-            assert engine._store_spec == f"disk:{tmp_path / 'mine'}"
-            system.close()
-
-    def test_memory_only_cache_is_not_shared(self):
-        with ShardedEngine(2) as engine:
-            engine.share_store(ChunkResultCache())
-            assert engine._store_spec is None
 
 
 class TestResilienceControls:

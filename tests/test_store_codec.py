@@ -27,7 +27,6 @@ from repro.core.cache import (
     DiskChunkStore,
     TieredChunkCache,
     create_cache,
-    shared_spec,
 )
 
 # ------------------------------------------------------------- row strategies
@@ -215,16 +214,14 @@ class TestCorruptEntries:
 class TestOneFormat:
     """The options that selected a second format are gone, loudly."""
 
-    def test_shared_specs_reopen_the_same_entries(self, tmp_path):
-        tiered = TieredChunkCache(disk=tmp_path / "t")
-        disk = DiskChunkStore(tmp_path / "d")
-        assert shared_spec(tiered) == f"tiered:{tmp_path / 't'}"
-        assert shared_spec(disk) == f"disk:{tmp_path / 'd'}"
-        for store in (tiered, disk):
-            store.put("1" * 16, [{"kind": "person", "dy": 1.5}])
-            reopened = create_cache(shared_spec(store))
-            assert type(reopened) is type(store)
-            assert reopened.get("1" * 16) == [{"kind": "person", "dy": 1.5}]
+    @pytest.mark.parametrize("kind", ["tiered", "disk"])
+    def test_specs_reopen_the_same_entries(self, tmp_path, kind):
+        spec = f"{kind}:{tmp_path / kind}"
+        store = create_cache(spec)
+        store.put("1" * 16, [{"kind": "person", "dy": 1.5}])
+        reopened = create_cache(spec)
+        assert type(reopened) is type(store) and reopened is not store
+        assert reopened.get("1" * 16) == [{"kind": "person", "dy": 1.5}]
 
     @pytest.mark.parametrize("kind", ["disk+json", "tiered+json", "disk+binary"])
     def test_create_cache_rejects_format_tokens(self, tmp_path, kind):

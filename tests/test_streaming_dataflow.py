@@ -40,7 +40,7 @@ from repro.video.geometry import BoundingBox
 from repro.video.masking import EMPTY_MASK, Mask
 from repro.video.regions import BoundaryType, grid_region_scheme
 
-from tests.conftest import make_crossing_object, make_simple_video
+from tests.conftest import flat_rows, make_crossing_object, make_simple_video
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))
@@ -298,10 +298,12 @@ class TestTieredStore:
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
         first_store = DiskChunkStore(tmp_path / "store")
-        rows = runner.run_chunks(iter_chunks(video, spec), context, cache=first_store)
+        rows = flat_rows(runner.iter_chunk_rows(iter_chunks(video, spec), context,
+                                                cache=first_store))
         assert first_store.stats.misses == 10 and first_store.writes == 10
         second_store = DiskChunkStore(tmp_path / "store")
-        again = runner.run_chunks(iter_chunks(video, spec), context, cache=second_store)
+        again = flat_rows(runner.iter_chunk_rows(iter_chunks(video, spec), context,
+                                                 cache=second_store))
         assert second_store.stats.hits == 10 and second_store.writes == 0
         assert repr(again) == repr(rows)
 
@@ -310,12 +312,14 @@ class TestTieredStore:
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
         store = DiskChunkStore(tmp_path / "store")
-        runner.run_chunks(iter_chunks(video, spec), context, cache=store)
+        flat_rows(runner.iter_chunk_rows(iter_chunks(video, spec), context,
+                                         cache=store))
         before = store.stats.hits
         # Mutating the footage changes its content fingerprint, so every key
         # changes and no stale entry can be returned.
         video.add_objects([make_crossing_object("late", start=500.0, duration=30.0)])
-        runner.run_chunks(iter_chunks(video, spec), context, cache=store)
+        flat_rows(runner.iter_chunk_rows(iter_chunks(video, spec), context,
+                                         cache=store))
         assert store.stats.hits == before
         assert store.stats.misses == 20
 
@@ -367,7 +371,8 @@ class TestTieredStore:
         runner = SandboxRunner(CrashingExecutable(), PERSON_SCHEMA, max_rows=5,
                                timeout_seconds=5.0)
         tiered = TieredChunkCache(disk=tmp_path / "store")
-        rows = runner.run_chunks(chunks, _context(video), cache=tiered)
+        rows = flat_rows(runner.iter_chunk_rows(chunks, _context(video),
+                                                cache=tiered))
         assert [row["kind"] for row in rows] == ["", ""]
         assert len(tiered.memory) == 0 and tiered.disk.writes == 0
 
@@ -490,13 +495,12 @@ class TestHitClassification:
         for index in misses:
             cache._entries.pop(keys[index])
         stored = []
-        for name in ("put", "promote"):
-            real = getattr(cache, name)
+        real_put = cache.put
 
-            def recording(key, rows, real=real):
-                stored.append(key)
-                real(key, rows)
-            setattr(cache, name, recording)
+        def recording(key, rows):
+            stored.append(key)
+            real_put(key, rows)
+        cache.put = recording
         engine = create_engine(engine_spec)
         try:
             rows = list(runner.iter_chunk_rows(iter_chunks(video, spec), context,

@@ -71,8 +71,10 @@ class TestParseAddress:
     def test_host_and_port(self):
         assert parse_address("camhost-3:9101") == ("camhost-3", 9101)
 
-    def test_missing_host_defaults_to_any_interface(self):
-        assert parse_address(":9101") == ("0.0.0.0", 9101)
+    def test_missing_host_defaults_to_loopback(self):
+        # ``--listen :PORT`` must not open the daemon to every interface.
+        assert parse_address(":9101") == ("127.0.0.1", 9101)
+        assert parse_address("0.0.0.0:9101") == ("0.0.0.0", 9101)
 
     def test_port_is_required(self):
         with pytest.raises(ValueError):
@@ -283,8 +285,12 @@ def _start_listening_daemon(port: int = 0, host: str = "127.0.0.1", **popen):
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.core.remote", "--listen", address],
         stdout=subprocess.PIPE, env=_worker_env(), cwd=_ROOT, text=True, **popen)
-    marker, bound_host, bound = process.stdout.readline().strip().split()
-    assert (marker, bound_host) == (_LISTENING_MARKER, host)
+    try:
+        marker, bound_host, bound = process.stdout.readline().strip().split()
+        assert (marker, bound_host) == (_LISTENING_MARKER, host or "127.0.0.1")
+    except BaseException:
+        _stop(process)  # a daemon bound elsewhere must not outlive the test
+        raise
     return process, bound_host, int(bound)
 
 
@@ -297,6 +303,17 @@ class TestDaemonMode:
             assert transport.read() == {"type": "pong", "token": 9}
             transport.close()
             assert not transport.is_alive()
+        finally:
+            _stop(process)
+
+    def test_listen_without_a_host_binds_loopback_only(self):
+        process, host, port = _start_listening_daemon(host="")
+        try:
+            assert host == "127.0.0.1"
+            transport = SocketTransport.dial(host, port)
+            transport.write({"type": "ping", "token": 4})
+            assert transport.read() == {"type": "pong", "token": 4}
+            transport.close()
         finally:
             _stop(process)
 

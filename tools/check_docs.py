@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that documentation links resolve.
+"""Check that documentation links and code names resolve.
 
 Scans the repo-root markdown files and ``docs/*.md`` for markdown links and
 verifies that every *relative* target exists — including ``#anchor``
@@ -7,14 +7,21 @@ fragments, which must match a heading (GitHub slugification) in the target
 file.  External ``http(s)://`` links are not fetched (CI must not depend on
 the network); ``mailto:`` links are skipped.
 
-Exit status 0 when every link resolves, 1 otherwise (with one line per
-broken link).  Run from anywhere: paths are resolved against the repo root.
+``README.md`` and ``docs/*.md`` must also name only live code: every dotted
+``repro.…`` name inside an inline code span must import (the library is
+loaded from ``src/``) and resolve attribute by attribute, so a deleted
+function left in the prose fails here.  ``ROADMAP.md`` and ``CHANGES.md``
+are exempt — they name planned and deleted code on purpose.
+
+Exit status 0 when every link and name resolves, 1 otherwise (with one line
+per broken one).  Run from anywhere: paths are resolved against the repo root.
 
 Usage: ``python tools/check_docs.py``
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -28,6 +35,8 @@ _FENCE = re.compile(r"```.*?```", re.DOTALL)
 #: Inline code spans, removed before link extraction.
 _CODE = re.compile(r"`[^`]*`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+#: A dotted name of this library (``repro.core.cache.chunk_key``).
+_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 
 
 def github_slug(heading: str) -> str:
@@ -76,19 +85,55 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+def iter_names(path: Path):
+    """Every dotted ``repro.…`` name inside an inline code span."""
+    text = _FENCE.sub("", path.read_text(encoding="utf-8"))
+    for span in _CODE.finditer(text):
+        yield from _NAME.findall(span.group(0))
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is a module, or a chain of attributes under one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name is not None and module_name.startswith(exc.name):
+                continue  # not a module: try it as an attribute
+            raise
+        for attribute in parts[split:]:
+            try:
+                target = getattr(target, attribute)
+            except AttributeError:
+                return False
+        return True
+    return False
+
+
+def check_names(path: Path) -> list[str]:
+    return [f"{path.relative_to(REPO_ROOT)}: stale name -> {name} (does not resolve)"
+            for name in sorted(set(iter_names(path))) if not resolves(name)]
+
+
 def main() -> int:
     documents = sorted(REPO_ROOT.glob("*.md")) + sorted((REPO_ROOT / "docs").glob("*.md"))
     if not documents:
         print("check_docs: no markdown files found", file=sys.stderr)
         return 1
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     errors: list[str] = []
-    links = 0
+    links = names = 0
     for document in documents:
         links += sum(1 for _ in iter_links(document))
         errors.extend(check_file(document))
+        if document.name == "README.md" or document.parent.name == "docs":
+            names += len(set(iter_names(document)))
+            errors.extend(check_names(document))
     for error in errors:
         print(error, file=sys.stderr)
-    print(f"check_docs: {len(documents)} files, {links} links, "
+    print(f"check_docs: {len(documents)} files, {links} links, {names} names, "
           f"{len(errors)} broken")
     return 1 if errors else 0
 
