@@ -35,7 +35,6 @@ _EXPORTS = {
     "BreakerState": "repro.core.resilience",
     "CancellationToken": "repro.core.resilience",
     "CircuitBreaker": "repro.core.resilience",
-    "RetryPolicy": "repro.core.resilience",
     "ExecutionEngine": "repro.core.engine",
     "SerialEngine": "repro.core.engine",
     "ShardedEngine": "repro.core.remote",

@@ -427,9 +427,9 @@ class DiskChunkStore:
     failing cold tier must degrade a deployment's hit rate, never its
     queries.  Temp files stranded by an interrupted writer are swept on
     store open — but only once they are old enough (``_STALE_TEMP_AGE``)
-    that no live writer can own them, because several processes
-    (coordinator, every shard daemon) open stores over the same directory
-    while others are mid-write.
+    that no live writer can own them, because several processes (one
+    coordinator each) may open stores over the same directory while others
+    are mid-write.
     """
 
     _STALE_TEMP_AGE = 60.0  # seconds; in-flight writes live for milliseconds
@@ -458,7 +458,7 @@ class DiskChunkStore:
         """Remove temp files a crashed/interrupted writer left behind.
 
         Age-gated: a fresh temp file belongs to a concurrent writer in
-        another process (shard daemons share this directory), and unlinking
+        another process (coordinators may share this directory), and unlinking
         it would turn that writer's atomic rename into a silently dropped
         entry.
         """

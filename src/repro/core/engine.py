@@ -109,7 +109,8 @@ ChunkSpecMessage = tuple
 #: Worker-side LRU of decoded payloads, parts and manifests alike, keyed by
 #: ref (never reused, so never stale).  A part is only useful beside a
 #: manifest naming it: at most half are scenes.  A still-published ref reloads.
-#: A TCP daemon's connection threads share it, hence the lock.
+#: The lock keeps the LRU whole should two threads of one worker fetch at
+#: once (a decode runs outside it).
 _PAYLOAD_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 _PAYLOAD_CACHE_LIMIT = 16
 _PAYLOAD_CACHE_LOCK = threading.Lock()
@@ -235,9 +236,9 @@ class _BroadcastPublisher:
     nothing.  A ref is a fresh uuid per publication, so a worker-cached ref
     cannot name other bytes.
 
-    The carrier follows the slot kind: local shards attach a named
-    shared-memory segment; dialed daemons (possibly remote) read a file, as
-    does anyone when a segment could not be created.
+    The carrier is a named shared-memory segment each shard attaches, or a
+    file in a private tempdir when no segment could be created (a full
+    ``/dev/shm``).
 
     The publisher owns every name.  A stream pins what it is handed until it
     releases; past :data:`_PUBLISHED_BYTES_LIMIT` unpinned payloads are
@@ -247,8 +248,8 @@ class _BroadcastPublisher:
     tracker, which has held their registration since creation.
     """
 
-    def __init__(self, *, same_host: bool = True) -> None:
-        self._shared = same_host and shared_memory is not None
+    def __init__(self) -> None:
+        self._shared = shared_memory is not None
         self._directory = os.path.join(tempfile.gettempdir(),
                                        f"privid-task-{uuid.uuid4().hex}")
         self._entries: "OrderedDict[Any, _Published]" = OrderedDict()  # LRU first
@@ -512,16 +513,15 @@ _ENGINE_FACTORIES: dict[str, Callable[[int | str | None], ExecutionEngine]] = {
 
 def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
     """Build an engine from a spec string (``serial``, ``thread[:N]``,
-    ``process[:N]``, ``sharded[:N]``, ``sharded:tcp[:N]`` or
-    ``sharded:HOST:PORT[,HOST:PORT...]``; all but the last name local
-    shards).
+    ``process[:N]``, ``sharded[:N]`` or ``sharded:tcp[:N]``; all but the
+    first name local shards).
 
     Passing an engine instance returns it unchanged; ``None`` or an empty
     string yields the default :class:`SerialEngine`.  The optional ``:N``
     suffix fixes the shard count (e.g. ``sharded:4``); ``process[:N]`` and
     ``thread[:N]`` are ``sharded[:N]`` under older names.
-    A non-integer suffix is handed to the kind's factory verbatim, which is
-    how the sharded engine's daemon addresses ride the same seam.  This
+    A non-integer suffix is handed to the kind's factory verbatim (the
+    sharded engine takes ``tcp[:N]`` and rejects everything else).  This
     is the value of the ``engine=`` argument of ``PrividSystem`` and of the
     ``PRIVID_ENGINE`` benchmark knob.
     """

@@ -48,7 +48,7 @@ Fault taxonomy (:class:`FaultKind`)
                   and discarded) while the connection stays up — the stall
                   only ``task_timeout`` redispatch recovers from.
 ``CONNECT_REFUSED`` a transport factory raises ``ConnectionRefusedError``
-                  (feeds dial retry and the per-endpoint circuit breakers).
+                  (feeds the per-slot circuit breakers).
 ``CRASH``         the far end is killed right after accepting a task frame
                   (``after_seq`` schedules "crash at seq N"; pair with
                   ``max_fires`` so the respawned shard survives the retry).
@@ -337,8 +337,8 @@ def faulty_transport_factory(factory: Any, injector: FaultInjector,
     """Wrap a transport factory so connects and frames go through the plan.
 
     Polls ``{site}.connect`` before construction (CONNECT_REFUSED raises
-    :class:`ConnectionRefusedError`, DELAY sleeps first — both feed the dial
-    retry and circuit-breaker paths exactly like a real refusing endpoint),
+    :class:`ConnectionRefusedError`, DELAY sleeps first — both feed the
+    circuit-breaker path exactly like a worker that cannot be started),
     then wraps the built transport in a :class:`FaultyTransport`.
     """
 

@@ -1,4 +1,4 @@
-"""Sharded multi-host chunk execution behind the engine seam.
+"""Sharded chunk execution behind the engine seam.
 
 Privid chunks are independent units of work (Appendix B), so the streaming
 engine contract of :mod:`repro.core.engine` — ``imap_chunks`` over an ordered
@@ -12,21 +12,12 @@ contract makes chunk results order- and placement-independent; see
 
 Each shard speaks a small length-prefixed JSON protocol over a
 :class:`ShardTransport` — the byte-stream seam between the coordinator and
-one executor worker.  One transport ships, :class:`SocketTransport`, over a
-connected stream socket, and there are two ways to get one:
-
-* **local shards** (``sharded[:N]``; ``process``, ``thread`` and
-  ``sharded:tcp`` are older names) — :meth:`SocketTransport.spawn` makes a
-  ``socketpair()`` and starts this module's worker
-  (``python -m repro.core.remote --fd N``) on the child end.  Shards live
-  and die with the coordinator, and no port is ever opened.
-* **dialed daemons** (``sharded:HOST:PORT,...``) —
-  :meth:`SocketTransport.dial` connects to a shard daemon
-  (``python -m repro.core.remote --listen HOST:PORT``), so shards genuinely
-  live on other hosts.
-
-Both ends run the same :func:`serve` loop over the same frames; neither can
-tell which way its socket was made.
+one executor worker.  One transport ships, :class:`SocketTransport`, and one
+way to get it: :meth:`SocketTransport.spawn` makes a ``socketpair()`` and
+starts this module's worker (``python -m repro.core.remote --fd N``) on the
+child end (``sharded[:N]``; ``process``, ``thread`` and ``sharded:tcp`` are
+older names).  Shards live and die with the coordinator, and nothing here
+opens, binds or dials a network socket.
 
 Wire protocol
 =============
@@ -99,7 +90,6 @@ import argparse
 import json
 import os
 import queue
-import signal
 import socket
 import struct
 import subprocess
@@ -125,7 +115,7 @@ from repro.core.engine import (
     execute_chunk,
 )
 from repro.core.faults import FaultInjector, faulty_transport_factory
-from repro.core.resilience import CircuitBreaker, RetryPolicy
+from repro.core.resilience import CircuitBreaker
 from repro.errors import RemoteShardError
 from repro.utils import checks
 
@@ -227,14 +217,6 @@ def _worker_command(fd: int) -> list[str]:
             "--fd", str(fd)]
 
 
-#: Default dial schedule of :meth:`SocketTransport.dial`: three attempts
-#: spanning roughly a third of a second — enough to bridge a daemon restart
-#: without stalling a genuinely-dead endpoint for long (the per-slot circuit
-#: breaker takes over across stream starts).
-DIAL_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.1,
-                                multiplier=2.0, max_delay=1.0, jitter=0.25)
-
-
 @runtime_checkable
 class ShardTransport(Protocol):
     """The byte-stream seam between the coordinator and one shard worker.
@@ -245,8 +227,8 @@ class ShardTransport(Protocol):
     transport-agnostic.  ``read`` blocks until a frame arrives and returns
     None on a clean or torn EOF (worker exit, socket disconnect); ``write``
     raises :class:`OSError` when the far end is gone.  ``process`` is the
-    worker subprocess when this transport owns one (a local shard) and None
-    for a connection to a daemon.
+    worker subprocess when this transport owns one, and None otherwise (a
+    test double, or a bare socket end).
     """
 
     description: str
@@ -277,11 +259,10 @@ class SocketTransport:
     """A shard worker at the far end of one connected stream socket.
 
     :meth:`spawn` starts a local worker over a ``socketpair()`` and owns its
-    process; :meth:`dial` connects to a shard daemon, which several
-    coordinators may share and which outlives any one connection.  Socket
-    errors on read surface as EOF, so a vanished worker and a vanished
-    daemon reach the layers above through the same death path.  ``kill``
-    severs the connection and, for a local worker, kills and reaps it.
+    process.  Socket errors on read surface as EOF, so a vanished worker
+    and a torn socket reach the layers above through the same death path.
+    ``kill`` severs the connection and, when there is one, kills and reaps
+    the worker.
     """
 
     def __init__(self, sock: socket.socket, description: str,
@@ -307,26 +288,6 @@ class SocketTransport:
         finally:
             theirs.close()  # the worker's now: its exit must read as our EOF
         return cls(ours, f"local:pid={process.pid}", process)
-
-    @classmethod
-    def dial(cls, host: str, port: int, *, connect_timeout: float = 10.0,
-             retry: RetryPolicy | None = None) -> "SocketTransport":
-        """Connect to the shard daemon at ``host:port``.
-
-        Dialing retries with bounded exponential backoff (``retry``, default
-        :data:`DIAL_RETRY_POLICY`): a daemon mid-restart refuses connections
-        for a moment, and a single-attempt dial would misread that as
-        permanently unreachable.  ``RetryPolicy(max_attempts=1)`` dials once.
-        """
-        policy = retry if retry is not None else DIAL_RETRY_POLICY
-        sock = policy.call(
-            lambda: socket.create_connection((host, port), timeout=connect_timeout),
-            retry_on=(OSError,), token=f"{host}:{port}")
-        sock.settimeout(None)
-        # Frames are small and each waits for its answer: Nagle's algorithm
-        # would hold every one behind the peer's delayed ACK.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls(sock, f"tcp://{host}:{port}")
 
     def read(self) -> dict[str, Any] | None:
         try:
@@ -382,36 +343,6 @@ class SocketTransport:
         self._teardown()
 
 
-#: Line a daemon prints on stdout once its listening socket is bound, with
-#: the bound host and port (port 0 requests an ephemeral one).
-_LISTENING_MARKER = "PRIVID-SHARD-LISTENING"
-
-
-def parse_address(text: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (port required; an empty host is loopback).
-
-    An IPv6 literal is written in brackets, ``[::1]:7000``, and returned
-    without them; an unbracketed host that contains a colon is ambiguous and
-    rejected.
-    """
-    host, separator, port_text = text.strip().rpartition(":")
-    if not separator:
-        raise ValueError(f"shard address {text!r} is not of the form HOST:PORT")
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
-        if not host:
-            raise ValueError(f"empty IPv6 host in shard address {text!r}")
-    elif ":" in host:
-        raise ValueError(f"shard address {text!r}: write an IPv6 host as [HOST]:PORT")
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ValueError(f"invalid port in shard address {text!r}") from exc
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port out of range in shard address {text!r}")
-    return host or "127.0.0.1", port
-
-
 # --------------------------------------------------------------- shard worker
 
 
@@ -436,8 +367,7 @@ def _handle_task(message: dict[str, Any]) -> dict[str, Any]:
             "stages": stages}
 
 
-def serve(rfile: BinaryIO, wfile: BinaryIO,
-          tasks: "queue.Queue[dict[str, Any] | None] | None" = None) -> None:
+def serve(rfile: BinaryIO, wfile: BinaryIO) -> None:
     """The shard worker loop: read frames, execute tasks, write frames.
 
     Runs until ``shutdown`` or EOF.  Tasks execute on a separate thread so
@@ -448,16 +378,9 @@ def serve(rfile: BinaryIO, wfile: BinaryIO,
     serving — a bad payload path must not take the whole shard down with
     it.  Unknown message types are ignored so older workers tolerate newer
     coordinators.
-
-    Callers may supply the ``tasks`` queue to observe the in-flight work
-    from outside: every queued task is accounted with ``task_done()`` only
-    after its result (or error) frame has been flushed, so
-    ``tasks.join()`` is exactly "every accepted task has been answered" —
-    the primitive the daemon's SIGTERM graceful drain is built on.
     """
     write_lock = threading.Lock()
-    if tasks is None:
-        tasks = queue.Queue()
+    tasks: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
 
     def send(message: dict[str, Any]) -> None:
         with write_lock:
@@ -467,32 +390,28 @@ def serve(rfile: BinaryIO, wfile: BinaryIO,
         while True:
             message = tasks.get()
             if message is None:
-                tasks.task_done()
                 return
             try:
+                reply = _handle_task(message)
+            except Exception:
+                reply = {"type": "error", "seq": message.get("seq"),
+                         "message": traceback.format_exc(limit=20)}
+            try:
+                send(reply)
+            except Exception:
+                # The reply itself could not be serialized or written (e.g.
+                # a result frame over MAX_FRAME_BYTES).  Report it as a task
+                # error so the coordinator can retry/fail the seq; if even
+                # that fails the socket is gone — exit so the coordinator
+                # sees EOF and reassigns, rather than hanging behind a read
+                # loop that keeps answering pings.
                 try:
-                    reply = _handle_task(message)
+                    send({"type": "error", "seq": message.get("seq"),
+                          "message":
+                          "shard could not send its result frame:\n"
+                          + traceback.format_exc(limit=5)})
                 except Exception:
-                    reply = {"type": "error", "seq": message.get("seq"),
-                             "message": traceback.format_exc(limit=20)}
-                try:
-                    send(reply)
-                except Exception:
-                    # The reply itself could not be serialized or written
-                    # (e.g. a result frame over MAX_FRAME_BYTES).  Report it
-                    # as a task error so the coordinator can retry/fail the
-                    # seq; if even that fails the socket is gone — exit so the
-                    # coordinator sees EOF and reassigns, rather than hanging
-                    # behind a read loop that keeps answering pings.
-                    try:
-                        send({"type": "error", "seq": message.get("seq"),
-                              "message":
-                              "shard could not send its result frame:\n"
-                              + traceback.format_exc(limit=5)})
-                    except Exception:
-                        os._exit(1)
-            finally:
-                tasks.task_done()
+                    os._exit(1)
 
     executor = threading.Thread(target=execute_loop, name="privid-shard-executor",
                                 daemon=True)
@@ -514,109 +433,6 @@ def serve(rfile: BinaryIO, wfile: BinaryIO,
         executor.join(timeout=5.0)
 
 
-def _serve_connection(connection: socket.socket,
-                      tasks: "queue.Queue[dict[str, Any] | None] | None" = None,
-                      ) -> None:
-    """Serve one coordinator connection until it ends (a daemon's or a local
-    worker's socket)."""
-    if connection.family != socket.AF_UNIX:  # as SocketTransport.dial
-        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    rfile = connection.makefile("rb")
-    wfile = connection.makefile("wb")
-    try:
-        serve(rfile, wfile, tasks)
-    except OSError:
-        pass
-    finally:
-        for close in (wfile.close, rfile.close, connection.close):
-            try:
-                close()
-            except OSError:
-                pass
-
-
-def listen(address: str) -> None:
-    """Daemon mode: accept coordinator connections and serve each one.
-
-    Binds ``HOST:PORT`` (an empty host is loopback, ``0.0.0.0`` every
-    interface; port 0 picks an ephemeral port), announces the bound
-    address on stdout as ``PRIVID-SHARD-LISTENING HOST PORT``, then
-    serves every accepted connection on its own thread — a long-lived shard
-    host several coordinators can attach to concurrently, each getting an
-    independent worker loop.  Runs until the process is terminated.
-
-    ``SIGTERM`` triggers a *graceful drain* rather than an abrupt death: the
-    listening socket closes (no new coordinators), every connection's
-    in-flight task runs to completion and its result frame is flushed
-    (``tasks.join()`` — see :func:`serve`), the connections are then shut
-    down so each worker loop sees EOF, and the process exits 0.  A
-    coordinator mid-task therefore gets its answer instead of a torn
-    stream, and orchestrators (systemd, Kubernetes) observe a clean stop.
-    """
-    host, port = parse_address(address)
-    family = socket.AF_INET6 if ":" in host else socket.AF_INET
-    server = socket.create_server((host, port), family=family)
-    bound = server.getsockname()
-
-    draining = threading.Event()
-    registry_lock = threading.Lock()
-    connections: list[tuple[socket.socket,
-                            "queue.Queue[dict[str, Any] | None]",
-                            threading.Thread]] = []
-
-    def _on_sigterm(signum: int, frame: Any) -> None:
-        draining.set()
-        # Closing the listening socket is async-signal-safe enough here (it
-        # only marks the fd) and unblocks accept() with OSError, which is
-        # the drain's entry into the finally block below.
-        server.close()
-
-    try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:
-        # Not the main thread (embedded/test use): run without a drain
-        # hook; the process-level default disposition applies.
-        pass
-
-    print(f"{_LISTENING_MARKER} {bound[0]} {bound[1]}", flush=True)
-    # Whoever read the announcement may never read stdout again: an
-    # executable that prints must not fill that pipe and block for ever.
-    _stdout_to_stderr()
-    try:
-        while True:
-            try:
-                connection, _ = server.accept()
-            except OSError:
-                if draining.is_set():
-                    break
-                raise
-            tasks: "queue.Queue[dict[str, Any] | None]" = queue.Queue()
-            thread = threading.Thread(target=_serve_connection,
-                                      args=(connection, tasks),
-                                      name="privid-shard-connection",
-                                      daemon=True)
-            with registry_lock:
-                connections.append((connection, tasks, thread))
-            thread.start()
-    except KeyboardInterrupt:  # pragma: no cover - interactive use
-        pass
-    finally:
-        server.close()
-        if draining.is_set():
-            with registry_lock:
-                pending = list(connections)
-            for connection, tasks, thread in pending:
-                # Every accepted task answers before the stream closes:
-                # join() returns once the worker has flushed each result
-                # (or error) frame, so nothing in flight is torn.
-                tasks.join()
-                try:
-                    connection.shutdown(socket.SHUT_RD)
-                except OSError:
-                    pass
-                thread.join(timeout=5.0)
-
-
 def _stdout_to_stderr() -> None:
     """Point fd 1 (and ``sys.stdout``) at stderr: what a shard's executables
     print must reach neither the coordinator's stdout nor a pipe nobody reads."""
@@ -629,30 +445,31 @@ def main(argv: list[str] | None = None) -> None:
     """Entrypoint of ``python -m repro.core.remote`` (one shard worker).
 
     ``--fd N`` serves the coordinator over the connected socket inherited
-    as fd N (a local shard, started by :meth:`SocketTransport.spawn`);
-    ``--listen HOST:PORT`` runs the daemon that :meth:`SocketTransport.dial`
-    connects to; ``--listen :PORT`` binds loopback only.  Either way fd 1
-    ends up pointing at stderr.
+    as fd N (started by :meth:`SocketTransport.spawn`) until it ends, with
+    fd 1 pointing at stderr.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.core.remote",
-        description="Privid executor shard: a local worker (--fd) or a TCP "
-                    "daemon (--listen).")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--fd", type=int, default=None,
-                      help="serve the coordinator over this inherited, "
-                           "connected socket")
-    mode.add_argument("--listen", metavar="HOST:PORT", default=None,
-                      help="run as a TCP shard daemon bound to HOST:PORT "
-                           "(an empty HOST is 127.0.0.1, 0.0.0.0 is every "
-                           "interface; port 0 picks an ephemeral port, "
-                           "announced on stdout)")
+        description="Privid executor shard: a local worker serving its "
+                    "coordinator over an inherited socket.")
+    parser.add_argument("--fd", type=int, required=True,
+                        help="serve the coordinator over this inherited, "
+                             "connected socket")
     args = parser.parse_args(argv)
-    if args.listen is not None:
-        listen(args.listen)
-        return
     _stdout_to_stderr()
-    _serve_connection(socket.socket(fileno=args.fd))
+    connection = socket.socket(fileno=args.fd)
+    rfile = connection.makefile("rb")
+    wfile = connection.makefile("wb")
+    try:
+        serve(rfile, wfile)
+    except OSError:
+        pass
+    finally:
+        for close in (wfile.close, rfile.close, connection.close):
+            try:
+                close()
+            except OSError:
+                pass
 
 
 # --------------------------------------------------------------- coordinator
@@ -749,19 +566,15 @@ class ShardedEngine:
     serial engine.
 
     Shards sit behind the :class:`ShardTransport` seam, one per *slot*: a
-    transport factory with its own circuit breaker.  By default
-    (``sharded[:N]``) every slot spawns a local worker over a socketpair
-    (:meth:`SocketTransport.spawn`); :meth:`connect`
-    (``sharded:HOST:PORT,...``) makes each slot dial one running daemon
-    instead.  Scheduling, fault handling and results are the same either
-    way — so are the bytes on the wire.
+    transport factory with its own circuit breaker.  Every slot spawns a
+    local worker over a socketpair (:meth:`SocketTransport.spawn`) unless
+    the ``transports`` list names its factories.
 
     Shards are opened lazily on first use and persist across queries;
     :meth:`shutdown` (or the context manager form) terminates them.  A dead
-    shard's slot is refilled at the start of the next stream (a local
-    worker respawns, a dialed slot reconnects to its daemon); a slot that
-    cannot be filled is skipped with a warning as long as at least one
-    shard remains.  ``heartbeat_interval`` /
+    shard's slot is refilled at the start of the next stream (its worker
+    respawns); a slot that cannot be filled is skipped with a warning as
+    long as at least one shard remains.  ``heartbeat_interval`` /
     ``heartbeat_timeout`` bound how long a silent shard holding work
     survives before its tasks are reassigned — workers answer pings while
     executing, so only a frozen or vanished shard ever reads as silent, and
@@ -794,7 +607,6 @@ class ShardedEngine:
 
     def __init__(self, num_shards: int | None = None, *,
                  transports: "list[Callable[[], ShardTransport]] | None" = None,
-                 transport_labels: "list[str] | None" = None,
                  chunksize: int | None = None,
                  in_flight_window: int | None = None,
                  heartbeat_interval: float = 0.5,
@@ -814,9 +626,6 @@ class ShardedEngine:
         elif num_shards is None:
             num_shards = _default_workers()
         checks.count("num_shards", num_shards, ValueError, 1)
-        if transport_labels is not None and (
-                transports is None or len(transport_labels) != len(transports)):
-            raise ValueError("transport_labels must match the transport list")
         self.num_shards = num_shards
         # The failure-detection windows default from the environment
         # (PRIVID_HEARTBEAT_TIMEOUT / PRIVID_STARTUP_GRACE) so slow CI
@@ -827,11 +636,9 @@ class ShardedEngine:
         if startup_grace is None:
             startup_grace = _env_float("PRIVID_STARTUP_GRACE", 60.0)
         self.name = "sharded"
-        #: One transport factory per slot, and the label its breaker goes by.
+        #: One transport factory per slot; slot N's breaker is ``slotN``.
         self._factories: list[Callable[[], ShardTransport]] = list(
             transports or [SocketTransport.spawn] * num_shards)
-        self._labels = list(transport_labels or
-                            (f"slot{slot}" for slot in range(num_shards)))
         self.chunksize = chunksize
         self.in_flight_window = in_flight_window
         self.heartbeat_interval = heartbeat_interval
@@ -846,11 +653,11 @@ class ShardedEngine:
         #: otherwise-healthy connection, at the cost of duplicated work when
         #: set lower than a batch's genuine runtime.
         self.task_timeout = task_timeout
-        #: Per-endpoint circuit breakers (keyed by slot label), consulted
-        #: before every spawn/dial: an endpoint that failed
-        #: ``breaker_threshold`` consecutive times is skipped without
-        #: dialing until ``breaker_reset`` seconds pass, then probed
-        #: half-open.  States surface in ``dispatch_stats_dict``/``health``.
+        #: Per-slot circuit breakers (keyed ``slotN``), consulted before
+        #: every spawn: a slot that failed ``breaker_threshold`` consecutive
+        #: times is skipped without trying until ``breaker_reset`` seconds
+        #: pass, then probed half-open.  States surface in
+        #: ``dispatch_stats_dict``/``health``.
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
         for name in ("chunksize", "in_flight_window", "breaker_threshold"):
@@ -888,39 +695,15 @@ class ShardedEngine:
         #: stream that owns the seq raises when it reaches it, so a failure
         #: never propagates into whichever stream happened to be pumping.
         self._failed: dict[int, str] = {}
-        # Local workers attach shared memory; a daemon may be on another host.
-        self._publisher = _BroadcastPublisher(same_host=transports is None)
-
-    @classmethod
-    def connect(cls, addresses: Iterable[str], **kwargs: Any) -> "ShardedEngine":
-        """Coordinator connect mode: one shard per already-running daemon.
-
-        ``addresses`` are ``HOST:PORT`` strings of shard daemons started
-        with ``python -m repro.core.remote --listen HOST:PORT`` — this is
-        the literal multi-host deployment, reachable through the spec string
-        ``sharded:HOST:PORT[,HOST:PORT...]``.  Connections are opened
-        lazily at first use and re-opened per slot at stream start after a
-        disconnect.
-        """
-        parsed = [parse_address(address) for address in addresses]
-        if not parsed:
-            raise ValueError("connect() needs at least one shard address")
-
-        def factory(host: str, port: int) -> Callable[[], ShardTransport]:
-            return lambda: SocketTransport.dial(host, port)
-
-        return cls(transports=[factory(host, port) for host, port in parsed],
-                   transport_labels=[f"{host}:{port}" for host, port in parsed],
-                   **kwargs)
+        self._publisher = _BroadcastPublisher()
 
     # ------------------------------------------------------------- shard pool
 
     def _spawn_shard(self, slot: int) -> _Shard | None:
-        """Fill one slot (spawn a local worker or dial a daemon); None if
-        that failed.
+        """Fill one slot (spawn its worker); None if that failed.
 
         Every slot sits behind its own circuit breaker: after
-        ``breaker_threshold`` consecutive spawn/dial failures the slot is
+        ``breaker_threshold`` consecutive spawn failures the slot is
         skipped without trying until ``breaker_reset`` passes, then a
         single half-open probe decides.  With a fault injector installed,
         the transport factory is additionally routed through the plan
@@ -928,7 +711,7 @@ class ShardedEngine:
         opened so far, so a replacement is a new site with fresh counters)
         and the built transport wrapped for frame faults.
         """
-        label = self._labels[slot]
+        label = f"slot{slot}"
         factory = self._factories[slot]
         breaker = self._breakers.get(label)
         if breaker is None:
@@ -936,7 +719,7 @@ class ShardedEngine:
                                      reset_timeout=self.breaker_reset)
             self._breakers[label] = breaker
         if not breaker.allow():
-            warnings.warn(f"shard endpoint {label!r} skipped: circuit breaker "
+            warnings.warn(f"shard {label!r} skipped: circuit breaker "
                           "open after repeated failures",
                           RuntimeWarning, stacklevel=2)
             return None
@@ -1312,7 +1095,7 @@ class ShardedEngine:
 
         ``live_shards`` counts shards that are flagged alive *and* pass the
         transport's liveness probe; ``degraded`` is True once the pool has
-        been used and is below strength, or any endpoint breaker is not
+        been used and is below strength, or any slot's breaker is not
         closed.  Before first use (``started`` False) an empty pool is
         normal, not degraded — shards spawn lazily.
         """
@@ -1336,7 +1119,7 @@ class ShardedEngine:
         Per-shard entries survive shard death and replacement, so the dict
         records where every byte of a sweep actually went (``engine_stats()``
         reports it as its ``dispatch`` section).  ``breakers`` is the
-        per-endpoint circuit-breaker state (empty until shards spawn).
+        per-slot circuit-breaker state (empty until shards spawn).
         """
         with self._lock:
             return {**self.dispatch_stats.as_dict(),
@@ -1370,11 +1153,10 @@ class ShardedEngine:
 def sharded_engine_from_spec(suffix: int | str | None) -> ShardedEngine:
     """Build a :class:`ShardedEngine` from the ``sharded:`` spec suffix.
 
-    * ``None`` / ``N`` / ``tcp`` / ``tcp:N`` — N local shards (``sharded``,
-      ``sharded:4``; ``sharded:tcp[:N]`` is an older name of the same);
-    * ``HOST:PORT[,HOST:PORT...]`` — connect to already-running daemons
-      (``sharded:hostA:9101,hostB:9101``).  Addresses are parsed eagerly
-      (typos fail fast) but dialed lazily at first use.
+    ``None`` / ``N`` / ``tcp`` / ``tcp:N`` — N local shards (``sharded``,
+    ``sharded:4``; ``sharded:tcp[:N]`` is an older name of the same).  Any
+    other suffix, a ``HOST:PORT`` list among them, is a :class:`ValueError`:
+    no shard is ever dialed.
     """
     if suffix is None or isinstance(suffix, int):
         return ShardedEngine(suffix)
@@ -1386,10 +1168,8 @@ def sharded_engine_from_spec(suffix: int | str | None) -> ShardedEngine:
             raise ValueError(
                 f"invalid sharded:tcp worker count {count_text!r}") from None
         return ShardedEngine(count)
-    addresses = [part.strip() for part in suffix.split(",") if part.strip()]
-    if not addresses:
-        raise ValueError(f"invalid sharded engine spec suffix {suffix!r}")
-    return ShardedEngine.connect(addresses)
+    raise ValueError(f"invalid sharded engine spec 'sharded:{suffix}': "
+                     "shards are local ('sharded[:N]'); none is dialed")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

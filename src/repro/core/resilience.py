@@ -1,22 +1,17 @@
-"""Self-healing primitives: retry with backoff, circuit breaking, deadlines.
+"""Self-healing primitives: circuit breaking and deadlines.
 
 The always-on deployment of :mod:`repro.service` has to survive the failures
-a months-long camera installation actually sees — daemons restarting, hosts
-unreachable for a while, queries wedged behind a dead shard.  This module
-holds the three small mechanisms the service and the sharded engine build
-their failure handling from:
+a months-long camera installation actually sees — shard workers that die or
+cannot start, queries wedged behind a dead shard.  This module holds the two
+small mechanisms the service and the sharded engine build their failure
+handling from:
 
-* :class:`RetryPolicy` — bounded exponential backoff with *deterministic*
-  jitter: the jitter of attempt ``i`` for token ``t`` is a splitmix64 draw
-  (:mod:`repro.utils.hashing`), a pure function of ``(seed, token, i)``, so
-  retry schedules replay bit-identically under the same fault plan instead
-  of depending on a wall-clock RNG.
-* :class:`CircuitBreaker` — the classic three-state breaker per endpoint:
+* :class:`CircuitBreaker` — the classic three-state breaker per shard slot:
   CLOSED until ``failure_threshold`` consecutive failures, then OPEN
-  (requests refused without touching the endpoint) until ``reset_timeout``
+  (requests refused without touching the slot) until ``reset_timeout``
   passes, then HALF_OPEN admitting a single probe whose outcome closes or
-  re-opens the circuit.  Keeps a flapping daemon from absorbing a dial
-  attempt (and its timeout) at every stream start.
+  re-opens the circuit.  Keeps a slot whose worker cannot start from
+  absorbing a spawn attempt at every stream start.
 * :class:`CancellationToken` — cooperative cancellation with an optional
   monotonic deadline.  Work that honours a token calls :meth:`~CancellationToken.check`
   at its natural yield points (the executor checks between chunks); a passed
@@ -24,7 +19,7 @@ their failure handling from:
   :meth:`~CancellationToken.cancel` raises
   :class:`~repro.errors.QueryCancelledError`.
 
-All three are deliberately dependency-free and thread-safe: breakers are
+Both are deliberately dependency-free and thread-safe: breakers are
 shared between stream starts on different query threads, and a token is
 armed by the submitting thread but checked by the pool thread running the
 query.
@@ -34,72 +29,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.utils import checks
-from repro.utils.hashing import signed_draw, stream_key, string_token
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic splitmix64 jitter.
-
-    ``delay(i)`` for attempt ``i`` (0-based, the delay *after* the i-th
-    failure) is ``min(max_delay, base_delay * multiplier**i)``, scaled by
-    ``1 + jitter * u`` where ``u`` is a signed draw in ``[-1, 1)`` keyed by
-    ``(seed, "retry", token, i)`` — the same counter-based hashing the noise
-    streams use, so two runs with the same plan sleep the same schedule.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.1
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        checks.count("max_attempts", self.max_attempts, ValueError, 1)
-        checks.real("base_delay", self.base_delay, ValueError, at_least=0)
-        checks.real("max_delay", self.max_delay, ValueError, at_least=0)
-        checks.real("multiplier", self.multiplier, ValueError, at_least=1)
-        checks.probability("jitter", self.jitter, ValueError)
-        checks.count("seed", self.seed, ValueError)
-
-    def delay(self, attempt: int, token: str = "") -> float:
-        """Sleep before retry ``attempt`` (0-based), jittered deterministically."""
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
-        if not self.jitter or not raw:
-            return raw
-        key = stream_key(self.seed, string_token("retry"), string_token(token))
-        return max(0.0, raw * (1.0 + self.jitter * signed_draw(key, attempt)))
-
-    def call(self, fn: Callable[[], Any], *,
-             retry_on: "tuple[type[BaseException], ...]" = (OSError,),
-             token: str = "",
-             sleep: Callable[[float], None] = time.sleep,
-             on_retry: "Callable[[int, BaseException], None] | None" = None) -> Any:
-        """Invoke ``fn`` up to ``max_attempts`` times, backing off between.
-
-        Only exceptions in ``retry_on`` are retried; the last one propagates
-        once attempts are exhausted.  ``token`` keys the jitter stream (use
-        the endpoint address so concurrent endpoints decorrelate);
-        ``on_retry(attempt, exc)`` observes each failure before the sleep.
-        """
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except retry_on as exc:
-                attempt += 1
-                if attempt >= self.max_attempts:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                sleep(self.delay(attempt - 1, token))
 
 
 class BreakerState(str, Enum):
@@ -111,7 +45,7 @@ class BreakerState(str, Enum):
 
 
 class CircuitBreaker:
-    """Per-endpoint circuit breaker: open after K consecutive failures.
+    """Per-slot circuit breaker: open after K consecutive failures.
 
     ``allow()`` gates an attempt: True in CLOSED, False in OPEN until
     ``reset_timeout`` has passed, at which point the breaker moves to

@@ -9,8 +9,7 @@ with a private ledger per instance; :class:`QueryService` is the always-on
 wrapper that makes the sharing explicit:
 
 * **one engine** (and its shard pool, for ``sharded:...`` specs: local
-  workers over socketpairs, or dialed daemons) executes every query's
-  chunks — the engine's seq-keyed bookkeeping supports concurrent streams
+  workers over socketpairs) executes every query's chunks — the engine's seq-keyed bookkeeping supports concurrent streams
   from different threads;
 * **one chunk store** memoizes chunk outputs across all queries, so
   overlapping windows from different analysts hit the same warm entries;
@@ -42,9 +41,7 @@ Quickstart::
     service.close()
 
 ``sharded:4`` starts four local workers, each at the far end of a
-socketpair.  For genuinely remote shards, start daemons with
-``python -m repro.core.remote --listen HOST:PORT`` and pass
-``engine="sharded:hostA:9101,hostB:9101"``: the same frames, over TCP.
+socketpair; no shard is reachable over a network.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from repro.video.video import SyntheticVideo
 @dataclass
 class PrintingExecutable(ProcessExecutable):
     """Prints ``characters`` characters to stdout per chunk and emits no row.
-    Defined here so that a shard daemon can import it by name."""
+    Defined here so that a shard worker can import it by name."""
 
     characters: int = 100_000
     name: str = "printing_executable"

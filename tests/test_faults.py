@@ -28,7 +28,6 @@ from repro.core.resilience import (
     BreakerState,
     CancellationToken,
     CircuitBreaker,
-    RetryPolicy,
 )
 from repro.core.policy import PrivacyPolicy
 from repro.errors import (
@@ -180,55 +179,6 @@ class TestFaultInjector:
 
 
 # -------------------------------------------------------------- resilience
-
-
-class TestRetryPolicy:
-    def test_delays_grow_and_cap_deterministically(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.1, multiplier=2.0,
-                             max_delay=0.5, jitter=0.0)
-        assert [policy.delay(i) for i in range(4)] == \
-            pytest.approx([0.1, 0.2, 0.4, 0.5])
-
-    def test_jitter_is_a_pure_function_of_seed_token_attempt(self):
-        policy = RetryPolicy(jitter=0.25, seed=4)
-        assert policy.delay(1, "host:9101") == policy.delay(1, "host:9101")
-        assert policy.delay(1, "host:9101") != policy.delay(1, "host:9102")
-        base = RetryPolicy(jitter=0.0, seed=4).delay(1)
-        assert abs(policy.delay(1, "host:9101") - base) <= 0.25 * base + 1e-12
-
-    def test_call_retries_then_succeeds(self):
-        attempts, sleeps = [], []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ConnectionRefusedError("transient")
-            return "ok"
-
-        policy = RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.0)
-        assert policy.call(flaky, sleep=sleeps.append) == "ok"
-        assert len(attempts) == 3
-        assert sleeps == pytest.approx([0.1, 0.2])
-
-    def test_call_raises_the_last_error_when_exhausted(self):
-        def always():
-            raise OSError("down")
-
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        with pytest.raises(OSError, match="down"):
-            policy.call(always, sleep=lambda _: None)
-
-    def test_non_retryable_errors_propagate_immediately(self):
-        calls = []
-
-        def boom():
-            calls.append(1)
-            raise ValueError("bug")
-
-        policy = RetryPolicy(max_attempts=5, base_delay=0.0)
-        with pytest.raises(ValueError):
-            policy.call(boom, sleep=lambda _: None)
-        assert len(calls) == 1
 
 
 class TestCircuitBreaker:

@@ -1,4 +1,4 @@
-"""Tests for sharded multi-host chunk execution (`repro.core.remote`).
+"""Tests for sharded chunk execution (`repro.core.remote`).
 
 The contract under test: ``ShardedEngine`` partitions a chunk stream across
 N local executor shards (each a subprocess at the far end of a socketpair)
@@ -6,14 +6,17 @@ and merges ordered results back through the ``imap_chunks`` seam,
 byte-identical to the serial engine — including when a shard is killed,
 exits at start-up or goes silent mid-sweep (its work is reassigned, and
 at-most-once result application drops the duplicates a slow-but-alive shard
-may still deliver).  Dialed daemons are ``tests/test_tcp_transport.py``.
+may still deliver).  No shard is ever dialed: a ``HOST:PORT`` spec and the
+old ``--listen`` worker mode are both refused.
 """
 
 import io
 import json
 import os
 import pickle
+import re
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -58,7 +61,7 @@ from repro.video.chunking import ChunkSpec, count_chunks, iter_chunks
 from repro.video.geometry import BoundingBox
 from repro.video.masking import Mask
 
-from tests.conftest import make_crossing_object, make_simple_video
+from tests.conftest import PrintingExecutable, make_crossing_object, make_simple_video
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))
@@ -149,6 +152,128 @@ class TestWireProtocol:
         assert not target.exists()
 
 
+    @pytest.mark.parametrize("stranger", [
+        {"type": "listen", "address": "0.0.0.0:9101"},
+        {"type": "connect", "host": "127.0.0.1", "port": 9101},
+        {"type": 5},
+        {"token": 1},
+    ], ids=["listen", "connect", "numeric_type", "no_type"])
+    def test_a_worker_ignores_a_frame_it_does_not_know(self, stranger):
+        # Anything that is not ping/task/shutdown draws no reply and does
+        # not end the loop: the next ping is still answered.
+        frames = b"".join(encode_frame(message) for message in (
+            stranger, {"type": "ping", "token": 8}, {"type": "shutdown"}))
+        replies = io.BytesIO()
+        serve(io.BytesIO(frames), replies)
+        replies.seek(0)
+        assert read_frame(replies) == {"type": "pong", "token": 8}
+        assert read_frame(replies) is None
+
+
+def _scripted_transport(script) -> tuple[SocketTransport, threading.Thread]:
+    """A transport over a socketpair whose far end plays ``script`` —
+    ``("send", bytes)`` and ``("sleep", seconds)`` steps — then closes."""
+    ours, theirs = socket.socketpair()
+
+    def play() -> None:
+        with theirs:
+            for action, payload in script:
+                if action == "send":
+                    theirs.sendall(payload)
+                else:
+                    time.sleep(payload)
+
+    peer = threading.Thread(target=play, daemon=True)
+    peer.start()
+    return SocketTransport(ours, "scripted"), peer
+
+
+class TestSocketFraming:
+    def test_frame_torn_across_socket_reads_is_reassembled(self):
+        # One frame dribbled over three sends with pauses: the transport's
+        # buffered reader must block until the length prefix's promise is
+        # fulfilled and deliver one whole message.
+        frame = encode_frame({"type": "pong", "token": 42})
+        transport, peer = _scripted_transport([
+            ("send", frame[:2]), ("sleep", 0.05),
+            ("send", frame[2:7]), ("sleep", 0.05),
+            ("send", frame[7:]),
+        ])
+        try:
+            assert transport.read() == {"type": "pong", "token": 42}
+        finally:
+            transport.kill()
+            peer.join(timeout=5.0)
+
+    def test_torn_frame_at_disconnect_reads_as_eof(self):
+        # The peer dies mid-frame: a torn header or torn body must read as
+        # clean EOF (None) — the coordinator's death signal — never as a
+        # partial message or an exception.
+        frame = encode_frame({"type": "pong", "token": 7})
+        transport, peer = _scripted_transport([("send", frame[: len(frame) - 3])])
+        try:
+            peer.join(timeout=5.0)  # the peer sent its fragment and closed
+            assert not peer.is_alive()
+            assert transport.read() is None
+        finally:
+            transport.kill()
+
+    def test_mid_stream_disconnect_reads_as_eof(self):
+        frame = encode_frame({"type": "pong", "token": 1})
+        transport, peer = _scripted_transport([("send", frame)])
+        try:
+            assert transport.read() == {"type": "pong", "token": 1}
+            peer.join(timeout=5.0)
+            assert not peer.is_alive()
+            assert transport.read() is None  # clean EOF after the peer left
+        finally:
+            transport.kill()
+
+
+    def test_frames_sent_in_one_write_are_read_one_at_a_time(self):
+        frames = [encode_frame({"type": "pong", "token": token}) for token in range(3)]
+        transport, peer = _scripted_transport([("send", b"".join(frames))])
+        try:
+            assert [transport.read() for _ in range(3)] == [
+                {"type": "pong", "token": token} for token in range(3)]
+            assert transport.read() is None
+        finally:
+            transport.kill()
+            peer.join(timeout=5.0)
+
+    def test_text_and_nesting_survive_the_socket(self):
+        message = {"type": "result", "seq": 3, "camera": "Praça-東京 ✓",
+                   "outcomes": [{"rows": [{"kind": "person", "dy": -0.5}],
+                                 "fallback": False}, {"rows": [], "fallback": True}]}
+        transport, peer = _scripted_transport([("send", encode_frame(message))])
+        try:
+            assert transport.read() == message
+        finally:
+            transport.kill()
+            peer.join(timeout=5.0)
+
+    def test_a_corrupt_length_prefix_on_the_socket_is_refused(self):
+        # A prefix past MAX_FRAME_BYTES is corruption, not a frame to wait
+        # for: the read fails at once instead of allocating gigabytes.
+        corrupt = struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x"
+        transport, peer = _scripted_transport([("send", corrupt)])
+        try:
+            with pytest.raises(RemoteShardError, match="MAX_FRAME_BYTES"):
+                transport.read()
+        finally:
+            transport.kill()
+            peer.join(timeout=5.0)
+
+    def test_a_killed_transport_refuses_writes_and_reads_as_eof(self):
+        transport, peer = _scripted_transport([("sleep", 0.05)])
+        peer.join(timeout=5.0)
+        transport.kill()
+        assert not transport.is_alive()
+        with pytest.raises(OSError):
+            transport.write({"type": "ping", "token": 1})
+        assert transport.read() is None
+
+
 class TestEngineRegistry:
     def test_sharded_spec_strings(self):
         engine = create_engine("sharded:4")
@@ -166,6 +291,37 @@ class TestEngineRegistry:
         with pytest.raises(ValueError):
             create_engine("process:tcp")  # the alias names local shards only
 
+    def test_invalid_tcp_specs_are_rejected(self):
+        with pytest.raises(ValueError):
+            create_engine("sharded:tcp:zero-ish")
+        with pytest.raises(ValueError):
+            create_engine("sharded:tcp:0")
+
+    @pytest.mark.parametrize("spec", ["sharded:127.0.0.1:9101",
+                                      "sharded:hosta:9101,hostb:9101",
+                                      "sharded:[::1]:7000", "sharded:justahost"])
+    def test_an_address_spec_is_refused_by_name(self, spec):
+        # No shard is ever dialed: an address is an error at construction,
+        # not a connection attempt at first use.
+        with pytest.raises(ValueError, match=re.escape(spec)):
+            create_engine(spec)
+
+    def test_the_worker_has_no_listen_mode(self):
+        # The network daemon is gone: asking for one is a usage error
+        # (argparse's status 2), and nothing is bound or announced.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.core.remote", "--listen", "127.0.0.1:0"],
+            capture_output=True, text=True, timeout=30, env=_worker_env())
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "LISTENING" not in done.stderr
+
+    def test_transport_list_fixes_shard_count(self):
+        with pytest.raises(ValueError):
+            ShardedEngine(num_shards=3, transports=[SocketTransport.spawn] * 2)
+        with pytest.raises(ValueError):
+            ShardedEngine(transports=[])
+
     def test_tcp_is_an_older_name_of_local_shards(self):
         engine = create_engine("sharded:tcp:2")
         assert isinstance(engine, ShardedEngine) and engine.num_shards == 2
@@ -181,6 +337,34 @@ class TestEngineRegistry:
             ShardedEngine(2, in_flight_window=-1)
         with pytest.raises(ValueError):
             ShardedEngine(2, heartbeat_interval=0.0)
+
+
+    @pytest.mark.parametrize("spec, shards", [
+        ("sharded:1", 1), ("sharded:3", 3), ("sharded:tcp", None),
+        ("sharded:tcp:3", 3), ("process:2", 2), ("thread:2", 2),
+        ("process", None), (" Sharded:2 ", 2),
+    ])
+    def test_a_local_spec_names_lazily_spawned_shards(self, spec, shards):
+        engine = create_engine(spec)
+        try:
+            assert isinstance(engine, ShardedEngine)
+            assert engine.num_shards == (shards or remote._default_workers())
+            assert engine._factories == [SocketTransport.spawn] * engine.num_shards
+            assert not engine.health()["started"]  # nothing spawned yet
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize("spec", [
+        "sharded:0", "sharded:-2", "process:0", "thread:-1", "sharded:tcp:0",
+        "sharded:tcp:two", "sharded:tcp:2:3", "process:tcp", "thread:tcp:2",
+        "sharded:unix:/tmp/privid.sock", "serial:2",
+    ])
+    def test_a_malformed_spec_is_refused(self, spec, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(remote, "_worker_command", spawned.append)
+        with pytest.raises(ValueError):
+            create_engine(spec)
+        assert spawned == []
 
 
 class TestShardedStreaming:
@@ -757,9 +941,9 @@ if sys.argv[1] == "sigkill":
 class TestWorkerPayloadCache:
     def test_connection_threads_share_the_cache_without_tearing_it(
             self, tmp_path, monkeypatch):
-        # A TCP daemon runs one executor thread per connection over one
-        # module-level LRU: more refs than it holds, so every thread evicts
-        # under the others' reads.
+        # Eight threads over the one module-level LRU, with more refs than
+        # it holds, so every thread evicts under the others' reads: the lock
+        # keeps it whole.
         import random
         from collections import OrderedDict
 
@@ -1243,6 +1427,24 @@ class TestResilienceControls:
         assert fired[0] == fired[1] == [(FaultKind.CRASH, 5)]
 
 
+class TestShardOutput:
+    def test_a_printing_executable_writes_to_stderr_never_stdout(self, capfd):
+        # A worker points fd 1 at stderr before serving: what an executable
+        # prints must never reach the coordinator's stdout, which may be
+        # the analyst's own output.
+        video = _walker_video()
+        runner = SandboxRunner(PrintingExecutable(characters=1000), PERSON_SCHEMA,
+                               max_rows=5, timeout_seconds=30.0)
+        with ShardedEngine(2) as engine:
+            outcomes = list(engine.imap_chunks(
+                runner, iter_chunks(video, TEN_CHUNKS), _context(video)))
+        assert len(outcomes) == 10
+        assert not any(outcome.fallback for outcome in outcomes)
+        out, err = capfd.readouterr()
+        assert "x" * 1000 in err
+        assert "xxxx" not in out
+
+
 class TestShardsAreReleased:
     """A shard's socket and process go with it, however it ends: a killed
     worker is reaped before ``kill()`` returns, never left running for
@@ -1314,3 +1516,178 @@ class TestShardsAreReleased:
             assert [shard.slot for shard in engine._live_shards()] == [1]
         assert len(spawned) == 2
         assert repr(rows) == repr(reference)
+
+
+@pytest.fixture(scope="module")
+def seam_pool():
+    """One engine built on the ``transports=`` seam: two spawn factories."""
+    with ShardedEngine(transports=[SocketTransport.spawn] * 2) as engine:
+        yield engine
+    # shutdown() unlinked every payload the streams above published.
+    assert engine._publisher._entries == {}
+
+
+class TestTransportSeam:
+    """An engine given its transport factories (``transports=``) runs like
+    ``sharded:N``: byte-identical to serial, payloads in shared memory, each
+    dead slot refilled from its own factory, each slot behind its own
+    breaker."""
+
+    def test_stream_byte_identical_to_serial(self, seam_pool):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
+        rows = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                              context))
+        assert repr(rows) == repr(reference)
+
+    def test_repeat_stream_reuses_the_shared_memory_payloads(self, seam_pool,
+                                                             footage_pickles):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        before = seam_pool.dispatch_stats_dict()
+        first = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                               context))
+        published = _published(seam_pool)
+        second = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                                context))
+        after = seam_pool.dispatch_stats_dict()
+        assert repr(first) == repr(second)
+        assert footage_pickles == [video.name]
+        assert _published(seam_pool) == published
+        assert all(path.startswith("/dev/shm/") for path in published)
+        assert {name: after[name] - before[name] for name in
+                ("broadcasts", "broadcast_reuses", "shm_segments")} \
+            == {"broadcasts": 2, "broadcast_reuses": 2, "shm_segments": 2}
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenario_scene_warm_rerun_is_served_by_the_store(self, name, seam_pool,
+                                                              tmp_path):
+        """Every scenario scene: the cold sweep equals serial, and a repeat
+        is answered from the coordinator's store with no chunk dispatched."""
+        if name in ("campus", "highway", "urban"):
+            scenario = build_scenario(name, scale=0.2, duration_hours=0.1)
+        else:
+            scenario = build_scenario(name, duration_hours=0.1)
+        policy_map = scenario_policy_map(scenario, k_segments=1)
+        window = min(scenario.video.duration, 360.0)
+        query = (QueryBuilder(f"seam-{name}")
+                 .split(scenario.name, begin=0, end=window,
+                        chunk_duration=30.0, mask="owner", into="chunks")
+                 .process("chunks", executable="count_entering_people.py",
+                          max_rows=5,
+                          schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)],
+                          into="t")
+                 .select_count(table="t", bucket_seconds=120.0, epsilon=1.0)
+                 .build())
+        systems = {}
+        for label, engine, cache in (("serial", None, None),
+                                     ("seam", seam_pool, f"tiered:{tmp_path}")):
+            systems[label] = PrividSystem(seed=11, engine=engine, cache=cache)
+            register_scenario_camera(systems[label], scenario, policy_map=policy_map,
+                                     epsilon_budget=100.0, sample_period=1.0)
+        reference = systems["serial"].execute(query, charge_budget=False)
+        cold = systems["seam"].execute(query, charge_budget=False)
+        seam_pool.reset_dispatch_stats()
+        warm = systems["seam"].execute(query, charge_budget=False)
+        assert seam_pool.dispatch_stats.chunks == 0
+        assert repr(cold.raw_series_unsafe()) == repr(reference.raw_series_unsafe())
+        assert repr(cold.series()) == repr(reference.series())
+        assert repr(warm.raw_series_unsafe()) == repr(reference.raw_series_unsafe())
+
+    def test_a_transport_killed_mid_sweep_is_byte_identical(self):
+        video = _walker_video(num_walkers=8, duration=1200.0)
+        spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
+        runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, spec), context)
+        with ShardedEngine(transports=[SocketTransport.spawn] * 3,
+                           chunksize=1) as engine:
+            stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
+            outcomes = [next(stream)]
+            victim = next((shard for shard in engine._live_shards() if shard.pending),
+                          engine._live_shards()[0])
+            victim.transport.kill()
+            outcomes.extend(stream)
+        assert repr(_rows_of(outcomes)) == repr(reference)
+        assert len(outcomes) == 20
+
+    def test_each_dead_slot_is_refilled_from_its_own_factory(self):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        calls = []
+
+        def factory(slot):
+            def spawn():
+                calls.append(slot)
+                return SocketTransport.spawn()
+            return spawn
+
+        with ShardedEngine(transports=[factory(0), factory(1)]) as engine:
+            first = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                                context))
+            for shard in engine._live_shards():
+                shard.transport.kill()
+            second = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                                 context))
+            assert sorted(shard.slot for shard in engine._live_shards()) == [0, 1]
+        assert sorted(calls) == [0, 0, 1, 1]
+        assert repr(second) == repr(first)
+
+    def test_an_unreachable_slot_leaves_the_stream_to_the_others(self):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
+
+        def refusing():
+            raise ConnectionRefusedError("slot 1 has no worker")
+
+        with ShardedEngine(transports=[SocketTransport.spawn, refusing]) as engine:
+            with pytest.warns(RuntimeWarning, match="slot 1 is unreachable"):
+                rows = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, TEN_CHUNKS), context))
+            health = engine.health()
+        assert repr(rows) == repr(reference)
+        assert health["live_shards"] == 1 and health["degraded"]
+        assert health["breakers"]["slot0"]["consecutive_failures"] == 0
+        assert health["breakers"]["slot1"]["consecutive_failures"] == 1
+
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    def test_every_slot_has_its_own_closed_breaker(self, slots):
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        with ShardedEngine(transports=[SocketTransport.spawn] * slots) as engine:
+            list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
+            breakers = engine.dispatch_stats_dict()["breakers"]
+        assert sorted(breakers) == [f"slot{slot}" for slot in range(slots)]
+        assert {entry["state"] for entry in breakers.values()} == {"closed"}
+
+
+class TestWorkerCommandLine:
+    """``python -m repro.core.remote`` takes exactly ``--fd N``."""
+
+    @pytest.mark.parametrize("argv", [[], ["--fd"], ["--fd", "three"],
+                                      ["--fd", "3", "--listen", ":9101"]],
+                             ids=["nothing", "no_fd_number", "fd_not_a_number",
+                                  "listen_beside_fd"])
+    def test_anything_else_is_a_usage_error(self, argv):
+        done = subprocess.run([sys.executable, "-m", "repro.core.remote", *argv],
+                              capture_output=True, text=True, timeout=30,
+                              env=_worker_env())
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "usage:" in done.stderr
+
+    def test_a_worker_serves_the_socket_it_is_handed(self):
+        ours, theirs = socket.socketpair()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.remote", "--fd", str(theirs.fileno())],
+            pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL, env=_worker_env())
+        theirs.close()
+        transport = SocketTransport(ours, "by-hand", process)
+        try:
+            transport.write({"type": "ping", "token": 5})
+            assert transport.read() == {"type": "pong", "token": 5}
+            transport.close()
+            assert process.returncode == 0
+        finally:
+            transport.kill()

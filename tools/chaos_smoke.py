@@ -3,9 +3,9 @@
 The robustness contract under test, for every :class:`FaultPlan` below:
 
 1. **byte-identity** — a :class:`~repro.service.QueryService` driven through
-   transport drops/tears, daemon crashes and store IO errors returns raw
-   values *and* noisy releases byte-identical to the same-seed fault-free
-   serial service;
+   transport drops/tears, shard worker crashes and store IO errors returns
+   raw values *and* noisy releases byte-identical to the same-seed
+   fault-free serial service;
 2. **ledger conservation** — the per-camera budget snapshot after the chaos
    run equals the serial run's exactly: a fault may cost retries, never
    epsilon;
@@ -75,10 +75,10 @@ TRANSPORT_CHAOS = FaultPlan(name="transport-chaos", seed=11, rules=(
               probability=0.2, delay=0.05, max_fires=5),
 ))
 
-# A shard daemon dies right after accepting protocol seq 4, and the first
-# respawn attempt is refused (feeding the dial/breaker path).  The crash
+# A shard worker dies right after accepting protocol seq 4, and the first
+# respawn attempt is refused (feeding the slot's circuit breaker).  The crash
 # trigger is a pure function of the seq, so the fired schedule must replay.
-DAEMON_CRASH = FaultPlan(name="daemon-crash", seed=23, rules=(
+WORKER_CRASH = FaultPlan(name="worker-crash", seed=23, rules=(
     FaultRule(site="transport.*.task", kind=FaultKind.CRASH, after_seq=4),
     FaultRule(site="transport.worker2.connect", kind=FaultKind.CONNECT_REFUSED,
               at=(0,), max_fires=1),
@@ -109,7 +109,7 @@ SHM_BINARY_CHAOS = FaultPlan(name="shm-binary-chaos", seed=51, rules=(
     FaultRule(site="transport.*.task", kind=FaultKind.CRASH, after_seq=6),
 ))
 
-PLANS = [(TRANSPORT_CHAOS, False), (DAEMON_CRASH, True), (STORE_CHAOS, True),
+PLANS = [(TRANSPORT_CHAOS, False), (WORKER_CRASH, True), (STORE_CHAOS, True),
          (SHM_BINARY_CHAOS, True)]
 
 

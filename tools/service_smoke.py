@@ -1,19 +1,17 @@
-"""CI smoke test for the service layer over real TCP shard daemons.
+"""CI smoke test for the service layer over real local shard workers.
 
 Exercises the full always-on deployment path end to end, the way an
 operator would run it:
 
-1. starts two shard daemons (``python -m repro.core.remote --listen
-   127.0.0.1:0``) and reads the announced ports;
-2. stands up a :class:`~repro.service.QueryService` connected to them
-   (``engine="sharded:127.0.0.1:P1,127.0.0.1:P2"``) with a tiered chunk
-   store;
-3. checks the TCP-sharded service answers byte-identically (raw values
-   *and* noisy releases) to a same-seed serial service;
-4. races four concurrent queries against a camera whose budget only admits
+1. stands up a :class:`~repro.service.QueryService` on two local shards
+   (``engine="sharded:2"``: two worker processes, each at the far end of a
+   socketpair) with a tiered chunk store;
+2. checks the sharded service answers byte-identically (raw values *and*
+   noisy releases) to a same-seed serial service;
+3. races four concurrent queries against a camera whose budget only admits
    two — exactly two must be admitted and the denied futures must raise
    ``BudgetExceededError`` with nothing charged past the budget;
-5. shuts everything down cleanly and fails loudly (exit 1) on any miss.
+4. shuts everything down cleanly and fails loudly (exit 1) on any miss.
 
 Run with: ``python -X dev -W error::ResourceWarning tools/service_smoke.py``
 (development mode makes a leaked pipe or file handle a warning, and the
@@ -23,7 +21,7 @@ flag makes it an error).
 from __future__ import annotations
 
 import gc
-import subprocess
+import shutil
 import sys
 import tempfile
 from concurrent.futures import wait
@@ -31,7 +29,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.remote import _LISTENING_MARKER, _worker_env  # noqa: E402
 from repro.errors import BudgetExceededError  # noqa: E402
 from repro.evaluation.runner import (  # noqa: E402
     register_scenario_camera,
@@ -48,18 +45,6 @@ def check(ok: bool, label: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {label}")
     if not ok:
         FAILURES.append(label)
-
-
-def start_daemon() -> tuple[subprocess.Popen, int]:
-    """Start one shard daemon on an ephemeral port; return (process, port)."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.core.remote", "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, env=_worker_env(), text=True)
-    line = process.stdout.readline().strip()
-    marker, _host, port = line.split()
-    if marker != _LISTENING_MARKER:
-        raise RuntimeError(f"unexpected daemon announcement: {line!r}")
-    return process, int(port)
 
 
 def people_query(name: str, *, bucket: float = 360, epsilon: float = 1.0):
@@ -83,27 +68,24 @@ def build_service(scenario, policy_map, *, engine, cache) -> QueryService:
 def main() -> None:
     scenario = build_scenario("campus", scale=0.2, duration_hours=0.2, seed=7)
     policy_map = scenario_policy_map(scenario, k_segments=1)
-    daemons = [start_daemon() for _ in range(2)]
-    addresses = ",".join(f"127.0.0.1:{port}" for _, port in daemons)
     store_dir = tempfile.mkdtemp(prefix="privid-service-smoke-")
-    print(f"daemons listening: {addresses}")
 
     try:
-        # ---- byte-identity: TCP-sharded service vs same-seed serial service.
+        # ---- byte-identity: sharded service vs same-seed serial service.
         # Both answer their first submission (query seq 0) from the same
         # deterministic noise stream, so even the noisy releases must match.
         with build_service(scenario, policy_map, engine=None,
                            cache="memory") as serial_service:
             reference = serial_service.execute(people_query("reference"),
                                                charge_budget=False)
-        with build_service(scenario, policy_map, engine=f"sharded:{addresses}",
+        with build_service(scenario, policy_map, engine="sharded:2",
                            cache=f"tiered:{store_dir}") as service:
             probe = service.execute(people_query("probe"), charge_budget=False)
             check(repr(probe.raw_series_unsafe())
                   == repr(reference.raw_series_unsafe()),
-                  "raw values over TCP shards == serial service")
+                  "raw values over local shards == serial service")
             check(repr(probe.series()) == repr(reference.series()),
-                  "noisy releases over TCP shards == serial service")
+                  "noisy releases over local shards == serial service")
 
             # ---- shared-budget exhaustion: four racing analysts, budget 2.5,
             # one 1.0-epsilon release each over the same window -> the
@@ -134,12 +116,9 @@ def main() -> None:
                   f"service counters consistent: {stats['queries']}")
             check(stats["engine"]["engine"] == "sharded"
                   and len(stats["engine"]["dispatch"]["per_shard"]) == 2,
-                  "stats() reports per-shard dispatch for both TCP shards")
+                  "stats() reports per-shard dispatch for both shards")
     finally:
-        for process, _ in daemons:
-            process.kill()
-            process.wait()
-            process.stdout.close()
+        shutil.rmtree(store_dir, ignore_errors=True)
 
 
 def fail_on_unraisable(unraisable) -> None:
