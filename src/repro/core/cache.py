@@ -42,7 +42,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import chain, count
+from itertools import count
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -303,6 +303,7 @@ class ChunkResultCache:
         self._entries: OrderedDict[str, tuple[dict[str, Any], ...]] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
+        self.read_errors = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -313,10 +314,15 @@ class ChunkResultCache:
         """Cache key of one chunk execution."""
         return chunk_key(runner, chunk, context)
 
-    def get(self, key: str) -> ChunkRows | None:
-        """Rows cached under ``key`` (a fresh copy), or None on a miss."""
+    def get(self, key: str, max_rows: int | None = None) -> ChunkRows | None:
+        """Rows cached under ``key`` (a fresh copy), or None on a miss — an
+        entry over ``max_rows`` is corrupt: dropped and counted in ``read_errors``."""
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None and max_rows is not None and len(entry) > max_rows:
+                del self._entries[key]
+                self.read_errors += 1
+                entry = None
             if entry is None:
                 self.stats.misses += 1
                 return None
@@ -340,14 +346,16 @@ class ChunkResultCache:
             self._entries.clear()
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters."""
+        """Zero the hit/miss/eviction/read-error counters."""
         with self._lock:
             self.stats = CacheStats()
+            self.read_errors = 0
 
     def stats_dict(self) -> dict[str, Any]:
         """Counters plus the live entry count, for ``PrividSystem.cache_stats``."""
         with self._lock:
-            return {**self.stats.as_dict(), "entries": len(self._entries)}
+            return {**self.stats.as_dict(), "read_errors": self.read_errors,
+                    "entries": len(self._entries)}
 
     def health(self) -> dict[str, Any]:
         """Liveness snapshot of the memory tier (always writable)."""
@@ -409,17 +417,16 @@ class DiskChunkStore:
     hash to the same file everywhere, while any footage mutation changes the
     fingerprint so stale entries simply stop being addressed.  Writes go
     through a temp file plus :func:`os.replace`, so concurrent readers and
-    writers only ever observe complete entries.  Entries are sharded into
-    256 subdirectories by key prefix to keep directory listings sane at
-    millions of chunks.
+    writers only ever observe complete entries.
 
-    An entry is one JSON object, ``{"format": 1, "rows": [...]}``, at
-    ``KEY[:2]/KEY.json`` — the one format that reproduces every row exactly
-    (the same encoding carries rows across the shard wire).  A ``KEY.bin``
-    left by the retired binary format is never opened, counted or served;
-    reclaiming its bytes is deleting the directory.  A row-less entry is a
-    name, not a file: a handle's later row-less puts land as hard links to
-    the first it wrote (counted in ``links``, too).
+    An entry is one JSON object, ``{"format": 1, "rows": [...]}`` — the one
+    format that reproduces every row exactly (the same encoding carries rows
+    across the shard wire) — at ``KEY.json`` in the store directory itself,
+    so a put makes no directory.  Only ``len()``, ``clear()`` and the sweep
+    on open list it (ext4 without ``large_dir`` holds ~10M names).  A retired
+    ``KEY.bin`` or ``KEY[:2]/KEY.json`` is never opened, counted or served.
+    A row-less entry is a name, not a file: a handle's later row-less puts
+    land as hard links to the first it wrote (counted in ``links``, too).
 
     Unreadable or corrupt entries read as misses and are removed; write-side
     IO errors (ENOSPC, permission flips, a yanked mount) are *non-fatal* —
@@ -455,17 +462,12 @@ class DiskChunkStore:
         self.stale_temps_removed = self._sweep_stale_temps()
 
     def _sweep_stale_temps(self) -> int:
-        """Remove temp files a crashed/interrupted writer left behind.
-
-        Age-gated: a fresh temp file belongs to a concurrent writer in
-        another process (coordinators may share this directory), and unlinking
-        it would turn that writer's atomic rename into a silently dropped
-        entry.
-        """
+        """Remove temp files a crashed writer left, once older than the sweep
+        age: a fresh one may be a concurrent writer's in another process, and
+        unlinking it would turn that writer's rename into a dropped entry."""
         removed = 0
         horizon = time.time() - self._STALE_TEMP_AGE
-        for stale in chain(self.directory.glob("*.tmp"),
-                           self.directory.glob("*/*.tmp")):
+        for stale in self.directory.glob("*.tmp"):
             try:
                 if stale.stat().st_mtime <= horizon:
                     stale.unlink()
@@ -480,7 +482,7 @@ class DiskChunkStore:
 
     def _entry_paths(self):
         """Every stored entry."""
-        return self.directory.glob("*/*.json")
+        return self.directory.glob("*.json")
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
@@ -491,13 +493,11 @@ class DiskChunkStore:
         return chunk_key(runner, chunk, context)
 
     def _entry_path(self, key: str) -> str:
-        return f"{self._root}{key[:2]}{os.sep}{key}.json"
+        return f"{self._root}{key}.json"
 
-    def _path_for(self, key: str) -> Path:
-        return Path(self._entry_path(key))
-
-    def get(self, key: str) -> ChunkRows | None:
-        """Rows stored under ``key``, or None on a miss (or corrupt entry)."""
+    def get(self, key: str, max_rows: int | None = None) -> ChunkRows | None:
+        """Rows stored under ``key``, or None on a miss (or corrupt entry,
+        which includes one holding more than ``max_rows`` rows)."""
         path = self._entry_path(key)
         rule = self.fault_injector.poll("store.get", token=key) \
             if self.fault_injector is not None else None
@@ -512,6 +512,8 @@ class DiskChunkStore:
                     # see _write_entry) so the self-heal below runs for real.
                     self._write_entry(path, b"\x00corrupt")
             rows = _read_json_entry(path)
+            if max_rows is not None and len(rows) > max_rows:
+                raise ValueError("disk store entry holds more rows than its reader allows")
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -537,9 +539,8 @@ class DiskChunkStore:
         The temp file is created beside the entry with ``O_EXCL``, so a name
         collision with another writer is this call's error, never a clobber
         of that writer's bytes, and only a temp this call created is ever
-        removed.  The prefix directory is made when the open reports it
-        missing — once per prefix per store lifetime, or after someone
-        removed it under a live store — not asked for on every put.
+        removed.  The store directory is made again only when the open
+        reports it missing (someone removed it under a live store).
 
         Once renamed into place an entry's file is never written again (the
         CORRUPT fault's scribble is a new file too), which is what lets
@@ -557,7 +558,7 @@ class DiskChunkStore:
             try:
                 fd = os.open(temp, flags, 0o600)
             except FileNotFoundError:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
+                os.makedirs(self._root, exist_ok=True)
                 fd = os.open(temp, flags, 0o600)
             created = True
             try:
@@ -593,11 +594,7 @@ class DiskChunkStore:
         source_path, inode, device = source
         temp = self._temp_for(path)
         try:
-            try:
-                os.link(source_path, temp)
-            except FileNotFoundError:  # the prefix directory, or the source
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                os.link(source_path, temp)
+            os.link(source_path, temp)  # ENOENT: the source (or the store) is gone
         except OSError:
             return False
         try:
@@ -719,12 +716,13 @@ class TieredChunkCache:
         return {"tier": "tiered", "writable": disk["writable"],
                 "memory": self.memory.health(), "disk": disk}
 
-    def get(self, key: str) -> ChunkRows | None:
-        """Rows under ``key`` from the first tier that has them, or None."""
-        rows = self.memory.get(key)
+    def get(self, key: str, max_rows: int | None = None) -> ChunkRows | None:
+        """Rows under ``key`` from the first tier that has them, or None.  Each
+        tier drops an entry over ``max_rows``, on disk before it is promoted."""
+        rows = self.memory.get(key, max_rows)
         if rows is not None:
             return rows
-        rows = self.disk.get(key)
+        rows = self.disk.get(key, max_rows)
         if rows is not None:
             self.memory.put(key, rows)
         return rows

@@ -284,9 +284,11 @@ class SandboxRunner:
         miss_buffer: deque[Chunk] = deque()
 
         def classify(chunk: Chunk) -> list[dict[str, Any]] | None:
-            """The chunk's stored rows, or None once it is queued as a miss."""
+            """The chunk's stored rows, or None once it is queued as a miss.  The
+            store refuses an entry over ``max_rows``, which sensitivity assumes
+            (a ``Table`` reads only schema columns; aggregation clamps values)."""
             key = cache.key_for(self, chunk, context)
-            rows = cache.get(key)
+            rows = cache.get(key, max_rows=self.max_rows)
             if rows is None:
                 ledger.append(("miss", key))
                 miss_buffer.append(chunk)

@@ -235,7 +235,8 @@ class TestChunkResultCache:
 
         system.execute(query(300.0), charge_budget=False)
         assert system.cache_stats() == {"enabled": True, "hits": 0, "misses": 5,
-                                        "evictions": 0, "hit_rate": 0.0, "entries": 5}
+                                        "evictions": 0, "hit_rate": 0.0,
+                                        "read_errors": 0, "entries": 5}
         # The wider window shares its first five chunks with the narrower one.
         wide = system.execute(query(600.0), charge_budget=False)
         assert system.cache_stats()["hits"] == 5

@@ -410,10 +410,10 @@ class TestDiskStoreFaults:
         store = DiskChunkStore(tmp_path, fault_injector=plan.injector())
         for key in keys:
             store.put(key, [])
-        source = store._path_for(keys[0])
+        source = tmp_path / f"{keys[0]}.json"
         assert source.stat().st_nlink == 5
         assert store.get(keys[2]) is None
-        assert store.read_errors == 1 and not store._path_for(keys[2]).exists()
+        assert store.read_errors == 1 and not (tmp_path / f"{keys[2]}.json").exists()
         assert source.stat().st_nlink == 4
         assert [store.get(key) for key in keys if key != keys[2]] == [[]] * 4
         assert store.stats.hits == 4 and store.read_errors == 1
@@ -422,15 +422,15 @@ class TestDiskStoreFaults:
     def test_stale_temp_files_are_swept_on_open(self, tmp_path):
         first = DiskChunkStore(tmp_path)
         first.put("d" * 40, [{"kind": "person"}])
-        # Strand temp files the way an interrupted writer would: one at the
-        # root, one inside a shard directory.  Backdate them past the age
-        # gate — only temps no live writer can own are eligible.
+        # Strand temp files the way an interrupted writer would, beside the
+        # entries.  Backdate them past the age gate — only temps no live
+        # writer can own are eligible.
         old = time.time() - DiskChunkStore._STALE_TEMP_AGE - 1.0
-        for name in ("tmp123.tmp", "dd/tmp456.tmp"):
+        for name in ("tmp123.tmp", f"{'d' * 40}.json.feed-0.tmp"):
             stranded = tmp_path / name
             stranded.write_text("partial")
             os.utime(stranded, (old, old))
-        fresh = tmp_path / "dd" / "tmp789.tmp"  # a concurrent writer's file
+        fresh = tmp_path / "tmp789.tmp"  # a concurrent writer's file
         fresh.write_text("partial")
         reopened = DiskChunkStore(tmp_path)
         assert reopened.stale_temps_removed == 2

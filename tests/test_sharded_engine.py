@@ -552,7 +552,8 @@ class TestUnhintedRamp:
         reference = [list(rows) for rows in runner.iter_chunk_rows(
             chunks, context, cache=warm)]
         for index in (4, 15, 27):
-            warm.disk._path_for(warm.key_for(runner, chunks[index], context)).unlink()
+            key = warm.key_for(runner, chunks[index], context)
+            (warm.disk.directory / f"{key}.json").unlink()
         store = TieredChunkCache(disk=tmp_path / "store")  # cold memory tier
         with ShardedEngine(2) as engine:
             sizes = _task_sizes(engine)

@@ -6,7 +6,7 @@ str), ``None`` values, missing keys and per-row key order all survive —
 because a store must never change what a query returns.  The property test
 drives that across the whole value space; the rest pin what the engines rely
 on: corrupt, torn and foreign files read as misses that heal themselves, the
-``KEY[:2]/KEY.json`` layout and its bytes, and the write path on plain ``os``
+flat ``KEY.json`` layout and its bytes, and the write path on plain ``os``
 calls — its failures, its races and its syscall budget.
 """
 
@@ -123,7 +123,7 @@ class TestExactRows:
         rows = [{"kind": f"k{i}", "dy": i * 0.5, "seq": i, "odd": bool(i % 2)}
                 for i in range(3000)]
         store.put("9" * 16, rows)
-        assert store._path_for("9" * 16).stat().st_size > 1 << 16
+        assert (tmp_path / f"{'9' * 16}.json").stat().st_size > 1 << 16
         assert_rows_exact(store.get("9" * 16), rows)
 
     def test_tiered_store_serves_the_same_rows_from_either_tier(self, tmp_path):
@@ -151,7 +151,7 @@ class TestCorruptEntries:
         rows = [{"kind": "véhicule", "dy": -0.5, "seq": 2 ** 70, "ok": True,
                  "note": None}, {}, {"kind": "\ud800"}]
         store.put(key, rows)
-        path = store._path_for(key)
+        path = tmp_path / f"{key}.json"
         whole = path.read_bytes()
         assert whole == _entry_bytes(rows)
         for cut in range(len(whole)):
@@ -168,7 +168,7 @@ class TestCorruptEntries:
         store = DiskChunkStore(tmp_path)
         key = "d" * 16
         store.put(key, [{"kind": "person"}])
-        path = store._path_for(key)
+        path = tmp_path / f"{key}.json"
         path.write_bytes(blob)
         try:
             forged = json.loads(blob)["format"] == 1
@@ -197,7 +197,7 @@ class TestCorruptEntries:
         store = DiskChunkStore(tmp_path)
         key = "e" * 16
         store.put(key, [])
-        path = store._path_for(key)
+        path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(payload))
         self._assert_heals(store, key, path)
         assert store.stats.hits == 0
@@ -288,9 +288,8 @@ class TestWritePath:
             self, tmp_path, monkeypatch, error):
         store = DiskChunkStore(tmp_path)
         key = "a" * 40
-        store.put("a" * 39 + "b", _rows_for(key))  # the prefix directory exists
         # Another writer's temp file, under the very name this put will ask for.
-        planted = tmp_path / "aa" / f"{key}.json.{store._temp_token}-1.tmp"
+        planted = tmp_path / f"{key}.json.{store._temp_token}-0.tmp"
         planted.write_bytes(b"someone else's bytes")
         real_open = os.open
 
@@ -302,7 +301,7 @@ class TestWritePath:
         monkeypatch.setattr(os, "open", failing_open)
         store.put(key, _rows_for(key))  # swallowed, counted
         monkeypatch.undo()
-        assert (store.writes, store.write_errors) == (1, 1)
+        assert (store.writes, store.write_errors) == (0, 1)
         assert store.get(key) is None
         assert list(tmp_path.glob("**/*.tmp")) == [planted]
         assert planted.read_bytes() == b"someone else's bytes"
@@ -310,8 +309,7 @@ class TestWritePath:
     def test_a_temp_name_collision_never_clobbers_the_other_writer(self, tmp_path):
         store = DiskChunkStore(tmp_path)
         key = "b" * 40
-        (tmp_path / "bb").mkdir()
-        planted = tmp_path / "bb" / f"{key}.json.{store._temp_token}-0.tmp"
+        planted = tmp_path / f"{key}.json.{store._temp_token}-0.tmp"
         planted.write_bytes(b"someone else's bytes")
         store.put(key, _rows_for(key))  # O_EXCL refuses the taken name
         assert (store.writes, store.write_errors) == (0, 1)
@@ -358,22 +356,21 @@ class TestWritePath:
         monkeypatch.undo()
         encoded = _entry_bytes(rows)
         assert len(calls) == -(-len(encoded) // 7)
-        assert store._path_for("d" * 40).read_bytes() == encoded
+        assert (tmp_path / f"{'d' * 40}.json").read_bytes() == encoded
         assert_rows_exact(store.get("d" * 40), rows)
 
-    def test_removed_directories_come_back_with_the_next_put(self, tmp_path):
+    def test_a_removed_store_directory_comes_back_with_the_next_put(self, tmp_path):
         store = DiskChunkStore(tmp_path / "store")
-        key = "e" * 40
+        key, empty = "e" * 40, "e" * 39 + "0"
         store.put(key, _rows_for(key))
-        shutil.rmtree(tmp_path / "store" / "ee")
-        assert store.get(key) is None
-        store.put(key, _rows_for(key))
-        assert store.get(key) == _rows_for(key)
+        store.put(empty, [])
         shutil.rmtree(tmp_path / "store")  # the whole store, under a live handle
-        assert store.get(key) is None
+        assert store.get(key) is None and store.get(empty) is None
         store.put(key, _rows_for(key))
-        assert store.get(key) == _rows_for(key)
-        assert (store.writes, store.write_errors) == (3, 0)
+        store.put(empty, [])  # the link's source went with the directory
+        assert store.get(key) == _rows_for(key) and store.get(empty) == []
+        assert (store.writes, store.links, store.write_errors) == (4, 0, 0)
+        assert sorted(os.listdir(tmp_path / "store")) == [f"{empty}.json", f"{key}.json"]
 
     def test_racing_threads_and_processes_land_every_entry_once(self, tmp_path):
         context = multiprocessing.get_context("spawn")
@@ -423,7 +420,7 @@ class TestEmptyEntriesShareOneFile:
         for key in empty:
             status = os.stat(store._entry_path(key))
             assert (status.st_nlink, status.st_size) == (6, len(_EMPTY))
-            assert store._path_for(key).read_bytes() == _EMPTY
+            assert (tmp_path / f"{key}.json").read_bytes() == _EMPTY
             assert store.get(key) == []
         statuses = [os.stat(store._entry_path(key)) for key in full]
         assert all(status.st_nlink == 1 for status in statuses)
@@ -626,8 +623,8 @@ class TestSyscallBudget:
         first, second = "f" * 40, "f" * 39 + "0"
         calls.clear()
         store.put(first, _rows_for(first))
-        # A new prefix: the open that reported ENOENT, one mkdir, the retry.
-        assert calls == {"open": 2, "makedirs": 1, "mkdir": 1, "replace": 1}
+        # The first put into a fresh store: no ENOENT retry, no directory.
+        assert calls == {"open": 1, "replace": 1}
         calls.clear()
         store.put(second, _rows_for(second))
         assert calls == {"open": 1, "replace": 1}  # nothing to unlink
@@ -639,10 +636,18 @@ class TestSyscallBudget:
         assert calls == {"open": 1}
         assert (store.writes, store.write_errors, store.read_errors) == (2, 0, 0)
 
+    def test_a_removed_store_directory_costs_one_retry(self, tmp_path, calls):
+        store = DiskChunkStore(tmp_path / "store")
+        shutil.rmtree(tmp_path / "store")
+        calls.clear()
+        store.put("f" * 40, _rows_for("f" * 40))
+        # The open that reported ENOENT, the directory, the retried open.
+        assert calls == {"open": 2, "makedirs": 1, "mkdir": 1, "replace": 1}
+
     def test_an_empty_put_is_a_link(self, tmp_path, monkeypatch):
         store = DiskChunkStore(tmp_path)
         first, second, third = "e" * 40, "e" * 39 + "0", "e" * 39 + "1"
-        store.put(first, _rows_for(first))  # the prefix directory exists
+        store.put(first, _rows_for(first))  # an entry with rows is no source
         calls = self._count(monkeypatch, ("open", "fstat", "link", "stat", "replace",
                                           "unlink", "mkdir", "makedirs"))
         store.put(second, [])
@@ -663,41 +668,71 @@ class TestSyscallBudget:
 
 
 class TestHandPlacedEntries:
-    """The layout is a compatibility surface: ``KEY[:2]/KEY.json``."""
+    """The layout is a compatibility surface: ``KEY.json`` at the store root."""
 
     def test_an_entry_placed_with_plain_open_reads_back(self, tmp_path):
         store = DiskChunkStore(tmp_path / "store")
         key = "2b" * 20
         rows = [{"kind": "person", "dy": 1.5}, {"kind": "car", "dy": -0.5}]
-        os.mkdir(tmp_path / "store" / key[:2])
-        with open(tmp_path / "store" / key[:2] / f"{key}.json", "w") as handle:
+        with open(tmp_path / "store" / f"{key}.json", "w") as handle:
             json.dump({"format": 1, "rows": rows}, handle)  # any JSON spacing
         assert_rows_exact(store.get(key), rows)
         assert len(store) == 1
-        assert (tmp_path / "store" / "2b" / f"{key}.json").exists()
+        assert (tmp_path / "store" / f"{key}.json").exists()
+
+    def test_an_entry_of_the_prefix_layout_is_a_miss(self, tmp_path):
+        # ``KEY[:2]/KEY.json`` was the layout until the store went flat; the
+        # store is a cache of deterministic results, so such a store reads cold.
+        store = DiskChunkStore(tmp_path)
+        key = "2c" * 20
+        rows = [{"kind": "person", "dy": 1.5}]
+        os.mkdir(tmp_path / key[:2])
+        old = tmp_path / key[:2] / f"{key}.json"
+        old.write_bytes(_entry_bytes(rows))
+        assert store.get(key) is None
+        assert (len(store), store.read_errors) == (0, 0)
+        store.put(key, rows)
+        assert (tmp_path / f"{key}.json").read_bytes() == _entry_bytes(rows)
+        assert store.get(key) == rows and len(store) == 1
+        store.clear()
+        assert old.read_bytes() == _entry_bytes(rows)
 
     def test_a_written_entry_is_these_bytes_and_nothing_else(self, tmp_path):
         store = DiskChunkStore(tmp_path)
         key = "3c" * 20
         rows = [{"kind": "person", "dy": 1.5}]
         store.put(key, rows)
-        with open(tmp_path / "3c" / f"{key}.json", "rb") as handle:
+        with open(tmp_path / f"{key}.json", "rb") as handle:
             assert handle.read() == _entry_bytes(rows) \
                 == b'{"format":1,"rows":[{"kind":"person","dy":1.5}]}'
-        assert sorted(path.name for path in tmp_path.rglob("*") if path.is_file()) \
-            == [f"{key}.json"]
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [f"{key}.json"]
+
+    def test_a_fresh_fill_makes_no_directory(self, tmp_path):
+        # N puts, R of them row-less: N names, no directory, and N - R + 1
+        # inodes (every entry with rows, plus the one file the row-less share).
+        store = DiskChunkStore(tmp_path)
+        keys = [f"{index:04x}" * 10 for index in range(300)]
+        for key in keys:
+            assert store.put(key, _mixed_rows_for(key)) is True
+        empty = sum(not _mixed_rows_for(key) for key in keys)
+        assert 0 < empty < len(keys)
+        entries = list(os.scandir(tmp_path))
+        assert sorted(entry.name for entry in entries) == sorted(f"{key}.json" for key in keys)
+        assert not any(entry.is_dir() for entry in entries)
+        inodes = {entry.stat().st_ino for entry in entries}
+        assert len(inodes) == len(keys) - empty + 1
+        assert (len(store), store.links) == (len(keys), empty - 1)
 
     def test_a_leftover_binary_entry_is_never_opened_counted_or_served(self, tmp_path):
         store = DiskChunkStore(tmp_path)
         key = "4d" * 20
-        os.mkdir(tmp_path / "4d")
-        planted = tmp_path / "4d" / f"{key}.bin"
+        planted = tmp_path / f"{key}.bin"
         planted.write_bytes(b"PVCHNK02" + bytes(24))
         assert store.get(key) is None
         assert (len(store), store.read_errors) == (0, 0)
         store.put(key, _rows_for(key))
         assert store.get(key) == _rows_for(key) and len(store) == 1
-        assert sorted(path.name for path in (tmp_path / "4d").iterdir()) \
+        assert sorted(path.name for path in tmp_path.iterdir()) \
             == [f"{key}.bin", f"{key}.json"]
         store.clear()
         assert planted.read_bytes() == b"PVCHNK02" + bytes(24)

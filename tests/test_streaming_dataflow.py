@@ -328,7 +328,7 @@ class TestTieredStore:
         key = "ab" + "0" * 62
         store.put(key, [{"kind": "person", "dy": -1.5}])
         assert store.get(key) == [{"kind": "person", "dy": -1.5}]
-        path = store._path_for(key)
+        path = tmp_path / "store" / f"{key}.json"
         corruptions = [
             "{not json",                                # torn write
             json.dumps({"format": 999, "rows": []}),    # foreign version

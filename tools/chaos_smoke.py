@@ -25,7 +25,10 @@ The robustness contract under test, for every :class:`FaultPlan` below:
    shared store.  The crash-restart cycle runs twice and both iterations
    must produce identical bytes (replay determinism), with no stranded
    ``*.tmp`` files in the WAL directories and no leaked
-   ``/dev/shm/privid-bc-*`` segments.
+   ``/dev/shm/privid-bc-*`` segments;
+6. **store layout** — every chunk-store directory a run used holds only
+   ``<key>.json`` entries at its root (no subdirectory), each of which
+   decodes, every row-less one the 22-byte constant, and no ``*.tmp``.
 
 Run with: ``python -X dev -W error::ResourceWarning tools/chaos_smoke.py``
 (development mode makes a leaked handle or an unreaped shard process a
@@ -136,6 +139,48 @@ def check(ok: bool, label: str) -> None:
         FAILURES.append(label)
 
 
+ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
+TEMP_NAME = re.compile(r"[0-9a-f]{64}\.json\.[0-9a-f]{12}-\d+\.tmp")
+EMPTY_ENTRY = b'{"format":1,"rows":[]}'
+
+
+def check_store(directory: str, label: str, *, killed: bool = False) -> None:
+    """The chunk store's layout after a run: one flat directory of whole
+    entries, and no temp file unless the run was ``killed``."""
+    entries, temps, other = [], [], []
+    with os.scandir(directory) as listing:
+        for item in listing:
+            if item.is_file() and ENTRY_NAME.fullmatch(item.name):
+                entries.append(item.path)
+            elif item.is_file() and TEMP_NAME.fullmatch(item.name):
+                temps.append(item.name)
+            else:
+                other.append(item.name)
+    check(bool(entries) and not other,
+          f"{label} store root holds only <key>.json entries, no subdirectory "
+          f"({len(entries)} entries{', other: ' + repr(other) if other else ''})")
+    undecodable = []
+    for path in entries:
+        data = Path(path).read_bytes()
+        try:
+            payload = json.loads(data)
+            rows = payload["rows"]
+            whole = type(payload["format"]) is int and payload["format"] == 1 \
+                and type(rows) is list and all(type(row) is dict for row in rows) \
+                and (rows or data == EMPTY_ENTRY)
+        except (ValueError, TypeError, KeyError):
+            whole = False
+        if not whole:
+            undecodable.append(os.path.basename(path))
+    check(not undecodable,
+          f"{label} every entry decodes, every row-less one the 22-byte "
+          f"constant {undecodable or ''}")
+    # A kill mid-put may strand its temp, and the restart's sweep spares a
+    # temp younger than the sweep age: after a kill only its name is checked.
+    if not killed:
+        check(not temps, f"{label} no stranded store temp files {temps or ''}")
+
+
 def fail_on_unraisable(unraisable) -> None:
     """Under ``-W error::ResourceWarning`` a leaked handle raises in its
     finalizer, where nothing catches it and the exit status would not move:
@@ -181,7 +226,7 @@ def run_serial(scenario, policy_map):
 
 def run_chaos(scenario, policy_map, plan: FaultPlan):
     """One seeded chaos run; returns (outputs, budgets, injector, health,
-    dispatch stats)."""
+    dispatch stats, store directory)."""
     injector = plan.injector()
     store_dir = tempfile.mkdtemp(prefix=f"privid-chaos-{plan.name}-")
     engine = ShardedEngine(2, chunksize=1, heartbeat_interval=0.2,
@@ -196,7 +241,7 @@ def run_chaos(scenario, policy_map, plan: FaultPlan):
             outputs, budgets = drive_queries(service)
             health = service.health()
             dispatch = engine.dispatch_stats.as_dict()
-        return outputs, budgets, injector, health, dispatch
+        return outputs, budgets, injector, health, dispatch, store_dir
     finally:
         engine.shutdown()  # caller-owned: the service leaves it running
 
@@ -299,13 +344,14 @@ def run_crash_restart() -> None:
     for iteration in range(2):
         label = f"[crash-restart iter {iteration}]"
         observed: list[object] = []
+        ref_store = tempfile.mkdtemp(prefix="privid-crstore-ref-")
         ref_code, ref = _drive_crash_run(
-            tempfile.mkdtemp(prefix="privid-crwal-ref-"),
-            tempfile.mkdtemp(prefix="privid-crstore-ref-"))
+            tempfile.mkdtemp(prefix="privid-crwal-ref-"), ref_store)
         check(ref_code == 0 and ref is not None,
               f"{label} never-crashed reference run completed")
         if ref is None:
             return
+        check_store(ref_store, f"{label} reference:")
         check(ref["charge_seq"] > 0,
               f"{label} reference charged at WAL seq {ref['charge_seq']}")
         observed.append((ref["raw"], ref["noisy"], ref["budgets"]))
@@ -357,6 +403,7 @@ def run_crash_restart() -> None:
             check(not stranded,
                   f"{label} {window}: no stranded WAL temp files "
                   f"{stranded or ''}")
+            check_store(store_dir, f"{label} {window}:", killed=True)
             observed.append((resumed["raw"], resumed["noisy"],
                              resumed["budgets"], resumed["recovery"]))
         if Path("/dev/shm").exists():
@@ -382,9 +429,10 @@ def main() -> int:
                 # Chaos runs warn by design (dead shards, open breakers,
                 # serial fallback); the checks below are the signal.
                 warnings.simplefilter("ignore", RuntimeWarning)
-                outputs, budgets, injector, health, dispatch = run_chaos(
+                outputs, budgets, injector, health, dispatch, store_dir = run_chaos(
                     scenario, policy_map, plan)
             label = f"[{plan.name} run {attempt}]"
+            check_store(store_dir, label)
             check(outputs == reference_outputs,
                   f"{label} raw + noisy releases byte-identical to serial")
             check(budgets == reference_budgets,
