@@ -699,7 +699,8 @@ class TieredChunkCache:
             else DiskChunkStore(disk)
 
     def __len__(self) -> int:
-        return len(self.memory)
+        """Stored entries: the disk tier's (memory holds the working set)."""
+        return len(self.disk)
 
     def key_for(self, runner: "SandboxRunner", chunk: "Chunk",
                 context: "ExecutionContext") -> str:

@@ -28,7 +28,7 @@ pure function of that identity.  Scheduled rules (``at`` indices,
 * sites polled from a single driving thread (task dispatch, connects, store
   operations under a sequential query drive) therefore replay their fault
   sequence bit-identically across runs;
-* sites polled from reader threads (result frames) have deterministic
+* sites polled as frames arrive (result frames) have deterministic
   per-decision draws but an arrival order the OS scheduler picks, so their
   realized sequence is only guaranteed to replay under a sequential drive
   with deterministic shard assignment.  The chaos harness asserts exact
@@ -52,7 +52,9 @@ Fault taxonomy (:class:`FaultKind`)
 ``CRASH``         the far end is killed right after accepting a task frame
                   (``after_seq`` schedules "crash at seq N"; pair with
                   ``max_fires`` so the respawned shard survives the retry).
-``DELAY``         the operation sleeps ``delay`` seconds, then proceeds.
+``DELAY``         the operation sleeps ``delay`` seconds, then proceeds (a
+                  result frame goes on as a ``delayed`` wrapper that the
+                  coordinator delivers that much later; nothing sleeps).
 ``IO_ERROR``      the operation raises :class:`OSError` (store reads/writes
                   degrade to misses; task writes mark the shard dead).
 ``CORRUPT``       the store entry is scribbled over before the read, so the
@@ -276,26 +278,31 @@ class FaultyTransport:
     def process(self) -> Any:
         return self.inner.process
 
-    def read(self) -> dict[str, Any] | None:
-        while True:
-            message = self.inner.read()
-            if message is None or message.get("type") != "result":
-                return message
-            rule = self.injector.poll(f"{self.site}.result",
-                                      seq=message.get("seq"))
+    def fileno(self) -> int:
+        return self.inner.fileno()
+
+    def read(self) -> list[dict[str, Any]] | None:
+        frames = self.inner.read()
+        if not frames:
+            return frames
+        passed: list[dict[str, Any]] = []
+        for message in frames:
+            rule = None if message.get("type") != "result" else \
+                self.injector.poll(f"{self.site}.result", seq=message.get("seq"))
             if rule is None:
-                return message
-            if rule.kind is FaultKind.DELAY:
-                time.sleep(rule.delay)
-                return message
-            if rule.kind is FaultKind.DROP_FRAME:
-                continue  # the frame vanished in transit; keep reading
-            if rule.kind is FaultKind.TORN_FRAME:
+                passed.append(message)
+            elif rule.kind is FaultKind.DELAY:
+                # Held back by the coordinator's core, never by a sleep: the
+                # one wait reads every shard, so a sleep would stall them all.
+                passed.append({"type": "delayed", "delay": rule.delay, "frame": message})
+            elif rule.kind is FaultKind.TORN_FRAME:
                 # The stream tore mid-frame: unrecoverable on a byte
                 # transport, so the connection dies with it.
                 self.inner.kill()
-                return None
-            return message
+                return passed or None
+            elif rule.kind is not FaultKind.DROP_FRAME:  # a drop vanished in transit
+                passed.append(message)
+        return passed
 
     def write(self, message: dict[str, Any]) -> int:
         if message.get("type") != "task":

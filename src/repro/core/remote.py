@@ -1,23 +1,19 @@
 """Sharded chunk execution behind the engine seam.
 
-Privid chunks are independent units of work (Appendix B), so the streaming
-engine contract of :mod:`repro.core.engine` — ``imap_chunks`` over an ordered
-chunk stream — is exactly the seam a *distributed* executor plugs into.  This
-module provides :class:`ShardedEngine`: a coordinator that partitions a
-query's chunk stream across N executor *shards* and merges ordered results
-back through the same contract, so ``PrividSystem(engine="sharded:4")``
-behaves byte-for-byte like ``engine="serial"`` (the hashing determinism
-contract makes chunk results order- and placement-independent; see
+Privid chunks are independent units of work (Appendix B), so
+:class:`ShardedEngine` can partition a query's chunk stream across N executor
+*shards* and merge ordered results back through the engine contract
+(``imap_chunks``): ``PrividSystem(engine="sharded:4")`` behaves byte-for-byte
+like ``engine="serial"`` (see the determinism contract in
 ``docs/architecture.md``).
 
-Each shard speaks a small length-prefixed JSON protocol over a
-:class:`ShardTransport` — the byte-stream seam between the coordinator and
-one executor worker.  One transport ships, :class:`SocketTransport`, and one
-way to get it: :meth:`SocketTransport.spawn` makes a ``socketpair()`` and
-starts this module's worker (``python -m repro.core.remote --fd N``) on the
-child end (``sharded[:N]``; ``process``, ``thread`` and ``sharded:tcp`` are
-older names).  Shards live and die with the coordinator, and nothing here
-opens, binds or dials a network socket.
+Each shard speaks a length-prefixed JSON protocol over a
+:class:`ShardTransport`.  One ships, :class:`SocketTransport`:
+:meth:`SocketTransport.spawn` starts this module's worker (``python -m
+repro.core.remote --fd N``) on the child end of a ``socketpair()``
+(``sharded[:N]``; ``process``, ``thread`` and ``sharded:tcp`` are older
+names).  Shards live and die with the coordinator, and nothing here opens,
+binds or dials a network socket.
 
 Wire protocol
 =============
@@ -47,7 +43,8 @@ Shard -> coordinator:
 ``{"type": "result", "seq": S, "outcomes": [{"rows": [...], "fallback": F},
 ...], "stages": {...}}``
     One outcome per spec of task ``S``, in spec order; a frame with any
-    other number of outcomes is handled as an ``error`` for ``S``.  Rows are
+    other number of outcomes, or an outcome over the stream's ``max_rows``,
+    is handled as an ``error`` for ``S``.  Rows are
     the schema-coerced row dicts (JSON-safe by construction — the on-disk
     store serializes the very same shape); ``fallback`` marks crash/timeout
     default rows.  ``stages`` (optional) is where the task's seconds went on
@@ -66,30 +63,39 @@ chunk up before dispatch and writes every result it receives
 (:meth:`~repro.sandbox.environment.SandboxRunner.iter_chunk_rows`), so a
 shard only executes.
 
-Fault tolerance
-===============
+The coordinator: one pure core, one wait
+========================================
 
-The coordinator applies results *at most once*: a task is retired the moment
-its first well-formed ``result`` frame arrives, and any later frame for the
-same ``seq`` (a reassigned task whose original shard turned out to be merely
-slow) is dropped.  Workers answer pings from a dedicated read loop while tasks
-execute on a separate thread, so a *busy* shard never reads as *dead*:
-silence past ``heartbeat_timeout`` while holding work genuinely means
-frozen or gone, and such a shard is killed and its pending tasks
-redispatched to the survivors, each task at most ``max_task_retries`` times
-(exhaustion is routed to the stream that owns the task, never raised into
-an unrelated stream that happened to be pumping).  Results stay
-byte-identical because chunk outputs are deterministic functions of the
-chunk, never of placement.  Dead shards are replaced at the start of the
-next stream, not mid-stream.
+:class:`ShardedEngine` is a thin shell around :class:`_Dispatch`, the
+scheduling rules as a state machine that reads no clock, socket or thread:
+it takes four events (a stream's batch is ready, a frame arrived, a shard's
+stream ended, a tick at ``now``) and returns actions (send a frame, kill a
+shard, a seq's outcomes are ready, a seq failed) and its next deadline.
+The shell owns the transports, the breakers, the publisher and one
+``selectors`` wait over every shard socket, run by whichever stream's
+thread is waiting for its head seq; there is no thread per shard.
+
+Results are applied *at most once*: a task retires with its first
+well-formed ``result`` frame — one outcome per chunk, none over the
+stream's ``max_rows`` — and any other result is handled like an ``error``
+from the task's owner.  Later frames for a retired seq (a reassigned task
+whose first shard was merely slow) are dropped.  Workers answer pings while
+tasks execute, so silence past ``heartbeat_timeout`` while holding work
+means frozen or gone: such a shard is killed and its tasks redispatched,
+each at most ``max_task_retries`` times before the stream that owns it
+fails.  Results stay byte-identical because a chunk's output never depends
+on where it ran.  Dead shards are replaced at the next stream start.
 """
 
 from __future__ import annotations
 
 import argparse
+import heapq
+import io
 import json
 import os
 import queue
+import selectors
 import socket
 import struct
 import subprocess
@@ -99,7 +105,7 @@ import time
 import traceback
 import warnings
 from collections import deque
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, \
     Protocol, Sized, runtime_checkable
 
@@ -125,11 +131,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _env_float(name: str, default: float) -> float:
-    """A finite positive float from the environment, or ``default``.
-
-    ``PRIVID_HEARTBEAT_TIMEOUT`` / ``PRIVID_STARTUP_GRACE`` let slow CI
-    runners widen the failure-detection windows without touching code.
-    """
+    """A finite positive float from the environment, or ``default``."""
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return default
@@ -221,48 +223,49 @@ def _worker_command(fd: int) -> list[str]:
 class ShardTransport(Protocol):
     """The byte-stream seam between the coordinator and one shard worker.
 
-    A transport moves whole protocol frames in both directions and answers
-    liveness questions about its far end; everything above it — dispatch,
-    heartbeats, reassignment, at-most-once application — is
-    transport-agnostic.  ``read`` blocks until a frame arrives and returns
-    None on a clean or torn EOF (worker exit, socket disconnect); ``write``
-    raises :class:`OSError` when the far end is gone.  ``process`` is the
-    worker subprocess when this transport owns one, and None otherwise (a
-    test double, or a bare socket end).
+    A transport moves whole protocol frames both ways; everything above it
+    (dispatch, heartbeats, reassignment, at-most-once application) is
+    transport-agnostic.  ``fileno`` is what the coordinator's one wait
+    selects on.  ``read`` never blocks: it returns every complete frame
+    already received ([] when none is), and None once the stream is finished
+    (worker exit, socket disconnect, a torn frame).  ``write`` sends one
+    frame and returns its wire bytes, raising :class:`OSError` when the far
+    end is gone.  ``is_alive`` is a cheap probe (a process poll at most),
+    ``kill`` severs the far end, and ``close`` asks the worker to exit,
+    escalating after ``timeout``.  ``process`` is the worker subprocess when
+    the transport owns one, and None otherwise.
     """
 
     description: str
     process: subprocess.Popen | None
 
-    def read(self) -> dict[str, Any] | None:
-        """Blocking read of one frame; None once the stream is finished."""
-        ...  # pragma: no cover - protocol
+    def fileno(self) -> int: ...  # pragma: no cover - protocol
 
-    def write(self, message: dict[str, Any]) -> int:
-        """Send one frame; returns its wire bytes, raises OSError when dead."""
-        ...  # pragma: no cover - protocol
+    def read(self) -> list[dict[str, Any]] | None: ...  # pragma: no cover
 
-    def is_alive(self) -> bool:
-        """Cheap non-blocking liveness probe (no I/O beyond a process poll)."""
-        ...  # pragma: no cover - protocol
+    def write(self, message: dict[str, Any]) -> int: ...  # pragma: no cover
 
-    def kill(self) -> None:
-        """Force-terminate the far end (or at least this connection to it)."""
-        ...  # pragma: no cover - protocol
+    def is_alive(self) -> bool: ...  # pragma: no cover
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Graceful shutdown: ask the worker to exit, escalate after timeout."""
-        ...  # pragma: no cover - protocol
+    def kill(self) -> None: ...  # pragma: no cover
+
+    def close(self, timeout: float = 5.0) -> None: ...  # pragma: no cover
+
+
+#: Bytes asked of one ``recv``; a read loops until the socket has no more.
+_RECV_BYTES = 256 * 1024
 
 
 class SocketTransport:
     """A shard worker at the far end of one connected stream socket.
 
     :meth:`spawn` starts a local worker over a ``socketpair()`` and owns its
-    process.  Socket errors on read surface as EOF, so a vanished worker
-    and a torn socket reach the layers above through the same death path.
-    ``kill`` severs the connection and, when there is one, kills and reaps
-    the worker.
+    process.  Reads ``recv`` without blocking into the transport's own
+    buffer, never through a buffered file: a file object could hold a
+    second frame in its buffer that ``select`` never reports.  Socket
+    errors on read surface as EOF, so a vanished worker and a torn socket
+    reach the layers above through the same death path.  ``kill`` severs
+    the connection and, when there is one, kills and reaps the worker.
     """
 
     def __init__(self, sock: socket.socket, description: str,
@@ -271,8 +274,8 @@ class SocketTransport:
         self.process = process
         self._sock = sock
         self._closed = False
-        self._rfile: BinaryIO = sock.makefile("rb")
-        self._wfile: BinaryIO = sock.makefile("wb")
+        self._eof = False
+        self._buffer = bytearray()
 
     @classmethod
     def spawn(cls) -> "SocketTransport":
@@ -289,21 +292,33 @@ class SocketTransport:
             theirs.close()  # the worker's now: its exit must read as our EOF
         return cls(ours, f"local:pid={process.pid}", process)
 
-    def read(self) -> dict[str, Any] | None:
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def read(self) -> list[dict[str, Any]] | None:
+        while not self._eof:
+            try:
+                data = self._sock.recv(_RECV_BYTES, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                break
+            except OSError:  # a reset or locally closed socket reads as EOF
+                data = b""
+            self._eof = not data
+            self._buffer += data
+        stream, frames, parsed = io.BytesIO(self._buffer), [], 0
         try:
-            return read_frame(self._rfile)
-        except (OSError, ValueError):
-            # A reset or locally closed socket reads as EOF: the coordinator
-            # handles both through the same death path.
-            return None
+            while (frame := read_frame(stream)) is not None:  # None: a partial frame
+                frames.append(frame)
+                parsed = stream.tell()
+        except ValueError:  # not JSON: the stream is corrupt
+            self._eof, frames = True, []
+        del self._buffer[:parsed]
+        return None if self._eof and not frames else frames
 
     def write(self, message: dict[str, Any]) -> int:
-        try:
-            return write_frame(self._wfile, message)
-        except ValueError:
-            if self._closed:  # to the caller, a killed transport is a dead one
-                raise OSError("transport is closed") from None
-            raise
+        data = encode_frame(message)
+        self._sock.sendall(data)  # a closed or reset socket raises OSError
+        return len(data)
 
     def is_alive(self) -> bool:
         return not self._closed and (self.process is None
@@ -311,10 +326,8 @@ class SocketTransport:
 
     def _teardown(self) -> None:
         self._closed = True
-        # Shut down first: it ends a reader thread's blocked recv, which
-        # closing the buffered reader would otherwise wait out.
-        for close in (lambda: self._sock.shutdown(socket.SHUT_RDWR),
-                      self._wfile.close, self._rfile.close, self._sock.close):
+        # Shut down first: it wakes a wait selecting on this socket.
+        for close in (lambda: self._sock.shutdown(socket.SHUT_RDWR), self._sock.close):
             try:
                 close()
             except OSError:
@@ -332,7 +345,7 @@ class SocketTransport:
     def close(self, timeout: float = 5.0) -> None:
         try:
             self.write({"type": "shutdown"})
-        except (OSError, ValueError):
+        except OSError:
             pass
         if self.process is not None:
             try:
@@ -476,77 +489,276 @@ def main(argv: list[str] | None = None) -> None:
 
 
 class _ShardTask:
-    """One dispatched task: a spec batch awaiting its result."""
+    """One dispatched task: a spec batch and the runner's ``max_rows``."""
 
-    __slots__ = ("seq", "specs", "payload_ref", "num_chunks", "shard_id",
+    __slots__ = ("seq", "specs", "payload_ref", "max_rows", "shard_id",
                  "attempts", "dispatched_at")
 
     def __init__(self, seq: int, specs: list[ChunkSpecMessage], payload_ref: str,
-                 num_chunks: int) -> None:
+                 max_rows: int) -> None:
         self.seq = seq
         self.specs = specs
         self.payload_ref = payload_ref
-        self.num_chunks = num_chunks
+        self.max_rows = max_rows
         self.shard_id: int | None = None
         self.attempts = 0
-        self.dispatched_at: float | None = None
+        self.dispatched_at = 0.0
+
+
+class _ShardState:
+    """The core's view of one live shard.  ``last_seen`` is its last frame,
+    or the moment it was handed work while idle: silence counts only while
+    a shard holds work.  Until its first frame (``started``) a shard is
+    still importing, and is judged against the longer startup grace."""
+
+    __slots__ = ("pending", "started", "last_seen", "pinged_at")
+
+    def __init__(self, now: float) -> None:
+        self.pending: dict[int, _ShardTask] = {}
+        self.started = False
+        self.last_seen = self.pinged_at = now
+
+
+def _result_problem(task: _ShardTask, outcomes: Any) -> str | None:
+    """Why a result frame cannot be applied to ``task`` (None if it can):
+    one outcome per chunk, or rows would shift onto the wrong chunks and into
+    the store under their keys; at most ``max_rows`` rows each, which every
+    sensitivity assumes."""
+    count = len(outcomes) if isinstance(outcomes, list) else 0
+    if count != len(task.specs):
+        return f"result frame has {count} outcomes for {len(task.specs)} chunks"
+    for index, outcome in enumerate(outcomes):
+        if len(outcome["rows"]) > task.max_rows:
+            return (f"result frame outcome {index} has {len(outcome['rows'])} rows, "
+                    f"over max_rows={task.max_rows}")
+    return None
+
+
+class _Dispatch:
+    """The shard coordinator's scheduling rules, free of clocks and I/O.
+
+    Events — :meth:`batch`, :meth:`frame`, :meth:`eof` and :meth:`tick` —
+    carry the time ``now`` they happened and return the actions to carry
+    out, in order: ``("send", shard, frame)`` (a failed write is an EOF),
+    ``("kill", shard)``, ``("ready", seq, shard, stages)`` and ``("failed",
+    seq, reason)``.  :meth:`deadline` is when a tick next has work.  A
+    settled seq is parked in ``ready`` or ``failed`` until the stream that
+    owns it collects it in dispatch order (:meth:`collect`), so a failure
+    is raised by its own stream, never by whichever one was waiting.
+    """
+
+    def __init__(self, *, heartbeat_interval: float, heartbeat_timeout: float,
+                 startup_grace: float, max_task_retries: int,
+                 task_timeout: float | None) -> None:
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_timeout = heartbeat_timeout
+        self.startup_grace = startup_grace
+        self.max_task_retries = max_task_retries
+        self.task_timeout = task_timeout
+        self.shards: dict[int, _ShardState] = {}  # the live ones
+        self.tasks: dict[int, _ShardTask] = {}
+        self.ready: dict[int, list[ChunkOutcome]] = {}
+        self.failed: dict[int, str] = {}
+        self._streams: dict[int, deque[int]] = {}
+        #: Frames a DELAY fault holds back: (due, order, shard, frame).
+        self._delayed: list[tuple[float, int, int, dict[str, Any]]] = []
+        self._counters = dict.fromkeys(("seq", "stream", "ping", "delay"), 0)
+        self._actions: list[tuple[Any, ...]] = []
+
+    def _next(self, name: str) -> int:
+        self._counters[name] += 1
+        return self._counters[name] - 1
+
+    def _flush(self) -> list[tuple[Any, ...]]:
+        actions, self._actions = self._actions, []
+        return actions
+
+    # ------------------------------------------------------------- streams
+
+    def add_shard(self, shard_id: int, now: float) -> None:
+        self.shards[shard_id] = _ShardState(now)
+
+    def open_stream(self) -> int:
+        stream = self._next("stream")
+        self._streams[stream] = deque()
+        return stream
+
+    def waiting(self, stream: int) -> bool:
+        """True while the stream's head seq is still out on a shard."""
+        seqs = self._streams[stream]
+        return bool(seqs) and seqs[0] not in self.ready and seqs[0] not in self.failed
+
+    def collect(self, stream: int) -> tuple[list[list[ChunkOutcome]], str | None]:
+        """Pop the stream's settled head seqs in order: their outcomes, and
+        why its first failed seq failed (None if none did)."""
+        seqs, done = self._streams[stream], []
+        while seqs and seqs[0] in self.ready:
+            done.append(self.ready.pop(seqs.popleft()))
+        return done, self.failed.pop(seqs[0]) if seqs and seqs[0] in self.failed else None
+
+    def close_stream(self, stream: int) -> None:
+        """Forget a stream; late results and errors for its seqs are stale."""
+        for seq in self._streams.pop(stream, ()):
+            self.ready.pop(seq, None)
+            self.failed.pop(seq, None)
+            if seq in self.tasks:
+                self._retire(self.tasks[seq])
+
+    # -------------------------------------------------------------- events
+
+    def batch(self, stream: int, specs: list[ChunkSpecMessage], payload_ref: str,
+              max_rows: int, now: float) -> list[tuple[Any, ...]]:
+        seq = self._next("seq")
+        self._streams[stream].append(seq)
+        self._place(_ShardTask(seq, specs, payload_ref, max_rows), now)
+        return self._flush()
+
+    def frame(self, shard_id: int, message: dict[str, Any],
+              now: float) -> list[tuple[Any, ...]]:
+        self._frame(shard_id, message, now)
+        return self._flush()
+
+    def eof(self, shard_id: int, now: float) -> list[tuple[Any, ...]]:
+        if shard_id in self.shards:
+            self._kill(shard_id, now)
+        return self._flush()
+
+    def tick(self, now: float) -> list[tuple[Any, ...]]:
+        """Deliver due delayed frames, redispatch tasks past ``task_timeout``,
+        kill shards silent past their limit while holding work, and ping the
+        rest once per ``heartbeat_interval`` of silence."""
+        while self._delayed and self._delayed[0][0] <= now:
+            _, _, shard_id, message = heapq.heappop(self._delayed)
+            self._frame(shard_id, message, now)
+        for shard_id, shard in list(self.shards.items()):
+            if self.task_timeout is not None:
+                for task in [task for task in shard.pending.values()
+                             if now >= task.dispatched_at + self.task_timeout]:
+                    del shard.pending[task.seq]
+                    self._retry(task, now, exclude=shard_id, reason="no result "
+                                f"within task_timeout={self.task_timeout}s")
+            if shard.pending and now >= shard.last_seen + self._limit(shard):
+                self._kill(shard_id, now)
+            elif now >= max(shard.last_seen, shard.pinged_at) + self.heartbeat_interval:
+                shard.pinged_at = now
+                self._actions.append(
+                    ("send", shard_id, {"type": "ping", "token": self._next("ping")}))
+        return self._flush()
+
+    def deadline(self) -> float | None:
+        """When :meth:`tick` next has work (None: no shard to watch)."""
+        due = [self._delayed[0][0]] if self._delayed else []
+        for shard in self.shards.values():
+            due.append(max(shard.last_seen, shard.pinged_at) + self.heartbeat_interval)
+            if shard.pending:
+                due.append(shard.last_seen + self._limit(shard))
+                if self.task_timeout is not None:
+                    due.append(min(task.dispatched_at for task in shard.pending.values())
+                               + self.task_timeout)
+        return min(due, default=None)
+
+    # ---------------------------------------------------------------- rules
+
+    def _limit(self, shard: _ShardState) -> float:
+        return self.heartbeat_timeout if shard.started \
+            else max(self.heartbeat_timeout, self.startup_grace)
+
+    def _frame(self, shard_id: int, message: dict[str, Any], now: float) -> None:
+        shard = self.shards.get(shard_id)
+        if shard is None:
+            return  # from a shard already declared dead
+        shard.last_seen, shard.started = now, True
+        kind = message.get("type")
+        if kind == "delayed":  # a DELAY fault's frame, delivered at its deadline
+            heapq.heappush(self._delayed, (now + message["delay"], self._next("delay"),
+                                           shard_id, message["frame"]))
+            return
+        task = self.tasks.get(message.get("seq"))
+        if task is None:
+            return  # no task (a pong), or a stale seq: at-most-once
+        if kind == "result":
+            outcomes = message.get("outcomes")
+            problem = _result_problem(task, outcomes)
+            if problem is not None:
+                self._task_error(task, shard_id, problem, now)
+                return
+            self._retire(task)
+            self.ready[task.seq] = [
+                ChunkOutcome(rows=outcome["rows"], fallback=bool(outcome["fallback"]))
+                for outcome in outcomes]
+            self._actions.append(("ready", task.seq, shard_id, message.get("stages")))
+        elif kind == "error":
+            self._task_error(task, shard_id, str(message.get("message", "")).strip(), now)
+
+    def _place(self, task: _ShardTask, now: float, exclude: int | None = None) -> None:
+        """Hand a task to the least-loaded live shard (``exclude`` only if alone)."""
+        candidates = [sid for sid in self.shards if sid != exclude] or list(self.shards)
+        if not candidates:
+            self._fail(task, f"no live shards remain to run task {task.seq} "
+                             f"(attempt {task.attempts + 1})")
+            return
+        shard_id = min(candidates, key=lambda sid: (len(self.shards[sid].pending), sid))
+        shard = self.shards[shard_id]
+        if not shard.pending:
+            shard.last_seen = max(shard.last_seen, now)
+        task.shard_id, task.dispatched_at = shard_id, now
+        shard.pending[task.seq] = self.tasks[task.seq] = task
+        self._actions.append(("send", shard_id, {"type": "task", "seq": task.seq,
+                                                 "payload": task.payload_ref,
+                                                 "specs": task.specs}))
+
+    def _retire(self, task: _ShardTask) -> None:
+        del self.tasks[task.seq]
+        if task.shard_id in self.shards:
+            self.shards[task.shard_id].pending.pop(task.seq, None)
+
+    def _fail(self, task: _ShardTask, reason: str) -> None:
+        if task.seq in self.tasks:
+            self._retire(task)
+        self.failed[task.seq] = reason
+        self._actions.append(("failed", task.seq, reason))
+
+    def _retry(self, task: _ShardTask, now: float, *, exclude: int, reason: str) -> None:
+        task.attempts += 1
+        if task.attempts > self.max_task_retries:
+            self._fail(task, f"task {task.seq} failed {task.attempts} times; "
+                             f"last shard {task.shard_id}: {reason}")
+        else:
+            self._place(task, now, exclude=exclude)
+
+    def _task_error(self, task: _ShardTask, shard_id: int, reason: str,
+                    now: float) -> None:
+        """Retry elsewhere a task its shard could not answer.  Only the
+        task's current owner may: a stale error from a previous owner must
+        not burn a retry while the new owner's result is in flight."""
+        if task.shard_id == shard_id:
+            del self.shards[shard_id].pending[task.seq]
+            self._retry(task, now, exclude=shard_id, reason=reason)
+
+    def _kill(self, shard_id: int, now: float) -> None:
+        """Retire a shard and redispatch what it held.  It may have finished
+        some without the result reaching us: the first result retires a seq."""
+        shard = self.shards.pop(shard_id)
+        self._actions.append(("kill", shard_id))
+        for task in list(shard.pending.values()):
+            self._retry(task, now, exclude=shard_id, reason="shard died")
+        shard.pending.clear()
 
 
 class _Shard:
-    """One executor shard: a :class:`ShardTransport` plus its reader thread.
+    """One shard as the shell holds it: its transport, the descriptor the
+    wait selects on, and its ``slot`` (the transport factory it fills)."""
 
-    The reader thread decodes frames off the transport into the engine-wide
-    inbox queue as ``(shard_id, message)`` pairs, pushing ``(shard_id,
-    None)`` once on EOF so the coordinator observes death in the same
-    mailbox as results.  Sending happens only under the engine lock, so
-    writes need no lock of their own.  ``slot`` is the index of the
-    transport factory this shard fills.
-    """
-
-    def __init__(self, shard_id: int, transport: ShardTransport,
-                 inbox: "queue.Queue[tuple[int, Any]]", stats: DispatchStats,
-                 *, slot: int) -> None:
+    def __init__(self, shard_id: int, transport: ShardTransport, slot: int) -> None:
         self.id = shard_id
         self.slot = slot
         self.transport = transport
-        self.stats = stats
-        self.pending: dict[int, _ShardTask] = {}
-        self.last_seen = time.monotonic()
-        self.alive = True
-        #: False until the first frame arrives: a worker importing its
-        #: dependencies cannot answer pings yet, so silence before the
-        #: first frame is judged against the (longer) startup grace.
-        self.started = False
-        self._reader = threading.Thread(target=self._read_loop, args=(inbox,),
-                                        name=f"privid-shard-{shard_id}-reader",
-                                        daemon=True)
-        self._reader.start()
+        self.fd = transport.fileno()
 
     @property
     def process(self) -> subprocess.Popen | None:
         """The worker subprocess, when this shard's transport owns one."""
         return self.transport.process
-
-    def _read_loop(self, inbox: "queue.Queue[tuple[int, Any]]") -> None:
-        try:
-            while True:
-                message = self.transport.read()
-                if message is None:
-                    break
-                inbox.put((self.id, message))
-        except Exception:
-            pass
-        inbox.put((self.id, None))
-
-    def send(self, message: dict[str, Any]) -> int:
-        """Write one frame to the shard; returns the frame's wire bytes."""
-        return self.transport.write(message)
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Ask the worker to exit, escalating to kill after ``timeout``."""
-        self.alive = False
-        self.transport.close(timeout)
-        self._reader.join(timeout=1.0)
 
 
 #: Adaptive per-task batch cap: batches amortize framing, but every chunk in
@@ -557,52 +769,25 @@ _MAX_SHARDED_CHUNKSIZE = 8
 class ShardedEngine:
     """Partitions chunk streams across N executor shards (``sharded:...``).
 
-    Implements the :class:`~repro.core.engine.ExecutionEngine` protocol: an
-    ordered streaming ``imap_chunks`` with a bounded in-flight window.  Work
-    is dispatched to the least-loaded live shard as compact spec batches
-    (the heavy constants travel out of band, footage once per state, through
-    the engine's :class:`~repro.core.engine._BroadcastPublisher`); results
-    are merged back in dispatch order, so consumers cannot tell it from the
-    serial engine.
-
-    Shards sit behind the :class:`ShardTransport` seam, one per *slot*: a
-    transport factory with its own circuit breaker.  Every slot spawns a
-    local worker over a socketpair (:meth:`SocketTransport.spawn`) unless
-    the ``transports`` list names its factories.
-
-    Shards are opened lazily on first use and persist across queries;
-    :meth:`shutdown` (or the context manager form) terminates them.  A dead
-    shard's slot is refilled at the start of the next stream (its worker
-    respawns); a slot that cannot be filled is skipped with a warning as
-    long as at least one shard remains.  ``heartbeat_interval`` /
-    ``heartbeat_timeout`` bound how long a silent shard holding work
-    survives before its tasks are reassigned — workers answer pings while
-    executing, so only a frozen or vanished shard ever reads as silent, and
-    a shard that has not yet produced its first frame (still importing its
-    dependencies) is judged against the longer ``startup_grace``;
-    ``max_task_retries`` bounds redispatches per task before *the stream
-    that owns the task* fails with :class:`~repro.errors.RemoteShardError`.
-
-    ``chunksize`` fixes the per-task spec batch.  The default adapts: with a
-    ``count_hint``, ``count_hint // (4 * shards)`` capped at 8 (small
-    because a whole batch is redispatched when its shard dies); with none — every stream a store classifies, since only the
-    misses reach the engine and their number is unknowable — the batch
-    *ramps*: one chunk per task, doubled each time every shard has been
-    handed one at the current size, up to the same cap (1,1,2,2,4,4,8,8 on
-    two shards), so a few scattered misses still spread over the shards and
-    a cold window is not one frame per chunk.  ``in_flight_window`` bounds
-    chunks materialized-but-unyielded (default ``2 x shards x batch``; a
-    task goes out only when a whole batch fits, and a ramp stops where
-    ``2 x shards`` tasks fill a given window).
-
-    The engine supports several *interleaved* streams (the executor
-    round-robins PROCESS statements) and, since the service layer, several
-    *concurrent* streams driven from different threads: task/result
-    bookkeeping is engine-wide, keyed by a monotonically unique ``seq`` and
-    guarded by one engine lock, so frames arriving while another stream's
-    generator is being pumped — on this thread or any other — are parked
-    until their owner looks them up.  The lock is never held while blocking
-    on the inbox, so concurrent streams make progress independently.
+    An :class:`~repro.core.engine.ExecutionEngine` (ordered, streaming,
+    byte-identical to serial) and the shell of the pure :class:`_Dispatch`
+    core; ``docs/architecture.md`` has the batching, window and failure
+    rules.  Each shard fills a *slot*: a transport factory
+    (:meth:`SocketTransport.spawn` unless ``transports`` names them) behind
+    its own circuit breaker.  Shards open on first use and persist until
+    :meth:`shutdown`; a dead one's slot is refilled at the next stream
+    start.  A shard silent past ``heartbeat_timeout`` (``startup_grace``
+    before its first frame) while holding work is killed, and its tasks are
+    redispatched up to ``max_task_retries`` times each before the owning
+    stream raises :class:`~repro.errors.RemoteShardError`; ``task_timeout``
+    (off by default) also redispatches a result overdue on a shard that
+    still answers pings (a lost frame).  ``chunksize`` fixes the per-task
+    batch; by default a ``count_hint`` cuts at ``count_hint // (4 *
+    shards)``, at most 8, and a stream without one ramps 1,1,2,2,4,4,8,8 on
+    two shards.  ``in_flight_window`` bounds chunks dispatched but not yet
+    yielded (default ``2 x shards x batch``).  Streams may be open at once
+    on one thread or several: the engine condition guards the core, the
+    shard table and the stats, and is never held across the wait or a yield.
     """
 
     def __init__(self, num_shards: int | None = None, *,
@@ -627,10 +812,8 @@ class ShardedEngine:
             num_shards = _default_workers()
         checks.count("num_shards", num_shards, ValueError, 1)
         self.num_shards = num_shards
-        # The failure-detection windows default from the environment
-        # (PRIVID_HEARTBEAT_TIMEOUT / PRIVID_STARTUP_GRACE) so slow CI
-        # runners can widen them without code changes; explicit arguments
-        # win over the environment.
+        # Slow CI runners may widen the failure-detection windows from the
+        # environment; an explicit argument wins.
         if heartbeat_timeout is None:
             heartbeat_timeout = _env_float("PRIVID_HEARTBEAT_TIMEOUT", 10.0)
         if startup_grace is None:
@@ -645,19 +828,7 @@ class ShardedEngine:
         self.heartbeat_timeout = heartbeat_timeout
         self.startup_grace = startup_grace
         self.max_task_retries = max_task_retries
-        #: Optional stall detector: a dispatched task whose result has not
-        #: arrived within this many seconds is redispatched to another shard
-        #: (at-most-once application makes the duplicate execution safe).
-        #: None (the default) disables it — heartbeats already catch dead
-        #: and frozen shards; this additionally catches a *lost frame* on an
-        #: otherwise-healthy connection, at the cost of duplicated work when
-        #: set lower than a batch's genuine runtime.
         self.task_timeout = task_timeout
-        #: Per-slot circuit breakers (keyed ``slotN``), consulted before
-        #: every spawn: a slot that failed ``breaker_threshold`` consecutive
-        #: times is skipped without trying until ``breaker_reset`` seconds
-        #: pass, then probed half-open.  States surface in
-        #: ``dispatch_stats_dict``/``health``.
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
         for name in ("chunksize", "in_flight_window", "breaker_threshold"):
@@ -669,279 +840,152 @@ class ShardedEngine:
             if getattr(self, name) is not None:
                 checks.real(name, getattr(self, name), ValueError, above=0)
         self._breakers: dict[str, CircuitBreaker] = {}
-        #: Optional chaos seam: when set (constructor or
-        #: :meth:`set_fault_injector`, before first use), every transport
-        #: this engine opens is wrapped in a
-        #: :class:`~repro.core.faults.FaultyTransport` and connects are
-        #: polled against the plan.
+        #: Optional chaos seam (:meth:`set_fault_injector`).
         self._fault_injector = fault_injector
         #: Engine-wide IPC accounting (every task frame sent to any shard).
         self.dispatch_stats = DispatchStats()
         self._shard_stats: dict[int, DispatchStats] = {}
         self._shards: dict[int, _Shard] = {}
-        self._inbox: "queue.Queue[tuple[int, Any]]" = queue.Queue()
-        #: Guards every piece of engine-wide state above and below: the
-        #: shard table, seq allocation, dispatch, and the ready/failed
-        #: parking maps.  Concurrent streams (service-layer queries driven
-        #: from different threads) interleave safely because each takes the
-        #: lock per step and blocks on the inbox *outside* it.
-        self._lock = threading.RLock()
         self._next_shard_id = 0
-        self._next_seq = 0
-        self._next_ping = 0
-        self._tasks: dict[int, _ShardTask] = {}
-        self._ready: dict[int, list[ChunkOutcome]] = {}
-        #: seq -> failure reason for tasks that exhausted their retries; the
-        #: stream that owns the seq raises when it reaches it, so a failure
-        #: never propagates into whichever stream happened to be pumping.
-        self._failed: dict[int, str] = {}
+        self._core = _Dispatch(heartbeat_interval=heartbeat_interval,
+                               heartbeat_timeout=heartbeat_timeout,
+                               startup_grace=startup_grace,
+                               max_task_retries=max_task_retries,
+                               task_timeout=task_timeout)
+        #: The one wait: every live shard's descriptor (``data``: its id).
+        #: poll keeps nothing in the kernel between waits, so a socket closed
+        #: under the wait reads as ready (POLLNVAL) instead of vanishing.
+        self._selector = selectors.PollSelector()
+        self._cond = threading.Condition()
+        self._waiting = False  # a thread is running the wait
         self._publisher = _BroadcastPublisher()
 
     # ------------------------------------------------------------- shard pool
 
-    def _spawn_shard(self, slot: int) -> _Shard | None:
-        """Fill one slot (spawn its worker); None if that failed.
-
-        Every slot sits behind its own circuit breaker: after
-        ``breaker_threshold`` consecutive spawn failures the slot is
-        skipped without trying until ``breaker_reset`` passes, then a
-        single half-open probe decides.  With a fault injector installed,
-        the transport factory is additionally routed through the plan
-        (connect faults at ``transport.worker{N}``, N counting the shards
-        opened so far, so a replacement is a new site with fresh counters)
-        and the built transport wrapped for frame faults.
-        """
+    def _spawn_shard(self, slot: int) -> None:
+        """Fill one slot, unless its breaker is open or its factory fails.
+        A fault plan sees the Nth shard opened as ``transport.worker{N}``."""
         label = f"slot{slot}"
-        factory = self._factories[slot]
-        breaker = self._breakers.get(label)
-        if breaker is None:
-            breaker = CircuitBreaker(failure_threshold=self.breaker_threshold,
-                                     reset_timeout=self.breaker_reset)
-            self._breakers[label] = breaker
+        breaker = self._breakers.setdefault(label, CircuitBreaker(
+            failure_threshold=self.breaker_threshold, reset_timeout=self.breaker_reset))
         if not breaker.allow():
             warnings.warn(f"shard {label!r} skipped: circuit breaker "
-                          "open after repeated failures",
-                          RuntimeWarning, stacklevel=2)
-            return None
+                          "open after repeated failures", RuntimeWarning, stacklevel=2)
+            return
+        factory = self._factories[slot]
         if self._fault_injector is not None:
-            factory = faulty_transport_factory(
-                factory, self._fault_injector,
-                f"transport.worker{self._next_shard_id}")
+            factory = faulty_transport_factory(factory, self._fault_injector,
+                                               f"transport.worker{self._next_shard_id}")
         try:
             transport = factory()
         except OSError as exc:
             breaker.record_failure()
             warnings.warn(f"shard slot {slot} is unreachable: {exc}",
                           RuntimeWarning, stacklevel=2)
-            return None
+            return
         breaker.record_success()
         shard_id = self._next_shard_id
         self._next_shard_id += 1
-        stats = self._shard_stats.setdefault(shard_id, DispatchStats())
-        shard = _Shard(shard_id, transport, self._inbox, stats, slot=slot)
-        self._shards[shard_id] = shard
-        return shard
+        self._shard_stats.setdefault(shard_id, DispatchStats())
+        shard = self._shards[shard_id] = _Shard(shard_id, transport, slot)
+        self._core.add_shard(shard_id, time.monotonic())
+        self._selector.register(shard.fd, selectors.EVENT_READ, shard_id)
 
     def _ensure_shards(self) -> None:
-        """Refill every empty slot once (stream start).
-
-        A slot that cannot be filled right now is skipped — its work lands
-        on the survivors — and tried again at the next stream start.
-        """
-        # Fold in death notices that arrived between streams: a shard killed
-        # after the previous stream finished has an EOF sitting in the inbox
-        # (and a poll()-able exit) but may still be flagged alive.
-        while True:
-            try:
-                shard_id, message = self._inbox.get_nowait()
-            except queue.Empty:
-                break
-            self._handle_message(shard_id, message)
-        for shard in list(self._shards.values()):
-            if shard.alive and not shard.transport.is_alive():
-                self._mark_dead(shard)
-        for shard_id in [sid for sid, shard in self._shards.items() if not shard.alive]:
-            del self._shards[shard_id]
-        filled = {shard.slot for shard in self._live_shards()}
+        """At a stream start (under the lock): fold in what arrived between
+        streams — an EOF on a socket, an exited worker — then refill every
+        empty slot once.  A slot that cannot be filled is tried again at the
+        next stream start; only zero live shards is an error."""
+        now = time.monotonic()
+        if not self._waiting:  # else the thread in the wait reads every socket
+            for shard in self._live_shards():
+                self._read(shard, now)
+        self._reap(now)
+        self._shards = {shard.id: shard for shard in self._live_shards()}
+        filled = {shard.slot for shard in self._shards.values()}
         for slot in range(self.num_shards):
             if slot not in filled:
                 self._spawn_shard(slot)
-        if not self._live_shards():
+        if not self._shards:
             raise RemoteShardError(
                 f"no shard could be opened (all {self.num_shards} slots failed)")
 
     def _live_shards(self) -> list[_Shard]:
-        return [shard for shard in self._shards.values() if shard.alive]
+        return [shard for shard in self._shards.values() if shard.id in self._core.shards]
 
-    # ------------------------------------------------------------ dispatching
+    # ------------------------------------------------------------ the shell
 
-    def _dispatch(self, task: _ShardTask, *, exclude: int | None = None) -> None:
-        """Send a task to the least-loaded live shard (skipping ``exclude``)."""
-        while True:
-            candidates = [shard for shard in self._live_shards()
-                          if shard.id != exclude]
-            if not candidates:
-                candidates = self._live_shards()  # only the excluded one left
-            if not candidates:
-                raise RemoteShardError(
-                    f"no live shards remain to run task {task.seq} "
-                    f"(attempt {task.attempts + 1})")
-            shard = min(candidates, key=lambda entry: (len(entry.pending), entry.id))
-            message = {"type": "task", "seq": task.seq,
-                       "payload": task.payload_ref, "specs": task.specs}
-            try:
-                sent = shard.send(message)
-            except OSError:
-                self._mark_dead(shard)
-                continue
-            task.shard_id = shard.id
-            task.dispatched_at = time.monotonic()
-            shard.pending[task.seq] = task
-            self._tasks[task.seq] = task
-            shard.stats.record_dispatch(sent, task.num_chunks)
-            self.dispatch_stats.record_dispatch(sent, task.num_chunks)
-            return
-
-    def _fail(self, task: _ShardTask, reason: str) -> None:
-        """Retire a task as permanently failed (its owner raises on pickup)."""
-        self._tasks.pop(task.seq, None)
-        for shard in self._shards.values():
-            shard.pending.pop(task.seq, None)
-        self._failed[task.seq] = reason
-
-    def _retry(self, task: _ShardTask, *, exclude: int | None, reason: str) -> None:
-        task.attempts += 1
-        if task.attempts > self.max_task_retries:
-            self._fail(task, f"task {task.seq} failed {task.attempts} times; "
-                             f"last shard {task.shard_id}: {reason}")
-            return
-        try:
-            self._dispatch(task, exclude=exclude)
-        except RemoteShardError as exc:
-            # No shard left to run it on: fail this task (and let the loop
-            # in _mark_dead keep redispatching or failing the rest) rather
-            # than raising into an arbitrary pumping stream.
-            self._fail(task, str(exc))
-
-    def _mark_dead(self, shard: _Shard) -> None:
-        """Retire a shard, releasing its transport (socket, and a local
-        worker's process), and redispatch every task it still held."""
-        if not shard.alive:
-            return
-        shard.alive = False
-        shard.transport.kill()
-        orphans = list(shard.pending.values())
-        shard.pending.clear()
-        for task in orphans:
-            # The dead shard may have completed some of these without the
-            # result reaching us; redispatching is safe because the first
-            # result to arrive retires the seq and later ones are dropped.
-            self._retry(task, exclude=shard.id, reason="shard died")
-
-    # ------------------------------------------------------------- event loop
-
-    def _handle_message(self, shard_id: int, message: Any) -> None:
-        shard = self._shards.get(shard_id)
-        if shard is None:
-            return
-        if message is None:  # reader saw EOF: the worker exited or was killed
-            if shard.alive:
-                self._mark_dead(shard)
-            return
-        shard.last_seen = time.monotonic()
-        shard.started = True
-        kind = message.get("type")
-        task = self._tasks.get(message.get("seq"))
-        if task is None:
-            return  # no task (a pong), or a stale seq: at-most-once
-        if kind == "result":
-            outcomes = message.get("outcomes")
-            count = len(outcomes) if isinstance(outcomes, list) else 0
-            if count != task.num_chunks:
-                # Applying it would shift rows onto the wrong chunks, which
-                # the coordinator would then store under those chunks' keys.
-                self._task_error(task, shard_id, f"result frame has {count} "
-                                 f"outcomes for {task.num_chunks} chunks")
-                return
-            del self._tasks[task.seq]
-            for entry in self._shards.values():
-                entry.pending.pop(task.seq, None)
-            shard.stats.record_stages(message.get("stages"))
-            self.dispatch_stats.record_stages(message.get("stages"))
-            self._ready[task.seq] = [
-                ChunkOutcome(rows=outcome["rows"], fallback=bool(outcome["fallback"]))
-                for outcome in outcomes]
-        elif kind == "error":
-            self._task_error(task, shard_id, str(message.get("message", "")).strip())
-
-    def _task_error(self, task: _ShardTask, shard_id: int, reason: str) -> None:
-        """Retry a task its shard could not answer, elsewhere.
-
-        Only the task's *current* owner may fail it: a stale error from a
-        previous owner (which died right after sending, with the task already
-        redispatched) must not burn a retry or double-dispatch while the new
-        owner's result is in flight.
-        """
-        if task.shard_id == shard_id:
-            for entry in self._shards.values():
-                entry.pending.pop(task.seq, None)
-            self._retry(task, exclude=shard_id, reason=reason)
-
-    def _heartbeat(self) -> None:
-        """Probe silent shards; declare the unresponsive ones dead.
-
-        With ``task_timeout`` set, additionally redispatches tasks whose
-        result is overdue on a shard that still answers pings — the
-        lost-frame stall (a dropped result or task frame leaves the shard
-        healthy but the seq parked forever).  Duplicated execution is safe:
-        the first result to arrive retires the seq.
-        """
-        now = time.monotonic()
-        if self.task_timeout is not None:
-            for shard in list(self._shards.values()):
-                if not shard.alive:
-                    continue
-                overdue = [task for task in shard.pending.values()
-                           if task.dispatched_at is not None
-                           and now - task.dispatched_at > self.task_timeout]
-                for task in overdue:
-                    shard.pending.pop(task.seq, None)
-                    self._retry(task, exclude=shard.id,
-                                reason=f"no result within "
-                                       f"task_timeout={self.task_timeout}s")
-        for shard in list(self._shards.values()):
-            if not shard.alive:
-                continue
-            if not shard.transport.is_alive():
-                self._mark_dead(shard)
-                continue
-            silent = now - shard.last_seen
-            limit = self.heartbeat_timeout if shard.started \
-                else max(self.heartbeat_timeout, self.startup_grace)
-            if shard.pending and silent > limit:
-                self._mark_dead(shard)
-            elif silent > self.heartbeat_interval:
-                self._next_ping += 1
+    def _apply(self, actions: list[tuple[Any, ...]]) -> None:
+        """Carry out the core's actions (under the lock).  Streams asleep on
+        the condition wait for the turn of the wait in progress, which
+        notifies them when it ends."""
+        for kind, *args in actions:
+            if kind == "send" and args[0] in self._core.shards:
+                shard, message = self._shards[args[0]], args[1]
                 try:
-                    shard.send({"type": "ping", "token": self._next_ping})
+                    sent = shard.transport.write(message)
                 except OSError:
-                    self._mark_dead(shard)
+                    self._apply(self._core.eof(shard.id, time.monotonic()))
+                    continue
+                if message["type"] == "task":
+                    for stats in (self._shard_stats[shard.id], self.dispatch_stats):
+                        stats.record_dispatch(sent, len(message["specs"]))
+            elif kind == "kill":
+                shard = self._shards[args[0]]
+                self._selector.unregister(shard.fd)
+                shard.transport.kill()
+            elif kind == "ready":
+                for stats in (self._shard_stats[args[1]], self.dispatch_stats):
+                    stats.record_stages(args[2])
 
-    def _pump(self) -> None:
-        """Process the next inbox message, or run a heartbeat pass on silence.
+    def _reap(self, now: float) -> None:
+        """An EOF for every live shard whose transport reads dead."""
+        for shard in self._live_shards():
+            if not shard.transport.is_alive():
+                self._apply(self._core.eof(shard.id, now))
 
-        The blocking inbox read happens *outside* the engine lock so
-        concurrent streams are never serialized behind one stream's wait;
-        only the state mutation that follows is locked.
-        """
+    def _read(self, shard: _Shard, now: float) -> None:
+        """Feed the core every frame waiting on a shard's socket, or its EOF."""
         try:
-            shard_id, message = self._inbox.get(timeout=self.heartbeat_interval)
-        except queue.Empty:
-            with self._lock:
-                self._heartbeat()
-            return
-        with self._lock:
-            self._handle_message(shard_id, message)
+            frames = shard.transport.read()
+        except RemoteShardError:  # a corrupt length prefix: the stream is lost
+            frames = None
+        if frames is None:
+            self._apply(self._core.eof(shard.id, now))
+        for message in frames or ():
+            self._apply(self._core.frame(shard.id, message, now))
+
+    def _await_head(self, stream: int) -> None:
+        """Return once ``stream``'s head seq may have settled.  One thread
+        at a time runs a turn of the wait (a select until the core's next
+        deadline, then every frame, EOF and expired deadline fed to the
+        core) and gives it up before its stream yields; others sleep on the
+        condition, which every turn ends by notifying."""
+        with self._cond:
+            if not self._core.waiting(stream):
+                return
+            if self._waiting:
+                self._cond.wait()
+                return
+            self._waiting = True
+            deadline = self._core.deadline()
+        try:
+            timeout = self.heartbeat_interval if deadline is None \
+                else max(0.0, deadline - time.monotonic())
+            events = self._selector.select(timeout)
+            with self._cond:
+                now = time.monotonic()
+                for key, _ in events:
+                    if key.data in self._core.shards:
+                        self._read(self._shards[key.data], now)
+                deadline = self._core.deadline()
+                if deadline is not None and deadline <= now:
+                    self._reap(now)
+                    self._apply(self._core.tick(now))
+        finally:
+            with self._cond:
+                self._waiting = False
+                self._cond.notify_all()
 
     # ----------------------------------------------------------- engine proto
 
@@ -962,11 +1006,7 @@ class ShardedEngine:
     def imap_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
                     context: "ExecutionContext", *,
                     count_hint: int | None = None) -> Iterator[ChunkOutcome]:
-        """Stream outcomes in chunk order across the shard pool.
-
-        Identical contract to every other engine's ``imap_chunks``; see the
-        class docstring for scheduling and fault-tolerance behaviour.
-        """
+        """Stream outcomes in chunk order across the shard pool."""
         if count_hint is None and isinstance(chunks, Sized):
             count_hint = len(chunks)
         return self._imap(runner, iter(chunks), context, count_hint)
@@ -982,8 +1022,9 @@ class ShardedEngine:
             # A single-chunk stream runs inline: no shard round trip.
             yield execute_chunk(runner, first, context)
             return
-        with self._lock:
+        with self._cond:
             self._ensure_shards()
+            stream_id = self._core.open_stream()
         broadcast = _StreamBroadcast(self._publisher, runner, context,
                                      self.dispatch_stats)
         batch_size = self._effective_chunksize(count_hint)
@@ -999,129 +1040,79 @@ class ShardedEngine:
         sent = 0  # tasks this stream dispatched
         window = self._window(batch_size)
         stream = chain((first, second), iterator)
-        dispatched: deque[int] = deque()  # this stream's seqs, in yield order
-        mine: set[int] = set()
         in_flight = 0  # chunks dispatched but not yet yielded
         exhausted = False
         try:
             while True:
                 while not exhausted and in_flight + batch_size <= window:
-                    batch: list["Chunk"] = []
-                    while len(batch) < batch_size:
-                        chunk = next(stream, None)
-                        if chunk is None:
-                            exhausted = True
-                            break
-                        batch.append(chunk)
+                    batch = list(islice(stream, batch_size))
+                    exhausted = len(batch) < batch_size
                     if not batch:
                         break
                     specs = [broadcast.chunk_spec(chunk) for chunk in batch]
                     # Registering specs may have discovered new heavy
                     # objects; payload_ref() publishes a covering manifest.
                     ref = broadcast.payload_ref()
-                    with self._lock:
-                        seq = self._next_seq
-                        self._next_seq += 1
-                        task = _ShardTask(seq, specs, ref, len(batch))
-                        self._dispatch(task)
-                    dispatched.append(seq)
-                    mine.add(seq)
+                    with self._cond:
+                        self._apply(self._core.batch(stream_id, specs, ref,
+                                                     runner.max_rows, time.monotonic()))
                     in_flight += len(batch)
                     sent += 1
                     if batch_size < ramp_to and sent % self.num_shards == 0:
                         batch_size = min(2 * batch_size, ramp_to)
                         window = self._window(batch_size)
-                # Drain every completed head seq in one locked pass, then
-                # yield outside the lock (a consumer may block arbitrarily
-                # long between rows — other streams must keep moving).
-                completed: list[list[ChunkOutcome]] = []
-                with self._lock:
-                    while dispatched and dispatched[0] in self._ready:
-                        seq = dispatched.popleft()
-                        mine.discard(seq)
-                        outcomes = self._ready.pop(seq)
-                        in_flight -= len(outcomes)
-                        completed.append(outcomes)
-                    failure: str | None = None
-                    if dispatched and dispatched[0] in self._failed:
-                        failure = self._failed.pop(dispatched[0])
+                with self._cond:
+                    completed, failure = self._core.collect(stream_id)
                 for outcomes in completed:
+                    in_flight -= len(outcomes)
                     yield from outcomes
                 if failure is not None:
                     raise RemoteShardError(failure)
-                if not dispatched:
-                    if exhausted:
-                        return
-                    continue  # window drained by yields; refill before waiting
-                with self._lock:
-                    head_pending = dispatched[0] not in self._ready \
-                        and dispatched[0] not in self._failed
-                if head_pending:
-                    self._pump()
+                if not in_flight and exhausted:
+                    return
+                if not completed:
+                    self._await_head(stream_id)
         finally:
-            # On early close, drop this stream's bookkeeping; late results
-            # and errors for these seqs are ignored as stale.
-            with self._lock:
-                for seq in mine:
-                    self._ready.pop(seq, None)
-                    self._failed.pop(seq, None)
-                    self._tasks.pop(seq, None)
-                    for shard in self._shards.values():
-                        shard.pending.pop(seq, None)
+            with self._cond:
+                self._core.close_stream(stream_id)
             self._publisher.release(broadcast)
 
     # -------------------------------------------------------------- lifecycle
 
     def reset_dispatch_stats(self) -> None:
         """Zero the engine-wide and per-shard IPC counters."""
-        with self._lock:
+        with self._cond:
             self.dispatch_stats = DispatchStats()
             self._shard_stats = {shard_id: DispatchStats()
                                  for shard_id in self._shard_stats}
-            for shard in self._shards.values():
-                shard.stats = self._shard_stats.setdefault(shard.id, DispatchStats())
 
     def set_fault_injector(self, injector: "FaultInjector | None") -> None:
-        """Install a chaos fault plan on every transport this engine opens.
-
-        Call before first use (or after :meth:`shutdown`): already-open
-        transports are not retroactively wrapped.
-        """
-        with self._lock:
+        """Install a chaos fault plan on every transport this engine opens
+        from now on (call before first use, or after :meth:`shutdown`)."""
+        with self._cond:
             self._fault_injector = injector
 
     def health(self) -> dict[str, Any]:
-        """Shard-pool liveness snapshot for ``service.health()``.
-
-        ``live_shards`` counts shards that are flagged alive *and* pass the
-        transport's liveness probe; ``degraded`` is True once the pool has
-        been used and is below strength, or any slot's breaker is not
-        closed.  Before first use (``started`` False) an empty pool is
-        normal, not degraded — shards spawn lazily.
-        """
-        with self._lock:
-            live = sum(1 for shard in self._shards.values()
-                       if shard.alive and shard.transport.is_alive())
-            pending = sum(len(shard.pending) for shard in self._shards.values())
+        """Shard-pool liveness for ``service.health()``: ``degraded`` once
+        the used pool is below strength (shards alive to the core and to
+        their transport's probe) or any slot's breaker is not closed."""
+        with self._cond:
+            live = sum(1 for shard in self._live_shards() if shard.transport.is_alive())
             breakers = {label: breaker.state_dict()
                         for label, breaker in sorted(self._breakers.items())}
             started = self._next_shard_id > 0
             degraded = (started and live < self.num_shards) or any(
                 entry["state"] != "closed" for entry in breakers.values())
             return {"engine": self.name, "num_shards": self.num_shards,
-                    "live_shards": live, "pending_tasks": pending,
+                    "live_shards": live, "pending_tasks": len(self._core.tasks),
                     "started": started, "degraded": degraded,
                     "breakers": breakers}
 
     def dispatch_stats_dict(self) -> dict[str, Any]:
-        """Engine-wide dispatch counters plus a ``per_shard`` breakdown.
-
-        Per-shard entries survive shard death and replacement, so the dict
-        records where every byte of a sweep actually went (``engine_stats()``
-        reports it as its ``dispatch`` section).  ``breakers`` is the
-        per-slot circuit-breaker state (empty until shards spawn).
-        """
-        with self._lock:
+        """Engine-wide dispatch counters plus a ``per_shard`` breakdown that
+        survives shard death and replacement (``engine_stats()``'s
+        ``dispatch`` section), and the per-slot ``breakers``."""
+        with self._cond:
             return {**self.dispatch_stats.as_dict(),
                     "per_shard": {str(shard_id): stats.as_dict()
                                   for shard_id, stats in sorted(self._shard_stats.items())
@@ -1131,16 +1122,15 @@ class ShardedEngine:
 
     def shutdown(self) -> None:
         """Terminate every shard worker and unlink what the engine published
-        (both come back on next use)."""
-        with self._lock:
+        (both come back on next use); an open stream's tasks fail."""
+        with self._cond:
+            now = time.monotonic()
             for shard in self._shards.values():
-                shard.close()
+                if shard.id in self._core.shards:
+                    self._selector.unregister(shard.fd)
+                    self._core.eof(shard.id, now)  # its kill is the close below
+                shard.transport.close()
             self._shards.clear()
-            while True:
-                try:
-                    self._inbox.get_nowait()
-                except queue.Empty:
-                    break
         self._publisher.close()
 
     def __enter__(self) -> "ShardedEngine":

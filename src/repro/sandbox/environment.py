@@ -284,9 +284,11 @@ class SandboxRunner:
         miss_buffer: deque[Chunk] = deque()
 
         def classify(chunk: Chunk) -> list[dict[str, Any]] | None:
-            """The chunk's stored rows, or None once it is queued as a miss.  The
-            store refuses an entry over ``max_rows``, which sensitivity assumes
-            (a ``Table`` reads only schema columns; aggregation clamps values)."""
+            """The chunk's stored rows, or None once it is queued as a miss.  No
+            chunk yields over ``max_rows`` rows, which sensitivity assumes: the
+            store reads such an entry as corrupt, and the shard coordinator
+            refuses such a result like an ``error`` frame.  A ``Table`` reads
+            only schema columns; aggregation clamps values."""
             key = cache.key_for(self, chunk, context)
             rows = cache.get(key, max_rows=self.max_rows)
             if rows is None:

@@ -269,7 +269,8 @@ class TestCancellationToken:
 
 
 class _FakeTransport:
-    """A scripted ShardTransport double for FaultyTransport unit tests."""
+    """A scripted ShardTransport double for FaultyTransport unit tests: its
+    one read returns every scripted frame, and the next reads EOF."""
 
     def __init__(self, frames=()):
         self.frames = list(frames)
@@ -278,8 +279,12 @@ class _FakeTransport:
         self.description = "fake"
         self.process = None
 
+    def fileno(self):
+        return -1
+
     def read(self):
-        return self.frames.pop(0) if self.frames else None
+        frames, self.frames = self.frames, []
+        return frames or None
 
     def write(self, message):
         self.written.append(message)
@@ -309,7 +314,7 @@ class TestFaultyTransport:
             [FaultRule(site="transport.*", kind=FaultKind.DROP_FRAME,
                        probability=1.0, max_fires=100)],
             frames=[{"type": "pong", "token": 1}])
-        assert transport.read() == {"type": "pong", "token": 1}
+        assert transport.read() == [{"type": "pong", "token": 1}]
         transport.write({"type": "ping", "token": 2})
         assert inner.written == [{"type": "ping", "token": 2}]
         assert injector.fired == []
@@ -320,7 +325,7 @@ class TestFaultyTransport:
             frames=[{"type": "result", "seq": 0},
                     {"type": "result", "seq": 1}])
         # Frame seq 0 is eaten in transit; the read returns the next one.
-        assert transport.read() == {"type": "result", "seq": 1}
+        assert transport.read() == [{"type": "result", "seq": 1}]
         assert not inner.killed
 
     def test_torn_result_frame_reads_as_connection_death(self):
@@ -329,6 +334,26 @@ class TestFaultyTransport:
             frames=[{"type": "result", "seq": 4}])
         assert transport.read() is None
         assert inner.killed
+
+    def test_frames_before_a_tear_are_delivered_then_eof(self):
+        transport, inner, _ = _wrap(
+            [FaultRule(site="*.result", kind=FaultKind.TORN_FRAME, at=(1,))],
+            frames=[{"type": "result", "seq": 4}, {"type": "result", "seq": 5},
+                    {"type": "result", "seq": 6}])
+        assert transport.read() == [{"type": "result", "seq": 4}]
+        assert inner.killed and transport.read() is None
+
+    def test_delayed_result_frame_is_handed_on_without_sleeping(self):
+        # The coordinator's core holds the frame back on a deadline; a
+        # sleep here would stall the one wait that reads every shard.
+        transport, inner, _ = _wrap(
+            [FaultRule(site="*.result", kind=FaultKind.DELAY, at=(0,), delay=60.0)],
+            frames=[{"type": "result", "seq": 2}, {"type": "pong", "token": 1}])
+        started = time.monotonic()
+        assert transport.read() == [
+            {"type": "delayed", "delay": 60.0, "frame": {"type": "result", "seq": 2}},
+            {"type": "pong", "token": 1}]
+        assert time.monotonic() - started < 5.0 and not inner.killed
 
     def test_task_write_io_error_raises(self):
         transport, inner, _ = _wrap(

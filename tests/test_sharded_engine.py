@@ -15,6 +15,7 @@ import json
 import os
 import pickle
 import re
+import select
 import signal
 import socket
 import struct
@@ -41,8 +42,8 @@ from repro.core import remote
 from repro.core.remote import (
     MAX_FRAME_BYTES,
     SocketTransport,
+    _Dispatch,
     _handle_task,
-    _ShardTask,
     _worker_env,
     encode_frame,
     read_frame,
@@ -188,11 +189,24 @@ def _scripted_transport(script) -> tuple[SocketTransport, threading.Thread]:
     return SocketTransport(ours, "scripted"), peer
 
 
+def _next_read(transport, timeout: float = 5.0):
+    """The transport's next non-empty read (a list of frames, or None at
+    EOF), waiting on its descriptor as the coordinator's wait does."""
+    deadline = time.monotonic() + timeout
+    while True:
+        frames = transport.read()
+        if frames is None or frames:
+            return frames
+        remaining = deadline - time.monotonic()
+        assert remaining > 0, "no frame arrived"
+        select.select([transport.fileno()], [], [], remaining)
+
+
 class TestSocketFraming:
     def test_frame_torn_across_socket_reads_is_reassembled(self):
-        # One frame dribbled over three sends with pauses: the transport's
-        # buffered reader must block until the length prefix's promise is
-        # fulfilled and deliver one whole message.
+        # One frame dribbled over three sends with pauses: the transport
+        # buffers the pieces, returning no frame until the length prefix's
+        # promise is fulfilled, then one whole message.
         frame = encode_frame({"type": "pong", "token": 42})
         transport, peer = _scripted_transport([
             ("send", frame[:2]), ("sleep", 0.05),
@@ -200,7 +214,7 @@ class TestSocketFraming:
             ("send", frame[7:]),
         ])
         try:
-            assert transport.read() == {"type": "pong", "token": 42}
+            assert _next_read(transport) == [{"type": "pong", "token": 42}]
         finally:
             transport.kill()
             peer.join(timeout=5.0)
@@ -214,7 +228,7 @@ class TestSocketFraming:
         try:
             peer.join(timeout=5.0)  # the peer sent its fragment and closed
             assert not peer.is_alive()
-            assert transport.read() is None
+            assert _next_read(transport) is None
         finally:
             transport.kill()
 
@@ -222,20 +236,24 @@ class TestSocketFraming:
         frame = encode_frame({"type": "pong", "token": 1})
         transport, peer = _scripted_transport([("send", frame)])
         try:
-            assert transport.read() == {"type": "pong", "token": 1}
+            assert _next_read(transport) == [{"type": "pong", "token": 1}]
             peer.join(timeout=5.0)
             assert not peer.is_alive()
-            assert transport.read() is None  # clean EOF after the peer left
+            assert _next_read(transport) is None  # clean EOF after the peer left
         finally:
             transport.kill()
 
 
-    def test_frames_sent_in_one_write_are_read_one_at_a_time(self):
+    def test_frames_sent_in_one_write_come_back_from_one_read(self):
+        # Every complete frame already received is returned at once: a
+        # reader handing back one frame per readiness would strand the rest
+        # in its buffer, where select never reports them.
         frames = [encode_frame({"type": "pong", "token": token}) for token in range(3)]
         transport, peer = _scripted_transport([("send", b"".join(frames))])
         try:
-            assert [transport.read() for _ in range(3)] == [
-                {"type": "pong", "token": token} for token in range(3)]
+            peer.join(timeout=5.0)
+            assert transport.read() == [{"type": "pong", "token": token}
+                                        for token in range(3)]
             assert transport.read() is None
         finally:
             transport.kill()
@@ -247,7 +265,7 @@ class TestSocketFraming:
                                  "fallback": False}, {"rows": [], "fallback": True}]}
         transport, peer = _scripted_transport([("send", encode_frame(message))])
         try:
-            assert transport.read() == message
+            assert _next_read(transport) == [message]
         finally:
             transport.kill()
             peer.join(timeout=5.0)
@@ -259,7 +277,7 @@ class TestSocketFraming:
         transport, peer = _scripted_transport([("send", corrupt)])
         try:
             with pytest.raises(RemoteShardError, match="MAX_FRAME_BYTES"):
-                transport.read()
+                _next_read(transport)
         finally:
             transport.kill()
             peer.join(timeout=5.0)
@@ -462,14 +480,22 @@ THIRTY_CHUNKS = ChunkSpec(window=TimeInterval(0, 900), chunk_duration=30.0)
 def _task_sizes(engine) -> dict:
     """Record ``seq -> chunks`` of every task ``engine`` first dispatches."""
     sizes: dict[int, int] = {}
-    dispatch = engine._dispatch
+    apply = engine._apply
 
-    def recording(task, **kwargs):
-        sizes.setdefault(task.seq, task.num_chunks)
-        dispatch(task, **kwargs)
+    def recording(actions):
+        for action in actions:
+            if action[0] == "send" and action[2]["type"] == "task":
+                sizes.setdefault(action[2]["seq"], len(action[2]["specs"]))
+        apply(actions)
 
-    engine._dispatch = recording
+    engine._apply = recording
     return sizes
+
+
+def _holding_work(engine):
+    """A live shard of ``engine`` that holds a task, else None."""
+    return next((shard for shard in engine._live_shards()
+                 if engine._core.shards[shard.id].pending), None)
 
 
 def _in_seq_order(sizes: dict) -> list:
@@ -1110,8 +1136,7 @@ class TestFaultInjection:
             outcomes.append(next(stream))
             # Kill a shard that still holds assigned work if one exists
             # (otherwise any live shard): the stream must finish regardless.
-            victim = next((shard for shard in engine._live_shards() if shard.pending),
-                          engine._live_shards()[0])
+            victim = _holding_work(engine) or engine._live_shards()[0]
             victim.process.kill()
             outcomes.extend(stream)
         assert repr(_rows_of(outcomes)) == repr(reference)
@@ -1136,8 +1161,7 @@ class TestFaultInjection:
                     # By the fourth pull at least one task is dispatched but
                     # the worker (still starting up) cannot have answered;
                     # SIGSTOP freezes it mid-assignment.
-                    victim = next(shard for shard in engine._live_shards()
-                                  if shard.pending)
+                    victim = _holding_work(engine)
                     os.kill(victim.process.pid, signal.SIGSTOP)
                     stopped["id"] = victim.id
                 yield chunk
@@ -1199,87 +1223,250 @@ class TestFaultInjection:
         with engine, pytest.raises(RemoteShardError):
             list(engine.imap_chunks(runner, killing(), context))
 
+
+def _core(max_task_retries: int = 3) -> _Dispatch:
+    """A dispatch core with two live shards (0 and 1), heard from at t=0."""
+    core = _Dispatch(heartbeat_interval=0.5, heartbeat_timeout=10.0,
+                     startup_grace=60.0, max_task_retries=max_task_retries,
+                     task_timeout=None)
+    core.add_shard(0, 0.0)
+    core.add_shard(1, 0.0)
+    return core
+
+
+class TestDispatchCore:
+    """The core's rules, driven with no process, socket or clock."""
+
     def test_result_application_is_at_most_once(self):
-        # Pure coordinator-state test: the first result frame for a seq is
-        # applied, any later frame for the same seq (a reassigned task whose
-        # original shard was merely slow) is dropped.
-        engine = ShardedEngine(2)
-        shard = SimpleNamespace(id=0, alive=True, pending={}, last_seen=0.0,
-                                stats=DispatchStats(), process=None)
-        engine._shards[0] = shard
-        task = _ShardTask(seq=9, specs=[[0, 0, 0.0, 30.0, 1, None, None, None]],
-                          payload_ref="unused", num_chunks=1)
-        engine._tasks[9] = task
-        shard.pending[9] = task
-        first = {"type": "result", "seq": 9,
-                 "outcomes": [{"rows": [{"kind": "a", "dy": 1.0}], "fallback": False,
-                               "cached": False}]}
-        duplicate = {"type": "result", "seq": 9,
-                     "outcomes": [{"rows": [{"kind": "b", "dy": 2.0}],
-                                   "fallback": False, "cached": False}]}
-        engine._handle_message(0, first)
-        engine._handle_message(0, duplicate)
-        assert [dict(row) for row in engine._ready[9][0].rows] \
-            == [{"kind": "a", "dy": 1.0}]
-        assert engine._tasks == {} and shard.pending == {}
+        # The first result frame for a seq is applied; any later frame for
+        # the same seq (a reassigned task whose original shard was merely
+        # slow) is dropped.
+        core = _core()
+        stream = core.open_stream()
+        core.batch(stream, [[0, 0, 0.0, 30.0, 1, None, None, None]], "unused", 5, 0.0)
+        first = {"type": "result", "seq": 0,
+                 "outcomes": [{"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}]}
+        duplicate = {"type": "result", "seq": 0,
+                     "outcomes": [{"rows": [{"kind": "b", "dy": 2.0}], "fallback": False}]}
+        assert core.frame(0, first, 1.0) == [("ready", 0, 0, None)]
+        assert core.frame(0, duplicate, 1.5) == []
+        assert [dict(row) for row in core.ready[0][0].rows] == [{"kind": "a", "dy": 1.0}]
+        assert core.tasks == {} and core.shards[0].pending == {}
         # A result for a seq nobody is waiting on is ignored outright.
-        engine._handle_message(0, {"type": "result", "seq": 99, "outcomes": []})
-        assert 99 not in engine._ready
+        assert core.frame(0, {"type": "result", "seq": 99, "outcomes": []}, 2.0) == []
+        assert 99 not in core.ready
+
+    def test_a_delayed_frame_lands_at_its_deadline(self):
+        core = _core()
+        stream = core.open_stream()
+        core.batch(stream, [[0, 0, 0.0, 30.0, 1, None, None]], "unused", 5, 0.0)
+        result = {"type": "result", "seq": 0, "outcomes": [_OUTCOME]}
+        assert core.frame(0, {"type": "delayed", "delay": 2.0, "frame": result}, 1.0) == []
+        assert not core.ready and core.deadline() <= 3.0
+
+        def settled(now):
+            return [action for action in core.tick(now) if action[0] != "send"]
+
+        assert settled(2.9) == [] and settled(3.0) == [("ready", 0, 0, None)]
+
+    def test_silence_counts_only_while_a_shard_holds_work(self):
+        core = _core()
+        core.frame(0, {"type": "pong", "token": 0}, 0.0)  # started: a 10 s limit
+        stream = core.open_stream()
+        # Idle for 100 s, then handed work: its silence starts now.
+        core.batch(stream, [[0, 0, 0.0, 30.0, 1, None, None]], "unused", 5, 100.0)
+        assert not [action for action in core.tick(109.9) if action[0] == "kill"]
+        actions = core.tick(110.0)
+        assert ("kill", 0) in actions
+        assert [(action[1], action[2]["seq"]) for action in actions
+                if action[0] == "send" and action[2]["type"] == "task"] == [(1, 0)]
+        assert core.tasks[0].attempts == 1 and 0 not in core.shards
 
 
-class _FakeShard(SimpleNamespace):
-    """Coordinator-side stand-in for a live shard: records what it is sent."""
+_OUTCOME = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}
+_SIX_ROWS = {"rows": [{"kind": "a", "dy": 1.0}] * 6, "fallback": False}
 
-    def __init__(self, shard_id: int) -> None:
-        super().__init__(id=shard_id, alive=True, pending={}, last_seen=0.0,
-                         stats=DispatchStats(), process=None, sent=[])
-
-    def send(self, message) -> int:
-        self.sent.append(message)
-        return 1
+#: Result outcomes the core must refuse for a two-chunk task at max_rows=5.
+_REFUSED = {"one_short": ([_OUTCOME], "1 outcomes for 2 chunks"),
+            "one_extra": ([_OUTCOME] * 3, "3 outcomes for 2 chunks"),
+            "max_rows_plus_one": ([_OUTCOME, _SIX_ROWS], "6 rows, over max_rows=5")}
 
 
 class TestResultShape:
-    """A result frame must carry one outcome per chunk of its task."""
+    """A result frame must carry one outcome per chunk of its task, none
+    over the stream's ``max_rows``; any other is an error from its owner."""
 
     @staticmethod
-    def _engine_with_task(max_task_retries: int = 3):
-        engine = ShardedEngine(2, max_task_retries=max_task_retries)
-        shards = [_FakeShard(0), _FakeShard(1)]
-        engine._shards.update(enumerate(shards))
-        task = _ShardTask(seq=9, specs=[[0, 0, 0.0, 30.0, 1, None, None],
-                                        [0, 1, 30.0, 60.0, 1, None, None]],
-                          payload_ref="unused", num_chunks=2)
-        engine._dispatch(task)
-        assert task.shard_id == 0 and shards[0].sent
-        return engine, shards, task
+    def _core_with_task(max_task_retries: int = 3):
+        core = _core(max_task_retries)
+        stream = core.open_stream()
+        actions = core.batch(stream, [[0, 0, 0.0, 30.0, 1, None, None],
+                                      [0, 1, 30.0, 60.0, 1, None, None]], "unused", 5, 0.0)
+        assert [(action[0], action[1]) for action in actions] == [("send", 0)]
+        return core, stream
 
-    @pytest.mark.parametrize("count", [1, 3], ids=["one_short", "one_extra"])
-    def test_a_misshapen_result_is_redispatched_not_applied(self, count):
-        engine, shards, task = self._engine_with_task()
-        outcome = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}
-        engine._handle_message(0, {"type": "result", "seq": 9,
-                                   "outcomes": [outcome] * count})
-        assert 9 not in engine._ready and 9 not in engine._failed
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_a_misshapen_result_is_redispatched_not_applied(self, case):
+        core, stream = self._core_with_task()
+        task = core.tasks[0]
+        actions = core.frame(0, {"type": "result", "seq": 0,
+                                 "outcomes": _REFUSED[case][0]}, 1.0)
+        assert 0 not in core.ready and 0 not in core.failed
         # Handled as an error from its owner: retried on the other shard.
+        assert [(kind, shard, message["seq"]) for kind, shard, message in actions] \
+            == [("send", 1, 0)]
         assert task.attempts == 1 and task.shard_id == 1
-        assert [message["seq"] for message in shards[1].sent] == [9]
-        assert shards[0].pending == {} and shards[1].pending == {9: task}
+        assert core.shards[0].pending == {} and core.shards[1].pending == {0: task}
         # The new owner's well-formed answer is the one applied.
-        engine._handle_message(1, {"type": "result", "seq": 9,
-                                   "outcomes": [outcome, outcome]})
-        assert len(engine._ready[9]) == 2 and engine._tasks == {}
+        assert core.frame(1, {"type": "result", "seq": 0,
+                              "outcomes": [_OUTCOME, _OUTCOME]}, 2.0) \
+            == [("ready", 0, 1, None)]
+        outcomes, failure = core.collect(stream)
+        assert [len(batch) for batch in outcomes] == [2] and failure is None
+        assert core.tasks == {}
 
-    def test_misshapen_results_exhaust_the_retries_then_fail_the_task(self):
-        engine, shards, task = self._engine_with_task(max_task_retries=1)
-        short = {"type": "result", "seq": 9,
-                 "outcomes": [{"rows": [], "fallback": False}]}
-        engine._handle_message(0, short)
-        engine._handle_message(0, short)  # stale: shard 0 no longer owns it
-        assert task.attempts == 1 and task.shard_id == 1
-        engine._handle_message(1, short)
-        assert 9 not in engine._ready
-        assert "1 outcomes for 2 chunks" in engine._failed[9]
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_misshapen_results_exhaust_the_retries_then_fail_the_stream(self, case):
+        core, stream = self._core_with_task(max_task_retries=1)
+        refused, reason = _REFUSED[case]
+        frame = {"type": "result", "seq": 0, "outcomes": refused}
+        core.frame(0, frame, 1.0)
+        assert core.frame(0, frame, 1.5) == []  # stale: shard 0 no longer owns it
+        assert core.tasks[0].attempts == 1 and core.tasks[0].shard_id == 1
+        (action,) = core.frame(1, frame, 2.0)
+        assert action[:2] == ("failed", 0) and reason in action[2]
+        assert 0 not in core.ready and core.tasks == {}
+        assert core.collect(stream) == ([], action[2])
+
+
+def _scripted_worker(reply):
+    """A transport factory whose far end is a thread standing in for a
+    worker: it answers pings and, after each task frame, sends whatever
+    bytes ``reply(tasks so far)`` returns, in one ``sendall``."""
+
+    def spawn() -> SocketTransport:
+        ours, theirs = socket.socketpair()
+
+        def play() -> None:
+            tasks = []
+            with theirs, theirs.makefile("rb") as rfile:
+                try:
+                    while (message := read_frame(rfile)) is not None:
+                        if message["type"] == "ping":
+                            theirs.sendall(encode_frame(
+                                {"type": "pong", "token": message["token"]}))
+                        elif message["type"] == "task":
+                            tasks.append(message)
+                            theirs.sendall(reply(tasks))
+                        elif message["type"] == "shutdown":
+                            return
+                except OSError:
+                    return  # the coordinator killed the connection
+
+        threading.Thread(target=play, daemon=True).start()
+        return SocketTransport(ours, "scripted")
+
+    return spawn
+
+
+TWO_CHUNKS = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=60.0)
+
+
+class TestTheOneWait:
+    """The shell: one wait over every shard socket, and no thread per shard."""
+
+    def test_two_results_in_one_recv_are_both_applied(self):
+        # Both results leave in one sendall, so they arrive in one recv; a
+        # shell that read one frame per readiness would strand the second in
+        # its buffer and, with pings an hour apart, never finish.
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        both = _scripted_worker(lambda tasks: b"" if len(tasks) < 2 else b"".join(
+            encode_frame(_handle_task(task)) for task in tasks))
+        result = {}
+        with ShardedEngine(transports=[both], chunksize=1,
+                           heartbeat_interval=3600.0) as engine:
+            def drive():
+                result["rows"] = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, TWO_CHUNKS), context))
+            driver = threading.Thread(target=drive, daemon=True)
+            driver.start()
+            driver.join(timeout=30.0)
+            assert not driver.is_alive(), "the stream never finished"
+        assert repr(result["rows"]) == repr(_serial_rows(
+            runner, iter_chunks(video, TWO_CHUNKS), context))
+
+    def test_rows_over_max_rows_never_reach_the_store(self, tmp_path):
+        # A worker answering max_rows + 1 rows is refused like an error
+        # frame on every retry; the stream fails and nothing is stored.
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+
+        def six_rows(tasks):
+            reply = _handle_task(tasks[-1])
+            for outcome in reply["outcomes"]:
+                outcome["rows"] = [{"kind": "person", "dy": 1.0}] * (runner.max_rows + 1)
+            return encode_frame(reply)
+
+        store = TieredChunkCache(disk=tmp_path / "store")
+        with ShardedEngine(transports=[_scripted_worker(six_rows)],
+                           chunksize=1) as engine:
+            with pytest.raises(RemoteShardError, match="over max_rows=5"):
+                list(runner.iter_chunk_rows(iter_chunks(video, TWO_CHUNKS), context,
+                                            engine=engine, cache=store))
+        assert store.disk.writes == 0 and len(store) == 0
+
+    def test_the_coordinator_runs_no_thread_per_shard(self):
+        # However many shards, a running stream starts no thread at all
+        # (threads of earlier tests may end meanwhile; none may begin).
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        for shards in (1, 3):
+            before = set(threading.enumerate())
+            with ShardedEngine(shards, chunksize=1) as engine:
+                stream = engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context)
+                next(stream)  # every shard spawned, the stream mid-flight
+                started = set(threading.enumerate()) - before
+                assert len(list(stream)) == 9
+            assert [thread.name for thread in started] == []
+
+    def test_a_delayed_result_holds_back_no_other_shard(self):
+        from repro.core.faults import FaultKind, FaultPlan, FaultRule
+
+        video = _walker_video()
+        schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
+        runner = SandboxRunner(SlowExecutable(simulated_runtime=0.0, real_sleep=0.05),
+                               schema, max_rows=5, timeout_seconds=30.0)
+        context = _context(video)
+        # The warm-up stream's four tasks alternate over the two shards, so
+        # shard 0's third result is the measured stream's first from it.
+        plan = FaultPlan(rules=(FaultRule(site="transport.worker0.result",
+                                          kind=FaultKind.DELAY, at=(2,), delay=1.0),))
+        injector = plan.injector()
+        applied = []  # (when, shard, seq) of every result the core applied
+        with ShardedEngine(2, chunksize=1, in_flight_window=10,
+                           fault_injector=injector) as engine:
+            warm_up = ChunkSpec(window=TimeInterval(0, 240), chunk_duration=60.0)
+            assert len(list(engine.imap_chunks(runner, iter_chunks(video, warm_up),
+                                               context))) == 4
+            apply = engine._apply
+
+            def recording(actions):
+                applied.extend((time.monotonic(), action[2], action[1])
+                               for action in actions if action[0] == "ready")
+                apply(actions)
+
+            engine._apply = recording
+            outcomes = list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                               context))
+        assert len(outcomes) == 10 and not any(outcome.fallback for outcome in outcomes)
+        (event,) = injector.fired
+        assert event.kind is FaultKind.DELAY
+        delivered = next(when for when, _, seq in applied if seq == event.seq)
+        # While shard 0's result was held back, shard 1's kept landing.
+        early = [seq for when, shard, seq in applied
+                 if shard == 1 and when < delivered - 0.5]
+        assert len(early) >= 3
 
 
 class TestCoordinatorOwnsTheStore:
@@ -1465,7 +1652,7 @@ class TestShardsAreReleased:
         transport = SocketTransport.spawn()
         try:
             transport.write({"type": "ping", "token": 3})
-            assert transport.read() == {"type": "pong", "token": 3}
+            assert _next_read(transport) == [{"type": "pong", "token": 3}]
             assert transport.is_alive()
         finally:
             transport.close()
@@ -1605,8 +1792,7 @@ class TestTransportSeam:
                            chunksize=1) as engine:
             stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
             outcomes = [next(stream)]
-            victim = next((shard for shard in engine._live_shards() if shard.pending),
-                          engine._live_shards()[0])
+            victim = _holding_work(engine) or engine._live_shards()[0]
             victim.transport.kill()
             outcomes.extend(stream)
         assert repr(_rows_of(outcomes)) == repr(reference)
@@ -1687,7 +1873,7 @@ class TestWorkerCommandLine:
         transport = SocketTransport(ours, "by-hand", process)
         try:
             transport.write({"type": "ping", "token": 5})
-            assert transport.read() == {"type": "pong", "token": 5}
+            assert _next_read(transport) == [{"type": "pong", "token": 5}]
             transport.close()
             assert process.returncode == 0
         finally:

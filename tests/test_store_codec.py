@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.cache as cache_module
 from repro.core.cache import (
+    ChunkResultCache,
     DiskChunkStore,
     TieredChunkCache,
     create_cache,
@@ -133,6 +134,15 @@ class TestExactRows:
         assert_rows_exact(reopened.get("c" * 16), rows)   # from disk, promoted
         assert_rows_exact(reopened.get("c" * 16), rows)   # from memory
         assert (reopened.disk.stats.hits, reopened.memory.stats.hits) == (1, 1)
+
+    def test_a_tiered_store_counts_its_entries_not_its_working_set(self, tmp_path):
+        # Five puts through a two-entry memory tier: the store holds five
+        # entries (as a disk store over the same directory counts them).
+        store = TieredChunkCache(memory=ChunkResultCache(max_entries=2), disk=tmp_path)
+        for index in range(5):
+            store.put(f"{index:x}" * 16, [{"x": index}])
+        assert len(store.memory) == 2
+        assert len(store) == len(DiskChunkStore(tmp_path)) == 5
 
 
 class TestCorruptEntries:

@@ -67,7 +67,7 @@ from repro.service import QueryService  # noqa: E402
 FAILURES: list[str] = []
 
 # Transport mayhem: dropped and torn result frames, sticky task writes.
-# Reader-thread arrival order is the OS scheduler's, so this plan asserts
+# Frame arrival order is the OS scheduler's, so this plan asserts
 # byte-identity and conservation, not an exact fired log.
 TRANSPORT_CHAOS = FaultPlan(name="transport-chaos", seed=11, rules=(
     FaultRule(site="transport.*.result", kind=FaultKind.DROP_FRAME,
