@@ -32,9 +32,7 @@ _EXPORTS = {
     "FaultRule": "repro.core.faults",
     "FaultyTransport": "repro.core.faults",
     "faulty_transport_factory": "repro.core.faults",
-    "BreakerState": "repro.core.resilience",
     "CancellationToken": "repro.core.resilience",
-    "CircuitBreaker": "repro.core.resilience",
     "ExecutionEngine": "repro.core.engine",
     "SerialEngine": "repro.core.engine",
     "ShardedEngine": "repro.core.remote",

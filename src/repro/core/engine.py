@@ -388,6 +388,10 @@ class _StreamBroadcast:
         return self._ref
 
 
+#: What a shard's result frame reports under ``stages`` (see ``core/remote.py``).
+_STAGE_NAMES = ("loads", "load_s", "execute_s")
+
+
 @dataclass
 class DispatchStats:
     """IPC accounting of the sharded engine, engine-wide and per shard.
@@ -417,9 +421,11 @@ class DispatchStats:
             self.payload_bytes_max = payload_bytes
 
     def record_stages(self, stages: Any) -> None:
-        """Add one result frame's stage times (anything else is ignored)."""
+        """Add one result frame's stage times: only the names a shard reports
+        (a frame is outside input, so any other name or value is ignored)."""
         if isinstance(stages, dict):
-            for name, value in stages.items():
+            for name in _STAGE_NAMES:
+                value = stages.get(name)
                 if isinstance(value, (int, float)):
                     self.stages[name] = self.stages.get(name, 0) + value
 
@@ -513,15 +519,15 @@ _ENGINE_FACTORIES: dict[str, Callable[[int | str | None], ExecutionEngine]] = {
 
 def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
     """Build an engine from a spec string (``serial``, ``thread[:N]``,
-    ``process[:N]``, ``sharded[:N]`` or ``sharded:tcp[:N]``; all but the
-    first name local shards).
+    ``process[:N]`` or ``sharded[:N]``; all but the first name local
+    shards).
 
     Passing an engine instance returns it unchanged; ``None`` or an empty
     string yields the default :class:`SerialEngine`.  The optional ``:N``
     suffix fixes the shard count (e.g. ``sharded:4``); ``process[:N]`` and
     ``thread[:N]`` are ``sharded[:N]`` under older names.
     A non-integer suffix is handed to the kind's factory verbatim (the
-    sharded engine takes ``tcp[:N]`` and rejects everything else).  This
+    sharded engine rejects it, naming the spec).  This
     is the value of the ``engine=`` argument of ``PrividSystem`` and of the
     ``PRIVID_ENGINE`` benchmark knob.
     """

@@ -48,7 +48,7 @@ Fault taxonomy (:class:`FaultKind`)
                   and discarded) while the connection stays up — the stall
                   only ``task_timeout`` redispatch recovers from.
 ``CONNECT_REFUSED`` a transport factory raises ``ConnectionRefusedError``
-                  (feeds the per-slot circuit breakers).
+                  (the slot stays empty until the next stream start).
 ``CRASH``         the far end is killed right after accepting a task frame
                   (``after_seq`` schedules "crash at seq N"; pair with
                   ``max_fires`` so the respawned shard survives the retry).
@@ -344,8 +344,8 @@ def faulty_transport_factory(factory: Any, injector: FaultInjector,
     """Wrap a transport factory so connects and frames go through the plan.
 
     Polls ``{site}.connect`` before construction (CONNECT_REFUSED raises
-    :class:`ConnectionRefusedError`, DELAY sleeps first — both feed the
-    circuit-breaker path exactly like a worker that cannot be started),
+    :class:`ConnectionRefusedError`, DELAY sleeps first — a refusal takes
+    the path of a worker that cannot be started),
     then wraps the built transport in a :class:`FaultyTransport`.
     """
 

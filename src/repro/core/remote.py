@@ -11,9 +11,9 @@ Each shard speaks a length-prefixed JSON protocol over a
 :class:`ShardTransport`.  One ships, :class:`SocketTransport`:
 :meth:`SocketTransport.spawn` starts this module's worker (``python -m
 repro.core.remote --fd N``) on the child end of a ``socketpair()``
-(``sharded[:N]``; ``process``, ``thread`` and ``sharded:tcp`` are older
-names).  Shards live and die with the coordinator, and nothing here opens,
-binds or dials a network socket.
+(``sharded[:N]``; ``process`` and ``thread`` are older names).  Shards
+live and die with the coordinator, and nothing here opens, binds or dials
+a network socket.
 
 Wire protocol
 =============
@@ -43,8 +43,9 @@ Shard -> coordinator:
 ``{"type": "result", "seq": S, "outcomes": [{"rows": [...], "fallback": F},
 ...], "stages": {...}}``
     One outcome per spec of task ``S``, in spec order; a frame with any
-    other number of outcomes, or an outcome over the stream's ``max_rows``,
-    is handled as an ``error`` for ``S``.  Rows are
+    other number of outcomes, an outcome of any other shape (``rows`` a
+    list of objects, ``fallback`` a bool) or one over the stream's
+    ``max_rows`` is handled as an ``error`` for ``S``.  Rows are
     the schema-coerced row dicts (JSON-safe by construction — the on-disk
     store serializes the very same shape); ``fallback`` marks crash/timeout
     default rows.  ``stages`` (optional) is where the task's seconds went on
@@ -71,13 +72,13 @@ scheduling rules as a state machine that reads no clock, socket or thread:
 it takes four events (a stream's batch is ready, a frame arrived, a shard's
 stream ended, a tick at ``now``) and returns actions (send a frame, kill a
 shard, a seq's outcomes are ready, a seq failed) and its next deadline.
-The shell owns the transports, the breakers, the publisher and one
-``selectors`` wait over every shard socket, run by whichever stream's
-thread is waiting for its head seq; there is no thread per shard.
+The shell owns the transports, the publisher and one ``selectors`` wait
+over every shard socket, run by whichever stream's thread is waiting for
+its head seq; there is no thread per shard.
 
 Results are applied *at most once*: a task retires with its first
-well-formed ``result`` frame — one outcome per chunk, none over the
-stream's ``max_rows`` — and any other result is handled like an ``error``
+well-formed ``result`` frame — one well-shaped outcome per chunk, none over
+the stream's ``max_rows`` — and any other result is handled like an ``error``
 from the task's owner.  Later frames for a retired seq (a reassigned task
 whose first shard was merely slow) are dropped.  Workers answer pings while
 tasks execute, so silence past ``heartbeat_timeout`` while holding work
@@ -121,7 +122,6 @@ from repro.core.engine import (
     execute_chunk,
 )
 from repro.core.faults import FaultInjector, faulty_transport_factory
-from repro.core.resilience import CircuitBreaker
 from repro.errors import RemoteShardError
 from repro.utils import checks
 
@@ -522,14 +522,20 @@ class _ShardState:
 def _result_problem(task: _ShardTask, outcomes: Any) -> str | None:
     """Why a result frame cannot be applied to ``task`` (None if it can):
     one outcome per chunk, or rows would shift onto the wrong chunks and into
-    the store under their keys; at most ``max_rows`` rows each, which every
-    sensitivity assumes."""
+    the store under their keys; each ``{"rows": [object, ...], "fallback":
+    bool}``, since the executable can write to the worker's socket; at most
+    ``max_rows`` rows each, which every sensitivity assumes."""
     count = len(outcomes) if isinstance(outcomes, list) else 0
     if count != len(task.specs):
         return f"result frame has {count} outcomes for {len(task.specs)} chunks"
     for index, outcome in enumerate(outcomes):
-        if len(outcome["rows"]) > task.max_rows:
-            return (f"result frame outcome {index} has {len(outcome['rows'])} rows, "
+        rows = outcome.get("rows") if isinstance(outcome, dict) else None
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
+                and isinstance(outcome.get("fallback"), bool)):
+            return (f"result frame outcome {index} is not "
+                    '{"rows": [object, ...], "fallback": bool}')
+        if len(rows) > task.max_rows:
+            return (f"result frame outcome {index} has {len(rows)} rows, "
                     f"over max_rows={task.max_rows}")
     return None
 
@@ -684,7 +690,7 @@ class _Dispatch:
                 return
             self._retire(task)
             self.ready[task.seq] = [
-                ChunkOutcome(rows=outcome["rows"], fallback=bool(outcome["fallback"]))
+                ChunkOutcome(rows=outcome["rows"], fallback=outcome["fallback"])
                 for outcome in outcomes]
             self._actions.append(("ready", task.seq, shard_id, message.get("stages")))
         elif kind == "error":
@@ -773,34 +779,31 @@ class ShardedEngine:
     byte-identical to serial) and the shell of the pure :class:`_Dispatch`
     core; ``docs/architecture.md`` has the batching, window and failure
     rules.  Each shard fills a *slot*: a transport factory
-    (:meth:`SocketTransport.spawn` unless ``transports`` names them) behind
-    its own circuit breaker.  Shards open on first use and persist until
-    :meth:`shutdown`; a dead one's slot is refilled at the next stream
-    start.  A shard silent past ``heartbeat_timeout`` (``startup_grace``
-    before its first frame) while holding work is killed, and its tasks are
-    redispatched up to ``max_task_retries`` times each before the owning
-    stream raises :class:`~repro.errors.RemoteShardError`; ``task_timeout``
-    (off by default) also redispatches a result overdue on a shard that
-    still answers pings (a lost frame).  ``chunksize`` fixes the per-task
-    batch; by default a ``count_hint`` cuts at ``count_hint // (4 *
-    shards)``, at most 8, and a stream without one ramps 1,1,2,2,4,4,8,8 on
-    two shards.  ``in_flight_window`` bounds chunks dispatched but not yet
-    yielded (default ``2 x shards x batch``).  Streams may be open at once
-    on one thread or several: the engine condition guards the core, the
-    shard table and the stats, and is never held across the wait or a yield.
+    (:meth:`SocketTransport.spawn` unless ``transports`` names them).
+    Shards open on first use and persist until :meth:`shutdown`; an empty
+    slot is refilled at the next stream start.  A shard silent past
+    ``heartbeat_timeout`` (``startup_grace`` before its first frame) while
+    holding work is killed, and its tasks are redispatched up to
+    ``max_task_retries`` times each before the owning stream raises
+    :class:`~repro.errors.RemoteShardError`; ``task_timeout`` (off by
+    default) also redispatches a result overdue on a shard that still
+    answers pings (a lost frame).  ``chunksize`` fixes the per-task batch;
+    by default a ``count_hint`` cuts at ``count_hint // (4 * shards)``, at
+    most 8, and a stream without one ramps 1,1,2,2,4,4,8,8 on two shards.
+    At most ``2 x shards x batch`` chunks are dispatched but not yet
+    yielded.  Streams may be open at once on one thread or several: the
+    engine condition guards the core, the shard table and the stats, and is
+    never held across the wait or a yield.
     """
 
     def __init__(self, num_shards: int | None = None, *,
                  transports: "list[Callable[[], ShardTransport]] | None" = None,
                  chunksize: int | None = None,
-                 in_flight_window: int | None = None,
                  heartbeat_interval: float = 0.5,
                  heartbeat_timeout: float | None = None,
                  startup_grace: float | None = None,
                  max_task_retries: int = 3,
                  task_timeout: float | None = None,
-                 breaker_threshold: int = 3,
-                 breaker_reset: float = 10.0,
                  fault_injector: "FaultInjector | None" = None) -> None:
         if transports is not None:
             if not transports:
@@ -819,27 +822,22 @@ class ShardedEngine:
         if startup_grace is None:
             startup_grace = _env_float("PRIVID_STARTUP_GRACE", 60.0)
         self.name = "sharded"
-        #: One transport factory per slot; slot N's breaker is ``slotN``.
+        #: One transport factory per slot.
         self._factories: list[Callable[[], ShardTransport]] = list(
             transports or [SocketTransport.spawn] * num_shards)
         self.chunksize = chunksize
-        self.in_flight_window = in_flight_window
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.startup_grace = startup_grace
         self.max_task_retries = max_task_retries
         self.task_timeout = task_timeout
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset = breaker_reset
-        for name in ("chunksize", "in_flight_window", "breaker_threshold"):
-            if getattr(self, name) is not None:
-                checks.count(name, getattr(self, name), ValueError, 1)
+        if chunksize is not None:
+            checks.count("chunksize", chunksize, ValueError, 1)
         checks.count("max_task_retries", max_task_retries, ValueError)
         for name in ("heartbeat_interval", "heartbeat_timeout", "startup_grace",
-                     "task_timeout", "breaker_reset"):
+                     "task_timeout"):
             if getattr(self, name) is not None:
                 checks.real(name, getattr(self, name), ValueError, above=0)
-        self._breakers: dict[str, CircuitBreaker] = {}
         #: Optional chaos seam (:meth:`set_fault_injector`).
         self._fault_injector = fault_injector
         #: Engine-wide IPC accounting (every task frame sent to any shard).
@@ -847,6 +845,7 @@ class ShardedEngine:
         self._shard_stats: dict[int, DispatchStats] = {}
         self._shards: dict[int, _Shard] = {}
         self._next_shard_id = 0
+        self._started = False  # a stream start has tried to fill the slots
         self._core = _Dispatch(heartbeat_interval=heartbeat_interval,
                                heartbeat_timeout=heartbeat_timeout,
                                startup_grace=startup_grace,
@@ -863,15 +862,9 @@ class ShardedEngine:
     # ------------------------------------------------------------- shard pool
 
     def _spawn_shard(self, slot: int) -> None:
-        """Fill one slot, unless its breaker is open or its factory fails.
-        A fault plan sees the Nth shard opened as ``transport.worker{N}``."""
-        label = f"slot{slot}"
-        breaker = self._breakers.setdefault(label, CircuitBreaker(
-            failure_threshold=self.breaker_threshold, reset_timeout=self.breaker_reset))
-        if not breaker.allow():
-            warnings.warn(f"shard {label!r} skipped: circuit breaker "
-                          "open after repeated failures", RuntimeWarning, stacklevel=2)
-            return
+        """Fill one slot, unless its factory fails (a warning; the slot is
+        tried again at the next stream start).  A fault plan sees the Nth
+        shard opened as ``transport.worker{N}``."""
         factory = self._factories[slot]
         if self._fault_injector is not None:
             factory = faulty_transport_factory(factory, self._fault_injector,
@@ -879,11 +872,9 @@ class ShardedEngine:
         try:
             transport = factory()
         except OSError as exc:
-            breaker.record_failure()
             warnings.warn(f"shard slot {slot} is unreachable: {exc}",
                           RuntimeWarning, stacklevel=2)
             return
-        breaker.record_success()
         shard_id = self._next_shard_id
         self._next_shard_id += 1
         self._shard_stats.setdefault(shard_id, DispatchStats())
@@ -896,6 +887,7 @@ class ShardedEngine:
         streams — an EOF on a socket, an exited worker — then refill every
         empty slot once.  A slot that cannot be filled is tried again at the
         next stream start; only zero live shards is an error."""
+        self._started = True
         now = time.monotonic()
         if not self._waiting:  # else the thread in the wait reads every socket
             for shard in self._live_shards():
@@ -998,11 +990,6 @@ class ShardedEngine:
         return max(1, min(_MAX_SHARDED_CHUNKSIZE,
                           count_hint // (4 * self.num_shards)))
 
-    def _window(self, batch_size: int) -> int:
-        if self.in_flight_window is not None:
-            return max(self.in_flight_window, batch_size)
-        return 2 * self.num_shards * batch_size
-
     def imap_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
                     context: "ExecutionContext", *,
                     count_hint: int | None = None) -> Iterator[ChunkOutcome]:
@@ -1031,14 +1018,10 @@ class ShardedEngine:
         ramp_to = 0  # the batch this stream doubles up to; 0 when it is fixed
         if batch_size is None:
             # Unknown length: ramp (class docstring) — a function of how
-            # many tasks went out, never of when results came back.  A
-            # caller-given window keeps room for ``2 x shards`` tasks.
-            batch_size = 1
-            ramp_to = _MAX_SHARDED_CHUNKSIZE if self.in_flight_window is None \
-                else min(_MAX_SHARDED_CHUNKSIZE,
-                         self.in_flight_window // (2 * self.num_shards))
+            # many tasks went out, never of when results came back.
+            batch_size, ramp_to = 1, _MAX_SHARDED_CHUNKSIZE
         sent = 0  # tasks this stream dispatched
-        window = self._window(batch_size)
+        window = 2 * self.num_shards * batch_size
         stream = chain((first, second), iterator)
         in_flight = 0  # chunks dispatched but not yet yielded
         exhausted = False
@@ -1060,7 +1043,7 @@ class ShardedEngine:
                     sent += 1
                     if batch_size < ramp_to and sent % self.num_shards == 0:
                         batch_size = min(2 * batch_size, ramp_to)
-                        window = self._window(batch_size)
+                        window = 2 * self.num_shards * batch_size
                 with self._cond:
                     completed, failure = self._core.collect(stream_id)
                 for outcomes in completed:
@@ -1093,32 +1076,25 @@ class ShardedEngine:
             self._fault_injector = injector
 
     def health(self) -> dict[str, Any]:
-        """Shard-pool liveness for ``service.health()``: ``degraded`` once
+        """Shard-pool liveness for ``service.health()``: ``degraded`` while
         the used pool is below strength (shards alive to the core and to
-        their transport's probe) or any slot's breaker is not closed."""
+        their transport's probe)."""
         with self._cond:
             live = sum(1 for shard in self._live_shards() if shard.transport.is_alive())
-            breakers = {label: breaker.state_dict()
-                        for label, breaker in sorted(self._breakers.items())}
-            started = self._next_shard_id > 0
-            degraded = (started and live < self.num_shards) or any(
-                entry["state"] != "closed" for entry in breakers.values())
             return {"engine": self.name, "num_shards": self.num_shards,
                     "live_shards": live, "pending_tasks": len(self._core.tasks),
-                    "started": started, "degraded": degraded,
-                    "breakers": breakers}
+                    "started": self._started,
+                    "degraded": self._started and live < self.num_shards}
 
     def dispatch_stats_dict(self) -> dict[str, Any]:
         """Engine-wide dispatch counters plus a ``per_shard`` breakdown that
         survives shard death and replacement (``engine_stats()``'s
-        ``dispatch`` section), and the per-slot ``breakers``."""
+        ``dispatch`` section)."""
         with self._cond:
             return {**self.dispatch_stats.as_dict(),
                     "per_shard": {str(shard_id): stats.as_dict()
                                   for shard_id, stats in sorted(self._shard_stats.items())
-                                  if stats.dispatches or stats.chunks},
-                    "breakers": {label: breaker.state_dict()
-                                 for label, breaker in sorted(self._breakers.items())}}
+                                  if stats.dispatches or stats.chunks}}
 
     def shutdown(self) -> None:
         """Terminate every shard worker and unlink what the engine published
@@ -1143,21 +1119,12 @@ class ShardedEngine:
 def sharded_engine_from_spec(suffix: int | str | None) -> ShardedEngine:
     """Build a :class:`ShardedEngine` from the ``sharded:`` spec suffix.
 
-    ``None`` / ``N`` / ``tcp`` / ``tcp:N`` — N local shards (``sharded``,
-    ``sharded:4``; ``sharded:tcp[:N]`` is an older name of the same).  Any
+    ``None`` / ``N`` — N local shards (``sharded``, ``sharded:4``).  Any
     other suffix, a ``HOST:PORT`` list among them, is a :class:`ValueError`:
     no shard is ever dialed.
     """
     if suffix is None or isinstance(suffix, int):
         return ShardedEngine(suffix)
-    kind, _, count_text = suffix.partition(":")
-    if kind == "tcp":
-        try:
-            count = int(count_text) if count_text else None
-        except ValueError:
-            raise ValueError(
-                f"invalid sharded:tcp worker count {count_text!r}") from None
-        return ShardedEngine(count)
     raise ValueError(f"invalid sharded engine spec 'sharded:{suffix}': "
                      "shards are local ('sharded[:N]'); none is dialed")
 

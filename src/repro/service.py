@@ -504,10 +504,10 @@ class QueryService:
     def health(self) -> dict[str, Any]:
         """A liveness/degradation snapshot suitable for an ops probe.
 
-        ``status`` is ``"ok"``, ``"degraded"`` (the engine lost shards or
-        tripped a circuit breaker, or the store's directory stopped being
-        writable — the service still answers queries, possibly more slowly
-        or with cold caches), or ``"closed"``.  ``queries`` splits ``active``
+        ``status`` is ``"ok"``, ``"degraded"`` (the engine is short of
+        shards, or the store's directory stopped being writable — the
+        service still answers queries, possibly more slowly or with cold
+        caches), or ``"closed"``.  ``queries`` splits ``active``
         into ``running`` (holding one of the ``capacity`` slots) and
         ``queued`` (waiting for a slot, bounded by ``queue_limit``).
 

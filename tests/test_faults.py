@@ -2,8 +2,8 @@
 
 The contract under test: fault decisions are pure functions of the seeded
 :class:`FaultPlan` (same plan + same seed → same fault sequence), the
-resilience primitives (retry backoff, circuit breaker, cancellation token)
-behave per their state machines under an injectable clock, and the system
+cancellation token behaves per its state machine under an injectable
+clock, and the system
 degrades the way the failure model promises — store faults become counted
 misses, an engine lost mid-stream falls back to byte-identical serial
 re-execution, a cancelled query never charges a ledger.
@@ -24,11 +24,7 @@ from repro.core.faults import (
     FaultyTransport,
     faulty_transport_factory,
 )
-from repro.core.resilience import (
-    BreakerState,
-    CancellationToken,
-    CircuitBreaker,
-)
+from repro.core.resilience import CancellationToken
 from repro.core.policy import PrivacyPolicy
 from repro.errors import (
     QueryCancelledError,
@@ -179,60 +175,6 @@ class TestFaultInjector:
 
 
 # -------------------------------------------------------------- resilience
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, threshold=3, reset=10.0):
-        return CircuitBreaker(failure_threshold=threshold, reset_timeout=reset,
-                              clock=clock)
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = _FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow()
-
-    def test_success_zeroes_the_failure_run(self):
-        clock = _FakeClock()
-        breaker = self._breaker(clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_half_open_admits_exactly_one_probe(self):
-        clock = _FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # everyone else waits for its verdict
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow()
-
-    def test_failed_probe_reopens_and_restarts_the_clock(self):
-        clock = _FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()  # probe failed: straight back to OPEN
-        assert breaker.state is BreakerState.OPEN
-        clock.advance(9.0)
-        assert not breaker.allow()
-        clock.advance(1.0)
-        assert breaker.allow()
-        assert breaker.state_dict()["opens"] == 2
-        assert breaker.state_dict()["probes"] == 2
 
 
 class TestCancellationToken:

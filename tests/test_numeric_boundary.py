@@ -26,7 +26,6 @@ from repro.core import (
     BudgetRequest,
     CameraRegistration,
     CancellationToken,
-    CircuitBreaker,
     FaultKind,
     FrameBudgetLedger,
     LaplaceMechanism,
@@ -130,15 +129,7 @@ class TestIntervals:
 
 
 class TestResilienceAndShardTiming:
-    """Each of these used to construct: a NaN reset timeout kept a breaker
-    open forever, a NaN deadline never fired."""
-
-    @pytest.mark.parametrize("field,value", [
-        ("failure_threshold", True), ("failure_threshold", 2.5),
-        ("reset_timeout", NAN), ("reset_timeout", INF), ("reset_timeout", 0.0)])
-    def test_circuit_breaker(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            CircuitBreaker(**{field: value})
+    """Each of these used to construct: a NaN deadline never fired."""
 
     @pytest.mark.parametrize("seconds", [NAN, INF, -1.0, True])
     def test_cancellation_deadline(self, seconds):
@@ -149,8 +140,8 @@ class TestResilienceAndShardTiming:
 
     @pytest.mark.parametrize("field,value", [
         ("heartbeat_interval", NAN), ("heartbeat_timeout", NAN), ("startup_grace", INF),
-        ("task_timeout", NAN), ("breaker_reset", NAN), ("breaker_threshold", True),
-        ("max_task_retries", 1.5), ("chunksize", 2.5), ("in_flight_window", 0)])
+        ("task_timeout", NAN), ("max_task_retries", 1.5), ("chunksize", 2.5),
+        ("chunksize", 0)])
     def test_sharded_engine(self, field, value):
         with pytest.raises(ValueError, match=field):
             ShardedEngine(2, **{field: value})
@@ -239,7 +230,7 @@ def _numeric(parameter: inspect.Parameter) -> "re.Match | None":
 VALID = {
     "rho": 2.0, "total_epsilon": 1.0, "epsilon": 0.5, "start": 0.0, "end": 10.0,
     "probability": 0.5, "after_seq": 3, "max_fires": 2, "delay": 0.01,
-    "chunksize": 2, "in_flight_window": 4, "num_shards": 2,
+    "chunksize": 2, "num_shards": 2,
     "heartbeat_timeout": 5.0, "startup_grace": 5.0, "task_timeout": 5.0,
     "alpha": 0.05, "actual_rho": 4.0, "bounded_rho": 2.0, "chunk_duration": 5.0,
     "default_sample_period": 0.5, "seconds": 1.0, "margin": 0.5, "sensitivity": 2.0,
@@ -341,7 +332,7 @@ def valid(tmp_path: Path):
 class TestPublicSurface:
     def test_the_walk_covers_the_exports(self):
         names = set(_surface())
-        assert {"PrivacyPolicy", "FrameBudgetLedger", "BudgetRequest", "CircuitBreaker",
+        assert {"PrivacyPolicy", "FrameBudgetLedger", "BudgetRequest",
                 "ShardedEngine", "effective_epsilon", "CameraRegistration",
                 "DetectorConfig", "PortoConfig"} <= names
         assert set(NOT_PROBED) <= names

@@ -309,15 +309,11 @@ class TestEngineRegistry:
         with pytest.raises(ValueError):
             create_engine("process:tcp")  # the alias names local shards only
 
-    def test_invalid_tcp_specs_are_rejected(self):
-        with pytest.raises(ValueError):
-            create_engine("sharded:tcp:zero-ish")
-        with pytest.raises(ValueError):
-            create_engine("sharded:tcp:0")
-
     @pytest.mark.parametrize("spec", ["sharded:127.0.0.1:9101",
                                       "sharded:hosta:9101,hostb:9101",
-                                      "sharded:[::1]:7000", "sharded:justahost"])
+                                      "sharded:[::1]:7000", "sharded:justahost",
+                                      # ``tcp`` was an older name of local shards.
+                                      "sharded:tcp", "sharded:tcp:2"])
     def test_an_address_spec_is_refused_by_name(self, spec):
         # No shard is ever dialed: an address is an error at construction,
         # not a connection attempt at first use.
@@ -340,26 +336,16 @@ class TestEngineRegistry:
         with pytest.raises(ValueError):
             ShardedEngine(transports=[])
 
-    def test_tcp_is_an_older_name_of_local_shards(self):
-        engine = create_engine("sharded:tcp:2")
-        assert isinstance(engine, ShardedEngine) and engine.num_shards == 2
-        assert engine._factories == [SocketTransport.spawn] * 2
-        engine.shutdown()  # shards are spawned lazily; nothing to kill yet
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ShardedEngine(0)
         with pytest.raises(ValueError):
             ShardedEngine(2, chunksize=0)
         with pytest.raises(ValueError):
-            ShardedEngine(2, in_flight_window=-1)
-        with pytest.raises(ValueError):
             ShardedEngine(2, heartbeat_interval=0.0)
 
-
     @pytest.mark.parametrize("spec, shards", [
-        ("sharded:1", 1), ("sharded:3", 3), ("sharded:tcp", None),
-        ("sharded:tcp:3", 3), ("process:2", 2), ("thread:2", 2),
+        ("sharded:1", 1), ("sharded:3", 3), ("process:2", 2), ("thread:2", 2),
         ("process", None), (" Sharded:2 ", 2),
     ])
     def test_a_local_spec_names_lazily_spawned_shards(self, spec, shards):
@@ -420,11 +406,11 @@ class TestShardedStreaming:
                                     state["pulled"] - state["consumed"])
                 yield chunk
 
-        with ShardedEngine(2, chunksize=2, in_flight_window=4) as engine:
+        with ShardedEngine(2, chunksize=2) as engine:
             for _ in engine.imap_chunks(runner, instrumented(), context):
                 state["consumed"] += 1
         assert state["pulled"] == count_chunks(video, spec) == 20
-        assert state["peak"] <= 4
+        assert state["peak"] <= 8  # 2 x shards x batch
 
     def test_interleaved_streams_share_the_shard_pool(self, footage_pickles):
         # The executor round-robins PROCESS statements through one engine;
@@ -602,12 +588,13 @@ class TestUnhintedRamp:
             assert _in_seq_order(sizes) == [1] * 30
             assert engine.dispatch_stats.dispatches == 30
 
-    @pytest.mark.parametrize("window, bound, expected", [
-        (4, 4, [1] * 60),                                   # 2 x shards tasks of one
-        (16, 16, [1, 1, 2, 2] + [4] * 13 + [2]),            # ... of four
-        (None, 32, [1, 1, 2, 2, 4, 4, 8, 8, 8, 8, 8, 6]),   # what an 8-batch holds
+    @pytest.mark.parametrize("shards, expected", [
+        # The batch doubles after every ``shards`` tasks, up to 8 chunks.
+        (1, [1, 2, 4] + [8] * 6 + [5]),
+        (2, [1, 1, 2, 2, 4, 4, 8, 8, 8, 8, 8, 6]),
+        (3, [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8, 8, 8, 7]),
     ])
-    def test_a_ramp_never_exceeds_the_window(self, window, bound, expected):
+    def test_a_ramp_never_exceeds_the_window(self, shards, expected):
         video = _walker_video(duration=900.0)
         spec = ChunkSpec(window=TimeInterval(0, 900), chunk_duration=15.0)
         runner, context = _runner(), _context(video)
@@ -620,12 +607,12 @@ class TestUnhintedRamp:
                                     state["pulled"] - state["consumed"])
                 yield chunk
 
-        with ShardedEngine(2, in_flight_window=window) as engine:
+        with ShardedEngine(shards) as engine:
             sizes = _task_sizes(engine)
             for _ in engine.imap_chunks(runner, instrumented(), context):
                 state["consumed"] += 1
         assert state["pulled"] == 60
-        assert state["peak"] <= bound
+        assert state["peak"] <= 2 * shards * 8  # what 2 x shards tasks of 8 hold
         assert _in_seq_order(sizes) == expected
 
     def test_shard_crashed_mid_ramp_yields_the_serial_bytes(self):
@@ -1074,6 +1061,18 @@ class TestShardStageTimes:
         assert stats["stages"]["execute_s"] > 0
 
 
+    def test_only_the_known_stage_names_are_summed(self):
+        # A result frame is outside input: the executable can write to its
+        # worker's socket, so a frame naming other stages must add no keys.
+        stats = DispatchStats()
+        for index in range(3):
+            stats.record_stages({"loads": 1, "load_s": 0.5, "execute_s": 0.25,
+                                 f"extra_{index}": 1.0, index: 2.0, "rows": [1]})
+        stats.record_stages({"execute_s": "0.5", "load_s": None})
+        stats.record_stages(["loads", 1])
+        assert stats.stages == {"loads": 3, "load_s": 1.5, "execute_s": 0.75}
+
+
 class TestShardedSystemParity:
     def test_query_byte_identical_to_serial(self):
         video = _walker_video()
@@ -1286,15 +1285,26 @@ class TestDispatchCore:
 _OUTCOME = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}
 _SIX_ROWS = {"rows": [{"kind": "a", "dy": 1.0}] * 6, "fallback": False}
 
+_NOT_AN_OUTCOME = 'outcome 1 is not {"rows": [object, ...], "fallback": bool}'
+
 #: Result outcomes the core must refuse for a two-chunk task at max_rows=5.
 _REFUSED = {"one_short": ([_OUTCOME], "1 outcomes for 2 chunks"),
             "one_extra": ([_OUTCOME] * 3, "3 outcomes for 2 chunks"),
-            "max_rows_plus_one": ([_OUTCOME, _SIX_ROWS], "6 rows, over max_rows=5")}
+            "max_rows_plus_one": ([_OUTCOME, _SIX_ROWS], "6 rows, over max_rows=5"),
+            "outcome_not_object": ([_OUTCOME, [{"kind": "a"}]], _NOT_AN_OUTCOME),
+            "rows_missing": ([_OUTCOME, {"fallback": False}], _NOT_AN_OUTCOME),
+            "rows_not_list": ([_OUTCOME, {"rows": {"kind": "a"}, "fallback": False}],
+                              _NOT_AN_OUTCOME),
+            "row_not_object": ([_OUTCOME, {"rows": [1, 2], "fallback": False}],
+                               _NOT_AN_OUTCOME),
+            "fallback_missing": ([_OUTCOME, {"rows": []}], _NOT_AN_OUTCOME)}
 
 
 class TestResultShape:
-    """A result frame must carry one outcome per chunk of its task, none
-    over the stream's ``max_rows``; any other is an error from its owner."""
+    """A result frame must carry one ``{"rows": [object, ...], "fallback":
+    bool}`` outcome per chunk of its task, none over the stream's
+    ``max_rows``; any other is an error from its owner, never an exception
+    (the executable can write to its worker's socket)."""
 
     @staticmethod
     def _core_with_task(max_task_retries: int = 3):
@@ -1396,22 +1406,26 @@ class TestTheOneWait:
         assert repr(result["rows"]) == repr(_serial_rows(
             runner, iter_chunks(video, TWO_CHUNKS), context))
 
-    def test_rows_over_max_rows_never_reach_the_store(self, tmp_path):
-        # A worker answering max_rows + 1 rows is refused like an error
+    @pytest.mark.parametrize("rows, reason", [
+        ([{"kind": "person", "dy": 1.0}] * 6, "over max_rows=5"),
+        ([1, 2], "is not "),
+    ], ids=["max_rows_plus_one", "row_not_object"])
+    def test_refused_rows_never_reach_the_store(self, rows, reason, tmp_path):
+        # A worker answering rows the core refuses is handled like an error
         # frame on every retry; the stream fails and nothing is stored.
         video = _walker_video()
         runner, context = _runner(), _context(video)
 
-        def six_rows(tasks):
+        def reply_with_rows(tasks):
             reply = _handle_task(tasks[-1])
             for outcome in reply["outcomes"]:
-                outcome["rows"] = [{"kind": "person", "dy": 1.0}] * (runner.max_rows + 1)
+                outcome["rows"] = rows
             return encode_frame(reply)
 
         store = TieredChunkCache(disk=tmp_path / "store")
-        with ShardedEngine(transports=[_scripted_worker(six_rows)],
+        with ShardedEngine(transports=[_scripted_worker(reply_with_rows)],
                            chunksize=1) as engine:
-            with pytest.raises(RemoteShardError, match="over max_rows=5"):
+            with pytest.raises(RemoteShardError, match=reason):
                 list(runner.iter_chunk_rows(iter_chunks(video, TWO_CHUNKS), context,
                                             engine=engine, cache=store))
         assert store.disk.writes == 0 and len(store) == 0
@@ -1444,8 +1458,7 @@ class TestTheOneWait:
                                           kind=FaultKind.DELAY, at=(2,), delay=1.0),))
         injector = plan.injector()
         applied = []  # (when, shard, seq) of every result the core applied
-        with ShardedEngine(2, chunksize=1, in_flight_window=10,
-                           fault_injector=injector) as engine:
+        with ShardedEngine(2, chunksize=1, fault_injector=injector) as engine:
             warm_up = ChunkSpec(window=TimeInterval(0, 240), chunk_duration=60.0)
             assert len(list(engine.imap_chunks(runner, iter_chunks(video, warm_up),
                                                context))) == 4
@@ -1463,10 +1476,12 @@ class TestTheOneWait:
         (event,) = injector.fired
         assert event.kind is FaultKind.DELAY
         delivered = next(when for when, _, seq in applied if seq == event.seq)
-        # While shard 0's result was held back, shard 1's kept landing.
-        early = [seq for when, shard, seq in applied
-                 if shard == 1 and when < delivered - 0.5]
-        assert len(early) >= 3
+        # While shard 0's result was held back, the rest of the window (2 x
+        # shards tasks of one) landed: shard 1's tasks and shard 0's next.
+        early = [(seq, shard) for when, shard, seq in applied
+                 if when < delivered - 0.5]
+        assert sorted(early) == [(event.seq + 1, 1), (event.seq + 2, 0),
+                                 (event.seq + 3, 1)]
 
 
 class TestCoordinatorOwnsTheStore:
@@ -1511,8 +1526,7 @@ class TestResilienceControls:
             # A lazy pool that has never spawned is empty but NOT degraded.
             assert health == {"engine": "sharded", "num_shards": 2,
                               "live_shards": 0, "pending_tasks": 0,
-                              "started": False, "degraded": False,
-                              "breakers": {}}
+                              "started": False, "degraded": False}
             list(engine.imap_chunks(runner, iter_chunks(video, spec), context))
             health = engine.health()
             assert health["started"] and health["live_shards"] == 2
@@ -1523,36 +1537,50 @@ class TestResilienceControls:
                 shard.process.wait()
             assert engine.health()["degraded"]
 
-    def test_refusing_endpoints_trip_the_breaker(self):
+    def test_a_refusing_slot_is_retried_at_every_stream_start(self):
+        # Each stream start that finds the slot empty calls its factory once;
+        # a refusal warns and leaves the stream to the surviving shard.
         video = _walker_video()
-        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
         calls = []
 
-        def refusing():
-            calls.append(1)
-            raise ConnectionRefusedError("daemon down")
+        def refuses_five_times():
+            calls.append(len(calls))
+            if len(calls) <= 5:
+                raise ConnectionRefusedError(f"refusal {len(calls)}")
+            return SocketTransport.spawn()
 
-        engine = ShardedEngine(transports=[refusing], breaker_threshold=2,
-                               breaker_reset=60.0)
-        with engine:
-            for _ in range(2):  # two real dial failures reach the threshold
-                with pytest.warns(RuntimeWarning, match="unreachable"), \
-                        pytest.raises(RemoteShardError):
-                    list(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                            context))
-            assert len(calls) == 2
-            # The breaker is now open: the endpoint is skipped WITHOUT
-            # dialing until the reset timeout passes.
-            with pytest.warns(RuntimeWarning, match="circuit breaker open"), \
-                    pytest.raises(RemoteShardError):
-                list(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                        context))
-            assert len(calls) == 2  # no third dial absorbed
+        with ShardedEngine(transports=[SocketTransport.spawn,
+                                       refuses_five_times]) as engine:
+            for stream in range(1, 6):
+                with pytest.warns(RuntimeWarning) as caught:
+                    rows = _rows_of(engine.imap_chunks(
+                        runner, iter_chunks(video, TEN_CHUNKS), context))
+                assert [str(warning.message) for warning in caught] \
+                    == [f"shard slot 1 is unreachable: refusal {stream}"]
+                assert len(calls) == stream
+                assert repr(rows) == repr(reference)
+                assert engine.health()["degraded"]
+            rows = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+                                               context))
             health = engine.health()
-            assert health["degraded"]
-            assert health["breakers"]["slot0"]["state"] == "open"
-            assert health["breakers"]["slot0"]["opens"] == 1
+        assert len(calls) == 6 and repr(rows) == repr(reference)
+        assert health["live_shards"] == 2 and not health["degraded"]
+
+    def test_a_pool_no_slot_of_which_opens_reads_degraded(self):
+        video = _walker_video()
+
+        def refusing():
+            raise ConnectionRefusedError("no worker")
+
+        with ShardedEngine(transports=[refusing]) as engine:
+            with pytest.warns(RuntimeWarning, match="slot 0 is unreachable"), \
+                    pytest.raises(RemoteShardError, match="no shard could be opened"):
+                list(engine.imap_chunks(_runner(), iter_chunks(video, TEN_CHUNKS),
+                                        _context(video)))
+            health = engine.health()
+        assert health["started"] and health["live_shards"] == 0 and health["degraded"]
 
     def test_heartbeat_timing_is_env_configurable(self, monkeypatch):
         monkeypatch.setenv("PRIVID_HEARTBEAT_TIMEOUT", "3.5")
@@ -1718,8 +1746,7 @@ def seam_pool():
 class TestTransportSeam:
     """An engine given its transport factories (``transports=``) runs like
     ``sharded:N``: byte-identical to serial, payloads in shared memory, each
-    dead slot refilled from its own factory, each slot behind its own
-    breaker."""
+    dead slot refilled from its own factory."""
 
     def test_stream_byte_identical_to_serial(self, seam_pool):
         video = _walker_video()
@@ -1835,18 +1862,30 @@ class TestTransportSeam:
             health = engine.health()
         assert repr(rows) == repr(reference)
         assert health["live_shards"] == 1 and health["degraded"]
-        assert health["breakers"]["slot0"]["consecutive_failures"] == 0
-        assert health["breakers"]["slot1"]["consecutive_failures"] == 1
 
     @pytest.mark.parametrize("slots", [1, 2, 3])
-    def test_every_slot_has_its_own_closed_breaker(self, slots):
+    def test_every_slot_is_opened_once_and_given_work(self, slots):
+        # The first stream start fills each slot from its own factory, and the
+        # least-loaded hand-out gives every shard a task; a second stream
+        # finds every slot live and calls no factory.
         video = _walker_video()
         runner, context = _runner(), _context(video)
-        with ShardedEngine(transports=[SocketTransport.spawn] * slots) as engine:
-            list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
-            breakers = engine.dispatch_stats_dict()["breakers"]
-        assert sorted(breakers) == [f"slot{slot}" for slot in range(slots)]
-        assert {entry["state"] for entry in breakers.values()} == {"closed"}
+        calls = []
+
+        def factory(slot):
+            def spawn():
+                calls.append(slot)
+                return SocketTransport.spawn()
+            return spawn
+
+        with ShardedEngine(transports=[factory(slot) for slot in range(slots)]) as engine:
+            for _ in range(2):
+                list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
+            per_shard = engine.dispatch_stats_dict()["per_shard"]
+            health = engine.health()
+        assert calls == list(range(slots))
+        assert sorted(per_shard) == [str(shard_id) for shard_id in range(slots)]
+        assert health["live_shards"] == slots and not health["degraded"]
 
 
 class TestWorkerCommandLine:

@@ -179,11 +179,10 @@ class TestStreamingEngines:
         if shutdown:
             shutdown()
 
-    @pytest.mark.parametrize("engine,window", [
-        (ShardedEngine(2, chunksize=1), 4),  # 2 x shards x batch
-        (ShardedEngine(2, chunksize=1, in_flight_window=3), 3),
-    ])
-    def test_in_flight_window_bounds_materialized_chunks(self, engine, window):
+    @pytest.mark.parametrize("shards, chunksize", [(2, 1), (3, 1), (2, 2)])
+    def test_in_flight_window_bounds_materialized_chunks(self, shards, chunksize):
+        engine = ShardedEngine(shards, chunksize=chunksize)
+        window = 2 * shards * chunksize
         video = _walker_video(num_walkers=3)
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=30.0)
         runner, context = _runner(), _context(video)

@@ -79,8 +79,9 @@ TRANSPORT_CHAOS = FaultPlan(name="transport-chaos", seed=11, rules=(
 ))
 
 # A shard worker dies right after accepting protocol seq 4, and the first
-# respawn attempt is refused (feeding the slot's circuit breaker).  The crash
-# trigger is a pure function of the seq, so the fired schedule must replay.
+# respawn attempt is refused (the slot stays empty until the next stream
+# start refills it).  The crash trigger is a pure function of the seq, so
+# the fired schedule must replay.
 WORKER_CRASH = FaultPlan(name="worker-crash", seed=23, rules=(
     FaultRule(site="transport.*.task", kind=FaultKind.CRASH, after_seq=4),
     FaultRule(site="transport.worker2.connect", kind=FaultKind.CONNECT_REFUSED,
@@ -230,8 +231,7 @@ def run_chaos(scenario, policy_map, plan: FaultPlan):
     injector = plan.injector()
     store_dir = tempfile.mkdtemp(prefix=f"privid-chaos-{plan.name}-")
     engine = ShardedEngine(2, chunksize=1, heartbeat_interval=0.2,
-                           task_timeout=2.0, max_task_retries=5,
-                           breaker_reset=0.5)
+                           task_timeout=2.0, max_task_retries=5)
     try:
         with QueryService(seed=3, engine=engine, cache=f"tiered:{store_dir}",
                           on_engine_failure="serial_fallback",
@@ -426,7 +426,7 @@ def main() -> int:
         logs = []
         for attempt in range(2):
             with warnings.catch_warnings():
-                # Chaos runs warn by design (dead shards, open breakers,
+                # Chaos runs warn by design (dead shards, refused respawns,
                 # serial fallback); the checks below are the signal.
                 warnings.simplefilter("ignore", RuntimeWarning)
                 outputs, budgets, injector, health, dispatch, store_dir = run_chaos(
