@@ -23,9 +23,8 @@ SEGMENT_SECONDS = 600.0
 def test_tables4_5_tracker_tuning(benchmark, primary_scenarios, name):
     scenario = primary_scenarios[name]
     detector = SyntheticDetector(scenario.detector_config, seed=0)
-    frames = list(scenario.video.frames(TimeInterval(0.0, SEGMENT_SECONDS), sample_period=1.0))
-    detections = [[det for det in detector.detect_frame(frame)
-                   if det.category in ("person", "car")] for frame in frames]
+    frames = scenario.video.frame_batch(TimeInterval(0.0, SEGMENT_SECONDS), sample_period=1.0)
+    detections = detector.detect_batch(frames, categories=("person", "car"))
     window_objects = scenario.video.objects_overlapping(TimeInterval(0.0, SEGMENT_SECONDS))
 
     def run():

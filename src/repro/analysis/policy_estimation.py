@@ -5,6 +5,11 @@ with a candidate mask applied) and takes a conservative estimate of the
 maximum persistence as rho.  Even with substantial detection misses the
 estimate is conservative because the tracker bridges gaps and the estimate is
 padded by the tracker's gap-bridging window on either side.
+
+The footage runs the path every query's chunks run — render a
+:class:`~repro.video.video.FrameBatch`, mask it, ``detect_batch``,
+``step_batch`` — one block of frames at a time; the tracks come back as
+:class:`~repro.cv.tracker.TrackView` objects.
 """
 
 from __future__ import annotations
@@ -12,18 +17,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.policy import MaskPolicyMap, PrivacyPolicy
-from repro.cv.detector import DetectorConfig, SyntheticDetector
+from repro.cv.detector import DetectionBatch, DetectorConfig, SyntheticDetector
 from repro.cv.duration import (
     DurationEstimate,
     compare_to_ground_truth,
     conservative_grace_period,
 )
-from repro.cv.tracker import IoUTracker, Track, TrackerConfig
+from repro.cv.tracker import IoUTracker, TrackerConfig, TrackView
 from repro.scene.objects import PRIVATE_CATEGORIES
 from repro.utils.timebase import TimeInterval
+from repro.video.chunking import filter_batch
+from repro.video.geometry import BoundingBox
 from repro.video.masking import EMPTY_MASK, Mask
-from repro.video.video import FrameTruth, SyntheticVideo
+from repro.video.video import FrameBatch, SyntheticVideo
+
+#: Frames rendered, detected and tracked per step: bounds the render's
+#: (objects x frames) arrays however long the window.
+_FRAMES_PER_BLOCK = 4096
+
+#: An object-frame counts as detected when a genuine detection of its
+#: category overlaps its true box by more than this IoU.
+_FOUND_IOU = 0.3
 
 
 @dataclass(frozen=True)
@@ -35,39 +52,61 @@ class PolicyEstimate:
     mask_name: str
 
 
-def _masked_frame(frame: FrameTruth, mask: Mask) -> FrameTruth:
-    """Apply a mask to one ground-truth frame before detection."""
-    if mask.is_empty:
-        return frame
-    visible = tuple(obj for obj in frame.visible if not mask.hides(obj.box))
-    return FrameTruth(timestamp=frame.timestamp, frame_index=frame.frame_index, visible=visible)
+def _misses(frames: FrameBatch, detections: DetectionBatch,
+            allowed: frozenset[str]) -> tuple[int, int]:
+    """``(missed, total)`` visible object-frames of the ``allowed`` categories.
+
+    An object-frame is found when a detection of its category in its frame,
+    not a false positive, has IoU above ``_FOUND_IOU`` with its true box.
+    """
+    genuine: dict[int, list[tuple[str, BoundingBox]]] = {}
+    false_positive = detections.attributes.get("false_positive")
+    for index, position in enumerate(detections.frame_positions.tolist()):
+        if false_positive is None or not false_positive[0][index]:
+            genuine.setdefault(position, []).append(
+                (detections.categories[detections.category_ids[index]],
+                 BoundingBox(*detections.boxes[index].tolist())))
+    missed = total = 0
+    for row, scene_object in enumerate(frames.scene_objects):
+        if scene_object.category not in allowed:
+            continue
+        for position in np.flatnonzero(frames.visible[row]).tolist():
+            truth = BoundingBox(*frames.boxes[row, position].tolist())
+            total += 1
+            missed += not any(category == scene_object.category
+                              and box.iou(truth) > _FOUND_IOU
+                              for category, box in genuine.get(position, ()))
+    return missed, total
 
 
 def track_video(video: SyntheticVideo, *, detector_config: DetectorConfig,
                 tracker_config: TrackerConfig, window: TimeInterval | None = None,
                 mask: Mask = EMPTY_MASK, sample_period: float | None = None,
                 detector_seed: int = 0,
-                categories: Iterable[str] | None = None) -> tuple[list[Track], float]:
-    """Detect and track a window of video; return private-category tracks and miss rate."""
+                categories: Iterable[str] | None = None) -> tuple[list[TrackView], float]:
+    """Detect and track a window of video; return private-category tracks and miss rate.
+
+    The miss rate is the fraction of visible (after the mask) object-frames
+    of the tracked categories that no detection found (see :func:`_misses`).
+    """
     allowed = frozenset(categories) if categories is not None else PRIVATE_CATEGORIES
     detector = SyntheticDetector(detector_config, seed=detector_seed)
     tracker = IoUTracker(tracker_config)
     window = video.interval if window is None else window.clamp(video.interval)
+    indices = video.frame_indices(window, sample_period)
     total = 0
     missed = 0
-    for frame in video.frames(window, sample_period=sample_period):
-        masked = _masked_frame(frame, mask)
-        detections = detector.detect_frame(masked, frame_width=video.width,
-                                           frame_height=video.height)
-        for visible_object in masked.visible:
-            if visible_object.category in allowed:
-                total += 1
-                if not any(det.attributes.get("false_positive") is None
-                           and det.category == visible_object.category
-                           and det.box.iou(visible_object.box) > 0.3 for det in detections):
-                    missed += 1
-        tracker.step([det for det in detections if det.category in allowed])
-    tracks = tracker.finalize()
+    for first in range(0, indices.size, _FRAMES_PER_BLOCK):
+        frames = filter_batch(
+            video.batch_for_indices(indices[first:first + _FRAMES_PER_BLOCK]), mask)
+        detections = detector.detect_batch(frames, frame_width=video.width,
+                                           frame_height=video.height, categories=allowed,
+                                           attributes=("false_positive",))
+        block_missed, block_total = _misses(frames, detections, allowed)
+        missed += block_missed
+        total += block_total
+        tracker.step_batch(detections)
+    tracks = tracker.finalize_views()
     miss_fraction = (missed / total) if total else 0.0
     return tracks, miss_fraction
 

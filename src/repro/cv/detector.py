@@ -1,7 +1,7 @@
 """Synthetic object detector.
 
 The detector consumes ground-truth frames from the scene simulator and
-produces per-frame detections with the failure modes of a real CNN detector:
+produces detections with the failure modes of a real CNN detector:
 
 * **missed detections** — each visible object is dropped in a frame with a
   configurable probability (per category or global), reproducing the miss
@@ -19,35 +19,25 @@ processed.  This keeps the non-private baseline and the Privid execution of a
 query comparable apart from chunking effects, exactly as in the paper's
 evaluation.
 
-The preferred entry point is :meth:`SyntheticDetector.detect_batch`, which
-detects a whole :class:`~repro.video.video.FrameBatch` (typically one chunk)
-with vectorized draws and returns a columnar :class:`DetectionBatch` — frame
-index/timestamp/box/confidence arrays plus per-key attribute columns — so the
-post-detection dataflow (tracker, row emission) can stay array-native.
-:class:`Detection` objects are only materialised at API boundaries through
-the batch's lazy adapters; the per-frame :meth:`detect_frame` path computes
-the same draws scalar-by-scalar and therefore yields bit-identical
-detections.
+The one entry point is :meth:`SyntheticDetector.detect_batch`, which detects
+a whole :class:`~repro.video.video.FrameBatch` (one chunk, or a block of an
+owner's footage) with vectorized draws and returns a columnar
+:class:`DetectionBatch` — frame index/timestamp/box/confidence arrays plus
+per-key attribute columns — so the post-detection dataflow (tracker, row
+emission, policy estimation) stays array-native.  The tests keep a scalar
+per-frame oracle of the same draws (``tests/scalar_oracle.py``) and hold the
+batch to it detection for detection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
 from repro.utils import checks
-from repro.utils.hashing import (
-    signed_draw,
-    stream_key,
-    string_token,
-    unit_draw,
-    unit_draws,
-    unit_draws_matrix,
-)
-from repro.video.geometry import BoundingBox
-from repro.video.video import FrameTruth, VisibleObject
+from repro.utils.hashing import stream_key, string_token, unit_draws, unit_draws_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.video.video import FrameBatch
@@ -63,37 +53,6 @@ _TAG_FP_X = string_token("fp-x")
 _TAG_FP_Y = string_token("fp-y")
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One detector output in one frame.
-
-    Detections carry no stable identity across frames — linking them into
-    tracks is the tracker's job — but they do carry the attribute readings
-    (colour, plate, ...) a downstream executable may use.  Slotted: the
-    columnar pipeline only materialises Detections at adapter boundaries,
-    but those boundaries can still cover thousands of detections per chunk.
-    """
-
-    timestamp: float
-    frame_index: int
-    category: str
-    box: BoundingBox
-    confidence: float
-    attributes: Mapping[str, Any] = field(default_factory=dict)
-
-    _FIELDS = ("timestamp", "frame_index", "category", "box", "confidence",
-               "attributes")
-
-    def __getstate__(self) -> tuple[Any, ...]:
-        # Explicit state hooks: default slot-state pickling restores via
-        # setattr, which a frozen dataclass forbids on Python 3.10.
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __setstate__(self, state: tuple[Any, ...]) -> None:
-        for name, value in zip(self._FIELDS, state):
-            object.__setattr__(self, name, value)
-
-
 @dataclass
 class DetectionBatch:
     """Columnar detections for one frame batch (typically one chunk).
@@ -102,13 +61,14 @@ class DetectionBatch:
     object's detections are contiguous (frames ascending), objects in batch
     order, false-positive slots after them.  Because any object contributes
     at most one detection per frame, ascending storage order *within a
-    frame* equals the scalar path's per-frame emission order — consumers
-    that need frame-major order (the tracker, the per-frame adapters) sort
-    stably by ``frame_positions`` and inherit the correct within-frame
-    order from the storage-order tie-break.  ``attributes`` maps each
-    attribute key ever observed in the batch to a ``(present, values)``
-    column pair: ``present`` marks the detections carrying the key and
-    ``values`` holds the observed value (unspecified where absent).
+    frame* is the frame's emission order (objects in batch order, then
+    false positives) — a consumer that needs frame-major order (the
+    tracker) sorts stably by ``frame_positions`` and inherits the
+    within-frame order from the storage-order tie-break.  ``attributes``
+    maps each attribute key ever observed in the batch to a
+    ``(present, values)`` column pair: ``present`` marks the detections
+    carrying the key and ``values`` holds the observed value (unspecified
+    where absent).
     """
 
     num_frames: int
@@ -129,75 +89,15 @@ class DetectionBatch:
         """Total detections across the batch."""
         return int(self.frame_positions.size)
 
-    def category_of(self, index: int) -> str:
-        """Category label of one detection."""
-        return self.categories[int(self.category_ids[index])]
-
-    def attributes_of(self, index: int) -> dict[str, Any]:
-        """Attribute mapping of one detection (materialised from the columns)."""
-        observed: dict[str, Any] = {}
-        for key, (present, values) in self.attributes.items():
-            if present[index]:
-                observed[key] = values[index]
-        return observed
-
-    def detection_at(self, index: int) -> Detection:
-        """Materialise one :class:`Detection` from the columns."""
-        x, y, width, height = self.boxes[index].tolist()
-        return Detection(
-            timestamp=float(self.timestamps[index]),
-            frame_index=int(self.frame_indices[index]),
-            category=self.category_of(index),
-            box=BoundingBox(x, y, width, height),
-            confidence=float(self.confidences[index]),
-            attributes=self.attributes_of(index),
-        )
-
     def first_index_per_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """``(frame_positions, detection_index)`` of each frame's first detection.
 
-        Within a frame, ascending storage index equals scalar emission
-        order, so the first occurrence of each frame position (which
-        ``np.unique`` reports relative to the original array) is that
-        frame's first detection.
+        Within a frame, ascending storage index is emission order, so the
+        first occurrence of each frame position (which ``np.unique`` reports
+        relative to the original array) is that frame's first detection.
         """
         positions, first = np.unique(self.frame_positions, return_index=True)
         return positions, first
-
-    def per_frame_detections(self) -> list[list[Detection]]:
-        """Materialise the legacy per-frame ``Detection`` lists (lazy adapter).
-
-        Element-for-element identical to what the scalar
-        :meth:`SyntheticDetector.detect_frame` loop produces over the same
-        frames — the parity contract the columnar pipeline is tested against.
-        """
-        per_frame: list[list[Detection]] = [[] for _ in range(self.num_frames)]
-        if not self.frame_positions.size:
-            return per_frame
-        positions_list = self.frame_positions.tolist()
-        frames_list = self.frame_indices.tolist()
-        timestamps_list = self.timestamps.tolist()
-        boxes_list = self.boxes.tolist()
-        confidences_list = self.confidences.tolist()
-        category_ids = self.category_ids.tolist()
-        categories = self.categories
-        attribute_columns = [(key, present, values)
-                             for key, (present, values) in self.attributes.items()]
-        for index, position in enumerate(positions_list):
-            attributes: dict[str, Any] = {}
-            for key, present, values in attribute_columns:
-                if present[index]:
-                    attributes[key] = values[index]
-            x, y, width, height = boxes_list[index]
-            per_frame[position].append(Detection(
-                timestamp=timestamps_list[index],
-                frame_index=frames_list[index],
-                category=categories[category_ids[index]],
-                box=BoundingBox(x, y, width, height),
-                confidence=confidences_list[index],
-                attributes=attributes,
-            ))
-        return per_frame
 
 
 @dataclass(frozen=True)
@@ -233,90 +133,6 @@ class SyntheticDetector:
         self.config = config or DetectorConfig()
         self.seed = int(seed)
 
-    def _key(self, tag: int, object_id: str, *extra: int) -> int:
-        """Stream key for one (tag, object) draw stream."""
-        return stream_key(self.seed, tag, string_token(object_id), *extra)
-
-    def _detects(self, visible_object: VisibleObject, frame_index: int) -> bool:
-        """Decide (deterministically) whether the object is detected in this frame."""
-        miss_rate = self.config.miss_rate_for(visible_object.category)
-        draw = unit_draw(self._key(_TAG_MISS, visible_object.object_id), frame_index)
-        return draw >= miss_rate
-
-    def _jittered_box(self, visible_object: VisibleObject, frame_index: int) -> BoundingBox:
-        """Apply deterministic localisation noise to the ground-truth box."""
-        jitter = self.config.position_jitter
-        if jitter <= 0:
-            return visible_object.box
-        dx = jitter * signed_draw(self._key(_TAG_JITTER_X, visible_object.object_id),
-                                  frame_index)
-        dy = jitter * signed_draw(self._key(_TAG_JITTER_Y, visible_object.object_id),
-                                  frame_index)
-        return visible_object.box.translate(dx, dy)
-
-    def _observed_attributes(self, visible_object: VisibleObject, frame_index: int,
-                             timestamp: float) -> dict[str, Any]:
-        """Read the object's attributes, occasionally failing per attribute."""
-        observed: dict[str, Any] = {}
-        error_rate = self.config.attribute_error_rate
-        for key, value in visible_object.scene_object.attributes_at(timestamp).items():
-            draw = unit_draw(self._key(_TAG_ATTRIBUTE, visible_object.object_id,
-                                       string_token(key)), frame_index)
-            if draw >= error_rate:
-                observed[key] = value
-        return observed
-
-    def _confidence(self, visible_object: VisibleObject, frame_index: int) -> float:
-        """Deterministic pseudo-confidence in [min_confidence, 1]."""
-        spread = 1.0 - self.config.min_confidence
-        return self.config.min_confidence + spread * unit_draw(
-            self._key(_TAG_CONFIDENCE, visible_object.object_id), frame_index)
-
-    def _false_positives(self, frame: FrameTruth, frame_width: float,
-                         frame_height: float) -> list[Detection]:
-        """Generate spurious detections for a frame (deterministic count and placement)."""
-        rate = self.config.false_positives_per_frame
-        if rate <= 0:
-            return []
-        count = int(rate) + (1 if unit_draw(stream_key(self.seed, _TAG_FP_COUNT),
-                                            frame.frame_index) < rate % 1 else 0)
-        detections: list[Detection] = []
-        for slot in range(count):
-            x = frame_width * unit_draw(stream_key(self.seed, _TAG_FP_X, slot),
-                                        frame.frame_index)
-            y = frame_height * unit_draw(stream_key(self.seed, _TAG_FP_Y, slot),
-                                         frame.frame_index)
-            detections.append(Detection(
-                timestamp=frame.timestamp,
-                frame_index=frame.frame_index,
-                category="person",
-                box=BoundingBox(x, y, 20.0, 40.0),
-                confidence=self.config.min_confidence,
-                attributes={"false_positive": True},
-            ))
-        return detections
-
-    def detect_frame(self, frame: FrameTruth, *, frame_width: float = 1280.0,
-                     frame_height: float = 720.0) -> list[Detection]:
-        """Detect objects in a single ground-truth frame (legacy scalar path)."""
-        detections: list[Detection] = []
-        for visible_object in frame.visible:
-            if visible_object.category not in self.config.detectable_categories:
-                continue
-            if not self._detects(visible_object, frame.frame_index):
-                continue
-            detections.append(Detection(
-                timestamp=frame.timestamp,
-                frame_index=frame.frame_index,
-                category=visible_object.category,
-                box=self._jittered_box(visible_object, frame.frame_index),
-                confidence=self._confidence(visible_object, frame.frame_index),
-                attributes=self._observed_attributes(visible_object, frame.frame_index,
-                                                     frame.timestamp),
-            ))
-        detections.extend(self._false_positives(frame, frame_width, frame_height))
-        return detections
-
     def detect_batch(self, batch: "FrameBatch", *, frame_width: float = 1280.0,
                      frame_height: float = 720.0,
                      categories: Iterable[str] | None = None,
@@ -327,13 +143,11 @@ class SyntheticDetector:
         computed as vectorized splitmix64 lanes over the frame indices, and
         the detected (object, frame) pairs of the whole chunk drop out of a
         single ``nonzero`` over the stacked miss matrix — no per-detection
-        Python work at all.  The per-(seed, object, frame) keying — and
-        therefore every draw — is bit-identical to :meth:`detect_frame` over
-        the same frames (the batch's
-        :meth:`DetectionBatch.per_frame_detections` adapter restores the
-        legacy per-frame lists exactly).  ``categories`` optionally restricts
-        the output (and skips the work) to the given object classes,
-        mirroring the post-hoc filter the executables used to apply;
+        Python work at all.  Every draw is keyed per (seed, object, frame),
+        so a frame's detections do not depend on which other frames share
+        its batch.  ``categories`` optionally restricts the output (and
+        skips the work) to the given object classes, mirroring the post-hoc
+        filter the executables used to apply;
         ``attributes`` likewise names the only keys to read (``()``: none) —
         streams are keyed per (object, attribute), so no other draw moves.
         """
@@ -377,8 +191,8 @@ class SyntheticDetector:
                 # One stacked pass over every entry: detected (object, frame)
                 # pairs fall out of a single nonzero, in entry-major order —
                 # each object appears at most once per frame, so ascending
-                # storage order within a frame equals the scalar emission
-                # order by construction.
+                # storage order within a frame is the emission order by
+                # construction.
                 first_rows = np.fromiter((first_row for _, _, first_row, _ in entries),
                                          dtype=np.int64, count=num_entries)
                 miss_rates = np.fromiter(
@@ -484,25 +298,6 @@ class SyntheticDetector:
                 if read is None or "false_positive" in read else [],
             ))
         return blocks
-
-    def expected_miss_fraction(self, frames: Sequence[FrameTruth]) -> float:
-        """Empirical fraction of ground-truth object-frames the detector missed.
-
-        Used by the Table 1 benchmark to report the "% objects CV missed"
-        column alongside the duration estimates.
-        """
-        total = 0
-        missed = 0
-        for frame in frames:
-            for visible_object in frame.visible:
-                if visible_object.category not in self.config.detectable_categories:
-                    continue
-                total += 1
-                if not self._detects(visible_object, frame.frame_index):
-                    missed += 1
-        if total == 0:
-            return 0.0
-        return missed / total
 
 
 @dataclass

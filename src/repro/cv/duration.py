@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.cv.tracker import Track
+from repro.cv.tracker import TrackView
 from repro.scene.objects import PRIVATE_CATEGORIES, SceneObject
 from repro.utils import checks
 
@@ -41,7 +41,7 @@ class DurationEstimate:
         return self.estimated_max / self.ground_truth_max
 
 
-def persistence_distribution(tracks: Iterable[Track]) -> list[float]:
+def persistence_distribution(tracks: Iterable[TrackView]) -> list[float]:
     """Observed persistence (seconds) of each track."""
     return [track.duration for track in tracks]
 
@@ -62,7 +62,7 @@ def ground_truth_distribution(objects: Iterable[SceneObject], *,
     return durations
 
 
-def estimate_durations(tracks: Sequence[Track], *, grace_period: float = 0.0) -> list[float]:
+def estimate_durations(tracks: Sequence[TrackView], *, grace_period: float = 0.0) -> list[float]:
     """Per-track persistence estimates with an optional conservative grace period.
 
     ``grace_period`` accounts for the fact that a track only spans the frames
@@ -74,7 +74,7 @@ def estimate_durations(tracks: Sequence[Track], *, grace_period: float = 0.0) ->
     return [track.duration + grace_period for track in tracks]
 
 
-def estimate_max_duration(tracks: Sequence[Track], *, grace_period: float = 0.0) -> float:
+def estimate_max_duration(tracks: Sequence[TrackView], *, grace_period: float = 0.0) -> float:
     """Conservative estimate of the maximum persistence across all tracks."""
     durations = estimate_durations(tracks, grace_period=grace_period)
     return max(durations, default=0.0)
@@ -91,7 +91,7 @@ def conservative_grace_period(max_age_frames: int, fps: float, *, sides: int = 2
     return sides * max_age_frames / fps
 
 
-def compare_to_ground_truth(tracks: Sequence[Track], objects: Sequence[SceneObject], *,
+def compare_to_ground_truth(tracks: Sequence[TrackView], objects: Sequence[SceneObject], *,
                             miss_fraction: float, grace_period: float = 0.0,
                             categories: Iterable[str] | None = None) -> DurationEstimate:
     """Build the Table 1 comparison between CV estimates and ground truth."""

@@ -14,41 +14,34 @@ association can merge distinct objects that pass through the same area into
 one long track, which is precisely why CV-estimated maximum durations are
 *conservative over-estimates* of the ground truth (Table 1).
 
-Each step snapshots the active tracks' (possibly motion-predicted)
+Each frame snapshots the active tracks' (possibly motion-predicted)
 reference boxes once, then scans them per detection in plain Python floats —
 highest confidence first, best IoU at or above the threshold, ties broken
 towards the later candidate.  Frames carry a handful of detections, so there
 is no vectorized matching path: a numpy IoU matrix lost to this loop at every
 frame size the bundled scenes produce (docs/architecture.md, "Track").
 
-Two tracker cores share that policy:
-
-* the scalar :meth:`IoUTracker.step` consumes one frame's ``Detection`` list
-  at a time and keeps classic ``Track`` objects — the reference twin, driven
-  frame by frame by :mod:`repro.cv.tuning` and
-  :mod:`repro.analysis.policy_estimation`;
-* the batch :meth:`IoUTracker.step_batch` advances a whole chunk's
-  :class:`~repro.cv.detector.DetectionBatch` through
-  :class:`_BatchTrackerCore` — per-row Python lists for track state,
-  detection data read from the batch columns — and materialises Python
-  objects only at API boundaries (:class:`TrackView` /
-  :meth:`IoUTracker.finalize`).  It is what every query runs.
-
-The two cores apply the identical matching order, arithmetic and tie-breaks,
-and are asserted bit-identical by the parity tests (scenario scenes and
-generated histories).
+:meth:`IoUTracker.step_batch` advances a whole
+:class:`~repro.cv.detector.DetectionBatch` (one chunk, or one block of an
+owner's footage) through :class:`_BatchTrackerCore` — per-row Python lists
+for track state, detection data read from the batch columns — and
+:meth:`IoUTracker.finalize_views` hands back each confirmed track as a
+:class:`TrackView` over those columns.  Queries, policy estimation and
+tracker tuning all run this one path.  The tests hold it bit for bit to a
+frame-by-frame scalar oracle (``tests/scalar_oracle.py``) on scenario
+scenes, generated histories and multi-batch streams.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.cv.detector import Detection, DetectionBatch
+from repro.cv.detector import DetectionBatch
 from repro.utils import checks
 from repro.video.geometry import BoundingBox
 
@@ -74,148 +67,13 @@ class TrackerConfig:
         checks.probability("iou_threshold", self.iou_threshold, ValueError)
 
 
-@dataclass(slots=True)
-class Track:
-    """A sequence of detections the tracker believes belong to one object.
-
-    Slotted: tracks are materialised per chunk at the batch-core API
-    boundary, so the per-instance footprint matters.
-    """
-
-    track_id: int
-    category: str
-    observations: list[Detection] = field(default_factory=list)
-    misses: int = 0
-    #: Matching cache maintained by :meth:`_rebuild_motion_cache`; keyed on
-    #: the observation count, so only count-changing edits (the tracker's
-    #: appends) invalidate it — same-length in-place replacement of
-    #: observations mid-tracking is unsupported.
-    _motion_cache: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def hits(self) -> int:
-        """Number of matched detections."""
-        return len(self.observations)
-
-    @property
-    def first_timestamp(self) -> float:
-        """Timestamp of the first matched detection."""
-        return self.observations[0].timestamp
-
-    @property
-    def last_timestamp(self) -> float:
-        """Timestamp of the most recent matched detection."""
-        return self.observations[-1].timestamp
-
-    @property
-    def duration(self) -> float:
-        """Observed persistence of the track in seconds."""
-        if not self.observations:
-            return 0.0
-        return self.last_timestamp - self.first_timestamp
-
-    @property
-    def first_box(self) -> BoundingBox:
-        """Bounding box of the first matched detection."""
-        return self.observations[0].box
-
-    @property
-    def last_box(self) -> BoundingBox:
-        """Bounding box of the most recent matched detection."""
-        return self.observations[-1].box
-
-    #: Velocity is estimated over (up to) this many recent observations.
-    #: A longer baseline averages out localisation jitter the way SORT's
-    #: Kalman filter does — a two-point estimate amplifies per-box jitter
-    #: into large extrapolation errors across long detection gaps.
-    VELOCITY_WINDOW = 5
-
-    def predicted_box(self, frames_ahead: int) -> BoundingBox:
-        """Constant-velocity extrapolation of the track's box.
-
-        The per-frame velocity is estimated across the last few matched
-        detections (normalised by the frame span between them) and projected
-        ``frames_ahead`` frames past the last detection — the same role the
-        Kalman prediction step plays in SORT.
-        """
-        if len(self.observations) < 2 or frames_ahead <= 0:
-            return self.last_box
-        baseline = self.observations[-min(len(self.observations), self.VELOCITY_WINDOW)]
-        last = self.observations[-1]
-        frame_gap = max(1, last.frame_index - baseline.frame_index)
-        vx = (last.box.x - baseline.box.x) / frame_gap
-        vy = (last.box.y - baseline.box.y) / frame_gap
-        return last.box.translate(vx * frames_ahead, vy * frames_ahead)
-
-    def _reference_bounds(self, frame_index: int, use_motion: bool
-                          ) -> tuple[float, float, float, float, float]:
-        """Reference box for matching as ``(x1, y1, x2, y2, area)`` floats.
-
-        Equivalent to ``predicted_box(...)`` (same arithmetic, same results)
-        but works from the cached motion state so the hot path avoids
-        materialising a :class:`BoundingBox` per candidate per step.
-        """
-        cache = self._motion_cache
-        if cache is None or cache[0] != len(self.observations):
-            cache = self._rebuild_motion_cache()
-        _, x, y, width, height, area, last_frame, vx, vy = cache
-        if use_motion and vx is not None:
-            frames_ahead = frame_index - last_frame
-            if frames_ahead > 0:
-                x = x + vx * frames_ahead
-                y = y + vy * frames_ahead
-        return x, y, x + width, y + height, area
-
-    def _rebuild_motion_cache(self) -> tuple:
-        """Recompute the matching cache from the observation list.
-
-        The cache holds ``(num_observations, x, y, width, height, area,
-        last_frame_index, vx, vy)``; ``vx``/``vy`` are None until the track
-        has two observations.  It is keyed on the observation count, so
-        appends (and other length-changing edits) are picked up
-        transparently; same-length in-place replacement is not.
-        """
-        observations = self.observations
-        last = observations[-1]
-        box = last.box
-        vx = vy = None
-        if len(observations) >= 2:
-            baseline = observations[-min(len(observations), self.VELOCITY_WINDOW)]
-            frame_gap = max(1, last.frame_index - baseline.frame_index)
-            vx = (box.x - baseline.box.x) / frame_gap
-            vy = (box.y - baseline.box.y) / frame_gap
-        cache = (len(observations), box.x, box.y, box.width, box.height,
-                 box.width * box.height, last.frame_index, vx, vy)
-        self._motion_cache = cache
-        return cache
-
-    def attribute_values(self, key: str) -> list[Any]:
-        """All observed values of an attribute across the track."""
-        values = []
-        for detection in self.observations:
-            if key in detection.attributes:
-                values.append(detection.attributes[key])
-        return values
-
-    def majority_attribute(self, key: str, default: Any = None) -> Any:
-        """Most frequently observed value of an attribute (ties broken arbitrarily)."""
-        values = self.attribute_values(key)
-        if not values:
-            return default
-        return Counter(values).most_common(1)[0][0]
-
-    def is_confirmed(self, min_hits: int) -> bool:
-        """True once the track has accumulated at least ``min_hits`` detections."""
-        return self.hits >= min_hits
-
-
 class _BatchTrackerCore:
-    """Whole-chunk twin of the scalar tracker loop.
+    """The tracker loop over whole detection batches.
 
     One row per track ever created, held in plain parallel lists: the
     matching state ``row_state`` (last box, its area, last frame index and
     the smoothed velocity as one tuple), the velocity window ``row_ring``
-    (a deque of the last ``Track.VELOCITY_WINDOW`` observations), the
+    (a deque of the last ``VELOCITY_WINDOW`` observations), the
     consecutive-miss counter ``row_miss`` and the matched detection ids
     ``det_indices`` (a track's hit count is the length of its list).
     ``active`` lists the live rows in creation order, ``finished`` the
@@ -229,12 +87,17 @@ class _BatchTrackerCore:
     and candidates, where element access and small-array set-up cost more
     than the arithmetic they replace (docs/architecture.md, "Track").
 
-    Per-frame matching applies exactly the scalar core's policy (greedy
-    best-IoU-at-least-threshold with ties to the later candidate,
-    per-category matching, constant-velocity prediction while unmatched) in
-    the same IEEE operations, so associations — and therefore tracks — are
-    bit-identical.
+    Per frame the policy is greedy best-IoU-at-least-threshold with ties to
+    the later candidate, per-category matching, and constant-velocity
+    prediction while unmatched; frames without a detection age every
+    active track exactly as a frame-by-frame loop stepping them would.
     """
+
+    #: Velocity is estimated over (up to) this many recent observations.
+    #: A longer baseline averages out localisation jitter the way SORT's
+    #: Kalman filter does — a two-point estimate amplifies per-box jitter
+    #: into large extrapolation errors across long detection gaps.
+    VELOCITY_WINDOW = 5
 
     def __init__(self, config: TrackerConfig, next_id: int = 0) -> None:
         self.config = config
@@ -291,7 +154,7 @@ class _BatchTrackerCore:
         self.row_state.append((x, y, width, height, width * height,
                                frame_index, 0.0, 0.0))
         self.row_ring.append(deque([(x, y, frame_index)],
-                                   maxlen=Track.VELOCITY_WINDOW))
+                                   maxlen=self.VELOCITY_WINDOW))
         self.row_miss.append(0)
         self.det_indices.append([detection_id])
         return row
@@ -299,8 +162,8 @@ class _BatchTrackerCore:
     def _expire(self) -> None:
         """Move tracks whose misses exceeded max_age to the finished list.
 
-        Same sweep as the scalar core: the active list is filtered in order,
-        so finished tracks are appended in active-list order.
+        The active list is filtered in order, so finished tracks are
+        appended in active-list order.
         """
         max_age = self.config.max_age
         row_miss = self.row_miss
@@ -312,12 +175,12 @@ class _BatchTrackerCore:
     def _age_gap(self, gap: int) -> None:
         """Advance ``gap`` consecutive empty frames in one pass.
 
-        Equivalent to ``gap`` scalar miss steps.  A track with ``m`` misses
-        crosses ``max_age`` at gap offset ``max_age + 1 - m``; sequential
-        empty steps finish tracks ordered by that offset (ties in
-        active-list order) and stop aging a track at its expiry frame, so a
-        crossing track's final miss count is ``max_age + 1``, not
-        ``m + gap``.
+        Equivalent to ``gap`` frames without a detection, one by one.  A
+        track with ``m`` misses crosses ``max_age`` at gap offset
+        ``max_age + 1 - m``; sequential empty steps finish tracks ordered by
+        that offset (ties in active-list order) and stop aging a track at
+        its expiry frame, so a crossing track's final miss count is
+        ``max_age + 1``, not ``m + gap``.
         """
         limit = self.config.max_age + 1
         row_miss = self.row_miss
@@ -340,8 +203,8 @@ class _BatchTrackerCore:
     def step_batch(self, batch: DetectionBatch) -> None:
         """Advance the tracker over every frame of one detection batch."""
         # Frame-major, confidence-descending, stable: ties keep storage
-        # order, which is the scalar emission order by the DetectionBatch
-        # contract — the batched equivalent of the scalar per-step sort.
+        # order, which is each frame's emission order by the DetectionBatch
+        # contract.
         order = np.lexsort((-batch.confidences, batch.frame_positions))
         frame_indices = batch.frame_indices[order].tolist()
         total = len(frame_indices)
@@ -395,8 +258,8 @@ class _BatchTrackerCore:
             matched = [False] * num_candidates
             candidate_categories = [category_id[row] for row in active] \
                 if check_categories else None
-            # Reference bounds as in the scalar core's _reference_bounds:
-            # the last box moved by the smoothed velocity.  Every candidate
+            # Reference bounds: the last box moved by the smoothed
+            # velocity.  Every candidate
             # ages here; a match below resets its counter.
             references: list[tuple[float, float, float, float, float]] = []
             may_expire = False
@@ -447,8 +310,7 @@ class _BatchTrackerCore:
                     continue
                 # Record the matched box and advance the velocity window:
                 # baseline = oldest ringed observation after the append,
-                # frame gap clamped to >= 1 — the IEEE operations of
-                # Track._rebuild_motion_cache.
+                # frame gap clamped to >= 1.
                 matched[best] = True
                 row = active[best]
                 ring = row_ring[row]
@@ -463,7 +325,7 @@ class _BatchTrackerCore:
                                   (det_y1 - baseline_y) / frame_gap)
                 row_miss[row] = 0
                 det_indices[row].append(detection_ids[index])
-            # New tracks join after the frame's scans, as in the scalar core.
+            # New tracks join after the frame's scans.
             active.extend(new_rows)
             if may_expire:
                 self._expire()
@@ -481,13 +343,12 @@ class _BatchTrackerCore:
 
 
 class TrackView:
-    """Columnar stand-in for a confirmed :class:`Track` (the batch boundary).
+    """One confirmed track, read from the batch columns (the tracker's output).
 
-    Exposes the track surface the executables consume — endpoints, boxes,
-    hit counts, majority attributes — straight from the batch columns, so a
-    chunk's row emission materialises at most two :class:`BoundingBox`
-    objects per track.  :meth:`to_track` is the full materialisation adapter
-    (used by :meth:`IoUTracker.finalize` and the parity tests).
+    Exposes the track surface the executables and the owner's tools consume
+    — endpoints, boxes, duration, hit counts, majority attributes — straight
+    from the batch columns, so a chunk's row emission materialises at most
+    two :class:`BoundingBox` objects per track.
     """
 
     __slots__ = ("_core", "_row")
@@ -512,10 +373,6 @@ class TrackView:
     @property
     def misses(self) -> int:
         return self._core.row_miss[self._row]
-
-    def is_confirmed(self, min_hits: int) -> bool:
-        """True once the track has accumulated at least ``min_hits`` detections."""
-        return self.hits >= min_hits
 
     def _boundary(self, position: int) -> tuple[DetectionBatch, int]:
         detection_id = self._core.det_indices[self._row][position]
@@ -569,181 +426,37 @@ class TrackView:
             return default
         return Counter(values).most_common(1)[0][0]
 
-    @property
-    def observations(self) -> list[Detection]:
-        """The track's detections, materialised from the batch columns.
-
-        Full materialisation — row emission should prefer the columnar
-        accessors above; this exists for the ``Track`` API surface.
-        """
-        core = self._core
-        observations: list[Detection] = []
-        for detection_id in core.det_indices[self._row]:
-            batch, index = core.resolve(detection_id)
-            observations.append(batch.detection_at(index))
-        return observations
-
-    def to_track(self) -> Track:
-        """Materialise the classic :class:`Track` (observations included)."""
-        return Track(track_id=self.track_id, category=self.category,
-                     observations=self.observations, misses=self.misses)
-
 
 class IoUTracker:
-    """Online greedy IoU tracker over a stream of per-frame detections.
-
-    A tracker instance runs in one of two modes: scalar (:meth:`step`, one
-    frame's ``Detection`` list at a time — the reference twin) or batch
-    (:meth:`step_batch`, a whole chunk's
-    :class:`~repro.cv.detector.DetectionBatch` — what queries run).  Over
-    frames in time order the modes produce bit-identical tracks; they cannot
-    be mixed on one instance.
-    """
+    """Online greedy IoU tracker over a time-ordered stream of detection batches."""
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
-        self._active: list[Track] = []
-        self._finished: list[Track] = []
         self._next_id = 0
         self._core: _BatchTrackerCore | None = None
 
-    def step(self, detections: Sequence[Detection]) -> None:
-        """Consume the detections of one frame (frames must arrive in time order)."""
-        if self._core is not None:
-            raise RuntimeError("tracker already advanced in batch mode; "
-                               "scalar step() cannot be mixed with step_batch()")
-        config = self.config
-        candidates = self._active
-        num_candidates = len(candidates)
-        matched = [False] * num_candidates
-        if detections:
-            # A step normally carries one frame's detections, so each
-            # candidate's (motion-predicted) reference box is computed
-            # exactly once; mixed-frame steps (allowed by the signature)
-            # fall back to per-detection prediction below.
-            frame_index = detections[0].frame_index
-            mixed_frames = any(det.frame_index != frame_index for det in detections)
-            use_motion = config.use_motion_prediction
-            references = [track._reference_bounds(frame_index, use_motion)
-                          for track in candidates]
-            categories = [track.category for track in candidates] \
-                if config.per_category else None
-            ordered = sorted(detections, key=lambda det: -det.confidence) \
-                if len(detections) > 1 else list(detections)
-            threshold = config.iou_threshold
-            new_tracks: list[Track] = []
-            for detection in ordered:
-                best = -1
-                best_iou = threshold
-                box = detection.box
-                det_x1 = box.x
-                det_y1 = box.y
-                det_x2 = det_x1 + box.width
-                det_y2 = det_y1 + box.height
-                det_area = box.width * box.height
-                for index in range(num_candidates):
-                    if matched[index]:
-                        continue
-                    if categories is not None and categories[index] != detection.category:
-                        continue
-                    if mixed_frames and detection.frame_index != frame_index:
-                        reference = candidates[index]._reference_bounds(
-                            detection.frame_index, use_motion)
-                    else:
-                        reference = references[index]
-                    ref_x1, ref_y1, ref_x2, ref_y2, ref_area = reference
-                    left = det_x1 if det_x1 > ref_x1 else ref_x1
-                    right = det_x2 if det_x2 < ref_x2 else ref_x2
-                    top = det_y1 if det_y1 > ref_y1 else ref_y1
-                    bottom = det_y2 if det_y2 < ref_y2 else ref_y2
-                    if right > left and bottom > top:
-                        intersection = (right - left) * (bottom - top)
-                        union = det_area + ref_area - intersection
-                        iou = intersection / union if union > 0 else 0.0
-                    else:
-                        iou = 0.0
-                    if iou >= best_iou:
-                        best_iou = iou
-                        best = index
-                if best >= 0:
-                    track = candidates[best]
-                    track.observations.append(detection)
-                    track.misses = 0
-                    matched[best] = True
-                else:
-                    new_tracks.append(Track(track_id=self._next_id,
-                                            category=detection.category,
-                                            observations=[detection]))
-                    self._next_id += 1
-            if new_tracks:
-                self._active.extend(new_tracks)
-        max_age = config.max_age
-        expired = False
-        for index in range(num_candidates):
-            if not matched[index]:
-                track = candidates[index]
-                track.misses += 1
-                if track.misses > max_age:
-                    expired = True
-        if expired:
-            still_active: list[Track] = []
-            for track in self._active:
-                if track.misses > max_age:
-                    self._finished.append(track)
-                else:
-                    still_active.append(track)
-            self._active = still_active
-
     def step_batch(self, batch: DetectionBatch) -> None:
-        """Consume a whole chunk's detections at once (the columnar core).
+        """Consume a whole batch of detections (every frame of it, in order).
 
-        Bit-identical to calling :meth:`step` with each frame's detection
-        list of ``batch.per_frame_detections()`` in order — including frames
-        with no detections, which age unmatched tracks exactly as empty
-        scalar steps do.  Batches must arrive in time order: one that starts
-        before a frame index already consumed raises ``ValueError`` (the
-        scalar twin does not extrapolate backwards, so the tracks would
-        silently differ).
+        Frames with no detection age unmatched tracks like any other frame.
+        Batches must arrive in time order: one that starts before a frame
+        index already consumed raises ``ValueError`` — motion prediction
+        would extrapolate backwards and silently link the wrong boxes.
         """
-        if self._active or self._finished:
-            raise RuntimeError("tracker already advanced in scalar mode; "
-                               "step_batch() cannot be mixed with step()")
         if self._core is None:
             self._core = _BatchTrackerCore(self.config, next_id=self._next_id)
         self._core.step_batch(batch)
 
     def finalize_views(self) -> list[TrackView]:
-        """Flush the batch core and return every confirmed track as a view.
+        """Flush the tracker and return every confirmed track as a view.
 
-        The cheap API boundary of the columnar pipeline: row emission reads
-        track endpoints and attribute majorities straight from the batch
-        columns instead of materialised ``Detection`` lists.  Only valid in
-        batch mode (after :meth:`step_batch`); an unused tracker returns [].
+        Tracks come finished first (in expiry order), then the still-active
+        ones (in creation order).  Track ids continue across flushes; an
+        unused tracker returns [].
         """
         core = self._core
         if core is None:
-            if self._active or self._finished:
-                raise RuntimeError("finalize_views() requires batch mode; "
-                                   "use finalize() after scalar step()")
             return []
         self._core = None
         self._next_id = core.next_id
         return [TrackView(core, row) for row in core.confirmed_rows()]
-
-    def finalize(self) -> list[Track]:
-        """Flush remaining active tracks and return every *confirmed* track."""
-        if self._core is not None:
-            return [view.to_track() for view in self.finalize_views()]
-        all_tracks = self._finished + self._active
-        self._finished = []
-        self._active = []
-        return [track for track in all_tracks if track.is_confirmed(self.config.min_hits)]
-
-
-def track_detection_stream(detections_by_frame: Iterable[Sequence[Detection]],
-                           config: TrackerConfig | None = None) -> list[Track]:
-    """Run the tracker over a bare stream of per-frame detection lists."""
-    tracker = IoUTracker(config)
-    for detections in detections_by_frame:
-        tracker.step(detections)
-    return tracker.finalize()

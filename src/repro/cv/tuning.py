@@ -5,7 +5,9 @@ hyperparameters and picking the configuration whose persistence distribution
 most closely matches a manually annotated ground-truth distribution.  This
 module reproduces that procedure over the synthetic tracker: it sweeps
 ``TrackerConfig`` grids and scores each configuration by the distance between
-its persistence distribution and the ground-truth distribution.
+its persistence distribution and the ground-truth distribution.  The
+detections are one :class:`~repro.cv.detector.DetectionBatch`, detected
+once and tracked afresh under every configuration.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.cv.detector import Detection
+from repro.cv.detector import DetectionBatch
 from repro.cv.duration import ground_truth_distribution, persistence_distribution
-from repro.cv.tracker import TrackerConfig, track_detection_stream
+from repro.cv.tracker import IoUTracker, TrackerConfig
 from repro.scene.objects import SceneObject
 
 
@@ -83,8 +85,7 @@ def iterate_grid(grid: Mapping[str, Sequence[float | int]]) -> Iterable[TrackerC
         )
 
 
-def tune_tracker(detections_by_frame: Sequence[Sequence[Detection]],
-                 objects: Sequence[SceneObject], *,
+def tune_tracker(detections: DetectionBatch, objects: Sequence[SceneObject], *,
                  grid: Mapping[str, Sequence[float | int]] | None = None,
                  categories: Iterable[str] | None = None) -> list[TuningResult]:
     """Sweep the grid and return results sorted from best (smallest distance) to worst."""
@@ -92,7 +93,9 @@ def tune_tracker(detections_by_frame: Sequence[Sequence[Detection]],
     reference = ground_truth_distribution(objects, categories=categories)
     results: list[TuningResult] = []
     for config in iterate_grid(grid):
-        tracks = track_detection_stream(detections_by_frame, config)
+        tracker = IoUTracker(config)
+        tracker.step_batch(detections)
+        tracks = tracker.finalize_views()
         estimated = persistence_distribution(tracks)
         results.append(TuningResult(
             config=config,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Iterable
 
 from repro.cv.detector import DetectionBatch
-from repro.cv.tracker import IoUTracker, Track, TrackView
+from repro.cv.tracker import IoUTracker, TrackView
 from repro.relational.table import RowBatch
 from repro.sandbox.environment import ExecutionContext
 from repro.video.chunking import Chunk
@@ -284,7 +284,7 @@ class DirectionalCrossingCounter(ProcessExecutable):
     entry_margin_frames: int = 2
     name: str = "directional_crossing_counter"
 
-    def _moves_in_direction(self, track: Track | TrackView) -> bool:
+    def _moves_in_direction(self, track: TrackView) -> bool:
         dx = track.last_box.center.x - track.first_box.center.x
         dy = track.last_box.center.y - track.first_box.center.y
         if self.direction == "north":

@@ -95,11 +95,6 @@ def unit_draw(key: int, index: int) -> float:
     return (mix64(lane) >> 11) * _INV_2_53
 
 
-def signed_draw(key: int, index: int) -> float:
-    """Scalar draw in [-1, 1) for counter ``index`` of stream ``key``."""
-    return 2.0 * unit_draw(key, index) - 1.0
-
-
 def unit_draws(key: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized draws in [0, 1), one per counter in ``indices``.
 

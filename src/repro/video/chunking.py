@@ -17,7 +17,7 @@ from repro.utils import checks
 from repro.utils.timebase import TimeInterval
 from repro.video.masking import EMPTY_MASK, Mask
 from repro.video.regions import Region, RegionScheme
-from repro.video.video import FrameBatch, FrameTruth, SyntheticVideo
+from repro.video.video import FrameBatch, SyntheticVideo
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,41 @@ class ChunkSpec:
         return self.window.num_chunks(self.chunk_duration, self.stride)
 
 
+def filter_batch(batch: FrameBatch, mask: Mask, region: Region | None = None) -> FrameBatch:
+    """Apply a mask and a region restriction to a whole batch, in place.
+
+    One coverage call and one containment call over the flattened box stack,
+    whatever the number of objects (none without any); objects left with no
+    visible frame are dropped.
+    """
+    if not batch.scene_objects or (mask.is_empty and region is None):
+        return batch
+    visible = batch.visible
+    boxes = batch.boxes.reshape(-1, 4)
+    if not mask.is_empty:
+        visible &= ~mask.hides_boxes(boxes).reshape(visible.shape)
+    if region is not None:
+        visible &= region.contains_points(
+            boxes[:, 0] + boxes[:, 2] / 2.0,
+            boxes[:, 1] + boxes[:, 3] / 2.0).reshape(visible.shape)
+    kept = visible.any(axis=1)
+    if not kept.all():
+        batch.scene_objects = [scene_object for scene_object, keep
+                               in zip(batch.scene_objects, kept.tolist()) if keep]
+        batch.visible = visible[kept]
+        batch.boxes = batch.boxes[kept]
+    return batch
+
+
 @dataclass(frozen=True)
 class Chunk:
     """One chunk of video handed to an isolated executable instance.
 
-    The chunk exposes only *views* of the underlying video: ground-truth
-    frames restricted to the chunk interval, with the mask and region filter
-    already applied, so an executable physically cannot observe anything
-    outside its chunk.
+    The chunk exposes only *views* of the underlying video — the columnar
+    :meth:`frame_batch` of its frames and the coarse
+    :meth:`visible_objects` — restricted to the chunk interval, with the
+    mask and region filter already applied, so an executable physically
+    cannot observe anything outside its chunk.
     """
 
     video: SyntheticVideo
@@ -80,30 +107,6 @@ class Chunk:
         """Chunk duration in seconds."""
         return self.interval.duration
 
-    def _apply_filters(self, batch: FrameBatch) -> FrameBatch:
-        """Apply the mask and region restriction to a whole batch: one coverage
-        call and one containment call over the flattened box stack, whatever
-        the number of objects (none without any); objects left with no
-        visible frame are dropped.
-        """
-        if not batch.scene_objects or (self.mask.is_empty and self.region is None):
-            return batch
-        visible = batch.visible
-        boxes = batch.boxes.reshape(-1, 4)
-        if not self.mask.is_empty:
-            visible &= ~self.mask.hides_boxes(boxes).reshape(visible.shape)
-        if self.region is not None:
-            visible &= self.region.contains_points(
-                boxes[:, 0] + boxes[:, 2] / 2.0,
-                boxes[:, 1] + boxes[:, 3] / 2.0).reshape(visible.shape)
-        kept = visible.any(axis=1)
-        if not kept.all():
-            batch.scene_objects = [scene_object for scene_object, keep
-                                   in zip(batch.scene_objects, kept.tolist()) if keep]
-            batch.visible = visible[kept]
-            batch.boxes = batch.boxes[kept]
-        return batch
-
     def frame_batch(self, *, max_frames: int | None = None,
                     categories: Iterable[str] | None = None) -> FrameBatch:
         """Columnar masked/region-filtered ground truth for the whole chunk.
@@ -115,21 +118,12 @@ class Chunk:
         executables with single-frame semantics; ``categories`` names the only
         object classes to render, mask and region-test (default: all).
         """
-        frame_indices = self.video._frame_indices(
+        frame_indices = self.video.frame_indices(
             self.interval.clamp(self.video.interval), self.sample_period)
         if max_frames is not None:
             frame_indices = frame_indices[:max_frames]
-        return self._apply_filters(self.video.batch_for_indices(
-            frame_indices, self.interval, categories=categories))
-
-    def frames(self) -> Iterator[FrameTruth]:
-        """Yield masked/region-filtered ground truth for each frame of the chunk.
-
-        Legacy per-frame adapter over :meth:`frame_batch`, kept so
-        third-party executables written against the frame iterator keep
-        working unchanged.
-        """
-        yield from self.frame_batch().iter_frames()
+        return filter_batch(self.video.batch_for_indices(
+            frame_indices, self.interval, categories=categories), self.mask, self.region)
 
     def visible_objects(self) -> list:
         """Ground-truth objects visible at some point during the chunk.

@@ -2,10 +2,11 @@
 
 A :class:`SyntheticVideo` is the stand-in for a camera's recorded footage: it
 knows its frame rate, resolution, duration, and the ground-truth scene
-objects visible over time.  Instead of pixels, "rendering" a frame produces
-the list of ground-truth objects visible at that instant together with their
-bounding boxes; the synthetic detector (``repro.cv.detector``) then degrades
-that perfect information the way a real CNN would.
+objects visible over time.  Instead of pixels, "rendering" a run of frames
+produces a columnar :class:`FrameBatch`: which ground-truth objects are
+visible in which frame, and their bounding boxes; the synthetic detector
+(``repro.cv.detector``) then degrades that perfect information the way a
+real CNN would.
 """
 
 from __future__ import annotations
@@ -36,38 +37,6 @@ if TYPE_CHECKING:  # imported only for type annotations to avoid a package cycle
 _CONTENT_TOKENS = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class VisibleObject:
-    """A ground-truth object visible in a single frame, with its box."""
-
-    scene_object: SceneObject
-    box: BoundingBox
-
-    @property
-    def object_id(self) -> str:
-        """Identifier of the underlying scene object."""
-        return self.scene_object.object_id
-
-    @property
-    def category(self) -> str:
-        """Class of the underlying scene object (person, car, ...)."""
-        return self.scene_object.category
-
-    @property
-    def attributes(self) -> dict[str, Any]:
-        """Attributes of the underlying scene object (colour, plate, ...)."""
-        return self.scene_object.attributes
-
-
-@dataclass(frozen=True)
-class FrameTruth:
-    """Ground truth for one frame: its timestamp and all visible objects."""
-
-    timestamp: float
-    frame_index: int
-    visible: tuple[VisibleObject, ...]
-
-
 @dataclass
 class FrameBatch:
     """Columnar ground truth for a run of frames (the chunk hot-path format).
@@ -76,8 +45,7 @@ class FrameBatch:
     ``i`` of the ``(objects, frames)`` visibility matrix and of the
     ``(objects, frames, 4)`` stack of ``[x, y, width, height]`` boxes
     (unspecified where ``visible`` is False); every object has a visible
-    frame.  The batched detector consumes the stack directly;
-    :meth:`iter_frames` adapts it for per-frame third-party executables.
+    frame.  The batched detector consumes the stack directly.
     """
 
     frame_indices: np.ndarray
@@ -100,21 +68,6 @@ class FrameBatch:
     def total_visible(self) -> int:
         """Total ground-truth object-frame pairs in the batch."""
         return int(self.visible.sum())
-
-    def frame_truth(self, position: int) -> FrameTruth:
-        """Legacy per-frame view of batch position ``position``."""
-        rows = np.flatnonzero(self.visible[:, position])
-        seen = zip(rows.tolist(), self.boxes[rows, position].tolist())
-        return FrameTruth(timestamp=float(self.timestamps[position]),
-                          frame_index=int(self.frame_indices[position]),
-                          visible=tuple(VisibleObject(self.scene_objects[row], BoundingBox(*box))
-                                        for row, box in seen))
-
-    def iter_frames(self) -> Iterator[FrameTruth]:
-        """Yield legacy :class:`FrameTruth` objects for every batch position."""
-        for position in range(len(self)):
-            yield self.frame_truth(position)
-
 
 #: Trajectory kinds of an appearance-table row.
 _STATIONARY, _LINEAR, _OTHER = 0, 1, 2
@@ -366,30 +319,6 @@ class SyntheticVideo:
             raise ValueError(
                 f"stride {stride}s is not an integer number of frames at {self.fps} fps")
 
-    def visible_objects_at(self, timestamp: float,
-                           candidates: Iterable[SceneObject] | None = None) -> list[VisibleObject]:
-        """Ground-truth objects visible at ``timestamp`` with their boxes.
-
-        ``candidates`` restricts the search to a pre-computed set of objects
-        (used by chunk iteration); by default the time-bucket index narrows
-        the search.
-        """
-        if candidates is None:
-            candidates = self.candidate_objects(
-                TimeInterval(timestamp, timestamp + self.frame_period))
-        visible: list[VisibleObject] = []
-        for scene_object in candidates:
-            box = scene_object.box_at(timestamp)
-            if box is not None:
-                visible.append(VisibleObject(scene_object, box))
-        return visible
-
-    def frame_truth(self, frame_index: int) -> FrameTruth:
-        """Ground truth for a single frame by index."""
-        timestamp = self.frame_timestamp(frame_index)
-        return FrameTruth(timestamp=timestamp, frame_index=frame_index,
-                          visible=tuple(self.visible_objects_at(timestamp)))
-
     def _sample_step(self, sample_period: float | None) -> int:
         """Frame step implementing ``sample_period`` subsampling."""
         if sample_period is None:
@@ -397,8 +326,9 @@ class SyntheticVideo:
         period = max(sample_period, self.frame_period)
         return max(1, int(round(period * self.fps)))
 
-    def _frame_indices(self, window: TimeInterval, sample_period: float | None) -> np.ndarray:
-        """Indices of the (sub)sampled frames inside ``window``."""
+    def frame_indices(self, window: TimeInterval, sample_period: float | None) -> np.ndarray:
+        """Indices of the frames inside ``window``, one every ``sample_period``
+        seconds (every frame when None), starting at the window's first."""
         first_frame, last_frame = frame_index_range(window.start, window.end, self.fps)
         return np.arange(first_frame, last_frame, self._sample_step(sample_period),
                          dtype=np.int64)
@@ -463,33 +393,7 @@ class SyntheticVideo:
                     sample_period: float | None = None) -> FrameBatch:
         """Columnar ground truth for every frame in ``window`` at once."""
         window = self.interval if window is None else window.clamp(self.interval)
-        return self.batch_for_indices(self._frame_indices(window, sample_period), window)
-
-    #: Frames per block when the legacy iterator adapts over batches; bounds
-    #: peak memory on day-long windows while amortising the batch setup.
-    _FRAMES_PER_BLOCK = 4096
-
-    def frames(self, window: TimeInterval | None = None, *,
-               sample_period: float | None = None) -> Iterator[FrameTruth]:
-        """Yield ground truth for every frame in ``window`` (default: whole video).
-
-        ``sample_period`` optionally subsamples frames (in seconds); the
-        default yields every frame.  Subsampling is used heavily by the
-        benchmarks to keep full-day scenarios tractable without changing the
-        shape of the results.
-
-        This is the legacy per-frame adapter over :meth:`frame_batch`: frames
-        are rendered in columnar blocks and materialised one
-        :class:`FrameTruth` at a time.
-        """
-        window = self.interval if window is None else window.clamp(self.interval)
-        step = self._sample_step(sample_period)
-        first_frame, last_frame = frame_index_range(window.start, window.end, self.fps)
-        block = self._FRAMES_PER_BLOCK * step
-        for block_first in range(first_frame, last_frame, block):
-            block_last = min(block_first + block, last_frame)
-            indices = np.arange(block_first, block_last, step, dtype=np.int64)
-            yield from self.batch_for_indices(indices).iter_frames()
+        return self.batch_for_indices(self.frame_indices(window, sample_period), window)
 
     #: Instants per box block when the owner's tools walk appearances; bounds
     #: the box and mask temporaries however long the scene.

@@ -3,14 +3,15 @@
 Covers the array-native pipeline past detection:
 
 * the batch tracker core (``IoUTracker.step_batch``) must produce
-  bit-identical tracks to the scalar per-frame twin on **every** scenario
+  bit-identical tracks to the scalar per-frame oracle
+  (``tests/scalar_oracle.py``) on **every** scenario
   scene — same ids, same observation sequences (boxes, confidences,
   attributes), same majority attributes, same fragmentation under miss gaps —
   and on generated detection histories (threshold 0.0, confidence ties, two
   categories matched across, shuffled storage, zero-area boxes);
 * whole queries answered through the batch row-emission path must release
-  exactly the same values as the scalar twin (a test-local scalar
-  ``_track_chunk`` patched in — the oracle glue lives here, not behind a
+  exactly the same values as the scalar oracle (a test-local scalar
+  ``_track_chunk`` patched in — the oracle lives in the tests, not behind a
   runtime switch), with no chunk of either run a sandbox fallback;
 * that oracle is also the **no-pushdown reference**: it renders every
   category and draws every attribute whatever the executable declares, and
@@ -57,6 +58,7 @@ from repro.video.masking import EMPTY_MASK
 from repro.video.video import SyntheticVideo
 
 from tests.conftest import make_crossing_object, make_simple_video
+from tests.scalar_oracle import batch_tracks, scalar_tracks, to_track
 
 
 def _scenario_video(name):
@@ -78,12 +80,9 @@ def _tracks_both_ways(video, detector, tracker_config, *, chunk_duration=30.0,
                                            frame_width=video.width,
                                            frame_height=video.height,
                                            categories=categories)
-        scalar = IoUTracker(tracker_config)
-        for frame_detections in detections.per_frame_detections():
-            scalar.step(frame_detections)
         batched = IoUTracker(tracker_config)
         batched.step_batch(detections)
-        pairs.append((scalar.finalize(), batched.finalize()))
+        pairs.append((scalar_tracks(tracker_config, [detections]), batch_tracks(batched)))
     return pairs
 
 
@@ -144,7 +143,7 @@ class TestTrackerParityAcrossScenes:
             tracker = IoUTracker(TrackerConfig(min_hits=1))
             tracker.step_batch(detections)
             for view in tracker.finalize_views():
-                track = view.to_track()
+                track = to_track(view)
                 assert view.track_id == track.track_id
                 assert view.category == track.category
                 assert view.hits == track.hits
@@ -158,22 +157,6 @@ class TestTrackerParityAcrossScenes:
                 assert view.majority_attribute("plate") \
                     == track.majority_attribute("plate")
 
-    def test_mixing_modes_is_rejected(self):
-        detector = SyntheticDetector(DetectorConfig(), seed=1)
-        video = make_simple_video(objects=[
-            make_crossing_object("w", start=0.0, duration=30.0)], duration=60.0)
-        chunk = split_interval(video, ChunkSpec(window=TimeInterval(0.0, 30.0),
-                                                chunk_duration=30.0))[0]
-        detections = detector.detect_batch(chunk.frame_batch())
-        tracker = IoUTracker()
-        tracker.step_batch(detections)
-        with pytest.raises(RuntimeError):
-            tracker.step([])
-        tracker = IoUTracker()
-        tracker.step(detections.per_frame_detections()[0])
-        with pytest.raises(RuntimeError):
-            tracker.step_batch(detections)
-
 
 def _chunk_batches(video, detector, *, duration, chunk_duration):
     spec = ChunkSpec(window=TimeInterval(0.0, duration),
@@ -184,19 +167,11 @@ def _chunk_batches(video, detector, *, duration, chunk_duration):
             for chunk in split_interval(video, spec)]
 
 
-def _scalar_reference(config, batches):
-    tracker = IoUTracker(config)
-    for batch in batches:
-        for frame_detections in batch.per_frame_detections():
-            tracker.step(frame_detections)
-    return tracker.finalize()
-
-
 def _batch_tracks(config, batches):
     tracker = IoUTracker(config)
     for batch in batches:
         tracker.step_batch(batch)
-    return tracker.finalize()
+    return batch_tracks(tracker)
 
 
 class TestTrackerMultiBatch:
@@ -205,7 +180,7 @@ class TestTrackerMultiBatch:
     These drive the cross-batch lifecycle — a stream of chunks, all-empty
     batches draining the active window, mass expiry followed by a second
     wave, a track dying before its velocity ring fills — and hold the core
-    to the scalar twin bit for bit.
+    to the scalar oracle bit for bit.
     """
 
     def _wave_video(self, *, first=6, second=0, gap_start=120.0,
@@ -232,13 +207,13 @@ class TestTrackerMultiBatch:
                                  chunk_duration=chunk_duration)
         config = TrackerConfig(max_age=max_age, min_hits=1)
         tracks = _batch_tracks(config, batches)
-        assert tracks == _scalar_reference(config, batches)
+        assert tracks == scalar_tracks(config, batches)
         assert len(tracks) > 0
 
     def test_zero_candidate_batches_age_and_expire_tracks(self):
         # Batches with no detections at all (empty stretches of footage)
         # still advance time: actives age each frame and expire on
-        # schedule, identically to the scalar twin stepping empty frames.
+        # schedule, identically to the scalar oracle stepping empty frames.
         video = self._wave_video(first=3, second=3, gap_start=180.0,
                                  duration=300.0)
         detector = SyntheticDetector(DetectorConfig(miss_rate=0.2), seed=7)
@@ -253,7 +228,7 @@ class TestTrackerMultiBatch:
             if batch.num_detections == 0:
                 saw_empty_active = len(tracker._core.active) == 0
         assert saw_empty_active  # the gap really drained the active window
-        assert tracker.finalize() == _scalar_reference(config, batches)
+        assert batch_tracks(tracker) == scalar_tracks(config, batches)
 
     def test_mass_expiry_then_second_wave(self):
         # Wave one opens more than 16 tracks, the gap expires every active
@@ -271,7 +246,7 @@ class TestTrackerMultiBatch:
         core = tracker._core
         assert len(core.track_id) > 16
         assert len(core.finished) + len(core.active) == len(core.track_id)
-        assert tracker.finalize() == _scalar_reference(config, batches)
+        assert batch_tracks(tracker) == scalar_tracks(config, batches)
 
     def test_track_death_before_ring_fills(self):
         video = make_simple_video(objects=[
@@ -289,7 +264,7 @@ class TestTrackerMultiBatch:
         assert core.finished, "the brief track must have expired"
         for row in core.finished:
             assert 0 < core.hit_count(row) < 5  # genuinely mid-ring
-        assert tracker.finalize() == _scalar_reference(config, batches)
+        assert batch_tracks(tracker) == scalar_tracks(config, batches)
 
 
 def _detection_batch(num_frames, first_frame, stride, rows, num_categories):
@@ -346,21 +321,21 @@ class TestTrackerParityOnGeneratedHistories:
            iou_threshold=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
            per_category=st.booleans(),
            use_motion_prediction=st.booleans())
-    def test_batch_core_matches_scalar_twin(self, batches, max_age, iou_threshold,
+    def test_batch_core_matches_scalar_oracle(self, batches, max_age, iou_threshold,
                                             per_category, use_motion_prediction):
         config = TrackerConfig(max_age=max_age, min_hits=1,
                                iou_threshold=iou_threshold,
                                per_category=per_category,
                                use_motion_prediction=use_motion_prediction)
-        assert _batch_tracks(config, batches) == _scalar_reference(config, batches)
+        assert _batch_tracks(config, batches) == scalar_tracks(config, batches)
 
 
 class TestBatchTimeOrder:
     """``step_batch`` rejects a batch that starts before frames already seen.
 
-    The scalar twin never predicts backwards (``frames_ahead > 0``) while
-    the batch core extrapolates by whatever gap it is given, so such a
-    stream would yield different tracks from the two twins without an error.
+    The scalar oracle never predicts backwards (``frames_ahead > 0``)
+    while the batch core extrapolates by whatever gap it is given, so such a
+    stream would link boxes wrongly without an error.
     """
 
     def _batch(self, first_frame):
@@ -381,7 +356,7 @@ class TestBatchTimeOrder:
         # the frame index the previous one ended on.
         batches = [self._batch(0), self._batch(2),
                    _detection_batch(3, 4, 1, [], 1), self._batch(3)]
-        assert _batch_tracks(config, batches) == _scalar_reference(config, batches)
+        assert _batch_tracks(config, batches) == scalar_tracks(config, batches)
 
 
 def _no_pushdown_detect_chunk(chunk, context, *, categories=None, attributes=None,
@@ -395,10 +370,10 @@ def _no_pushdown_detect_chunk(chunk, context, *, categories=None, attributes=Non
 
 
 def _scalar_track_chunk(chunk, context, *, categories=None, attributes=None):
-    """``executables._track_chunk`` on the scalar twin over the no-pushdown
+    """``executables._track_chunk`` on the scalar oracle over the no-pushdown
     reference (the whole-query oracle)."""
     detections = _no_pushdown_detect_chunk(chunk, context, categories=categories)
-    return _scalar_reference(context.tracker_config, [detections])
+    return scalar_tracks(context.tracker_config, [detections])
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
-"""Columnar frame pipeline: old-vs-new parity, hashing statistics, schedules.
+"""Columnar frame pipeline: scalar-oracle parity, hashing statistics, schedules.
 
-The legacy per-frame path (``chunk.frames()`` + ``detect_frame`` + one
-``tracker.step`` per frame) must produce results identical to the columnar
-path (``chunk.frame_batch()`` + ``detect_batch``): same boxes bit-for-bit,
-same detections, same tracks, same query rows.  The splitmix64 draw streams
+The scalar per-frame oracle (``tests/scalar_oracle.py``: per-frame views of
+the chunk, ``detect_frame``, one ``ScalarTracker.step`` per frame) must
+produce results identical to the columnar path (``chunk.frame_batch()`` +
+``detect_batch`` + ``step_batch``): same boxes bit-for-bit, same
+detections, same tracks, same query rows.  The splitmix64 draw streams
 backing the detector must also behave like independent uniforms — these
 statistical checks are deterministic (fixed seeds) and guard the privacy
 argument's "draws are keyed, not sequenced" contract.
@@ -14,11 +15,10 @@ import pickle
 import numpy as np
 import pytest
 
-import repro.cv.tracker as tracker_module
 from repro.core import PrividSystem, SerialEngine, ShardedEngine
 from repro.core.policy import PrivacyPolicy
 from repro.cv.detector import DetectorConfig, SyntheticDetector
-from repro.cv.tracker import IoUTracker, TrackerConfig
+from repro.cv.tracker import TrackerConfig
 from repro.query.builder import QueryBuilder
 from repro.sandbox.environment import ExecutionContext
 from repro.sandbox.executables import _track_chunk
@@ -40,6 +40,14 @@ from repro.video.masking import Mask
 from repro.video.regions import Region
 
 from tests.conftest import make_crossing_object, make_simple_video, make_stationary_object
+from tests.scalar_oracle import (
+    Detection,
+    ScalarTracker,
+    chunk_frames,
+    detect_frame,
+    per_frame_detections,
+    to_track,
+)
 
 
 def _rich_video():
@@ -94,10 +102,10 @@ class TestFrameBatchParity:
             batch = chunk.frame_batch()
             batched = detector.detect_batch(batch, frame_width=video.width,
                                             frame_height=video.height)
-            for per_frame, frame in zip(batched.per_frame_detections(),
-                                        chunk.frames()):
-                scalar = detector.detect_frame(frame, frame_width=video.width,
-                                               frame_height=video.height)
+            for per_frame, frame in zip(per_frame_detections(batched),
+                                        chunk_frames(chunk)):
+                scalar = detect_frame(detector, frame, frame_width=video.width,
+                                      frame_height=video.height)
                 _detections_equal(per_frame, scalar)
 
     def test_detect_batch_with_region_and_mask(self):
@@ -109,10 +117,10 @@ class TestFrameBatchParity:
             chunk = chunk.with_region(region)
             batched = detector.detect_batch(chunk.frame_batch(), frame_width=video.width,
                                             frame_height=video.height)
-            for per_frame, frame in zip(batched.per_frame_detections(),
-                                        chunk.frames()):
-                _detections_equal(per_frame, detector.detect_frame(
-                    frame, frame_width=video.width, frame_height=video.height))
+            for per_frame, frame in zip(per_frame_detections(batched),
+                                        chunk_frames(chunk)):
+                _detections_equal(per_frame, detect_frame(
+                    detector, frame, frame_width=video.width, frame_height=video.height))
 
     def test_detect_batch_category_filter_matches_post_filter(self):
         video = _rich_video()
@@ -123,11 +131,11 @@ class TestFrameBatchParity:
                                          categories={"person"})
         unfiltered = detector.detect_batch(chunk.frame_batch(), frame_width=video.width,
                                            frame_height=video.height)
-        for narrow, wide in zip(filtered.per_frame_detections(),
-                                unfiltered.per_frame_detections()):
+        for narrow, wide in zip(per_frame_detections(filtered),
+                                per_frame_detections(unfiltered)):
             _detections_equal(narrow, [det for det in wide if det.category == "person"])
 
-    def test_track_chunk_matches_legacy_loop(self):
+    def test_track_chunk_matches_the_scalar_loop(self):
         video = _rich_video()
         context = ExecutionContext(
             camera="cam", fps=video.fps,
@@ -135,12 +143,13 @@ class TestFrameBatchParity:
             tracker_config=TrackerConfig(max_age=8, min_hits=2, iou_threshold=0.1),
             detector_seed=9)
         for chunk in _chunks(video):
-            batched_tracks = _track_chunk(chunk, context, categories={"person"})
+            batched_tracks = [to_track(view) for view
+                              in _track_chunk(chunk, context, categories={"person"})]
             detector = context.detector()
-            tracker = IoUTracker(context.tracker_config)
-            for frame in chunk.frames():
-                detections = [det for det in detector.detect_frame(
-                    frame, frame_width=video.width, frame_height=video.height)
+            tracker = ScalarTracker(context.tracker_config)
+            for frame in chunk_frames(chunk):
+                detections = [det for det in detect_frame(
+                    detector, frame, frame_width=video.width, frame_height=video.height)
                     if det.category == "person"]
                 tracker.step(detections)
             legacy_tracks = tracker.finalize()
@@ -222,10 +231,10 @@ class TestVectorizedPrimitives:
         """A step spanning frames extrapolates each detection's own frame."""
         config = TrackerConfig(max_age=10, min_hits=1, iou_threshold=0.1,
                                use_motion_prediction=True)
-        tracker = IoUTracker(config)
+        tracker = ScalarTracker(config)
 
         def det(frame_index, x, y, confidence=0.9):
-            return tracker_module.Detection(
+            return Detection(
                 timestamp=float(frame_index), frame_index=frame_index,
                 category="person", box=BoundingBox(x, y, 30.0, 60.0),
                 confidence=confidence)
@@ -247,7 +256,7 @@ class TestTimebaseRounding:
     def test_num_frames_is_epsilon_aware(self):
         video = make_simple_video(duration=0.3, fps=10.0)
         assert video.num_frames == 3
-        assert len(list(video.frames())) == 3
+        assert len(video.frame_batch()) == 3
 
     def test_num_frames_exact_products_unchanged(self):
         video = make_simple_video(duration=600.0, fps=2.0)

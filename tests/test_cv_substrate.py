@@ -1,8 +1,9 @@
 """Tests for the synthetic detector, tracker, duration estimation and tuning."""
 
+import numpy as np
 import pytest
 
-from repro.cv.detector import Detection, DetectorConfig, SyntheticDetector
+from repro.cv.detector import DetectorConfig, SyntheticDetector
 from repro.cv.duration import (
     compare_to_ground_truth,
     conservative_grace_period,
@@ -10,12 +11,25 @@ from repro.cv.duration import (
     ground_truth_distribution,
     persistence_distribution,
 )
-from repro.cv.tracker import IoUTracker, TrackerConfig, track_detection_stream
+from repro.cv.tracker import IoUTracker, TrackerConfig
 from repro.cv.tuning import best_config, distribution_distance, iterate_grid, tune_tracker
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
 
 from tests.conftest import make_crossing_object, make_simple_video
+from tests.scalar_oracle import Detection, detection_batch
+
+
+def _track(frames, config):
+    """The batch tracker over hand-written per-frame detection lists."""
+    tracker = IoUTracker(config)
+    tracker.step_batch(detection_batch(frames))
+    return tracker.finalize_views()
+
+
+def _frame(video, frame_index):
+    """One frame of ``video`` as a one-frame batch."""
+    return video.batch_for_indices(np.array([frame_index]))
 
 
 def _straight_line_detections(num_frames: int, *, missing: set[int] = frozenset(),
@@ -37,41 +51,40 @@ def _straight_line_detections(num_frames: int, *, missing: set[int] = frozenset(
 class TestDetector:
     def test_deterministic_per_frame(self, simple_video):
         detector = SyntheticDetector(DetectorConfig(miss_rate=0.3), seed=5)
-        frame = simple_video.frame_truth(100)
-        first = detector.detect_frame(frame)
-        second = detector.detect_frame(frame)
-        assert [d.box for d in first] == [d.box for d in second]
+        first = detector.detect_batch(_frame(simple_video, 100))
+        second = detector.detect_batch(_frame(simple_video, 100))
+        assert first.boxes.tobytes() == second.boxes.tobytes()
 
     def test_zero_miss_rate_detects_everything(self, simple_video):
         detector = SyntheticDetector(DetectorConfig(miss_rate=0.0, position_jitter=0.0), seed=1)
-        frame = simple_video.frame_truth(int(50 * simple_video.fps))
-        assert len(detector.detect_frame(frame)) == len(frame.visible)
+        frame = _frame(simple_video, int(50 * simple_video.fps))
+        assert len(detector.detect_batch(frame)) == frame.total_visible() > 0
 
     def test_full_miss_rate_detects_nothing(self, simple_video):
         detector = SyntheticDetector(DetectorConfig(miss_rate=1.0), seed=1)
-        frame = simple_video.frame_truth(int(50 * simple_video.fps))
-        assert detector.detect_frame(frame) == []
+        frame = _frame(simple_video, int(50 * simple_video.fps))
+        assert len(detector.detect_batch(frame)) == 0
 
     def test_miss_fraction_matches_configuration(self, campus_small):
         config = DetectorConfig(miss_rate=0.3)
         detector = SyntheticDetector(config, seed=3)
-        frames = list(campus_small.video.frames(TimeInterval(0, 600), sample_period=2.0))
-        fraction = detector.expected_miss_fraction(frames)
+        frames = campus_small.video.frame_batch(TimeInterval(0, 600), sample_period=2.0)
+        fraction = 1.0 - len(detector.detect_batch(frames)) / frames.total_visible()
         assert fraction == pytest.approx(0.3, abs=0.08)
 
     def test_false_positives_generated(self, simple_video):
         detector = SyntheticDetector(DetectorConfig(miss_rate=0.0, false_positives_per_frame=2.0),
                                      seed=2)
-        frame = simple_video.frame_truth(0)
-        detections = detector.detect_frame(frame)
-        fakes = [d for d in detections if d.attributes.get("false_positive")]
-        assert len(fakes) == 2
+        detections = detector.detect_batch(_frame(simple_video, 0))
+        present, _ = detections.attributes["false_positive"]
+        assert int(present.sum()) == 2
 
     def test_undetectable_categories_skipped(self, simple_video):
         config = DetectorConfig(miss_rate=0.0, detectable_categories=frozenset({"car"}))
         detector = SyntheticDetector(config, seed=1)
-        frame = simple_video.frame_truth(int(50 * simple_video.fps))
-        assert detector.detect_frame(frame) == []
+        frame = _frame(simple_video, int(50 * simple_video.fps))
+        assert frame.total_visible() > 0
+        assert len(detector.detect_batch(frame)) == 0
 
     def test_category_specific_miss_rate(self):
         config = DetectorConfig(miss_rate=0.1, category_miss_rates={"car": 0.9})
@@ -81,34 +94,33 @@ class TestDetector:
 
 class TestTracker:
     def test_continuous_object_single_track(self):
-        tracks = track_detection_stream(_straight_line_detections(30),
-                                        TrackerConfig(max_age=5, min_hits=2, iou_threshold=0.1))
+        tracks = _track(_straight_line_detections(30),
+                        TrackerConfig(max_age=5, min_hits=2, iou_threshold=0.1))
         assert len(tracks) == 1
         assert tracks[0].hits == 30
 
     def test_gap_bridged_with_motion_prediction(self):
         frames = _straight_line_detections(30, missing={10, 11, 12}, speed=32.0)
-        tracks = track_detection_stream(frames,
-                                        TrackerConfig(max_age=8, min_hits=2, iou_threshold=0.1))
+        tracks = _track(frames, TrackerConfig(max_age=8, min_hits=2, iou_threshold=0.1))
         assert len(tracks) == 1
 
     def test_gap_splits_without_motion_prediction(self):
         frames = _straight_line_detections(30, missing={10, 11, 12}, speed=32.0)
         config = TrackerConfig(max_age=8, min_hits=1, iou_threshold=0.1,
                                use_motion_prediction=False)
-        tracks = track_detection_stream(frames, config)
+        tracks = _track(frames, config)
         assert len(tracks) == 2
 
     def test_max_age_terminates_tracks(self):
         frames = _straight_line_detections(30, missing=set(range(10, 25)), speed=2.0)
         config = TrackerConfig(max_age=3, min_hits=2, iou_threshold=0.1)
-        tracks = track_detection_stream(frames, config)
+        tracks = _track(frames, config)
         assert len(tracks) == 2
 
     def test_min_hits_filters_noise_tracks(self):
         single = [[Detection(timestamp=0.0, frame_index=0, category="person",
                              box=BoundingBox(0, 0, 10, 10), confidence=0.9)]] + [[]] * 10
-        tracks = track_detection_stream(single, TrackerConfig(max_age=2, min_hits=2))
+        tracks = _track(single, TrackerConfig(max_age=2, min_hits=2))
         assert tracks == []
 
     def test_per_category_matching(self):
@@ -120,7 +132,7 @@ class TestTracker:
                 Detection(timestamp=float(index), frame_index=index, category="car",
                           box=BoundingBox(100, 100, 30, 60), confidence=0.9),
             ])
-        tracks = track_detection_stream(frames, TrackerConfig(min_hits=2))
+        tracks = _track(frames, TrackerConfig(min_hits=2))
         assert len(tracks) == 2
         assert {track.category for track in tracks} == {"person", "car"}
 
@@ -131,7 +143,7 @@ class TestTracker:
             frames.append([Detection(timestamp=float(index), frame_index=index, category="car",
                                      box=BoundingBox(100, 100, 30, 60), confidence=0.9,
                                      attributes={"color": color})])
-        tracks = track_detection_stream(frames, TrackerConfig(min_hits=2))
+        tracks = _track(frames, TrackerConfig(min_hits=2))
         assert tracks[0].majority_attribute("color") == "RED"
 
     def test_invalid_config_rejected(self):
@@ -145,7 +157,7 @@ class TestTracker:
 
 class TestDurationEstimation:
     def test_persistence_distribution(self):
-        tracks = track_detection_stream(_straight_line_detections(20), TrackerConfig(min_hits=2))
+        tracks = _track(_straight_line_detections(20), TrackerConfig(min_hits=2))
         durations = persistence_distribution(tracks)
         assert durations == [pytest.approx(19.0)]
 
@@ -162,7 +174,7 @@ class TestDurationEstimation:
             conservative_grace_period(16, 0.0)
 
     def test_estimate_is_conservative_with_grace(self):
-        tracks = track_detection_stream(
+        tracks = _track(
             _straight_line_detections(30, missing={0, 1, 28, 29}, speed=5.0),
             TrackerConfig(min_hits=2))
         raw_estimate = estimate_max_duration(tracks)
@@ -172,7 +184,7 @@ class TestDurationEstimation:
 
     def test_compare_to_ground_truth(self):
         video = make_simple_video(objects=[make_crossing_object("a", start=0, duration=25)])
-        tracks = track_detection_stream(_straight_line_detections(26), TrackerConfig(min_hits=2))
+        tracks = _track(_straight_line_detections(26), TrackerConfig(min_hits=2))
         estimate = compare_to_ground_truth(tracks, video.objects, miss_fraction=0.1,
                                            grace_period=2.0)
         assert estimate.ground_truth_max == 25
@@ -197,7 +209,7 @@ class TestTuning:
         video = make_simple_video(objects=[make_crossing_object("a", start=0, duration=29)])
         frames = _straight_line_detections(30, missing={5, 6}, speed=20.0)
         grid = {"max_age": (1, 8), "min_hits": (2,), "iou_threshold": (0.1,)}
-        results = tune_tracker(frames, video.objects, grid=grid)
+        results = tune_tracker(detection_batch(frames), video.objects, grid=grid)
         assert len(results) == 2
         best = best_config(results)
         assert best.max_age == 8

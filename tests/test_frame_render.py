@@ -1,7 +1,7 @@
 """The one-pass chunk render against an independent scalar oracle.
 
 ``SyntheticVideo.batch_for_indices`` renders a chunk from the per-video
-appearance table and ``Chunk._apply_filters`` masks it in one call.  The
+appearance table and ``filter_batch`` masks it in one call.  The
 oracle here shares none of that: it keeps the previous bucket index (a dict
 of object lists) for the object order, and asks ``SceneObject.box_at``,
 ``Mask.hides`` and ``Region.contains`` one (object, frame) at a time.  The
@@ -43,6 +43,7 @@ from repro.video.masking import EMPTY_MASK, Mask
 from repro.video.regions import Region
 
 from tests.conftest import make_crossing_object, make_simple_video, make_stationary_object
+from tests.scalar_oracle import chunk_frames, frame_truth
 
 
 # --------------------------------------------------------------------- oracle
@@ -157,8 +158,9 @@ def test_every_scenario_scene_matches_the_scalar_oracle(name):
     assert compared > 0
 
 
-def test_frame_adapters_read_the_stack():
-    """``chunk.frames()``/``frame_truth`` against the oracle's per-frame view."""
+def test_the_scalar_oracles_frame_views_read_the_stack():
+    """The per-frame views the detector and tracker oracles step through
+    (``tests/scalar_oracle.py``) against the render oracle's frames."""
     objects = [
         make_crossing_object("walker-1", start=30.0, duration=40.0),
         make_crossing_object("walker-2", start=45.0, duration=35.0, x=700.0),
@@ -171,12 +173,12 @@ def test_frame_adapters_read_the_stack():
     for chunk in chunks_of(video, mask=mask)[:4]:
         frames, rows = oracle_rows(chunk, index)
         batch = chunk.frame_batch()
-        emitted = list(chunk.frames())
+        emitted = list(chunk_frames(chunk))
         assert [frame.frame_index for frame in emitted] == frames
         for position, frame in enumerate(emitted):
             expected = [(object_id, boxes[position]) for object_id, visible, boxes in rows
                         if visible[position]]
-            for truth in (frame, batch.frame_truth(position)):
+            for truth in (frame, frame_truth(batch, position)):
                 assert truth.timestamp == frames[position] / video.fps
                 assert [(seen.object_id, seen.box) for seen in truth.visible] == expected
 
@@ -319,7 +321,7 @@ class TestRenderEdgeCases:
                 assert_matches_oracle(chunk, index, max_frames)
         batch = empty.frame_batch()
         assert batch.scene_objects == [] and batch.total_visible() == 0
-        assert list(batch.iter_frames())[0].visible == ()
+        assert batch.visible.shape == (0, len(batch)) and len(batch) > 0
         assert len(busy.frame_batch(max_frames=1)) == 1
         no_objects = make_simple_video(objects=[])
         assert no_objects.frame_batch(TimeInterval(0.0, 30.0)).visible.shape == (0, 60)

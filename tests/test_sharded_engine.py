@@ -26,6 +26,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     DiskChunkStore,
@@ -1280,6 +1281,121 @@ class TestDispatchCore:
         assert [(action[1], action[2]["seq"]) for action in actions
                 if action[0] == "send" and action[2]["type"] == "task"] == [(1, 0)]
         assert core.tasks[0].attempts == 1 and 0 not in core.shards
+
+
+#: What the generated histories are made of: (kind, a, b) events, resolved
+#: against the history's state when they run.  A frame goes to a seq in
+#: flight when there is one and ``b < 10`` (any seq ever dispatched
+#: otherwise), from its owner when ``a < 3`` (any shard id ever seen
+#: otherwise); a tick advances the clock by ``_STEPS[a]``; other picks wrap.
+#: Kinds repeat to weight them: most frames are well-formed results.
+_KINDS = ("batch", "batch", "result", "result", "result", "short", "error",
+          "eof", "spawn", "tick", "tick", "collect", "collect", "open")
+_STEPS = (0.0, 0.5, 5.0, 10.0, 30.0, 61.0)
+_EVENTS = st.tuples(st.sampled_from(_KINDS), st.integers(0, 5), st.integers(0, 15))
+
+
+class TestDispatchCoreUnderArbitraryInterleavings:
+    """``_Dispatch`` driven by generated histories on a virtual clock.
+
+    Batches on several streams, results (first, duplicate and stale, from
+    live and dead shards), misshapen results, error frames, EOFs, respawns
+    and ticks interleave arbitrarily; after every event four rules hold:
+
+    * every seq retires (``ready`` or ``failed``) at most once;
+    * a stream collects its seqs in dispatch order, or fails on its first
+      failed one;
+    * no task is sent more than ``1 + max_task_retries`` times;
+    * a tick kills a shard exactly when it holds work and its silence has
+      reached its limit (``heartbeat_timeout``, or ``startup_grace`` before
+      its first frame), never before, and nothing but a tick or an EOF kills.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(max_task_retries=st.sampled_from([0, 1, 3]),
+           events=st.lists(_EVENTS, min_size=20, max_size=80))
+    def test_the_four_rules_hold(self, max_task_retries, events):
+        core = _core(max_task_retries)
+        now = 0.0
+        shard_ids = [0, 1]
+        # stream -> [its seqs in dispatch order, how many collected]
+        streams = {core.open_stream(): [[], 0] for _ in range(2)}
+        chunks = {}          # seq -> number of chunks
+        retired = {}         # seq -> "ready" | "failed"
+        sends = {}           # seq -> task frames sent
+
+        def apply(actions, *, may_kill=False):
+            for action in actions:
+                if action[0] in ("ready", "failed"):
+                    assert action[1] not in retired, f"seq {action[1]} retired twice"
+                    retired[action[1]] = action[0]
+                elif action[0] == "send" and action[2]["type"] == "task":
+                    seq = action[2]["seq"]
+                    sends[seq] = sends.get(seq, 0) + 1
+                    assert sends[seq] <= 1 + max_task_retries
+                elif action[0] == "kill":
+                    assert may_kill, "only a tick or an EOF kills"
+
+        for kind, first, second in events:
+            seqs = sorted(chunks)
+            if kind == "open":
+                streams[core.open_stream()] = [[], 0]
+            elif kind == "batch" and streams:
+                stream = sorted(streams)[first % len(streams)]
+                seq = len(chunks)
+                chunks[seq] = 1 + second % 3
+                specs = [[0, index, 0.0, 30.0, 1, None, None] for index in range(chunks[seq])]
+                streams[stream][0].append(seq)
+                apply(core.batch(stream, specs, "unused", 5, now))
+            elif kind in ("result", "short", "error") and seqs:
+                in_flight = sorted(core.tasks)
+                seq = in_flight[second % len(in_flight)] if in_flight and second < 10 \
+                    else seqs[second % len(seqs)]
+                shard = core.tasks[seq].shard_id if first < 3 and seq in core.tasks \
+                    else shard_ids[first % len(shard_ids)]
+                if kind == "error":
+                    message = {"type": "error", "seq": seq, "message": "boom"}
+                else:
+                    count = chunks[seq] - (kind == "short")
+                    message = {"type": "result", "seq": seq, "outcomes": [
+                        {"rows": [{"seq": seq}], "fallback": False}] * count}
+                apply(core.frame(shard, message, now))
+            elif kind == "eof":
+                apply(core.eof(shard_ids[first % len(shard_ids)], now), may_kill=True)
+            elif kind == "spawn":
+                shard_ids.append(max(shard_ids) + 1)
+                core.add_shard(shard_ids[-1], now)
+            elif kind == "tick":
+                now += _STEPS[first]
+                overdue = {shard_id for shard_id, shard in core.shards.items()
+                           if shard.pending and now >= shard.last_seen + core._limit(shard)}
+                actions = core.tick(now)
+                apply(actions, may_kill=True)
+                assert {action[1] for action in actions if action[0] == "kill"} == overdue
+            elif kind == "collect" and streams:
+                stream = sorted(streams)[first % len(streams)]
+                owned, collected = streams[stream]
+                done, failure = core.collect(stream)
+                expected = owned[collected:collected + len(done)]
+                assert [outcomes[0].rows[0]["seq"] for outcomes in done] == expected
+                assert [len(outcomes) for outcomes in done] == [chunks[seq] for seq in expected]
+                assert all(retired[seq] == "ready" for seq in expected)
+                streams[stream][1] = collected + len(done)
+                head = owned[collected + len(done):collected + len(done) + 1]
+                if failure is not None:
+                    # The first failed seq fails the stream; the engine closes it.
+                    assert head and retired[head[0]] == "failed"
+                    core.close_stream(stream)
+                    del streams[stream]
+                else:
+                    assert not head or head[0] not in retired
+                    assert core.waiting(stream) == bool(head)
+            # Bookkeeping: every task in flight sits on its owner, a live shard.
+            for seq, task in core.tasks.items():
+                assert task.attempts <= max_task_retries
+                assert core.shards[task.shard_id].pending[seq] is task
+            assert sum(len(shard.pending) for shard in core.shards.values()) \
+                == len(core.tasks)
 
 
 _OUTCOME = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}

@@ -1,5 +1,6 @@
 """Tests for the synthetic video model, chunking, masks and regions."""
 
+import numpy as np
 import pytest
 
 from repro.errors import RegionError
@@ -25,15 +26,19 @@ class TestSyntheticVideo:
         assert simple_video.frame_period == 0.5
         assert simple_video.interval == TimeInterval(0.0, 600.0)
 
-    def test_visible_objects_at(self, simple_video):
-        visible = simple_video.visible_objects_at(50.0)
-        assert {v.object_id for v in visible} == {"walker-1"}
-        visible_later = simple_video.visible_objects_at(140.0)
-        assert {v.object_id for v in visible_later} == {"walker-2", "sitter-1"}
+    def test_visible_objects_in_a_frame(self, simple_video):
+        def visible_at(timestamp):
+            batch = simple_video.batch_for_indices(
+                np.array([simple_video.frame_index_at(timestamp)]))
+            return {scene_object.object_id for scene_object, seen
+                    in zip(batch.scene_objects, batch.visible[:, 0].tolist()) if seen}
+
+        assert visible_at(50.0) == {"walker-1"}
+        assert visible_at(140.0) == {"walker-2", "sitter-1"}
 
     def test_frames_subsampling(self, simple_video):
-        frames = list(simple_video.frames(TimeInterval(0, 10), sample_period=2.0))
-        assert len(frames) == 5
+        frames = simple_video.frame_batch(TimeInterval(0, 10), sample_period=2.0)
+        assert frames.frame_indices.tolist() == [0, 4, 8, 12, 16]
 
     def test_objects_overlapping_uses_index(self, simple_video):
         overlapping = simple_video.objects_overlapping(TimeInterval(110, 130))
@@ -87,7 +92,7 @@ class TestChunking:
     def test_chunk_frames_respect_interval(self, simple_video):
         spec = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=30.0)
         chunk = split_interval(simple_video, spec)[1]
-        timestamps = [frame.timestamp for frame in chunk.frames()]
+        timestamps = chunk.frame_batch().timestamps.tolist()
         assert min(timestamps) >= 30.0
         assert max(timestamps) < 60.0
 
@@ -96,8 +101,8 @@ class TestChunking:
         spec = ChunkSpec(window=TimeInterval(100, 160), chunk_duration=60.0)
         masked_chunk = split_interval(simple_video, spec, mask=mask)[0]
         unmasked_chunk = split_interval(simple_video, spec)[0]
-        masked_ids = {v.object_id for frame in masked_chunk.frames() for v in frame.visible}
-        unmasked_ids = {v.object_id for frame in unmasked_chunk.frames() for v in frame.visible}
+        masked_ids = {o.object_id for o in masked_chunk.frame_batch().scene_objects}
+        unmasked_ids = {o.object_id for o in unmasked_chunk.frame_batch().scene_objects}
         assert "sitter-1" in unmasked_ids
         assert "sitter-1" not in masked_ids
 
@@ -143,13 +148,13 @@ class TestChunking:
         boundary_hi = 59.999999999
         first = Chunk(video=video, index=0, interval=TimeInterval(0.0, boundary_lo))
         second = Chunk(video=video, index=1, interval=TimeInterval(boundary_lo, boundary_hi))
-        first_indices = [frame.frame_index for frame in first.frames()]
-        second_indices = [frame.frame_index for frame in second.frames()]
+        first_indices = first.frame_batch().frame_indices.tolist()
+        second_indices = second.frame_batch().frame_indices.tolist()
         assert first_indices == list(range(0, 900))
         assert second_indices == list(range(900, 1800))
         # Exact boundaries produce the same frames: no drops, no duplicates.
         exact = Chunk(video=video, index=1, interval=TimeInterval(30.0, 60.0))
-        assert [frame.frame_index for frame in exact.frames()] == second_indices
+        assert exact.frame_batch().frame_indices.tolist() == second_indices
 
 
 class TestMasks:
