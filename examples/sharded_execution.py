@@ -79,13 +79,15 @@ def main() -> None:
     # ------------------------------------------------ dispatch accounting
     # Per-dispatch messages are a payload ref plus a few numbers per chunk;
     # the footage is published once for the engine's lifetime and the
-    # stream's other constants once per distinct stream.
+    # stream's other constants once per distinct stream, and each is pushed
+    # down a shard's own socket the first time one of its tasks needs it.
     dispatch = stats["dispatch"]
     print(f"dispatch: {dispatch['chunks']} chunks in {dispatch['dispatches']} "
           f"task frames, mean {dispatch['payload_bytes_mean']:.0f} B/frame")
     for shard_id, shard in dispatch["per_shard"].items():
         print(f"  shard {shard_id}: {shard['chunks']:3d} chunks, "
-              f"{shard['payload_bytes_total']:6d} B dispatched")
+              f"{shard['payload_bytes_total']:6d} B dispatched, "
+              f"{shard['pushes']} payloads ({shard['push_bytes']} B) pushed")
 
     # ------------------------------------------------------ fault tolerance
     # Kill a shard while the sweep is in flight: the coordinator notices the

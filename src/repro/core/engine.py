@@ -31,11 +31,14 @@ chunks on demand (``repro.video.chunking.iter_chunks``) and the executor
 appends rows per chunk as outcomes arrive.
 
 Shards do **not** receive pickled chunks.  An engine-lifetime
-:class:`_BroadcastPublisher` ships each footage *state* and each distinct
-stream *manifest* (runner, context, masks, regions) once, and workers keep
-what they decoded, so a repeat stream pays dispatch only: per-dispatch
-messages are the manifest ref plus a few ints and floats per chunk
-(:class:`_StreamBroadcast` / :func:`chunk_from_spec`).
+:class:`_BroadcastPublisher` pickles each footage *state* and each distinct
+stream *manifest* (runner, context, masks, regions) once and keeps the
+bytes; the sharded engine writes each to a shard's own socket before the
+first task there that names it, and workers keep what they decoded, so a
+repeat stream pays dispatch only: per-dispatch messages are the manifest
+ref plus a few ints and floats per chunk (:class:`_StreamBroadcast` /
+:func:`chunk_from_spec`).  No engine creates a file or a shared-memory
+segment.
 
 Engines are deliberately ignorant of caching — the
 :class:`~repro.core.cache.ChunkResultCache` filters out memoized chunks before
@@ -45,24 +48,13 @@ the engine ever sees them (see ``SandboxRunner.iter_chunk_rows``).
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import shutil
-import tempfile
 import threading
-import uuid
-import weakref
 from collections import OrderedDict
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, \
     runtime_checkable
-
-try:
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - platform without POSIX shared memory
-    resource_tracker = shared_memory = None  # type: ignore[assignment]
 
 from repro.relational.table import ColumnarRows
 from repro.utils import checks
@@ -106,77 +98,47 @@ def execute_chunk(runner: "SandboxRunner", chunk: "Chunk",
 #: ref, region ref or None, sample period).
 ChunkSpecMessage = tuple
 
-#: Worker-side LRU of decoded payloads, parts and manifests alike, keyed by
-#: ref (never reused, so never stale).  A part is only useful beside a
-#: manifest naming it: at most half are scenes.  A still-published ref reloads.
-#: The lock keeps the LRU whole should two threads of one worker fetch at
-#: once (a decode runs outside it).
-_PAYLOAD_CACHE: "OrderedDict[str, Any]" = OrderedDict()
-_PAYLOAD_CACHE_LIMIT = 16
+#: Worker-side payloads by ref, as ``payload`` frames pushed them (pickled
+#: bytes until first use, then the decoded object) less what their ``drop``
+#: lists named: the coordinator alone decides what a worker holds.  The lock
+#: keeps a decode from putting back an entry a ``drop`` removed meanwhile.
+_PAYLOAD_CACHE: dict[str, Any] = {}
 _PAYLOAD_CACHE_LOCK = threading.Lock()
 
-#: Payload-ref scheme marking a shared-memory segment name rather than a
-#: file path (``shm:privid-bc-...``).
-_SHM_REF_PREFIX = "shm:"
-
 #: Bytes one engine keeps published between streams; past it the least
-#: recently used payloads no open stream pins are unlinked.
+#: recently used payloads no open stream pins are forgotten.
 _PUBLISHED_BYTES_LIMIT = 32 * 1024 * 1024
 
 
-def _attach_segment(name: str) -> "shared_memory.SharedMemory":
-    """Attach an existing broadcast segment without adopting its lifecycle.
-
-    Attaching registers the segment with this process's resource tracker
-    (Python < 3.13 has no ``track=False``), which would unlink the creator's
-    segment when this worker exits — and forked workers share the parent's
-    tracker daemon, so a register/unregister pair from the worker would also
-    corrupt the creator's own bookkeeping.  Suppressing registration during
-    the attach keeps ownership where it belongs: only the coordinator ever
-    tells the tracker about the segment, and only it unlinks.
-    """
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
+def _hold_payload(ref: str, data: bytes, drop: Iterable[str]) -> None:
+    """Apply a ``payload`` frame: forget the refs in ``drop``, keep ``data`` under ``ref``."""
+    with _PAYLOAD_CACHE_LOCK:
+        for old in drop:
+            _PAYLOAD_CACHE.pop(old, None)
+        _PAYLOAD_CACHE[ref] = data
 
 
 def _fetch_payload(ref: str) -> tuple[Any, bool]:
-    """One published payload, and whether this call had to decode it.
+    """One pushed payload, and whether this call had to decode it.
 
-    ``ref`` names a footage part or a stream manifest, as a payload file
-    path or a ``shm:NAME`` segment ref (unpickled straight out of the
-    attached segment).  Decoding a manifest pulls the parts it names through
-    this same cache (:class:`_PartRef`), so a worker decodes a footage state
-    once however many streams name it.  The decode runs outside the lock
-    (it re-enters for those parts): two threads may decode one ref at once,
-    which costs time; a torn LRU would cost the worker.
+    ``ref`` names a footage part or a stream manifest.  Decoding a manifest
+    pulls the parts it names through this same table (:class:`_PartRef`),
+    so a worker decodes a footage state once however many streams name it.
     """
+    payload = _PAYLOAD_CACHE.get(ref)
+    if payload is None:
+        raise LookupError(f"payload {ref!r} was never pushed to this shard")
+    if not isinstance(payload, bytes):
+        return payload, False
+    decoded = pickle.loads(payload)
     with _PAYLOAD_CACHE_LOCK:
-        payload = _PAYLOAD_CACHE.get(ref)
-        if payload is not None:
-            _PAYLOAD_CACHE.move_to_end(ref)
-            return payload, False
-    if ref.startswith(_SHM_REF_PREFIX):
-        segment = _attach_segment(ref[len(_SHM_REF_PREFIX):])
-        try:
-            payload = pickle.loads(segment.buf)
-        finally:
-            segment.close()
-    else:
-        with open(ref, "rb") as handle:
-            payload = pickle.load(handle)
-    with _PAYLOAD_CACHE_LOCK:
-        _PAYLOAD_CACHE[ref] = payload
-        while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_LIMIT:
-            _PAYLOAD_CACHE.popitem(last=False)
-    return payload, True
+        if _PAYLOAD_CACHE.get(ref) is payload:
+            _PAYLOAD_CACHE[ref] = decoded
+    return decoded, True
 
 
 def _load_payload(ref: str) -> Any:
-    """Decode (and memoize) one published payload in this process."""
+    """Decode (and memoize) one pushed payload in this process."""
     return _fetch_payload(ref)[0]
 
 
@@ -202,70 +164,52 @@ def chunk_from_spec(objects: list[Any], spec: ChunkSpecMessage) -> "Chunk":
 
 @dataclass(eq=False)
 class _Published:
-    """One published payload and how many open streams pin it."""
+    """One published payload: its pickled bytes, the refs a task naming it
+    needs (a manifest's parts, then itself) and how many open streams pin it."""
 
     ref: str
-    size: int
-    unlink: Callable[[], None]  # drops the name; attached workers keep their mappings
+    data: bytes
+    needs: tuple[str, ...]
     keep: Any  # the footage a part was pickled from; keeps the id() in its key sound
     pins: int = 0
 
 
-def _unpublish_all(entries: "OrderedDict[Any, _Published]", directory: str,
-                   owner_pid: int) -> None:
-    """Unlink every payload and remove the payload directory."""
-    if os.getpid() != owner_pid:
-        return  # a forked child never owns its parent's publications
-    for entry in entries.values():
-        with suppress(OSError):  # already gone
-            entry.unlink()
-    entries.clear()
-    shutil.rmtree(directory, ignore_errors=True)
-
-
 class _BroadcastPublisher:
-    """An engine's out-of-band publication of heavy pickled constants
-    (``docs/architecture.md``, "Spec dispatch").
+    """An engine's registry of heavy pickled constants, each written to a
+    shard's own socket once (``docs/architecture.md``, "Spec dispatch").
 
-    Footage travels *by reference*: each video is pickled and published once
-    per footage **state** (its ``id()`` plus its ``content_token``, which
+    Footage travels *by reference*: each video is pickled once per footage
+    **state** (its ``id()`` plus its ``content_token``, which
     ``add_objects`` renews) as its own *part*.  The rest of a stream's
     constants — a kilobyte or two — travel *by value* in a *manifest* whose
     pickle names the parts by ref (:class:`_PartRef`) and which is keyed by
     the sha256 of its own bytes: an identical repeat stream publishes
-    nothing.  A ref is a fresh uuid per publication, so a worker-cached ref
-    cannot name other bytes.
-
-    The carrier is a named shared-memory segment each shard attaches, or a
-    file in a private tempdir when no segment could be created (a full
-    ``/dev/shm``).
-
-    The publisher owns every name.  A stream pins what it is handed until it
-    releases; past :data:`_PUBLISHED_BYTES_LIMIT` unpinned payloads are
-    unlinked least recently used first; :meth:`close` (engine ``shutdown()``)
-    and the finalizer (an engine dropped, or open at interpreter exit)
-    unlink the rest; a SIGKILLed coordinator's segments fall to the resource
-    tracker, which has held their registration since creation.
+    nothing.  A ref is fresh per publication, so a ref a shard holds cannot
+    name other bytes.  A stream pins what it is handed until it releases;
+    past :data:`_PUBLISHED_BYTES_LIMIT` unpinned payloads are forgotten
+    least recently used first, and :meth:`close` forgets the rest.
     """
 
     def __init__(self) -> None:
-        self._shared = shared_memory is not None
-        self._directory = os.path.join(tempfile.gettempdir(),
-                                       f"privid-task-{uuid.uuid4().hex}")
         self._entries: "OrderedDict[Any, _Published]" = OrderedDict()  # LRU first
+        self._by_ref: dict[str, _Published] = {}
+        self._refs = count()
         #: Streams of concurrent service threads publish through one engine.
         self._lock = threading.Lock()
-        weakref.finalize(self, _unpublish_all, self._entries, self._directory,
-                         os.getpid())
 
     def publish(self, key: Any, produce: Callable[[], bytes],
-                stream: "_StreamBroadcast", keep: Any = None) -> str:
+                stream: "_StreamBroadcast", keep: Any = None,
+                parts: tuple[str, ...] = ()) -> str:
         """Ref of the payload under ``key``, pinned for ``stream``; published
-        from ``produce()`` first if no live entry has that key."""
+        from ``produce()`` first (a manifest naming ``parts``) if no live
+        entry has that key."""
         with self._lock:
             fresh = key not in self._entries
             if fresh:
-                self._entries[key] = self._carry(produce(), keep, stream.stats)
+                data, ref = produce(), f"p{next(self._refs)}"
+                self._entries[key] = self._by_ref[ref] = _Published(ref, data, (*parts, ref), keep)
+                stream.stats.broadcasts += 1
+                stream.stats.broadcast_bytes += len(data)
             entry = self._entries[key]
             self._entries.move_to_end(key)
             if entry not in stream.pinned:
@@ -275,35 +219,27 @@ class _BroadcastPublisher:
             self._evict()
             return entry.ref
 
-    def _carry(self, data: bytes, keep: Any, stats: "DispatchStats") -> _Published:
-        name = f"privid-bc-{uuid.uuid4().hex}"
-        stats.broadcasts += 1
-        stats.broadcast_bytes += len(data)
-        if self._shared:
-            try:
-                segment = shared_memory.SharedMemory(name=name, create=True,
-                                                     size=len(data))
-            except OSError:
-                pass  # a full /dev/shm must not kill a broadcast: use the tempdir
-            else:
-                segment.buf[:len(data)] = data
-                segment.close()  # only the name is kept; workers map it themselves
-                stats.shm_segments += 1
-                return _Published(_SHM_REF_PREFIX + name, len(data), segment.unlink, keep)
-        os.makedirs(self._directory, mode=0o700, exist_ok=True)
-        path = os.path.join(self._directory, f"{name}.pkl")
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return _Published(path, len(data), partial(os.unlink, path), keep)
-
     def _evict(self) -> None:
-        excess = sum(entry.size for entry in self._entries.values()) - _PUBLISHED_BYTES_LIMIT
+        excess = sum(len(entry.data) for entry in self._entries.values()) - _PUBLISHED_BYTES_LIMIT
         for key, entry in list(self._entries.items()):
             if excess > 0 and not entry.pins:
-                del self._entries[key]
-                excess -= entry.size
-                with suppress(OSError):  # already gone
-                    entry.unlink()
+                del self._entries[key], self._by_ref[entry.ref]
+                excess -= len(entry.data)
+
+    def needs(self, ref: str) -> tuple[str, ...]:
+        """The refs a task naming ``ref`` needs, parts first (none when it is
+        not published).  Entries never change, so lookups take no lock."""
+        entry = self._by_ref.get(ref)
+        return () if entry is None else entry.needs
+
+    def data(self, ref: str) -> bytes:
+        """The pickled bytes published under ``ref``."""
+        return self._by_ref[ref].data
+
+    def pinned(self) -> set[str]:
+        """The refs some open stream pins."""
+        with self._lock:
+            return {entry.ref for entry in self._entries.values() if entry.pins}
 
     def release(self, stream: "_StreamBroadcast") -> None:
         """Unpin what a stream was handed (call only after all its tasks
@@ -315,9 +251,10 @@ class _BroadcastPublisher:
             self._evict()
 
     def close(self) -> None:
-        """Unlink everything published (the publisher stays usable)."""
+        """Forget everything published (the publisher stays usable)."""
         with self._lock:
-            _unpublish_all(self._entries, self._directory, os.getpid())
+            self._entries.clear()
+            self._by_ref.clear()
 
 
 class _PartRef(str):
@@ -383,8 +320,9 @@ class _StreamBroadcast:
         """Ref of a manifest covering every slot handed out so far."""
         if self._ref is None:
             data = pickle.dumps(self._manifest, protocol=pickle.HIGHEST_PROTOCOL)
+            parts = tuple(str(obj) for obj in self._objects if isinstance(obj, _PartRef))
             self._ref = self._publisher.publish(
-                hashlib.sha256(data).digest(), lambda: data, self)
+                hashlib.sha256(data).digest(), lambda: data, self, parts=parts)
         return self._ref
 
 
@@ -399,8 +337,10 @@ class DispatchStats:
     ``payload_bytes_*`` measure the per-dispatch message (payload ref +
     chunk specs).  ``broadcasts`` / ``broadcast_bytes`` count payloads (parts
     and manifests) and bytes *published*; a stream handed a payload already
-    published counts a ``broadcast_reuses`` and no bytes.  ``stages`` sums
-    what shards report on result frames — pure observation, never fed back.
+    published counts a ``broadcast_reuses`` and no bytes.  ``pushes`` /
+    ``push_bytes`` count the ``payload`` frames written to shards and their
+    wire bytes.  ``stages`` sums what shards report on result frames — pure
+    observation, never fed back.
     """
 
     dispatches: int = 0
@@ -410,7 +350,8 @@ class DispatchStats:
     broadcasts: int = 0
     broadcast_bytes: int = 0
     broadcast_reuses: int = 0
-    shm_segments: int = 0
+    pushes: int = 0
+    push_bytes: int = 0
     stages: dict[str, float] = field(default_factory=dict)
 
     def record_dispatch(self, payload_bytes: int, chunks: int) -> None:
@@ -480,39 +421,25 @@ class SerialEngine:
         self.shutdown()
 
 
-def _int_worker_count(kind: str, workers: int | str | None) -> int | None:
-    """Reject non-integer spec suffixes for kinds that only take ``:N``."""
-    if isinstance(workers, str):
-        raise ValueError(
-            f"invalid engine worker count {workers!r} in a {kind!r} spec")
-    return workers
-
-
-def _make_serial(workers: int | str | None) -> ExecutionEngine:
-    if _int_worker_count("serial", workers) is not None:
+def _make_serial(workers: int | None) -> ExecutionEngine:
+    if workers is not None:
         raise ValueError("the serial engine takes no worker count")
     return SerialEngine()
 
 
-def _make_sharded(workers: int | str | None) -> ExecutionEngine:
+def _make_sharded(workers: int | None) -> ExecutionEngine:
     # Imported lazily: remote builds on this module.
-    from repro.core.remote import sharded_engine_from_spec
+    from repro.core.remote import ShardedEngine
 
-    return sharded_engine_from_spec(workers)
-
-
-def _make_local_shards(kind: str) -> Callable[[int | str | None], ExecutionEngine]:
-    """``kind[:N]``, an older name of ``sharded[:N]`` that takes no address."""
-    return lambda workers: _make_sharded(_int_worker_count(kind, workers))
+    return ShardedEngine(workers)
 
 
-#: Spec kind -> factory of the ``:N`` suffix (an int, the raw string when it
-#: is not one, or None when absent).  ``thread`` and ``process`` name local
-#: shards.
-_ENGINE_FACTORIES: dict[str, Callable[[int | str | None], ExecutionEngine]] = {
+#: Spec kind -> factory of the ``:N`` suffix (None when absent).  ``thread``
+#: and ``process`` name local shards.
+_ENGINE_FACTORIES: dict[str, Callable[[int | None], ExecutionEngine]] = {
     "serial": _make_serial,
-    "thread": _make_local_shards("thread"),
-    "process": _make_local_shards("process"),
+    "thread": _make_sharded,
+    "process": _make_sharded,
     "sharded": _make_sharded,
 }
 
@@ -525,11 +452,10 @@ def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
     Passing an engine instance returns it unchanged; ``None`` or an empty
     string yields the default :class:`SerialEngine`.  The optional ``:N``
     suffix fixes the shard count (e.g. ``sharded:4``); ``process[:N]`` and
-    ``thread[:N]`` are ``sharded[:N]`` under older names.
-    A non-integer suffix is handed to the kind's factory verbatim (the
-    sharded engine rejects it, naming the spec).  This
-    is the value of the ``engine=`` argument of ``PrividSystem`` and of the
-    ``PRIVID_ENGINE`` benchmark knob.
+    ``thread[:N]`` are ``sharded[:N]`` under older names.  Any other
+    suffix, a ``HOST:PORT`` list among them, is refused naming the spec: no
+    shard is ever dialed.  This is the value of the ``engine=`` argument of
+    ``PrividSystem`` and of the ``PRIVID_ENGINE`` benchmark knob.
     """
     if spec is None:
         return SerialEngine()
@@ -539,16 +465,15 @@ def create_engine(spec: str | ExecutionEngine | None) -> ExecutionEngine:
     if text == "":
         return SerialEngine()
     kind, _, workers_text = text.partition(":")
-    workers: int | str | None = None
-    if workers_text:
-        try:
-            workers = int(workers_text)
-        except ValueError:
-            workers = workers_text  # transport suffix; the factory decides
-        if isinstance(workers, int):
-            checks.count(f"the worker count of {spec!r}", workers, ValueError, 1)
     factory = _ENGINE_FACTORIES.get(kind)
     if factory is None:
         expected = ", ".join(f"'{name}[:N]'" for name in sorted(_ENGINE_FACTORIES))
         raise ValueError(f"unknown execution engine {spec!r}; expected {expected}")
-    return factory(workers)
+    if not workers_text:
+        return factory(None)
+    try:
+        workers = int(workers_text)
+    except ValueError:
+        raise ValueError(f"invalid engine spec {spec!r}: the suffix is a shard "
+                         "count ('kind[:N]'); shards are local, none is dialed") from None
+    return factory(checks.count(f"the worker count of {spec!r}", workers, ValueError, 1))

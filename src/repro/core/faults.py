@@ -264,8 +264,8 @@ class FaultyTransport:
     Polls the injector only on the *deterministic* protocol events — task
     frames on the write side (site ``{site}.task``, with the task's seq) and
     result frames on the read side (site ``{site}.result``) — so heartbeat
-    timing never perturbs the operation counters.  All other behaviour
-    delegates to the wrapped transport.
+    timing never perturbs the operation counters.  Everything else,
+    ``payload`` frames included, is the wrapped transport's.
     """
 
     def __init__(self, inner: Any, injector: FaultInjector, site: str) -> None:
@@ -274,12 +274,8 @@ class FaultyTransport:
         self.site = site
         self.description = f"faulty({inner.description})"
 
-    @property
-    def process(self) -> Any:
-        return self.inner.process
-
-    def fileno(self) -> int:
-        return self.inner.fileno()
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.inner, name)
 
     def read(self) -> list[dict[str, Any]] | None:
         frames = self.inner.read()
@@ -328,15 +324,6 @@ class FaultyTransport:
             self.inner.kill()
             return sent
         return self.inner.write(message)
-
-    def is_alive(self) -> bool:
-        return self.inner.is_alive()
-
-    def kill(self) -> None:
-        self.inner.kill()
-
-    def close(self, timeout: float = 5.0) -> None:
-        self.inner.close(timeout)
 
 
 def faulty_transport_factory(factory: Any, injector: FaultInjector,

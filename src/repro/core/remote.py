@@ -24,12 +24,17 @@ bytes of UTF-8 JSON encoding one object (:func:`encode_frame` /
 
 Coordinator -> shard:
 
+``{"type": "payload", "ref": REF, "data": B64, "drop": [REF, ...]}``
+    A pickled footage part or stream manifest (runner, context, masks,
+    regions; footage named by ref to its part), base64 in ``data``.  The
+    shard forgets the refs in ``drop``, then keeps ``data`` under ``ref``
+    and decodes it on first use.  Written before the first task frame that
+    names ``ref`` (a manifest names its parts) to a shard that lacks it;
+    the coordinator alone decides what a shard holds (:func:`_holdings`).
 ``{"type": "task", "seq": S, "payload": REF, "specs": [SPEC, ...]}``
     Execute a batch of chunks.  ``seq`` is a coordinator-unique task id,
-    ``payload`` the ref (``shm:NAME`` segment or file path) of the stream's
-    manifest from the engine's :class:`~repro.core.engine._BroadcastPublisher`
-    (runner, context, masks, regions; footage named by ref to its own
-    part), and each ``SPEC`` a compact per-chunk message —
+    ``payload`` the ref of the stream's manifest, and each ``SPEC`` a
+    compact per-chunk message —
     ``[video_ref, index, start, end, mask_ref, region_ref, sample_period]``
     (:data:`~repro.core.engine.ChunkSpecMessage`), so per-task IPC stays at
     a few ints and floats per chunk.
@@ -55,8 +60,8 @@ Shard -> coordinator:
 ``{"type": "pong", "token": T}``
     Heartbeat reply.
 ``{"type": "error", "seq": S, "message": TEXT}``
-    Task ``S`` failed at the protocol level (e.g. an unreadable payload
-    file).  Executable crashes never surface here — the sandbox converts
+    Task ``S`` failed at the protocol level (e.g. a payload the shard was
+    never pushed).  Executable crashes never surface here — the sandbox converts
     those to fallback rows inside a normal ``result``.
 
 Shards never open the chunk result store: the coordinator looks every
@@ -72,9 +77,11 @@ scheduling rules as a state machine that reads no clock, socket or thread:
 it takes four events (a stream's batch is ready, a frame arrived, a shard's
 stream ended, a tick at ``now``) and returns actions (send a frame, kill a
 shard, a seq's outcomes are ready, a seq failed) and its next deadline.
-The shell owns the transports, the publisher and one ``selectors`` wait
-over every shard socket, run by whichever stream's thread is waiting for
-its head seq; there is no thread per shard.
+The shell owns the transports, the publisher, what each shard holds, and
+one ``selectors`` wait over every shard socket, run by whichever stream's
+thread is waiting for its head seq; there is no thread per shard.  Writes
+never block: what a socket does not take stays queued until the wait finds
+it writable, so a frozen or starting shard cannot stall the coordinator.
 
 Results are applied *at most once*: a task retires with its first
 well-formed ``result`` frame — one well-shaped outcome per chunk, none over
@@ -91,6 +98,7 @@ on where it ran.  Dead shards are replaced at the next stream start.
 from __future__ import annotations
 
 import argparse
+import base64
 import heapq
 import io
 import json
@@ -106,6 +114,7 @@ import time
 import traceback
 import warnings
 from collections import deque
+from contextlib import suppress
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, \
     Protocol, Sized, runtime_checkable
@@ -117,6 +126,7 @@ from repro.core.engine import (
     DispatchStats,
     _BroadcastPublisher,
     _fetch_payload,
+    _hold_payload,
     _StreamBroadcast,
     chunk_from_spec,
     execute_chunk,
@@ -152,6 +162,9 @@ _FRAME_HEADER = struct.Struct(">I")
 #: Upper bound on a single frame body; a corrupt length prefix must never
 #: make a reader try to allocate gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Body bytes of a ``payload`` frame besides its ref, data and drops.
+_PAYLOAD_FRAME_BYTES = len('{"type":"payload","ref":"","data":"","drop":[]}')
 
 
 def encode_frame(message: dict[str, Any]) -> bytes:
@@ -228,12 +241,14 @@ class ShardTransport(Protocol):
     transport-agnostic.  ``fileno`` is what the coordinator's one wait
     selects on.  ``read`` never blocks: it returns every complete frame
     already received ([] when none is), and None once the stream is finished
-    (worker exit, socket disconnect, a torn frame).  ``write`` sends one
-    frame and returns its wire bytes, raising :class:`OSError` when the far
-    end is gone.  ``is_alive`` is a cheap probe (a process poll at most),
-    ``kill`` severs the far end, and ``close`` asks the worker to exit,
-    escalating after ``timeout``.  ``process`` is the worker subprocess when
-    the transport owns one, and None otherwise.
+    (worker exit, socket disconnect, a torn frame).  Nor does ``write``: it
+    queues a frame, sends what the far end takes and returns the frame's
+    wire bytes; ``flush`` sends more, True while some is left.  Both raise
+    :class:`OSError` when the far end is gone.  ``is_alive`` is a cheap
+    probe (a process poll at most), ``kill`` severs the far end, and
+    ``close`` asks the worker to exit, escalating after ``timeout``.
+    ``process`` is the worker subprocess when the transport owns one, and
+    None otherwise.
     """
 
     description: str
@@ -244,6 +259,8 @@ class ShardTransport(Protocol):
     def read(self) -> list[dict[str, Any]] | None: ...  # pragma: no cover
 
     def write(self, message: dict[str, Any]) -> int: ...  # pragma: no cover
+
+    def flush(self) -> bool: ...  # pragma: no cover
 
     def is_alive(self) -> bool: ...  # pragma: no cover
 
@@ -264,8 +281,10 @@ class SocketTransport:
     buffer, never through a buffered file: a file object could hold a
     second frame in its buffer that ``select`` never reports.  Socket
     errors on read surface as EOF, so a vanished worker and a torn socket
-    reach the layers above through the same death path.  ``kill`` severs
-    the connection and, when there is one, kills and reaps the worker.
+    reach the layers above through the same death path.  Writes queue and
+    ``send`` without blocking (a footage payload outgrows a socket buffer).
+    ``kill`` severs the connection and, when there is one, kills and reaps
+    the worker.
     """
 
     def __init__(self, sock: socket.socket, description: str,
@@ -276,6 +295,7 @@ class SocketTransport:
         self._closed = False
         self._eof = False
         self._buffer = bytearray()
+        self._out = bytearray()
 
     @classmethod
     def spawn(cls) -> "SocketTransport":
@@ -317,8 +337,15 @@ class SocketTransport:
 
     def write(self, message: dict[str, Any]) -> int:
         data = encode_frame(message)
-        self._sock.sendall(data)  # a closed or reset socket raises OSError
+        self._out += data
+        self.flush()
         return len(data)
+
+    def flush(self) -> bool:
+        with suppress(BlockingIOError):  # a closed or reset socket raises OSError
+            while self._out:
+                del self._out[:self._sock.send(self._out, socket.MSG_DONTWAIT)]
+        return bool(self._out)
 
     def is_alive(self) -> bool:
         return not self._closed and (self.process is None
@@ -343,8 +370,9 @@ class SocketTransport:
             self.process.wait()
 
     def close(self, timeout: float = 5.0) -> None:
-        try:
-            self.write({"type": "shutdown"})
+        try:  # what is still queued, then the shutdown, within ``timeout``
+            self._sock.settimeout(timeout)
+            self._sock.sendall(self._out + encode_frame({"type": "shutdown"}))
         except OSError:
             pass
         if self.process is not None:
@@ -388,8 +416,9 @@ def serve(rfile: BinaryIO, wfile: BinaryIO) -> None:
     a busy shard must look *busy*, not *dead*, or the coordinator would
     kill healthy workers whenever one task outlives ``heartbeat_timeout``.
     Task failures are reported as ``error`` frames and the loop keeps
-    serving — a bad payload path must not take the whole shard down with
-    it.  Unknown message types are ignored so older workers tolerate newer
+    serving — a bad payload must not take the whole shard down with it.
+    ``payload`` frames are kept (drops first) by the read loop itself.
+    Unknown message types are ignored so older workers tolerate newer
     coordinators.
     """
     write_lock = threading.Lock()
@@ -439,6 +468,9 @@ def serve(rfile: BinaryIO, wfile: BinaryIO) -> None:
                 return
             if kind == "ping":
                 send({"type": "pong", "token": message.get("token")})
+            elif kind == "payload":
+                _hold_payload(message["ref"], base64.b64decode(message["data"]),
+                              message["drop"])
             elif kind == "task":
                 tasks.put(message)
     finally:
@@ -751,15 +783,36 @@ class _Dispatch:
         shard.pending.clear()
 
 
+#: Payload refs a push leaves a shard holding at most, unless every one it
+#: holds is pinned by an open stream or named by a task it has yet to answer.
+_SHARD_PAYLOAD_LIMIT = 16
+
+
+def _holdings(held: list[str], pinned: set[str], in_flight: set[str],
+              needed: Iterable[str]) -> tuple[list[str], list[str], list[str]]:
+    """Before a task naming ``needed`` goes to a shard that ``held`` refs
+    (least recently used first): what it holds after, ``needed`` last; the
+    ``needed`` refs to push first; what it drops for room — least recently
+    used first, never one ``pinned``, ``in_flight`` or ``needed``."""
+    needed = list(needed)
+    push = [ref for ref in needed if ref not in held]
+    kept = [ref for ref in held if ref not in needed]
+    excess = len(kept) + len(needed) - _SHARD_PAYLOAD_LIMIT if push else 0
+    drop = [ref for ref in kept if ref not in pinned and ref not in in_flight][:max(0, excess)]
+    return [ref for ref in kept if ref not in drop] + needed, push, drop
+
+
 class _Shard:
     """One shard as the shell holds it: its transport, the descriptor the
-    wait selects on, and its ``slot`` (the transport factory it fills)."""
+    wait selects on, its ``slot`` (the transport factory it fills) and the
+    payload refs it ``held`` (a new worker holds none)."""
 
     def __init__(self, shard_id: int, transport: ShardTransport, slot: int) -> None:
         self.id = shard_id
         self.slot = slot
         self.transport = transport
         self.fd = transport.fileno()
+        self.held: list[str] = []
 
     @property
     def process(self) -> subprocess.Popen | None:
@@ -915,13 +968,16 @@ class ShardedEngine:
             if kind == "send" and args[0] in self._core.shards:
                 shard, message = self._shards[args[0]], args[1]
                 try:
+                    if message["type"] == "task":
+                        self._push(shard, message["payload"])
                     sent = shard.transport.write(message)
-                except OSError:
+                except (OSError, RemoteShardError):  # gone, or a frame over the bound
                     self._apply(self._core.eof(shard.id, time.monotonic()))
                     continue
                 if message["type"] == "task":
                     for stats in (self._shard_stats[shard.id], self.dispatch_stats):
                         stats.record_dispatch(sent, len(message["specs"]))
+                self._flush(shard, time.monotonic())
             elif kind == "kill":
                 shard = self._shards[args[0]]
                 self._selector.unregister(shard.fd)
@@ -929,6 +985,44 @@ class ShardedEngine:
             elif kind == "ready":
                 for stats in (self._shard_stats[args[1]], self.dispatch_stats):
                     stats.record_stages(args[2])
+
+    def _push(self, shard: _Shard, ref: str) -> None:
+        """Before a task naming manifest ``ref`` goes to ``shard``, push what
+        it needs there, the first frame carrying the drops (:func:`_holdings`)."""
+        publisher = self._publisher
+        in_flight = {need for task in self._core.shards[shard.id].pending.values()
+                     for need in publisher.needs(task.payload_ref)}
+        shard.held, push, drop = _holdings(shard.held, publisher.pinned(), in_flight,
+                                           publisher.needs(ref))
+        for need in push:
+            data = base64.b64encode(publisher.data(need)).decode("ascii")
+            sent = shard.transport.write(
+                {"type": "payload", "ref": need, "data": data, "drop": drop})
+            drop = []
+            for stats in (self._shard_stats[shard.id], self.dispatch_stats):
+                stats.pushes += 1
+                stats.push_bytes += sent
+
+    def _check_frames(self, ref: str) -> None:
+        """Fail, on its own thread, a stream whose manifest ``ref`` needs a
+        payload frame over :data:`MAX_FRAME_BYTES` (drops add a few bytes)."""
+        for need in self._publisher.needs(ref):
+            base64_bytes = 4 * -(-len(self._publisher.data(need)) // 3)
+            body = _PAYLOAD_FRAME_BYTES + len(need) + base64_bytes
+            if body > MAX_FRAME_BYTES:
+                raise RemoteShardError(f"payload {need} needs a {body}-byte frame, "
+                                       f"over MAX_FRAME_BYTES={MAX_FRAME_BYTES}")
+
+    def _flush(self, shard: _Shard, now: float) -> None:
+        """Send what ``shard``'s socket takes of its queued frames; the wait
+        watches it for writable exactly while some remain."""
+        try:
+            queued = shard.transport.flush()
+        except OSError:
+            self._apply(self._core.eof(shard.id, now))
+            return
+        self._selector.modify(shard.fd, selectors.EVENT_READ | (
+            selectors.EVENT_WRITE if queued else 0), shard.id)
 
     def _reap(self, now: float) -> None:
         """An EOF for every live shard whose transport reads dead."""
@@ -967,8 +1061,10 @@ class ShardedEngine:
             events = self._selector.select(timeout)
             with self._cond:
                 now = time.monotonic()
-                for key, _ in events:
-                    if key.data in self._core.shards:
+                for key, ready in events:
+                    if key.data in self._core.shards and ready & selectors.EVENT_WRITE:
+                        self._flush(self._shards[key.data], now)
+                    if key.data in self._core.shards and ready & selectors.EVENT_READ:
                         self._read(self._shards[key.data], now)
                 deadline = self._core.deadline()
                 if deadline is not None and deadline <= now:
@@ -1036,6 +1132,7 @@ class ShardedEngine:
                     # Registering specs may have discovered new heavy
                     # objects; payload_ref() publishes a covering manifest.
                     ref = broadcast.payload_ref()
+                    self._check_frames(ref)
                     with self._cond:
                         self._apply(self._core.batch(stream_id, specs, ref,
                                                      runner.max_rows, time.monotonic()))
@@ -1097,7 +1194,7 @@ class ShardedEngine:
                                   if stats.dispatches or stats.chunks}}
 
     def shutdown(self) -> None:
-        """Terminate every shard worker and unlink what the engine published
+        """Terminate every shard worker and forget what the engine published
         (both come back on next use); an open stream's tasks fail."""
         with self._cond:
             now = time.monotonic()
@@ -1114,19 +1211,6 @@ class ShardedEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-
-def sharded_engine_from_spec(suffix: int | str | None) -> ShardedEngine:
-    """Build a :class:`ShardedEngine` from the ``sharded:`` spec suffix.
-
-    ``None`` / ``N`` — N local shards (``sharded``, ``sharded:4``).  Any
-    other suffix, a ``HOST:PORT`` list among them, is a :class:`ValueError`:
-    no shard is ever dialed.
-    """
-    if suffix is None or isinstance(suffix, int):
-        return ShardedEngine(suffix)
-    raise ValueError(f"invalid sharded engine spec 'sharded:{suffix}': "
-                     "shards are local ('sharded[:N]'); none is dialed")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

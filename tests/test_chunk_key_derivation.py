@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PrividSystem, cache as cache_module
+from repro.core import engine as engine_module
 from repro.core.cache import (
     ChunkResultCache,
     DiskChunkStore,
@@ -39,6 +40,7 @@ from repro.core.cache import (
 from repro.core.engine import (
     DispatchStats,
     _BroadcastPublisher,
+    _hold_payload,
     _load_payload,
     _StreamBroadcast,
     chunk_from_spec,
@@ -279,7 +281,9 @@ class TestCanonicalValueTable:
 
 class TestOracleParity:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    def test_every_scenario_scene_masked_regioned_sampled(self, name):
+    def test_every_scenario_scene_masked_regioned_sampled(self, name, monkeypatch):
+        # This process plays the shard: it keeps what a push would carry.
+        monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", {})
         scenario = _scenario(name)
         video = scenario.video
         scheme = scenario.region_scheme or grid_region_scheme(
@@ -308,7 +312,10 @@ class TestOracleParity:
                             # The shard's view: the chunk rebuilt from its wire
                             # spec against the decoded manifest and footage part.
                             wire = broadcast.chunk_spec(chunk)
-                            objects = _load_payload(broadcast.payload_ref())["objects"]
+                            ref = broadcast.payload_ref()
+                            for need in publisher.needs(ref):
+                                _hold_payload(need, publisher.data(need), ())
+                            objects = _load_payload(ref)["objects"]
                             rebuilt = chunk_from_spec(objects, wire)
                             assert rebuilt.video is not video
                             assert chunk_key(runner, rebuilt, context) == expected

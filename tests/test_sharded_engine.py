@@ -10,6 +10,8 @@ may still deliver).  No shard is ever dialed: a ``HOST:PORT`` spec and the
 old ``--listen`` worker mode are both refused.
 """
 
+import base64
+import contextlib
 import io
 import json
 import os
@@ -653,14 +655,31 @@ def _serial_rows(runner, chunks, context) -> list:
 
 
 def _published(engine, video=None) -> list[str]:
-    """Where ``engine``'s publications (or only ``video``'s parts) live on disk."""
-    return [entry.ref.replace("shm:", "/dev/shm/")
-            for entry in engine._publisher._entries.values()
+    """The refs of ``engine``'s publications (or only of ``video``'s parts)."""
+    return [entry.ref for entry in engine._publisher._entries.values()
             if video is None or entry.keep is video]
 
 
 def _published_bytes(engine) -> int:
-    return sum(entry.size for entry in engine._publisher._entries.values())
+    return sum(len(entry.data) for entry in engine._publisher._entries.values())
+
+
+@pytest.fixture
+def pushed(monkeypatch) -> list:
+    """``(transport, ref)`` of every ``payload`` frame written, in order,
+    and ``(transport, "task", payload ref)`` of every task frame."""
+    frames: list = []
+    write = SocketTransport.write
+
+    def spying(transport, message):
+        if message["type"] == "payload":
+            frames.append((transport, message["ref"]))
+        elif message["type"] == "task":
+            frames.append((transport, "task", message["payload"]))
+        return write(transport, message)
+
+    monkeypatch.setattr(SocketTransport, "write", spying)
+    return frames
 
 
 class TestBroadcastLifetime:
@@ -668,28 +687,33 @@ class TestBroadcastLifetime:
     stream's other constants ride in a small manifest deduplicated by digest."""
 
     @pytest.mark.parametrize("spec", MULTIPROCESS_SPECS)
-    def test_identical_queries_publish_once(self, spec, footage_pickles):
+    def test_identical_queries_publish_once(self, spec, footage_pickles, pushed):
         video = _walker_video()
         query = _count_query()
         reference = _build_system(video).execute(query, charge_budget=False)
-        published = []
+        published, pushed_bytes = [], []
         with _build_system(video, engine=spec) as system:
             for _ in range(10):
                 result = system.execute(query, charge_budget=False)
                 assert result.raw_series_unsafe() == reference.raw_series_unsafe()
-                published.append(system.engine_stats()["dispatch"]["broadcast_bytes"])
-            stats = system.engine_stats()["dispatch"]
-            carriers = _published(system.engine)
-            assert len(carriers) == 2 and all(map(os.path.exists, carriers))
+                stats = system.engine_stats()["dispatch"]
+                published.append(stats["broadcast_bytes"])
+                pushed_bytes.append(stats["push_bytes"])
+            (part,) = _published(system.engine, video)
+            assert len(_published(system.engine)) == 2
         assert footage_pickles == [video.name]
         assert published[0] > 0 and published == published[:1] * 10
         assert (stats["broadcasts"], stats["broadcast_reuses"]) == (2, 2 * 9)
-        # The count guard: each shard decoded once, not once per query —
-        # and after that loading costs a dict lookup.
-        assert stats["stages"]["loads"] == len(stats["per_shard"]) == 2
-        assert stats["stages"]["load_s"] < 0.5
-        # shutdown() (via close()) unlinked both.
-        assert not any(map(os.path.exists, carriers))
+        # Each shard was sent the footage part once, and the nine repeat
+        # queries pushed nothing.
+        shards = {transport for transport, *_ in pushed}
+        assert len(shards) == len(stats["per_shard"]) == 2
+        assert sorted(pushed.count((shard, part)) for shard in shards) == [1, 1]
+        assert pushed_bytes[0] > 0 and pushed_bytes == pushed_bytes[:1] * 10
+        # The count guard: each shard decoded once, not once per query.
+        assert stats["stages"]["loads"] == 2
+        # shutdown() (via close()) forgot both.
+        assert _published(system.engine) == []
 
     @pytest.mark.parametrize("spec", MULTIPROCESS_SPECS)
     def test_new_stream_constants_cost_one_small_manifest(self, spec, footage_pickles):
@@ -829,14 +853,14 @@ class TestBroadcastLifetime:
             rows_b, stream_b = open_stream(video_b)
             # Two open streams pin more than the bound: nothing may go.
             assert _published_bytes(engine) > limit
-            assert all(map(os.path.exists, _published(engine)))
+            assert set(pinned_a) < set(_published(engine))
             (old_part_b,) = _published(engine, video_b)
             rows_b.extend(stream_b)
             # B released: its footage goes, what A still pins stays.
             assert _published_bytes(engine) <= limit
-            assert not os.path.exists(old_part_b)
+            assert old_part_b not in _published(engine)
             assert _published(engine, video_b) == []
-            assert all(map(os.path.exists, pinned_a))
+            assert set(pinned_a) <= set(_published(engine))
             rows_a.extend(stream_a)
             again_b, stream_b = open_stream(video_b)
             again_b.extend(stream_b)
@@ -874,41 +898,9 @@ class TestBroadcastLifetime:
         assert footage_pickles == [video.name]
         assert (stats["broadcasts"], stats["broadcast_reuses"]) == (2, 2 * 3)
 
-    def test_segment_creation_failure_downgrades_that_payload_to_a_file(
-            self, monkeypatch):
-        video = _walker_video()
-        runner, context = _runner(), _context(video)
-        created = []
-
-        class FailingOnce(engine_module.shared_memory.SharedMemory):
-            def __init__(self, name=None, create=False, size=0):
-                if create:
-                    created.append(name)
-                    if len(created) == 1:
-                        raise OSError(28, "No space left on device")
-                super().__init__(name=name, create=create, size=size)
-
-        monkeypatch.setattr(engine_module.shared_memory, "SharedMemory", FailingOnce)
-        with ShardedEngine(2) as engine:
-            rows = _rows_of(engine.imap_chunks(
-                runner, iter_chunks(video, TEN_CHUNKS), context))
-            stats = engine.dispatch_stats_dict()
-            carriers = _published(engine)
-            directory = engine._publisher._directory
-            # The footage part fell back to the tempdir; the manifest naming
-            # it still got its segment.
-            assert sorted(path.startswith("/dev/shm/") for path in carriers) \
-                == [False, True]
-            assert all(map(os.path.exists, carriers))
-        assert repr(rows) == repr(_serial_rows(
-            runner, iter_chunks(video, TEN_CHUNKS), context))
-        assert (stats["broadcasts"], stats["shm_segments"]) == (2, 1)
-        assert not any(map(os.path.exists, carriers))
-        assert not os.path.exists(directory)
-
-    #: One sharded stream, then the process ends without ``shutdown()``.
-    _UNCLOSED = """
-import os, signal, sys
+    #: One sharded stream and ``shutdown()``, in a child whose ``TMPDIR``
+    #: the test chooses.
+    _STREAM_AND_SHUTDOWN = """
 from repro.core import ShardedEngine
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
@@ -921,100 +913,70 @@ video = SyntheticVideo(name="cam", fps=2.0, width=1280.0, height=720.0, duration
 runner = SandboxRunner(EnteringObjectCounter(),
                        Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),)),
                        max_rows=5, timeout_seconds=5.0)
-engine = ShardedEngine(2)
-chunks = iter_chunks(video, ChunkSpec(window=TimeInterval(0, 240), chunk_duration=60.0))
-assert len(list(engine.imap_chunks(runner, chunks,
-                                   ExecutionContext(camera="cam", fps=2.0)))) == 4
-for entry in engine._publisher._entries.values():
-    print("/dev/shm/" + entry.ref[len("shm:"):], flush=True)
-if sys.argv[1] == "sigkill":
-    os.kill(os.getpid(), signal.SIGKILL)
+with ShardedEngine(2) as engine:
+    chunks = iter_chunks(video, ChunkSpec(window=TimeInterval(0, 240), chunk_duration=60.0))
+    assert len(list(engine.imap_chunks(runner, chunks,
+                                       ExecutionContext(camera="cam", fps=2.0)))) == 4
+    assert engine.dispatch_stats.pushes >= 2
 """
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to inspect")
-    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
-    def test_unclosed_coordinator_leaves_no_segments(self, ending):
-        done = subprocess.run([sys.executable, "-c", self._UNCLOSED, ending],
+    def test_a_stream_and_shutdown_leave_no_file_or_segment(self, tmp_path):
+        # Payloads ride the shard sockets: neither the coordinator nor a
+        # shard creates a file or a shared-memory segment.
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+
+        def privid_in_shm() -> set:
+            return {name for name in os.listdir("/dev/shm") if name.startswith("privid-")} \
+                if os.path.isdir("/dev/shm") else set()
+
+        before = privid_in_shm()
+        done = subprocess.run([sys.executable, "-c", self._STREAM_AND_SHUTDOWN],
                               capture_output=True, text=True, timeout=120,
-                              env=_worker_env())
-        segments = done.stdout.split()
-        assert len(segments) == 2 and all(
-            os.path.basename(path).startswith("privid-bc-") for path in segments)
-        deadline = time.monotonic() + 5.0
-        while any(map(os.path.exists, segments)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(os.path.exists, segments))
-        if ending == "exit":
-            # The finalizer unlinked them: nothing was left for the
-            # resource tracker to find (a SIGKILL leaves it exactly that job).
-            assert done.returncode == 0, done.stderr
-            assert "resource_tracker" not in done.stderr
-        else:
-            assert done.returncode == -signal.SIGKILL
+                              env={**_worker_env(), "TMPDIR": str(tmpdir)})
+        assert done.returncode == 0, done.stderr
+        assert list(tmpdir.iterdir()) == []
+        assert privid_in_shm() <= before
 
 
 class TestWorkerPayloadCache:
-    def test_connection_threads_share_the_cache_without_tearing_it(
-            self, tmp_path, monkeypatch):
-        # Eight threads over the one module-level LRU, with more refs than
-        # it holds, so every thread evicts under the others' reads: the lock
-        # keeps it whole.
-        import random
-        from collections import OrderedDict
+    def test_fetch_reports_whether_it_decoded(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", {})
+        engine_module._hold_payload("p0", pickle.dumps({"objects": []}), ())
+        assert engine_module._fetch_payload("p0") == ({"objects": []}, True)
+        assert engine_module._fetch_payload("p0") == ({"objects": []}, False)
+        with pytest.raises(LookupError, match="'p1' was never pushed"):
+            engine_module._fetch_payload("p1")
 
-        limit = engine_module._PAYLOAD_CACHE_LIMIT
-        cache: OrderedDict = OrderedDict()
+    def test_a_payload_frame_drops_before_it_keeps(self, monkeypatch):
+        cache = {}
         monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", cache)
-        refs = {}
-        for index in range(limit + 8):
-            path = tmp_path / f"payload-{index}.pkl"
-            path.write_bytes(pickle.dumps({"index": index, "pad": "x" * 64}))
-            refs[str(path)] = {"index": index, "pad": "x" * 64}
-        failures: list = []
-        oversize: list = []
+        for ref in ("p0", "p1"):
+            engine_module._hold_payload(ref, pickle.dumps(ref), ())
+        engine_module._hold_payload("p2", pickle.dumps("p2"), ["p0", "p9"])
+        assert sorted(cache) == ["p1", "p2"]
 
-        def load(seed: int) -> None:
-            order = list(refs)
-            rng = random.Random(seed)
-            try:
-                for _ in range(200):
-                    rng.shuffle(order)
-                    for ref in order:
-                        if engine_module._load_payload(ref) != refs[ref]:
-                            failures.append(("wrong payload", ref))
-                        with engine_module._PAYLOAD_CACHE_LOCK:
-                            if len(cache) > limit:
-                                oversize.append(len(cache))
-            except Exception as exc:  # a torn LRU raises KeyError here
-                failures.append(exc)
+    def test_a_decode_never_brings_back_a_ref_dropped_meanwhile(self, monkeypatch):
+        # The read loop applies a drop while the executor thread decodes
+        # that very ref: the decoded object must not be put back, or the
+        # worker would hold a ref its coordinator thinks it dropped.
+        cache = {}
+        monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", cache)
+        engine_module._hold_payload("p0", pickle.dumps("footage"), ())
+        loads = pickle.loads
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=load, args=(seed,))
-                       for seed in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert failures == [] and oversize == []
-        assert 0 < len(cache) <= limit
+        def dropped_while_decoding(data):
+            engine_module._hold_payload("p1", pickle.dumps("next"), ["p0"])
+            return loads(data)
 
-    def test_fetch_reports_whether_it_decoded(self, tmp_path, monkeypatch):
-        from collections import OrderedDict
-
-        monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", OrderedDict())
-        path = tmp_path / "payload.pkl"
-        path.write_bytes(pickle.dumps({"objects": []}))
-        assert engine_module._fetch_payload(str(path)) == ({"objects": []}, True)
-        assert engine_module._fetch_payload(str(path)) == ({"objects": []}, False)
+        monkeypatch.setattr(engine_module.pickle, "loads", dropped_while_decoding)
+        assert engine_module._fetch_payload("p0") == ("footage", True)
+        assert sorted(cache) == ["p1"]
 
 
 class TestShardStageTimes:
-    def test_stage_times_fit_inside_the_task_and_a_repeat_loads_nothing(self):
+    def test_stage_times_fit_inside_the_task_and_a_repeat_loads_nothing(
+            self, in_process_shard):
         video = _walker_video()
         runner, context = _runner(), _context(video)
         publisher = engine_module._BroadcastPublisher()
@@ -1024,6 +986,8 @@ class TestShardStageTimes:
                      for chunk in iter_chunks(video, TEN_CHUNKS)]
             message = {"type": "task", "seq": 1, "specs": specs,
                        "payload": broadcast.payload_ref()}
+            for ref in publisher.needs(message["payload"]):
+                engine_module._hold_payload(ref, publisher.data(ref), ())
             frames = []
             for _ in range(2):
                 started = time.perf_counter()
@@ -1172,6 +1136,40 @@ class TestFaultInjection:
             # The frozen shard was declared dead and its chunks redispatched.
             assert stopped["id"] not in {shard.id for shard in engine._live_shards()}
             assert engine.dispatch_stats.chunks > 20
+
+    def test_a_push_to_a_frozen_shard_does_not_stall_the_coordinator(self):
+        # A manifest larger than a socket buffer (a 1.8 MB mask) is pushed to
+        # a started shard that stopped reading: what the socket does not
+        # take waits on the transport, the other shard keeps being served,
+        # and the frozen one is declared dead and its task moves.
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        dust = Mask("dust", tuple(BoundingBox(float(i % 1000), 700.0, 0.5, 0.5)
+                                  for i in range(40000)))
+        assert len(pickle.dumps(dust)) > 1_000_000
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS, mask=dust),
+                                 context)
+        result = {}
+        with ShardedEngine(2, chunksize=1, heartbeat_interval=0.05,
+                           heartbeat_timeout=0.5) as engine:
+            list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
+            frozen = engine._live_shards()[0]  # started: it answered a task
+            os.kill(frozen.process.pid, signal.SIGSTOP)
+
+            def drive():
+                result["rows"] = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, TEN_CHUNKS, mask=dust), context))
+
+            driver = threading.Thread(target=drive, daemon=True)
+            driver.start()
+            driver.join(timeout=60.0)
+            stalled = driver.is_alive()
+            with contextlib.suppress(ProcessLookupError):  # already killed
+                os.kill(frozen.process.pid, signal.SIGCONT)
+            driver.join(timeout=60.0)
+            assert not stalled, "a push to a frozen shard stalled the stream"
+            assert frozen.id not in {shard.id for shard in engine._live_shards()}
+        assert repr(result["rows"]) == repr(reference)
 
     def test_busy_shard_answers_heartbeats_and_is_not_killed(self):
         # A task that outlives heartbeat_timeout must read as *busy*, not
@@ -1398,6 +1396,71 @@ class TestDispatchCoreUnderArbitraryInterleavings:
                 == len(core.tasks)
 
 
+#: Twelve manifests over eight footage parts: twenty refs, so the
+#: sixteen-ref bound binds.  A manifest names one or two parts.
+_MANIFESTS = {f"m{i}": (f"part{i % 8}",) + ((f"part{(3 * i + 1) % 8}",) if i % 3 else ())
+              for i in range(12)}
+_HOLDING_EVENTS = st.tuples(st.sampled_from(("task", "task", "task", "retire",
+                                             "pin", "unpin")),
+                            st.integers(0, 11))
+
+
+class TestPayloadHoldings:
+    """``remote._holdings``, the rule for what one shard holds, driven by
+    generated histories of task frames, retirements, pins and unpins, with
+    a model worker that applies each ``payload`` frame (drops, then the
+    ref) as the real one does.  After every event:
+
+    * a shard holds at most 16 refs, unless every ref it holds is pinned,
+      in flight or needed;
+    * no ref that is needed or named by an unretired task is dropped;
+    * each ref is pushed before the first task frame that names it, and
+      the worker holds exactly what the coordinator believes it holds.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(_HOLDING_EVENTS, min_size=10, max_size=120))
+    def test_the_holdings_rule(self, events):
+        held: list[str] = []
+        worker: set[str] = set()     # what the model worker keeps
+        in_flight: list[str] = []    # manifests of unretired tasks
+        pins: dict[str, int] = {}
+        for kind, index in events:
+            manifest = f"m{index}"
+            needed = [*_MANIFESTS[manifest], manifest]
+            if kind == "task":
+                pinned = {ref for ref, count in pins.items() if count}
+                flying = {ref for task in in_flight for ref in (*_MANIFESTS[task], task)}
+                before = list(held)
+                held, push, drop = remote._holdings(before, pinned, flying, needed)
+                assert push == [ref for ref in needed if ref not in before]
+                assert set(drop) <= set(before) - pinned - flying - set(needed)
+                assert len(held) == len(set(held))
+                assert set(held) == (set(before) - set(drop)) | set(needed)
+                assert held[len(held) - len(needed):] == needed  # most recent last
+                if push:
+                    assert len(held) <= remote._SHARD_PAYLOAD_LIMIT \
+                        or set(held) <= pinned | flying | set(needed)
+                else:
+                    assert drop == []
+                for position, ref in enumerate(push):  # the payload frames
+                    worker -= set(drop) if position == 0 else set()
+                    worker.add(ref)
+                # The task frame: everything it names is there ...
+                assert set(needed) <= worker == set(held)
+                in_flight.append(manifest)
+            elif kind == "retire" and in_flight:
+                in_flight.pop(index % len(in_flight))
+            elif kind == "pin":
+                for ref in needed:
+                    pins[ref] = pins.get(ref, 0) + 1
+            elif kind == "unpin" and pins.get(manifest):
+                for ref in needed:
+                    pins[ref] -= 1
+            # ... and stays there while a task naming it is unretired.
+            assert {ref for task in in_flight for ref in (*_MANIFESTS[task], task)} <= worker
+
+
 _OUTCOME = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}
 _SIX_ROWS = {"rows": [{"kind": "a", "dy": 1.0}] * 6, "fallback": False}
 
@@ -1465,10 +1528,26 @@ class TestResultShape:
         assert core.collect(stream) == ([], action[2])
 
 
+@pytest.fixture
+def in_process_shard(monkeypatch) -> None:
+    """This process plays a shard: its payload table starts empty and is
+    thrown away afterwards."""
+    monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", {})
+
+
+def _hold(message) -> None:
+    """Keep a ``payload`` frame in this process, as a worker's read loop does
+    (in the module's own table: a scripted worker's thread may still run a
+    task after its test)."""
+    engine_module._hold_payload(message["ref"], base64.b64decode(message["data"]),
+                                message["drop"])
+
+
 def _scripted_worker(reply):
     """A transport factory whose far end is a thread standing in for a
-    worker: it answers pings and, after each task frame, sends whatever
-    bytes ``reply(tasks so far)`` returns, in one ``sendall``."""
+    worker: it keeps pushed payloads, answers pings and, after each task
+    frame, sends whatever bytes ``reply(tasks so far)`` returns, in one
+    ``sendall``."""
 
     def spawn() -> SocketTransport:
         ours, theirs = socket.socketpair()
@@ -1481,6 +1560,8 @@ def _scripted_worker(reply):
                         if message["type"] == "ping":
                             theirs.sendall(encode_frame(
                                 {"type": "pong", "token": message["token"]}))
+                        elif message["type"] == "payload":
+                            _hold(message)
                         elif message["type"] == "task":
                             tasks.append(message)
                             theirs.sendall(reply(tasks))
@@ -1759,6 +1840,66 @@ class TestResilienceControls:
         assert fired[0] == fired[1] == [(FaultKind.CRASH, 5)]
 
 
+    def test_a_replacement_shard_is_pushed_exactly_what_its_first_task_names(
+            self, pushed):
+        # A CRASH after seq 3 kills a worker mid-stream; the next query's
+        # stream start refills its slot with a worker that holds nothing.
+        from repro.core.faults import FaultKind, FaultPlan, FaultRule
+
+        video = _walker_video()
+        query = _count_query()
+        plan = FaultPlan(rules=(FaultRule(site="transport.*.task",
+                                          kind=FaultKind.CRASH, after_seq=3),),
+                         seed=3, name="crash-at-3")
+        injector = plan.injector()
+        engine = ShardedEngine(2, chunksize=1, fault_injector=injector,
+                               heartbeat_interval=0.2)
+        serial = _build_system(video)
+        with engine, _build_system(video, engine=engine) as system:
+            for _ in range(2):
+                expected = serial.execute(query, charge_budget=False)
+                result = system.execute(query, charge_budget=False)
+                assert repr(result.series()) == repr(expected.series())
+                assert repr(result.raw_series_unsafe()) \
+                    == repr(expected.raw_series_unsafe())
+            needs = {ref: engine._publisher.needs(ref) for ref in _published(engine)}
+        assert [(event.kind, event.seq) for event in injector.fired] \
+            == [(FaultKind.CRASH, 3)]
+        transports = list(dict.fromkeys(transport for transport, *_ in pushed))
+        assert len(transports) == 3  # the two first shards and the replacement
+        frames = [frame[1:] for frame in pushed if frame[0] is transports[2]]
+        first_task = next(index for index, frame in enumerate(frames)
+                          if frame[0] == "task")
+        assert [ref for (ref,) in frames[:first_task]] \
+            == list(needs[frames[first_task][1]])
+        assert all(frame[0] == "task" for frame in frames[first_task:])
+
+    def test_a_payload_over_the_frame_bound_fails_the_stream_by_name(
+            self, monkeypatch):
+        video = _walker_video(num_walkers=20, duration=1700.0)
+        runner, context = _runner(), _context(video)
+        # Room for the manifest's frame and every result, not for the part's.
+        part = len(pickle.dumps(video))
+        assert part > 3 * 1196
+        monkeypatch.setattr(remote, "MAX_FRAME_BYTES", 4 * -(-part // 3))
+        with ShardedEngine(2) as engine:
+            with pytest.raises(RemoteShardError,
+                               match=r"needs a \d+-byte frame, over MAX_FRAME_BYTES="):
+                list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
+            assert engine.dispatch_stats.pushes == 0
+        query = _count_query()
+        reference = _build_system(video).execute(query, charge_budget=False)
+        with PrividSystem(seed=5, engine="sharded:2",
+                          on_engine_failure="serial_fallback") as system:
+            system.register_camera("cam", video,
+                                   policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                                   epsilon_budget=100.0)
+            with pytest.warns(RuntimeWarning, match="MAX_FRAME_BYTES"):
+                result = system.execute(query, charge_budget=False)
+        assert repr(result.series()) == repr(reference.series())
+        assert repr(result.raw_series_unsafe()) == repr(reference.raw_series_unsafe())
+
+
 class TestShardOutput:
     def test_a_printing_executable_writes_to_stderr_never_stdout(self, capfd):
         # A worker points fd 1 at stderr before serving: what an executable
@@ -1855,14 +1996,14 @@ def seam_pool():
     """One engine built on the ``transports=`` seam: two spawn factories."""
     with ShardedEngine(transports=[SocketTransport.spawn] * 2) as engine:
         yield engine
-    # shutdown() unlinked every payload the streams above published.
+    # shutdown() forgot every payload the streams above published.
     assert engine._publisher._entries == {}
 
 
 class TestTransportSeam:
     """An engine given its transport factories (``transports=``) runs like
-    ``sharded:N``: byte-identical to serial, payloads in shared memory, each
-    dead slot refilled from its own factory."""
+    ``sharded:N``: byte-identical to serial, payloads pushed once per shard,
+    each dead slot refilled from its own factory."""
 
     def test_stream_byte_identical_to_serial(self, seam_pool):
         video = _walker_video()
@@ -1872,24 +2013,28 @@ class TestTransportSeam:
                                               context))
         assert repr(rows) == repr(reference)
 
-    def test_repeat_stream_reuses_the_shared_memory_payloads(self, seam_pool,
-                                                             footage_pickles):
+    def test_repeat_stream_reuses_the_pushed_payloads(self, seam_pool,
+                                                      footage_pickles):
         video = _walker_video()
         runner, context = _runner(), _context(video)
         before = seam_pool.dispatch_stats_dict()
         first = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
                                                context))
         published = _published(seam_pool)
+        middle = seam_pool.dispatch_stats_dict()
         second = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
                                                 context))
         after = seam_pool.dispatch_stats_dict()
         assert repr(first) == repr(second)
         assert footage_pickles == [video.name]
         assert _published(seam_pool) == published
-        assert all(path.startswith("/dev/shm/") for path in published)
         assert {name: after[name] - before[name] for name in
-                ("broadcasts", "broadcast_reuses", "shm_segments")} \
-            == {"broadcasts": 2, "broadcast_reuses": 2, "shm_segments": 2}
+                ("broadcasts", "broadcast_reuses")} \
+            == {"broadcasts": 2, "broadcast_reuses": 2}
+        # The first stream pushed its part and manifest to the shards it
+        # used; the repeat found them there.
+        assert middle["pushes"] - before["pushes"] >= 2
+        assert after["pushes"] == middle["pushes"]
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_scenario_scene_warm_rerun_is_served_by_the_store(self, name, seam_pool,

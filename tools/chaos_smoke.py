@@ -24,8 +24,7 @@ The robustness contract under test, for every :class:`FaultPlan` below:
    query byte-identically with its pre-crash chunks served warm from the
    shared store.  The crash-restart cycle runs twice and both iterations
    must produce identical bytes (replay determinism), with no stranded
-   ``*.tmp`` files in the WAL directories and no leaked
-   ``/dev/shm/privid-bc-*`` segments;
+   ``*.tmp`` files in the WAL directories;
 6. **store layout** — every chunk-store directory a run used holds only
    ``<key>.json`` entries at its root (no subdirectory), each of which
    decodes, every row-less one the 22-byte constant, and no ``*.tmp``.
@@ -100,21 +99,19 @@ STORE_CHAOS = FaultPlan(name="store-chaos", seed=37, rules=(
               probability=0.15, max_fires=100),
 ))
 
-# Same-host fast-path mayhem: store entries are scribbled over mid-run,
-# exercising the corrupt-entry self-heal, and a local worker is killed *while
-# it holds an attachment to the engine's shared-memory broadcast segments*.
-# Both triggers are deterministic (fixed op indices / seq), so the fired log
-# must replay; the per-run checks additionally assert the coordinator
-# unlinked every ``privid-bc-*`` segment at engine shutdown — a dead
-# worker's attachment must never leak the segment.
-SHM_BINARY_CHAOS = FaultPlan(name="shm-binary-chaos", seed=51, rules=(
+# Payload mayhem: store entries are scribbled over mid-run, exercising the
+# corrupt-entry self-heal, and a local worker is killed *while it holds the
+# footage part and manifest pushed to it*, so its replacement must be pushed
+# them again.  Both triggers are deterministic (fixed op indices / seq), so
+# the fired log must replay.
+PAYLOAD_CHAOS = FaultPlan(name="payload-chaos", seed=51, rules=(
     FaultRule(site="store.get", kind=FaultKind.CORRUPT, at=(3, 11),
               max_fires=2),
     FaultRule(site="transport.*.task", kind=FaultKind.CRASH, after_seq=6),
 ))
 
 PLANS = [(TRANSPORT_CHAOS, False), (WORKER_CRASH, True), (STORE_CHAOS, True),
-         (SHM_BINARY_CHAOS, True)]
+         (PAYLOAD_CHAOS, True)]
 
 
 def replay_signature(log: tuple[str, ...]) -> list[str]:
@@ -227,7 +224,7 @@ def run_serial(scenario, policy_map):
 
 def run_chaos(scenario, policy_map, plan: FaultPlan):
     """One seeded chaos run; returns (outputs, budgets, injector, health,
-    dispatch stats, store directory)."""
+    dispatch stats with their per-shard split, store directory)."""
     injector = plan.injector()
     store_dir = tempfile.mkdtemp(prefix=f"privid-chaos-{plan.name}-")
     engine = ShardedEngine(2, chunksize=1, heartbeat_interval=0.2,
@@ -240,7 +237,7 @@ def run_chaos(scenario, policy_map, plan: FaultPlan):
                                      epsilon_budget=5.0, sample_period=1.0)
             outputs, budgets = drive_queries(service)
             health = service.health()
-            dispatch = engine.dispatch_stats.as_dict()
+            dispatch = engine.dispatch_stats_dict()
         return outputs, budgets, injector, health, dispatch, store_dir
     finally:
         engine.shutdown()  # caller-owned: the service leaves it running
@@ -406,11 +403,6 @@ def run_crash_restart() -> None:
             check_store(store_dir, f"{label} {window}:", killed=True)
             observed.append((resumed["raw"], resumed["noisy"],
                              resumed["budgets"], resumed["recovery"]))
-        if Path("/dev/shm").exists():
-            leaked = sorted(str(entry) for entry
-                            in Path("/dev/shm").glob("privid-bc-*"))
-            check(not leaked,
-                  f"{label} no leaked shared-memory segments {leaked or ''}")
         signatures.append(json.dumps(observed, sort_keys=True))
     check(signatures[0] == signatures[1],
           "[crash-restart] both iterations byte-identical (replay "
@@ -443,18 +435,18 @@ def main() -> int:
                   f"({len(injector.fired)} events: {injector.summary()})")
             check(health["status"] in ("ok", "degraded"),
                   f"{label} service stayed serving (health={health['status']})")
-            if Path("/dev/shm").exists():
-                leaked = sorted(str(entry) for entry
-                                in Path("/dev/shm").glob("privid-bc-*"))
-                check(not leaked,
-                      f"{label} every shared-memory broadcast segment "
-                      f"unlinked at engine shutdown {leaked or ''}")
-            if plan is SHM_BINARY_CHAOS:
-                # The scenario only means anything if the fast path engaged:
-                # the killed worker must have been holding a real attachment.
-                check(dispatch["shm_segments"] > 0,
-                      f"{label} broadcasts used the shared-memory fast path "
-                      f"({dispatch['shm_segments']} segments)")
+            if plan is PAYLOAD_CHAOS:
+                # The scenario only means anything if the killed worker held
+                # pushed payloads and its replacement (shard 2, the first
+                # opened after the kill) was pushed them again.
+                (killed,) = [re.search(r"worker(\d+)", event.site)[1]
+                             for event in injector.fired
+                             if event.kind is FaultKind.CRASH]
+                pushes = {shard: stats["pushes"]
+                          for shard, stats in dispatch["per_shard"].items()}
+                check(pushes.get(killed, 0) > 0 and pushes.get("2", 0) > 0,
+                      f"{label} payloads were pushed to the killed worker "
+                      f"{killed} and again to its replacement 2 ({pushes})")
             logs.append(replay_signature(injector.log()))
         if exact_replay:
             check(logs[0] == logs[1],
