@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.analysis.persistence import DEFAULT_SAMPLE_PERIOD
-from repro.scene.objects import PRIVATE_CATEGORIES, SceneObject
+from repro.scene.objects import PRIVATE_CATEGORIES
 from repro.utils import checks
 from repro.video.geometry import GridSpec
 from repro.video.masking import Mask, mask_from_grid_cells

@@ -153,15 +153,6 @@ class WorkloadSchedule:
         body = repr([event.canonical() for event in self.events])
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
-    def counts_by(self, attribute: str) -> dict:
-        """Event counts grouped by an event attribute (``camera``, ``tenant``,
-        ``kind``) — the inputs to the zipf frequency checks."""
-        counts: dict = {}
-        for event in self.events:
-            key = getattr(event, attribute)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     @property
     def duration_s(self) -> float:
         """Offset of the last event (0.0 for an empty schedule)."""

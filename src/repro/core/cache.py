@@ -153,28 +153,6 @@ def _footage_identity(video: Any) -> Any:
             else getattr(video, "content_token", 0))
 
 
-def chunk_fingerprint(chunk: "Chunk") -> str:
-    """Identity of one chunk's *visible content*.
-
-    Footage is identified by the video's name and its stable content
-    fingerprint — a digest of the ground-truth scene itself, identical
-    across processes for identical footage and changed by any mutation
-    (``SyntheticVideo.content_fingerprint``), which keeps distinct footage
-    objects with equal names from colliding when a cache is shared and is
-    the invalidation story for the on-disk store — plus everything that
-    restricts what the executable can see: the interval, the mask, the
-    spatial region and the frame sampling period.  Footage objects without
-    a content fingerprint fall back to the session-unique ``content_token``
-    (entries for those are only valid within one process).
-
-    The parts, in this order, name every entry of every store ever written.
-    """
-    video, interval = chunk.video, chunk.interval
-    return fingerprint(video.name, _footage_identity(video), video.fps, video.duration,
-                       chunk.index, (interval.start, interval.end),
-                       chunk.mask, chunk.region, chunk.sample_period)
-
-
 def runner_fingerprint(runner: "SandboxRunner") -> str:
     """Identity of the processing configuration applied to every chunk."""
     executable = runner.executable
@@ -239,10 +217,14 @@ def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
               context: "ExecutionContext") -> str:
     """Cache key of one chunk execution, shared by every store tier.
 
-    Byte for byte ``fingerprint(chunk_fingerprint(chunk),
-    runner_fingerprint(runner), context_fingerprint(context))`` — existing
-    stores are addressed by those bytes — with everything constant over a
-    ``(runner, context)`` stream canonicalised once per instance: the two
+    Byte for byte ``fingerprint(chunk_part, runner_fingerprint(runner),
+    context_fingerprint(context))`` — existing stores are addressed by those
+    bytes — where ``chunk_part`` is the ``fingerprint`` of the chunk's
+    visible content: the video's name, its footage identity (the stable
+    ``content_fingerprint()``, else the session-unique ``content_token``),
+    fps and duration, the chunk's index and ``(start, end)``, then its mask,
+    region and sample period, in this order.  Everything constant over a
+    ``(runner, context)`` stream is canonicalised once per instance: the two
     stream fingerprints are memoised on their frozen instances, the chunk's
     constant head and tail on the context, keyed by the footage state's
     *values* (so a mid-stream ``add_objects`` changes every later key) and
@@ -772,17 +754,12 @@ ChunkStore = ChunkResultCache | DiskChunkStore | TieredChunkCache
 def store_health(store: "ChunkStore | None") -> dict[str, Any]:
     """Health snapshot of any store (``{"enabled": False}`` when off).
 
-    The store half of :meth:`repro.service.QueryService.health`: stores that
-    implement ``health()`` report their tier detail; anything else (a
-    third-party duck-typed store) reports enabled-and-assumed-writable.
+    The store half of :meth:`repro.service.QueryService.health`: a store
+    reports its tier detail through its ``health()``.
     """
     if store is None:
         return {"enabled": False}
-    health = getattr(store, "health", None)
-    if health is None:
-        return {"enabled": True, "writable": True,
-                "tier": type(store).__name__}
-    return {"enabled": True, **health()}
+    return {"enabled": True, **store.health()}
 
 
 def create_cache(spec: "str | ChunkStore | None") -> "ChunkStore | None":

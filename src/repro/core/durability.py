@@ -144,13 +144,11 @@ class WriteAheadLog:
     reopenings.
     """
 
-    def __init__(self, directory: str | Path, *, fsync: bool = True,
-                 fault_injector: Any = None) -> None:
+    def __init__(self, directory: str | Path, *, fault_injector: Any = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.log_path = self.directory / "wal.log"
         self.snapshot_path = self.directory / "snapshot.json"
-        self.fsync_enabled = fsync
         self._lock = threading.RLock()
         # Set before recovery so open-time reads poll ``wal.read`` too.
         self._injector: Any = fault_injector
@@ -276,10 +274,9 @@ class WriteAheadLog:
     def _fsync(self, seq: int) -> None:
         """fsync the log, whose last record is ``seq`` (holding ``_lock``);
         a failure leaves ``synced_seq`` alone."""
-        if self.fsync_enabled:
-            self._poll("wal.fsync", seq=seq)
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
+        self._poll("wal.fsync", seq=seq)
+        os.fsync(self._file.fileno())
+        self.fsyncs += 1
         self.synced_seq = seq
 
     def append(self, payload: dict[str, Any], *, sync: bool = True) -> int:

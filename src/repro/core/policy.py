@@ -104,8 +104,3 @@ class MaskPolicyMap:
         if key not in self.entries:
             raise MaskError(f"unknown mask {key!r}; available: {self.mask_names()}")
         return self.entries[key]
-
-    def best_policy(self) -> PrivacyPolicy:
-        """The policy with the smallest rho across all masks (ties by K)."""
-        policies = [policy for _, policy in self.entries.values()]
-        return min(policies, key=lambda policy: (policy.rho, policy.k_segments))

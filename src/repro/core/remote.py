@@ -140,18 +140,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.video.chunking import Chunk
 
 
-def _env_float(name: str, default: float) -> float:
-    """A finite positive float from the environment, or ``default``."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return checks.real(name, float(raw), ValueError, above=0)
-    except ValueError as exc:
-        warnings.warn(f"ignoring {name}={raw!r}: {exc}", RuntimeWarning, stacklevel=2)
-        return default
-
-
 def _default_workers() -> int:
     return max(2, (os.cpu_count() or 2))
 
@@ -853,8 +841,8 @@ class ShardedEngine:
                  transports: "list[Callable[[], ShardTransport]] | None" = None,
                  chunksize: int | None = None,
                  heartbeat_interval: float = 0.5,
-                 heartbeat_timeout: float | None = None,
-                 startup_grace: float | None = None,
+                 heartbeat_timeout: float = 10.0,
+                 startup_grace: float = 60.0,
                  max_task_retries: int = 3,
                  task_timeout: float | None = None,
                  fault_injector: "FaultInjector | None" = None) -> None:
@@ -868,12 +856,6 @@ class ShardedEngine:
             num_shards = _default_workers()
         checks.count("num_shards", num_shards, ValueError, 1)
         self.num_shards = num_shards
-        # Slow CI runners may widen the failure-detection windows from the
-        # environment; an explicit argument wins.
-        if heartbeat_timeout is None:
-            heartbeat_timeout = _env_float("PRIVID_HEARTBEAT_TIMEOUT", 10.0)
-        if startup_grace is None:
-            startup_grace = _env_float("PRIVID_STARTUP_GRACE", 60.0)
         self.name = "sharded"
         #: One transport factory per slot.
         self._factories: list[Callable[[], ShardTransport]] = list(

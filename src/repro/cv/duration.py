@@ -33,13 +33,6 @@ class DurationEstimate:
         """True if the CV estimate is at least the ground-truth maximum."""
         return self.estimated_max >= self.ground_truth_max
 
-    @property
-    def overestimate_factor(self) -> float:
-        """Ratio of estimate to ground truth (1.0 means exact)."""
-        if self.ground_truth_max <= 0:
-            return 1.0
-        return self.estimated_max / self.ground_truth_max
-
 
 def persistence_distribution(tracks: Iterable[TrackView]) -> list[float]:
     """Observed persistence (seconds) of each track."""

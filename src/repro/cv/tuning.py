@@ -105,10 +105,3 @@ def tune_tracker(detections: DetectionBatch, objects: Sequence[SceneObject], *,
         ))
     results.sort(key=lambda result: result.distance)
     return results
-
-
-def best_config(results: Sequence[TuningResult]) -> TrackerConfig:
-    """Configuration with the smallest distribution distance."""
-    if not results:
-        raise ValueError("no tuning results to choose from")
-    return results[0].config

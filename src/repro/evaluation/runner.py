@@ -165,35 +165,3 @@ def run_repeated(system: PrividSystem, query: PrividQuery, *, samples: int = 100
     accuracy = repeated_accuracy(noise_samples, reference) if reference is not None else None
     return RepeatedRun(query_name=query.name, base_result=base, noise_samples=noise_samples,
                        reference=reference, accuracy=accuracy)
-
-
-@dataclass
-class EvaluationEnvironment:
-    """A ready-made deployment over the three primary scenarios (and optionally Porto).
-
-    Benchmarks use this to avoid re-generating scenes for every experiment in
-    a module; tests use much smaller hand-built environments instead.
-    """
-
-    system: PrividSystem
-    scenarios: dict[str, Scenario] = field(default_factory=dict)
-    porto: PortoDataset | None = None
-
-    @classmethod
-    def build(cls, scenario_names: Sequence[str] = ("campus", "highway", "urban"), *,
-              scale: float = 0.2, duration_hours: float = 12.0, seed: int = 0,
-              sample_period: float | None = 1.0,
-              porto: PortoDataset | None = None,
-              porto_cameras: Sequence[str] | None = None) -> "EvaluationEnvironment":
-        """Generate scenarios, derive policies and register everything."""
-        from repro.scene.scenarios import build_scenario
-
-        system = PrividSystem(seed=seed)
-        environment = cls(system=system, porto=porto)
-        for name in scenario_names:
-            scenario = build_scenario(name, scale=scale, duration_hours=duration_hours)
-            environment.scenarios[name] = scenario
-            register_scenario_camera(system, scenario, sample_period=sample_period)
-        if porto is not None:
-            register_porto_cameras(system, porto, cameras=porto_cameras)
-        return environment

@@ -32,7 +32,7 @@ from repro.query.ast import PrividQuery, ProcessStatement, SelectStatement, Spli
 from repro.query.lexer import Token, TokenType, tokenize
 from repro.relational.aggregates import SUPPORTED_AGGREGATES, Aggregation, GroupSpec
 from repro.relational.expressions import Column, Expression, RangeExpression, TimeBucket
-from repro.relational.plan import GroupBy, Join, JoinKind, Limit, Projection, Relation, TableScan
+from repro.relational.plan import GroupBy, Join, Limit, Projection, Relation, TableScan
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.utils.timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MINUTE
 
@@ -341,7 +341,9 @@ class _Parser:
         return TableScan(name)
 
     def _parse_nested_select(self) -> Relation:
-        """A parenthesised ``SELECT expr_list FROM inner [WHERE ...] [LIMIT n]``."""
+        """A parenthesised ``SELECT expr_list FROM inner [LIMIT n]`` followed
+        by any number of ``GROUP BY col[, col...] [WITH KEYS (...)]``, or a
+        parenthesised bare relation.  There is no ``WHERE``."""
         if not self.accept_keyword("SELECT"):
             # A parenthesised bare relation, e.g. (tableA JOIN tableB ON plate).
             return self._parse_inner_relation()

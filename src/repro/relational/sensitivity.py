@@ -95,18 +95,6 @@ class SensitivityInfo:
             return None
         return bounds[1] - bounds[0]
 
-    def with_range(self, column: str, low: float, high: float) -> "SensitivityInfo":
-        """Copy with an added/overwritten range constraint for ``column``."""
-        ranges = dict(self.ranges)
-        ranges[column] = (float(low), float(high))
-        return replace(self, ranges=ranges)
-
-    def without_range(self, column: str) -> "SensitivityInfo":
-        """Copy with the range constraint of ``column`` removed (unbound)."""
-        ranges = dict(self.ranges)
-        ranges.pop(column, None)
-        return replace(self, ranges=ranges)
-
     def with_size(self, size: float | None) -> "SensitivityInfo":
         """Copy with a new size constraint."""
         return replace(self, size=size)

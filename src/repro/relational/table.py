@@ -26,7 +26,7 @@ hand-built tables behave exactly like the dict-of-rows implementation did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -551,26 +551,6 @@ class Table:
         """The float64 column backing ``name``, or None if object-typed."""
         column = self._data.get(name)
         return column if isinstance(column, _NumberColumn) else None
-
-    def select_columns(self, names: Sequence[str], *, table_name: str = "") -> "Table":
-        """A new table containing only the named columns."""
-        missing = [name for name in names if name not in self._data]
-        if missing:
-            raise SchemaError(f"table {self.name!r} has no columns {missing}")
-        selected = Table(columns=tuple(names), name=table_name or self.name,
-                         dtypes={name: dtype for name, dtype in self._dtypes.items()
-                                 if name in names})
-        columns: dict[str, Any] = {}
-        for name in names:
-            column = self._data[name]
-            if isinstance(column, _NumberColumn) and column.has_missing:
-                # The raw array holds 0.0 in missing slots; go through the
-                # value list so Nones survive the projection.
-                columns[name] = column.value_list()
-            else:
-                columns[name] = column.array()
-        selected.extend_columnar(ColumnarRows(tuple(names), columns, self._size))
-        return selected
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         return iter(self.rows)

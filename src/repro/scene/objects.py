@@ -15,7 +15,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.scene.schedules import AttributeSchedule
-from repro.scene.trajectory import Trajectory
+from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory, Trajectory
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
 
@@ -28,10 +28,19 @@ class Appearance:
     """One contiguous visibility segment of an object.
 
     ``trajectory`` is evaluated with time measured from ``interval.start``.
+    It is a :class:`~repro.scene.trajectory.StationaryTrajectory` or a
+    :class:`~repro.scene.trajectory.LinearTrajectory`, exactly: those are the
+    kinds the render's appearance table evaluates, so any other type
+    (a subclass included) is a ``TypeError`` here.
     """
 
     interval: TimeInterval
     trajectory: Trajectory
+
+    def __post_init__(self) -> None:
+        if type(self.trajectory) not in (StationaryTrajectory, LinearTrajectory):
+            raise TypeError(f"an appearance's trajectory must be a StationaryTrajectory or a "
+                            f"LinearTrajectory, not {type(self.trajectory).__qualname__}")
 
     @property
     def duration(self) -> float:
@@ -130,25 +139,6 @@ class SceneObject:
             return 0.0
         return max(appearance.duration for appearance in self.appearances)
 
-    @property
-    def total_visible_duration(self) -> float:
-        """Total seconds the object is visible across all appearances."""
-        return sum(appearance.duration for appearance in self.appearances)
-
-    @property
-    def first_visible(self) -> float:
-        """Timestamp of the object's first visible instant."""
-        if not self.appearances:
-            raise ValueError(f"object {self.object_id} has no appearances")
-        return min(appearance.interval.start for appearance in self.appearances)
-
-    @property
-    def last_visible(self) -> float:
-        """Timestamp of the object's last visible instant."""
-        if not self.appearances:
-            raise ValueError(f"object {self.object_id} has no appearances")
-        return max(appearance.interval.end for appearance in self.appearances)
-
     def visible_at(self, timestamp: float) -> bool:
         """Return True if any appearance covers ``timestamp``."""
         return any(appearance.visible_at(timestamp) for appearance in self.appearances)
@@ -180,11 +170,6 @@ class SceneObject:
     def tightest_bound(self) -> tuple[float, int]:
         """Return the tightest (rho, K) bound covering this object."""
         return self.max_appearance_duration, self.num_appearances
-
-
-def objects_visible_at(objects: Iterable[SceneObject], timestamp: float) -> list[SceneObject]:
-    """Return the subset of ``objects`` visible at ``timestamp``."""
-    return [scene_object for scene_object in objects if scene_object.visible_at(timestamp)]
 
 
 def max_duration_of(objects: Iterable[SceneObject], *, categories: Iterable[str] | None = None) -> float:

@@ -30,22 +30,9 @@ class AttributeSchedule(ABC):
     def value_at(self, timestamp: float) -> Any:
         """The attribute's value at ``timestamp`` (seconds from video start)."""
 
+    @abstractmethod
     def values_at(self, timestamps: np.ndarray) -> Sequence[Any]:
-        """Values for a batch of timestamps (default: per-element fallback)."""
-        return [self.value_at(timestamp) for timestamp in np.asarray(timestamps).tolist()]
-
-
-@dataclass(frozen=True)
-class ConstantSchedule(AttributeSchedule):
-    """An attribute that never changes (useful as an explicit placeholder)."""
-
-    value: Any
-
-    def value_at(self, timestamp: float) -> Any:
-        return self.value
-
-    def values_at(self, timestamps: np.ndarray) -> Sequence[Any]:
-        return [self.value] * int(np.asarray(timestamps).size)
+        """Values for a batch of timestamps, equal to :meth:`value_at` of each."""
 
 
 @dataclass(frozen=True)
@@ -96,11 +83,3 @@ class CyclicSchedule(AttributeSchedule):
                              len(self.phases) - 1)
         values = [value for value, _ in self.phases]
         return [values[index] for index in indices.tolist()]
-
-
-def periodic_two_state(on_value: Any, on_duration: float,
-                       off_value: Any, off_duration: float, *,
-                       offset: float = 0.0) -> CyclicSchedule:
-    """Convenience constructor for the common two-state cycle."""
-    return CyclicSchedule(phases=((on_value, on_duration), (off_value, off_duration)),
-                          offset=offset)

@@ -9,7 +9,6 @@ named stream derived from a single root seed.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -49,10 +48,6 @@ class RandomSource:
     def child(self, name: str) -> "RandomSource":
         """Return a child source whose streams are namespaced under ``name``."""
         return RandomSource(self.seed, path=f"{self.path}/{name}")
-
-    def spawn_many(self, names: Iterable[str]) -> dict[str, np.random.Generator]:
-        """Return a mapping of stream name to generator for each name given."""
-        return {name: self.stream(name) for name in names}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomSource(seed={self.seed}, path={self.path!r})"

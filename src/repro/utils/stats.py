@@ -9,7 +9,6 @@ benchmarks and tests agree on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,17 +31,6 @@ def accuracy(measured: float, reference: float) -> float:
     return max(0.0, 1.0 - relative_error(measured, reference))
 
 
-def mean_absolute_error(measured: Sequence[float], reference: Sequence[float]) -> float:
-    """Mean absolute error between two equal-length series."""
-    measured_arr = np.asarray(measured, dtype=float)
-    reference_arr = np.asarray(reference, dtype=float)
-    if measured_arr.shape != reference_arr.shape:
-        raise ValueError("series must have the same length")
-    if measured_arr.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(measured_arr - reference_arr)))
-
-
 def root_mean_square_error(measured: Sequence[float], reference: Sequence[float]) -> float:
     """Root-mean-square error between two equal-length series."""
     measured_arr = np.asarray(measured, dtype=float)
@@ -52,38 +40,3 @@ def root_mean_square_error(measured: Sequence[float], reference: Sequence[float]
     if measured_arr.size == 0:
         return 0.0
     return float(np.sqrt(np.mean((measured_arr - reference_arr) ** 2)))
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Summary statistics of a sample: mean, standard deviation, extremes."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-    def as_dict(self) -> dict[str, float]:
-        """Return the summary as a plain dictionary (for report printing)."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Summarise a sample of values; empty input produces an all-zero summary."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return Summary(count=0, mean=0.0, std=0.0, minimum=0.0, maximum=0.0)
-    return Summary(
-        count=int(arr.size),
-        mean=float(np.mean(arr)),
-        std=float(np.std(arr)),
-        minimum=float(np.min(arr)),
-        maximum=float(np.max(arr)),
-    )

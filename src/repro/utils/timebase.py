@@ -20,21 +20,6 @@ SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 
 
-def seconds_to_frames(seconds: float, fps: float) -> int:
-    """Convert a duration in seconds to a whole number of frames.
-
-    Privid requires chunk durations and strides to correspond to an integer
-    number of frames (Appendix D); callers that need that check should use
-    :func:`is_integral_frame_count` instead of silently rounding.
-    """
-    return int(round(seconds * fps))
-
-
-def frames_to_seconds(frames: int, fps: float) -> float:
-    """Convert a frame count to a duration in seconds."""
-    return frames / fps
-
-
 def is_integral_frame_count(seconds: float, fps: float, *, tolerance: float = 1e-9) -> bool:
     """Return True if ``seconds`` corresponds to an integer number of frames."""
     frames = seconds * fps
@@ -84,16 +69,6 @@ def frame_index_range(start: float, end: float, fps: float, *,
     first = math.ceil(start * fps - epsilon)
     last = math.ceil(end * fps - epsilon)
     return first, max(first, last)
-
-
-def hour_of(timestamp: float) -> int:
-    """Hour-of-period helper mirroring the query language ``hour(chunk)``."""
-    return int(timestamp // SECONDS_PER_HOUR)
-
-
-def day_of(timestamp: float) -> int:
-    """Day-of-period helper mirroring the query language ``day(chunk)``."""
-    return int(timestamp // SECONDS_PER_DAY)
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,6 @@ class Chunk:
     sample_period: float | None = None
 
     @property
-    def chunk_id(self) -> str:
-        """Stable identifier combining camera, index and region."""
-        suffix = f":{self.region.name}" if self.region is not None else ""
-        return f"{self.video.name}#{self.index}{suffix}"
-
-    @property
     def start_timestamp(self) -> float:
         """Timestamp of the chunk's first frame (the implicit ``chunk`` column)."""
         return self.interval.start
@@ -160,22 +154,20 @@ class Chunk:
 
 def iter_chunks(video: SyntheticVideo, spec: ChunkSpec, *,
                 mask: Mask = EMPTY_MASK,
-                region_scheme: RegionScheme | None = None,
-                validate_frame_alignment: bool = True) -> Iterator[Chunk]:
+                region_scheme: RegionScheme | None = None) -> Iterator[Chunk]:
     """Lazily split a video window into chunks according to ``spec``.
 
-    The streaming twin of :func:`split_interval`: chunks are produced one at
-    a time as the consumer pulls them, so a SPLIT over hours of footage never
-    materialises its whole chunk list — the execution engine's bounded
-    in-flight window (``ExecutionEngine.imap_chunks``) is the only thing that
-    holds chunks alive.  When a region scheme is supplied, each temporal
+    Chunks are produced one at a time as the consumer pulls them, so a SPLIT
+    over hours of footage never materialises its whole chunk list — the
+    execution engine's bounded in-flight window
+    (``ExecutionEngine.imap_chunks``) is the only thing that holds chunks
+    alive.  When a region scheme is supplied, each temporal
     chunk is expanded into one chunk per region (the spatial-splitting
     optimisation); soft-boundary schemes enforce their single-frame chunk
     restriction.  Validation runs eagerly at call time, before the first
     chunk is requested.
     """
-    if validate_frame_alignment:
-        video.validate_chunking(spec.chunk_duration, spec.stride)
+    video.validate_chunking(spec.chunk_duration, spec.stride)
     window = spec.window.clamp(video.interval)
     if region_scheme is not None:
         region_scheme.validate_chunk_size(spec.chunk_duration, video.frame_period)
@@ -213,19 +205,6 @@ def count_chunks(video: SyntheticVideo, spec: ChunkSpec, *,
     window = spec.window.clamp(video.interval)
     per_interval = 1 if region_scheme is None else len(region_scheme.regions)
     return window.num_chunks(spec.chunk_duration, spec.stride) * per_interval
-
-
-def split_interval(video: SyntheticVideo, spec: ChunkSpec, *,
-                   mask: Mask = EMPTY_MASK,
-                   region_scheme: RegionScheme | None = None,
-                   validate_frame_alignment: bool = True) -> list[Chunk]:
-    """Split a video window into chunks according to ``spec``.
-
-    Batch adapter over :func:`iter_chunks`, kept for callers that genuinely
-    need the full list (tests, small ad-hoc windows); the executor streams.
-    """
-    return list(iter_chunks(video, spec, mask=mask, region_scheme=region_scheme,
-                            validate_frame_alignment=validate_frame_alignment))
 
 
 def num_chunks_spanned(rho: float, chunk_duration: float) -> int:

@@ -112,12 +112,6 @@ class BoundingBox:
             return 0.0
         return overlap_area / union_area
 
-    def coverage_by(self, other: "BoundingBox") -> float:
-        """Fraction of this box's area covered by ``other`` (0 if this box is empty)."""
-        if self.area <= 0:
-            return 0.0
-        return self.intersection_area(other) / self.area
-
     def clamp(self, width: float, height: float) -> "BoundingBox":
         """Return the portion of this box inside a ``width`` x ``height`` frame."""
         left = min(max(self.x, 0.0), width)

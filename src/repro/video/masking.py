@@ -132,10 +132,3 @@ def mask_everything_except(frame_width: float, frame_height: float,
     if bottom < frame_height:
         regions.append(BoundingBox(left, bottom, right - left, frame_height - bottom))
     return Mask(name=name, regions=tuple(regions))
-
-
-def apply_mask_to_boxes(mask: Mask, boxes: Sequence[BoundingBox]) -> list[BoundingBox]:
-    """Return the subset of boxes not hidden by the mask (order preserved)."""
-    if mask.is_empty:
-        return list(boxes)
-    return [box for box in boxes if not mask.hides(box)]

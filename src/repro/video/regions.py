@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import RegionError
-from repro.utils import checks
 from repro.video.geometry import BoundingBox, Point
 
 
@@ -97,38 +96,3 @@ class RegionScheme:
             raise RegionError(
                 "region schemes with soft boundaries require a chunk size of one frame "
                 f"(chunk duration {chunk_duration}s exceeds frame period {frame_period}s)")
-
-
-def grid_region_scheme(frame_width: float, frame_height: float, rows: int, columns: int, *,
-                       name: str = "grid", boundary: BoundaryType = BoundaryType.SOFT) -> RegionScheme:
-    """Build a simple rows x columns grid region scheme.
-
-    The paper leaves grid splitting to future work (Section 7.2 "Grid Split");
-    this helper implements the basic construction so the extension can be
-    exercised by tests and the ablation benchmark.
-    """
-    checks.count("rows", rows, RegionError, 1)
-    checks.count("columns", columns, RegionError, 1)
-    checks.real("frame_width", frame_width, RegionError, above=0)
-    checks.real("frame_height", frame_height, RegionError, above=0)
-    cell_width = frame_width / columns
-    cell_height = frame_height / rows
-    regions: list[Region] = []
-    for row in range(rows):
-        for column in range(columns):
-            regions.append(Region(
-                name=f"r{row}c{column}",
-                box=BoundingBox(column * cell_width, row * cell_height, cell_width, cell_height),
-            ))
-    return RegionScheme(name=name, regions=tuple(regions), boundary=boundary)
-
-
-def vertical_split_scheme(frame_width: float, frame_height: float,
-                          boundaries: Iterable[float], *, name: str = "vertical",
-                          boundary: BoundaryType = BoundaryType.SOFT) -> RegionScheme:
-    """Split the frame into vertical strips at the given x coordinates."""
-    xs = sorted(set(float(x) for x in boundaries))
-    edges = [0.0] + [x for x in xs if 0.0 < x < frame_width] + [frame_width]
-    regions = [Region(name=f"strip{i}", box=BoundingBox(left, 0.0, right - left, frame_height))
-               for i, (left, right) in enumerate(zip(edges, edges[1:]))]
-    return RegionScheme(name=name, regions=tuple(regions), boundary=boundary)

@@ -69,22 +69,18 @@ class FrameBatch:
         """Total ground-truth object-frame pairs in the batch."""
         return int(self.visible.sum())
 
-#: Trajectory kinds of an appearance-table row.
-_STATIONARY, _LINEAR, _OTHER = 0, 1, 2
-
 
 class _AppearanceTable:
     """Every appearance of a video as numpy columns, plus their time-bucket index.
 
     Rows are object-major (``video.objects`` order, then appearance order):
     ascending rows keep an object's appearances together, earlier first.
-    ``owner`` is the object's position in ``video.objects``, ``slot`` the
-    appearance's position within it, ``category`` the owner's id in
-    ``category_ids``.  ``base``/``delta``/``duration`` hold a
-    linear trajectory's start box, ``end - start`` and duration; a
-    stationary row keeps its box in ``base``; any other kind leaves them
-    neutral and is evaluated by its own ``boxes_at``.  Time bucket
-    ``first_bucket + b`` touches, ascending, the rows
+    ``owner`` is the object's position in ``video.objects``, ``category`` the
+    owner's id in ``category_ids``.  A row's trajectory is one of the two
+    kinds an :class:`~repro.scene.objects.Appearance` accepts:
+    ``base``/``delta``/``duration`` hold a linear trajectory's start box,
+    ``end - start`` and duration, and a ``stationary`` row keeps its box in
+    ``base``.  Time bucket ``first_bucket + b`` touches, ascending, the rows
     ``bucket_rows[bucket_offsets[b]:bucket_offsets[b + 1]]``, so a windowed
     lookup never scans a full day's objects.  Arrays only: a shard worker
     caches several decoded videos, each with its own table.
@@ -94,43 +90,39 @@ class _AppearanceTable:
     ``video.objects`` must call ``add_objects`` or ``invalidate_index``.
     """
 
-    __slots__ = ("start", "end", "owner", "slot", "kind", "base", "delta", "duration", "category",
+    __slots__ = ("start", "end", "owner", "stationary", "base", "delta", "duration", "category",
                  "category_ids", "bucket_size", "first_bucket", "bucket_offsets", "bucket_rows")
 
     def __init__(self, objects: Sequence[SceneObject], bucket_size: float) -> None:
-        from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
+        from repro.scene.trajectory import StationaryTrajectory
 
         def xywh(box: BoundingBox) -> tuple[float, float, float, float]:
             return box.x, box.y, box.width, box.height
 
         count = sum(len(scene_object.appearances) for scene_object in objects)
-        columns = np.empty((count, 15), dtype=np.float64)
+        columns = np.empty((count, 14), dtype=np.float64)
         self.category_ids: dict[str, int] = {}
         row = 0
         for position, scene_object in enumerate(objects):
             category = self.category_ids.setdefault(scene_object.category, len(self.category_ids))
-            for slot, appearance in enumerate(scene_object.appearances):
+            for appearance in scene_object.appearances:
                 trajectory = appearance.trajectory
-                # Exact types: a subclass may override boxes_at.
                 if type(trajectory) is StationaryTrajectory:
-                    motion = (_STATIONARY, 1.0, *xywh(trajectory.box), *xywh(trajectory.box))
-                elif type(trajectory) is LinearTrajectory:
-                    motion = (_LINEAR, trajectory.duration,
-                              *xywh(trajectory.start), *xywh(trajectory.end))
+                    motion = (1.0, 1.0, *xywh(trajectory.box), *xywh(trajectory.box))
                 else:
-                    motion = (_OTHER, 1.0) + (0.0,) * 8
+                    motion = (0.0, trajectory.duration,
+                              *xywh(trajectory.start), *xywh(trajectory.end))
                 columns[row] = (appearance.interval.start, appearance.interval.end,
-                                position, slot, *motion, category)
+                                position, *motion, category)
                 row += 1
         self.start = columns[:, 0].copy()
         self.end = columns[:, 1].copy()
         self.owner = columns[:, 2].astype(np.int64)
-        self.slot = columns[:, 3].astype(np.int64)
-        self.kind = columns[:, 4].astype(np.int8)
-        self.duration = columns[:, 5].copy()
-        self.base = columns[:, 6:10].copy()
-        self.delta = columns[:, 10:14] - self.base
-        self.category = columns[:, 14].astype(np.int64)
+        self.stationary = columns[:, 3] == 1.0
+        self.duration = columns[:, 4].copy()
+        self.base = columns[:, 5:9].copy()
+        self.delta = columns[:, 9:13] - self.base
+        self.category = columns[:, 13].astype(np.int64)
         del columns     # scratch: free it before the index's larger temporaries
         self.bucket_size = bucket_size
         first = (self.start // bucket_size).astype(np.int64)
@@ -170,35 +162,22 @@ class _AppearanceTable:
                 if category in self.category_ids]] = True
         return wanted
 
-    def boxes(self, objects: Sequence[SceneObject], rows: np.ndarray, timestamps: np.ndarray,
-              shown: np.ndarray | None = None) -> np.ndarray:
+    def boxes(self, rows: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
         """Boxes of ``rows`` at ``timestamps``, the two broadcast together (a
         ``(rows, 1)`` column against a frame row in the render, pairwise in
         the owner's sampler), with a trailing ``[x, y, width, height]`` axis.
 
-        Every row is evaluated as a linear trajectory, then the other kinds
-        are overwritten; each step is elementwise, so a box equals
-        ``Appearance.box_at`` bit for bit.  A row of another kind asks its own
-        ``boxes_at``, only where ``shown`` (default: everywhere).
+        Every row is evaluated as a linear trajectory, then the stationary
+        rows are overwritten; each step is elementwise, so a box equals
+        ``Appearance.box_at`` bit for bit.
         """
         fraction = np.minimum(np.maximum(
             (timestamps - self.start[rows]) / self.duration[rows], 0.0), 1.0)
         base = self.base[rows]
         boxes = base + self.delta[rows] * fraction[..., np.newaxis]
-        kind = self.kind[rows]
         # A stationary box is copied, never computed as base + 0 * fraction,
         # which would turn -0.0 into 0.0.
-        np.copyto(boxes, base, where=(kind == _STATIONARY)[..., np.newaxis])
-        other = kind == _OTHER
-        if other.any():
-            shape = fraction.shape
-            shown = np.broadcast_to(True if shown is None else shown, shape)
-            timestamps = np.broadcast_to(timestamps, shape)
-            for row in dict.fromkeys(rows[other].tolist()):
-                appearance = objects[self.owner[row]].appearances[self.slot[row]]
-                at = (rows == row) & shown
-                boxes[at] = appearance.trajectory.boxes_at(
-                    timestamps[at] - appearance.interval.start)
+        np.copyto(boxes, base, where=self.stationary[rows][..., np.newaxis])
         return boxes
 
 
@@ -300,10 +279,6 @@ class SyntheticVideo:
         """Frame index containing ``timestamp`` (epsilon-aware rounding)."""
         return frame_index_of(timestamp, self.fps)
 
-    def frame_timestamp(self, frame_index: int) -> float:
-        """Timestamp of the first instant of frame ``frame_index``."""
-        return frame_index / self.fps
-
     def validate_chunking(self, chunk_duration: float, stride: float) -> None:
         """Raise ValueError unless chunking parameters map to whole frames.
 
@@ -364,7 +339,7 @@ class SyntheticVideo:
         if not rows.size:       # nothing (wanted) in view: the frames, and no row
             return FrameBatch(frame_indices, timestamps, [], visible,
                               np.empty(visible.shape + (4,)), self.width, self.height, self.fps)
-        boxes = table.boxes(self.objects, rows[:, np.newaxis], timestamps, visible)
+        boxes = table.boxes(rows[:, np.newaxis], timestamps)
         owners = table.owner[rows]
         later = np.flatnonzero(owners[1:] == owners[:-1]) + 1
         if later.size:
@@ -445,10 +420,10 @@ class SyntheticVideo:
                 held_rows = np.concatenate((held_rows, np.repeat(group, inside.sum(axis=1))))
                 held_times = np.concatenate((held_times, sums[inside]))
                 while held_rows.size >= block:
-                    yield table.boxes(self.objects, held_rows[:block], held_times[:block])
+                    yield table.boxes(held_rows[:block], held_times[:block])
                     held_rows, held_times = held_rows[block:], held_times[block:]
             if held_rows.size:
-                yield table.boxes(self.objects, held_rows, held_times)
+                yield table.boxes(held_rows, held_times)
 
         lengths = np.concatenate([bound[:0]] + [inside.sum(axis=1) for _, _, inside in walks()])
         walked = lengths > 0
@@ -463,10 +438,6 @@ class SyntheticVideo:
         """All objects of the given category."""
         return [scene_object for scene_object in self.objects
                 if scene_object.category == category]
-
-    def private_objects(self) -> list[SceneObject]:
-        """All objects of categories the paper treats as private."""
-        return [scene_object for scene_object in self.objects if scene_object.is_private]
 
     def add_objects(self, new_objects: Iterable[SceneObject]) -> None:
         """Append additional ground-truth objects to the video."""

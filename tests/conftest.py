@@ -18,7 +18,9 @@ from repro.scene.objects import Appearance, SceneObject
 from repro.scene.scenarios import Scenario, build_scenario
 from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
 from repro.utils.timebase import TimeInterval
+from repro.video.chunking import iter_chunks
 from repro.video.geometry import BoundingBox
+from repro.video.regions import BoundaryType, Region, RegionScheme
 from repro.video.video import SyntheticVideo
 
 
@@ -77,6 +79,22 @@ def make_simple_video(*, duration: float = 600.0, objects: list[SceneObject] | N
 def flat_rows(chunk_rows) -> list:
     """Every row of a per-chunk row stream (``iter_chunk_rows``), in order."""
     return [row for rows in chunk_rows for row in rows]
+
+
+def split_interval(video, spec, **options) -> list:
+    """Every chunk of a SPLIT, as a list (``iter_chunks`` streams them)."""
+    return list(iter_chunks(video, spec, **options))
+
+
+def grid_region_scheme(frame_width: float, frame_height: float, rows: int, columns: int, *,
+                       name: str = "grid",
+                       boundary: BoundaryType = BoundaryType.SOFT) -> RegionScheme:
+    """A ``rows`` x ``columns`` grid of equal cells named ``r{row}c{column}``."""
+    width, height = frame_width / columns, frame_height / rows
+    return RegionScheme(name=name, boundary=boundary, regions=tuple(
+        Region(name=f"r{row}c{column}",
+               box=BoundingBox(column * width, row * height, width, height))
+        for row in range(rows) for column in range(columns)))
 
 
 @pytest.fixture()

@@ -24,12 +24,7 @@ from repro.analysis.region_analysis import analyze_region_ranges
 from repro.evaluation.runner import scenario_policy_map
 from repro.scene.objects import PRIVATE_CATEGORIES, Appearance, SceneObject
 from repro.scene.scenarios import build_scenario
-from repro.scene.trajectory import (
-    LinearTrajectory,
-    StationaryTrajectory,
-    Trajectory,
-    WaypointTrajectory,
-)
+from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
 from repro.video.masking import Mask
@@ -155,22 +150,10 @@ def oracle_masked_persistence(video, mask, sample_period, categories):
         objects_before=len(objects), objects_after=len(surviving))
 
 
-class Hopping(Trajectory):
-    """A third-party trajectory with ``box_at`` only: it hops every 3 s."""
-
-    def box_at(self, elapsed):
-        if int(elapsed // 3.0) % 2:
-            return BoundingBox(160.0, 120.0, 40.0, 80.0)
-        return BoundingBox(440.0, 320.0, 80.0, 40.0)
-
-    def duration_hint(self):
-        return None
-
-
 @st.composite
 def _owner_scenes(draw):
     """Objects with 0-3 appearances each (overlapping, or empty when start ==
-    end) of every trajectory kind.  Boxes sit on the masks' 40-pixel lattice in
+    end) of both trajectory kinds.  Boxes sit on the masks' 40-pixel lattice in
     the frame's top-left quarter, so a covered fraction often lands exactly on
     the threshold."""
     def box():
@@ -178,16 +161,10 @@ def _owner_scenes(draw):
                            40.0 * draw(st.integers(0, 3)), 40.0 * draw(st.integers(0, 3)))
 
     def trajectory(duration):
-        kind = draw(st.sampled_from(["stationary", "linear", "waypoint", "hopping"]))
-        if kind == "stationary":
+        if draw(st.booleans()):
             return StationaryTrajectory(box())
-        if kind == "linear":
-            return LinearTrajectory(start=box(), end=box(), duration=draw(
-                st.sampled_from([duration or 1.0, 7.5, 40.0])))
-        if kind == "waypoint":
-            return WaypointTrajectory([(0.0, box()), (draw(st.sampled_from([0.0, 2.5])), box()),
-                                       (12.0, box())])
-        return Hopping()
+        return LinearTrajectory(start=box(), end=box(), duration=draw(
+            st.sampled_from([duration or 1.0, 7.5, 40.0])))
 
     objects = []
     for number in range(draw(st.integers(0, 6))):
@@ -232,7 +209,7 @@ def test_masked_persistence_makes_no_per_sample_call(monkeypatch, campus_small):
     """Built-in trajectories only: no scalar box or mask call at all, and one
     ``hides_boxes`` call per block of instants."""
     instants = 0
-    for scene_object in campus_small.video.private_objects():
+    for scene_object in (o for o in campus_small.video.objects if o.is_private):
         for appearance in scene_object.appearances:
             timestamp = appearance.interval.start
             while timestamp < appearance.interval.end:

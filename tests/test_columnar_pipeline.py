@@ -24,8 +24,7 @@ from repro.sandbox.environment import ExecutionContext
 from repro.sandbox.executables import _track_chunk
 from repro.scene.objects import SceneObject
 from repro.scene.scenarios import build_scenario
-from repro.scene.schedules import ConstantSchedule, CyclicSchedule, periodic_two_state
-from repro.scene.trajectory import WaypointTrajectory
+from repro.scene.schedules import CyclicSchedule
 from repro.utils.hashing import (
     stream_key,
     string_token,
@@ -34,12 +33,17 @@ from repro.utils.hashing import (
     unit_draws_matrix,
 )
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import ChunkSpec, split_interval
+from repro.video.chunking import ChunkSpec
 from repro.video.geometry import BoundingBox
 from repro.video.masking import Mask
 from repro.video.regions import Region
 
-from tests.conftest import make_crossing_object, make_simple_video, make_stationary_object
+from tests.conftest import (
+    make_crossing_object,
+    make_simple_video,
+    make_stationary_object,
+    split_interval,
+)
 from tests.scalar_oracle import (
     Detection,
     ScalarTracker,
@@ -56,7 +60,7 @@ def _rich_video():
                                    box=BoundingBox(600.0, 40.0, 30.0, 70.0),
                                    category="traffic_light",
                                    attributes={"kind": "intersection"})
-    light.dynamic_attributes["light_state"] = periodic_two_state("RED", 50.0, "GREEN", 30.0)
+    light.dynamic_attributes["light_state"] = CyclicSchedule((("RED", 50.0), ("GREEN", 30.0)))
     objects = [
         make_crossing_object("walker-1", start=30.0, duration=40.0,
                              attributes={"color": "RED", "plate": "AAA111"}),
@@ -190,19 +194,6 @@ class TestFrameBatchParity:
 
 
 class TestVectorizedPrimitives:
-    def test_waypoint_boxes_at_matches_box_at(self):
-        trajectory = WaypointTrajectory([
-            (0.0, BoundingBox(0.0, 0.0, 10.0, 10.0)),
-            (5.0, BoundingBox(50.0, 30.0, 12.0, 14.0)),
-            (5.0, BoundingBox(55.0, 30.0, 12.0, 14.0)),
-            (9.0, BoundingBox(90.0, 10.0, 10.0, 10.0)),
-        ])
-        elapsed = np.array([-1.0, 0.0, 0.5, 2.5, 5.0, 7.3, 9.0, 12.0])
-        rows = trajectory.boxes_at(elapsed)
-        for value, row in zip(elapsed.tolist(), rows.tolist()):
-            box = trajectory.box_at(value)
-            assert row == [box.x, box.y, box.width, box.height]
-
     def test_mask_covered_fractions_matches_scalar(self):
         mask = Mask(name="m", regions=(BoundingBox(0.0, 0.0, 100.0, 100.0),
                                        BoundingBox(200.0, 50.0, 80.0, 90.0)))
@@ -284,11 +275,6 @@ class TestSchedules:
         batch = schedule.values_at(timestamps)
         assert batch == [schedule.value_at(t) for t in timestamps.tolist()]
 
-    def test_constant_schedule(self):
-        schedule = ConstantSchedule("ON")
-        assert schedule.value_at(123.0) == "ON"
-        assert schedule.values_at(np.zeros(4)) == ["ON"] * 4
-
     def test_invalid_cyclic_schedule_rejected(self):
         with pytest.raises(ValueError):
             CyclicSchedule(phases=())
@@ -304,7 +290,7 @@ class TestSchedules:
 
     def test_schedule_attributes_evaluate_alone_and_in_batch(self):
         scene_object = SceneObject(object_id="x", category="traffic_light")
-        scene_object.dynamic_attributes["state"] = periodic_two_state("ON", 5.0, "OFF", 5.0)
+        scene_object.dynamic_attributes["state"] = CyclicSchedule((("ON", 5.0), ("OFF", 5.0)))
         assert scene_object.attributes_at(1.0)["state"] == "ON"
         series = scene_object.attribute_series(np.array([1.0, 9.0]))
         assert series == [("state", None, ["ON", "OFF"])]

@@ -70,7 +70,6 @@ class TestPrivacyPolicy:
         policy_map.add("m", mask, PrivacyPolicy(rho=40.0))
         assert policy_map.lookup(None)[1].rho == 300.0
         assert policy_map.lookup("m")[1].rho == 40.0
-        assert policy_map.best_policy().rho == 40.0
         with pytest.raises(MaskError):
             policy_map.lookup("missing")
         with pytest.raises(MaskError):

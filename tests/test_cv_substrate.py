@@ -12,7 +12,7 @@ from repro.cv.duration import (
     persistence_distribution,
 )
 from repro.cv.tracker import IoUTracker, TrackerConfig
-from repro.cv.tuning import best_config, distribution_distance, iterate_grid, tune_tracker
+from repro.cv.tuning import distribution_distance, iterate_grid, tune_tracker
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
 
@@ -189,7 +189,6 @@ class TestDurationEstimation:
                                            grace_period=2.0)
         assert estimate.ground_truth_max == 25
         assert estimate.is_conservative
-        assert estimate.overestimate_factor >= 1.0
 
 
 class TestTuning:
@@ -211,9 +210,14 @@ class TestTuning:
         grid = {"max_age": (1, 8), "min_hits": (2,), "iou_threshold": (0.1,)}
         results = tune_tracker(detection_batch(frames), video.objects, grid=grid)
         assert len(results) == 2
-        best = best_config(results)
-        assert best.max_age == 8
+        # Sorted by distance: the first is the best configuration.
+        assert results[0].config.max_age == 8
 
-    def test_best_config_requires_results(self):
-        with pytest.raises(ValueError):
-            best_config([])
+    def test_tune_tracker_ranks_every_configuration_by_distance(self):
+        video = make_simple_video(objects=[make_crossing_object("a", start=0, duration=29)])
+        frames = _straight_line_detections(30, missing={5, 6, 12}, speed=20.0)
+        grid = {"max_age": (1, 2, 8), "min_hits": (1, 3), "iou_threshold": (0.1, 0.5)}
+        results = tune_tracker(detection_batch(frames), video.objects, grid=grid)
+        assert len(results) == 12
+        distances = [result.distance for result in results]
+        assert distances == sorted(distances)

@@ -318,13 +318,6 @@ class TestWriteAheadLog:
         assert (reopened.synced_seq, reopened.fsyncs) == (6, 1)
         reopened.close()
 
-    def test_sync_through_honours_fsync_disabled(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, fsync=False)
-        seq = wal.append({"op": "a"}, sync=False)
-        wal.sync_through(seq)
-        assert (wal.synced_seq, wal.fsyncs) == (seq, 0)
-        wal.close()
-
 
 # ------------------------------------------------------------ durable ledger
 

@@ -21,11 +21,11 @@ from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import ConstantExecutable, EnteringObjectCounter
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import ChunkSpec, split_interval
+from repro.video.chunking import ChunkSpec
 from repro.video.masking import Mask
 from repro.video.geometry import BoundingBox
 
-from tests.conftest import flat_rows, make_crossing_object, make_simple_video
+from tests.conftest import flat_rows, make_crossing_object, make_simple_video, split_interval
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))

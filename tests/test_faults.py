@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.core import PrividSystem, SerialEngine
-from repro.core.cache import DiskChunkStore, store_health
+from repro.core.cache import DiskChunkStore, create_cache, store_health
 from repro.core.faults import (
     FaultInjector,
     FaultKind,
@@ -411,6 +411,12 @@ class TestDiskStoreFaults:
         assert health["writable"] is True
         assert store_health(store)["enabled"] is True
         assert store_health(None) == {"enabled": False}
+
+    @pytest.mark.parametrize("tier", ["memory", "disk", "tiered"])
+    def test_store_health_is_each_store_kinds_own_health(self, tmp_path, tier):
+        store = create_cache(tier if tier == "memory" else f"{tier}:{tmp_path}")
+        assert store_health(store) == {"enabled": True, **store.health()}
+        assert store_health(store)["tier"] == tier
 
 
 # -------------------------------------------------------- serial fallback

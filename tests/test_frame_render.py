@@ -30,14 +30,9 @@ from repro.sandbox.registry import default_registry
 from repro.scene.objects import Appearance, SceneObject
 from repro.scene.scenarios import SCENARIO_NAMES, build_scenario
 from repro.scene.schedules import CyclicSchedule
-from repro.scene.trajectory import (
-    LinearTrajectory,
-    StationaryTrajectory,
-    Trajectory,
-    WaypointTrajectory,
-)
+from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory, Trajectory
 from repro.utils.timebase import TimeInterval, frame_index_range
-from repro.video.chunking import Chunk, ChunkSpec, split_interval
+from repro.video.chunking import Chunk, ChunkSpec, iter_chunks
 from repro.video.geometry import BoundingBox
 from repro.video.masking import EMPTY_MASK, Mask
 from repro.video.regions import Region
@@ -125,7 +120,7 @@ def chunks_of(video, *, chunk_duration=30.0, window=None, mask=EMPTY_MASK,
               sample_period=None):
     spec = ChunkSpec(window=window or TimeInterval(0.0, video.duration),
                      chunk_duration=chunk_duration, sample_period=sample_period)
-    return split_interval(video, spec, mask=mask, validate_frame_alignment=False)
+    return list(iter_chunks(video, spec, mask=mask))
 
 
 # ------------------------------------------------------------ scenario scenes
@@ -199,30 +194,21 @@ def test_quick_cold_scan_releases_match_the_parent_commit(tmp_path):
 # ----------------------------------------------------------------- edge cases
 
 class Orbit(Trajectory):
-    """A third-party trajectory: scalar ``box_at`` only, and strict about its domain."""
-
-    def __init__(self, period):
-        self.period = period
+    """A third-party trajectory: scalar ``box_at`` only."""
 
     def box_at(self, elapsed):
-        if not 0.0 <= elapsed < self.period:
-            raise ValueError("evaluated outside its appearance")
-        angle = 2.0 * np.pi * elapsed / self.period
-        return BoundingBox(600.0 + 200.0 * float(np.cos(angle)),
-                           300.0 + 100.0 * float(np.sin(angle)), 25.0, 50.0)
-
-    def duration_hint(self):
-        return self.period
+        return BoundingBox(600.0 + 200.0 * float(np.cos(elapsed)), 300.0, 25.0, 50.0)
 
 
 class Drifting(LinearTrajectory):
-    """A LinearTrajectory subclass that changes the motion: not a table row."""
+    """A LinearTrajectory subclass that changes the motion."""
 
     def box_at(self, elapsed):
         return super().box_at(elapsed).translate(7.0, -3.0)
 
-    def boxes_at(self, elapsed):
-        return super().boxes_at(elapsed) + np.array([7.0, -3.0, 0.0, 0.0])
+
+class Parked(StationaryTrajectory):
+    """A StationaryTrajectory subclass that changes nothing: still refused."""
 
 
 def _object(object_id, *appearances, category="person"):
@@ -279,19 +265,10 @@ class TestRenderEdgeCases:
             == ["late", "early", "split"]
 
     def test_every_trajectory_kind_in_one_chunk(self):
-        box = BoundingBox(300.0, 300.0, 30.0, 60.0)
-        waypoints = WaypointTrajectory([
-            (0.0, box), (10.0, box.translate(200.0, 0.0)),
-            (10.0, box.translate(200.0, 150.0)),        # zero-length segment
-            (25.0, box.translate(0.0, 150.0))])
         video = make_simple_video(objects=[
             _object("linear", (5.0, 45.0, self.LINEAR)),
-            _object("waypoints", (2.0, 28.0, waypoints)),
             _object("parked", (0.0, 60.0, self.PARKED)),
-            _object("orbit", (12.0, 30.0, Orbit(18.0))),
-            _object("drifting", (0.0, 40.0, Drifting(start=self.LINEAR.start,
-                                                     end=self.LINEAR.end, duration=40.0))),
-            _object("both", (0.0, 8.0, self.PARKED), (8.0, 26.0, Orbit(18.0))),
+            _object("both", (0.0, 8.0, self.PARKED), (8.0, 36.0, self.LINEAR)),
         ], duration=60.0)
         index = OracleIndex(video)
         mask = Mask(name="m", regions=(BoundingBox(0.0, 0.0, 400.0, 400.0),))
@@ -300,6 +277,33 @@ class TestRenderEdgeCases:
             batch = assert_matches_oracle(chunk, index)
             assert_matches_oracle(chunk.with_region(region), index)
         assert len(batch.scene_objects) >= 3
+
+    @pytest.mark.parametrize("trajectory,named", [
+        (Orbit(), "Orbit"),
+        (Drifting(start=LINEAR.start, end=LINEAR.end, duration=40.0), "Drifting"),
+        (Parked(PARKED.box), "Parked"),
+        (BoundingBox(0.0, 0.0, 30.0, 60.0), "BoundingBox"),
+        (None, "NoneType")])
+    def test_an_appearance_refuses_any_other_trajectory_type(self, trajectory, named):
+        """The render's table evaluates the two built-in kinds only, so any
+        other type, a subclass of one of them included, never gets that far."""
+        with pytest.raises(TypeError, match=rf"\b{named}\b"):
+            Appearance(interval=TimeInterval(0.0, 10.0), trajectory=trajectory)
+
+    @pytest.mark.parametrize("kind", ["LINEAR", "PARKED"])
+    def test_an_appearance_accepts_either_built_in_kind(self, kind):
+        trajectory = getattr(self, kind)
+        appearance = Appearance(interval=TimeInterval(5.0, 15.0), trajectory=trajectory)
+        assert appearance.box_at(10.0) == trajectory.box_at(5.0)
+
+    def test_the_table_marks_exactly_the_stationary_rows(self):
+        video = make_simple_video(objects=[
+            _object("both", (0.0, 8.0, self.PARKED), (8.0, 36.0, self.LINEAR)),
+            _object("linear", (5.0, 45.0, self.LINEAR)),
+            _object("parked", (0.0, 60.0, self.PARKED))], duration=60.0)
+        table = video._table()
+        assert table.stationary.tolist() == [True, False, False, True]
+        assert table.owner.tolist() == [0, 0, 1, 2]
 
     def test_zero_area_box_is_never_hidden(self):
         flat = StationaryTrajectory(BoundingBox(50.0, 50.0, 0.0, 60.0))
@@ -358,7 +362,7 @@ _LIGHT = CyclicSchedule(phases=(("RED", 7.0), ("GREEN", 5.0)))
 
 @st.composite
 def _scenes(draw):
-    """A three-bucket (180 s) video: every trajectory kind, objects with two
+    """A three-bucket (180 s) video: both trajectory kinds, objects with two
     appearances (overlapping or apart), intervals that straddle the 60 s
     bucket edges, static and scheduled attributes."""
     def trajectory(kind, duration):
@@ -366,13 +370,7 @@ def _scenes(draw):
                           30.0, 60.0)
         if kind == "stationary":
             return StationaryTrajectory(box)
-        if kind == "linear":
-            return LinearTrajectory(start=box, end=box.translate(300.0, -120.0),
-                                    duration=duration)
-        if kind == "waypoint":
-            return WaypointTrajectory([(0.0, box), (duration / 3.0, box.translate(90.0, 0.0)),
-                                       (duration, box.translate(0.0, 90.0))])
-        return Orbit(duration)
+        return LinearTrajectory(start=box, end=box.translate(300.0, -120.0), duration=duration)
 
     objects = []
     for number in range(draw(st.sampled_from([0, 2, 6, 12]))):
@@ -380,7 +378,7 @@ def _scenes(draw):
         start = draw(st.sampled_from([0.0, 15.0, 40.0, 58.0, 70.0, 115.0]))
         for _ in range(draw(st.integers(1, 2))):
             duration = draw(st.sampled_from([1.5, 4.0, 25.0, 50.0, 90.0]))
-            kind = draw(st.sampled_from(["stationary", "linear", "waypoint", "orbit"]))
+            kind = draw(st.sampled_from(["stationary", "linear"]))
             appearances.append((start, start + duration, trajectory(kind, duration)))
             start += draw(st.sampled_from([0.5, 1.0, 1.25])) * duration   # 0.5: overlap
         scene_object = _object(f"o{number}", *appearances,

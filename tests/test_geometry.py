@@ -45,12 +45,6 @@ class TestBoundingBox:
     def test_iou_disjoint(self):
         assert BoundingBox(0, 0, 5, 5).iou(BoundingBox(100, 100, 5, 5)) == 0.0
 
-    def test_coverage_by(self):
-        inner = BoundingBox(0, 0, 10, 10)
-        outer = BoundingBox(0, 0, 20, 20)
-        assert inner.coverage_by(outer) == pytest.approx(1.0)
-        assert outer.coverage_by(inner) == pytest.approx(0.25)
-
     def test_clamp(self):
         clamped = BoundingBox(-10, -10, 30, 30).clamp(100, 100)
         assert clamped == BoundingBox(0, 0, 20, 20)

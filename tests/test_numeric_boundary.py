@@ -46,7 +46,6 @@ from repro.scene.simulator import CrossingPopulation, LingerPopulation, Route
 from repro.utils import checks
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
-from repro.video.regions import grid_region_scheme
 
 from tests.conftest import make_simple_video
 
@@ -146,14 +145,6 @@ class TestResilienceAndShardTiming:
         with pytest.raises(ValueError, match=field):
             ShardedEngine(2, **{field: value})
 
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
-    def test_sharded_engine_ignores_a_non_finite_environment_timeout(self, monkeypatch, raw):
-        monkeypatch.setenv("PRIVID_HEARTBEAT_TIMEOUT", raw)
-        with pytest.warns(RuntimeWarning, match="PRIVID_HEARTBEAT_TIMEOUT"):
-            engine = ShardedEngine(2)
-        assert engine.heartbeat_timeout == 10.0
-        engine.shutdown()
-
 
 class TestSensitivityInputs:
     """The numbers Δ is made of (Equations 6.1 and 6.2) are checked where
@@ -240,7 +231,7 @@ VALID = {
     "video": make_simple_video(duration=60.0), "policy": PrivacyPolicy(rho=2.0),
     "requests": [BudgetRequest(TimeInterval(0.0, 10.0), 0.5)], "ratios": [0.5, 2.0],
     "phases": (("RED", 75.0), ("GREEN", 45.0)), "x": 0.0, "y": 0.0, "width": 10.0,
-    "height": 10.0, "frame_width": 100.0, "frame_height": 100.0, "rows": 2, "columns": 2,
+    "height": 10.0,
 }
 
 #: Methods and unexported configs a number enters through, beyond the
@@ -258,7 +249,6 @@ METHODS = {
     "PortoConfig": lambda: PortoConfig,
     "CyclicSchedule": lambda: CyclicSchedule,
     "BoundingBox": lambda: BoundingBox,
-    "grid_region_scheme": lambda: grid_region_scheme,
 }
 
 #: Exported callables with numeric parameters that are not probed.

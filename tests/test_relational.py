@@ -81,11 +81,6 @@ class TestSchemaAndTable:
         with pytest.raises(SchemaError):
             table.column_values("missing")
 
-    def test_table_select_columns(self, car_context):
-        projected = car_context.table("cars").select_columns(["plate"])
-        assert projected.columns == ("plate",)
-        assert len(projected) == 4
-
 
 class TestExpressions:
     def test_column_and_literal(self):
@@ -254,10 +249,10 @@ class TestSensitivityBasics:
 
     def test_sensitivity_info_helpers(self):
         info = SensitivityInfo(delta=5.0)
-        bound = info.with_range("speed", 0, 100).with_size(10.0)
+        assert info.range_of("speed") is None and info.range_width("speed") is None
+        bound = SensitivityInfo(delta=5.0, ranges={"speed": (0.0, 100.0)}).with_size(10.0)
         assert bound.range_width("speed") == 100.0
         assert bound.size == 10.0
-        assert bound.without_range("speed").range_of("speed") is None
 
 
 class TestAggregations:

@@ -17,13 +17,13 @@ from repro.sandbox.executables import (
     TreeLeafClassifier,
 )
 from repro.sandbox.registry import ExecutableRegistry, default_registry
-from repro.scene.schedules import periodic_two_state
+from repro.scene.schedules import CyclicSchedule
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import ChunkSpec, split_interval
+from repro.video.chunking import ChunkSpec
 from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
 
-from tests.conftest import flat_rows, make_crossing_object, make_simple_video
+from tests.conftest import flat_rows, make_crossing_object, make_simple_video, split_interval
 
 
 VALUE_SCHEMA = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
@@ -173,7 +173,7 @@ class TestExecutables:
         light = make_stationary_object("light", start=0, duration=600,
                                        box=BoundingBox(600, 40, 30, 70),
                                        category="traffic_light")
-        light.dynamic_attributes["light_state"] = periodic_two_state("RED", 60.0, "GREEN", 40.0)
+        light.dynamic_attributes["light_state"] = CyclicSchedule((("RED", 60.0), ("GREEN", 40.0)))
         video = make_simple_video(objects=[light])
         chunk = split_interval(video, ChunkSpec(window=TimeInterval(0, 600),
                                                 chunk_duration=600.0))[0]

@@ -10,11 +10,10 @@ from repro.scene.objects import (
     SceneObject,
     max_appearance_count_of,
     max_duration_of,
-    objects_visible_at,
 )
-from repro.scene.schedules import periodic_two_state
+from repro.scene.schedules import AttributeSchedule, CyclicSchedule
 from repro.scene.simulator import CrossingPopulation, Route, SceneConfig, SceneSimulator
-from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory, WaypointTrajectory
+from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
 from repro.utils.timebase import TimeInterval
 from repro.video.geometry import BoundingBox
 
@@ -43,27 +42,9 @@ class TestTrajectories:
         assert trajectory.box_at(-5.0).x == 0.0
         assert trajectory.box_at(50.0).x == 100.0
 
-    def test_linear_speed(self):
-        trajectory = LinearTrajectory(BoundingBox(0, 0, 10, 10), BoundingBox(100, 0, 10, 10), 10.0)
-        assert trajectory.speed_pixels_per_second() == pytest.approx(10.0)
-
     def test_linear_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             LinearTrajectory(BoundingBox(0, 0, 1, 1), BoundingBox(1, 1, 1, 1), 0.0)
-
-    def test_waypoint_trajectory(self):
-        trajectory = WaypointTrajectory([
-            (0.0, BoundingBox(0, 0, 10, 10)),
-            (10.0, BoundingBox(100, 0, 10, 10)),
-            (20.0, BoundingBox(100, 100, 10, 10)),
-        ])
-        assert trajectory.box_at(5.0).x == pytest.approx(50.0)
-        assert trajectory.box_at(15.0).y == pytest.approx(50.0)
-        assert trajectory.box_at(100.0).y == pytest.approx(100.0)
-
-    def test_waypoint_needs_two_points(self):
-        with pytest.raises(ValueError):
-            WaypointTrajectory([(0.0, BoundingBox(0, 0, 1, 1))])
 
 
 class TestSceneObject:
@@ -77,10 +58,7 @@ class TestSceneObject:
     def test_duration_properties(self):
         obj = _object_with_segments([(0, 30), (100, 110)])
         assert obj.max_appearance_duration == 30
-        assert obj.total_visible_duration == 40
         assert obj.num_appearances == 2
-        assert obj.first_visible == 0
-        assert obj.last_visible == 110
 
     def test_is_bounded_by(self):
         obj = _object_with_segments([(0, 30), (100, 110)])
@@ -103,9 +81,17 @@ class TestSceneObject:
         assert len(obj.appearances_within(TimeInterval(0, 200))) == 2
         assert obj.appearances_within(TimeInterval(40, 90)) == []
 
+    def test_a_schedule_must_evaluate_batches(self):
+        class ScalarOnly(AttributeSchedule):
+            def value_at(self, timestamp):
+                return "ON"
+
+        with pytest.raises(TypeError, match="values_at"):
+            ScalarOnly()
+
     def test_dynamic_attributes(self):
         obj = _object_with_segments([(0, 100)])
-        obj.dynamic_attributes["state"] = periodic_two_state("RED", 50.0, "GREEN", 50.0)
+        obj.dynamic_attributes["state"] = CyclicSchedule((("RED", 50.0), ("GREEN", 50.0)))
         obj.attributes["kind"] = "light"
         assert obj.attributes_at(10) == {"kind": "light", "state": "RED"}
         assert obj.attributes_at(60)["state"] == "GREEN"
@@ -118,12 +104,6 @@ class TestSceneObject:
         ]
         assert max_duration_of(objects) == 45
         assert max_appearance_count_of(objects) == 2
-        assert len(objects_visible_at(objects, 10)) == 3
-
-    def test_empty_object_raises_on_first_visible(self):
-        empty = SceneObject(object_id="none", category="person")
-        with pytest.raises(ValueError):
-            _ = empty.first_visible
 
 
 _ROUTE = Route("r", BoundingBox(0, 300, 40, 40), BoundingBox(1200, 300, 40, 40))

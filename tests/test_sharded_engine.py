@@ -1536,9 +1536,8 @@ def in_process_shard(monkeypatch) -> None:
 
 
 def _hold(message) -> None:
-    """Keep a ``payload`` frame in this process, as a worker's read loop does
-    (in the module's own table: a scripted worker's thread may still run a
-    task after its test)."""
+    """Keep a ``payload`` frame in this process, in the module's own table, as
+    a worker's read loop does."""
     engine_module._hold_payload(message["ref"], base64.b64decode(message["data"]),
                                 message["drop"])
 
@@ -1547,7 +1546,8 @@ def _scripted_worker(reply):
     """A transport factory whose far end is a thread standing in for a
     worker: it keeps pushed payloads, answers pings and, after each task
     frame, sends whatever bytes ``reply(tasks so far)`` returns, in one
-    ``sendall``."""
+    ``sendall``.  ``spawn.threads`` keeps every thread it started, so that a
+    test can join them (:func:`_join_workers`) once its engine is shut down."""
 
     def spawn() -> SocketTransport:
         ours, theirs = socket.socketpair()
@@ -1570,10 +1570,22 @@ def _scripted_worker(reply):
                 except OSError:
                     return  # the coordinator killed the connection
 
-        threading.Thread(target=play, daemon=True).start()
+        thread = threading.Thread(target=play, daemon=True)
+        spawn.threads.append(thread)
+        thread.start()
         return SocketTransport(ours, "scripted")
 
+    spawn.threads = []
     return spawn
+
+
+def _join_workers(spawn) -> None:
+    """Join every thread a scripted worker started: each must end with the
+    engine that used it, not run on into the next test."""
+    assert spawn.threads, "no scripted worker was spawned"
+    for thread in spawn.threads:
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "a scripted worker outlived its engine"
 
 
 TWO_CHUNKS = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=60.0)
@@ -1600,6 +1612,7 @@ class TestTheOneWait:
             driver.start()
             driver.join(timeout=30.0)
             assert not driver.is_alive(), "the stream never finished"
+        _join_workers(both)
         assert repr(result["rows"]) == repr(_serial_rows(
             runner, iter_chunks(video, TWO_CHUNKS), context))
 
@@ -1620,11 +1633,12 @@ class TestTheOneWait:
             return encode_frame(reply)
 
         store = TieredChunkCache(disk=tmp_path / "store")
-        with ShardedEngine(transports=[_scripted_worker(reply_with_rows)],
-                           chunksize=1) as engine:
+        worker = _scripted_worker(reply_with_rows)
+        with ShardedEngine(transports=[worker], chunksize=1) as engine:
             with pytest.raises(RemoteShardError, match=reason):
                 list(runner.iter_chunk_rows(iter_chunks(video, TWO_CHUNKS), context,
                                             engine=engine, cache=store))
+        _join_workers(worker)
         assert store.disk.writes == 0 and len(store) == 0
 
     def test_the_coordinator_runs_no_thread_per_shard(self):
@@ -1779,17 +1793,14 @@ class TestResilienceControls:
             health = engine.health()
         assert health["started"] and health["live_shards"] == 0 and health["degraded"]
 
-    def test_heartbeat_timing_is_env_configurable(self, monkeypatch):
-        monkeypatch.setenv("PRIVID_HEARTBEAT_TIMEOUT", "3.5")
-        monkeypatch.setenv("PRIVID_STARTUP_GRACE", "7.0")
+    @pytest.mark.parametrize("variable", ["PRIVID_HEARTBEAT_TIMEOUT", "PRIVID_STARTUP_GRACE"])
+    def test_only_the_arguments_set_heartbeat_pacing(self, monkeypatch, variable):
+        monkeypatch.setenv(variable, "3.5")
         engine = ShardedEngine(2)
-        assert engine.heartbeat_timeout == 3.5
-        assert engine.startup_grace == 7.0
-        # An explicit argument always beats the environment.
-        assert ShardedEngine(2, heartbeat_timeout=1.25).heartbeat_timeout == 1.25
-        monkeypatch.setenv("PRIVID_HEARTBEAT_TIMEOUT", "not-a-number")
-        with pytest.warns(RuntimeWarning, match="PRIVID_HEARTBEAT_TIMEOUT"):
-            assert ShardedEngine(2).heartbeat_timeout == 10.0
+        assert (engine.heartbeat_timeout, engine.startup_grace) == (10.0, 60.0)
+        engine.shutdown()
+        engine = ShardedEngine(2, heartbeat_timeout=1.25, startup_grace=7.0)
+        assert (engine.heartbeat_timeout, engine.startup_grace) == (1.25, 7.0)
         engine.shutdown()
 
     def test_dropped_task_frame_recovers_via_task_timeout(self):

@@ -33,27 +33,35 @@ from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import EnteringObjectCounter
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.scene.objects import SceneObject
-from repro.scene.schedules import periodic_two_state
+from repro.scene.schedules import CyclicSchedule
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import Chunk, ChunkSpec, count_chunks, iter_chunks, split_interval
+from repro.video.chunking import Chunk, ChunkSpec, count_chunks, iter_chunks
 from repro.video.geometry import BoundingBox
 from repro.video.masking import EMPTY_MASK, Mask
-from repro.video.regions import BoundaryType, grid_region_scheme
+from repro.video.regions import BoundaryType
 
-from tests.conftest import flat_rows, make_crossing_object, make_simple_video
+from tests.conftest import (
+    flat_rows,
+    grid_region_scheme,
+    make_crossing_object,
+    make_simple_video,
+    split_interval,
+)
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))
 
 
-def _walker_video(num_walkers: int = 6, duration: float = 600.0):
+def _walker_video(num_walkers: int = 6, duration: float = 600.0, fps: float = 2.0):
     objects = [make_crossing_object(f"w{i}", start=20.0 + 80.0 * i, duration=35.0,
                                     x=450.0 + 40.0 * i)
                for i in range(num_walkers)]
-    return make_simple_video(duration=duration, objects=objects)
+    return make_simple_video(duration=duration, objects=objects, fps=fps)
 
 
-_SPLIT_VIDEO = _walker_video(num_walkers=2, duration=12.0)
+#: At 20 fps every chunk duration and stride the SPLIT property draws is a
+#: whole number of frames (-0.05 s is one frame back).
+_SPLIT_VIDEO = _walker_video(num_walkers=2, duration=12.0, fps=20.0)
 _SPLIT_MASK = Mask("corner", (BoundingBox(0.0, 0.0, 200.0, 150.0),))
 
 
@@ -140,8 +148,7 @@ class TestLazyChunking:
                          stride=stride, sample_period=sample_period)
         regions = None if scheme is None else grid_region_scheme(
             video.width, video.height, *scheme, boundary=BoundaryType.HARD)
-        built = list(iter_chunks(video, spec, mask=_SPLIT_MASK, region_scheme=regions,
-                                 validate_frame_alignment=False))
+        built = list(iter_chunks(video, spec, mask=_SPLIT_MASK, region_scheme=regions))
         window = spec.window.clamp(video.interval)
         step = duration + stride
         expected = []
@@ -353,7 +360,7 @@ class TestTieredStore:
         def make_video(period):
             return make_simple_video(duration=120.0, objects=[SceneObject(
                 "w0", walker.category, walker.appearances,
-                dynamic_attributes={"light": periodic_two_state(1, period, 0, period)})])
+                dynamic_attributes={"light": CyclicSchedule(((1, period), (0, period)))})])
 
         fast, slow = make_video(5.0), make_video(60.0)
         assert fast.content_fingerprint() != slow.content_fingerprint()

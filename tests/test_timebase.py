@@ -4,29 +4,15 @@ import math
 
 import pytest
 
-from repro.utils.timebase import (
-    TimeInterval,
-    day_of,
-    frames_to_seconds,
-    hour_of,
-    is_integral_frame_count,
-    seconds_to_frames,
-)
+from repro.utils.timebase import TimeInterval, is_integral_frame_count
 
 
 class TestFrameConversions:
-    def test_round_trip(self):
-        assert frames_to_seconds(seconds_to_frames(5.0, 30.0), 30.0) == pytest.approx(5.0)
-
     def test_integral_frame_count_accepts_whole_frames(self):
         assert is_integral_frame_count(0.5, 30.0)
 
     def test_integral_frame_count_rejects_fractional_frames(self):
         assert not is_integral_frame_count(0.25, 30.0)
-
-    def test_hour_and_day_helpers(self):
-        assert hour_of(3 * 3600 + 10) == 3
-        assert day_of(86400 * 2 + 5) == 2
 
 
 class TestTimeInterval:

@@ -5,19 +5,23 @@ import pytest
 
 from repro.errors import RegionError
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import Chunk, ChunkSpec, num_chunks_spanned, split_interval
+from repro.video.chunking import Chunk, ChunkSpec, iter_chunks, num_chunks_spanned
 from repro.video.geometry import BoundingBox, GridSpec
 from repro.video.masking import (
     EMPTY_MASK,
     Mask,
-    apply_mask_to_boxes,
     mask_everything_except,
     mask_from_grid_cells,
 )
-from repro.video.regions import BoundaryType, Region, RegionScheme, grid_region_scheme, \
-    vertical_split_scheme
+from repro.video.regions import BoundaryType, Region, RegionScheme
 
-from tests.conftest import make_crossing_object, make_simple_video, make_stationary_object
+from tests.conftest import (
+    grid_region_scheme,
+    make_crossing_object,
+    make_simple_video,
+    make_stationary_object,
+    split_interval,
+)
 
 
 class TestSyntheticVideo:
@@ -57,6 +61,14 @@ class TestSyntheticVideo:
         with pytest.raises(ValueError):
             simple_video.validate_chunking(-1.0, 0.0)
 
+    @pytest.mark.parametrize("duration, stride", [(0.3, 0.0), (5.0, 0.3), (5.0, -0.25)])
+    def test_split_refuses_a_chunk_or_stride_of_partial_frames(self, simple_video, duration,
+                                                                stride):
+        # Appendix D: no SPLIT may cut a frame, so nothing skips the check.
+        spec = ChunkSpec(window=TimeInterval(0, 60), chunk_duration=duration, stride=stride)
+        with pytest.raises(ValueError, match="integer number of frames"):
+            iter_chunks(simple_video, spec)
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             make_simple_video(duration=0.0)
@@ -83,11 +95,6 @@ class TestChunking:
         assert len(chunks) == 10
         assert chunks[0].start_timestamp == 0.0
         assert chunks[-1].interval.end == 600.0
-
-    def test_chunk_ids_unique(self, simple_video):
-        spec = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=30.0)
-        chunks = split_interval(simple_video, spec)
-        assert len({chunk.chunk_id for chunk in chunks}) == len(chunks)
 
     def test_chunk_frames_respect_interval(self, simple_video):
         spec = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=30.0)
@@ -183,11 +190,6 @@ class TestMasks:
         assert mask.hides(BoundingBox(0, 0, 20, 20))
         assert mask.hides(BoundingBox(80, 80, 20, 20))
 
-    def test_apply_mask_to_boxes(self):
-        mask = Mask(name="m", regions=(BoundingBox(0, 0, 50, 50),))
-        boxes = [BoundingBox(10, 10, 10, 10), BoundingBox(80, 80, 10, 10)]
-        assert apply_mask_to_boxes(mask, boxes) == [boxes[1]]
-
     def test_mask_union(self):
         a = Mask(name="a", regions=(BoundingBox(0, 0, 10, 10),))
         b = Mask(name="b", regions=(BoundingBox(20, 20, 10, 10),))
@@ -197,7 +199,9 @@ class TestMasks:
 
 class TestRegions:
     def test_region_scheme_assignment(self):
-        scheme = vertical_split_scheme(100, 100, [50])
+        scheme = RegionScheme(name="vertical", regions=(
+            Region("strip0", BoundingBox(0, 0, 50, 100)),
+            Region("strip1", BoundingBox(50, 0, 50, 100))))
         assignment = scheme.assign([BoundingBox(10, 10, 5, 5), BoundingBox(80, 10, 5, 5)])
         assert len(assignment["strip0"]) == 1
         assert len(assignment["strip1"]) == 1
@@ -212,14 +216,6 @@ class TestRegions:
                 Region("a", BoundingBox(0, 0, 10, 10)),
                 Region("a", BoundingBox(10, 0, 10, 10)),
             ))
-
-    def test_grid_region_scheme(self):
-        scheme = grid_region_scheme(100, 100, rows=2, columns=2)
-        assert len(scheme.regions) == 4
-
-    def test_grid_region_scheme_rejects_bad_dims(self):
-        with pytest.raises(RegionError):
-            grid_region_scheme(100, 100, rows=0, columns=2)
 
     def test_hard_boundary_allows_long_chunks(self):
         scheme = grid_region_scheme(100, 100, rows=1, columns=2, boundary=BoundaryType.HARD)

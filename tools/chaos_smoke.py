@@ -227,8 +227,11 @@ def run_chaos(scenario, policy_map, plan: FaultPlan):
     dispatch stats with their per-shard split, store directory)."""
     injector = plan.injector()
     store_dir = tempfile.mkdtemp(prefix=f"privid-chaos-{plan.name}-")
-    engine = ShardedEngine(2, chunksize=1, heartbeat_interval=0.2,
-                           task_timeout=2.0, max_task_retries=5)
+    # Generous failure-detection windows keep a stalled but live shard (a
+    # busy shared runner) from being declared dead; the plans inject their
+    # own failures deterministically.
+    engine = ShardedEngine(2, chunksize=1, heartbeat_interval=0.2, heartbeat_timeout=30.0,
+                           startup_grace=120.0, task_timeout=2.0, max_task_retries=5)
     try:
         with QueryService(seed=3, engine=engine, cache=f"tiered:{store_dir}",
                           on_engine_failure="serial_fallback",
