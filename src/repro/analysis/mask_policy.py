@@ -69,15 +69,13 @@ def _build_occupancy(video: SyntheticVideo, grid: GridSpec, sample_period: float
 def greedy_mask_ordering(video: SyntheticVideo, *, cell_size: float = 64.0,
                          sample_period: float = DEFAULT_SAMPLE_PERIOD,
                          categories: Iterable[str] | None = None,
-                         max_cells: int | None = None,
-                         stop_when_persistence_below: float = 0.0
+                         max_cells: int | None = None
                          ) -> tuple[GridSpec, list[MaskOrderingStep]]:
     """Algorithm 2: order grid cells by how much masking them reduces persistence.
 
     Returns the grid used and one :class:`MaskOrderingStep` per masked cell.
     ``max_cells`` caps the number of cells masked (the curves of Fig. 11 only
-    need the informative prefix); ``stop_when_persistence_below`` stops early
-    once the maximum persistence has dropped below a threshold (seconds).
+    need the informative prefix).
     """
     checks.real("sample_period", sample_period, ValueError, above=0)
     grid = GridSpec(frame_width=video.width, frame_height=video.height,
@@ -93,8 +91,6 @@ def greedy_mask_ordering(video: SyntheticVideo, *, cell_size: float = 64.0,
         if not alive:
             break
         longest = max(alive, key=lambda occupancy: occupancy.persistence_samples)
-        if longest.persistence_samples * sample_period <= stop_when_persistence_below:
-            break
         cell_counts: dict[int, int] = {}
         for cells in longest.samples.values():
             for cell in cells:

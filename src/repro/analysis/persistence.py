@@ -37,13 +37,6 @@ class PersistenceHeatmap:
         """Largest accumulated presence of any cell."""
         return float(self.cell_seconds.max()) if self.cell_seconds.size else 0.0
 
-    def normalized(self) -> np.ndarray:
-        """Heatmap scaled to [0, 1] (as rendered in Fig. 3)."""
-        maximum = self.max_cell_seconds
-        if maximum <= 0:
-            return np.zeros_like(self.cell_seconds)
-        return self.cell_seconds / maximum
-
     def hottest_cells(self, count: int) -> list[int]:
         """Flattened indices of the ``count`` cells with the most presence time."""
         flat = self.cell_seconds.reshape(-1)
@@ -77,19 +70,23 @@ def persistence_heatmap(video: SyntheticVideo, *, cell_size: float = 40.0,
                               cell_seconds=cells.reshape(grid.rows, grid.columns))
 
 
-def persistence_histogram(durations: Sequence[float], *, num_bins: int = 16,
-                          log_base: float = np.e) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of log-durations, as plotted in Fig. 4.
+#: Bins of a Fig. 4 histogram.
+HISTOGRAM_BINS = 16
 
-    Returns ``(bin_edges, relative_frequency)``; durations of zero are
-    dropped (an object fully hidden by a mask has no persistence).
+
+def persistence_histogram(durations: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of natural-log durations, as plotted in Fig. 4.
+
+    Returns ``(bin_edges, relative_frequency)`` over ``HISTOGRAM_BINS`` bins;
+    durations of zero are dropped (an object fully hidden by a mask has no
+    persistence).
     """
     positive = np.asarray([d for d in durations if d > 0], dtype=float)
     if positive.size == 0:
-        edges = np.linspace(0.0, 1.0, num_bins + 1)
-        return edges, np.zeros(num_bins)
-    logs = np.log(positive) / np.log(log_base)
-    edges = np.linspace(0.0, max(1.0, float(np.ceil(logs.max() + 1e-9))), num_bins + 1)
+        edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
+        return edges, np.zeros(HISTOGRAM_BINS)
+    logs = np.log(positive)
+    edges = np.linspace(0.0, max(1.0, float(np.ceil(logs.max() + 1e-9))), HISTOGRAM_BINS + 1)
     counts, edges = np.histogram(logs, bins=edges)
     frequency = counts / counts.sum() if counts.sum() else counts.astype(float)
     return edges, frequency

@@ -115,15 +115,12 @@ def estimate_policy(video: SyntheticVideo, *, detector_config: DetectorConfig,
                     tracker_config: TrackerConfig, window: TimeInterval | None = None,
                     mask: Mask = EMPTY_MASK, mask_name: str = MaskPolicyMap.NO_MASK,
                     sample_period: float | None = None, detector_seed: int = 0,
-                    k_segments: int = 2, safety_margin: float = 0.0,
-                    categories: Iterable[str] | None = None) -> PolicyEstimate:
+                    k_segments: int = 2, categories: Iterable[str] | None = None) -> PolicyEstimate:
     """Estimate a conservative (rho, K) policy for a camera (optionally masked).
 
     ``k_segments`` comes from owner domain knowledge (how many times the same
     individual may reappear within a query window); trackers cannot observe it
     reliably because they do not re-identify across long gaps.
-    ``safety_margin`` adds extra slack (seconds) on top of the tracker-derived
-    grace period.
     """
     tracks, miss_fraction = track_video(
         video, detector_config=detector_config, tracker_config=tracker_config,
@@ -131,7 +128,7 @@ def estimate_policy(video: SyntheticVideo, *, detector_config: DetectorConfig,
         detector_seed=detector_seed, categories=categories)
     effective_period = sample_period if sample_period is not None else video.frame_period
     effective_fps = 1.0 / effective_period
-    grace = conservative_grace_period(tracker_config.max_age, effective_fps) + safety_margin
+    grace = conservative_grace_period(tracker_config.max_age, effective_fps)
     allowed = frozenset(categories) if categories is not None else PRIVATE_CATEGORIES
     masked_objects = []
     window = video.interval if window is None else window.clamp(video.interval)

@@ -116,10 +116,6 @@ class FrameBudgetLedger:
         """Minimum remaining budget across frames in ``interval``."""
         return self.total_epsilon - self.consumed_over(interval)
 
-    def remaining_at(self, timestamp: float) -> float:
-        """Remaining budget of the frame at ``timestamp``."""
-        return self.remaining_over(TimeInterval(timestamp, timestamp))
-
     def max_consumed(self) -> float:
         """Highest epsilon consumed by any frame (0.0 on a fresh ledger).
 
@@ -133,7 +129,7 @@ class FrameBudgetLedger:
         """Admit (and by default charge) a query's releases, or raise untouched.
 
         The admission check extends every request's interval by ``margin``
-        (the policy's rho) on both sides; the subsequent charge covers only
+        (the policy's rho) at both ends; the subsequent charge covers only
         the unexpanded interval, exactly as in Algorithm 1.  ``charge=False``
         performs the admission check only — used to make multi-camera queries
         all-or-nothing (every camera is checked before any is charged).
@@ -163,12 +159,6 @@ class FrameBudgetLedger:
             if charge:
                 for request in requests:
                     self.charge(request.interval, request.epsilon)
-
-    def reset(self) -> None:
-        """Forget all charges (used by tests and what-if analyses)."""
-        with self._lock:
-            self.charges.clear()
-            self._edges, self._levels, self._peak = [], [], 0.0
 
 
 class ServiceLedger:

@@ -323,15 +323,9 @@ class ChunkResultCache:
                 self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept; use ``reset_stats`` for those)."""
+        """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction/read-error counters."""
-        with self._lock:
-            self.stats = CacheStats()
-            self.read_errors = 0
 
     def stats_dict(self) -> dict[str, Any]:
         """Counters plus the live entry count, for ``PrividSystem.cache_stats``."""
@@ -635,14 +629,6 @@ class DiskChunkStore:
             except OSError:
                 pass
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/write/link/error counters."""
-        self.stats = CacheStats()
-        self.writes = 0
-        self.links = 0
-        self.write_errors = 0
-        self.read_errors = 0
-
     def stats_dict(self) -> dict[str, Any]:
         """Counters plus write count and directory, for stats reporting."""
         stats = self.stats.as_dict()
@@ -721,11 +707,6 @@ class TieredChunkCache:
         self.memory.clear()
         self.disk.clear()
 
-    def reset_stats(self) -> None:
-        """Zero the counters of both tiers."""
-        self.memory.reset_stats()
-        self.disk.reset_stats()
-
     def stats_dict(self) -> dict[str, Any]:
         """Combined counters plus per-tier sub-stats.
 
@@ -782,7 +763,7 @@ def create_cache(spec: "str | ChunkStore | None") -> "ChunkStore | None":
     if lowered == "memory":
         return ChunkResultCache()
     kind, _, path = text.partition(":")
-    kind = kind.lower()
+    kind, path = kind.lower(), path.strip()
     if kind in ("disk", "tiered") and not path:
         raise ValueError(f"cache spec {spec!r} needs a directory: '{kind}:PATH'")
     if kind == "disk":

@@ -54,15 +54,6 @@ class PrivacyPolicy:
             return 0.0
         return float(max_rows * self.k_segments * self.max_chunks(chunk_duration))
 
-    def covers(self, rho: float, k_segments: int) -> bool:
-        """True if an event with the given bound is protected by this policy."""
-        return rho <= self.rho and k_segments <= self.k_segments
-
-    def scaled(self, *, rho_factor: float = 1.0, k_factor: float = 1.0) -> "PrivacyPolicy":
-        """A policy with rho and K scaled (used by what-if analyses and tests)."""
-        return PrivacyPolicy(rho=self.rho * rho_factor,
-                             k_segments=max(1, int(round(self.k_segments * k_factor))))
-
 
 @dataclass
 class MaskPolicyMap:

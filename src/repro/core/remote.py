@@ -1141,13 +1141,6 @@ class ShardedEngine:
 
     # -------------------------------------------------------------- lifecycle
 
-    def reset_dispatch_stats(self) -> None:
-        """Zero the engine-wide and per-shard IPC counters."""
-        with self._cond:
-            self.dispatch_stats = DispatchStats()
-            self._shard_stats = {shard_id: DispatchStats()
-                                 for shard_id in self._shard_stats}
-
     def set_fault_injector(self, injector: "FaultInjector | None") -> None:
         """Install a chaos fault plan on every transport this engine opens
         from now on (call before first use, or after :meth:`shutdown`)."""

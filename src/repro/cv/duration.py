@@ -73,15 +73,15 @@ def estimate_max_duration(tracks: Sequence[TrackView], *, grace_period: float = 
     return max(durations, default=0.0)
 
 
-def conservative_grace_period(max_age_frames: int, fps: float, *, sides: int = 2) -> float:
+def conservative_grace_period(max_age_frames: int, fps: float) -> float:
     """Grace period implied by the tracker's ``max_age`` gap-bridging window.
 
-    The object may have been missed for up to ``max_age`` frames on each side
-    of the track, so the conservative slack is ``sides * max_age / fps``
+    The object may have been missed for up to ``max_age`` frames before and
+    after the track, so the conservative slack is ``2 * max_age / fps``
     seconds.
     """
     checks.real("fps", fps, ValueError, above=0)
-    return sides * max_age_frames / fps
+    return 2 * max_age_frames / fps
 
 
 def compare_to_ground_truth(tracks: Sequence[TrackView], objects: Sequence[SceneObject], *,

@@ -30,8 +30,7 @@ POLICY_SAFETY_FACTOR = 1.05
 
 
 def scenario_policy_map(scenario: Scenario, *, use_cv_estimation: bool = False,
-                        k_segments: int = 2, estimation_window_seconds: float = 600.0,
-                        estimation_sample_period: float | None = 1.0) -> MaskPolicyMap:
+                        k_segments: int = 2) -> MaskPolicyMap:
     """Build a camera's mask -> (rho, K) map for a scenario.
 
     The default ("domain knowledge") path reads the simulator's ground truth:
@@ -39,7 +38,8 @@ def scenario_policy_map(scenario: Scenario, *, use_cv_estimation: bool = False,
     the ``owner`` mask's rho is the maximum persistence surviving the
     scenario's owner mask.  With ``use_cv_estimation=True`` the map is built
     the way the paper does it — detection + tracking over a window of
-    historical footage (Section 5.2) — which is slower but exercises the CV
+    historical footage (Section 5.2), over the first 600 s at one frame per
+    second (Table 1's settings) — which is slower but exercises the CV
     substrate end to end.
 
     Every map also contains a ``traffic-light-only`` entry (rho = 0) when the
@@ -54,8 +54,8 @@ def scenario_policy_map(scenario: Scenario, *, use_cv_estimation: bool = False,
             detector_config=scenario.detector_config,
             tracker_config=scenario.tracker_config,
             masks=masks,
-            window=TimeInterval(0.0, min(estimation_window_seconds, scenario.video.duration)),
-            sample_period=estimation_sample_period,
+            window=TimeInterval(0.0, min(600.0, scenario.video.duration)),
+            sample_period=1.0,
             k_segments=k_segments,
         )
     else:

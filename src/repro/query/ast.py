@@ -24,7 +24,6 @@ from repro.relational.plan import (
     GroupBy,
     Join,
     Relation,
-    Selection,
     TableScan,
     Union,
     Limit,
@@ -121,7 +120,7 @@ def collect_table_names(relation: Relation) -> set[str]:
     def walk(node: Relation) -> None:
         if isinstance(node, TableScan):
             names.add(node.table_name)
-        elif isinstance(node, (Selection, Limit, GroupBy, Projection)):
+        elif isinstance(node, (Limit, GroupBy, Projection)):
             walk(node.child)
         elif isinstance(node, Join):
             walk(node.left)

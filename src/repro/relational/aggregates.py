@@ -5,17 +5,23 @@ optionally grouped.  Each aggregated value (one per group key) is a separate
 *data release*: it receives its own Laplace noise sample and consumes its own
 share of the privacy budget (Section 6.2).
 
-Aggregation sensitivities follow the table in Fig. 10:
+Aggregation sensitivities follow the table in Fig. 10, for ``range(a)`` =
+``[l, u]``:
 
-=========  =====================================  =========================
+=========  =====================================  ===============================
 Function   Required constraints                   Sensitivity
-=========  =====================================  =========================
+=========  =====================================  ===============================
 COUNT      delta                                  delta
-SUM        delta, range(a)                        delta * width(a)
-AVG        delta, range(a), size                  delta * width(a) / size
-VAR        delta, range(a), size                  (delta * width(a))^2 / size
+SUM        delta, range(a)                        delta * (max(u, 0) - min(l, 0))
+AVG        delta, range(a), size                  delta * (u - l) / size
+VAR        delta, range(a), size                  (delta * (u - l))^2 / size
 ARGMAX     delta, explicit keys                   max_k delta(sigma_{a=k})
-=========  =====================================  =========================
+=========  =====================================  ===============================
+
+A chunk may emit anywhere from 0 to ``max_rows`` rows, so one individual can
+add or remove whole rows, not only shift their values: a SUM row moves the
+sum by at most its distance from 0, which is ``u - l`` only when the range
+contains 0.
 """
 
 from __future__ import annotations
@@ -136,13 +142,15 @@ def _numeric_sensitivity(aggregation: Aggregation, info: SensitivityInfo) -> flo
     if function == "COUNT":
         return info.delta
     column = aggregation.column
-    width = info.range_width(column) if column is not None else None
-    if width is None:
+    bounds = info.range_of(column) if column is not None else None
+    if bounds is None:
         raise UnboundSensitivityError(
             f"{function} over column {column!r} requires a range constraint; "
             "wrap the column in range(col, low, high)")
+    low, high = bounds
     if function == "SUM":
-        return info.delta * width
+        return info.delta * (max(high, 0.0) - min(low, 0.0))
+    width = high - low
     if info.size is None or info.size <= 0:
         raise UnboundSensitivityError(
             f"{function} requires a bound on the number of rows (LIMIT, WITH KEYS, "

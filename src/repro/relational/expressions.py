@@ -1,4 +1,4 @@
-"""Scalar expressions and predicates used inside SELECT statements.
+"""Scalar expressions used inside SELECT statements.
 
 Expressions are evaluated per row.  The query language supports column
 references, literals, basic arithmetic, the ``range(col, low, high)``
@@ -153,97 +153,6 @@ class TimeBucket(Expression):
         except (TypeError, ValueError):
             return None
         return math.floor(value / self.width) * self.width
-
-    def referenced_columns(self) -> frozenset[str]:
-        return self.inner.referenced_columns()
-
-
-class Predicate(ABC):
-    """A boolean condition evaluated against a single row (WHERE clauses)."""
-
-    @abstractmethod
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        """Truth value of the predicate for ``row``."""
-
-    @abstractmethod
-    def referenced_columns(self) -> frozenset[str]:
-        """Columns the predicate reads."""
-
-
-@dataclass(frozen=True)
-class Comparison(Predicate):
-    """Compare two expressions with one of =, !=, <, <=, >, >=."""
-
-    left: Expression
-    operator: str
-    right: Expression
-
-    _OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
-
-    def __post_init__(self) -> None:
-        if self.operator not in self._OPERATORS:
-            raise QueryValidationError(f"unsupported comparison operator {self.operator!r}")
-
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if self.operator == "=":
-            return left == right
-        if self.operator == "!=":
-            return left != right
-        try:
-            left_num = float(left)
-            right_num = float(right)
-        except (TypeError, ValueError):
-            return False
-        if self.operator == "<":
-            return left_num < right_num
-        if self.operator == "<=":
-            return left_num <= right_num
-        if self.operator == ">":
-            return left_num > right_num
-        return left_num >= right_num
-
-    def referenced_columns(self) -> frozenset[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
-
-@dataclass(frozen=True)
-class LogicalAnd(Predicate):
-    """Conjunction of two predicates."""
-
-    left: Predicate
-    right: Predicate
-
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return self.left.evaluate(row) and self.right.evaluate(row)
-
-    def referenced_columns(self) -> frozenset[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
-
-@dataclass(frozen=True)
-class LogicalOr(Predicate):
-    """Disjunction of two predicates."""
-
-    left: Predicate
-    right: Predicate
-
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return self.left.evaluate(row) or self.right.evaluate(row)
-
-    def referenced_columns(self) -> frozenset[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
-
-@dataclass(frozen=True)
-class LogicalNot(Predicate):
-    """Negation of a predicate."""
-
-    inner: Predicate
-
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return not self.inner.evaluate(row)
 
     def referenced_columns(self) -> frozenset[str]:
         return self.inner.referenced_columns()

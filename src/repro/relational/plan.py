@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Any, Mapping, Sequence
 
 from repro.errors import QueryValidationError, SchemaError
-from repro.relational.expressions import Expression, Predicate, RangeExpression, TimeBucket
+from repro.relational.expressions import Expression, RangeExpression, TimeBucket
 from repro.relational.sensitivity import SensitivityInfo, TableProperties
 from repro.relational.table import Table
 from repro.utils import checks
@@ -80,29 +80,6 @@ class TableScan(Relation):
 
     def output_columns(self, context: PlanContext) -> tuple[str, ...]:
         return context.table(self.table_name).columns
-
-
-@dataclass
-class Selection(Relation):
-    """``WHERE`` filtering: keeps rows matching a predicate.
-
-    A selection can only remove rows, so delta, ranges and the size bound all
-    carry through unchanged (Fig. 10, Selection row).
-    """
-
-    child: Relation
-    predicate: Predicate
-
-    def evaluate(self, context: PlanContext) -> Table:
-        source = self.child.evaluate(context)
-        rows = [row for row in source.rows if self.predicate.evaluate(row)]
-        return Table(columns=source.columns, rows=rows, name=source.name)
-
-    def sensitivity(self, context: PlanContext) -> SensitivityInfo:
-        return self.child.sensitivity(context)
-
-    def output_columns(self, context: PlanContext) -> tuple[str, ...]:
-        return self.child.output_columns(context)
 
 
 @dataclass

@@ -88,13 +88,6 @@ class SensitivityInfo:
         """Range constraint of a column, or None if unbound."""
         return self.ranges.get(column)
 
-    def range_width(self, column: str) -> float | None:
-        """Width (u - l) of a column's range constraint, or None if unbound."""
-        bounds = self.range_of(column)
-        if bounds is None:
-            return None
-        return bounds[1] - bounds[0]
-
     def with_size(self, size: float | None) -> "SensitivityInfo":
         """Copy with a new size constraint."""
         return replace(self, size=size)

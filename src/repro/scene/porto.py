@@ -10,8 +10,9 @@ visits, busiest camera) is retained so the evaluation can score Privid's
 noisy answers.
 
 The default configuration is scaled down (fewer taxis, cameras and days) so
-the full Privid pipeline over it runs in seconds; ``PortoConfig.paper_scale``
-restores the paper's dimensions for users with more patience.
+the full Privid pipeline over it runs in seconds;
+``PortoConfig(num_taxis=442, num_cameras=105, num_days=547)`` restores the
+paper's dimensions for users with more patience.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ class PortoConfig:
         low, high = self.visibility_range
         checks.real("the low end of visibility_range", low, ValueError, above=0)
         checks.real("the high end of visibility_range", high, ValueError, at_least=low)
-
-    @classmethod
-    def paper_scale(cls) -> "PortoConfig":
-        """Configuration matching the paper's dataset dimensions."""
-        return cls(num_taxis=442, num_cameras=105, num_days=547)
 
     @property
     def duration(self) -> float:

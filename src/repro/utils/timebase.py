@@ -20,10 +20,11 @@ SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 
 
-def is_integral_frame_count(seconds: float, fps: float, *, tolerance: float = 1e-9) -> bool:
-    """Return True if ``seconds`` corresponds to an integer number of frames."""
+def is_integral_frame_count(seconds: float, fps: float) -> bool:
+    """Return True if ``seconds`` is an integer number of frames, within 1e-9
+    of a frame."""
     frames = seconds * fps
-    return abs(frames - round(frames)) <= tolerance
+    return abs(frames - round(frames)) <= 1e-9
 
 
 #: Tolerance (in frames) when mapping float timestamps to frame indices.
@@ -120,10 +121,6 @@ class TimeInterval:
         admission window.
         """
         return TimeInterval(max(0.0, self.start - margin), self.end + margin)
-
-    def shift(self, offset: float) -> "TimeInterval":
-        """Return the interval translated by ``offset`` seconds."""
-        return TimeInterval(self.start + offset, self.end + offset)
 
     def clamp(self, bounds: "TimeInterval") -> "TimeInterval":
         """Return the portion of this interval that lies inside ``bounds``.

@@ -10,7 +10,7 @@ restricted to a spatial region (Section 7.2) and have a mask applied
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.utils import checks
@@ -146,10 +146,6 @@ class Chunk:
                 kept.append((scene_object, overlap))
                 break
         return kept
-
-    def with_region(self, region: Region) -> "Chunk":
-        """Return a copy of the chunk restricted to ``region``."""
-        return replace(self, region=region)
 
 
 def iter_chunks(video: SyntheticVideo, spec: ChunkSpec, *,

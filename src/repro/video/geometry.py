@@ -77,18 +77,6 @@ class BoundingBox:
         """Return True if the point lies inside the box (edges inclusive)."""
         return self.x <= point.x <= self.x2 and self.y <= point.y <= self.y2
 
-    def translate(self, dx: float, dy: float) -> "BoundingBox":
-        """Return a copy of the box shifted by (dx, dy)."""
-        return BoundingBox(self.x + dx, self.y + dy, self.width, self.height)
-
-    def scaled(self, factor: float) -> "BoundingBox":
-        """Return a copy scaled about its center by ``factor``."""
-        new_width = self.width * factor
-        new_height = self.height * factor
-        center = self.center
-        return BoundingBox(center.x - new_width / 2.0, center.y - new_height / 2.0,
-                           new_width, new_height)
-
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
         """Return the overlapping box, or None if the boxes are disjoint."""
         left = max(self.x, other.x)
@@ -188,12 +176,9 @@ class GridSpec:
         for index in range(self.num_cells):
             yield index, self.cell_box(index)
 
-    def cells_covering(self, box: BoundingBox, *, min_overlap: float = 0.0) -> list[int]:
-        """Indices of cells whose overlap area with ``box`` exceeds ``min_overlap``.
-
-        With the default ``min_overlap`` of 0, any cell that strictly overlaps
-        the box is included.
-        """
+    def cells_covering(self, box: BoundingBox) -> list[int]:
+        """Indices of the cells that strictly overlap ``box`` (positive
+        intersection area)."""
         clamped = box.clamp(self.frame_width, self.frame_height)
         if clamped.area <= 0:
             return []
@@ -205,6 +190,6 @@ class GridSpec:
         for row in range(first_row, last_row + 1):
             for column in range(first_col, last_col + 1):
                 index = self.cell_index(row, column)
-                if clamped.intersection_area(self.cell_box(index)) > min_overlap:
+                if clamped.intersection_area(self.cell_box(index)) > 0.0:
                     covered.append(index)
         return covered

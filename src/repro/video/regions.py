@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -61,11 +60,6 @@ class RegionScheme:
         if len(names) != len(set(names)):
             raise RegionError("region names within a scheme must be unique")
 
-    @property
-    def region_names(self) -> tuple[str, ...]:
-        """Names of the regions, in definition order."""
-        return tuple(region.name for region in self.regions)
-
     def region_of(self, box: BoundingBox) -> Region | None:
         """Region containing the center of ``box``, or None if outside all regions."""
         center = box.center
@@ -73,15 +67,6 @@ class RegionScheme:
             if region.contains(center):
                 return region
         return None
-
-    def assign(self, boxes: Sequence[BoundingBox]) -> dict[str, list[BoundingBox]]:
-        """Group boxes by region name (boxes outside every region are dropped)."""
-        assignment: dict[str, list[BoundingBox]] = {name: [] for name in self.region_names}
-        for box in boxes:
-            region = self.region_of(box)
-            if region is not None:
-                assignment[region.name].append(box)
-        return assignment
 
     def validate_chunk_size(self, chunk_duration: float, frame_period: float) -> None:
         """Enforce the soft-boundary restriction of Section 7.2.

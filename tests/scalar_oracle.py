@@ -130,11 +130,12 @@ def detect_frame(detector: SyntheticDetector, frame: FrameTruth, *,
             continue
         box = visible.box
         if config.position_jitter > 0:
-            box = box.translate(
-                config.position_jitter * _signed_draw(_key(detector, _TAG_JITTER_X, object_id),
-                                                      index),
-                config.position_jitter * _signed_draw(_key(detector, _TAG_JITTER_Y, object_id),
-                                                      index))
+            box = BoundingBox(
+                box.x + config.position_jitter * _signed_draw(
+                    _key(detector, _TAG_JITTER_X, object_id), index),
+                box.y + config.position_jitter * _signed_draw(
+                    _key(detector, _TAG_JITTER_Y, object_id), index),
+                box.width, box.height)
         confidence = config.min_confidence + (1.0 - config.min_confidence) * unit_draw(
             _key(detector, _TAG_CONFIDENCE, object_id), index)
         attributes = {}

@@ -1,4 +1,5 @@
-"""Pinned answers of the owner's CV analysis (Table 1, Tables 4/5).
+"""Pinned answers of the owner's analysis tools (Table 1, Tables 4/5, Fig. 4,
+Fig. 11).
 
 Policy estimation (paper §5.2) and tracker tuning (Appendix A) run the
 detector and the tracker over a window of historical footage.  These values
@@ -8,12 +9,19 @@ track count, miss count, policy rho and tuning row below is exact.
 
 Scenes: ``build_scenario(name, scale=1.0, seed=7)`` (12 hours), Table 1's
 settings — the first 600 s, one frame per second, detector seed 0.
+
+The Fig. 4 persistence histograms and the Fig. 11 greedy mask ordering are
+pinned on one small scene, ``build_scenario("campus", scale=0.2,
+duration_hours=1.0, seed=7)``, with the benches' settings (default bins;
+80-pixel cells sampled every 2 s).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.mask_policy import greedy_mask_ordering
+from repro.analysis.persistence import masked_persistence, persistence_histogram
 from repro.analysis.policy_estimation import estimate_policy
 from repro.cv.detector import SyntheticDetector
 from repro.cv.tuning import tune_tracker
@@ -124,3 +132,47 @@ def test_tune_tracker_rows_are_pinned(scenes, name):
     results = tune_tracker(detections, scenario.video.objects_overlapping(WINDOW), grid=GRID)
     rows = [tuple(result.as_row().values()) for result in results]
     assert rows == TUNING[name]
+
+
+#: Fig. 4 on the small campus: (bin_edges, relative_frequency) of the
+#: log-persistence histogram, without and with the owner mask.
+HISTOGRAMS = {
+    "original": (
+        [0.0, 0.375, 0.75, 1.125, 1.5, 1.875, 2.25, 2.625, 3.0, 3.375, 3.75, 4.125, 4.5,
+         4.875, 5.25, 5.625, 6.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.043478260869565216, 0.30434782608695654,
+         0.34782608695652173, 0.2608695652173913, 0.0, 0.0, 0.0, 0.043478260869565216, 0.0],
+    ),
+    "masked": (
+        [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5,
+         3.75, 4.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.045454545454545456,
+         0.22727272727272727, 0.22727272727272727, 0.18181818181818182, 0.3181818181818182],
+    ),
+}
+
+#: Fig. 11 on the small campus: the first 10 greedy steps as
+#: (cell_index, max_persistence, identities_retained).
+GREEDY_STEPS = [(115, 50.0, 22), (26, 48.0, 22), (117, 48.0, 22), (101, 48.0, 22),
+                (42, 48.0, 22), (74, 48.0, 22), (75, 48.0, 22), (58, 48.0, 22),
+                (59, 42.0, 22), (85, 42.0, 22)]
+
+
+@pytest.fixture(scope="module")
+def small_campus():
+    return build_scenario("campus", scale=0.2, duration_hours=1.0, seed=7)
+
+
+def test_persistence_histograms_are_pinned(small_campus):
+    report = masked_persistence(small_campus.video, small_campus.owner_mask)
+    for name, durations in (("original", report.original_durations),
+                            ("masked", report.masked_durations)):
+        edges, frequency = persistence_histogram(durations)
+        assert (edges.tolist(), frequency.tolist()) == HISTOGRAMS[name]
+
+
+def test_greedy_mask_ordering_is_pinned(small_campus):
+    _, steps = greedy_mask_ordering(small_campus.video, cell_size=80.0, sample_period=2.0,
+                                    max_cells=10)
+    assert [(step.cell_index, step.max_persistence, step.identities_retained)
+            for step in steps] == GREEDY_STEPS

@@ -7,7 +7,7 @@ charge-list sweeps —
 
 * **bit-identity** — against :class:`SweepLedger`, the brute-force sweep
   kept here as the reference, every admission outcome, denial message and
-  float (``requested``, ``consumed_over``, ``remaining_at``,
+  float (``requested``, ``consumed_over``, ``remaining_over``,
   ``max_consumed``) is equal by ``float.hex()`` after every step;
 * **pinned contract** — one denial message and one ``snapshot()`` dict are
   spelled out, so the two implementations cannot drift together;
@@ -128,7 +128,7 @@ class TestProfileMatchesSweep:
                 assert _hex(ledger.consumed_over(window)) \
                     == _hex(oracle.consumed_over(window))
                 for point in (window.start, window.end):
-                    assert _hex(ledger.remaining_at(point)) \
+                    assert _hex(ledger.remaining_over(TimeInterval(point, point))) \
                         == _hex(total - oracle.consumed_at(point))
             assert _hex(ledger.max_consumed()) == _hex(oracle.max_consumed())
         assert ledger.charges == oracle.charges
@@ -170,7 +170,7 @@ class TestProfileIsDerivedState:
         assert built.charges == self.CHARGES
         assert built == replayed
         assert _hex(built.max_consumed()) == _hex(0.3 + 0.3 + 0.1)
-        assert _hex(built.remaining_at(12.0)) == _hex(1.0 - 0.3)
+        assert _hex(built.remaining_over(TimeInterval(12.0, 12.0))) == _hex(1.0 - 0.3)
         assert built._edges == [0.0, 5.0, 7.0, 10.0, 15.0]
         with pytest.raises(BudgetExceededError):
             built.admit([BudgetRequest(TimeInterval(6.0, 8.0), 0.4)], margin=0.0)
@@ -184,13 +184,6 @@ class TestProfileIsDerivedState:
         with pytest.raises(PolicyError):
             FrameBudgetLedger(0.0, charges=list(self.CHARGES))
 
-    def test_reset_clears_charges_and_profile(self):
-        ledger = FrameBudgetLedger(1.0, charges=list(self.CHARGES))
-        ledger.reset()
-        assert ledger == FrameBudgetLedger(1.0)
-        assert (ledger._edges, ledger._levels, ledger.max_consumed()) == ([], [], 0.0)
-        ledger.admit([BudgetRequest(TimeInterval(0.0, 20.0), 1.0)], margin=5.0)
-        assert ledger.remaining_over(TimeInterval(0.0, 20.0)) == 0.0
 
 
 def _state_bytes(ledger):

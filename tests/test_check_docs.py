@@ -45,3 +45,22 @@ def test_resolution_walks_modules_then_attributes():
     assert check_docs.resolves("repro.core._EXPORTS")
     assert not check_docs.resolves("repro.core.engine.ChunkOutcome.cache_hit")
     assert not check_docs.resolves("repro.invariants")
+
+
+def test_a_module_map_name_nothing_under_src_defines_fails_the_check(tmp_path, monkeypatch,
+                                                                      capsys):
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _tree(tmp_path, "No code names here.\n")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "LIMIT = 3\n\n\nclass Kept:\n    size = 1\n\n    def read(self):\n"
+        "        return self.size\n")
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "## Module map\n\n| Package | Contents |\n| --- | --- |\n"
+        "| `pkg/` | `mod.py`: `Kept` (`read()`, `read`, `size`), `LIMIT`, `Gone`. |\n\n"
+        "## Elsewhere\n\n| `Planned` | outside the map |\n")
+    assert check_docs.main() == 1
+    stale = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert stale == ["docs/architecture.md: stale module-map name -> Gone "
+                     "(defined nowhere under src/)"]

@@ -399,7 +399,7 @@ class TestHashStateKey:
                 # More (mask, region) pairs than the memo holds: it starts over.
                 chunk = Chunk(video=video, index=0, interval=TimeInterval(0.0, 0.5))
                 for region in _WIDE_SCHEME.regions:
-                    regioned = chunk.with_region(region)
+                    regioned = replace(chunk, region=region)
                     assert chunk_key(runners[0], regioned, context) \
                         == oracle_key(runners[0], regioned, context)
                 assert len(context.key_text_memo) <= cache_module._KEY_TEXT_MEMO_LIMIT
@@ -494,8 +494,8 @@ class TestInvalidation:
         cold = pickle.dumps((runner, context))
         scheme = grid_region_scheme(1280.0, 720.0, 12, 12)
         for region in scheme.regions:
-            assert chunk_key(runner, chunk.with_region(region), context) == \
-                oracle_key(runner, chunk.with_region(region), context)
+            assert chunk_key(runner, replace(chunk, region=region), context) == \
+                oracle_key(runner, replace(chunk, region=region), context)
         assert 0 < len(context.key_text_memo) <= cache_module._KEY_TEXT_MEMO_LIMIT
         # Broadcast payload bytes do not depend on whether keys were derived.
         assert pickle.dumps((runner, context)) == cold

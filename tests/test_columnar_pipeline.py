@@ -11,6 +11,7 @@ argument's "draws are keyed, not sequenced" contract.
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ class TestFrameBatchParity:
         mask = Mask(name="m", regions=(BoundingBox(80.0, 480.0, 100.0, 120.0),))
         region = Region("west", BoundingBox(0.0, 0.0, 660.0, 720.0))
         for chunk in _chunks(video, mask=mask):
-            chunk = chunk.with_region(region)
+            chunk = replace(chunk, region=region)
             batched = detector.detect_batch(chunk.frame_batch(), frame_width=video.width,
                                             frame_height=video.height)
             for per_frame, frame in zip(per_frame_detections(batched),

@@ -54,12 +54,6 @@ class TestPrivacyPolicy:
     def test_rho_zero_delta_zero(self):
         assert PrivacyPolicy(rho=0.0).table_delta(max_rows=10, chunk_duration=5.0) == 0.0
 
-    def test_covers(self):
-        policy = PrivacyPolicy(rho=30.0, k_segments=2)
-        assert policy.covers(25.0, 2)
-        assert not policy.covers(31.0, 2)
-        assert not policy.covers(30.0, 3)
-
     def test_policy_map_requires_none_entry(self):
         with pytest.raises(PolicyError):
             MaskPolicyMap(entries={"owner": (EMPTY_MASK, PrivacyPolicy(rho=1.0))})
@@ -119,14 +113,14 @@ class TestBudgetLedger:
     def test_simple_charge_and_remaining(self):
         ledger = FrameBudgetLedger(total_epsilon=1.0)
         ledger.admit([BudgetRequest(TimeInterval(0, 100), 0.4)], margin=10.0)
-        assert ledger.remaining_at(50.0) == pytest.approx(0.6)
-        assert ledger.remaining_at(150.0) == pytest.approx(1.0)
+        assert ledger.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.6)
+        assert ledger.remaining_over(TimeInterval(150.0, 150.0)) == pytest.approx(1.0)
 
     def test_margin_not_charged(self):
         ledger = FrameBudgetLedger(total_epsilon=1.0)
         ledger.admit([BudgetRequest(TimeInterval(100, 200), 0.5)], margin=50.0)
         # The margin [50, 100) was checked but not charged.
-        assert ledger.remaining_at(60.0) == pytest.approx(1.0)
+        assert ledger.remaining_over(TimeInterval(60.0, 60.0)) == pytest.approx(1.0)
 
     def test_denial_when_budget_exhausted(self):
         ledger = FrameBudgetLedger(total_epsilon=1.0)
@@ -139,7 +133,7 @@ class TestBudgetLedger:
         ledger.admit([BudgetRequest(TimeInterval(0, 100), 1.0)], margin=10.0)
         # Far enough away (beyond the rho margin), full budget is available.
         ledger.admit([BudgetRequest(TimeInterval(200, 300), 1.0)], margin=10.0)
-        assert ledger.remaining_at(250.0) == pytest.approx(0.0)
+        assert ledger.remaining_over(TimeInterval(250.0, 250.0)) == pytest.approx(0.0)
 
     def test_margin_prevents_straddling_queries(self):
         # Two queries whose windows are closer than rho must share a budget
@@ -159,7 +153,7 @@ class TestBudgetLedger:
     def test_check_only_does_not_charge(self):
         ledger = FrameBudgetLedger(total_epsilon=1.0)
         ledger.admit([BudgetRequest(TimeInterval(0, 100), 0.7)], margin=0.0, charge=False)
-        assert ledger.remaining_at(50.0) == pytest.approx(1.0)
+        assert ledger.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(1.0)
 
     def test_failed_admission_charges_nothing(self):
         ledger = FrameBudgetLedger(total_epsilon=1.0)
@@ -167,7 +161,7 @@ class TestBudgetLedger:
                     BudgetRequest(TimeInterval(50, 150), 0.6)]
         with pytest.raises(BudgetExceededError):
             ledger.admit(requests, margin=0.0)
-        assert ledger.remaining_at(75.0) == pytest.approx(1.0)
+        assert ledger.remaining_over(TimeInterval(75.0, 75.0)) == pytest.approx(1.0)
 
     def test_parallel_releases_over_disjoint_bins(self):
         # Hourly releases of a grouped query draw from disjoint frames, so a
@@ -176,7 +170,7 @@ class TestBudgetLedger:
         requests = [BudgetRequest(TimeInterval(hour * 3600.0, (hour + 1) * 3600.0), 1.0)
                     for hour in range(12)]
         ledger.admit(requests, margin=0.0)
-        assert ledger.remaining_at(5 * 3600.0) == pytest.approx(0.0)
+        assert ledger.remaining_over(TimeInterval(5 * 3600.0, 5 * 3600.0)) == pytest.approx(0.0)
 
     def test_multi_camera_all_or_nothing_admission(self):
         # The executor admits multi-camera queries in two phases: every
@@ -189,16 +183,16 @@ class TestBudgetLedger:
         ledger_a.admit(requests, margin=10.0, charge=False)
         with pytest.raises(BudgetExceededError):
             ledger_b.admit(requests, margin=10.0, charge=False)
-        assert ledger_a.remaining_at(50.0) == pytest.approx(1.0)
-        assert ledger_b.remaining_at(50.0) == pytest.approx(0.5)
+        assert ledger_a.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(1.0)
+        assert ledger_b.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.5)
         # Had both passed, the second phase charges each ledger in turn.
         richer_b = FrameBudgetLedger(total_epsilon=1.0)
         for ledger in (ledger_a, richer_b):
             ledger.admit(requests, margin=10.0, charge=False)
         for ledger in (ledger_a, richer_b):
             ledger.admit(requests, margin=10.0, charge=True)
-        assert ledger_a.remaining_at(50.0) == pytest.approx(0.2)
-        assert richer_b.remaining_at(50.0) == pytest.approx(0.2)
+        assert ledger_a.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.2)
+        assert richer_b.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.2)
 
     def test_margin_expansion_at_exact_rho_boundary(self):
         # The admission window is the half-open [a - rho, b + rho): a prior
@@ -210,7 +204,7 @@ class TestBudgetLedger:
         # Expanded window [50, 250) touches the old charge only at its open end.
         ledger.admit([BudgetRequest(TimeInterval(100, 200), 0.6)], margin=rho)
         # A request whose expansion reaches one instant into [0, 50) is denied.
-        ledger.reset()
+        ledger = FrameBudgetLedger(total_epsilon=1.0)
         ledger.admit([BudgetRequest(TimeInterval(0, 50), 0.6)], margin=0.0)
         with pytest.raises(BudgetExceededError):
             ledger.admit([BudgetRequest(TimeInterval(99.0, 200), 0.6)], margin=rho)
@@ -270,7 +264,7 @@ class TestBudgetLedger:
                 pass
         probes = [start for start, _, _ in raw_requests] + [0.0, 500.0, 1500.0]
         for probe in probes:
-            assert ledger.remaining_at(probe) >= -1e-9
+            assert ledger.remaining_over(TimeInterval(probe, probe)) >= -1e-9
 
 
 class TestDegradation:

@@ -49,12 +49,6 @@ class TestBoundingBox:
         clamped = BoundingBox(-10, -10, 30, 30).clamp(100, 100)
         assert clamped == BoundingBox(0, 0, 20, 20)
 
-    def test_translate_and_scale(self):
-        box = BoundingBox(0, 0, 10, 10)
-        assert box.translate(5, 6) == BoundingBox(5, 6, 10, 10)
-        scaled = box.scaled(2.0)
-        assert scaled.width == 20 and scaled.center == box.center
-
     def test_interpolate_boxes_endpoints(self):
         a = BoundingBox(0, 0, 10, 10)
         b = BoundingBox(100, 50, 20, 20)
@@ -109,6 +103,14 @@ class TestGridSpec:
         grid = GridSpec(frame_width=100, frame_height=100, cell_width=10, cell_height=10)
         covered = grid.cells_covering(BoundingBox(5, 5, 20, 20))
         assert len(covered) == 9
+
+    def test_cells_covering_excludes_cells_it_only_touches(self):
+        grid = GridSpec(frame_width=100, frame_height=100, cell_width=10, cell_height=10)
+        # A box flush with one cell shares only edges with its neighbours.
+        assert grid.cells_covering(BoundingBox(10, 10, 10, 10)) == [grid.cell_index(1, 1)]
+        # Any positive overlap counts, however small.
+        covered = grid.cells_covering(BoundingBox(9.5, 10, 10, 10))
+        assert covered == [grid.cell_index(1, 0), grid.cell_index(1, 1)]
 
     def test_cells_covering_outside_frame(self):
         grid = GridSpec(frame_width=100, frame_height=100, cell_width=10, cell_height=10)

@@ -7,11 +7,7 @@ from repro.relational.aggregates import Aggregation, GroupSpec, ReleaseKind, com
 from repro.relational.expressions import (
     BinaryOp,
     Column,
-    Comparison,
     Literal,
-    LogicalAnd,
-    LogicalNot,
-    LogicalOr,
     RangeExpression,
     TimeBucket,
 )
@@ -22,7 +18,6 @@ from repro.relational.plan import (
     Limit,
     PlanContext,
     Projection,
-    Selection,
     TableScan,
     Union,
 )
@@ -113,23 +108,8 @@ class TestExpressions:
         assert bucket.evaluate({"chunk": 3700.0}) == 3600.0
         assert bucket.evaluate({"chunk": 100.0}) == 0.0
 
-    def test_predicates(self):
-        row = {"color": "RED", "speed": 50.0}
-        assert Comparison(Column("color"), "=", Literal("RED")).evaluate(row)
-        assert Comparison(Column("speed"), ">", Literal(40)).evaluate(row)
-        combined = LogicalAnd(Comparison(Column("color"), "=", Literal("RED")),
-                              LogicalNot(Comparison(Column("speed"), ">=", Literal(60))))
-        assert combined.evaluate(row)
-        assert LogicalOr(Comparison(Column("color"), "=", Literal("BLUE")),
-                         Comparison(Column("speed"), "<", Literal(60))).evaluate(row)
-
 
 class TestOperators:
-    def test_selection_filters_rows(self, car_context):
-        plan = Selection(TableScan("cars"), Comparison(Column("color"), "=", Literal("RED")))
-        assert len(plan.evaluate(car_context)) == 3
-        assert plan.sensitivity(car_context).delta == 140.0
-
     def test_limit_binds_size(self, car_context):
         plan = Limit(TableScan("cars"), 2)
         assert len(plan.evaluate(car_context)) == 2
@@ -249,9 +229,9 @@ class TestSensitivityBasics:
 
     def test_sensitivity_info_helpers(self):
         info = SensitivityInfo(delta=5.0)
-        assert info.range_of("speed") is None and info.range_width("speed") is None
+        assert info.range_of("speed") is None
         bound = SensitivityInfo(delta=5.0, ranges={"speed": (0.0, 100.0)}).with_size(10.0)
-        assert bound.range_width("speed") == 100.0
+        assert bound.range_of("speed") == (0.0, 100.0)
         assert bound.size == 10.0
 
 
@@ -270,15 +250,20 @@ class TestAggregations:
         with pytest.raises(UnboundSensitivityError):
             compute_releases(table, info, Aggregation(function="SUM", column="speed"))
 
-    def test_sum_with_range(self, car_context):
+    # A row counts from 0, not from the range's low end: a chunk can add or
+    # drop whole rows, so [5, 5] moves the sum by 5 per row, as [0, 5] does.
+    @pytest.mark.parametrize("low, high, per_row", [(0.0, 60.0, 60.0), (5.0, 5.0, 5.0),
+                                                    (4.0, 5.0, 5.0), (0.0, 5.0, 5.0)])
+    def test_sum_with_range(self, car_context, low, high, per_row):
         plan = Projection(TableScan("cars"), outputs=(
-            ("speed", RangeExpression(Column("speed"), 0.0, 60.0)),
+            ("speed", RangeExpression(Column("speed"), low, high)),
             (CHUNK_COLUMN, Column(CHUNK_COLUMN)),
         ))
         releases = compute_releases(plan.evaluate(car_context), plan.sensitivity(car_context),
                                     Aggregation(function="SUM", column="speed"))
-        assert releases[0].raw_value == pytest.approx(50 + 55 + 60 + 40)
-        assert releases[0].sensitivity == pytest.approx(140.0 * 60.0)
+        assert releases[0].raw_value == pytest.approx(
+            sum(min(high, max(low, speed)) for speed in (50, 55, 60, 40)))
+        assert releases[0].sensitivity == pytest.approx(140.0 * per_row)
 
     def test_avg_requires_size(self, car_context):
         plan = Projection(TableScan("cars"), outputs=(

@@ -94,8 +94,7 @@ class TestAtomicLedger:
         ledger.admit([BudgetRequest(TimeInterval(0.0, 10.0), 1.0)], margin=0.0)
         ledger.admit([BudgetRequest(TimeInterval(5.0, 15.0), 2.0)], margin=0.0)
         assert ledger.max_consumed() == pytest.approx(3.0)  # overlap [5, 10)
-        ledger.reset()
-        assert ledger.max_consumed() == 0.0
+        assert FrameBudgetLedger(total_epsilon=5.0).max_consumed() == 0.0
 
 
 class TestServiceLedger:

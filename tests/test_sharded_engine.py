@@ -523,7 +523,7 @@ class TestUnhintedRamp:
             for hint, expected in ((None, [1, 1, 2, 2, 4, 4, 8, 8]),
                                    (None, [1, 1, 2, 2, 4, 4, 8, 8]),
                                    (30, [3] * 10)):
-                engine.reset_dispatch_stats()
+                before = engine.dispatch_stats_dict()
                 sizes.clear()
                 rows = _rows_of(engine.imap_chunks(
                     runner, iter_chunks(video, THIRTY_CHUNKS), context,
@@ -531,12 +531,15 @@ class TestUnhintedRamp:
                 stats = engine.dispatch_stats_dict()
                 assert repr(rows) == repr(reference)
                 assert _in_seq_order(sizes) == expected
-                assert (stats["dispatches"], stats["chunks"]) == (len(expected), 30)
+                assert (stats["dispatches"] - before["dispatches"],
+                        stats["chunks"] - before["chunks"]) == (len(expected), 30)
                 if hint is None:
                     # The whole ramp goes out before the first result is
                     # read, so least-loaded placement simply alternates.
-                    assert [shard["chunks"]
-                            for shard in stats["per_shard"].values()] == [15, 15]
+                    earlier = {shard: counts["chunks"]
+                               for shard, counts in before["per_shard"].items()}
+                    assert [counts["chunks"] - earlier.get(shard, 0)
+                            for shard, counts in stats["per_shard"].items()] == [15, 15]
 
     def test_a_cold_store_backed_stream_is_the_same_eight_frames(self, tmp_path):
         video = _walker_video(duration=900.0)
@@ -1705,10 +1708,10 @@ class TestCoordinatorOwnsTheStore:
             first = [list(rows) for rows in runner.iter_chunk_rows(
                 iter_chunks(video, spec), context, engine=engine, cache=store)]
             assert store.writes == 10 and len(store) == 10
-            engine.reset_dispatch_stats()
+            sent = engine.dispatch_stats.chunks
             second = [list(rows) for rows in runner.iter_chunk_rows(
                 iter_chunks(video, spec), context, engine=engine, cache=store)]
-            assert engine.dispatch_stats.chunks == 0  # every chunk a hit
+            assert engine.dispatch_stats.chunks == sent  # every chunk a hit
         assert repr(second) == repr(first)
 
     def test_the_coordinator_writes_every_entry(self, tmp_path):
@@ -2075,9 +2078,9 @@ class TestTransportSeam:
                                      epsilon_budget=100.0, sample_period=1.0)
         reference = systems["serial"].execute(query, charge_budget=False)
         cold = systems["seam"].execute(query, charge_budget=False)
-        seam_pool.reset_dispatch_stats()
+        sent = seam_pool.dispatch_stats.chunks
         warm = systems["seam"].execute(query, charge_budget=False)
-        assert seam_pool.dispatch_stats.chunks == 0
+        assert seam_pool.dispatch_stats.chunks == sent
         assert repr(cold.raw_series_unsafe()) == repr(reference.raw_series_unsafe())
         assert repr(cold.series()) == repr(reference.series())
         assert repr(warm.raw_series_unsafe()) == repr(reference.raw_series_unsafe())

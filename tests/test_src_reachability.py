@@ -1,13 +1,26 @@
-"""Every module-level function and class in ``src/`` has a caller outside
+"""Every function, class and method in ``src/`` has a caller outside
 ``tests/``.
 
 The scan reads the AST of every Python file under ``src/``, ``benchmarks/``,
 ``tools/`` and ``examples/`` and collects the identifiers they name: names,
 attribute names, imported names and the identifiers inside string constants
-that are not docstrings (``_EXPORTS`` tables and ``python -c`` command lines
-name things in strings).  A definition's own body does not count as a caller
-of itself.  A definition nothing names is code only tests reach: delete it,
-move it under ``tests/``, or list it in ``KEEP`` with the reason it stays.
+that are not docstrings (``python -c`` command lines and ``getattr`` name
+things in strings).  A definition's own body does not count as a caller of
+itself.
+
+Two kinds of definition are checked:
+
+* a module-level function or class is reached by any naming of it;
+* a non-dunder method, property or nested class (at any depth of class
+  bodies, keyed ``Class.name``) is reached only by an attribute reference
+  (``x.name``) or a string: nothing reaches a method by a bare name, so a
+  same-named local variable or function does not keep it.
+
+A re-export is not a caller: an ``__all__`` entry names what a module offers,
+and a package ``__init__.py``'s imports and strings (its ``_EXPORTS`` table)
+only forward a name to its module.  A definition nothing else names is code
+only tests reach: delete it, move it under ``tests/``, or list it in ``KEEP``
+with the reason it stays.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 CALLER_ROOTS = ("src", "benchmarks", "tools", "examples")
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Definitions that stay although only tests reach them, each with its reason.
 KEEP = {
@@ -32,82 +46,151 @@ KEEP = {
         "RowFloodExecutable": "sandbox test double: the max_rows truncation's only trigger",
         "ConstantExecutable": "sandbox test double: rows a shard can import by name",
     },
-    "repro/relational/expressions.py": {
-        "Comparison": "predicate of plan.Selection, kept with it (ROADMAP: wire WHERE or "
-                      "delete both)",
-        "LogicalAnd": "as Comparison",
-        "LogicalOr": "as Comparison",
-        "LogicalNot": "as Comparison",
-    },
     "repro/scene/objects.py": {
         "max_appearance_count_of": "Definition 5.1's ground-truth K, beside max_duration_of",
+        "SceneObject.is_bounded_by": "Definition 5.1's ground truth: is this object "
+                                     "(rho, K)-bounded",
+        "SceneObject.tightest_bound": "Definition 5.1's ground truth: the smallest (rho, K) "
+                                      "that bounds this object",
+        "SceneObject.is_private": "state tests read: is this object a protected individual",
+        "SceneObject.attributes_at": "the scalar oracle's per-instant attribute read "
+                                     "(tests/scalar_oracle.py)",
+    },
+    "repro/core/executor.py": {
+        "PrividSystem.register_executable": "public API: the owner registers a PROCESS "
+                                            "executable by name",
+        "CameraRegistration.epsilon_budget": "state tests read: the camera's per-frame budget",
+    },
+    "repro/service.py": {
+        "QueryService.register_executable": "public API: PrividSystem.register_executable "
+                                            "on a shared service",
+    },
+    "repro/query/builder.py": {
+        "QueryBuilder.select_sum": "public API: the builder's SUM, beside select_count",
+        "QueryBuilder.select_count_unique": "public API: the builder's COUNT(DISTINCT)",
+        "QueryBuilder.select_argmax": "public API: the builder's ARGMAX",
+    },
+    "repro/core/resilience.py": {
+        "CancellationToken.cancel": "public API: the handle a submit(cancel=) caller "
+                                    "cancels with",
+    },
+    "repro/core/noise.py": {
+        "LaplaceMechanism.confidence_interval": "ROADMAP item 11: the error bar of a release",
+    },
+    "repro/core/budget.py": {
+        "DurableServiceLedger.query_charged": "state tests read: did a query's charge land",
+    },
+    "repro/core/faults.py": {
+        "FaultInjector.op_count": "state tests read: how many operations a site saw",
+    },
+    "repro/core/result.py": {
+        "QueryResult.num_releases": "state tests read: how many values a query released",
+    },
+    "repro/cv/detector.py": {
+        "DetectionBatch.num_detections": "state tests read: a batch's detection count",
+    },
+    "repro/relational/table.py": {
+        "Table.num_rows": "state tests read: a table's row count",
+    },
+    "repro/video/video.py": {
+        "FrameBatch.total_visible": "state tests read: ground-truth visible objects in a batch",
+        "SyntheticVideo.frame_index_at": "state tests read: the frame a timestamp falls in",
     },
 }
 
 
-def _docstring_nodes(tree: ast.AST) -> set[int]:
-    """ids of the string constants that are docstrings."""
-    found = set()
+def _strings_skipped(tree: ast.Module, package_init: bool) -> set[int]:
+    """ids of the string constants that name nothing: docstrings, ``__all__``
+    entries, and every string of a package ``__init__`` (its export table)."""
+    skipped = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.Module, *_DEFINITION)):
             body = node.body
             if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
                     and isinstance(body[0].value.value, str)):
-                found.add(id(body[0].value))
-    return found
+                skipped.add(id(body[0].value))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                skipped.update(id(constant) for constant in ast.walk(node.value))
+        elif package_init and isinstance(node, ast.Constant):
+            skipped.add(id(node))
+    return skipped
 
 
-def _references(tree: ast.AST) -> list[tuple[str, int]]:
-    """Every identifier the file names, with the line it is named on."""
-    docstrings = _docstring_nodes(tree)
+def _references(tree: ast.Module, package_init: bool) -> list[tuple[str, int, bool]]:
+    """Every identifier the file names: ``(name, line, reaches_a_member)``.
+
+    Only an attribute reference or a string can reach a method; a package
+    ``__init__``'s imports re-export and reach nothing.
+    """
+    skipped = _strings_skipped(tree, package_init)
     named = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            named.append((node.id, node.lineno))
+            named.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            named.append((node.attr, node.lineno))
-        elif isinstance(node, ast.alias):
-            named.extend((part, node.lineno) for part in node.name.split("."))
+            named.append((node.attr, node.lineno, True))
+        elif isinstance(node, ast.alias) and not package_init:
+            named.extend((part, node.lineno, False) for part in node.name.split("."))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
-            named.extend((word, node.lineno) for word in _IDENTIFIER.findall(node.value))
+              and id(node) not in skipped):
+            named.extend((word, node.lineno, True) for word in _IDENTIFIER.findall(node.value))
     return named
 
 
-def _definitions(tree: ast.Module) -> list[ast.stmt]:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+def _definitions(tree: ast.Module):
+    """``(key, node, is_member)`` of every module-level definition and every
+    non-dunder definition in a class body, nested classes included."""
+    found = []
+
+    def members(owner: str, body: list[ast.stmt]) -> None:
+        for node in body:
+            if isinstance(node, _DEFINITION) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                found.append((f"{owner}.{node.name}", node, True))
+                if isinstance(node, ast.ClassDef):
+                    members(f"{owner}.{node.name}", node.body)
+
+    for node in tree.body:
+        if isinstance(node, _DEFINITION):
+            found.append((node.name, node, False))
+            if isinstance(node, ast.ClassDef):
+                members(node.name, node.body)
+    return found
 
 
 @functools.lru_cache(maxsize=None)
-def _scan(repo_root: Path) -> tuple[dict[Path, ast.Module], dict[str, list[tuple[Path, int]]]]:
+def _scan(repo_root: Path):
     """Every caller file's tree, and per identifier where the callers name it."""
     trees = {}
     for root in CALLER_ROOTS:
         for path in sorted((repo_root / root).rglob("*.py")):
             trees[path] = ast.parse(path.read_text(), filename=str(path))
-    named: dict[str, list[tuple[Path, int]]] = {}
+    named: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            named.setdefault(name, []).append((path, line))
+        for name, line, member in _references(tree, path.name == "__init__.py"):
+            named.setdefault(name, []).append((path, line, member))
     return trees, named
 
 
 def unreached() -> list[str]:
-    """``module::name`` of every module-level definition in ``src/`` that no
-    caller outside ``tests/`` names and ``KEEP`` does not list."""
+    """``module::name`` (``module::Class.name`` for a member) of every
+    definition in ``src/`` that no caller outside ``tests/`` reaches and
+    ``KEEP`` does not list."""
     trees, named = _scan(REPO_ROOT)
     missing = []
     for path, tree in trees.items():
         if SRC not in path.parents:
             continue
         module = path.relative_to(SRC).as_posix()
-        for node in _definitions(tree):
+        for key, node, is_member in _definitions(tree):
             first = min([node.lineno] + [decorator.lineno for decorator in node.decorator_list])
-            outside = [(where, line) for where, line in named.get(node.name, ())
-                       if where != path or not first <= line <= node.end_lineno]
-            if not outside and node.name not in KEEP.get(module, {}):
-                missing.append(f"{module}::{node.name}")
+            outside = [where for where, line, reaches_member in named.get(node.name, ())
+                       if (reaches_member or not is_member)
+                       and (where != path or not first <= line <= node.end_lineno)]
+            if not outside and key not in KEEP.get(module, {}):
+                missing.append(f"{module}::{key}")
     return missing
 
 
@@ -118,40 +201,58 @@ def test_every_src_definition_has_a_caller_outside_tests():
 
 
 def test_every_kept_definition_is_still_only_reached_by_tests(monkeypatch):
-    # A stale entry would hide a future deletion: each kept name must still
-    # be defined, and must still need its entry.
+    # A stale entry would hide a future deletion: each kept name (a
+    # ``Class.method`` key included) must still be defined, and must still
+    # need its entry.
     kept = [f"{module}::{name}" for module, names in KEEP.items() for name in names]
     monkeypatch.setitem(globals(), "KEEP", {})
     assert set(kept) <= set(unreached())
 
 
-#: (file, text) of one caller, and whether it reaches ``target`` in
-#: ``src/pkg/mod.py``.
+#: The module every ``CALLERS`` case is scanned against: a function, a class
+#: and the class's method, each naming itself in its own body.
+MODULE = ('"""The module."""\n\n\n'
+          "def target(n):\n"
+          "    return target(n - 1) if n else 0\n\n\n"
+          "class Holder:\n"
+          "    def member(self, n):\n"
+          "        return self.member(n - 1) if n else Holder\n")
+DEFINED = ("target", "Holder", "Holder.member")
+
+#: (file, text) of one caller, and the definitions of ``src/pkg/mod.py`` it
+#: reaches.
 CALLERS = {
-    "its own body": ("src/pkg/mod.py", "", False),
-    "a docstring": ("src/pkg/other.py", '"""Calls target() for you."""\n', False),
-    "a comment": ("tools/run.py", "# target()\n", False),
-    "tests only": ("tests/test_mod.py", "from pkg.mod import target\ntarget(1)\n", False),
-    "another src module": ("src/pkg/other.py", "from pkg.mod import target\n", True),
-    "a tools import": ("tools/run.py", "from pkg.mod import target\ntarget(1)\n", True),
+    "its own body": ("src/pkg/mod.py", "", ()),
+    "a docstring": ("src/pkg/other.py", '"""Calls target() and x.member()."""\n', ()),
+    "a comment": ("tools/run.py", "# target(); Holder().member()\n", ()),
+    "tests only": ("tests/test_mod.py",
+                   "from pkg.mod import Holder, target\ntarget(1)\nHolder().member(1)\n", ()),
+    "another src module": ("src/pkg/other.py", "from pkg.mod import target\n", ("target",)),
+    "a tools import": ("tools/run.py", "from pkg.mod import target\ntarget(1)\n", ("target",)),
     "an attribute in an example": ("examples/demo.py", "import pkg.mod\npkg.mod.target(1)\n",
-                                   True),
-    "a string table": ("src/pkg/__init__.py", "EXPORTS = {'target': 'pkg.mod'}\n", True),
+                                   ("target",)),
     "a command line": ("benchmarks/run.py", "CMD = 'from pkg.mod import target; target(0)'\n",
-                       True),
+                       ("target",)),
+    "an attribute call in tools": ("tools/run.py",
+                                   "from pkg.mod import Holder\nHolder().member(1)\n",
+                                   ("Holder", "Holder.member")),
+    "a getattr string": ("benchmarks/run.py", "getattr(object(), 'member')\n",
+                         ("Holder.member",)),
+    "a bare same-named name": ("tools/run.py", "def member(n):\n    return n\nmember(1)\n", ()),
+    "an __all__ entry": ("src/pkg/other.py", "__all__ = ['target', 'Holder']\n", ()),
+    "a package __init__ import": ("src/pkg/__init__.py", "from pkg.mod import Holder, target\n",
+                                  ()),
+    "a string table": ("src/pkg/__init__.py", "EXPORTS = {'target': 'pkg.mod'}\n", ()),
 }
 
 
 @pytest.mark.parametrize("caller", sorted(CALLERS))
 def test_only_a_caller_outside_tests_and_outside_the_body_reaches(tmp_path, monkeypatch, caller):
-    where, text, reaches = CALLERS[caller]
-    files = {"src/pkg/mod.py": ('"""The module."""\n\n\n'
-                                "def target(n):\n"
-                                "    return target(n - 1) if n else 0\n"),
-             **({where: text} if text else {})}
+    where, text, reached = CALLERS[caller]
+    files = {"src/pkg/mod.py": MODULE, **({where: text} if text else {})}
     for name, body in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(body)
     monkeypatch.setitem(globals(), "REPO_ROOT", tmp_path)
     monkeypatch.setitem(globals(), "SRC", tmp_path / "src")
-    assert unreached() == ([] if reaches else ["pkg/mod.py::target"])
+    assert unreached() == [f"pkg/mod.py::{key}" for key in DEFINED if key not in reached]

@@ -102,8 +102,6 @@ class TestEveryTier:
         assert memory.get(self.KEY, max_rows=2) is None
         assert (len(memory), memory.read_errors, memory.stats.misses) == (0, 1, 1)
         assert memory.stats_dict()["read_errors"] == 1
-        memory.reset_stats()
-        assert memory.read_errors == 0
 
     def test_disk_tier(self, tmp_path):
         disk = DiskChunkStore(tmp_path)

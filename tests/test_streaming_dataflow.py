@@ -382,7 +382,7 @@ class TestTieredStore:
         assert [row["kind"] for row in rows] == ["", ""]
         assert len(tiered.memory) == 0 and tiered.disk.writes == 0
 
-    def test_create_cache_specs(self, tmp_path):
+    def test_create_cache_specs(self, tmp_path, monkeypatch):
         assert create_cache(None) is None
         assert create_cache("off") is None
         assert create_cache("none") is None
@@ -395,8 +395,17 @@ class TestTieredStore:
         assert create_cache(existing) is existing
         with pytest.raises(ValueError):
             create_cache("disk")
+        with pytest.raises(ValueError, match="needs a directory"):
+            create_cache("disk:   ")
         with pytest.raises(ValueError):
             create_cache("sqlite:/tmp/x")
+        # The blank after the colon is not part of the path: the store lands
+        # in the named directory, not under a directory called " ".
+        monkeypatch.chdir(tmp_path)
+        spaced = create_cache(f"tiered: {tmp_path / 's'}")
+        spaced.put("1" * 16, [{"kind": "person"}])
+        assert spaced.disk.directory == tmp_path / "s"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["d", "s", "t"]
 
     def test_tiered_promotes_disk_hits_into_memory(self, tmp_path):
         store = DiskChunkStore(tmp_path / "store")

@@ -46,9 +46,6 @@ class TestTimeInterval:
         assert expanded.start == 0.0
         assert expanded.end == 20.0
 
-    def test_shift(self):
-        assert TimeInterval(5, 10).shift(3) == TimeInterval(8, 13)
-
     def test_clamp_inside(self):
         assert TimeInterval(2, 8).clamp(TimeInterval(0, 10)) == TimeInterval(2, 8)
 

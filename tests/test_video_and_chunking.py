@@ -202,9 +202,8 @@ class TestRegions:
         scheme = RegionScheme(name="vertical", regions=(
             Region("strip0", BoundingBox(0, 0, 50, 100)),
             Region("strip1", BoundingBox(50, 0, 50, 100))))
-        assignment = scheme.assign([BoundingBox(10, 10, 5, 5), BoundingBox(80, 10, 5, 5)])
-        assert len(assignment["strip0"]) == 1
-        assert len(assignment["strip1"]) == 1
+        assert scheme.region_of(BoundingBox(10, 10, 5, 5)).name == "strip0"
+        assert scheme.region_of(BoundingBox(80, 10, 5, 5)).name == "strip1"
 
     def test_region_of_outside(self):
         scheme = RegionScheme(name="one", regions=(Region("a", BoundingBox(0, 0, 10, 10)),))

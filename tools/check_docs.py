@@ -10,8 +10,12 @@ the network); ``mailto:`` links are skipped.
 ``README.md`` and ``docs/*.md`` must also name only live code: every dotted
 ``repro.…`` name inside an inline code span must import (the library is
 loaded from ``src/``) and resolve attribute by attribute, so a deleted
-function left in the prose fails here.  ``ROADMAP.md`` and ``CHANGES.md``
-are exempt — they name planned and deleted code on purpose.
+function left in the prose fails here.  The module map of
+``docs/architecture.md`` names code bare (``PrividSystem``, ``_holdings``):
+every inline code span there that is one identifier must be a package,
+module, function, class or method under ``src/``, or a name a module or
+class body assigns.  ``ROADMAP.md`` and ``CHANGES.md`` are exempt — they
+name planned and deleted code on purpose.
 
 Exit status 0 when every link and name resolves, 1 otherwise (with one line
 per broken one).  Run from anywhere: paths are resolved against the repo root.
@@ -21,6 +25,7 @@ Usage: ``python tools/check_docs.py``
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
@@ -37,6 +42,10 @@ _CODE = re.compile(r"`[^`]*`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 #: A dotted name of this library (``repro.core.cache.chunk_key``).
 _NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+#: One identifier, the whole of a code span (``PrividSystem``).
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: The document holding the module map, and the map's heading.
+MODULE_MAP = ("docs/architecture.md", "## Module map")
 
 
 def github_slug(heading: str) -> str:
@@ -117,6 +126,45 @@ def check_names(path: Path) -> list[str]:
             for name in sorted(set(iter_names(path))) if not resolves(name)]
 
 
+def defined_names(src: Path) -> set[str]:
+    """Every package, module, function, class and method name under ``src``,
+    and every name a module or class body assigns."""
+    names: set[str] = set()
+    for path in src.rglob("*.py"):
+        names.update(path.relative_to(src).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies = [tree.body]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    bodies.append(node.body)
+        for statement in (statement for body in bodies for statement in body):
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target])
+                names.update(node.id for target in targets for node in ast.walk(target)
+                             if isinstance(node, ast.Name))
+    return names
+
+
+def check_module_map(path: Path, heading: str) -> tuple[int, list[str]]:
+    """How many bare identifiers the table under ``heading`` names, and one
+    error per identifier nothing under ``src/`` defines."""
+    text = _FENCE.sub("", path.read_text(encoding="utf-8"))
+    start = text.find(heading)
+    if start < 0:
+        return 0, [f"{path.relative_to(REPO_ROOT)}: no '{heading}' section"]
+    end = text.find("\n## ", start + len(heading))
+    rows = [line for line in text[start:end if end >= 0 else None].splitlines()
+            if line.startswith("|")]
+    names = {span.group(0)[1:-1] for row in rows for span in _CODE.finditer(row)}
+    names = sorted(name for name in names if _IDENTIFIER.fullmatch(name))
+    defined = defined_names(REPO_ROOT / "src")
+    return len(names), [f"{path.relative_to(REPO_ROOT)}: stale module-map name -> {name} "
+                        "(defined nowhere under src/)" for name in names if name not in defined]
+
+
 def main() -> int:
     documents = sorted(REPO_ROOT.glob("*.md")) + sorted((REPO_ROOT / "docs").glob("*.md"))
     if not documents:
@@ -131,6 +179,11 @@ def main() -> int:
         if document.name == "README.md" or document.parent.name == "docs":
             names += len(set(iter_names(document)))
             errors.extend(check_names(document))
+    module_map, heading = REPO_ROOT / MODULE_MAP[0], MODULE_MAP[1]
+    if module_map.exists():
+        mapped, stale = check_module_map(module_map, heading)
+        names += mapped
+        errors.extend(stale)
     for error in errors:
         print(error, file=sys.stderr)
     print(f"check_docs: {len(documents)} files, {links} links, {names} names, "
