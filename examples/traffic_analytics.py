@@ -14,8 +14,8 @@ from repro import PrividSystem
 from repro.evaluation.runner import register_scenario_camera, scenario_policy_map
 from repro.query.builder import QueryBuilder
 from repro.relational.aggregates import Aggregation, GroupSpec
-from repro.relational.expressions import Column, RangeExpression
-from repro.relational.plan import GroupBy, Projection, TableScan
+from repro.relational.expressions import Column
+from repro.relational.plan import GroupBy, TableScan
 from repro.scene.scenarios import build_scenario
 from repro.utils.timebase import SECONDS_PER_HOUR
 

@@ -790,6 +790,27 @@ def _holdings(held: list[str], pinned: set[str], in_flight: set[str],
     return [ref for ref in kept if ref not in drop] + needed, push, drop
 
 
+#: An unhinted stream's per-task batch: ``shards`` tasks at each step, then
+#: the last step for good.  Batches amortize framing, but every chunk in a
+#: batch shares its task's fate on reassignment, so batches stay small.
+_RAMP = (1, 2, 4, 8)
+
+
+def _next_batch(sent: int, in_flight: int, shards: int, chunksize: int | None,
+                count_hint: int | None) -> int:
+    """How many chunks a stream's next task takes, or 0 while its window is
+    full, once it has sent ``sent`` tasks and holds ``in_flight`` chunks
+    dispatched but not yet yielded.  The batch is ``chunksize`` when set;
+    else a positive ``count_hint`` cuts at ``count_hint // (4 * shards)``,
+    1 to 8; else it ramps (:data:`_RAMP`), a function of how many tasks went
+    out, never of when results came back.  At most ``2 x shards x batch``
+    chunks are in flight."""
+    if chunksize is None and count_hint is not None and count_hint > 0:
+        chunksize = max(1, min(_RAMP[-1], count_hint // (4 * shards)))
+    batch = chunksize or _RAMP[min(sent // shards, len(_RAMP) - 1)]
+    return batch if in_flight + batch <= 2 * shards * batch else 0
+
+
 class _Shard:
     """One shard as the shell holds it: its transport, the descriptor the
     wait selects on, its ``slot`` (the transport factory it fills) and the
@@ -808,11 +829,6 @@ class _Shard:
         return self.transport.process
 
 
-#: Adaptive per-task batch cap: batches amortize framing, but every chunk in
-#: a batch shares its task's fate on reassignment, so batches stay small.
-_MAX_SHARDED_CHUNKSIZE = 8
-
-
 class ShardedEngine:
     """Partitions chunk streams across N executor shards (``sharded:...``).
 
@@ -829,12 +845,12 @@ class ShardedEngine:
     :class:`~repro.errors.RemoteShardError`; ``task_timeout`` (off by
     default) also redispatches a result overdue on a shard that still
     answers pings (a lost frame).  ``chunksize`` fixes the per-task batch;
-    by default a ``count_hint`` cuts at ``count_hint // (4 * shards)``, at
-    most 8, and a stream without one ramps 1,1,2,2,4,4,8,8 on two shards.
-    At most ``2 x shards x batch`` chunks are dispatched but not yet
-    yielded.  Streams may be open at once on one thread or several: the
-    engine condition guards the core, the shard table and the stats, and is
-    never held across the wait or a yield.
+    by default a ``count_hint`` cuts it and a stream without one ramps
+    1,1,2,2,4,4,8,8 on two shards, with at most ``2 x shards x batch``
+    chunks dispatched but not yet yielded (:func:`_next_batch`).  Streams
+    may be open at once on one thread or several: the engine condition
+    guards the core, the shard table and the stats, and is never held
+    across the wait or a yield.
     """
 
     def __init__(self, num_shards: int | None = None, *,
@@ -862,17 +878,15 @@ class ShardedEngine:
             transports or [SocketTransport.spawn] * num_shards)
         self.chunksize = chunksize
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.startup_grace = startup_grace
-        self.max_task_retries = max_task_retries
-        self.task_timeout = task_timeout
         if chunksize is not None:
             checks.count("chunksize", chunksize, ValueError, 1)
         checks.count("max_task_retries", max_task_retries, ValueError)
-        for name in ("heartbeat_interval", "heartbeat_timeout", "startup_grace",
-                     "task_timeout"):
-            if getattr(self, name) is not None:
-                checks.real(name, getattr(self, name), ValueError, above=0)
+        for name, value in (("heartbeat_interval", heartbeat_interval),
+                            ("heartbeat_timeout", heartbeat_timeout),
+                            ("startup_grace", startup_grace),
+                            ("task_timeout", task_timeout)):
+            if value is not None:
+                checks.real(name, value, ValueError, above=0)
         #: Optional chaos seam (:meth:`set_fault_injector`).
         self._fault_injector = fault_injector
         #: Engine-wide IPC accounting (every task frame sent to any shard).
@@ -1059,15 +1073,6 @@ class ShardedEngine:
 
     # ----------------------------------------------------------- engine proto
 
-    def _effective_chunksize(self, count_hint: int | None) -> int | None:
-        """The stream's fixed per-task batch, or None when it should ramp."""
-        if self.chunksize is not None:
-            return self.chunksize
-        if count_hint is None or count_hint <= 0:
-            return None
-        return max(1, min(_MAX_SHARDED_CHUNKSIZE,
-                          count_hint // (4 * self.num_shards)))
-
     def imap_chunks(self, runner: "SandboxRunner", chunks: Iterable["Chunk"],
                     context: "ExecutionContext", *,
                     count_hint: int | None = None) -> Iterator[ChunkOutcome]:
@@ -1092,22 +1097,15 @@ class ShardedEngine:
             stream_id = self._core.open_stream()
         broadcast = _StreamBroadcast(self._publisher, runner, context,
                                      self.dispatch_stats)
-        batch_size = self._effective_chunksize(count_hint)
-        ramp_to = 0  # the batch this stream doubles up to; 0 when it is fixed
-        if batch_size is None:
-            # Unknown length: ramp (class docstring) — a function of how
-            # many tasks went out, never of when results came back.
-            batch_size, ramp_to = 1, _MAX_SHARDED_CHUNKSIZE
-        sent = 0  # tasks this stream dispatched
-        window = 2 * self.num_shards * batch_size
         stream = chain((first, second), iterator)
-        in_flight = 0  # chunks dispatched but not yet yielded
+        sent = in_flight = 0  # tasks dispatched; chunks not yet yielded
         exhausted = False
         try:
             while True:
-                while not exhausted and in_flight + batch_size <= window:
-                    batch = list(islice(stream, batch_size))
-                    exhausted = len(batch) < batch_size
+                while not exhausted and (size := _next_batch(
+                        sent, in_flight, self.num_shards, self.chunksize, count_hint)):
+                    batch = list(islice(stream, size))
+                    exhausted = len(batch) < size
                     if not batch:
                         break
                     specs = [broadcast.chunk_spec(chunk) for chunk in batch]
@@ -1120,9 +1118,6 @@ class ShardedEngine:
                                                      runner.max_rows, time.monotonic()))
                     in_flight += len(batch)
                     sent += 1
-                    if batch_size < ramp_to and sent % self.num_shards == 0:
-                        batch_size = min(2 * batch_size, ramp_to)
-                        window = 2 * self.num_shards * batch_size
                 with self._cond:
                     completed, failure = self._core.collect(stream_id)
                 for outcomes in completed:

@@ -18,7 +18,6 @@ The contract under test, bottom-up:
 """
 
 import json
-import os
 import sys
 import tempfile
 from concurrent.futures import wait

@@ -17,7 +17,6 @@ import pytest
 from repro.core import PrividSystem, SerialEngine
 from repro.core.cache import DiskChunkStore, create_cache, store_health
 from repro.core.faults import (
-    FaultInjector,
     FaultKind,
     FaultPlan,
     FaultRule,

@@ -8,10 +8,20 @@ exits at start-up or goes silent mid-sweep (its work is reassigned, and
 at-most-once result application drops the duplicates a slow-but-alive shard
 may still deliver).  No shard is ever dialed: a ``HOST:PORT`` spec and the
 old ``--listen`` worker mode are both refused.
+
+Where a chunk runs never changes its result, so what the plane adds to
+serial is scheduling, and the scheduling rules are tested where they live:
+``_Dispatch`` and ``_next_batch``, driven with explicit ``now`` values and no
+process, socket or clock.  The shell's own rules (slot refills, the one
+wait, pushes, health) run on shards that live in this process, a thread per
+worker at the far end of a socketpair (``threaded``).  Spawned workers are
+kept for what only a process shows: byte parity, a kill, a frozen shard,
+payload pushes, release of the socket and process, and the command line.
 """
 
 import base64
 import contextlib
+import functools
 import io
 import json
 import os
@@ -25,7 +35,6 @@ import subprocess
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +48,7 @@ from repro.core import (
 )
 import repro.core.engine as engine_module
 from repro.core.cache import TieredChunkCache
-from repro.core.engine import DispatchStats, SerialEngine as _Serial, _StreamBroadcast
+from repro.core.engine import DispatchStats, _StreamBroadcast
 from repro.core.policy import PrivacyPolicy
 from repro.core import remote
 from repro.core.remote import (
@@ -56,12 +65,16 @@ from repro.core.remote import (
 from repro.errors import RemoteShardError
 from repro.query.builder import QueryBuilder
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
-from repro.sandbox.executables import EnteringObjectCounter, SlowExecutable
+from repro.sandbox.executables import (
+    ConstantExecutable,
+    EnteringObjectCounter,
+    SlowExecutable,
+)
 from repro.scene.scenarios import SCENARIO_NAMES, build_scenario
 from repro.evaluation.runner import register_scenario_camera, scenario_policy_map
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.utils.timebase import TimeInterval
-from repro.video.chunking import ChunkSpec, count_chunks, iter_chunks
+from repro.video.chunking import ChunkSpec, iter_chunks
 from repro.video.geometry import BoundingBox
 from repro.video.masking import Mask
 
@@ -171,6 +184,36 @@ class TestWireProtocol:
         serve(io.BytesIO(frames), replies)
         replies.seek(0)
         assert read_frame(replies) == {"type": "pong", "token": 8}
+        assert read_frame(replies) is None
+
+    def test_a_worker_answers_pings_while_a_task_executes(self, in_process_shard):
+        # A task that outlives heartbeat_timeout must read as *busy*, not
+        # *dead*: the read loop answers a ping queued behind a task that is
+        # still executing on the worker's executor thread.
+        video = _walker_video(num_walkers=1, duration=60.0)
+        schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
+        runner = SandboxRunner(SlowExecutable(simulated_runtime=0.0, real_sleep=0.05),
+                               schema, max_rows=5, timeout_seconds=30.0)
+        publisher = engine_module._BroadcastPublisher()
+        try:
+            broadcast = _StreamBroadcast(publisher, runner, _context(video), DispatchStats())
+            specs = [list(broadcast.chunk_spec(chunk)) for chunk in iter_chunks(
+                video, ChunkSpec(window=TimeInterval(0, 60), chunk_duration=60.0))]
+            ref = broadcast.payload_ref()
+            frames = [{"type": "payload", "ref": need, "drop": [],
+                       "data": base64.b64encode(publisher.data(need)).decode("ascii")}
+                      for need in publisher.needs(ref)]
+        finally:
+            publisher.close()
+        frames += [{"type": "task", "seq": 0, "payload": ref, "specs": specs},
+                   {"type": "ping", "token": 4}, {"type": "shutdown"}]
+        replies = io.BytesIO()
+        serve(io.BytesIO(b"".join(map(encode_frame, frames))), replies)
+        replies.seek(0)
+        assert read_frame(replies) == {"type": "pong", "token": 4}
+        result = read_frame(replies)
+        assert (result["type"], result["seq"]) == ("result", 0)
+        assert [outcome["fallback"] for outcome in result["outcomes"]] == [False]
         assert read_frame(replies) is None
 
 
@@ -374,6 +417,89 @@ class TestEngineRegistry:
         assert spawned == []
 
 
+@pytest.fixture
+def in_process_shard(monkeypatch) -> None:
+    """This process plays a shard: its payload table starts empty and is
+    thrown away afterwards."""
+    monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", {})
+
+
+def _hold(message) -> None:
+    """Keep a ``payload`` frame in this process, in the module's own table, as
+    a worker's read loop does — but never its drops: every scripted worker
+    of a test shares that one table, so one worker's drop must not take a
+    ref another still holds."""
+    engine_module._hold_payload(message["ref"], base64.b64decode(message["data"]), ())
+
+
+def _scripted_worker(reply):
+    """A transport factory whose far end is a thread standing in for a
+    worker: it keeps pushed payloads, answers pings and, after each task
+    frame, sends whatever bytes ``reply(tasks so far)`` returns, in one
+    ``sendall``.  ``spawn.threads`` keeps every thread it started, so that a
+    test can join them (:func:`_join_workers`) once its engine is shut down."""
+
+    def spawn() -> SocketTransport:
+        ours, theirs = socket.socketpair()
+
+        def play() -> None:
+            tasks = []
+            with theirs, theirs.makefile("rb") as rfile:
+                try:
+                    while (message := read_frame(rfile)) is not None:
+                        if message["type"] == "ping":
+                            theirs.sendall(encode_frame(
+                                {"type": "pong", "token": message["token"]}))
+                        elif message["type"] == "payload":
+                            _hold(message)
+                        elif message["type"] == "task":
+                            tasks.append(message)
+                            theirs.sendall(reply(tasks))
+                        elif message["type"] == "shutdown":
+                            return
+                except OSError:
+                    return  # the coordinator killed the connection
+
+        thread = threading.Thread(target=play, daemon=True)
+        spawn.threads.append(thread)
+        thread.start()
+        return SocketTransport(ours, "scripted")
+
+    spawn.threads = []
+    return spawn
+
+
+def _answering():
+    """A scripted worker that runs each task as a shard does, on its thread."""
+    return _scripted_worker(lambda tasks: encode_frame(_handle_task(tasks[-1])))
+
+
+def _join_workers(spawn) -> None:
+    """Join every thread a scripted worker started: each must end with the
+    engine that used it, not run on into the next test."""
+    assert spawn.threads, "no scripted worker was spawned"
+    for thread in spawn.threads:
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "a scripted worker outlived its engine"
+
+
+@pytest.fixture
+def threaded(in_process_shard):
+    """``threaded(n)``: ``n`` transport factories of shards that live in this
+    process (:func:`_answering`), for an engine the test shuts down; the
+    test ends by joining every thread they started."""
+    made = []
+
+    def factories(count: int) -> list:
+        made.extend(_answering() for _ in range(count))
+        return made[-count:]
+
+    yield factories
+    for spawn in made:
+        if spawn.threads:
+            _join_workers(spawn)
+
+
 class TestShardedStreaming:
     def test_imap_matches_serial_byte_for_byte(self):
         video = _walker_video()
@@ -396,26 +522,7 @@ class TestShardedStreaming:
             assert engine._shards == {}  # never spawned a worker
             assert list(engine.imap_chunks(_runner(), iter(()), _context(video))) == []
 
-    def test_in_flight_window_bounds_materialized_chunks(self):
-        video = _walker_video(num_walkers=3)
-        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=30.0)
-        runner, context = _runner(), _context(video)
-        state = {"pulled": 0, "consumed": 0, "peak": 0}
-
-        def instrumented():
-            for chunk in iter_chunks(video, spec):
-                state["pulled"] += 1
-                state["peak"] = max(state["peak"],
-                                    state["pulled"] - state["consumed"])
-                yield chunk
-
-        with ShardedEngine(2, chunksize=2) as engine:
-            for _ in engine.imap_chunks(runner, instrumented(), context):
-                state["consumed"] += 1
-        assert state["pulled"] == count_chunks(video, spec) == 20
-        assert state["peak"] <= 8  # 2 x shards x batch
-
-    def test_interleaved_streams_share_the_shard_pool(self, footage_pickles):
+    def test_interleaved_streams_share_the_shard_pool(self, footage_pickles, threaded):
         # The executor round-robins PROCESS statements through one engine;
         # frames arriving while the "wrong" stream pumps must be parked for
         # their owner, not dropped.
@@ -424,7 +531,7 @@ class TestShardedStreaming:
         runner, context = _runner(), _context(video)
         reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, spec)), context))
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             first = engine.imap_chunks(runner, iter_chunks(video, spec), context)
             second = engine.imap_chunks(runner, iter_chunks(video, spec), context)
             collected = {"a": [], "b": []}
@@ -443,10 +550,10 @@ class TestShardedStreaming:
         assert footage_pickles == [video.name]
         assert (stats["broadcasts"], stats["broadcast_reuses"]) == (2, 2)
 
-    def test_per_shard_dispatch_bytes_recorded(self):
+    def test_per_shard_dispatch_bytes_recorded(self, threaded):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
-        with ShardedEngine(2, chunksize=1) as engine:
+        with ShardedEngine(transports=threaded(2), chunksize=1) as engine:
             list(engine.imap_chunks(_runner(), iter_chunks(video, spec),
                                     _context(video)))
             stats = engine.dispatch_stats_dict()
@@ -509,14 +616,15 @@ class _RecordingEngine:
 
 class TestUnhintedRamp:
     """A stream with no count hint ramps its batch: a pure function of how
-    many tasks went out, so every count below repeats exactly."""
+    many tasks went out, so every count below repeats exactly.  The rule
+    itself is ``TestBatchRule``'s; these hold the shell to it."""
 
-    def test_thirty_unhinted_chunks_go_out_in_eight_doubling_tasks(self):
+    def test_thirty_unhinted_chunks_go_out_in_eight_doubling_tasks(self, threaded):
         video = _walker_video(duration=900.0)
         runner, context = _runner(), _context(video)
         reference = _rows_of(SerialEngine().imap_chunks(
             runner, list(iter_chunks(video, THIRTY_CHUNKS)), context))
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             sizes = _task_sizes(engine)
             # The second stream ramps from one again; a hinted one on the
             # same engine is cut as it always was.
@@ -541,13 +649,13 @@ class TestUnhintedRamp:
                     assert [counts["chunks"] - earlier.get(shard, 0)
                             for shard, counts in stats["per_shard"].items()] == [15, 15]
 
-    def test_a_cold_store_backed_stream_is_the_same_eight_frames(self, tmp_path):
+    def test_a_cold_store_backed_stream_is_the_same_eight_frames(self, tmp_path, threaded):
         video = _walker_video(duration=900.0)
         runner, context = _runner(), _context(video)
         reference = [list(rows) for rows in runner.iter_chunk_rows(
             iter_chunks(video, THIRTY_CHUNKS), context)]
         store = TieredChunkCache(disk=tmp_path / "store")
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             sizes = _task_sizes(engine)
             recorder = _RecordingEngine(engine)
             rows = [list(rows) for rows in runner.iter_chunk_rows(
@@ -562,7 +670,8 @@ class TestUnhintedRamp:
         # The coordinator writes every entry; no shard opens the store.
         assert store.disk.writes == 30 and len(store.disk) == 30
 
-    def test_scattered_misses_stay_single_chunk_tasks_over_both_shards(self, tmp_path):
+    def test_scattered_misses_stay_single_chunk_tasks_over_both_shards(self, tmp_path,
+                                                                       threaded):
         video = _walker_video(duration=900.0)
         runner, context = _runner(), _context(video)
         chunks = list(iter_chunks(video, THIRTY_CHUNKS))
@@ -573,7 +682,7 @@ class TestUnhintedRamp:
             key = warm.key_for(runner, chunks[index], context)
             (warm.disk.directory / f"{key}.json").unlink()
         store = TieredChunkCache(disk=tmp_path / "store")  # cold memory tier
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             sizes = _task_sizes(engine)
             rows = [list(rows) for rows in runner.iter_chunk_rows(
                 iter(chunks), context, engine=engine, cache=store)]
@@ -583,68 +692,6 @@ class TestUnhintedRamp:
         assert sorted(shard["dispatches"] for shard in stats["per_shard"].values()) \
             == [1, 2]
         assert len(store.disk) == 30
-
-    def test_an_explicit_chunksize_is_never_ramped(self):
-        video = _walker_video(duration=900.0)
-        with ShardedEngine(2, chunksize=1) as engine:
-            sizes = _task_sizes(engine)
-            outcomes = list(engine.imap_chunks(
-                _runner(), iter_chunks(video, THIRTY_CHUNKS), _context(video)))
-            assert len(outcomes) == 30
-            assert _in_seq_order(sizes) == [1] * 30
-            assert engine.dispatch_stats.dispatches == 30
-
-    @pytest.mark.parametrize("shards, expected", [
-        # The batch doubles after every ``shards`` tasks, up to 8 chunks.
-        (1, [1, 2, 4] + [8] * 6 + [5]),
-        (2, [1, 1, 2, 2, 4, 4, 8, 8, 8, 8, 8, 6]),
-        (3, [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8, 8, 8, 7]),
-    ])
-    def test_a_ramp_never_exceeds_the_window(self, shards, expected):
-        video = _walker_video(duration=900.0)
-        spec = ChunkSpec(window=TimeInterval(0, 900), chunk_duration=15.0)
-        runner, context = _runner(), _context(video)
-        state = {"pulled": 0, "consumed": 0, "peak": 0}
-
-        def instrumented():
-            for chunk in iter_chunks(video, spec):
-                state["pulled"] += 1
-                state["peak"] = max(state["peak"],
-                                    state["pulled"] - state["consumed"])
-                yield chunk
-
-        with ShardedEngine(shards) as engine:
-            sizes = _task_sizes(engine)
-            for _ in engine.imap_chunks(runner, instrumented(), context):
-                state["consumed"] += 1
-        assert state["pulled"] == 60
-        assert state["peak"] <= 2 * shards * 8  # what 2 x shards tasks of 8 hold
-        assert _in_seq_order(sizes) == expected
-
-    def test_shard_crashed_mid_ramp_yields_the_serial_bytes(self):
-        from repro.core.faults import FaultKind, FaultPlan, FaultRule
-
-        video = _walker_video(duration=900.0)
-        runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().imap_chunks(
-            runner, list(iter_chunks(video, THIRTY_CHUNKS)), context))
-        plan = FaultPlan(rules=(FaultRule(site="transport.*.task",
-                                          kind=FaultKind.CRASH, after_seq=3),),
-                         seed=3, name="crash-mid-ramp")
-        injector = plan.injector()
-        with ShardedEngine(2, fault_injector=injector,
-                           heartbeat_interval=0.2) as engine:
-            sizes = _task_sizes(engine)
-            rows = _rows_of(engine.imap_chunks(
-                runner, iter_chunks(video, THIRTY_CHUNKS), context))
-            redispatched = engine.dispatch_stats.chunks - 30
-        assert repr(rows) == repr(reference)
-        assert [(event.kind, event.seq) for event in injector.fired] \
-            == [(FaultKind.CRASH, 3)]
-        # The ramp is a function of dispatch order: a death changes who runs
-        # a task, never how the stream was cut.
-        assert _in_seq_order(sizes) == [1, 1, 2, 2, 4, 4, 8, 8]
-        assert redispatched > 0
 
 
 #: The multi-process specs; ``process:N`` is ``sharded:N`` under an older name.
@@ -1011,9 +1058,9 @@ class TestShardStageTimes:
         assert [outcome["rows"] for outcome in frames[0]["outcomes"]] \
             == [outcome["rows"] for outcome in frames[1]["outcomes"]]
 
-    def test_coordinator_sums_stage_times_per_shard(self):
+    def test_coordinator_sums_stage_times_per_shard(self, threaded):
         video = _walker_video()
-        with ShardedEngine(2, chunksize=1) as engine:
+        with ShardedEngine(transports=threaded(2), chunksize=1) as engine:
             started = time.perf_counter()
             list(engine.imap_chunks(_runner(), iter_chunks(video, TEN_CHUNKS),
                                     _context(video)))
@@ -1041,12 +1088,25 @@ class TestShardStageTimes:
         assert stats.stages == {"loads": 3, "load_s": 1.5, "execute_s": 0.75}
 
 
+@functools.lru_cache(maxsize=None)
+def _small_scene(name: str):
+    """A scenario's small scene, its policy map and its query window, built
+    once for the two scenario sweeps below (neither mutates them)."""
+    if name in ("campus", "highway", "urban"):
+        scenario = build_scenario(name, scale=0.2, duration_hours=0.1)
+    else:
+        scenario = build_scenario(name, duration_hours=0.1)
+    return (scenario, scenario_policy_map(scenario, k_segments=1),
+            min(scenario.video.duration, 360.0))
+
+
 class TestShardedSystemParity:
-    def test_query_byte_identical_to_serial(self):
+    def test_query_byte_identical_to_serial(self, threaded):
         video = _walker_video()
         query = _count_query()
         reference = _build_system(video).execute(query)
-        with _build_system(video, engine="sharded:4") as system:
+        engine = ShardedEngine(transports=threaded(4))
+        with engine, _build_system(video, engine=engine) as system:
             result = system.execute(query)
             stats = system.engine_stats()
         assert result.raw_series_unsafe() == reference.raw_series_unsafe()
@@ -1057,12 +1117,7 @@ class TestShardedSystemParity:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_scenario_scene_byte_identical_to_serial(self, name, sharded_pool):
         """Every scenario scene: sharded releases == serial releases, exactly."""
-        if name in ("campus", "highway", "urban"):
-            scenario = build_scenario(name, scale=0.2, duration_hours=0.1)
-        else:
-            scenario = build_scenario(name, duration_hours=0.1)
-        policy_map = scenario_policy_map(scenario, k_segments=1)
-        window = min(scenario.video.duration, 360.0)
+        scenario, policy_map, window = _small_scene(name)
         query = (QueryBuilder(f"sharded-{name}")
                  .split(scenario.name, begin=0, end=window,
                         chunk_duration=30.0, mask="owner", into="chunks")
@@ -1085,9 +1140,18 @@ class TestShardedSystemParity:
 
 @pytest.fixture(scope="module")
 def sharded_pool():
-    """One persistent sharded engine reused across the scenario sweep."""
-    with ShardedEngine(2) as engine:
+    """One persistent engine on two in-process shards, with their own
+    payload table, reused across the scenario sweeps and the transport-seam
+    streams."""
+    factories = [_answering() for _ in range(2)]
+    with pytest.MonkeyPatch.context() as patch, \
+            ShardedEngine(transports=factories) as engine:
+        patch.setattr(engine_module, "_PAYLOAD_CACHE", {})
         yield engine
+    # shutdown() forgot every payload the streams above published.
+    assert engine._publisher._entries == {}
+    for spawn in factories:
+        _join_workers(spawn)
 
 
 class TestFaultInjection:
@@ -1109,59 +1173,32 @@ class TestFaultInjection:
         assert repr(_rows_of(outcomes)) == repr(reference)
         assert len(outcomes) == 20
 
-    def test_unresponsive_shard_times_out_and_work_is_reassigned(self):
-        video = _walker_video(num_walkers=8, duration=1200.0)
-        spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
-        runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().imap_chunks(
-            runner, list(iter_chunks(video, spec)), context))
-        # The victim is frozen before it ever speaks, so it is judged
-        # against startup_grace; the survivor is protected by the same
-        # grace while it imports, then by answering pings.
-        engine = ShardedEngine(2, chunksize=2, heartbeat_interval=0.05,
-                               heartbeat_timeout=0.3, startup_grace=2.0)
-        stopped = {}
-
-        def instrumented():
-            for chunk in iter_chunks(video, spec):
-                if chunk.index == 3 and not stopped:
-                    # By the fourth pull at least one task is dispatched but
-                    # the worker (still starting up) cannot have answered;
-                    # SIGSTOP freezes it mid-assignment.
-                    victim = _holding_work(engine)
-                    os.kill(victim.process.pid, signal.SIGSTOP)
-                    stopped["id"] = victim.id
-                yield chunk
-
-        with engine:
-            outcomes = list(engine.imap_chunks(runner, instrumented(), context))
-            assert repr(_rows_of(outcomes)) == repr(reference)
-            # The frozen shard was declared dead and its chunks redispatched.
-            assert stopped["id"] not in {shard.id for shard in engine._live_shards()}
-            assert engine.dispatch_stats.chunks > 20
-
     def test_a_push_to_a_frozen_shard_does_not_stall_the_coordinator(self):
         # A manifest larger than a socket buffer (a 1.8 MB mask) is pushed to
         # a started shard that stopped reading: what the socket does not
         # take waits on the transport, the other shard keeps being served,
-        # and the frozen one is declared dead and its task moves.
+        # and the frozen one is declared dead and its task moves.  The
+        # executable reads no frame, so the mask costs bytes, not time.
         video = _walker_video()
-        runner, context = _runner(), _context(video)
+        context = _context(video)
         dust = Mask("dust", tuple(BoundingBox(float(i % 1000), 700.0, 0.5, 0.5)
                                   for i in range(40000)))
         assert len(pickle.dumps(dust)) > 1_000_000
-        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS, mask=dust),
+        constant = SandboxRunner(ConstantExecutable(),
+                                 Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),)),
+                                 max_rows=5, timeout_seconds=5.0)
+        reference = _serial_rows(constant, iter_chunks(video, TEN_CHUNKS, mask=dust),
                                  context)
         result = {}
         with ShardedEngine(2, chunksize=1, heartbeat_interval=0.05,
-                           heartbeat_timeout=0.5) as engine:
-            list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
+                           heartbeat_timeout=0.3) as engine:
+            list(engine.imap_chunks(constant, iter_chunks(video, TEN_CHUNKS), context))
             frozen = engine._live_shards()[0]  # started: it answered a task
             os.kill(frozen.process.pid, signal.SIGSTOP)
 
             def drive():
                 result["rows"] = _rows_of(engine.imap_chunks(
-                    runner, iter_chunks(video, TEN_CHUNKS, mask=dust), context))
+                    constant, iter_chunks(video, TEN_CHUNKS, mask=dust), context))
 
             driver = threading.Thread(target=drive, daemon=True)
             driver.start()
@@ -1174,65 +1211,57 @@ class TestFaultInjection:
             assert frozen.id not in {shard.id for shard in engine._live_shards()}
         assert repr(result["rows"]) == repr(reference)
 
-    def test_busy_shard_answers_heartbeats_and_is_not_killed(self):
-        # A task that outlives heartbeat_timeout must read as *busy*, not
-        # *dead*: the worker answers pings from its read loop while the
-        # task executes on a separate thread, so nothing is killed and
-        # nothing is redispatched.
-        video = _walker_video(num_walkers=2, duration=360.0)
-        spec = ChunkSpec(window=TimeInterval(0, 360), chunk_duration=60.0)
-        schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
-        runner = SandboxRunner(SlowExecutable(simulated_runtime=0.0, real_sleep=0.4),
-                               schema, max_rows=5, timeout_seconds=30.0)
-        with ShardedEngine(2, chunksize=1, heartbeat_interval=0.05,
-                           heartbeat_timeout=0.2) as engine:
-            outcomes = list(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                               _context(video)))
-            assert len(outcomes) == 6
-            assert not any(outcome.fallback for outcome in outcomes)
-            assert len(engine._live_shards()) == 2   # nobody was declared dead
-            assert engine.dispatch_stats.chunks == 6  # nothing was redispatched
-
-    def test_dead_shards_are_replaced_on_the_next_stream(self):
+    def test_dead_shards_are_replaced_on_the_next_stream(self, threaded):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             first = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
                                                 context))
             for shard in engine._live_shards():
-                shard.process.kill()
-            for shard in engine._shards.values():
-                shard.process.wait()
+                shard.transport.kill()
             second = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
                                                  context))
             assert repr(second) == repr(first)
             assert len(engine._live_shards()) == 2
 
-    def test_all_shards_lost_raises_remote_shard_error(self):
-        video = _walker_video()
-        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
-        runner, context = _runner(), _context(video)
-        engine = ShardedEngine(2, max_task_retries=1)
 
-        def killing():
-            for chunk in iter_chunks(video, spec):
-                for shard in engine._live_shards():
-                    shard.process.kill()
-                yield chunk
-
-        with engine, pytest.raises(RemoteShardError):
-            list(engine.imap_chunks(runner, killing(), context))
-
-
-def _core(max_task_retries: int = 3) -> _Dispatch:
-    """A dispatch core with two live shards (0 and 1), heard from at t=0."""
-    core = _Dispatch(heartbeat_interval=0.5, heartbeat_timeout=10.0,
-                     startup_grace=60.0, max_task_retries=max_task_retries,
-                     task_timeout=None)
-    core.add_shard(0, 0.0)
-    core.add_shard(1, 0.0)
+def _core(max_task_retries: int = 3, *, shards: int = 2, **rules) -> _Dispatch:
+    """A dispatch core with live shards 0 .. ``shards - 1``, heard from at
+    t=0; ``rules`` override the engine's default timings."""
+    core = _Dispatch(**{"heartbeat_interval": 0.5, "heartbeat_timeout": 10.0,
+                        "startup_grace": 60.0, "max_task_retries": max_task_retries,
+                        "task_timeout": None, **rules})
+    for shard_id in range(shards):
+        core.add_shard(shard_id, 0.0)
     return core
+
+
+_OUTCOME = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}
+
+#: One chunk's spec, as a stream's batch carries it.
+_SPEC = [0, 0, 0.0, 30.0, 1, None, None]
+
+
+def _result(seq: int, chunks: int = 1) -> dict:
+    return {"type": "result", "seq": seq, "outcomes": [_OUTCOME] * chunks}
+
+
+def _tasks_sent(actions) -> list:
+    """``(shard, seq)`` of every task frame among ``actions``."""
+    return [(action[1], action[2]["seq"]) for action in actions
+            if action[0] == "send" and action[2]["type"] == "task"]
+
+
+def _kills(actions) -> list:
+    return [action[1] for action in actions if action[0] == "kill"]
+
+
+def _answer_pings(core, shard_id: int, actions, now: float) -> None:
+    """``shard_id`` answers, at ``now``, every ping among ``actions``."""
+    for action in actions:
+        if action[0] == "send" and action[1] == shard_id and action[2]["type"] == "ping":
+            core.frame(shard_id, {"type": "pong", "token": action[2]["token"]}, now)
 
 
 class TestDispatchCore:
@@ -1282,6 +1311,222 @@ class TestDispatchCore:
         assert [(action[1], action[2]["seq"]) for action in actions
                 if action[0] == "send" and action[2]["type"] == "task"] == [(1, 0)]
         assert core.tasks[0].attempts == 1 and 0 not in core.shards
+
+    def test_a_shard_is_judged_against_the_startup_grace_until_its_first_frame(self):
+        # Both shards are still importing when they are handed work, so the
+        # 2 s grace applies, not the 0.3 s timeout: the survivor's first
+        # frame starts it; the one frozen before it ever spoke is killed at
+        # the grace and its task moves.
+        core = _core(heartbeat_interval=0.05, heartbeat_timeout=0.3, startup_grace=2.0)
+        stream = core.open_stream()
+        assert _tasks_sent(core.batch(stream, [_SPEC] * 2, "unused", 5, 0.0)) == [(0, 0)]
+        assert _tasks_sent(core.batch(stream, [_SPEC] * 2, "unused", 5, 0.0)) == [(1, 1)]
+        assert core.frame(1, _result(1, 2), 1.0) == [("ready", 1, 1, None)]
+        assert _kills(core.tick(1.99)) == []
+        actions = core.tick(2.0)
+        assert _kills(actions) == [0] and _tasks_sent(actions) == [(1, 0)]
+        assert core.frame(1, _result(0, 2), 2.25) == [("ready", 0, 1, None)]
+        done, failure = core.collect(stream)
+        assert [len(outcomes) for outcomes in done] == [2, 2] and failure is None
+        # Started, the survivor answers to heartbeat_timeout: handed work at
+        # 3 s, it is dead at 3.3 s.
+        core.batch(stream, [_SPEC], "unused", 5, 3.0)
+        assert _kills(core.tick(3.29)) == [] and _kills(core.tick(3.3)) == [1]
+
+    def test_a_busy_shard_answering_pings_lives_and_a_silent_one_dies(self):
+        # Both hold a task longer than heartbeat_timeout.  Shard 0 answers
+        # every ping, as a worker's read loop does while its task executes:
+        # it is busy, never killed.  Shard 1 answers none: it is dead at
+        # 0.2 s, and its task moves to the busy one.
+        core = _core(heartbeat_interval=0.05, heartbeat_timeout=0.2)
+        for shard_id in (0, 1):
+            core.frame(shard_id, {"type": "pong", "token": None}, 0.0)
+        stream = core.open_stream()
+        core.batch(stream, [_SPEC], "unused", 5, 0.0)
+        core.batch(stream, [_SPEC], "unused", 5, 0.0)
+        kills, moved = {}, []
+        for step in range(1, 21):
+            now = step / 20
+            actions = core.tick(now)
+            kills.update((shard_id, now) for shard_id in _kills(actions))
+            moved += _tasks_sent(actions)
+            _answer_pings(core, 0, actions, now)
+        assert kills == {1: 0.2} and moved == [(0, 1)]
+        assert core.frame(0, _result(0), 1.0) == [("ready", 0, 0, None)]
+        assert core.frame(0, _result(1), 1.0) == [("ready", 1, 0, None)]
+        assert [len(outcomes) for outcomes in core.collect(stream)[0]] == [1, 1]
+
+    def test_a_task_is_sent_at_most_one_plus_max_task_retries_times(self):
+        core = _core(max_task_retries=1)
+        stream = core.open_stream()
+        assert _tasks_sent(core.batch(stream, [_SPEC], "unused", 5, 0.0)) == [(0, 0)]
+        core.add_shard(2, 0.0)  # a refill: a live shard is always there to retry on
+        assert _tasks_sent(core.eof(0, 1.0)) == [(1, 0)]
+        actions = core.eof(1, 2.0)
+        assert _tasks_sent(actions) == [] and actions[-1][:2] == ("failed", 0)
+        assert "task 0 failed 2 times; last shard 1: shard died" in actions[-1][2]
+        assert core.collect(stream) == ([], actions[-1][2])
+        assert core.tasks == {} and core.shards[2].pending == {}
+
+    def test_a_task_fails_once_no_live_shard_remains(self):
+        core = _core()
+        stream = core.open_stream()
+        core.batch(stream, [_SPEC], "unused", 5, 0.0)
+        assert _tasks_sent(core.eof(0, 1.0)) == [(1, 0)]
+        reason = "no live shards remain to run task 0 (attempt 3)"
+        assert core.eof(1, 2.0) == [("kill", 1), ("failed", 0, reason)]
+        assert core.collect(stream) == ([], reason)
+
+    def test_task_timeout_moves_a_task_whose_frame_was_lost(self):
+        # The task frame to shard 0 vanished in transit: the shard is
+        # healthy and answers pings, so only task_timeout moves the task;
+        # the original's late answer is then a duplicate, dropped.
+        core = _core(heartbeat_interval=0.25, task_timeout=1.0)
+        stream = core.open_stream()
+        assert _tasks_sent(core.batch(stream, [_SPEC], "unused", 5, 0.0)) == [(0, 0)]
+        for step in range(1, 4):
+            now = step / 4
+            actions = core.tick(now)
+            assert _tasks_sent(actions) == [] and _kills(actions) == []
+            _answer_pings(core, 0, actions, now)
+        assert core.deadline() <= 1.0
+        actions = core.tick(1.0)
+        assert _tasks_sent(actions) == [(1, 0)] and _kills(actions) == []
+        assert core.frame(1, _result(0), 1.5) == [("ready", 0, 1, None)]
+        assert core.frame(0, _result(0), 1.75) == []
+        assert 0 in core.shards and core.tasks == {}
+        assert [len(outcomes) for outcomes in core.collect(stream)[0]] == [1]
+
+    def test_a_delayed_result_holds_back_no_other_shard(self):
+        # Shard 0's first result is held back a second (a DELAY fault); the
+        # other three tasks of the window land meanwhile and wait, parked,
+        # behind the stream's head.
+        core = _core()
+        stream = core.open_stream()
+        for _ in range(4):
+            core.batch(stream, [_SPEC], "unused", 5, 0.0)
+        assert [task.shard_id for task in core.tasks.values()] == [0, 1, 0, 1]
+        assert core.frame(0, {"type": "delayed", "delay": 1.0, "frame": _result(0)},
+                          0.25) == []
+        for seq, shard_id in ((1, 1), (2, 0), (3, 1)):
+            assert core.frame(shard_id, _result(seq), 0.5) == [("ready", seq, shard_id, None)]
+        assert core.waiting(stream) and core.collect(stream) == ([], None)
+        assert core.deadline() <= 1.25
+        assert [action for action in core.tick(1.25) if action[0] != "send"] \
+            == [("ready", 0, 0, None)]
+        done, failure = core.collect(stream)
+        assert len(done) == 4 and failure is None and not core.waiting(stream)
+
+    def test_a_failure_is_raised_by_its_own_stream(self):
+        core = _core(max_task_retries=0)
+        first, second = core.open_stream(), core.open_stream()
+        core.batch(first, [_SPEC], "unused", 5, 0.0)
+        core.batch(second, [_SPEC], "unused", 5, 0.0)
+        (failed,) = core.frame(0, {"type": "error", "seq": 0, "message": "boom"}, 1.0)
+        assert failed[:2] == ("failed", 0) and failed[2].endswith("boom")
+        assert core.frame(1, _result(1), 1.0) == [("ready", 1, 1, None)]
+        # The second stream collects its own outcome and never sees the
+        # first stream's failure, which stays parked for its owner.
+        done, failure = core.collect(second)
+        assert len(done) == 1 and failure is None and not core.waiting(second)
+        assert core.collect(first) == ([], failed[2])
+
+    def test_a_lost_shards_tasks_move_to_the_survivor_in_seq_order(self):
+        # A worker crashes right after accepting a task (a CRASH fault at
+        # its seq): what it held is sent again, oldest first, and the
+        # stream still collects every seq in dispatch order.
+        core = _core()
+        stream = core.open_stream()
+        for _ in range(4):
+            core.batch(stream, [_SPEC], "unused", 5, 0.0)
+        actions = core.eof(0, 1.0)
+        assert _kills(actions) == [0] and _tasks_sent(actions) == [(1, 0), (1, 2)]
+        for seq in range(4):
+            core.frame(1, _result(seq), 2.0)
+        done, failure = core.collect(stream)
+        assert len(done) == 4 and failure is None
+
+
+def _drive(shards: int, chunks: int, *, chunksize: int | None = None,
+           count_hint: int | None = None, lose: int | None = None):
+    """Run a ``chunks``-chunk stream through ``remote._next_batch`` and a
+    core as ``ShardedEngine._imap`` does: fill the window, then let the head
+    seq's shard answer.  ``lose``: the seq after whose dispatch its shard's
+    stream ends.  Returns the task sizes in seq order, the most chunks ever
+    in flight, and how many task frames went out."""
+    core = _core(shards=shards)
+    stream = core.open_stream()
+    sizes, in_flight, peak, frames = [], 0, 0, 0
+    while chunks or in_flight:
+        while chunks and (size := remote._next_batch(len(sizes), in_flight, shards,
+                                                     chunksize, count_hint)):
+            size = min(size, chunks)
+            frames += len(_tasks_sent(core.batch(stream, [_SPEC] * size, "unused", 5, 0.0)))
+            sizes.append(size)
+            chunks -= size
+            in_flight += size
+            peak = max(peak, in_flight)
+            if len(sizes) - 1 == lose:
+                frames += len(_tasks_sent(core.eof(core.tasks[lose].shard_id, 0.0)))
+        head = core.tasks[min(core.tasks)]
+        core.frame(head.shard_id, _result(head.seq, len(head.specs)), 0.0)
+        done, failure = core.collect(stream)
+        assert failure is None
+        in_flight -= sum(len(outcomes) for outcomes in done)
+    return sizes, peak, frames
+
+
+class TestBatchRule:
+    """``remote._next_batch``: how many chunks a stream's next task takes,
+    and when its window is full — a function of the tasks sent and the
+    chunks in flight, never of time, so every count below repeats exactly."""
+
+    def test_an_unhinted_batch_doubles_after_every_shards_tasks_up_to_eight(self):
+        for shards, expected in ((1, [1, 2, 4, 8, 8, 8]),
+                                 (2, [1, 1, 2, 2, 4, 4, 8, 8, 8, 8]),
+                                 (3, [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8])):
+            assert [remote._next_batch(sent, 0, shards, None, None)
+                    for sent in range(len(expected))] == expected
+        # A hint of no chunks is no hint.
+        assert remote._next_batch(0, 0, 2, None, 0) == 1
+
+    def test_a_hint_or_a_chunksize_fixes_the_batch(self):
+        for sent in (0, 1, 5, 50):
+            # A hint cuts at count_hint // (4 x shards), one to eight ...
+            assert remote._next_batch(sent, 0, 2, None, 30) == 3
+            assert remote._next_batch(sent, 0, 2, None, 3) == 1
+            assert remote._next_batch(sent, 0, 2, None, 10_000) == 8
+            # ... and an explicit chunksize overrides any hint.
+            assert remote._next_batch(sent, 0, 2, 5, 30) == 5
+        sizes, _, _ = _drive(2, 30, chunksize=1)
+        assert sizes == [1] * 30
+
+    def test_a_window_holds_two_tasks_per_shard(self):
+        # At most 2 x shards x batch chunks are dispatched but not yet yielded.
+        assert remote._next_batch(0, 6, 2, 2, None) == 2
+        assert remote._next_batch(0, 7, 2, 2, None) == 0
+        assert remote._next_batch(6, 24, 2, None, None) == 8
+        assert remote._next_batch(6, 25, 2, None, None) == 0
+        sizes, peak, _ = _drive(2, 20, chunksize=2)
+        assert sizes == [2] * 10 and peak == 8
+
+    @pytest.mark.parametrize("shards, expected", [
+        # The batch doubles after every ``shards`` tasks, up to 8 chunks.
+        (1, [1, 2, 4] + [8] * 6 + [5]),
+        (2, [1, 1, 2, 2, 4, 4, 8, 8, 8, 8, 8, 6]),
+        (3, [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8, 8, 8, 7]),
+    ])
+    def test_a_ramp_never_exceeds_the_window(self, shards, expected):
+        sizes, peak, _ = _drive(shards, 60)
+        assert sizes == expected
+        assert peak <= 2 * shards * 8  # what 2 x shards tasks of 8 hold
+
+    def test_a_shard_lost_mid_ramp_changes_no_task_size(self):
+        # The ramp is a function of dispatch order: a death changes who runs
+        # a task, never how the stream was cut.
+        sizes, _, frames = _drive(2, 30, lose=3)
+        assert sizes == [1, 1, 2, 2, 4, 4, 8, 8]
+        assert frames > len(sizes)  # what the lost shard held went out again
 
 
 #: What the generated histories are made of: (kind, a, b) events, resolved
@@ -1464,7 +1709,6 @@ class TestPayloadHoldings:
             assert {ref for task in in_flight for ref in (*_MANIFESTS[task], task)} <= worker
 
 
-_OUTCOME = {"rows": [{"kind": "a", "dy": 1.0}], "fallback": False}
 _SIX_ROWS = {"rows": [{"kind": "a", "dy": 1.0}] * 6, "fallback": False}
 
 _NOT_AN_OUTCOME = 'outcome 1 is not {"rows": [object, ...], "fallback": bool}'
@@ -1531,73 +1775,13 @@ class TestResultShape:
         assert core.collect(stream) == ([], action[2])
 
 
-@pytest.fixture
-def in_process_shard(monkeypatch) -> None:
-    """This process plays a shard: its payload table starts empty and is
-    thrown away afterwards."""
-    monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE", {})
-
-
-def _hold(message) -> None:
-    """Keep a ``payload`` frame in this process, in the module's own table, as
-    a worker's read loop does."""
-    engine_module._hold_payload(message["ref"], base64.b64decode(message["data"]),
-                                message["drop"])
-
-
-def _scripted_worker(reply):
-    """A transport factory whose far end is a thread standing in for a
-    worker: it keeps pushed payloads, answers pings and, after each task
-    frame, sends whatever bytes ``reply(tasks so far)`` returns, in one
-    ``sendall``.  ``spawn.threads`` keeps every thread it started, so that a
-    test can join them (:func:`_join_workers`) once its engine is shut down."""
-
-    def spawn() -> SocketTransport:
-        ours, theirs = socket.socketpair()
-
-        def play() -> None:
-            tasks = []
-            with theirs, theirs.makefile("rb") as rfile:
-                try:
-                    while (message := read_frame(rfile)) is not None:
-                        if message["type"] == "ping":
-                            theirs.sendall(encode_frame(
-                                {"type": "pong", "token": message["token"]}))
-                        elif message["type"] == "payload":
-                            _hold(message)
-                        elif message["type"] == "task":
-                            tasks.append(message)
-                            theirs.sendall(reply(tasks))
-                        elif message["type"] == "shutdown":
-                            return
-                except OSError:
-                    return  # the coordinator killed the connection
-
-        thread = threading.Thread(target=play, daemon=True)
-        spawn.threads.append(thread)
-        thread.start()
-        return SocketTransport(ours, "scripted")
-
-    spawn.threads = []
-    return spawn
-
-
-def _join_workers(spawn) -> None:
-    """Join every thread a scripted worker started: each must end with the
-    engine that used it, not run on into the next test."""
-    assert spawn.threads, "no scripted worker was spawned"
-    for thread in spawn.threads:
-        thread.join(timeout=30.0)
-        assert not thread.is_alive(), "a scripted worker outlived its engine"
-
-
 TWO_CHUNKS = ChunkSpec(window=TimeInterval(0, 120), chunk_duration=60.0)
 
 
 class TestTheOneWait:
     """The shell: one wait over every shard socket, and no thread per shard."""
 
-    def test_two_results_in_one_recv_are_both_applied(self):
+    def test_two_results_in_one_recv_are_both_applied(self, in_process_shard):
         # Both results leave in one sendall, so they arrive in one recv; a
         # shell that read one frame per readiness would strand the second in
         # its buffer and, with pings an hour apart, never finish.
@@ -1623,7 +1807,8 @@ class TestTheOneWait:
         ([{"kind": "person", "dy": 1.0}] * 6, "over max_rows=5"),
         ([1, 2], "is not "),
     ], ids=["max_rows_plus_one", "row_not_object"])
-    def test_refused_rows_never_reach_the_store(self, rows, reason, tmp_path):
+    def test_refused_rows_never_reach_the_store(self, rows, reason, tmp_path,
+                                                in_process_shard):
         # A worker answering rows the core refuses is handled like an error
         # frame on every retry; the stream fails and nothing is stored.
         video = _walker_video()
@@ -1644,67 +1829,31 @@ class TestTheOneWait:
         _join_workers(worker)
         assert store.disk.writes == 0 and len(store) == 0
 
-    def test_the_coordinator_runs_no_thread_per_shard(self):
+    def test_the_coordinator_runs_no_thread_per_shard(self, threaded):
         # However many shards, a running stream starts no thread at all
-        # (threads of earlier tests may end meanwhile; none may begin).
+        # (threads of earlier tests may end meanwhile; none may begin) but
+        # the in-process workers' own.
         video = _walker_video()
         runner, context = _runner(), _context(video)
         for shards in (1, 3):
+            factories = threaded(shards)
             before = set(threading.enumerate())
-            with ShardedEngine(shards, chunksize=1) as engine:
+            with ShardedEngine(transports=factories, chunksize=1) as engine:
                 stream = engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context)
                 next(stream)  # every shard spawned, the stream mid-flight
-                started = set(threading.enumerate()) - before
-                assert len(list(stream)) == 9
+                workers = {thread for spawn in factories for thread in spawn.threads}
+                started = set(threading.enumerate()) - before - workers
+                assert len(workers) == shards and len(list(stream)) == 9
             assert [thread.name for thread in started] == []
-
-    def test_a_delayed_result_holds_back_no_other_shard(self):
-        from repro.core.faults import FaultKind, FaultPlan, FaultRule
-
-        video = _walker_video()
-        schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
-        runner = SandboxRunner(SlowExecutable(simulated_runtime=0.0, real_sleep=0.05),
-                               schema, max_rows=5, timeout_seconds=30.0)
-        context = _context(video)
-        # The warm-up stream's four tasks alternate over the two shards, so
-        # shard 0's third result is the measured stream's first from it.
-        plan = FaultPlan(rules=(FaultRule(site="transport.worker0.result",
-                                          kind=FaultKind.DELAY, at=(2,), delay=1.0),))
-        injector = plan.injector()
-        applied = []  # (when, shard, seq) of every result the core applied
-        with ShardedEngine(2, chunksize=1, fault_injector=injector) as engine:
-            warm_up = ChunkSpec(window=TimeInterval(0, 240), chunk_duration=60.0)
-            assert len(list(engine.imap_chunks(runner, iter_chunks(video, warm_up),
-                                               context))) == 4
-            apply = engine._apply
-
-            def recording(actions):
-                applied.extend((time.monotonic(), action[2], action[1])
-                               for action in actions if action[0] == "ready")
-                apply(actions)
-
-            engine._apply = recording
-            outcomes = list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
-                                               context))
-        assert len(outcomes) == 10 and not any(outcome.fallback for outcome in outcomes)
-        (event,) = injector.fired
-        assert event.kind is FaultKind.DELAY
-        delivered = next(when for when, _, seq in applied if seq == event.seq)
-        # While shard 0's result was held back, the rest of the window (2 x
-        # shards tasks of one) landed: shard 1's tasks and shard 0's next.
-        early = [(seq, shard) for when, shard, seq in applied
-                 if when < delivered - 0.5]
-        assert sorted(early) == [(event.seq + 1, 1), (event.seq + 2, 0),
-                                 (event.seq + 3, 1)]
 
 
 class TestCoordinatorOwnsTheStore:
-    def test_a_repeat_sweep_is_served_by_the_coordinator_store(self, tmp_path):
+    def test_a_repeat_sweep_is_served_by_the_coordinator_store(self, tmp_path, threaded):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
         store = DiskChunkStore(tmp_path / "store")
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             first = [list(rows) for rows in runner.iter_chunk_rows(
                 iter_chunks(video, spec), context, engine=engine, cache=store)]
             assert store.writes == 10 and len(store) == 10
@@ -1714,12 +1863,13 @@ class TestCoordinatorOwnsTheStore:
             assert engine.dispatch_stats.chunks == sent  # every chunk a hit
         assert repr(second) == repr(first)
 
-    def test_the_coordinator_writes_every_entry(self, tmp_path):
+    def test_the_coordinator_writes_every_entry(self, tmp_path, threaded):
         video = _walker_video()
         store_dir = tmp_path / "store"
         reference = _build_system(video, cache="memory").execute(_count_query())
-        with _build_system(video, engine="sharded:2",
-                           cache=f"tiered:{store_dir}") as system:
+        engine = ShardedEngine(transports=threaded(2))
+        with engine, _build_system(video, engine=engine,
+                                   cache=f"tiered:{store_dir}") as system:
             result = system.execute(_count_query())
             stats = system.cache_stats()
         assert result.raw_series_unsafe() == reference.raw_series_unsafe()
@@ -1731,11 +1881,11 @@ class TestCoordinatorOwnsTheStore:
 
 
 class TestResilienceControls:
-    def test_health_reflects_pool_lifecycle(self):
+    def test_health_reflects_pool_lifecycle(self, threaded):
         video = _walker_video()
         spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             health = engine.health()
             # A lazy pool that has never spawned is empty but NOT degraded.
             assert health == {"engine": "sharded", "num_shards": 2,
@@ -1746,27 +1896,25 @@ class TestResilienceControls:
             assert health["started"] and health["live_shards"] == 2
             assert not health["degraded"]
             for shard in engine._live_shards():
-                shard.process.kill()
-            for shard in engine._shards.values():
-                shard.process.wait()
+                shard.transport.kill()
             assert engine.health()["degraded"]
 
-    def test_a_refusing_slot_is_retried_at_every_stream_start(self):
+    def test_a_refusing_slot_is_retried_at_every_stream_start(self, threaded):
         # Each stream start that finds the slot empty calls its factory once;
         # a refusal warns and leaves the stream to the surviving shard.
         video = _walker_video()
         runner, context = _runner(), _context(video)
         reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
+        first, second = threaded(2)
         calls = []
 
         def refuses_five_times():
             calls.append(len(calls))
             if len(calls) <= 5:
                 raise ConnectionRefusedError(f"refusal {len(calls)}")
-            return SocketTransport.spawn()
+            return second()
 
-        with ShardedEngine(transports=[SocketTransport.spawn,
-                                       refuses_five_times]) as engine:
+        with ShardedEngine(transports=[first, refuses_five_times]) as engine:
             for stream in range(1, 6):
                 with pytest.warns(RuntimeWarning) as caught:
                     rows = _rows_of(engine.imap_chunks(
@@ -1798,38 +1946,17 @@ class TestResilienceControls:
 
     @pytest.mark.parametrize("variable", ["PRIVID_HEARTBEAT_TIMEOUT", "PRIVID_STARTUP_GRACE"])
     def test_only_the_arguments_set_heartbeat_pacing(self, monkeypatch, variable):
+        # The core alone reads the pacing; the shell keeps no copy of it.
         monkeypatch.setenv(variable, "3.5")
         engine = ShardedEngine(2)
-        assert (engine.heartbeat_timeout, engine.startup_grace) == (10.0, 60.0)
+        assert (engine._core.heartbeat_timeout, engine._core.startup_grace) == (10.0, 60.0)
         engine.shutdown()
         engine = ShardedEngine(2, heartbeat_timeout=1.25, startup_grace=7.0)
-        assert (engine.heartbeat_timeout, engine.startup_grace) == (1.25, 7.0)
+        assert (engine._core.heartbeat_timeout, engine._core.startup_grace) == (1.25, 7.0)
+        assert not hasattr(engine, "heartbeat_timeout") and not hasattr(engine, "startup_grace")
         engine.shutdown()
 
-    def test_dropped_task_frame_recovers_via_task_timeout(self):
-        # A DROP_FRAME on the task path is the pure stall: the shard is
-        # healthy and answers pings, but the seq would park forever.  Only
-        # the task_timeout sweep redispatches it — and at-most-once result
-        # application keeps the recovery byte-identical.
-        from repro.core.faults import FaultKind, FaultPlan, FaultRule
-
-        video = _walker_video()
-        spec = ChunkSpec(window=TimeInterval(0, 600), chunk_duration=60.0)
-        runner, context = _runner(), _context(video)
-        reference = _rows_of(SerialEngine().imap_chunks(
-            runner, list(iter_chunks(video, spec)), context))
-        plan = FaultPlan(rules=(FaultRule(site="transport.*.task",
-                                          kind=FaultKind.DROP_FRAME, at=(1,)),),
-                         seed=3, name="stall")
-        injector = plan.injector()
-        with ShardedEngine(2, chunksize=1, fault_injector=injector,
-                           task_timeout=1.0, heartbeat_interval=0.2) as engine:
-            rows = _rows_of(engine.imap_chunks(runner, iter_chunks(video, spec),
-                                               context))
-        assert repr(rows) == repr(reference)
-        assert any(event.kind is FaultKind.DROP_FRAME for event in injector.fired)
-
-    def test_crash_at_seq_replays_deterministically(self):
+    def test_crash_at_seq_replays_deterministically(self, threaded):
         # Same plan + same seed: the crash fires at the same protocol seq on
         # every run, and the stream stays byte-identical to serial.
         from repro.core.faults import FaultKind, FaultPlan, FaultRule
@@ -1845,17 +1972,16 @@ class TestResilienceControls:
         fired = []
         for _ in range(2):
             injector = plan.injector()
-            with ShardedEngine(2, chunksize=1, fault_injector=injector,
-                               heartbeat_interval=0.2) as engine:
+            with ShardedEngine(transports=threaded(2), chunksize=1,
+                               fault_injector=injector, heartbeat_interval=0.2) as engine:
                 rows = _rows_of(engine.imap_chunks(
                     runner, iter_chunks(video, spec), context))
             assert repr(rows) == repr(reference)
             fired.append([(event.kind, event.seq) for event in injector.fired])
         assert fired[0] == fired[1] == [(FaultKind.CRASH, 5)]
 
-
     def test_a_replacement_shard_is_pushed_exactly_what_its_first_task_names(
-            self, pushed):
+            self, pushed, threaded):
         # A CRASH after seq 3 kills a worker mid-stream; the next query's
         # stream start refills its slot with a worker that holds nothing.
         from repro.core.faults import FaultKind, FaultPlan, FaultRule
@@ -1866,8 +1992,8 @@ class TestResilienceControls:
                                           kind=FaultKind.CRASH, after_seq=3),),
                          seed=3, name="crash-at-3")
         injector = plan.injector()
-        engine = ShardedEngine(2, chunksize=1, fault_injector=injector,
-                               heartbeat_interval=0.2)
+        engine = ShardedEngine(transports=threaded(2), chunksize=1,
+                               fault_injector=injector, heartbeat_interval=0.2)
         serial = _build_system(video)
         with engine, _build_system(video, engine=engine) as system:
             for _ in range(2):
@@ -1889,22 +2015,23 @@ class TestResilienceControls:
         assert all(frame[0] == "task" for frame in frames[first_task:])
 
     def test_a_payload_over_the_frame_bound_fails_the_stream_by_name(
-            self, monkeypatch):
+            self, monkeypatch, threaded):
         video = _walker_video(num_walkers=20, duration=1700.0)
         runner, context = _runner(), _context(video)
         # Room for the manifest's frame and every result, not for the part's.
         part = len(pickle.dumps(video))
         assert part > 3 * 1196
         monkeypatch.setattr(remote, "MAX_FRAME_BYTES", 4 * -(-part // 3))
-        with ShardedEngine(2) as engine:
+        with ShardedEngine(transports=threaded(2)) as engine:
             with pytest.raises(RemoteShardError,
                                match=r"needs a \d+-byte frame, over MAX_FRAME_BYTES="):
                 list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
             assert engine.dispatch_stats.pushes == 0
         query = _count_query()
         reference = _build_system(video).execute(query, charge_budget=False)
-        with PrividSystem(seed=5, engine="sharded:2",
-                          on_engine_failure="serial_fallback") as system:
+        engine = ShardedEngine(transports=threaded(2))
+        with engine, PrividSystem(seed=5, engine=engine,
+                                  on_engine_failure="serial_fallback") as system:
             system.register_camera("cam", video,
                                    policy=PrivacyPolicy(rho=30.0, k_segments=1),
                                    epsilon_budget=100.0)
@@ -2005,43 +2132,34 @@ class TestShardsAreReleased:
         assert repr(rows) == repr(reference)
 
 
-@pytest.fixture(scope="module")
-def seam_pool():
-    """One engine built on the ``transports=`` seam: two spawn factories."""
-    with ShardedEngine(transports=[SocketTransport.spawn] * 2) as engine:
-        yield engine
-    # shutdown() forgot every payload the streams above published.
-    assert engine._publisher._entries == {}
-
-
 class TestTransportSeam:
     """An engine given its transport factories (``transports=``) runs like
     ``sharded:N``: byte-identical to serial, payloads pushed once per shard,
     each dead slot refilled from its own factory."""
 
-    def test_stream_byte_identical_to_serial(self, seam_pool):
+    def test_stream_byte_identical_to_serial(self, sharded_pool):
         video = _walker_video()
         runner, context = _runner(), _context(video)
         reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
-        rows = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+        rows = _rows_of(sharded_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
                                               context))
         assert repr(rows) == repr(reference)
 
-    def test_repeat_stream_reuses_the_pushed_payloads(self, seam_pool,
+    def test_repeat_stream_reuses_the_pushed_payloads(self, sharded_pool,
                                                       footage_pickles):
         video = _walker_video()
         runner, context = _runner(), _context(video)
-        before = seam_pool.dispatch_stats_dict()
-        first = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+        before = sharded_pool.dispatch_stats_dict()
+        first = _rows_of(sharded_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
                                                context))
-        published = _published(seam_pool)
-        middle = seam_pool.dispatch_stats_dict()
-        second = _rows_of(seam_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
+        published = _published(sharded_pool)
+        middle = sharded_pool.dispatch_stats_dict()
+        second = _rows_of(sharded_pool.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
                                                 context))
-        after = seam_pool.dispatch_stats_dict()
+        after = sharded_pool.dispatch_stats_dict()
         assert repr(first) == repr(second)
         assert footage_pickles == [video.name]
-        assert _published(seam_pool) == published
+        assert _published(sharded_pool) == published
         assert {name: after[name] - before[name] for name in
                 ("broadcasts", "broadcast_reuses")} \
             == {"broadcasts": 2, "broadcast_reuses": 2}
@@ -2051,16 +2169,11 @@ class TestTransportSeam:
         assert after["pushes"] == middle["pushes"]
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    def test_scenario_scene_warm_rerun_is_served_by_the_store(self, name, seam_pool,
+    def test_scenario_scene_warm_rerun_is_served_by_the_store(self, name, sharded_pool,
                                                               tmp_path):
         """Every scenario scene: the cold sweep equals serial, and a repeat
         is answered from the coordinator's store with no chunk dispatched."""
-        if name in ("campus", "highway", "urban"):
-            scenario = build_scenario(name, scale=0.2, duration_hours=0.1)
-        else:
-            scenario = build_scenario(name, duration_hours=0.1)
-        policy_map = scenario_policy_map(scenario, k_segments=1)
-        window = min(scenario.video.duration, 360.0)
+        scenario, policy_map, window = _small_scene(name)
         query = (QueryBuilder(f"seam-{name}")
                  .split(scenario.name, begin=0, end=window,
                         chunk_duration=30.0, mask="owner", into="chunks")
@@ -2072,26 +2185,25 @@ class TestTransportSeam:
                  .build())
         systems = {}
         for label, engine, cache in (("serial", None, None),
-                                     ("seam", seam_pool, f"tiered:{tmp_path}")):
+                                     ("seam", sharded_pool, f"tiered:{tmp_path}")):
             systems[label] = PrividSystem(seed=11, engine=engine, cache=cache)
             register_scenario_camera(systems[label], scenario, policy_map=policy_map,
                                      epsilon_budget=100.0, sample_period=1.0)
         reference = systems["serial"].execute(query, charge_budget=False)
         cold = systems["seam"].execute(query, charge_budget=False)
-        sent = seam_pool.dispatch_stats.chunks
+        sent = sharded_pool.dispatch_stats.chunks
         warm = systems["seam"].execute(query, charge_budget=False)
-        assert seam_pool.dispatch_stats.chunks == sent
+        assert sharded_pool.dispatch_stats.chunks == sent
         assert repr(cold.raw_series_unsafe()) == repr(reference.raw_series_unsafe())
         assert repr(cold.series()) == repr(reference.series())
         assert repr(warm.raw_series_unsafe()) == repr(reference.raw_series_unsafe())
 
-    def test_a_transport_killed_mid_sweep_is_byte_identical(self):
+    def test_a_transport_killed_mid_sweep_is_byte_identical(self, threaded):
         video = _walker_video(num_walkers=8, duration=1200.0)
         spec = ChunkSpec(window=TimeInterval(0, 1200), chunk_duration=60.0)
         runner, context = _runner(), _context(video)
         reference = _serial_rows(runner, iter_chunks(video, spec), context)
-        with ShardedEngine(transports=[SocketTransport.spawn] * 3,
-                           chunksize=1) as engine:
+        with ShardedEngine(transports=threaded(3), chunksize=1) as engine:
             stream = engine.imap_chunks(runner, iter_chunks(video, spec), context)
             outcomes = [next(stream)]
             victim = _holding_work(engine) or engine._live_shards()[0]
@@ -2100,18 +2212,19 @@ class TestTransportSeam:
         assert repr(_rows_of(outcomes)) == repr(reference)
         assert len(outcomes) == 20
 
-    def test_each_dead_slot_is_refilled_from_its_own_factory(self):
+    def test_each_dead_slot_is_refilled_from_its_own_factory(self, threaded):
         video = _walker_video()
         runner, context = _runner(), _context(video)
         calls = []
 
-        def factory(slot):
-            def spawn():
+        def factory(slot, spawn):
+            def counted():
                 calls.append(slot)
-                return SocketTransport.spawn()
-            return spawn
+                return spawn()
+            return counted
 
-        with ShardedEngine(transports=[factory(0), factory(1)]) as engine:
+        with ShardedEngine(transports=[factory(slot, spawn) for slot, spawn
+                                       in enumerate(threaded(2))]) as engine:
             first = _rows_of(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS),
                                                 context))
             for shard in engine._live_shards():
@@ -2122,7 +2235,7 @@ class TestTransportSeam:
         assert sorted(calls) == [0, 0, 1, 1]
         assert repr(second) == repr(first)
 
-    def test_an_unreachable_slot_leaves_the_stream_to_the_others(self):
+    def test_an_unreachable_slot_leaves_the_stream_to_the_others(self, threaded):
         video = _walker_video()
         runner, context = _runner(), _context(video)
         reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
@@ -2130,7 +2243,7 @@ class TestTransportSeam:
         def refusing():
             raise ConnectionRefusedError("slot 1 has no worker")
 
-        with ShardedEngine(transports=[SocketTransport.spawn, refusing]) as engine:
+        with ShardedEngine(transports=[*threaded(1), refusing]) as engine:
             with pytest.warns(RuntimeWarning, match="slot 1 is unreachable"):
                 rows = _rows_of(engine.imap_chunks(
                     runner, iter_chunks(video, TEN_CHUNKS), context))
@@ -2139,7 +2252,7 @@ class TestTransportSeam:
         assert health["live_shards"] == 1 and health["degraded"]
 
     @pytest.mark.parametrize("slots", [1, 2, 3])
-    def test_every_slot_is_opened_once_and_given_work(self, slots):
+    def test_every_slot_is_opened_once_and_given_work(self, slots, threaded):
         # The first stream start fills each slot from its own factory, and the
         # least-loaded hand-out gives every shard a task; a second stream
         # finds every slot live and calls no factory.
@@ -2147,13 +2260,14 @@ class TestTransportSeam:
         runner, context = _runner(), _context(video)
         calls = []
 
-        def factory(slot):
-            def spawn():
+        def factory(slot, spawn):
+            def counted():
                 calls.append(slot)
-                return SocketTransport.spawn()
-            return spawn
+                return spawn()
+            return counted
 
-        with ShardedEngine(transports=[factory(slot) for slot in range(slots)]) as engine:
+        with ShardedEngine(transports=[factory(slot, spawn) for slot, spawn
+                                       in enumerate(threaded(slots))]) as engine:
             for _ in range(2):
                 list(engine.imap_chunks(runner, iter_chunks(video, TEN_CHUNKS), context))
             per_shard = engine.dispatch_stats_dict()["per_shard"]

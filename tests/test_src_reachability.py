@@ -21,6 +21,12 @@ and a package ``__init__.py``'s imports and strings (its ``_EXPORTS`` table)
 only forward a name to its module.  A definition nothing else names is code
 only tests reach: delete it, move it under ``tests/``, or list it in ``KEEP``
 with the reason it stays.
+
+Beside it, an import guard: no module under ``src/``, ``tools/``, ``tests/``
+or ``examples/`` imports a name it never reads.  A name counts as read where
+the module loads it or names it in a string that is not a docstring, since a
+``TYPE_CHECKING`` import is used only in quoted annotations.  A package
+``__init__.py`` (whose imports re-export) and ``from __future__`` are skipped.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 CALLER_ROOTS = ("src", "benchmarks", "tools", "examples")
+IMPORT_ROOTS = ("src", "tools", "tests", "examples")
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -256,3 +263,65 @@ def test_only_a_caller_outside_tests_and_outside_the_body_reaches(tmp_path, monk
     monkeypatch.setitem(globals(), "REPO_ROOT", tmp_path)
     monkeypatch.setitem(globals(), "SRC", tmp_path / "src")
     assert unreached() == [f"pkg/mod.py::{key}" for key in DEFINED if key not in reached]
+
+
+def unread_imports() -> list[str]:
+    """``path::name`` of every name a module under ``IMPORT_ROOTS`` binds by
+    an import and never reads (package ``__init__`` files and ``from
+    __future__`` aside)."""
+    unread = []
+    for root in IMPORT_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            read, strings, docstrings, bound = set(), [], set(), []
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    strings.append(node)
+                elif isinstance(node, ast.Import):
+                    bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound += [alias.asname or alias.name for alias in node.names
+                              if alias.name != "*"]
+                if (isinstance(node, (ast.Module, *_DEFINITION)) and node.body
+                        and isinstance(node.body[0], ast.Expr)):
+                    docstrings.add(id(node.body[0].value))
+            read.update(word for node in strings if id(node) not in docstrings
+                        for word in _IDENTIFIER.findall(node.value))
+            unread += [f"{path.relative_to(REPO_ROOT).as_posix()}::{name}"
+                       for name in bound if name not in read]
+    return unread
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = unread_imports()
+    assert not unread, f"delete these imports; nothing in their module reads them: {unread}"
+
+
+#: (file, text) of one module, and the names the import guard reports in it.
+IMPORTS = {
+    "an unread import": ("tools/run.py", "import os\n", ("os",)),
+    "an unread alias": ("src/pkg/mod.py", "from json import dumps as encode\n", ("encode",)),
+    "a call": ("src/pkg/mod.py", "import os\nos.getcwd()\n", ()),
+    "a dotted import": ("examples/demo.py", "import os.path\nos.path.join('a')\n", ()),
+    "a quoted annotation": ("src/pkg/mod.py",
+                            "from typing import TYPE_CHECKING\n"
+                            "if TYPE_CHECKING:\n    from pkg.other import Thing\n"
+                            "def take(thing: 'Thing') -> None:\n    pass\n", ()),
+    "a string constant": ("tests/test_mod.py", "import json\nCMD = 'json.dumps(1)'\n", ()),
+    "a docstring only": ("tests/test_mod.py", '"""Reads os."""\nimport os\n', ("os",)),
+    "one of two": ("tools/run.py", "from os import getcwd, sep\ngetcwd()\n", ("sep",)),
+    "from __future__": ("src/pkg/mod.py", "from __future__ import annotations\n", ()),
+    "a package __init__": ("src/pkg/__init__.py", "from pkg.mod import target\n", ()),
+}
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTS))
+def test_the_import_guard_reports_exactly_the_unread_names(tmp_path, monkeypatch, module):
+    where, text, unread = IMPORTS[module]
+    (tmp_path / where).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / where).write_text(text)
+    monkeypatch.setitem(globals(), "REPO_ROOT", tmp_path)
+    assert unread_imports() == [f"{where}::{name}" for name in unread]

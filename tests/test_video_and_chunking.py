@@ -19,7 +19,6 @@ from tests.conftest import (
     grid_region_scheme,
     make_crossing_object,
     make_simple_video,
-    make_stationary_object,
     split_interval,
 )
 
