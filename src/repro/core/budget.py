@@ -24,6 +24,12 @@ Two grains of accounting live here:
   Its :meth:`~ServiceLedger.admit_many` makes *multi-camera* admission
   all-or-nothing under one cross-camera lock (check every camera, then
   charge every camera, with no interleaving window).
+* :class:`DurableServiceLedger` — the same registry over a
+  :class:`~repro.core.durability.WriteAheadLog`: every registration and
+  charge is logged before it takes effect.  It is built from the log alone,
+  and builds and owns the log's
+  :class:`~repro.core.durability.QueryJournal`, so a durable deployment has
+  one wiring.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any
 
+from repro.core.durability import QueryJournal, WriteAheadLog
 from repro.errors import BudgetExceededError, DurabilityError, PolicyError, \
     UnknownCameraError
 from repro.utils import checks
@@ -382,17 +389,20 @@ class DurableServiceLedger(ServiceLedger):
     ``query_id`` charged and skips admission entirely (no double-charge, no
     spurious denial from counting the charge twice).
 
+    The ledger builds and owns the WAL's
+    :class:`~repro.core.durability.QueryJournal` (:attr:`journal`): one log
+    holds both, and a compaction snapshots both under the journal's lock.
     Construction *is* recovery: the snapshot is restored, pending log
     records are replayed (ledger ops here, ``query_*`` ops dispatched to the
-    :class:`~repro.core.durability.QueryJournal`), and :attr:`last_recovery`
-    reports what happened for ``health()``.
+    journal), and :attr:`last_recovery` reports what happened for
+    ``health()``.
     """
 
-    def __init__(self, wal: Any, *, journal: Any = None,
-                 compact_every: int = 1024) -> None:
+    def __init__(self, wal: WriteAheadLog, *, compact_every: int = 1024) -> None:
         super().__init__()
         self.wal = wal
-        self.journal = journal
+        #: The per-query journal sharing this ledger's log.
+        self.journal = QueryJournal(wal)
         self.compact_every = checks.count("compact_every", compact_every, ValueError, 1)
         #: query_id -> WAL seq of its charge record (applied charges).
         self._charged_queries: dict[str, int] = {}
@@ -407,8 +417,7 @@ class DurableServiceLedger(ServiceLedger):
         state = self.wal.snapshot_state
         if state is not None:
             self._restore(state.get("ledger", {}))
-            if self.journal is not None:
-                self.journal.restore(state.get("journal", {}))
+            self.journal.restore(state.get("journal", {}))
         replayed = 0
         for record in self.wal.pending_records:
             self._apply(record)
@@ -423,7 +432,7 @@ class DurableServiceLedger(ServiceLedger):
             self._apply_register(record)
         elif op == "charge":
             self._apply_charge(record)
-        elif self.journal is not None:
+        else:
             self.journal.apply(record)
 
     def _apply_register(self, record: dict[str, Any]) -> None:
@@ -449,8 +458,7 @@ class DurableServiceLedger(ServiceLedger):
         self.last_charge_seq = int(record.get("seq", -1))
         if query_id is not None:
             self._charged_queries[query_id] = self.last_charge_seq
-            if self.journal is not None:
-                self.journal.mark_charged(query_id)
+            self.journal.mark_charged(query_id)
 
     def _restore(self, state: dict[str, Any]) -> None:
         for camera, payload in state.get("cameras", {}).items():
@@ -536,11 +544,7 @@ class DurableServiceLedger(ServiceLedger):
     def compact(self) -> None:
         """Snapshot the full ledger (+ journal) state and truncate the log."""
         with self._lock:
-            state: dict[str, Any] = {"ledger": self._state_payload()}
-            if self.journal is None:
-                self.wal.compact(state)
-            else:
-                self.journal.compact(self.wal, state)
+            self.journal.compact({"ledger": self._state_payload()})
 
     def _state_payload(self) -> dict[str, Any]:
         cameras = {}

@@ -7,10 +7,13 @@ budget, letting an adversary replay queries past epsilon.  Here the
 accounting survives process death: :class:`WriteAheadLog` is the append-only
 log of CRC-framed records (:func:`encode_record`; :func:`decode_records`
 trusts exactly the prefix before the first damaged frame) with snapshot
-compaction, :class:`QueryJournal` the per-query state
-``submit(..., resume_token=)`` resumes from, and
-:class:`repro.core.budget.DurableServiceLedger` owns replay, dispatching
-journal records back here.
+compaction, and :class:`QueryJournal` the per-query state
+``submit(..., resume_token=)`` resumes from.
+:class:`repro.core.budget.DurableServiceLedger` builds the journal over its
+own log and owns both: replay, which dispatches journal records back here,
+and compaction, which snapshots ledger and journal together.  A journal
+always has a log, and every start carries the query's fingerprint, so the
+resume check (:meth:`QueryJournal.start`) is always on.
 
 Fsync discipline
 ================
@@ -435,7 +438,7 @@ class QueryJournal:
     calls :meth:`mark_charged` when it applies one (live or during replay).
     """
 
-    def __init__(self, wal: WriteAheadLog | None = None) -> None:
+    def __init__(self, wal: WriteAheadLog) -> None:
         self.wal = wal
         self._lock = threading.RLock()
         self._entries: dict[str, dict[str, Any]] = {}
@@ -472,7 +475,7 @@ class QueryJournal:
     # ------------------------------------------------------------- mutations
 
     def start(self, token: str, query_seq: int, query_name: str,
-              fingerprint: str | None = None) -> int:
+              fingerprint: str) -> int:
         """Journal a query start (unsynced); idempotent on resume (same token).
 
         Returns the WAL seq the release barrier must see fsynced: the start
@@ -484,13 +487,15 @@ class QueryJournal:
         anything runs: the token's charge may already have landed, and a
         different query riding it would run charge-free on the original
         noise stream — a budget bypass, the analyst being the adversary.
+        Only an entry with no journaled fingerprint lets any resume through:
+        the placeholder :meth:`mark_charged` makes for a charge whose start
+        is not in the log, or a start from a log older than fingerprints.
         """
         with self._lock:
             existing = self._entries.get(token)
             if existing is not None:
                 journaled = existing.get("fingerprint")
-                if fingerprint is not None and journaled is not None \
-                        and fingerprint != journaled:
+                if journaled is not None and fingerprint != journaled:
                     raise ResumeMismatchError(
                         f"resume token {token!r} was journaled for a "
                         f"different query (fingerprint {journaled[:12]}..., "
@@ -498,15 +503,13 @@ class QueryJournal:
                         f"token admits only the exact query it charged")
                 existing["resumes"] += 1
                 return self._start_seqs.get(token, 0)
-            seq = 0
-            if self.wal is not None:
-                # Log first: were the append to raise with the entry already
-                # in memory, a retry would take the resume branch above and
-                # release on a query seq no record ever named.
-                seq = self._start_seqs[token] = self.wal.append(
-                    {"op": "query_start", "token": token,
-                     "query_seq": query_seq, "query": query_name,
-                     "fingerprint": fingerprint}, sync=False)
+            # Log first: were the append to raise with the entry already in
+            # memory, a retry would take the resume branch above and release
+            # on a query seq no record ever named.
+            seq = self._start_seqs[token] = self.wal.append(
+                {"op": "query_start", "token": token,
+                 "query_seq": query_seq, "query": query_name,
+                 "fingerprint": fingerprint}, sync=False)
             self._entries[token] = _new_entry(token, query_seq, query_name,
                                               fingerprint)
             return seq
@@ -525,9 +528,7 @@ class QueryJournal:
             entry = self._entries.get(token)
             if entry is None:
                 return
-            if self.wal is not None:
-                self.wal.append({"op": "query_finish", "token": token},
-                                sync=False)
+            self.wal.append({"op": "query_finish", "token": token}, sync=False)
             entry["finished"] = True
 
     # --------------------------------------------------------------- recovery
@@ -555,13 +556,13 @@ class QueryJournal:
             return {token: dict(entry)
                     for token, entry in sorted(self._entries.items())}
 
-    def compact(self, wal: WriteAheadLog, state: dict[str, Any]) -> None:
-        """Add the journal to ``state`` and compact ``wal`` over it, holding
+    def compact(self, state: dict[str, Any]) -> None:
+        """Add the journal to ``state`` and compact the WAL over it, holding
         the journal's lock from the copy to the truncation: a start record
         appended between the two would be in neither snapshot nor log."""
         with self._lock:
             state["journal"] = self.state_payload()
-            wal.compact(state)
+            self.wal.compact(state)
 
     def restore(self, state: dict[str, Any]) -> None:
         """Load journal state from a compaction snapshot."""

@@ -10,8 +10,8 @@ calibrated Laplace noise, and returns only the noisy releases.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 from typing import Any, Callable, Iterator
 
 from repro.core.budget import BudgetRequest, FrameBudgetLedger, ServiceLedger
@@ -401,25 +401,27 @@ class PrividSystem:
         return None
 
     def _resolve_group(self, select: SelectStatement, windows: list[TimeInterval]
-                       ) -> GroupSpec | None:
-        """Enumerate chunk-time bins so every bin is released, even empty ones."""
+                       ) -> tuple[GroupSpec | None, TimeBucket | None]:
+        """The SELECT's grouping and its chunk-time bucket, if it has one.
+
+        A chunk-time binning enumerates its bins, so every bin is released,
+        even an empty one."""
         bucket = self._chunk_bucket(select.group_by)
         if bucket is None:
-            return select.group_by
-        span = windows[0]
-        for window in windows[1:]:
-            span = span.union_span(window)
+            return select.group_by, None
+        span = reduce(TimeInterval.union_span, windows)
         keys: list[float] = []
         position = (span.start // bucket.width) * bucket.width
         while position < span.end:
             keys.append(position)
             position += bucket.width
         assert select.group_by is not None
-        return GroupSpec(expressions=select.group_by.expressions, expected_keys=tuple(keys))
+        return GroupSpec(expressions=select.group_by.expressions,
+                         expected_keys=tuple(keys)), bucket
 
     @staticmethod
-    def _release_interval(release: Release, group: GroupSpec | None,
-                          bucket: TimeBucket | None, window: TimeInterval) -> TimeInterval:
+    def _release_interval(release: Release, bucket: TimeBucket | None,
+                          window: TimeInterval) -> TimeInterval:
         """Frames a release draws budget from (its bin for chunk-grouped releases)."""
         if bucket is not None and release.group_key is not None:
             try:
@@ -429,24 +431,14 @@ class PrividSystem:
             return TimeInterval(start, start + bucket.width).clamp(window)
         return window
 
-    def _source_intervals(self, release: Release, group: GroupSpec | None,
-                          bucket: TimeBucket | None, table_sources: list[_TableSource]
-                          ) -> dict[str, tuple[TimeInterval, ...]]:
-        """Per-camera frame intervals one release draws budget from.
-
-        Mirrors the budget-request loop of :meth:`execute` exactly — one
-        interval per contributing source, grouped by camera and *not* merged,
-        so the intervals reported on a :class:`ReleaseResult` always match
-        what the ledgers charged (merging would claim the gap between two
-        disjoint source windows of the same camera was charged).
-        """
-        intervals: dict[str, list[TimeInterval]] = {}
-        for source in table_sources:
-            interval = self._release_interval(release, group, bucket, source.window)
-            if interval.duration <= 0:
-                continue
-            intervals.setdefault(source.camera.name, []).append(interval)
-        return {camera: tuple(charged) for camera, charged in intervals.items()}
+    def _draw(self, release: ReleaseResult) -> Any:
+        """A fresh noisy value for a release: report-noisy-max over an ARGMAX
+        release's candidates, Laplace noise on any other's raw value."""
+        if release.kind == ReleaseKind.ARGMAX.value:
+            return self.mechanism.noisy_argmax(release.candidates or {},
+                                               release.sensitivity, release.epsilon)
+        return self.mechanism.add_noise(float(release.raw_value_unsafe),
+                                        release.sensitivity, release.epsilon)
 
     def execute(self, query: PrividQuery, *, default_epsilon: float = 1.0,
                 add_noise: bool = True, charge_budget: bool = True,
@@ -478,89 +470,69 @@ class PrividSystem:
         plan_context, sources = self._run_processes(query, chunk_sets, cancel,
                                                     on_chunk)
 
-        prepared: list[tuple[SelectStatement, list[Release], GroupSpec | None,
-                             TimeBucket | None, list[_TableSource], float]] = []
+        result = QueryResult(query_name=query.name)
         requests_by_camera: dict[str, list[BudgetRequest]] = {}
         margins: dict[str, float] = {}
-
         for select in query.selects:
             referenced = collect_table_names(select.source)
             unknown = referenced - set(plan_context.tables)
             if unknown:
                 raise QueryValidationError(f"SELECT references unknown tables {sorted(unknown)}")
             table_sources = [sources[name] for name in sorted(referenced)]
-            windows = [source.window for source in table_sources]
-            group = self._resolve_group(select, windows)
-            bucket = self._chunk_bucket(select.group_by)
+            group, bucket = self._resolve_group(
+                select, [source.window for source in table_sources])
             info = select.source.sensitivity(plan_context)
             table = select.source.evaluate(plan_context)
-            releases = compute_releases(table, info, select.aggregation, group)
             epsilon = select.epsilon if select.epsilon is not None else default_epsilon
-            prepared.append((select, releases, group, bucket, table_sources, epsilon))
-            for release in releases:
+            for release in compute_releases(table, info, select.aggregation, group):
+                # The release's charge (Algorithm 1): one interval per
+                # contributing source, grouped by camera and *not* merged —
+                # merging would claim the gap between two disjoint source
+                # windows of one camera was charged.  The budget requests
+                # and the reported intervals are both read off it.
+                charged: dict[str, list[TimeInterval]] = {}
                 for source in table_sources:
-                    interval = self._release_interval(release, group, bucket, source.window)
+                    interval = self._release_interval(release, bucket, source.window)
                     if interval.duration <= 0:
                         continue
-                    requests_by_camera.setdefault(source.camera.name, []).append(
-                        BudgetRequest(interval=interval, epsilon=epsilon))
-                    margin = max(margins.get(source.camera.name, 0.0), source.policy.rho)
-                    margins[source.camera.name] = margin
+                    camera = source.camera.name
+                    charged.setdefault(camera, []).append(interval)
+                    margins[camera] = max(margins.get(camera, 0.0), source.policy.rho)
+                source_intervals = {camera: tuple(pieces) for camera, pieces in charged.items()}
+                for camera, pieces in source_intervals.items():
+                    requests_by_camera.setdefault(camera, []).extend(
+                        BudgetRequest(interval=piece, epsilon=epsilon) for piece in pieces)
+                everything = [piece for pieces in source_intervals.values() for piece in pieces]
+                if release.kind is ReleaseKind.ARGMAX:
+                    candidates = release.candidates
+                    raw_value: Any = max(candidates, key=candidates.get) if candidates else None
+                else:
+                    candidates, raw_value = None, release.raw_value
+                result.releases.append(ReleaseResult(
+                    label=release.label,
+                    kind=release.kind.value,
+                    noisy_value=raw_value,
+                    raw_value_unsafe=raw_value,
+                    sensitivity=release.sensitivity,
+                    epsilon=epsilon,
+                    noise_scale=self.mechanism.scale(release.sensitivity, epsilon),
+                    group_key=release.group_key,
+                    interval=reduce(TimeInterval.union_span, everything) if everything else None,
+                    source_intervals=source_intervals or None,
+                    candidates=dict(candidates) if candidates else None,
+                ))
+                result.epsilon_consumed += epsilon
 
         # All-or-nothing multi-camera admission, atomic under the (possibly
         # service-shared) ledger's cross-camera lock: check every camera, then
         # charge every camera and read what remains, with no window for a
-        # concurrent query to interleave.
-        budget_remaining = self.ledger.admit_many(
-            requests_by_camera, margins, query_id=query_id) if charge_budget else None
-
-        result = QueryResult(query_name=query.name,
-                             budget_remaining=budget_remaining)
-        for select, releases, group, bucket, table_sources, epsilon in prepared:
-            for release in releases:
-                source_intervals = self._source_intervals(release, group, bucket, table_sources)
-                if source_intervals:
-                    interval = None
-                    for charged in source_intervals.values():
-                        for piece in charged:
-                            interval = piece if interval is None else interval.union_span(piece)
-                else:
-                    interval = self._release_interval(
-                        release, group, bucket,
-                        table_sources[0].window if table_sources else TimeInterval(0.0, 0.0))
-                noise_scale = self.mechanism.scale(release.sensitivity, epsilon)
-                if release.kind is ReleaseKind.ARGMAX:
-                    assert release.candidates is not None
-                    raw_winner = max(release.candidates, key=release.candidates.get) \
-                        if release.candidates else None
-                    if add_noise:
-                        noisy_value: Any = self.mechanism.noisy_argmax(
-                            release.candidates, release.sensitivity, epsilon)
-                    else:
-                        noisy_value = raw_winner
-                    raw_value: Any = raw_winner
-                else:
-                    raw_value = release.raw_value
-                    if add_noise:
-                        noisy_value = self.mechanism.add_noise(
-                            float(raw_value), release.sensitivity, epsilon)
-                    else:
-                        noisy_value = raw_value
-                result.releases.append(ReleaseResult(
-                    label=release.label,
-                    kind=release.kind.value,
-                    noisy_value=noisy_value,
-                    raw_value_unsafe=raw_value,
-                    sensitivity=release.sensitivity,
-                    epsilon=epsilon,
-                    noise_scale=noise_scale,
-                    group_key=release.group_key,
-                    interval=interval,
-                    source_intervals=source_intervals or None,
-                    candidates=dict(release.candidates)
-                    if release.kind is ReleaseKind.ARGMAX and release.candidates else None,
-                ))
-                result.epsilon_consumed += epsilon
+        # concurrent query to interleave.  Noise is drawn only once admitted.
+        if charge_budget:
+            result.budget_remaining = self.ledger.admit_many(
+                requests_by_camera, margins, query_id=query_id)
+        if add_noise:
+            for release_result in result.releases:
+                release_result.noisy_value = self._draw(release_result)
         result.metadata["num_tables"] = len(plan_context.tables)
         result.metadata["num_chunks"] = {name: properties.num_chunks
                                          for name, properties in plan_context.properties.items()}
@@ -576,33 +548,5 @@ class PrividSystem:
         report-noisy-max over their stored candidates, so the winning key
         varies across resamples exactly as it would across real re-executions.
         """
-        fresh = QueryResult(query_name=result.query_name,
-                            epsilon_consumed=result.epsilon_consumed,
-                            metadata=dict(result.metadata),
-                            budget_remaining=dict(result.budget_remaining)
-                            if result.budget_remaining else None)
-        for release in result.releases:
-            if release.kind == ReleaseKind.ARGMAX.value:
-                if release.candidates:
-                    noisy_value: Any = self.mechanism.noisy_argmax(
-                        release.candidates, release.sensitivity, release.epsilon)
-                else:
-                    noisy_value = release.noisy_value
-            else:
-                noisy_value = self.mechanism.add_noise(
-                    float(release.raw_value_unsafe), release.sensitivity, release.epsilon)
-            fresh.releases.append(ReleaseResult(
-                label=release.label,
-                kind=release.kind,
-                noisy_value=noisy_value,
-                raw_value_unsafe=release.raw_value_unsafe,
-                sensitivity=release.sensitivity,
-                epsilon=release.epsilon,
-                noise_scale=release.noise_scale,
-                group_key=release.group_key,
-                interval=release.interval,
-                source_intervals=dict(release.source_intervals)
-                if release.source_intervals else None,
-                candidates=dict(release.candidates) if release.candidates else None,
-            ))
-        return fresh
+        return replace(result, metadata=dict(result.metadata), releases=[
+            replace(release, noisy_value=self._draw(release)) for release in result.releases])

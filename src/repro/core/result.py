@@ -20,10 +20,11 @@ from repro.utils.timebase import TimeInterval
 class ReleaseResult:
     """One released datum with its noise accounting.
 
-    ``interval`` is the smallest interval covering every frame the release
-    drew budget from (it may include uncharged gaps between sources);
-    ``source_intervals`` lists the exact charged intervals per camera,
-    matching the ledger charges one for one.  ``candidates`` retains the raw
+    ``source_intervals`` lists the exact charged intervals per camera — the
+    very intervals the ledgers charged, one for one — and ``interval`` is
+    the smallest interval covering them (it may include uncharged gaps
+    between sources); both are ``None`` for a release that charged no frame
+    (a bin no source window overlaps).  ``candidates`` retains the raw
     per-key values of an ARGMAX release so noise re-sampling can redraw
     report-noisy-max — like ``raw_value_unsafe`` they are evaluation-only and
     never released.

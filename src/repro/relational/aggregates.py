@@ -27,7 +27,7 @@ contains 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
@@ -109,7 +109,6 @@ class Release:
     raw_value: float | None = None
     candidates: dict[Any, float] | None = None
     group_key: Any | None = None
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 def _aggregate_values(function: str, values: Sequence[float]) -> float:

@@ -96,8 +96,7 @@ class QueryService:
 
     Construction mirrors :class:`~repro.core.executor.PrividSystem` (same
     ``seed`` / ``registry`` / ``engine`` / ``cache`` arguments, same spec
-    strings) plus ``ledger`` to adopt an existing
-    :class:`~repro.core.budget.ServiceLedger` and
+    strings) plus ``wal_dir`` for a durable ledger and
     ``max_concurrent_queries`` bounding how many queries run at once,
     submitted and executed alike.  An engine
     built here from a spec string belongs to the service (``close`` shuts
@@ -109,7 +108,6 @@ class QueryService:
                  registry: ExecutableRegistry | None = None,
                  engine: ExecutionEngine | str | None = None,
                  cache: ChunkStore | str | None = None,
-                 ledger: ServiceLedger | None = None,
                  wal_dir: str | Path | None = None,
                  compact_every: int = 1024,
                  max_concurrent_queries: int = 4,
@@ -131,17 +129,13 @@ class QueryService:
         self.wal: WriteAheadLog | None = None
         self.journal: QueryJournal | None = None
         if wal_dir is not None:
-            if ledger is not None:
-                raise ValueError(
-                    "pass either wal_dir (the service builds its durable "
-                    "ledger over it) or ledger, not both")
             self.wal = WriteAheadLog(wal_dir, fault_injector=fault_injector)
         try:
-            if self.wal is not None:
-                self.journal = QueryJournal(self.wal)
-                ledger = DurableServiceLedger(self.wal, journal=self.journal,
-                                              compact_every=compact_every)
-            self.ledger = ledger if ledger is not None else ServiceLedger()
+            if self.wal is None:
+                self.ledger = ServiceLedger()
+            else:
+                self.ledger = DurableServiceLedger(self.wal, compact_every=compact_every)
+                self.journal = self.ledger.journal
             # The template system owns the shared resources: it builds the
             # engine/store from specs and registers cameras.  Per-query
             # systems are thin views over it.

@@ -7,13 +7,10 @@ counts) and session-scoped where safe.  Benchmarks use larger scenes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
 from repro.core import PrividSystem
 from repro.core.policy import MaskPolicyMap, PrivacyPolicy
-from repro.sandbox.executables import ProcessExecutable
 from repro.scene.objects import Appearance, SceneObject
 from repro.scene.scenarios import Scenario, build_scenario
 from repro.scene.trajectory import LinearTrajectory, StationaryTrajectory
@@ -22,19 +19,6 @@ from repro.video.chunking import iter_chunks
 from repro.video.geometry import BoundingBox
 from repro.video.regions import BoundaryType, Region, RegionScheme
 from repro.video.video import SyntheticVideo
-
-
-@dataclass
-class PrintingExecutable(ProcessExecutable):
-    """Prints ``characters`` characters to stdout per chunk and emits no row.
-    Defined here so that a shard worker can import it by name."""
-
-    characters: int = 100_000
-    name: str = "printing_executable"
-
-    def process(self, chunk, context) -> list:
-        print("x" * self.characters)
-        return []
 
 
 def make_crossing_object(object_id: str, *, start: float, duration: float,

@@ -28,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.budget import BudgetRequest, DurableServiceLedger, ServiceLedger
 from repro.core.durability import (
     MAX_RECORD_BYTES,
-    QueryJournal,
     WriteAheadLog,
     decode_records,
     encode_record,
@@ -478,8 +477,8 @@ class TestDurableServiceLedger:
 
         def recovered_state():
             wal = WriteAheadLog(tmp_path)
-            journal = QueryJournal(wal)
-            ledger = DurableServiceLedger(wal, journal=journal)
+            ledger = DurableServiceLedger(wal)
+            journal = ledger.journal
             entries = {token: journal.entry(token) for token in journal.tokens()}
             state = {"budgets": ledger.snapshot(),
                      "charged_queries": dict(ledger._charged_queries),
@@ -544,8 +543,7 @@ class TestSnapshotLogEquivalence:
             for name, directory in (("pure", pure_dir),
                                     ("compacted", compacted_dir)):
                 wal = WriteAheadLog(directory)
-                ledger = DurableServiceLedger(
-                    wal, journal=QueryJournal(wal))
+                ledger = DurableServiceLedger(wal)
                 ledgers[name] = (wal, ledger)
                 for index, (op, camera, value) in enumerate(ops):
                     try:
@@ -566,9 +564,8 @@ class TestSnapshotLogEquivalence:
             for name, directory in (("pure", pure_dir),
                                     ("compacted", compacted_dir)):
                 wal = WriteAheadLog(directory)
-                journal = QueryJournal(wal)
-                ledger = DurableServiceLedger(wal, journal=journal)
-                recovered[name] = (ledger.snapshot(), journal.state_payload())
+                ledger = DurableServiceLedger(wal)
+                recovered[name] = (ledger.snapshot(), ledger.journal.state_payload())
                 wal.close()
             assert recovered["pure"] == recovered["compacted"]
 
@@ -579,33 +576,32 @@ class TestSnapshotLogEquivalence:
 class TestQueryJournal:
     def test_journal_round_trips_through_the_wal(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        journal = QueryJournal(wal)
+        journal = DurableServiceLedger(wal).journal
         # start hands back its record's WAL seq: what the release barrier
         # must see fsynced.  Neither start nor finish syncs.
-        assert journal.start("tok-a", 0, "q") == 1
-        assert journal.start("tok-b", 1, "r") == 2
+        assert journal.start("tok-a", 0, "q", "fp-a") == 1
+        assert journal.start("tok-b", 1, "r", "fp-b") == 2
         journal.finish("tok-b")
-        assert journal.start("tok-a", 0, "q") == 1  # a resume: same record
+        assert journal.start("tok-a", 0, "q", "fp-a") == 1  # a resume: same record
         assert (wal.appends, wal.fsyncs, wal.synced_seq) == (3, 0, 0)
         wal.close()
         wal2 = WriteAheadLog(tmp_path)
-        replayed = QueryJournal(wal2)
-        for record in wal2.pending_records:
-            replayed.apply(record)
+        replayed = DurableServiceLedger(wal2).journal
         assert replayed.entry("tok-a") == {
             "token": "tok-a", "query_seq": 0, "query": "q",
-            "fingerprint": None, "charged": False,
+            "fingerprint": "fp-a", "charged": False,
             "finished": False, "resumes": 0}
         assert replayed.entry("tok-b")["finished"] is True
         assert replayed.next_query_seq() == 2
         assert replayed.tokens() == ("tok-a", "tok-b")
         # What recovery read is durable (the open fsynced it): nothing owed.
-        assert replayed.start("tok-a", 0, "q") == 0
+        assert replayed.start("tok-a", 0, "q", "fp-a") == 0
         wal2.close()
 
     def test_replay_is_idempotent_and_ignores_progress_records(self, tmp_path):
-        journal = QueryJournal()  # journal works without a WAL too
-        assert journal.start("tok", 0, "q") == 0
+        wal = WriteAheadLog(tmp_path)
+        journal = DurableServiceLedger(wal).journal
+        assert journal.start("tok", 0, "q", "fp") == 1
         before = journal.entry("tok")
         # Logs written before PR 20 carry one of these per chunk.
         journal.apply({"op": "query_progress", "token": "tok", "chunks_done": 5})
@@ -615,6 +611,7 @@ class TestQueryJournal:
         journal.apply(finish)
         journal.apply(finish)
         assert journal.entry("tok") == dict(before, finished=True)
+        wal.close()
 
     def test_failed_start_append_leaves_no_entry(self, tmp_path):
         # Log first, then mutate: an entry whose record never reached the
@@ -624,7 +621,7 @@ class TestQueryJournal:
             FaultRule(site="wal.append", kind=FaultKind.IO_ERROR, at=(0,),
                       max_fires=1),))
         wal = WriteAheadLog(tmp_path, fault_injector=plan.injector())
-        journal = QueryJournal(wal)
+        journal = DurableServiceLedger(wal).journal
         with pytest.raises(OSError):
             journal.start("tok", 4, "q", "fp")
         assert journal.entry("tok") is None
@@ -643,10 +640,10 @@ class TestQueryJournal:
         # spans both, so the racing start waits and lands after.
         import threading
         wal = WriteAheadLog(tmp_path)
-        journal = QueryJournal(wal)
-        ledger = DurableServiceLedger(wal, journal=journal)
+        ledger = DurableServiceLedger(wal)
         ledger.register("cam", 5.0)
-        racer = threading.Thread(target=journal.start, args=("tok", 7, "q"))
+        racer = threading.Thread(target=ledger.journal.start,
+                                 args=("tok", 7, "q", "fp"))
         compact = wal.compact
 
         def compact_while_a_start_races(state):
@@ -660,17 +657,16 @@ class TestQueryJournal:
         assert not racer.is_alive()
         wal.close()
         wal2 = WriteAheadLog(tmp_path)
-        recovered = QueryJournal(wal2)
-        DurableServiceLedger(wal2, journal=recovered)
+        recovered = DurableServiceLedger(wal2).journal
         assert recovered.entry("tok")["query_seq"] == 7
         wal2.close()
 
     def test_resume_increments_the_resume_counter_without_logging(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        journal = QueryJournal(wal)
-        journal.start("tok", 0, "q")
+        journal = DurableServiceLedger(wal).journal
+        journal.start("tok", 0, "q", "fp")
         appends = wal.appends
-        journal.start("tok", 0, "q")  # the resume path
+        journal.start("tok", 0, "q", "fp")  # the resume path
         assert wal.appends == appends  # idempotent: no second record
         assert journal.entry("tok")["resumes"] == 1
         wal.close()
@@ -679,7 +675,7 @@ class TestQueryJournal:
         # A charged token admits only the query it charged: a resume whose
         # fingerprint differs is a budget bypass, not a convenience.
         wal = WriteAheadLog(tmp_path)
-        journal = QueryJournal(wal)
+        journal = DurableServiceLedger(wal).journal
         journal.start("tok", 0, "q", "fp-original")
         journal.start("tok", 0, "q", "fp-original")  # genuine resume: fine
         with pytest.raises(ResumeMismatchError):
@@ -689,12 +685,34 @@ class TestQueryJournal:
         # The fingerprint rides the query_start record, so the check still
         # holds after a crash and replay.
         wal2 = WriteAheadLog(tmp_path)
-        replayed = QueryJournal(wal2)
-        for record in wal2.pending_records:
-            replayed.apply(record)
+        ledger = DurableServiceLedger(wal2)
         with pytest.raises(ResumeMismatchError):
-            replayed.start("tok", 0, "q", "fp-other")
-        replayed.start("tok", 0, "q", "fp-original")
+            ledger.journal.start("tok", 0, "q", "fp-other")
+        ledger.journal.start("tok", 0, "q", "fp-original")
+        # ... and after a compaction folded it into the snapshot.
+        ledger.compact()
+        wal2.close()
+        wal3 = WriteAheadLog(tmp_path)
+        restored = DurableServiceLedger(wal3).journal
+        with pytest.raises(ResumeMismatchError):
+            restored.start("tok", 0, "q", "fp-other")
+        restored.start("tok", 0, "q", "fp-original")
+        wal3.close()
+
+    def test_a_charge_with_no_journaled_start_resumes_on_any_fingerprint(
+            self, tmp_path):
+        # A charge whose start is not in the log leaves a placeholder entry
+        # with no fingerprint to compare against.
+        wal = WriteAheadLog(tmp_path)
+        wal.append({"op": "register", "camera": "cam", "total_epsilon": 5.0})
+        wal.append({"op": "charge", "query_id": "tok",
+                    "cameras": {"cam": [[0.0, 10.0, 1.0]]}})
+        wal.close()
+        wal2 = WriteAheadLog(tmp_path)
+        journal = DurableServiceLedger(wal2).journal
+        assert journal.entry("tok")["fingerprint"] is None
+        assert journal.start("tok", 0, "q", "fp") == 0
+        assert journal.entry("tok")["resumes"] == 1
         wal2.close()
 
 

@@ -1,5 +1,7 @@
 """Tests for the chunk execution engines and the chunk result cache."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import (
@@ -12,6 +14,7 @@ from repro.core import (
     create_engine,
 )
 from repro.core.policy import PrivacyPolicy
+from repro.core.result import QueryResult, ReleaseResult
 from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
 from repro.errors import BudgetExceededError
@@ -317,6 +320,34 @@ class TestMultiCameraAccounting:
                                             "cam_b": (TimeInterval(0.0, 1200.0),)}
         assert release.interval == TimeInterval(0.0, 1200.0)
 
+    def test_ledger_charges_are_the_releases_source_intervals(self):
+        # Bins of 400 s over cam_a's [0, 600) and cam_b's [0, 1200): the
+        # [800, 1200) bin clips to zero length on cam_a, so it charges cam_b
+        # alone.  Each ledger's charges are the releases' source intervals,
+        # in release order and at the SELECT's epsilon — not merely as many.
+        system = self._two_camera_system()
+        union = Union(children=(TableScan("ta"), TableScan("tb")))
+        query = (QueryBuilder("binned")
+                 .split("cam_a", begin=0, end=600, chunk_duration=60, into="chunks_a")
+                 .split("cam_b", begin=0, end=1200, chunk_duration=60, into="chunks_b")
+                 .process("chunks_a", executable="constant.py", max_rows=2,
+                          schema=[("value", "NUMBER", 0.0)], into="ta")
+                 .process("chunks_b", executable="constant.py", max_rows=2,
+                          schema=[("value", "NUMBER", 0.0)], into="tb")
+                 .select_count(source=union, bucket_seconds=400.0, epsilon=0.5)
+                 .build())
+        result = system.execute(query)
+        assert [release.group_key for release in result.releases] == [0.0, 400.0, 800.0]
+        assert result.releases[2].source_intervals == {
+            "cam_b": (TimeInterval(800.0, 1200.0),)}
+        for camera, expected in (("cam_a", [(0.0, 400.0), (400.0, 600.0)]),
+                                 ("cam_b", [(0.0, 400.0), (400.0, 800.0),
+                                            (800.0, 1200.0)])):
+            reported = [(interval, release.epsilon) for release in result.releases
+                        for interval in release.source_intervals.get(camera, ())]
+            assert system.camera(camera).ledger.charges == reported
+            assert reported == [(TimeInterval(start, end), 0.5) for start, end in expected]
+
     def test_disjoint_windows_of_one_camera_reported_unmerged(self):
         # Two SPLITs of the same camera over disjoint windows charge two
         # separate intervals; reporting their union span would claim the gap
@@ -377,6 +408,41 @@ class TestResampleArgmax:
         winners = {system.resample_noise(result).releases[0].noisy_value
                    for _ in range(50)}
         assert winners == {"a", "b"}
+
+    def _grouped_count_result(self):
+        system = PrividSystem(seed=21)
+        system.register_executable("constant.py", ConstantExecutable(rows=[{"value": 1.0}]))
+        system.register_camera("cam", make_simple_video(duration=600.0),
+                               policy=PrivacyPolicy(rho=30.0, k_segments=1),
+                               epsilon_budget=1000.0)
+        query = (QueryBuilder("binned")
+                 .split("cam", begin=0, end=600, chunk_duration=60, into="chunks")
+                 .process("chunks", executable="constant.py", max_rows=2,
+                          schema=[("value", "NUMBER", 0.0)], into="t")
+                 .select_count(table="t", bucket_seconds=200.0, epsilon=0.5)
+                 .build())
+        return system, system.execute(query)
+
+    @pytest.mark.parametrize("kind", ["numeric", "argmax"])
+    def test_resample_changes_nothing_but_the_noisy_value(self, kind):
+        system, result = self._argmax_result(epsilon=0.05) if kind == "argmax" \
+            else self._grouped_count_result()
+        fresh = system.resample_noise(result)
+        for field in fields(QueryResult):
+            if field.name != "releases":
+                assert getattr(fresh, field.name) == getattr(result, field.name), field.name
+        assert result.budget_remaining is not None
+        assert len(fresh.releases) == len(result.releases) >= 1
+        for before, after in zip(result.releases, fresh.releases):
+            assert before.kind == kind
+            assert before.source_intervals is not None
+            for field in fields(ReleaseResult):
+                if field.name != "noisy_value":
+                    assert getattr(after, field.name) == getattr(before, field.name), \
+                        field.name
+        if kind == "numeric":
+            assert [release.noisy_value for release in fresh.releases] != \
+                [release.noisy_value for release in result.releases]
 
     def test_resample_preserves_argmax_metadata(self):
         system, result = self._argmax_result(epsilon=0.05)

@@ -1006,11 +1006,6 @@ class TestDurableService:
             with pytest.raises(ValueError):
                 service.submit(_count_query(), resume_token="query-0")
 
-    def test_wal_dir_and_ledger_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError):
-            QueryService(seed=5, wal_dir=tmp_path / "wal",
-                         ledger=ServiceLedger())
-
 
 class _ThreadRecorder:
     """Records the thread each chunk runs on, and how many chunks a gate

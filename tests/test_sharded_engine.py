@@ -78,7 +78,8 @@ from repro.video.chunking import ChunkSpec, iter_chunks
 from repro.video.geometry import BoundingBox
 from repro.video.masking import Mask
 
-from tests.conftest import PrintingExecutable, make_crossing_object, make_simple_video
+from tests.conftest import make_crossing_object, make_simple_video
+from tests.printing_executable import PrintingExecutable
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
                                 ColumnSpec("dy", DataType.NUMBER, 0.0)))

@@ -29,33 +29,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+# The script's own directory leads sys.path, so its sibling imports by name.
+from chaos_smoke import FAILURES, check, fail_on_unraisable, people_query  # noqa: E402
 from repro.errors import BudgetExceededError  # noqa: E402
 from repro.evaluation.runner import (  # noqa: E402
     register_scenario_camera,
     scenario_policy_map,
 )
-from repro.query.builder import QueryBuilder  # noqa: E402
 from repro.scene.scenarios import build_scenario  # noqa: E402
 from repro.service import QueryService  # noqa: E402
-
-FAILURES: list[str] = []
-
-
-def check(ok: bool, label: str) -> None:
-    print(f"{'PASS' if ok else 'FAIL'}  {label}")
-    if not ok:
-        FAILURES.append(label)
-
-
-def people_query(name: str, *, bucket: float = 360, epsilon: float = 1.0):
-    return (QueryBuilder(name)
-            .split("campus", begin=0, end=720, chunk_duration=60,
-                   mask="owner", into="chunks")
-            .process("chunks", executable="count_entering_people.py", max_rows=5,
-                     schema=[("kind", "STRING", ""), ("dy", "NUMBER", 0.0)],
-                     into="people")
-            .select_count(table="people", bucket_seconds=bucket, epsilon=epsilon)
-            .build())
 
 
 def build_service(scenario, policy_map, *, engine, cache) -> QueryService:
@@ -119,14 +101,6 @@ def main() -> None:
                   "stats() reports per-shard dispatch for both shards")
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
-
-
-def fail_on_unraisable(unraisable) -> None:
-    """Under ``-W error::ResourceWarning`` a leaked handle raises in its
-    finalizer, where nothing catches it and the exit status would not move:
-    report it and count it as a failed check."""
-    sys.__unraisablehook__(unraisable)
-    check(False, f"no leaked handle ({unraisable.exc_value!r})")
 
 
 if __name__ == "__main__":
