@@ -1,5 +1,6 @@
 """Ablation: how much each utility optimisation (masking, spatial splitting)
-reduces the noise of the Case 1 query (design-choice ablation from DESIGN.md).
+reduces the noise of the Case 1 query (a design-choice ablation; the figure
+and table benchmarks are listed in docs/benchmarks.md).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def test_fig5_case1_hourly_counts(benchmark, primary_scenarios, evaluation_syste
     # Shape target: the chunked pipeline tracks the diurnal trend (counts
     # rise towards midday) and the pipeline produces non-degenerate output.
     # The paper's 79-99% accuracy band corresponds to full-scale, 12-hour
-    # scenes whose hourly counts dwarf the noise; see EXPERIMENTS.md.
+    # scenes whose hourly counts dwarf the noise; see docs/benchmarks.md.
     assert sum(outcome.raw_series) > 0
     assert outcome.raw_series[-1] > outcome.raw_series[0] * 0.5
     assert outcome.accuracy.mean > 0.05

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Benchmarks regenerate every table and figure of the paper's evaluation on
-scaled-down synthetic scenes (see DESIGN.md §2 for the substitutions and
-EXPERIMENTS.md for paper-vs-measured numbers).  Scenario generation is
-expensive, so scenes are built once per session and shared read-only.
+scaled-down synthetic scenes (docs/benchmarks.md lists them, with the
+harness knobs below).  Scenario generation is expensive, so scenes are built
+once per session and shared read-only.
 """
 
 from __future__ import annotations
@@ -37,20 +37,16 @@ def pytest_addoption(parser):
     ``--privid-engine`` selects the chunk execution engine ('serial' or
     'sharded[:N]', also spelt 'process[:N]' or 'thread[:N]'; defaults to the
     PRIVID_ENGINE environment variable, then 'serial').  ``--privid-cache`` selects the chunk result
-    store ('off', 'memory', 'disk:PATH' or 'tiered:PATH'; defaults to the
-    PRIVID_CACHE environment variable, then 'memory' — caching is on by
-    default because the sweeps re-process large overlapping chunk sets).
-    ``--privid-no-cache`` is the legacy off switch and overrides both.
+    store ('off', 'memory' or 'tiered:PATH'; defaults to the PRIVID_CACHE
+    environment variable, then 'memory' — caching is on by default because
+    the sweeps re-process large overlapping chunk sets).
     """
     parser.addoption("--privid-engine", default=os.environ.get("PRIVID_ENGINE", "serial"),
                      help="chunk execution engine: serial or sharded[:N] "
                           "(aliases process[:N], thread[:N])")
     parser.addoption("--privid-cache",
                      default=os.environ.get("PRIVID_CACHE", "memory"),
-                     help="chunk result store: off, memory, disk:PATH, tiered:PATH")
-    parser.addoption("--privid-no-cache", action="store_true",
-                     default=os.environ.get("PRIVID_NO_CACHE", "") not in ("", "0"),
-                     help="disable chunk result caching in the benchmark system")
+                     help="chunk result store: off, memory, tiered:PATH")
 
 
 @pytest.fixture(scope="session")
@@ -62,8 +58,6 @@ def bench_engine(request):
 @pytest.fixture(scope="session")
 def bench_cache(request):
     """Session-wide chunk result store (None when disabled)."""
-    if request.config.getoption("--privid-no-cache"):
-        return None
     return create_cache(request.config.getoption("--privid-cache"))
 
 

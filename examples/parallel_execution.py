@@ -12,9 +12,9 @@ deployment tunes for throughput:
    (``sharded:N``, N local shards) — selected per :class:`~repro.core.PrividSystem` (engines are context
    managers, and a system built from a spec string shuts its own engine
    down on ``close()``);
-2. the *chunk result store* — in-process LRU (``cache="memory"``), shared
-   on-disk (``"disk:PATH"``), or tiered memory-over-disk
-   (``"tiered:PATH"``) — which lets overlapping query windows, repeated
+2. the *chunk result store* — in-process LRU (``cache="memory"``) or
+   tiered memory-over-disk (``"tiered:PATH"``, its disk tier shared across
+   systems and processes) — which lets overlapping query windows, repeated
    what-if sweeps, *and entirely separate processes* skip already-processed
    chunks.
 

@@ -10,11 +10,12 @@ and overlapping query windows therefore re-process identical chunks over and
 over; these stores memoize those executions so only genuinely new
 (chunk, configuration) pairs ever reach an execution engine.
 
-Three stores are provided, selectable on ``PrividSystem`` via ``cache=``
-(an instance or a spec string, see :func:`create_cache`):
+Three stores are provided, each a ``cache=`` value of ``PrividSystem``
+(an instance, or for two of them a spec string, see :func:`create_cache`):
 
 * :class:`ChunkResultCache` (``"memory"``) — the in-process LRU hot tier;
-* :class:`DiskChunkStore` (``"disk:PATH"``) — fingerprint-named JSON entry
+* :class:`DiskChunkStore` (an instance; the tiered store's cold tier) —
+  fingerprint-named JSON entry
   files under a directory, shared across ``PrividSystem`` instances *and*
   processes; keys embed the footage's stable content fingerprint
   (``SyntheticVideo.content_fingerprint``), so mutated footage can never hit
@@ -417,8 +418,7 @@ class DiskChunkStore:
 
     _STALE_TEMP_AGE = 60.0  # seconds; in-flight writes live for milliseconds
 
-    def __init__(self, directory: str | os.PathLike[str], *,
-                 fault_injector: "FaultInjector | None" = None) -> None:
+    def __init__(self, directory: str | os.PathLike[str]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._root = os.path.join(os.fspath(self.directory), "")
@@ -434,7 +434,8 @@ class DiskChunkStore:
         self.links = 0
         self.write_errors = 0
         self.read_errors = 0
-        self.fault_injector = fault_injector
+        #: A chaos plan's injector (:meth:`set_fault_injector`), or None.
+        self.fault_injector: "FaultInjector | None" = None
         self.stale_temps_removed = self._sweep_stale_temps()
 
     def _sweep_stale_temps(self) -> int:
@@ -475,18 +476,12 @@ class DiskChunkStore:
         """Rows stored under ``key``, or None on a miss (or corrupt entry,
         which includes one holding more than ``max_rows`` rows)."""
         path = self._entry_path(key)
-        rule = self.fault_injector.poll("store.get", token=key) \
-            if self.fault_injector is not None else None
         try:
-            if rule is not None:
-                if rule.kind is FaultKind.DELAY:
-                    time.sleep(rule.delay)
-                elif rule.kind is FaultKind.IO_ERROR:
-                    raise OSError(f"injected store read failure for {key[:12]}")
-                elif rule.kind is FaultKind.CORRUPT and os.path.exists(path):
-                    # Rename scribbled bytes over the entry (never in place,
-                    # see _write_entry) so the self-heal below runs for real.
-                    self._write_entry(path, b"\x00corrupt")
+            if self.fault_injector is not None and self.fault_injector.strike(
+                    "store.get", token=key) is FaultKind.CORRUPT and os.path.exists(path):
+                # Rename scribbled bytes over the entry (never in place, see
+                # _write_entry) so the self-heal below runs for real.
+                self._write_entry(path, b"\x00corrupt")
             rows = _read_json_entry(path)
             if max_rows is not None and len(rows) > max_rows:
                 raise ValueError("disk store entry holds more rows than its reader allows")
@@ -600,10 +595,6 @@ class DiskChunkStore:
         (non-JSON rows) still raise — those are programming errors, not
         environment faults.
         """
-        rule = self.fault_injector.poll("store.put", token=key) \
-            if self.fault_injector is not None else None
-        if rule is not None and rule.kind is FaultKind.DELAY:
-            time.sleep(rule.delay)
         if not isinstance(rows, list):
             # ColumnarRows (and any other sequence) serialize as the
             # equivalent dict rows.
@@ -611,9 +602,12 @@ class DiskChunkStore:
         payload = {"format": _DISK_FORMAT, "rows": rows}
         data = (json.dumps(payload, separators=(",", ":")).encode("utf-8")
                 if rows else _EMPTY_ENTRY)
-        if rule is not None and rule.kind is FaultKind.IO_ERROR:
-            self.write_errors += 1
-            return False
+        if self.fault_injector is not None:
+            try:
+                self.fault_injector.strike("store.put", token=key)
+            except OSError:
+                self.write_errors += 1
+                return False
         path = self._entry_path(key)
         landed = (not rows and self._link_empty(path)) \
             or self._write_entry(path, data, source=not rows)
@@ -747,9 +741,9 @@ def create_cache(spec: "str | ChunkStore | None") -> "ChunkStore | None":
     """Build a chunk result store from a spec string.
 
     ``None``, ``"off"`` and ``"none"`` disable caching; ``"memory"`` is the
-    in-process LRU cache; ``"disk:PATH"`` the shared on-disk store;
-    ``"tiered:PATH"`` memory in front of disk.  A store instance passes
-    through unchanged.  This is the value of the ``cache=`` argument of
+    in-process LRU cache; ``"tiered:PATH"`` memory in front of the shared
+    on-disk store.  A store instance (a :class:`DiskChunkStore` alone, say)
+    passes through unchanged.  This is the value of the ``cache=`` argument of
     ``PrividSystem`` and of the ``PRIVID_CACHE`` benchmark knob.
     """
     if spec is None:
@@ -764,11 +758,9 @@ def create_cache(spec: "str | ChunkStore | None") -> "ChunkStore | None":
         return ChunkResultCache()
     kind, _, path = text.partition(":")
     kind, path = kind.lower(), path.strip()
-    if kind in ("disk", "tiered") and not path:
-        raise ValueError(f"cache spec {spec!r} needs a directory: '{kind}:PATH'")
-    if kind == "disk":
-        return DiskChunkStore(path)
     if kind == "tiered":
+        if not path:
+            raise ValueError(f"cache spec {spec!r} needs a directory: 'tiered:PATH'")
         return TieredChunkCache(disk=path)
     raise ValueError(f"unknown cache spec {spec!r}; "
-                     "expected 'off', 'memory', 'disk:PATH' or 'tiered:PATH'")
+                     "expected 'off', 'memory' or 'tiered:PATH'")

@@ -52,15 +52,19 @@ release 1, resume of a charged token 0.  The crash windows, which
 Fault sites
 ===========
 
+The log takes a :class:`~repro.core.faults.FaultInjector` at construction
+only, because recovery strikes ``wal.read`` while the log opens.
 ``wal.append`` / ``wal.fsync`` (every fsync of the log) / ``wal.read`` are
-polled on the configured :class:`~repro.core.faults.FaultInjector`: IO_ERROR
-raises :class:`OSError`, DELAY sleeps, CORRUPT flips a byte of the loaded
-log image.  ``service.crash_at_seq`` is polled after every append with the
-record's seq, and — the WAL being silent between a query's start and its
-charge — ``service.crash_at_chunk`` by the service after each chunk with the
-count done: a CRASH rule at either invokes :attr:`WriteAheadLog.crash_hook`
-(default: raise :class:`~repro.errors.SimulatedCrashError`; the chaos
-harness installs a real ``SIGKILL``), a deterministic kill at an exact spot.
+struck through :meth:`~repro.core.faults.FaultInjector.strike`, so DELAY and
+IO_ERROR mean what they mean at every site (a sleep; an :class:`OSError`
+naming the site); the log gives CORRUPT its own meaning at ``wal.read``: a
+byte of the loaded log image flips.  ``service.crash_at_seq`` is struck
+after every append with the record's seq, and — the WAL being silent
+between a query's start and its charge — ``service.crash_at_chunk`` by the
+service after each chunk with the count done: a CRASH rule at either
+invokes :attr:`WriteAheadLog.crash_hook` (default: raise
+:class:`~repro.errors.SimulatedCrashError`; the chaos harness installs a
+real ``SIGKILL``), a deterministic kill at an exact spot.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ import json
 import os
 import struct
 import threading
-import time
 import zlib
 from pathlib import Path
 from typing import Any, Callable
@@ -153,7 +156,7 @@ class WriteAheadLog:
         self.log_path = self.directory / "wal.log"
         self.snapshot_path = self.directory / "snapshot.json"
         self._lock = threading.RLock()
-        # Set before recovery so open-time reads poll ``wal.read`` too.
+        # Set before recovery so open-time reads strike ``wal.read`` too.
         self._injector: Any = fault_injector
         self._closed = False
         #: Invoked when a ``service.crash_at_*`` CRASH rule fires; the
@@ -207,23 +210,10 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------- fault seam
 
-    def _poll(self, site: str, *, seq: int | None = None) -> Any:
-        if self._injector is None:
-            return None
-        rule = self._injector.poll(site, seq=seq)
-        if rule is None:
-            return None
-        if rule.kind == "delay":  # FaultKind is a str enum
-            time.sleep(rule.delay)
-            return None
-        if rule.kind == "io_error":
-            raise OSError(f"injected WAL failure at {site}")
-        return rule
-
     def crash_point(self, site: str, seq: int) -> None:
         """A ``service.crash_at_*`` site: CRASH fires :attr:`crash_hook`."""
-        rule = self._poll(site, seq=seq)
-        if rule is not None and rule.kind == "crash":
+        if self._injector is not None \
+                and self._injector.strike(site, seq=seq) == "crash":  # a str enum
             self.crash_hook()
 
     # --------------------------------------------------------------- recovery
@@ -258,12 +248,12 @@ class WriteAheadLog:
         intact, fsynced charge records — silently refilling spent budgets —
         and hand out seqs that duplicate records still on disk.
         """
-        rule = self._poll("wal.read")
+        kind = self._injector.strike("wal.read") if self._injector is not None else None
         if not self.log_path.exists():
             return [], 0, [], 0, 0
         data = self.log_path.read_bytes()
         durable_records, durable_clean = decode_records(data)
-        if rule is not None and rule.kind == "corrupt" and data:
+        if kind == "corrupt" and data:
             position = len(data) // 2
             doctored = data[:position] + bytes([data[position] ^ 0xFF]) \
                 + data[position + 1:]
@@ -277,7 +267,8 @@ class WriteAheadLog:
     def _fsync(self, seq: int) -> None:
         """fsync the log, whose last record is ``seq`` (holding ``_lock``);
         a failure leaves ``synced_seq`` alone."""
-        self._poll("wal.fsync", seq=seq)
+        if self._injector is not None:
+            self._injector.strike("wal.fsync", seq=seq)
         os.fsync(self._file.fileno())
         self.fsyncs += 1
         self.synced_seq = seq
@@ -298,9 +289,10 @@ class WriteAheadLog:
             record = dict(payload)
             record["seq"] = seq
             blob = encode_record(record)
-            # Polled before anything touches the file: an injected IO_ERROR
+            # Struck before anything touches the file: an injected IO_ERROR
             # here models open/write refusal, with nothing to roll back.
-            self._poll("wal.append", seq=seq)
+            if self._injector is not None:
+                self._injector.strike("wal.append", seq=seq)
             offset = self._file.tell()
             try:
                 self._file.write(blob)

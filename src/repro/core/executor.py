@@ -139,17 +139,7 @@ class PrividSystem:
     def __init__(self, *, seed: int = 0, registry: ExecutableRegistry | None = None,
                  engine: ExecutionEngine | str | None = None,
                  cache: ChunkStore | str | None = None,
-                 ledger: ServiceLedger | None = None,
-                 on_engine_failure: str = "fail") -> None:
-        if on_engine_failure not in ("fail", "serial_fallback"):
-            raise ValueError(
-                f"on_engine_failure must be 'fail' or 'serial_fallback', "
-                f"not {on_engine_failure!r}")
-        #: Degradation policy when a distributed engine loses every shard
-        #: mid-stream: ``"fail"`` propagates RemoteShardError,
-        #: ``"serial_fallback"`` re-executes the unfinished chunks serially
-        #: (byte-identical by the determinism contract).
-        self.on_engine_failure = on_engine_failure
+                 ledger: ServiceLedger | None = None) -> None:
         self.random = RandomSource(seed, path="privid")
         self.mechanism = LaplaceMechanism(self.random)
         self.registry = registry if registry is not None else default_registry()
@@ -163,13 +153,14 @@ class PrividSystem:
         #: Engine scheduling the independent per-chunk executions; accepts an
         #: instance or a spec string ('serial', 'sharded[:N]' or its aliases
         #: 'process[:N]' and 'thread[:N]'; see :func:`~repro.core.engine.create_engine`).
+        #: An engine lost mid-stream hands its unfinished chunks to serial
+        #: execution (``SandboxRunner.iter_chunk_rows``), byte-identically.
         self.engine: ExecutionEngine = create_engine(engine)
         #: True when the engine was built here from a spec string — those
         #: pools belong to this system, so :meth:`close` shuts them down.
         self._owns_engine = not isinstance(engine, ExecutionEngine)
         #: Optional memoization of chunk outputs across queries; accepts a
-        #: store instance or a spec string ('off', 'memory', 'disk:PATH',
-        #: 'tiered:PATH').
+        #: store instance or a spec string ('off', 'memory', 'tiered:PATH').
         self.chunk_cache = create_cache(cache)
 
     def query_view(self, noise_path: str) -> "PrividSystem":
@@ -358,8 +349,7 @@ class PrividSystem:
             streams.append((table, runner.iter_chunk_rows(
                 chunk_set.make_chunks(), context,
                 engine=self.engine, cache=self.chunk_cache,
-                count_hint=chunk_set.num_chunks,
-                on_engine_failure=self.on_engine_failure)))
+                count_hint=chunk_set.num_chunks)))
         # The round-robin drive is the query's cooperative yield point: the
         # cancellation token is checked once per chunk, so a deadline stops
         # the stream within one chunk — before any budget is charged (the

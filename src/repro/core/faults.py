@@ -7,10 +7,14 @@ seam: a :class:`FaultPlan` is a declarative schedule of faults, and a
 :class:`FaultInjector` evaluates it at well-defined *sites* threaded through
 the transports (:class:`FaultyTransport` around any
 :class:`~repro.core.remote.ShardTransport`), the disk store
-(:class:`~repro.core.cache.DiskChunkStore` consults ``store.get`` /
-``store.put``), and shard spawning (:func:`faulty_transport_factory` polls
-``*.connect``).  Production code never imports a plan; a ``None`` injector
-is free.
+(:class:`~repro.core.cache.DiskChunkStore` strikes ``store.get`` /
+``store.put``), shard spawning (:func:`faulty_transport_factory` strikes
+``*.connect``) and the write-ahead log (``wal.*``).  A plan goes in one
+way per component: ``set_fault_injector`` on the engine and the store,
+the constructor of the WAL (whose recovery polls while the log opens), and
+``QueryService(fault_injector=)``, which hands it to all three.  Production
+code never imports a plan; a ``None`` injector is free: every site guards
+its call with ``is not None``.
 
 Determinism
 ===========
@@ -42,6 +46,21 @@ destroy replay.
 Fault taxonomy (:class:`FaultKind`)
 ===================================
 
+Two kinds mean the same at every site, and :meth:`FaultInjector.strike`
+alone carries them out:
+
+``DELAY``         the operation sleeps ``delay`` seconds, then proceeds.
+``IO_ERROR``      the operation raises :class:`OSError` naming the site: a
+                  store read or write degrades to a counted miss, a task
+                  write or a result read marks the shard dead, a connect
+                  leaves the slot unreachable, a WAL operation fails.
+
+The one exception is a DELAY on a result frame: it sleeps nowhere, but goes
+on as a ``delayed`` wrapper that the coordinator's core delivers that much
+later, because a sleep inside the one wait would stall every shard.
+
+Every other kind comes back to its site, which gives it the site's meaning:
+
 ``TORN_FRAME``    a result frame is lost mid-read and the connection torn
                   down (reads as shard death; pending work is redispatched).
 ``DROP_FRAME``    a frame silently vanishes (written into the void, or read
@@ -51,14 +70,13 @@ Fault taxonomy (:class:`FaultKind`)
                   (the slot stays empty until the next stream start).
 ``CRASH``         the far end is killed right after accepting a task frame
                   (``after_seq`` schedules "crash at seq N"; pair with
-                  ``max_fires`` so the respawned shard survives the retry).
-``DELAY``         the operation sleeps ``delay`` seconds, then proceeds (a
-                  result frame goes on as a ``delayed`` wrapper that the
-                  coordinator delivers that much later; nothing sleeps).
-``IO_ERROR``      the operation raises :class:`OSError` (store reads/writes
-                  degrade to misses; task writes mark the shard dead).
-``CORRUPT``       the store entry is scribbled over before the read, so the
-                  store's corrupt-entry self-heal path runs for real.
+                  ``max_fires`` so the respawned shard survives the retry);
+                  at a ``service.crash_at_*`` site, the WAL's crash hook.
+``CORRUPT``       the store entry is scribbled over before the read (or a
+                  byte of the loaded WAL image flipped), so the
+                  corrupt-entry self-heal path runs for real.
+
+A site ignores a returned kind it gives no meaning to.
 """
 
 from __future__ import annotations
@@ -215,6 +233,24 @@ class FaultInjector:
                 return rule
             return None
 
+    def strike(self, site: str, *, seq: int | None = None,
+               token: str | None = None) -> FaultKind | None:
+        """Poll ``site`` and carry out what the firing rule means there."""
+        return self.carry_out(self.poll(site, seq=seq, token=token), site)
+
+    def carry_out(self, rule: FaultRule | None, site: str) -> FaultKind | None:
+        """The kinds that mean one thing everywhere (module taxonomy): a
+        DELAY sleeps and returns None, an IO_ERROR raises :class:`OSError`
+        naming ``site``; any other kind comes back for the site to apply."""
+        if rule is None:
+            return None
+        if rule.kind is FaultKind.DELAY:
+            time.sleep(rule.delay)
+            return None
+        if rule.kind is FaultKind.IO_ERROR:
+            raise OSError(f"injected IO error at {site}")
+        return rule.kind
+
     def _rule_fires_now(self, rule: FaultRule, site: str, index: int,
                         seq: int | None, token: str | None) -> bool:
         if rule.after_seq is not None:
@@ -281,41 +317,36 @@ class FaultyTransport:
         frames = self.inner.read()
         if not frames:
             return frames
+        site = f"{self.site}.result"
         passed: list[dict[str, Any]] = []
         for message in frames:
             rule = None if message.get("type") != "result" else \
-                self.injector.poll(f"{self.site}.result", seq=message.get("seq"))
-            if rule is None:
-                passed.append(message)
-            elif rule.kind is FaultKind.DELAY:
-                # Held back by the coordinator's core, never by a sleep: the
-                # one wait reads every shard, so a sleep would stall them all.
+                self.injector.poll(site, seq=message.get("seq"))
+            if rule is not None and rule.kind is FaultKind.DELAY:
+                # The taxonomy's one exception: held back by the
+                # coordinator's core, never by a sleep, because the one wait
+                # reads every shard and a sleep would stall them all.
                 passed.append({"type": "delayed", "delay": rule.delay, "frame": message})
-            elif rule.kind is FaultKind.TORN_FRAME:
+                continue
+            kind = self.injector.carry_out(rule, site)
+            if kind is FaultKind.TORN_FRAME:
                 # The stream tore mid-frame: unrecoverable on a byte
                 # transport, so the connection dies with it.
                 self.inner.kill()
                 return passed or None
-            elif rule.kind is not FaultKind.DROP_FRAME:  # a drop vanished in transit
+            if kind is not FaultKind.DROP_FRAME:  # a drop vanished in transit
                 passed.append(message)
         return passed
 
     def write(self, message: dict[str, Any]) -> int:
         if message.get("type") != "task":
             return self.inner.write(message)
-        rule = self.injector.poll(f"{self.site}.task", seq=message.get("seq"))
-        if rule is None:
-            return self.inner.write(message)
-        if rule.kind is FaultKind.DELAY:
-            time.sleep(rule.delay)
-            return self.inner.write(message)
-        if rule.kind is FaultKind.IO_ERROR:
-            raise OSError(f"injected task write failure at {self.site}")
-        if rule.kind is FaultKind.DROP_FRAME:
+        kind = self.injector.strike(f"{self.site}.task", seq=message.get("seq"))
+        if kind is FaultKind.DROP_FRAME:
             # Written into the void: the caller sees success, the far end
             # sees nothing — the pure stall only task timeouts recover from.
             return _frame_bytes(message)
-        if rule.kind is FaultKind.CRASH:
+        if kind is FaultKind.CRASH:
             # The far end dies right after accepting the task.
             try:
                 sent = self.inner.write(message)
@@ -330,20 +361,16 @@ def faulty_transport_factory(factory: Any, injector: FaultInjector,
                              site: str) -> Any:
     """Wrap a transport factory so connects and frames go through the plan.
 
-    Polls ``{site}.connect`` before construction (CONNECT_REFUSED raises
-    :class:`ConnectionRefusedError`, DELAY sleeps first — a refusal takes
-    the path of a worker that cannot be started),
-    then wraps the built transport in a :class:`FaultyTransport`.
+    Strikes ``{site}.connect`` before construction: a DELAY sleeps first,
+    and an IO_ERROR or a CONNECT_REFUSED (a :class:`ConnectionRefusedError`)
+    raises the :class:`OSError` a worker that cannot be started raises, so
+    the slot reads as unreachable.  Then wraps the built transport in a
+    :class:`FaultyTransport`.
     """
 
     def build() -> FaultyTransport:
-        rule = injector.poll(f"{site}.connect")
-        if rule is not None:
-            if rule.kind is FaultKind.DELAY:
-                time.sleep(rule.delay)
-            elif rule.kind is FaultKind.CONNECT_REFUSED:
-                raise ConnectionRefusedError(
-                    f"injected connection refusal at {site}")
+        if injector.strike(f"{site}.connect") is FaultKind.CONNECT_REFUSED:
+            raise ConnectionRefusedError(f"injected connection refusal at {site}")
         return FaultyTransport(factory(), injector, site)
 
     return build

@@ -860,8 +860,7 @@ class ShardedEngine:
                  heartbeat_timeout: float = 10.0,
                  startup_grace: float = 60.0,
                  max_task_retries: int = 3,
-                 task_timeout: float | None = None,
-                 fault_injector: "FaultInjector | None" = None) -> None:
+                 task_timeout: float | None = None) -> None:
         if transports is not None:
             if not transports:
                 raise ValueError("transports must not be empty")
@@ -888,7 +887,7 @@ class ShardedEngine:
             if value is not None:
                 checks.real(name, value, ValueError, above=0)
         #: Optional chaos seam (:meth:`set_fault_injector`).
-        self._fault_injector = fault_injector
+        self._fault_injector: "FaultInjector | None" = None
         #: Engine-wide IPC accounting (every task frame sent to any shard).
         self.dispatch_stats = DispatchStats()
         self._shard_stats: dict[int, DispatchStats] = {}
@@ -1030,7 +1029,7 @@ class ShardedEngine:
         """Feed the core every frame waiting on a shard's socket, or its EOF."""
         try:
             frames = shard.transport.read()
-        except RemoteShardError:  # a corrupt length prefix: the stream is lost
+        except (OSError, RemoteShardError):  # a failed read, or a corrupt length prefix
             frames = None
         if frames is None:
             self._apply(self._core.eof(shard.id, now))

@@ -179,20 +179,20 @@ class SandboxRunner:
             stamped.append(stamped_row)
         return ChunkOutcome(rows=stamped, fallback=fallback)
 
-    def _outcomes_with_serial_fallback(
-            self, engine: ExecutionEngine, chunks: Iterable[Chunk],
-            context: ExecutionContext, count_hint: int | None
-    ) -> Iterator[ChunkOutcome]:
+    def _engine_outcomes(self, engine: ExecutionEngine, chunks: Iterable[Chunk],
+                         context: ExecutionContext, count_hint: int | None
+                         ) -> Iterator[ChunkOutcome]:
         """Engine outcomes that degrade to serial re-execution on engine loss.
 
-        The ``on_engine_failure="serial_fallback"`` policy: chunks fed to
-        the engine are tracked until their outcome is yielded; if the engine
-        stream dies with :class:`~repro.errors.RemoteShardError` (every
-        shard lost, a task out of retries), the unfinished tracked chunks
-        and the rest of the stream are re-executed serially in this process.
-        The result is byte-identical either way — chunk outputs are pure
-        functions of the chunk, never of placement (the determinism
-        contract) — so degradation costs throughput, not correctness.
+        Chunks fed to the engine are tracked until their outcome is yielded;
+        if the engine stream dies with :class:`~repro.errors.RemoteShardError`
+        (every shard lost, a task out of retries, a refused result), the
+        unfinished tracked chunks and the rest of the stream are re-executed
+        serially in this process, with a :class:`RuntimeWarning`.  There is
+        no choice to make: the result is byte-identical either way — chunk
+        outputs are pure functions of the chunk, never of placement (the
+        determinism contract) — so engine loss costs throughput, never a
+        query.
         """
         from repro.errors import RemoteShardError
 
@@ -223,19 +223,10 @@ class SandboxRunner:
         for chunk in chain(pending, chunk_iter):
             yield self.run_chunk_outcome(chunk, context)
 
-    def _engine_outcomes(self, engine: ExecutionEngine, chunks: Iterable[Chunk],
-                         context: ExecutionContext, *, count_hint: int | None,
-                         on_engine_failure: str) -> Iterator[ChunkOutcome]:
-        if on_engine_failure == "serial_fallback":
-            return self._outcomes_with_serial_fallback(engine, chunks, context,
-                                                       count_hint)
-        return engine.imap_chunks(self, chunks, context, count_hint=count_hint)
-
     def iter_chunk_rows(self, chunks: Iterable[Chunk], context: ExecutionContext, *,
                         engine: ExecutionEngine | None = None,
                         cache: "ChunkStore | None" = None,
-                        count_hint: int | None = None,
-                        on_engine_failure: str = "fail"
+                        count_hint: int | None = None
                         ) -> Iterator[list[dict[str, Any]]]:
         """Stream each chunk's rows, in chunk order, as executions complete.
 
@@ -253,20 +244,13 @@ class SandboxRunner:
         tiered — see :mod:`repro.core.cache`) short-circuits chunks whose
         (content, configuration) identity was processed before; only misses
         reach the engine, and failure-fallback outputs (crash/timeout
-        default rows, which may be transient) are never cached.
-
-        ``on_engine_failure`` picks the degradation policy when a
-        distributed engine loses every shard mid-stream: ``"fail"`` (the
-        default) propagates :class:`~repro.errors.RemoteShardError`;
-        ``"serial_fallback"`` re-executes the unfinished chunks serially in
-        this process — byte-identical by the determinism contract, just
-        slower.
+        default rows, which may be transient) are never cached.  An engine
+        that fails mid-stream hands its unfinished chunks back to serial
+        execution in this process (:meth:`_engine_outcomes`).
         """
         engine = engine if engine is not None else SerialEngine()
         if cache is None:
-            for outcome in self._engine_outcomes(
-                    engine, chunks, context, count_hint=count_hint,
-                    on_engine_failure=on_engine_failure):
+            for outcome in self._engine_outcomes(engine, chunks, context, count_hint):
                 yield outcome.rows
             return
 
@@ -316,9 +300,7 @@ class SandboxRunner:
         # forwarded: a warm cache with a full-stream hint would otherwise
         # inflate the sharded engine's adaptive batch size and collapse the
         # few real misses into a single shard's task.
-        outcomes = self._engine_outcomes(engine, miss_feed(), context,
-                                         count_hint=None,
-                                         on_engine_failure=on_engine_failure)
+        outcomes = self._engine_outcomes(engine, miss_feed(), context, None)
         while True:
             while ledger and ledger[0][0] == "hit":
                 yield ledger.popleft()[1]

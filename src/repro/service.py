@@ -113,7 +113,6 @@ class QueryService:
                  max_concurrent_queries: int = 4,
                  max_queue_depth: int | None = None,
                  default_query_timeout: float | None = None,
-                 on_engine_failure: str = "fail",
                  fault_injector: FaultInjector | None = None) -> None:
         checks.count("max_concurrent_queries", max_concurrent_queries, ValueError, 1)
         if max_queue_depth is not None:
@@ -141,8 +140,7 @@ class QueryService:
             # systems are thin views over it.
             self._template = PrividSystem(seed=seed, registry=registry,
                                           engine=engine, cache=cache,
-                                          ledger=self.ledger,
-                                          on_engine_failure=on_engine_failure)
+                                          ledger=self.ledger)
         except BaseException:
             # Recovery refused the log, or a spec or option was bad: the
             # service never existed, so neither does its open log file.
@@ -155,7 +153,6 @@ class QueryService:
         self.max_concurrent_queries = max_concurrent_queries
         self.max_queue_depth = max_queue_depth
         self.default_query_timeout = default_query_timeout
-        self.on_engine_failure = on_engine_failure
         self.fault_injector = fault_injector
         if fault_injector is not None:
             # Opt-in chaos: any shared resource that exposes the hook gets

@@ -64,3 +64,22 @@ def test_a_module_map_name_nothing_under_src_defines_fails_the_check(tmp_path, m
     stale = [line for line in capsys.readouterr().err.splitlines() if line]
     assert stale == ["docs/architecture.md: stale module-map name -> Gone "
                      "(defined nowhere under src/)"]
+
+
+def test_a_dangling_markdown_name_in_python_source_fails_the_check(tmp_path, monkeypatch,
+                                                                    capsys):
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _tree(tmp_path, "No code names here.\n")
+    (tmp_path / "benchmarks" / "system").mkdir(parents=True)
+    (tmp_path / "benchmarks" / "system" / "README.md").write_text("Workloads.\n")
+    (tmp_path / "benchmarks" / "system" / "run.py").write_text(
+        '"""See README.md beside me, docs/design.md and ROADMAP.md at the root,\n'
+        'and never the docs/*.md glob."""\n')
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "bench.py").write_text("# substitutions: DESIGN.md §2\n")
+    assert check_docs.main() == 1
+    captured = capsys.readouterr()
+    stale = [line for line in captured.err.splitlines() if line]
+    assert stale == ["tools/bench.py: dangling markdown name -> DESIGN.md"]
+    assert "4 markdown mentions" in captured.out

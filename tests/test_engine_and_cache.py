@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     ChunkResultCache,
+    DiskChunkStore,
     PrividSystem,
     SerialEngine,
     ShardedEngine,
@@ -266,14 +267,16 @@ class TestChunkResultCache:
         context = _context(video)
         reference = flat_rows(runner.iter_chunk_rows(chunks, context))
         assert [row["plate"] for row in reference] == ["\ud800"] * len(chunks)
-        for spec in ("memory", f"disk:{tmp_path / 'd'}", f"tiered:{tmp_path / 't'}"):
-            cold = flat_rows(runner.iter_chunk_rows(chunks, context,
-                                                    cache=create_cache(spec)))
-            assert repr(cold) == repr(reference), spec
-        for spec in (f"disk:{tmp_path / 'd'}", f"tiered:{tmp_path / 't'}"):
-            store = create_cache(spec)  # a fresh handle: served from the files
+        stores = {"memory": lambda: create_cache("memory"),
+                  "disk": lambda: DiskChunkStore(tmp_path / "d"),
+                  "tiered": lambda: create_cache(f"tiered:{tmp_path / 't'}")}
+        for name, store in stores.items():
+            cold = flat_rows(runner.iter_chunk_rows(chunks, context, cache=store()))
+            assert repr(cold) == repr(reference), name
+        for name in ("disk", "tiered"):
+            store = stores[name]()  # a fresh handle: served from the files
             rows = flat_rows(runner.iter_chunk_rows(chunks, context, cache=store))
-            assert repr(rows) == repr(reference), spec
+            assert repr(rows) == repr(reference), name
             assert store.stats_dict()["hits"] == len(chunks)
         shared = create_cache(f"tiered:{tmp_path / 's'}")
         with create_engine("sharded:2") as engine:  # the coordinator does the puts

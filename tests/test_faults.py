@@ -11,10 +11,12 @@ re-execution, a cancelled query never charges a ledger.
 
 import os
 import time
+import warnings
 
 import pytest
 
 from repro.core import PrividSystem, SerialEngine
+from repro.core import faults
 from repro.core.cache import DiskChunkStore, create_cache, store_health
 from repro.core.faults import (
     FaultKind,
@@ -31,6 +33,7 @@ from repro.errors import (
     RemoteShardError,
 )
 from repro.query.builder import QueryBuilder
+from repro.service import QueryService
 
 from tests.conftest import make_crossing_object, make_simple_video
 
@@ -171,6 +174,32 @@ class TestFaultInjector:
         injector.poll("s", token="abcdef")
         assert injector.log() == ("s#0 io_error", "s#1 io_error token=abcdef")
         assert injector.summary() == {"s:io_error": 2}
+
+
+#: What each kind does at a site that strikes it: DELAY and IO_ERROR are
+#: carried out by the injector, every other kind comes back unchanged.
+MEANINGS = {FaultKind.DELAY: "sleeps", FaultKind.IO_ERROR: "raises"}
+
+
+class TestOneMeaningPerKind:
+    @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda kind: kind.value)
+    def test_a_struck_kind_means_one_thing(self, kind, monkeypatch):
+        slept = []
+        monkeypatch.setattr(faults.time, "sleep", slept.append)
+        injector = FaultPlan(rules=(FaultRule(site="test.site", kind=kind,
+                                              at=(0,), delay=0.25),)).injector()
+        meaning = MEANINGS.get(kind, "returned")
+        sleeps = [0.25] if meaning == "sleeps" else []
+        if meaning == "raises":
+            with pytest.raises(OSError, match=r"at test\.site$"):
+                injector.strike("test.site", seq=3)
+        else:
+            assert injector.strike("test.site", seq=3) is \
+                (None if meaning == "sleeps" else kind)
+        assert slept == sleeps
+        assert injector.log() == (f"test.site#0 {kind.value} seq=3",)
+        assert injector.strike("test.site") is None  # index 1: nothing fires
+        assert slept == sleeps
 
 
 # -------------------------------------------------------------- resilience
@@ -330,6 +359,26 @@ class TestFaultyTransport:
         assert isinstance(wrapped, FaultyTransport)
         assert wrapped.description == "faulty(fake)"
 
+    def test_connect_io_error_leaves_the_slot_unreachable(self):
+        # Like a refusal: the factory raises OSError before building anything.
+        built = []
+        injector = FaultPlan(rules=(FaultRule(site="*.connect", kind=FaultKind.IO_ERROR,
+                                              at=(0,)),)).injector()
+        build = faulty_transport_factory(lambda: built.append(1) or _FakeTransport(),
+                                         injector, "transport.a")
+        with pytest.raises(OSError, match=r"at transport\.a\.connect$"):
+            build()
+        assert built == []
+        assert isinstance(build(), FaultyTransport) and built == [1]
+
+    def test_result_read_io_error_raises(self):
+        # The shell reads a failed read as the shard's EOF.
+        transport, inner, _ = _wrap(
+            [FaultRule(site="*.result", kind=FaultKind.IO_ERROR, at=(0,))],
+            frames=[{"type": "result", "seq": 4}])
+        with pytest.raises(OSError, match=r"at transport\.t\.result$"):
+            transport.read()
+
 
 # ------------------------------------------------------------- disk store
 
@@ -338,7 +387,8 @@ class TestDiskStoreFaults:
     def test_injected_write_error_is_a_counted_non_fatal_miss(self, tmp_path):
         plan = FaultPlan(rules=(FaultRule(site="store.put", kind=FaultKind.IO_ERROR,
                                           at=(0,)),))
-        store = DiskChunkStore(tmp_path, fault_injector=plan.injector())
+        store = DiskChunkStore(tmp_path)
+        store.set_fault_injector(plan.injector())
         store.put("a" * 40, [{"kind": "person"}])  # swallowed, counted
         assert store.write_errors == 1
         assert store.get("a" * 40) is None  # the entry simply stayed cold
@@ -350,7 +400,8 @@ class TestDiskStoreFaults:
     def test_injected_read_error_degrades_to_a_miss(self, tmp_path):
         plan = FaultPlan(rules=(FaultRule(site="store.get", kind=FaultKind.IO_ERROR,
                                           at=(0,)),))
-        store = DiskChunkStore(tmp_path, fault_injector=plan.injector())
+        store = DiskChunkStore(tmp_path)
+        store.set_fault_injector(plan.injector())
         store.put("b" * 40, [{"kind": "person"}])
         assert store.get("b" * 40) is None
         assert store.read_errors == 1
@@ -359,7 +410,8 @@ class TestDiskStoreFaults:
     def test_corrupt_entry_reads_as_miss_and_self_heals(self, tmp_path):
         plan = FaultPlan(rules=(FaultRule(site="store.get", kind=FaultKind.CORRUPT,
                                           at=(0,)),))
-        store = DiskChunkStore(tmp_path, fault_injector=plan.injector())
+        store = DiskChunkStore(tmp_path)
+        store.set_fault_injector(plan.injector())
         store.put("c" * 40, [{"kind": "person"}])
         assert store.get("c" * 40) is None  # scribbled entry: miss + removal
         assert store.read_errors == 1
@@ -373,7 +425,8 @@ class TestDiskStoreFaults:
         keys = [f"{index:02x}" * 20 for index in range(5)]
         plan = FaultPlan(rules=(FaultRule(site="store.get", kind=FaultKind.CORRUPT,
                                           at=(0,)),))
-        store = DiskChunkStore(tmp_path, fault_injector=plan.injector())
+        store = DiskChunkStore(tmp_path)
+        store.set_fault_injector(plan.injector())
         for key in keys:
             store.put(key, [])
         source = tmp_path / f"{keys[0]}.json"
@@ -413,7 +466,8 @@ class TestDiskStoreFaults:
 
     @pytest.mark.parametrize("tier", ["memory", "disk", "tiered"])
     def test_store_health_is_each_store_kinds_own_health(self, tmp_path, tier):
-        store = create_cache(tier if tier == "memory" else f"{tier}:{tmp_path}")
+        store = DiskChunkStore(tmp_path) if tier == "disk" \
+            else create_cache(tier if tier == "memory" else f"{tier}:{tmp_path}")
         assert store_health(store) == {"enabled": True, **store.health()}
         assert store_health(store)["tier"] == tier
 
@@ -440,36 +494,52 @@ class _DyingEngine:
             yield outcome
 
 
-class TestSerialFallback:
-    def _system(self, video, engine, policy):
-        system = PrividSystem(seed=5, engine=engine,
-                              on_engine_failure=policy)
-        system.register_camera("cam", video,
+def _register(deployment, video):
+    deployment.register_camera("cam", video,
                                policy=PrivacyPolicy(rho=30.0, k_segments=1),
                                epsilon_budget=100.0)
-        return system
+    return deployment
+
+
+def _one_engine_warning(run):
+    """``run()``'s value; it must warn exactly once, of the serial fallback."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = run()
+    assert [(warning.category, "re-executing the remaining" in str(warning.message))
+            for warning in caught] == [(RuntimeWarning, True)]
+    return value
+
+
+class TestSerialFallback:
+    """Engine loss never fails a query: there is one path, no option."""
 
     def test_all_shards_lost_falls_back_byte_identically(self):
         video = _walker_video()
         query = _count_query(bucket=120.0)
-        reference = self._system(video, None, "fail").execute(query)
+        reference = _register(PrividSystem(seed=5), video).execute(query)
         engine = _DyingEngine(yield_before_death=3)
-        with pytest.warns(RuntimeWarning, match="re-executing the remaining"):
-            result = self._system(video, engine, "serial_fallback").execute(query)
+        system = _register(PrividSystem(seed=5, engine=engine), video)
+        result = _one_engine_warning(lambda: system.execute(query))
         assert engine.streams == 1  # it really ran (and really died)
         assert repr(result.raw_series_unsafe()) \
             == repr(reference.raw_series_unsafe())
         assert repr(result.series()) == repr(reference.series())
 
-    def test_default_policy_surfaces_the_engine_error(self):
+    def test_a_service_on_a_dying_engine_completes_on_serial(self):
         video = _walker_video()
-        system = self._system(video, _DyingEngine(), "fail")
-        with pytest.raises(RemoteShardError):
-            system.execute(_count_query())
-
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(ValueError):
-            PrividSystem(on_engine_failure="shrug")
+        query = _count_query(bucket=120.0)
+        with _register(QueryService(seed=5), video) as serial:
+            reference = serial.execute(query)
+        engine = _DyingEngine(yield_before_death=3)
+        with _register(QueryService(seed=5, engine=engine), video) as service:
+            result = _one_engine_warning(lambda: service.execute(query))
+            assert service.stats()["queries"]["completed"] == 1
+            assert service.stats()["queries"]["failed"] == 0
+        assert engine.streams == 1
+        assert repr(result.raw_series_unsafe()) \
+            == repr(reference.raw_series_unsafe())
+        assert repr(result.series()) == repr(reference.series())
 
 
 # ----------------------------------------------------- executor + deadlines

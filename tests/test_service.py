@@ -762,8 +762,7 @@ class TestDurableService:
             QueryService(wal_dir=tmp_path)
         assert [spied.status()["closed"] for spied in opened] == [True]
 
-    @pytest.mark.parametrize("bad", [{"engine": "bogus"}, {"cache": "bogus:x"},
-                                     {"on_engine_failure": "nope"}])
+    @pytest.mark.parametrize("bad", [{"engine": "bogus"}, {"cache": "bogus:x"}])
     def test_a_refused_option_closes_the_wal(self, tmp_path, monkeypatch, bad):
         # The log opens first; a spec or option refused after it must not
         # leave the log's file open on the way out either.

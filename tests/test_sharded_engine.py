@@ -160,7 +160,7 @@ class TestWireProtocol:
         # no directory and draws no reply.
         target = tmp_path / "made-by-a-peer"
         frames = b"".join(encode_frame(message) for message in (
-            {"type": "store", "spec": f"disk:{target}"},
+            {"type": "store", "spec": f"tiered:{target}"},
             {"type": "ping", "token": 3}, {"type": "shutdown"}))
         replies = io.BytesIO()
         serve(io.BytesIO(frames), replies)
@@ -1811,9 +1811,12 @@ class TestTheOneWait:
     def test_refused_rows_never_reach_the_store(self, rows, reason, tmp_path,
                                                 in_process_shard):
         # A worker answering rows the core refuses is handled like an error
-        # frame on every retry; the stream fails and nothing is stored.
+        # frame on every retry; the engine stream fails, the stream finishes
+        # on serial, and the store holds serial's rows, never the refused ones.
         video = _walker_video()
         runner, context = _runner(), _context(video)
+        serial = _serial_rows(runner, iter_chunks(video, TWO_CHUNKS), context)
+        assert all(entry != rows for entry in serial)
 
         def reply_with_rows(tasks):
             reply = _handle_task(tasks[-1])
@@ -1824,11 +1827,15 @@ class TestTheOneWait:
         store = TieredChunkCache(disk=tmp_path / "store")
         worker = _scripted_worker(reply_with_rows)
         with ShardedEngine(transports=[worker], chunksize=1) as engine:
-            with pytest.raises(RemoteShardError, match=reason):
-                list(runner.iter_chunk_rows(iter_chunks(video, TWO_CHUNKS), context,
-                                            engine=engine, cache=store))
+            with pytest.warns(RuntimeWarning, match=reason):
+                streamed = list(runner.iter_chunk_rows(
+                    iter_chunks(video, TWO_CHUNKS), context, engine=engine, cache=store))
         _join_workers(worker)
-        assert store.disk.writes == 0 and len(store) == 0
+        assert [[dict(row) for row in entry] for entry in streamed] == serial
+        keys = [store.key_for(runner, chunk, context)
+                for chunk in iter_chunks(video, TWO_CHUNKS)]
+        assert store.disk.writes == len(store) == 2
+        assert [store.disk.get(key) for key in keys] == serial
 
     def test_the_coordinator_runs_no_thread_per_shard(self, threaded):
         # However many shards, a running stream starts no thread at all
@@ -1974,12 +1981,52 @@ class TestResilienceControls:
         for _ in range(2):
             injector = plan.injector()
             with ShardedEngine(transports=threaded(2), chunksize=1,
-                               fault_injector=injector, heartbeat_interval=0.2) as engine:
+                               heartbeat_interval=0.2) as engine:
+                engine.set_fault_injector(injector)
                 rows = _rows_of(engine.imap_chunks(
                     runner, iter_chunks(video, spec), context))
             assert repr(rows) == repr(reference)
             fired.append([(event.kind, event.seq) for event in injector.fired])
         assert fired[0] == fired[1] == [(FaultKind.CRASH, 5)]
+
+    @pytest.mark.parametrize("kind", ["connect_refused", "io_error"])
+    def test_a_failed_connect_leaves_its_slot_unreachable(self, threaded, kind):
+        # An IO_ERROR at a connect means what it means everywhere (an
+        # OSError), which the shell reads as it reads a refusal.
+        from repro.core.faults import FaultKind, FaultPlan, FaultRule
+
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
+        plan = FaultPlan(rules=(FaultRule(site="transport.worker1.connect",
+                                          kind=FaultKind(kind), at=(0,)),))
+        with ShardedEngine(transports=threaded(2), chunksize=1) as engine:
+            engine.set_fault_injector(plan.injector())
+            with pytest.warns(RuntimeWarning, match=r"slot 1 is unreachable: "
+                                                    r"injected .* at transport\.worker1"):
+                rows = _rows_of(engine.imap_chunks(
+                    runner, iter_chunks(video, TEN_CHUNKS), context))
+            health = engine.health()
+        assert repr(rows) == repr(reference)
+        assert health["live_shards"] == 1 and health["degraded"]
+
+    def test_a_failed_result_read_is_the_shards_eof(self, threaded):
+        # An IO_ERROR on a result frame raises from the read; the shell
+        # reads it as the shard's EOF and redispatches to the other shard.
+        from repro.core.faults import FaultKind, FaultPlan, FaultRule
+
+        video = _walker_video()
+        runner, context = _runner(), _context(video)
+        reference = _serial_rows(runner, iter_chunks(video, TEN_CHUNKS), context)
+        injector = FaultPlan(rules=(FaultRule(site="transport.worker0.result",
+                                              kind=FaultKind.IO_ERROR, at=(0,)),)).injector()
+        with ShardedEngine(transports=threaded(2), chunksize=1,
+                           heartbeat_interval=0.2) as engine:
+            engine.set_fault_injector(injector)
+            rows = _rows_of(engine.imap_chunks(
+                runner, iter_chunks(video, TEN_CHUNKS), context))
+        assert repr(rows) == repr(reference)
+        assert [event.kind for event in injector.fired] == [FaultKind.IO_ERROR]
 
     def test_a_replacement_shard_is_pushed_exactly_what_its_first_task_names(
             self, pushed, threaded):
@@ -1994,7 +2041,8 @@ class TestResilienceControls:
                          seed=3, name="crash-at-3")
         injector = plan.injector()
         engine = ShardedEngine(transports=threaded(2), chunksize=1,
-                               fault_injector=injector, heartbeat_interval=0.2)
+                               heartbeat_interval=0.2)
+        engine.set_fault_injector(injector)
         serial = _build_system(video)
         with engine, _build_system(video, engine=engine) as system:
             for _ in range(2):
@@ -2031,8 +2079,7 @@ class TestResilienceControls:
         query = _count_query()
         reference = _build_system(video).execute(query, charge_budget=False)
         engine = ShardedEngine(transports=threaded(2))
-        with engine, PrividSystem(seed=5, engine=engine,
-                                  on_engine_failure="serial_fallback") as system:
+        with engine, PrividSystem(seed=5, engine=engine) as system:
             system.register_camera("cam", video,
                                    policy=PrivacyPolicy(rho=30.0, k_segments=1),
                                    epsilon_budget=100.0)

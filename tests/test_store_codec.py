@@ -226,14 +226,16 @@ class TestOneFormat:
 
     @pytest.mark.parametrize("kind", ["tiered", "disk"])
     def test_specs_reopen_the_same_entries(self, tmp_path, kind):
-        spec = f"{kind}:{tmp_path / kind}"
-        store = create_cache(spec)
+        directory = tmp_path / kind
+        open_store = {"tiered": lambda: create_cache(f"tiered:{directory}"),
+                      "disk": lambda: DiskChunkStore(directory)}[kind]
+        store = open_store()
         store.put("1" * 16, [{"kind": "person", "dy": 1.5}])
-        reopened = create_cache(spec)
+        reopened = open_store()
         assert type(reopened) is type(store) and reopened is not store
         assert reopened.get("1" * 16) == [{"kind": "person", "dy": 1.5}]
 
-    @pytest.mark.parametrize("kind", ["disk+json", "tiered+json", "disk+binary"])
+    @pytest.mark.parametrize("kind", ["disk+json", "tiered+json", "disk+binary", "disk"])
     def test_create_cache_rejects_format_tokens(self, tmp_path, kind):
         with pytest.raises(ValueError, match="unknown cache spec"):
             create_cache(f"{kind}:{tmp_path / 'x'}")

@@ -60,14 +60,14 @@ def _inflate(path, factor: int) -> bytes:
 class TestAPlantedEntry:
     def test_an_inflated_disk_entry_is_re_executed_not_counted(self, campus, tmp_path):
         store = tmp_path / "store"
-        cold = _system(campus, f"disk:{store}")
+        cold = _system(campus, DiskChunkStore(store))
         assert _count(cold) == 24.0
         entries = sorted(store.rglob("*.json"))
         assert len(entries) == 60
         target = next(path for path in entries if path.stat().st_size > 22)
         original = _inflate(target, 400)
 
-        warm = _system(campus, f"disk:{store}")
+        warm = _system(campus, DiskChunkStore(store))
         # Served as stored, the entry's 400 rows would make this 423.
         assert _count(warm) == 24.0
         stats = warm.cache_stats()

@@ -387,8 +387,8 @@ class TestTieredStore:
         assert create_cache("off") is None
         assert create_cache("none") is None
         assert isinstance(create_cache("memory"), ChunkResultCache)
-        disk = create_cache(f"disk:{tmp_path / 'd'}")
-        assert isinstance(disk, DiskChunkStore)
+        disk = DiskChunkStore(tmp_path / "d")
+        assert create_cache(disk) is disk
         tiered = create_cache(f"tiered:{tmp_path / 't'}")
         assert isinstance(tiered, TieredChunkCache)
         existing = ChunkResultCache()
@@ -396,7 +396,7 @@ class TestTieredStore:
         with pytest.raises(ValueError):
             create_cache("disk")
         with pytest.raises(ValueError, match="needs a directory"):
-            create_cache("disk:   ")
+            create_cache("tiered:   ")
         with pytest.raises(ValueError):
             create_cache("sqlite:/tmp/x")
         # The blank after the colon is not part of the path: the store lands

@@ -234,7 +234,6 @@ def run_chaos(scenario, policy_map, plan: FaultPlan):
                            startup_grace=120.0, task_timeout=2.0, max_task_retries=5)
     try:
         with QueryService(seed=3, engine=engine, cache=f"tiered:{store_dir}",
-                          on_engine_failure="serial_fallback",
                           fault_injector=injector) as service:
             register_scenario_camera(service, scenario, policy_map=policy_map,
                                      epsilon_budget=5.0, sample_period=1.0)

@@ -17,6 +17,11 @@ module, function, class or method under ``src/``, or a name a module or
 class body assigns.  ``ROADMAP.md`` and ``CHANGES.md`` are exempt — they
 name planned and deleted code on purpose.
 
+Python files under ``src/``, ``benchmarks/``, ``tools/`` and ``examples/``
+must name only markdown files that exist: every markdown file name in one
+(``README.md``, ``docs/benchmarks.md``) must resolve beside the file or
+under the repo root.
+
 Exit status 0 when every link and name resolves, 1 otherwise (with one line
 per broken one).  Run from anywhere: paths are resolved against the repo root.
 
@@ -46,6 +51,10 @@ _NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 #: The document holding the module map, and the map's heading.
 MODULE_MAP = ("docs/architecture.md", "## Module map")
+#: A markdown file named in Python source (``README.md``, ``docs/benchmarks.md``).
+_MARKDOWN_NAME = re.compile(r"[\w./-]*\w\.md\b")
+#: The directories whose Python files are checked for markdown names.
+SOURCE_DIRS = ("src", "benchmarks", "tools", "examples")
 
 
 def github_slug(heading: str) -> str:
@@ -165,6 +174,16 @@ def check_module_map(path: Path, heading: str) -> tuple[int, list[str]]:
                         "(defined nowhere under src/)" for name in names if name not in defined]
 
 
+def check_markdown_names(path: Path) -> tuple[int, list[str]]:
+    """How many markdown names the Python file ``path`` holds, and one error
+    per name that exists neither beside the file nor under the repo root."""
+    names = sorted(set(_MARKDOWN_NAME.findall(path.read_text(encoding="utf-8"))))
+    return len(names), [f"{path.relative_to(REPO_ROOT)}: dangling markdown name -> {name}"
+                        for name in names
+                        if not (path.parent / name).exists()
+                        and not (REPO_ROOT / name).exists()]
+
+
 def main() -> int:
     documents = sorted(REPO_ROOT.glob("*.md")) + sorted((REPO_ROOT / "docs").glob("*.md"))
     if not documents:
@@ -184,10 +203,16 @@ def main() -> int:
         mapped, stale = check_module_map(module_map, heading)
         names += mapped
         errors.extend(stale)
+    mentions = 0
+    for directory in SOURCE_DIRS:
+        for source in sorted((REPO_ROOT / directory).rglob("*.py")):
+            found, dangling = check_markdown_names(source)
+            mentions += found
+            errors.extend(dangling)
     for error in errors:
         print(error, file=sys.stderr)
-    print(f"check_docs: {len(documents)} files, {links} links, {names} names, "
-          f"{len(errors)} broken")
+    print(f"check_docs: {len(documents)} files, {links} links, "
+          f"{mentions} markdown mentions, {names} names, {len(errors)} broken")
     return 1 if errors else 0
 
 
