@@ -405,7 +405,8 @@ class DiskChunkStore:
     A row-less entry is a name, not a file: a handle's later row-less puts
     land as hard links to the first it wrote (counted in ``links``, too).
 
-    Unreadable or corrupt entries read as misses and are removed; write-side
+    Corrupt entries read as misses and are removed; a failed read is a miss
+    that leaves the entry in place (the next get may succeed); write-side
     IO errors (ENOSPC, permission flips, a yanked mount) are *non-fatal* —
     the entry simply is not cached (counted in ``write_errors``), because a
     failing cold tier must degrade a deployment's hit rate, never its
@@ -488,7 +489,13 @@ class DiskChunkStore:
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except OSError:
+            # A read that failed (EIO, an injected IO_ERROR) says nothing
+            # about the entry: a miss that leaves the file for the next get.
+            self.read_errors += 1
+            self.stats.misses += 1
+            return None
+        except (ValueError, KeyError, TypeError):
             # A torn or foreign file: treat as a miss and drop it so the slot
             # can be rewritten cleanly.
             self.read_errors += 1
@@ -668,6 +675,11 @@ class TieredChunkCache:
                 context: "ExecutionContext") -> str:
         """Cache key of one chunk execution (same scheme as every tier)."""
         return chunk_key(runner, chunk, context)
+
+    @property
+    def fault_injector(self) -> "FaultInjector | None":
+        """The disk tier's fault plan (the memory tier has no fault site)."""
+        return self.disk.fault_injector
 
     def set_fault_injector(self, injector: "FaultInjector | None") -> None:
         """Route the disk tier's operations through a fault plan (chaos)."""

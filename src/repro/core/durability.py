@@ -446,11 +446,6 @@ class QueryJournal:
             entry = self._entries.get(token)
             return dict(entry) if entry is not None else None
 
-    def tokens(self) -> tuple[str, ...]:
-        """Every journaled resume token, sorted."""
-        with self._lock:
-            return tuple(sorted(self._entries))
-
     def next_query_seq(self) -> int:
         """The first query seq no journaled query has used.
 

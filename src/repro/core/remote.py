@@ -131,7 +131,7 @@ from repro.core.engine import (
     chunk_from_spec,
     execute_chunk,
 )
-from repro.core.faults import FaultInjector, faulty_transport_factory
+from repro.core.faults import FaultInjector, FaultyTransport, faulty_transport_factory
 from repro.errors import RemoteShardError
 from repro.utils import checks
 
@@ -887,7 +887,7 @@ class ShardedEngine:
             if value is not None:
                 checks.real(name, value, ValueError, above=0)
         #: Optional chaos seam (:meth:`set_fault_injector`).
-        self._fault_injector: "FaultInjector | None" = None
+        self.fault_injector: "FaultInjector | None" = None
         #: Engine-wide IPC accounting (every task frame sent to any shard).
         self.dispatch_stats = DispatchStats()
         self._shard_stats: dict[int, DispatchStats] = {}
@@ -914,8 +914,8 @@ class ShardedEngine:
         tried again at the next stream start).  A fault plan sees the Nth
         shard opened as ``transport.worker{N}``."""
         factory = self._factories[slot]
-        if self._fault_injector is not None:
-            factory = faulty_transport_factory(factory, self._fault_injector,
+        if self.fault_injector is not None:
+            factory = faulty_transport_factory(factory, self.fault_injector,
                                                f"transport.worker{self._next_shard_id}")
         try:
             transport = factory()
@@ -1137,9 +1137,14 @@ class ShardedEngine:
 
     def set_fault_injector(self, injector: "FaultInjector | None") -> None:
         """Install a chaos fault plan on every transport this engine opens
-        from now on (call before first use, or after :meth:`shutdown`)."""
+        from now on (call before first use, or after :meth:`shutdown`).  A
+        live shard's transport drops the plan it was opened under, so an
+        old plan fires nowhere once it is replaced or removed."""
         with self._cond:
-            self._fault_injector = injector
+            self.fault_injector = injector
+            for shard in self._shards.values():
+                if isinstance(shard.transport, FaultyTransport):
+                    shard.transport = shard.transport.inner
 
     def health(self) -> dict[str, Any]:
         """Shard-pool liveness for ``service.health()``: ``degraded`` while

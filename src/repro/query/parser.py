@@ -20,6 +20,13 @@ Supported statements::
     SELECT color, COUNT(plate) FROM (SELECT plate, color FROM tableA GROUP BY plate
         WITH KEYS ["P1", "P2"]) GROUP BY color WITH KEYS ["RED", "WHITE"];
     SELECT COUNT(*) FROM tableA JOIN tableB ON plate;
+
+The parser walks :func:`~repro.query.lexer.scan`'s flat columns with an
+integer cursor: a keyword or symbol is one comparison of a token's key in
+place, so a parse costs about the scan plus the AST it builds.  The AST's
+``repr`` (what the WAL's query fingerprint hashes) and every error's
+message, line and column are held equal to the token-object parser this
+replaced (``tests/parse_oracle.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Any
 
 from repro.errors import QuerySyntaxError
 from repro.query.ast import PrividQuery, ProcessStatement, SelectStatement, SplitStatement
-from repro.query.lexer import Token, TokenType, tokenize
+from repro.query.lexer import END, IDENT, NUMBER, STRING, scan, syntax_error
 from repro.relational.aggregates import SUPPORTED_AGGREGATES, Aggregation, GroupSpec
 from repro.relational.expressions import Column, Expression, RangeExpression, TimeBucket
 from repro.relational.plan import GroupBy, Join, Limit, Projection, Relation, TableScan
@@ -50,400 +57,411 @@ _TIME_FUNCTIONS = {
     "day": SECONDS_PER_DAY,
 }
 
+#: ``DataType`` by value, without a call through the enum machinery (~1 µs).
+_DATA_TYPES = {member.value: member for member in DataType}
+
 
 class _Parser:
-    """Token-stream cursor with the usual expect/accept helpers."""
+    """Recursive descent over :func:`~repro.query.lexer.scan`'s columns.
+
+    Each rule takes the cursor ``i`` (an index into the columns) and returns
+    what it parsed with the cursor past it.  A token is matched by comparing
+    its key (keywords upper-case, symbols as written) or its kind in place,
+    and the cursor only moves past a token that matched, so it never passes
+    END and ``i + 1`` is always in range after a match at ``i``.
+    """
 
     def __init__(self, text: str) -> None:
-        self.tokens = tokenize(text)
-        self.position = 0
+        self.text = text
+        self.kinds, self.values, self.keys = scan(text)
 
-    # ------------------------------------------------------------- cursor ops
+    def _error(self, i: int, message: str) -> QuerySyntaxError:
+        return syntax_error(self.text, i, message)
 
-    def peek(self, offset: int = 0) -> Token:
-        # In range: the cursor stops at END, and a lookahead follows a non-END peek.
-        return self.tokens[self.position + offset]
+    def _expected(self, i: int, expected: str) -> QuerySyntaxError:
+        return self._error(i, f"expected {expected}, found {self.values[i]!r}")
 
-    def advance(self) -> Token:
-        token = self.peek()
-        if token.type is not TokenType.END:
-            self.position += 1
-        return token
-
-    def accept_keyword(self, keyword: str) -> Token | None:
-        """Consume ``keyword`` (an upper-case literal) if it is next, in any case."""
-        token = self.peek()
-        if token.type is TokenType.IDENT and token.value.upper() == keyword:
-            return self.advance()
-        return None
-
-    def expect_keyword(self, keyword: str) -> Token:
-        token = self.accept_keyword(keyword)
-        if token is None:
-            actual = self.peek()
-            raise QuerySyntaxError(f"expected {keyword!r}, found {actual.value!r}",
-                                   line=actual.line, column=actual.column)
-        return token
-
-    def accept_symbol(self, symbol: str) -> Token | None:
-        token = self.peek()
-        if token.type is TokenType.SYMBOL and token.value == symbol:
-            return self.advance()
-        return None
-
-    def expect_symbol(self, symbol: str) -> Token:
-        token = self.accept_symbol(symbol)
-        if token is None:
-            actual = self.peek()
-            raise QuerySyntaxError(f"expected {symbol!r}, found {actual.value!r}",
-                                   line=actual.line, column=actual.column)
-        return token
-
-    def expect_ident(self) -> str:
-        token = self.peek()
-        if token.type is not TokenType.IDENT:
-            raise QuerySyntaxError(f"expected an identifier, found {token.value!r}",
-                                   line=token.line, column=token.column)
-        return self.advance().value
-
-    def expect_number(self) -> float:
-        token = self.peek()
-        if token.type is not TokenType.NUMBER:
-            raise QuerySyntaxError(f"expected a number, found {token.value!r}",
-                                   line=token.line, column=token.column)
-        self.advance()
-        value = float(token.value)
+    def _number(self, i: int) -> float:
+        if self.kinds[i] is not NUMBER:
+            raise self._expected(i, "a number")
+        text = self.values[i]
+        value = float(text)
         if not math.isfinite(value):
-            raise QuerySyntaxError(
-                f"number too large to represent ({len(token.value)} characters)",
-                line=token.line, column=token.column)
+            raise self._error(i, f"number too large to represent ({len(text)} characters)")
         return value
 
-    def expect_count(self) -> int:
+    def _count(self, i: int) -> int:
         """A whole number: a fractional row bound is rejected, not truncated."""
-        token = self.peek()
-        value = self.expect_number()
+        value = self._number(i)
         if not value.is_integer():
-            raise QuerySyntaxError(f"expected a whole number, found {token.value!r}",
-                                   line=token.line, column=token.column)
+            raise self._expected(i, "a whole number")
         return int(value)
 
-    def parse_duration(self) -> float:
-        """A number with an optional time unit, returned in seconds."""
-        value = self.expect_number()
-        token = self.peek()
-        if token.type is TokenType.IDENT and token.value.lower() in _UNIT_SECONDS:
-            self.advance()
-            return value * _UNIT_SECONDS[token.value.lower()]
-        return value
+    def _duration(self, i: int) -> tuple[float, int]:
+        """A number with an optional time unit, in seconds."""
+        value = self._number(i)
+        if self.kinds[i + 1] is IDENT:
+            unit = self.values[i + 1].lower()
+            if unit in _UNIT_SECONDS:
+                return value * _UNIT_SECONDS[unit], i + 2
+        return value, i + 1
+
+    def _signed_number(self, i: int) -> tuple[float, int]:
+        sign = 1.0
+        if self.keys[i] == "-":
+            sign, i = -1.0, i + 1
+        return sign * self._number(i), i + 1
+
+    def _names(self, i: int) -> tuple[tuple[str, ...], int]:
+        """``name[, name...]``."""
+        kinds, values, keys = self.kinds, self.values, self.keys
+        names = []
+        while True:
+            if kinds[i] is not IDENT:
+                raise self._expected(i, "an identifier")
+            names.append(values[i])
+            if keys[i + 1] != ",":
+                return tuple(names), i + 1
+            i += 2
+
+    def _literal(self, i: int) -> Any:
+        """A string, a number or an identifier (a default or a group key)."""
+        kind = self.kinds[i]
+        if kind is NUMBER:
+            return self._number(i)
+        if kind is not STRING and kind is not IDENT:
+            raise self._expected(i, "an identifier")
+        return self.values[i]
 
     # ---------------------------------------------------------- statements
 
     def parse(self, name: str) -> PrividQuery:
         query = PrividQuery(name=name)
-        while not self.peek().matches(TokenType.END):
-            if self.accept_keyword("SPLIT"):
-                query.splits.append(self._parse_split())
-            elif self.accept_keyword("PROCESS"):
-                query.processes.append(self._parse_process())
-            elif self.accept_keyword("SELECT"):
-                query.selects.append(self._parse_select())
+        kinds, keys = self.kinds, self.keys
+        i = 0
+        while kinds[i] is not END:
+            key = keys[i]
+            if key == "SPLIT":
+                split, i = self._split(i + 1)
+                query.splits.append(split)
+            elif key == "PROCESS":
+                process, i = self._process(i + 1)
+                query.processes.append(process)
+            elif key == "SELECT":
+                select, i = self._select(i + 1)
+                query.selects.append(select)
             else:
-                token = self.peek()
-                raise QuerySyntaxError(
-                    f"expected SPLIT, PROCESS or SELECT, found {token.value!r}",
-                    line=token.line, column=token.column)
-            self.accept_symbol(";")
+                raise self._expected(i, "SPLIT, PROCESS or SELECT")
+            if keys[i] == ";":
+                i += 1
         return query
 
-    def _parse_split(self) -> SplitStatement:
-        camera = self.expect_ident()
-        self.expect_keyword("BEGIN")
-        begin = self.parse_duration()
-        self.expect_keyword("END")
-        end = self.parse_duration()
-        self.expect_keyword("BY")
-        self.expect_keyword("TIME")
-        chunk_duration = self.parse_duration()
+    def _split(self, i: int) -> tuple[SplitStatement, int]:
+        kinds, values, keys = self.kinds, self.values, self.keys
+        if kinds[i] is not IDENT:
+            raise self._expected(i, "an identifier")
+        camera = values[i]
+        if keys[i + 1] != "BEGIN":
+            raise self._expected(i + 1, "'BEGIN'")
+        begin, i = self._duration(i + 2)
+        if keys[i] != "END":
+            raise self._expected(i, "'END'")
+        end, i = self._duration(i + 1)
+        if keys[i] != "BY":
+            raise self._expected(i, "'BY'")
+        if keys[i + 1] != "TIME":
+            raise self._expected(i + 1, "'TIME'")
+        chunk_duration, i = self._duration(i + 2)
         stride = 0.0
-        if self.accept_keyword("STRIDE"):
-            stride = self.parse_duration()
+        if keys[i] == "STRIDE":
+            stride, i = self._duration(i + 1)
         mask = None
         region_scheme = None
         while True:
-            if self.accept_keyword("WITH"):
-                self.expect_keyword("MASK")
-                mask = self.expect_ident()
-            elif self.accept_keyword("BY"):
-                self.expect_keyword("REGION")
-                region_scheme = self.expect_ident()
+            if keys[i] == "WITH":
+                if keys[i + 1] != "MASK":
+                    raise self._expected(i + 1, "'MASK'")
+                if kinds[i + 2] is not IDENT:
+                    raise self._expected(i + 2, "an identifier")
+                mask = values[i + 2]
+            elif keys[i] == "BY":
+                if keys[i + 1] != "REGION":
+                    raise self._expected(i + 1, "'REGION'")
+                if kinds[i + 2] is not IDENT:
+                    raise self._expected(i + 2, "an identifier")
+                region_scheme = values[i + 2]
             else:
                 break
-        self.expect_keyword("INTO")
-        output = self.expect_ident()
+            i += 3
+        if keys[i] != "INTO":
+            raise self._expected(i, "'INTO'")
+        if kinds[i + 1] is not IDENT:
+            raise self._expected(i + 1, "an identifier")
         return SplitStatement(camera=camera, begin=begin, end=end,
-                              chunk_duration=chunk_duration, stride=stride,
-                              mask=mask, region_scheme=region_scheme, output=output)
+                              chunk_duration=chunk_duration, stride=stride, mask=mask,
+                              region_scheme=region_scheme, output=values[i + 1]), i + 2
 
-    def _parse_schema(self) -> Schema:
-        self.expect_symbol("(")
+    def _schema(self, i: int) -> tuple[Schema, int]:
+        kinds, values, keys = self.kinds, self.values, self.keys
+        if keys[i] != "(":
+            raise self._expected(i, "'('")
         columns: list[ColumnSpec] = []
         while True:
-            name = self.expect_ident()
-            self.expect_symbol(":")
-            dtype_name = self.expect_ident().upper()
-            try:
-                dtype = DataType(dtype_name)
-            except ValueError as error:
-                token = self.peek()
-                raise QuerySyntaxError(f"unknown data type {dtype_name!r}",
-                                       line=token.line, column=token.column) from error
+            if kinds[i + 1] is not IDENT:
+                raise self._expected(i + 1, "an identifier")
+            if keys[i + 2] != ":":
+                raise self._expected(i + 2, "':'")
+            if kinds[i + 3] is not IDENT:
+                raise self._expected(i + 3, "an identifier")
+            name, dtype_name = values[i + 1], keys[i + 3]
+            i += 4
+            dtype = _DATA_TYPES.get(dtype_name)
+            if dtype is None:
+                raise self._error(i, f"unknown data type {dtype_name!r}")
             default: Any = None
-            if self.accept_symbol("="):
-                token = self.peek()
-                if token.type is TokenType.STRING:
-                    default = self.advance().value
-                elif token.type is TokenType.NUMBER:
-                    default = self.expect_number()
-                else:
-                    default = self.expect_ident()
+            if keys[i] == "=":
+                default = self._literal(i + 1)
+                i += 2
             columns.append(ColumnSpec(name=name, dtype=dtype, default=default))
-            if not self.accept_symbol(","):
+            if keys[i] != ",":
                 break
-        self.expect_symbol(")")
-        return Schema(columns=tuple(columns))
+        if keys[i] != ")":
+            raise self._expected(i, "')'")
+        return Schema(columns=tuple(columns)), i + 1
 
-    def _parse_process(self) -> ProcessStatement:
-        chunks = self.expect_ident()
-        self.expect_keyword("USING")
-        executable = self.expect_ident()
+    def _process(self, i: int) -> tuple[ProcessStatement, int]:
+        kinds, values, keys = self.kinds, self.values, self.keys
+        if kinds[i] is not IDENT:
+            raise self._expected(i, "an identifier")
+        if keys[i + 1] != "USING":
+            raise self._expected(i + 1, "'USING'")
+        if kinds[i + 2] is not IDENT:
+            raise self._expected(i + 2, "an identifier")
+        chunks, executable = values[i], values[i + 2]
+        i += 3
         timeout = 1.0
-        if self.accept_keyword("TIMEOUT"):
-            timeout = self.parse_duration()
-        self.expect_keyword("PRODUCING")
-        max_rows = self.expect_count()
-        self.accept_keyword("ROWS")
-        self.expect_keyword("WITH")
-        self.expect_keyword("SCHEMA")
-        schema = self._parse_schema()
-        self.expect_keyword("INTO")
-        output = self.expect_ident()
+        if keys[i] == "TIMEOUT":
+            timeout, i = self._duration(i + 1)
+        if keys[i] != "PRODUCING":
+            raise self._expected(i, "'PRODUCING'")
+        max_rows = self._count(i + 1)
+        i += 2
+        if keys[i] == "ROWS":
+            i += 1
+        if keys[i] != "WITH":
+            raise self._expected(i, "'WITH'")
+        if keys[i + 1] != "SCHEMA":
+            raise self._expected(i + 1, "'SCHEMA'")
+        schema, i = self._schema(i + 2)
+        if keys[i] != "INTO":
+            raise self._expected(i, "'INTO'")
+        if kinds[i + 1] is not IDENT:
+            raise self._expected(i + 1, "an identifier")
         return ProcessStatement(chunks=chunks, executable=executable, timeout=timeout,
-                                max_rows=max_rows, schema=schema, output=output)
+                                max_rows=max_rows, schema=schema,
+                                output=values[i + 1]), i + 2
 
     # -------------------------------------------------------------- SELECT
 
-    def _parse_key_list(self) -> tuple[Any, ...]:
-        self.expect_symbol("[")
-        keys: list[Any] = []
+    def _key_list(self, i: int) -> tuple[tuple[Any, ...], int]:
+        """``[key, ...]``: strings, numbers or identifiers."""
+        keys = self.keys
+        if keys[i] != "[":
+            raise self._expected(i, "'['")
+        entries = [self._literal(i + 1)]
+        i += 2
+        while keys[i] == ",":
+            entries.append(self._literal(i + 1))
+            i += 2
+        if keys[i] != "]":
+            raise self._expected(i, "']'")
+        return tuple(entries), i + 1
+
+    def _range_arguments(self, i: int) -> tuple[str, float, float, int]:
+        """``(column, low, high)`` of a ``range``, bounds optionally negative."""
+        keys = self.keys
+        if keys[i] != "(":
+            raise self._expected(i, "'('")
+        if self.kinds[i + 1] is not IDENT:
+            raise self._expected(i + 1, "an identifier")
+        column = self.values[i + 1]
+        if keys[i + 2] != ",":
+            raise self._expected(i + 2, "','")
+        low, i = self._signed_number(i + 3)
+        if keys[i] != ",":
+            raise self._expected(i, "','")
+        high, i = self._signed_number(i + 1)
+        if keys[i] != ")":
+            raise self._expected(i, "')'")
+        return column, low, high, i + 1
+
+    def _expressions(self, i: int) -> tuple[list[tuple[str, Expression]], int]:
+        """An expression list: ``(output name, expression)`` per entry."""
+        kinds, values, keys = self.kinds, self.values, self.keys
+        outputs: list[tuple[str, Expression]] = []
         while True:
-            token = self.peek()
-            if token.type is TokenType.STRING:
-                keys.append(self.advance().value)
-            elif token.type is TokenType.NUMBER:
-                keys.append(self.expect_number())
+            if kinds[i] is not IDENT:
+                raise self._expected(i, "an expression")
+            name = values[i]
+            lowered = name.lower()
+            i += 1
+            expression: Expression
+            if keys[i] == "(" and lowered == "range":
+                column, low, high, i = self._range_arguments(i)
+                expression, output = RangeExpression(Column(column), low, high), column
+            elif keys[i] == "(" and (lowered == "bin" or lowered in _TIME_FUNCTIONS):
+                if kinds[i + 1] is not IDENT:
+                    raise self._expected(i + 1, "an identifier")
+                column = values[i + 1]
+                if lowered == "bin":
+                    if keys[i + 2] != ",":
+                        raise self._expected(i + 2, "','")
+                    width, i = self._duration(i + 3)
+                    output = f"bin_{column}"
+                else:
+                    width, i = _TIME_FUNCTIONS[lowered], i + 2
+                    output = f"{lowered}_{column}"
+                if keys[i] != ")":
+                    raise self._expected(i, "')'")
+                expression = TimeBucket(Column(column), width)
+                i += 1
             else:
-                keys.append(self.expect_ident())
-            if not self.accept_symbol(","):
-                break
-        self.expect_symbol("]")
-        return tuple(keys)
+                expression, output = Column(name), name
+            if keys[i] == "AS":
+                if kinds[i + 1] is not IDENT:
+                    raise self._expected(i + 1, "an identifier")
+                output = values[i + 1]
+                i += 2
+            outputs.append((output, expression))
+            if keys[i] != ",":
+                return outputs, i
+            i += 1
 
-    def _parse_scalar_expression(self) -> tuple[str, Expression]:
-        """One entry of an expression list; returns (output name, expression)."""
-        token = self.peek()
-        if token.type is not TokenType.IDENT:
-            raise QuerySyntaxError(f"expected an expression, found {token.value!r}",
-                                   line=token.line, column=token.column)
-        name = self.advance().value
-        lowered = name.lower()
-        if lowered == "range" and self.peek().matches(TokenType.SYMBOL, "("):
-            self.expect_symbol("(")
-            column = self.expect_ident()
-            self.expect_symbol(",")
-            low = self._parse_signed_number()
-            self.expect_symbol(",")
-            high = self._parse_signed_number()
-            self.expect_symbol(")")
-            expression: Expression = RangeExpression(Column(column), low, high)
-            output = column
-        elif lowered in _TIME_FUNCTIONS and self.peek().matches(TokenType.SYMBOL, "("):
-            self.expect_symbol("(")
-            column = self.expect_ident()
-            self.expect_symbol(")")
-            expression = TimeBucket(Column(column), _TIME_FUNCTIONS[lowered])
-            output = f"{lowered}_{column}"
-        elif lowered == "bin" and self.peek().matches(TokenType.SYMBOL, "("):
-            self.expect_symbol("(")
-            column = self.expect_ident()
-            self.expect_symbol(",")
-            width = self.parse_duration()
-            self.expect_symbol(")")
-            expression = TimeBucket(Column(column), width)
-            output = f"bin_{column}"
-        else:
-            expression = Column(name)
-            output = name
-        if self.accept_keyword("AS"):
-            output = self.expect_ident()
-        return output, expression
+    def _group_by(self, relation: Relation, i: int) -> tuple[GroupBy, int]:
+        """What follows ``GROUP BY`` in a FROM clause: ``col[, col...] [WITH KEYS [...]]``."""
+        names, i = self._names(i)
+        explicit_keys = None
+        if self.keys[i] == "WITH":
+            if self.keys[i + 1] != "KEYS":
+                raise self._expected(i + 1, "'KEYS'")
+            explicit_keys, i = self._key_list(i + 2)
+        return GroupBy(relation, keys=names, explicit_keys=explicit_keys), i
 
-    def _parse_signed_number(self) -> float:
-        sign = 1.0
-        if self.accept_symbol("-"):
-            sign = -1.0
-        return sign * self.expect_number()
+    def _inner_relation(self, i: int, depth: int) -> tuple[Relation, int]:
+        """FROM clause: a table name, a parenthesised sub-select, joins, group-bys.
 
-    def _parse_inner_relation(self) -> Relation:
-        """FROM clause: a table name, a parenthesised sub-select, joins, group-bys."""
-        relation = self._parse_relation_atom()
-        while True:
-            if self.accept_keyword("JOIN"):
-                right = self._parse_relation_atom()
-                self.expect_keyword("ON")
-                keys = [self.expect_ident()]
-                while self.accept_symbol(","):
-                    keys.append(self.expect_ident())
-                relation = Join(left=relation, right=right, on=tuple(keys))
-            elif self.peek().matches(TokenType.IDENT, "GROUP") \
-                    and self.peek(1).matches(TokenType.IDENT, "BY") \
-                    and not self._is_outer_group_by():
-                self.advance()
-                self.advance()
-                keys = [self.expect_ident()]
-                while self.accept_symbol(","):
-                    keys.append(self.expect_ident())
-                explicit_keys = None
-                if self.accept_keyword("WITH"):
-                    self.expect_keyword("KEYS")
-                    explicit_keys = self._parse_key_list()
-                relation = GroupBy(relation, keys=tuple(keys), explicit_keys=explicit_keys)
-            else:
-                break
-        return relation
-
-    def _is_outer_group_by(self) -> bool:
-        """Heuristic: a GROUP BY at the statement's top level belongs to the outer SELECT.
-
-        The parser tracks parenthesis depth while parsing the FROM clause; the
-        flag is set by :meth:`_parse_select` before descending.
+        ``depth`` counts the parentheses around it: a ``GROUP BY`` at depth 0
+        belongs to the outer SELECT.
         """
-        return getattr(self, "_at_outer_level", False) and self._paren_depth == 0
+        keys = self.keys
+        relation, i = self._relation_atom(i, depth)
+        while True:
+            if keys[i] == "JOIN":
+                right, i = self._relation_atom(i + 1, depth)
+                if keys[i] != "ON":
+                    raise self._expected(i, "'ON'")
+                names, i = self._names(i + 1)
+                relation = Join(left=relation, right=right, on=names)
+            elif depth and keys[i] == "GROUP" and keys[i + 1] == "BY":
+                relation, i = self._group_by(relation, i + 2)
+            else:
+                return relation, i
 
-    def _parse_relation_atom(self) -> Relation:
-        if self.accept_symbol("("):
-            self._paren_depth += 1
-            relation = self._parse_nested_select()
-            self._paren_depth -= 1
-            self.expect_symbol(")")
-            return relation
-        name = self.expect_ident()
-        return TableScan(name)
+    def _relation_atom(self, i: int, depth: int) -> tuple[Relation, int]:
+        if self.keys[i] == "(":
+            relation, i = self._nested_select(i + 1, depth + 1)
+            if self.keys[i] != ")":
+                raise self._expected(i, "')'")
+            return relation, i + 1
+        if self.kinds[i] is not IDENT:
+            raise self._expected(i, "an identifier")
+        return TableScan(self.values[i]), i + 1
 
-    def _parse_nested_select(self) -> Relation:
+    def _nested_select(self, i: int, depth: int) -> tuple[Relation, int]:
         """A parenthesised ``SELECT expr_list FROM inner [LIMIT n]`` followed
         by any number of ``GROUP BY col[, col...] [WITH KEYS (...)]``, or a
         parenthesised bare relation.  There is no ``WHERE``."""
-        if not self.accept_keyword("SELECT"):
+        keys = self.keys
+        if keys[i] != "SELECT":
             # A parenthesised bare relation, e.g. (tableA JOIN tableB ON plate).
-            return self._parse_inner_relation()
-        outputs: list[tuple[str, Expression]] = []
-        while True:
-            outputs.append(self._parse_scalar_expression())
-            if not self.accept_symbol(","):
-                break
-        self.expect_keyword("FROM")
-        relation = self._parse_inner_relation()
-        if self.accept_keyword("LIMIT"):
-            relation = Limit(relation, self.expect_count())
+            return self._inner_relation(i, depth)
+        outputs, i = self._expressions(i + 1)
+        if keys[i] != "FROM":
+            raise self._expected(i, "'FROM'")
+        relation, i = self._inner_relation(i + 1, depth)
+        if keys[i] == "LIMIT":
+            relation = Limit(relation, self._count(i + 1))
+            i += 2
         projected: Relation = Projection(relation, outputs=tuple(outputs))
-        while self.peek().matches(TokenType.IDENT, "GROUP"):
-            self.advance()
-            self.expect_keyword("BY")
-            keys = [self.expect_ident()]
-            while self.accept_symbol(","):
-                keys.append(self.expect_ident())
-            explicit_keys = None
-            if self.accept_keyword("WITH"):
-                self.expect_keyword("KEYS")
-                explicit_keys = self._parse_key_list()
-            projected = GroupBy(projected, keys=tuple(keys), explicit_keys=explicit_keys)
-        return projected
+        while keys[i] == "GROUP":
+            if keys[i + 1] != "BY":
+                raise self._expected(i + 1, "'BY'")
+            projected, i = self._group_by(projected, i + 2)
+        return projected, i
 
-    def _parse_aggregation(self) -> tuple[Aggregation, list[str]]:
-        """The outer SELECT's aggregation, plus any leading bare group columns."""
+    def _aggregation(self, i: int) -> tuple[Aggregation, list[str], tuple | None, int]:
+        """The outer SELECT's aggregation, any leading bare group columns, and
+        the ``(column, low, high)`` of a ``range`` inside the aggregate."""
+        kinds, values, keys = self.kinds, self.values, self.keys
         group_columns: list[str] = []
-        while True:
-            token = self.peek()
-            if token.type is TokenType.IDENT and token.value.upper() in SUPPORTED_AGGREGATES \
-                    and self.peek(1).matches(TokenType.SYMBOL, "("):
-                break
-            group_columns.append(self.expect_ident())
-            self.expect_symbol(",")
-        function = self.expect_ident().upper()
-        self.expect_symbol("(")
-        column: str | None
-        inner_range: tuple[float, float] | None = None
-        if self.accept_symbol("*"):
-            column = None
+        while not (keys[i] in SUPPORTED_AGGREGATES and keys[i + 1] == "("):
+            if kinds[i] is not IDENT:
+                raise self._expected(i, "an identifier")
+            group_columns.append(values[i])
+            if keys[i + 1] != ",":
+                raise self._expected(i + 1, "','")
+            i += 2
+        function = keys[i]
+        i += 2
+        column: str | None = None
+        inner_range = None
+        if keys[i] == "*":
+            i += 1
+        elif values[i].lower() == "range":
+            column, low, high, i = self._range_arguments(i + 1)
+            inner_range = (column, low, high)
+        elif kinds[i] is not IDENT:
+            raise self._expected(i, "an identifier")
         else:
-            inner = self.peek()
-            if inner.value.lower() == "range":
-                self.advance()
-                self.expect_symbol("(")
-                column = self.expect_ident()
-                self.expect_symbol(",")
-                low = self._parse_signed_number()
-                self.expect_symbol(",")
-                high = self._parse_signed_number()
-                self.expect_symbol(")")
-                inner_range = (low, high)
-            else:
-                column = self.expect_ident()
-        self.expect_symbol(")")
-        aggregation = Aggregation(function=function, column=column)
-        if inner_range is not None:
-            aggregation = Aggregation(function=function, column=column)
-            self._pending_range = (column, inner_range)
-        return aggregation, group_columns
+            column = values[i]
+            i += 1
+        if keys[i] != ")":
+            raise self._expected(i, "')'")
+        return Aggregation(function=function, column=column), group_columns, inner_range, i + 1
 
-    def _parse_select(self) -> SelectStatement:
-        self._pending_range: tuple[str | None, tuple[float, float]] | None = None
-        self._paren_depth = 0
-        self._at_outer_level = True
-        aggregation, group_columns = self._parse_aggregation()
-        self.expect_keyword("FROM")
-        relation = self._parse_inner_relation()
+    def _select(self, i: int) -> tuple[SelectStatement, int]:
+        keys = self.keys
+        aggregation, group_columns, inner_range, i = self._aggregation(i)
+        if keys[i] != "FROM":
+            raise self._expected(i, "'FROM'")
+        relation, i = self._inner_relation(i + 1, 0)
         group_spec: GroupSpec | None = None
-        if self.accept_keyword("GROUP"):
-            self.expect_keyword("BY")
-            expressions: list[tuple[str, Expression]] = []
-            while True:
-                expressions.append(self._parse_scalar_expression())
-                if not self.accept_symbol(","):
-                    break
+        if keys[i] == "GROUP":
+            if keys[i + 1] != "BY":
+                raise self._expected(i + 1, "'BY'")
+            expressions, i = self._expressions(i + 2)
             expected_keys = None
-            if self.accept_keyword("WITH"):
-                self.expect_keyword("KEYS")
-                expected_keys = self._parse_key_list()
+            if keys[i] == "WITH":
+                if keys[i + 1] != "KEYS":
+                    raise self._expected(i + 1, "'KEYS'")
+                expected_keys, i = self._key_list(i + 2)
             group_spec = GroupSpec(expressions=tuple(expressions), expected_keys=expected_keys)
         elif group_columns:
             raise QuerySyntaxError(
                 f"columns {group_columns} appear in the SELECT list but there is no GROUP BY")
         epsilon = None
-        if self.accept_keyword("CONSUMING"):
-            epsilon = self.expect_number()
-        if self._pending_range is not None:
-            column, (low, high) = self._pending_range
-            if column is not None:
-                relation = Projection(relation, outputs=(
-                    (column, RangeExpression(Column(column), low, high)),
-                    ("chunk", Column("chunk")),
-                    ("region", Column("region")),
-                ))
-        self._at_outer_level = False
+        if keys[i] == "CONSUMING":
+            epsilon = self._number(i + 1)
+            i += 2
+        if inner_range is not None:
+            column, low, high = inner_range
+            relation = Projection(relation, outputs=(
+                (column, RangeExpression(Column(column), low, high)),
+                ("chunk", Column("chunk")),
+                ("region", Column("region")),
+            ))
         return SelectStatement(aggregation=aggregation, source=relation,
-                               group_by=group_spec, epsilon=epsilon)
+                               group_by=group_spec, epsilon=epsilon), i
 
 
 def parse_query(text: str, *, name: str = "query") -> PrividQuery:

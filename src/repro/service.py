@@ -546,7 +546,10 @@ class QueryService:
         ``cancelled``, and their journal entries stay resumable), while
         queries already running are abandoned: they run on against the
         closed engine and log, which may fail them.  The engine is shut
-        down only when the service built it from a spec string.  Idempotent.
+        down only when the service built it from a spec string.  The
+        ``fault_injector`` given at construction leaves every engine or
+        store that still holds it, so a caller's engine or store fires it
+        nowhere, not even on a shard already running.  Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -556,6 +559,12 @@ class QueryService:
         if wait:
             with self._settled:
                 self._settled.wait_for(lambda: self._queries["active"] == 0)
+        if self.fault_injector is not None:
+            # The plan goes with the service: an engine or store passed in
+            # outlives it, so take the plan off every resource still holding it.
+            for resource in (self.engine, self.cache):
+                if getattr(resource, "fault_injector", None) is self.fault_injector:
+                    resource.set_fault_injector(None)
         self._template.close()
         if self.wal is not None:
             self.wal.close()

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import PrividSystem, SerialEngine
 from repro.core import faults
-from repro.core.cache import DiskChunkStore, create_cache, store_health
+from repro.core.cache import DiskChunkStore, TieredChunkCache, create_cache, store_health
 from repro.core.faults import (
     FaultKind,
     FaultPlan,
@@ -25,6 +25,7 @@ from repro.core.faults import (
     FaultyTransport,
     faulty_transport_factory,
 )
+from repro.core.remote import ShardedEngine
 from repro.core.resilience import CancellationToken
 from repro.core.policy import PrivacyPolicy
 from repro.errors import (
@@ -406,6 +407,10 @@ class TestDiskStoreFaults:
         assert store.get("b" * 40) is None
         assert store.read_errors == 1
         assert store.stats.misses == 1
+        # A failed read says nothing about the entry: it stays, and serves.
+        assert len(store) == 1
+        assert store.get("b" * 40) == [{"kind": "person"}]
+        assert (store.read_errors, store.stats.hits) == (1, 1)
 
     def test_corrupt_entry_reads_as_miss_and_self_heals(self, tmp_path):
         plan = FaultPlan(rules=(FaultRule(site="store.get", kind=FaultKind.CORRUPT,
@@ -540,6 +545,40 @@ class TestSerialFallback:
         assert repr(result.raw_series_unsafe()) \
             == repr(reference.raw_series_unsafe())
         assert repr(result.series()) == repr(reference.series())
+
+
+class TestServicePlanLifetime:
+    """A service's fault plan is installed on the shared engine and store at
+    construction and leaves them at ``close``."""
+
+    def test_close_takes_the_plan_off_a_caller_owned_engine_and_store(self, tmp_path):
+        injector = FaultPlan(rules=()).injector()
+        engine = ShardedEngine(num_shards=1)
+        store = TieredChunkCache(disk=DiskChunkStore(tmp_path))
+        try:
+            with _register(QueryService(engine=engine, cache=store,
+                                        fault_injector=injector), _walker_video()) as service:
+                assert engine.fault_injector is injector
+                assert store.fault_injector is injector
+                service.execute(_count_query())  # a stream opens a shard under the plan
+                assert [type(shard.transport) for shard in engine._live_shards()] \
+                    == [faults.FaultyTransport]
+            assert engine.fault_injector is None
+            assert store.fault_injector is None
+            # The shard the plan opened lives on for the caller, without it.
+            assert len(engine._live_shards()) == 1
+            assert not any(isinstance(shard.transport, faults.FaultyTransport)
+                           for shard in engine._live_shards())
+        finally:
+            engine.shutdown()
+
+    def test_a_plan_the_caller_installed_since_stays(self, tmp_path):
+        injector, other = FaultPlan(rules=()).injector(), FaultPlan(rules=()).injector()
+        store = TieredChunkCache(disk=DiskChunkStore(tmp_path))
+        service = QueryService(cache=store, fault_injector=injector)
+        store.set_fault_injector(other)
+        service.close()
+        assert store.fault_injector is other
 
 
 # ----------------------------------------------------- executor + deadlines

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import QuerySyntaxError, QueryValidationError
 from repro.query.ast import collect_table_names
 from repro.query.builder import QueryBuilder, make_schema
-from repro.query.lexer import Token, TokenType, tokenize
-from repro.query.parser import _Parser, parse_query
+from repro.query.lexer import scan, syntax_error
+from repro.query.parser import parse_query
 from repro.query.validator import validate_query
 from repro.relational.plan import GroupBy, Join, Projection, TableScan
 from repro.relational.table import DataType
+from tests.parse_oracle import (_SYMBOLS, Token, TokenType, _Parser, oracle_parse_query,
+                                oracle_tokenize)
 
 
 EXAMPLE_QUERY = """
@@ -35,91 +37,14 @@ SELECT color, COUNT(plate) FROM (SELECT plate, color FROM tableA GROUP BY plate
 """
 
 
-_SYMBOLS = ("<=", ">=", "!=", "(", ")", "[", "]", ",", ";", ":", "=", "*", "+", "-", "/",
-            "<", ">")
-_IDENT_EXTRA = {"_", ".", "-"}
-
-
-def oracle_tokenize(text: str, is_digit: Callable[[str], bool] = str.isdigit) -> list[Token]:
-    """The tokenizer as it stood before the one-pass scanner: a character walk
-    that counts lines and columns as it goes.  ``is_digit`` is the one place
-    the scanner deliberately differs (``str.isdecimal``: a NUMBER is what
-    ``float()`` accepts); with the default this is the old code verbatim."""
-    tokens: list[Token] = []
-    index = 0
-    line = 1
-    column = 1
-    length = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and text[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = text[index]
-        if char in " \t\r\n":
-            advance(1)
-            continue
-        if char == "#" :
-            while index < length and text[index] != "\n":
-                advance(1)
-            continue
-        if text.startswith("/*", index):
-            end = text.find("*/", index + 2)
-            if end == -1:
-                raise QuerySyntaxError("unterminated comment", line=line, column=column)
-            advance(end + 2 - index)
-            continue
-        if char == '"':
-            start_line, start_column = line, column
-            advance(1)
-            start = index
-            while index < length and text[index] != '"':
-                advance(1)
-            if index >= length:
-                raise QuerySyntaxError("unterminated string literal",
-                                       line=start_line, column=start_column)
-            value = text[start:index]
-            advance(1)
-            tokens.append(Token(TokenType.STRING, value, start_line, start_column))
-            continue
-        if is_digit(char) or (char == "." and index + 1 < length and is_digit(text[index + 1])):
-            start_line, start_column = line, column
-            start = index
-            seen_dot = False
-            while index < length and (is_digit(text[index]) or (text[index] == "." and not seen_dot)):
-                if text[index] == ".":
-                    # A dot not followed by a digit ends the number (e.g. "10.ROWS").
-                    if index + 1 >= length or not is_digit(text[index + 1]):
-                        break
-                    seen_dot = True
-                advance(1)
-            tokens.append(Token(TokenType.NUMBER, text[start:index], start_line, start_column))
-            continue
-        if char.isalpha() or char == "_":
-            start_line, start_column = line, column
-            start = index
-            while index < length and (text[index].isalnum() or text[index] in _IDENT_EXTRA):
-                advance(1)
-            tokens.append(Token(TokenType.IDENT, text[start:index], start_line, start_column))
-            continue
-        matched_symbol = None
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, index):
-                matched_symbol = symbol
-                break
-        if matched_symbol is not None:
-            tokens.append(Token(TokenType.SYMBOL, matched_symbol, line, column))
-            advance(len(matched_symbol))
-            continue
-        raise QuerySyntaxError(f"unexpected character {char!r}", line=line, column=column)
-    tokens.append(Token(TokenType.END, "", line, column))
+def tokenize(text: str) -> list[Token]:
+    """The scanner's columns as ``Token`` tuples, each placed where a syntax
+    error at that token reports it."""
+    kinds, values, _keys = scan(text)
+    tokens = []
+    for index, (kind, value) in enumerate(zip(kinds, values)):
+        where = syntax_error(text, index, "")
+        tokens.append(Token(TokenType(kind), value, where.line, where.column))
     return tokens
 
 
@@ -238,8 +163,9 @@ class TestLexer:
         assert {token.type for token in tokens[:-1]} == {TokenType.NUMBER}
 
     def test_every_query_text_in_the_repo_parses_the_same(self):
-        """``repr`` of the AST (what the WAL's query fingerprint hashes) from
-        the scanner's tokens and from the character walker's."""
+        """``repr`` of the AST (what the WAL's query fingerprint hashes), or
+        the error and where: ``parse_query``, and the oracle parser over the
+        character walker's tokens and over the scanner's."""
 
         def parse_with(tokens_of: Callable, text: str) -> str:
             parser = _Parser.__new__(_Parser)
@@ -399,6 +325,147 @@ class TestNonFiniteNumbers:
              .process("c", executable="count_entering_people.py", max_rows=2,
                       schema=[("kind", "STRING", "")], into="t", **process)
              .select_count(table="t", **select))
+
+
+#: Token-level alphabet of the grammar: every keyword (in three cases), units,
+#: names (some whose case mapping reaches ASCII: ``ſ`` upper-cases to ``S``,
+#: ``ı`` to ``I``, ``ß`` to ``SS``), numbers (fractional, huge), strings and
+#: symbols.  Statements are built from the plain part; edits draw from all.
+_KEYWORDS = ("SPLIT", "PROCESS", "SELECT", "BEGIN", "END", "BY", "TIME", "STRIDE", "WITH",
+             "MASK", "REGION", "INTO", "USING", "TIMEOUT", "PRODUCING", "ROWS", "SCHEMA",
+             "STRING", "NUMBER", "FROM", "GROUP", "KEYS", "JOIN", "ON", "LIMIT", "AS",
+             "CONSUMING", "COUNT", "SUM", "AVG", "VAR", "ARGMAX", "RANGE", "HOUR", "DAY", "BIN")
+_UNITS = ("s", "sec", "seconds", "min", "minutes", "hr", "hours", "day", "days", "SEC", "Min")
+_NAMES = ("camA", "chunks", "t", "plate", "color", "kind", "dy", "x_1", "model.py")
+_NUMBERS = ("0", "1", "2", "5", "30", "60", "600", "3.0")
+_ODD = ("ſec", "mın", "ſplit", "ıNTO", "straße", "Ümlaut", "a-b", "_", "chunk", "region",
+        "TEXT", "0.5", "2.5", ".5", "1" + "0" * 305, HUGE)
+_STRINGS = ('""', '"x"', '"P1"', '"a b"', '"SELECT"', '"range"')
+_TOKENS = st.sampled_from([*_KEYWORDS, *(word.lower() for word in _KEYWORDS),
+                           *(word.title() for word in _KEYWORDS), *_UNITS, *_NAMES,
+                           *_NUMBERS, *_ODD, *_STRINGS, *_SYMBOLS])
+#: Mostly plain spacing; an empty separator glues two tokens into one.
+_SEPARATORS = st.sampled_from([" "] * 12 + ["\n", "\t", "  ", "\r\n", "/* c */", "# c\n",
+                                            "/* a\nb */", ""])
+
+
+def _maybe(part):
+    return st.one_of(st.just([]), part)
+
+
+def _joined(part, separator=","):
+    """``part[, part...]`` as one token list."""
+    return st.lists(part, min_size=1, max_size=3).map(
+        lambda parts: [token for index, tokens in enumerate(parts)
+                       for token in ([separator] if index else []) + tokens])
+
+
+def _cat(*parts):
+    return st.tuples(*parts).map(lambda lists: [token for tokens in lists for token in tokens])
+
+
+def _one(values):
+    return st.sampled_from(values).map(lambda value: [value])
+
+
+_NAME = _one(_NAMES)
+_NUMBER = _one(_NUMBERS)
+_DURATION = _cat(_NUMBER, _maybe(_one(_UNITS)))
+_SIGNED = _cat(_maybe(st.just(["-"])), _NUMBER)
+_LITERAL = st.one_of(_NAME, _NUMBER, _one(_STRINGS))
+_RANGE = _cat(st.just(["range", "("]), _NAME, st.just([","]), _SIGNED, st.just([","]),
+              _SIGNED, st.just([")"]))
+_EXPRESSION = _cat(
+    st.one_of(_NAME, _RANGE,
+              _cat(_one(["hour", "day"]), st.just(["("]), _NAME, st.just([")"])),
+              _cat(st.just(["bin", "("]), _NAME, st.just([","]), _DURATION, st.just([")"]))),
+    _maybe(_cat(st.just(["AS"]), _NAME)))
+_KEY_LIST = _cat(st.just(["WITH", "KEYS", "["]), _joined(_LITERAL), st.just(["]"]))
+_GROUP_BY = _cat(st.just(["GROUP", "BY"]), _joined(_NAME), _maybe(_KEY_LIST))
+_RELATION = st.recursive(
+    _NAME,
+    lambda inner: st.one_of(
+        _cat(inner, st.just(["JOIN"]), inner, st.just(["ON"]), _joined(_NAME)),
+        _cat(st.just(["(", "SELECT"]), _joined(_EXPRESSION), st.just(["FROM"]), inner,
+             _maybe(_cat(st.just(["LIMIT"]), _NUMBER)), _maybe(_GROUP_BY), st.just([")"])),
+        _cat(st.just(["("]), inner, _maybe(_GROUP_BY), st.just([")"]))),
+    max_leaves=4)
+_SPLIT = _cat(st.just(["SPLIT"]), _NAME, st.just(["BEGIN"]), _DURATION, st.just(["END"]),
+              _DURATION, st.just(["BY", "TIME"]), _DURATION,
+              _maybe(_cat(st.just(["STRIDE"]), _DURATION)),
+              _maybe(_cat(st.just(["WITH", "MASK"]), _NAME)),
+              _maybe(_cat(st.just(["BY", "REGION"]), _NAME)),
+              st.just(["INTO"]), _NAME, st.just([";"]))
+_COLUMN = _cat(_NAME, st.just([":"]), _one(["STRING", "NUMBER", "number"]),
+               _maybe(_cat(st.just(["="]), _LITERAL)))
+_PROCESS = _cat(st.just(["PROCESS"]), _NAME, st.just(["USING"]), _NAME,
+                _maybe(_cat(st.just(["TIMEOUT"]), _DURATION)), st.just(["PRODUCING"]), _NUMBER,
+                _maybe(st.just(["ROWS"])), st.just(["WITH", "SCHEMA", "("]), _joined(_COLUMN),
+                st.just([")", "INTO"]), _NAME, st.just([";"]))
+_SELECT = _cat(st.just(["SELECT"]), _maybe(_cat(_NAME, st.just([","]))),
+               _one(["COUNT", "SUM", "avg", "VAR", "ARGMAX"]), st.just(["("]),
+               st.one_of(st.just(["*"]), _NAME, _RANGE), st.just([")", "FROM"]), _RELATION,
+               _maybe(_cat(st.just(["GROUP", "BY"]), _joined(_EXPRESSION), _maybe(_KEY_LIST))),
+               _maybe(_cat(st.just(["CONSUMING"]), _NUMBER)), st.just([";"]))
+
+
+@st.composite
+def _query_texts(draw):
+    """One to three statements of the grammar, then up to three token edits
+    (delete, insert, replace), joined by drawn whitespace and comments."""
+    tokens = [token for tokens in draw(st.lists(st.one_of(_SPLIT, _PROCESS, _SELECT),
+                                                min_size=1, max_size=3))
+              for token in tokens]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        index = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if edit == "insert":
+            tokens.insert(index, draw(_TOKENS))
+        elif index < len(tokens):
+            tokens[index:index + 1] = [draw(_TOKENS)] if edit == "replace" else []
+    return "".join(token + draw(_SEPARATORS) for token in tokens)
+
+
+def _parsed(parse: Callable, text: str):
+    """``repr`` of the AST, or the error a caller sees and where."""
+    try:
+        return repr(parse(text))
+    except QuerySyntaxError as error:
+        return (str(error), error.line, error.column)
+    except Exception as error:  # a statement's own check, e.g. SchemaError
+        return (type(error).__name__, str(error))
+
+
+class TestParserOracle:
+    """``parse_query`` against the parser it replaced (``tests/parse_oracle.py``)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_query_texts())
+    @example("SELECT COUNT(*) FROM (SELECT a FROM t GROUP BY a WITH KEYS [1]) GROUP BY b;")
+    @example('SELECT COUNT("range"(x, -1, 2)) FROM t;')
+    @example("SPLIT c BEGIN 0 ſec END 1 mın BY TIME 1 INTO x; SELECT a, b, COUNT(*) FROM t;")
+    @example('PROCESS c USING m.py PRODUCING 2 WITH SCHEMA (a:straße="") INTO t;')
+    @example("SELECT SUM(*) FROM t; SELECT COUNT(x) FROM t LIMIT 2")
+    def test_parses_like_the_oracle(self, text):
+        """Equal ``repr`` (what the WAL's query fingerprint hashes), or an equal
+        error message, line and column."""
+        assert _parsed(parse_query, text) == _parsed(oracle_parse_query, text)
+
+    def test_generated_texts_reach_both_outcomes(self):
+        """The generator makes parseable queries and broken ones alike."""
+        outcomes = {"parsed": 0, "syntax": 0}
+
+        @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @given(_query_texts())
+        def tally(text):
+            outcome = _parsed(oracle_parse_query, text)
+            if isinstance(outcome, str):
+                outcomes["parsed"] += 1
+            elif len(outcome) == 3:
+                outcomes["syntax"] += 1
+
+        tally()
+        assert outcomes["parsed"] >= 20 and outcomes["syntax"] >= 50, outcomes
 
 
 class TestBuilder:
