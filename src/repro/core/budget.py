@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.durability import QueryJournal, WriteAheadLog
 from repro.errors import BudgetExceededError, DurabilityError, PolicyError, \
@@ -242,43 +243,66 @@ class ServiceLedger:
         with self._lock:
             return tuple(sorted(self._ledgers))
 
+    def check(self, requests_by_camera: dict[str, list[BudgetRequest]],
+              margins: dict[str, float], *, query_id: str | None = None) -> bool:
+        """Check one query's demands on every camera, charging nothing.
+
+        Raises :class:`~repro.errors.BudgetExceededError`, counted once as a
+        denial, if any camera lacks budget.  Returns True, checking nothing,
+        when ``query_id``'s charge has already landed (a resumed query): its
+        own charge must not deny it.  The executor calls this before any
+        chunk runs, and :meth:`admit_many` checks again under the lock it
+        charges under.
+        """
+        with self._measured_lock() as contended:
+            return self._check_locked(requests_by_camera, margins, query_id, contended)
+
+    def _check_locked(self, requests_by_camera: dict[str, list[BudgetRequest]],
+                      margins: dict[str, float], query_id: str | None,
+                      contended: bool) -> bool:
+        """:meth:`check`, holding ``_lock``; a denial is recorded with the
+        caller's ``contended``."""
+        if query_id is not None and self.query_charged(query_id):
+            return True
+        try:
+            for camera, requests in requests_by_camera.items():
+                self.ledger(camera).admit(
+                    requests, margin=margins.get(camera, 0.0), charge=False)
+        except BudgetExceededError:
+            self._note_admission("denied", requests_by_camera, contended)
+            raise
+        return False
+
     def admit_many(self, requests_by_camera: dict[str, list[BudgetRequest]],
-                   margins: dict[str, float], *, charge: bool = True,
-                   query_id: str | None = None) -> dict[str, float] | None:
+                   margins: dict[str, float], *,
+                   query_id: str | None = None) -> dict[str, float]:
         """Atomically admit one query's demands across all its cameras.
 
-        Checks every camera first, then charges every camera (unchecked — the
-        check just passed under the same lock), all under the cross-camera
-        lock — the all-or-nothing admission of Algorithm 1, made race-free.
-        Raises :class:`~repro.errors.BudgetExceededError` leaving every ledger
-        untouched if any camera lacks budget.  A charging call returns each
-        camera's remaining budget, read before the lock is released.
+        :meth:`check` every camera first, then charge every camera
+        (unchecked — the check just passed under the same lock), all under
+        the cross-camera lock — the all-or-nothing admission of Algorithm 1,
+        made race-free.  Raises :class:`~repro.errors.BudgetExceededError`
+        leaving every ledger untouched if any camera lacks budget.  Returns
+        each camera's remaining budget, read before the lock is released.
 
         ``query_id`` keys the charge for idempotent crash recovery; the
-        in-memory ledger ignores it (every charge is new), while
-        :class:`DurableServiceLedger` uses it to make a replayed or resumed
-        query's charge land exactly once.
+        in-memory ledger records no charged queries (every charge is new),
+        while :class:`DurableServiceLedger` uses it to make a replayed or
+        resumed query's charge land exactly once.
         """
-        del query_id  # only meaningful to the durable subclass
-        contended = self._acquire_measured()
-        try:
-            try:
+        with self._measured_lock() as contended:
+            if not self._check_locked(requests_by_camera, margins, query_id, contended):
                 for camera, requests in requests_by_camera.items():
-                    self.ledger(camera).admit(
-                        requests, margin=margins.get(camera, 0.0), charge=False)
-            except BudgetExceededError:
-                if charge:
-                    self._note_admission("denied", requests_by_camera, contended)
-                raise
-            if not charge:
-                return None
-            for camera, requests in requests_by_camera.items():
-                for request in requests:
-                    self.ledger(camera).charge(request.interval, request.epsilon)
-            self._note_admission("admitted", requests_by_camera, contended)
+                    for request in requests:
+                        self.ledger(camera).charge(request.interval, request.epsilon)
+                self._note_admission("admitted", requests_by_camera, contended)
             return self._remaining(requests_by_camera)
-        finally:
-            self._lock.release()
+
+    def query_charged(self, query_id: str) -> bool:
+        """Has this query's charge set already been applied?  Never, in
+        memory: only :class:`DurableServiceLedger` keys charges by query."""
+        del query_id
+        return False
 
     def _remaining(self, requests_by_camera: dict[str, list[BudgetRequest]]) -> dict[str, float]:
         """Remaining budget per camera over its requests' span (holding ``_lock``)."""
@@ -288,24 +312,29 @@ class ServiceLedger:
 
     # ------------------------------------------------------- contention stats
 
-    def _acquire_measured(self) -> bool:
-        """Take the cross-camera lock, recording whether we had to wait.
+    @contextmanager
+    def _measured_lock(self) -> Iterator[bool]:
+        """Hold the cross-camera lock, yielding whether we had to wait.
 
-        Returns True when the lock was held by another thread at arrival —
-        the contention signal the serving benchmarks report.  Re-entrant
+        True when the lock was held by another thread at arrival — the
+        contention signal the serving benchmarks report.  Re-entrant
         acquisitions by the owning thread never count (RLock semantics), so
-        internal nesting is invisible.  The caller must release the lock.
+        internal nesting is invisible.
         """
-        if self._lock.acquire(blocking=False):
-            return False
-        self._lock.acquire()
-        self._lock_contended += 1
-        return True
+        contended = not self._lock.acquire(blocking=False)
+        if contended:
+            self._lock.acquire()
+            self._lock_contended += 1
+        try:
+            yield contended
+        finally:
+            self._lock.release()
 
     def _note_admission(self, outcome: str,
                         requests_by_camera: dict[str, list[BudgetRequest]],
                         contended: bool) -> None:
-        """Record one charge-bearing admission attempt (holding ``_lock``)."""
+        """Record one admission decision (holding ``_lock``): a denial by
+        :meth:`check` or an admission by :meth:`admit_many`."""
         self._admit_calls += 1
         if outcome == "admitted":
             self._admitted += 1
@@ -328,9 +357,12 @@ class ServiceLedger:
                          ) -> dict[str, Any]:
         """Admission/contention accounting for service stats and benchmarks.
 
-        ``admit_calls`` counts charge-bearing :meth:`admit_many` attempts
-        (``admitted`` + ``denied`` partitions them); ``lock_contended`` the
-        attempts that queued behind another thread on the cross-camera lock.
+        ``admit_calls`` counts admission decisions, one per charged query at
+        most (``admitted`` + ``denied`` partitions them: a query is denied by
+        the :meth:`check` before its chunks run, or by the one inside
+        :meth:`admit_many`); ``lock_contended`` the :meth:`check` and
+        :meth:`admit_many` calls that queued behind another thread on the
+        cross-camera lock.
         ``timeline`` (optional) lists one entry per attempt — outcome,
         whether it contended, and the worst-frame remaining budget of every
         touched camera *after* the attempt — the budget-exhaustion curve of
@@ -492,29 +524,19 @@ class DurableServiceLedger(ServiceLedger):
             return super().register(camera, total_epsilon)
 
     def admit_many(self, requests_by_camera: dict[str, list[BudgetRequest]],
-                   margins: dict[str, float], *, charge: bool = True,
-                   query_id: str | None = None) -> dict[str, float] | None:
+                   margins: dict[str, float], *,
+                   query_id: str | None = None) -> dict[str, float]:
         """All-or-nothing admission, logged before it takes effect.
 
-        The admission *check* runs purely in memory; on success the full
-        charge set is appended (and fsynced) as one ``charge`` record, then
-        applied from that same record.  A ``query_id`` that already charged
-        — replayed after a crash, or resubmitted with its resume token —
-        touches no ledger and only reads the remaining budgets.
+        The admission :meth:`check` runs purely in memory; on success the
+        full charge set is appended (and fsynced) as one ``charge`` record,
+        then applied from that same record.  A ``query_id`` that already
+        charged — replayed after a crash, or resubmitted with its resume
+        token — touches no ledger and only reads the remaining budgets.
         """
-        contended = self._acquire_measured()
-        try:
-            if charge and query_id in self._charged_queries:
+        with self._measured_lock() as contended:
+            if self._check_locked(requests_by_camera, margins, query_id, contended):
                 return self._remaining(requests_by_camera)
-            try:
-                super().admit_many(requests_by_camera, margins, charge=False)
-            except BudgetExceededError:
-                if charge:
-                    self._note_admission("denied", requests_by_camera,
-                                         contended)
-                raise
-            if not charge:
-                return None
             record = {"op": "charge", "query_id": query_id,
                       "cameras": {camera: [[request.interval.start,
                                             request.interval.end,
@@ -527,8 +549,6 @@ class DurableServiceLedger(ServiceLedger):
             self._note_admission("admitted", requests_by_camera, contended)
             self._maybe_compact()
             return self._remaining(requests_by_camera)
-        finally:
-            self._lock.release()
 
     def query_charged(self, query_id: str) -> bool:
         """Has this query's charge set already been durably applied?"""

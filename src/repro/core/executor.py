@@ -25,11 +25,13 @@ from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
 from repro.errors import PolicyError, QueryValidationError, UnknownCameraError
 from repro.query.ast import PrividQuery, SelectStatement, collect_table_names
-from repro.relational.aggregates import GroupSpec, Release, ReleaseKind, compute_releases
+from repro.query.validator import validate_query
+from repro.relational.aggregates import GroupSpec, Release, ReleaseKind, compute_releases, \
+    planned_releases
 from repro.relational.expressions import Column, TimeBucket
-from repro.relational.plan import PlanContext
-from repro.relational.sensitivity import TableProperties
-from repro.relational.table import CHUNK_COLUMN, Table
+from repro.relational.plan import PlanContext, Projection, Relation, TableScan, Union
+from repro.relational.sensitivity import SensitivityInfo, TableProperties
+from repro.relational.table import CHUNK_COLUMN, REGION_COLUMN, Table
 from repro.sandbox.environment import ExecutionContext, kept_or_fresh
 from repro.sandbox.registry import ExecutableRegistry, default_registry
 from repro.utils import checks
@@ -101,15 +103,112 @@ class _ChunkSet:
     policy: PrivacyPolicy
     window: TimeInterval
     chunk_duration: float
+    stride: float
+    region_scheme: RegionScheme | None
 
 
 @dataclass
-class _TableSource:
-    """Internal: which camera/window/policy an intermediate table came from."""
+class _SelectPlan:
+    """Internal: one SELECT as its plan fixes it, before any chunk runs."""
 
-    camera: CameraRegistration
-    window: TimeInterval
-    policy: PrivacyPolicy
+    select: SelectStatement
+    info: SensitivityInfo
+    epsilon: float
+    #: The SELECT's grouping with every release key enumerated (or None).
+    group: GroupSpec | None
+    #: Each release's label, key and sensitivity; no value yet.
+    releases: list[Release]
+    #: Each release's charge: one interval per contributing source, by camera.
+    source_intervals: list[dict[str, tuple[TimeInterval, ...]]]
+
+
+@dataclass
+class QueryPlan:
+    """Everything a query will release and charge, derived from the query,
+    the cameras' policies and the executables' names alone (Algorithm 1).
+
+    :meth:`PrividSystem.plan` builds it without running a chunk, so a query
+    the ledger or the sensitivity rules refuse costs no chunk work.
+    """
+
+    #: Each SPLIT's lazy chunk set, by output name.
+    chunk_sets: dict[str, _ChunkSet]
+    #: Each PROCESS table's declared properties (its sensitivity's inputs).
+    properties: dict[str, TableProperties]
+    selects: list[_SelectPlan]
+    #: The ledger demand of every release, by camera, in release order.
+    requests: dict[str, list[BudgetRequest]]
+    #: Each camera's admission margin: the largest rho of its sources.
+    margins: dict[str, float]
+
+
+def _stamped_by_split(relation: Relation) -> bool:
+    """Does every row of ``relation`` carry, as ``chunk``, the SPLIT's stamp
+    of the one chunk it was computed from?
+
+    Table scans, unions of them and projections passing ``chunk`` through
+    keep the stamp.  A GROUP BY, JOIN or LIMIT row depends on rows of other
+    chunks, and a projection can re-key ``chunk`` (``hour(chunk) AS chunk``),
+    so neither keeps it.
+    """
+    if isinstance(relation, Union):
+        return all(_stamped_by_split(child) for child in relation.children)
+    if isinstance(relation, Projection):
+        return dict(relation.outputs).get(CHUNK_COLUMN) == Column(CHUNK_COLUMN) \
+            and _stamped_by_split(relation.child)
+    return isinstance(relation, TableScan)
+
+
+def _enumerate_keys(select: SelectStatement, info: SensitivityInfo,
+                    sources: list[_ChunkSet]
+                    ) -> tuple[GroupSpec | None, Callable[[_ChunkSet], float] | None]:
+    """A SELECT's grouping with its release keys enumerated from the query,
+    and the width of the interval each key is charged on a source (None:
+    the source's whole window).
+
+    Release keys never depend on the rows.  ``WITH KEYS`` lists them; a bin
+    over ``chunk`` enumerates its bins over the sources' span; bare
+    ``chunk`` enumerates the SPLITs' own chunk starts (``TimeInterval.split``,
+    the arithmetic that stamps ``chunk``); bare ``region`` enumerates the
+    region names the chunks carry.  Any other grouping without ``WITH KEYS``
+    is refused.  A key of ``chunk`` is charged only its own bin or chunk
+    while the SELECT's rows keep the SPLIT's stamp (:func:`_stamped_by_split`);
+    otherwise a release may depend on any chunk, and each is charged the
+    whole window.
+    """
+    group = select.group_by
+    if group is None or group.expected_keys is not None:
+        return group, None
+    untrusted = group.referenced_columns() - info.trusted_columns
+    if untrusted:
+        raise QueryValidationError(
+            f"GROUP BY over analyst columns {sorted(untrusted)} requires WITH KEYS")
+    expression = group.expressions[0][1] if len(group.expressions) == 1 else None
+    width: Callable[[_ChunkSet], float] | None
+    if isinstance(expression, TimeBucket) and expression.inner == Column(CHUNK_COLUMN):
+        bucket = expression.width
+        span = reduce(TimeInterval.union_span, (source.window for source in sources))
+        keys: list[Any] = []
+        position = (span.start // bucket) * bucket
+        while position < span.end:
+            keys.append(position)
+            position += bucket
+        width = lambda _source: bucket
+    elif expression == Column(CHUNK_COLUMN):
+        keys = sorted({interval.start for source in sources for interval
+                       in source.window.split(source.chunk_duration, source.stride)})
+        width = lambda source: source.chunk_duration
+    elif expression == Column(REGION_COLUMN):
+        keys = list(dict.fromkeys(
+            name for source in sources for name in (
+                [""] if source.region_scheme is None
+                else [region.name for region in source.region_scheme.regions])))
+        width = None
+    else:
+        raise QueryValidationError(
+            "GROUP BY without WITH KEYS must be a bin of chunk, chunk or region")
+    return replace(group, expected_keys=tuple(keys)), \
+        width if _stamped_by_split(select.source) else None
 
 
 def engine_stats_dict(engine: ExecutionEngine) -> dict[str, Any]:
@@ -273,10 +372,24 @@ class PrividSystem:
 
     # -------------------------------------------------------------- execution
 
-    def _run_splits(self, query: PrividQuery) -> dict[str, _ChunkSet]:
+    def plan(self, query: PrividQuery, *, default_epsilon: float = 1.0) -> QueryPlan:
+        """Derive what a query will release and charge, running no chunk.
+
+        The query's structure is checked first (:func:`validate_query`,
+        against the registered cameras' frame rates and executable names).
+        Then each SPLIT becomes a lazy chunk set, each PROCESS table gets its
+        declared properties, and each SELECT its sensitivity, epsilon,
+        release keys and per-release charges, read off the query and the
+        owner's policies alone.  Refusals (an unbound sensitivity, a grouping
+        whose keys the query cannot enumerate) happen here.
+        """
+        cameras = {split.camera: self.camera(split.camera) for split in query.splits}
+        validate_query(query, known_cameras={name: camera.video.fps
+                                             for name, camera in cameras.items()},
+                       known_executables=self.registry.names())
         chunk_sets: dict[str, _ChunkSet] = {}
         for split in query.splits:
-            camera = self.camera(split.camera)
+            camera = cameras[split.camera]
             mask, policy = camera.policy_map.lookup(split.mask)
             region_scheme = None
             if split.region_scheme is not None:
@@ -295,19 +408,64 @@ class PrividSystem:
                                   region_scheme=region_scheme)
             # iter_chunks validates eagerly (before yielding anything), so
             # invoking the factory once surfaces bad chunking parameters at
-            # SPLIT time without materializing a single chunk.
+            # plan time without materializing a single chunk.
             make_chunks()
             chunk_sets[split.output] = _ChunkSet(
                 camera=camera, make_chunks=make_chunks,
                 num_chunks=count_chunks(camera.video, spec, region_scheme=region_scheme),
-                policy=policy, window=window,
-                chunk_duration=split.chunk_duration)
-        return chunk_sets
+                policy=policy, window=window, chunk_duration=split.chunk_duration,
+                stride=split.stride, region_scheme=region_scheme)
 
-    def _run_processes(self, query: PrividQuery, chunk_sets: dict[str, _ChunkSet],
+        sources: dict[str, _ChunkSet] = {}
+        properties: dict[str, TableProperties] = {}
+        for process in query.processes:
+            source = sources[process.output] = chunk_sets[process.chunks]
+            properties[process.output] = TableProperties(
+                name=process.output, max_rows=process.max_rows,
+                chunk_duration=source.chunk_duration, num_chunks=source.num_chunks,
+                rho=source.policy.rho, k_segments=source.policy.k_segments)
+        context = PlanContext(properties=properties)
+
+        selects: list[_SelectPlan] = []
+        requests: dict[str, list[BudgetRequest]] = {}
+        margins: dict[str, float] = {}
+        for select in query.selects:
+            table_sources = [sources[name] for name in sorted(collect_table_names(select.source))]
+            info = select.source.sensitivity(context)
+            epsilon = select.epsilon if select.epsilon is not None else default_epsilon
+            group, width = _enumerate_keys(select, info, table_sources)
+            releases = planned_releases(select.aggregation, info, group)
+            charges = []
+            for release in releases:
+                # The release's charge (Algorithm 1): one interval per
+                # contributing source, grouped by camera and *not* merged —
+                # merging would claim the gap between two disjoint source
+                # windows of one camera was charged.  The budget requests
+                # and the reported intervals are both read off it.
+                charged: dict[str, list[TimeInterval]] = {}
+                for source in table_sources:
+                    interval = source.window
+                    if width is not None and release.group_key is not None:
+                        interval = TimeInterval(
+                            release.group_key,
+                            release.group_key + width(source)).clamp(source.window)
+                    if interval.duration <= 0:
+                        continue
+                    camera = source.camera.name
+                    charged.setdefault(camera, []).append(interval)
+                    margins[camera] = max(margins.get(camera, 0.0), source.policy.rho)
+                for camera, pieces in charged.items():
+                    requests.setdefault(camera, []).extend(
+                        BudgetRequest(interval=piece, epsilon=epsilon) for piece in pieces)
+                charges.append({camera: tuple(pieces) for camera, pieces in charged.items()})
+            selects.append(_SelectPlan(select=select, info=info, epsilon=epsilon, group=group,
+                                       releases=releases, source_intervals=charges))
+        return QueryPlan(chunk_sets=chunk_sets, properties=properties, selects=selects,
+                         requests=requests, margins=margins)
+
+    def _run_processes(self, query: PrividQuery, plan: QueryPlan,
                        cancel: "CancellationToken | None" = None,
-                       on_chunk: "Callable[[int], None] | None" = None
-                       ) -> tuple[PlanContext, dict[str, _TableSource]]:
+                       on_chunk: "Callable[[int], None] | None" = None) -> PlanContext:
         """Run every PROCESS statement as an incremental streaming consumer.
 
         Each statement's chunk stream flows split → engine → table without
@@ -321,31 +479,15 @@ class PrividSystem:
         output is byte-identical to the batch dataflow.
         """
         tables: dict[str, Table] = {}
-        properties: dict[str, TableProperties] = {}
-        sources: dict[str, _TableSource] = {}
         streams: deque[tuple[Table, Iterator[list[dict[str, Any]]]]] = deque()
         for process in query.processes:
-            if process.chunks not in chunk_sets:
-                raise QueryValidationError(
-                    f"PROCESS references unknown chunk set {process.chunks!r}")
-            chunk_set = chunk_sets[process.chunks]
-            camera = chunk_set.camera
+            chunk_set = plan.chunk_sets[process.chunks]
             runner = self.registry.runner(process.executable, schema=process.schema,
                                           max_rows=process.max_rows,
                                           timeout_seconds=process.timeout)
-            context = camera.execution_context()
+            context = chunk_set.camera.execution_context()
             table = Table.from_schema(process.schema, name=process.output)
             tables[process.output] = table
-            properties[process.output] = TableProperties(
-                name=process.output,
-                max_rows=process.max_rows,
-                chunk_duration=chunk_set.chunk_duration,
-                num_chunks=chunk_set.num_chunks,
-                rho=chunk_set.policy.rho,
-                k_segments=chunk_set.policy.k_segments,
-            )
-            sources[process.output] = _TableSource(
-                camera=camera, window=chunk_set.window, policy=chunk_set.policy)
             streams.append((table, runner.iter_chunk_rows(
                 chunk_set.make_chunks(), context,
                 engine=self.engine, cache=self.chunk_cache,
@@ -353,7 +495,7 @@ class PrividSystem:
         # The round-robin drive is the query's cooperative yield point: the
         # cancellation token is checked once per chunk, so a deadline stops
         # the stream within one chunk — before any budget is charged (the
-        # ledger is only touched after every stream completes), keeping
+        # ledger is only charged after every stream completes), keeping
         # admission all-or-nothing under cancellation.
         completed = 0
         try:
@@ -375,51 +517,7 @@ class PrividSystem:
                 if close is not None:
                     close()
             raise
-        return PlanContext(tables=tables, properties=properties), sources
-
-    @staticmethod
-    def _chunk_bucket(group: GroupSpec | None) -> TimeBucket | None:
-        """Return the TimeBucket if the grouping is a single chunk-time binning."""
-        if group is None or group.expected_keys is not None:
-            return None
-        if len(group.expressions) != 1:
-            return None
-        _, expression = group.expressions[0]
-        if isinstance(expression, TimeBucket) and isinstance(expression.inner, Column) \
-                and expression.inner.name == CHUNK_COLUMN:
-            return expression
-        return None
-
-    def _resolve_group(self, select: SelectStatement, windows: list[TimeInterval]
-                       ) -> tuple[GroupSpec | None, TimeBucket | None]:
-        """The SELECT's grouping and its chunk-time bucket, if it has one.
-
-        A chunk-time binning enumerates its bins, so every bin is released,
-        even an empty one."""
-        bucket = self._chunk_bucket(select.group_by)
-        if bucket is None:
-            return select.group_by, None
-        span = reduce(TimeInterval.union_span, windows)
-        keys: list[float] = []
-        position = (span.start // bucket.width) * bucket.width
-        while position < span.end:
-            keys.append(position)
-            position += bucket.width
-        assert select.group_by is not None
-        return GroupSpec(expressions=select.group_by.expressions,
-                         expected_keys=tuple(keys)), bucket
-
-    @staticmethod
-    def _release_interval(release: Release, bucket: TimeBucket | None,
-                          window: TimeInterval) -> TimeInterval:
-        """Frames a release draws budget from (its bin for chunk-grouped releases)."""
-        if bucket is not None and release.group_key is not None:
-            try:
-                start = float(release.group_key)
-            except (TypeError, ValueError):
-                return window
-            return TimeInterval(start, start + bucket.width).clamp(window)
-        return window
+        return PlanContext(tables=tables, properties=plan.properties)
 
     def _draw(self, release: ReleaseResult) -> Any:
         """A fresh noisy value for a release: report-noisy-max over an ARGMAX
@@ -456,62 +554,34 @@ class PrividSystem:
         """
         if cancel is not None:
             cancel.check()
-        chunk_sets = self._run_splits(query)
-        plan_context, sources = self._run_processes(query, chunk_sets, cancel,
-                                                    on_chunk)
+        plan = self.plan(query, default_epsilon=default_epsilon)
+        # Refused before any chunk runs.  The charge below checks again under
+        # the same lock it charges under: a concurrent query may charge first.
+        if charge_budget:
+            self.ledger.check(plan.requests, plan.margins, query_id=query_id)
+        context = self._run_processes(query, plan, cancel, on_chunk)
 
         result = QueryResult(query_name=query.name)
-        requests_by_camera: dict[str, list[BudgetRequest]] = {}
-        margins: dict[str, float] = {}
-        for select in query.selects:
-            referenced = collect_table_names(select.source)
-            unknown = referenced - set(plan_context.tables)
-            if unknown:
-                raise QueryValidationError(f"SELECT references unknown tables {sorted(unknown)}")
-            table_sources = [sources[name] for name in sorted(referenced)]
-            group, bucket = self._resolve_group(
-                select, [source.window for source in table_sources])
-            info = select.source.sensitivity(plan_context)
-            table = select.source.evaluate(plan_context)
-            epsilon = select.epsilon if select.epsilon is not None else default_epsilon
-            for release in compute_releases(table, info, select.aggregation, group):
-                # The release's charge (Algorithm 1): one interval per
-                # contributing source, grouped by camera and *not* merged —
-                # merging would claim the gap between two disjoint source
-                # windows of one camera was charged.  The budget requests
-                # and the reported intervals are both read off it.
-                charged: dict[str, list[TimeInterval]] = {}
-                for source in table_sources:
-                    interval = self._release_interval(release, bucket, source.window)
-                    if interval.duration <= 0:
-                        continue
-                    camera = source.camera.name
-                    charged.setdefault(camera, []).append(interval)
-                    margins[camera] = max(margins.get(camera, 0.0), source.policy.rho)
-                source_intervals = {camera: tuple(pieces) for camera, pieces in charged.items()}
-                for camera, pieces in source_intervals.items():
-                    requests_by_camera.setdefault(camera, []).extend(
-                        BudgetRequest(interval=piece, epsilon=epsilon) for piece in pieces)
+        for planned in plan.selects:
+            select = planned.select
+            releases = compute_releases(select.source.evaluate(context), select.aggregation,
+                                        planned.releases, planned.group)
+            for release, source_intervals in zip(releases, planned.source_intervals):
                 everything = [piece for pieces in source_intervals.values() for piece in pieces]
-                if release.kind is ReleaseKind.ARGMAX:
-                    candidates = release.candidates
-                    raw_value: Any = max(candidates, key=candidates.get) if candidates else None
-                else:
-                    candidates, raw_value = None, release.raw_value
                 result.releases.append(ReleaseResult(
                     label=release.label,
                     kind=release.kind.value,
-                    noisy_value=raw_value,
-                    raw_value_unsafe=raw_value,
+                    noisy_value=release.raw_value,
+                    raw_value_unsafe=release.raw_value,
                     sensitivity=release.sensitivity,
-                    epsilon=epsilon,
-                    noise_scale=self.mechanism.scale(release.sensitivity, epsilon),
+                    epsilon=planned.epsilon,
+                    noise_scale=self.mechanism.scale(release.sensitivity, planned.epsilon),
                     group_key=release.group_key,
                     interval=reduce(TimeInterval.union_span, everything) if everything else None,
                     source_intervals=source_intervals or None,
-                    candidates=dict(candidates) if candidates else None,
+                    candidates=dict(release.candidates) if release.candidates else None,
                 ))
-                result.epsilon_consumed += epsilon
+                result.epsilon_consumed += planned.epsilon
 
         # All-or-nothing multi-camera admission, atomic under the (possibly
         # service-shared) ledger's cross-camera lock: check every camera, then
@@ -519,13 +589,13 @@ class PrividSystem:
         # concurrent query to interleave.  Noise is drawn only once admitted.
         if charge_budget:
             result.budget_remaining = self.ledger.admit_many(
-                requests_by_camera, margins, query_id=query_id)
+                plan.requests, plan.margins, query_id=query_id)
         if add_noise:
             for release_result in result.releases:
                 release_result.noisy_value = self._draw(release_result)
-        result.metadata["num_tables"] = len(plan_context.tables)
+        result.metadata["num_tables"] = len(context.tables)
         result.metadata["num_chunks"] = {name: properties.num_chunks
-                                         for name, properties in plan_context.properties.items()}
+                                         for name, properties in plan.properties.items()}
         return result
 
     def resample_noise(self, result: QueryResult) -> QueryResult:

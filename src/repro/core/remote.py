@@ -119,6 +119,23 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, \
     Protocol, Sized, runtime_checkable
 
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The shard worker's command line (see :func:`main`)."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.core.remote",
+        description="Privid executor shard: a local worker serving its "
+                    "coordinator over an inherited socket.")
+    parser.add_argument("--fd", type=int, required=True,
+                        help="serve the coordinator over this inherited, "
+                             "connected socket")
+    return parser.parse_args(argv)
+
+
+if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
+    # A usage error exits here, before the engine (and numpy) load.
+    _parse_args(None)
+
 import repro
 from repro.core.engine import (
     ChunkOutcome,
@@ -481,14 +498,7 @@ def main(argv: list[str] | None = None) -> None:
     as fd N (started by :meth:`SocketTransport.spawn`) until it ends, with
     fd 1 pointing at stderr.
     """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.core.remote",
-        description="Privid executor shard: a local worker serving its "
-                    "coordinator over an inherited socket.")
-    parser.add_argument("--fd", type=int, required=True,
-                        help="serve the coordinator over this inherited, "
-                             "connected socket")
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     _stdout_to_stderr()
     connection = socket.socket(fileno=args.fd)
     rfile = connection.makefile("rb")

@@ -1,9 +1,10 @@
 """Static validation of Privid queries.
 
-The executor re-checks everything it relies on at run time; this validator
-exists to give analysts early, friendly errors before any video is processed
-— the same role the paper's front end plays when it rejects a malformed
-query instead of burning compute on it.
+This validator gives analysts early, friendly errors before any video is
+processed — the same role the paper's front end plays when it rejects a
+malformed query instead of burning compute on it.  It is also the first step
+of every execution: :meth:`~repro.core.executor.PrividSystem.plan` runs it
+against the registered cameras and executables, and relies on it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import QueryValidationError
 from repro.query.ast import PrividQuery, collect_table_names
-from repro.relational.aggregates import AGGREGATE_FUNCTIONS
 from repro.utils.timebase import is_integral_frame_count
 
 
@@ -83,9 +83,6 @@ def validate_query(query: PrividQuery, *, known_cameras: dict[str, float] | None
     if not query.selects:
         report.errors.append("a query must contain at least one SELECT")
     for index, select in enumerate(query.selects):
-        if select.aggregation.function not in AGGREGATE_FUNCTIONS:
-            report.errors.append(
-                f"SELECT #{index} uses unsupported aggregation {select.aggregation.function!r}")
         try:
             referenced = collect_table_names(select.source)
         except QueryValidationError as error:

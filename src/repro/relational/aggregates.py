@@ -40,16 +40,6 @@ from repro.relational.table import Table
 
 SUPPORTED_AGGREGATES = ("COUNT", "SUM", "AVG", "VAR", "ARGMAX")
 
-#: Mapping from aggregate keyword to the constraints it needs, used by the
-#: validator to produce friendly error messages before execution.
-AGGREGATE_FUNCTIONS: dict[str, tuple[str, ...]] = {
-    "COUNT": ("delta",),
-    "SUM": ("delta", "range"),
-    "AVG": ("delta", "range", "size"),
-    "VAR": ("delta", "range", "size"),
-    "ARGMAX": ("delta", "keys"),
-}
-
 
 @dataclass(frozen=True)
 class Aggregation:
@@ -76,9 +66,9 @@ class GroupSpec:
     """Grouping of the outer SELECT.
 
     ``expressions`` are the computed key columns (e.g. ``hour(chunk)`` or a
-    bare analyst column); ``expected_keys`` enumerates every group to release
-    — mandatory for analyst columns (``WITH KEYS``), optional for trusted
-    chunk-derived keys where the executor enumerates the bins itself.
+    bare analyst column); ``expected_keys`` enumerates every group to release:
+    the ``WITH KEYS`` list, or None until the executor's plan enumerates the
+    keys of a chunk or region grouping from the query.
     """
 
     expressions: tuple[tuple[str, Expression], ...]
@@ -106,7 +96,8 @@ class Release:
     label: str
     kind: ReleaseKind
     sensitivity: float
-    raw_value: float | None = None
+    #: The aggregate's value; an ARGMAX release's winning key.
+    raw_value: Any = None
     candidates: dict[Any, float] | None = None
     group_key: Any | None = None
 
@@ -239,75 +230,66 @@ def _values_for(source: list[Any] | None, indices: list[int] | None,
     return [source[index] for index in indices]
 
 
-def _check_group_trust(group: GroupSpec, info: SensitivityInfo) -> None:
-    """Enforce the GROUP BY key rules of Appendix D for the outer SELECT."""
-    if group.expected_keys is not None:
-        return
-    untrusted = group.referenced_columns() - info.trusted_columns
-    if untrusted:
-        raise QueryValidationError(
-            f"GROUP BY over analyst columns {sorted(untrusted)} requires WITH KEYS")
-
-
-def compute_releases(table: Table, info: SensitivityInfo, aggregation: Aggregation,
+def planned_releases(aggregation: Aggregation, info: SensitivityInfo,
                      group: GroupSpec | None = None) -> list[Release]:
-    """Compute the raw value and sensitivity of every data release of a SELECT.
+    """Every data release of a SELECT, before any row exists: its label, key
+    and sensitivity, with no value yet.
 
-    Without grouping this is a single release.  With grouping, one release is
-    produced per expected key (explicit ``WITH KEYS`` or executor-enumerated
-    chunk bins), or per observed key when the keys are trusted chunk-derived
-    values.  ARGMAX produces a single release whose candidates are the
-    per-key raw values.
+    Without grouping this is a single release.  With grouping, one release
+    per key of ``group.expected_keys`` (listed by ``WITH KEYS`` or enumerated
+    from the query by the executor's plan); ARGMAX is a single release whose
+    candidates will be those keys.  A grouping without its keys is refused:
+    keys read off the rows would leak which groups had rows.
     """
-    if aggregation.function == "ARGMAX":
-        if group is None:
-            raise QueryValidationError("ARGMAX requires a GROUP BY")
-        _check_group_trust(group, info)
-        grouped = _group_indices(table, group)
-        keys = list(group.expected_keys) if group.expected_keys is not None else list(grouped)
-        candidates: dict[Any, float] = {}
-        inner_function = "COUNT" if aggregation.column is None else "SUM"
-        inner = Aggregation(function=inner_function, column=aggregation.column)
-        source = _source_column(inner, table)
-        for key in keys:
-            candidates[key] = _aggregate_values(
-                inner_function, _values_for(source, grouped.get(key, []), len(table)))
-        sensitivity = _numeric_sensitivity(inner, info)
-        return [Release(
-            label=aggregation.output_name,
-            kind=ReleaseKind.ARGMAX,
-            sensitivity=sensitivity,
-            candidates=candidates,
-        )]
-
     if group is None:
-        raw = _aggregate_values(aggregation.function,
-                                _values_for(_source_column(aggregation, table), None,
-                                            len(table)))
-        return [Release(
-            label=aggregation.output_name,
-            kind=ReleaseKind.NUMERIC,
-            sensitivity=_numeric_sensitivity(aggregation, info),
-            raw_value=raw,
-        )]
-
-    _check_group_trust(group, info)
-    grouped = _group_indices(table, group)
-    keys = list(group.expected_keys) if group.expected_keys is not None else sorted(
-        grouped, key=lambda key: (str(type(key)), str(key)))
+        assert aggregation.function != "ARGMAX", "validate_query refuses an ungrouped ARGMAX"
+        return [Release(label=aggregation.output_name, kind=ReleaseKind.NUMERIC,
+                        sensitivity=_numeric_sensitivity(aggregation, info))]
+    keys = group.expected_keys
+    if keys is None:
+        raise QueryValidationError(
+            "a grouped release needs its keys listed (WITH KEYS) or enumerated from the query")
+    if aggregation.function == "ARGMAX":
+        return [Release(label=aggregation.output_name, kind=ReleaseKind.ARGMAX,
+                        sensitivity=_numeric_sensitivity(_argmax_inner(aggregation), info))]
     sensitivity = _numeric_sensitivity(aggregation, info)
+    return [Release(label=f"{aggregation.output_name}[{key}]", kind=ReleaseKind.NUMERIC,
+                    sensitivity=sensitivity, group_key=key) for key in keys]
+
+
+def _argmax_inner(aggregation: Aggregation) -> Aggregation:
+    """The per-key aggregation ARGMAX ranks: COUNT, or SUM of its column."""
+    return Aggregation(function="COUNT" if aggregation.column is None else "SUM",
+                       column=aggregation.column)
+
+
+def compute_releases(table: Table, aggregation: Aggregation, releases: list[Release],
+                     group: GroupSpec | None = None) -> list[Release]:
+    """Fill in the raw value of every planned data release of a SELECT.
+
+    ``releases`` are :func:`planned_releases`' for ``aggregation`` and
+    ``group``; each gets its raw value over ``table`` in place (an ARGMAX
+    release also its candidates, the per-key raw values, and the winning
+    key as its raw value), and the list is returned.
+    """
+    if group is None:
+        releases[0].raw_value = _aggregate_values(
+            aggregation.function,
+            _values_for(_source_column(aggregation, table), None, len(table)))
+        return releases
+    grouped = _group_indices(table, group)
+    if aggregation.function == "ARGMAX":
+        inner = _argmax_inner(aggregation)
+        source = _source_column(inner, table)
+        candidates = releases[0].candidates = {
+            key: _aggregate_values(inner.function,
+                                   _values_for(source, grouped.get(key, []), len(table)))
+            for key in group.expected_keys or ()}
+        releases[0].raw_value = max(candidates, key=candidates.get) if candidates else None
+        return releases
     source = _source_column(aggregation, table)
-    releases: list[Release] = []
-    for key in keys:
-        raw = _aggregate_values(aggregation.function,
-                                _values_for(source, grouped.get(key, []), len(table)))
-        if isinstance(raw, float) and math.isnan(raw):
-            raw = 0.0
-        releases.append(Release(
-            label=f"{aggregation.output_name}[{key}]",
-            kind=ReleaseKind.NUMERIC,
-            sensitivity=sensitivity,
-            raw_value=raw,
-            group_key=key,
-        ))
+    for release in releases:
+        raw = _aggregate_values(aggregation.function, _values_for(
+            source, grouped.get(release.group_key, []), len(table)))
+        release.raw_value = 0.0 if math.isnan(raw) else raw
     return releases

@@ -139,10 +139,6 @@ class SceneObject:
             return 0.0
         return max(appearance.duration for appearance in self.appearances)
 
-    def visible_at(self, timestamp: float) -> bool:
-        """Return True if any appearance covers ``timestamp``."""
-        return any(appearance.visible_at(timestamp) for appearance in self.appearances)
-
     def box_at(self, timestamp: float) -> BoundingBox | None:
         """Bounding box at ``timestamp``, or None if not visible then."""
         for appearance in self.appearances:

@@ -229,8 +229,8 @@ class TestDurableRecoveryRebuildsTheProfile:
         outcomes = []
         for requests, _ in self.NEXT:
             try:
-                outcomes.append(ledger.admit_many(
-                    requests, {"cam": 2.0, "side": 2.0}, charge=False) or "admitted")
+                outcomes.append(ledger.check(
+                    requests, {"cam": 2.0, "side": 2.0}) or "admitted")
             except BudgetExceededError as exc:
                 outcomes.append(str(exc))
         return outcomes

@@ -25,6 +25,7 @@ from concurrent.futures import wait
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import PrividSystem
 from repro.core.budget import BudgetRequest, DurableServiceLedger, ServiceLedger
 from repro.core.durability import (
     MAX_RECORD_BYTES,
@@ -382,6 +383,59 @@ class TestDurableServiceLedger:
                                  query_id="q-0") == remaining
         assert ledger.snapshot() == snapshot
         wal.close()
+
+    def test_resumed_query_on_a_spent_camera_is_not_denied(self, tmp_path):
+        # The first run's charge spent the whole budget.  Its resume (same
+        # query_id) must pass the check made before any chunk runs — its own
+        # charge is not a reason to deny it — and charge nothing again.
+        wal, ledger = _open_ledger(tmp_path)
+        system = PrividSystem(seed=3, ledger=ledger)
+        system.register_camera("cam", _video("cam"), policy=PrivacyPolicy(rho=30.0),
+                               epsilon_budget=1.0)
+        query = (QueryBuilder("spend")
+                 .split("cam", begin=0, end=600.0, chunk_duration=60.0, into="chunks")
+                 .process("chunks", executable="count_entering_people.py", max_rows=5,
+                          schema=[("kind", "STRING", "")], into="t")
+                 .select_count(table="t", epsilon=1.0)
+                 .build())
+        first = system.execute(query, query_id="q-0")
+        resumed = system.execute(query, query_id="q-0")
+        assert [release.raw_value_unsafe for release in resumed.releases] == \
+            [release.raw_value_unsafe for release in first.releases]
+        assert resumed.budget_remaining == first.budget_remaining == {"cam": 0.0}
+        assert ledger.snapshot()["cam"]["charges"] == 1
+        with pytest.raises(BudgetExceededError):
+            system.execute(query, query_id="q-1")
+        assert ledger.contention_stats()["denied"] == 1
+        wal.close()
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_a_denial_in_admit_many_records_the_contention_it_met(self, tmp_path, durable):
+        import threading
+
+        wal, ledger = _open_ledger(tmp_path) if durable else (None, ServiceLedger())
+        ledger.register("cam", 1.0)
+        holding, done = threading.Event(), threading.Event()
+
+        def hold_the_lock():
+            with ledger._lock:
+                holding.set()
+                done.wait(5.0)
+
+        holder = threading.Thread(target=hold_the_lock)
+        holder.start()
+        assert holding.wait(5.0)
+        threading.Timer(0.05, done.set).start()
+        with pytest.raises(BudgetExceededError):
+            ledger.admit_many({"cam": [_request(epsilon=2.0)]}, {})
+        holder.join(5.0)
+        assert not holder.is_alive()
+        stats = ledger.contention_stats()
+        assert (stats["denied"], stats["lock_contended"]) == (1, 1)
+        assert [(event["outcome"], event["contended"]) for event in stats["timeline"]] == \
+            [("denied", True)]
+        if wal is not None:
+            wal.close()
 
     def test_crash_between_append_and_apply_recovers_the_charge(self, tmp_path):
         # The nastiest window: the charge record hit stable storage but the

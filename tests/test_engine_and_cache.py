@@ -14,13 +14,17 @@ from repro.core import (
     create_cache,
     create_engine,
 )
-from repro.core.policy import PrivacyPolicy
+from repro.core.policy import MaskPolicyMap, PrivacyPolicy
 from repro.core.result import QueryResult, ReleaseResult
 from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
 from repro.errors import BudgetExceededError
+from repro.evaluation import queries
 from repro.query.builder import QueryBuilder
-from repro.relational.plan import TableScan, Union
+from repro.query.parser import parse_query
+from repro.relational.aggregates import Aggregation, GroupSpec
+from repro.relational.expressions import Column
+from repro.relational.plan import GroupBy, TableScan, Union
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.sandbox.environment import ExecutionContext, SandboxRunner
 from repro.sandbox.executables import ConstantExecutable, EnteringObjectCounter
@@ -29,6 +33,7 @@ from repro.video.chunking import ChunkSpec
 from repro.video.masking import Mask
 from repro.video.geometry import BoundingBox
 
+from benchmarks.system.inputs import SELECT_SHAPES, query_input
 from tests.conftest import flat_rows, make_crossing_object, make_simple_video, split_interval
 
 PERSON_SCHEMA = Schema(columns=(ColumnSpec("kind", DataType.STRING, ""),
@@ -350,6 +355,72 @@ class TestMultiCameraAccounting:
                         for interval in release.source_intervals.get(camera, ())]
             assert system.camera(camera).ledger.charges == reported
             assert reported == [(TimeInterval(start, end), 0.5) for start, end in expected]
+
+    #: Every query shape the project ships: each query builder of
+    #: ``repro.evaluation.queries`` (which the Porto and mask examples run),
+    #: the traffic example's AVG plus WITH KEYS query, and the system
+    #: benchmark's three SELECT shapes (the other examples' hourly COUNT).
+    SHIPPED = {
+        "case1 hourly": lambda: queries.case1_counting_query(
+            "campus", window_seconds=7200.0, begin=30.0),
+        "case2 working hours": lambda: queries.case2_porto_working_hours_query(
+            ["cam_a", "cam_b"], ["T1", "T2"], num_days=1, chunk_duration=3600.0),
+        "case2 intersection": lambda: queries.case2_porto_intersection_query(
+            "cam_a", "cam_b", ["T1", "T2"], num_days=1, chunk_duration=3600.0),
+        "case2 argmax": lambda: queries.case2_porto_argmax_query(
+            ["cam_a", "cam_b"], num_days=1, chunk_duration=3600.0),
+        "case3 trees": lambda: queries.case3_tree_query("campus", window_seconds=60.0),
+        "case4 red light": lambda: queries.case4_red_light_query("highway",
+                                                                window_seconds=7200.0),
+        "case5 northbound": lambda: queries.case5_directional_query("campus",
+                                                                   window_seconds=7200.0),
+        "traffic analytics": lambda: (
+            QueryBuilder("traffic")
+            .split("highway", begin=0, end=7200.0, chunk_duration=30.0, mask="owner",
+                   into="chunks")
+            .process("chunks", executable="vehicle_reporter.py", max_rows=15,
+                     schema=[("plate", "STRING", ""), ("color", "STRING", ""),
+                             ("speed", "NUMBER", 0.0)], into="cars")
+            .select_average("speed", 30.0, 120.0, table="cars", epsilon=0.5)
+            .select(Aggregation(function="COUNT"),
+                    GroupBy(TableScan("cars"), keys=("plate",), explicit_keys=("P1", "P2")),
+                    group_by=GroupSpec(expressions=(("color", Column("color")),),
+                                       expected_keys=("RED", "WHITE")), epsilon=0.15)
+            .build()),
+        **{f"benchmark shape {shape}": (lambda shape=shape: parse_query(
+            query_input("campus", 30.0, 4000.0, shape, 0.5).text))
+           for shape in range(len(SELECT_SHAPES))},
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_the_plan_is_the_execution_for_every_shipped_query(self, name):
+        # The plan, made before any chunk runs, names every release and its
+        # charge; the execution releases exactly those, and the ledgers
+        # charge exactly those.  Rows are constants: no charge reads them.
+        system = PrividSystem(seed=11)
+        for executable in ("count_entering_people.py", "vehicle_reporter.py",
+                           "taxi_sightings.py", "tree_leaf_classifier.py",
+                           "red_light_observer.py", "northbound_people.py"):
+            system.register_executable(executable, ConstantExecutable(rows=[{}, {}]),
+                                       replace=True)
+        policy_map = MaskPolicyMap.unmasked(PrivacyPolicy(rho=30.0, k_segments=1))
+        policy_map.add("owner", Mask("owner"), PrivacyPolicy(rho=20.0, k_segments=1))
+        policy_map.add("traffic-light-only", Mask("lights"), PrivacyPolicy(rho=0.0, k_segments=1))
+        for camera in ("campus", "highway", "cam_a", "cam_b"):
+            system.register_camera(camera, make_simple_video(duration=86400.0, name=camera),
+                                   policy_map=policy_map, epsilon_budget=1000.0)
+        query = self.SHIPPED[name]()
+        plan = system.plan(query)
+        planned = [charge or None for select in plan.selects
+                   for charge in select.source_intervals]
+        result = system.execute(query, add_noise=False)
+        assert [release.source_intervals for release in result.releases] == planned
+        assert [release.label for release in result.releases] == \
+            [release.label for select in plan.selects for release in select.releases]
+        for camera, requests in plan.requests.items():
+            assert system.camera(camera).ledger.charges == \
+                [(request.interval, request.epsilon) for request in requests]
+        assert set(plan.requests) <= {"campus", "highway", "cam_a", "cam_b"}
 
     def test_disjoint_windows_of_one_camera_reported_unmerged(self):
         # Two SPLITs of the same camera over disjoint windows charge two

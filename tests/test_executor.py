@@ -8,19 +8,24 @@ from repro.errors import (
     BudgetExceededError,
     PolicyError,
     QueryValidationError,
+    UnboundSensitivityError,
     UnknownCameraError,
 )
+from repro.evaluation.runner import register_scenario_camera
 from repro.query.builder import QueryBuilder
+from repro.query.parser import parse_query
 from repro.sandbox.executables import ConstantExecutable
+from repro.scene.scenarios import build_scenario
 from repro.utils.timebase import TimeInterval
+from repro.video.chunking import ChunkSpec, iter_chunks
 
 from tests.conftest import make_crossing_object, make_simple_video
 
 
 def _constant_system(*, rows_per_chunk: int = 2, epsilon_budget: float = 10.0,
-                     rho: float = 30.0, k: int = 1) -> PrividSystem:
+                     rho: float = 30.0, k: int = 1, cache: str | None = None) -> PrividSystem:
     """A system with one camera and a constant executable (fully predictable)."""
-    system = PrividSystem(seed=9)
+    system = PrividSystem(seed=9, cache=cache)
     video = make_simple_video(duration=600.0,
                               objects=[make_crossing_object("w", start=10, duration=30)])
     system.register_camera("cam", video, policy=PrivacyPolicy(rho=rho, k_segments=k),
@@ -210,3 +215,146 @@ class TestRhoZero:
         result = system.execute(_count_query())
         assert result.releases[0].sensitivity == 0.0
         assert result.releases[0].noisy_value == result.releases[0].raw_value_unsafe
+
+
+def _constant_text(select: str, *, begin: float = 0.0, end: float = 600.0,
+                   into: str = "t") -> str:
+    return (f"SPLIT cam BEGIN {begin:g} END {end:g} BY TIME 60sec STRIDE 0sec INTO chunks;\n"
+            "PROCESS chunks USING constant.py TIMEOUT 1sec PRODUCING 5 ROWS "
+            f"WITH SCHEMA (value:NUMBER=0) INTO {into};\n" + select)
+
+
+class TestPlanBeforeChunks:
+    """A query's releases, sensitivities and charges come from the query, so
+    every refusal happens before any chunk runs."""
+
+    @staticmethod
+    def _refused_without_chunk_work(system, query, error, match=None, **options):
+        completed = []
+        before = (system.cache_stats(), system.engine_stats())
+        with pytest.raises(error, match=match):
+            system.execute(query, on_chunk=completed.append, **options)
+        assert completed == []
+        assert (system.cache_stats(), system.engine_stats()) == before
+
+    def test_denied_count_runs_no_chunk(self):
+        system = _constant_system(epsilon_budget=1.0, cache="memory")
+        system.execute(_count_query(epsilon=1.0))
+        self._refused_without_chunk_work(system, _count_query(epsilon=1.0),
+                                         BudgetExceededError)
+        assert system.ledger.contention_stats()["denied"] == 1
+
+    def test_unbound_average_runs_no_chunk(self):
+        system = _constant_system(cache="memory")
+        query = parse_query(_constant_text("SELECT AVG(value) FROM t;"))
+        self._refused_without_chunk_work(system, query, UnboundSensitivityError,
+                                         charge_budget=False)
+
+    @pytest.mark.parametrize("group_by", ["value", "hour(chunk), region"])
+    def test_grouping_the_plan_cannot_enumerate_runs_no_chunk(self, group_by):
+        system = _constant_system(cache="memory")
+        query = parse_query(_constant_text(f"SELECT COUNT(*) FROM t GROUP BY {group_by};"))
+        self._refused_without_chunk_work(system, query, QueryValidationError,
+                                         match="WITH KEYS", charge_budget=False)
+
+    def test_duplicate_table_refused_with_the_validators_message(self):
+        system = _constant_system(cache="memory")
+        text = _constant_text("", into="t").replace(
+            "INTO chunks;", "INTO chunks;\nSPLIT cam BEGIN 0 END 600 BY TIME 60sec "
+            "STRIDE 0sec INTO more;\nPROCESS more USING constant.py TIMEOUT 1sec "
+            "PRODUCING 5 ROWS WITH SCHEMA (value:NUMBER=0) INTO t;")
+        query = parse_query(text + "SELECT COUNT(*) FROM t;")
+        self._refused_without_chunk_work(system, query, QueryValidationError,
+                                         match="duplicate table name 't'")
+
+    def test_bare_chunk_grouping_releases_every_chunk_of_the_split(self):
+        # BEGIN is not a multiple of the chunk duration: the keys are the
+        # chunks' own start stamps (not floor(start / d) * d), each release is
+        # charged its own chunk, and every chunk's rows land under its key.
+        system = _constant_system(rows_per_chunk=2)
+        query = parse_query(_constant_text("SELECT COUNT(*) FROM t GROUP BY chunk;",
+                                           begin=25.0, end=600.0))
+        camera = system.camera("cam")
+        chunks = list(iter_chunks(camera.video, ChunkSpec(
+            window=TimeInterval(25.0, 600.0), chunk_duration=60.0)))
+        result = system.execute(query, add_noise=False, charge_budget=False)
+        assert [release.group_key for release in result.releases] == \
+            [chunk.start_timestamp for chunk in chunks]
+        assert [release.source_intervals for release in result.releases] == \
+            [{"cam": (chunk.interval,)} for chunk in chunks]
+        assert all(release.raw_value_unsafe == 2.0 for release in result.releases)
+
+    @pytest.mark.parametrize("source, own_chunk", [
+        ("t", True),
+        ("(SELECT value, chunk FROM t)", True),
+        ("(SELECT value, hour(chunk) AS chunk FROM t)", False),
+        ("(SELECT value, chunk FROM t GROUP BY value WITH KEYS [1])", False),
+        ("(SELECT value, chunk FROM t LIMIT 3)", False),
+    ])
+    def test_a_chunk_key_is_charged_its_chunk_only_while_rows_keep_its_stamp(
+            self, source, own_chunk):
+        # A re-keyed chunk, a deduplicated group (it keeps its first member's
+        # chunk) or a LIMIT's survivors can put one chunk's key on rows that
+        # other chunks decide: such a release is charged the whole window.
+        system = _constant_system()
+        query = parse_query(_constant_text(f"SELECT COUNT(*) FROM {source} GROUP BY chunk;"))
+        result = system.execute(query, add_noise=False, charge_budget=False)
+        assert len(result.releases) == 10
+        for position, release in enumerate(result.releases):
+            charged = TimeInterval(60.0 * position, 60.0 * (position + 1)) if own_chunk \
+                else TimeInterval(0.0, 600.0)
+            assert release.source_intervals == {"cam": (charged,)}
+
+    def test_a_bin_over_a_join_is_charged_the_whole_window(self):
+        # A join row carries its left row's chunk but exists because of right
+        # rows from any chunk, so a bin cannot bound what it depends on.
+        text = _constant_text("", into="t").replace(
+            "INTO t;", "INTO t;\nPROCESS chunks USING constant.py TIMEOUT 1sec "
+            "PRODUCING 5 ROWS WITH SCHEMA (value:NUMBER=0) INTO u;")
+        query = parse_query(text + "SELECT COUNT(*) FROM (t JOIN u ON value) "
+                                   "GROUP BY bin(chunk, 120);")
+        result = _constant_system().execute(query, add_noise=False, charge_budget=False)
+        assert [release.group_key for release in result.releases] == \
+            [0.0, 120.0, 240.0, 360.0, 480.0]
+        whole = TimeInterval(0.0, 600.0)
+        assert all(release.source_intervals == {"cam": (whole, whole)}
+                   for release in result.releases)
+
+    def test_bare_chunk_keys_and_denial_do_not_depend_on_the_rows(self):
+        # Three campus scenes put rows in different chunks; the releases, their
+        # charges and the denial text are the same, because they are the
+        # query's.
+        query = parse_query(
+            "SPLIT campus BEGIN 0 END 1800 BY TIME 60sec STRIDE 0sec WITH MASK owner "
+            "INTO chunks;\nPROCESS chunks USING count_entering_people.py TIMEOUT 5sec "
+            'PRODUCING 5 ROWS WITH SCHEMA (kind:STRING="") INTO rows;\n'
+            "SELECT COUNT(*) FROM rows GROUP BY chunk CONSUMING 1.0;")
+        seen = []
+        for seed in (7, 8, 9):
+            scenario = build_scenario("campus", scale=0.1, duration_hours=0.5, seed=seed)
+            system = PrividSystem(seed=1)
+            # One owner policy for all three, so only the rows differ.
+            policy_map = MaskPolicyMap.unmasked(PrivacyPolicy(rho=30.0, k_segments=1))
+            policy_map.add("owner", scenario.owner_mask, PrivacyPolicy(rho=20.0, k_segments=1))
+            register_scenario_camera(system, scenario, epsilon_budget=1.0,
+                                     policy_map=policy_map)
+            result = system.execute(query, add_noise=False, charge_budget=False)
+            with pytest.raises(BudgetExceededError) as denial:
+                system.execute(query)
+            seen.append(([(release.group_key, release.source_intervals)
+                          for release in result.releases], str(denial.value),
+                         [release.raw_value_unsafe for release in result.releases]))
+        assert len(seen[0][0]) == 30
+        assert seen[0][:2] == seen[1][:2] == seen[2][:2]
+        assert len({tuple(values) for _, _, values in seen}) > 1  # the rows did differ
+
+    def test_bare_region_grouping_releases_every_region(self, registered_system):
+        query = parse_query(
+            "SPLIT campus BEGIN 0 END 10 BY TIME 0.5sec STRIDE 0sec BY REGION default "
+            "INTO c;\nPROCESS c USING count_entering_people.py TIMEOUT 1sec PRODUCING 5 ROWS "
+            'WITH SCHEMA (kind:STRING="") INTO t;\n'
+            "SELECT COUNT(*) FROM t GROUP BY region CONSUMING 0.1;")
+        result = registered_system.execute(query, add_noise=False, charge_budget=False)
+        scheme = registered_system.camera("campus").region_schemes["default"]
+        assert [release.group_key for release in result.releases] == \
+            [region.name for region in scheme.regions]

@@ -1,9 +1,19 @@
 """Tests for tables, expressions, relational operators and Fig. 10 sensitivity rules."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import QueryValidationError, SchemaError, UnboundSensitivityError
-from repro.relational.aggregates import Aggregation, GroupSpec, ReleaseKind, compute_releases
+from repro.query.builder import QueryBuilder
+from repro.query.validator import validate_query
+from repro.relational.aggregates import (
+    Aggregation,
+    GroupSpec,
+    ReleaseKind,
+    compute_releases,
+    planned_releases,
+)
 from repro.relational.expressions import (
     BinaryOp,
     Column,
@@ -235,11 +245,16 @@ class TestSensitivityBasics:
         assert bound.size == 10.0
 
 
+def _releases(table, info, aggregation, group=None):
+    """A SELECT's planned releases, filled in over ``table``."""
+    return compute_releases(table, aggregation, planned_releases(aggregation, info, group), group)
+
+
 class TestAggregations:
     def test_count_release(self, car_context):
         info = TableScan("cars").sensitivity(car_context)
         table = TableScan("cars").evaluate(car_context)
-        releases = compute_releases(table, info, Aggregation(function="COUNT"))
+        releases = _releases(table, info, Aggregation(function="COUNT"))
         assert len(releases) == 1
         assert releases[0].raw_value == 4.0
         assert releases[0].sensitivity == 140.0
@@ -248,7 +263,7 @@ class TestAggregations:
         info = TableScan("cars").sensitivity(car_context)
         table = TableScan("cars").evaluate(car_context)
         with pytest.raises(UnboundSensitivityError):
-            compute_releases(table, info, Aggregation(function="SUM", column="speed"))
+            _releases(table, info, Aggregation(function="SUM", column="speed"))
 
     # A row counts from 0, not from the range's low end: a chunk can add or
     # drop whole rows, so [5, 5] moves the sum by 5 per row, as [0, 5] does.
@@ -259,8 +274,8 @@ class TestAggregations:
             ("speed", RangeExpression(Column("speed"), low, high)),
             (CHUNK_COLUMN, Column(CHUNK_COLUMN)),
         ))
-        releases = compute_releases(plan.evaluate(car_context), plan.sensitivity(car_context),
-                                    Aggregation(function="SUM", column="speed"))
+        releases = _releases(plan.evaluate(car_context), plan.sensitivity(car_context),
+                             Aggregation(function="SUM", column="speed"))
         assert releases[0].raw_value == pytest.approx(
             sum(min(high, max(low, speed)) for speed in (50, 55, 60, 40)))
         assert releases[0].sensitivity == pytest.approx(140.0 * per_row)
@@ -271,7 +286,7 @@ class TestAggregations:
         ))
         info = plan.sensitivity(car_context).with_size(None)
         with pytest.raises(UnboundSensitivityError):
-            compute_releases(plan.evaluate(car_context), info,
+            _releases(plan.evaluate(car_context), info,
                              Aggregation(function="AVG", column="speed"))
 
     def test_avg_sensitivity_divides_by_size(self, car_context):
@@ -279,8 +294,8 @@ class TestAggregations:
             ("speed", RangeExpression(Column("speed"), 0.0, 60.0)),
         ))
         info = plan.sensitivity(car_context)
-        releases = compute_releases(plan.evaluate(car_context), info,
-                                    Aggregation(function="AVG", column="speed"))
+        releases = _releases(plan.evaluate(car_context), info,
+                             Aggregation(function="AVG", column="speed"))
         assert releases[0].sensitivity == pytest.approx(140.0 * 60.0 / 20.0)
 
     def test_group_by_keys_one_release_per_key(self, car_context):
@@ -288,7 +303,7 @@ class TestAggregations:
         table = TableScan("cars").evaluate(car_context)
         group = GroupSpec(expressions=(("color", Column("color")),),
                           expected_keys=("RED", "WHITE", "SILVER"))
-        releases = compute_releases(table, info, Aggregation(function="COUNT"), group)
+        releases = _releases(table, info, Aggregation(function="COUNT"), group)
         values = {release.group_key: release.raw_value for release in releases}
         assert values == {"RED": 3.0, "WHITE": 1.0, "SILVER": 0.0}
 
@@ -297,38 +312,48 @@ class TestAggregations:
         table = TableScan("cars").evaluate(car_context)
         group = GroupSpec(expressions=(("color", Column("color")),))
         with pytest.raises(QueryValidationError):
-            compute_releases(table, info, Aggregation(function="COUNT"), group)
+            _releases(table, info, Aggregation(function="COUNT"), group)
 
     def test_group_by_trusted_chunk_without_keys(self, car_context):
         info = TableScan("cars").sensitivity(car_context)
         table = TableScan("cars").evaluate(car_context)
+        # Even trusted keys are never read off the rows: the executor's plan
+        # enumerates the bins, and every listed bin is released, empty or not.
         group = GroupSpec(expressions=(("bucket", TimeBucket(Column(CHUNK_COLUMN), 5.0)),))
-        releases = compute_releases(table, info, Aggregation(function="COUNT"), group)
-        assert {release.group_key for release in releases} == {0.0, 5.0}
+        with pytest.raises(QueryValidationError, match="keys"):
+            _releases(table, info, Aggregation(function="COUNT"), group)
+        releases = _releases(table, info, Aggregation(function="COUNT"),
+                             replace(group, expected_keys=(0.0, 5.0, 10.0)))
+        assert [release.group_key for release in releases] == [0.0, 5.0, 10.0]
+        assert releases[2].raw_value == 0.0
 
     def test_argmax_release(self, car_context):
         info = TableScan("cars").sensitivity(car_context)
         table = TableScan("cars").evaluate(car_context)
         group = GroupSpec(expressions=(("color", Column("color")),),
                           expected_keys=("RED", "WHITE"))
-        releases = compute_releases(table, info, Aggregation(function="ARGMAX"), group)
+        releases = _releases(table, info, Aggregation(function="ARGMAX"), group)
         assert len(releases) == 1
         assert releases[0].kind is ReleaseKind.ARGMAX
         assert releases[0].candidates == {"RED": 3.0, "WHITE": 1.0}
 
-    def test_argmax_without_group_rejected(self, car_context):
-        info = TableScan("cars").sensitivity(car_context)
-        table = TableScan("cars").evaluate(car_context)
-        with pytest.raises(QueryValidationError):
-            compute_releases(table, info, Aggregation(function="ARGMAX"))
+    def test_argmax_without_group_rejected(self):
+        query = (QueryBuilder("argmax")
+                 .split("cam", begin=0.0, end=60.0, chunk_duration=10.0, into="chunks")
+                 .process("chunks", executable="cars.py", max_rows=2,
+                          schema=[("color", "STRING", "")], into="cars")
+                 .select(Aggregation(function="ARGMAX"), TableScan("cars"))
+                 .build())
+        report = validate_query(query, raise_on_error=False)
+        assert report.errors == ["SELECT #0: ARGMAX requires a GROUP BY"]
 
     def test_var_sensitivity(self, car_context):
         plan = Projection(TableScan("cars"), outputs=(
             ("speed", RangeExpression(Column("speed"), 0.0, 60.0)),
         ))
         info = plan.sensitivity(car_context)
-        releases = compute_releases(plan.evaluate(car_context), info,
-                                    Aggregation(function="VAR", column="speed"))
+        releases = _releases(plan.evaluate(car_context), info,
+                             Aggregation(function="VAR", column="speed"))
         assert releases[0].sensitivity == pytest.approx((140.0 * 60.0) ** 2 / 20.0)
 
     def test_unsupported_aggregation_rejected(self):

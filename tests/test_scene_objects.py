@@ -50,8 +50,8 @@ class TestTrajectories:
 class TestSceneObject:
     def test_visibility_and_box(self):
         obj = _object_with_segments([(10, 40)])
-        assert obj.visible_at(20)
-        assert not obj.visible_at(50)
+        assert obj.appearances[0].visible_at(20)
+        assert not obj.appearances[0].visible_at(50)
         assert obj.box_at(20) is not None
         assert obj.box_at(50) is None
 

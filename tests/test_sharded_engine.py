@@ -2340,6 +2340,18 @@ class TestWorkerCommandLine:
         assert done.stdout == ""
         assert "usage:" in done.stderr
 
+    def test_a_usage_error_loads_no_engine(self):
+        # The command line is refused before the engine, the table module
+        # and numpy are imported (``-X importtime`` lists every import).
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "repro.core.remote"],
+                              capture_output=True, text=True, timeout=30,
+                              env=_worker_env())
+        assert done.returncode == 2
+        imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "repro.core" in imported
+        assert not imported & {"numpy", "repro.relational.table", "repro.core.engine"}
+
     def test_a_worker_serves_the_socket_it_is_handed(self):
         ours, theirs = socket.socketpair()
         process = subprocess.Popen(

@@ -14,7 +14,10 @@ Two kinds of definition are checked:
 * a non-dunder method, property or nested class (at any depth of class
   bodies, keyed ``Class.name``) is reached only by an attribute reference
   (``x.name``) or a string: nothing reaches a method by a bare name, so a
-  same-named local variable or function does not keep it.
+  same-named local variable or function does not keep it.  A ``self.name``
+  or ``cls.name`` reference inside a class reaches only that class's own
+  family — the class, its bases and its subclasses, by class name — so an
+  attribute one class assigns to itself keeps no other class's method.
 
 A re-export is not a caller: an ``__all__`` entry names what a module offers,
 and a package ``__init__.py``'s imports and strings (its ``_EXPORTS`` table)
@@ -84,14 +87,15 @@ KEEP = {
     "repro/core/noise.py": {
         "LaplaceMechanism.confidence_interval": "ROADMAP item 11: the error bar of a release",
     },
-    "repro/core/budget.py": {
-        "DurableServiceLedger.query_charged": "state tests read: did a query's charge land",
-    },
     "repro/core/faults.py": {
         "FaultInjector.op_count": "state tests read: how many operations a site saw",
     },
     "repro/core/result.py": {
         "QueryResult.num_releases": "state tests read: how many values a query released",
+    },
+    "repro/cv/tracker.py": {
+        "TrackView.track_id": "the tracker parity oracle's read: a track's identity "
+                              "(tests/scalar_oracle.py)",
     },
     "repro/cv/detector.py": {
         "DetectionBatch.num_detections": "state tests read: a batch's detection count",
@@ -125,25 +129,63 @@ def _strings_skipped(tree: ast.Module, package_init: bool) -> set[int]:
     return skipped
 
 
-def _references(tree: ast.Module, package_init: bool) -> list[tuple[str, int, bool]]:
-    """Every identifier the file names: ``(name, line, reaches_a_member)``.
+def _references(tree: ast.Module, package_init: bool
+                ) -> list[tuple[str, int, bool, str | None]]:
+    """Every identifier the file names: ``(name, line, reaches_a_member,
+    owner)``, where ``owner`` is the enclosing class of a ``self.name`` or
+    ``cls.name`` reference (None for any other).
 
     Only an attribute reference or a string can reach a method; a package
     ``__init__``'s imports re-export and reach nothing.
     """
     skipped = _strings_skipped(tree, package_init)
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name)
+                        and inner.value.id in ("self", "cls")):
+                    owners[id(inner)] = node.name  # the innermost class walks last
     named = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            named.append((node.id, node.lineno, False))
+            named.append((node.id, node.lineno, False, None))
         elif isinstance(node, ast.Attribute):
-            named.append((node.attr, node.lineno, True))
+            named.append((node.attr, node.lineno, True, owners.get(id(node))))
         elif isinstance(node, ast.alias) and not package_init:
-            named.extend((part, node.lineno, False) for part in node.name.split("."))
+            named.extend((part, node.lineno, False, None) for part in node.name.split("."))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skipped):
-            named.extend((word, node.lineno, True) for word in _IDENTIFIER.findall(node.value))
+            named.extend((word, node.lineno, True, None)
+                         for word in _IDENTIFIER.findall(node.value))
     return named
+
+
+def _families(trees) -> dict[str, set[str]]:
+    """Class name -> the names of the class, its bases and its subclasses
+    (transitively), over every class the caller files define."""
+    bases: dict[str, set[str]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases if isinstance(base, (ast.Name, ast.Attribute)))
+
+    def closure(start: str, step) -> set[str]:
+        found, frontier = set(), [start]
+        while frontier:
+            for name in step(frontier.pop()):
+                if name not in found:
+                    found.add(name)
+                    frontier.append(name)
+        return found
+
+    def subclasses(name: str) -> set[str]:
+        return {child for child, parents in bases.items() if name in parents}
+
+    return {name: {name} | closure(name, lambda each: bases.get(each, ()))
+            | closure(name, subclasses) for name in bases}
 
 
 def _definitions(tree: ast.Module):
@@ -174,18 +216,18 @@ def _scan(repo_root: Path):
     for root in CALLER_ROOTS:
         for path in sorted((repo_root / root).rglob("*.py")):
             trees[path] = ast.parse(path.read_text(), filename=str(path))
-    named: dict[str, list[tuple[Path, int, bool]]] = {}
+    named: dict[str, list[tuple[Path, int, bool, str | None]]] = {}
     for path, tree in trees.items():
-        for name, line, member in _references(tree, path.name == "__init__.py"):
-            named.setdefault(name, []).append((path, line, member))
-    return trees, named
+        for name, line, member, owner in _references(tree, path.name == "__init__.py"):
+            named.setdefault(name, []).append((path, line, member, owner))
+    return trees, named, _families(trees.values())
 
 
 def unreached() -> list[str]:
     """``module::name`` (``module::Class.name`` for a member) of every
     definition in ``src/`` that no caller outside ``tests/`` reaches and
     ``KEEP`` does not list."""
-    trees, named = _scan(REPO_ROOT)
+    trees, named, families = _scan(REPO_ROOT)
     missing = []
     for path, tree in trees.items():
         if SRC not in path.parents:
@@ -193,8 +235,11 @@ def unreached() -> list[str]:
         module = path.relative_to(SRC).as_posix()
         for key, node, is_member in _definitions(tree):
             first = min([node.lineno] + [decorator.lineno for decorator in node.decorator_list])
-            outside = [where for where, line, reaches_member in named.get(node.name, ())
+            defining_class = key.split(".")[-2] if is_member else None
+            outside = [where for where, line, reaches_member, owner in named.get(node.name, ())
                        if (reaches_member or not is_member)
+                       and (owner is None or not is_member
+                            or defining_class in families.get(owner, {owner}))
                        and (where != path or not first <= line <= node.end_lineno)]
             if not outside and key not in KEEP.get(module, {}):
                 missing.append(f"{module}::{key}")
@@ -250,6 +295,13 @@ CALLERS = {
     "a package __init__ import": ("src/pkg/__init__.py", "from pkg.mod import Holder, target\n",
                                   ()),
     "a string table": ("src/pkg/__init__.py", "EXPORTS = {'target': 'pkg.mod'}\n", ()),
+    "another class's own attribute": ("tools/run.py",
+                                      "class Other:\n    def __init__(self):\n"
+                                      "        self.member = []\n", ()),
+    "a subclass's self reference": ("tools/run.py",
+                                    "from pkg.mod import Holder\n\n\nclass Sub(Holder):\n"
+                                    "    def run(self):\n        return self.member(1)\n",
+                                    ("Holder", "Holder.member")),
 }
 
 
