@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sandbox.environment import ExecutionContext, SandboxRunner
     from repro.video.chunking import Chunk
 
-from repro.core.engine import ChunkRows
 from repro.core.faults import FaultKind
 from repro.utils import checks
 
@@ -297,7 +296,7 @@ class ChunkResultCache:
         """Cache key of one chunk execution."""
         return chunk_key(runner, chunk, context)
 
-    def get(self, key: str, max_rows: int | None = None) -> ChunkRows | None:
+    def get(self, key: str, max_rows: int | None = None) -> list[dict[str, Any]] | None:
         """Rows cached under ``key`` (a fresh copy), or None on a miss — an
         entry over ``max_rows`` is corrupt: dropped and counted in ``read_errors``."""
         with self._lock:
@@ -313,7 +312,7 @@ class ChunkResultCache:
             self.stats.hits += 1
         return [dict(row) for row in entry]
 
-    def put(self, key: str, rows: ChunkRows) -> None:
+    def put(self, key: str, rows: list[dict[str, Any]]) -> None:
         """Store the rows of one chunk execution under ``key``."""
         entry = tuple(dict(row) for row in rows)
         with self._lock:
@@ -354,7 +353,7 @@ _EMPTY_ENTRY = json.dumps({"format": _DISK_FORMAT, "rows": []},
 _READ_SIZE = 1 << 16
 
 
-def _read_json_entry(path: str) -> ChunkRows:
+def _read_json_entry(path: str) -> list[dict[str, Any]]:
     """Read and parse one entry file (the only JSON parse in the store).
 
     A torn write cannot decode to other rows: an entry is one JSON object,
@@ -473,7 +472,7 @@ class DiskChunkStore:
     def _entry_path(self, key: str) -> str:
         return f"{self._root}{key}.json"
 
-    def get(self, key: str, max_rows: int | None = None) -> ChunkRows | None:
+    def get(self, key: str, max_rows: int | None = None) -> list[dict[str, Any]] | None:
         """Rows stored under ``key``, or None on a miss (or corrupt entry,
         which includes one holding more than ``max_rows`` rows)."""
         path = self._entry_path(key)
@@ -593,7 +592,7 @@ class DiskChunkStore:
             except OSError:
                 pass
 
-    def put(self, key: str, rows: ChunkRows) -> bool:
+    def put(self, key: str, rows: list[dict[str, Any]]) -> bool:
         """Persist the rows of one chunk execution under ``key`` (atomic).
 
         Returns whether the entry landed.  IO errors are swallowed and
@@ -602,10 +601,6 @@ class DiskChunkStore:
         (non-JSON rows) still raise — those are programming errors, not
         environment faults.
         """
-        if not isinstance(rows, list):
-            # ColumnarRows (and any other sequence) serialize as the
-            # equivalent dict rows.
-            rows = [dict(row) for row in rows]
         payload = {"format": _DISK_FORMAT, "rows": rows}
         data = (json.dumps(payload, separators=(",", ":")).encode("utf-8")
                 if rows else _EMPTY_ENTRY)
@@ -691,7 +686,7 @@ class TieredChunkCache:
         return {"tier": "tiered", "writable": disk["writable"],
                 "memory": self.memory.health(), "disk": disk}
 
-    def get(self, key: str, max_rows: int | None = None) -> ChunkRows | None:
+    def get(self, key: str, max_rows: int | None = None) -> list[dict[str, Any]] | None:
         """Rows under ``key`` from the first tier that has them, or None.  Each
         tier drops an entry over ``max_rows``, on disk before it is promoted."""
         rows = self.memory.get(key, max_rows)
@@ -702,7 +697,7 @@ class TieredChunkCache:
             self.memory.put(key, rows)
         return rows
 
-    def put(self, key: str, rows: ChunkRows) -> bool:
+    def put(self, key: str, rows: list[dict[str, Any]]) -> bool:
         """Write the rows of one chunk execution through to both tiers;
         whether the disk entry landed."""
         self.memory.put(key, rows)

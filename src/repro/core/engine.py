@@ -56,17 +56,11 @@ from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, \
     runtime_checkable
 
-from repro.relational.table import ColumnarRows
 from repro.utils import checks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sandbox.environment import ExecutionContext, SandboxRunner
     from repro.video.chunking import Chunk
-
-#: The output of one chunk's sandboxed execution: schema-coerced, stamped
-#: rows — a list of row dicts, or the columnar twin from the batch
-#: row-emission path (iterates and compares exactly like the dict list).
-ChunkRows = list[dict[str, Any]] | ColumnarRows
 
 
 @dataclass
@@ -78,7 +72,9 @@ class ChunkOutcome:
     machine), so the result cache must never store them.
     """
 
-    rows: "list[dict[str, Any]] | ColumnarRows"
+    #: The chunk's schema-coerced rows, each a dict keyed in schema order and
+    #: then ``chunk`` and ``region`` (the trusted stamp).
+    rows: list[dict[str, Any]]
     fallback: bool = False
 
 

@@ -529,16 +529,17 @@ class PrividSystem:
                                         release.sensitivity, release.epsilon)
 
     def execute(self, query: PrividQuery, *, default_epsilon: float = 1.0,
-                add_noise: bool = True, charge_budget: bool = True,
+                charge_budget: bool = True,
                 cancel: "CancellationToken | None" = None,
                 query_id: str | None = None,
                 on_chunk: "Callable[[int], None] | None" = None) -> QueryResult:
         """Run a query end to end and return its (noisy) releases.
 
-        ``add_noise=False`` returns the raw chunked-pipeline outputs (the
-        "Privid (No Noise)" curves of Fig. 5); ``charge_budget=False`` skips
-        budget accounting (used by what-if sweeps in the benchmarks).  Both
-        default to the privacy-preserving behaviour.
+        Every release carries fresh noise; its pre-noise value stays in
+        ``raw_value_unsafe`` (the "Privid (No Noise)" curves of Fig. 5).
+        ``charge_budget=False`` skips budget accounting (used by what-if
+        sweeps in the benchmarks); it defaults to the privacy-preserving
+        behaviour.
 
         ``cancel`` is an optional
         :class:`~repro.core.resilience.CancellationToken` checked between
@@ -590,9 +591,8 @@ class PrividSystem:
         if charge_budget:
             result.budget_remaining = self.ledger.admit_many(
                 plan.requests, plan.margins, query_id=query_id)
-        if add_noise:
-            for release_result in result.releases:
-                release_result.noisy_value = self._draw(release_result)
+        for release_result in result.releases:
+            release_result.noisy_value = self._draw(release_result)
         result.metadata["num_tables"] = len(context.tables)
         result.metadata["num_chunks"] = {name: properties.num_chunks
                                          for name, properties in plan.properties.items()}

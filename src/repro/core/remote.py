@@ -405,8 +405,7 @@ def _handle_task(message: dict[str, Any]) -> dict[str, Any]:
     outcomes: list[dict[str, Any]] = []
     for spec in message["specs"]:
         outcome = execute_chunk(runner, chunk_from_spec(objects, spec), context)
-        outcomes.append({"rows": [dict(row) for row in outcome.rows],
-                         "fallback": outcome.fallback})
+        outcomes.append({"rows": outcome.rows, "fallback": outcome.fallback})
     stages = {"loads": int(decoded), "load_s": loaded - started,
               "execute_s": clock() - loaded}
     return {"type": "result", "seq": message["seq"], "outcomes": outcomes,

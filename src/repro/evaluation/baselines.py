@@ -4,8 +4,8 @@ Two kinds of references appear in the evaluation:
 
 * the paper's headline accuracy compares Privid against the same query
   implementation run *without* Privid (no chunking, no noise) — obtained by
-  calling the executor with ``add_noise=False`` over a single chunk, or more
-  cheaply by these ground-truth computations when the executable's logic is
+  reading a release's ``raw_value_unsafe`` from a single-chunk execution, or
+  more cheaply by these ground-truth computations when the executable's logic is
   a direct function of the scene (the two coincide up to detector noise);
 * scene ground truth, available because the substrate is a simulator, which
   the benchmarks also report so readers can see both gaps separately

@@ -24,7 +24,7 @@ from repro.errors import QueryValidationError
 from repro.query.ast import PrividQuery, ProcessStatement, SelectStatement, SplitStatement
 from repro.relational.aggregates import Aggregation, GroupSpec
 from repro.relational.expressions import Column, RangeExpression, TimeBucket
-from repro.relational.plan import GroupBy, Relation, TableScan
+from repro.relational.plan import Relation, TableScan
 from repro.relational.table import ColumnSpec, DataType, Schema
 from repro.utils.timebase import SECONDS_PER_HOUR
 
@@ -110,47 +110,6 @@ class QueryBuilder:
                                   group_by_column=group_by_column, keys=keys)
         return self.select(Aggregation(function="AVG", column=column), projected,
                            group_by=group, epsilon=epsilon, label=label)
-
-    def select_sum(self, column: str, low: float, high: float, *,
-                   table: str | None = None, source: Relation | None = None,
-                   group_by_hour: bool = False, bucket_seconds: float | None = None,
-                   epsilon: float | None = None, label: str = "") -> "QueryBuilder":
-        """Convenience: SUM(range(column, low, high)) over a table."""
-        base = source if source is not None else TableScan(self._require_table(table))
-        from repro.relational.plan import Projection
-        from repro.relational.table import CHUNK_COLUMN, REGION_COLUMN
-
-        projected = Projection(base, outputs=(
-            (column, RangeExpression(Column(column), low, high)),
-            (CHUNK_COLUMN, Column(CHUNK_COLUMN)),
-            (REGION_COLUMN, Column(REGION_COLUMN)),
-        ))
-        group = self._build_group(group_by_hour=group_by_hour, bucket_seconds=bucket_seconds,
-                                  group_by_column=None, keys=None)
-        return self.select(Aggregation(function="SUM", column=column), projected,
-                           group_by=group, epsilon=epsilon, label=label)
-
-    def select_count_unique(self, key_column: str, *, table: str | None = None,
-                            source: Relation | None = None, keys: Sequence[Any] | None = None,
-                            group_by_hour: bool = False, bucket_seconds: float | None = None,
-                            epsilon: float | None = None, label: str = "") -> "QueryBuilder":
-        """Convenience: COUNT of distinct values of ``key_column`` (dedup via GROUP BY)."""
-        base = source if source is not None else TableScan(self._require_table(table))
-        deduplicated = GroupBy(base, keys=(key_column,), explicit_keys=tuple(keys) if keys else None)
-        group = self._build_group(group_by_hour=group_by_hour, bucket_seconds=bucket_seconds,
-                                  group_by_column=None, keys=None)
-        return self.select(Aggregation(function="COUNT"), deduplicated, group_by=group,
-                           epsilon=epsilon, label=label)
-
-    def select_argmax(self, group_column: str, keys: Sequence[Any], *,
-                      table: str | None = None, source: Relation | None = None,
-                      epsilon: float | None = None, label: str = "") -> "QueryBuilder":
-        """Convenience: ARGMAX of per-group row counts over explicit keys."""
-        relation = source if source is not None else TableScan(self._require_table(table))
-        group = GroupSpec(expressions=((group_column, Column(group_column)),),
-                          expected_keys=tuple(keys))
-        return self.select(Aggregation(function="ARGMAX"), relation, group_by=group,
-                           epsilon=epsilon, label=label)
 
     def build(self) -> PrividQuery:
         """Finalize and return the query AST."""

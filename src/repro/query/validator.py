@@ -9,94 +9,69 @@ against the registered cameras and executables, and relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import QueryValidationError
 from repro.query.ast import PrividQuery, collect_table_names
 from repro.utils.timebase import is_integral_frame_count
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validating a query: hard errors and advisory warnings."""
-
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True if no hard errors were found."""
-        return not self.errors
-
-    def raise_if_invalid(self) -> None:
-        """Raise :class:`QueryValidationError` summarising all hard errors."""
-        if self.errors:
-            raise QueryValidationError("; ".join(self.errors))
-
-
 def validate_query(query: PrividQuery, *, known_cameras: dict[str, float] | None = None,
-                   known_executables: list[str] | None = None,
-                   raise_on_error: bool = True) -> ValidationReport:
-    """Validate a query's structure.
+                   known_executables: list[str] | None = None) -> None:
+    """Validate a query's structure; raise :class:`QueryValidationError`
+    naming every broken rule (joined by ``"; "``) if any is.
 
     ``known_cameras`` optionally maps camera names to their frame rates so
     the frame-alignment rule of Appendix D (chunk duration and stride must be
     whole numbers of frames) can be checked; ``known_executables`` optionally
     lists registered executable names.
     """
-    report = ValidationReport()
+    errors: list[str] = []
 
     chunk_sets: set[str] = set()
     for split in query.splits:
         if split.output in chunk_sets:
-            report.errors.append(f"duplicate chunk set name {split.output!r}")
+            errors.append(f"duplicate chunk set name {split.output!r}")
         chunk_sets.add(split.output)
         if known_cameras is not None:
             if split.camera not in known_cameras:
-                report.errors.append(f"SPLIT references unknown camera {split.camera!r}")
+                errors.append(f"SPLIT references unknown camera {split.camera!r}")
             else:
                 fps = known_cameras[split.camera]
                 if not is_integral_frame_count(split.chunk_duration, fps):
-                    report.errors.append(
+                    errors.append(
                         f"chunk duration {split.chunk_duration}s is not a whole number of "
                         f"frames at {fps} fps (camera {split.camera!r})")
                 if not is_integral_frame_count(split.stride, fps):
-                    report.errors.append(
+                    errors.append(
                         f"stride {split.stride}s is not a whole number of frames at {fps} fps")
 
     tables: set[str] = set()
     for process in query.processes:
         if process.output in tables:
-            report.errors.append(f"duplicate table name {process.output!r}")
+            errors.append(f"duplicate table name {process.output!r}")
         tables.add(process.output)
         if process.chunks not in chunk_sets:
-            report.errors.append(
+            errors.append(
                 f"PROCESS table {process.output!r} reads unknown chunk set {process.chunks!r}")
         if known_executables is not None and process.executable not in known_executables:
-            report.errors.append(
+            errors.append(
                 f"PROCESS references unregistered executable {process.executable!r}")
-        if process.max_rows > 1000:
-            report.warnings.append(
-                f"table {process.output!r} declares max_rows={process.max_rows}; large caps "
-                "increase sensitivity and therefore noise")
 
     if not query.selects:
-        report.errors.append("a query must contain at least one SELECT")
+        errors.append("a query must contain at least one SELECT")
     for index, select in enumerate(query.selects):
         try:
             referenced = collect_table_names(select.source)
         except QueryValidationError as error:
-            report.errors.append(str(error))
+            errors.append(str(error))
             continue
         unknown = referenced - tables
         if unknown:
-            report.errors.append(f"SELECT #{index} references unknown tables {sorted(unknown)}")
+            errors.append(f"SELECT #{index} references unknown tables {sorted(unknown)}")
         if select.aggregation.function == "ARGMAX" and select.group_by is None:
-            report.errors.append(f"SELECT #{index}: ARGMAX requires a GROUP BY")
+            errors.append(f"SELECT #{index}: ARGMAX requires a GROUP BY")
         if select.group_by is not None and select.group_by.expected_keys is not None \
                 and len(select.group_by.expected_keys) == 0:
-            report.errors.append(f"SELECT #{index}: WITH KEYS must list at least one key")
+            errors.append(f"SELECT #{index}: WITH KEYS must list at least one key")
 
-    if raise_on_error:
-        report.raise_if_invalid()
-    return report
+    if errors:
+        raise QueryValidationError("; ".join(errors))

@@ -14,14 +14,12 @@ by over them does not require explicit keys (Appendix D).
 
 Storage is columnar: a :class:`Table` holds one growable column per name —
 ``NUMBER`` columns are float64 arrays with a missing-value mask, everything
-else an object array — and the executables' batch row-emission path moves
-whole column arrays from the sandbox into the table without materialising a
-dict per row (:class:`RowBatch` → :meth:`Schema.coerce_row_batch` →
-:class:`ColumnarRows` → :meth:`Table.extend`).  The scalar row API
-(``append``, ``rows``, per-row dicts) is preserved as an adapter with
-identical semantics: a ``NUMBER`` column degrades to object storage the
+else an object array.  Rows travel one way from the executable to the
+table: the executable's list of row dicts, each coerced by
+:meth:`Schema.coerce_row` and stamped by the sandbox, lands through
+:meth:`Table.extend`.  A ``NUMBER`` column degrades to object storage the
 moment a value that is not a float (or None) is appended, so untyped and
-hand-built tables behave exactly like the dict-of-rows implementation did.
+hand-built tables behave exactly like a list of row dicts.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ class DataType(str, Enum):
 
         Booleans are mapped explicitly by both types — ``NUMBER`` to 1.0/0.0
         and ``STRING`` to ``"true"``/``"false"`` — so the two branches treat
-        them symmetrically (and identically to the vectorized column path).
+        them symmetrically.
         """
         if value is None:
             return default
@@ -65,49 +63,6 @@ class DataType(str, Enum):
         if isinstance(value, bool):
             return "true" if value else "false"
         return str(value)
-
-    def coerce_values(self, values: Any, default: Any, count: int) -> np.ndarray:
-        """Vectorized column coercion: ``count`` coerced values as an array.
-
-        Returns a float64 array for ``NUMBER`` and an object array for
-        ``STRING``.  Well-typed inputs (numeric/bool numpy arrays for
-        NUMBER) convert in one cast; anything else falls back to the scalar
-        :meth:`coerce` per element, so the two paths agree value for value.
-        ``values`` shorter than ``count`` is padded with defaults, longer is
-        truncated.
-        """
-        if values is None:
-            length = 0
-        else:
-            try:
-                length = len(values)
-            except TypeError:
-                values = list(values)
-                length = len(values)
-        used = min(length, count)
-        if self is DataType.NUMBER:
-            try:
-                column = np.full(count, default, dtype=np.float64)
-                if used:
-                    window = values[:used] if length > used else values
-                    if isinstance(window, np.ndarray) and window.dtype.kind in "fiub":
-                        column[:used] = window.astype(np.float64, copy=False)
-                    else:
-                        coerce = self.coerce
-                        column[:used] = [coerce(value, default) for value in window]
-                return column
-            except (TypeError, ValueError):
-                # A non-numeric default (or a coercion falling back to one)
-                # cannot live in a float64 column; degrade to object storage
-                # with the scalar coercion per value, exactly like the
-                # dict-row path stored it.
-                pass
-        column = np.full(count, default, dtype=object)
-        if used:
-            coerce = self.coerce
-            for index in range(used):
-                column[index] = coerce(values[index], default)
-        return column
 
 
 @dataclass(frozen=True)
@@ -127,95 +82,6 @@ class ColumnSpec:
         if default is None:
             default = 0.0 if self.dtype is DataType.NUMBER else ""
         object.__setattr__(self, "default", self.dtype.coerce(default, default))
-
-
-class RowBatch:
-    """Columnar output rows of one executable run (the batch emission path).
-
-    Executables may return a ``RowBatch`` instead of a list of row dicts:
-    ``count`` rows described by per-column sequences (lists or numpy
-    arrays).  The sandbox treats it exactly like the equivalent dict rows —
-    schema coercion per column, truncation to ``max_rows``, implicit
-    chunk/region stamping — but without ever materialising a Python dict
-    per row.  Missing columns read as defaults; extraneous columns are
-    dropped, exactly as with dict rows.
-    """
-
-    __slots__ = ("count", "columns")
-
-    def __init__(self, count: int, columns: dict[str, Any] | None = None) -> None:
-        self.count = int(count)
-        self.columns = columns or {}
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        """Yield the uncoerced rows as dicts (test and debugging convenience)."""
-        lists = [(name, _as_value_list(values)) for name, values in self.columns.items()]
-        for index in range(self.count):
-            yield {name: values[index] for name, values in lists}
-
-
-class ColumnarRows(Sequence):
-    """Schema-coerced, stamped rows of one chunk, stored as column arrays.
-
-    Behaves like the list of row dicts it replaces — iteration, indexing,
-    equality and ``repr`` all go through a lazily materialised dict-row
-    view — while :meth:`Table.extend` moves the column arrays straight into
-    the table.
-    """
-
-    __slots__ = ("column_names", "columns", "count", "_materialized")
-
-    def __init__(self, column_names: tuple[str, ...], columns: dict[str, Any],
-                 count: int) -> None:
-        self.column_names = column_names
-        self.columns = columns
-        self.count = int(count)
-        self._materialized: list[dict[str, Any]] | None = None
-
-    def _materialize(self) -> list[dict[str, Any]]:
-        if self._materialized is None:
-            lists = [(name, _as_value_list(self.columns[name]))
-                     for name in self.column_names]
-            self._materialized = [
-                {name: values[index] for name, values in lists}
-                for index in range(self.count)]
-        return self._materialized
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index: int) -> dict[str, Any]:
-        return self._materialize()[index]
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self._materialize())
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, ColumnarRows):
-            return self._materialize() == other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
-    def __getstate__(self) -> tuple[Any, ...]:
-        return (self.column_names, self.columns, self.count)
-
-    def __setstate__(self, state: tuple[Any, ...]) -> None:
-        self.column_names, self.columns, self.count = state
-        self._materialized = None
-
-
-def _as_value_list(column: Any) -> list[Any]:
-    """A column as a plain Python list (floats for float64 arrays)."""
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return list(column)
 
 
 @dataclass(frozen=True)
@@ -263,44 +129,6 @@ class Schema:
             row[column.name] = column.dtype.coerce(raw.get(column.name, column.default),
                                                    column.default)
         return row
-
-    def coerce_row_batch(self, raw: RowBatch, *, max_rows: int,
-                         chunk_timestamp: float, region: str) -> ColumnarRows:
-        """Vectorized twin of per-row coercion for a :class:`RowBatch`.
-
-        Truncates to ``max_rows``, coerces each declared column as one array
-        (missing columns read as defaults, extraneous ones are dropped) and
-        stamps the trusted implicit ``chunk``/``region`` columns — value for
-        value what ``coerce_row`` plus stamping produces for the equivalent
-        dict rows.
-        """
-        count = max(0, min(int(raw.count), max_rows))
-        columns: dict[str, Any] = {}
-        if count < 16:
-            # Typical chunks emit a handful of rows; scalar coercion into
-            # plain lists beats four numpy allocations per column there.
-            for spec in self.columns:
-                values = raw.columns.get(spec.name)
-                coerce = spec.dtype.coerce
-                default = spec.default
-                if values is None:
-                    columns[spec.name] = [default] * count
-                else:
-                    values = list(values[:count]) if not isinstance(values, list) \
-                        else values[:count]
-                    column = [coerce(value, default) for value in values]
-                    if len(column) < count:
-                        column.extend([default] * (count - len(column)))
-                    columns[spec.name] = column
-            columns[CHUNK_COLUMN] = [chunk_timestamp] * count
-            columns[REGION_COLUMN] = [region] * count
-            return ColumnarRows(self.with_implicit_columns(), columns, count)
-        for spec in self.columns:
-            columns[spec.name] = spec.dtype.coerce_values(
-                raw.columns.get(spec.name), spec.default, count)
-        columns[CHUNK_COLUMN] = np.full(count, chunk_timestamp, dtype=np.float64)
-        columns[REGION_COLUMN] = np.full(count, region, dtype=object)
-        return ColumnarRows(self.with_implicit_columns(), columns, count)
 
     def with_implicit_columns(self) -> tuple[str, ...]:
         """All column names including the Privid-added chunk and region columns."""
@@ -353,13 +181,6 @@ class _NumberColumn:
             return True
         return False
 
-    def extend_array(self, values: np.ndarray) -> None:
-        """Bulk-append a float64 array (the columnar ingestion fast path)."""
-        extra = values.shape[0]
-        self._reserve(extra)
-        self.values[self.size: self.size + extra] = values
-        self.size += extra
-
     def value_at(self, index: int) -> Any:
         return None if self.missing[index] else float(self.values[index])
 
@@ -409,16 +230,6 @@ class _ObjectColumn:
         self.values[self.size] = value
         self.size += 1
         return True
-
-    def extend_array(self, values: Any) -> None:
-        extra = len(values)
-        self._reserve(extra)
-        if isinstance(values, np.ndarray) and values.dtype != object:
-            # Assign via a list so elements land as Python scalars, not
-            # numpy scalars — dict-row semantics store plain values.
-            values = values.tolist()
-        self.values[self.size: self.size + extra] = values
-        self.size += extra
 
     def value_at(self, index: int) -> Any:
         return self.values[index]
@@ -503,42 +314,14 @@ class Table:
         self._size += 1
         self._rows_cache = None
 
-    def extend(self, rows: Iterable[dict[str, Any]] | ColumnarRows) -> None:
-        """Append many rows; column batches move as whole arrays."""
+    def extend(self, rows: Iterable[dict[str, Any]]) -> None:
+        """Append many rows (each restricted to the table's columns)."""
         if not rows:  # most warm chunks answer nothing
-            return
-        if isinstance(rows, ColumnarRows):
-            self.extend_columnar(rows)
             return
         for row in rows:
             for name in self.columns:
                 self._append_value(name, row.get(name))
             self._size += 1
-        self._rows_cache = None
-
-    def extend_columnar(self, rows: ColumnarRows) -> None:
-        """Bulk-append one chunk's :class:`ColumnarRows` (no per-row dicts)."""
-        if rows.count == 0:
-            return
-        for name in self.columns:
-            column = self._data[name]
-            values = rows.columns.get(name)
-            if values is None:
-                for _ in range(rows.count):
-                    self._append_value(name, None)
-                continue
-            if isinstance(column, _NumberColumn) and isinstance(values, np.ndarray) \
-                    and values.dtype == np.float64:
-                column.extend_array(values)
-                continue
-            if isinstance(column, _ObjectColumn):
-                column.extend_array(values)
-                continue
-            # Mixed case: a float column receiving non-float values — go
-            # through the scalar path so degradation rules apply uniformly.
-            for value in _as_value_list(values):
-                self._append_value(name, value)
-        self._size += rows.count
         self._rows_cache = None
 
     def column_values(self, name: str) -> list[Any]:

@@ -31,7 +31,7 @@ from repro.cv.detector import DetectorConfig, SyntheticDetector
 from repro.cv.tracker import TrackerConfig
 from repro.errors import SandboxViolationError
 from repro.utils import checks
-from repro.relational.table import CHUNK_COLUMN, REGION_COLUMN, RowBatch, Schema
+from repro.relational.table import CHUNK_COLUMN, REGION_COLUMN, Schema
 from repro.video.chunking import Chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,10 +122,6 @@ class SandboxRunner:
 
         return runner_fingerprint(self)
 
-    def _default_rows(self) -> list[dict[str, Any]]:
-        """Output substituted when the executable crashes or exceeds its timeout."""
-        return [self.schema.default_row()]
-
     def run_chunk(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
         """Process one chunk and return schema-coerced, truncated rows."""
         return self.run_chunk_outcome(chunk, context).rows
@@ -133,51 +129,37 @@ class SandboxRunner:
     def run_chunk_outcome(self, chunk: Chunk, context: ExecutionContext) -> ChunkOutcome:
         """Process one chunk, reporting whether the output is a failure fallback.
 
-        The implicit ``chunk`` and ``region`` columns are appended here —
+        The executable returns a list (or tuple) of row dicts; its first
+        ``max_rows`` items are coerced to the schema (a non-dict item becomes
+        a default row).  One default row marked ``fallback`` replaces the
+        output when ``process`` raises, when coercing its output raises
+        (coercion may run the executable's own code, such as a value's
+        ``__str__``), on a TIMEOUT overrun (wall-clock time), or when the
+        output is not a list or tuple.  The implicit ``chunk`` and
+        ``region`` columns are appended last, after the schema's columns —
         they are generated by Privid, not the executable, which is why later
-        GROUP BYs over them are trusted.  TIMEOUT is wall-clock time.
+        GROUP BYs over them are trusted.
         """
         instance = self.executable.fresh_instance()
         started = time.monotonic()
         try:
             raw_rows = instance.process(chunk, context)
+            rows = ([self.schema.coerce_row(raw) for raw in raw_rows[: self.max_rows]]
+                    if isinstance(raw_rows, (list, tuple)) else None)
         except Exception:
-            raw_rows = None
+            rows = None
         timed_out = time.monotonic() - started > self.timeout_seconds
         simulated = getattr(instance, "simulated_runtime", 0.0)
         if simulated and simulated > self.timeout_seconds:
             timed_out = True
+        fallback = rows is None or timed_out
+        if fallback:
+            rows = [self.schema.default_row()]
         region = chunk.region.name if chunk.region is not None else ""
-        if raw_rows is not None and not timed_out and isinstance(raw_rows, RowBatch):
-            # Batch row-emission path: coercion, truncation and the trusted
-            # chunk/region stamping all happen as whole-column operations.
-            # The executable is untrusted, so a malformed batch (scalar
-            # columns, broken sequences) degrades to the same fallback rows
-            # any other garbage output produces instead of crashing the
-            # query.
-            try:
-                return ChunkOutcome(rows=self.schema.coerce_row_batch(
-                    raw_rows, max_rows=self.max_rows,
-                    chunk_timestamp=chunk.start_timestamp, region=region))
-            except Exception:
-                raw_rows = None
-        fallback = False
-        if raw_rows is None or timed_out:
-            rows = self._default_rows()
-            fallback = True
-        else:
-            if not isinstance(raw_rows, (list, tuple)):
-                rows = self._default_rows()
-                fallback = True
-            else:
-                rows = [self.schema.coerce_row(raw) for raw in list(raw_rows)[: self.max_rows]]
-        stamped: list[dict[str, Any]] = []
         for row in rows:
-            stamped_row = dict(row)
-            stamped_row[CHUNK_COLUMN] = chunk.start_timestamp
-            stamped_row[REGION_COLUMN] = region
-            stamped.append(stamped_row)
-        return ChunkOutcome(rows=stamped, fallback=fallback)
+            row[CHUNK_COLUMN] = chunk.start_timestamp
+            row[REGION_COLUMN] = region
+        return ChunkOutcome(rows=rows, fallback=fallback)
 
     def _engine_outcomes(self, engine: ExecutionEngine, chunks: Iterable[Chunk],
                          context: ExecutionContext, count_hint: int | None

@@ -19,7 +19,6 @@ from typing import Any, Iterable
 
 from repro.cv.detector import DetectionBatch
 from repro.cv.tracker import IoUTracker, TrackView
-from repro.relational.table import RowBatch
 from repro.sandbox.environment import ExecutionContext
 from repro.video.chunking import Chunk
 
@@ -43,9 +42,9 @@ class ProcessExecutable(ABC):
     """Interface every PROCESS executable implements.
 
     ``process`` receives one chunk and the chunk-independent context and
-    returns its output rows — either a list of row dictionaries or a
-    columnar :class:`~repro.relational.table.RowBatch` (the batch emission
-    path; the sandbox coerces both identically).  Implementations must not
+    returns its output rows as a list of row dictionaries; the sandbox keeps
+    the first ``max_rows``, coerces each to the declared schema and stamps
+    the trusted ``chunk`` and ``region`` columns.  Implementations must not
     keep state across calls (the sandbox runs a fresh instance per chunk to
     make cross-chunk state ineffective even if attempted).
     """
@@ -53,8 +52,7 @@ class ProcessExecutable(ABC):
     name: str = "executable"
 
     @abstractmethod
-    def process(self, chunk: Chunk, context: ExecutionContext
-                ) -> "list[dict[str, Any]] | RowBatch":
+    def process(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
         """Produce output rows for one chunk."""
 
     def fresh_instance(self) -> "ProcessExecutable":
@@ -142,28 +140,21 @@ class EnteringObjectCounter(ProcessExecutable):
     include_first_chunk: bool = True
     name: str = "entering_object_counter"
 
-    def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
+    def process(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
         tracks = _track_chunk(chunk, context, categories={self.category}, attributes=())
         margin = self.entry_margin_frames / context.fps
         threshold = chunk.interval.start + margin
         always = self.include_first_chunk and chunk.index == 0
-        entered_ats: list[float] = []
-        dxs: list[float] = []
-        dys: list[float] = []
+        rows: list[dict[str, Any]] = []
         for track in tracks:
             first_timestamp = track.first_timestamp
             if first_timestamp > threshold or always:
                 first_center = track.first_box.center
                 last_center = track.last_box.center
-                entered_ats.append(first_timestamp)
-                dxs.append(last_center.x - first_center.x)
-                dys.append(last_center.y - first_center.y)
-        return RowBatch(len(entered_ats), {
-            "kind": [self.category] * len(entered_ats),
-            "entered_at": entered_ats,
-            "dx": dxs,
-            "dy": dys,
-        })
+                rows.append({"kind": self.category, "entered_at": first_timestamp,
+                             "dx": last_center.x - first_center.x,
+                             "dy": last_center.y - first_center.y})
+        return rows
 
 
 @dataclass
@@ -178,13 +169,11 @@ class UniqueVehicleReporter(ProcessExecutable):
     category: str = "car"
     name: str = "unique_vehicle_reporter"
 
-    def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
+    def process(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
         tracks = _track_chunk(chunk, context, categories={self.category, "taxi"},
                               attributes=("speed_kmh", "plate", "color"))
         meters_per_pixel = float(context.metadata.get("meters_per_pixel", 0.1))
-        plates: list[Any] = []
-        colors: list[Any] = []
-        speeds: list[Any] = []
+        rows: list[dict[str, Any]] = []
         for track in tracks:
             attribute_speed = track.majority_attribute("speed_kmh")
             if attribute_speed is None:
@@ -193,10 +182,10 @@ class UniqueVehicleReporter(ProcessExecutable):
                 last_center = track.last_box.center
                 displacement = first_center.distance_to(last_center)
                 attribute_speed = displacement * meters_per_pixel / duration * 3.6
-            plates.append(track.majority_attribute("plate", default=""))
-            colors.append(track.majority_attribute("color", default=""))
-            speeds.append(attribute_speed)
-        return RowBatch(len(plates), {"plate": plates, "color": colors, "speed": speeds})
+            rows.append({"plate": track.majority_attribute("plate", default=""),
+                         "color": track.majority_attribute("color", default=""),
+                         "speed": attribute_speed})
+        return rows
 
 
 @dataclass
@@ -209,20 +198,20 @@ class TreeLeafClassifier(ProcessExecutable):
 
     name: str = "tree_leaf_classifier"
 
-    def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
+    def process(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
         # single-frame semantics even if the chunk holds more frames
         detections = _detect_chunk(chunk, context, categories={"tree"},
                                    attributes=("has_leaves",), max_frames=1)
         column = detections.attributes.get("has_leaves")
-        values: list[float] = []
+        rows: list[dict[str, Any]] = []
         if column is not None:
             present, observed = column
             for index in present.nonzero()[0].tolist():
                 value = observed[index]
                 if value is None:
                     continue
-                values.append(100.0 if value else 0.0)
-        return RowBatch(len(values), {"has_leaves": values})
+                rows.append({"has_leaves": 100.0 if value else 0.0})
+        return rows
 
 
 @dataclass
@@ -238,7 +227,7 @@ class RedLightObserver(ProcessExecutable):
 
     name: str = "red_light_observer"
 
-    def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
+    def process(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
         detections = _detect_chunk(chunk, context, categories={"traffic_light"},
                                    attributes=("light_state",))
         # Only each frame's *first* detection is consulted, mirroring the
@@ -253,7 +242,7 @@ class RedLightObserver(ProcessExecutable):
                 if present[index]:
                     transitions.append((float(timestamps[index]),
                                         str(observed[index])))
-        durations: list[float] = []
+        rows: list[dict[str, Any]] = []
         red_started: float | None = None
         saw_green_before = False
         for timestamp, state in transitions:
@@ -263,9 +252,9 @@ class RedLightObserver(ProcessExecutable):
             else:
                 saw_green_before = True
                 if red_started is not None:
-                    durations.append(timestamp - red_started)
+                    rows.append({"red_duration": timestamp - red_started})
                     red_started = None
-        return RowBatch(len(durations), {"red_duration": durations})
+        return rows
 
 
 @dataclass
@@ -295,19 +284,16 @@ class DirectionalCrossingCounter(ProcessExecutable):
             return dx >= self.min_displacement
         return dx <= -self.min_displacement
 
-    def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
+    def process(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
         tracks = _track_chunk(chunk, context, categories={self.category}, attributes=())
         margin = self.entry_margin_frames / context.fps
         threshold = chunk.interval.start + margin
-        entered_ats: list[float] = []
+        rows: list[dict[str, Any]] = []
         for track in tracks:
             entered = track.first_timestamp > threshold or chunk.index == 0
             if entered and self._moves_in_direction(track):
-                entered_ats.append(track.first_timestamp)
-        return RowBatch(len(entered_ats), {
-            "matched": [1.0] * len(entered_ats),
-            "entered_at": entered_ats,
-        })
+                rows.append({"matched": 1.0, "entered_at": track.first_timestamp})
+        return rows
 
 
 @dataclass
@@ -322,19 +308,15 @@ class TaxiSightingReporter(ProcessExecutable):
 
     name: str = "taxi_sighting_reporter"
 
-    def process(self, chunk: Chunk, context: ExecutionContext) -> RowBatch:
-        plates: list[Any] = []
-        visible_seconds: list[float] = []
+    def process(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
+        rows: list[dict[str, Any]] = []
         for scene_object, overlap in chunk.visible_objects():
             if scene_object.category != "taxi":
                 continue
-            plates.append(scene_object.attributes.get("plate", ""))
-            visible_seconds.append(overlap.duration)
-        return RowBatch(len(plates), {
-            "plate": plates,
-            "camera": [context.camera] * len(plates),
-            "visible_seconds": visible_seconds,
-        })
+            rows.append({"plate": scene_object.attributes.get("plate", ""),
+                         "camera": context.camera,
+                         "visible_seconds": overlap.duration})
+        return rows
 
 
 @dataclass

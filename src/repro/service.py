@@ -72,7 +72,7 @@ from repro.utils import checks
 #: The ``execute`` options that change what a query releases or charges —
 #: the part of a submission, beyond the AST itself, a resume must replay
 #: verbatim for byte-identity and exactly-once charging to be meaningful.
-_RELEASE_KWARGS = ("default_epsilon", "add_noise", "charge_budget")
+_RELEASE_KWARGS = ("default_epsilon", "charge_budget")
 
 
 def query_fingerprint(query: PrividQuery, kwargs: dict[str, Any]) -> str:
@@ -375,7 +375,7 @@ class QueryService:
         """Enqueue a query; returns a future resolving to its result.
 
         ``kwargs`` are forwarded to :meth:`PrividSystem.execute`
-        (``default_epsilon``, ``add_noise``, ``charge_budget``).  A query
+        (``default_epsilon``, ``charge_budget``).  A query
         denied for budget raises :class:`~repro.errors.BudgetExceededError`
         out of the future — with *no* camera charged (all-or-nothing).
 

@@ -9,7 +9,7 @@ Covers the array-native pipeline past detection:
   attributes), same majority attributes, same fragmentation under miss gaps —
   and on generated detection histories (threshold 0.0, confidence ties, two
   categories matched across, shuffled storage, zero-area boxes);
-* whole queries answered through the batch row-emission path must release
+* whole queries answered through the batch tracker must release
   exactly the same values as the scalar oracle (a test-local scalar
   ``_track_chunk`` patched in — the oracle lives in the tests, not behind a
   runtime switch), with no chunk of either run a sandbox fallback;
@@ -17,14 +17,17 @@ Covers the array-native pipeline past detection:
   category and draws every attribute whatever the executable declares, and
   every bundled executable must emit the same rows either way on every
   scenario scene — an executable reading a key it did not declare fails here;
-* the numpy-column-backed ``Table`` and the vectorized schema coercion must
-  be value-for-value equivalent to the dict-of-rows reference semantics
+* the sandbox's row contract — at most ``max_rows`` schema-coerced rows,
+  stamped with ``chunk`` and ``region``, one default row on a crash or a
+  non-sequence output — holds for any executable output, and the
+  numpy-column-backed ``Table`` stores dict rows value for value
   (property-based);
 * the process engine's spec dispatch must keep per-dispatch IPC payloads
   within a fixed byte budget regardless of scene size, while producing
   byte-identical outcomes.
 """
 
+import functools
 import pickle
 
 import numpy as np
@@ -33,6 +36,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.sandbox.executables as executables_module
 from repro.core import PrividSystem, SerialEngine, ShardedEngine
+from repro.core.cache import DiskChunkStore
 from repro.core.policy import PrivacyPolicy
 from repro.cv.detector import DetectionBatch, DetectorConfig, SyntheticDetector
 from repro.cv.tracker import IoUTracker, TrackerConfig
@@ -41,9 +45,7 @@ from repro.relational.table import (
     CHUNK_COLUMN,
     REGION_COLUMN,
     ColumnSpec,
-    ColumnarRows,
     DataType,
-    RowBatch,
     Schema,
     Table,
 )
@@ -55,9 +57,11 @@ from repro.utils.timebase import TimeInterval
 from repro.video.chunking import ChunkSpec
 from repro.video.geometry import BoundingBox
 from repro.video.masking import EMPTY_MASK
+from repro.video.regions import BoundaryType
 from repro.video.video import SyntheticVideo
 
-from tests.conftest import make_crossing_object, make_simple_video, split_interval
+from tests.conftest import grid_region_scheme, make_crossing_object, make_simple_video, \
+    split_interval
 from tests.scalar_oracle import batch_tracks, scalar_tracks, to_track
 
 
@@ -487,7 +491,7 @@ class TestExecutableDeclarations:
 
 
 def _reference_coerced_rows(schema, raw_rows, max_rows, chunk_timestamp, region):
-    """The dict-of-rows sandbox semantics the columnar path must reproduce."""
+    """The sandbox's row semantics, written out: truncate, coerce, stamp."""
     rows = []
     for raw in list(raw_rows)[:max_rows]:
         row = schema.coerce_row(raw)
@@ -506,10 +510,57 @@ _VALUES = st.one_of(
 )
 
 
-class TestColumnarTableEquivalence:
-    @settings(max_examples=60, deadline=None)
+_NUMPY_VALUES = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(np.int64),
+    st.integers(min_value=0, max_value=2**40).map(np.uint64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+
+#: A row item: a dict over declared, missing and extra keys (values plain or
+#: numpy scalars), or something that is not a dict at all.
+_KEYS = st.sampled_from(["alpha", "beta", "gamma", "delta", "extra"])
+_DICTS = st.dictionaries(_KEYS, st.one_of(_VALUES, _NUMPY_VALUES), max_size=5)
+_ITEMS = st.one_of(
+    _DICTS, _DICTS,  # half the items are dicts
+    _VALUES,
+    st.lists(_VALUES, max_size=2),
+)
+
+
+class _ScriptedExecutable(executables_module.ProcessExecutable):
+    """Returns its drawn output, or raises it when it is an exception."""
+
+    name = "scripted"
+
+    def __init__(self, output):
+        self.output = output
+
+    def process(self, chunk, context):
+        if isinstance(self.output, Exception):
+            raise self.output
+        return self.output
+
+
+@functools.cache
+def _regioned_chunk():
+    """One chunk that starts at 30 s and carries a region name."""
+    video = make_simple_video(objects=[], duration=60.0)
+    return split_interval(video, ChunkSpec(window=TimeInterval(30.0, 60.0),
+                                           chunk_duration=30.0),
+                          region_scheme=grid_region_scheme(
+                              video.width, video.height, 1, 2,
+                              boundary=BoundaryType.HARD))[1]
+
+
+class TestSandboxRowContract:
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_coerce_row_batch_matches_dict_row_coercion(self, data):
+    def test_run_chunk_outcome_keeps_the_row_contract(self, data):
+        """Whatever the executable returns or raises, the sandbox yields at
+        most ``max_rows`` schema-coerced rows keyed in schema order, then
+        ``chunk`` and ``region``; only a raise or a non-sequence output is a
+        fallback (one default row)."""
         names = data.draw(st.lists(
             st.sampled_from(["alpha", "beta", "gamma", "delta"]),
             min_size=1, max_size=3, unique=True))
@@ -521,21 +572,52 @@ class TestColumnarTableEquivalence:
                                            st.text(max_size=4), st.none())))
             for name in names)
         schema = Schema(columns=specs)
-        count = data.draw(st.integers(min_value=0, max_value=6))
-        max_rows = data.draw(st.integers(min_value=1, max_value=8))
-        columns = {name: [data.draw(_VALUES) for _ in range(count)]
-                   for name in names}
-        raw_rows = [{name: columns[name][index] for name in names}
-                    for index in range(count)]
-        batch = RowBatch(count, dict(columns))
-        columnar = schema.coerce_row_batch(batch, max_rows=max_rows,
-                                           chunk_timestamp=30.0, region="r1")
-        reference = _reference_coerced_rows(schema, raw_rows, max_rows, 30.0, "r1")
+        max_rows = data.draw(st.integers(min_value=1, max_value=40))
+        shape = data.draw(st.sampled_from(["list", "tuple", "other", "raise"]))
+        items = data.draw(st.lists(_ITEMS, max_size=40))
+        output = {"list": items, "tuple": tuple(items),
+                  "other": data.draw(st.one_of(st.none(), st.dictionaries(_KEYS, _VALUES),
+                                               st.text(max_size=4), st.integers(),
+                                               st.sets(st.integers(), max_size=3))),
+                  "raise": RuntimeError("executable crashed")}[shape]
+        chunk = _regioned_chunk()
+        runner = SandboxRunner(_ScriptedExecutable(output), schema, max_rows=max_rows,
+                               timeout_seconds=30.0)
+        outcome = runner.run_chunk_outcome(chunk, ExecutionContext(camera="cam", fps=2.0))
+        fallback = shape in ("other", "raise")
+        assert outcome.fallback is fallback
+        expected = _reference_coerced_rows(schema, [None] if fallback else items,
+                                           max_rows, 30.0, "r0c1")
         # By repr: the text strategy can draw "NAN", which a NUMBER column
-        # coerces to nan on both paths, and nan != nan.
-        assert repr(list(columnar)) == repr(reference)
-        assert len(columnar) == len(reference)
+        # coerces to nan, and nan != nan.
+        assert repr(outcome.rows) == repr(expected)
+        assert type(outcome.rows) is list
+        assert all(list(row) == [*names, CHUNK_COLUMN, REGION_COLUMN]
+                   for row in outcome.rows)
 
+    def test_disk_entry_bytes_keep_the_row_key_order(self, tmp_path):
+        """A disk entry is the JSON of the sandbox's rows, so their key order
+        (schema order, ``chunk``, ``region``) is part of the stored bytes, even
+        when the executable emits keys in another order or a non-dict item."""
+        schema = Schema(columns=(ColumnSpec("plate", DataType.STRING, ""),
+                                 ColumnSpec("speed", DataType.NUMBER, 0.0)))
+        output = [{"extra": 1, "speed": np.float32(2.5), "plate": "P1"}, 7]
+        runner = SandboxRunner(_ScriptedExecutable(output), schema, max_rows=5,
+                               timeout_seconds=30.0)
+        outcome = runner.run_chunk_outcome(_regioned_chunk(),
+                                           ExecutionContext(camera="cam", fps=2.0))
+        assert outcome.fallback is False
+        store = DiskChunkStore(tmp_path)
+        assert store.put("k" * 64, outcome.rows)
+        (entry,) = tmp_path.glob("*.json")
+        assert entry.read_bytes() == (
+            b'{"format":1,"rows":['
+            b'{"plate":"P1","speed":2.5,"chunk":30.0,"region":"r0c1"},'
+            b'{"plate":"","speed":0.0,"chunk":30.0,"region":"r0c1"}]}')
+        assert store.get("k" * 64) == outcome.rows
+
+
+class TestColumnarTableEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_table_round_trips_arbitrary_rows_like_dict_storage(self, data):
@@ -555,9 +637,9 @@ class TestColumnarTableEquivalence:
         schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),
                                  ColumnSpec("label", DataType.STRING, "")))
         table = Table.from_schema(schema, name="t")
-        table.extend(schema.coerce_row_batch(
-            RowBatch(3, {"value": [1.5, 2.5, None], "label": ["x", None, "y"]}),
-            max_rows=16, chunk_timestamp=0.0, region=""))
+        table.extend([{**schema.coerce_row(raw), CHUNK_COLUMN: 0.0, REGION_COLUMN: ""}
+                      for raw in ({"value": 1.5, "label": "x"}, {"value": 2.5},
+                                  {"value": None, "label": "y"})])
         column = table.number_column("value")
         assert column is not None
         assert column.array().dtype == np.float64
@@ -573,38 +655,6 @@ class TestColumnarTableEquivalence:
         table.append({"value": "rogue", "chunk": 0.0, "region": ""})
         assert table.column_values("value") == [1.0, "rogue"]
 
-    def test_columnar_rows_compare_and_pickle_like_dict_rows(self):
-        rows = ColumnarRows(("a", "b"), {"a": np.array([1.0, 2.0]),
-                                         "b": ["x", "y"]}, 2)
-        as_dicts = [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}]
-        assert rows == as_dicts
-        assert list(rows) == as_dicts
-        assert repr(rows) == repr(as_dicts)
-        restored = pickle.loads(pickle.dumps(rows))
-        assert restored == as_dicts
-
-
-class TestMalformedRowBatchFallback:
-    def test_malformed_row_batch_degrades_to_fallback_rows(self):
-        """A garbage RowBatch must behave like any other garbage output."""
-
-        class BrokenBatchExecutable(executables_module.ProcessExecutable):
-            name = "broken_batch"
-
-            def process(self, chunk, context):
-                return RowBatch(3, {"dy": 5})  # scalar where a column belongs
-
-        schema = Schema(columns=(ColumnSpec("dy", DataType.NUMBER, 0.0),))
-        runner = SandboxRunner(BrokenBatchExecutable(), schema, max_rows=5,
-                               timeout_seconds=30.0)
-        video = make_simple_video(objects=[], duration=60.0)
-        chunk = split_interval(video, ChunkSpec(window=TimeInterval(0.0, 30.0),
-                                                chunk_duration=30.0))[0]
-        outcome = runner.run_chunk_outcome(
-            chunk, ExecutionContext(camera="cam", fps=video.fps))
-        assert outcome.fallback
-        assert outcome.rows == [{"dy": 0.0, CHUNK_COLUMN: 0.0, REGION_COLUMN: ""}]
-
 
 class TestBooleanCoercionSymmetry:
     def test_number_and_string_bool_coercion_are_symmetric(self):
@@ -612,13 +662,6 @@ class TestBooleanCoercionSymmetry:
         assert DataType.NUMBER.coerce(False, 0.0) == 0.0
         assert DataType.STRING.coerce(True, "") == "true"
         assert DataType.STRING.coerce(False, "") == "false"
-
-    def test_vectorized_bool_columns_match_scalar_coercion(self):
-        flags = np.array([True, False, True])
-        numbers = DataType.NUMBER.coerce_values(flags, 0.0, 3)
-        assert numbers.tolist() == [1.0, 0.0, 1.0]
-        strings = DataType.STRING.coerce_values([True, False, None], "?", 3)
-        assert strings.tolist() == ["true", "false", "?"]
 
 
 def _heavy_video(num_walkers: int = 500) -> SyntheticVideo:

@@ -413,7 +413,7 @@ class TestMultiCameraAccounting:
         plan = system.plan(query)
         planned = [charge or None for select in plan.selects
                    for charge in select.source_intervals]
-        result = system.execute(query, add_noise=False)
+        result = system.execute(query)
         assert [release.source_intervals for release in result.releases] == planned
         assert [release.label for release in result.releases] == \
             [release.label for select in plan.selects for release in select.releases]
@@ -468,7 +468,10 @@ class TestResampleArgmax:
                  .split("cam", begin=0, end=600, chunk_duration=60, into="chunks")
                  .process("chunks", executable="labels.py", max_rows=4,
                           schema=[("label", "STRING", "")], into="t")
-                 .select_argmax("label", keys=("a", "b"), table="t", epsilon=epsilon)
+                 .select(Aggregation(function="ARGMAX"), TableScan("t"),
+                         group_by=GroupSpec(expressions=(("label", Column("label")),),
+                                            expected_keys=("a", "b")),
+                         epsilon=epsilon)
                  .build())
         return system, system.execute(query)
 

@@ -99,19 +99,20 @@ class TestPortoEvaluation:
         query = case2_porto_working_hours_query(cameras, porto_small.taxi_ids,
                                                 num_days=porto_small.config.num_days,
                                                 chunk_duration=3600.0)
-        result = porto_system.execute(query, add_noise=False, charge_budget=False)
+        result = porto_system.execute(query, charge_budget=False)
         truth = porto_small.average_working_hours(cameras)
-        assert result.value() == pytest.approx(truth, rel=0.35)
+        assert result.releases[0].raw_value_unsafe == pytest.approx(truth, rel=0.35)
 
     def test_intersection_query(self, porto_small, porto_system):
         cameras = porto_small.camera_names[:2]
         query = case2_porto_intersection_query(cameras[0], cameras[1], porto_small.taxi_ids,
                                                num_days=porto_small.config.num_days,
                                                chunk_duration=3600.0)
-        result = porto_system.execute(query, add_noise=False, charge_budget=False)
+        result = porto_system.execute(query, charge_budget=False)
         truth = porto_small.average_taxis_traversing_both(cameras[0], cameras[1]) \
             * porto_small.config.num_days
-        assert result.value() == pytest.approx(truth, abs=max(2.0, 0.2 * truth))
+        assert result.releases[0].raw_value_unsafe == \
+            pytest.approx(truth, abs=max(2.0, 0.2 * truth))
 
     def test_argmax_query_finds_busiest_camera_without_noise(self, porto_small, porto_system):
         # At this tiny test scale the noise dwarfs the per-camera counts, so the
@@ -120,8 +121,8 @@ class TestPortoEvaluation:
         query = case2_porto_argmax_query(porto_small.camera_names,
                                          num_days=porto_small.config.num_days,
                                          chunk_duration=3600.0)
-        result = porto_system.execute(query, add_noise=False, charge_budget=False)
-        assert result.releases[0].noisy_value == porto_small.busiest_camera()
+        result = porto_system.execute(query, charge_budget=False)
+        assert result.releases[0].raw_value_unsafe == porto_small.busiest_camera()
 
     def test_argmax_query_with_noise_returns_a_camera(self, porto_small, porto_system):
         query = case2_porto_argmax_query(porto_small.camera_names,
@@ -209,7 +210,7 @@ class TestPrivacyProperties:
                               schema=[("kind", "STRING", "")], into="t")
                      .select_count(table="t", epsilon=1.0)
                      .build())
-            result = system.execute(query, add_noise=False)
+            result = system.execute(query)
             release = result.releases[0]
             return float(release.raw_value_unsafe), release.sensitivity
 

@@ -48,9 +48,9 @@ def _count_query(*, chunk_duration: float = 60.0, max_rows: int = 5, epsilon: fl
 class TestExecutorBasics:
     def test_raw_value_matches_deterministic_pipeline(self):
         system = _constant_system(rows_per_chunk=2)
-        result = system.execute(_count_query(), add_noise=False)
+        result = system.execute(_count_query())
         # 10 chunks x 2 rows each.
-        assert result.value() == 20.0
+        assert result.releases[0].raw_value_unsafe == 20.0
 
     def test_noise_calibration_matches_policy(self):
         system = _constant_system(rows_per_chunk=2, rho=30.0, k=1)
@@ -70,7 +70,7 @@ class TestExecutorBasics:
 
     def test_grouped_query_releases_every_bin(self):
         system = _constant_system()
-        result = system.execute(_count_query(bucket=120.0), add_noise=False)
+        result = system.execute(_count_query(bucket=120.0))
         assert result.num_releases == 5
         assert [release.group_key for release in result.releases] == \
             [0.0, 120.0, 240.0, 360.0, 480.0]
@@ -277,7 +277,7 @@ class TestPlanBeforeChunks:
         camera = system.camera("cam")
         chunks = list(iter_chunks(camera.video, ChunkSpec(
             window=TimeInterval(25.0, 600.0), chunk_duration=60.0)))
-        result = system.execute(query, add_noise=False, charge_budget=False)
+        result = system.execute(query, charge_budget=False)
         assert [release.group_key for release in result.releases] == \
             [chunk.start_timestamp for chunk in chunks]
         assert [release.source_intervals for release in result.releases] == \
@@ -298,7 +298,7 @@ class TestPlanBeforeChunks:
         # other chunks decide: such a release is charged the whole window.
         system = _constant_system()
         query = parse_query(_constant_text(f"SELECT COUNT(*) FROM {source} GROUP BY chunk;"))
-        result = system.execute(query, add_noise=False, charge_budget=False)
+        result = system.execute(query, charge_budget=False)
         assert len(result.releases) == 10
         for position, release in enumerate(result.releases):
             charged = TimeInterval(60.0 * position, 60.0 * (position + 1)) if own_chunk \
@@ -313,7 +313,7 @@ class TestPlanBeforeChunks:
             "PRODUCING 5 ROWS WITH SCHEMA (value:NUMBER=0) INTO u;")
         query = parse_query(text + "SELECT COUNT(*) FROM (t JOIN u ON value) "
                                    "GROUP BY bin(chunk, 120);")
-        result = _constant_system().execute(query, add_noise=False, charge_budget=False)
+        result = _constant_system().execute(query, charge_budget=False)
         assert [release.group_key for release in result.releases] == \
             [0.0, 120.0, 240.0, 360.0, 480.0]
         whole = TimeInterval(0.0, 600.0)
@@ -338,7 +338,7 @@ class TestPlanBeforeChunks:
             policy_map.add("owner", scenario.owner_mask, PrivacyPolicy(rho=20.0, k_segments=1))
             register_scenario_camera(system, scenario, epsilon_budget=1.0,
                                      policy_map=policy_map)
-            result = system.execute(query, add_noise=False, charge_budget=False)
+            result = system.execute(query, charge_budget=False)
             with pytest.raises(BudgetExceededError) as denial:
                 system.execute(query)
             seen.append(([(release.group_key, release.source_intervals)
@@ -354,7 +354,7 @@ class TestPlanBeforeChunks:
             "INTO c;\nPROCESS c USING count_entering_people.py TIMEOUT 1sec PRODUCING 5 ROWS "
             'WITH SCHEMA (kind:STRING="") INTO t;\n'
             "SELECT COUNT(*) FROM t GROUP BY region CONSUMING 0.1;")
-        result = registered_system.execute(query, add_noise=False, charge_budget=False)
+        result = registered_system.execute(query, charge_budget=False)
         scheme = registered_system.camera("campus").region_schemes["default"]
         assert [release.group_key for release in result.releases] == \
             [region.name for region in scheme.regions]

@@ -14,6 +14,7 @@ from repro.query.builder import QueryBuilder, make_schema
 from repro.query.lexer import scan, syntax_error
 from repro.query.parser import parse_query
 from repro.query.validator import validate_query
+from repro.relational.aggregates import Aggregation
 from repro.relational.plan import GroupBy, Join, Projection, TableScan
 from repro.relational.table import DataType
 from tests.parse_oracle import (_SYMBOLS, Token, TokenType, _Parser, oracle_parse_query,
@@ -501,9 +502,13 @@ class TestBuilder:
                  .split("cam", begin=0, end=600, chunk_duration=60, into="chunks")
                  .process("chunks", executable="vehicle_reporter.py", max_rows=5,
                           schema=[("plate", "STRING", "")], into="t")
-                 .select_count_unique("plate", table="t", keys=["P1", "P2"])
+                 .select(Aggregation(function="COUNT"),
+                         GroupBy(TableScan("t"), keys=("plate",),
+                                 explicit_keys=("P1", "P2")))
                  .build())
-        assert isinstance(query.selects[0].source, GroupBy)
+        assert query.selects[0].source == GroupBy(TableScan("t"), keys=("plate",),
+                                                  explicit_keys=("P1", "P2"))
+        assert query.selects[0].group_by is None
 
     def test_group_by_column_requires_keys(self):
         builder = (QueryBuilder("bad")
@@ -524,13 +529,12 @@ class TestValidator:
                 .build())
 
     def test_valid_query_passes(self):
-        report = validate_query(self._query())
-        assert report.ok
+        assert validate_query(self._query()) is None
 
     def test_unknown_camera_flagged(self):
-        report = validate_query(self._query(), known_cameras={"other": 2.0},
-                                raise_on_error=False)
-        assert not report.ok
+        with pytest.raises(QueryValidationError,
+                           match="^SPLIT references unknown camera 'campus'$"):
+            validate_query(self._query(), known_cameras={"other": 2.0})
 
     def test_chunk_alignment_checked(self):
         query = (QueryBuilder("misaligned")
@@ -539,8 +543,8 @@ class TestValidator:
                           schema=[("kind", "STRING", "")], into="t")
                  .select_count(table="t")
                  .build())
-        report = validate_query(query, known_cameras={"campus": 2.0}, raise_on_error=False)
-        assert any("frames" in error for error in report.errors)
+        with pytest.raises(QueryValidationError, match="whole number of frames"):
+            validate_query(query, known_cameras={"campus": 2.0})
 
     def test_unknown_table_flagged(self):
         query = self._query()
@@ -549,16 +553,15 @@ class TestValidator:
             validate_query(query)
 
     def test_unknown_executable_flagged(self):
-        report = validate_query(self._query(), known_executables=["other.py"],
-                                raise_on_error=False)
-        assert not report.ok
+        with pytest.raises(QueryValidationError,
+                           match="^PROCESS references unregistered executable "
+                                 "'count_entering_people.py'$"):
+            validate_query(self._query(), known_executables=["other.py"])
 
-    def test_large_max_rows_warns(self):
-        query = (QueryBuilder("big")
-                 .split("campus", begin=0, end=3600, chunk_duration=60, into="chunks")
-                 .process("chunks", executable="count_entering_people.py", max_rows=5000,
-                          schema=[("kind", "STRING", "")], into="t")
-                 .select_count(table="t")
-                 .build())
-        report = validate_query(query)
-        assert report.warnings
+    def test_every_broken_rule_is_named_in_one_message(self):
+        with pytest.raises(QueryValidationError,
+                           match="^SPLIT references unknown camera 'campus'; PROCESS "
+                                 "references unregistered executable "
+                                 "'count_entering_people.py'$"):
+            validate_query(self._query(), known_cameras={"other": 2.0},
+                           known_executables=["other.py"])

@@ -344,8 +344,9 @@ class TestAggregations:
                           schema=[("color", "STRING", "")], into="cars")
                  .select(Aggregation(function="ARGMAX"), TableScan("cars"))
                  .build())
-        report = validate_query(query, raise_on_error=False)
-        assert report.errors == ["SELECT #0: ARGMAX requires a GROUP BY"]
+        with pytest.raises(QueryValidationError,
+                           match="^SELECT #0: ARGMAX requires a GROUP BY$"):
+            validate_query(query)
 
     def test_var_sensitivity(self, car_context):
         plan = Projection(TableScan("cars"), outputs=(

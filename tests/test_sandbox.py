@@ -29,6 +29,13 @@ from tests.conftest import flat_rows, make_crossing_object, make_simple_video, s
 VALUE_SCHEMA = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
 
 
+class _Unprintable:
+    """A row value whose string form raises."""
+
+    def __str__(self):
+        raise RuntimeError("no string form")
+
+
 @pytest.fixture()
 def one_chunk(simple_video):
     spec = ChunkSpec(window=TimeInterval(0, 60), chunk_duration=60.0)
@@ -81,6 +88,21 @@ class TestSandboxRunner:
 
         runner = SandboxRunner(BadOutput(), VALUE_SCHEMA, max_rows=3, timeout_seconds=5.0)
         assert runner.run_chunk(one_chunk, context)[0]["value"] == 0.0
+
+    @pytest.mark.parametrize("column, value", [
+        (ColumnSpec("value", DataType.NUMBER, 0.0), 10 ** 400),  # beyond float range
+        (ColumnSpec("value", DataType.STRING, ""), _Unprintable()),
+    ])
+    def test_a_row_that_fails_coercion_is_a_fallback(self, one_chunk, context, column,
+                                                     value):
+        # Coercing a row can run the executable's own code (a value's
+        # ``__str__``); its failure is the executable's, like a crash.
+        runner = SandboxRunner(ConstantExecutable(rows=[{"value": value}]),
+                               Schema(columns=(column,)), max_rows=3, timeout_seconds=5.0)
+        outcome = runner.run_chunk_outcome(one_chunk, context)
+        assert outcome.fallback
+        assert outcome.rows == [{"value": column.default, CHUNK_COLUMN: 0.0,
+                                 REGION_COLUMN: ""}]
 
     def test_state_does_not_persist_across_chunks(self, simple_video, context):
         class StatefulExecutable(ConstantExecutable):

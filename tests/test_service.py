@@ -34,6 +34,10 @@ from repro.errors import (
     UnknownCameraError,
 )
 from repro.query.builder import QueryBuilder
+from repro.relational.aggregates import Aggregation
+from repro.relational.expressions import Column, RangeExpression
+from repro.relational.plan import Projection, TableScan
+from repro.relational.table import CHUNK_COLUMN, REGION_COLUMN
 from repro.service import QueryService
 from repro.utils.rng import RandomSource
 from repro.utils.timebase import TimeInterval
@@ -533,7 +537,12 @@ def _event_query(event):
     elif event.kind == "count_bucketed":
         builder.select_count(table="rows", bucket_seconds=120.0, epsilon=0.2)
     else:
-        builder.select_sum("dy", 0.0, 5.0, table="rows", epsilon=0.2)
+        builder.select(Aggregation(function="SUM", column="dy"),
+                       Projection(TableScan("rows"), outputs=(
+                           ("dy", RangeExpression(Column("dy"), 0.0, 5.0)),
+                           (CHUNK_COLUMN, Column(CHUNK_COLUMN)),
+                           (REGION_COLUMN, Column(REGION_COLUMN)))),
+                       epsilon=0.2)
     return builder.build()
 
 

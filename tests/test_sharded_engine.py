@@ -102,7 +102,7 @@ def _context(video) -> ExecutionContext:
 
 
 def _rows_of(outcomes) -> list:
-    """Normalize outcome rows (ColumnarRows or dict lists) for comparison."""
+    """Each outcome's rows as plain dicts, for comparison."""
     return [[dict(row) for row in outcome.rows] for outcome in outcomes]
 
 

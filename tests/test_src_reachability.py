@@ -75,11 +75,6 @@ KEEP = {
         "QueryService.register_executable": "public API: PrividSystem.register_executable "
                                             "on a shared service",
     },
-    "repro/query/builder.py": {
-        "QueryBuilder.select_sum": "public API: the builder's SUM, beside select_count",
-        "QueryBuilder.select_count_unique": "public API: the builder's COUNT(DISTINCT)",
-        "QueryBuilder.select_argmax": "public API: the builder's ARGMAX",
-    },
     "repro/core/resilience.py": {
         "CancellationToken.cancel": "public API: the handle a submit(cancel=) caller "
                                     "cancels with",
