@@ -16,8 +16,10 @@ shows:
    determinism contract is placement-independent), and noise is drawn from
    a deterministic per-query stream (``privid/query-{n}`` by submission
    order), so two same-seed services agree release for release;
-3. *shared warm storage* — the second analyst's overlapping window is
-   served from chunk results the first analyst's query already computed;
+3. *shared warm storage* — every query reads and writes one chunk store,
+   so each chunk's output is stored once, and a query that finds a chunk
+   already stored re-uses it (how many do depends on thread timing, so the
+   example prints the entries stored);
 4. *one merged snapshot* — ``stats()`` reports query admissions, engine
    dispatch accounting, store counters and per-camera remaining budgets in
    a single dict.
@@ -66,16 +68,19 @@ def main() -> None:
         futures = {name: service.submit(people_query(name))
                    for name in ("alice", "bob", "carol", "dave")}
         wait(futures.values())
-        admitted = {}
-        for name, future in sorted(futures.items()):
+        # Which two win depends on how the pool interleaves them, so only
+        # what does not is printed: how many, and why the others were denied.
+        admitted, denials = {}, set()
+        for name, future in futures.items():
             try:
                 admitted[name] = future.result()
-                print(f"  {name:6s} admitted   releases: {admitted[name].series()}")
             except BudgetExceededError as denial:
-                print(f"  {name:6s} denied     ({denial})")
+                denials.add(str(denial))
         remaining = service.stats()["budgets"]["campus"]["remaining_min"]
         print(f"admitted {len(admitted)}/4 analysts; "
               f"worst-frame budget left: {remaining:.1f} of 2.5")
+        for denial in sorted(denials):
+            print(f"  denied: {denial}")
 
         # --------------------------------------------------- result parity
         # Raw (pre-noise) values are byte-identical to a standalone system:
@@ -91,13 +96,13 @@ def main() -> None:
         print(f"service result byte-identical to a standalone system: {identical}")
 
         # -------------------------------------------------- shared storage
-        # Every query writes through one chunk store, so the late analyst's
-        # overlapping window re-uses chunk outputs computed for the early
-        # ones instead of re-running the sandbox.
+        # Every query writes through one chunk store, so an analyst whose
+        # window overlaps an earlier one re-uses its chunk outputs instead of
+        # re-running the sandbox.  How many lookups hit depends on how the
+        # queries interleave; the entries stored (one per chunk) do not.
         stats = service.stats()
-        cache = stats["cache"]
-        print(f"shared store: {cache['hits']} chunk hits / "
-              f"{cache['misses']} misses across all queries")
+        print(f"shared store: {stats['cache']['entries']} chunk entries "
+              f"for the hour's 60 one-minute chunks")
 
         # ---------------------------------------------- one merged snapshot
         queries = stats["queries"]

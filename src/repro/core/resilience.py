@@ -62,14 +62,6 @@ class CancellationToken:
             self._cancelled = True
             self._reason = reason
 
-    def remaining(self) -> float | None:
-        """Seconds until the deadline (never negative), or None if unarmed."""
-        with self._lock:
-            deadline = self._deadline
-        if deadline is None:
-            return None
-        return max(0.0, deadline - self._clock())
-
     @property
     def cancelled(self) -> bool:
         """True once cancelled manually or past the deadline."""

@@ -52,7 +52,7 @@ class SplitStatement:
         checks.real("SPLIT BEGIN", self.begin, QueryValidationError)
         checks.real("SPLIT END", self.end, QueryValidationError, above=self.begin)
         checks.real("SPLIT chunk duration", self.chunk_duration, QueryValidationError, above=0)
-        checks.real("SPLIT STRIDE", self.stride, QueryValidationError, above=-self.chunk_duration)
+        checks.real("SPLIT STRIDE", self.stride, QueryValidationError, at_least=0)
         if self.sample_period is not None:
             checks.real("SPLIT sample period", self.sample_period, QueryValidationError,
                         above=0)

@@ -29,12 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Any, Iterable, Sequence
 
 from repro.errors import QueryValidationError, UnboundSensitivityError
-from repro.relational.expressions import Column, Expression, TimeBucket
+from repro.relational.expressions import Expression
 from repro.relational.sensitivity import SensitivityInfo
 from repro.relational.table import Table
 
@@ -152,51 +150,20 @@ def _numeric_sensitivity(aggregation: Aggregation, info: SensitivityInfo) -> flo
     raise QueryValidationError(f"unsupported aggregation {function!r}")
 
 
-#: Bucketed chunk values stay exact in float64 only below this magnitude;
-#: larger (or non-finite) inputs fall back to the per-row scalar expression.
-_EXACT_FLOOR_LIMIT = float(2 ** 53)
-
-
-def _evaluate_expression_column(expression: Expression, table: Table) -> list[Any]:
-    """Evaluate one grouping expression over the whole table as a column.
-
-    Bare column references read the column list directly, and chunk-style
-    ``bin()`` bucketing over a clean float64 column vectorizes (``floor``
-    and the width product are exact in float64 below 2**53, so the values
-    match the scalar ``math.floor(v / width) * width`` bit for bit);
-    anything else falls back to the per-row scalar evaluation.
-    """
-    if isinstance(expression, Column):
-        if table.has_column(expression.name):
-            return table.column_values(expression.name)
-        return [None] * len(table)
-    if isinstance(expression, TimeBucket) and isinstance(expression.inner, Column) \
-            and table.has_column(expression.inner.name):
-        column = table.number_column(expression.inner.name)
-        if column is not None and not column.has_missing:
-            scaled = column.array() / expression.width
-            if scaled.size == 0:
-                return []
-            with np.errstate(invalid="ignore"):
-                in_range = np.isfinite(scaled) & (np.abs(scaled) < _EXACT_FLOOR_LIMIT)
-            if in_range.all():
-                return (np.floor(scaled) * expression.width).tolist()
-    return [expression.evaluate(row) for row in table.rows]
-
-
-def _group_keys(table: Table, group: GroupSpec) -> list[Any]:
-    """Per-row group keys, computed column-wise."""
-    columns = [_evaluate_expression_column(expression, table)
-               for _, expression in group.expressions]
-    if len(columns) == 1:
-        return columns[0]
-    return [tuple(values) for values in zip(*columns)]
-
-
 def _group_indices(table: Table, group: GroupSpec) -> dict[Any, list[int]]:
-    """Partition the table's row indices by group key (row order preserved)."""
+    """Partition the table's row indices by group key (row order preserved).
+
+    Each row's key is its grouping expressions' scalar ``evaluate`` (a tuple
+    of them for several expressions).
+    """
+    expressions = [expression for _, expression in group.expressions]
+    if len(expressions) == 1:
+        keys: Iterable[Any] = map(expressions[0].evaluate, table.rows)
+    else:
+        keys = (tuple(expression.evaluate(row) for expression in expressions)
+                for row in table.rows)
     grouped: dict[Any, list[int]] = {}
-    for index, key in enumerate(_group_keys(table, group)):
+    for index, key in enumerate(keys):
         bucket = grouped.get(key)
         if bucket is None:
             grouped[key] = [index]
@@ -209,9 +176,7 @@ def _source_column(aggregation: Aggregation, table: Table) -> list[Any] | None:
     """The full column an aggregation reads, or None for bare COUNT.
 
     Extracted once per aggregation (not once per group); the fold in
-    :func:`_aggregate_values` stays a sequential scalar sum so results are
-    bit-identical to the dict-row implementation — only the column
-    extraction is array-backed.
+    :func:`_aggregate_values` is a sequential scalar sum in row order.
     """
     if aggregation.column is None:
         return None

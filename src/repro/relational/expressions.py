@@ -136,8 +136,9 @@ class TimeBucket(Expression):
 
     ``hour(chunk)`` and ``day(chunk)`` are thin wrappers with widths of 3600
     and 86400 seconds; arbitrary widths implement ``bin(chunk, width)``.
-    The result is the bucket's *start timestamp*, which keeps releases easy
-    to align with the underlying video.
+    The result is the bucket's *start timestamp*, always a float (an
+    integer width keys ``1800.0``, as a float width does), which keeps
+    releases easy to align with the underlying video.
     """
 
     inner: Expression
@@ -152,7 +153,7 @@ class TimeBucket(Expression):
             value = float(value)
         except (TypeError, ValueError):
             return None
-        return math.floor(value / self.width) * self.width
+        return math.floor(value / self.width) * float(self.width)
 
     def referenced_columns(self) -> frozenset[str]:
         return self.inner.referenced_columns()

@@ -122,10 +122,6 @@ class SandboxRunner:
 
         return runner_fingerprint(self)
 
-    def run_chunk(self, chunk: Chunk, context: ExecutionContext) -> list[dict[str, Any]]:
-        """Process one chunk and return schema-coerced, truncated rows."""
-        return self.run_chunk_outcome(chunk, context).rows
-
     def run_chunk_outcome(self, chunk: Chunk, context: ExecutionContext) -> ChunkOutcome:
         """Process one chunk, reporting whether the output is a failure fallback.
 

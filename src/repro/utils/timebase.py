@@ -138,8 +138,9 @@ class TimeInterval:
         """Yield consecutive sub-intervals of ``chunk_duration`` seconds.
 
         ``stride`` is the gap between the end of one chunk and the start of
-        the next (0 means contiguous chunks, as in the paper's examples).  The
-        final chunk is truncated at the interval end.
+        the next (0 means contiguous chunks, as in the paper's examples; it
+        is never negative, so chunks never overlap).  The final chunk is
+        truncated at the interval end.
 
         Boundaries come from per-index multiplication, not a running float
         accumulator, so exactly :meth:`num_chunks` chunks are yielded: an
@@ -166,7 +167,7 @@ class TimeInterval:
     def num_chunks(self, chunk_duration: float, stride: float = 0.0) -> int:
         """Number of chunks produced by :meth:`split` with the same arguments."""
         checks.real("chunk_duration", chunk_duration, ValueError, above=0)
-        checks.real("stride", stride, ValueError, above=-chunk_duration)
+        checks.real("stride", stride, ValueError, at_least=0)
         step = chunk_duration + stride
         if self.duration <= 0:
             return 0

@@ -25,7 +25,9 @@ class ChunkSpec:
     """Parameters of a SPLIT statement.
 
     ``chunk_duration`` and ``stride`` are in seconds; ``stride`` is the gap
-    between consecutive chunks (0 for contiguous chunks).  ``sample_period``
+    between consecutive chunks (0 for contiguous chunks).  A negative stride
+    is refused: overlapping chunks would let one segment meet more chunks
+    than the sensitivity counts.  ``sample_period``
     controls how densely the synthetic frames are sampled when the chunk is
     processed; it does not affect privacy accounting, only simulation cost.
     """
@@ -37,7 +39,7 @@ class ChunkSpec:
 
     def __post_init__(self) -> None:
         checks.real("chunk duration", self.chunk_duration, ValueError, above=0)
-        checks.real("stride", self.stride, ValueError, above=-self.chunk_duration)
+        checks.real("stride", self.stride, ValueError, at_least=0)
         if self.sample_period is not None:
             checks.real("sample_period", self.sample_period, ValueError, above=0)
 

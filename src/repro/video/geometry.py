@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.utils import checks
 
@@ -170,11 +169,6 @@ class GridSpec:
             min(self.cell_width, self.frame_width - column * self.cell_width),
             min(self.cell_height, self.frame_height - row * self.cell_height),
         )
-
-    def cells(self) -> Iterator[tuple[int, BoundingBox]]:
-        """Yield (index, box) for every cell in the grid."""
-        for index in range(self.num_cells):
-            yield index, self.cell_box(index)
 
     def cells_covering(self, box: BoundingBox) -> list[int]:
         """Indices of the cells that strictly overlap ``box`` (positive

@@ -351,7 +351,7 @@ class TestOracleParity:
         expected = []
         writer = DiskChunkStore(tmp_path / "store")
         for chunk in iter_chunks(video, spec, mask=MASK):
-            rows = runner.run_chunk(chunk, context)
+            rows = runner.run_chunk_outcome(chunk, context).rows
             writer.put(oracle_key(runner, chunk, context), rows)
             expected.append(rows)
 

@@ -20,7 +20,10 @@ Covers the array-native pipeline past detection:
 * the sandbox's row contract — at most ``max_rows`` schema-coerced rows,
   stamped with ``chunk`` and ``region``, one default row on a crash or a
   non-sequence output — holds for any executable output, and the
-  numpy-column-backed ``Table`` stores dict rows value for value
+  list-per-column ``Table`` stores dict rows value for value
+  (property-based);
+* COUNT, a clamped SUM and a chunk-bucket GROUP BY over a schema-built table
+  release what a dict-row reference computes, keys compared by ``repr``
   (property-based);
 * the process engine's spec dispatch must keep per-dispatch IPC payloads
   within a fixed byte budget regardless of scene size, while producing
@@ -28,7 +31,9 @@ Covers the array-native pipeline past detection:
 """
 
 import functools
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +46,10 @@ from repro.core.policy import PrivacyPolicy
 from repro.cv.detector import DetectionBatch, DetectorConfig, SyntheticDetector
 from repro.cv.tracker import IoUTracker, TrackerConfig
 from repro.query.builder import QueryBuilder
+from repro.query.parser import parse_query
+from repro.relational.aggregates import compute_releases, planned_releases
+from repro.relational.plan import PlanContext
+from repro.relational.sensitivity import SensitivityInfo
 from repro.relational.table import (
     CHUNK_COLUMN,
     REGION_COLUMN,
@@ -617,6 +626,97 @@ class TestSandboxRowContract:
         assert store.get("k" * 64) == outcome.rows
 
 
+#: What an untrusted executable can leave in a NUMBER column of a hand-fed
+#: table: finite floats, a negative zero, floats past float64's exact
+#: integers, None, ints and strings.
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    st.floats(min_value=2.0 ** 53, max_value=1e300),
+    st.none(),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.text(max_size=4),
+)
+
+#: The SELECT shapes the property draws: COUNT, a clamped SUM, and COUNT
+#: grouped by a chunk bucket; ``{width}`` is filled with a float literal.
+_SELECTS = (
+    "SELECT COUNT(*) FROM rows CONSUMING 1;",
+    "SELECT SUM(range(v, {low}, {high})) FROM rows CONSUMING 1;",
+    "SELECT COUNT(*) FROM rows GROUP BY bin(chunk, {width}) CONSUMING 1;",
+    "SELECT COUNT(*) FROM rows GROUP BY hour(chunk) CONSUMING 1;",
+)
+
+
+def _reference_releases(rows, function, low, high, width, keys):
+    """``{repr(key): raw value}`` of COUNT(*) or SUM(range(v, low, high)) over
+    a list of row dicts, grouped by ``bin(chunk, width)`` over ``keys``
+    (``width`` None: one release keyed None), per Appendix D."""
+    groups = {}
+    for row in rows:
+        key = None if width is None else math.floor(row[CHUNK_COLUMN] / width) * width
+        groups.setdefault(key, []).append(row)
+    released = {}
+    for key in keys:
+        members = groups.get(key, [])
+        if function == "COUNT":
+            released[repr(key)] = float(len(members))
+            continue
+        clamped = []
+        for row in members:
+            try:
+                value = float(row["v"])
+            except (TypeError, ValueError):
+                value = low
+            clamped.append(low if math.isnan(value) else min(high, max(low, value)))
+        released[repr(key)] = float(sum(clamped))
+    return released
+
+
+class TestRelationalReference:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_releases_equal_the_dict_row_reference(self, data):
+        schema = Schema(columns=(ColumnSpec("v", DataType.NUMBER, 0.0),
+                                 ColumnSpec("s", DataType.STRING, "")))
+        rows = data.draw(st.lists(st.fixed_dictionaries({
+            "v": _NUMBER_CELLS,
+            "s": st.text(max_size=4),
+            CHUNK_COLUMN: st.integers(min_value=0, max_value=400).map(lambda i: i * 7.5),
+            REGION_COLUMN: st.sampled_from(["", "r0c1"]),
+        }), max_size=12))
+        table = Table.from_schema(schema, name="rows")
+        table.extend(rows)
+        shape = data.draw(st.sampled_from(_SELECTS))
+        low = data.draw(st.integers(min_value=0, max_value=1000)) / 10
+        high = low + data.draw(st.integers(min_value=0, max_value=1000)) / 10
+        width = data.draw(st.sampled_from([1.0, 7.5, 60.0, 90.25]))
+        query = parse_query(
+            "SPLIT cam BEGIN 0 END 3600 BY TIME 30sec STRIDE 0sec INTO chunks;\n"
+            "PROCESS chunks USING counter TIMEOUT 5sec PRODUCING 5 ROWS "
+            'WITH SCHEMA (v:NUMBER=0, s:STRING="") INTO rows;\n'
+            + shape.format(low=repr(low), high=repr(high), width=repr(width)))
+        (select,) = query.selects
+        group = select.group_by
+        if group is None:
+            width, keys = None, [None]
+        else:
+            width = group.expressions[0][1].width
+            present = list(dict.fromkeys(math.floor(row[CHUNK_COLUMN] / width) * width
+                                         for row in rows))
+            keys = present + [max(present, default=0.0) + width]
+            group = replace(group, expected_keys=tuple(keys))
+        info = SensitivityInfo(delta=1.0, ranges={"v": (low, high)})
+        source = select.source.evaluate(PlanContext(tables={"rows": table}))
+        releases = compute_releases(
+            source, select.aggregation,
+            planned_releases(select.aggregation, info, group), group)
+        assert {repr(release.group_key): release.raw_value for release in releases} \
+            == _reference_releases(rows, select.aggregation.function, low, high, width, keys)
+        for name in ("v", "s", CHUNK_COLUMN, REGION_COLUMN):
+            assert table.column_values(name) == [row[name] for row in rows]
+
+
 class TestColumnarTableEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -633,26 +733,22 @@ class TestColumnarTableEquivalence:
         for name in names:
             assert table.column_values(name) == [row[name] for row in rows]
 
-    def test_schema_table_number_columns_are_float64_backed(self):
+    def test_schema_table_stores_coerced_rows(self):
         schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),
                                  ColumnSpec("label", DataType.STRING, "")))
         table = Table.from_schema(schema, name="t")
         table.extend([{**schema.coerce_row(raw), CHUNK_COLUMN: 0.0, REGION_COLUMN: ""}
                       for raw in ({"value": 1.5, "label": "x"}, {"value": 2.5},
                                   {"value": None, "label": "y"})])
-        column = table.number_column("value")
-        assert column is not None
-        assert column.array().dtype == np.float64
         # None coerced to the declared default before storage.
         assert table.column_values("value") == [1.5, 2.5, 0.0]
         assert table.column_values("label") == ["x", "", "y"]
-        assert table.number_column("label") is None
 
-    def test_number_column_degrades_on_non_float_append(self):
+    def test_number_column_stores_a_non_float_value_untouched(self):
         schema = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
         table = Table.from_schema(schema)
-        table.append({"value": 1.0, "chunk": 0.0, "region": ""})
-        table.append({"value": "rogue", "chunk": 0.0, "region": ""})
+        table.extend([{"value": 1.0, "chunk": 0.0, "region": ""}])
+        table.extend([{"value": "rogue", "chunk": 0.0, "region": ""}])
         assert table.column_values("value") == [1.0, "rogue"]
 
 

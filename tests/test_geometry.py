@@ -116,6 +116,8 @@ class TestGridSpec:
         grid = GridSpec(frame_width=100, frame_height=100, cell_width=10, cell_height=10)
         assert grid.cells_covering(BoundingBox(200, 200, 10, 10)) == []
 
-    def test_cells_iterator_covers_all(self):
-        grid = GridSpec(frame_width=30, frame_height=20, cell_width=10, cell_height=10)
-        assert len(list(grid.cells())) == grid.num_cells
+    def test_cell_boxes_tile_the_frame(self):
+        grid = GridSpec(frame_width=25, frame_height=20, cell_width=10, cell_height=10)
+        boxes = [grid.cell_box(index) for index in range(grid.num_cells)]
+        assert len(boxes) == 6
+        assert sum(box.width * box.height for box in boxes) == 25 * 20

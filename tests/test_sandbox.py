@@ -54,31 +54,31 @@ class TestSandboxRunner:
     def test_rows_are_schema_coerced_and_stamped(self, one_chunk, context):
         runner = SandboxRunner(ConstantExecutable(rows=[{"value": "7", "extra": 1}]),
                                VALUE_SCHEMA, max_rows=5, timeout_seconds=5.0)
-        rows = runner.run_chunk(one_chunk, context)
+        rows = runner.run_chunk_outcome(one_chunk, context).rows
         assert rows == [{"value": 7.0, CHUNK_COLUMN: 0.0, REGION_COLUMN: ""}]
 
     def test_max_rows_truncation(self, one_chunk, context):
         runner = SandboxRunner(RowFloodExecutable(rows_to_emit=100), VALUE_SCHEMA,
                                max_rows=3, timeout_seconds=5.0)
-        assert len(runner.run_chunk(one_chunk, context)) == 3
+        assert len(runner.run_chunk_outcome(one_chunk, context).rows) == 3
 
     def test_crash_produces_default_row(self, one_chunk, context):
         runner = SandboxRunner(CrashingExecutable(), VALUE_SCHEMA, max_rows=3,
                                timeout_seconds=5.0)
-        rows = runner.run_chunk(one_chunk, context)
+        rows = runner.run_chunk_outcome(one_chunk, context).rows
         assert len(rows) == 1
         assert rows[0]["value"] == 0.0
 
     def test_simulated_timeout_produces_default_row(self, one_chunk, context):
         runner = SandboxRunner(SlowExecutable(simulated_runtime=10.0), VALUE_SCHEMA,
                                max_rows=3, timeout_seconds=1.0)
-        rows = runner.run_chunk(one_chunk, context)
+        rows = runner.run_chunk_outcome(one_chunk, context).rows
         assert rows[0]["value"] == 0.0
 
     def test_real_wall_clock_timeout(self, one_chunk, context):
         runner = SandboxRunner(SlowExecutable(simulated_runtime=0.0, real_sleep=0.05),
                                VALUE_SCHEMA, max_rows=3, timeout_seconds=0.01)
-        rows = runner.run_chunk(one_chunk, context)
+        rows = runner.run_chunk_outcome(one_chunk, context).rows
         assert rows[0]["value"] == 0.0
 
     def test_non_list_output_produces_default_row(self, one_chunk, context):
@@ -87,7 +87,7 @@ class TestSandboxRunner:
                 return "not-a-list"
 
         runner = SandboxRunner(BadOutput(), VALUE_SCHEMA, max_rows=3, timeout_seconds=5.0)
-        assert runner.run_chunk(one_chunk, context)[0]["value"] == 0.0
+        assert runner.run_chunk_outcome(one_chunk, context).rows[0]["value"] == 0.0
 
     @pytest.mark.parametrize("column, value", [
         (ColumnSpec("value", DataType.NUMBER, 0.0), 10 ** 400),  # beyond float range
@@ -130,7 +130,7 @@ class TestSandboxRunner:
             runner = SandboxRunner(executable, VALUE_SCHEMA, max_rows=5,
                                    timeout_seconds=5.0)
             before = pickle.dumps(runner)
-            runner.run_chunk(one_chunk, context)
+            runner.run_chunk_outcome(one_chunk, context).rows
             assert "_fresh_shallow" in vars(executable)
             assert pickle.dumps(runner) == before
             assert "_fresh_shallow" not in vars(executable.fresh_instance())
@@ -154,7 +154,8 @@ class TestSandboxRunner:
         chunks = split_interval(simple_video, spec, region_scheme=scheme)
         runner = SandboxRunner(ConstantExecutable(), VALUE_SCHEMA, max_rows=3,
                                timeout_seconds=5.0)
-        regions = {runner.run_chunk(chunk, context)[0][REGION_COLUMN] for chunk in chunks}
+        regions = {runner.run_chunk_outcome(chunk, context).rows[0][REGION_COLUMN]
+                   for chunk in chunks}
         assert regions == {"left", "right"}
 
 

@@ -3,10 +3,12 @@
 
 The scan reads the AST of every Python file under ``src/``, ``benchmarks/``,
 ``tools/`` and ``examples/`` and collects the identifiers they name: names,
-attribute names, imported names and the identifiers inside string constants
-that are not docstrings (``python -c`` command lines and ``getattr`` name
-things in strings).  A definition's own body does not count as a caller of
-itself.
+attribute names, imported names and every string constant that is not a
+docstring and is one whole identifier (``getattr``/``setattr`` and the
+tracer's patch tables name things that way).  A name that is one word of a
+longer text — a span label such as ``"sandbox.run_chunk"``, an error
+message, a command line — names nothing.  A definition's own body does not
+count as a caller of itself.
 
 Two kinds of definition are checked:
 
@@ -150,9 +152,8 @@ def _references(tree: ast.Module, package_init: bool
         elif isinstance(node, ast.alias) and not package_init:
             named.extend((part, node.lineno, False, None) for part in node.name.split("."))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in skipped):
-            named.extend((word, node.lineno, True, None)
-                         for word in _IDENTIFIER.findall(node.value))
+              and id(node) not in skipped and _IDENTIFIER.fullmatch(node.value)):
+            named.append((node.value, node.lineno, True, None))
     return named
 
 
@@ -279,7 +280,10 @@ CALLERS = {
     "an attribute in an example": ("examples/demo.py", "import pkg.mod\npkg.mod.target(1)\n",
                                    ("target",)),
     "a command line": ("benchmarks/run.py", "CMD = 'from pkg.mod import target; target(0)'\n",
-                       ("target",)),
+                       ()),
+    "a span label": ("benchmarks/run.py", "wrap('pkg.member', 'target failed')\n", ()),
+    "a whole-identifier string": ("benchmarks/run.py", "PATCH = [('target', 'member')]\n",
+                                  ("target", "Holder.member")),
     "an attribute call in tools": ("tools/run.py",
                                    "from pkg.mod import Holder\nHolder().member(1)\n",
                                    ("Holder", "Holder.member")),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import RegionError
+from repro.errors import QueryValidationError, RegionError
+from repro.query.builder import QueryBuilder
 from repro.utils.timebase import TimeInterval
 from repro.video.chunking import Chunk, ChunkSpec, iter_chunks, num_chunks_spanned
 from repro.video.geometry import BoundingBox, GridSpec
@@ -60,7 +61,7 @@ class TestSyntheticVideo:
         with pytest.raises(ValueError):
             simple_video.validate_chunking(-1.0, 0.0)
 
-    @pytest.mark.parametrize("duration, stride", [(0.3, 0.0), (5.0, 0.3), (5.0, -0.25)])
+    @pytest.mark.parametrize("duration, stride", [(0.3, 0.0), (5.0, 0.3)])
     def test_split_refuses_a_chunk_or_stride_of_partial_frames(self, simple_video, duration,
                                                                 stride):
         # Appendix D: no SPLIT may cut a frame, so nothing skips the check.
@@ -71,6 +72,29 @@ class TestSyntheticVideo:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             make_simple_video(duration=0.0)
+
+
+class TestOverlappingChunksAreRefused:
+    """A negative stride overlaps chunks, so one segment can meet more chunks
+    than Eq. 6.1 counts and a release gets too little noise: the SPLIT
+    statement, the chunk spec and the interval split all refuse it."""
+
+    @pytest.mark.parametrize("stride", [-30.0, -50.0, -0.25])
+    def test_a_split_statement_refuses_a_negative_stride(self, stride):
+        builder = QueryBuilder("overlap")
+        with pytest.raises(QueryValidationError, match="STRIDE"):
+            builder.split("cam", begin=0.0, end=600.0, chunk_duration=60.0, into="chunks",
+                          stride=stride)
+
+    def test_a_chunk_spec_and_an_interval_refuse_a_negative_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            ChunkSpec(window=TimeInterval(0, 60), chunk_duration=5.0, stride=-0.25)
+        with pytest.raises(ValueError, match="stride"):
+            TimeInterval(0.0, 60.0).num_chunks(5.0, -0.25)
+
+    def test_a_zero_stride_is_contiguous(self):
+        spec = ChunkSpec(window=TimeInterval(0, 60), chunk_duration=5.0, stride=0.0)
+        assert spec.num_chunks == 12
 
 
 class TestChunking:
