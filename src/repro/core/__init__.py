@@ -14,7 +14,6 @@ _EXPORTS = {
     "FrameBudgetLedger": "repro.core.budget",
     "BudgetRequest": "repro.core.budget",
     "ServiceLedger": "repro.core.budget",
-    "DurableServiceLedger": "repro.core.budget",
     "WriteAheadLog": "repro.core.durability",
     "QueryJournal": "repro.core.durability",
     "CacheStats": "repro.core.cache",

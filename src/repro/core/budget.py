@@ -16,20 +16,19 @@ segments in the window however many charges came before.
 
 Two grains of accounting live here:
 
-* :class:`FrameBudgetLedger` — one camera's charges.  Check and charge are
-  atomic under a per-ledger lock, so concurrent queries cannot both pass the
-  admission check and then both charge past the budget.
-* :class:`ServiceLedger` — the per-camera ledger registry a long-lived
-  :class:`~repro.service.QueryService` shares across every query it runs.
-  Its :meth:`~ServiceLedger.admit_many` makes *multi-camera* admission
+* :class:`FrameBudgetLedger` — one camera's charges: a pure
+  :meth:`~FrameBudgetLedger.check` and the unchecked
+  :meth:`~FrameBudgetLedger.charge`.
+* :class:`ServiceLedger` — the per-camera ledger registry one deployment
+  shares across every query.  Its state is a fold over records: a
+  ``register`` or ``charge`` record is built once and applied by
+  :meth:`~ServiceLedger._apply`, the same code crash recovery replays.  Its
+  :meth:`~ServiceLedger.admit_many` makes *multi-camera* admission
   all-or-nothing under one cross-camera lock (check every camera, then
-  charge every camera, with no interleaving window).
-* :class:`DurableServiceLedger` — the same registry over a
-  :class:`~repro.core.durability.WriteAheadLog`: every registration and
-  charge is logged before it takes effect.  It is built from the log alone,
-  and builds and owns the log's
-  :class:`~repro.core.durability.QueryJournal`, so a durable deployment has
-  one wiring.
+  charge every camera, with no interleaving window).  Over a
+  :class:`~repro.core.durability.WriteAheadLog` every record is logged before
+  it takes effect, and the ledger recovers from, compacts and shares the log
+  with the :class:`~repro.core.durability.QueryJournal` it builds and owns.
 """
 
 from __future__ import annotations
@@ -65,10 +64,10 @@ class FrameBudgetLedger:
 
     ``charges`` is the ordered, durable record and :meth:`charge` its only
     writer; the profile it keeps in step is derived state — never serialised
-    or compared, rebuilt by replaying ``charges``.  Thread-safe: readers,
-    :meth:`charge` and :meth:`admit` serialize on a per-ledger lock, and
-    admit's check-then-charge is one atomic step — two concurrent queries
-    racing for the last epsilon of a frame see exactly one winner.
+    or compared, rebuilt by replaying ``charges``.  :meth:`check` changes
+    nothing.  A per-ledger lock serialises readers and :meth:`charge`:
+    :class:`ServiceLedger` checks and charges under its cross-camera lock,
+    but readers such as remaining budgets and snapshots come without it.
     """
 
     total_epsilon: float
@@ -133,14 +132,13 @@ class FrameBudgetLedger:
         with self._lock:
             return self._peak
 
-    def admit(self, requests: list[BudgetRequest], *, margin: float, charge: bool = True) -> None:
-        """Admit (and by default charge) a query's releases, or raise untouched.
+    def check(self, requests: list[BudgetRequest], *, margin: float) -> None:
+        """Raise :class:`~repro.errors.BudgetExceededError` unless every
+        request fits; charges nothing.
 
-        The admission check extends every request's interval by ``margin``
-        (the policy's rho) at both ends; the subsequent charge covers only
-        the unexpanded interval, exactly as in Algorithm 1.  ``charge=False``
-        performs the admission check only — used to make multi-camera queries
-        all-or-nothing (every camera is checked before any is charged).
+        The check extends every request's interval by ``margin`` (the
+        policy's rho) at both ends; the charge an admission makes covers only
+        the unexpanded interval, exactly as in Algorithm 1.
         """
         # A NaN margin makes every expanded interval NaN, and a NaN interval
         # covers no point the check below looks at.
@@ -164,9 +162,6 @@ class FrameBudgetLedger:
                         f"insufficient privacy budget at t={point:.1f}s: "
                         f"required {consumed:.4f} exceeds total {self.total_epsilon:.4f}",
                         interval=span, requested=consumed, available=self.total_epsilon)
-            if charge:
-                for request in requests:
-                    self.charge(request.interval, request.epsilon)
 
 
 class ServiceLedger:
@@ -179,13 +174,39 @@ class ServiceLedger:
     instance* to every per-query system so concurrent queries against the
     same camera contend on one budget.
 
-    Thread-safety is layered: each :class:`FrameBudgetLedger` already makes
-    its own check-and-charge atomic, and :meth:`admit_many` additionally
-    holds a cross-camera lock around the whole check-all-then-charge-all
-    sequence, keeping multi-camera admission all-or-nothing even when
-    queries race (without it, two queries could interleave their per-camera
-    charges such that each passes its check but a camera ends up
-    over-charged, or a denied query leaves partial charges behind).
+    Every change of state is a record — a camera's ``register`` or one
+    query's all-or-nothing ``charge`` set — built once and applied by
+    :meth:`_apply`, the one writer of the ledgers and of their charges.
+    Given a :class:`~repro.core.durability.WriteAheadLog`, the record is
+    appended (and fsynced) *before* it is applied, and crash recovery applies
+    the logged records with the same :meth:`_apply`, so a recovered ledger is
+    bit-exact: same charge intervals (floats round-trip through JSON
+    exactly), same order, same remaining budgets.  The log brings three
+    things an in-memory ledger lacks (its :attr:`journal` and
+    :attr:`last_recovery` are ``None``): construction *is* recovery (the
+    snapshot restored, pending records replayed, ``query_*`` ops dispatched
+    to the journal; :attr:`last_recovery` reports it for ``health()``),
+    every ``compact_every`` appends fold the log into a snapshot, and
+    :attr:`journal` is the log's
+    :class:`~repro.core.durability.QueryJournal`, built and owned here.
+
+    Charges are keyed idempotently by ``query_id`` in both deployments — a
+    query has at most one charge record, and a record whose ``query_id``
+    already charged is skipped whole — so both crash windows around a charge
+    are safe: *before* the append nothing is logged or charged, and the
+    resumed query admits and charges normally; *after* it but before the
+    in-memory apply, recovery replays the record and the resumed query's
+    :meth:`admit_many` sees its ``query_id`` charged and skips admission
+    entirely (no double-charge, no spurious denial from counting the charge
+    twice).
+
+    Thread-safety: :meth:`admit_many` holds a cross-camera lock around the
+    whole check-all-then-charge-all sequence, keeping multi-camera admission
+    all-or-nothing even when queries race (without it, two queries could
+    interleave their per-camera charges such that each passes its check but
+    a camera ends up over-charged, or a denied query leaves partial charges
+    behind).  Each :class:`FrameBudgetLedger` keeps its own lock for the
+    readers that reach it without this one.
     """
 
     #: Admission-timeline entries kept before the timeline stops growing (the
@@ -193,8 +214,16 @@ class ServiceLedger:
     #: leaving any realistic benchmark run fully recorded.
     MAX_TIMELINE_EVENTS = 100_000
 
-    def __init__(self) -> None:
+    def __init__(self, wal: WriteAheadLog | None = None, *,
+                 compact_every: int = 1024) -> None:
+        self.wal = wal
+        self.compact_every = checks.count("compact_every", compact_every, ValueError, 1)
         self._ledgers: dict[str, FrameBudgetLedger] = {}
+        #: query_id -> WAL seq of its charge record (None without a log).
+        self._charged_queries: dict[str, int | None] = {}
+        #: Seq of the most recent charge record (the chaos harness uses it
+        #: to schedule a crash exactly on the charge append).
+        self.last_charge_seq: int | None = None
         self._lock = threading.RLock()
         # Contention accounting for service stats: how often queries
         # queued on the cross-camera lock, how admissions resolved,
@@ -207,6 +236,76 @@ class ServiceLedger:
         self._lock_contended = 0
         self._timeline: list[dict[str, Any]] = []
         self._timeline_dropped = 0
+        #: The per-query journal sharing this ledger's log.
+        self.journal = QueryJournal(wal) if wal is not None else None
+        self.last_recovery = self._recover() if wal is not None else None
+
+    # ----------------------------------------------------- records and replay
+
+    def _commit(self, record: dict[str, Any]) -> None:
+        """Log ``record`` (fsynced) when there is a log, then apply it;
+        holding ``_lock``."""
+        if self.wal is None:
+            self._apply(record)
+            return
+        record["seq"] = self.wal.append(record)
+        self._apply(record)
+        if self.wal.appends_since_compact >= self.compact_every:
+            self.compact()
+
+    def _apply(self, record: dict[str, Any]) -> None:
+        """Apply one record, live or replayed (idempotent by ``query_id``)."""
+        op = record.get("op")
+        if op == "register":
+            camera = record["camera"]
+            if camera not in self._ledgers:
+                self._ledgers[camera] = FrameBudgetLedger(
+                    total_epsilon=float(record["total_epsilon"]))
+        elif op == "charge":
+            query_id = record.get("query_id")
+            if query_id in self._charged_queries:  # never holds None
+                return
+            for camera, charges in record["cameras"].items():
+                ledger = self._ledgers.get(camera)
+                if ledger is None:
+                    # A charge always follows its camera's register record; a
+                    # charge for an unknown camera means lost state, not a
+                    # torn tail — refuse to guess at budgets.
+                    raise DurabilityError(
+                        f"WAL charge record for unregistered camera {camera!r}")
+                for start, end, epsilon in charges:
+                    ledger.charge(TimeInterval(float(start), float(end)), float(epsilon))
+            self.last_charge_seq = record.get("seq")
+            if query_id is not None:
+                self._charged_queries[query_id] = self.last_charge_seq
+                if self.journal is not None:
+                    self.journal.mark_charged(query_id)
+        else:
+            self.journal.apply(record)
+
+    def _recover(self) -> dict[str, Any]:
+        state = self.wal.snapshot_state
+        if state is not None:
+            self._restore(state.get("ledger", {}))
+            self.journal.restore(state.get("journal", {}))
+        for record in self.wal.pending_records:
+            self._apply(record)
+        return {"records_replayed": len(self.wal.pending_records),
+                "charged_queries": len(self._charged_queries),
+                **self.wal.recovery_info}
+
+    def _restore(self, state: dict[str, Any]) -> None:
+        """Fold a compaction snapshot in: each camera as a ``register`` and
+        one unkeyed ``charge`` record, then the charged-query index."""
+        for camera, payload in state.get("cameras", {}).items():
+            self._apply({"op": "register", "camera": camera,
+                         "total_epsilon": payload["total_epsilon"]})
+            self._apply({"op": "charge", "query_id": None,
+                         "cameras": {camera: payload.get("charges", [])}})
+        self._charged_queries = {query_id: int(seq) for query_id, seq
+                                 in state.get("charged_queries", {}).items()}
+
+    # -------------------------------------------------------------- mutations
 
     def register(self, camera: str, total_epsilon: float) -> FrameBudgetLedger:
         """Get or create the ledger of ``camera`` (idempotent).
@@ -214,15 +313,18 @@ class ServiceLedger:
         Re-registering with a different ``total_epsilon`` is a
         :class:`~repro.errors.PolicyError`: the budget is the *camera's*
         property, and a second query must not silently re-budget frames
-        other queries already drew from.
+        other queries already drew from.  Only a new camera makes a record,
+        so a recovered deployment re-running its setup code writes nothing;
+        the budget is checked first, because a record that cannot replay
+        must never be logged.
         """
         checks.real("the per-frame budget", total_epsilon, PolicyError, above=0)
         with self._lock:
-            ledger = self._ledgers.get(camera)
-            if ledger is None:
-                ledger = FrameBudgetLedger(total_epsilon=total_epsilon)
-                self._ledgers[camera] = ledger
-            elif abs(ledger.total_epsilon - total_epsilon) > 1e-12:
+            if camera not in self._ledgers:
+                self._commit({"op": "register", "camera": camera,
+                              "total_epsilon": float(total_epsilon)})
+            ledger = self._ledgers[camera]
+            if abs(ledger.total_epsilon - total_epsilon) > 1e-12:
                 raise PolicyError(
                     f"camera {camera!r} is already budgeted at "
                     f"{ledger.total_epsilon} epsilon/frame; cannot re-register "
@@ -266,8 +368,7 @@ class ServiceLedger:
             return True
         try:
             for camera, requests in requests_by_camera.items():
-                self.ledger(camera).admit(
-                    requests, margin=margins.get(camera, 0.0), charge=False)
+                self.ledger(camera).check(requests, margin=margins.get(camera, 0.0))
         except BudgetExceededError:
             self._note_admission("denied", requests_by_camera, contended)
             raise
@@ -278,37 +379,55 @@ class ServiceLedger:
                    query_id: str | None = None) -> dict[str, float]:
         """Atomically admit one query's demands across all its cameras.
 
-        :meth:`check` every camera first, then charge every camera
-        (unchecked — the check just passed under the same lock), all under
-        the cross-camera lock — the all-or-nothing admission of Algorithm 1,
-        made race-free.  Raises :class:`~repro.errors.BudgetExceededError`
-        leaving every ledger untouched if any camera lacks budget.  Returns
-        each camera's remaining budget, read before the lock is released.
-
-        ``query_id`` keys the charge for idempotent crash recovery; the
-        in-memory ledger records no charged queries (every charge is new),
-        while :class:`DurableServiceLedger` uses it to make a replayed or
-        resumed query's charge land exactly once.
+        :meth:`check` every camera first, then commit the full charge set as
+        one ``charge`` record, all under the cross-camera lock — the
+        all-or-nothing admission of Algorithm 1, made race-free.  Raises
+        :class:`~repro.errors.BudgetExceededError` leaving every ledger (and
+        the log) untouched if any camera lacks budget.  A ``query_id`` that
+        already charged — replayed after a crash, or resubmitted with its
+        resume token — touches no ledger.  Returns each camera's remaining
+        budget, read before the lock is released.
         """
         with self._measured_lock() as contended:
             if not self._check_locked(requests_by_camera, margins, query_id, contended):
-                for camera, requests in requests_by_camera.items():
-                    for request in requests:
-                        self.ledger(camera).charge(request.interval, request.epsilon)
+                self._commit({"op": "charge", "query_id": query_id,
+                              "cameras": {camera: [[request.interval.start,
+                                                    request.interval.end,
+                                                    request.epsilon]
+                                                   for request in requests]
+                                          for camera, requests
+                                          in sorted(requests_by_camera.items())}})
                 self._note_admission("admitted", requests_by_camera, contended)
             return self._remaining(requests_by_camera)
 
     def query_charged(self, query_id: str) -> bool:
-        """Has this query's charge set already been applied?  Never, in
-        memory: only :class:`DurableServiceLedger` keys charges by query."""
-        del query_id
-        return False
+        """Has this query's charge set already been applied?"""
+        with self._lock:
+            return query_id in self._charged_queries
 
     def _remaining(self, requests_by_camera: dict[str, list[BudgetRequest]]) -> dict[str, float]:
         """Remaining budget per camera over its requests' span (holding ``_lock``)."""
         return {camera: self.ledger(camera).remaining_over(reduce(
                     TimeInterval.union_span, (request.interval for request in requests)))
                 for camera, requests in sorted(requests_by_camera.items()) if requests}
+
+    # ------------------------------------------------------------- compaction
+
+    def compact(self) -> None:
+        """Snapshot the full ledger (+ journal) state and truncate the log."""
+        with self._lock:
+            self.journal.compact({"ledger": self._state_payload()})
+
+    def _state_payload(self) -> dict[str, Any]:
+        cameras = {}
+        for camera, ledger in sorted(self._ledgers.items()):
+            with ledger._lock:
+                cameras[camera] = {
+                    "total_epsilon": ledger.total_epsilon,
+                    "charges": [[interval.start, interval.end, epsilon]
+                                for interval, epsilon in ledger.charges]}
+        return {"cameras": cameras,
+                "charged_queries": dict(self._charged_queries)}
 
     # ------------------------------------------------------- contention stats
 
@@ -401,178 +520,7 @@ class ServiceLedger:
                 for camera, ledger in sorted(ledgers.items())}
 
 
-class DurableServiceLedger(ServiceLedger):
-    """A :class:`ServiceLedger` whose mutations survive ``kill -9``.
-
-    Every budget-bearing mutation — camera registration and the
-    all-or-nothing per-query charge set — is appended to a
-    :class:`~repro.core.durability.WriteAheadLog` (and fsynced) *before* it
-    takes effect in memory, and both the live path and crash recovery apply
-    the mutation from the same record payload, so a recovered ledger is
-    bit-exact: same charge intervals (floats round-trip through JSON
-    exactly), same order, same remaining budgets.
-
-    Charges are keyed idempotently by ``query_id`` — a query has at most one
-    charge record, and a record whose ``query_id`` already charged is skipped
-    whole — so both crash windows around a charge are safe: *before* the
-    append nothing is logged or charged, and the resumed query admits and
-    charges normally; *after* it but before the in-memory apply, recovery
-    replays the record and the resumed query's :meth:`admit_many` sees its
-    ``query_id`` charged and skips admission entirely (no double-charge, no
-    spurious denial from counting the charge twice).
-
-    The ledger builds and owns the WAL's
-    :class:`~repro.core.durability.QueryJournal` (:attr:`journal`): one log
-    holds both, and a compaction snapshots both under the journal's lock.
-    Construction *is* recovery: the snapshot is restored, pending log
-    records are replayed (ledger ops here, ``query_*`` ops dispatched to the
-    journal), and :attr:`last_recovery` reports what happened for
-    ``health()``.
-    """
-
-    def __init__(self, wal: WriteAheadLog, *, compact_every: int = 1024) -> None:
-        super().__init__()
-        self.wal = wal
-        #: The per-query journal sharing this ledger's log.
-        self.journal = QueryJournal(wal)
-        self.compact_every = checks.count("compact_every", compact_every, ValueError, 1)
-        #: query_id -> WAL seq of its charge record (applied charges).
-        self._charged_queries: dict[str, int] = {}
-        #: Seq of the most recent charge record (the chaos harness uses it
-        #: to schedule a crash exactly on the charge append).
-        self.last_charge_seq: int | None = None
-        self.last_recovery = self._recover()
-
-    # --------------------------------------------------------------- recovery
-
-    def _recover(self) -> dict[str, Any]:
-        state = self.wal.snapshot_state
-        if state is not None:
-            self._restore(state.get("ledger", {}))
-            self.journal.restore(state.get("journal", {}))
-        replayed = 0
-        for record in self.wal.pending_records:
-            self._apply(record)
-            replayed += 1
-        return {"records_replayed": replayed,
-                "charged_queries": len(self._charged_queries),
-                **self.wal.recovery_info}
-
-    def _apply(self, record: dict[str, Any]) -> None:
-        op = record.get("op")
-        if op == "register":
-            self._apply_register(record)
-        elif op == "charge":
-            self._apply_charge(record)
-        else:
-            self.journal.apply(record)
-
-    def _apply_register(self, record: dict[str, Any]) -> None:
-        camera = record["camera"]
-        if camera not in self._ledgers:
-            self._ledgers[camera] = FrameBudgetLedger(
-                total_epsilon=float(record["total_epsilon"]))
-
-    def _apply_charge(self, record: dict[str, Any]) -> None:
-        query_id = record.get("query_id")
-        if query_id in self._charged_queries:  # never holds None
-            return
-        for camera, charges in record["cameras"].items():
-            ledger = self._ledgers.get(camera)
-            if ledger is None:
-                # A charge always follows its camera's register record; a
-                # charge for an unknown camera means lost state, not a torn
-                # tail — refuse to guess at budgets.
-                raise DurabilityError(
-                    f"WAL charge record for unregistered camera {camera!r}")
-            for start, end, epsilon in charges:
-                ledger.charge(TimeInterval(float(start), float(end)), float(epsilon))
-        self.last_charge_seq = int(record.get("seq", -1))
-        if query_id is not None:
-            self._charged_queries[query_id] = self.last_charge_seq
-            self.journal.mark_charged(query_id)
-
-    def _restore(self, state: dict[str, Any]) -> None:
-        for camera, payload in state.get("cameras", {}).items():
-            self._ledgers[camera] = FrameBudgetLedger(
-                total_epsilon=float(payload["total_epsilon"]),
-                charges=[(TimeInterval(float(start), float(end)), float(epsilon))
-                         for start, end, epsilon in payload.get("charges", [])])
-        self._charged_queries = {query_id: int(seq) for query_id, seq
-                                 in state.get("charged_queries", {}).items()}
-
-    # -------------------------------------------------------------- mutations
-
-    def register(self, camera: str, total_epsilon: float) -> FrameBudgetLedger:
-        """Get-or-create with write-ahead durability.
-
-        Only a genuinely new camera appends a record — re-registration is
-        the same idempotent get-or-create (with the same epsilon-mismatch
-        :class:`~repro.errors.PolicyError`) as the in-memory ledger, so a
-        recovered deployment re-running its setup code writes nothing.
-        """
-        with self._lock:
-            if camera not in self._ledgers:
-                # Validate before logging: a record that cannot replay
-                # (FrameBudgetLedger rejects it) must never be written.
-                checks.real("the per-frame budget", total_epsilon, PolicyError, above=0)
-                self.wal.append({"op": "register", "camera": camera,
-                                 "total_epsilon": float(total_epsilon)})
-                self._apply_register({"camera": camera,
-                                      "total_epsilon": total_epsilon})
-                self._maybe_compact()
-            return super().register(camera, total_epsilon)
-
-    def admit_many(self, requests_by_camera: dict[str, list[BudgetRequest]],
-                   margins: dict[str, float], *,
-                   query_id: str | None = None) -> dict[str, float]:
-        """All-or-nothing admission, logged before it takes effect.
-
-        The admission :meth:`check` runs purely in memory; on success the
-        full charge set is appended (and fsynced) as one ``charge`` record,
-        then applied from that same record.  A ``query_id`` that already
-        charged — replayed after a crash, or resubmitted with its resume
-        token — touches no ledger and only reads the remaining budgets.
-        """
-        with self._measured_lock() as contended:
-            if self._check_locked(requests_by_camera, margins, query_id, contended):
-                return self._remaining(requests_by_camera)
-            record = {"op": "charge", "query_id": query_id,
-                      "cameras": {camera: [[request.interval.start,
-                                            request.interval.end,
-                                            request.epsilon]
-                                           for request in requests]
-                                  for camera, requests
-                                  in sorted(requests_by_camera.items())}}
-            seq = self.wal.append(record)
-            self._apply_charge({**record, "seq": seq})
-            self._note_admission("admitted", requests_by_camera, contended)
-            self._maybe_compact()
-            return self._remaining(requests_by_camera)
-
-    def query_charged(self, query_id: str) -> bool:
-        """Has this query's charge set already been durably applied?"""
-        with self._lock:
-            return query_id in self._charged_queries
-
-    # ------------------------------------------------------------- compaction
-
-    def _maybe_compact(self) -> None:
-        if self.wal.appends_since_compact >= self.compact_every:
-            self.compact()
-
-    def compact(self) -> None:
-        """Snapshot the full ledger (+ journal) state and truncate the log."""
-        with self._lock:
-            self.journal.compact({"ledger": self._state_payload()})
-
-    def _state_payload(self) -> dict[str, Any]:
-        cameras = {}
-        for camera, ledger in sorted(self._ledgers.items()):
-            with ledger._lock:
-                cameras[camera] = {
-                    "total_epsilon": ledger.total_epsilon,
-                    "charges": [[interval.start, interval.end, epsilon]
-                                for interval, epsilon in ledger.charges]}
-        return {"cameras": cameras,
-                "charged_queries": dict(self._charged_queries)}
+#: ``benchmarks/system/tracing.py`` imports this name and patches
+#: ``DurableServiceLedger.__dict__["admit_many"]``; with the alias it wraps
+#: the one ``admit_many`` twice, and its analysis keeps the outer span only.
+DurableServiceLedger = ServiceLedger

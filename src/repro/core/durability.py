@@ -9,11 +9,13 @@ log of CRC-framed records (:func:`encode_record`; :func:`decode_records`
 trusts exactly the prefix before the first damaged frame) with snapshot
 compaction, and :class:`QueryJournal` the per-query state
 ``submit(..., resume_token=)`` resumes from.
-:class:`repro.core.budget.DurableServiceLedger` builds the journal over its
-own log and owns both: replay, which dispatches journal records back here,
-and compaction, which snapshots ledger and journal together.  A journal
-always has a log, and every start carries the query's fingerprint, so the
-resume check (:meth:`QueryJournal.start`) is always on.
+A :class:`repro.core.budget.ServiceLedger` given a log builds the journal
+over it and owns both: the log holds the ledger's ``register`` and
+``charge`` records, which it applies with the same code live and in
+replay; replay dispatches journal records back here, and compaction
+snapshots ledger and journal together.  A journal always has a log, and
+every start carries the query's fingerprint, so the resume check
+(:meth:`QueryJournal.start`) is always on.
 
 Fsync discipline
 ================
@@ -426,7 +428,7 @@ class QueryJournal:
     both idempotent.
 
     The ``charged`` flag is *not* journal-owned: the ledger's charge record
-    is the ground truth, and :class:`~repro.core.budget.DurableServiceLedger`
+    is the ground truth, and :class:`~repro.core.budget.ServiceLedger`
     calls :meth:`mark_charged` when it applies one (live or during replay).
     """
 

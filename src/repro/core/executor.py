@@ -548,10 +548,13 @@ class PrividSystem:
         :class:`~repro.errors.QueryCancelledError` — always *before* budget
         admission, so a cancelled query never charges a ledger.
 
-        ``query_id`` keys this query's budget charge idempotently on a
-        durable ledger (a resumed query never double-charges); ``on_chunk``
-        observes streaming progress (called with the completed-chunk count
-        after each chunk's rows land).
+        ``query_id`` keys this query's budget charge idempotently: once a
+        charge under it has landed, the same ``query_id`` is admitted without
+        a second charge (a resumed query never double-charges).  Like
+        ``charge_budget`` it is an owner-door option:
+        :class:`~repro.service.QueryService` passes its own journal token and
+        refuses a caller's.  ``on_chunk`` observes streaming progress (called
+        with the completed-chunk count after each chunk's rows land).
         """
         if cancel is not None:
             cancel.check()

@@ -153,7 +153,11 @@ class TimeBucket(Expression):
             value = float(value)
         except (TypeError, ValueError):
             return None
-        return math.floor(value / self.width) * float(self.width)
+        quotient = value / self.width
+        # An infinite or NaN row value, or a quotient that overflows, is no key.
+        if not math.isfinite(quotient):
+            return None
+        return math.floor(quotient) * float(self.width)
 
     def referenced_columns(self) -> frozenset[str]:
         return self.inner.referenced_columns()

@@ -53,7 +53,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
-from repro.core.budget import DurableServiceLedger, ServiceLedger
+from repro.core.budget import ServiceLedger
 from repro.core.cache import ChunkStore, store_health
 from repro.core.durability import QueryJournal, WriteAheadLog
 from repro.core.engine import ExecutionEngine
@@ -126,15 +126,11 @@ class QueryService:
         # come back bit-exactly, and interrupted queries resume via
         # ``submit(..., resume_token=)``.
         self.wal: WriteAheadLog | None = None
-        self.journal: QueryJournal | None = None
         if wal_dir is not None:
             self.wal = WriteAheadLog(wal_dir, fault_injector=fault_injector)
         try:
-            if self.wal is None:
-                self.ledger = ServiceLedger()
-            else:
-                self.ledger = DurableServiceLedger(self.wal, compact_every=compact_every)
-                self.journal = self.ledger.journal
+            self.ledger = ServiceLedger(self.wal, compact_every=compact_every)
+            self.journal: QueryJournal | None = self.ledger.journal
             # The template system owns the shared resources: it builds the
             # engine/store from specs and registers cameras.  Per-query
             # systems are thin views over it.
@@ -277,8 +273,13 @@ class QueryService:
         Refuses a closed service, sheds load past ``max_queue_depth``,
         assigns the query seq (a resume reuses its journaled one), claims the
         in-flight token, arms the deadline and writes the journal start.
-        From here the query is ``active`` until :meth:`_settle`.
+        From here the query is ``active`` until :meth:`_settle`.  A caller's
+        ``query_id`` is refused: it is the service's own journal token, and
+        a repeated one would release fresh noise on a charge already made.
         """
+        if "query_id" in kwargs:
+            raise TypeError("query_id is QueryService's own charge key; a durable "
+                            "service resumes a query by resume_token=")
         if resume_token is not None and self.journal is None:
             raise ValueError(
                 "resume_token requires a durable service (wal_dir=...)")
@@ -521,8 +522,7 @@ class QueryService:
         durability: dict[str, Any] = {"enabled": self.wal is not None}
         if self.wal is not None:
             durability["wal"] = self.wal.status()
-            durability["last_recovery"] = getattr(
-                self.ledger, "last_recovery", None)
+            durability["last_recovery"] = self.ledger.last_recovery
         return {"status": "closed" if closed
                 else ("degraded" if degraded else "ok"),
                 "queries": {"active": active, "running": running,

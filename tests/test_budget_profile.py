@@ -6,9 +6,14 @@ levels, running peak), and nothing observable moved when that replaced the
 charge-list sweeps —
 
 * **bit-identity** — against :class:`SweepLedger`, the brute-force sweep
-  kept here as the reference, every admission outcome, denial message and
+  kept here as the reference, every admission outcome through the real
+  doors (``ServiceLedger.check`` and ``admit_many``), denial message and
   float (``requested``, ``consumed_over``, ``remaining_over``,
   ``max_consumed``) is equal by ``float.hex()`` after every step;
+* **one ledger** — a drawn history of registrations, checks and admissions
+  (a repeated ``query_id`` among them) gives the same outcomes, ``snapshot()``
+  and ``contention_stats()`` in memory and over a log, and the log recovers
+  the same ``snapshot()``;
 * **pinned contract** — one denial message and one ``snapshot()`` dict are
   spelled out, so the two implementations cannot drift together;
 * **derived, not durable** — the profile is rebuilt from ``charges`` by the
@@ -19,19 +24,15 @@ charge-list sweeps —
 """
 
 import json
+import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.budget import (
-    BudgetRequest,
-    DurableServiceLedger,
-    FrameBudgetLedger,
-    ServiceLedger,
-)
+from repro.core.budget import BudgetRequest, FrameBudgetLedger, ServiceLedger
 from repro.core.durability import WriteAheadLog
-from repro.errors import BudgetExceededError, PolicyError
+from repro.errors import BudgetExceededError, PolicyError, UnknownCameraError
 from repro.utils.timebase import TimeInterval
 
 
@@ -86,8 +87,15 @@ def _hex(value):
 
 
 def _outcome(ledger, requests, margin, charge):
+    """One step: the oracle's own ``admit``, or a :class:`ServiceLedger`'s
+    ``check`` (check only) or ``admit_many`` (check and charge) on ``cam``."""
     try:
-        ledger.admit(requests, margin=margin, charge=charge)
+        if isinstance(ledger, SweepLedger):
+            ledger.admit(requests, margin=margin, charge=charge)
+        elif charge:
+            ledger.admit_many({"cam": requests}, {"cam": margin})
+        else:
+            ledger.check({"cam": requests}, {"cam": margin})
     except BudgetExceededError as exc:
         return ("denied", str(exc), _hex(exc.requested), _hex(exc.available),
                 exc.interval)
@@ -118,11 +126,12 @@ class TestProfileMatchesSweep:
     @given(total=st.sampled_from([0.3, 1.0, 2.5]), steps=_STEPS,
            probe=st.tuples(_STARTS, st.integers(0, 8)))
     def test_every_step_is_bit_identical(self, total, steps, probe):
-        ledger, oracle = FrameBudgetLedger(total), SweepLedger(total)
+        service, oracle = ServiceLedger(), SweepLedger(total)
+        ledger = service.register("cam", total)
         windows = [TimeInterval(probe[0], probe[0] + probe[1] * 5.0),
                    TimeInterval(0.0, 200.0)]
         for requests, margin, charge in steps:
-            assert _outcome(ledger, requests, margin, charge) \
+            assert _outcome(service, requests, margin, charge) \
                 == _outcome(oracle, requests, margin, charge)
             for window in windows + [request.interval for request in requests]:
                 assert _hex(ledger.consumed_over(window)) \
@@ -173,7 +182,7 @@ class TestProfileIsDerivedState:
         assert _hex(built.remaining_over(TimeInterval(12.0, 12.0))) == _hex(1.0 - 0.3)
         assert built._edges == [0.0, 5.0, 7.0, 10.0, 15.0]
         with pytest.raises(BudgetExceededError):
-            built.admit([BudgetRequest(TimeInterval(6.0, 8.0), 0.4)], margin=0.0)
+            built.check([BudgetRequest(TimeInterval(6.0, 8.0), 0.4)], margin=0.0)
 
     def test_equality_ignores_the_profile(self):
         assert FrameBudgetLedger(1.0) == FrameBudgetLedger(1.0)
@@ -239,14 +248,14 @@ class TestDurableRecoveryRebuildsTheProfile:
         self._write(tmp_path / "log")
         self._write(tmp_path / "snap")
         wal = WriteAheadLog(tmp_path / "snap")
-        DurableServiceLedger(wal).compact()
+        ServiceLedger(wal).compact()
         wal.close()
 
         live = self._live()
         replayed_wal = WriteAheadLog(tmp_path / "log")
         restored_wal = WriteAheadLog(tmp_path / "snap")
-        replayed = DurableServiceLedger(replayed_wal)
-        restored = DurableServiceLedger(restored_wal)
+        replayed = ServiceLedger(replayed_wal)
+        restored = ServiceLedger(restored_wal)
         assert replayed.last_recovery["records_replayed"] == len(self.RECORDS)
         assert restored.last_recovery["records_replayed"] == 0
         assert restored.last_recovery["snapshot_loaded"]
@@ -269,14 +278,14 @@ class TestDurableRecoveryRebuildsTheProfile:
     def test_replaying_a_charge_the_snapshot_holds_charges_nothing(self, tmp_path):
         self._write(tmp_path)
         wal = WriteAheadLog(tmp_path)
-        before = DurableServiceLedger(wal)
+        before = ServiceLedger(wal)
         before.compact()
         cameras, snapshot = before._state_payload()["cameras"], before.snapshot()
         # kill -9 after the snapshot, and the writer's retry logs q-1 again.
         wal.append(self.RECORDS[3])
         wal.close()
         wal = WriteAheadLog(tmp_path)
-        after = DurableServiceLedger(wal)
+        after = ServiceLedger(wal)
         assert after.last_recovery["records_replayed"] == 1
         assert after.snapshot() == snapshot
         assert after._state_payload()["cameras"] == cameras
@@ -315,3 +324,62 @@ class TestAdmissionCostIsFlat:
         assert len(ledger.charges) == 4005
         assert len(ledger._edges) == len(ledger._levels) == 2 * self.SLOTS
         assert large.snapshot()["cam"]["charges"] == 4005
+
+
+def _history_outcomes(ledger, history):
+    """Run a history through a ledger's doors; each step's result or refusal."""
+    outcomes = []
+    for op, *args in history:
+        try:
+            if op == "register":
+                camera, total = args
+                outcomes.append(ledger.register(camera, total).total_epsilon)
+            else:
+                requests, margin, query_id = args
+                door = ledger.check if op == "check" else ledger.admit_many
+                outcomes.append(door(requests, dict.fromkeys(requests, margin),
+                                     query_id=query_id))
+        except (BudgetExceededError, PolicyError, UnknownCameraError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+_CAMERAS = st.sampled_from(["cam-a", "cam-b"])
+_HISTORY = st.lists(st.one_of(
+    st.tuples(st.just("register"), _CAMERAS, st.sampled_from([1.0, 2.5])),
+    st.tuples(st.sampled_from(["check", "admit", "admit"]),
+              st.dictionaries(_CAMERAS, _REQUESTS, min_size=1, max_size=2),
+              st.sampled_from([0.0, 5.0, 12.5]),
+              st.sampled_from([None, "q-0", "q-1", "q-2"]))),
+    min_size=1, max_size=16)
+_REPEATED_ID = [
+    ("register", "cam-a", 1.0),
+    ("admit", {"cam-a": [BudgetRequest(TimeInterval(0.0, 10.0), 0.7)]}, 0.0, "q-0"),
+    ("check", {"cam-a": [BudgetRequest(TimeInterval(0.0, 10.0), 0.7)]}, 0.0, "q-0"),
+    ("admit", {"cam-a": [BudgetRequest(TimeInterval(0.0, 10.0), 0.7)]}, 0.0, "q-0"),
+    ("admit", {"cam-a": [BudgetRequest(TimeInterval(20.0, 30.0), 0.2)]}, 0.0, "q-1"),
+    ("admit", {"cam-a": [BudgetRequest(TimeInterval(20.0, 30.0), 0.2)]}, 0.0, "q-1"),
+]
+
+
+class TestOneLedgerInMemoryAndOverALog:
+    @settings(max_examples=60, deadline=None)
+    @given(history=_HISTORY, compact_every=st.integers(1, 4))
+    @example(history=_REPEATED_ID, compact_every=3)
+    def test_a_history_folds_to_the_same_state(self, history, compact_every):
+        memory = ServiceLedger()
+        expected = _history_outcomes(memory, history)
+        with tempfile.TemporaryDirectory() as directory:
+            wal = WriteAheadLog(directory)
+            try:
+                durable = ServiceLedger(wal, compact_every=compact_every)
+                assert _history_outcomes(durable, history) == expected
+                assert durable.snapshot() == memory.snapshot()
+                assert durable.contention_stats() == memory.contention_stats()
+            finally:
+                wal.close()
+            reopened = WriteAheadLog(directory)
+            try:
+                assert ServiceLedger(reopened).snapshot() == memory.snapshot()
+            finally:
+                reopened.close()

@@ -109,39 +109,54 @@ class TestLaplaceMechanism:
         assert wide > narrow
 
 
+def _camera(total_epsilon: float) -> ServiceLedger:
+    """A ledger with one camera, ``cam``, driven through the real doors."""
+    ledger = ServiceLedger()
+    ledger.register("cam", total_epsilon)
+    return ledger
+
+
+def _admit(ledger: ServiceLedger, requests: list, margin: float) -> None:
+    ledger.admit_many({"cam": requests}, {"cam": margin})
+
+
+def _remaining(ledger: ServiceLedger, timestamp: float) -> float:
+    return ledger.remaining_over("cam", TimeInterval(timestamp, timestamp))
+
+
 class TestBudgetLedger:
     def test_simple_charge_and_remaining(self):
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(0, 100), 0.4)], margin=10.0)
-        assert ledger.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.6)
-        assert ledger.remaining_over(TimeInterval(150.0, 150.0)) == pytest.approx(1.0)
+        ledger = _camera(1.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(0, 100), 0.4)], margin=10.0)
+        assert _remaining(ledger, 50.0) == pytest.approx(0.6)
+        assert _remaining(ledger, 150.0) == pytest.approx(1.0)
 
     def test_margin_not_charged(self):
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(100, 200), 0.5)], margin=50.0)
+        ledger = _camera(1.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(100, 200), 0.5)], margin=50.0)
         # The margin [50, 100) was checked but not charged.
-        assert ledger.remaining_over(TimeInterval(60.0, 60.0)) == pytest.approx(1.0)
+        assert _remaining(ledger, 60.0) == pytest.approx(1.0)
 
     def test_denial_when_budget_exhausted(self):
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(0, 100), 0.8)], margin=0.0)
+        ledger = _camera(1.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(0, 100), 0.8)], margin=0.0)
         with pytest.raises(BudgetExceededError):
-            ledger.admit([BudgetRequest(TimeInterval(50, 150), 0.5)], margin=0.0)
+            _admit(ledger, [BudgetRequest(TimeInterval(50, 150), 0.5)], margin=0.0)
 
     def test_disjoint_intervals_have_independent_budgets(self):
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(0, 100), 1.0)], margin=10.0)
+        ledger = _camera(1.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(0, 100), 1.0)], margin=10.0)
         # Far enough away (beyond the rho margin), full budget is available.
-        ledger.admit([BudgetRequest(TimeInterval(200, 300), 1.0)], margin=10.0)
-        assert ledger.remaining_over(TimeInterval(250.0, 250.0)) == pytest.approx(0.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(200, 300), 1.0)], margin=10.0)
+        assert _remaining(ledger, 250.0) == pytest.approx(0.0)
 
     def test_margin_prevents_straddling_queries(self):
         # Two queries whose windows are closer than rho must share a budget
         # (Appendix E.2 case 1): the second is denied if the first consumed it.
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(0, 100), 1.0)], margin=30.0)
+        ledger = _camera(1.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(0, 100), 1.0)], margin=30.0)
         with pytest.raises(BudgetExceededError):
-            ledger.admit([BudgetRequest(TimeInterval(120, 200), 1.0)], margin=30.0)
+            _admit(ledger, [BudgetRequest(TimeInterval(120, 200), 1.0)], margin=30.0)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1.0])
     def test_request_epsilon_must_be_positive_and_finite(self, epsilon):
@@ -151,63 +166,60 @@ class TestBudgetLedger:
             BudgetRequest(TimeInterval(0, 100), epsilon)
 
     def test_check_only_does_not_charge(self):
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(0, 100), 0.7)], margin=0.0, charge=False)
-        assert ledger.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(1.0)
+        ledger = _camera(1.0)
+        ledger.check({"cam": [BudgetRequest(TimeInterval(0, 100), 0.7)]}, {"cam": 0.0})
+        assert _remaining(ledger, 50.0) == pytest.approx(1.0)
 
     def test_failed_admission_charges_nothing(self):
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
+        ledger = _camera(1.0)
         requests = [BudgetRequest(TimeInterval(0, 100), 0.6),
                     BudgetRequest(TimeInterval(50, 150), 0.6)]
         with pytest.raises(BudgetExceededError):
-            ledger.admit(requests, margin=0.0)
-        assert ledger.remaining_over(TimeInterval(75.0, 75.0)) == pytest.approx(1.0)
+            _admit(ledger, requests, margin=0.0)
+        assert _remaining(ledger, 75.0) == pytest.approx(1.0)
 
     def test_parallel_releases_over_disjoint_bins(self):
         # Hourly releases of a grouped query draw from disjoint frames, so a
         # per-release epsilon of 1.0 fits a per-frame budget of 1.0.
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
+        ledger = _camera(1.0)
         requests = [BudgetRequest(TimeInterval(hour * 3600.0, (hour + 1) * 3600.0), 1.0)
                     for hour in range(12)]
-        ledger.admit(requests, margin=0.0)
-        assert ledger.remaining_over(TimeInterval(5 * 3600.0, 5 * 3600.0)) == pytest.approx(0.0)
+        _admit(ledger, requests, margin=0.0)
+        assert _remaining(ledger, 5 * 3600.0) == pytest.approx(0.0)
 
     def test_multi_camera_all_or_nothing_admission(self):
-        # The executor admits multi-camera queries in two phases: every
-        # camera's ledger is pre-checked with charge=False, and only if all
-        # pass is charge=True applied — a failing camera leaves every ledger
-        # untouched.
-        ledger_a = FrameBudgetLedger(total_epsilon=1.0)
-        ledger_b = FrameBudgetLedger(total_epsilon=0.5)
+        # Every camera is checked before any is charged: a failing camera
+        # leaves every ledger untouched.
+        ledger = ServiceLedger()
+        ledger.register("a", 1.0)
+        ledger.register("b", 0.5)
+        ledger.register("richer-b", 1.0)
+        span = TimeInterval(50.0, 50.0)
         requests = [BudgetRequest(TimeInterval(0, 100), 0.8)]
-        ledger_a.admit(requests, margin=10.0, charge=False)
         with pytest.raises(BudgetExceededError):
-            ledger_b.admit(requests, margin=10.0, charge=False)
-        assert ledger_a.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(1.0)
-        assert ledger_b.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.5)
-        # Had both passed, the second phase charges each ledger in turn.
-        richer_b = FrameBudgetLedger(total_epsilon=1.0)
-        for ledger in (ledger_a, richer_b):
-            ledger.admit(requests, margin=10.0, charge=False)
-        for ledger in (ledger_a, richer_b):
-            ledger.admit(requests, margin=10.0, charge=True)
-        assert ledger_a.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.2)
-        assert richer_b.remaining_over(TimeInterval(50.0, 50.0)) == pytest.approx(0.2)
+            ledger.admit_many({"a": requests, "b": requests}, {"a": 10.0, "b": 10.0})
+        assert ledger.remaining_over("a", span) == pytest.approx(1.0)
+        assert ledger.remaining_over("b", span) == pytest.approx(0.5)
+        # Had both passed, each camera is charged.
+        ledger.admit_many({"a": requests, "richer-b": requests},
+                          {"a": 10.0, "richer-b": 10.0})
+        assert ledger.remaining_over("a", span) == pytest.approx(0.2)
+        assert ledger.remaining_over("richer-b", span) == pytest.approx(0.2)
 
     def test_margin_expansion_at_exact_rho_boundary(self):
         # The admission window is the half-open [a - rho, b + rho): a prior
         # charge ending exactly at a - rho does not intersect it, while one
         # extending a single frame further does.
         rho = 50.0
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(0, 50), 0.6)], margin=0.0)
+        ledger = _camera(1.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(0, 50), 0.6)], margin=0.0)
         # Expanded window [50, 250) touches the old charge only at its open end.
-        ledger.admit([BudgetRequest(TimeInterval(100, 200), 0.6)], margin=rho)
+        _admit(ledger, [BudgetRequest(TimeInterval(100, 200), 0.6)], margin=rho)
         # A request whose expansion reaches one instant into [0, 50) is denied.
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
-        ledger.admit([BudgetRequest(TimeInterval(0, 50), 0.6)], margin=0.0)
+        ledger = _camera(1.0)
+        _admit(ledger, [BudgetRequest(TimeInterval(0, 50), 0.6)], margin=0.0)
         with pytest.raises(BudgetExceededError):
-            ledger.admit([BudgetRequest(TimeInterval(99.0, 200), 0.6)], margin=rho)
+            _admit(ledger, [BudgetRequest(TimeInterval(99.0, 200), 0.6)], margin=rho)
 
     def test_invalid_parameters(self):
         with pytest.raises(PolicyError):
@@ -234,11 +246,11 @@ class TestBudgetLedger:
     def test_a_nan_margin_is_refused(self):
         # Every expanded interval was NaN, so the check saw no frame: 5 of 5
         # ε=1 requests over one interval were admitted on a 1.0 budget.
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
+        ledger = _camera(1.0)
         for margin in (float("nan"), float("inf"), -1.0):
             with pytest.raises(PolicyError, match="margin"):
-                ledger.admit([BudgetRequest(TimeInterval(0, 10), 1.0)], margin=margin)
-        assert ledger.charges == []
+                _admit(ledger, [BudgetRequest(TimeInterval(0, 10), 1.0)], margin=margin)
+        assert ledger.ledger("cam").charges == []
 
     @pytest.mark.parametrize("ends", [(float("nan"), float("nan")), (0.0, float("inf")),
                                       (float("-inf"), 0.0)])
@@ -255,16 +267,16 @@ class TestBudgetLedger:
                     min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_remaining_never_negative(self, raw_requests):
-        ledger = FrameBudgetLedger(total_epsilon=1.0)
+        ledger = _camera(1.0)
         for start, duration, epsilon in raw_requests:
             request = BudgetRequest(TimeInterval(start, start + duration), epsilon)
             try:
-                ledger.admit([request], margin=15.0)
+                _admit(ledger, [request], margin=15.0)
             except BudgetExceededError:
                 pass
         probes = [start for start, _, _ in raw_requests] + [0.0, 500.0, 1500.0]
         for probe in probes:
-            assert ledger.remaining_over(TimeInterval(probe, probe)) >= -1e-9
+            assert _remaining(ledger, probe) >= -1e-9
 
 
 class TestDegradation:

@@ -9,7 +9,7 @@ The contract under test, bottom-up:
   truncated away, seqs stay monotonic across reopen and compaction, and the
   ``wal.*`` / ``service.crash_at_seq`` fault sites thread the PR-7 chaos
   machinery through the durability layer;
-* **DurableServiceLedger** — registrations and charges are logged before
+* **ServiceLedger over a log** — registrations and charges are logged before
   they take effect, recover bit-exactly, and replay idempotently: the same
   ``query_id`` can never charge twice, whichever side of the charge append
   a crash lands on;
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PrividSystem
-from repro.core.budget import BudgetRequest, DurableServiceLedger, ServiceLedger
+from repro.core.budget import BudgetRequest, ServiceLedger
 from repro.core.durability import (
     MAX_RECORD_BYTES,
     WriteAheadLog,
@@ -327,7 +327,7 @@ def _request(start=0.0, end=10.0, epsilon=1.0):
 
 def _open_ledger(directory, **kwargs):
     wal = WriteAheadLog(directory)
-    return wal, DurableServiceLedger(wal, **kwargs)
+    return wal, ServiceLedger(wal, **kwargs)
 
 
 class TestDurableServiceLedger:
@@ -348,7 +348,7 @@ class TestDurableServiceLedger:
         reopened = WriteAheadLog(tmp_path)
         try:
             with pytest.raises(PolicyError, match="nan"):
-                DurableServiceLedger(reopened)
+                ServiceLedger(reopened)
         finally:
             reopened.close()
 
@@ -445,7 +445,7 @@ class TestDurableServiceLedger:
             FaultRule(site="service.crash_at_seq", kind=FaultKind.CRASH,
                       after_seq=2),))
         wal = WriteAheadLog(tmp_path, fault_injector=plan.injector())
-        ledger = DurableServiceLedger(wal)
+        ledger = ServiceLedger(wal)
         ledger.register("cam", 5.0)
         with pytest.raises(SimulatedCrashError):
             ledger.admit_many({"cam": [_request()]}, {}, query_id="q-0")
@@ -492,7 +492,7 @@ class TestDurableServiceLedger:
         wal.close()
         wal2 = WriteAheadLog(tmp_path)
         with pytest.raises(DurabilityError):
-            DurableServiceLedger(wal2)
+            ServiceLedger(wal2)
         wal2.close()
 
     def test_duplicate_charge_record_charges_once(self, tmp_path):
@@ -531,7 +531,7 @@ class TestDurableServiceLedger:
 
         def recovered_state():
             wal = WriteAheadLog(tmp_path)
-            ledger = DurableServiceLedger(wal)
+            ledger = ServiceLedger(wal)
             journal = ledger.journal
             entries = {token: journal.entry(token) for token in sorted(journal._entries)}
             state = {"budgets": ledger.snapshot(),
@@ -552,7 +552,7 @@ class TestDurableServiceLedger:
 
     def test_compaction_threshold_folds_the_log(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        ledger = DurableServiceLedger(wal, compact_every=3)
+        ledger = ServiceLedger(wal, compact_every=3)
         ledger.register("cam", 50.0)
         for n in range(4):
             ledger.admit_many({"cam": [_request(10.0 * n, 10.0 * n + 5)]},
@@ -597,7 +597,7 @@ class TestSnapshotLogEquivalence:
             for name, directory in (("pure", pure_dir),
                                     ("compacted", compacted_dir)):
                 wal = WriteAheadLog(directory)
-                ledger = DurableServiceLedger(wal)
+                ledger = ServiceLedger(wal)
                 ledgers[name] = (wal, ledger)
                 for index, (op, camera, value) in enumerate(ops):
                     try:
@@ -618,7 +618,7 @@ class TestSnapshotLogEquivalence:
             for name, directory in (("pure", pure_dir),
                                     ("compacted", compacted_dir)):
                 wal = WriteAheadLog(directory)
-                ledger = DurableServiceLedger(wal)
+                ledger = ServiceLedger(wal)
                 recovered[name] = (ledger.snapshot(), ledger.journal.state_payload())
                 wal.close()
             assert recovered["pure"] == recovered["compacted"]
@@ -630,7 +630,7 @@ class TestSnapshotLogEquivalence:
 class TestQueryJournal:
     def test_journal_round_trips_through_the_wal(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        journal = DurableServiceLedger(wal).journal
+        journal = ServiceLedger(wal).journal
         # start hands back its record's WAL seq: what the release barrier
         # must see fsynced.  Neither start nor finish syncs.
         assert journal.start("tok-a", 0, "q", "fp-a") == 1
@@ -640,7 +640,7 @@ class TestQueryJournal:
         assert (wal.appends, wal.fsyncs, wal.synced_seq) == (3, 0, 0)
         wal.close()
         wal2 = WriteAheadLog(tmp_path)
-        replayed = DurableServiceLedger(wal2).journal
+        replayed = ServiceLedger(wal2).journal
         assert replayed.entry("tok-a") == {
             "token": "tok-a", "query_seq": 0, "query": "q",
             "fingerprint": "fp-a", "charged": False,
@@ -654,7 +654,7 @@ class TestQueryJournal:
 
     def test_replay_is_idempotent_and_ignores_progress_records(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        journal = DurableServiceLedger(wal).journal
+        journal = ServiceLedger(wal).journal
         assert journal.start("tok", 0, "q", "fp") == 1
         before = journal.entry("tok")
         # Logs written before PR 20 carry one of these per chunk.
@@ -675,7 +675,7 @@ class TestQueryJournal:
             FaultRule(site="wal.append", kind=FaultKind.IO_ERROR, at=(0,),
                       max_fires=1),))
         wal = WriteAheadLog(tmp_path, fault_injector=plan.injector())
-        journal = DurableServiceLedger(wal).journal
+        journal = ServiceLedger(wal).journal
         with pytest.raises(OSError):
             journal.start("tok", 4, "q", "fp")
         assert journal.entry("tok") is None
@@ -694,7 +694,7 @@ class TestQueryJournal:
         # spans both, so the racing start waits and lands after.
         import threading
         wal = WriteAheadLog(tmp_path)
-        ledger = DurableServiceLedger(wal)
+        ledger = ServiceLedger(wal)
         ledger.register("cam", 5.0)
         racer = threading.Thread(target=ledger.journal.start,
                                  args=("tok", 7, "q", "fp"))
@@ -711,13 +711,13 @@ class TestQueryJournal:
         assert not racer.is_alive()
         wal.close()
         wal2 = WriteAheadLog(tmp_path)
-        recovered = DurableServiceLedger(wal2).journal
+        recovered = ServiceLedger(wal2).journal
         assert recovered.entry("tok")["query_seq"] == 7
         wal2.close()
 
     def test_resume_increments_the_resume_counter_without_logging(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        journal = DurableServiceLedger(wal).journal
+        journal = ServiceLedger(wal).journal
         journal.start("tok", 0, "q", "fp")
         appends = wal.appends
         journal.start("tok", 0, "q", "fp")  # the resume path
@@ -729,7 +729,7 @@ class TestQueryJournal:
         # A charged token admits only the query it charged: a resume whose
         # fingerprint differs is a budget bypass, not a convenience.
         wal = WriteAheadLog(tmp_path)
-        journal = DurableServiceLedger(wal).journal
+        journal = ServiceLedger(wal).journal
         journal.start("tok", 0, "q", "fp-original")
         journal.start("tok", 0, "q", "fp-original")  # genuine resume: fine
         with pytest.raises(ResumeMismatchError):
@@ -739,7 +739,7 @@ class TestQueryJournal:
         # The fingerprint rides the query_start record, so the check still
         # holds after a crash and replay.
         wal2 = WriteAheadLog(tmp_path)
-        ledger = DurableServiceLedger(wal2)
+        ledger = ServiceLedger(wal2)
         with pytest.raises(ResumeMismatchError):
             ledger.journal.start("tok", 0, "q", "fp-other")
         ledger.journal.start("tok", 0, "q", "fp-original")
@@ -747,7 +747,7 @@ class TestQueryJournal:
         ledger.compact()
         wal2.close()
         wal3 = WriteAheadLog(tmp_path)
-        restored = DurableServiceLedger(wal3).journal
+        restored = ServiceLedger(wal3).journal
         with pytest.raises(ResumeMismatchError):
             restored.start("tok", 0, "q", "fp-other")
         restored.start("tok", 0, "q", "fp-original")
@@ -763,7 +763,7 @@ class TestQueryJournal:
                     "cameras": {"cam": [[0.0, 10.0, 1.0]]}})
         wal.close()
         wal2 = WriteAheadLog(tmp_path)
-        journal = DurableServiceLedger(wal2).journal
+        journal = ServiceLedger(wal2).journal
         assert journal.entry("tok")["fingerprint"] is None
         assert journal.start("tok", 0, "q", "fp") == 0
         assert journal.entry("tok")["resumes"] == 1

@@ -358,3 +358,29 @@ class TestPlanBeforeChunks:
         scheme = registered_system.camera("campus").region_schemes["default"]
         assert [release.group_key for release in result.releases] == \
             [region.name for region in scheme.regions]
+
+
+class TestNonFiniteBinKeys:
+    """A row value whose bin is not finite is no key, so an analyst's row
+    cannot fail a query that its keys would otherwise admit."""
+
+    @staticmethod
+    def _run(dy: float, width: float):
+        system = _constant_system()
+        system.register_executable(
+            "dy.py", ConstantExecutable(rows=[{"dy": dy}, {"dy": 30.0}]))
+        result = system.execute(parse_query(
+            "SPLIT cam BEGIN 0 END 600 BY TIME 60sec STRIDE 0sec INTO chunks;\n"
+            "PROCESS chunks USING dy.py TIMEOUT 1sec PRODUCING 5 ROWS "
+            "WITH SCHEMA (dy:NUMBER=0) INTO t;\n"
+            f"SELECT COUNT(*) FROM t GROUP BY bin(dy, {width}) WITH KEYS [0, 60];"))
+        return ([(release.group_key, release.raw_value_unsafe, release.noisy_value)
+                 for release in result.releases], result.budget_remaining)
+
+    @pytest.mark.parametrize("dy, width", [(float("inf"), 60), (float("nan"), 60),
+                                           (1e308, 0.001)])
+    def test_the_query_is_admitted_and_releases_as_for_a_far_finite_value(self, dy, width):
+        # inf and NaN fail math.floor; 1e308 / 0.001 overflows to inf.
+        releases, remaining = self._run(dy, width)
+        assert remaining == {"cam": 8.0}  # two keys at 1.0 over every frame, charged
+        assert (releases, remaining) == self._run(1e6, width)

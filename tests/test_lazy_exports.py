@@ -81,7 +81,7 @@ for package in (repro, repro.core):
 print(json.dumps(out))
 """)
     assert report["repro"]["count"] == 19  # and __version__
-    assert report["repro.core"]["count"] == 38
+    assert report["repro.core"]["count"] == 37
     for package in report.values():
         assert package["wrong"] == package["missing_from_dir"] == []
         assert package["missing_from_star"] == package["shared_differ"] == []

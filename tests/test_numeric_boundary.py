@@ -239,7 +239,7 @@ VALID = {
 METHODS = {
     "PrividSystem.register_camera": lambda: PrividSystem().register_camera,
     "ServiceLedger.register": lambda: ServiceLedger().register,
-    "FrameBudgetLedger.admit": lambda: FrameBudgetLedger(total_epsilon=1.0).admit,
+    "FrameBudgetLedger.check": lambda: FrameBudgetLedger(total_epsilon=1.0).check,
     "LaplaceMechanism.add_noise": lambda: LaplaceMechanism(seed=1).add_noise,
     "CancellationToken.with_timeout": lambda: CancellationToken.with_timeout,
     "CameraRegistration": lambda: partial(

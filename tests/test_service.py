@@ -67,7 +67,8 @@ class TestAtomicLedger:
         # The satellite regression: N threads race check-then-charge for the
         # same frames.  Without the lock, several could pass the check
         # before any charge lands; with it, exactly total/epsilon succeed.
-        ledger = FrameBudgetLedger(total_epsilon=3.0)
+        ledger = ServiceLedger()
+        ledger.register("cam", 3.0)
         barrier = threading.Barrier(8)
         admitted, denied = [], []
         lock = threading.Lock()
@@ -75,8 +76,8 @@ class TestAtomicLedger:
         def one_query(index: int) -> None:
             barrier.wait()
             try:
-                ledger.admit([BudgetRequest(TimeInterval(0.0, 10.0), 1.0)],
-                             margin=5.0)
+                ledger.admit_many({"cam": [BudgetRequest(TimeInterval(0.0, 10.0), 1.0)]},
+                                  {"cam": 5.0})
             except BudgetExceededError:
                 with lock:
                     denied.append(index)
@@ -91,13 +92,16 @@ class TestAtomicLedger:
             thread.join()
         assert len(admitted) == 3
         assert len(denied) == 5
-        assert ledger.remaining_over(TimeInterval(0.0, 10.0)) == pytest.approx(0.0)
+        assert ledger.remaining_over("cam", TimeInterval(0.0, 10.0)) == pytest.approx(0.0)
+        assert ledger.contention_stats()["admitted"] == 3
 
     def test_max_consumed_is_the_peak_of_overlapping_charges(self):
-        ledger = FrameBudgetLedger(total_epsilon=5.0)
-        ledger.admit([BudgetRequest(TimeInterval(0.0, 10.0), 1.0)], margin=0.0)
-        ledger.admit([BudgetRequest(TimeInterval(5.0, 15.0), 2.0)], margin=0.0)
-        assert ledger.max_consumed() == pytest.approx(3.0)  # overlap [5, 10)
+        ledger = ServiceLedger()
+        ledger.register("cam", 5.0)
+        for start, epsilon in ((0.0, 1.0), (5.0, 2.0)):
+            ledger.admit_many({"cam": [BudgetRequest(TimeInterval(start, start + 10.0),
+                                                     epsilon)]}, {"cam": 0.0})
+        assert ledger.ledger("cam").max_consumed() == pytest.approx(3.0)  # overlap [5, 10)
         assert FrameBudgetLedger(total_epsilon=5.0).max_consumed() == 0.0
 
 
@@ -116,8 +120,7 @@ class TestServiceLedger:
         ledger = ServiceLedger()
         ledger.register("a", 1.0)
         ledger.register("b", 1.0)
-        ledger.ledger("b").admit([BudgetRequest(TimeInterval(0.0, 10.0), 1.0)],
-                                 margin=0.0)
+        ledger.admit_many({"b": [BudgetRequest(TimeInterval(0.0, 10.0), 1.0)]}, {"b": 0.0})
         span = TimeInterval(0.0, 10.0)
         with pytest.raises(BudgetExceededError):
             ledger.admit_many({"a": [BudgetRequest(span, 0.5)],
@@ -1014,6 +1017,22 @@ class TestDurableService:
             with pytest.raises(ValueError):
                 service.submit(_count_query(), resume_token="query-0")
 
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_both_doors_refuse_a_callers_query_id(self, tmp_path, durable):
+        # The query_id keys a charge: a repeated one would be admitted free,
+        # and its release would carry fresh noise on a charge already made.
+        video = _walker_video()
+        wal_dir = tmp_path / "wal" if durable else None
+        with _service(video, epsilon_budget=10.0, wal_dir=wal_dir) as service:
+            for door in (service.execute, service.submit):
+                with pytest.raises(TypeError, match="query_id"):
+                    door(_count_query(), query_id="same")
+            queries = service.stats()["queries"]
+            assert (queries["submitted"], queries["active"]) == (0, 0)
+            assert service.stats()["budgets"]["cam"]["charges"] == 0
+            service.execute(_count_query())
+            assert service.stats()["budgets"]["cam"]["charges"] == 1
+
 
 class _ThreadRecorder:
     """Records the thread each chunk runs on, and how many chunks a gate
@@ -1201,18 +1220,16 @@ class TestBlockingExecute:
         # An interrupt between the charge's WAL append and its apply leaves
         # the in-memory ledger behind the log: the service must close, and
         # only reopening over the WAL (recovery) may serve again.
-        from repro.core.budget import DurableServiceLedger
-
-        apply_charge = DurableServiceLedger._apply_charge
+        apply = ServiceLedger._apply
         interrupts = []
 
         def interrupted_once(ledger, record):
-            if not interrupts:
+            if record["op"] == "charge" and not interrupts:
                 interrupts.append(record)
                 raise KeyboardInterrupt
-            apply_charge(ledger, record)
+            apply(ledger, record)
 
-        monkeypatch.setattr(DurableServiceLedger, "_apply_charge", interrupted_once)
+        monkeypatch.setattr(ServiceLedger, "_apply", interrupted_once)
         video = _walker_video()
         service = _service(video, wal_dir=tmp_path / "wal")
         with pytest.raises(KeyboardInterrupt):
