@@ -207,6 +207,15 @@ class CacheStats:
 #: stream of its camera while the registration reads the same.
 _KEY_TEXT_MEMO_LIMIT = 64
 
+#: Chunk keys one context memoises before starting over.  The widest measured
+#: working set is ``warm_sweep``'s what-if sweep, which keys 960 distinct
+#: chunks of its one camera again and again, so 4,096 holds four such sweeps.
+#: An entry measured ~470 bytes under ``tracemalloc`` (the probe tuple and its
+#: stream part, two fresh ids, the interval's floats, the 64-character key,
+#: the value tuple and the dict slot; masks and regions are shared with the
+#: chunks that carry them), so a full memo holds ~1.9 MB per context.
+_CHUNK_KEY_MEMO_LIMIT = 4096
+
 
 def _canonical_text(parts: tuple[Any, ...]) -> str:
     """``parts`` as they read inside :func:`fingerprint`'s canonical repr."""
@@ -234,36 +243,54 @@ def chunk_key(runner: "SandboxRunner", chunk: "Chunk",
     object's lock, so threads may key one stream at once) and feeds it only
     its index and its interval.  The query path keeps those instances per
     registration (:func:`repro.sandbox.environment.kept_or_fresh`).
+
+    A chunk the context keyed before is one probe of a second memo, keyed by
+    the same stream part, the runner's fingerprint and the chunk's index and
+    interval.  Only an ``int`` index between two ``float`` ends is kept
+    there, and a zero end is keyed by its text: ``-0.0 == 0.0``, but they
+    print apart.  Each kept key pins its mask and region as the hash state
+    does, and :data:`_CHUNK_KEY_MEMO_LIMIT` bounds the memo.
     """
     video = chunk.video
     footage = _footage_identity(video)
     mask, region, sample_period = chunk.mask, chunk.region, chunk.sample_period
-    memo = context.key_text_memo
     # 1 == 1.0 but their texts differ, so the sample period's type is keyed too.
-    memo_key = (video.name, footage, video.fps, video.duration,
-                id(mask), id(region), sample_period, type(sample_period))
-    entry = memo.get(memo_key)
+    stream = (video.name, footage, video.fps, video.duration,
+              id(mask), id(region), sample_period, type(sample_period))
+    index, interval = chunk.index, chunk.interval
+    start, end = interval.start, interval.end
+    if type(index) is int and type(start) is type(end) is float:
+        keys = context.chunk_key_memo
+        seen = (stream, runner.fingerprint, index, start or repr(start), end or repr(end))
+        kept = keys.get(seen)
+        if kept is not None:
+            return kept[0]
+        # What _canonical_text reads for the types every SPLIT produces.
+        own_text = f"{index}, ({start!r}, {end!r})"
+    else:
+        seen = None
+        own_text = _canonical_text((index, (start, end)))
+    memo = context.key_text_memo
+    entry = memo.get(stream)
     if entry is None:
         if len(memo) >= _KEY_TEXT_MEMO_LIMIT:
             memo.clear()
         head = _canonical_text((video.name, footage, video.fps, video.duration))
         tail = _canonical_text((mask, region, sample_period))
-        entry = memo[memo_key] = (hashlib.sha256(f"({head}, ".encode("utf-8")),
-                                  f", {tail}".encode("utf-8"), mask, region)
+        entry = memo[stream] = (hashlib.sha256(f"({head}, ".encode("utf-8")),
+                                f", {tail}".encode("utf-8"), mask, region)
     head_state, tail_bytes = entry[0], entry[1]
-    index, interval = chunk.index, chunk.interval
-    start, end = interval.start, interval.end
-    if type(index) is int and type(start) is type(end) is float:
-        # What _canonical_text reads for the types every SPLIT produces.
-        own_text = f"{index}, ({start!r}, {end!r})"
-    else:
-        own_text = _canonical_text((index, (start, end)))
     state = head_state.copy()
     state.update(own_text.encode("utf-8") + tail_bytes + b")")
     chunk_digest = state.hexdigest()
-    return hashlib.sha256(
+    key = hashlib.sha256(
         f"('{chunk_digest}', '{runner.fingerprint}', '{context.fingerprint}')"
         .encode("utf-8")).hexdigest()
+    if seen is not None:
+        if len(keys) >= _CHUNK_KEY_MEMO_LIMIT:
+            keys.clear()
+        keys[seen] = (key, mask, region)
+    return key
 
 
 class ChunkResultCache:

@@ -128,10 +128,10 @@ class Projection(Relation):
 
     def evaluate(self, context: PlanContext) -> Table:
         source = self.child.evaluate(context)
-        rows = [{name: expression.evaluate(row) for name, expression in self.outputs}
-                for row in source.rows]
-        return Table(columns=tuple(name for name, _ in self.outputs), rows=rows,
-                     name=source.name)
+        rows = source.rows
+        # Each output column is one list, filled straight from the source rows.
+        return Table.from_columns({name: [expression.evaluate(row) for row in rows]
+                                   for name, expression in self.outputs}, name=source.name)
 
     def sensitivity(self, context: PlanContext) -> SensitivityInfo:
         info = self.child.sensitivity(context)

@@ -159,6 +159,15 @@ class Table:
         """Create an empty table for a PROCESS schema (plus implicit columns)."""
         return cls(columns=schema.with_implicit_columns(), name=name)
 
+    @classmethod
+    def from_columns(cls, data: dict[str, list[Any]], *, name: str = "") -> "Table":
+        """A table whose columns hold ``data``'s lists, which are of one length."""
+        table = cls(columns=tuple(data), name=name)
+        for column, values in zip(table._data.values(), data.values()):
+            column += values
+        table._size = len(next(iter(data.values()), ()))
+        return table
+
     @property
     def num_rows(self) -> int:
         """Number of rows currently in the table."""

@@ -97,6 +97,11 @@ class ExecutionContext:
         """``chunk_key``'s stream-constant hash states; they live as long as the stream."""
         return {}
 
+    @cached_property
+    def chunk_key_memo(self) -> dict[tuple, tuple]:
+        """``chunk_key``'s finished keys, per chunk this context keyed (bounded)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SandboxRunner:

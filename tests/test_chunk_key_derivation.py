@@ -378,6 +378,17 @@ _STEPS = st.lists(st.one_of(_CHUNK_STEPS, st.sampled_from(["add_objects", "every
                   min_size=1, max_size=12)
 
 
+class _CountingMemo(dict):
+    """A key memo that counts the probes it answers."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = dict.get(self, key, default)
+        self.hits += value is not None
+        return value
+
+
 class TestHashStateKey:
     """The memo holds a ``sha256`` state fed the stream's head; a chunk copies
     it.  Whatever a stream's chunks carry, the key is the oracle's."""
@@ -419,6 +430,69 @@ class TestHashStateKey:
         for sample_period in (1.0, 1, 1.0):
             each = replace(chunk, sample_period=sample_period)
             assert chunk_key(runner, each, context) == oracle_key(runner, each, context)
+
+    def test_signed_zeros_get_their_own_key(self):
+        """``-0.0 == 0.0`` but they print apart: a key memo keyed by the
+        interval's value alone served the second zero the first one's key."""
+        runner, chunk, context = _golden_inputs()
+        for start, end in ((0.0, 30.0), (-0.0, 30.0), (0.0, 30.0), (-30.0, 0.0),
+                           (-30.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            each = replace(chunk, index=0, interval=TimeInterval(start, end))
+            for _ in range(2):
+                assert chunk_key(runner, each, context) == oracle_key(runner, each, context)
+        assert len({key[0] for key in context.chunk_key_memo.values()}) == 7
+
+    def test_a_kept_key_pins_its_mask(self):
+        """The key memo is keyed by the mask's identity, so each kept key holds
+        its mask: once the hash states start over, a mask built where a
+        dropped one lived must not be served the dropped one's key."""
+        runner, chunk, context = _golden_inputs()
+        for attempt in range(50):
+            mask = Mask("old", (BoundingBox(0.0, 0.0, 10.0 + attempt, 10.0),))
+            chunk_key(runner, replace(chunk, mask=mask), context)
+            context.key_text_memo.clear()  # as a wider stream filling it would
+            del mask
+            other = replace(chunk, mask=Mask("new", (BoundingBox(5.0, 5.0, 9.0, 9.0),)))
+            assert chunk_key(runner, other, context) == oracle_key(runner, other, context)
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_STEPS)
+    def test_a_stream_keyed_again_is_served_from_the_key_memo(self, steps):
+        """Every chunk keyed since the footage last changed is keyed again: each
+        one with an ``int`` index between ``float`` ends is one memo hit, and
+        every key is still the oracle's."""
+        video = _walker_video(walkers=2, duration=600.0)
+        context = _context(video, metadata={"site": "north"})
+        memo = context.__dict__["chunk_key_memo"] = _CountingMemo()
+        runners = (_runner(5), _runner(7))
+        added, current = 0, []
+        for step in steps:
+            if step == "add_objects":
+                added += 1
+                video.add_objects([make_crossing_object(f"late{added}", start=40.0 * added,
+                                                        duration=20.0)])
+                current = []
+                continue
+            if step == "every_region":
+                chunk = Chunk(video=video, index=0, interval=TimeInterval(0.0, 0.5))
+                current += [(runners[0], replace(chunk, region=region))
+                            for region in _WIDE_SCHEME.regions]
+                continue
+            region = None if step["region"] is None else _WIDE_SCHEME.regions[step["region"]]
+            mask = {} if step["mask"] is None else {"mask": step["mask"]}
+            current.append((runners[step["runner"]], Chunk(
+                video=video, index=step["index"], interval=TimeInterval(*sorted(step["ends"])),
+                region=region, sample_period=step["sample_period"], **mask)))
+            chunk_key(*current[-1], context)
+        for runner, chunk in current:
+            chunk_key(runner, chunk, context)
+        memoised = [type(chunk.index) is int
+                    and type(chunk.interval.start) is type(chunk.interval.end) is float
+                    for _, chunk in current]
+        memo.hits = 0
+        for runner, chunk in current:
+            assert chunk_key(runner, chunk, context) == oracle_key(runner, chunk, context)
+        assert memo.hits == sum(memoised)
 
     def test_threads_copy_one_shared_state(self):
         """Two threads key one stream from one memo entry; the shared state is
@@ -466,6 +540,20 @@ class TestInvalidation:
         assert second != untouched[1]
         assert second == oracle_key(runner, chunks[1], context)
 
+    def test_add_objects_changes_every_key_the_key_memo_held(self):
+        video = _walker_video()
+        spec = ChunkSpec(window=TimeInterval(0.0, 300.0), chunk_duration=30.0)
+        runner, context = _runner(), _context(video)
+        store = ChunkResultCache()
+        chunks = list(iter_chunks(video, spec, mask=MASK))
+        before = [store.key_for(runner, chunk, context) for chunk in chunks]
+        assert [store.key_for(runner, chunk, context) for chunk in chunks] == before
+        video.add_objects([make_crossing_object("late", start=40.0, duration=20.0)])
+        after = [store.key_for(runner, chunk, context) for chunk in chunks]
+        assert after == [oracle_key(runner, chunk, context) for chunk in chunks]
+        assert not set(after) & set(before)
+        assert [store.key_for(runner, chunk, context) for chunk in chunks] == after
+
     def test_contexts_and_runners_back_to_back_through_one_store(self, tmp_path):
         video = _walker_video()
         chunk = next(iter_chunks(video, ChunkSpec(window=TimeInterval(0.0, 60.0),
@@ -502,6 +590,29 @@ class TestInvalidation:
         shipped_runner, shipped_context = pickle.loads(cold)
         assert "fingerprint" not in vars(shipped_context)
         assert chunk_key(shipped_runner, chunk, shipped_context) == GOLDEN_KEY
+
+    def test_key_memo_is_bounded_and_never_shipped(self):
+        import pickle
+
+        runner, chunk, context = _golden_inputs()
+        cold = pickle.dumps((runner, context))
+        limit = cache_module._CHUNK_KEY_MEMO_LIMIT
+        chunks = [replace(chunk, index=index,
+                          interval=TimeInterval(30.0 * index, 30.0 * index + 30.0))
+                  for index in range(limit + 3)]
+        keys = [chunk_key(runner, each, context) for each in chunks[:limit]]
+        assert len(context.chunk_key_memo) == limit
+        # A full memo starts over: the next key is its first entry.
+        for each in chunks[limit:]:
+            keys.append(chunk_key(runner, each, context))
+        assert len(context.chunk_key_memo) == 3
+        assert len(set(keys)) == limit + 3
+        for index in (0, 1, limit - 1, limit, limit + 2):
+            assert keys[index] == oracle_key(runner, chunks[index], context)
+        assert pickle.dumps((runner, context)) == cold
+        shipped_runner, shipped_context = pickle.loads(cold)
+        assert "chunk_key_memo" not in vars(shipped_context)
+        assert chunk_key(shipped_runner, chunks[0], shipped_context) == keys[0]
 
 
 class TestOncePerStream:
