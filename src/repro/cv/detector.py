@@ -51,6 +51,9 @@ _TAG_ATTRIBUTE = string_token("attr")
 _TAG_FP_COUNT = string_token("fp-count")
 _TAG_FP_X = string_token("fp-x")
 _TAG_FP_Y = string_token("fp-y")
+#: Rows of an object's jitter x, jitter y and confidence streams, after its
+#: miss stream, in the stacked draw matrix.
+_DRAW_OFFSETS = np.array([1, 2, 3], dtype=np.int64)
 
 
 @dataclass
@@ -154,7 +157,7 @@ class SyntheticDetector:
         config = self.config
         wanted = frozenset(categories) if categories is not None else None
         read = frozenset(attributes) if attributes is not None else None
-        num_frames = len(batch)
+        num_frames = batch.frame_indices.size
         category_registry: dict[str, int] = {}
         blocks: list[_Block] = []
         if num_frames:
@@ -183,8 +186,9 @@ class SyntheticDetector:
                 stream_keys.append(stream_key(self.seed, _TAG_JITTER_X, object_token))
                 stream_keys.append(stream_key(self.seed, _TAG_JITTER_Y, object_token))
                 stream_keys.append(stream_key(self.seed, _TAG_CONFIDENCE, object_token))
-                stream_keys.extend(stream_key(self.seed, _TAG_ATTRIBUTE, object_token,
-                                              string_token(key)) for key in attribute_keys)
+                if attribute_keys:
+                    stream_keys.extend(stream_key(self.seed, _TAG_ATTRIBUTE, object_token,
+                                                  string_token(key)) for key in attribute_keys)
             if entries:
                 draws = unit_draws_matrix(stream_keys, batch.frame_indices)
                 num_entries = len(entries)
@@ -193,36 +197,29 @@ class SyntheticDetector:
                 # each object appears at most once per frame, so ascending
                 # storage order within a frame is the emission order by
                 # construction.
-                first_rows = np.fromiter((first_row for _, _, first_row, _ in entries),
-                                         dtype=np.int64, count=num_entries)
-                miss_rates = np.fromiter(
-                    (config.miss_rate_for(category) for _, category, _, _ in entries),
-                    dtype=np.float64, count=num_entries)
+                first_rows = np.array([first_row for _, _, first_row, _ in entries],
+                                      dtype=np.int64)
+                miss_rates = np.array([config.miss_rate_for(category)
+                                       for _, category, _, _ in entries], dtype=np.float64)
                 # The batch is already segment-major: the wanted categories
                 # are a row slice of its stack.
                 stack_rows = np.array(selected, dtype=np.int64)
                 detected = (draws[first_rows] >= miss_rates[:, np.newaxis]) \
                     & batch.visible[stack_rows]
-                entry_ids, positions = np.nonzero(detected)
+                entry_ids, positions = detected.nonzero()
                 if positions.size:
-                    flat_boxes = batch.boxes[stack_rows[entry_ids], positions]
-                    xs = flat_boxes[:, 0]
-                    ys = flat_boxes[:, 1]
-                    det_rows = first_rows[entry_ids]
+                    # The gathered boxes are a new array: jitter moves their
+                    # corners in place.  One gather takes each detection's
+                    # jitter x, jitter y and confidence draws.
+                    boxes = batch.boxes[stack_rows[entry_ids], positions]
+                    picked = draws[first_rows[entry_ids][:, np.newaxis] + _DRAW_OFFSETS,
+                                   positions[:, np.newaxis]]
                     if jitter > 0:
-                        xs = xs + jitter * (2.0 * draws[det_rows + 1, positions] - 1.0)
-                        ys = ys + jitter * (2.0 * draws[det_rows + 2, positions] - 1.0)
-                    confidences = config.min_confidence \
-                        + spread * draws[det_rows + 3, positions]
-                    boxes = np.empty((positions.size, 4), dtype=np.float64)
-                    boxes[:, 0] = xs
-                    boxes[:, 1] = ys
-                    boxes[:, 2] = flat_boxes[:, 2]
-                    boxes[:, 3] = flat_boxes[:, 3]
-                    entry_categories = np.fromiter(
-                        (category_registry.setdefault(category, len(category_registry))
-                         for _, category, _, _ in entries),
-                        dtype=np.int64, count=num_entries)
+                        boxes[:, :2] += jitter * (2.0 * picked[:, :2] - 1.0)
+                    confidences = config.min_confidence + spread * picked[:, 2]
+                    entry_categories = np.array(
+                        [category_registry.setdefault(category, len(category_registry))
+                         for _, category, _, _ in entries], dtype=np.int64)
                     attributes: list[tuple[str, Any, Any, np.ndarray, np.ndarray]] = []
                     if any(attribute_keys for _, _, _, attribute_keys in entries):
                         counts = np.bincount(entry_ids, minlength=num_entries)
@@ -250,9 +247,10 @@ class SyntheticDetector:
                         category_ids=entry_categories[entry_ids],
                         attributes=attributes,
                     ))
-            blocks.extend(self._false_positive_blocks(batch, frame_width, frame_height,
-                                                      wanted=wanted, read=read,
-                                                      category_registry=category_registry))
+            if config.false_positives_per_frame > 0:
+                blocks.extend(self._false_positive_blocks(batch, frame_width, frame_height,
+                                                          wanted=wanted, read=read,
+                                                          category_registry=category_registry))
         return _assemble_batch(batch, num_frames, blocks,
                                tuple(category_registry))
 
@@ -260,10 +258,9 @@ class SyntheticDetector:
                                frame_height: float, *,
                                wanted: frozenset[str] | None, read: frozenset[str] | None,
                                category_registry: dict[str, int]) -> list["_Block"]:
-        """Vectorized false-positive column blocks, one per placement slot."""
+        """Vectorized false-positive column blocks, one per placement slot
+        (the rate is positive)."""
         rate = self.config.false_positives_per_frame
-        if rate <= 0:
-            return []
         if wanted is not None and "person" not in wanted:
             return []
         base = int(rate)

@@ -202,6 +202,12 @@ class _BatchTrackerCore:
 
     def step_batch(self, batch: DetectionBatch) -> None:
         """Advance the tracker over every frame of one detection batch."""
+        offset = self._total_detections
+        if not batch.frame_positions.size:
+            self.batches.append(batch)
+            self.offsets.append(offset)
+            self._age_gap(batch.num_frames)
+            return
         # Frame-major, confidence-descending, stable: ties keep storage
         # order, which is each frame's emission order by the DetectionBatch
         # contract.
@@ -209,18 +215,14 @@ class _BatchTrackerCore:
         frame_indices = batch.frame_indices[order].tolist()
         total = len(frame_indices)
         last_seen = self._last_frame_index
-        if total and last_seen is not None and frame_indices[0] < last_seen:
+        if last_seen is not None and frame_indices[0] < last_seen:
             raise ValueError(
                 f"batch starts at frame index {frame_indices[0]}, before "
                 f"frame index {last_seen} already consumed; batches must "
                 f"arrive in time order")
-        offset = self._total_detections
         self.batches.append(batch)
         self.offsets.append(offset)
         self._total_detections += total
-        if not total:
-            self._age_gap(batch.num_frames)
-            return
         self._last_frame_index = frame_indices[-1]
         active = self.active
         config = self.config
@@ -230,7 +232,7 @@ class _BatchTrackerCore:
         batch_to_core = [self._core_category(label) for label in batch.categories]
         positions = batch.frame_positions[order].tolist()
         boxes = batch.boxes[order].tolist()
-        detection_ids = (order + offset).tolist()
+        local_ids = order.tolist()      # a detection's id is offset + its local id
         detection_categories = [batch_to_core[identifier] for identifier
                                 in batch.category_ids[order].tolist()]
         # While everything the core has ever seen shares one category the
@@ -274,7 +276,6 @@ class _BatchTrackerCore:
                 row_miss[row] = count
                 if count > max_age:
                     may_expire = True
-            new_rows: list[int] = []
             for index in range(start, end):
                 detection_category = detection_categories[index]
                 det_x1, det_y1, det_width, det_height = boxes[index]
@@ -304,8 +305,10 @@ class _BatchTrackerCore:
                         best_iou = iou
                         best = candidate
                 if best < 0:
-                    new_rows.append(self._new_track(
-                        detection_ids[index], detection_category,
+                    # A new track is active at once: this frame's scans stop
+                    # at its candidates, so it can match from the next frame.
+                    active.append(self._new_track(
+                        offset + local_ids[index], detection_category,
                         det_x1, det_y1, det_width, det_height, frame_index))
                     continue
                 # Record the matched box and advance the velocity window:
@@ -324,9 +327,7 @@ class _BatchTrackerCore:
                                   (det_x1 - baseline_x) / frame_gap,
                                   (det_y1 - baseline_y) / frame_gap)
                 row_miss[row] = 0
-                det_indices[row].append(detection_ids[index])
-            # New tracks join after the frame's scans.
-            active.extend(new_rows)
+                det_indices[row].append(offset + local_ids[index])
             if may_expire:
                 self._expire()
             start = end

@@ -80,7 +80,12 @@ class ProcessExecutable(ABC):
             except AttributeError:
                 pass
         if shallow:
-            return copy.copy(self)
+            # What ``copy.copy`` builds, without its reduce protocol: a bare
+            # instance given the pickle state.
+            cls = type(self)
+            clone = cls.__new__(cls)
+            clone.__dict__.update(self.__getstate__())
+            return clone
         return copy.deepcopy(self)
 
     def __getstate__(self) -> dict[str, Any]:

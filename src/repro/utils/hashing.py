@@ -38,6 +38,11 @@ _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 #: 2**-53 — scales the top 53 bits of a mixed lane to a float in [0, 1).
 _INV_2_53 = 2.0 ** -53
+#: The array path's operands as numpy scalars, built once rather than per call.
+_U_GOLDEN = np.uint64(GOLDEN_GAMMA)
+_U_MULT_1 = np.uint64(_MIX_MULT_1)
+_U_MULT_2 = np.uint64(_MIX_MULT_2)
+_U_11, _U_27, _U_30, _U_31 = (np.uint64(bits) for bits in (11, 27, 30, 31))
 
 
 def mix64(value: int) -> int:
@@ -49,14 +54,19 @@ def mix64(value: int) -> int:
 
 
 def mix64_array(lanes: np.ndarray) -> np.ndarray:
-    """splitmix64 finaliser applied lane-wise to a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = lanes.astype(np.uint64, copy=True)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX_MULT_1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX_MULT_2)
-        z ^= z >> np.uint64(31)
+    """splitmix64 finaliser applied lane-wise to a uint64 array (a new array).
+
+    Every step is an in-place operation on the array, which wraps modulo
+    2**64 without a warning, a 0-d array included; only a binary operation
+    whose result is a numpy *scalar* warns on overflow, so no
+    ``np.errstate`` is needed (the shifts cannot overflow).
+    """
+    z = np.array(lanes, dtype=np.uint64)
+    z ^= z >> _U_30
+    z *= _U_MULT_1
+    z ^= z >> _U_27
+    z *= _U_MULT_2
+    z ^= z >> _U_31
     return z
 
 
@@ -95,17 +105,25 @@ def unit_draw(key: int, index: int) -> float:
     return (mix64(lane) >> 11) * _INV_2_53
 
 
+def _counter_lanes(indices: np.ndarray) -> np.ndarray:
+    """``indices * GOLDEN_GAMMA`` as a new uint64 array of the same shape
+    (in place, so a 0-d index wraps silently like a 1-d one)."""
+    lanes = np.array(indices, dtype=np.uint64)
+    lanes *= _U_GOLDEN
+    return lanes
+
+
 def unit_draws(key: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized draws in [0, 1), one per counter in ``indices``.
 
     Bit-identical to calling :func:`unit_draw` per index: the lane is the
     same uint64 (numpy wraps modulo 2**64 exactly like the masked scalar
-    path) and the float scaling is exact.
+    path) and the float scaling is exact (a 53-bit integer converts to a
+    double without rounding).
     """
-    with np.errstate(over="ignore"):
-        lanes = np.uint64(key) + np.asarray(indices).astype(np.uint64) * np.uint64(GOLDEN_GAMMA)
-        mixed = mix64_array(lanes)
-    return (mixed >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    lanes = _counter_lanes(indices)
+    lanes += np.uint64(key)
+    return (mix64_array(lanes) >> _U_11) * _INV_2_53
 
 
 def unit_draws_matrix(keys: Sequence[int] | np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -115,9 +133,5 @@ def unit_draws_matrix(keys: Sequence[int] | np.ndarray, indices: np.ndarray) -> 
     the streams lets a caller evaluate every draw stream of a whole chunk in
     a single mix64 pass.
     """
-    with np.errstate(over="ignore"):
-        key_lanes = np.asarray(keys, dtype=np.uint64)[:, np.newaxis]
-        lanes = key_lanes + np.asarray(indices).astype(np.uint64)[np.newaxis, :] \
-            * np.uint64(GOLDEN_GAMMA)
-        mixed = mix64_array(lanes)
-    return (mixed >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    lanes = np.array(keys, dtype=np.uint64)[:, np.newaxis] + _counter_lanes(indices)
+    return (mix64_array(lanes) >> _U_11) * _INV_2_53

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.utils import checks
 from repro.utils.timebase import TimeInterval
 from repro.video.masking import EMPTY_MASK, Mask
@@ -66,8 +68,8 @@ def filter_batch(batch: FrameBatch, mask: Mask, region: Region | None = None) ->
         visible &= region.contains_points(
             boxes[:, 0] + boxes[:, 2] / 2.0,
             boxes[:, 1] + boxes[:, 3] / 2.0).reshape(visible.shape)
-    kept = visible.any(axis=1)
-    if not kept.all():
+    kept = np.logical_or.reduce(visible, axis=1)
+    if np.count_nonzero(kept) < kept.size:
         batch.scene_objects = [scene_object for scene_object, keep
                                in zip(batch.scene_objects, kept.tolist()) if keep]
         batch.visible = visible[kept]
@@ -114,8 +116,7 @@ class Chunk:
         executables with single-frame semantics; ``categories`` names the only
         object classes to render, mask and region-test (default: all).
         """
-        frame_indices = self.video.frame_indices(
-            self.interval.clamp(self.video.interval), self.sample_period)
+        frame_indices = self.video.frame_indices(self.interval, self.sample_period)
         if max_frames is not None:
             frame_indices = frame_indices[:max_frames]
         return filter_batch(self.video.batch_for_indices(

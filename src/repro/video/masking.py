@@ -60,11 +60,14 @@ class Mask:
         Rows are ``[x, y, width, height]``.  The intersection-area math
         mirrors the scalar path operation-for-operation (same region order,
         same left-to-right accumulation), so both produce identical floats.
+        Each axis of a region's overlap is clamped at zero: a disjoint axis
+        makes the product zero, as the scalar path's zero area.
         """
         boxes = np.asarray(boxes, dtype=np.float64)
         count = boxes.shape[0]
+        fractions = np.zeros(count, dtype=np.float64)
         if count == 0 or self.is_empty:
-            return np.zeros(count, dtype=np.float64)
+            return fractions
         x1 = boxes[:, 0]
         y1 = boxes[:, 1]
         x2 = x1 + boxes[:, 2]
@@ -72,15 +75,16 @@ class Mask:
         areas = boxes[:, 2] * boxes[:, 3]
         covered = np.zeros(count, dtype=np.float64)
         for region in self.regions:
-            left = np.maximum(x1, region.x)
-            right = np.minimum(x2, region.x2)
-            top = np.maximum(y1, region.y)
-            bottom = np.minimum(y2, region.y2)
-            width = right - left
-            height = bottom - top
-            covered += np.where((width > 0) & (height > 0), width * height, 0.0)
-        safe_areas = np.where(areas > 0, areas, 1.0)
-        return np.where(areas > 0, np.minimum(1.0, covered / safe_areas), 0.0)
+            width = np.minimum(x2, region.x2)
+            width -= np.maximum(x1, region.x)
+            height = np.minimum(y2, region.y2)
+            height -= np.maximum(y1, region.y)
+            np.maximum(width, 0.0, out=width)
+            np.maximum(height, 0.0, out=height)
+            width *= height
+            covered += width
+        np.divide(covered, areas, out=fractions, where=areas > 0)
+        return np.minimum(fractions, 1.0, out=fractions)
 
     def hides_boxes(self, boxes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`hides` over an ``(n, 4)`` box array."""

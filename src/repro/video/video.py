@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # imported only for type annotations to avoid a package cycle
 #: footage broadcast key on this.
 _CONTENT_TOKENS = itertools.count(1)
 
+#: Category sets an appearance table keeps a wanted-mask for before starting
+#: over; an executable declares one set, so a camera sees a handful.
+_WANTED_MEMO_LIMIT = 64
+
 
 @dataclass
 class FrameBatch:
@@ -91,7 +95,8 @@ class _AppearanceTable:
     """
 
     __slots__ = ("start", "end", "owner", "stationary", "base", "delta", "duration", "category",
-                 "category_ids", "bucket_size", "first_bucket", "bucket_offsets", "bucket_rows")
+                 "category_ids", "bucket_size", "first_bucket", "bucket_offsets", "bucket_rows",
+                 "wanted_memo")
 
     def __init__(self, objects: Sequence[SceneObject], bucket_size: float) -> None:
         from repro.scene.trajectory import StationaryTrajectory
@@ -102,6 +107,7 @@ class _AppearanceTable:
         count = sum(len(scene_object.appearances) for scene_object in objects)
         columns = np.empty((count, 14), dtype=np.float64)
         self.category_ids: dict[str, int] = {}
+        self.wanted_memo: dict[frozenset[str], np.ndarray] = {}
         row = 0
         for position, scene_object in enumerate(objects):
             category = self.category_ids.setdefault(scene_object.category, len(self.category_ids))
@@ -122,6 +128,10 @@ class _AppearanceTable:
         self.duration = columns[:, 4].copy()
         self.base = columns[:, 5:9].copy()
         self.delta = columns[:, 9:13] - self.base
+        # A stationary row moves by -0.0: base + -0.0 * fraction is base bit
+        # for bit for any fraction in [0, 1], a -0.0 base included (the
+        # difference above would be +0.0, which turns -0.0 into 0.0).
+        self.delta[self.stationary] = -0.0
         self.category = columns[:, 13].astype(np.int64)
         del columns     # scratch: free it before the index's larger temporaries
         self.bucket_size = bucket_size
@@ -156,10 +166,19 @@ class _AppearanceTable:
         return listed, stop - first > 1
 
     def wanted(self, categories: Iterable[str]) -> np.ndarray:
-        """Per category id, whether it is one of ``categories``."""
-        wanted = np.zeros(len(self.category_ids), dtype=bool)
-        wanted[[self.category_ids[category] for category in categories
-                if category in self.category_ids]] = True
+        """Per category id, whether it is one of ``categories`` (read-only;
+        kept per category set, at most ``_WANTED_MEMO_LIMIT`` sets)."""
+        key = frozenset(categories)
+        memo = self.wanted_memo
+        wanted = memo.get(key)
+        if wanted is None:
+            wanted = np.zeros(len(self.category_ids), dtype=bool)
+            wanted[[self.category_ids[category] for category in key
+                    if category in self.category_ids]] = True
+            wanted.flags.writeable = False
+            if len(memo) >= _WANTED_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = wanted
         return wanted
 
     def boxes(self, rows: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
@@ -167,18 +186,13 @@ class _AppearanceTable:
         ``(rows, 1)`` column against a frame row in the render, pairwise in
         the owner's sampler), with a trailing ``[x, y, width, height]`` axis.
 
-        Every row is evaluated as a linear trajectory, then the stationary
-        rows are overwritten; each step is elementwise, so a box equals
-        ``Appearance.box_at`` bit for bit.
+        Every row is evaluated as a linear trajectory, a stationary one with
+        a ``-0.0`` delta that leaves its box as it is; each step is
+        elementwise, so a box equals ``Appearance.box_at`` bit for bit.
         """
         fraction = np.minimum(np.maximum(
             (timestamps - self.start[rows]) / self.duration[rows], 0.0), 1.0)
-        base = self.base[rows]
-        boxes = base + self.delta[rows] * fraction[..., np.newaxis]
-        # A stationary box is copied, never computed as base + 0 * fraction,
-        # which would turn -0.0 into 0.0.
-        np.copyto(boxes, base, where=self.stationary[rows][..., np.newaxis])
-        return boxes
+        return self.base[rows] + self.delta[rows] * fraction[..., np.newaxis]
 
 
 @dataclass
@@ -302,9 +316,13 @@ class SyntheticVideo:
         return max(1, int(round(period * self.fps)))
 
     def frame_indices(self, window: TimeInterval, sample_period: float | None) -> np.ndarray:
-        """Indices of the frames inside ``window``, one every ``sample_period``
-        seconds (every frame when None), starting at the window's first."""
-        first_frame, last_frame = frame_index_range(window.start, window.end, self.fps)
+        """Indices of the frames inside ``window`` clamped to the footage, one
+        every ``sample_period`` seconds (every frame when None), starting at
+        the window's first.  The bounds are ``window.clamp(self.interval)``'s
+        where that clamp is not empty (where it is, no frame is inside
+        either), so the caller need not build the clamped interval."""
+        first_frame, last_frame = frame_index_range(
+            max(window.start, 0.0), min(window.end, self.duration), self.fps)
         return np.arange(first_frame, last_frame, self._sample_step(sample_period),
                          dtype=np.int64)
 
@@ -322,7 +340,7 @@ class SyntheticVideo:
         ``categories`` the batch is the full one minus every other category's rows.
         """
         frame_indices = np.asarray(frame_indices, dtype=np.int64)
-        timestamps = frame_indices.astype(np.float64) / self.fps
+        timestamps = frame_indices / self.fps
         table = self._table()
         listed, several = table.bucket_rows[:0], False
         if frame_indices.size:
@@ -331,20 +349,22 @@ class SyntheticVideo:
                                       float(timestamps[-1]) + self.frame_period)
             listed, several = table.rows_in(window, categories)
         rows = np.unique(listed) if several else listed
-        starts = table.start[rows][:, np.newaxis]
-        visible = (timestamps >= starts) & (timestamps < table.end[rows][:, np.newaxis])
-        seen = visible.any(axis=1)
-        if not seen.all():
-            rows, visible = rows[seen], visible[seen]
+        column = rows[:, np.newaxis]
+        visible = (timestamps >= table.start[column]) & (timestamps < table.end[column])
+        seen = np.logical_or.reduce(visible, axis=1)
+        if np.count_nonzero(seen) < seen.size:
+            rows, column, visible = rows[seen], column[seen], visible[seen]
         if not rows.size:       # nothing (wanted) in view: the frames, and no row
             return FrameBatch(frame_indices, timestamps, [], visible,
                               np.empty(visible.shape + (4,)), self.width, self.height, self.fps)
-        boxes = table.boxes(rows[:, np.newaxis], timestamps)
+        boxes = table.boxes(column, timestamps)
         owners = table.owner[rows]
-        later = np.flatnonzero(owners[1:] == owners[:-1]) + 1
+        # A row whose object is the previous row's is a later appearance.
+        later = (owners[1:] == owners[:-1]).nonzero()[0]
         if later.size:
             # Fold an object's later appearances into its first row; where
             # appearances overlap the earlier one wins, as in box_at.
+            later += 1
             lead = np.ones(rows.size, dtype=bool)
             lead[later] = False
             for index in later.tolist():

@@ -11,6 +11,7 @@ argument's "draws are keyed, not sequenced" contract.
 """
 
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,9 @@ from repro.scene.objects import SceneObject
 from repro.scene.scenarios import build_scenario
 from repro.scene.schedules import CyclicSchedule
 from repro.utils.hashing import (
+    GOLDEN_GAMMA,
+    mix64,
+    mix64_array,
     stream_key,
     string_token,
     unit_draw,
@@ -319,6 +323,34 @@ class TestHashStatistics:
             assert unit_draw(key, index) == value
         matrix = unit_draws_matrix([key, key ^ 1], indices)
         assert matrix[0].tolist() == vector.tolist()
+
+    def test_unguarded_draws_wrap_like_the_scalar_twins(self):
+        """The array draws run without ``np.errstate``: every lane wraps
+        modulo 2**64 silently, a 0-d index included (a binary operation on a
+        0-d array yields a numpy scalar, which warns on overflow), and
+        equals the masked scalar path bit for bit."""
+        top = (1 << 64) - 1
+        keys = [top, top - 1, top - GOLDEN_GAMMA + 1, 1 << 63, 0]
+        indices = np.array([0, 1, 7, 2 ** 31, 2 ** 40 - 1, 2 ** 40], dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = [(key + index * GOLDEN_GAMMA) & top
+                     for key in keys for index in indices.tolist()]
+            assert mix64_array(np.array(lanes, dtype=np.uint64)).tolist() \
+                == [mix64(lane) for lane in lanes]
+            for lane in (top, lanes[-1]):
+                mixed = mix64_array(np.array(lane, dtype=np.uint64))
+                assert mixed.ndim == 0 and int(mixed) == mix64(lane)
+            for key in keys:
+                expected = [unit_draw(key, index) for index in indices.tolist()]
+                assert unit_draws(key, indices).tolist() == expected
+                for index, value in zip(indices.tolist(), expected):
+                    single = unit_draws(key, np.array(index, dtype=np.int64))
+                    assert np.ndim(single) == 0 and float(single) == value
+                    assert float(unit_draws(key, index)) == value
+            matrix = unit_draws_matrix(keys, indices)
+            assert matrix.tolist() == [[unit_draw(key, index) for index in indices.tolist()]
+                                       for key in keys]
 
     def test_uniform_mean_and_variance(self):
         for tag in ("miss", "jx", "jy", "conf"):

@@ -36,6 +36,8 @@ from repro.utils.timebase import TimeInterval, frame_index_range
 from repro.video.chunking import Chunk, ChunkSpec, iter_chunks
 from repro.video.geometry import BoundingBox
 from repro.video.masking import EMPTY_MASK, Mask
+from repro.utils.hashing import stream_key, string_token
+from repro.video import video as video_module
 from repro.video.regions import Region
 
 from tests.conftest import make_crossing_object, make_simple_video, make_stationary_object
@@ -553,6 +555,40 @@ class TestFootagePickles:
         index = OracleIndex(received)
         for chunk in chunks_of(received, mask=scenario.owner_mask, sample_period=1.0)[:3]:
             assert_matches_oracle(chunk, index)
+
+    def test_kernel_memos_are_bounded_and_never_shipped(self):
+        """The appearance table keeps one read-only wanted-mask per category
+        set and starts over past ``_WANTED_MEMO_LIMIT`` sets; a pickled
+        video carries no table, so no memo.  The detector's token and stream
+        key caches are bounded LRUs."""
+        scenario = build_scenario("campus", scale=0.15, duration_hours=0.5, seed=7)
+        video = scenario.video
+        video.content_fingerprint()
+        fresh = pickle.dumps(video)
+        chunks = chunks_of(video, mask=scenario.owner_mask, sample_period=1.0)[:5]
+        for chunk in chunks:
+            chunk.frame_batch(categories={"person"})
+        table = video._table()
+        assert list(table.wanted_memo) == [frozenset({"person"})]
+        limit = video_module._WANTED_MEMO_LIMIT
+        sets = [frozenset({"person", f"kind-{index}"}) for index in range(limit + 3)]
+        masks = [table.wanted(categories) for categories in sets]
+        assert len(table.wanted_memo) == 4
+        assert table.wanted(set(sets[-1])) is masks[-1]
+        assert table.wanted(list(sets[0])) is not masks[0]
+        assert all(not mask.flags.writeable for mask in masks)
+        assert masks[0].tolist() == [name == "person" for name in table.category_ids]
+        assert pickle.dumps(video) == fresh
+        assert b"wanted_memo" not in fresh
+        received = pickle.loads(fresh)
+        assert received._appearance_table is None
+        assert [len(received.batch_for_indices(
+                    received.frame_indices(chunk.interval, 1.0), chunk.interval,
+                    categories={"person"}).scene_objects) for chunk in chunks] \
+            == [len(chunk.frame_batch(categories={"person"}).scene_objects)
+                for chunk in chunks]
+        for cached in (string_token, stream_key):
+            assert cached.cache_info().maxsize == 1 << 16
 
     def test_process_broadcast_bytes_do_not_depend_on_serial_history(self):
         scenario = build_scenario("campus", scale=0.15, duration_hours=0.5, seed=7)

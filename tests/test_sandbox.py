@@ -1,6 +1,8 @@
 """Tests for the isolated execution environment and the executable library."""
 
+import copy
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.cv.detector import DetectorConfig
 from repro.cv.tracker import TrackerConfig
 
 from tests.conftest import flat_rows, make_crossing_object, make_simple_video, split_interval
+from tests.printing_executable import PrintingExecutable
 
 
 VALUE_SCHEMA = Schema(columns=(ColumnSpec("value", DataType.NUMBER, 0.0),))
@@ -157,6 +160,46 @@ class TestSandboxRunner:
         regions = {runner.run_chunk_outcome(chunk, context).rows[0][REGION_COLUMN]
                    for chunk in chunks}
         assert regions == {"left", "right"}
+
+
+def _registered_and_doubles():
+    """Every executable of the default registry, then every sandbox double."""
+    registry = default_registry()
+    return ([registry.resolve(name) for name in registry.names()]
+            + [CrashingExecutable(), SlowExecutable(), RowFloodExecutable(),
+               ConstantExecutable(), PrintingExecutable()])
+
+
+class TestFreshInstance:
+    """``fresh_instance`` builds its shallow clone without ``copy.copy``'s
+    reduce protocol; the clone must be the one ``copy.copy`` builds."""
+
+    @pytest.mark.parametrize("executable", _registered_and_doubles(),
+                             ids=lambda executable: type(executable).__name__)
+    def test_clone_matches_copy_copy(self, executable):
+        # The first call memoises which branch applies; later calls read it.
+        for clone in (executable.fresh_instance(), executable.fresh_instance()):
+            assert "_fresh_shallow" in vars(executable)
+            assert clone is not executable
+            assert type(clone) is type(executable)
+            assert vars(clone) == vars(copy.copy(executable))
+            assert "_fresh_shallow" not in vars(clone)
+            assert clone == executable
+
+    def test_shallow_clone_shares_immutable_configuration(self):
+        executable = EnteringObjectCounter(category="car")
+        clone = executable.fresh_instance()
+        assert vars(executable)["_fresh_shallow"] is True
+        for spec in fields(executable):
+            assert getattr(clone, spec.name) is getattr(executable, spec.name)
+
+    def test_mutable_configuration_is_deep_copied(self):
+        executable = ConstantExecutable(rows=[{"value": 2.0}])
+        clone = executable.fresh_instance()
+        assert vars(executable)["_fresh_shallow"] is False
+        assert clone.rows == executable.rows
+        assert clone.rows is not executable.rows
+        assert clone.rows[0] is not executable.rows[0]
 
 
 class TestExecutables:
